@@ -1,11 +1,39 @@
 //! Benches for a single V-cycle application per storage precision — the
 //! preconditioner-only speedup (the orange bars of Fig. 8, isolated from
 //! iteration-count effects), plus the setup-then-scale setup-phase
-//! overhead (the blue bars).
+//! overhead (the blue bars) and the matrix-free vector kernels a cycle
+//! and the Krylov loop around it are made of.
 
 use fp16mg_bench::{Combo, Group};
-use fp16mg_core::Mg;
+use fp16mg_core::{prolong_add, restrict, Mg};
+use fp16mg_grid::Grid3;
+use fp16mg_krylov::{axpy, dot};
 use fp16mg_problems::ProblemKind;
+
+/// Grid transfers (f32, the V-cycle's precision) and Krylov BLAS-1 (f64)
+/// at n = 48, with GB/s computed from the array sizes each call must
+/// move. These are bandwidth-bound: a row far below the host's stream
+/// rate (~1 GB/s or less) means a kernel stopped vectorising.
+fn bench_vector_kernels() {
+    let fine = Grid3::cube(48);
+    let coarse = fine.coarsen();
+    let (nf, nc) = (fine.unknowns(), coarse.unknowns());
+    let mut uf: Vec<f32> = (0..nf).map(|i| ((i % 101) as f32) * 0.01 - 0.4).collect();
+    let mut uc = vec![0.0f32; nc];
+    let transfers = |bytes: usize| Group::new("transfer/n48-f32").throughput_bytes(bytes as u64);
+    transfers(4 * (nf + nc)).bench("restrict", || restrict(&fine, &coarse, &uf, &mut uc));
+    // Scaled down so thousands of accumulating calls stay finite.
+    uc.iter_mut().for_each(|v| *v *= 1e-9);
+    transfers(4 * (nc + 2 * nf)).bench("prolong_add", || prolong_add(&fine, &coarse, &uc, &mut uf));
+
+    let x: Vec<f64> = (0..nf).map(|i| ((i % 89) as f64) * 0.01 - 0.4).collect();
+    let mut y = vec![0.0f64; nf];
+    let blas1 = |bytes: usize| Group::new("blas1/n48-f64").throughput_bytes(bytes as u64);
+    blas1(8 * 3 * nf).bench("axpy", || axpy(1e-9, &x, &mut y));
+    blas1(8 * 2 * nf).bench("dot", || {
+        std::hint::black_box(dot(&x, &y));
+    });
+}
 
 fn bench_vcycle() {
     for kind in [ProblemKind::Laplace27, ProblemKind::Rhd, ProblemKind::Oil, ProblemKind::Weather] {
@@ -43,6 +71,7 @@ fn bench_setup() {
 }
 
 fn main() {
+    bench_vector_kernels();
     bench_vcycle();
     bench_setup();
 }

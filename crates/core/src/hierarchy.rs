@@ -9,7 +9,7 @@ use fp16mg_grid::Grid3;
 use fp16mg_krylov::Preconditioner;
 use fp16mg_sgdia::audit::{self, RangeAudit, TruncationError};
 use fp16mg_sgdia::kernels::BlockDiagInv;
-use fp16mg_sgdia::scaling::{self, rescale_into, ScaleVectors};
+use fp16mg_sgdia::scaling::{self, ScaleVectors};
 use fp16mg_sgdia::sentinel::{MatrixSentinels, TapMismatch};
 use fp16mg_sgdia::SgDia;
 
@@ -365,9 +365,9 @@ pub struct Mg<Pr: Scalar = f32> {
     coarse_s64: Vec<f64>,
     /// Finest-level rescale wrap for the scale-then-setup strategy.
     finest_scale: Option<ScaleVectors<Pr>>,
-    /// The preallocated solve arena: every per-level V-cycle buffer and
-    /// the `K`↔`Pr` boundary pair, carved once at setup so the
-    /// steady-state hot loop is allocation-free.
+    /// The preallocated solve arena: every per-level V-cycle buffer,
+    /// carved once at setup so the steady-state hot loop is
+    /// allocation-free.
     ws: Workspace<Pr>,
     config: MgConfig,
     info: MgInfo,
@@ -490,8 +490,7 @@ impl<Pr: Scalar> Mg<Pr> {
         for ai in chain.iter().take(nlev - 1) {
             level_unknowns.push(checked_unknowns(ai.grid())?);
         }
-        let finest_rows = checked_unknowns(chain[0].grid())?;
-        let ws = Workspace::for_levels(&level_unknowns, finest_rows)?;
+        let ws = Workspace::for_levels(&level_unknowns)?;
 
         // --- Adaptive shift_levid: audit the chain, pick the switch. ---
         let mut shift_decision = None;
@@ -686,17 +685,29 @@ impl<Pr: Scalar> Mg<Pr> {
     /// Preconditioner application in the computation precision:
     /// `e ≈ A⁻¹ r` via one V-cycle.
     ///
-    /// When the [`crate::RecoveryPolicy`] is enabled, the output is
-    /// scanned for ±∞/NaN; a non-finite result triggers a storage
-    /// promotion of the implicated level (see [`Mg::promote_level`]) and
-    /// the cycle re-runs, bounded by the promotion budget. A hierarchy
-    /// whose levels are all healthy pays exactly one pass over the output
-    /// vector for this guard.
+    /// When the [`crate::RecoveryPolicy`] is enabled, a non-finite (±∞/NaN)
+    /// result triggers a storage promotion of the implicated level (see
+    /// [`Mg::promote_level`]) and the cycle re-runs, bounded by the
+    /// promotion budget. The scan rides on the pass that writes `e`, so a
+    /// hierarchy whose levels are all healthy pays nothing extra for this
+    /// guard.
     ///
     /// # Panics
     /// Panics on dimension mismatch.
     pub fn apply_pr(&mut self, r: &[Pr], e: &mut [Pr]) {
-        self.apply_pr_once(r, e);
+        self.apply_guarded(r, e);
+    }
+
+    /// [`Mg::apply_pr`] with the boundary in any scalar `K` (Algorithm 2
+    /// lines 4 and 6): `r` is truncated straight into the finest level's
+    /// right-hand side and `z` is widened straight from its iterate, so
+    /// the `K` ↔ `Pr` conversion costs no vector of its own.
+    fn apply_guarded<K: Scalar>(&mut self, r: &[K], z: &mut [K]) {
+        let n = self.rows();
+        assert_eq!(r.len(), n, "r length");
+        assert_eq!(z.len(), n, "z length");
+        self.load_rhs(r);
+        let mut finite = self.cycle_into(z);
         let every = self.config.integrity.check_every;
         if every > 0 && self.vcycles().is_multiple_of(every) {
             // Periodic ABFT cadence: verify the sentinels and repair in
@@ -707,72 +718,61 @@ impl<Pr: Scalar> Mg<Pr> {
         if !self.config.recovery.enabled {
             return;
         }
-        while !e.iter().all(|v| v.to_f64().is_finite()) {
+        // The cycle leaves the loaded right-hand side intact, so a re-run
+        // needs no reload.
+        while !finite {
             // Localized repair first: if the non-finite output traces to a
             // corrupted plane with a retained parent, re-truncation is
             // cheaper than promotion and keeps the level at its storage
             // precision.
-            if !self.verify_and_repair(RepairTrigger::NonFiniteOutput).is_empty() {
-                self.apply_pr_once(r, e);
-                continue;
-            }
-            if self.promote_suspect(PromotionReason::NonFiniteOutput).is_none() {
+            if self.verify_and_repair(RepairTrigger::NonFiniteOutput).is_empty()
+                && self.promote_suspect(PromotionReason::NonFiniteOutput).is_none()
+            {
                 // Budget exhausted or nothing left to promote: surface the
                 // non-finite output to the caller (the solver's own
                 // NonFiniteResidual breakdown will catch it).
                 return;
             }
-            self.apply_pr_once(r, e);
+            finite = self.cycle_into(z);
         }
     }
 
-    /// One unguarded cycle application.
-    fn apply_pr_once(&mut self, r: &[Pr], e: &mut [Pr]) {
-        self.cycles.fetch_add(1, Ordering::Relaxed);
-        let n = self.rows();
-        assert_eq!(r.len(), n, "r length");
-        assert_eq!(e.len(), n, "e length");
-        if self.levels.is_empty() {
-            // Single-level: direct solve, with the scale-then-setup wrap if
-            // present (the stored operator is Ã = S⁻¹AS⁻¹).
-            match self.finest_scale.take() {
-                Some(sv) => {
-                    rescale_into(r, &sv.s_inv, &mut self.coarse_f);
-                    self.coarse_solve_from_own_f();
-                    for ((ei, &x), &si) in e.iter_mut().zip(&self.coarse_x64).zip(&sv.s_inv) {
-                        *ei = Pr::from_f64(x) * si;
-                    }
-                    self.finest_scale = Some(sv);
-                }
-                None => {
-                    self.coarse_f.copy_from_slice(r);
-                    self.coarse_solve_from_own_f();
-                    for (ei, &x) in e.iter_mut().zip(&self.coarse_x64) {
-                        *ei = Pr::from_f64(x);
-                    }
-                }
-            }
-            return;
-        }
-        match self.finest_scale.take() {
+    /// Truncates `r` into the finest right-hand side — through `S⁻¹` under
+    /// scale-then-setup, where the hierarchy approximates `Ã⁻¹` with
+    /// `Ã = S⁻¹AS⁻¹` and `A⁻¹ r = S⁻¹ Ã⁻¹ (S⁻¹ r)`.
+    fn load_rhs<K: Scalar>(&mut self, r: &[K]) {
+        let f: &mut [Pr] =
+            if self.levels.is_empty() { &mut self.coarse_f } else { self.ws.level(0).f };
+        match &self.finest_scale {
             Some(sv) => {
-                // scale-then-setup: the hierarchy approximates Ã⁻¹ with
-                // Ã = S⁻¹AS⁻¹, so A⁻¹ r = S⁻¹ Ã⁻¹ (S⁻¹ r).
-                rescale_into(r, &sv.s_inv, self.ws.level(0).f);
-                self.vcycle();
-                rescale_into(self.ws.level(0).u, &sv.s_inv, e);
-                self.finest_scale = Some(sv);
+                for ((fi, &ri), &si) in f.iter_mut().zip(r).zip(&sv.s_inv) {
+                    *fi = Pr::from_f64(ri.to_f64()) * si;
+                }
             }
             None => {
-                self.ws.level(0).f.copy_from_slice(r);
-                self.vcycle();
-                e.copy_from_slice(self.ws.level(0).u);
+                for (fi, &ri) in f.iter_mut().zip(r) {
+                    *fi = Pr::from_f64(ri.to_f64());
+                }
             }
         }
     }
 
-    /// Bytes held by the preallocated solve workspace (per-level V-cycle
-    /// buffers plus the boundary conversion pair). Carved once at setup;
+    /// One unguarded cycle on the loaded right-hand side; widens the
+    /// result into `z` and reports whether every entry was finite.
+    fn cycle_into<K: Scalar>(&mut self, z: &mut [K]) -> bool {
+        self.cycles.fetch_add(1, Ordering::Relaxed);
+        self.vcycle();
+        let s_inv = self.finest_scale.as_ref().map(|sv| sv.s_inv.as_slice());
+        if self.levels.is_empty() {
+            // Single-level: the direct solve left its answer in f64.
+            widen_result(self.coarse_x64.iter().map(|&x| Pr::from_f64(x)), s_inv, z)
+        } else {
+            widen_result(self.ws.level(0).u.iter().copied(), s_inv, z)
+        }
+    }
+
+    /// Bytes held by the preallocated solve workspace (the per-level
+    /// V-cycle buffers). Carved once at setup;
     /// together with [`MgInfo::matrix_bytes`] this is the hierarchy's
     /// steady-state resident footprint.
     pub fn workspace_bytes(&self) -> usize {
@@ -1009,6 +1009,25 @@ impl<Pr: Scalar> Mg<Pr> {
         self.info.repairs.push(event.clone());
         Some(event)
     }
+}
+
+/// Writes the cycle's result `e` (times `S⁻¹` under scale-then-setup)
+/// to `z` in the caller's precision; true when every entry was finite.
+fn widen_result<Pr: Scalar, K: Scalar>(
+    e: impl Iterator<Item = Pr>,
+    s_inv: Option<&[Pr]>,
+    z: &mut [K],
+) -> bool {
+    let mut finite = true;
+    let mut put = |zi: &mut K, e: Pr| {
+        finite &= e.is_finite();
+        *zi = K::from_f64(e.to_f64());
+    };
+    match s_inv {
+        Some(s_inv) => z.iter_mut().zip(e).zip(s_inv).for_each(|((zi, e), &si)| put(zi, e * si)),
+        None => z.iter_mut().zip(e).for_each(|(zi, e)| put(zi, e)),
+    }
+    finite
 }
 
 /// The storage precisions the recovery path insures.
@@ -1406,23 +1425,7 @@ fn build_ilu(
 
 impl<K: Scalar, Pr: Scalar> Preconditioner<K> for Mg<Pr> {
     fn apply(&mut self, r: &[K], z: &mut [K]) {
-        // Algorithm 2 line 4: truncate the residual to the preconditioner
-        // precision, into the workspace's boundary pair. The pair is
-        // moved out (`mem::take`, no allocation) for the duration of the
-        // call because `apply_pr` needs `&mut self` while reading `rp`.
-        let n = self.rows();
-        assert_eq!(r.len(), n, "r length");
-        assert_eq!(z.len(), n, "z length");
-        let (mut rp, mut ep) = self.ws.take_boundary();
-        for (d, &s) in rp.iter_mut().zip(r) {
-            *d = Pr::from_f64(s.to_f64());
-        }
-        self.apply_pr(&rp, &mut ep);
-        // Line 6: recover the error to the iterative precision.
-        for (zi, &e) in z.iter_mut().zip(&ep) {
-            *zi = K::from_f64(e.to_f64());
-        }
-        self.ws.restore_boundary(rp, ep);
+        self.apply_guarded(r, z);
     }
 
     /// A solver breakdown or stagnation may be silent storage corruption

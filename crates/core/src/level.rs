@@ -183,7 +183,7 @@ fn sweep<Pr: Scalar>(
             for cell in 0..dinv.cells() {
                 dinv.solve(cell, &scratch[cell * r..cell * r + r], &mut blk[..r]);
                 for c in 0..r {
-                    x[cell * r + c] = w.mul_add(blk[c], x[cell * r + c]);
+                    x[cell * r + c] += w * blk[c];
                 }
             }
         }

@@ -8,6 +8,21 @@
 //! `R = Pᵀ`, which keeps the Galerkin-coarsened V-cycle symmetric — a
 //! requirement for use inside CG. Components of vector PDEs transfer
 //! independently (unknown-based system multigrid).
+//!
+//! Both operators are *gather-form row kernels*: the weights factor per
+//! axis, so the `y`/`z` part is a weighted sum of whole contiguous x-rows
+//! (plain `w·x + acc` loops the compiler vectorises) and only the `x`
+//! part is a stencil — `[½ 1 ½]` with stride 2 for restriction, `even +=
+//! c[i]`, `odd += ½(c[i] + c[i+1])` for prolongation. Every weight,
+//! including the boundary fold and the identity of a semicoarsened axis,
+//! is read from [`parents_axis`], the definition the Galerkin product
+//! uses through [`cell_parents_into`]; the two x-stencils are the only
+//! place its interior values are written out, and only for cells whose
+//! neighbours exist (everything else goes through the lookup). Each call
+//! streams the fine vector once (restriction reads `n_f`, writes `n_c`;
+//! prolongation reads `n_c` and `n_f`, writes `n_f`) and allocates
+//! nothing: the combined row lives in a [`TILE`]-element stack buffer and
+//! long rows are processed in x-chunks.
 
 use fp16mg_fp::Scalar;
 use fp16mg_grid::Grid3;
@@ -47,6 +62,29 @@ fn parents_axis(x: usize, fine_n: usize, coarse_n: usize) -> ([(usize, f32); 2],
     }
 }
 
+/// Transpose of [`parents_axis`]: the fine coordinates that have coarse
+/// `c` among their parents, ascending, each with the weight
+/// `parents_axis` gives it — at most three entries. Only the candidate
+/// range is spelled out here; membership and weight are looked up.
+#[inline]
+fn children_axis(c: usize, fine_n: usize, coarse_n: usize) -> ([(usize, f32); 3], usize) {
+    let candidates = if coarse_n == fine_n {
+        c..c + 1
+    } else {
+        (2 * c).saturating_sub(1)..(2 * c + 2).min(fine_n)
+    };
+    let mut out = [(0, 0.0); 3];
+    let mut n = 0;
+    for x in candidates {
+        let (p, np) = parents_axis(x, fine_n, coarse_n);
+        if let Some(&(_, w)) = p[..np].iter().find(|&&(pc, _)| pc == c) {
+            out[n] = (x, w);
+            n += 1;
+        }
+    }
+    (out, n)
+}
+
 /// Checks that `coarse` is a valid (semi)coarsening of `fine` and that
 /// component counts agree.
 fn assert_coarsening_pair(fine: &Grid3, coarse: &Grid3) {
@@ -56,35 +94,157 @@ fn assert_coarsening_pair(fine: &Grid3, coarse: &Grid3) {
     }
 }
 
+/// Elements of the stack buffer holding one combined x-row (or x-chunk
+/// of it): 4–8 KiB, so the rows being combined stay in L1 next to it.
+const TILE: usize = 1024;
+
+/// Coarse cells per x-chunk such that the chunk's fine cells (`2n + 1`
+/// of them under coarsening, `n` on an identity axis) times `components`
+/// fit in [`TILE`].
+fn x_chunk_cells(fine_nx: usize, coarse_nx: usize, components: usize) -> usize {
+    let cells = TILE / components;
+    assert!(cells >= 3, "more than {} components per cell", TILE / 3);
+    if coarse_nx == fine_nx {
+        cells
+    } else {
+        (cells - 1) / 2
+    }
+}
+
+/// `acc += w·row`. The weights are powers of two, so the product is
+/// exact and the plain form rounds exactly like a fused multiply-add.
+#[inline(always)]
+fn row_axpy<P: Scalar>(w: P, row: &[P], acc: &mut [P]) {
+    for (a, &x) in acc.iter_mut().zip(row) {
+        *a += w * x;
+    }
+}
+
+/// Collapses the combined fine cells `t` (cells `lo..`, `r` components
+/// each) onto coarse cells `c0..c0 + out.len() / r` along x.
+#[inline(always)]
+fn collapse_x<P: Scalar>(
+    t: &[P],
+    lo: usize,
+    out: &mut [P],
+    c0: usize,
+    (fine_nx, coarse_nx): (usize, usize),
+    r: usize,
+) {
+    if coarse_nx == fine_nx {
+        out.copy_from_slice(t);
+        return;
+    }
+    // Coarse cells whose three children `2c-1, 2c, 2c+1` are followed by
+    // a further fine cell `2c+2`: both odd children then have two
+    // in-grid parents, i.e. the weights are the interior [½ 1 ½].
+    let a = c0.max(1);
+    let half = P::from_f32(0.5);
+    let tt = &t[(2 * a - 1 - lo) * r..];
+    let pairs = tt.chunks_exact(2 * r).zip(tt[(2 * r).min(tt.len())..].chunks_exact(2 * r));
+    let mut stencilled = 0;
+    for (o, (p, q)) in out[(a - c0) * r..].chunks_exact_mut(r).zip(pairs) {
+        for c in 0..r {
+            o[c] = p[r + c] + half * (p[c] + q[c]);
+        }
+        stencilled += 1;
+    }
+    // The rest — coarse cell 0, the last cell of the chunk, the folded
+    // upper boundary — takes its children and weights from the lookup.
+    let c1 = c0 + out.len() / r;
+    for ci in (c0..a).chain(a + stencilled..c1) {
+        let o = &mut out[(ci - c0) * r..][..r];
+        o.fill(P::ZERO);
+        let (kids, nk) = children_axis(ci, fine_nx, coarse_nx);
+        for &(x, w) in &kids[..nk] {
+            row_axpy(P::from_f32(w), &t[(x - lo) * r..][..r], o);
+        }
+    }
+}
+
+/// Adds the combined coarse cells `t` (cells `c0..`, `r` components
+/// each) to the fine cells `f0..f0 + uf.len() / r` along x.
+#[inline(always)]
+fn expand_x_add<P: Scalar>(
+    t: &[P],
+    c0: usize,
+    uf: &mut [P],
+    f0: usize,
+    (fine_nx, coarse_nx): (usize, usize),
+    r: usize,
+) {
+    if coarse_nx == fine_nx {
+        row_axpy(P::ONE, t, uf);
+        return;
+    }
+    // Fine pairs `(2m, 2m+1)` whose upper parent `m+1` is in the chunk
+    // (hence in the grid): the interior rule `even += c[m]`,
+    // `odd += ½(c[m] + c[m+1])`.
+    let half = P::from_f32(0.5);
+    let mut paired = 0;
+    let parents_pairs = t.chunks_exact(r).zip(t[r.min(t.len())..].chunks_exact(r));
+    for (f, (a, b)) in uf.chunks_exact_mut(2 * r).zip(parents_pairs) {
+        for c in 0..r {
+            f[c] += a[c];
+            f[r + c] += half * (a[c] + b[c]);
+        }
+        paired += 1;
+    }
+    // The tail of the chunk — including a folded odd boundary cell —
+    // takes its parents and weights from the lookup.
+    for (n, f) in uf.chunks_exact_mut(r).enumerate().skip(2 * paired) {
+        let (ps, np) = parents_axis(f0 + n, fine_nx, coarse_nx);
+        for &(ci, w) in &ps[..np] {
+            row_axpy(P::from_f32(w), &t[(ci - c0) * r..][..r], f);
+        }
+    }
+}
+
 /// `uf += P uc`: interpolates the coarse correction onto the fine grid and
 /// accumulates (Algorithm 3 line 20).
 ///
 /// # Panics
-/// Panics on dimension mismatch or when `coarse` is not a (semi)coarsening
-/// of `fine`.
+/// Panics on dimension mismatch, when `coarse` is not a (semi)coarsening
+/// of `fine`, or on more than 341 components per cell.
 pub fn prolong_add<P: Scalar>(fine: &Grid3, coarse: &Grid3, uc: &[P], uf: &mut [P]) {
     assert_coarsening_pair(fine, coarse);
     assert_eq!(uc.len(), coarse.unknowns(), "uc length");
     assert_eq!(uf.len(), fine.unknowns(), "uf length");
-    let r = fine.components;
+    if fine.components == 1 {
+        prolong_add_rows(fine, coarse, uc, uf, 1);
+    } else {
+        prolong_add_rows(fine, coarse, uc, uf, fine.components);
+    }
+}
+
+/// [`prolong_add`] with the component count as a separate argument so the
+/// scalar case is compiled with `r = 1` folded into the x-stencil.
+#[inline(always)]
+fn prolong_add_rows<P: Scalar>(fine: &Grid3, coarse: &Grid3, uc: &[P], uf: &mut [P], r: usize) {
+    let nx = (fine.nx, coarse.nx);
+    let step = x_chunk_cells(fine.nx, coarse.nx, r);
+    let fine_per_coarse = if coarse.nx == fine.nx { 1 } else { 2 };
+    let mut tile = [P::ZERO; TILE];
     for k in 0..fine.nz {
         let (pk, nk) = parents_axis(k, fine.nz, coarse.nz);
         for j in 0..fine.ny {
             let (pj, nj) = parents_axis(j, fine.ny, coarse.ny);
-            for i in 0..fine.nx {
-                let (pi, ni) = parents_axis(i, fine.nx, coarse.nx);
-                let fu = fine.cell(i, j, k) * r;
-                for (ck, wk) in &pk[..nk] {
-                    for (cj, wj) in &pj[..nj] {
-                        for (ci, wi) in &pi[..ni] {
-                            let w = P::from_f32(wi * wj * wk);
-                            let cu = coarse.cell(*ci, *cj, *ck) * r;
-                            for c in 0..r {
-                                uf[fu + c] = w.mul_add(uc[cu + c], uf[fu + c]);
-                            }
-                        }
+            let fine_row = &mut uf[fine.cell(0, j, k) * r..][..fine.nx * r];
+            for c0 in (0..coarse.nx).step_by(step) {
+                // Coarse cells c0..c1 own fine cells f0..f1; the odd one
+                // at the top also reads coarse cell c1 when it exists.
+                let c1 = (c0 + step).min(coarse.nx);
+                let (f0, f1) = (c0 * fine_per_coarse, (c1 * fine_per_coarse).min(fine.nx));
+                let halo = (c1 + fine_per_coarse - 1).min(coarse.nx);
+                let t = &mut tile[..(halo - c0) * r];
+                t.fill(P::ZERO);
+                for &(ck, wk) in &pk[..nk] {
+                    for &(cj, wj) in &pj[..nj] {
+                        let row = &uc[coarse.cell(c0, cj, ck) * r..][..t.len()];
+                        row_axpy(P::from_f32(wj * wk), row, t);
                     }
                 }
+                expand_x_add(t, c0, &mut fine_row[f0 * r..f1 * r], f0, nx, r);
             }
         }
     }
@@ -94,31 +254,46 @@ pub fn prolong_add<P: Scalar>(fine: &Grid3, coarse: &Grid3, uc: &[P], uf: &mut [
 /// (Algorithm 3 line 12). Overwrites `fc`.
 ///
 /// # Panics
-/// Panics on dimension mismatch or when `coarse != fine.coarsen()`.
+/// Panics on dimension mismatch, when `coarse` is not a (semi)coarsening
+/// of `fine`, or on more than 341 components per cell.
 pub fn restrict<P: Scalar>(fine: &Grid3, coarse: &Grid3, rf: &[P], fc: &mut [P]) {
     assert_coarsening_pair(fine, coarse);
     assert_eq!(rf.len(), fine.unknowns(), "rf length");
     assert_eq!(fc.len(), coarse.unknowns(), "fc length");
-    let r = fine.components;
-    fc.fill(P::ZERO);
-    for k in 0..fine.nz {
-        let (pk, nk) = parents_axis(k, fine.nz, coarse.nz);
-        for j in 0..fine.ny {
-            let (pj, nj) = parents_axis(j, fine.ny, coarse.ny);
-            for i in 0..fine.nx {
-                let (pi, ni) = parents_axis(i, fine.nx, coarse.nx);
-                let fu = fine.cell(i, j, k) * r;
-                for (ck, wk) in &pk[..nk] {
-                    for (cj, wj) in &pj[..nj] {
-                        for (ci, wi) in &pi[..ni] {
-                            let w = P::from_f32(wi * wj * wk);
-                            let cu = coarse.cell(*ci, *cj, *ck) * r;
-                            for c in 0..r {
-                                fc[cu + c] = w.mul_add(rf[fu + c], fc[cu + c]);
-                            }
-                        }
+    if fine.components == 1 {
+        restrict_rows(fine, coarse, rf, fc, 1);
+    } else {
+        restrict_rows(fine, coarse, rf, fc, fine.components);
+    }
+}
+
+/// [`restrict`] with the component count as a separate argument so the
+/// scalar case is compiled with `r = 1` folded into the x-stencil.
+#[inline(always)]
+fn restrict_rows<P: Scalar>(fine: &Grid3, coarse: &Grid3, rf: &[P], fc: &mut [P], r: usize) {
+    let nx = (fine.nx, coarse.nx);
+    let step = x_chunk_cells(fine.nx, coarse.nx, r);
+    let mut tile = [P::ZERO; TILE];
+    for ck in 0..coarse.nz {
+        let (kids_k, nk) = children_axis(ck, fine.nz, coarse.nz);
+        for cj in 0..coarse.ny {
+            let (kids_j, nj) = children_axis(cj, fine.ny, coarse.ny);
+            let coarse_row = &mut fc[coarse.cell(0, cj, ck) * r..][..coarse.nx * r];
+            for c0 in (0..coarse.nx).step_by(step) {
+                // Coarse cells c0..c1 gather from fine cells lo..hi.
+                let c1 = (c0 + step).min(coarse.nx);
+                let lo = children_axis(c0, fine.nx, coarse.nx).0[0].0;
+                let (last, nlast) = children_axis(c1 - 1, fine.nx, coarse.nx);
+                let hi = last[nlast - 1].0 + 1;
+                let t = &mut tile[..(hi - lo) * r];
+                t.fill(P::ZERO);
+                for &(k, wk) in &kids_k[..nk] {
+                    for &(j, wj) in &kids_j[..nj] {
+                        let row = &rf[fine.cell(lo, j, k) * r..][..t.len()];
+                        row_axpy(P::from_f32(wj * wk), row, t);
                     }
                 }
+                collapse_x(t, lo, &mut coarse_row[c0 * r..c1 * r], c0, nx, r);
             }
         }
     }
@@ -155,3 +330,6 @@ pub(crate) fn cell_parents_into(
     }
     n
 }
+
+#[cfg(test)]
+mod tests;

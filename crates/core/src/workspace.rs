@@ -2,12 +2,12 @@
 //!
 //! Every buffer the solve hot loop touches — the per-level iterate,
 //! right-hand side, residual, and the five smoother/rescale scratch
-//! vectors, plus the finest-level boundary pair used to convert between
-//! the Krylov scalar and the hierarchy precision — is carved out of one
-//! contiguous allocation at setup time. After `Mg::setup` returns, a
-//! steady-state V-cycle (and the CG iteration wrapped around it)
-//! performs **zero** heap allocations; the counting-allocator gate in
-//! `crates/problems/tests/zero_alloc.rs` enforces this.
+//! vectors — is carved out of one contiguous allocation at setup time
+//! (the Krylov scalar is converted to the hierarchy precision directly
+//! into and out of the finest level's `f` and `u`). After `Mg::setup`
+//! returns, a steady-state V-cycle (and the Krylov iteration wrapped
+//! around it) performs **zero** heap allocations; the counting-allocator
+//! gate in `crates/problems/tests/zero_alloc.rs` enforces this.
 //!
 //! The arena is laid out level-major — all eight buffers of level 0,
 //! then all eight of level 1, … — so a future tiled smoother can hand
@@ -52,12 +52,6 @@ pub(crate) struct Workspace<Pr: Scalar> {
     offsets: Vec<usize>,
     /// Unknown count of each level.
     sizes: Vec<usize>,
-    /// Boundary pair for `Preconditioner::apply`: the residual and
-    /// correction in hierarchy precision. Owned separately so the apply
-    /// path can `mem::take` them (allocation-free) while the rest of the
-    /// arena is mutably borrowed through `&mut self`.
-    rp: Vec<Pr>,
-    ep: Vec<Pr>,
     bytes: usize,
 }
 
@@ -81,11 +75,10 @@ fn too_large(what: &'static str) -> SetupError {
 
 impl<Pr: Scalar> Workspace<Pr> {
     /// Size and allocate the arena for a hierarchy whose smoothed levels
-    /// have `level_unknowns` unknowns each and whose finest operator has
-    /// `finest` rows (the boundary pair size). All arithmetic is
-    /// checked; an overflow or a request above [`MAX_ARENA_BYTES`]
-    /// returns [`SetupError::AllocTooLarge`].
-    pub fn for_levels(level_unknowns: &[usize], finest: usize) -> Result<Self, SetupError> {
+    /// have `level_unknowns` unknowns each. All arithmetic is checked; an
+    /// overflow or a request above [`MAX_ARENA_BYTES`] returns
+    /// [`SetupError::AllocTooLarge`].
+    pub fn for_levels(level_unknowns: &[usize]) -> Result<Self, SetupError> {
         let mut offsets = Vec::with_capacity(level_unknowns.len());
         let mut total = 0usize;
         for &n in level_unknowns {
@@ -94,9 +87,7 @@ impl<Pr: Scalar> Workspace<Pr> {
                 n.checked_mul(BUFS_PER_LEVEL).ok_or_else(|| too_large("workspace level region"))?;
             total = total.checked_add(region).ok_or_else(|| too_large("workspace arena"))?;
         }
-        let boundary = finest.checked_mul(2).ok_or_else(|| too_large("workspace boundary pair"))?;
-        let elems = total.checked_add(boundary).ok_or_else(|| too_large("workspace arena"))?;
-        let bytes = (elems as u64)
+        let bytes = (total as u64)
             .checked_mul(core::mem::size_of::<Pr>() as u64)
             .ok_or_else(|| too_large("workspace arena"))?;
         if bytes > MAX_ARENA_BYTES {
@@ -110,13 +101,11 @@ impl<Pr: Scalar> Workspace<Pr> {
             buf: vec![Pr::ZERO; total],
             offsets,
             sizes: level_unknowns.to_vec(),
-            rp: vec![Pr::ZERO; finest],
-            ep: vec![Pr::ZERO; finest],
             bytes: bytes as usize,
         })
     }
 
-    /// Total bytes held by the arena (per-level regions + boundary pair).
+    /// Total bytes held by the arena (the per-level regions).
     pub fn bytes(&self) -> usize {
         self.bytes
     }
@@ -137,19 +126,6 @@ impl<Pr: Scalar> Workspace<Pr> {
         let fine = carve(&mut lo[offi..offi + BUFS_PER_LEVEL * ni], ni);
         let coarse = carve(&mut hi[..BUFS_PER_LEVEL * nj], nj);
         (fine, coarse)
-    }
-
-    /// Take the boundary pair out of the arena (no allocation — the Vecs
-    /// move). The caller must hand them back via
-    /// [`Workspace::restore_boundary`] before the next apply.
-    pub fn take_boundary(&mut self) -> (Vec<Pr>, Vec<Pr>) {
-        (core::mem::take(&mut self.rp), core::mem::take(&mut self.ep))
-    }
-
-    /// Return the boundary pair taken by [`Workspace::take_boundary`].
-    pub fn restore_boundary(&mut self, rp: Vec<Pr>, ep: Vec<Pr>) {
-        self.rp = rp;
-        self.ep = ep;
     }
 }
 

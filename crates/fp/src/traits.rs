@@ -57,7 +57,14 @@ pub trait Scalar:
     fn abs(self) -> Self;
     /// Square root.
     fn sqrt(self) -> Self;
-    /// Fused (or contracted) multiply-add `self * a + b`.
+    /// Fused multiply-add `self * a + b`, rounded once.
+    ///
+    /// Only for code inside a `#[target_feature(enable = "fma")]`
+    /// function, where it is one instruction. Anywhere else the build has
+    /// no FMA to lower it to and every call goes to libm's `fma`/`fmaf`
+    /// through the PLT — several times the cost of `self * a + b` and a
+    /// barrier to vectorising the loop around it. Vector kernels write the
+    /// plain form.
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// True if the value is finite (not ±∞, not NaN).
     fn is_finite(self) -> bool;

@@ -89,11 +89,9 @@ pub fn cg_ctl_in<K: Scalar>(
         return SolveResult::new(StopReason::Converged, 0, 0.0, vec![0.0]);
     }
 
-    scratch.ensure(n);
-    let r = &mut scratch.r[..n];
-    let z = &mut scratch.z[..n];
-    let p = &mut scratch.p[..n];
-    let ap = &mut scratch.ap[..n];
+    let (r, rest) = scratch.vectors(n, 4).split_at_mut(n);
+    let (z, rest) = rest.split_at_mut(n);
+    let (p, ap) = rest.split_at_mut(n);
 
     // r = b - A x
     a.apply(x, r);

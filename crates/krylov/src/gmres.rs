@@ -4,7 +4,8 @@ use fp16mg_fp::Scalar;
 
 use crate::control::{NoControl, SolveControl};
 use crate::health::{Breakdown, SolveHealth};
-use crate::traits::{norm2, LinOp, Preconditioner};
+use crate::scratch::SolveScratch;
+use crate::traits::{axpy, dot, norm2, LinOp, Preconditioner};
 use crate::types::{SolveOptions, SolveResult, StopReason};
 
 /// Solves `A x = b` for general (nonsymmetric) `A` via flexible
@@ -49,10 +50,33 @@ pub fn gmres_ctl<K: Scalar>(
     opts: &SolveOptions,
     ctl: &mut impl SolveControl,
 ) -> SolveResult {
+    let mut scratch = SolveScratch::new(0);
+    gmres_ctl_in(a, m, b, x, opts, ctl, &mut scratch)
+}
+
+/// [`gmres_ctl`] with caller-owned work vectors: the residual, the work
+/// vector and both bases (`restart` Krylov vectors, `restart` flexible
+/// ones) are carved from `scratch`, which grows once — on the
+/// first solve at a given size and restart length — and is reused across
+/// restarts and across solves, so inner iterations never touch the heap.
+///
+/// # Panics
+/// Panics on dimension mismatch.
+#[allow(clippy::too_many_arguments)]
+pub fn gmres_ctl_in<K: Scalar>(
+    a: &impl LinOp<K>,
+    m: &mut impl Preconditioner<K>,
+    b: &[K],
+    x: &mut [K],
+    opts: &SolveOptions,
+    ctl: &mut impl SolveControl,
+    scratch: &mut SolveScratch<K>,
+) -> SolveResult {
     let n = a.rows();
     assert_eq!(b.len(), n, "b length");
     assert_eq!(x.len(), n, "x length");
-    let restart = opts.restart.max(1);
+    // A cycle never runs past `max_iters`, so neither do the bases.
+    let restart = opts.restart.clamp(1, opts.max_iters.max(1));
 
     let bnorm = norm2(b);
     if bnorm == 0.0 {
@@ -65,25 +89,26 @@ pub fn gmres_ctl<K: Scalar>(
     let mut total_iters = 0usize;
     let mut last_breakdown: Option<Breakdown> = None;
 
-    // Krylov basis V (restart+1 vectors), flexible basis Z (restart
-    // vectors), Hessenberg in f64.
-    let mut basis: Vec<Vec<K>> = Vec::with_capacity(restart + 1);
-    let mut zbasis: Vec<Vec<K>> = Vec::with_capacity(restart);
+    // Residual r, work vector w, Krylov basis V and flexible basis Z
+    // (restart vectors each: v_restart is never formed, the cycle ends
+    // on its norm) from the one flat buffer; Hessenberg in f64.
+    let (r, rest) = scratch.vectors(n, 2 * restart + 2).split_at_mut(n);
+    let (w, rest) = rest.split_at_mut(n);
+    let (basis, zbasis) = rest.split_at_mut(restart * n);
     let mut h = vec![0.0f64; (restart + 1) * restart];
     let mut cs = vec![0.0f64; restart];
     let mut sn = vec![0.0f64; restart];
     let mut g = vec![0.0f64; restart + 1];
-    let mut scratch = vec![K::ZERO; n];
+    let mut y = vec![0.0f64; restart];
 
     let mut rel;
     loop {
         // r0 = b - A x
-        let mut r = vec![K::ZERO; n];
-        a.apply(x, &mut r);
+        a.apply(x, r);
         for (ri, &bi) in r.iter_mut().zip(b) {
             *ri = bi - *ri;
         }
-        let beta = norm2(&r);
+        let beta = norm2(r);
         rel = beta / bnorm;
         if opts.record_history && history.is_empty() {
             history.push(rel);
@@ -104,10 +129,10 @@ pub fn gmres_ctl<K: Scalar>(
         }
 
         // Arnoldi from v0 = r/beta.
-        basis.clear();
-        zbasis.clear();
         let inv_beta = K::from_f64(1.0 / beta);
-        basis.push(r.iter().map(|&v| v * inv_beta).collect());
+        for (v0, &ri) in basis[..n].iter_mut().zip(r.iter()) {
+            *v0 = ri * inv_beta;
+        }
         g.iter_mut().for_each(|v| *v = 0.0);
         g[0] = beta;
         h.iter_mut().for_each(|v| *v = 0.0);
@@ -125,20 +150,16 @@ pub fn gmres_ctl<K: Scalar>(
                 break;
             }
             // z_k = M⁻¹ v_k (kept); w = A z_k.
-            let mut z = vec![K::ZERO; n];
-            m.apply(&basis[k], &mut z);
-            a.apply(&z, &mut scratch);
-            zbasis.push(z);
-            // Modified Gram–Schmidt.
-            for (i, vi) in basis.iter().enumerate() {
-                let hik = crate::traits::dot(&scratch, vi);
+            let zk = &mut zbasis[k * n..(k + 1) * n];
+            m.apply(&basis[k * n..(k + 1) * n], zk);
+            a.apply(zk, w);
+            // Modified Gram–Schmidt against v_0..v_k.
+            for (i, vi) in basis[..(k + 1) * n].chunks_exact(n).enumerate() {
+                let hik = dot(w, vi);
                 h[i * restart + k] = hik;
-                let c = K::from_f64(hik);
-                for (w, &v) in scratch.iter_mut().zip(vi) {
-                    *w = (-c).mul_add(v, *w);
-                }
+                axpy(-hik, vi, w);
             }
-            let hkk = norm2(&scratch);
+            let hkk = norm2(w);
             h[(k + 1) * restart + k] = hkk;
             if !hkk.is_finite() {
                 broke_down = true;
@@ -188,13 +209,14 @@ pub fn gmres_ctl<K: Scalar>(
             }
             if k + 1 < restart {
                 let inv = K::from_f64(1.0 / hkk);
-                basis.push(scratch.iter().map(|&v| v * inv).collect());
+                for (vn, &wi) in basis[(k + 1) * n..(k + 2) * n].iter_mut().zip(w.iter()) {
+                    *vn = wi * inv;
+                }
             }
         }
 
         if k_used > 0 {
             // Solve the triangular system h y = g.
-            let mut y = vec![0.0f64; k_used];
             for i in (0..k_used).rev() {
                 let mut v = g[i];
                 for j in i + 1..k_used {
@@ -213,11 +235,8 @@ pub fn gmres_ctl<K: Scalar>(
             }
             if !broke_down {
                 // x += Z y — the flexible update.
-                for (j, zj) in zbasis.iter().enumerate().take(k_used) {
-                    let c = K::from_f64(y[j]);
-                    for (xi, &zv) in x.iter_mut().zip(zj) {
-                        *xi = c.mul_add(zv, *xi);
-                    }
+                for (zj, &yj) in zbasis.chunks_exact(n).zip(&y[..k_used]) {
+                    axpy(yj, zj, x);
                 }
             }
         }

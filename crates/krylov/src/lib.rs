@@ -30,11 +30,11 @@ mod types;
 pub use bicgstab::{bicgstab, bicgstab_ctl};
 pub use cg::{cg, cg_ctl, cg_ctl_in};
 pub use control::{NoControl, SolveControl};
-pub use gmres::{gmres, gmres_ctl};
+pub use gmres::{gmres, gmres_ctl, gmres_ctl_in};
 pub use health::{Breakdown, HealthPolicy, IterHealth, SolveError, SolveHealth, Stagnation};
 pub use richardson::{richardson, richardson_ctl};
 pub use scratch::SolveScratch;
-pub use traits::{IdentityPrecond, LinOp, Preconditioner, TimedPrecond};
+pub use traits::{axpy, dot, norm2, xpby, IdentityPrecond, LinOp, Preconditioner, TimedPrecond};
 pub use types::{SolveOptions, SolveResult, StopReason};
 
 #[cfg(test)]

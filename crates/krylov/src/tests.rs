@@ -251,7 +251,14 @@ fn bicgstab_solves_nonsymmetric_system() {
 #[test]
 fn bicgstab_with_preconditioner_converges_faster() {
     use crate::bicgstab;
-    let a = Dense::advection1d(100);
+    // Rows scaled over two decades, which Jacobi undoes. (On the constant
+    // diagonal of `advection1d` itself Jacobi is a multiple of the
+    // identity, and the two counts differ only by rounding luck.)
+    let mut a = Dense::advection1d(100);
+    for (i, row) in a.a.chunks_exact_mut(100).enumerate() {
+        let s = 1.0 + 10.0 * (i % 10) as f64;
+        row.iter_mut().for_each(|v| *v *= s);
+    }
     let b = vec![1.0f64; 100];
     let opts = SolveOptions { max_iters: 500, ..Default::default() };
     let mut x1 = vec![0.0f64; 100];
@@ -260,7 +267,7 @@ fn bicgstab_with_preconditioner_converges_faster() {
     let mut x2 = vec![0.0f64; 100];
     let r2 = bicgstab(&a, &mut m, &b, &mut x2, &opts);
     assert!(r1.converged() && r2.converged());
-    assert!(r2.iters <= r1.iters);
+    assert!(r2.iters < r1.iters, "{} vs {}", r2.iters, r1.iters);
 }
 
 #[test]

@@ -97,28 +97,47 @@ impl<K: Scalar, M: Preconditioner<K>> Preconditioner<K> for TimedPrecond<M> {
     }
 }
 
+/// Independent partial sums in [`dot`]: enough to hide the add latency
+/// and let the compiler keep them in vector registers.
+const DOT_LANES: usize = 8;
+
 /// Euclidean norm with `f64` accumulation regardless of `K`.
-pub(crate) fn norm2<K: Scalar>(v: &[K]) -> f64 {
-    v.iter().map(|&x| x.to_f64() * x.to_f64()).sum::<f64>().sqrt()
+pub fn norm2<K: Scalar>(v: &[K]) -> f64 {
+    dot(v, v).sqrt()
 }
 
-/// Dot product with `f64` accumulation.
-pub(crate) fn dot<K: Scalar>(a: &[K], b: &[K]) -> f64 {
-    a.iter().zip(b).map(|(&x, &y)| x.to_f64() * y.to_f64()).sum()
+/// Dot product with `f64` accumulation, summed in [`DOT_LANES`]
+/// interleaved partial sums (a fixed order, so results repeat exactly).
+///
+/// # Panics
+/// Panics when the lengths differ.
+pub fn dot<K: Scalar>(a: &[K], b: &[K]) -> f64 {
+    assert_eq!(a.len(), b.len(), "dot length");
+    let (ca, cb) = (a.chunks_exact(DOT_LANES), b.chunks_exact(DOT_LANES));
+    let tail: f64 =
+        ca.remainder().iter().zip(cb.remainder()).map(|(&x, &y)| x.to_f64() * y.to_f64()).sum();
+    let mut acc = [0.0f64; DOT_LANES];
+    for (xa, xb) in ca.zip(cb) {
+        for l in 0..DOT_LANES {
+            acc[l] += xa[l].to_f64() * xb[l].to_f64();
+        }
+    }
+    acc.iter().sum::<f64>() + tail
 }
 
-/// `y += alpha * x`.
-pub(crate) fn axpy<K: Scalar>(alpha: f64, x: &[K], y: &mut [K]) {
+/// `y += alpha * x`, as a plain multiply and add: see
+/// [`Scalar::mul_add`] for why not the fused form.
+pub fn axpy<K: Scalar>(alpha: f64, x: &[K], y: &mut [K]) {
     let a = K::from_f64(alpha);
     for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi = a.mul_add(xi, *yi);
+        *yi += a * xi;
     }
 }
 
 /// `y = x + beta * y`.
-pub(crate) fn xpby<K: Scalar>(x: &[K], beta: f64, y: &mut [K]) {
+pub fn xpby<K: Scalar>(x: &[K], beta: f64, y: &mut [K]) {
     let b = K::from_f64(beta);
     for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi = b.mul_add(*yi, xi);
+        *yi = xi + b * *yi;
     }
 }

@@ -1,10 +1,12 @@
 //! Counting-allocator proof of the memory-resilience contract's
-//! steady-state clause: after setup, a V-cycle-preconditioned CG
-//! iteration performs **zero** heap allocations.
+//! steady-state clause: after setup, a V-cycle-preconditioned CG or
+//! GMRES iteration performs **zero** heap allocations.
 //!
 //! The whole test binary runs under a `#[global_allocator]` wrapper
-//! that counts every `alloc`/`realloc`/`alloc_zeroed`. A
-//! [`SolveControl`] hook samples the counter at the top of every CG
+//! that counts every `alloc`/`realloc`/`alloc_zeroed` *of the calling
+//! thread* — the solves here are `Par::Seq`, so a case sees exactly its
+//! own allocations however many sibling tests the runner has in flight.
+//! A [`SolveControl`] hook samples the counter at the top of every
 //! iteration; after a short warmup (first iterations may touch
 //! lazily-grown scratch) the delta between consecutive iterations must
 //! be exactly zero. The paper's real-world problems (oil, rhd, weather)
@@ -12,32 +14,44 @@
 //! storage split, so a regression in any level's arena shows up here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use fp16mg_core::{MatOp, Mg, MgConfig};
-use fp16mg_krylov::{cg_ctl_in, Preconditioner, SolveOptions, SolveScratch, StopReason};
-use fp16mg_problems::ProblemKind;
+use fp16mg_krylov::{
+    cg_ctl_in, gmres_ctl_in, Preconditioner, SolveOptions, SolveScratch, StopReason,
+};
+use fp16mg_problems::{ProblemKind, SolverKind};
 use fp16mg_sgdia::kernels::Par;
 use fp16mg_sgdia::SgDia;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator neither allocates nor outlives the thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread tearing down its locals may still free and
+    // allocate; those calls are nobody's steady state.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -45,8 +59,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// Iterations treated as warmup before the zero-allocation clause is
@@ -83,9 +98,14 @@ fn spd_variant(a: &SgDia<f64>) -> SgDia<f64> {
     out
 }
 
-/// Runs CG on `kind` with the paper's D16 hierarchy and asserts every
-/// post-warmup iteration allocates nothing.
-fn assert_zero_alloc_iterations(kind: ProblemKind) {
+/// GMRES restart length for the gate: short enough that the measured
+/// iterations span two restarts, so reuse of the bases across restarts
+/// is covered too.
+const GMRES_RESTART: usize = 4;
+
+/// Runs `solver` (CG or GMRES) on `kind` with the paper's D16 hierarchy
+/// and asserts every post-warmup iteration allocates nothing.
+fn assert_zero_alloc_iterations(kind: ProblemKind, solver: SolverKind) {
     let p = kind.build(10);
     let matrix = if kind == ProblemKind::Oil { spd_variant(&p.matrix) } else { p.matrix.clone() };
     let mut mg = Mg::<f32>::setup(&matrix, &MgConfig::d16()).expect(p.name);
@@ -99,20 +119,24 @@ fn assert_zero_alloc_iterations(kind: ProblemKind) {
     let opts = SolveOptions {
         tol: 0.0,
         max_iters: WARMUP_ITERS + MEASURED_ITERS,
+        restart: GMRES_RESTART,
         health: fp16mg_krylov::HealthPolicy::disabled(),
         record_history: false,
-        ..Default::default()
     };
 
     // The control samples the allocation counter at the top of every
     // iteration; the samples vector is preallocated so the sampling
     // itself cannot allocate.
     let mut samples: Vec<u64> = Vec::with_capacity(opts.max_iters + 1);
+    assert!(alloc_count() > 0, "set-up allocated on this thread, so the counter must have moved");
     let mut ctl = |_it: usize| {
         samples.push(alloc_count());
         Ok(())
     };
-    let result = cg_ctl_in(&op, &mut mg, &b, &mut x, &opts, &mut ctl, &mut scratch);
+    let result = match solver {
+        SolverKind::Cg => cg_ctl_in(&op, &mut mg, &b, &mut x, &opts, &mut ctl, &mut scratch),
+        SolverKind::Gmres => gmres_ctl_in(&op, &mut mg, &b, &mut x, &opts, &mut ctl, &mut scratch),
+    };
     assert_eq!(
         result.reason,
         StopReason::MaxIters,
@@ -135,7 +159,7 @@ fn assert_zero_alloc_iterations(kind: ProblemKind) {
             delta,
             0,
             "{}: iteration {} performed {delta} heap allocation(s); the steady-state \
-             V-cycle + CG contract is allocation-free",
+             V-cycle + {solver:?} contract is allocation-free",
             p.name,
             i + 1
         );
@@ -144,17 +168,24 @@ fn assert_zero_alloc_iterations(kind: ProblemKind) {
 
 #[test]
 fn oil_steady_state_is_allocation_free() {
-    assert_zero_alloc_iterations(ProblemKind::Oil);
+    assert_zero_alloc_iterations(ProblemKind::Oil, SolverKind::Cg);
 }
 
 #[test]
 fn rhd_steady_state_is_allocation_free() {
-    assert_zero_alloc_iterations(ProblemKind::Rhd);
+    assert_zero_alloc_iterations(ProblemKind::Rhd, SolverKind::Cg);
 }
 
 #[test]
 fn weather_steady_state_is_allocation_free() {
-    assert_zero_alloc_iterations(ProblemKind::Weather);
+    assert_zero_alloc_iterations(ProblemKind::Weather, SolverKind::Cg);
+}
+
+/// Weather under its own solver: the GMRES inner iterations (Arnoldi
+/// step, Gram–Schmidt, next basis vector) and the restarts between them.
+#[test]
+fn weather_gmres_steady_state_is_allocation_free() {
+    assert_zero_alloc_iterations(ProblemKind::Weather, SolverKind::Gmres);
 }
 
 /// The bare V-cycle (one preconditioner application, outside any Krylov

@@ -4,9 +4,14 @@
 //! chunks of an output vector, and a read-only sweep over a plane of
 //! independent cells — so both are implemented directly on
 //! `std::thread::scope` instead of pulling in a work-stealing runtime.
-//! Threads are spawned per call; at the problem sizes where parallelism is
-//! engaged (≥ thousands of cells per thread) the spawn cost is noise next
-//! to the memory traffic.
+//! Threads are spawned per call, and that is not free: a spawn-and-join
+//! costs tens of microseconds, the same order as a whole bandwidth-bound
+//! kernel on a few hundred thousand cells, so coarse levels run no faster
+//! threaded than sequential and even the finest SpMV reaches about half
+//! of ideal efficiency on two cores (`sgdia.par_coarse_ratio` ≈ 1 and
+//! `sgdia.par_spmv_eff` ≈ 0.5 in the benchmark's trace). A persistent
+//! worker team is ROADMAP item 2; until then sub-millisecond kernels such
+//! as the grid transfers stay sequential.
 
 /// Kernel execution policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
