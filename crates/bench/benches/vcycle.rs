@@ -5,10 +5,12 @@
 //! and the Krylov loop around it are made of.
 
 use fp16mg_bench::{Combo, Group};
-use fp16mg_core::{prolong_add, restrict, Mg};
+use fp16mg_core::{galerkin_rap, prolong_add, restrict, GalerkinChain, Mg, MgConfig};
+use fp16mg_fp::F16;
 use fp16mg_grid::Grid3;
 use fp16mg_krylov::{axpy, dot};
 use fp16mg_problems::ProblemKind;
+use fp16mg_sgdia::audit::{store_level, TruncationPolicy};
 
 /// Grid transfers (f32, the V-cycle's precision) and Krylov BLAS-1 (f64)
 /// at n = 48, with GB/s computed from the array sizes each call must
@@ -33,6 +35,35 @@ fn bench_vector_kernels() {
     blas1(8 * 2 * nf).bench("dot", || {
         std::hint::black_box(dot(&x, &y));
     });
+}
+
+/// The two set-up kernels, per level of the laplace27 n = 48 chain, with
+/// GB/s from the bytes each must move: the Galerkin product reads the
+/// level and writes the coarse operator (⅛; its ½ and ¼ intermediates
+/// are slab-sized scratch). Both stream; a row below ~1 GB/s means one
+/// fell back to per-entry scatter or soft-float work.
+fn bench_setup_kernels() {
+    let p = ProblemKind::Laplace27.build(48);
+    let chain = GalerkinChain::build(&p.matrix, &MgConfig::d16()).expect("chain");
+    let levels = chain.matrices();
+    for (l, a) in levels.iter().enumerate().take(levels.len() - 1) {
+        let bytes = a.value_bytes() as u64;
+        let g = Group::new(format!("setup-kernel/laplace27-n48/L{l}"));
+        g.throughput_bytes(bytes + bytes / 8).bench("rap", || {
+            std::hint::black_box(galerkin_rap(a));
+        });
+        // Audit + truncate + sentinels in one sweep: reads f64, writes f16.
+        let g = Group::new(format!("setup-kernel/laplace27-n48/L{l}"));
+        g.throughput_bytes(bytes + bytes / 4).bench("store-pass", || {
+            std::hint::black_box(store_level::<F16>(
+                a,
+                Some(TruncationPolicy::Saturate),
+                true,
+                false,
+            ))
+            .expect("saturate stores everything");
+        });
+    }
 }
 
 fn bench_vcycle() {
@@ -72,6 +103,7 @@ fn bench_setup() {
 
 fn main() {
     bench_vector_kernels();
+    bench_setup_kernels();
     bench_vcycle();
     bench_setup();
 }

@@ -183,14 +183,17 @@ fn memory_json(kind: ProblemKind, n: usize) -> Option<String> {
 /// ping/pong round-trips (p50/p99 of the framed wire itself, no solve
 /// attached), and the counters prove a connection was accepted, the
 /// stream drained, and the admission queue still sheds with a typed
-/// `Busy`. `None` when the probe cannot run (no Unix sockets — the gate
-/// then skips the network checks instead of failing).
-fn network_json(tol: f64) -> Option<String> {
+/// `Busy`. `Err` says why the probe could not run (no Unix sockets, a
+/// dead server — the gate then skips the network checks instead of
+/// failing); the client's attempts and deadlines are bounded, so a
+/// server that never answers is an error here, not a hang.
+fn network_json(tol: f64) -> Result<String, String> {
     use fp16mg_runtime::net::{Client, ClientConfig, Endpoint, SubmitRequest};
     use fp16mg_runtime::{FaultStorage, Storage};
     use std::sync::Arc;
+    use std::time::Duration;
 
-    let sock = std::env::temp_dir().join(format!("fp16mg-benchnet-{}.sock", std::process::id()));
+    let sock = crate::unique_temp("fp16mg-benchnet").with_extension("sock");
     let _ = std::fs::remove_file(&sock);
     let endpoint = Endpoint::Unix(sock);
     let mut cfg = crate::netserve::NetServeConfig::new(endpoint.clone(), PathBuf::from("state"));
@@ -200,20 +203,39 @@ fn network_json(tol: f64) -> Option<String> {
     let storage: Arc<dyn Storage> = Arc::new(FaultStorage::new());
     let server = std::thread::spawn(move || crate::netserve::serve_net(&cfg, storage));
 
-    let mut client = Client::new(ClientConfig { endpoint, ..ClientConfig::default() });
-    // One real request so the round-trips ride a warmed connection and
-    // the served/drained counters are live.
-    client.submit(SubmitRequest { key: 0, size: 6, tol: tol.max(1e-8), priority: 1 }).ok()?;
+    let mut client = Client::new(ClientConfig {
+        endpoint,
+        max_attempts: 4,
+        deadlines: [Duration::from_secs(10); 3],
+        ..ClientConfig::default()
+    });
     let mut rtts = Vec::new();
-    for _ in 0..64 {
-        let t = Instant::now();
-        client.ping().ok()?;
-        rtts.push(t.elapsed().as_secs_f64());
+    let mut talk = || -> Result<(), String> {
+        // One real request so the round-trips ride a warmed connection
+        // and the served/drained counters are live.
+        let warm = SubmitRequest { key: 0, size: 6, tol: tol.max(1e-8), priority: 1 };
+        client.submit(warm).map_err(|e| format!("submit: {e}"))?;
+        for _ in 0..64 {
+            let t = Instant::now();
+            client.ping().map_err(|e| format!("ping: {e}"))?;
+            rtts.push(t.elapsed().as_secs_f64());
+        }
+        client.shutdown().map(drop).map_err(|e| format!("shutdown: {e}"))
+    };
+    if let Err(e) = talk() {
+        // The server either never came up (its report says why) or is
+        // still serving; only a finished one can be joined without
+        // waiting.
+        let why = match server.is_finished().then(|| server.join()) {
+            Some(Ok(report)) => format!("; server: {}", report.violations.join("; ")),
+            _ => String::new(),
+        };
+        return Err(format!("network probe client: {e}{why}"));
     }
-    client.shutdown().ok()?;
-    let report = server.join().ok()?;
+    let report = server.join().map_err(|_| "network probe server panicked".to_string())?;
     if !report.violations.is_empty() || !report.drained {
-        return None;
+        let v = report.violations.join("; ");
+        return Err(format!("network probe server: drained {} violations [{v}]", report.drained));
     }
     rtts.sort_by(f64::total_cmp);
     let pick = |q: f64| rtts[((rtts.len() as f64 * q).ceil() as usize).clamp(1, rtts.len()) - 1];
@@ -233,7 +255,7 @@ fn network_json(tol: f64) -> Option<String> {
         conns = report.counters.accepted,
         busy = crate::netserve::busy_probe(),
     );
-    Some(s)
+    Ok(s)
 }
 
 /// Renders the `BENCH_<problem>.json` document for one problem. Failed
@@ -276,7 +298,10 @@ pub fn file_name(kind: ProblemKind) -> String {
 /// Propagates the I/O error if a file cannot be written.
 pub fn bench_json_emit(cfg: &BenchJsonConfig) -> std::io::Result<Vec<PathBuf>> {
     let mut paths = Vec::new();
-    let net = network_json(cfg.tol).unwrap_or_default();
+    let net = network_json(cfg.tol).unwrap_or_else(|e| {
+        eprintln!("warning: no network section: {e}");
+        String::new()
+    });
     for kind in ProblemKind::all() {
         let doc = render_problem(kind, cfg.size, cfg.tol, &net);
         let path = Path::new(&cfg.dir).join(file_name(kind));

@@ -285,7 +285,7 @@ fn header(title: &str) {
 
 fn fig1(args: &Args) {
     header("Figure 1: nonzero-magnitude distributions of the six real-world analogs");
-    let n = args.size.min(20);
+    let n = capped_size(args, 20);
     let problems: Vec<_> = ProblemKind::real_world().into_iter().map(|k| k.build(n)).collect();
     let hists: Vec<_> = problems.iter().map(|p| metrics::range_histogram(&p.matrix)).collect();
     let lo = hists.iter().filter_map(|h| h.first().map(|&(d, _)| d)).min();
@@ -397,7 +397,7 @@ fn fig3(args: &Args) {
 
 fn fig5(args: &Args) {
     header("Figure 5: multi-scale (anisotropy) measure statistics");
-    let n = args.size.min(20);
+    let n = capped_size(args, 20);
     let mut t = Table::new(&["problem", "median", "p90", "max", "class"]);
     for kind in ProblemKind::all() {
         let p = kind.build(n);
@@ -425,7 +425,7 @@ fn fig6(args: &Args) {
         ProblemKind::Rhd,
         ProblemKind::Rhd3T,
     ];
-    let n = args.size.min(20);
+    let n = capped_size(args, 20);
     let opts =
         SolveOptions { tol: 1e-10, max_iters: 200, record_history: true, ..Default::default() };
     for kind in problems {
@@ -741,7 +741,7 @@ fn table1(args: &Args) {
 
 fn table3(args: &Args) {
     header("Table 3: problem characteristics");
-    let n = args.size.min(20);
+    let n = capped_size(args, 20);
     let mut t = Table::new(&[
         "problem",
         "PDE",
@@ -806,7 +806,7 @@ fn bf16(args: &Args) {
     header("Section 8: FP16 vs BF16 storage (#iter comparison)");
     let opts =
         SolveOptions { tol: args.tol, max_iters: 500, record_history: false, ..Default::default() };
-    let n = args.size.min(20);
+    let n = capped_size(args, 20);
     let mut t = Table::new(&["problem", "Full64", "D16 (+%)", "BF16 (+%)"]);
     for kind in ProblemKind::all() {
         let full = solve_e2e(kind, n, Combo::Full64, &opts, Par::Seq);
@@ -838,7 +838,7 @@ fn shift(args: &Args) {
     header("Section 4.3 extension: shift_levid sweep (underflow guard position)");
     let opts =
         SolveOptions { tol: args.tol, max_iters: 500, record_history: false, ..Default::default() };
-    let n = args.size.min(20);
+    let n = capped_size(args, 20);
     let mut t = Table::new(&["problem", "shift_levid", "#iter", "matrix bytes"]);
     for kind in [ProblemKind::Rhd, ProblemKind::Weather, ProblemKind::Rhd3T] {
         for lev in [0usize, 1, 2, 3, usize::MAX] {
@@ -867,7 +867,7 @@ fn smooth(args: &Args) {
     header("Section 8: smoothing-count sensitivity (ν1 = ν2 = ν)");
     let opts =
         SolveOptions { tol: args.tol, max_iters: 500, record_history: false, ..Default::default() };
-    let n = args.size.min(24);
+    let n = capped_size(args, 24);
     let mut t = Table::new(&["problem", "nu", "combo", "#iter", "total", "E2E speedup"]);
     for kind in [ProblemKind::Laplace27, ProblemKind::Rhd, ProblemKind::Oil] {
         for nu in [1usize, 2] {
@@ -910,7 +910,7 @@ fn cycle_ablation(args: &Args) {
     use fp16mg_core::Cycle;
     let opts =
         SolveOptions { tol: args.tol, max_iters: 400, record_history: false, ..Default::default() };
-    let n = args.size.min(24);
+    let n = capped_size(args, 24);
     let mut t = Table::new(&["problem", "cycle", "#iter", "MG precond", "total"]);
     for kind in [ProblemKind::Laplace27, ProblemKind::Oil, ProblemKind::Weather] {
         for cyc in [Cycle::V, Cycle::W, Cycle::F] {
@@ -940,7 +940,7 @@ fn semi_ablation(args: &Args) {
     use fp16mg_core::Coarsening;
     let opts =
         SolveOptions { tol: args.tol, max_iters: 400, record_history: false, ..Default::default() };
-    let n = args.size.min(24);
+    let n = capped_size(args, 24);
     let mut t = Table::new(&["problem", "coarsening", "#iter", "C_G", "C_O", "total"]);
     for kind in [ProblemKind::Oil, ProblemKind::Weather, ProblemKind::Laplace27] {
         for (label, coarsening) in
@@ -970,7 +970,7 @@ fn semi_ablation(args: &Args) {
 
 fn audit_cmd(args: &Args) {
     header("Precision-safety audit: per-level FP16 range tables, shift_levid: Auto");
-    fp16mg_bench::audit_report(args.size.min(24));
+    fp16mg_bench::audit_report(capped_size(args, 24));
 }
 
 // --------------------------------------------------------------- serve --
@@ -989,7 +989,7 @@ fn serve_cmd(args: &Args, chaos: bool) {
     let cfg = fp16mg_bench::ServeConfig {
         requests: args.requests,
         workers,
-        size: args.size.min(12),
+        size: capped_size(args, 12),
         tol: args.tol,
         deadline_ms: args.budget_ms,
         chaos,
@@ -1020,7 +1020,7 @@ fn daemon_cmd(args: &Args) {
         snapshot_dir: dir,
         requests: args.requests,
         workers,
-        size: args.size.min(10),
+        size: capped_size(args, 10),
         tol: args.tol,
         pace_ms: args.pace_ms,
         chaos: args.chaos,
@@ -1037,6 +1037,15 @@ fn cli_threads(args: &Args) -> usize {
     args.threads.first().copied().unwrap_or(1)
 }
 
+/// The problem size under a command's ceiling. Clamping a `--size` the
+/// user gave is said on stderr, never silent.
+fn capped_size(args: &Args, cap: usize) -> usize {
+    if args.size_set && args.size > cap {
+        eprintln!("note: --size {} exceeds this command's limit; using {cap}", args.size);
+    }
+    args.size.min(cap)
+}
+
 fn parse_addr(addr: &str) -> fp16mg_runtime::Endpoint {
     fp16mg_runtime::Endpoint::parse(addr).unwrap_or_else(|e| usage(&format!("--addr: {e}")))
 }
@@ -1051,7 +1060,7 @@ fn net_daemon_cmd(args: &Args) {
     let cfg = fp16mg_bench::NetDaemonCliConfig {
         endpoint: parse_addr(&args.addr),
         state_dir: dir,
-        size: args.size.min(10),
+        size: capped_size(args, 10),
         tol: args.tol,
         workers,
         threads: cli_threads(args),
@@ -1069,7 +1078,7 @@ fn loadgen_cmd(args: &Args) {
     let cfg = fp16mg_bench::LoadgenConfig {
         endpoint: parse_addr(&args.addr),
         requests: args.requests as u64,
-        size: args.size.min(10),
+        size: capped_size(args, 10),
         tol: args.tol,
         seed: 0x6c6f_6164,
         shutdown: args.shutdown,
@@ -1082,7 +1091,7 @@ fn net_soak_cmd(args: &Args) {
     let cfg = fp16mg_bench::NetSoakConfig {
         requests: args.requests as u64,
         kill_after: if args.kill_after > 0 { args.kill_after as u64 } else { 3 },
-        size: args.size.min(10),
+        size: capped_size(args, 10),
         tol: args.tol,
         workers: if args.workers > 0 { args.workers } else { 2 },
         threads: cli_threads(args),
@@ -1097,7 +1106,7 @@ fn nettorture_cmd(args: &Args) {
     header("Wire-fault torture: crash-point matrix over the framed protocol");
     let mut cfg = fp16mg_bench::NetTortureConfig::default();
     if args.size_set {
-        cfg.size = args.size.min(8);
+        cfg.size = capped_size(args, 8);
     }
     if args.requests_set {
         cfg.requests = args.requests.clamp(4, 32) as u64;
@@ -1111,7 +1120,7 @@ fn soak_cmd(args: &Args) {
     let cfg = fp16mg_bench::SoakConfig {
         requests: args.requests,
         workers,
-        size: args.size.min(10),
+        size: capped_size(args, 10),
         tol: args.tol,
         kill_after: if args.kill_after > 0 { args.kill_after } else { 2 },
         out: std::path::PathBuf::from(&args.out),
@@ -1125,7 +1134,7 @@ fn soak_cmd(args: &Args) {
 fn overload_cmd(args: &Args) {
     header("Overload protection: admission control, shedding, circuit breaking");
     let workers = if args.workers > 0 { args.workers } else { 2 };
-    let cfg = fp16mg_bench::OverloadConfig { size: args.size.min(10), tol: args.tol, workers };
+    let cfg = fp16mg_bench::OverloadConfig { size: capped_size(args, 10), tol: args.tol, workers };
     let report = fp16mg_bench::serve_overload(&cfg);
     if !report.violations.is_empty() {
         eprintln!("overload demo: {} acceptance violation(s)", report.violations.len());
@@ -1182,7 +1191,7 @@ fn torture_cmd(args: &Args) {
     let cfg = fp16mg_bench::TortureConfig {
         kind,
         steps: if args.steps == 12 { 4 } else { args.steps.clamp(2, 8) },
-        size: if args.size_set { args.size.min(10) } else { 6 },
+        size: if args.size_set { capped_size(args, 10) } else { 6 },
         tol: args.tol.max(1e-7),
     };
     std::process::exit(fp16mg_bench::run_torture_cli(&cfg));
@@ -1191,7 +1200,7 @@ fn torture_cmd(args: &Args) {
 fn memtorture_cmd(args: &Args) {
     header("Memtorture: allocation-fault injection across every charged byte of the serve stack");
     let cfg = fp16mg_bench::MemTortureConfig {
-        size: if args.size_set { args.size.min(10) } else { 6 },
+        size: if args.size_set { capped_size(args, 10) } else { 6 },
         tol: args.tol.max(1e-8),
     };
     std::process::exit(fp16mg_bench::run_memtorture_cli(&cfg));
@@ -1203,7 +1212,7 @@ fn simulate_soak_cmd(args: &Args) {
     let cfg = fp16mg_bench::SimSoakConfig {
         kind,
         steps: args.steps.max(12),
-        size: if args.size_set { args.size.min(12) } else { 8 },
+        size: if args.size_set { capped_size(args, 12) } else { 8 },
         tol: args.tol,
         kill_after: if args.kill_after > 0 { args.kill_after } else { 4 },
         out: std::path::PathBuf::from(&args.out).join("sim-soak"),
@@ -1229,7 +1238,7 @@ fn bench_compare_cmd(args: &Args) {
 fn bench_json_cmd(args: &Args) {
     header("bench-json: machine-readable tier-1 timings");
     let cfg = fp16mg_bench::BenchJsonConfig {
-        size: args.size.min(24),
+        size: capped_size(args, 24),
         tol: args.tol,
         dir: std::path::PathBuf::from(&args.out),
     };
@@ -1262,7 +1271,7 @@ fn guard(args: &Args) {
 
     let opts =
         SolveOptions { tol: args.tol, max_iters: 500, record_history: false, ..Default::default() };
-    let n = args.size.min(20);
+    let n = capped_size(args, 20);
     let mut t = Table::new(&[
         "problem",
         "scenario",

@@ -51,3 +51,13 @@ pub use simulate::{
     StepRow,
 };
 pub use torture::{run_matrix, run_torture_cli, TortureConfig, TortureReport};
+
+/// A fresh path under the system temp directory, `<stem>-<pid>-<n>`:
+/// unique per call, not only per process, so callers in one process
+/// (tests on parallel threads) never share a socket or a directory.
+pub(crate) fn unique_temp(stem: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let n = CALLS.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("{stem}-{}-{n}", std::process::id()))
+}

@@ -265,9 +265,7 @@ fn run_case(
 /// Runs the probe + the full fault matrix.
 pub fn run_net_matrix(cfg: &NetTortureConfig) -> NetTortureReport {
     let mut report = NetTortureReport::default();
-    let dir = cfg.sock_dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("fp16mg-nettorture-{}", std::process::id()))
-    });
+    let dir = cfg.sock_dir.clone().unwrap_or_else(|| crate::unique_temp("fp16mg-nettorture"));
     if let Err(e) = std::fs::create_dir_all(&dir) {
         report.violations.push(format!("socket dir {}: {e}", dir.display()));
         return report;

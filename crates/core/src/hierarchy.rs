@@ -7,7 +7,7 @@ use std::sync::Arc;
 use fp16mg_fp::{Precision, Scalar};
 use fp16mg_grid::Grid3;
 use fp16mg_krylov::Preconditioner;
-use fp16mg_sgdia::audit::{self, RangeAudit, TruncationError};
+use fp16mg_sgdia::audit::{self, RangeAudit, StoredLevel, TruncationError, TruncationPolicy};
 use fp16mg_sgdia::kernels::BlockDiagInv;
 use fp16mg_sgdia::scaling::{self, ScaleVectors};
 use fp16mg_sgdia::sentinel::{MatrixSentinels, TapMismatch};
@@ -404,14 +404,15 @@ impl<Pr: Scalar> Mg<Pr> {
         }
         let config = config.clone();
 
-        // --- Galerkin chain in f64 (lines 1–3). ---
-        let mut finest = a.to_layout(config.layout);
+        // --- Galerkin chain in f64 (lines 1–3). The caller's matrix is
+        // borrowed unless it must be re-laid-out or pre-scaled. ---
+        let mut finest = a.in_layout(config.layout);
         let mut finest_scale = None;
         if config.scale == ScaleStrategy::ScaleThenSetup {
             // The inferior §4.3 alternative: scale the problem matrix once,
             // before the triple-product chain sees it.
             let fp16_max = fp16mg_fp::F16::MAX_F64;
-            let sv = scaling::scale_symmetric::<Pr>(&mut finest, config.g_choice, fp16_max)
+            let sv = scaling::scale_symmetric::<Pr>(finest.to_mut(), config.g_choice, fp16_max)
                 .map_err(|e| SetupError::NonPositiveDiagonal {
                     level: 0,
                     unknown: e.unknown(),
@@ -419,8 +420,8 @@ impl<Pr: Scalar> Mg<Pr> {
                 })?;
             finest_scale = Some(sv);
         }
-        let chain = build_chain(finest, &config);
-        let mats: Vec<&SgDia<f64>> = chain.iter().collect();
+        let coarse = coarse_chain(&finest, &config);
+        let mats: Vec<&SgDia<f64>> = std::iter::once(&*finest).chain(&coarse).collect();
         Self::assemble(&mats, finest_scale, config)
     }
 
@@ -468,10 +469,9 @@ impl<Pr: Scalar> Mg<Pr> {
         config.validate()?;
         reject_prescaled(config)?;
         chain.check_finest_geometry(finest)?;
-        let owned = finest.to_layout(config.layout);
-        let mut mats: Vec<&SgDia<f64>> = Vec::with_capacity(chain.mats.len());
-        mats.push(&owned);
-        mats.extend(chain.mats.iter().skip(1));
+        let finest = finest.in_layout(config.layout);
+        let mats: Vec<&SgDia<f64>> =
+            std::iter::once(&*finest).chain(chain.mats.iter().skip(1)).collect();
         Self::assemble(&mats, None, config.clone())
     }
 
@@ -508,19 +508,10 @@ impl<Pr: Scalar> Mg<Pr> {
         for (i, ai) in chain.iter().enumerate().take(nlev - 1) {
             let prec = config.storage.precision_for(i);
             let parts = build_level(ai, prec, &config, i)?;
-            let LevelParts { stored, scale, dinv, ilu, cheb, audit, g_clamped_from, parent } =
-                parts;
-            // Retain promotion material for the narrow levels: the
-            // unscaled operator in FP32 is exact enough to rebuild the
-            // level at FP32 and costs 2× the FP16 level it insures.
-            let keep_source = config.recovery.enabled
-                && matches!(stored.precision(), Precision::F16 | Precision::BF16);
-            sources.push(if keep_source { Some(ai.convert::<f32>()) } else { None });
+            let LevelParts { store, scale, dinv, ilu, cheb, g_clamped_from, parent } = parts;
+            let StoredLevel { matrix: stored, audit, sentinels, finite, source } = store;
+            sources.push(source);
             repair_sources.push(parent);
-            let sentinel = config.integrity.sentinels.then(|| LevelSentinel {
-                precision: stored.precision(),
-                sentinels: stored.sentinels(),
-            });
             infos.push(LevelInfo {
                 dims: (ai.grid().nx, ai.grid().ny, ai.grid().nz),
                 unknowns: ai.rows(),
@@ -528,11 +519,12 @@ impl<Pr: Scalar> Mg<Pr> {
                 precision: stored.precision(),
                 scaled: scale.is_some(),
                 g: scale.as_ref().map(|s: &ScaleVectors<Pr>| s.g),
-                finite: stored.all_finite(),
+                finite,
                 value_bytes: stored.value_bytes(),
                 audit: Some(audit),
                 g_clamped_from,
-                sentinel,
+                sentinel: sentinels
+                    .map(|sentinels| LevelSentinel { precision: stored.precision(), sentinels }),
             });
             levels.push(Level::new(*ai.grid(), stored, scale, dinv, ilu, cheb, config.par));
         }
@@ -891,7 +883,8 @@ impl<Pr: Scalar> Mg<Pr> {
                 return None;
             }
         };
-        let LevelParts { stored, scale, dinv, ilu, cheb, audit, g_clamped_from, .. } = parts;
+        let LevelParts { store, scale, dinv, ilu, cheb, g_clamped_from, .. } = parts;
+        let StoredLevel { matrix: stored, audit, sentinels, finite, .. } = store;
         let event = PromotionEvent { level, from, to: stored.precision(), reason, corrupt_entries };
         // The widened level replaces the stored bits wholesale: its repair
         // parent no longer matches and is dropped, and the sentinels are
@@ -901,14 +894,12 @@ impl<Pr: Scalar> Mg<Pr> {
         info.precision = stored.precision();
         info.scaled = scale.is_some();
         info.g = scale.as_ref().map(|s: &ScaleVectors<Pr>| s.g);
-        info.finite = stored.all_finite();
+        info.finite = finite;
         info.value_bytes = stored.value_bytes();
         info.audit = Some(audit);
         info.g_clamped_from = g_clamped_from;
-        info.sentinel = self.config.integrity.sentinels.then(|| LevelSentinel {
-            precision: stored.precision(),
-            sentinels: stored.sentinels(),
-        });
+        info.sentinel =
+            sentinels.map(|sentinels| LevelSentinel { precision: stored.precision(), sentinels });
         let l = &mut self.levels[level];
         l.stored = stored;
         l.scale = scale;
@@ -1003,8 +994,9 @@ impl<Pr: Scalar> Mg<Pr> {
         }
         let parent = self.repair_sources.get(level)?.as_ref()?;
         let precision = self.levels[level].stored.precision();
-        let stored = truncate_level(parent, precision, &self.config, level).ok()?;
-        self.levels[level].stored = stored;
+        let (layout, policy) = (self.config.layout, store_policy(&self.config));
+        let store = StoredMatrix::store_level(parent, precision, layout, policy, false, false);
+        self.levels[level].stored = store.ok()?.matrix;
         let event = RepairEvent { level, taps, precision, trigger };
         self.info.repairs.push(event.clone());
         Some(event)
@@ -1069,7 +1061,9 @@ impl GalerkinChain {
         }
         reject_prescaled(config)?;
         let finest = a.to_layout(config.layout);
-        Ok(GalerkinChain { mats: build_chain(finest, config) })
+        let mut mats = coarse_chain(&finest, config);
+        mats.insert(0, finest);
+        Ok(GalerkinChain { mats })
     }
 
     /// Number of levels in the chain (≥ 1).
@@ -1111,7 +1105,14 @@ impl GalerkinChain {
         config: &MgConfig,
     ) -> Result<(), SetupError> {
         self.check_finest_geometry(finest)?;
-        self.mats[0] = finest.to_layout(config.layout);
+        let (own, new) = (&mut self.mats[0], finest.in_layout(config.layout));
+        if (own.layout(), own.pattern()) == (new.layout(), new.pattern()) {
+            // Same shape: overwrite in place rather than fault in a
+            // second full-size buffer.
+            own.data_mut().copy_from_slice(new.data());
+        } else {
+            *own = new.into_owned();
+        }
         Ok(())
     }
 
@@ -1150,13 +1151,12 @@ fn reject_prescaled(config: &MgConfig) -> Result<(), SetupError> {
     Ok(())
 }
 
-/// The Galerkin coarsening loop (Algorithm 1 lines 1–3): RAP triple
-/// products down to the configured coarsest size.
-fn build_chain(finest: SgDia<f64>, config: &MgConfig) -> Vec<SgDia<f64>> {
-    let mut chain: Vec<SgDia<f64>> = vec![finest];
-    while chain.len() < config.max_levels.max(1) {
-        // The chain is never empty: the finest matrix is pushed above.
-        let Some(last) = chain.last() else { break };
+/// The Galerkin coarsening loop (Algorithm 1 lines 1–3): the RAP triple
+/// products below `finest`, down to the configured coarsest size.
+fn coarse_chain(finest: &SgDia<f64>, config: &MgConfig) -> Vec<SgDia<f64>> {
+    let mut chain: Vec<SgDia<f64>> = Vec::new();
+    while chain.len() + 1 < config.max_levels.max(1) {
+        let last = chain.last().unwrap_or(finest);
         if last.grid().is_coarsest(config.min_coarse_cells) {
             break;
         }
@@ -1196,127 +1196,115 @@ fn select_axes(a: &SgDia<f64>, policy: Coarsening) -> (bool, bool, bool) {
     }
 }
 
-/// One level's stored matrix, scale vectors, smoother data, and
-/// truncation audit (Algorithm 1 lines 5–13).
+/// One level's store (matrix, truncation audit, sentinels, promotion
+/// source), scale vectors and smoother data (Algorithm 1 lines 5–13).
 struct LevelParts<Pr: Scalar> {
-    stored: StoredMatrix,
+    /// The fused store pass over the matrix actually truncated
+    /// (post-scaling when the level was scaled) at the precision actually
+    /// used; its `source` is the *unscaled* operator in FP32.
+    store: StoredLevel<StoredMatrix>,
     scale: Option<ScaleVectors<Pr>>,
     dinv: BlockDiagInv<Pr>,
     ilu: Option<(StoredMatrix, StoredMatrix)>,
     cheb: Option<f64>,
-    /// Audit of the matrix actually truncated (post-scaling when the
-    /// level was scaled) against the precision actually used.
-    audit: RangeAudit,
     g_clamped_from: Option<f64>,
-    /// The exact f64 matrix `stored` was truncated from (post-scaling),
+    /// The exact f64 matrix the level was truncated from (post-scaling),
     /// retained for narrow levels under `IntegrityPolicy::retain_parents`
     /// so a corrupted plane can be re-truncated bit-identically.
     parent: Option<SgDia<f64>>,
 }
 
-/// Truncates one level's matrix under the configured policy — except for
-/// the `ScaleStrategy::None` ablation, which deliberately keeps the
-/// unguarded IEEE conversion (overflow to ±∞) so the `K64P32D16-none`
-/// failure mode of Fig. 6 stays reproducible.
-fn truncate_level(
-    a: &SgDia<f64>,
+/// The truncation policy of the store path — none for the
+/// `ScaleStrategy::None` ablation, which deliberately keeps the unguarded
+/// IEEE conversion (overflow to ±∞) so the `K64P32D16-none` failure mode
+/// of Fig. 6 stays reproducible.
+fn store_policy(config: &MgConfig) -> Option<TruncationPolicy> {
+    (config.scale != ScaleStrategy::None).then_some(config.truncation)
+}
+
+/// The `need to scale` test of Algorithm 1: some entry is non-finite or
+/// reaches `limit`. Stops at the first block that has one.
+fn out_of_range(a: &SgDia<f64>, limit: f64) -> bool {
+    let beyond = |bad, &v: &f64| bad | !v.is_finite() | (v.abs() >= limit);
+    a.data().chunks(4096).any(|c| c.iter().fold(false, beyond))
+}
+
+/// A level scaled per Theorem 4.1, with its scale vectors.
+type Scaled<P> = (SgDia<f64>, ScaleVectors<P>);
+
+/// The scaled copy of `ai` when setup-then-scale applies to it: `None`
+/// for a level stored as is.
+///
+/// # Errors
+/// The level needs scaling but its diagonal is not positive.
+fn scaled_copy<P: Scalar>(
+    ai: &SgDia<f64>,
     prec: Precision,
     config: &MgConfig,
-    level: usize,
-) -> Result<StoredMatrix, SetupError> {
-    if config.scale == ScaleStrategy::None {
-        return Ok(StoredMatrix::truncate(a, prec, config.layout));
+) -> Result<Option<Scaled<P>>, scaling::ScalingError> {
+    let limit = prec.finite_max();
+    if config.scale != ScaleStrategy::SetupThenScale || !out_of_range(ai, limit) {
+        return Ok(None);
     }
-    StoredMatrix::truncate_policy(a, prec, config.layout, config.truncation)
-        .map_err(|error| SetupError::Truncation { level, error })
+    let mut scaled = ai.clone();
+    let sv = scaling::scale_symmetric::<P>(&mut scaled, config.g_choice, limit)?;
+    Ok(Some((scaled, sv)))
 }
 
 fn build_level<Pr: Scalar>(
     ai: &SgDia<f64>,
-    prec: Precision,
+    mut prec: Precision,
     config: &MgConfig,
     level: usize,
 ) -> Result<LevelParts<Pr>, SetupError> {
-    let needs_scale = {
-        let (max, nonfinite) = ai.abs_max();
-        nonfinite || max >= prec.finite_max()
-    };
-    let retain_parent = config.integrity.retain_parents && is_narrow(prec);
-    if config.scale == ScaleStrategy::SetupThenScale && needs_scale {
-        // Truncation after scaling (lines 6–9).
-        let mut scaled = ai.clone();
-        match scaling::scale_symmetric::<Pr>(&mut scaled, config.g_choice, prec.finite_max()) {
-            Ok(sv) => {
-                let dinv = BlockDiagInv::from_matrix(&scaled)
-                    .map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
-                let audit = audit::audit(&scaled, prec);
-                let stored = truncate_level(&scaled, prec, config, level)?;
-                let ilu = build_ilu(&scaled, prec, config, level)?;
-                let cheb = estimate_lambda_if_cheb(&scaled, config);
-                let g_clamped_from = sv.g_clamped_from;
-                return Ok(LevelParts {
-                    stored,
-                    scale: Some(sv),
-                    dinv,
-                    ilu,
-                    cheb,
-                    audit,
-                    g_clamped_from,
-                    parent: retain_parent.then_some(scaled),
-                });
-            }
-            Err(_) => {
-                // Theorem 4.1 requires positive diagonals; deep Galerkin
-                // levels of nonsymmetric operators can violate that. Fall
-                // back to a storage precision wide enough to hold the
-                // level unscaled — the coarse-level analog of
-                // `shift_levid` (§4.3), costing almost nothing because
-                // coarse levels are small (guideline 3).
-                let (max, _) = ai.abs_max();
-                let fallback =
-                    if max < Precision::F32.finite_max() { Precision::F32 } else { Precision::F64 };
-                let dinv = BlockDiagInv::from_matrix(ai)
-                    .map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
-                let audit = audit::audit(ai, fallback);
-                let stored = truncate_level(ai, fallback, config, level)?;
-                let ilu = build_ilu(ai, fallback, config, level)?;
-                let cheb = estimate_lambda_if_cheb(ai, config);
-                return Ok(LevelParts {
-                    stored,
-                    scale: None,
-                    dinv,
-                    ilu,
-                    cheb,
-                    audit,
-                    g_clamped_from: None,
-                    // The fallback precision is wide — nothing to repair.
-                    parent: None,
-                });
-            }
+    // Truncation after scaling (lines 6–9), or direct truncation (line
+    // 11) — also the path for `None` and for all levels of
+    // scale-then-setup (the chain is already globally scaled).
+    let (scaled, scale) = match scaled_copy::<Pr>(ai, prec, config) {
+        Ok(Some((scaled, sv))) => (Some(scaled), Some(sv)),
+        Err(_) => {
+            // Theorem 4.1 requires positive diagonals; deep Galerkin
+            // levels of nonsymmetric operators can violate that. Fall
+            // back to a storage precision wide enough to hold the level
+            // unscaled — the coarse-level analog of `shift_levid` (§4.3),
+            // costing almost nothing because coarse levels are small
+            // (guideline 3).
+            let (max, _) = ai.abs_max();
+            prec = if max < Precision::F32.finite_max() { Precision::F32 } else { Precision::F64 };
+            (None, None)
         }
+        Ok(None) => (None, None),
+    };
+    // Smoother data comes from the high-precision matrix (line 13).
+    let src = scaled.as_ref().unwrap_or(ai);
+    let dinv = BlockDiagInv::from_matrix(src)
+        .map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
+    // Promotion material for the narrow levels: the unscaled operator in
+    // FP32 is exact enough to rebuild the level at FP32 and costs 2× the
+    // FP16 level it insures. It rides on the store pass unless that pass
+    // reads the scaled copy.
+    let keep_source = config.recovery.enabled && is_narrow(prec);
+    let fuse_source = keep_source && scaled.is_none();
+    let (layout, sentinels) = (config.layout, config.integrity.sentinels);
+    let policy = store_policy(config);
+    let mut store = StoredMatrix::store_level(src, prec, layout, policy, sentinels, fuse_source)
+        .map_err(|error| SetupError::Truncation { level, error })?;
+    if keep_source && !fuse_source {
+        store.source = Some(ai.convert::<f32>());
     }
-    {
-        // Direct truncation (line 11) — also the path for `None` and for
-        // all levels of scale-then-setup (the chain is already globally
-        // scaled). Smoother data comes from the high-precision matrix
-        // (line 13).
-        let dinv = BlockDiagInv::from_matrix(ai)
-            .map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
-        let audit = audit::audit(ai, prec);
-        let stored = truncate_level(ai, prec, config, level)?;
-        let ilu = build_ilu(ai, prec, config, level)?;
-        let cheb = estimate_lambda_if_cheb(ai, config);
-        Ok(LevelParts {
-            stored,
-            scale: None,
-            dinv,
-            ilu,
-            cheb,
-            audit,
-            g_clamped_from: None,
-            parent: retain_parent.then(|| ai.clone()),
-        })
-    }
+    let ilu = build_ilu(src, prec, config, level)?;
+    let cheb = estimate_lambda_if_cheb(src, config);
+    // A wide (fallback) precision has nothing to repair.
+    let retain_parent = config.integrity.retain_parents && is_narrow(prec);
+    Ok(LevelParts {
+        store,
+        g_clamped_from: scale.as_ref().and_then(|sv: &ScaleVectors<Pr>| sv.g_clamped_from),
+        scale,
+        dinv,
+        ilu,
+        cheb,
+        parent: retain_parent.then(|| scaled.unwrap_or_else(|| ai.clone())),
+    })
 }
 
 /// Resolves `StoragePolicy::AutoShift` against the actual Galerkin chain:
@@ -1335,40 +1323,24 @@ fn resolve_auto_shift(
     let mut chosen = usize::MAX;
     for (i, ai) in chain.iter().enumerate().take(chain.len().saturating_sub(1)) {
         let prec = Precision::F16;
-        let needs_scale = {
-            let (max, nonfinite) = ai.abs_max();
-            nonfinite || max >= prec.finite_max()
+        let scaled = scaled_copy::<f64>(ai, prec, config);
+        // Scaling impossible (non-positive diagonal): FP16 cannot hold
+        // this level safely, so the switch point is here — and the audit
+        // of the unscaled matrix, for the record, shows the saturation
+        // that made it so.
+        let unscalable = scaled.is_err();
+        let lv = match &scaled {
+            Ok(Some((scaled, _))) => audit::audit(scaled, prec),
+            _ => audit::audit(ai, prec),
         };
-        let a = if config.scale == ScaleStrategy::SetupThenScale && needs_scale {
-            let mut scaled = (*ai).clone();
-            match scaling::scale_symmetric::<f64>(&mut scaled, config.g_choice, prec.finite_max()) {
-                Ok(_) => Some(scaled),
-                // Scaling impossible (non-positive diagonal): FP16 cannot
-                // hold this level safely, so the switch point is here.
-                Err(_) => None,
-            }
-        } else {
-            Some((*ai).clone())
-        };
-        match a {
-            Some(a) => {
-                let lv = audit::audit(&a, prec);
-                let bad = lv.saturate > 0
-                    || lv.source_non_finite > 0
-                    || lv.underflow_loss_fraction() > max_underflow;
-                per_level.push(lv);
-                if bad {
-                    chosen = i;
-                    break;
-                }
-            }
-            None => {
-                // Audit the unscaled matrix for the record: it shows the
-                // saturation that made the level unscalable-to-FP16.
-                per_level.push(audit::audit(ai, prec));
-                chosen = i;
-                break;
-            }
+        let bad = unscalable
+            || lv.saturate > 0
+            || lv.source_non_finite > 0
+            || lv.underflow_loss_fraction() > max_underflow;
+        per_level.push(lv);
+        if bad {
+            chosen = i;
+            break;
         }
     }
     ShiftDecision { chosen, threshold: max_underflow, per_level }

@@ -8,7 +8,7 @@
 
 use fp16mg_fp::{Bf16, Precision, Scalar, F16};
 use fp16mg_grid::Grid3;
-use fp16mg_sgdia::audit::{truncate_with_policy, TruncationError, TruncationPolicy};
+use fp16mg_sgdia::audit::{store_level, StoredLevel, TruncationError, TruncationPolicy};
 use fp16mg_sgdia::kernels::{self, BlockDiagInv, Par};
 use fp16mg_sgdia::{Layout, SgDia};
 use fp16mg_stencil::Pattern;
@@ -38,24 +38,41 @@ macro_rules! dispatch {
 }
 
 impl StoredMatrix {
+    /// Stores `a` at `precision` in `layout` through the one fused pass
+    /// ([`store_level`]); `policy: None` is the plain IEEE conversion.
+    /// The matrix is borrowed, not copied, when its layout already matches.
+    pub(crate) fn store_level(
+        a: &SgDia<f64>,
+        precision: Precision,
+        layout: Layout,
+        policy: Option<TruncationPolicy>,
+        sentinels: bool,
+        keep_source: bool,
+    ) -> Result<StoredLevel<Self>, TruncationError> {
+        let a = &*a.in_layout(layout);
+        Ok(match precision {
+            Precision::F64 => store_level(a, policy, sentinels, keep_source)?.map(Self::F64),
+            Precision::F32 => store_level(a, policy, sentinels, keep_source)?.map(Self::F32),
+            Precision::F16 => store_level(a, policy, sentinels, keep_source)?.map(Self::F16),
+            Precision::BF16 => store_level(a, policy, sentinels, keep_source)?.map(Self::BF16),
+        })
+    }
+
     /// Truncates a high-precision matrix into the requested storage
-    /// precision and layout (Algorithm 1 lines 8/11).
+    /// precision and layout (Algorithm 1 lines 8/11) with plain IEEE
+    /// semantics: overflow to ±∞.
     pub fn truncate(a: &SgDia<f64>, precision: Precision, layout: Layout) -> Self {
-        let a = a.to_layout(layout);
-        match precision {
-            Precision::F64 => StoredMatrix::F64(a),
-            Precision::F32 => StoredMatrix::F32(a.convert()),
-            Precision::F16 => StoredMatrix::F16(a.convert()),
-            Precision::BF16 => StoredMatrix::BF16(a.convert()),
+        match Self::store_level(a, precision, layout, None, false, false) {
+            Ok(level) => level.matrix,
+            Err(_) => unreachable!("the plain IEEE conversion refuses nothing"),
         }
     }
 
     /// Truncates under a [`TruncationPolicy`]: the production store path.
-    /// Unlike [`StoredMatrix::truncate`] (plain IEEE semantics, overflow
-    /// to ±∞ — retained for the `ScaleStrategy::None` ablation, which
-    /// *studies* that failure), out-of-range entries are rejected with a
-    /// typed error, clamped to the largest finite value, or flushed,
-    /// per the policy.
+    /// Unlike [`StoredMatrix::truncate`] (retained for the
+    /// `ScaleStrategy::None` ablation, which *studies* that failure),
+    /// out-of-range entries are rejected with a typed error, clamped to
+    /// the largest finite value, or flushed, per the policy.
     ///
     /// # Errors
     /// [`TruncationError`] under [`TruncationPolicy::Reject`] when an
@@ -66,13 +83,7 @@ impl StoredMatrix {
         layout: Layout,
         policy: TruncationPolicy,
     ) -> Result<Self, TruncationError> {
-        let a = a.to_layout(layout);
-        Ok(match precision {
-            Precision::F64 => StoredMatrix::F64(truncate_with_policy(&a, policy)?),
-            Precision::F32 => StoredMatrix::F32(truncate_with_policy(&a, policy)?),
-            Precision::F16 => StoredMatrix::F16(truncate_with_policy(&a, policy)?),
-            Precision::BF16 => StoredMatrix::BF16(truncate_with_policy(&a, policy)?),
-        })
+        Ok(Self::store_level(a, precision, layout, Some(policy), false, false)?.matrix)
     }
 
     /// The storage precision tag.

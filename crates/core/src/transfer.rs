@@ -16,7 +16,7 @@
 //! c[i]`, `odd += ½(c[i] + c[i+1])` for prolongation. Every weight,
 //! including the boundary fold and the identity of a semicoarsened axis,
 //! is read from [`parents_axis`], the definition the Galerkin product
-//! uses through [`cell_parents_into`]; the two x-stencils are the only
+//! ([`crate::coarsen`]) uses too; the two x-stencils are the only
 //! place its interior values are written out, and only for cells whose
 //! neighbours exist (everything else goes through the lookup). Each call
 //! streams the fine vector once (restriction reads `n_f`, writes `n_c`;
@@ -54,7 +54,7 @@ fn parents(x: usize, coarse_n: usize) -> ([(usize, f32); 2], usize) {
 /// Per-axis parent lookup: identity when the axis was not coarsened
 /// (semicoarsening), the two-parent trilinear rule otherwise.
 #[inline]
-fn parents_axis(x: usize, fine_n: usize, coarse_n: usize) -> ([(usize, f32); 2], usize) {
+pub(crate) fn parents_axis(x: usize, fine_n: usize, coarse_n: usize) -> ([(usize, f32); 2], usize) {
     if coarse_n == fine_n {
         ([(x, 1.0), (0, 0.0)], 1)
     } else {
@@ -67,7 +67,11 @@ fn parents_axis(x: usize, fine_n: usize, coarse_n: usize) -> ([(usize, f32); 2],
 /// `parents_axis` gives it — at most three entries. Only the candidate
 /// range is spelled out here; membership and weight are looked up.
 #[inline]
-fn children_axis(c: usize, fine_n: usize, coarse_n: usize) -> ([(usize, f32); 3], usize) {
+pub(crate) fn children_axis(
+    c: usize,
+    fine_n: usize,
+    coarse_n: usize,
+) -> ([(usize, f32); 3], usize) {
     let candidates = if coarse_n == fine_n {
         c..c + 1
     } else {
@@ -297,38 +301,6 @@ fn restrict_rows<P: Scalar>(fine: &Grid3, coarse: &Grid3, rf: &[P], fc: &mut [P]
             }
         }
     }
-}
-
-/// A fine cell's coarse parent: cell index, coarse coordinates, weight.
-pub(crate) type Parent = (usize, (u32, u32, u32), f64);
-
-/// Collects the coarse parents of a fine cell into a fixed buffer (at
-/// most 8), returning the count — allocation-free for the hot RAP loop.
-pub(crate) fn cell_parents_into(
-    fine: &Grid3,
-    coarse: &Grid3,
-    i: usize,
-    j: usize,
-    k: usize,
-    out: &mut [Parent; 8],
-) -> usize {
-    let (pi, ni) = parents_axis(i, fine.nx, coarse.nx);
-    let (pj, nj) = parents_axis(j, fine.ny, coarse.ny);
-    let (pk, nk) = parents_axis(k, fine.nz, coarse.nz);
-    let mut n = 0;
-    for (ck, wk) in &pk[..nk] {
-        for (cj, wj) in &pj[..nj] {
-            for (ci, wi) in &pi[..ni] {
-                out[n] = (
-                    coarse.cell(*ci, *cj, *ck),
-                    (*ci as u32, *cj as u32, *ck as u32),
-                    (*wi * *wj * *wk) as f64,
-                );
-                n += 1;
-            }
-        }
-    }
-    n
 }
 
 #[cfg(test)]

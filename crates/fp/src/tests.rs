@@ -350,3 +350,57 @@ mod proptests {
         });
     }
 }
+
+/// The slice conversions are the scalar ones, entry for entry, on every
+/// non-NaN input (NaN stays NaN) — for the F16 overrides that go through
+/// F16C and for the default loops alike, across chunk seams.
+#[test]
+fn slice_conversions_match_scalar() {
+    fn check_format<T: Storage>(src: &[f64]) {
+        let mut stored = vec![T::default(); src.len()];
+        T::store_f64_slice(src, &mut stored);
+        let mut back = vec![0.0f64; src.len()];
+        T::load_f64_slice(&stored, &mut back);
+        for ((&x, &s), &b) in src.iter().zip(&stored).zip(&back) {
+            let want = T::store_f64(x);
+            if x.is_nan() {
+                assert!(s.load_f64().is_nan() && b.is_nan(), "{}: NaN lost", T::NAME);
+            } else {
+                assert_eq!(s.store_bits(), want.store_bits(), "{}: store {x:e}", T::NAME);
+                assert_eq!(b.to_bits(), want.load_f64().to_bits(), "{}: load {x:e}", T::NAME);
+            }
+        }
+    }
+    let mut src = vec![
+        0.0,
+        -0.0,
+        65504.0,
+        65519.999,
+        65520.0,
+        -7.0e4,
+        6.0e-8,
+        2.98e-8,
+        -6.1e-5,
+        1.0e-40,
+        1.0e39,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    let mut state = 0x9e3779b97f4a7c15u64;
+    for _ in 0..600 {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        // Exponents around the f16 range, random mantissas and signs.
+        let e = 1023 - 30 + (state >> 58);
+        src.push(f64::from_bits(
+            (state & (1 << 63)) | (e << 52) | ((state >> 6) & ((1 << 52) - 1)),
+        ));
+    }
+    check_format::<F16>(&src);
+    check_format::<Bf16>(&src);
+    check_format::<f32>(&src);
+    check_format::<f64>(&src);
+    assert_eq!(<F16 as Storage>::PRECISION, Precision::F16);
+}

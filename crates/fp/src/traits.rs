@@ -155,14 +155,40 @@ pub trait Storage: Copy + Clone + Default + core::fmt::Debug + Send + Sync + 'st
     /// which stored values lose mantissa bits (subnormal) or vanish.
     const MIN_POSITIVE_NORMAL: f64;
 
+    /// The runtime tag of this format.
+    const PRECISION: Precision;
+
     /// Truncates from `f64` (round-to-nearest-even, overflow to ±∞).
     fn store_f64(x: f64) -> Self;
+    /// [`Storage::store_f64`] over a slice. Formats with a hardware
+    /// convert override this; the results must equal the scalar
+    /// conversion for every non-NaN input.
+    ///
+    /// # Panics
+    /// Panics if `src` and `dst` lengths differ.
+    fn store_f64_slice(src: &[f64], dst: &mut [Self]) {
+        assert_eq!(src.len(), dst.len(), "store_f64_slice: length mismatch");
+        for (d, &x) in dst.iter_mut().zip(src) {
+            *d = Self::store_f64(x);
+        }
+    }
     /// Truncates from `f32`.
     fn store_f32(x: f32) -> Self;
     /// Recovers to `f32` (exact for the 16-bit formats).
     fn load_f32(self) -> f32;
     /// Recovers to `f64`.
     fn load_f64(self) -> f64;
+    /// [`Storage::load_f64`] over a slice, with the same contract as
+    /// [`Storage::store_f64_slice`].
+    ///
+    /// # Panics
+    /// Panics if `src` and `dst` lengths differ.
+    fn load_f64_slice(src: &[Self], dst: &mut [f64]) {
+        assert_eq!(src.len(), dst.len(), "load_f64_slice: length mismatch");
+        for (d, &x) in dst.iter_mut().zip(src) {
+            *d = x.load_f64();
+        }
+    }
     /// True if the value is finite.
     fn is_finite(self) -> bool;
     /// IEEE category of the value (integer bit tests for the 16-bit
@@ -175,6 +201,7 @@ pub trait Storage: Copy + Clone + Default + core::fmt::Debug + Send + Sync + 'st
 }
 
 impl Storage for f64 {
+    const PRECISION: Precision = Precision::F64;
     const BYTES: usize = 8;
     const NAME: &'static str = "64";
     const FINITE_MAX: Option<f64> = None;
@@ -212,6 +239,7 @@ impl Storage for f64 {
 }
 
 impl Storage for f32 {
+    const PRECISION: Precision = Precision::F32;
     const BYTES: usize = 4;
     const NAME: &'static str = "32";
     const FINITE_MAX: Option<f64> = None;
@@ -249,6 +277,7 @@ impl Storage for f32 {
 }
 
 impl Storage for F16 {
+    const PRECISION: Precision = Precision::F16;
     const BYTES: usize = 2;
     const NAME: &'static str = "16";
     const FINITE_MAX: Option<f64> = Some(F16::MAX_F64);
@@ -258,6 +287,19 @@ impl Storage for F16 {
     #[inline(always)]
     fn store_f64(x: f64) -> Self {
         F16::from_f64(x)
+    }
+    /// The same two roundings as [`F16::from_f64`] (`f64 → f32 → f16`,
+    /// each to nearest-even), the second through F16C when the CPU has it.
+    fn store_f64_slice(src: &[f64], dst: &mut [Self]) {
+        assert_eq!(src.len(), dst.len(), "store_f64_slice: length mismatch");
+        let mut single = [0.0f32; 256];
+        for (s, d) in src.chunks(single.len()).zip(dst.chunks_mut(single.len())) {
+            let single = &mut single[..s.len()];
+            for (t, &x) in single.iter_mut().zip(s) {
+                *t = x as f32;
+            }
+            crate::simd::narrow_f32(single, d);
+        }
     }
     #[inline(always)]
     fn store_f32(x: f32) -> Self {
@@ -270,6 +312,17 @@ impl Storage for F16 {
     #[inline(always)]
     fn load_f64(self) -> f64 {
         self.to_f64()
+    }
+    fn load_f64_slice(src: &[Self], dst: &mut [f64]) {
+        assert_eq!(src.len(), dst.len(), "load_f64_slice: length mismatch");
+        let mut single = [0.0f32; 256];
+        for (s, d) in src.chunks(single.len()).zip(dst.chunks_mut(single.len())) {
+            let single = &mut single[..s.len()];
+            crate::simd::widen_f16(s, single);
+            for (d, &x) in d.iter_mut().zip(single.iter()) {
+                *d = x as f64;
+            }
+        }
     }
     #[inline(always)]
     fn is_finite(self) -> bool {
@@ -286,6 +339,7 @@ impl Storage for F16 {
 }
 
 impl Storage for Bf16 {
+    const PRECISION: Precision = Precision::BF16;
     const BYTES: usize = 2;
     const NAME: &'static str = "b16";
     const FINITE_MAX: Option<f64> = Some(3.3895313892515355e38);

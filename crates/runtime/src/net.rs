@@ -637,6 +637,14 @@ impl Listener {
         }
     }
 
+    /// The endpoint a local client dials to reach this listener.
+    fn local_endpoint(&self) -> io::Result<Endpoint> {
+        match self {
+            Listener::Unix(_, path) => Ok(Endpoint::Unix(path.clone())),
+            Listener::Tcp(l) => Ok(Endpoint::Tcp(l.local_addr()?.to_string())),
+        }
+    }
+
     fn accept(&self) -> io::Result<Conn> {
         match self {
             Listener::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
@@ -731,13 +739,18 @@ impl Write for Conn {
     }
 }
 
-/// The bounded accept loop: a thread accepts connections, arms their
-/// deadlines, and hands them over a bounded channel. When the channel is
-/// full the connection is answered with a typed [`Frame::Busy`] and
-/// closed — backpressure is a wire response, never an unbounded buffer.
+/// The bounded accept loop: a thread blocks in `accept`, arms each
+/// connection's deadlines, and hands it over a bounded channel. When the
+/// channel is full the connection is answered with a typed
+/// [`Frame::Busy`] and closed — backpressure is a wire response, never an
+/// unbounded buffer. No timer is involved: a connection is picked up the
+/// moment it arrives, and [`Acceptor::stop`] wakes the thread by dialing
+/// the listener itself.
 pub struct Acceptor {
     rx: Receiver<Conn>,
     stop: Arc<AtomicBool>,
+    /// The listener's own endpoint, dialed once by `stop`.
+    wake: Endpoint,
     accepted: Arc<AtomicU64>,
     busy: Arc<AtomicU64>,
     unix_path: Option<PathBuf>,
@@ -750,9 +763,10 @@ impl Acceptor {
     /// connection's reads and writes.
     ///
     /// # Errors
-    /// The listener's `set_nonblocking` error.
+    /// The listener's `set_nonblocking` or `local_addr` error.
     pub fn spawn(listener: Listener, backlog: usize, deadline: Duration) -> io::Result<Acceptor> {
-        listener.set_nonblocking(true)?;
+        listener.set_nonblocking(false)?;
+        let wake = listener.local_endpoint()?;
         let unix_path = listener.unix_path().cloned();
         let (tx, rx) = std::sync::mpsc::sync_channel::<Conn>(backlog.max(1));
         let stop = Arc::new(AtomicBool::new(false));
@@ -764,7 +778,7 @@ impl Acceptor {
             let busy = Arc::clone(&busy);
             std::thread::spawn(move || accept_loop(listener, tx, stop, accepted, busy, deadline))
         };
-        Ok(Acceptor { rx, stop, accepted, busy, unix_path, handle: Some(handle) })
+        Ok(Acceptor { rx, stop, wake, accepted, busy, unix_path, handle: Some(handle) })
     }
 
     /// The next queued connection, or `None` after `timeout` (or once the
@@ -794,12 +808,19 @@ impl Acceptor {
         self.busy.load(Ordering::SeqCst)
     }
 
-    /// Stops accepting: flags the thread down, joins it, and removes the
-    /// Unix socket file so a later bind does not find a stale path.
+    /// Stops accepting: flags the thread down, wakes it out of `accept`
+    /// with one connection to its own endpoint (seen after the flag, so
+    /// neither counted nor queued), joins it, and removes the Unix socket
+    /// file so a later bind does not find a stale path.
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
-            let _ = h.join();
+            // Without the wake-up (the socket path was removed under us)
+            // a thread still in `accept` cannot be joined; it exits with
+            // the process instead.
+            if h.is_finished() || Conn::connect(&self.wake).is_ok() {
+                let _ = h.join();
+            }
         }
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
@@ -821,9 +842,12 @@ fn accept_loop(
     busy: Arc<AtomicU64>,
     deadline: Duration,
 ) {
-    while !stop.load(Ordering::SeqCst) {
+    loop {
         match listener.accept() {
             Ok(conn) => {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
                 accepted.fetch_add(1, Ordering::SeqCst);
                 let _ = conn.set_deadlines(deadline, deadline);
                 match tx.try_send(conn) {
@@ -839,9 +863,7 @@ fn accept_loop(
                     Err(TrySendError::Disconnected(_)) => break,
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => break,
         }
     }

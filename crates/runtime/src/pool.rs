@@ -44,8 +44,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use fp16mg_krylov::{SolveError, SolveResult};
@@ -583,7 +582,9 @@ impl ServePool {
 
         let supervise = self.cfg.supervise.clone();
         let hearts: Vec<Mutex<Option<InFlight>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-        let completed = AtomicUsize::new(0);
+        // Finished requests, with a condvar the monitor sleeps on so a
+        // wave ends the moment its last request does.
+        let completed: (Mutex<usize>, Condvar) = (Mutex::new(0), Condvar::new());
         let events: Mutex<Vec<WorkerEvent>> = Mutex::new(Vec::new());
         let strikes: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
@@ -700,12 +701,14 @@ impl ServePool {
                             strikes.lock().unwrap_or_else(|e| e.into_inner()).push(name.clone());
                         }
                     }
-                    completed.fetch_add(1, Ordering::SeqCst);
+                    *completed.0.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+                    completed.1.notify_all();
                     *done[index].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
                 });
             }
 
-            // The monitor: polls every worker's heartbeat and cancels
+            // The monitor: checks every worker's heartbeat once per poll
+            // interval and cancels
             // requests that have run past the wedge deadline. Purely
             // wall-clock, so its effects reach outcomes only as
             // `SolveError::Cancelled` (never counted by the breakers).
@@ -714,26 +717,34 @@ impl ServePool {
                 let completed = &completed;
                 let events = &events;
                 let supervise = &supervise;
-                scope.spawn(move || {
-                    while completed.load(Ordering::SeqCst) < admitted_count {
-                        std::thread::sleep(supervise.poll);
-                        for (w, slot) in hearts.iter().enumerate() {
-                            let mut s = slot.lock().unwrap_or_else(|e| e.into_inner());
-                            if let Some(infl) = s.as_mut() {
-                                let elapsed = infl.started.elapsed();
-                                if !infl.wedged && elapsed > supervise.wedge_after {
-                                    infl.wedged = true;
-                                    infl.cancel.cancel();
-                                    events.lock().unwrap_or_else(|e| e.into_inner()).push(
-                                        WorkerEvent {
-                                            worker: Some(w),
-                                            request: infl.name.clone(),
-                                            kind: WorkerEventKind::Wedged {
-                                                elapsed: elapsed.as_secs_f64(),
-                                            },
+                scope.spawn(move || loop {
+                    // One poll interval, cut short when the last request
+                    // completes.
+                    let finished = completed.0.lock().unwrap_or_else(|e| e.into_inner());
+                    let (finished, _) = completed
+                        .1
+                        .wait_timeout_while(finished, supervise.poll, |n| *n < admitted_count)
+                        .unwrap_or_else(|e| e.into_inner());
+                    if *finished >= admitted_count {
+                        break;
+                    }
+                    drop(finished);
+                    for (w, slot) in hearts.iter().enumerate() {
+                        let mut s = slot.lock().unwrap_or_else(|e| e.into_inner());
+                        if let Some(infl) = s.as_mut() {
+                            let elapsed = infl.started.elapsed();
+                            if !infl.wedged && elapsed > supervise.wedge_after {
+                                infl.wedged = true;
+                                infl.cancel.cancel();
+                                events.lock().unwrap_or_else(|e| e.into_inner()).push(
+                                    WorkerEvent {
+                                        worker: Some(w),
+                                        request: infl.name.clone(),
+                                        kind: WorkerEventKind::Wedged {
+                                            elapsed: elapsed.as_secs_f64(),
                                         },
-                                    );
-                                }
+                                    },
+                                );
                             }
                         }
                     }

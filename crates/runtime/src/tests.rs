@@ -2309,3 +2309,75 @@ mod wire_props {
         });
     }
 }
+
+mod event_driven {
+    //! The serving path waits on events, not timers: a wave ends when its
+    //! last request does (not at the monitor's next poll), the monitor
+    //! still cancels a wedged request, and an idle acceptor stops at once.
+
+    use super::*;
+    use crate::net::{Acceptor, Conn, Endpoint, Listener};
+    use crate::pool::{PoolConfig, ServeError, ServePool};
+    use crate::supervise::SuperviseConfig;
+    use std::time::Instant;
+
+    fn supervised(poll: Duration, wedge_after: Duration) -> ServePool {
+        ServePool::new(PoolConfig {
+            workers: 1,
+            supervise: SuperviseConfig { poll, wedge_after, ..SuperviseConfig::default() },
+            ..PoolConfig::default()
+        })
+    }
+
+    #[test]
+    fn wave_returns_when_its_request_does_not_at_the_next_poll() {
+        let mut pool = supervised(Duration::from_millis(500), Duration::from_secs(30));
+        let t0 = Instant::now();
+        let out = pool.run(vec![SolveRequest::new("quick", laplace(4), MgConfig::d16())]);
+        let took = t0.elapsed();
+        assert!(out[0].converged(), "{:?}", out[0].result);
+        assert!(took < Duration::from_millis(100), "wave held for {took:?} by a 500 ms poll");
+    }
+
+    #[test]
+    fn endless_request_is_still_cancelled_as_wedged() {
+        let mut pool = supervised(Duration::from_millis(5), Duration::from_millis(50));
+        let mut req = SolveRequest::new("wedge-me", laplace(6), MgConfig::d16());
+        req.solver = SolverChoice::Richardson;
+        req.opts = SolveOptions { max_iters: usize::MAX / 2, ..endless_opts() };
+        req.policy = RetryPolicy::fail_fast();
+        let out = pool.run(vec![req]);
+        assert!(
+            matches!(&out[0].result, Err(ServeError::Session(SolveError::Cancelled { .. }))),
+            "{:?}",
+            out[0].result
+        );
+        let wedged = pool
+            .worker_events()
+            .iter()
+            .filter(|e| matches!(e.kind, crate::supervise::WorkerEventKind::Wedged { .. }))
+            .count();
+        assert_eq!(wedged, 1);
+    }
+
+    #[test]
+    fn idle_acceptor_stops_at_once_and_does_not_count_the_wake_up() {
+        let path =
+            std::env::temp_dir().join(format!("fp16mg-acceptor-{}.sock", std::process::id()));
+        let endpoint = Endpoint::Unix(path.clone());
+        let listener = Listener::bind(&endpoint).expect("bind");
+        let mut acceptor = Acceptor::spawn(listener, 4, Duration::from_secs(1)).expect("spawn");
+        // One real connection is picked up without waiting out a timer.
+        let t0 = Instant::now();
+        let _client = Conn::connect(&endpoint).expect("connect");
+        assert!(acceptor.next(Duration::from_secs(1)).is_some());
+        assert!(t0.elapsed() < Duration::from_millis(100));
+        assert_eq!(acceptor.accepted(), 1);
+        let t0 = Instant::now();
+        acceptor.stop();
+        assert!(t0.elapsed() < Duration::from_millis(100), "stop took {:?}", t0.elapsed());
+        assert!(acceptor.finished());
+        assert_eq!(acceptor.accepted(), 1, "the wake-up dial was counted");
+        assert!(!path.exists());
+    }
+}

@@ -32,6 +32,7 @@
 
 use fp16mg_fp::{Bf16, NumClass, Precision, Storage, F16};
 
+use crate::sentinel::{MatrixSentinels, SentinelAcc};
 use crate::SgDia;
 
 /// Out-of-range treatment on the storage truncation path.
@@ -119,7 +120,7 @@ impl std::error::Error for TruncationError {}
 
 /// What truncating one high-precision level to a target precision would
 /// do to its entries — the per-level row of the precision audit.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RangeAudit {
     /// The storage precision audited against.
     pub precision: Precision,
@@ -211,68 +212,304 @@ impl core::fmt::Display for RangeAudit {
 /// Audits what truncating `a` to `precision` would do, in one pass over
 /// the high-precision data and without materializing the truncation.
 pub fn audit(a: &SgDia<f64>, precision: Precision) -> RangeAudit {
+    fn sweep<T: Storage>(a: &SgDia<f64>) -> RangeAudit {
+        let mut acc = AuditAcc::new::<T>();
+        // Plain IEEE never refuses an entry.
+        let _ = store_run::<T>(a.data(), None, &mut acc, None, |_, _, _| {});
+        acc.finish::<T>()
+    }
     match precision {
-        Precision::F64 => audit_as::<f64>(a, precision),
-        Precision::F32 => audit_as::<f32>(a, precision),
-        Precision::F16 => audit_as::<F16>(a, precision),
-        Precision::BF16 => audit_as::<Bf16>(a, precision),
+        Precision::F64 => sweep::<f64>(a),
+        Precision::F32 => sweep::<f32>(a),
+        Precision::F16 => sweep::<F16>(a),
+        Precision::BF16 => sweep::<Bf16>(a),
     }
 }
 
-fn audit_as<T: Storage>(a: &SgDia<f64>, precision: Precision) -> RangeAudit {
-    let mut out = RangeAudit {
-        precision,
-        entries: 0,
-        source_zeros: 0,
-        source_non_finite: 0,
-        abs_max: 0.0,
-        abs_min_nonzero: f64::INFINITY,
-        headroom: 0.0,
-        underflow_zero: 0,
-        subnormal: 0,
-        saturate: 0,
-        max_rel_err: 0.0,
-        mean_rel_err: 0.0,
-    };
-    let mut err_sum = 0.0f64;
-    let mut err_n = 0u64;
-    for &v in a.data() {
-        out.entries += 1;
-        if v == 0.0 {
-            out.source_zeros += 1;
-            continue;
-        }
-        if !v.is_finite() {
-            out.source_non_finite += 1;
-            continue;
-        }
-        let mag = v.abs();
-        out.abs_max = out.abs_max.max(mag);
-        out.abs_min_nonzero = out.abs_min_nonzero.min(mag);
-        let stored = T::store_f64(v);
-        match stored.class() {
-            NumClass::Zero => {
-                out.underflow_zero += 1;
-                continue;
-            }
-            NumClass::Subnormal => out.subnormal += 1,
-            NumClass::Inf | NumClass::Nan => {
-                out.saturate += 1;
-                continue;
-            }
-            NumClass::Normal => {}
-        }
-        let rel = (stored.load_f64() - v).abs() / mag;
-        out.max_rel_err = out.max_rel_err.max(rel);
-        err_sum += rel;
-        err_n += 1;
+/// A [`RangeAudit`] in the making: while entries are swept,
+/// `abs_min_nonzero` starts at +∞ and `mean_rel_err` holds the error
+/// *sum* over `summed` entries; [`AuditAcc::finish`] settles both.
+struct AuditAcc {
+    audit: RangeAudit,
+    summed: u64,
+}
+
+impl AuditAcc {
+    fn new<T: Storage>() -> Self {
+        let audit = RangeAudit {
+            precision: T::PRECISION,
+            entries: 0,
+            source_zeros: 0,
+            source_non_finite: 0,
+            abs_max: 0.0,
+            abs_min_nonzero: f64::INFINITY,
+            headroom: 0.0,
+            underflow_zero: 0,
+            subnormal: 0,
+            saturate: 0,
+            max_rel_err: 0.0,
+            mean_rel_err: 0.0,
+        };
+        AuditAcc { audit, summed: 0 }
     }
-    if out.abs_min_nonzero.is_infinite() {
-        out.abs_min_nonzero = 0.0;
+
+    fn finish<T: Storage>(self) -> RangeAudit {
+        let mut audit = self.audit;
+        if audit.abs_min_nonzero.is_infinite() {
+            // No nonzero entry at all: an empty range.
+            audit.abs_min_nonzero = 0.0;
+        }
+        audit.headroom = audit.abs_max / T::MAX_FINITE;
+        if self.summed > 0 {
+            audit.mean_rel_err /= self.summed as f64;
+        }
+        audit
     }
-    out.headroom = out.abs_max / T::MAX_FINITE;
-    out.mean_rel_err = if err_n == 0 { 0.0 } else { err_sum / err_n as f64 };
-    out
+}
+
+enum StoreFail {
+    Saturation,
+    NonFinite,
+}
+
+impl StoreFail {
+    fn at<T: Storage>(self, cell: usize, tap: usize, value: f64) -> TruncationError {
+        match self {
+            StoreFail::Saturation => {
+                TruncationError::Saturation { cell, tap, value, limit: T::MAX_FINITE }
+            }
+            StoreFail::NonFinite => TruncationError::NonFiniteSource { cell, tap, value },
+        }
+    }
+}
+
+/// Relative truncation error of an in-range entry.
+#[inline(always)]
+fn rel_err(v: f64, stored: f64) -> f64 {
+    (stored - v).abs() / v.abs()
+}
+
+/// The one per-entry store step: given `v`, its plain IEEE truncation
+/// `raw` and their [`rel_err`], counts what the truncation did to `v` and
+/// resolves entries that leave the representable range per `policy`
+/// (`None` is plain IEEE: overflow to ±∞). `Err` only under `Reject`.
+#[inline(always)]
+fn store_entry<T: Storage>(
+    (v, raw, rel): (f64, T, f64),
+    policy: Option<TruncationPolicy>,
+    acc: &mut AuditAcc,
+) -> Result<T, StoreFail> {
+    let AuditAcc { audit: acc, summed } = acc;
+    acc.entries += 1;
+    let class = raw.class();
+    // `raw` classifies `v` too: normal and subnormal results come from
+    // finite nonzero sources, zeros from zero or underflow, ±∞/NaN from
+    // a corrupt source or saturation.
+    match class {
+        NumClass::Zero if v == 0.0 => {
+            acc.source_zeros += 1;
+            return Ok(raw);
+        }
+        NumClass::Inf | NumClass::Nan if !v.is_finite() => {
+            // The source itself is corrupt: clamping would invent a
+            // value, so Reject refuses with a typed error and the others
+            // pass the bits through for the downstream finite-scan.
+            acc.source_non_finite += 1;
+            return match policy {
+                Some(TruncationPolicy::Reject) => Err(StoreFail::NonFinite),
+                _ => Ok(raw),
+            };
+        }
+        _ => {}
+    }
+    // Neither operand is NaN from here on, so plain comparisons fold
+    // exactly like `f64::max` / `f64::min`.
+    let mag = v.abs();
+    if mag > acc.abs_max {
+        acc.abs_max = mag;
+    }
+    if mag < acc.abs_min_nonzero {
+        acc.abs_min_nonzero = mag;
+    }
+    match class {
+        NumClass::Zero => {
+            acc.underflow_zero += 1;
+            return Ok(raw);
+        }
+        NumClass::Inf | NumClass::Nan => {
+            acc.saturate += 1;
+            return match policy {
+                None => Ok(raw),
+                Some(TruncationPolicy::Reject) => Err(StoreFail::Saturation),
+                Some(_) => Ok(T::store_f64(T::MAX_FINITE.copysign(v))),
+            };
+        }
+        NumClass::Subnormal => acc.subnormal += 1,
+        NumClass::Normal => {}
+    }
+    // Underflowed-to-zero and saturating entries are counted above, not
+    // folded into the rounding-loss figures.
+    if rel > acc.max_rel_err {
+        acc.max_rel_err = rel;
+    }
+    acc.mean_rel_err += rel;
+    *summed += 1;
+    if class == NumClass::Subnormal && policy == Some(TruncationPolicy::FlushToZero) {
+        return Ok(T::store_f64(0.0));
+    }
+    Ok(raw)
+}
+
+/// Entries truncated per bulk conversion.
+const BLOCK: usize = 256;
+
+/// The one store kernel: sweeps a contiguous run of source values once,
+/// in order — audit into `acc`, stored values into the sentinel `plane`
+/// when the run is one tap plane — handing `sink` each block as
+/// `(offset, source, stored)`. Stops at the first entry the policy
+/// refuses (which one is for the caller to find: see [`first_refusal`]).
+#[inline(always)]
+fn store_run<T: Storage>(
+    src: &[f64],
+    policy: Option<TruncationPolicy>,
+    acc: &mut AuditAcc,
+    plane: Option<&mut SentinelAcc>,
+    mut sink: impl FnMut(usize, &[f64], &[T]),
+) -> Result<(), StoreFail> {
+    let mut raw = [T::default(); BLOCK];
+    let mut rel = [0.0f64; BLOCK];
+    // A local copy, so the checksum chain lives in registers.
+    let mut sentinel = plane.as_deref().copied();
+    for (b, block) in src.chunks(BLOCK).enumerate() {
+        // Bulk (SIMD where the format has it) truncation, recovery and
+        // error of the block — the divisions vectorise here and would
+        // bound the pass one by one. Only normal results are taken from
+        // it; every special case goes through the scalar conversion.
+        let (raw, rel) = (&mut raw[..block.len()], &mut rel[..block.len()]);
+        T::store_f64_slice(block, raw);
+        T::load_f64_slice(raw, rel);
+        for (e, &v) in rel.iter_mut().zip(block) {
+            *e = rel_err(v, *e);
+        }
+        for ((&v, raw), &rel) in block.iter().zip(raw.iter_mut()).zip(rel.iter()) {
+            let entry = if raw.class() == NumClass::Normal {
+                (v, *raw, rel)
+            } else {
+                let scalar = T::store_f64(v);
+                (v, scalar, rel_err(v, scalar.load_f64()))
+            };
+            *raw = store_entry(entry, policy, acc)?;
+            // The checksum is a serial multiply chain: it hides behind
+            // the audit only inside the same loop.
+            if let Some(sentinel) = &mut sentinel {
+                sentinel.push(*raw);
+            }
+        }
+        sink(b * BLOCK, block, raw);
+    }
+    if let (Some(plane), Some(sentinel)) = (plane, sentinel) {
+        *plane = sentinel;
+    }
+    Ok(())
+}
+
+/// What one sweep over a high-precision level produces.
+#[derive(Clone, Debug)]
+pub struct StoredLevel<M> {
+    /// The truncated matrix, in the source's layout.
+    pub matrix: M,
+    /// Audit of the truncation against the storage format.
+    pub audit: RangeAudit,
+    /// Sentinels of the stored planes (when asked for).
+    pub sentinels: Option<MatrixSentinels>,
+    /// Whether every stored value is finite.
+    pub finite: bool,
+    /// The source in FP32 (when asked for): recovery's promotion material.
+    pub source: Option<SgDia<f32>>,
+}
+
+impl<M> StoredLevel<M> {
+    /// Rewraps the matrix (e.g. into a precision-erased enum).
+    pub fn map<N>(self, f: impl FnOnce(M) -> N) -> StoredLevel<N> {
+        let StoredLevel { matrix, audit, sentinels, finite, source } = self;
+        StoredLevel { matrix: f(matrix), audit, sentinels, finite, source }
+    }
+}
+
+/// The fused store pass: reads `a` once, in storage order, producing the
+/// policy-checked truncation, its [`RangeAudit`], per-plane sentinels,
+/// the finite flag and the FP32 copy of the source — bit-identical to
+/// [`audit`], [`truncate_with_policy`], [`crate::sentinel::compute`],
+/// `all_finite` and `convert::<f32>` run one after another. A `None`
+/// policy is the plain IEEE conversion (overflow to ±∞).
+///
+/// # Errors
+/// As [`truncate_with_policy`].
+pub fn store_level<T: Storage>(
+    a: &SgDia<f64>,
+    policy: Option<TruncationPolicy>,
+    sentinels: bool,
+    keep_source: bool,
+) -> Result<StoredLevel<SgDia<T>>, TruncationError> {
+    let (cells, taps) = (a.grid().cells(), a.pattern().len());
+    let soa = a.layout() == crate::Layout::Soa;
+    let mut matrix = SgDia::<T>::zeros(*a.grid(), a.pattern().clone(), a.layout());
+    let mut source =
+        keep_source.then(|| SgDia::<f32>::zeros(*a.grid(), a.pattern().clone(), a.layout()));
+    let mut sent = vec![SentinelAcc::default(); if sentinels { taps } else { 0 }];
+    let mut acc = AuditAcc::new::<T>();
+    let mut finite = true;
+    // A run is one tap plane (SOA) or the whole cell-major array (AOS).
+    let run = if soa { cells } else { cells * taps }.max(1);
+    for (chunk, src) in a.data().chunks(run).enumerate() {
+        let out = &mut matrix.data_mut()[chunk * run..][..src.len()];
+        let mut wide = source.as_mut().map(|s| &mut s.data_mut()[chunk * run..][..src.len()]);
+        // An SOA run is one plane, whose sentinel rides in the kernel;
+        // cell-major data (the ablation layout) interleaves the planes.
+        let (plane, interleaved) =
+            if soa { (sent.get_mut(chunk), &mut [][..]) } else { (None, &mut sent[..]) };
+        let swept = store_run::<T>(src, policy, &mut acc, plane, |at, block, stored| {
+            out[at..][..stored.len()].copy_from_slice(stored);
+            finite &= stored.iter().fold(true, |ok, s| ok & s.is_finite());
+            if let Some(w) = wide.as_deref_mut() {
+                for (w, &v) in w[at..].iter_mut().zip(block) {
+                    *w = v as f32;
+                }
+            }
+            if !interleaved.is_empty() {
+                stored.iter().enumerate().for_each(|(i, &s)| interleaved[(at + i) % taps].push(s));
+            }
+        });
+        if swept.is_err() {
+            // Name the first offender in cell-major order.
+            return Err(first_refusal::<T>(a, policy));
+        }
+    }
+    Ok(StoredLevel {
+        matrix,
+        audit: acc.finish::<T>(),
+        sentinels: sentinels.then(|| MatrixSentinels {
+            taps: sent.into_iter().map(SentinelAcc::finish).collect(),
+            cells,
+        }),
+        finite,
+        source,
+    })
+}
+
+/// The first entry, in cell-major order, that `policy` refuses.
+fn first_refusal<T: Storage>(a: &SgDia<f64>, policy: Option<TruncationPolicy>) -> TruncationError {
+    let mut acc = AuditAcc::new::<T>();
+    for cell in 0..a.grid().cells() {
+        for tap in 0..a.pattern().len() {
+            let v = a.get(cell, tap);
+            let raw = T::store_f64(v);
+            if let Err(e) = store_entry((v, raw, rel_err(v, raw.load_f64())), policy, &mut acc) {
+                return e.at::<T>(cell, tap, v);
+            }
+        }
+    }
+    unreachable!("the storage-order sweep found a refused entry")
 }
 
 /// Truncates a high-precision matrix into storage format `T` under the
@@ -281,27 +518,13 @@ fn audit_as<T: Storage>(a: &SgDia<f64>, precision: Precision) -> RangeAudit {
 ///
 /// # Errors
 /// [`TruncationError`] under [`TruncationPolicy::Reject`] for the first
-/// saturating or non-finite entry; the clamping policies never fail.
+/// saturating or non-finite entry (in cell-major order); the clamping
+/// policies never fail.
 pub fn truncate_with_policy<T: Storage>(
     a: &SgDia<f64>,
     policy: TruncationPolicy,
 ) -> Result<SgDia<T>, TruncationError> {
-    let taps = a.pattern().len();
-    let cells = a.grid().cells();
-    let mut out = SgDia::<T>::zeros(*a.grid(), a.pattern().clone(), a.layout());
-    for cell in 0..cells {
-        for tap in 0..taps {
-            let v = a.get(cell, tap);
-            let stored = store_policy::<T>(v, policy).map_err(|kind| match kind {
-                StoreFail::Saturation => {
-                    TruncationError::Saturation { cell, tap, value: v, limit: T::MAX_FINITE }
-                }
-                StoreFail::NonFinite => TruncationError::NonFiniteSource { cell, tap, value: v },
-            })?;
-            out.set(cell, tap, stored);
-        }
-    }
-    Ok(out)
+    store_level(a, Some(policy), false, false).map(|level| level.matrix)
 }
 
 /// How far an operator's value range has moved relative to a baseline
@@ -382,45 +605,6 @@ pub fn drift(baseline: &RangeAudit, current: &RangeAudit) -> OperatorDrift {
         new_overflow: !current.overflow_free() && baseline.overflow_free(),
         structure_changed: baseline.entries != current.entries
             || baseline.nonzero() != current.nonzero(),
-    }
-}
-
-enum StoreFail {
-    Saturation,
-    NonFinite,
-}
-
-/// Stores one `f64` under a policy. `Err` only under `Reject`.
-#[inline]
-fn store_policy<T: Storage>(v: f64, policy: TruncationPolicy) -> Result<T, StoreFail> {
-    let stored = T::store_f64(v);
-    match stored.class() {
-        NumClass::Normal | NumClass::Zero if v == 0.0 || v.is_finite() => Ok(stored),
-        NumClass::Inf | NumClass::Nan => {
-            if !v.is_finite() {
-                // The source itself is corrupt: clamping would invent a
-                // value, so every policy but plain IEEE refuses — Reject
-                // with a typed error, the others pass the bits through
-                // for the downstream finite-scan to catch.
-                return match policy {
-                    TruncationPolicy::Reject => Err(StoreFail::NonFinite),
-                    _ => Ok(stored),
-                };
-            }
-            match policy {
-                TruncationPolicy::Reject => Err(StoreFail::Saturation),
-                TruncationPolicy::Saturate | TruncationPolicy::FlushToZero => {
-                    Ok(T::store_f64(T::MAX_FINITE.copysign(v)))
-                }
-            }
-        }
-        NumClass::Subnormal => match policy {
-            TruncationPolicy::FlushToZero => Ok(T::store_f64(0.0)),
-            _ => Ok(stored),
-        },
-        // Normal/Zero with a finite source fall through above; this arm
-        // is unreachable but keeps the match exhaustive for the compiler.
-        _ => Ok(stored),
     }
 }
 
@@ -611,5 +795,245 @@ mod tests {
         let back = drift(&cur, &base);
         assert!(!back.new_overflow, "{back}");
         assert!(!back.structural());
+    }
+
+    // ---- The fused store pass against the unfused passes it replaced,
+    // kept here as the oracles. ----
+
+    /// The stand-alone audit sweep.
+    fn audit_oracle<T: Storage>(a: &SgDia<f64>) -> RangeAudit {
+        let mut out = RangeAudit {
+            precision: T::PRECISION,
+            entries: 0,
+            source_zeros: 0,
+            source_non_finite: 0,
+            abs_max: 0.0,
+            abs_min_nonzero: f64::INFINITY,
+            headroom: 0.0,
+            underflow_zero: 0,
+            subnormal: 0,
+            saturate: 0,
+            max_rel_err: 0.0,
+            mean_rel_err: 0.0,
+        };
+        let (mut err_sum, mut err_n) = (0.0f64, 0u64);
+        for &v in a.data() {
+            out.entries += 1;
+            if v == 0.0 {
+                out.source_zeros += 1;
+                continue;
+            }
+            if !v.is_finite() {
+                out.source_non_finite += 1;
+                continue;
+            }
+            let mag = v.abs();
+            out.abs_max = out.abs_max.max(mag);
+            out.abs_min_nonzero = out.abs_min_nonzero.min(mag);
+            let stored = T::store_f64(v);
+            match stored.class() {
+                NumClass::Zero => {
+                    out.underflow_zero += 1;
+                    continue;
+                }
+                NumClass::Subnormal => out.subnormal += 1,
+                NumClass::Inf | NumClass::Nan => {
+                    out.saturate += 1;
+                    continue;
+                }
+                NumClass::Normal => {}
+            }
+            let rel = (stored.load_f64() - v).abs() / mag;
+            out.max_rel_err = out.max_rel_err.max(rel);
+            err_sum += rel;
+            err_n += 1;
+        }
+        if out.abs_min_nonzero.is_infinite() {
+            out.abs_min_nonzero = 0.0;
+        }
+        out.headroom = out.abs_max / T::MAX_FINITE;
+        out.mean_rel_err = if err_n == 0 { 0.0 } else { err_sum / err_n as f64 };
+        out
+    }
+
+    /// The stand-alone per-entry policy store.
+    fn store_policy_oracle<T: Storage>(v: f64, policy: TruncationPolicy) -> Result<T, StoreFail> {
+        let stored = T::store_f64(v);
+        match stored.class() {
+            NumClass::Normal | NumClass::Zero if v == 0.0 || v.is_finite() => Ok(stored),
+            NumClass::Inf | NumClass::Nan => {
+                if !v.is_finite() {
+                    return match policy {
+                        TruncationPolicy::Reject => Err(StoreFail::NonFinite),
+                        _ => Ok(stored),
+                    };
+                }
+                match policy {
+                    TruncationPolicy::Reject => Err(StoreFail::Saturation),
+                    _ => Ok(T::store_f64(T::MAX_FINITE.copysign(v))),
+                }
+            }
+            NumClass::Subnormal if policy == TruncationPolicy::FlushToZero => Ok(T::store_f64(0.0)),
+            _ => Ok(stored),
+        }
+    }
+
+    /// The stand-alone cell-major truncation.
+    fn truncate_oracle<T: Storage>(
+        a: &SgDia<f64>,
+        policy: TruncationPolicy,
+    ) -> Result<SgDia<T>, TruncationError> {
+        let mut out = SgDia::<T>::zeros(*a.grid(), a.pattern().clone(), a.layout());
+        for cell in 0..a.grid().cells() {
+            for tap in 0..a.pattern().len() {
+                let v = a.get(cell, tap);
+                let stored =
+                    store_policy_oracle::<T>(v, policy).map_err(|e| e.at::<T>(cell, tap, v))?;
+                out.set(cell, tap, stored);
+            }
+        }
+        Ok(out)
+    }
+
+    /// The stand-alone sentinel sweep, as `(checksum, sum bits, abs-sum
+    /// bits)` per tap so NaN sums compare too.
+    fn sentinel_oracle<S: Storage>(a: &SgDia<S>) -> Vec<(u64, u64, u64)> {
+        (0..a.pattern().len())
+            .map(|tap| {
+                let mut h = fp16mg_fp::Fnv1a::new();
+                let (mut sum, mut abs_sum) = (0.0f64, 0.0f64);
+                for cell in 0..a.grid().cells() {
+                    let v = a.get(cell, tap);
+                    h.write_value(v);
+                    sum += v.load_f64();
+                    abs_sum += v.load_f64().abs();
+                }
+                // Sums are kept with NaNs canonical.
+                let bits = |x: f64| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() };
+                (h.finish(), bits(sum), bits(abs_sum))
+            })
+            .collect()
+    }
+
+    fn sentinel_bits(s: &MatrixSentinels) -> Vec<(u64, u64, u64)> {
+        s.taps.iter().map(|t| (t.checksum, t.sum.to_bits(), t.abs_sum.to_bits())).collect()
+    }
+
+    /// `assert_eq!` on long sequences, naming only the first difference.
+    fn assert_same<E: PartialEq + core::fmt::Debug>(got: &[E], want: &[E], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+            panic!("{what}: entry {i}: {:?} vs {:?}", got[i], want[i]);
+        }
+    }
+
+    fn bits<S: Storage>(a: &SgDia<S>) -> Vec<u64> {
+        a.data().iter().map(|v| v.store_bits()).collect()
+    }
+
+    /// A matrix whose entries cover every fate: in range, exact ±0,
+    /// subnormal and underflowing in the narrow formats, saturating in
+    /// each format, and (when `corrupt`) ±∞ / NaN.
+    fn wild_matrix(rng: &mut fp16mg_testkit::Rng, corrupt: bool) -> SgDia<f64> {
+        let extent = |rng: &mut fp16mg_testkit::Rng| rng.usize_range(1, 7);
+        let r = rng.usize_range(1, 3);
+        let grid = Grid3::with_components(extent(rng), extent(rng), extent(rng), r);
+        let name = Pattern::NAMES[rng.usize_range(0, Pattern::NAMES.len())];
+        let scalar = Pattern::by_name(name).unwrap();
+        let pattern = if r == 1 { scalar } else { scalar.with_components(r) };
+        let layout = if rng.chance(0.5) { Layout::Soa } else { Layout::Aos };
+        // In this case, in range only, or anything goes.
+        let tame = rng.chance(0.3);
+        SgDia::from_fn(grid, pattern, layout, |_, _, _, _, _| {
+            let sign = if rng.chance(0.5) { -1.0 } else { 1.0 };
+            let pick = if tame { rng.usize_range(0, 2) } else { rng.usize_range(0, 9) };
+            sign * match pick {
+                0 => rng.f64_range(0.01, 100.0),
+                1 => 0.0,
+                2 => rng.f64_range(1.0e-7, 6.0e-5), // f16 subnormal
+                3 => rng.f64_range(1.0e-12, 1.0e-9), // f16 underflow
+                4 => rng.f64_range(6.6e4, 1.0e9),   // f16 saturation
+                5 => rng.f64_range(1.0e-45, 1.0e-38), // f32 / bf16 subnormal
+                6 => rng.f64_range(3.5e38, 1.0e60), // f32 / bf16 saturation
+                7 if corrupt => [f64::INFINITY, f64::NAN][rng.usize_range(0, 2)],
+                _ => rng.f64_range(65503.0, 65521.0), // the f16 rounding edge
+            }
+        })
+    }
+
+    fn fused_matches_unfused<T: Storage>(a: &SgDia<f64>) {
+        let what = format!("{:?} {} {:?} -> {}", a.grid(), a.pattern().name(), a.layout(), T::NAME);
+        assert_eq!(audit(a, T::PRECISION), audit_oracle::<T>(a), "{what}: audit");
+        // Plain IEEE: the silent conversion.
+        let plain = store_level::<T>(a, None, true, true).expect("plain IEEE refuses nothing");
+        assert_same(&bits(&plain.matrix), &bits(&a.convert::<T>()), &format!("{what}: plain bits"));
+        for policy in
+            [TruncationPolicy::Reject, TruncationPolicy::Saturate, TruncationPolicy::FlushToZero]
+        {
+            let what = format!("{what} under {policy}");
+            let fused = store_level::<T>(a, Some(policy), true, true);
+            let want = match truncate_oracle::<T>(a, policy) {
+                Ok(m) => m,
+                Err(e) => {
+                    // Same first offender, in cell-major order (as text:
+                    // the payload may be NaN).
+                    let got = fused.expect_err(&what);
+                    assert_eq!(format!("{got:?}"), format!("{e:?}"), "{what}");
+                    let alone = truncate_with_policy::<T>(a, policy).expect_err(&what);
+                    assert_eq!(format!("{alone:?}"), format!("{e:?}"), "{what}");
+                    continue;
+                }
+            };
+            let fused = fused.unwrap_or_else(|e| panic!("{what}: fused refused {e}"));
+            assert_same(&bits(&fused.matrix), &bits(&want), &format!("{what}: stored bits"));
+            assert_eq!(fused.audit, audit_oracle::<T>(a), "{what}: audit");
+            let sentinels = fused.sentinels.expect("asked for");
+            assert_eq!(sentinels.cells, a.grid().cells());
+            assert_same(
+                &sentinel_bits(&sentinels),
+                &sentinel_oracle(&want),
+                &format!("{what}: sentinels"),
+            );
+            let alone = sentinel_bits(&crate::sentinel::compute(&want));
+            assert_same(&alone, &sentinel_oracle(&want), &format!("{what}: sentinel::compute"));
+            assert_eq!(fused.finite, want.all_finite(), "{what}: finite");
+            let source = fused.source.expect("asked for");
+            assert_same(&bits(&source), &bits(&a.convert::<f32>()), &format!("{what}: f32 source"));
+            let alone = truncate_with_policy::<T>(a, policy).expect("oracle stored it");
+            assert_same(&bits(&alone), &bits(&want), &format!("{what}: truncate_with_policy"));
+            // Nothing asked for, nothing made.
+            let bare = store_level::<T>(a, Some(policy), false, false).unwrap();
+            assert!(bare.sentinels.is_none() && bare.source.is_none());
+        }
+    }
+
+    #[test]
+    fn fused_store_pass_is_bit_identical_to_the_unfused_passes() {
+        fp16mg_testkit::check_n("fused store pass == unfused passes", 48, |rng| {
+            let corrupt = rng.chance(0.5);
+            let a = wild_matrix(rng, corrupt);
+            fused_matches_unfused::<F16>(&a);
+            fused_matches_unfused::<Bf16>(&a);
+            fused_matches_unfused::<f32>(&a);
+            fused_matches_unfused::<f64>(&a);
+        });
+    }
+
+    #[test]
+    fn fused_store_pass_crosses_block_seams() {
+        // Longer than the kernel's conversion block, with specials on
+        // both sides of a seam.
+        let grid = Grid3::new(BLOCK + 3, 2, 1);
+        let p = Pattern::p7();
+        for layout in [Layout::Soa, Layout::Aos] {
+            let mut a = SgDia::<f64>::from_fn(grid, p.clone(), layout, |c, _, _, _, t| {
+                (c as f64 + 1.0) * 0.37 - t as f64
+            });
+            for (i, v) in [1.0e6, 0.0, 3.0e-6, -1.0e-10, 65520.0, -0.0].into_iter().enumerate() {
+                a.data_mut()[BLOCK - 3 + i] = v;
+            }
+            fused_matches_unfused::<F16>(&a);
+            fused_matches_unfused::<f32>(&a);
+        }
     }
 }

@@ -10,7 +10,7 @@
 use fp16mg_fp::{Scalar, Storage};
 
 use super::MAX_COMPONENTS;
-use crate::SgDia;
+use crate::{Layout, SgDia};
 
 /// Per-cell inverse of the diagonal block, stored row-major `r × r` per
 /// cell (a single value per cell when `r == 1`).
@@ -41,6 +41,19 @@ impl<P: Scalar> BlockDiagInv<P> {
             }
         }
         let mut data = vec![P::ZERO; cells * r * r];
+        if let ([Some(t)], Layout::Soa) = (&block_taps[..], a.layout()) {
+            // Scalar PDE: the reciprocal of one contiguous plane — what
+            // `invert_small` computes for a 1 × 1 block.
+            for (cell, (d, v)) in data.iter_mut().zip(a.tap_slice(*t)).enumerate() {
+                let p = v.load_f64();
+                let inv = 1.0 / p;
+                if p == 0.0 || !p.is_finite() || !inv.is_finite() {
+                    return Err(cell);
+                }
+                *d = P::from_f64(inv);
+            }
+            return Ok(BlockDiagInv { r, cells, data });
+        }
         let mut block = [0.0f64; MAX_COMPONENTS * MAX_COMPONENTS];
         for cell in 0..cells {
             for (slot, bt) in block_taps.iter().enumerate() {

@@ -1,5 +1,7 @@
 //! The SG-DIA matrix container.
 
+use std::borrow::Cow;
+
 use fp16mg_fp::Storage;
 use fp16mg_grid::Grid3;
 use fp16mg_stencil::Pattern;
@@ -149,15 +151,14 @@ impl<S: Storage> SgDia<S> {
     /// tap stays inside the grid (the paper's `#nnz`). Zero *values* inside
     /// the grid still count, matching how structured codes report nnz.
     pub fn nnz(&self) -> usize {
-        let mut count = 0usize;
-        for (_, i, j, k) in self.grid.iter_cells() {
-            for tap in self.pattern.taps() {
-                if self.grid.contains_offset(i, j, k, tap.dx, tap.dy, tap.dz) {
-                    count += 1;
-                }
-            }
-        }
-        count
+        // A tap at offset d stays inside an extent n for n − |d| cells.
+        let inside = |n: usize, d: i32| n.saturating_sub(d.unsigned_abs() as usize);
+        let g = &self.grid;
+        self.pattern
+            .taps()
+            .iter()
+            .map(|t| inside(g.nx, t.dx) * inside(g.ny, t.dy) * inside(g.nz, t.dz))
+            .sum()
     }
 
     /// Bytes of floating-point data the format stores.
@@ -175,6 +176,16 @@ impl<S: Storage> SgDia<S> {
             pattern: self.pattern.clone(),
             layout: self.layout,
             data: self.data.iter().map(|&v| T::store_f64(v.load_f64())).collect(),
+        }
+    }
+
+    /// The matrix in the requested layout: borrowed when it already is,
+    /// re-laid-out otherwise — for readers that need no copy of their own.
+    pub fn in_layout(&self, layout: Layout) -> Cow<'_, SgDia<S>> {
+        if layout == self.layout {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(self.to_layout(layout))
         }
     }
 

@@ -14,7 +14,11 @@
 //! reciprocal) is stored in the preconditioner computation precision,
 //! never FP16 (Algorithm 1 line 9).
 
+use std::ops::Range;
+
 use fp16mg_fp::{Scalar, Storage};
+use fp16mg_grid::Grid3;
+use fp16mg_stencil::Tap;
 
 use crate::SgDia;
 
@@ -105,6 +109,30 @@ pub enum GChoice {
     Fixed(f64),
 }
 
+/// Calls `f(tap index, tap, cells, neighbour cells)` for every x-row of
+/// in-grid entries, tap by tap — storage order for SOA matrices.
+fn for_each_in_grid_row(
+    grid: &Grid3,
+    taps: &[Tap],
+    mut f: impl FnMut(usize, Tap, Range<usize>, Range<usize>),
+) {
+    // The cells along an extent-`n` axis whose neighbour at offset `d` exists.
+    let span = |n: usize, d: i32| (-d).max(0) as usize..n.saturating_sub(d.max(0) as usize);
+    for (t, &tap) in taps.iter().enumerate() {
+        let xs = span(grid.nx, tap.dx);
+        if xs.is_empty() {
+            continue;
+        }
+        for k in span(grid.nz, tap.dz) {
+            for j in span(grid.ny, tap.dy) {
+                let first = grid.cell(xs.start, j, k);
+                let nb = (first as i64 + grid.stride(tap.dx, tap.dy, tap.dz)) as usize;
+                f(t, tap, first..first + xs.len(), nb..nb + xs.len());
+            }
+        }
+    }
+}
+
 /// Computes `G_max` of Theorem 4.1 for a matrix with positive diagonal.
 ///
 /// # Errors
@@ -123,24 +151,18 @@ pub fn g_max<S: Storage>(a: &SgDia<S>, fp16_max: f64) -> Result<f64, ScalingErro
             return Err(ScalingError::NonPositiveDiagonal { unknown: u, value: d });
         }
     }
-    let taps: Vec<_> = a.pattern().taps().to_vec();
+    let root: Vec<f64> = diag.iter().map(|d| d.sqrt()).collect();
     let mut min_ratio = f64::INFINITY;
-    for (cell, i, j, k) in grid.iter_cells() {
-        for (t, tap) in taps.iter().enumerate() {
-            if !grid.contains_offset(i, j, k, tap.dx, tap.dy, tap.dz) {
-                continue;
-            }
+    for_each_in_grid_row(grid, a.pattern().taps(), |t, tap, cells, nb| {
+        for (cell, nb) in cells.zip(nb) {
             let v = a.get(cell, t).load_f64();
-            if v == 0.0 {
-                continue;
+            if v != 0.0 {
+                let ratio = (root[cell * r + tap.cout as usize] * root[nb * r + tap.cin as usize])
+                    / v.abs();
+                min_ratio = min_ratio.min(ratio);
             }
-            let nb = (cell as i64 + grid.stride(tap.dx, tap.dy, tap.dz)) as usize;
-            let dii = diag[cell * r + tap.cout as usize];
-            let djj = diag[nb * r + tap.cin as usize];
-            let ratio = (dii.sqrt() * djj.sqrt()) / v.abs();
-            min_ratio = min_ratio.min(ratio);
         }
-    }
+    });
     Ok(fp16_max * min_ratio)
 }
 
@@ -189,18 +211,14 @@ pub fn scale_symmetric<P: Scalar>(
     // sinv_f64[u] = 1/√(q_u) = √(G / a_uu)
     let sinv: Vec<f64> = diag.iter().map(|&d| (g / d).sqrt()).collect();
     let taps: Vec<_> = a.pattern().taps().to_vec();
-    for (cell, i, j, k) in grid.iter_cells() {
-        for (t, tap) in taps.iter().enumerate() {
-            if !grid.contains_offset(i, j, k, tap.dx, tap.dy, tap.dz) {
-                continue;
-            }
-            let nb = (cell as i64 + grid.stride(tap.dx, tap.dy, tap.dz)) as usize;
-            let row = cell * r + tap.cout as usize;
-            let col = nb * r + tap.cin as usize;
-            let v = a.get(cell, t) * sinv[row] * sinv[col];
+    for_each_in_grid_row(&grid, &taps, |t, tap, cells, nb| {
+        for (cell, nb) in cells.zip(nb) {
+            let v = a.get(cell, t)
+                * sinv[cell * r + tap.cout as usize]
+                * sinv[nb * r + tap.cin as usize];
             a.set(cell, t, v);
         }
-    }
+    });
     Ok(ScaleVectors {
         g,
         g_clamped_from,

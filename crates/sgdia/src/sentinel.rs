@@ -69,6 +69,38 @@ impl MatrixSentinels {
     }
 }
 
+/// Running state of one plane's [`TapSentinel`]: values are pushed in
+/// cell order.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SentinelAcc {
+    hash: Fnv1a,
+    sum: f64,
+    abs_sum: f64,
+}
+
+impl SentinelAcc {
+    /// Folds the next stored value of the plane in.
+    #[inline(always)]
+    pub fn push<S: Storage>(&mut self, v: S) {
+        self.hash.write_value(v);
+        let w = v.load_f64();
+        self.sum += w;
+        self.abs_sum += w.abs();
+    }
+
+    /// The finished sentinel. A NaN sum is stored as the canonical NaN:
+    /// which operand's sign and payload an addition propagates is up to
+    /// the code generator, and verification compares bits.
+    pub fn finish(self) -> TapSentinel {
+        let canonical = |x: f64| if x.is_nan() { f64::NAN } else { x };
+        TapSentinel {
+            checksum: self.hash.finish(),
+            sum: canonical(self.sum),
+            abs_sum: canonical(self.abs_sum),
+        }
+    }
+}
+
 /// Computes the per-plane sentinels of a matrix.
 ///
 /// Iterates cell-major within each tap via [`SgDia::get`], so the result
@@ -76,21 +108,13 @@ impl MatrixSentinels {
 /// an SOA store of the same values have identical sentinels.
 pub fn compute<S: Storage>(a: &SgDia<S>) -> MatrixSentinels {
     let cells = a.grid().cells();
-    let ntaps = a.pattern().len();
-    let mut taps = Vec::with_capacity(ntaps);
-    for tap in 0..ntaps {
-        let mut h = Fnv1a::new();
-        let mut sum = 0.0f64;
-        let mut abs_sum = 0.0f64;
-        for cell in 0..cells {
-            let v = a.get(cell, tap);
-            h.write_value(v);
-            let w = v.load_f64();
-            sum += w;
-            abs_sum += w.abs();
-        }
-        taps.push(TapSentinel { checksum: h.finish(), sum, abs_sum });
-    }
+    let taps = (0..a.pattern().len())
+        .map(|tap| {
+            let mut acc = SentinelAcc::default();
+            (0..cells).for_each(|cell| acc.push(a.get(cell, tap)));
+            acc.finish()
+        })
+        .collect();
     MatrixSentinels { taps, cells }
 }
 

@@ -1449,3 +1449,99 @@ mod sentinels {
         assert_eq!(crate::fault::inject_bit_flip_tap(&mut a, 99, 0), None);
     }
 }
+
+// ---- Set-up kernels that were re-ordered to stream: each against the
+// cell-major loop it replaced. ----
+
+/// A small random operator over every named pattern, 1–3 components,
+/// both layouts, with a positive diagonal and some exact zeros.
+fn setup_operator(rng: &mut fp16mg_testkit::Rng) -> SgDia<f64> {
+    let r = rng.usize_range(1, 4);
+    let n = |rng: &mut fp16mg_testkit::Rng| rng.usize_range(1, 6);
+    let grid = Grid3::with_components(n(rng), n(rng), n(rng), r);
+    let scalar = Pattern::by_name(Pattern::NAMES[rng.usize_range(0, 4)]).unwrap();
+    let pattern = if r == 1 { scalar } else { scalar.with_components(r) };
+    let taps: Vec<_> = pattern.taps().to_vec();
+    let layout = if rng.chance(0.5) { Layout::Soa } else { Layout::Aos };
+    SgDia::from_fn(grid, pattern, layout, |_, _, _, _, t| {
+        if taps[t].is_diagonal() {
+            rng.f64_range(1.0, 1.0e9)
+        } else if rng.chance(0.2) {
+            0.0
+        } else {
+            rng.f64_range(-1.0e6, 1.0e6)
+        }
+    })
+}
+
+#[test]
+fn scaling_by_plane_matches_the_cell_major_loops() {
+    check_n("tap-major scaling == cell-major scaling", 64, |rng| {
+        let a = setup_operator(rng);
+        let grid = *a.grid();
+        let r = grid.components;
+        let taps: Vec<_> = a.pattern().taps().to_vec();
+        let diag = a.extract_diagonal();
+        // G_max, one entry at a time in cell order.
+        let mut min_ratio = f64::INFINITY;
+        let mut scaled = a.clone();
+        let g = (scaling::g_max(&a, 65504.0).unwrap() / 2.0).min(1.0);
+        let sinv: Vec<f64> = diag.iter().map(|&d| (g / d).sqrt()).collect();
+        for (cell, i, j, k) in grid.iter_cells() {
+            for (t, tap) in taps.iter().enumerate() {
+                if !grid.contains_offset(i, j, k, tap.dx, tap.dy, tap.dz) {
+                    continue;
+                }
+                let nb = (cell as i64 + grid.stride(tap.dx, tap.dy, tap.dz)) as usize;
+                let (row, col) = (cell * r + tap.cout as usize, nb * r + tap.cin as usize);
+                let v = a.get(cell, t);
+                if v != 0.0 {
+                    min_ratio = min_ratio.min((diag[row].sqrt() * diag[col].sqrt()) / v.abs());
+                }
+                scaled.set(cell, t, v * sinv[row] * sinv[col]);
+            }
+        }
+        assert_eq!(scaling::g_max(&a, 65504.0).unwrap().to_bits(), (65504.0 * min_ratio).to_bits());
+        let mut got = a.clone();
+        let sv = scaling::scale_symmetric::<f64>(&mut got, GChoice::Auto, 65504.0).unwrap();
+        assert_eq!(sv.g.to_bits(), g.to_bits());
+        for (x, y) in got.data().iter().zip(scaled.data()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    });
+}
+
+#[test]
+fn scalar_diag_inverse_and_nnz_match_the_per_cell_forms() {
+    check_n("plane reciprocal == 1x1 Gauss-Jordan; nnz closed form", 64, |rng| {
+        let mut a = setup_operator(rng);
+        // Closed-form nnz against counting.
+        let grid = *a.grid();
+        let mut counted = 0;
+        for (_, i, j, k) in grid.iter_cells() {
+            for tap in a.pattern().taps() {
+                counted += usize::from(grid.contains_offset(i, j, k, tap.dx, tap.dy, tap.dz));
+            }
+        }
+        assert_eq!(a.nnz(), counted);
+        // The SOA scalar fast path against the generic block inversion
+        // (which the AOS layout still takes), singular cells included.
+        if rng.chance(0.3) {
+            let centre = a.pattern().diagonal_indices()[0];
+            let bad = [0.0, f64::INFINITY, f64::NAN, 1.0e-320][rng.usize_range(0, 4)];
+            a.set(rng.usize_range(0, grid.cells()), centre, bad);
+        }
+        let soa = BlockDiagInv::<f32>::from_matrix(&a.to_layout(Layout::Soa));
+        let aos = BlockDiagInv::<f32>::from_matrix(&a.to_layout(Layout::Aos));
+        match (soa, aos) {
+            (Ok(s), Ok(g)) => {
+                let bits = |d: &BlockDiagInv<f32>| -> Vec<u32> {
+                    d.data().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&s), bits(&g));
+            }
+            (Err(s), Err(g)) => assert_eq!(s, g),
+            (s, g) => panic!("disagree: {:?} vs {:?}", s.map(|_| ()), g.map(|_| ())),
+        }
+    });
+}
