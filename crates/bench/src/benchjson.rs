@@ -177,6 +177,16 @@ fn memory_json(kind: ProblemKind, n: usize) -> Option<String> {
     Some(s)
 }
 
+/// Proves the typed backpressure path is alive without a wall-clock
+/// race: a capacity-1 admission queue must refuse the second
+/// reservation with the typed error the daemon answers `Busy` with.
+/// Returns the number of typed refusals observed (1 when alive).
+fn busy_probe() -> u64 {
+    use fp16mg_runtime::{AdmissionConfig, AdmissionQueue, Priority};
+    let mut q = AdmissionQueue::new(AdmissionConfig { capacity: 1, ..AdmissionConfig::default() });
+    u64::from(q.try_reserve(Priority::Batch).is_ok() && q.try_reserve(Priority::Batch).is_err())
+}
+
 /// Measures the serving layer's wire overhead and liveness once per
 /// emitter run: an in-process networked daemon on the deterministic
 /// storage backend serves a real Unix socket, the client measures
@@ -196,12 +206,13 @@ fn network_json(tol: f64) -> Result<String, String> {
     let sock = crate::unique_temp("fp16mg-benchnet").with_extension("sock");
     let _ = std::fs::remove_file(&sock);
     let endpoint = Endpoint::Unix(sock);
-    let mut cfg = crate::netserve::NetServeConfig::new(endpoint.clone(), PathBuf::from("state"));
+    let mut cfg =
+        fp16mg_runtime::serve::NetServeConfig::new(endpoint.clone(), PathBuf::from("state"));
     cfg.size = 6;
     cfg.tol = tol.max(1e-8);
     cfg.quiet = true;
     let storage: Arc<dyn Storage> = Arc::new(FaultStorage::new());
-    let server = std::thread::spawn(move || crate::netserve::serve_net(&cfg, storage));
+    let server = std::thread::spawn(move || fp16mg_runtime::serve::serve_net(&cfg, storage));
 
     let mut client = Client::new(ClientConfig {
         endpoint,
@@ -253,7 +264,7 @@ fn network_json(tol: f64) -> Result<String, String> {
         p50 = num(pick(0.50)),
         p99 = num(pick(0.99)),
         conns = report.counters.accepted,
-        busy = crate::netserve::busy_probe(),
+        busy = busy_probe(),
     );
     Ok(s)
 }

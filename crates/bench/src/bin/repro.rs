@@ -5,7 +5,7 @@
 //!                    [--requests N] [--workers N] [--chaos] [--overload] [--out DIR]
 //! experiments: fig1 table2 fig3 fig5 fig6 fig7 fig8 fig10 table1 table3
 //!              bf16 shift smooth guard audit serve chaos overload simulate
-//!              torture bench-json bench-compare all
+//!              loadgen torture memtorture nettorture bench-json bench-compare all
 //! ```
 //!
 //! `serve` fires a batch of mixed clean/fault-injected/panicking solve
@@ -23,6 +23,16 @@
 //! and a per-class circuit breaker that opens on a poisoned problem
 //! class and recovers via a half-open probe. The process exits nonzero
 //! if any acceptance invariant is violated.
+//!
+//! `serve --daemon --addr unix:PATH|tcp:HOST:PORT` runs the daemon
+//! (`fp16mg_runtime::serve`: one request at a time off the wire, solve →
+//! fsynced trail → checkpoint → ack, state under `--snapshot-dir`)
+//! until a client asks it to drain; `--mem-budget` puts its pool under a
+//! byte budget. `loadgen --addr …` drives it (`--shutdown` drains it),
+//! `loadgen --soak` is the self-contained kill/restart acceptance
+//! (`--kill-after`, optionally `--mem-budget`), `nettorture` the
+//! wire-fault matrix, and `serve --daemon --chaos` the wedge-detection
+//! and quarantine demo on the daemon's pool shape.
 //!
 //! `simulate` advances `--problem` (or the three time-dependent example
 //! scenarios with `all`) through `--steps` implicit steps, reusing the
@@ -91,7 +101,7 @@ struct Args {
 fn usage(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!("usage: repro <experiment> [--size N] [--tol T] [--threads N1,N2,...] [--budget-ms B] [--smoother gs|jacobi|symgs|ilu0] [--requests N] [--workers N] [--chaos] [--overload] [--daemon] [--soak] [--snapshot-dir DIR] [--kill-after N] [--pace-ms MS] [--mem-budget BYTES] [--steps N] [--problem NAME|all] [--baseline DIR] [--current DIR] [--out DIR] [--addr unix:PATH|tcp:HOST:PORT] [--shutdown]");
-    eprintln!("network: `serve --daemon --addr …` serves over the wire; `loadgen --addr …` drives it (`--shutdown` drains); `loadgen --soak` is the kill/restart acceptance; `nettorture` is the wire-fault matrix");
+    eprintln!("daemon: `serve --daemon --addr …` serves over the wire (`--snapshot-dir`, `--mem-budget`); `loadgen --addr …` drives it (`--shutdown` drains); `loadgen --soak [--kill-after N] [--mem-budget BYTES]` is the kill/restart acceptance; `serve --daemon --chaos` the supervision demo; `nettorture` the wire-fault matrix");
     std::process::exit(2)
 }
 
@@ -217,8 +227,6 @@ fn main() {
         "semi" => semi_ablation(&args),
         "guard" => guard(&args),
         "audit" => audit_cmd(&args),
-        "serve" if args.daemon && args.soak => soak_cmd(&args),
-        "serve" if args.daemon && !args.addr.is_empty() => net_daemon_cmd(&args),
         "serve" if args.daemon => daemon_cmd(&args),
         "serve" if args.overload => overload_cmd(&args),
         "serve" => serve_cmd(&args, args.chaos),
@@ -1009,25 +1017,38 @@ fn serve_cmd(args: &Args, chaos: bool) {
 
 // -------------------------------------------------------------- daemon --
 
+fn mem_budget(args: &Args) -> Option<u64> {
+    (args.mem_budget > 0).then_some(args.mem_budget)
+}
+
 fn daemon_cmd(args: &Args) {
+    use fp16mg_runtime::serve::{serve_net, NetServeConfig};
     let workers = if args.workers > 0 { args.workers } else { 2 };
-    let dir = if args.snapshot_dir.is_empty() {
-        std::path::PathBuf::from(&args.out).join("daemon-state")
+    let size = capped_size(args, 10);
+    if args.chaos {
+        std::process::exit(fp16mg_bench::serve_supervision_chaos(size, workers, mem_budget(args)));
+    }
+    if args.addr.is_empty() {
+        usage("serve --daemon needs --addr (or --chaos for the supervision demo)");
+    }
+    let state_dir = if args.snapshot_dir.is_empty() {
+        std::path::PathBuf::from(&args.out).join("netdaemon-state")
     } else {
         std::path::PathBuf::from(&args.snapshot_dir)
     };
-    let cfg = fp16mg_bench::DaemonCliConfig {
-        snapshot_dir: dir,
-        requests: args.requests,
-        workers,
-        size: capped_size(args, 10),
+    let cfg = NetServeConfig {
+        size,
         tol: args.tol,
-        pace_ms: args.pace_ms,
-        chaos: args.chaos,
-        mem_budget: if args.mem_budget > 0 { Some(args.mem_budget) } else { None },
+        workers,
         threads: cli_threads(args),
+        mem_budget: mem_budget(args),
+        ..NetServeConfig::new(parse_addr(&args.addr), state_dir)
     };
-    std::process::exit(fp16mg_bench::run_daemon(&cfg));
+    let report = serve_net(&cfg, std::sync::Arc::new(fp16mg_runtime::RealStorage));
+    for v in &report.violations {
+        eprintln!("netdaemon violation: {v}");
+    }
+    std::process::exit(i32::from(!(report.violations.is_empty() && report.drained)));
 }
 
 /// The single kernel-parallelism count serving commands use: the first
@@ -1050,25 +1071,6 @@ fn parse_addr(addr: &str) -> fp16mg_runtime::Endpoint {
     fp16mg_runtime::Endpoint::parse(addr).unwrap_or_else(|e| usage(&format!("--addr: {e}")))
 }
 
-fn net_daemon_cmd(args: &Args) {
-    let workers = if args.workers > 0 { args.workers } else { 2 };
-    let dir = if args.snapshot_dir.is_empty() {
-        std::path::PathBuf::from(&args.out).join("netdaemon-state")
-    } else {
-        std::path::PathBuf::from(&args.snapshot_dir)
-    };
-    let cfg = fp16mg_bench::NetDaemonCliConfig {
-        endpoint: parse_addr(&args.addr),
-        state_dir: dir,
-        size: capped_size(args, 10),
-        tol: args.tol,
-        workers,
-        threads: cli_threads(args),
-        mem_budget: if args.mem_budget > 0 { Some(args.mem_budget) } else { None },
-    };
-    std::process::exit(fp16mg_bench::run_net_daemon(&cfg));
-}
-
 // ------------------------------------------------------------- loadgen --
 
 fn loadgen_cmd(args: &Args) {
@@ -1087,7 +1089,9 @@ fn loadgen_cmd(args: &Args) {
 }
 
 fn net_soak_cmd(args: &Args) {
-    header("Network soak: kill/restart acceptance over the wire");
+    header(
+        "Soak: kill/restart acceptance — SIGKILLed daemon, exactly-once trail, replayed decisions",
+    );
     let cfg = fp16mg_bench::NetSoakConfig {
         requests: args.requests as u64,
         kill_after: if args.kill_after > 0 { args.kill_after as u64 } else { 3 },
@@ -1095,6 +1099,7 @@ fn net_soak_cmd(args: &Args) {
         tol: args.tol,
         workers: if args.workers > 0 { args.workers } else { 2 },
         threads: cli_threads(args),
+        mem_budget: mem_budget(args),
         out: std::path::PathBuf::from(&args.out),
     };
     std::process::exit(fp16mg_bench::run_net_soak(&cfg));
@@ -1112,21 +1117,6 @@ fn nettorture_cmd(args: &Args) {
         cfg.requests = args.requests.clamp(4, 32) as u64;
     }
     std::process::exit(fp16mg_bench::run_nettorture_cli(&cfg));
-}
-
-fn soak_cmd(args: &Args) {
-    header("Soak: kill/restart acceptance — checkpointed daemon, replayed decisions");
-    let workers = if args.workers > 0 { args.workers } else { 2 };
-    let cfg = fp16mg_bench::SoakConfig {
-        requests: args.requests,
-        workers,
-        size: capped_size(args, 10),
-        tol: args.tol,
-        kill_after: if args.kill_after > 0 { args.kill_after } else { 2 },
-        out: std::path::PathBuf::from(&args.out),
-        mem_budget: if args.mem_budget > 0 { Some(args.mem_budget) } else { None },
-    };
-    std::process::exit(fp16mg_bench::run_soak(&cfg));
 }
 
 // ------------------------------------------------------------ overload --

@@ -6,23 +6,22 @@
 //! Fig. 8/9 breakdown (setup / MG preconditioner / other), the Fig. 7
 //! kernel measurement matrix (baseline / naive / optimized / model-bound
 //! / CSR stand-in for vendor libraries), the fault-injection guard
-//! experiment demonstrating detect → promote → converge, and the
-//! `repro serve` demo driving a batch of concurrent resilient solve
-//! sessions through `fp16mg-runtime`.
+//! experiment demonstrating detect → promote → converge, the `repro
+//! serve` demos driving `fp16mg-runtime`'s pool, and the harnesses
+//! (load generator, kill/restart soak, fault matrices) that hold the
+//! daemon in `fp16mg_runtime::serve` to its contract.
 
 #![warn(missing_docs)]
 pub mod audit;
 pub mod benchjson;
 pub mod combos;
 pub mod compare;
-pub mod daemon;
 pub mod e2e;
 pub mod guard;
 pub mod kernelbench;
 pub mod loadgen;
 pub mod memtorture;
 pub mod microbench;
-pub mod netserve;
 pub mod nettorture;
 pub mod serve;
 pub mod simulate;
@@ -33,19 +32,16 @@ pub use audit::{audit_report, print_audit_table};
 pub use benchjson::{bench_json_emit, BenchJsonConfig};
 pub use combos::Combo;
 pub use compare::{compare_dirs, run_compare, scan_bench_json, BenchFacts};
-pub use daemon::{run_daemon, run_soak, DaemonCliConfig, SoakConfig};
 pub use e2e::{solve_e2e, E2eResult};
 pub use guard::{finest_narrow_level, solve_guarded, GuardOutcome};
 pub use kernelbench::{kernel_suite, KernelKind, KernelRow, Variant};
 pub use loadgen::{run_loadgen, run_net_soak, LoadgenConfig, LoadgenReport, NetSoakConfig};
 pub use memtorture::{run_memtorture_cli, MemTortureConfig, MemTortureReport};
 pub use microbench::Group;
-pub use netserve::{
-    busy_probe, run_net_daemon, serve_net, NetCounters, NetDaemonCliConfig, NetServeConfig,
-    NetServeReport,
-};
 pub use nettorture::{run_net_matrix, run_nettorture_cli, NetTortureConfig, NetTortureReport};
-pub use serve::{serve, serve_overload, OverloadConfig, OverloadReport, ServeConfig};
+pub use serve::{
+    serve, serve_overload, serve_supervision_chaos, OverloadConfig, OverloadReport, ServeConfig,
+};
 pub use simulate::{
     run_sim_cli, run_sim_soak, ReuseDecision, SimConfig, SimDriver, SimReport, SimSoakConfig,
     StepRow,

@@ -1,32 +1,38 @@
 //! `repro loadgen`: the external client driver, and the kill/restart
-//! network soak.
+//! soak.
 //!
-//! **Loadgen** drives a running networked daemon through the production
-//! [`Client`]: one ordered stream of idempotency-keyed submissions with
-//! per-priority timeout classes and a jittered retry/backoff ladder.
-//! Every ack is checked (right key, coherent duplicate flag), wire
-//! round-trip latencies are recorded, and the run exits nonzero on any
-//! violation.
+//! **Loadgen** drives a running daemon (`fp16mg_runtime::serve`) through
+//! the production [`Client`]: one ordered stream of idempotency-keyed
+//! submissions with per-priority timeout classes and a jittered
+//! retry/backoff ladder. Every ack is checked (right key, non-empty
+//! outcome), wire round-trip latencies are recorded, and the run exits
+//! nonzero on any violation. [`drive_stream`] is the only submit loop in
+//! this crate; the soak and the wire-fault matrix hang their per-ack
+//! work on its hook.
 //!
-//! **The soak** (`repro loadgen --soak`) is the acceptance demo from
-//! the issue: it spawns a networked daemon child over a Unix socket,
-//! drives traffic at it, SIGKILLs the child mid-stream after a chosen
-//! number of acks, restarts it immediately, and keeps submitting while
-//! the client's backoff ladder rides out the gap. At the end it
-//! requests a graceful drain and verifies from the outside: every
-//! request acked exactly once at the client (zero lost), the durable
-//! trail contains **exactly one line per sequence number** (zero
-//! duplicate executions — the at-least-once resubmissions were
-//! deduplicated, not re-run), and the drained child flushed trail +
-//! snapshot before exiting cleanly.
+//! **The soak** (`repro loadgen --soak`) runs the stream twice against
+//! daemon children over a Unix socket: an uninterrupted reference, and a
+//! child SIGKILLed after a chosen number of acks and restarted at once
+//! while the client's backoff ladder rides out the gap. It then verifies
+//! from the outside: every request acked exactly once (zero lost), at
+//! least one resubmission crossed the kill, the restart resumed from its
+//! snapshot, the durable trail holds **exactly one line per sequence
+//! number** (resubmissions were deduplicated, not re-run), every
+//! decision field is bit-identical to the reference, the reference
+//! walked the cache's whole event ladder, and the drain left a snapshot
+//! generation on disk. With `--mem-budget` the children self-check
+//! `peak ≤ budget` (nonzero exit otherwise) and must have evicted or
+//! served uncached at least once; the cross-run decision compare is then
+//! report-only, because budget refusals depend on which bytes were live
+//! and a restarted governor is cold.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Instant;
 
-use fp16mg_runtime::net::{Client, ClientConfig, Endpoint, SubmitRequest};
-
-use crate::daemon::{read_trail, SNAPSHOT_FILE, TRAIL_FILE};
+use fp16mg_runtime::net::{Client, ClientConfig, DoneReply, Endpoint, SubmitRequest};
+use fp16mg_runtime::serve::{decision_field, priority_for, SNAPSHOT_FILE, TRAIL_FILE};
+use fp16mg_runtime::trail;
 
 /// Loadgen configuration (`repro loadgen --addr …`).
 pub struct LoadgenConfig {
@@ -65,17 +71,6 @@ pub struct LoadgenReport {
     pub violations: Vec<String>,
 }
 
-/// The wire priority class of sequence number `seq`, mirroring the
-/// server-side stream function: interactive at `seq % 8 == 5`,
-/// batch otherwise.
-pub fn priority_for(seq: u64) -> u8 {
-    if seq % 8 == 5 {
-        0
-    } else {
-        1
-    }
-}
-
 /// Percentile of a sorted latency list (nearest-rank).
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -85,19 +80,23 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Drives the stream through one client, recording latencies and
-/// checking every ack. Pure client-side; the daemon must already be
-/// listening (or come up within the retry ladder's patience).
-pub fn drive_stream(client: &mut Client, cfg: &LoadgenConfig) -> LoadgenReport {
+/// Drives keys `0..requests` of the stream through one client,
+/// recording latencies and checking every ack; stops at the first
+/// request the retry ladder gives up on. `on_ack` runs with each ack in
+/// hand, before the next submission — an `Err` it returns is recorded as
+/// a violation. Pure client-side; the daemon must already be listening
+/// (or come up within the retry ladder's patience).
+pub fn drive_stream(
+    client: &mut Client,
+    requests: u64,
+    size: usize,
+    tol: f64,
+    on_ack: &mut dyn FnMut(&DoneReply) -> Result<(), String>,
+) -> LoadgenReport {
     let mut report = LoadgenReport::default();
-    let mut latencies = Vec::with_capacity(cfg.requests as usize);
-    for seq in 0..cfg.requests {
-        let req = SubmitRequest {
-            key: seq,
-            size: cfg.size as u32,
-            tol: cfg.tol,
-            priority: priority_for(seq),
-        };
+    let mut latencies = Vec::with_capacity(requests as usize);
+    for seq in 0..requests {
+        let req = SubmitRequest { key: seq, size: size as u32, tol, priority: priority_for(seq) };
         let t0 = Instant::now();
         match client.submit(req) {
             Ok(done) => {
@@ -111,6 +110,7 @@ pub fn drive_stream(client: &mut Client, cfg: &LoadgenConfig) -> LoadgenReport {
                 if done.outcome.is_empty() {
                     report.violations.push(format!("seq={seq}: empty outcome label in ack"));
                 }
+                report.violations.extend(on_ack(&done).err());
             }
             Err(e) => {
                 report.violations.push(format!("seq={seq}: {e}"));
@@ -133,20 +133,23 @@ pub fn drive_stream(client: &mut Client, cfg: &LoadgenConfig) -> LoadgenReport {
 pub fn run_loadgen(cfg: &LoadgenConfig) -> i32 {
     let client_cfg = ClientConfig { endpoint: cfg.endpoint.clone(), ..ClientConfig::default() };
     let mut client = Client::new(client_cfg);
-    let mut report = drive_stream(&mut client, cfg);
+    let mut report = drive_stream(&mut client, cfg.requests, cfg.size, cfg.tol, &mut |_| Ok(()));
     if cfg.shutdown {
         match client.shutdown() {
             Ok(seq) => println!("loadgen: daemon drained at seq={seq}"),
             Err(e) => report.violations.push(format!("shutdown: {e}")),
         }
     }
-    print_report(&report, cfg.requests);
+    print_report("loadgen", &report, cfg.requests);
+    for v in &report.violations {
+        eprintln!("loadgen violation: {v}");
+    }
     i32::from(!report.violations.is_empty())
 }
 
-fn print_report(report: &LoadgenReport, requests: u64) {
+fn print_report(who: &str, report: &LoadgenReport, requests: u64) {
     println!(
-        "loadgen: acked {}/{} (dup-acks={} resubmissions={} busy-retries={} reconnects={}) \
+        "{who}: acked {}/{} (dup-acks={} resubmissions={} busy-retries={} reconnects={}) \
          p50={:.6}s p99={:.6}s",
         report.acked,
         requests,
@@ -157,9 +160,83 @@ fn print_report(report: &LoadgenReport, requests: u64) {
         report.p50_s,
         report.p99_s,
     );
-    for v in &report.violations {
-        eprintln!("loadgen violation: {v}");
+}
+
+// ---------------------------------------------------------- trail check --
+
+/// What [`verify_replay`] found.
+#[derive(Debug, Default)]
+pub struct ReplayVerdict {
+    /// Contract violations.
+    pub violations: Vec<String>,
+    /// Records the crash trail holds more than once (replayed windows).
+    pub replayed: usize,
+    /// Records whose decision differs from the reference's, when that is
+    /// not a violation (`strict` off).
+    pub drifted: usize,
+}
+
+/// Holds a crash-and-restart trail against the trail of an
+/// uninterrupted reference run of the same `records`-long stream, both
+/// keyed `<key>=N`.
+///
+/// The reference must be lines `0..records` in order. The crash trail
+/// must hold every record and nothing else (no alien line, no key past
+/// the stream); a record may appear more than once only when `replays`
+/// is on (a restart that resumes behind its trail re-appends, as the
+/// simulation does; the daemon deduplicates and never may), and then
+/// every copy must agree. A record's decision state ([`decision_field`])
+/// must be bit-identical to the reference's — a violation when `strict`,
+/// counted as drift otherwise.
+pub fn verify_replay(
+    reference: &[String],
+    crash: &[String],
+    key: &str,
+    records: u64,
+    replays: bool,
+    strict: bool,
+) -> ReplayVerdict {
+    let mut v = ReplayVerdict::default();
+    if reference.len() as u64 != records {
+        v.violations.push(format!("reference trail has {} lines, want {records}", reference.len()));
     }
+    for (i, line) in reference.iter().enumerate() {
+        if trail::key_of(line, key) != Some(i as u64) {
+            v.violations.push(format!("reference trail line {i} is not {key} {i}: {line}"));
+        }
+    }
+    let mut seen: Vec<Vec<&str>> = vec![Vec::new(); records as usize];
+    for line in crash {
+        match trail::key_of(line, key).and_then(|k| seen.get_mut(k as usize)) {
+            Some(copies) => copies.push(decision_field(line)),
+            None => v.violations.push(format!("crash trail has an alien line: {line}")),
+        }
+    }
+    for (k, copies) in seen.iter().enumerate() {
+        let Some(first) = copies.first() else {
+            v.violations.push(format!("crash trail lost {key} {k}"));
+            continue;
+        };
+        if copies.len() > 1 {
+            v.replayed += 1;
+            if !replays {
+                v.violations.push(format!(
+                    "{key} {k}: {} trail lines — a resubmission was re-executed",
+                    copies.len()
+                ));
+            } else if copies.iter().any(|c| c != first) {
+                v.violations.push(format!("crash trail replayed {key} {k} DIVERGENTLY"));
+            }
+        }
+        match reference.get(k).map(|r| decision_field(r)) {
+            Some(r) if r != *first && strict => v.violations.push(format!(
+                "{key} {k} diverged from the reference\n  ref:   {r}\n  crash: {first}"
+            )),
+            Some(r) if r != *first => v.drifted += 1,
+            _ => {}
+        }
+    }
+    v
 }
 
 // ------------------------------------------------------------------ soak --
@@ -178,19 +255,37 @@ pub struct NetSoakConfig {
     pub workers: usize,
     /// Kernel-parallelism threads per child (`--threads`).
     pub threads: usize,
-    /// Working directory (socket + state + child logs).
+    /// Byte budget forwarded to every child (`--mem-budget`).
+    pub mem_budget: Option<u64>,
+    /// Working directory (per run: socket + state + child log).
     pub out: PathBuf,
 }
 
-fn spawn_child(cfg: &NetSoakConfig, endpoint: &Endpoint) -> Result<Child, String> {
+/// One stream served to completion by daemon children in `dir`.
+struct SoakRun {
+    report: LoadgenReport,
+    /// The children's stdout (every life of the run, in order).
+    log: String,
+    /// Complete lines of the durable trail after the drain.
+    trail: Vec<String>,
+}
+
+/// Spawns a daemon child on `dir`'s socket and state directory, its
+/// stdout appended to `dir/daemon.log`.
+fn spawn_child(cfg: &NetSoakConfig, dir: &Path) -> Result<Child, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    let log = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(dir.join("daemon.log"))
+        .map_err(|e| format!("child log: {e}"))?;
     let mut cmd = Command::new(exe);
     cmd.arg("serve")
         .arg("--daemon")
         .arg("--addr")
-        .arg(endpoint.to_string())
+        .arg(Endpoint::Unix(dir.join("daemon.sock")).to_string())
         .arg("--snapshot-dir")
-        .arg(cfg.out.join("state"))
+        .arg(dir.join("state"))
         .arg("--size")
         .arg(cfg.size.to_string())
         .arg("--tol")
@@ -200,158 +295,166 @@ fn spawn_child(cfg: &NetSoakConfig, endpoint: &Endpoint) -> Result<Child, String
     if cfg.threads > 1 {
         cmd.arg("--threads").arg(cfg.threads.to_string());
     }
-    cmd.stdout(Stdio::inherit()).stderr(Stdio::inherit());
+    if let Some(budget) = cfg.mem_budget {
+        cmd.arg("--mem-budget").arg(budget.to_string());
+    }
+    cmd.stdout(Stdio::from(log)).stderr(Stdio::inherit());
     cmd.spawn().map_err(|e| format!("spawn child: {e}"))
+}
+
+/// Serves the whole stream from a fresh `dir`, SIGKILLing and at once
+/// restarting the child after `kill_after` acks when given, then drains.
+fn soak_run(cfg: &NetSoakConfig, dir: &Path, kill_after: Option<u64>) -> Result<SoakRun, String> {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let mut child = spawn_child(cfg, dir)?;
+    // A bit more patience than the default ladder: a restart (snapshot
+    // restore + possible reconciliation re-solve) sits inside one
+    // request's retry window.
+    let mut client = Client::new(ClientConfig {
+        endpoint: Endpoint::Unix(dir.join("daemon.sock")),
+        max_attempts: 24,
+        ..ClientConfig::default()
+    });
+    let mut report = drive_stream(&mut client, cfg.requests, cfg.size, cfg.tol, &mut |done| {
+        if Some(done.key + 1) == kill_after {
+            // The in-flight connection dies with the child; the client's
+            // backoff ladder reconnects and resubmits idempotently.
+            println!("soak: SIGKILL after {} acks, immediate restart", done.key + 1);
+            let _ = child.kill(); // no drain, no final checkpoint
+            let _ = child.wait();
+            child = spawn_child(cfg, dir)?;
+        }
+        Ok(())
+    });
+    if kill_after.is_some_and(|k| report.acked < k) {
+        report.violations.push(format!("kill never landed: only {} acks", report.acked));
+    }
+    match client.shutdown() {
+        Ok(seq) if seq == cfg.requests => {}
+        Ok(seq) => report.violations.push(format!("drained at seq={seq}, not {}", cfg.requests)),
+        Err(e) => {
+            report.violations.push(format!("shutdown: {e}"));
+            let _ = child.kill(); // never wait on a child nobody told to exit
+        }
+    }
+    match child.wait() {
+        Ok(status) if status.success() => {}
+        Ok(status) => report.violations.push(format!("drained child exited {status}")),
+        Err(e) => report.violations.push(format!("child wait: {e}")),
+    }
+    let state = dir.join("state");
+    // Graceful drain flushed the snapshot: one of the A/B generations
+    // must exist on disk.
+    if !["a", "b"].iter().any(|slot| state.join(format!("{SNAPSHOT_FILE}.{slot}")).exists()) {
+        report.violations.push("drain left no snapshot on disk".into());
+    }
+    let trail = std::fs::read(state.join(TRAIL_FILE)).map_err(|e| format!("trail: {e}"))?;
+    let log = std::fs::read_to_string(dir.join("daemon.log")).unwrap_or_default();
+    Ok(SoakRun { report, log, trail: trail::complete_lines(&trail) })
+}
+
+/// `evicted + uncached` of every `netdaemon: mem …` line in a child log
+/// (echoed for the record).
+fn budget_pressure(who: &str, log: &str) -> u64 {
+    let mut pressure = 0;
+    for rest in log.lines().filter_map(|l| l.strip_prefix("netdaemon: mem ")) {
+        println!("soak: {who} child mem {rest}");
+        pressure += rest
+            .split_whitespace()
+            .filter_map(|f| f.strip_prefix("evicted=").or_else(|| f.strip_prefix("uncached=")))
+            .filter_map(|n| n.parse::<u64>().ok())
+            .sum::<u64>();
+    }
+    pressure
 }
 
 /// The kill/restart acceptance soak. Returns the process exit code.
 pub fn run_net_soak(cfg: &NetSoakConfig) -> i32 {
-    let mut violations: Vec<String> = Vec::new();
-    if let Err(e) = std::fs::create_dir_all(&cfg.out) {
-        eprintln!("netsoak: cannot create {}: {e}", cfg.out.display());
-        return 1;
-    }
-    let endpoint = Endpoint::Unix(cfg.out.join("daemon.sock"));
-
-    println!("=== phase 1: daemon up, traffic until {} acks ===", cfg.kill_after);
-    let mut child = match spawn_child(cfg, &endpoint) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("netsoak: {e}");
+    println!("soak: reference run ({} requests, uninterrupted)", cfg.requests);
+    let reference = soak_run(cfg, &cfg.out.join("ref"), None);
+    println!("soak: crash run (SIGKILL after {} acks)", cfg.kill_after);
+    let crash = soak_run(cfg, &cfg.out.join("crash"), Some(cfg.kill_after));
+    let (reference, crash) = match (reference, crash) {
+        (Ok(r), Ok(c)) => (r, c),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("soak: {e}");
             return 1;
         }
     };
 
-    // The client: a bit more patience than the default ladder, since a
-    // restart (snapshot restore + possible reconciliation re-solve) sits
-    // inside one request's retry window.
-    let client_cfg =
-        ClientConfig { endpoint: endpoint.clone(), max_attempts: 24, ..ClientConfig::default() };
-    let mut client = Client::new(client_cfg);
-    let mut killed = false;
-    let mut acked: u64 = 0;
-    let t0 = Instant::now();
-    let mut latencies = Vec::new();
-    for seq in 0..cfg.requests {
-        let req = SubmitRequest {
-            key: seq,
-            size: cfg.size as u32,
-            tol: cfg.tol,
-            priority: priority_for(seq),
-        };
-        let t = Instant::now();
-        match client.submit(req) {
-            Ok(done) => {
-                latencies.push(t.elapsed().as_secs_f64());
-                acked += 1;
-                if done.key != seq {
-                    violations.push(format!("ack for key {} while waiting on {seq}", done.key));
-                }
-            }
-            Err(e) => {
-                violations.push(format!("seq={seq}: {e}"));
-                break;
-            }
-        }
-        if !killed && acked >= cfg.kill_after {
-            killed = true;
-            println!(
-                "=== phase 2: SIGKILL after {acked} acks (t={:.2}s), immediate restart ===",
-                t0.elapsed().as_secs_f64()
-            );
-            let _ = child.kill();
-            let _ = child.wait();
-            child = match spawn_child(cfg, &endpoint) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("netsoak: restart: {e}");
-                    return 1;
-                }
-            };
-            // The in-flight connection dies with the child; the client's
-            // backoff ladder reconnects and resubmits idempotently.
+    let mut violations: Vec<String> = Vec::new();
+    for (who, run) in [("reference", &reference), ("crash", &crash)] {
+        print_report(&format!("soak[{who}]"), &run.report, cfg.requests);
+        violations.extend(run.report.violations.iter().map(|v| format!("{who} run: {v}")));
+        if run.report.acked != cfg.requests {
+            violations.push(format!("{who} run: only {}/{} acked", run.report.acked, cfg.requests));
         }
     }
-    if !killed {
-        violations.push(format!(
-            "kill never landed: only {acked} acks for kill-after {}",
-            cfg.kill_after
-        ));
-    }
-
-    println!("=== phase 3: graceful drain ===");
-    match client.shutdown() {
-        Ok(seq) => {
-            if seq != cfg.requests {
-                violations.push(format!("drained at seq={seq}, expected {}", cfg.requests));
-            }
-        }
-        Err(e) => violations.push(format!("shutdown: {e}")),
-    }
-    match child.wait() {
-        Ok(status) if status.success() => {}
-        Ok(status) => violations.push(format!("drained child exited {status}")),
-        Err(e) => violations.push(format!("child wait: {e}")),
-    }
-
-    println!("=== phase 4: external verification ===");
-    if acked != cfg.requests {
-        violations.push(format!("lost acked requests: {acked}/{} acked", cfg.requests));
-    }
-    if client.stats.resubmissions == 0 {
+    if crash.report.resubmissions == 0 {
         violations
             .push("the kill window produced no resubmission — the soak proved nothing".into());
     }
-    // Exactly-once at the durable layer: one trail line per seq, no
-    // gaps, no extras — resubmissions were deduplicated, not re-run.
-    let state = cfg.out.join("state");
-    match read_trail(&state.join(TRAIL_FILE)) {
-        Ok(entries) => {
-            let mut counts = std::collections::BTreeMap::<u64, u64>::new();
-            for (seq, _) in &entries {
-                *counts.entry(*seq).or_insert(0) += 1;
-            }
-            for seq in 0..cfg.requests {
-                match counts.get(&seq) {
-                    None => violations.push(format!("seq={seq}: acked but missing from trail")),
-                    Some(1) => {}
-                    Some(n) => violations.push(format!(
-                        "seq={seq}: {n} trail lines — a resubmission was re-executed"
-                    )),
-                }
-            }
-            if counts.keys().next_back().is_some_and(|&max| max >= cfg.requests) {
-                violations.push("trail contains seqs beyond the stream".into());
-            }
-        }
-        Err(e) => violations.push(format!("trail verify: {e}")),
-    }
-    // Graceful drain flushed the snapshot: one of the A/B generations
-    // must exist on disk.
-    let snap_a = state.join(format!("{SNAPSHOT_FILE}.a"));
-    let snap_b = state.join(format!("{SNAPSHOT_FILE}.b"));
-    let snap_legacy = state.join(SNAPSHOT_FILE);
-    if !(snap_a.exists() || snap_b.exists() || snap_legacy.exists()) {
-        violations.push("drain left no snapshot on disk".into());
+    let resumed = crash
+        .log
+        .lines()
+        .filter_map(|l| l.strip_prefix("netdaemon: resumed seq=")?.trim().parse::<u64>().ok())
+        .next_back();
+    match resumed {
+        Some(seq) if seq > 0 => println!("soak: restart resumed warm at seq={seq}"),
+        _ => violations.push("restart did not report a snapshot resume past seq 0".into()),
     }
 
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    println!(
-        "netsoak: acked {}/{} resubmissions={} dup-acks={} reconnects={} p50={:.6}s p99={:.6}s",
-        acked,
-        cfg.requests,
-        client.stats.resubmissions,
-        client.stats.duplicate_acks,
-        client.stats.reconnects,
-        percentile(&latencies, 50.0),
-        percentile(&latencies, 99.0),
-    );
+    // Exactly-once at the durable layer, and bit-identical decisions.
+    // With a binding memory budget the decision compare is report-only
+    // by design: budget refusals depend on which worker's bytes were
+    // live at charge time, and a restarted governor is deliberately cold
+    // (the snapshot restores metadata, not bytes).
+    let strict = cfg.mem_budget.is_none();
+    let verdict = verify_replay(&reference.trail, &crash.trail, "seq", cfg.requests, false, strict);
+    if strict {
+        if verdict.violations.is_empty() {
+            println!("soak: {} decisions bit-identical to the reference", cfg.requests);
+        }
+        // The cache must have demonstrated its full event ladder in the
+        // uninterrupted run. (Under a binding budget an entry may be
+        // evicted before its rescale/invalidate revisit.)
+        for needed in
+            ["cache=hit", "cache=rescaled-hit", "cache=drift-invalidated", "cache=rebuilt"]
+        {
+            let n = reference.trail.iter().filter(|l| l.ends_with(needed)).count();
+            println!("soak: reference {needed} x{n}");
+            if n == 0 {
+                violations.push(format!("reference run never produced {needed}"));
+            }
+        }
+    } else {
+        println!(
+            "soak: {} decision(s) drifted under memory pressure (expected with --mem-budget; \
+             the bit-compare applies to unbudgeted runs)",
+            verdict.drifted
+        );
+        let pressure =
+            budget_pressure("reference", &reference.log) + budget_pressure("crash", &crash.log);
+        if pressure == 0 {
+            violations.push(
+                "no child evicted or served uncached — the budget never bound, the soak proved \
+                 nothing about it"
+                    .into(),
+            );
+        }
+    }
+    violations.extend(verdict.violations);
+
     if violations.is_empty() {
-        println!("netsoak: zero lost acks, zero duplicate executions, graceful drain verified");
+        println!(
+            "soak: zero lost acks, exactly one trail line per seq, warm restart, graceful drain \
+             verified"
+        );
         0
     } else {
         for v in &violations {
-            eprintln!("netsoak violation: {v}");
+            eprintln!("soak violation: {v}");
         }
         1
     }
@@ -367,13 +470,5 @@ mod tests {
         assert_eq!(percentile(&v, 50.0), 2.0);
         assert_eq!(percentile(&v, 99.0), 4.0);
         assert!(percentile(&[], 50.0).is_nan());
-    }
-
-    #[test]
-    fn priorities_mirror_the_stream_function() {
-        assert_eq!(priority_for(5), 0);
-        assert_eq!(priority_for(13), 0);
-        assert_eq!(priority_for(0), 1);
-        assert_eq!(priority_for(6), 1);
     }
 }

@@ -43,11 +43,10 @@ use fp16mg_runtime::net::{
     Client, ClientConfig, ClientStats, Endpoint, FaultTransport, Frame, NetFault, NetOpKind,
     SubmitRequest,
 };
-use fp16mg_runtime::{FaultStorage, Storage};
+use fp16mg_runtime::serve::{serve_net, NetServeConfig, NetServeReport, TRAIL_FILE};
+use fp16mg_runtime::{trail, FaultStorage, Storage};
 
-use crate::daemon::TRAIL_FILE;
-use crate::loadgen::priority_for;
-use crate::netserve::{serve_net, NetServeConfig, NetServeReport};
+use crate::loadgen::drive_stream;
 
 /// Matrix knobs.
 pub struct NetTortureConfig {
@@ -140,11 +139,10 @@ struct CaseOutcome {
     server: NetServeReport,
 }
 
-/// The durable trail lines, by seq prefix, from the fault storage's
-/// durable (post-power-loss) image — what would survive a crash.
+/// The complete trail lines of the fault storage's durable
+/// (post-power-loss) image — what would survive a crash.
 fn durable_lines(storage: &FaultStorage) -> Vec<String> {
-    let bytes = storage.peek_durable(&trail_path()).unwrap_or_default();
-    String::from_utf8_lossy(&bytes).lines().map(|l| l.to_string()).collect()
+    trail::complete_lines(&storage.peek_durable(&trail_path()).unwrap_or_default())
 }
 
 fn server_cfg(cfg: &NetTortureConfig, endpoint: Endpoint, break_ack_order: bool) -> NetServeConfig {
@@ -179,30 +177,16 @@ fn run_case(
         ft.schedule(index, fault);
     }
     let mut client = Client::with_transport(client_cfg(endpoint.clone()), ft.clone());
-    let mut violations = Vec::new();
-
-    for seq in 0..cfg.requests {
-        let req = SubmitRequest {
-            key: seq,
-            size: cfg.size as u32,
-            tol: cfg.tol,
-            priority: priority_for(seq),
-        };
-        match client.submit(req) {
-            Ok(done) => {
-                if done.key != seq {
-                    violations.push(format!("ack for key {} while waiting on {seq}", done.key));
-                }
-                // THE instant invariant: the moment the ack is in hand,
-                // the decision must already be in the durable image.
-                let prefix = format!("seq={seq} ");
-                if !durable_lines(&storage).iter().any(|l| l.starts_with(&prefix)) {
-                    violations.push(format!("seq={seq}: ACKED BUT NOT DURABLE"));
-                }
-            }
-            Err(e) => violations.push(format!("seq={seq}: {e}")),
+    // THE instant invariant: the moment an ack is in hand, its decision
+    // must already be in the durable image.
+    let mut violations = drive_stream(&mut client, cfg.requests, cfg.size, cfg.tol, &mut |done| {
+        if durable_lines(&storage).iter().any(|l| trail::key_of(l, "seq") == Some(done.key)) {
+            Ok(())
+        } else {
+            Err(format!("seq={}: ACKED BUT NOT DURABLE", done.key))
         }
-    }
+    })
+    .violations;
 
     // Drain. A fault can eat the ShutdownOk after the server already
     // drained, so a failed client-side shutdown falls back to clean
@@ -288,17 +272,8 @@ pub fn run_net_matrix(cfg: &NetTortureConfig) -> NetTortureReport {
         let handle = std::thread::spawn(move || serve_net(&sc, server_storage));
         let ft = FaultTransport::new();
         let mut client = Client::with_transport(client_cfg(endpoint), ft.clone());
-        for seq in 0..cfg.requests {
-            let req = SubmitRequest {
-                key: seq,
-                size: cfg.size as u32,
-                tol: cfg.tol,
-                priority: priority_for(seq),
-            };
-            if let Err(e) = client.submit(req) {
-                report.violations.push(format!("reference run seq={seq}: {e}"));
-            }
-        }
+        let probe = drive_stream(&mut client, cfg.requests, cfg.size, cfg.tol, &mut |_| Ok(()));
+        report.violations.extend(probe.violations.iter().map(|v| format!("reference run {v}")));
         let _ = client.shutdown();
         let _ = handle.join();
         (durable_lines(&reference_storage), ft.op_log())

@@ -9,16 +9,21 @@
 //! request ends in a *typed* outcome, the panic is isolated to its own
 //! request, and the fault-injected requests converge anyway with their
 //! rung sequence on record.
+//!
+//! Two more `ServePool` demos live here: `serve --overload` (admission,
+//! shedding, circuit breaking over four waves) and `serve --daemon
+//! --chaos` (wedge detection and quarantine on the daemon's pool shape).
 
 use std::time::Duration;
 
 use fp16mg_core::{IntegrityPolicy, MgConfig, RecoveryPolicy};
 use fp16mg_krylov::{HealthPolicy, SolveError, SolveOptions};
 use fp16mg_problems::{ProblemKind, SolverKind};
+use fp16mg_runtime::serve::pool_cfg;
 use fp16mg_runtime::{
-    run_batch, AdmissionConfig, BreakerConfig, BreakerState, BreakerTransition, Budget, FaultPlan,
-    LevelBitFlip, PoolConfig, Priority, RequestOutcome, RetryPolicy, Rung, ServeError, ServePool,
-    ShedPolicy, SolveRequest, SolverChoice,
+    AdmissionConfig, AdmissionError, BreakerConfig, BreakerState, BreakerTransition, Budget,
+    FaultPlan, LevelBitFlip, PoolConfig, Priority, RequestOutcome, RetryPolicy, Rung, ServeError,
+    ServePool, ShedPolicy, SolveRequest, SolverChoice, SuperviseConfig,
 };
 use fp16mg_sgdia::fault::FaultSpec;
 
@@ -222,7 +227,7 @@ pub fn serve(cfg: &ServeConfig) -> Vec<RequestOutcome> {
     // default stderr traces out of the report.
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let outcomes = run_batch(requests, cfg.workers);
+    let outcomes = ServePool::new(PoolConfig::unbounded(cfg.workers)).run(requests);
     std::panic::set_hook(hook);
 
     let mut t = Table::new(&[
@@ -530,7 +535,6 @@ fn check_overload(
     waves: &[(&'static str, Vec<RequestOutcome>)],
     transitions: &[BreakerTransition],
 ) -> Vec<String> {
-    use fp16mg_runtime::AdmissionError;
     let mut v = Vec::new();
     let wave = |name: &str| {
         waves.iter().find(|(n, _)| *n == name).map(|(_, o)| o.as_slice()).unwrap_or(&[])
@@ -612,4 +616,91 @@ fn check_overload(
         v.push("recovered: the healed class did not serve cleanly".into());
     }
     v
+}
+
+// --------------------------------------------------- supervision chaos --
+
+/// The wall-clock supervision demo (`repro serve --daemon --chaos`): on
+/// the daemon's pool shape, a deliberately endless request is
+/// wedge-detected and cancelled by the monitor, and a panicking request
+/// is contained and struck twice into quarantine. Returns the process
+/// exit code (nonzero when a supervision invariant is violated).
+pub fn serve_supervision_chaos(size: usize, workers: usize, mem_budget: Option<u64>) -> i32 {
+    let mut cfg = pool_cfg(workers, mem_budget);
+    // The demo is about supervision, not circuit breaking: a wedge
+    // failure plus a panic in the same class would trip the tight
+    // daemon breaker and mask the quarantine refusal it demonstrates.
+    cfg.breaker = BreakerConfig::disabled();
+    cfg.supervise = SuperviseConfig {
+        enabled: true,
+        wedge_after: Duration::from_millis(250),
+        poll: Duration::from_millis(10),
+        max_strikes: 2,
+        event_log_cap: 64,
+    };
+    let mut pool = ServePool::new(cfg);
+    let mut violations: Vec<String> = Vec::new();
+
+    // An endless request: stationary Richardson at zero tolerance with
+    // health checks off never converges, never stagnates, and has no
+    // breakdown divisions — it can only end when the wedge monitor
+    // cancels it. (A Krylov method would break down at machine
+    // precision long before the 250 ms deadline.)
+    let mut endless =
+        SolveRequest::new("wedge-me", ProblemKind::Laplace27.build(size), MgConfig::d16());
+    endless.solver = SolverChoice::Richardson;
+    endless.opts = SolveOptions {
+        tol: 0.0,
+        max_iters: usize::MAX / 2,
+        health: HealthPolicy::disabled(),
+        record_history: false,
+        ..Default::default()
+    };
+    endless.policy = RetryPolicy::fail_fast();
+    println!("--- wedge detection: an endless request against a 250 ms deadline ---");
+    let out = pool.run(vec![endless]);
+    println!(
+        "wedge-me -> {} (worker events: {})",
+        outcome_label(&out[0]),
+        pool.worker_events().len()
+    );
+    if !matches!(&out[0].result, Err(ServeError::Session(SolveError::Cancelled { .. }))) {
+        violations.push("endless request was not wedge-cancelled".into());
+    }
+
+    println!("--- panic containment + quarantine: two strikes, then refusal ---");
+    for round in 0..3 {
+        let mut req =
+            SolveRequest::new("panic-me", ProblemKind::Laplace27.build(size), MgConfig::d16());
+        req.panic_in_worker = true;
+        let out = pool.run(vec![req]);
+        println!("round {round}: panic-me -> {}", outcome_label(&out[0]));
+        let expect_quarantined = round >= 2;
+        let got_quarantined =
+            matches!(out[0].rejection(), Some(AdmissionError::Quarantined { .. }));
+        if expect_quarantined != got_quarantined {
+            violations.push(format!(
+                "round {round}: expected quarantined={expect_quarantined}, got {got_quarantined}"
+            ));
+        }
+    }
+
+    println!("worker-event trail:");
+    for ev in pool.worker_events() {
+        println!(
+            "  worker={} request={} event={}",
+            ev.worker.map(|w| w.to_string()).unwrap_or_else(|| "-".into()),
+            ev.request,
+            ev.kind.label()
+        );
+    }
+    if violations.is_empty() {
+        println!("chaos demo: all supervision invariants held");
+        0
+    } else {
+        for v in &violations {
+            eprintln!("chaos violation: {v}");
+        }
+        1
+    }
 }

@@ -42,13 +42,14 @@ use fp16mg_core::{GalerkinChain, IntegrityPolicy, Mg, MgConfig, RepairTrigger};
 use fp16mg_fp::Precision;
 use fp16mg_problems::{step_rhs, Evolution, Problem, ProblemKind};
 use fp16mg_runtime::{
-    append_durable, run_session_with, RealStorage, RetryPolicy, SimCounters, SimSnapshot,
+    append_durable, run_session_with, trail, RealStorage, RetryPolicy, SimCounters, SimSnapshot,
     SnapshotStore, SolveRequest, Storage,
 };
 use fp16mg_sgdia::audit::{audit, drift, OperatorDrift, RangeAudit};
 use fp16mg_sgdia::SgDia;
 
 use crate::guard::finest_narrow_level;
+use crate::loadgen::verify_replay;
 use crate::table::{fmt_secs, Table};
 
 /// Drift magnitude (in binades) below which the cached hierarchy is
@@ -387,36 +388,27 @@ fn trail_append_unsynced(storage: &dyn Storage, path: &Path, line: &str) -> Resu
     f.write_all(&bytes).map_err(|e| format!("trail append: {e}"))
 }
 
-/// Scans the trail on resume. A torn (partial) final record — bytes
-/// after the last newline — is truncated away and logged, not a failed
-/// restore: the fsync-before-ack ordering means a torn tail can only
-/// belong to a step that was never acknowledged. Returns the highest
-/// step index holding a durable, parseable line — the upper bound any
-/// resume candidate may claim.
+/// Scans the trail on resume. A torn (partial) final record is
+/// truncated away and logged, not a failed restore: the fsync-before-ack
+/// ordering means a torn tail can only belong to a step that was never
+/// acknowledged. Returns the highest step index holding a durable,
+/// parseable line — the upper bound any resume candidate may claim.
 fn recover_trail(
     storage: &dyn Storage,
     path: &Path,
     events: &mut Vec<String>,
 ) -> Result<Option<u64>, String> {
-    if !storage.exists(path) {
-        return Ok(None);
-    }
-    let bytes = storage.read(path).map_err(|e| format!("trail read: {e}"))?;
-    let mut keep = bytes.len();
-    if keep > 0 && bytes[keep - 1] != b'\n' {
-        let cut = bytes.iter().rposition(|&b| b == b'\n').map(|i| i + 1).unwrap_or(0);
+    let (lines, torn) = trail::recover(storage, path).map_err(|e| format!("trail: {e}"))?;
+    if torn > 0 {
         events.push(format!(
-            "trail: truncated torn final record ({} bytes) in {}",
-            keep - cut,
+            "trail: truncated torn final record ({torn} bytes) in {}",
             path.display()
         ));
-        keep = cut;
-        storage.truncate(path, keep as u64).map_err(|e| format!("trail truncate: {e}"))?;
     }
     let mut last = None;
-    for line in String::from_utf8_lossy(&bytes[..keep]).lines() {
-        match step_of(line) {
-            Some(s) => last = Some(last.map_or(s, |l: u64| l.max(s))),
+    for line in &lines {
+        match trail::key_of(line, "step") {
+            Some(s) => last = last.max(Some(s)),
             None => events.push(format!("trail: unparseable line ignored: {line}")),
         }
     }
@@ -1104,12 +1096,8 @@ fn child_command(soak: &SimSoakConfig, dir: &Path, pace_ms: u64) -> Result<Comma
 }
 
 fn read_lines(path: &Path) -> Result<Vec<String>, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    Ok(text.lines().map(str::to_string).collect())
-}
-
-fn step_of(line: &str) -> Option<u64> {
-    line.strip_prefix("step=")?.split_whitespace().next()?.parse().ok()
+    let bytes = fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    Ok(trail::complete_lines(&bytes))
 }
 
 /// Kill/resume soak: a reference run, a run SIGKILLed mid-flight, and a
@@ -1155,17 +1143,7 @@ pub fn run_sim_soak(soak: &SimSoakConfig) -> i32 {
             return 2;
         }
     };
-    if ref_trail.len() != soak.steps as usize {
-        violations.push(format!(
-            "reference trail has {} lines, want {}",
-            ref_trail.len(),
-            soak.steps
-        ));
-    }
     for (i, line) in ref_trail.iter().enumerate() {
-        if step_of(line) != Some(i as u64) {
-            violations.push(format!("reference trail line {i} is not step {i}: {line}"));
-        }
         if !line.contains("outcome=ok") {
             violations.push(format!("reference step {i} did not converge: {line}"));
         }
@@ -1233,35 +1211,15 @@ pub fn run_sim_soak(soak: &SimSoakConfig) -> i32 {
         violations.push("restart did not report a snapshot resume".to_string());
     }
 
-    // Phase 4: the crash+restart trail must reproduce the reference
-    // bit-identically.
+    // Phase 4: the reference is steps 0..n in order, and the
+    // crash+restart trail reproduces it bit-identically (a resumed run
+    // may re-append a step it had not checkpointed — identically).
     println!("sim soak: phase 4 — trail validation");
     match read_lines(&sim_trail_path(&crash_dir, soak.kind)) {
         Err(e) => violations.push(e),
-        Ok(crash_trail) => {
-            let mut seen: Vec<Vec<&String>> = vec![Vec::new(); soak.steps as usize];
-            for line in &crash_trail {
-                match step_of(line) {
-                    Some(s) if (s as usize) < seen.len() => seen[s as usize].push(line),
-                    _ => violations.push(format!("crash trail has an alien line: {line}")),
-                }
-            }
-            for (step, lines) in seen.iter().enumerate() {
-                if lines.is_empty() {
-                    violations.push(format!("crash trail never committed step {step}"));
-                    continue;
-                }
-                for line in lines {
-                    if ref_trail.get(step) != Some(*line) {
-                        violations.push(format!(
-                            "step {step} diverged from the reference\n  ref:   {}\n  crash: {}",
-                            ref_trail.get(step).map(String::as_str).unwrap_or("<missing>"),
-                            line
-                        ));
-                    }
-                }
-            }
-        }
+        Ok(crash_trail) => violations.extend(
+            verify_replay(&ref_trail, &crash_trail, "step", soak.steps, true, true).violations,
+        ),
     }
 
     if violations.is_empty() {

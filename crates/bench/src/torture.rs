@@ -45,6 +45,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fp16mg_problems::ProblemKind;
+use fp16mg_runtime::trail::{complete_lines, key_of};
 use fp16mg_runtime::{Fault, FaultStorage, OpKind, SimSnapshot, SnapshotStore};
 
 use crate::simulate::{sim_snapshot_path, sim_trail_path, SimConfig, SimDriver};
@@ -176,24 +177,12 @@ fn sim_cfg(c: &TortureConfig, fault: &FaultStorage, break_order: bool) -> SimCon
     cfg
 }
 
-/// Step index of a trail line (`step=N ...`), if it parses.
-fn step_index(line: &str) -> Option<u64> {
-    line.strip_prefix("step=")?.split_whitespace().next()?.parse().ok()
-}
-
-/// The complete (newline-terminated) lines of a trail image; a torn
-/// tail fragment is excluded.
-fn complete_lines(bytes: &[u8]) -> Vec<String> {
-    let end = bytes.iter().rposition(|&b| b == b'\n').map(|i| i + 1).unwrap_or(0);
-    String::from_utf8_lossy(&bytes[..end]).lines().map(str::to_string).collect()
-}
-
 /// Steps whose durable trail line is bit-identical to the reference.
 fn durable_steps(bytes: &[u8], ref_line: &BTreeMap<u64, String>) -> BTreeSet<u64> {
     complete_lines(bytes)
         .into_iter()
         .filter_map(|line| {
-            let s = step_index(&line)?;
+            let s = key_of(&line, "step")?;
             (ref_line.get(&s) == Some(&line)).then_some(s)
         })
         .collect()
@@ -240,7 +229,7 @@ fn check_end_state(
     }
     let mut seen = BTreeSet::new();
     for line in complete_lines(&bytes) {
-        match step_index(&line) {
+        match key_of(&line, "step") {
             Some(s) if ref_line.get(&s) == Some(&line) => {
                 seen.insert(s);
             }
@@ -256,7 +245,7 @@ fn check_end_state(
         }
     }
     let store = SnapshotStore::new(sim_snapshot_path(dir, cfg.kind));
-    let newest = [store.legacy().to_path_buf(), store.slot_for(0), store.slot_for(1)]
+    let newest = [store.slot_for(0), store.slot_for(1)]
         .iter()
         .filter_map(|p| fault.peek(p))
         .filter_map(|bytes| {
@@ -361,7 +350,7 @@ fn probe(cfg: &TortureConfig) -> Result<(BTreeMap<u64, String>, Vec<OpKind>), St
     let bytes = fault.peek(&trail).ok_or("probe run produced no trail")?;
     let mut ref_line = BTreeMap::new();
     for line in complete_lines(&bytes) {
-        let s = step_index(&line).ok_or_else(|| format!("unparseable probe line: {line}"))?;
+        let s = key_of(&line, "step").ok_or_else(|| format!("unparseable probe line: {line}"))?;
         if ref_line.insert(s, line).is_some() {
             return Err(format!("probe run wrote step {s} twice"));
         }

@@ -167,9 +167,7 @@ impl Default for AdmissionConfig {
 }
 
 impl AdmissionConfig {
-    /// A practically unbounded configuration — the compatibility shape
-    /// behind [`crate::pool::run_batch`], which predates admission
-    /// control and must keep accepting everything.
+    /// A practically unbounded configuration: accepts everything.
     pub fn unbounded() -> Self {
         AdmissionConfig {
             capacity: usize::MAX / 2,

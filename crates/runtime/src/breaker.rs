@@ -60,7 +60,7 @@ impl core::fmt::Display for BreakerState {
 #[derive(Clone, Debug)]
 pub struct BreakerConfig {
     /// Master switch. When off, every admission attempt passes and no
-    /// outcome is recorded — the compatibility behavior of `run_batch`.
+    /// outcome is recorded.
     pub enabled: bool,
     /// Sliding-window length (terminal outcomes remembered per class).
     pub window: usize,
@@ -106,7 +106,7 @@ impl Default for BreakerConfig {
 }
 
 impl BreakerConfig {
-    /// Breakers off entirely (the `run_batch` compatibility shape).
+    /// Breakers off entirely.
     pub fn disabled() -> Self {
         BreakerConfig { enabled: false, ..Self::default() }
     }

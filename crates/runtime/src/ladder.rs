@@ -526,7 +526,7 @@ struct AttemptOutput {
 /// failure), deadline ([`SolveError::DeadlineExceeded`]), cancellation
 /// ([`SolveError::Cancelled`]), or V-cycle budget exhaustion — and never
 /// panics on solver failures. (Panics from bugs are contained by
-/// [`crate::pool::run_batch`], not here.)
+/// [`crate::ServePool`], not here.)
 pub fn run_session(req: &SolveRequest) -> SessionOutcome {
     run_session_with(req, None)
 }

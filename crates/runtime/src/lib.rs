@@ -26,8 +26,11 @@
 //!   Interactive never) — every refusal a typed [`AdmissionError`],
 //!   every downgrade a typed [`DegradeEvent`]. A panicking session
 //!   becomes a typed `SolveError::WorkerPanicked` outcome while every
-//!   other request completes. [`run_batch`] remains as the
-//!   protection-off compatibility wrapper.
+//!   other request completes.
+//! - [`serve`] is the daemon: the one serve loop (wire frames in,
+//!   solve → fsynced trail → checkpoint → ack out), its deterministic
+//!   request stream and its restart reconciliation, on top of the
+//!   persistent [`Daemon`] shell, [`net`], [`storage`] and [`trail`].
 //!
 //! Under the `fault-inject` feature, requests can carry a [`FaultPlan`]
 //! that keeps corrupting rebuilt hierarchies until a chosen rung, which
@@ -46,10 +49,12 @@ pub mod mem;
 pub mod net;
 pub mod pool;
 pub mod ring;
+pub mod serve;
 pub mod shed;
 pub mod snapshot;
 pub mod storage;
 pub mod supervise;
+pub mod trail;
 
 pub use admission::{AdmissionConfig, AdmissionError, AdmissionQueue, Priority};
 pub use breaker::{
@@ -72,9 +77,7 @@ pub use net::{
     ClientStats, Conn, DoneReply, Endpoint, FaultTransport, Frame, Listener, NetFault, NetOp,
     NetOpKind, SubmitRequest, WireError, WIRE_MAGIC,
 };
-pub use pool::{
-    run_batch, PoolConfig, PoolState, RequestOutcome, ServeCounters, ServeError, ServePool,
-};
+pub use pool::{PoolConfig, PoolState, RequestOutcome, ServeCounters, ServeError, ServePool};
 pub use ring::Ring;
 pub use shed::{estimate_pressure, DegradeEvent, DegradeProfile, PressureSignal, ShedPolicy};
 pub use snapshot::{

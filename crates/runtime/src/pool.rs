@@ -37,10 +37,6 @@
 //! strikes, cache metadata) exports as a [`PoolState`] for the daemon
 //! snapshot and restores from one, which is what makes a restarted
 //! daemon replay bit-identical decisions.
-//!
-//! [`run_batch`] survives as a thin compatibility wrapper: an unbounded
-//! queue, no shedding, breakers off, cache and supervision off — the
-//! pre-admission behavior.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -277,9 +273,9 @@ impl Default for PoolConfig {
 }
 
 impl PoolConfig {
-    /// The [`run_batch`] compatibility shape: practically unbounded
-    /// queue, shedding and degradation off, breakers off, cache and
-    /// supervision off. Every request is admitted at full quality.
+    /// Every protection off: practically unbounded queue, shedding and
+    /// degradation off, breakers off, cache and supervision off. Every
+    /// request is admitted at full quality.
     pub fn unbounded(workers: usize) -> Self {
         PoolConfig {
             workers,
@@ -787,23 +783,6 @@ impl ServePool {
         }
         outcomes
     }
-}
-
-/// Runs every request through the retry ladder on a pool of `workers`
-/// scoped threads and returns one [`RequestOutcome`] per request, in
-/// submission order — the pre-admission-control entry point, now a thin
-/// wrapper over [`ServePool`] with overload protection disabled: nothing
-/// is refused, shed, or degraded.
-///
-/// Workers pull from a shared queue, so a batch of mixed-size problems
-/// load-balances naturally. `workers` is clamped to `[1, len]` (so
-/// `workers == 0` serves the batch on one worker), and an empty batch
-/// returns an empty vector. Panics inside a session are caught
-/// per-request; the corresponding outcome carries
-/// [`SolveError::WorkerPanicked`] with the panic message, and the
-/// remaining requests still complete.
-pub fn run_batch(requests: Vec<SolveRequest>, workers: usize) -> Vec<RequestOutcome> {
-    ServePool::new(PoolConfig::unbounded(workers)).run(requests)
 }
 
 /// Extracts a human-readable message from a panic payload.

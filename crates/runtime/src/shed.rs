@@ -204,8 +204,7 @@ impl Default for ShedPolicy {
 }
 
 impl ShedPolicy {
-    /// A policy that never degrades and never sheds (the `run_batch`
-    /// compatibility shape).
+    /// A policy that never degrades and never sheds.
     pub fn disabled() -> Self {
         ShedPolicy {
             reduce_at: f64::INFINITY,

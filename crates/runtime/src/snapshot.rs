@@ -36,12 +36,11 @@
 //! fault injection (`repro torture`).
 
 use std::fmt;
-use std::fs;
 use std::path::{Path, PathBuf};
 
 use fp16mg_fp::Fnv1a;
 
-use crate::storage::{RealStorage, Storage, StorageError, ENOSPC_RETRIES};
+use crate::storage::{Storage, StorageError, ENOSPC_RETRIES};
 
 use crate::breaker::{BreakerExport, BreakerState};
 use crate::cache::{CacheEntryMeta, CacheKey, CacheStats};
@@ -325,11 +324,6 @@ fn write_atomic_with(storage: &dyn Storage, path: &Path, text: &str) -> Result<(
     }
 }
 
-/// [`write_atomic_with`] on the production backend.
-fn write_atomic(path: &Path, text: &str) -> Result<(), SnapshotError> {
-    write_atomic_with(&RealStorage, path, text)
-}
-
 // ---------------------------------------------------------------------
 
 impl DaemonSnapshot {
@@ -566,46 +560,6 @@ impl DaemonSnapshot {
             state: PoolState { counters, breakers, quarantine, cache_stats, cache_entries },
         })
     }
-
-    /// Writes atomically: temp file in the target's directory, flush,
-    /// then rename over the final path.
-    ///
-    /// # Errors
-    /// Typed I/O failures per operation.
-    pub fn write(&self, path: &Path) -> Result<(), SnapshotError> {
-        write_atomic(path, &self.encode())
-    }
-
-    /// [`DaemonSnapshot::write`] through an explicit [`Storage`]
-    /// backend.
-    ///
-    /// # Errors
-    /// Typed I/O failures per operation.
-    pub fn write_with(&self, storage: &dyn Storage, path: &Path) -> Result<(), SnapshotError> {
-        write_atomic_with(storage, path, &self.encode())
-    }
-
-    /// Reads and verifies a snapshot file.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Io`] when the file cannot be read, otherwise
-    /// whatever [`DaemonSnapshot::decode`] finds.
-    pub fn read(path: &Path) -> Result<Self, SnapshotError> {
-        let text = fs::read_to_string(path)
-            .map_err(|e| SnapshotError::Io { op: "read", message: e.to_string() })?;
-        Self::decode(&text)
-    }
-
-    /// [`DaemonSnapshot::read`] through an explicit [`Storage`]
-    /// backend.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Io`] when the file cannot be read, otherwise
-    /// whatever [`DaemonSnapshot::decode`] finds.
-    pub fn read_with(storage: &dyn Storage, path: &Path) -> Result<Self, SnapshotError> {
-        let bytes = storage.read(path).map_err(storage_io)?;
-        Self::decode(&String::from_utf8_lossy(&bytes))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -781,44 +735,6 @@ impl SimSnapshot {
         }
         Ok(snap)
     }
-
-    /// Writes atomically: temp file in the target's directory, flush,
-    /// then rename over the final path.
-    ///
-    /// # Errors
-    /// Typed I/O failures per operation.
-    pub fn write(&self, path: &Path) -> Result<(), SnapshotError> {
-        write_atomic(path, &self.encode())
-    }
-
-    /// [`SimSnapshot::write`] through an explicit [`Storage`] backend.
-    ///
-    /// # Errors
-    /// Typed I/O failures per operation.
-    pub fn write_with(&self, storage: &dyn Storage, path: &Path) -> Result<(), SnapshotError> {
-        write_atomic_with(storage, path, &self.encode())
-    }
-
-    /// Reads and verifies a simulation snapshot file.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Io`] when the file cannot be read, otherwise
-    /// whatever [`SimSnapshot::decode`] finds.
-    pub fn read(path: &Path) -> Result<Self, SnapshotError> {
-        let text = fs::read_to_string(path)
-            .map_err(|e| SnapshotError::Io { op: "read", message: e.to_string() })?;
-        Self::decode(&text)
-    }
-
-    /// [`SimSnapshot::read`] through an explicit [`Storage`] backend.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Io`] when the file cannot be read, otherwise
-    /// whatever [`SimSnapshot::decode`] finds.
-    pub fn read_with(storage: &dyn Storage, path: &Path) -> Result<Self, SnapshotError> {
-        let bytes = storage.read(path).map_err(storage_io)?;
-        Self::decode(&String::from_utf8_lossy(&bytes))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -831,10 +747,9 @@ impl SimSnapshot {
 /// between two sibling slots (`<base>.a` for even generations,
 /// `<base>.b` for odd), so the slot being overwritten always holds the
 /// *oldest* of the two retained generations — a crash mid-publish can
-/// never touch the newest good snapshot. The bare `<base>` path is
-/// honoured read-only as the legacy single-file layout.
+/// never touch the newest good snapshot.
 ///
-/// Recovery scans all three paths, quarantines every present-but-
+/// Recovery scans both slots, quarantines every present-but-
 /// undecodable file (renaming it to `<path>.quarantine` and fsyncing
 /// the directory, so the evidence survives without ever being mistaken
 /// for a live snapshot again), and hands the decodable candidates to
@@ -856,15 +771,9 @@ pub struct Recovery<T> {
 }
 
 impl SnapshotStore {
-    /// A store rooted at `base` (the legacy single-file path; the
-    /// rotation slots are derived siblings).
+    /// A store whose rotation slots are `<base>.a` and `<base>.b`.
     pub fn new(base: impl Into<PathBuf>) -> Self {
         SnapshotStore { base: base.into() }
-    }
-
-    /// The legacy single-file path (read-only candidate).
-    pub fn legacy(&self) -> &Path {
-        &self.base
     }
 
     /// The slot a given publication generation lands in.
@@ -897,7 +806,7 @@ impl SnapshotStore {
         Ok(slot)
     }
 
-    /// Scans legacy + both slots, decoding each present file with
+    /// Scans both slots, decoding each present file with
     /// `decode`. Undecodable files are quarantined (renamed to
     /// `<path>.quarantine`, directory fsynced) and reported; decodable
     /// ones are returned for the caller to rank.
@@ -912,7 +821,7 @@ impl SnapshotStore {
         decode: &dyn Fn(&str) -> Result<T, SnapshotError>,
     ) -> Result<Recovery<T>, SnapshotError> {
         let mut out = Recovery { candidates: Vec::new(), quarantined: Vec::new() };
-        for path in [self.base.clone(), self.slot("a"), self.slot("b")] {
+        for path in [self.slot("a"), self.slot("b")] {
             if !storage.exists(&path) {
                 continue;
             }

@@ -26,8 +26,8 @@
 //!   set of workers to burn.
 //!
 //! [`Daemon`] is the persistent shell around [`ServePool`]: it restores
-//! pool state from a [`DaemonSnapshot`] at start, checkpoints after
-//! batches, and drains gracefully — stop admitting, finish in-flight,
+//! pool state from a [`DaemonSnapshot`] at start, checkpoints when its
+//! caller says so, and drains gracefully — stop admitting, finish in-flight,
 //! write a final checkpoint, exit clean.
 
 use std::collections::BTreeMap;
@@ -174,14 +174,9 @@ impl Quarantine {
 pub struct DaemonConfig {
     /// The pool the daemon runs.
     pub pool: PoolConfig,
-    /// Snapshot file path; `None` runs without persistence (restart
-    /// cold).
+    /// Snapshot base path (the A/B slots are its siblings); `None` runs
+    /// without persistence (restart cold).
     pub snapshot_path: Option<PathBuf>,
-    /// Checkpoint automatically after every completed batch. Turn off
-    /// when the caller orders its own durable writes (e.g. a trail
-    /// file) *before* the checkpoint, then calls
-    /// [`Daemon::checkpoint`] explicitly.
-    pub checkpoint_each_batch: bool,
     /// Storage backend every durable byte flows through. The default is
     /// the real filesystem; tests swap in a fault-injecting backend.
     pub storage: Arc<dyn Storage>,
@@ -192,7 +187,6 @@ impl Default for DaemonConfig {
         DaemonConfig {
             pool: PoolConfig::default(),
             snapshot_path: None,
-            checkpoint_each_batch: true,
             storage: Arc::new(RealStorage),
         }
     }
@@ -230,11 +224,10 @@ impl Daemon {
     /// at [`DaemonConfig::snapshot_path`] when one exists (no snapshot
     /// anywhere is a cold start, not an error).
     ///
-    /// Recovery scans the A/B rotation slots plus the legacy
-    /// single-file path. A torn or corrupt slot is quarantined (moved
-    /// to `<slot>.quarantine`) and recovery falls back to the previous
-    /// good generation; the quarantine evidence is reported by
-    /// [`Daemon::quarantined_snapshots`].
+    /// Recovery scans the A/B rotation slots. A torn or corrupt slot is
+    /// quarantined (moved to `<slot>.quarantine`) and recovery falls
+    /// back to the previous good generation; the quarantine evidence is
+    /// reported by [`Daemon::quarantined_snapshots`].
     ///
     /// # Errors
     /// When snapshots are present but *none* decodes, the daemon
@@ -290,24 +283,14 @@ impl Daemon {
         &self.pool
     }
 
-    /// Serves one batch and advances the sequence cursor, checkpointing
-    /// after when [`DaemonConfig::checkpoint_each_batch`] is on.
-    ///
-    /// # Errors
-    /// A failed checkpoint write. The batch's outcomes are lost to the
-    /// caller in that case — by design: acknowledging work the snapshot
-    /// does not cover would break the replay contract.
-    pub fn submit(
-        &mut self,
-        batch: Vec<SolveRequest>,
-    ) -> Result<Vec<RequestOutcome>, SnapshotError> {
-        let n = batch.len() as u64;
-        let outcomes = self.pool.run(batch);
-        self.seq += n;
-        if self.cfg.checkpoint_each_batch {
-            self.checkpoint()?;
-        }
-        Ok(outcomes)
+    /// Serves one batch and advances the sequence cursor. Never
+    /// checkpoints: the caller makes its own record of the outcomes
+    /// durable first (the trail), then calls [`Daemon::checkpoint`] — a
+    /// snapshot ahead of the trail is a state the daemon refuses to
+    /// start from.
+    pub fn submit(&mut self, batch: Vec<SolveRequest>) -> Vec<RequestOutcome> {
+        self.seq += batch.len() as u64;
+        self.pool.run(batch)
     }
 
     /// Snapshot slots that were present but undecodable at start and

@@ -6,7 +6,7 @@ use fp16mg_problems::{Problem, ProblemKind};
 
 use crate::budget::{Budget, BudgetGuard, CancelToken};
 use crate::ladder::{run_session, RetryPolicy, Rung, SolveRequest, SolverChoice};
-use crate::pool::run_batch;
+use crate::pool::{PoolConfig, RequestOutcome, ServePool};
 
 fn laplace(n: usize) -> Problem {
     ProblemKind::Laplace27.build(n)
@@ -189,6 +189,11 @@ mod session {
     }
 }
 
+/// Every protection off: the pool as a plain concurrent batch runner.
+fn run_batch(requests: Vec<SolveRequest>, workers: usize) -> Vec<RequestOutcome> {
+    ServePool::new(PoolConfig::unbounded(workers)).run(requests)
+}
+
 mod pool {
     use super::*;
 
@@ -225,13 +230,13 @@ mod pool {
     }
 
     #[test]
-    fn run_batch_compatibility_admits_everything_at_full_quality() {
+    fn unbounded_pool_admits_everything_at_full_quality() {
         let requests: Vec<_> = (0..6)
             .map(|i| SolveRequest::new(format!("compat-{i}"), laplace(6), MgConfig::d16()))
             .collect();
         for out in run_batch(requests, 2) {
-            assert!(out.rejection().is_none(), "run_batch must never reject");
-            assert!(!out.degraded(), "run_batch must never degrade");
+            assert!(out.rejection().is_none(), "the unbounded pool must never reject");
+            assert!(!out.degraded(), "the unbounded pool must never degrade");
             assert!(out.degrades.is_empty());
             assert!(!out.probe);
         }
@@ -1300,7 +1305,8 @@ mod cache {
 mod snapshot {
     use super::*;
     use crate::pool::{PoolConfig, PoolState, ServePool};
-    use crate::snapshot::{DaemonSnapshot, SnapshotError, SNAPSHOT_VERSION};
+    use crate::snapshot::{DaemonSnapshot, SnapshotError, SnapshotStore, SNAPSHOT_VERSION};
+    use crate::storage::RealStorage;
     use fp16mg_fp::Fnv1a;
 
     /// A state with every record type populated: counters, a tripped
@@ -1344,14 +1350,17 @@ mod snapshot {
     #[test]
     fn file_round_trip_via_temp_and_rename() {
         let dir = std::env::temp_dir().join(format!("fp16mg-snap-{}", std::process::id()));
-        let path = dir.join("nested").join("daemon.snapshot");
+        let store = SnapshotStore::new(dir.join("nested").join("daemon.snapshot"));
         let snap = DaemonSnapshot { seq: 7, state: populated_state() };
-        snap.write(&path).unwrap();
+        let slot = store.publish(&RealStorage, 0, &snap.encode()).unwrap();
         assert!(
-            !path.with_extension("snapshot.tmp").exists(),
+            !slot.with_extension("a.tmp").exists(),
             "the temp file must not survive the rename"
         );
-        let back = DaemonSnapshot::read(&path).unwrap();
+        let mut rec = store.recover(&RealStorage, &DaemonSnapshot::decode).unwrap();
+        assert!(rec.quarantined.is_empty());
+        let (from, back) = rec.candidates.pop().expect("the published slot");
+        assert_eq!(from, slot);
         assert_eq!(back.seq, 7);
         assert_eq!(back.state, snap.state);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1392,17 +1401,14 @@ mod snapshot {
         // An unknown record tag (with a valid checksum) is a parse error.
         let alien = recompute_checksum(&text.replacen("cache-stats", "gremlin", 1));
         assert!(matches!(DaemonSnapshot::decode(&alien), Err(SnapshotError::Parse { .. })));
-
-        // A missing file is a typed I/O error.
-        assert!(matches!(
-            DaemonSnapshot::read(std::path::Path::new("/nonexistent/no.snapshot")),
-            Err(SnapshotError::Io { .. })
-        ));
     }
 }
 
 mod sim_snapshot {
-    use crate::snapshot::{SimCounters, SimSnapshot, SnapshotError, SNAPSHOT_VERSION};
+    use crate::snapshot::{
+        SimCounters, SimSnapshot, SnapshotError, SnapshotStore, SNAPSHOT_VERSION,
+    };
+    use crate::storage::RealStorage;
 
     /// A snapshot exercising every record: escapable problem name,
     /// non-trivial cursor, NaN residual, negative/subnormal solution
@@ -1448,15 +1454,18 @@ mod sim_snapshot {
     #[test]
     fn file_round_trip_via_temp_and_rename() {
         let dir = std::env::temp_dir().join(format!("fp16mg-sim-snap-{}", std::process::id()));
-        let path = dir.join("nested").join("sim.snapshot");
+        let store = SnapshotStore::new(dir.join("nested").join("sim.snapshot"));
         let snap = populated();
-        snap.write(&path).unwrap();
+        let slot = store.publish(&RealStorage, 1, &snap.encode()).unwrap();
         assert!(
-            !path.with_extension("snapshot.tmp").exists(),
+            !slot.with_extension("b.tmp").exists(),
             "the temp file must not survive the rename"
         );
-        let back = SimSnapshot::read(&path).unwrap();
-        assert_bits_eq(&snap, &back);
+        let rec = store.recover(&RealStorage, &SimSnapshot::decode).unwrap();
+        assert!(rec.quarantined.is_empty());
+        assert_eq!(rec.candidates.len(), 1);
+        assert_eq!(rec.candidates[0].0, slot);
+        assert_bits_eq(&snap, &rec.candidates[0].1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1501,12 +1510,6 @@ mod sim_snapshot {
         assert!(matches!(
             SimSnapshot::decode(&future),
             Err(SnapshotError::UnsupportedVersion { found }) if found == SNAPSHOT_VERSION + 1
-        ));
-
-        // A missing file is a typed I/O error.
-        assert!(matches!(
-            SimSnapshot::read(std::path::Path::new("/nonexistent/no.snapshot")),
-            Err(SnapshotError::Io { .. })
         ));
     }
 
@@ -1579,9 +1582,10 @@ mod daemon {
         // Run one batch (trips the poison breaker), checkpoint, "crash".
         let mut first = Daemon::start(cfg()).unwrap();
         assert!(!first.restored());
-        first.submit(batch()).unwrap();
+        first.submit(batch());
+        first.checkpoint().unwrap();
         let exported = first.pool().export_state();
-        drop(first); // no drain: the per-batch checkpoint is the survivor
+        drop(first); // no drain: the explicit checkpoint is the survivor
 
         // The restarted daemon resumes the cursor and the breaker state …
         let mut restored = Daemon::start(cfg()).unwrap();
@@ -1594,7 +1598,7 @@ mod daemon {
         // scratch reaches the exact same decisions on the next batch.
         let mut reference = ServePool::new(PoolConfig::daemon(2));
         reference.run(batch());
-        let live = restored.submit(batch()).unwrap();
+        let live = restored.submit(batch());
         let replayed = reference.run(batch());
         assert_eq!(decisions(&live), decisions(&replayed));
 
@@ -2379,5 +2383,324 @@ mod event_driven {
         assert!(acceptor.finished());
         assert_eq!(acceptor.accepted(), 1, "the wake-up dial was counted");
         assert!(!path.exists());
+    }
+}
+
+mod trail {
+    use std::path::Path;
+
+    use crate::storage::{append_durable, FaultStorage};
+    use crate::trail::{complete_lines, key_of, recover};
+
+    #[test]
+    fn complete_lines_exclude_a_torn_tail() {
+        assert_eq!(complete_lines(b"seq=0 a\nseq=1 b\nseq=2 to"), ["seq=0 a", "seq=1 b"]);
+        assert_eq!(complete_lines(b"seq=0 a\n"), ["seq=0 a"]);
+        assert!(complete_lines(b"seq=0 never finished").is_empty());
+        assert!(complete_lines(b"").is_empty());
+    }
+
+    #[test]
+    fn key_must_open_the_line() {
+        assert_eq!(key_of("seq=17 req=req-00017", "seq"), Some(17));
+        assert_eq!(key_of("step=3", "step"), Some(3));
+        assert_eq!(key_of("step=3 x", "seq"), None);
+        assert_eq!(key_of("x seq=3", "seq"), None, "a key in the middle is not the record key");
+        assert_eq!(key_of("seq=", "seq"), None);
+        assert_eq!(key_of("seq=-1", "seq"), None);
+        assert_eq!(key_of("sequel=1", "seq"), None);
+    }
+
+    #[test]
+    fn recover_truncates_the_torn_record_durably_and_reports_its_size() {
+        let s = FaultStorage::new();
+        let path = Path::new("/t/trail.log");
+        assert_eq!(recover(&s, path).unwrap(), (Vec::new(), 0), "an absent trail is empty");
+        append_durable(&s, path, b"seq=0 a\nseq=1 b\n").unwrap();
+        assert_eq!(recover(&s, path).unwrap().1, 0, "a clean trail is left alone");
+        append_durable(&s, path, b"seq=2 to").unwrap();
+        let (lines, torn) = recover(&s, path).unwrap();
+        assert_eq!(lines, ["seq=0 a", "seq=1 b"]);
+        assert_eq!(torn, 8);
+        assert_eq!(s.peek(path).unwrap(), b"seq=0 a\nseq=1 b\n");
+        s.power_loss();
+        assert_eq!(s.peek(path).unwrap(), b"seq=0 a\nseq=1 b\n", "the cut survives power loss");
+    }
+}
+
+mod serve {
+    //! The daemon's restart reconciliation, in-process: server, client
+    //! and the fault backend are one crate, so the window between the
+    //! trail fsync and the checkpoint is hit by construction instead of
+    //! by a lucky SIGKILL.
+
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use crate::net::{Client, ClientConfig, DoneReply, Endpoint, SubmitRequest};
+    use crate::serve::{
+        decision_field, priority_for, serve_net, NetServeConfig, NetServeReport, SNAPSHOT_FILE,
+        TRAIL_FILE,
+    };
+    use crate::snapshot::{DaemonSnapshot, SnapshotStore};
+    use crate::storage::{Fault, FaultStorage, OpKind, Storage};
+    use crate::trail;
+
+    const SIZE: usize = 6;
+    const TOL: f64 = 1e-6;
+
+    fn trail_path() -> PathBuf {
+        Path::new("state").join(TRAIL_FILE)
+    }
+
+    fn cfg() -> NetServeConfig {
+        static CALLS: AtomicU64 = AtomicU64::new(0);
+        let n = CALLS.fetch_add(1, Ordering::Relaxed);
+        let sock =
+            std::env::temp_dir().join(format!("fp16mg-reconcile-{}-{n}.sock", std::process::id()));
+        let mut cfg = NetServeConfig::new(Endpoint::Unix(sock), PathBuf::from("state"));
+        cfg.size = SIZE;
+        cfg.tol = TOL;
+        cfg.quiet = true;
+        cfg
+    }
+
+    /// One daemon life on `storage`: submits `keys` in order until one
+    /// fails, then asks for a drain. Returns the acks and the server's
+    /// report.
+    fn life(
+        storage: &FaultStorage,
+        keys: std::ops::Range<u64>,
+    ) -> (Vec<DoneReply>, NetServeReport) {
+        let cfg = cfg();
+        let mut client = Client::new(ClientConfig {
+            endpoint: cfg.endpoint.clone(),
+            max_attempts: 3,
+            backoff: Duration::from_millis(2),
+            deadlines: [Duration::from_secs(20); 3],
+            ..ClientConfig::default()
+        });
+        let backend: Arc<dyn Storage> = Arc::new(storage.clone());
+        let server = std::thread::spawn(move || serve_net(&cfg, backend));
+        let mut acks = Vec::new();
+        for key in keys {
+            let req =
+                SubmitRequest { key, size: SIZE as u32, tol: TOL, priority: priority_for(key) };
+            match client.submit(req) {
+                Ok(done) => acks.push(done),
+                Err(_) => break,
+            }
+        }
+        let _ = client.shutdown();
+        (acks, server.join().expect("server thread"))
+    }
+
+    fn durable_trail(storage: &FaultStorage) -> Vec<String> {
+        trail::complete_lines(&storage.peek_durable(&trail_path()).unwrap_or_default())
+    }
+
+    fn rewrite_trail(storage: &FaultStorage, lines: &[String]) {
+        let mut f = storage.create(&trail_path()).unwrap();
+        for line in lines {
+            f.write_all(format!("{line}\n").as_bytes()).unwrap();
+        }
+        f.fsync().unwrap();
+        storage.sync_dir(Path::new("state")).unwrap();
+    }
+
+    /// A storage image left by a power loss on the first checkpoint
+    /// operation after the trail append of seq `k`: the trail holds
+    /// `0..=k`, the newest snapshot says `seq = k`.
+    fn killed_between_append_and_checkpoint(k: u64) -> FaultStorage {
+        let clean = FaultStorage::new();
+        let (acks, report) = life(&clean, 0..k + 1);
+        assert_eq!((acks.len() as u64, report.violations.as_slice()), (k + 1, &[][..]));
+        let log = clean.op_log();
+        let appended = log
+            .iter()
+            .filter(|op| op.kind == OpKind::Fsync && op.path == trail_path())
+            .nth(k as usize)
+            .expect("one trail fsync per seq");
+        let checkpoint = log
+            .iter()
+            .find(|op| op.index > appended.index && op.kind == OpKind::Create)
+            .expect("a checkpoint follows every trail append");
+
+        let storage = FaultStorage::new();
+        storage.schedule(checkpoint.index, Fault::Crash);
+        let (acks, report) = life(&storage, 0..k + 1);
+        assert_eq!(acks.len() as u64, k, "seq {k} must not be acked: its checkpoint never landed");
+        assert!(
+            report.violations.iter().any(|v| v.starts_with(&format!("checkpoint seq={k}"))),
+            "{:?}",
+            report.violations
+        );
+        assert!(storage.crashed());
+        storage.power_loss();
+        assert_eq!(durable_trail(&storage).len() as u64, k + 1, "the append was fsynced");
+        storage
+    }
+
+    #[test]
+    fn trail_ahead_of_snapshot_is_replayed_without_a_second_line() {
+        // k = 2 was a warm cache hit in its first life and is a cold
+        // rebuild when replayed: only the decision field may be compared.
+        let storage = killed_between_append_and_checkpoint(2);
+        assert!(durable_trail(&storage)[2].ends_with("cache=hit"));
+        let before = durable_trail(&storage);
+
+        let (acks, report) = life(&storage, 2..5);
+        assert_eq!(report.violations, Vec::<String>::new());
+        assert!(report.restored && report.drained);
+        assert_eq!(report.counters.reconciled, 1);
+        assert_eq!(report.counters.duplicate_acks, 1);
+        assert_eq!(report.seq, 5);
+        let flags: Vec<(u64, bool)> = acks.iter().map(|a| (a.key, a.duplicate)).collect();
+        assert_eq!(flags, [(2, true), (3, false), (4, false)]);
+        // The duplicate is answered from the durable line, not re-derived.
+        assert!(before[2].contains(&format!(" outcome={} ", acks[0].outcome)));
+
+        let after = durable_trail(&storage);
+        assert_eq!(after[..3], before[..], "reconciliation never rewrites or re-appends");
+        let keys: Vec<u64> = after.iter().filter_map(|l| trail::key_of(l, "seq")).collect();
+        assert_eq!(keys, [0, 1, 2, 3, 4], "exactly one durable line per seq");
+    }
+
+    #[test]
+    fn altered_durable_decision_is_a_divergence_and_refuses_to_serve() {
+        let storage = killed_between_append_and_checkpoint(2);
+        let mut lines = durable_trail(&storage);
+        assert!(lines[2].contains(" outcome=ok "));
+        lines[2] = lines[2].replace(" outcome=ok ", " outcome=unconverged ");
+        rewrite_trail(&storage, &lines);
+
+        let (acks, report) = life(&storage, 2..3);
+        assert!(acks.is_empty(), "a refusing daemon acks nothing");
+        assert!(!report.drained);
+        assert!(
+            report.violations.iter().any(|v| v.contains("reconciliation divergence at seq=2")),
+            "{:?}",
+            report.violations
+        );
+        assert_eq!(durable_trail(&storage), lines, "refusal leaves the evidence untouched");
+    }
+
+    /// A drained three-request state to tamper with.
+    fn drained() -> (FaultStorage, Vec<String>) {
+        let storage = FaultStorage::new();
+        let (acks, report) = life(&storage, 0..3);
+        assert_eq!((acks.len(), report.drained, report.seq), (3, true, 3));
+        let lines = durable_trail(&storage);
+        assert_eq!(lines.len(), 3);
+        (storage, lines)
+    }
+
+    fn refusal(storage: &FaultStorage) -> String {
+        let (acks, report) = life(storage, 3..4);
+        assert!(acks.is_empty() && !report.drained, "{report:?}");
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        report.violations[0].clone()
+    }
+
+    #[test]
+    fn snapshot_ahead_of_the_durable_trail_refuses_to_serve() {
+        let (storage, lines) = drained();
+        rewrite_trail(&storage, &lines[..2]);
+        let why = refusal(&storage);
+        assert!(why.contains("snapshot seq=3 ahead of durable trail coverage 2"), "{why}");
+    }
+
+    #[test]
+    fn gapped_or_duplicated_trail_refuses_to_serve() {
+        for tampered in [&[0usize, 2][..], &[0, 1, 1], &[1, 2]] {
+            let (storage, lines) = drained();
+            let picked: Vec<String> = tampered.iter().map(|&i| lines[i].clone()).collect();
+            rewrite_trail(&storage, &picked);
+            let why = refusal(&storage);
+            assert!(why.contains("gaps or duplicate seqs"), "{tampered:?}: {why}");
+        }
+    }
+
+    #[test]
+    fn unparseable_trail_line_refuses_to_serve() {
+        let (storage, mut lines) = drained();
+        lines[1] = lines[1].replace(" breaker=", " fuse=");
+        rewrite_trail(&storage, &lines);
+        assert!(refusal(&storage).contains("unparseable trail line"));
+    }
+
+    #[test]
+    fn torn_final_record_is_truncated_counted_and_service_continues() {
+        let (storage, lines) = drained();
+        let mut f = storage.append(&trail_path()).unwrap();
+        f.write_all(b"seq=3 req=req-000").unwrap();
+        f.fsync().unwrap();
+        drop(f);
+
+        let (acks, report) = life(&storage, 3..5);
+        assert_eq!(report.violations, Vec::<String>::new());
+        assert_eq!(report.counters.wire_errors.get("torn-trail-truncated"), Some(&1));
+        assert_eq!(report.counters.reconciled, 0);
+        assert!(acks.iter().all(|a| !a.duplicate) && acks.len() == 2);
+        let after = durable_trail(&storage);
+        assert_eq!(after[..3], lines[..]);
+        let keys: Vec<u64> = after.iter().filter_map(|l| trail::key_of(l, "seq")).collect();
+        assert_eq!(keys, [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn submit_never_checkpoints_so_a_snapshot_cannot_lead_the_trail() {
+        // Every snapshot generation a run publishes carries a seq its
+        // trail already covered at publish time: in the op log, the
+        // k-th snapshot rename comes after the k-th trail fsync.
+        let storage = FaultStorage::new();
+        life(&storage, 0..4);
+        let (mut appended, mut published) = (0u64, 0u64);
+        for op in storage.op_log() {
+            match op.kind {
+                OpKind::Fsync if op.path == trail_path() => appended += 1,
+                OpKind::Rename => {
+                    published += 1;
+                    assert!(published <= appended + 1, "checkpoint {published} led the trail");
+                }
+                _ => {}
+            }
+        }
+        // Four per-request checkpoints plus the drain's.
+        assert_eq!((appended, published), (4, 5));
+        let store = SnapshotStore::new(Path::new("state").join(SNAPSHOT_FILE));
+        let newest = store
+            .recover(&storage, &DaemonSnapshot::decode)
+            .unwrap()
+            .candidates
+            .into_iter()
+            .map(|(_, s)| s.seq)
+            .max();
+        assert_eq!(newest, Some(4));
+    }
+
+    #[test]
+    fn trail_line_parser_round_trips_and_cuts_the_decision_field() {
+        let line = "seq=4 req=req-00004 class=default prio=batch profile=full \
+                    outcome=ok breaker=closed cache=hit";
+        assert_eq!(trail::key_of(line, "seq"), Some(4));
+        assert_eq!(
+            decision_field(line),
+            "seq=4 req=req-00004 class=default prio=batch profile=full outcome=ok breaker=closed"
+        );
+        assert_eq!(decision_field("step=1 no cache field"), "step=1 no cache field");
+    }
+
+    #[test]
+    fn wire_priority_follows_the_stream_function() {
+        use crate::admission::Priority;
+        use crate::serve::request_for;
+        use fp16mg_sgdia::kernels::Par;
+        for seq in 0..16 {
+            let interactive = request_for(seq, 4, 1e-6, Par::Seq).priority == Priority::Interactive;
+            assert_eq!(priority_for(seq) == 0, interactive, "seq {seq}");
+        }
     }
 }
