@@ -1,8 +1,9 @@
 //! Benches for a single V-cycle application per storage precision — the
 //! preconditioner-only speedup (the orange bars of Fig. 8, isolated from
 //! iteration-count effects), plus the setup-then-scale setup-phase
-//! overhead (the blue bars) and the matrix-free vector kernels a cycle
-//! and the Krylov loop around it are made of.
+//! overhead (the blue bars), the matrix-free vector kernels a cycle and
+//! the Krylov loop around it are made of, and the matrix kernels (sweep,
+//! SpMV, residual) of its finest level side by side.
 
 use fp16mg_bench::{Combo, Group};
 use fp16mg_core::{galerkin_rap, prolong_add, restrict, GalerkinChain, Mg, MgConfig};
@@ -11,6 +12,8 @@ use fp16mg_grid::Grid3;
 use fp16mg_krylov::{axpy, dot};
 use fp16mg_problems::ProblemKind;
 use fp16mg_sgdia::audit::{store_level, TruncationPolicy};
+use fp16mg_sgdia::kernels::{self, BlockDiagInv, Par};
+use fp16mg_sgdia::{Layout, SgDia};
 
 /// Grid transfers (f32, the V-cycle's precision) and Krylov BLAS-1 (f64)
 /// at n = 48, with GB/s computed from the array sizes each call must
@@ -66,6 +69,34 @@ fn bench_setup_kernels() {
     }
 }
 
+/// The four matrix kernels of a V-cycle on one operator, in one table:
+/// a Gauss–Seidel sweep streams the same planes as an SpMV, so the
+/// `gs-*` rows should sit within a small factor of the `spmv` row. GB/s
+/// from the matrix bytes plus the vectors each call must move.
+fn sweep_rows<S: fp16mg_fp::Storage, P: fp16mg_fp::Scalar>(label: &str, a: &SgDia<S>) {
+    let n = a.rows();
+    let dinv = BlockDiagInv::<P>::from_matrix(a).expect("regular diagonal");
+    let b: Vec<P> = (0..n).map(|i| P::from_f64(((i % 101) as f64) * 0.01 - 0.4)).collect();
+    let mut x = vec![P::ZERO; n];
+    let mut y = vec![P::ZERO; n];
+    let bytes = |vectors: usize| (a.value_bytes() + vectors * n * P::BYTES) as u64;
+    let group = |vectors| {
+        Group::new(format!("sweep/laplace27-n48/{label}")).throughput_bytes(bytes(vectors))
+    };
+    group(3).bench("gs-forward", || kernels::gs_forward(a, &dinv, &b, &mut x));
+    group(3).bench("gs-backward", || kernels::gs_backward(a, &dinv, &b, &mut x));
+    group(2).bench("spmv", || kernels::spmv(a, &x, &mut y, Par::Seq));
+    group(3).bench("residual", || kernels::residual(a, &b, &x, &mut y, Par::Seq));
+}
+
+/// Finest level of laplace27 n = 48 in the two storage precisions the
+/// repo benchmark compares (FP16 planes with f32 vectors, Full64).
+fn bench_sweep_kernels() {
+    let a64 = ProblemKind::Laplace27.build(48).matrix.to_layout(Layout::Soa);
+    sweep_rows::<F16, f32>("f16", &a64.convert::<F16>());
+    sweep_rows::<f64, f64>("f64", &a64);
+}
+
 fn bench_vcycle() {
     for kind in [ProblemKind::Laplace27, ProblemKind::Rhd, ProblemKind::Oil, ProblemKind::Weather] {
         let n = 24;
@@ -103,6 +134,7 @@ fn bench_setup() {
 
 fn main() {
     bench_vector_kernels();
+    bench_sweep_kernels();
     bench_setup_kernels();
     bench_vcycle();
     bench_setup();

@@ -177,6 +177,13 @@ fn sweep<Pr: Scalar>(
             // scratch = b - A x; x += ω D⁻¹ scratch.
             stored.residual(b, x, scratch, par);
             let w = Pr::from_f64(weight);
+            if let Some(di) = dinv.as_scalar() {
+                // Scalar PDE: one slice, so the loop vectorises.
+                for ((xi, &d), &ri) in x.iter_mut().zip(di).zip(scratch.iter()) {
+                    *xi += w * (d * ri);
+                }
+                return;
+            }
             let r = dinv.components();
             const MAX_BLOCK: usize = 8;
             let mut blk = [Pr::ZERO; MAX_BLOCK];
@@ -228,6 +235,13 @@ fn chebyshev_sweep<Pr: Scalar>(
 
     let rc = dinv.components();
     let apply_dinv = |src: &[Pr], dst: &mut [Pr]| {
+        if let Some(di) = dinv.as_scalar() {
+            // Scalar PDE: one slice, so the loop vectorises.
+            for ((o, &d), &v) in dst.iter_mut().zip(di).zip(src) {
+                *o = d * v;
+            }
+            return;
+        }
         for cell in 0..dinv.cells() {
             dinv.solve(
                 cell,

@@ -404,3 +404,107 @@ fn slice_conversions_match_scalar() {
     check_format::<f64>(&src);
     assert_eq!(<F16 as Storage>::PRECISION, Precision::F16);
 }
+
+/// `.mul_add(` call sites of one source file that are not inside a
+/// function carrying `#[target_feature(enable = "…fma…")]`, as
+/// `line number: text`. Test code (a `tests.rs`, or what follows a
+/// `#[cfg(test)]`) is not the caller's to pass in. A lexical scan: it
+/// tracks brace depth to know which `fn` a line belongs to, which is all
+/// the kernel sources need.
+fn unfused_mul_add_sites(src: &str) -> Vec<String> {
+    // Open functions as (brace depth at the `fn`, body entered, has fma).
+    let mut fns: Vec<(usize, bool, bool)> = Vec::new();
+    let (mut depth, mut pending_fma) = (0usize, false);
+    let mut sites = Vec::new();
+    for (n, raw) in src.lines().enumerate() {
+        let line = raw.split("//").next().unwrap_or("").trim();
+        if line.starts_with("#[cfg(test)]") {
+            break;
+        }
+        if line.starts_with("#[target_feature") {
+            pending_fma = line.contains("fma");
+        }
+        let is_fn = line.split(|c: char| !c.is_alphanumeric() && c != '_').any(|w| w == "fn");
+        if is_fn && line.contains('(') {
+            fns.push((depth, false, pending_fma));
+            pending_fma = false;
+        }
+        if line.contains(".mul_add(") && !fns.last().is_some_and(|f| f.2) {
+            sites.push(format!("{}: {}", n + 1, raw.trim()));
+        }
+        depth += line.matches('{').count();
+        depth = depth.saturating_sub(line.matches('}').count());
+        if let Some(f) = fns.last_mut() {
+            f.1 |= depth > f.0;
+            // Body closed, or a bodiless declaration ended.
+            if depth <= f.0 && (f.1 || line.ends_with(';')) {
+                fns.pop();
+            }
+        }
+    }
+    sites
+}
+
+#[test]
+fn mul_add_scanner_sees_through_nesting() {
+    let src = r#"
+        fn plain(a: f32) -> f32 { a.mul_add(a, a) }
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn fused(a: f32) -> f32 {
+            #[inline(always)]
+            fn helper(a: f32) -> f32 {
+                a.mul_add(a, a)
+            }
+            // a.mul_add(in, comment)
+            helper(a).mul_add(a, a)
+        }
+        trait T { fn decl(self) -> Self; }
+        #[target_feature(enable = "f16c")]
+        unsafe fn no_fma(a: f32) -> f32 {
+            a.mul_add(a, a)
+        }
+        #[cfg(test)]
+        fn t(a: f32) -> f32 { a.mul_add(a, a) }
+    "#;
+    let lines: Vec<String> = unfused_mul_add_sites(src)
+        .iter()
+        .map(|s| s.split(':').next().expect("line number").to_string())
+        .collect();
+    // `plain`, the nested `helper` (a function of its own) and `no_fma`;
+    // not the call in `fused` after `helper` closed, the comment, or the
+    // test code.
+    assert_eq!(lines, ["2", "7", "15"]);
+}
+
+/// The rule of [`Scalar::mul_add`]'s doc comment, for the three crates
+/// whose loops are hot.
+#[test]
+fn mul_add_only_under_target_feature_fma() {
+    fn visit(dir: &std::path::Path, out: &mut Vec<String>) {
+        let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+        for entry in entries {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                visit(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs")
+                && !path.ends_with("tests.rs")
+                && !path.ends_with("sgdia/src/csr.rs")
+            {
+                let src = std::fs::read_to_string(&path).expect("readable source");
+                let sites = unfused_mul_add_sites(&src);
+                out.extend(sites.iter().map(|s| format!("{}:{s}", path.display())));
+            }
+        }
+    }
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("crates/");
+    let mut sites = Vec::new();
+    for name in ["sgdia", "core", "krylov"] {
+        visit(&crates.join(name).join("src"), &mut sites);
+    }
+    assert!(
+        sites.is_empty(),
+        "`.mul_add(` outside a #[target_feature(enable = \"…fma…\")] function calls libm's fma \
+         per element (see Scalar::mul_add); write `a * b + c`:\n{}",
+        sites.join("\n")
+    );
+}

@@ -65,6 +65,12 @@ pub trait Scalar:
     /// through the PLT — several times the cost of `self * a + b` and a
     /// barrier to vectorising the loop around it. Vector kernels write the
     /// plain form.
+    ///
+    /// The rule is enforced: the test `mul_add_only_under_target_feature_fma`
+    /// scans the non-test sources of `sgdia`, `core` and `krylov` and fails
+    /// on a `.mul_add(` whose enclosing function does not carry that
+    /// attribute (`sgdia::csr`, the reference the kernels are tested
+    /// against, is the one allowlisted file).
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// True if the value is finite (not ±∞, not NaN).
     fn is_finite(self) -> bool;

@@ -103,7 +103,7 @@ impl<P: Scalar> BlockDiagInv<P> {
         for i in 0..r {
             let mut acc = P::ZERO;
             for j in 0..r {
-                acc = blk[i * r + j].mul_add(rhs[j], acc);
+                acc += blk[i * r + j] * rhs[j];
             }
             out[i] = acc;
         }

@@ -11,17 +11,21 @@
 //! inverse comes precomputed in the computation precision (see
 //! [`BlockDiagInv`]).
 //!
-//! Scalar SOA matrices take the *staged* path: each x-line of
-//! coefficients is bulk-converted (SIMD F16C for FP16, `memcpy` for
-//! same-precision) into a small scratch buffer before the recurrence —
-//! the §5.1 conversion-amortization scheme, which also turns the strided
-//! SOA streams into sequential reads for every precision.
+//! Within an x-line only taps pointing *against* the sweep direction read
+//! values the line is still producing; every other coupling reads either
+//! an earlier line (already updated) or a not-yet-touched value, so it
+//! can be accumulated for the whole line at once. Scalar SOA matrices
+//! hand that split to the register-accumulating line kernel
+//! ([`super::line`]); vector PDEs take the *staged* path, which
+//! bulk-widens each x-line of coefficients into scratch first and solves
+//! the diagonal block per cell; AOS data is swept cell by cell.
 
 use fp16mg_fp::{Scalar, Storage};
 use fp16mg_grid::Grid3;
 
+use super::line::{Diag, LineSweep};
 use super::{
-    widen_line, with_bufs, with_idx4, with_tap_metas, BlockDiagInv, TapMeta, MAX_COMPONENTS,
+    widen_line, with_bufs, with_idx2, with_tap_metas, BlockDiagInv, TapMeta, Tier, MAX_COMPONENTS,
 };
 use crate::{Layout, SgDia};
 
@@ -35,7 +39,7 @@ pub fn gs_forward<S: Storage, P: Scalar>(
     b: &[P],
     x: &mut [P],
 ) {
-    sweep(a, dinv, b, x, false);
+    sweep(a, dinv, b, x, false, Tier::Simd);
 }
 
 /// One backward Gauss–Seidel sweep: cells in decreasing row-major order
@@ -49,15 +53,18 @@ pub fn gs_backward<S: Storage, P: Scalar>(
     b: &[P],
     x: &mut [P],
 ) {
-    sweep(a, dinv, b, x, true);
+    sweep(a, dinv, b, x, true, Tier::Simd);
 }
 
-fn sweep<S: Storage, P: Scalar>(
+/// One sweep in either direction. `tier` is [`Tier::Simd`] everywhere but
+/// in the differential tests.
+pub(crate) fn sweep<S: Storage, P: Scalar>(
     a: &SgDia<S>,
     dinv: &BlockDiagInv<P>,
     b: &[P],
     x: &mut [P],
     backward: bool,
+    tier: Tier,
 ) {
     let grid = a.grid();
     let cells = grid.cells();
@@ -68,11 +75,28 @@ fn sweep<S: Storage, P: Scalar>(
     assert_eq!(dinv.components(), r, "dinv components");
     assert_eq!(dinv.cells(), cells, "dinv cells");
     with_tap_metas(grid, a.pattern(), |metas| {
-        if a.layout() == Layout::Soa {
-            sweep_staged(grid, metas, a.data(), dinv, b, x, backward);
+        if a.layout() != Layout::Soa {
+            sweep_aos(a, metas, dinv, b, x, backward);
             return;
         }
-        sweep_aos(a, metas, dinv, b, x, backward);
+        with_idx2(|bulk, rec| {
+            // The center block is applied through its precomputed inverse.
+            for (t, m) in metas.iter().enumerate().filter(|(_, m)| !m.center) {
+                if m.in_line && (m.cell_stride > 0) == backward {
+                    rec.push((t, m.cell_stride));
+                } else {
+                    bulk.push((t, m.cell_stride));
+                }
+            }
+            if let (Some(di), true) = (dinv.as_scalar(), tier != Tier::Staged) {
+                let diag = Diag::Inv(di);
+                if let Some(k) = LineSweep::new(grid.nx, a.data(), bulk, rec, diag, b, backward) {
+                    k.run_with(x, tier == Tier::Simd);
+                    return;
+                }
+            }
+            sweep_staged(grid, metas, a.data(), bulk, rec, dinv, b, x, backward);
+        });
     });
 }
 
@@ -103,7 +127,7 @@ fn sweep_aos<S: Storage, P: Scalar>(
                 continue;
             }
             let av = P::from_f64(a.get(cell, t).load_f64());
-            acc[m.cout] = (-av).mul_add(x[nb as usize * r + m.cin], acc[m.cout]);
+            acc[m.cout] -= av * x[nb as usize * r + m.cin];
         }
         dinv.solve(cell, &acc[..r], &mut xb[..r]);
         x[cell * r..cell * r + r].copy_from_slice(&xb[..r]);
@@ -111,14 +135,16 @@ fn sweep_aos<S: Storage, P: Scalar>(
 }
 
 /// Staged SOA sweep (any component count): per x-line bulk conversion
-/// into scratch, vectorizable bulk accumulation of every coupling that
-/// does not participate in the sweep's dependency chain, then a short
-/// scalar recurrence over the remaining within-line taps plus the
-/// diagonal-block solve.
+/// into scratch, vectorizable accumulation of the `bulk` couplings from
+/// the pre-sweep state of the line, then a scalar pass over the `rec`
+/// couplings plus the diagonal-block solve per cell.
+#[allow(clippy::too_many_arguments)] // internal dispatch: full kernel context
 fn sweep_staged<S: Storage, P: Scalar>(
     grid: &Grid3,
     metas: &[TapMeta],
     data: &[S],
+    bulk: &[(usize, i64)],
+    rec: &[(usize, i64)],
     dinv: &BlockDiagInv<P>,
     b: &[P],
     x: &mut [P],
@@ -133,109 +159,42 @@ fn sweep_staged<S: Storage, P: Scalar>(
         let (scratch, acc) = bufs.zeroed2(taps * nx, nx * r);
         let mut blk_in = [P::ZERO; MAX_COMPONENTS];
         let mut blk_out = [P::ZERO; MAX_COMPONENTS];
-        // Gauss–Seidel semantics: within a line, only taps pointing *against*
-        // the sweep direction read values updated during this line — those
-        // stay in the recurrence. Everything else reads either earlier lines
-        // (already updated) or not-yet-touched values, so it can be
-        // bulk-accumulated from the pre-sweep state of the line. The center
-        // block is applied through its precomputed inverse.
-        with_idx4(|bulk, rec| {
-            for (t, m) in metas.iter().enumerate() {
-                if m.center {
-                    continue;
-                }
-                let item = (t, m.cell_stride, m.cout, m.cin);
-                if m.in_line
-                    && ((!backward && m.cell_stride < 0) || (backward && m.cell_stride > 0))
-                {
-                    rec.push(item);
-                } else {
-                    bulk.push(item);
+        for lstep in 0..nlines {
+            let line = if backward { nlines - 1 - lstep } else { lstep };
+            let lbase = line * nx;
+            for t in 0..taps {
+                widen_line(
+                    &data[t * cells + lbase..t * cells + lbase + nx],
+                    &mut scratch[t * nx..(t + 1) * nx],
+                );
+            }
+            acc[..nx * r].copy_from_slice(&b[lbase * r..(lbase + nx) * r]);
+            for &(t, cstride) in bulk {
+                let (cout, cin) = (metas[t].cout, metas[t].cin);
+                let xoff = lbase as i64 + cstride;
+                let lo = (-xoff).clamp(0, nx as i64) as usize;
+                let hi = (cells as i64 - xoff).clamp(lo as i64, nx as i64) as usize;
+                for i in lo..hi {
+                    let xv = x[(xoff + i as i64) as usize * r + cin];
+                    acc[i * r + cout] -= scratch[t * nx + i] * xv;
                 }
             }
-
-            for lstep in 0..nlines {
-                let line = if backward { nlines - 1 - lstep } else { lstep };
-                let lbase = line * nx;
-                for t in 0..taps {
-                    widen_line(
-                        &data[t * cells + lbase..t * cells + lbase + nx],
-                        &mut scratch[t * nx..(t + 1) * nx],
-                    );
+            for istep in 0..nx {
+                let i = if backward { nx - 1 - istep } else { istep };
+                let cell = lbase + i;
+                for c in 0..r {
+                    blk_in[c] = acc[i * r + c];
                 }
-                acc[..nx * r].copy_from_slice(&b[lbase * r..(lbase + nx) * r]);
-                for &(t, cstride, cout, cin) in bulk.iter() {
-                    let xoff = lbase as i64 + cstride;
-                    let lo = (-xoff).clamp(0, nx as i64) as usize;
-                    let hi = (cells as i64 - xoff).clamp(lo as i64, nx as i64) as usize;
-                    if r == 1 {
-                        super::line_bulk_sub(
-                            &mut acc[..nx],
-                            &scratch[t * nx..(t + 1) * nx],
-                            x,
-                            xoff,
-                            cells,
-                        );
-                    } else {
-                        for i in lo..hi {
-                            let xv = x[(xoff + i as i64) as usize * r + cin];
-                            acc[i * r + cout] -= scratch[t * nx + i] * xv;
-                        }
+                for &(t, cstride) in rec {
+                    let nb = cell as i64 + cstride;
+                    if nb >= 0 && nb < cells as i64 {
+                        let xv = x[nb as usize * r + metas[t].cin];
+                        blk_in[metas[t].cout] -= scratch[t * nx + i] * xv;
                     }
                 }
-                // Scalar recurrence + diagonal-block solve. For scalar radius-1
-                // patterns there is exactly one within-line tap against the sweep
-                // direction, so the recurrence reduces to
-                // `x[i] = fma(d[i], x[i-1], c[i])` with `c = D⁻¹·acc` and
-                // `d = -D⁻¹·a_w` precomputed vectorized — one fused-multiply-add
-                // of latency on the dependency chain per cell.
-                if r == 1 && rec.len() == 1 {
-                    // r == 1 above guarantees the scalar representation exists.
-                    let di = dinv.as_scalar().expect("scalar dinv when r == 1");
-                    let (t, cstride, _, _) = rec[0];
-                    // c[i] = D⁻¹·acc reuses acc; d[i] = −D⁻¹·a_w overwrites the
-                    // tap's scratch row (its raw values are no longer needed).
-                    {
-                        let drow = &mut scratch[t * nx..(t + 1) * nx];
-                        for i in 0..nx {
-                            let dv = di[lbase + i];
-                            acc[i] *= dv;
-                            drow[i] = -(dv * drow[i]);
-                        }
-                    }
-                    if backward {
-                        for i in (0..nx).rev() {
-                            let cell = lbase + i;
-                            let nb = cell as i64 + cstride;
-                            let prev = if nb < cells as i64 { x[nb as usize] } else { P::ZERO };
-                            x[cell] = scratch[t * nx + i].mul_add(prev, acc[i]);
-                        }
-                    } else {
-                        for i in 0..nx {
-                            let cell = lbase + i;
-                            let nb = cell as i64 + cstride;
-                            let prev = if nb >= 0 { x[nb as usize] } else { P::ZERO };
-                            x[cell] = scratch[t * nx + i].mul_add(prev, acc[i]);
-                        }
-                    }
-                    continue;
-                }
-                for istep in 0..nx {
-                    let i = if backward { nx - 1 - istep } else { istep };
-                    let cell = lbase + i;
-                    for c in 0..r {
-                        blk_in[c] = acc[i * r + c];
-                    }
-                    for &(t, cstride, cout, cin) in rec.iter() {
-                        let nb = cell as i64 + cstride;
-                        if nb >= 0 && nb < cells as i64 {
-                            blk_in[cout] -= scratch[t * nx + i] * x[nb as usize * r + cin];
-                        }
-                    }
-                    dinv.solve(cell, &blk_in[..r], &mut blk_out[..r]);
-                    x[cell * r..(cell + 1) * r].copy_from_slice(&blk_out[..r]);
-                }
+                dinv.solve(cell, &blk_in[..r], &mut blk_out[..r]);
+                x[cell * r..(cell + 1) * r].copy_from_slice(&blk_out[..r]);
             }
-        });
+        }
     });
 }

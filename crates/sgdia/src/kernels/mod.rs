@@ -15,26 +15,59 @@
 //!   `S = F16, P = f32`, scalar problems, SOA layout on capable CPUs);
 //!   an AVX2 path covers the full-FP32 baseline so the comparison is
 //!   apples-to-apples.
-//! * **staged** — for the inherently sequential triangular solves
-//!   ([`sptrsv`]), each x-line of coefficients is bulk-converted into a
-//!   small stack scratch first, amortizing the convert exactly like the
-//!   paper's SpTRSV treatment, then the recurrence runs in scalar f32.
+//! * **line** — the inherently sequential sweeps ([`gs_forward`],
+//!   [`sptrsv_forward`] and their backward twins) on scalar SOA data run
+//!   one x-line at a time through `line`: every coupling outside the
+//!   line's dependency chain is accumulated in registers a SIMD vector at
+//!   a time with the same convert-per-vector inner loop as the SIMD SpMV
+//!   (the paper's SpTRSV treatment), which leaves a first-order
+//!   recurrence of one hardware FMA per cell. One body, instantiated for
+//!   `(F16, f32)`, `(f32, f32)` and `(f64, f64)` on AVX2 and portably for
+//!   every other pair, so a sweep costs about what an SpMV over the same
+//!   bytes does in every precision.
+//! * **staged** — what is left for vector PDEs (SpMV, residual and block
+//!   Gauss–Seidel with `components > 1`) and for SOA pairs without a SIMD
+//!   SpMV: each x-line of coefficients is bulk-converted into a pooled
+//!   scratch first, amortizing the convert, then tap-by-tap loops run in
+//!   the computation precision.
 
 mod diag;
 mod gs;
+mod line;
 mod scratch;
 mod spmv;
 mod sptrsv;
 
 pub use diag::BlockDiagInv;
+#[cfg(test)]
+pub(crate) use gs::sweep as gs_sweep;
 pub use gs::{gs_backward, gs_forward};
-pub(crate) use scratch::{with_bufs, with_idx2, with_idx4, with_tap_metas};
+pub(crate) use scratch::{with_bufs, with_idx2, with_tap_metas};
 pub use spmv::{residual, spmv, spmv_axpy};
+#[cfg(test)]
+pub(crate) use sptrsv::solve as sptrsv_solve;
 pub use sptrsv::{sptrsv_backward, sptrsv_forward, sptrsv_forward_wavefront};
 
 pub use crate::par::Par;
 use fp16mg_grid::Grid3;
 use fp16mg_stencil::Pattern;
+
+/// Which implementation a scalar SOA sweep takes. Every caller outside the
+/// tests passes `Simd`; the others let the differential tests hold the
+/// tiers against each other.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) enum Tier {
+    /// The line kernel, AVX instantiation where the CPU and type pair
+    /// have one.
+    Simd,
+    /// The line kernel, portable instantiation.
+    Portable,
+    /// The widen-to-scratch Gauss–Seidel loop the line kernel replaced for
+    /// scalar problems (still the vector-PDE path); the per-entry generic
+    /// solve for the triangular solves.
+    Staged,
+}
 
 /// Per-tap metadata resolved once per kernel invocation.
 #[derive(Clone, Copy, Debug)]
@@ -135,8 +168,8 @@ pub fn simd_available() -> bool {
 /// Widens one contiguous segment of stored values into the computation
 /// precision, choosing the fastest available path: SIMD F16C for
 /// `F16 → f32`, `memcpy` when the types coincide, per-element conversion
-/// otherwise. This is the staging primitive of the optimized triangular
-/// solves and smoother sweeps (§5.1's conversion amortization).
+/// otherwise. This is the staging primitive of the staged kernels (§5.1's
+/// conversion amortization).
 #[inline]
 pub fn widen_line<S: fp16mg_fp::Storage, P: fp16mg_fp::Scalar>(src: &[S], dst: &mut [P]) {
     use fp16mg_fp::{simd, F16};
@@ -151,29 +184,5 @@ pub fn widen_line<S: fp16mg_fp::Storage, P: fp16mg_fp::Scalar>(src: &[S], dst: &
     }
     for (d, s) in dst.iter_mut().zip(src) {
         *d = P::from_f64(s.load_f64());
-    }
-}
-
-/// `acc[i] -= coeff[i] * x[xbase + i]` over the valid sub-range of a line
-/// (`0 <= xbase + i < cells`). No loop-carried dependence: the compiler
-/// auto-vectorizes this, which is what makes the bulk-accumulation phase
-/// of the line-based sweeps bandwidth-bound rather than latency-bound.
-#[inline]
-pub(crate) fn line_bulk_sub<P: fp16mg_fp::Scalar>(
-    acc: &mut [P],
-    coeff: &[P],
-    x: &[P],
-    xbase: i64,
-    cells: usize,
-) {
-    let nx = acc.len() as i64;
-    let lo = (-xbase).clamp(0, nx) as usize;
-    let hi = (cells as i64 - xbase).clamp(lo as i64, nx) as usize;
-    if lo >= hi {
-        return;
-    }
-    let xs = &x[(xbase + lo as i64) as usize..][..hi - lo];
-    for ((a, &c), &xv) in acc[lo..hi].iter_mut().zip(&coeff[lo..hi]).zip(xs) {
-        *a -= c * xv;
     }
 }

@@ -1,8 +1,9 @@
 //! Thread-local kernel scratch pool.
 //!
-//! The staged kernels need a handful of per-invocation buffers: the tap
-//! metadata table, the per-line widened-coefficient scratch, the line
-//! accumulator, and small tap-classification index lists. Allocating them
+//! The kernels need a handful of per-invocation buffers: the tap
+//! metadata table, the staged kernels' per-line widened-coefficient
+//! scratch and line accumulator, the line kernel's two `nx`-long rows,
+//! and small tap-classification index lists. Allocating them
 //! on every sweep breaks the memory-resilience contract's steady-state
 //! clause (a V-cycle must be allocation-free after setup), so each worker
 //! thread keeps one reusable copy of each buffer here and kernels *rent*
@@ -13,8 +14,8 @@
 //! after): a re-entrant kernel call on the same thread simply finds an
 //! empty slot and falls back to a fresh allocation instead of panicking
 //! on a double borrow. The pools grow to the largest working set a thread
-//! has seen (finest-level `taps × nx` line scratch) and are reclaimed
-//! when the thread exits; under [`crate::par::Par::Seq`] — the mode the
+//! has seen (`taps × nx` line scratch where a staged kernel ran, `2 nx`
+//! otherwise) and are reclaimed when the thread exits; under [`crate::par::Par::Seq`] — the mode the
 //! zero-allocation gate measures — everything runs on the calling thread
 //! and the pool is warm after the first application.
 //!
@@ -33,18 +34,17 @@ use fp16mg_stencil::Pattern;
 
 use super::{fill_tap_metas, TapMeta};
 
-/// The computation-precision buffers a staged kernel may rent: line
-/// scratch (`s1`), line accumulator (`s2`), and staged diagonal
-/// reciprocals (`s3`, triangular solves only).
+/// The computation-precision buffers a kernel may rent: the staged
+/// kernels' line scratch (`s1`) and line accumulator (`s2`), or the line
+/// kernel's `c` and `d` rows.
 pub(crate) struct KernelBufs<P> {
     s1: Vec<P>,
     s2: Vec<P>,
-    s3: Vec<P>,
 }
 
 impl<P> KernelBufs<P> {
     const fn new() -> Self {
-        KernelBufs { s1: Vec::new(), s2: Vec::new(), s3: Vec::new() }
+        KernelBufs { s1: Vec::new(), s2: Vec::new() }
     }
 }
 
@@ -63,19 +63,9 @@ fn zeroed<P: Scalar>(v: &mut Vec<P>, n: usize) -> &mut [P] {
 }
 
 impl<P: Scalar> KernelBufs<P> {
-    /// Rents two zeroed buffers (scratch + accumulator).
+    /// Rents two zeroed buffers.
     pub(crate) fn zeroed2(&mut self, n1: usize, n2: usize) -> (&mut [P], &mut [P]) {
         (zeroed(&mut self.s1, n1), zeroed(&mut self.s2, n2))
-    }
-
-    /// Rents three zeroed buffers (scratch + accumulator + reciprocals).
-    pub(crate) fn zeroed3(
-        &mut self,
-        n1: usize,
-        n2: usize,
-        n3: usize,
-    ) -> (&mut [P], &mut [P], &mut [P]) {
-        (zeroed(&mut self.s1, n1), zeroed(&mut self.s2, n2), zeroed(&mut self.s3, n3))
     }
 }
 
@@ -92,17 +82,14 @@ fn cast_bufs_mut<A: 'static, B: 'static>(b: &mut KernelBufs<A>) -> Option<&mut K
     }
 }
 
-/// A `(tap, stride)` entry of the triangular solves' index split.
+/// A `(tap, stride)` entry of the sweeps' bulk / recurrence tap split.
 type Idx2 = (usize, i64);
-/// A `(tap, stride, cout, cin)` entry of the Gauss–Seidel index split.
-type Idx4 = (usize, i64, usize, usize);
 
 thread_local! {
     static BUFS_F32: RefCell<KernelBufs<f32>> = const { RefCell::new(KernelBufs::new()) };
     static BUFS_F64: RefCell<KernelBufs<f64>> = const { RefCell::new(KernelBufs::new()) };
     static METAS: RefCell<Vec<TapMeta>> = const { RefCell::new(Vec::new()) };
     static IDX2: RefCell<(Vec<Idx2>, Vec<Idx2>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-    static IDX4: RefCell<(Vec<Idx4>, Vec<Idx4>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Runs `f` with this thread's pooled buffers for computation precision
@@ -130,7 +117,7 @@ pub(crate) fn with_bufs<P: Scalar, R>(f: impl FnOnce(&mut KernelBufs<P>) -> R) -
 
 /// Resolves the tap metadata table into this thread's pooled vector and
 /// runs `f` with it. The slice stays valid across nested [`with_bufs`] /
-/// [`with_idx2`] / [`with_idx4`] rentals (separate slots) and across the
+/// [`with_idx2`] rentals (separate slots) and across the
 /// scoped-thread parallel regions (worker closures rent from their own
 /// threads' pools).
 pub(crate) fn with_tap_metas<R>(
@@ -148,26 +135,12 @@ pub(crate) fn with_tap_metas<R>(
 }
 
 /// Runs `f` with this thread's pooled pair of `(tap, stride)` index lists
-/// (cleared), used by the triangular solves' bulk/recurrence split.
+/// (cleared), used by the Gauss–Seidel sweeps' and triangular solves'
+/// bulk/recurrence split.
 pub(crate) fn with_idx2<R>(
     f: impl FnOnce(&mut Vec<(usize, i64)>, &mut Vec<(usize, i64)>) -> R,
 ) -> R {
     IDX2.with(|slot| {
-        let (mut a, mut b) = mem::take(&mut *slot.borrow_mut());
-        a.clear();
-        b.clear();
-        let r = f(&mut a, &mut b);
-        *slot.borrow_mut() = (a, b);
-        r
-    })
-}
-
-/// Runs `f` with this thread's pooled pair of `(tap, stride, cout, cin)`
-/// index lists (cleared), used by the Gauss–Seidel bulk/recurrence split.
-pub(crate) fn with_idx4<R>(
-    f: impl FnOnce(&mut Vec<(usize, i64, usize, usize)>, &mut Vec<(usize, i64, usize, usize)>) -> R,
-) -> R {
-    IDX4.with(|slot| {
         let (mut a, mut b) = mem::take(&mut *slot.borrow_mut());
         a.clear();
         b.clear();

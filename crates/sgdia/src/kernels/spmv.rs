@@ -200,8 +200,7 @@ fn staged_range<S: Storage, P: Scalar>(
                 let (cout, cin) = (m.cout, m.cin);
                 for i in lo..hi {
                     let xv = x[(xoff + i as i64) as usize * r + cin];
-                    let av = scratch[t * nx + (i - i0)];
-                    acc[(i - i0) * r + cout] = av.mul_add(xv, acc[(i - i0) * r + cout]);
+                    acc[(i - i0) * r + cout] += scratch[t * nx + (i - i0)] * xv;
                 }
             }
             let out0 = (lbase + i0 - base) * r;
@@ -352,7 +351,7 @@ fn scalar_f64_edge(
             if nb < 0 || nb >= cells as i64 {
                 continue;
             }
-            acc = data[t * cells + cell].mul_add(x[nb as usize], acc);
+            acc += data[t * cells + cell] * x[nb as usize];
         }
         ychunk[cell - base] = match b {
             Some(bb) => bb[cell] - acc,
@@ -386,7 +385,7 @@ fn generic_range<S: Storage, P: Scalar>(
                 continue;
             }
             let av = P::from_f64(a.get(cell, t).load_f64());
-            acc[m.cout] = av.mul_add(x[nb as usize * r + m.cin], acc[m.cout]);
+            acc[m.cout] += av * x[nb as usize * r + m.cin];
         }
         let out = (cell - base) * r;
         match mode {
@@ -488,7 +487,7 @@ fn scalar_f16_edge(
             if nb < 0 || nb >= cells as i64 {
                 continue;
             }
-            acc = data[t * cells + cell].to_f32().mul_add(x[nb as usize], acc);
+            acc += data[t * cells + cell].to_f32() * x[nb as usize];
         }
         ychunk[cell - base] = match b {
             Some(bb) => bb[cell] - acc,
@@ -576,7 +575,7 @@ fn scalar_f32_edge(
             if nb < 0 || nb >= cells as i64 {
                 continue;
             }
-            acc = data[t * cells + cell].mul_add(x[nb as usize], acc);
+            acc += data[t * cells + cell] * x[nb as usize];
         }
         ychunk[cell - base] = match b {
             Some(bb) => bb[cell] - acc,

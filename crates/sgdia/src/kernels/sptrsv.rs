@@ -6,10 +6,11 @@
 //! or their transposes for the backward solve.
 //!
 //! Implementations mirror Fig. 7:
-//! * the **staged** solve on scalar SOA data, which bulk-converts each
-//!   x-line of coefficients before running the recurrence (SIMD F16C for
-//!   FP16 — the optimized kernel; `memcpy` staging keeps the FP32
-//!   baseline on the same code quality);
+//! * the **line** solve on scalar SOA data ([`super::line`]): off-line
+//!   couplings accumulated in registers a SIMD vector at a time (one
+//!   F16C convert per vector for FP16 — the optimized kernel; a plain
+//!   load keeps the FP32 baseline on the same code quality), then the
+//!   first-order recurrence along the line;
 //! * the **naive** AOS FP16 solve with one scalar hardware convert per
 //!   entry (the variant whose conversion overhead degrades throughput);
 //! * the **generic** per-entry solve for vector PDEs and odd layouts;
@@ -17,11 +18,11 @@
 //!   hyperplanes (the "sophisticated parallel strategy" of §5.1).
 
 use fp16mg_fp::{Scalar, Storage, F16};
-use fp16mg_grid::{Grid3, Wavefronts};
+use fp16mg_grid::Wavefronts;
 
+use super::line::{Diag, LineSweep};
 use super::{
-    cast_slice, cast_slice_mut, widen_line, with_bufs, with_idx2, with_tap_metas, Par, TapMeta,
-    MAX_COMPONENTS,
+    cast_slice, cast_slice_mut, with_idx2, with_tap_metas, Par, TapMeta, Tier, MAX_COMPONENTS,
 };
 use crate::{Layout, SgDia};
 
@@ -36,7 +37,7 @@ pub fn sptrsv_forward<S: Storage, P: Scalar>(l: &SgDia<S>, b: &[P], x: &mut [P])
         l.pattern().taps().iter().all(|t| t.spatial_sign() <= 0),
         "sptrsv_forward requires a lower-triangular pattern"
     );
-    solve(l, b, x, false);
+    solve(l, b, x, false, Tier::Simd);
 }
 
 /// Solves `U x = b` with `U` upper triangular (taps with row-major sign
@@ -50,10 +51,19 @@ pub fn sptrsv_backward<S: Storage, P: Scalar>(u: &SgDia<S>, b: &[P], x: &mut [P]
         u.pattern().taps().iter().all(|t| t.spatial_sign() >= 0),
         "sptrsv_backward requires an upper-triangular pattern"
     );
-    solve(u, b, x, true);
+    solve(u, b, x, true, Tier::Simd);
 }
 
-fn solve<S: Storage, P: Scalar>(a: &SgDia<S>, b: &[P], x: &mut [P], backward: bool) {
+/// One solve in either direction, without the triangularity check.
+/// `tier` is [`Tier::Simd`] everywhere but in the differential tests
+/// ([`Tier::Staged`] there means the generic per-entry solve).
+pub(crate) fn solve<S: Storage, P: Scalar>(
+    a: &SgDia<S>,
+    b: &[P],
+    x: &mut [P],
+    backward: bool,
+    tier: Tier,
+) {
     let grid = a.grid();
     let cells = grid.cells();
     let r = grid.components;
@@ -62,13 +72,15 @@ fn solve<S: Storage, P: Scalar>(a: &SgDia<S>, b: &[P], x: &mut [P], backward: bo
     assert_eq!(x.len(), cells * r, "x length");
     with_tap_metas(grid, a.pattern(), |metas| {
         if r == 1 {
-            if a.layout() == Layout::Soa {
-                solve_staged(grid, metas, a.data(), b, x, backward);
+            if a.layout() == Layout::Soa
+                && tier != Tier::Staged
+                && solve_lines(a, metas, b, x, backward, tier == Tier::Simd)
+            {
                 return;
             }
             // Naive AOS FP16: scalar hardware convert per entry.
             #[cfg(target_arch = "x86_64")]
-            if super::simd_available() {
+            if a.layout() == Layout::Aos && super::simd_available() {
                 if let (Some(d16), Some(b32), Some(x32)) = (
                     cast_slice::<S, F16>(a.data()),
                     cast_slice::<P, f32>(b),
@@ -115,7 +127,7 @@ fn solve_generic<S: Storage, P: Scalar>(
             if nb < 0 || nb >= cells as i64 {
                 continue;
             }
-            acc[m.cout] = (-av).mul_add(x[nb as usize * r + m.cin], acc[m.cout]);
+            acc[m.cout] -= av * x[nb as usize * r + m.cin];
         }
         solve_block(&diag, &mut acc, r);
         x[cell * r..cell * r + r].copy_from_slice(&acc[..r]);
@@ -167,123 +179,37 @@ fn solve_block<P: Scalar>(
     }
 }
 
-/// Staged scalar SOA solve: per x-line bulk conversion, vectorized bulk
-/// accumulation of the off-line couplings (whose sources are fully
-/// solved lines), reciprocal staging of the diagonal, then a short scalar
-/// recurrence over the within-line tap — the dependency chain shrinks to
-/// one multiply-subtract plus one multiply per cell.
-fn solve_staged<S: Storage, P: Scalar>(
-    grid: &Grid3,
+/// Scalar SOA solve through the line kernel: off-line couplings (whose
+/// sources are fully solved lines) in the vector phase, the diagonal
+/// plane reciprocated in the register, the within-line tap in the
+/// recurrence. `false` when the pattern has more than one within-line
+/// coupling and the caller must take the generic solve.
+fn solve_lines<S: Storage, P: Scalar>(
+    a: &SgDia<S>,
     metas: &[TapMeta],
-    data: &[S],
     b: &[P],
     x: &mut [P],
     backward: bool,
-) {
-    let cells = grid.cells();
-    let nx = grid.nx;
-    let nlines = cells / nx;
-    let taps = metas.len();
-    with_bufs::<P, _>(|bufs| {
-        let (scratch, acc, rinv) = bufs.zeroed3(taps * nx, nx, nx);
-        let mut dtap = usize::MAX;
+    simd: bool,
+) -> bool {
+    with_idx2(|bulk, rec| {
+        let mut dtap = None;
         for (t, m) in metas.iter().enumerate() {
             if m.diagonal {
-                dtap = t;
+                dtap = Some(t);
+            } else if m.in_line {
+                rec.push((t, m.cell_stride));
+            } else {
+                bulk.push((t, m.cell_stride));
             }
         }
-        assert!(dtap != usize::MAX, "triangular pattern lacks a diagonal tap");
-        with_idx2(|bulk, rec| {
-            for (t, m) in metas.iter().enumerate() {
-                if t == dtap {
-                    continue;
-                }
-                if m.in_line {
-                    rec.push((t, m.cell_stride));
-                } else {
-                    bulk.push((t, m.cell_stride));
-                }
-            }
-
-            for lstep in 0..nlines {
-                let line = if backward { nlines - 1 - lstep } else { lstep };
-                let lbase = line * nx;
-                for t in 0..taps {
-                    widen_line(
-                        &data[t * cells + lbase..t * cells + lbase + nx],
-                        &mut scratch[t * nx..(t + 1) * nx],
-                    );
-                }
-                acc.copy_from_slice(&b[lbase..lbase + nx]);
-                for &(t, stride) in bulk.iter() {
-                    super::line_bulk_sub(
-                        &mut acc[..],
-                        &scratch[t * nx..(t + 1) * nx],
-                        x,
-                        lbase as i64 + stride,
-                        cells,
-                    );
-                }
-                for (ri, &d) in rinv.iter_mut().zip(&scratch[dtap * nx..(dtap + 1) * nx]) {
-                    debug_assert!(d != P::ZERO, "singular diagonal");
-                    *ri = P::ONE / d;
-                }
-                // Single within-line tap (always true for radius-1 patterns):
-                // fuse into `x[i] = fma(d[i], x[i±1], c[i])` — one fma of latency
-                // per cell on the dependency chain.
-                if rec.len() == 1 {
-                    let (t, cstride) = rec[0];
-                    for i in 0..nx {
-                        acc[i] *= rinv[i];
-                        let idx = t * nx + i;
-                        scratch[idx] = -(scratch[idx] * rinv[i]);
-                    }
-                    if backward {
-                        for i in (0..nx).rev() {
-                            let cell = lbase + i;
-                            let nb = cell as i64 + cstride;
-                            let prev =
-                                if nb < cells as i64 && nb >= 0 { x[nb as usize] } else { P::ZERO };
-                            x[cell] = scratch[t * nx + i].mul_add(prev, acc[i]);
-                        }
-                    } else {
-                        for i in 0..nx {
-                            let cell = lbase + i;
-                            let nb = cell as i64 + cstride;
-                            let prev = if nb >= 0 { x[nb as usize] } else { P::ZERO };
-                            x[cell] = scratch[t * nx + i].mul_add(prev, acc[i]);
-                        }
-                    }
-                    continue;
-                }
-                if backward {
-                    for i in (0..nx).rev() {
-                        let cell = lbase + i;
-                        let mut v = acc[i];
-                        for &(t, stride) in rec.iter() {
-                            let nb = cell as i64 + stride;
-                            if nb < cells as i64 && nb >= 0 {
-                                v -= scratch[t * nx + i] * x[nb as usize];
-                            }
-                        }
-                        x[cell] = v * rinv[i];
-                    }
-                } else {
-                    for i in 0..nx {
-                        let cell = lbase + i;
-                        let mut v = acc[i];
-                        for &(t, stride) in rec.iter() {
-                            let nb = cell as i64 + stride;
-                            if nb >= 0 && nb < cells as i64 {
-                                v -= scratch[t * nx + i] * x[nb as usize];
-                            }
-                        }
-                        x[cell] = v * rinv[i];
-                    }
-                }
-            }
-        });
-    });
+        let diag = Diag::Tap(dtap.expect("triangular pattern lacks a diagonal tap"));
+        let Some(k) = LineSweep::new(a.grid().nx, a.data(), bulk, rec, diag, b, backward) else {
+            return false;
+        };
+        k.run_with(x, simd);
+        true
+    })
 }
 
 /// Naive AOS FP16 solve: one scalar `vcvtph2ps` per entry (Fig. 4 left).
@@ -392,7 +318,7 @@ pub fn sptrsv_forward_wavefront<S: Storage, P: Scalar>(
                     // the wavefront schedule), fully written before this plane
                     // started; concurrent reads are of completed values.
                     let xv = unsafe { *xp.ptr().add(nb as usize) };
-                    acc = (-av).mul_add(xv, acc);
+                    acc -= av * xv;
                 }
                 assert!(diag != P::ZERO, "singular diagonal at cell {cell}");
                 // SAFETY: each cell index appears exactly once per plane, so
