@@ -2,8 +2,9 @@
 //! preconditioner-only speedup (the orange bars of Fig. 8, isolated from
 //! iteration-count effects), plus the setup-then-scale setup-phase
 //! overhead (the blue bars), the matrix-free vector kernels a cycle and
-//! the Krylov loop around it are made of, and the matrix kernels (sweep,
-//! SpMV, residual) of its finest level side by side.
+//! the Krylov loop around it are made of, the matrix kernels (sweep,
+//! SpMV, residual and their half-matrix forms) of its finest level side
+//! by side, and one whole application on each repo-benchmark shape.
 
 use fp16mg_bench::{Combo, Group};
 use fp16mg_core::{galerkin_rap, prolong_add, restrict, GalerkinChain, Mg, MgConfig};
@@ -69,24 +70,32 @@ fn bench_setup_kernels() {
     }
 }
 
-/// The four matrix kernels of a V-cycle on one operator, in one table:
-/// a Gauss–Seidel sweep streams the same planes as an SpMV, so the
-/// `gs-*` rows should sit within a small factor of the `spmv` row. GB/s
-/// from the matrix bytes plus the vectors each call must move.
+/// The matrix kernels of a V-cycle on one operator, in one table: a
+/// Gauss–Seidel sweep streams the same planes as an SpMV, so the `gs-*`
+/// rows should sit within a small factor of the `spmv` row, and the two
+/// half-matrix kernels of the zero-guess cycle (`gs-fwd-zero`,
+/// `residual-upper`) at about half of their full twins. GB/s from the
+/// matrix planes each call actually reads plus the vectors it must move.
 fn sweep_rows<S: fp16mg_fp::Storage, P: fp16mg_fp::Scalar>(label: &str, a: &SgDia<S>) {
     let n = a.rows();
     let dinv = BlockDiagInv::<P>::from_matrix(a).expect("regular diagonal");
     let b: Vec<P> = (0..n).map(|i| P::from_f64(((i % 101) as f64) * 0.01 - 0.4)).collect();
     let mut x = vec![P::ZERO; n];
     let mut y = vec![P::ZERO; n];
-    let bytes = |vectors: usize| (a.value_bytes() + vectors * n * P::BYTES) as u64;
-    let group = |vectors| {
-        Group::new(format!("sweep/laplace27-n48/{label}")).throughput_bytes(bytes(vectors))
+    let taps = a.pattern().taps();
+    let plane = a.value_bytes() / taps.len();
+    let lower = taps.iter().filter(|t| t.spatial_sign() < 0).count();
+    let upper = taps.iter().filter(|t| t.spatial_sign() > 0).count();
+    let group = |planes: usize, vectors: usize| {
+        Group::new(format!("sweep/laplace27-n48/{label}"))
+            .throughput_bytes((planes * plane + vectors * n * P::BYTES) as u64)
     };
-    group(3).bench("gs-forward", || kernels::gs_forward(a, &dinv, &b, &mut x));
-    group(3).bench("gs-backward", || kernels::gs_backward(a, &dinv, &b, &mut x));
-    group(2).bench("spmv", || kernels::spmv(a, &x, &mut y, Par::Seq));
-    group(3).bench("residual", || kernels::residual(a, &b, &x, &mut y, Par::Seq));
+    group(taps.len(), 3).bench("gs-forward", || kernels::gs_forward(a, &dinv, &b, &mut x));
+    group(taps.len(), 3).bench("gs-backward", || kernels::gs_backward(a, &dinv, &b, &mut x));
+    group(lower, 3).bench("gs-fwd-zero", || kernels::gs_forward_from_zero(a, &dinv, &b, &mut x));
+    group(taps.len(), 2).bench("spmv", || kernels::spmv(a, &x, &mut y, Par::Seq));
+    group(taps.len(), 3).bench("residual", || kernels::residual(a, &b, &x, &mut y, Par::Seq));
+    group(upper, 2).bench("residual-upper", || kernels::residual_upper(a, &x, &mut y, Par::Seq));
 }
 
 /// Finest level of laplace27 n = 48 in the two storage precisions the
@@ -115,6 +124,22 @@ fn bench_vcycle() {
     }
 }
 
+/// One warm `Mg::apply` (Mix16: FP16 storage, f32 cycle) on each shape
+/// the repo benchmark solves — the layer its `core.vcycle_apply_s` times.
+fn bench_apply() {
+    let shapes =
+        [(ProblemKind::Laplace27, 72), (ProblemKind::Weather, 64), (ProblemKind::Rhd3T, 24)];
+    for (kind, n) in shapes {
+        let p = kind.build(n);
+        let rn = p.matrix.rows();
+        let r: Vec<f32> = (0..rn).map(|i| ((i % 101) as f32) * 0.01 - 0.4).collect();
+        let mut e = vec![0.0f32; rn];
+        let mut mg = Mg::<f32>::setup(&p.matrix, &MgConfig::d16()).expect("benchmark shape");
+        Group::new(format!("apply/{}-n{n}", kind.name()))
+            .bench("Mg::apply d16", || mg.apply_pr(&r, &mut e));
+    }
+}
+
 fn bench_setup() {
     // Setup-phase cost of the two scaling strategies vs no scaling, on an
     // out-of-range problem (laplace27*1e8): setup-then-scale must add only
@@ -135,6 +160,7 @@ fn bench_setup() {
 fn main() {
     bench_vector_kernels();
     bench_sweep_kernels();
+    bench_apply();
     bench_setup_kernels();
     bench_vcycle();
     bench_setup();

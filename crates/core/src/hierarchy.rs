@@ -598,9 +598,6 @@ impl<Pr: Scalar> Mg<Pr> {
         self.levels.len() + 1
     }
 
-    /// Applies one V-cycle to the right-hand side already loaded into the
-    /// finest level's `f`, leaving the result in the finest `u`
-    /// (Algorithm 3).
     /// Runs one multigrid cycle with the right-hand side already loaded
     /// into the finest level's `f`, leaving the result in the finest `u`
     /// (Algorithm 3 for the V-cycle; W/F recurse per [`Cycle`]).
@@ -610,20 +607,29 @@ impl<Pr: Scalar> Mg<Pr> {
             self.coarse_solve_from_own_f();
             return;
         }
-        self.ws.level(0).u.fill(Pr::ZERO);
-        self.cycle_at(0, self.config.cycle);
+        // A preconditioner application starts from a zero iterate.
+        self.cycle_at(0, self.config.cycle, true);
     }
 
-    /// Recursive γ-cycle at level `i`. The caller owns the iterate policy:
-    /// `u_i` is *not* reset here, so consecutive invocations iterate
-    /// (that is what makes γ = 2 a W-cycle). All vectors come from the
-    /// preallocated workspace arena — this path performs no allocation.
-    fn cycle_at(&mut self, i: usize, cycle: Cycle) {
+    /// Recursive γ-cycle at level `i`. `zero_guess` is a fact the
+    /// recursion knows, not an option: `u_i` is zero on a level's first
+    /// visit in a cycle (every V visit, the first of a W or F pair) and
+    /// carries the first visit's result on the second (that is what makes
+    /// γ = 2 a W-cycle). On a first visit `u_i` is never read, so nothing
+    /// zero-fills it, the pre-smoother skips the half of its first pass
+    /// that would multiply by zeros, and after a single forward
+    /// Gauss–Seidel sweep the residual is `−U u` (DESIGN.md §8.4). All
+    /// vectors come from the preallocated workspace arena — this path
+    /// performs no allocation.
+    fn cycle_at(&mut self, i: usize, cycle: Cycle, zero_guess: bool) {
         let nl = self.levels.len();
+        let (smoother, nu1, nu2) = (self.config.smoother, self.config.nu1, self.config.nu2);
         {
             let mut b = self.ws.level(i);
-            self.levels[i].smooth(self.config.smoother, self.config.nu1, false, &mut b);
-            self.levels[i].compute_residual(&mut b);
+            let level = &self.levels[i];
+            level.scale_rhs(&mut b);
+            let lower_solved = level.smooth(smoother, nu1, false, zero_guess, &mut b);
+            level.compute_residual(lower_solved, &mut b);
         }
         if i + 1 < nl {
             let gf = self.levels[i].grid;
@@ -631,18 +637,17 @@ impl<Pr: Scalar> Mg<Pr> {
             {
                 let (fine, coarse) = self.ws.level_pair(i, i + 1);
                 restrict(&gf, &gc, fine.r, coarse.f);
-                coarse.u.fill(Pr::ZERO);
             }
             match cycle {
-                Cycle::V => self.cycle_at(i + 1, Cycle::V),
+                Cycle::V => self.cycle_at(i + 1, Cycle::V, true),
                 Cycle::W => {
-                    self.cycle_at(i + 1, Cycle::W);
-                    self.cycle_at(i + 1, Cycle::W);
+                    self.cycle_at(i + 1, Cycle::W, true);
+                    self.cycle_at(i + 1, Cycle::W, false);
                 }
                 Cycle::F => {
                     // F-cycle: one F-visit followed by one V-visit.
-                    self.cycle_at(i + 1, Cycle::F);
-                    self.cycle_at(i + 1, Cycle::V);
+                    self.cycle_at(i + 1, Cycle::F, true);
+                    self.cycle_at(i + 1, Cycle::V, false);
                 }
             }
             let (fine, coarse) = self.ws.level_pair(i, i + 1);
@@ -664,7 +669,7 @@ impl<Pr: Scalar> Mg<Pr> {
             prolong_add(&gf, &self.coarse_grid, &self.coarse_f, b.u);
         }
         let mut b = self.ws.level(i);
-        self.levels[i].smooth(self.config.smoother, self.config.nu2, true, &mut b);
+        self.levels[i].smooth(smoother, nu2, true, false, &mut b);
     }
 
     fn coarse_solve_from_own_f(&mut self) {
@@ -1411,3 +1416,6 @@ impl<K: Scalar, Pr: Scalar> Preconditioner<K> for Mg<Pr> {
         self.verify_and_repair(RepairTrigger::Anomaly).len()
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -1,0 +1,244 @@
+//! The zero-guess cycle (DESIGN.md §8.4) against the cycle it replaced:
+//! every level zero-filled before its first visit, every sweep a full
+//! sweep, every residual `f − A u`. That cycle is rebuilt here from
+//! `Level::smooth` / `compute_residual` with the zero-guess facts switched
+//! off, and the production recursion must reproduce it — to rounding
+//! where the identity `r = −U u` is exact (wide storage), within the
+//! `(D₁₆ − D_hp) u` bound where the stored diagonal is FP16.
+
+use fp16mg_grid::Grid3;
+use fp16mg_sgdia::Layout;
+use fp16mg_stencil::Pattern;
+use fp16mg_testkit::{check_n, Rng};
+
+use super::*;
+use crate::config::SmootherKind;
+use crate::tests::laplacian;
+
+/// The cycle before the recursion knew its iterate was zero.
+fn reference_cycle<Pr: Scalar>(mg: &mut Mg<Pr>, i: usize, cycle: Cycle) {
+    let (smoother, nu1, nu2) = (mg.config.smoother, mg.config.nu1, mg.config.nu2);
+    let (gf, last) = (mg.levels[i].grid, i + 1 == mg.levels.len());
+    {
+        let mut b = mg.ws.level(i);
+        mg.levels[i].scale_rhs(&mut b);
+        mg.levels[i].smooth(smoother, nu1, false, false, &mut b);
+        mg.levels[i].compute_residual(false, &mut b);
+    }
+    if last {
+        restrict(&gf, &mg.coarse_grid, mg.ws.level(i).r, &mut mg.coarse_f);
+        mg.coarse_solve_from_own_f();
+        for (cf, &x) in mg.coarse_f.iter_mut().zip(&mg.coarse_x64) {
+            *cf = Pr::from_f64(x);
+        }
+        prolong_add(&gf, &mg.coarse_grid, &mg.coarse_f, mg.ws.level(i).u);
+    } else {
+        let gc = mg.levels[i + 1].grid;
+        {
+            let (fine, coarse) = mg.ws.level_pair(i, i + 1);
+            restrict(&gf, &gc, fine.r, coarse.f);
+            coarse.u.fill(Pr::ZERO);
+        }
+        let second = match cycle {
+            Cycle::V => None,
+            Cycle::W => Some(Cycle::W),
+            Cycle::F => Some(Cycle::V),
+        };
+        reference_cycle(mg, i + 1, cycle);
+        if let Some(second) = second {
+            reference_cycle(mg, i + 1, second);
+        }
+        let (fine, coarse) = mg.ws.level_pair(i, i + 1);
+        prolong_add(&gf, &gc, coarse.u, fine.u);
+    }
+    let mut b = mg.ws.level(i);
+    mg.levels[i].smooth(smoother, nu2, true, false, &mut b);
+}
+
+fn random_rhs<Pr: Scalar>(rng: &mut Rng, n: usize) -> Vec<Pr> {
+    (0..n).map(|_| Pr::from_f64(rng.f64_range(-1.0, 1.0))).collect()
+}
+
+/// `‖a − b‖₂ / ‖b‖₂`.
+fn rel_diff<Pr: Scalar>(a: &[Pr], b: &[Pr]) -> f64 {
+    let sq = |it: &mut dyn Iterator<Item = f64>| it.map(|v| v * v).sum::<f64>().sqrt();
+    let diff = sq(&mut a.iter().zip(b).map(|(x, y)| x.to_f64() - y.to_f64()));
+    diff / sq(&mut b.iter().map(|y| y.to_f64())).max(f64::MIN_POSITIVE)
+}
+
+/// One production cycle and one reference cycle on the same right-hand
+/// side; every level's `u` is poisoned first, so a first visit that read
+/// its iterate would show. Returns the two finest iterates.
+fn both_cycles<Pr: Scalar>(mg: &mut Mg<Pr>, r: &[Pr]) -> (Vec<Pr>, Vec<Pr>) {
+    mg.load_rhs(r);
+    for i in 0..mg.levels.len() {
+        mg.ws.level(i).u.fill(Pr::from_f64(f64::NAN));
+    }
+    mg.vcycle();
+    let got = mg.ws.level(0).u.to_vec();
+    mg.ws.level(0).u.fill(Pr::ZERO);
+    reference_cycle(mg, 0, mg.config.cycle);
+    (got, mg.ws.level(0).u.to_vec())
+}
+
+/// An operator in or far out of FP16 range (the latter puts scale vectors
+/// on every level), odd / even / non-cubic extents, 7- or 27-point.
+fn operator(rng: &mut Rng) -> SgDia<f64> {
+    let ext = |rng: &mut Rng| rng.usize_range(9, 15);
+    let grid = Grid3::new(ext(rng), ext(rng), ext(rng));
+    let pattern = if rng.chance(0.5) { Pattern::p7() } else { Pattern::p27() };
+    laplacian(grid, pattern, if rng.chance(0.5) { 1.0 } else { 1e8 })
+}
+
+const CYCLES: [Cycle; 3] = [Cycle::V, Cycle::W, Cycle::F];
+
+#[test]
+fn cycles_match_the_full_sweep_reference_exactly_in_wide_storage() {
+    // Full64: D₁₆ = D_hp, so `−U u` *is* `f − A u` and the two cycles may
+    // differ by rounding only — in particular the second W / F visit of a
+    // level must have kept the first visit's iterate.
+    check_n("cycles_match_the_full_sweep_reference_exactly_in_wide_storage", 6, |rng| {
+        let a = operator(rng);
+        let r: Vec<f64> = random_rhs(rng, a.rows());
+        let mut v_out = Vec::new();
+        for cycle in CYCLES {
+            for (nu1, nu2) in [(1, 1), (2, 1), (0, 2)] {
+                let cfg = MgConfig { cycle, nu1, nu2, min_coarse_cells: 8, ..MgConfig::d64() };
+                let mut mg = Mg::<f64>::setup(&a, &cfg).unwrap();
+                assert!(mg.levels.len() >= 2, "W and F need a level to revisit");
+                let (got, want) = both_cycles(&mut mg, &r);
+                let d = rel_diff(&got, &want);
+                assert!(d <= 1e-12, "{cycle:?} V({nu1},{nu2}): {d:e}");
+                if (nu1, nu2) == (1, 1) {
+                    if cycle == Cycle::V {
+                        v_out = got;
+                    } else {
+                        // The test can tell: a W or F cycle that restarted
+                        // its second visit from zero would be a V-cycle.
+                        let d = rel_diff(&got, &v_out);
+                        assert!(d > 1e-6, "{cycle:?} is indistinguishable from V: {d:e}");
+                    }
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn fp16_cycles_stay_within_the_stored_diagonal_bound() {
+    // Mix16: the smoother's D⁻¹ is from the high-precision matrix, the
+    // residual the reference subtracts uses the FP16 diagonal, so the
+    // cycles differ by (D₁₆ − D_hp) u ≤ 2⁻¹¹ |D u| per level — and by
+    // nothing beyond rounding when no level takes the `−U u` residual.
+    check_n("fp16_cycles_stay_within_the_stored_diagonal_bound", 6, |rng| {
+        let a = operator(rng);
+        let r: Vec<f32> = random_rhs(rng, a.rows());
+        for cycle in CYCLES {
+            for (nu1, bound) in [(1, 2e-3), (2, 2e-5)] {
+                let cfg = MgConfig { cycle, nu1, min_coarse_cells: 8, ..MgConfig::d16() };
+                let mut mg = Mg::<f32>::setup(&a, &cfg).unwrap();
+                let (got, want) = both_cycles(&mut mg, &r);
+                let d = rel_diff(&got, &want);
+                assert!(d <= bound, "{cycle:?} nu1={nu1}: {d:e} > {bound:e}");
+            }
+        }
+    });
+}
+
+#[test]
+fn every_smoother_takes_the_same_first_step_from_zero() {
+    // The first pre-smoothing step with the zero-guess fact, on a poisoned
+    // iterate, against the same step on a zero-filled one — Jacobi,
+    // Chebyshev and ILU(0) start from r₀ = f, the Gauss–Seidel kinds sweep
+    // the lower half only — on unscaled and scaled levels, scalar and
+    // vector PDEs (where ILU(0) degrades to Gauss–Seidel).
+    let kinds = [
+        SmootherKind::Jacobi { weight: 0.8 },
+        SmootherKind::GsSymmetric,
+        SmootherKind::SymGs,
+        SmootherKind::Ilu0,
+        SmootherKind::Chebyshev { degree: 2 },
+    ];
+    check_n("every_smoother_takes_the_same_first_step_from_zero", 4, |rng| {
+        let scalar = operator(rng);
+        let blocks = {
+            let grid = Grid3::with_components(9, 8, 7, 3);
+            let pattern = Pattern::p7().with_components(3);
+            let taps = pattern.taps().to_vec();
+            SgDia::from_fn(grid, pattern, Layout::Soa, |_, _, _, _, t| match taps[t] {
+                tap if tap.is_diagonal() => 7.0e6,
+                tap if tap.is_center() => 2.0e5,
+                tap if tap.cin == tap.cout => -1.0e6,
+                _ => 0.0,
+            })
+        };
+        for a in [&scalar, &blocks] {
+            let f: Vec<f32> = random_rhs(rng, a.rows());
+            for kind in kinds {
+                for nu in [1, 2] {
+                    let cfg = MgConfig { smoother: kind, min_coarse_cells: 8, ..MgConfig::d16() };
+                    let mut mg = Mg::<f32>::setup(a, &cfg).unwrap();
+                    let level = &mg.levels[0];
+                    let mut b = mg.ws.level(0);
+                    b.f.copy_from_slice(&f);
+                    level.scale_rhs(&mut b);
+
+                    b.u.fill(0.0);
+                    assert!(!level.smooth(kind, nu, false, false, &mut b));
+                    level.compute_residual(false, &mut b);
+                    let (want_u, want_r) = (b.u.to_vec(), b.r.to_vec());
+
+                    b.u.fill(f32::NAN);
+                    b.t1.fill(f32::NAN);
+                    let lower_solved = level.smooth(kind, nu, false, true, &mut b);
+                    level.compute_residual(lower_solved, &mut b);
+                    let gs = matches!(kind, SmootherKind::GsSymmetric)
+                        || (kind == SmootherKind::Ilu0 && level.ilu.is_none());
+                    assert_eq!(lower_solved, gs && nu == 1, "{kind:?} nu={nu}");
+
+                    let what = format!("{kind:?} nu={nu} scaled={}", level.scale.is_some());
+                    let d = rel_diff(b.u, &want_u);
+                    assert!(d <= 1e-6, "u, {what}: {d:e}");
+                    // −U u against f − A₁₆ u: the stored-diagonal bound.
+                    let d = rel_diff(b.r, &want_r);
+                    let bound = if lower_solved { 2e-3 } else { 1e-5 };
+                    assert!(d <= bound, "r, {what}: {d:e}");
+                }
+            }
+        }
+    });
+}
+
+/// An ±∞ in a plane only the backward sweep and `−U u` read, and one in a
+/// plane only the forward sweep from zero reads, each still poison the
+/// cycle's output, and recovery still answers with a promotion.
+#[cfg(feature = "fault-inject")]
+#[test]
+fn an_infinity_in_either_half_of_the_matrix_still_ends_in_a_promotion() {
+    use crate::{PromotionReason, RecoveryPolicy};
+
+    let a = laplacian(Grid3::new(12, 11, 10), Pattern::p27(), 1.0);
+    let r: Vec<f32> = (0..a.rows()).map(|i| ((i % 7) as f32) * 0.1 + 0.1).collect();
+    // An interior cell: every tap's neighbour exists, so the kernels read it.
+    let cell = (5 * 11 + 5) * 12 + 6;
+    let ntaps = a.pattern().len();
+    for (tap, half) in [(0, "lower"), (ntaps - 1, "upper")] {
+        let blind = MgConfig { recovery: RecoveryPolicy::disabled(), ..MgConfig::d16() };
+        for (cfg, heals) in [(blind, false), (MgConfig::d16(), true)] {
+            let mut mg = Mg::<f32>::setup(&a, &cfg).unwrap();
+            assert!(mg.stored_mut(0).unwrap().inject_inf_at(cell, tap));
+            let mut e = vec![0.0f32; a.rows()];
+            mg.apply_pr(&r, &mut e);
+            let finite = e.iter().all(|v| v.is_finite());
+            assert_eq!(finite, heals, "{half} plane, recovery {heals}");
+            if heals {
+                let events = mg.promotions();
+                assert_eq!(events.len(), 1, "{half} plane: {events:?}");
+                assert_eq!(
+                    (events[0].level, events[0].reason),
+                    (0, PromotionReason::NonFiniteOutput)
+                );
+            }
+        }
+    }
+}

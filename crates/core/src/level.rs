@@ -48,177 +48,208 @@ impl<Pr: Scalar> Level<Pr> {
         Level { grid, stored, scale, dinv, ilu, cheb_lambda, par }
     }
 
+    /// Forms the right-hand side of the scaled space, `t2 = S⁻¹ f`, which
+    /// [`smooth`](Self::smooth) and
+    /// [`compute_residual`](Self::compute_residual) sweep against: once
+    /// per visit of the level, before either. Nothing to do on an
+    /// unscaled level.
+    pub fn scale_rhs(&self, b: &mut LevelBufs<'_, Pr>) {
+        if let Some(sv) = &self.scale {
+            rescale_into(b.f, &sv.s_inv, b.t2);
+        }
+    }
+
     /// `ν` smoothing sweeps on `A u = f`, updating `b.u` in place.
     /// `post` selects the transposed sweep direction (Algorithm 3
     /// line 17). For a scaled level, the sweep runs in the scaled space
     /// `Ã (S u) = S⁻¹ f` — algebraically identical to sweeping the true
-    /// operator, at the cost of three vector transforms (the
-    /// recover-and-rescale overhead the paper calls cost-efficient).
-    pub fn smooth(&self, kind: SmootherKind, nu: usize, post: bool, b: &mut LevelBufs<'_, Pr>) {
-        if nu == 0 {
-            return;
+    /// operator, at the cost of two vector transforms around the sweeps
+    /// (the recover-and-rescale overhead the paper calls cost-efficient);
+    /// pre-smoothing leaves `t1 = S u` behind for the residual.
+    ///
+    /// `zero_guess` says the iterate is zero on entry — a level's first
+    /// visit in a cycle. `b.u` is then not read and need not hold zeros,
+    /// and the first sweep skips the pass it would spend multiplying by
+    /// them. Returns whether `u` now solves `(L + D) u = f` (exactly one
+    /// forward Gauss–Seidel sweep from zero ran), which makes the
+    /// residual `−U u`.
+    pub fn smooth(
+        &self,
+        kind: SmootherKind,
+        nu: usize,
+        post: bool,
+        zero_guess: bool,
+        b: &mut LevelBufs<'_, Pr>,
+    ) -> bool {
+        debug_assert!(!(post && zero_guess), "post-smoothing follows a coarse-grid correction");
+        if post && nu == 0 {
+            return false;
         }
-        if let Some(sv) = &self.scale {
-            // t1 = S u (iterate), t2 = S⁻¹ f (rhs in scaled space).
-            rescale_into(b.u, &sv.s, b.t1);
-            rescale_into(b.f, &sv.s_inv, b.t2);
-            for _ in 0..nu {
-                sweep(
-                    &self.stored,
-                    &self.dinv,
-                    self.ilu.as_ref(),
-                    self.cheb_lambda,
-                    b.t2,
-                    b.t1,
-                    b.t3,
-                    b.t4,
-                    b.t5,
-                    kind,
-                    post,
-                    self.par,
-                );
+        let LevelBufs { u, f, t1, t2, t3, t4, t5, .. } = b;
+        let mut sweeps = |rhs: &[Pr], x: &mut [Pr]| {
+            if zero_guess && nu == 0 {
+                x.fill(Pr::ZERO);
             }
-            let s_inv = &sv.s_inv;
-            rescale_into(b.t1, s_inv, b.u);
-        } else {
-            for _ in 0..nu {
-                sweep(
-                    &self.stored,
-                    &self.dinv,
-                    self.ilu.as_ref(),
-                    self.cheb_lambda,
-                    b.f,
-                    b.u,
-                    b.t3,
-                    b.t4,
-                    b.t5,
-                    kind,
-                    post,
-                    self.par,
-                );
+            let mut lower_solved = false;
+            for k in 0..nu {
+                let zero = zero_guess && k == 0;
+                lower_solved =
+                    self.sweep(kind, post, zero, rhs, x, [&mut **t3, &mut **t4, &mut **t5]);
             }
+            lower_solved
+        };
+        let Some(sv) = &self.scale else {
+            return sweeps(f, u);
+        };
+        // A scaled level iterates on t1 = S u against t2 = S⁻¹ f.
+        if !zero_guess {
+            rescale_into(u, &sv.s, t1);
         }
+        let lower_solved = sweeps(t2, t1);
+        if nu > 0 || zero_guess {
+            rescale_into(t1, &sv.s_inv, u);
+        }
+        lower_solved
     }
 
     /// `r = f − A u` with the true operator recovered on the fly
     /// (Algorithm 3 lines 6–10): for a scaled level,
-    /// `r = S (S⁻¹ f − Ã (S u))`.
-    pub fn compute_residual(&self, b: &mut LevelBufs<'_, Pr>) {
+    /// `r = S (S⁻¹ f − Ã (S u))` from the `t2` and `t1` that
+    /// [`scale_rhs`](Self::scale_rhs) and pre-smoothing left. With
+    /// `lower_solved` (see [`smooth`](Self::smooth)) that is `−U u`, half
+    /// the matrix and no right-hand side.
+    pub fn compute_residual(&self, lower_solved: bool, b: &mut LevelBufs<'_, Pr>) {
+        let (rhs, x): (&[Pr], &[Pr]) = match &self.scale {
+            Some(_) => (b.t2, b.t1),
+            None => (b.f, b.u),
+        };
+        if lower_solved {
+            self.stored.residual_upper(x, b.r, self.par);
+        } else {
+            self.stored.residual(rhs, x, b.r, self.par);
+        }
         if let Some(sv) = &self.scale {
-            rescale_into(b.u, &sv.s, b.t1);
-            rescale_into(b.f, &sv.s_inv, b.t2);
-            self.stored.residual(b.t2, b.t1, b.r, self.par);
-            let s = &sv.s;
-            for (ri, &si) in b.r.iter_mut().zip(s) {
+            for (ri, &si) in b.r.iter_mut().zip(&sv.s) {
                 *ri *= si;
             }
-        } else {
-            self.stored.residual(b.f, b.u, b.r, self.par);
         }
     }
-}
 
-/// One smoothing sweep on the stored operator (already in scaled space if
-/// applicable).
-#[allow(clippy::too_many_arguments)]
-fn sweep<Pr: Scalar>(
-    stored: &StoredMatrix,
-    dinv: &BlockDiagInv<Pr>,
-    ilu: Option<&(StoredMatrix, StoredMatrix)>,
-    cheb_lambda: Option<f64>,
-    b: &[Pr],
-    x: &mut [Pr],
-    scratch: &mut [Pr],
-    scratch2: &mut [Pr],
-    scratch3: &mut [Pr],
-    kind: SmootherKind,
-    post: bool,
-    par: Par,
-) {
-    if let SmootherKind::Chebyshev { degree } = kind {
-        // Setup computes λmax whenever the Chebyshev smoother is
-        // configured; a missing estimate means the level was built for a
-        // different smoother. Degrade to a Gauss–Seidel sweep rather than
-        // aborting the whole solve.
-        let Some(lmax) = cheb_lambda else {
-            debug_assert!(false, "Chebyshev sweep without a λmax estimate");
-            if post {
-                stored.gs_backward(dinv, b, x);
+    /// One smoothing sweep on the stored operator (already in scaled space
+    /// if applicable), `zero` meaning `x` is zero on entry and not to be
+    /// read. Returns whether it was a forward Gauss–Seidel sweep from
+    /// zero.
+    fn sweep(
+        &self,
+        kind: SmootherKind,
+        post: bool,
+        zero: bool,
+        b: &[Pr],
+        x: &mut [Pr],
+        [s1, s2, s3]: [&mut [Pr]; 3],
+    ) -> bool {
+        let (stored, dinv, par) = (&self.stored, &self.dinv, self.par);
+        let forward = |x: &mut [Pr]| {
+            if zero {
+                stored.gs_forward_from_zero(dinv, b, x);
             } else {
                 stored.gs_forward(dinv, b, x);
             }
-            return;
         };
-        chebyshev_sweep(stored, dinv, lmax, degree.max(1), b, x, scratch, scratch2, scratch3, par);
-        return;
-    }
-    if kind == SmootherKind::Ilu0 {
-        if let Some((l, u)) = ilu {
-            // x += U⁻¹ L⁻¹ (b − A x): residual, two triangular solves
-            // with the truncated factors (mixed-precision SpTRSV), update.
-            stored.residual(b, x, scratch, par);
-            l.sptrsv_forward(scratch, scratch2);
-            u.sptrsv_backward(scratch2, scratch);
-            for (xi, &e) in x.iter_mut().zip(scratch.iter()) {
-                *xi += e;
-            }
-            return;
-        }
-        // Vector PDE fallback: symmetric Gauss–Seidel directions.
-        if post {
-            stored.gs_backward(dinv, b, x);
-        } else {
-            stored.gs_forward(dinv, b, x);
-        }
-        return;
-    }
-    match kind {
-        SmootherKind::Jacobi { weight } => {
-            // scratch = b - A x; x += ω D⁻¹ scratch.
-            stored.residual(b, x, scratch, par);
-            let w = Pr::from_f64(weight);
-            if let Some(di) = dinv.as_scalar() {
-                // Scalar PDE: one slice, so the loop vectorises.
-                for ((xi, &d), &ri) in x.iter_mut().zip(di).zip(scratch.iter()) {
-                    *xi += w * (d * ri);
-                }
-                return;
-            }
-            let r = dinv.components();
-            const MAX_BLOCK: usize = 8;
-            let mut blk = [Pr::ZERO; MAX_BLOCK];
-            for cell in 0..dinv.cells() {
-                dinv.solve(cell, &scratch[cell * r..cell * r + r], &mut blk[..r]);
-                for c in 0..r {
-                    x[cell * r + c] += w * blk[c];
-                }
-            }
-        }
-        SmootherKind::GsSymmetric => {
+        // The symmetric Gauss–Seidel directions: a smoother of their own
+        // and what the others degrade to.
+        let gs = |x: &mut [Pr]| {
             if post {
                 stored.gs_backward(dinv, b, x);
             } else {
-                stored.gs_forward(dinv, b, x);
+                forward(x);
+            }
+            zero && !post
+        };
+        match kind {
+            SmootherKind::GsSymmetric => return gs(x),
+            SmootherKind::SymGs => {
+                forward(x);
+                stored.gs_backward(dinv, b, x);
+            }
+            SmootherKind::Chebyshev { degree } => {
+                // Setup computes λmax whenever the Chebyshev smoother is
+                // configured; a missing estimate means the level was built
+                // for a different smoother. Degrade to a Gauss–Seidel
+                // sweep rather than aborting the whole solve.
+                let Some(lmax) = self.cheb_lambda else {
+                    debug_assert!(false, "Chebyshev sweep without a λmax estimate");
+                    return gs(x);
+                };
+                chebyshev_sweep(stored, dinv, lmax, degree.max(1), zero, b, x, s1, s2, s3, par);
+            }
+            SmootherKind::Ilu0 => {
+                // Vector PDE fallback: symmetric Gauss–Seidel directions.
+                let Some((l, u)) = &self.ilu else {
+                    return gs(x);
+                };
+                // x += U⁻¹ L⁻¹ (b − A x): residual, two triangular solves
+                // with the truncated factors (mixed-precision SpTRSV),
+                // update. From zero the residual is b and the update is
+                // the solve itself (into a cleared x: the line solve's
+                // wrapped reads multiply what it finds by stored zeros).
+                if zero {
+                    l.sptrsv_forward(b, s2);
+                    x.fill(Pr::ZERO);
+                    u.sptrsv_backward(s2, x);
+                    return false;
+                }
+                stored.residual(b, x, s1, par);
+                l.sptrsv_forward(s1, s2);
+                u.sptrsv_backward(s2, s1);
+                for (xi, &e) in x.iter_mut().zip(s1.iter()) {
+                    *xi += e;
+                }
+            }
+            SmootherKind::Jacobi { weight } => {
+                // r = b − A x (b itself from zero); x += ω D⁻¹ r.
+                let r: &[Pr] = if zero {
+                    x.fill(Pr::ZERO);
+                    b
+                } else {
+                    stored.residual(b, x, s1, par);
+                    s1
+                };
+                let w = Pr::from_f64(weight);
+                if let Some(di) = dinv.as_scalar() {
+                    // Scalar PDE: one slice, so the loop vectorises.
+                    for ((xi, &d), &ri) in x.iter_mut().zip(di).zip(r) {
+                        *xi += w * (d * ri);
+                    }
+                    return false;
+                }
+                let rc = dinv.components();
+                const MAX_BLOCK: usize = 8;
+                let mut blk = [Pr::ZERO; MAX_BLOCK];
+                for cell in 0..dinv.cells() {
+                    dinv.solve(cell, &r[cell * rc..cell * rc + rc], &mut blk[..rc]);
+                    for c in 0..rc {
+                        x[cell * rc + c] += w * blk[c];
+                    }
+                }
             }
         }
-        SmootherKind::SymGs => {
-            stored.gs_forward(dinv, b, x);
-            stored.gs_backward(dinv, b, x);
-        }
-        SmootherKind::Ilu0 | SmootherKind::Chebyshev { .. } => unreachable!("handled above"),
+        false
     }
 }
 
 /// Chebyshev(degree) smoothing on the Jacobi-preconditioned operator
 /// `D⁻¹A`, interval `[λmax/30, 1.1·λmax]` (hypre's defaults): each degree
 /// is one residual SpMV plus vector updates — bandwidth-bound, so the
-/// FP16 matrix compression converts directly into time.
+/// FP16 matrix compression converts directly into time. From a zero
+/// iterate (`zero`: `x` is not read) the first residual is `b`.
 #[allow(clippy::too_many_arguments)]
 fn chebyshev_sweep<Pr: Scalar>(
     stored: &StoredMatrix,
     dinv: &BlockDiagInv<Pr>,
     lmax: f64,
     degree: usize,
+    zero: bool,
     b: &[Pr],
     x: &mut [Pr],
     r: &mut [Pr],
@@ -252,8 +283,13 @@ fn chebyshev_sweep<Pr: Scalar>(
     };
 
     // d0 = z/θ; x += d0.
-    stored.residual(b, x, r, par);
-    apply_dinv(r, z);
+    if zero {
+        x.fill(Pr::ZERO);
+        apply_dinv(b, z);
+    } else {
+        stored.residual(b, x, r, par);
+        apply_dinv(r, z);
+    }
     let inv_theta = Pr::from_f64(1.0 / theta);
     for (di, &zi) in d.iter_mut().zip(z.iter()) {
         *di = zi * inv_theta;

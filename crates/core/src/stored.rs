@@ -189,9 +189,21 @@ impl StoredMatrix {
         dispatch!(self, a => kernels::residual(a, b, x, r, par))
     }
 
+    /// `r = −U x`, the residual after a forward sweep from zero (see
+    /// [`kernels::residual_upper`]).
+    pub fn residual_upper<P: Scalar>(&self, x: &[P], r: &mut [P], par: Par) {
+        dispatch!(self, a => kernels::residual_upper(a, x, r, par))
+    }
+
     /// One forward Gauss–Seidel sweep.
     pub fn gs_forward<P: Scalar>(&self, dinv: &BlockDiagInv<P>, b: &[P], x: &mut [P]) {
         dispatch!(self, a => kernels::gs_forward(a, dinv, b, x))
+    }
+
+    /// One forward Gauss–Seidel sweep from a zero initial guess; `x` need
+    /// not be initialised (see [`kernels::gs_forward_from_zero`]).
+    pub fn gs_forward_from_zero<P: Scalar>(&self, dinv: &BlockDiagInv<P>, b: &[P], x: &mut [P]) {
+        dispatch!(self, a => kernels::gs_forward_from_zero(a, dinv, b, x))
     }
 
     /// One backward Gauss–Seidel sweep.

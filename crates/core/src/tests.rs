@@ -17,7 +17,7 @@ use crate::{
 /// 7-point (or 27-point) Laplacian with Dirichlet boundary: off-diagonals
 /// -1, diagonal = #neighbors + shift (strict dominance keeps it SPD and
 /// the coarse LU nonsingular).
-fn laplacian(grid: Grid3, pattern: Pattern, scale: f64) -> SgDia<f64> {
+pub(crate) fn laplacian(grid: Grid3, pattern: Pattern, scale: f64) -> SgDia<f64> {
     let taps: Vec<_> = pattern.taps().to_vec();
     SgDia::from_fn(grid, pattern.clone(), Layout::Soa, |_, i, j, k, t| {
         if taps[t].is_diagonal() {

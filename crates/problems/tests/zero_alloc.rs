@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fp16mg_core::{MatOp, Mg, MgConfig};
+use fp16mg_core::{Cycle, MatOp, Mg, MgConfig};
 use fp16mg_krylov::{
     cg_ctl_in, gmres_ctl_in, Preconditioner, SolveOptions, SolveScratch, StopReason,
 };
@@ -188,19 +188,25 @@ fn weather_gmres_steady_state_is_allocation_free() {
     assert_zero_alloc_iterations(ProblemKind::Weather, SolverKind::Gmres);
 }
 
-/// The bare V-cycle (one preconditioner application, outside any Krylov
-/// loop) is also allocation-free after the first application.
+/// The bare cycle (one preconditioner application, outside any Krylov
+/// loop) is also allocation-free after the first application — V, and the
+/// W and F recursions whose second visit of a level takes the other
+/// (non-zero-guess) path through the smoother.
 #[test]
 fn bare_vcycle_is_allocation_free() {
     let p = ProblemKind::Laplace27.build(10);
-    let mut mg = Mg::<f32>::setup(&p.matrix, &MgConfig::d16()).expect(p.name);
     let b = p.rhs();
     let mut z = vec![0.0f64; p.matrix.rows()];
-    mg.apply(&b, &mut z); // warmup application
-    let before = alloc_count();
-    for _ in 0..5 {
-        mg.apply(&b, &mut z);
+    for cycle in [Cycle::V, Cycle::W, Cycle::F] {
+        let cfg = MgConfig { cycle, min_coarse_cells: 8, ..MgConfig::d16() };
+        let mut mg = Mg::<f32>::setup(&p.matrix, &cfg).expect(p.name);
+        assert!(mg.num_levels() >= 3, "W and F need a level to revisit");
+        mg.apply(&b, &mut z); // warmup application
+        let before = alloc_count();
+        for _ in 0..5 {
+            mg.apply(&b, &mut z);
+        }
+        let delta = alloc_count() - before;
+        assert_eq!(delta, 0, "5 warm {cycle:?}-cycles performed {delta} heap allocation(s)");
     }
-    let delta = alloc_count() - before;
-    assert_eq!(delta, 0, "5 warm V-cycles performed {delta} heap allocation(s)");
 }

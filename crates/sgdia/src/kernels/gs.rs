@@ -19,13 +19,20 @@
 //! ([`super::line`]); vector PDEs take the *staged* path, which
 //! bulk-widens each x-line of coefficients into scratch first and solves
 //! the diagonal block per cell; AOS data is swept cell by cell.
+//!
+//! A multigrid level starts from a zero iterate, and ahead of a sweep from
+//! zero everything is still zero: [`gs_forward_from_zero`] reads only the
+//! taps behind the sweep ([`TapSet::Lower`]) and leaves
+//! `(L + D) x = b`, so the residual after it is
+//! [`super::residual_upper`]'s `−U x`.
 
 use fp16mg_fp::{Scalar, Storage};
 use fp16mg_grid::Grid3;
 
 use super::line::{Diag, LineSweep};
 use super::{
-    widen_line, with_bufs, with_idx2, with_tap_metas, BlockDiagInv, TapMeta, Tier, MAX_COMPONENTS,
+    widen_line, with_bufs, with_idx2, with_tap_metas, BlockDiagInv, TapMeta, TapSet, Tier,
+    MAX_COMPONENTS,
 };
 use crate::{Layout, SgDia};
 
@@ -39,7 +46,23 @@ pub fn gs_forward<S: Storage, P: Scalar>(
     b: &[P],
     x: &mut [P],
 ) {
-    sweep(a, dinv, b, x, false, Tier::Simd);
+    sweep(a, dinv, b, x, false, false, Tier::Simd);
+}
+
+/// One forward sweep from a zero initial guess: `(L + D) x = b`, what
+/// [`gs_forward`] leaves in a zero-filled `x`. Only the strictly lower
+/// taps are read — half the matrix — and `x` need not be initialised:
+/// every cell is written and none is read before it is.
+///
+/// # Panics
+/// Panics on dimension mismatch.
+pub fn gs_forward_from_zero<S: Storage, P: Scalar>(
+    a: &SgDia<S>,
+    dinv: &BlockDiagInv<P>,
+    b: &[P],
+    x: &mut [P],
+) {
+    sweep(a, dinv, b, x, false, true, Tier::Simd);
 }
 
 /// One backward Gauss–Seidel sweep: cells in decreasing row-major order
@@ -53,17 +76,19 @@ pub fn gs_backward<S: Storage, P: Scalar>(
     b: &[P],
     x: &mut [P],
 ) {
-    sweep(a, dinv, b, x, true, Tier::Simd);
+    sweep(a, dinv, b, x, true, false, Tier::Simd);
 }
 
-/// One sweep in either direction. `tier` is [`Tier::Simd`] everywhere but
-/// in the differential tests.
+/// One sweep in either direction; `from_zero` treats `x` as zero on entry
+/// and reads only the taps behind the sweep. `tier` is [`Tier::Simd`]
+/// everywhere but in the differential tests.
 pub(crate) fn sweep<S: Storage, P: Scalar>(
     a: &SgDia<S>,
     dinv: &BlockDiagInv<P>,
     b: &[P],
     x: &mut [P],
     backward: bool,
+    from_zero: bool,
     tier: Tier,
 ) {
     let grid = a.grid();
@@ -74,14 +99,20 @@ pub(crate) fn sweep<S: Storage, P: Scalar>(
     assert_eq!(x.len(), cells * r, "x length");
     assert_eq!(dinv.components(), r, "dinv components");
     assert_eq!(dinv.cells(), cells, "dinv cells");
+    // Ahead of a sweep from zero everything is still zero.
+    let set = match (from_zero, backward) {
+        (false, _) => TapSet::All,
+        (true, false) => TapSet::Lower,
+        (true, true) => TapSet::Upper,
+    };
     with_tap_metas(grid, a.pattern(), |metas| {
         if a.layout() != Layout::Soa {
-            sweep_aos(a, metas, dinv, b, x, backward);
+            sweep_aos(a, metas, set, dinv, b, x, backward);
             return;
         }
         with_idx2(|bulk, rec| {
             // The center block is applied through its precomputed inverse.
-            for (t, m) in metas.iter().enumerate().filter(|(_, m)| !m.center) {
+            for (t, m) in set.select(metas).filter(|(_, m)| !m.center) {
                 if m.in_line && (m.cell_stride > 0) == backward {
                     rec.push((t, m.cell_stride));
                 } else {
@@ -91,11 +122,12 @@ pub(crate) fn sweep<S: Storage, P: Scalar>(
             if let (Some(di), true) = (dinv.as_scalar(), tier != Tier::Staged) {
                 let diag = Diag::Inv(di);
                 if let Some(k) = LineSweep::new(grid.nx, a.data(), bulk, rec, diag, b, backward) {
+                    let k = if from_zero { k.starting_from_zero() } else { k };
                     k.run_with(x, tier == Tier::Simd);
                     return;
                 }
             }
-            sweep_staged(grid, metas, a.data(), bulk, rec, dinv, b, x, backward);
+            sweep_staged(grid, metas, a.data(), bulk, rec, dinv, b, x, backward, from_zero);
         });
     });
 }
@@ -104,6 +136,7 @@ pub(crate) fn sweep<S: Storage, P: Scalar>(
 fn sweep_aos<S: Storage, P: Scalar>(
     a: &SgDia<S>,
     metas: &[TapMeta],
+    set: TapSet,
     dinv: &BlockDiagInv<P>,
     b: &[P],
     x: &mut [P],
@@ -118,7 +151,7 @@ fn sweep_aos<S: Storage, P: Scalar>(
         for c in 0..r {
             acc[c] = b[cell * r + c];
         }
-        for (t, m) in metas.iter().enumerate() {
+        for (t, m) in set.select(metas) {
             if m.center {
                 continue; // the diagonal block is applied via its inverse
             }
@@ -137,7 +170,9 @@ fn sweep_aos<S: Storage, P: Scalar>(
 /// Staged SOA sweep (any component count): per x-line bulk conversion
 /// into scratch, vectorizable accumulation of the `bulk` couplings from
 /// the pre-sweep state of the line, then a scalar pass over the `rec`
-/// couplings plus the diagonal-block solve per cell.
+/// couplings plus the diagonal-block solve per cell. Only the planes of
+/// `bulk` and `rec` are widened (the centre block is `dinv`'s);
+/// `clear_lines` is the sweep from zero, see [`LineSweep::starting_from_zero`].
 #[allow(clippy::too_many_arguments)] // internal dispatch: full kernel context
 fn sweep_staged<S: Storage, P: Scalar>(
     grid: &Grid3,
@@ -149,6 +184,7 @@ fn sweep_staged<S: Storage, P: Scalar>(
     b: &[P],
     x: &mut [P],
     backward: bool,
+    clear_lines: bool,
 ) {
     let cells = grid.cells();
     let nx = grid.nx;
@@ -162,11 +198,14 @@ fn sweep_staged<S: Storage, P: Scalar>(
         for lstep in 0..nlines {
             let line = if backward { nlines - 1 - lstep } else { lstep };
             let lbase = line * nx;
-            for t in 0..taps {
+            for &(t, _) in bulk.iter().chain(rec) {
                 widen_line(
                     &data[t * cells + lbase..t * cells + lbase + nx],
                     &mut scratch[t * nx..(t + 1) * nx],
                 );
+            }
+            if clear_lines {
+                x[lbase * r..(lbase + nx) * r].fill(P::ZERO);
             }
             acc[..nx * r].copy_from_slice(&b[lbase * r..(lbase + nx) * r]);
             for &(t, cstride) in bulk {

@@ -10,26 +10,29 @@
 //! * **generic** — scalar loop, one convert per entry. On AOS data this is
 //!   the paper's *naive* mixed-precision kernel whose convert overhead
 //!   eats the bandwidth win.
-//! * **SIMD** — SOA data, 8-wide F16C conversion + FMA
-//!   ([`spmv`]/[`residual`] dispatch to it automatically for
-//!   `S = F16, P = f32`, scalar problems, SOA layout on capable CPUs);
-//!   an AVX2 path covers the full-FP32 baseline so the comparison is
-//!   apples-to-apples.
-//! * **line** — the inherently sequential sweeps ([`gs_forward`],
-//!   [`sptrsv_forward`] and their backward twins) on scalar SOA data run
-//!   one x-line at a time through `line`: every coupling outside the
-//!   line's dependency chain is accumulated in registers a SIMD vector at
-//!   a time with the same convert-per-vector inner loop as the SIMD SpMV
-//!   (the paper's SpTRSV treatment), which leaves a first-order
-//!   recurrence of one hardware FMA per cell. One body, instantiated for
-//!   `(F16, f32)`, `(f32, f32)` and `(f64, f64)` on AVX2 and portably for
-//!   every other pair, so a sweep costs about what an SpMV over the same
-//!   bytes does in every precision.
+//! * **line** — every kernel on scalar SOA data runs one x-line at a time
+//!   through `line`, a SIMD vector of cells at a time with the
+//!   accumulator in a register and one convert per vector (8-wide F16C
+//!   for FP16; a plain load keeps the FP32 / FP64 baselines on the same
+//!   code). [`spmv()`], [`residual`] and [`residual_upper`] are that vector
+//!   phase alone. For the inherently sequential sweeps ([`gs_forward`],
+//!   [`sptrsv_forward`] and their backward twins) it covers every
+//!   coupling outside the line's dependency chain (the paper's SpTRSV
+//!   treatment), which leaves a first-order recurrence of one hardware
+//!   FMA per cell. One body, instantiated for `(F16, f32)`, `(f32, f32)`
+//!   and `(f64, f64)` on AVX2 and portably for every other pair, so a
+//!   sweep costs about what an SpMV over the same bytes does in every
+//!   precision.
 //! * **staged** — what is left for vector PDEs (SpMV, residual and block
-//!   Gauss–Seidel with `components > 1`) and for SOA pairs without a SIMD
-//!   SpMV: each x-line of coefficients is bulk-converted into a pooled
-//!   scratch first, amortizing the convert, then tap-by-tap loops run in
-//!   the computation precision.
+//!   Gauss–Seidel with `components > 1`) and `y += A x`: each x-line of
+//!   coefficients is bulk-converted into a pooled scratch first,
+//!   amortizing the convert, then tap-by-tap loops run in the computation
+//!   precision.
+//!
+//! A multigrid level is entered with a zero iterate, so its first forward
+//! sweep multiplies the upper half of the matrix by zeros and, after it,
+//! `(L + D) x = b` makes the residual `−U x`: [`gs_forward_from_zero`] and
+//! [`residual_upper`] each read one half (`TapSet`) instead.
 
 mod diag;
 mod gs;
@@ -41,9 +44,9 @@ mod sptrsv;
 pub use diag::BlockDiagInv;
 #[cfg(test)]
 pub(crate) use gs::sweep as gs_sweep;
-pub use gs::{gs_backward, gs_forward};
+pub use gs::{gs_backward, gs_forward, gs_forward_from_zero};
 pub(crate) use scratch::{with_bufs, with_idx2, with_tap_metas};
-pub use spmv::{residual, spmv, spmv_axpy};
+pub use spmv::{residual, residual_upper, spmv, spmv_axpy};
 #[cfg(test)]
 pub(crate) use sptrsv::solve as sptrsv_solve;
 pub use sptrsv::{sptrsv_backward, sptrsv_forward, sptrsv_forward_wavefront};
@@ -67,6 +70,38 @@ pub(crate) enum Tier {
     /// scalar problems (still the vector-PDE path); the per-entry generic
     /// solve for the triangular solves.
     Staged,
+}
+
+/// Which couplings a kernel reads, by the sign of the tap's cell stride —
+/// the row-major splitting `A = L + D + U`. The centre block has stride 0
+/// and belongs to neither half: the sweeps apply it through
+/// [`BlockDiagInv`], and only [`TapSet::All`] multiplies by it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum TapSet {
+    /// Every tap.
+    All,
+    /// Strictly lower: the cells a forward sweep has already visited.
+    Lower,
+    /// Strictly upper: the cells a forward sweep has yet to visit.
+    Upper,
+}
+
+impl TapSet {
+    /// Whether a tap with this cell stride is in the set.
+    #[inline]
+    pub(crate) fn has(self, cell_stride: i64) -> bool {
+        match self {
+            TapSet::All => true,
+            TapSet::Lower => cell_stride < 0,
+            TapSet::Upper => cell_stride > 0,
+        }
+    }
+
+    /// The taps of `metas` in the set, with their tap indices.
+    #[inline]
+    pub(crate) fn select(self, metas: &[TapMeta]) -> impl Iterator<Item = (usize, &TapMeta)> {
+        metas.iter().enumerate().filter(move |(_, m)| self.has(m.cell_stride))
+    }
 }
 
 /// Per-tap metadata resolved once per kernel invocation.
@@ -128,23 +163,6 @@ pub(crate) fn cast_slice_mut<A: 'static, B: 'static>(s: &mut [A]) -> Option<&mut
 
 /// Maximum supported components per cell in the fixed-size accumulators.
 pub(crate) const MAX_COMPONENTS: usize = 8;
-
-/// Interior cell range `[lo, hi)` in which every tap's neighbor cell index
-/// stays inside `[0, cells)`. Outside it, per-entry bounds checks are
-/// required; inside it, wrapped neighbors are possible at x/y faces but
-/// their coefficients are stored as exact zeros, so unchecked reads are
-/// numerically inert.
-pub(crate) fn interior_range(cells: usize, metas: &[TapMeta]) -> (usize, usize) {
-    let mut maxneg: i64 = 0;
-    let mut maxpos: i64 = 0;
-    for m in metas {
-        maxneg = maxneg.max(-m.cell_stride);
-        maxpos = maxpos.max(m.cell_stride);
-    }
-    let lo = (maxneg.max(0) as usize).min(cells);
-    let hi = cells.saturating_sub(maxpos.max(0) as usize).max(lo);
-    (lo, hi)
-}
 
 /// True when the AVX2+FMA+F16C SIMD paths are usable on this CPU.
 #[inline]

@@ -7,11 +7,14 @@
 //! Threads are spawned per call, and that is not free: a spawn-and-join
 //! costs tens of microseconds, the same order as a whole bandwidth-bound
 //! kernel on a few hundred thousand cells, so coarse levels run no faster
-//! threaded than sequential and even the finest SpMV reaches about half
-//! of ideal efficiency on two cores (`sgdia.par_coarse_ratio` ≈ 1 and
-//! `sgdia.par_spmv_eff` ≈ 0.5 in the benchmark's trace). A persistent
-//! worker team is ROADMAP item 2; until then sub-millisecond kernels such
-//! as the grid transfers stay sequential.
+//! threaded than sequential (`sgdia.par_coarse_ratio` ≈ 1 in the
+//! benchmark's trace). On the 2-vCPU development host the finest SpMV
+//! (1.3 ms sequential) is 1.8× faster on two threads at its fastest call
+//! and anywhere from 1.0× to 1.5× at the median, because a freshly
+//! spawned thread is often scheduled late there (`sgdia.par_spmv_eff` ≈
+//! 0.5; threads that stay up for hundreds of milliseconds get the full
+//! 2×). A persistent worker team is ROADMAP item 1(b); until then
+//! sub-millisecond kernels such as the grid transfers stay sequential.
 
 /// Kernel execution policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
