@@ -14,6 +14,7 @@ use fp16mg_krylov::{axpy, dot};
 use fp16mg_problems::ProblemKind;
 use fp16mg_sgdia::audit::{store_level, TruncationPolicy};
 use fp16mg_sgdia::kernels::{self, BlockDiagInv, Par};
+use fp16mg_sgdia::scaling::{scale_symmetric, GChoice};
 use fp16mg_sgdia::{Layout, SgDia};
 
 /// Grid transfers (f32, the V-cycle's precision) and Krylov BLAS-1 (f64)
@@ -75,8 +76,10 @@ fn bench_setup_kernels() {
 /// rows should sit within a small factor of the `spmv` row, and the two
 /// half-matrix kernels of the zero-guess cycle (`gs-fwd-zero`,
 /// `residual-upper`) at about half of their full twins. GB/s from the
-/// matrix planes each call actually reads plus the vectors it must move.
-fn sweep_rows<S: fp16mg_fp::Storage, P: fp16mg_fp::Scalar>(label: &str, a: &SgDia<S>) {
+/// matrix planes each call actually reads plus the vectors it must move,
+/// Melem/s from the in-grid nonzeros of those planes (1000 Melem/s is one
+/// nonzero per nanosecond).
+fn sweep_rows<S: fp16mg_fp::Storage, P: fp16mg_fp::Scalar>(name: String, a: &SgDia<S>) {
     let n = a.rows();
     let dinv = BlockDiagInv::<P>::from_matrix(a).expect("regular diagonal");
     let b: Vec<P> = (0..n).map(|i| P::from_f64(((i % 101) as f64) * 0.01 - 0.4)).collect();
@@ -87,8 +90,9 @@ fn sweep_rows<S: fp16mg_fp::Storage, P: fp16mg_fp::Scalar>(label: &str, a: &SgDi
     let lower = taps.iter().filter(|t| t.spatial_sign() < 0).count();
     let upper = taps.iter().filter(|t| t.spatial_sign() > 0).count();
     let group = |planes: usize, vectors: usize| {
-        Group::new(format!("sweep/laplace27-n48/{label}"))
+        Group::new(name.as_str())
             .throughput_bytes((planes * plane + vectors * n * P::BYTES) as u64)
+            .throughput_elements((a.nnz() * planes / taps.len()) as u64)
     };
     group(taps.len(), 3).bench("gs-forward", || kernels::gs_forward(a, &dinv, &b, &mut x));
     group(taps.len(), 3).bench("gs-backward", || kernels::gs_backward(a, &dinv, &b, &mut x));
@@ -98,12 +102,27 @@ fn sweep_rows<S: fp16mg_fp::Storage, P: fp16mg_fp::Scalar>(label: &str, a: &SgDi
     group(upper, 2).bench("residual-upper", || kernels::residual_upper(a, &x, &mut y, Par::Seq));
 }
 
-/// Finest level of laplace27 n = 48 in the two storage precisions the
-/// repo benchmark compares (FP16 planes with f32 vectors, Full64).
+/// Finest level of laplace27 n = 48 and every level of the rhd-3T n = 24
+/// chain (three components, the repo benchmark's `block3t` shape) in the
+/// two storage precisions the repo benchmark compares (FP16 planes with
+/// f32 vectors, Full64): scalar and vector PDEs run the same line kernel,
+/// so their rows should show the same nonzeros per nanosecond.
 fn bench_sweep_kernels() {
     let a64 = ProblemKind::Laplace27.build(48).matrix.to_layout(Layout::Soa);
-    sweep_rows::<F16, f32>("f16", &a64.convert::<F16>());
-    sweep_rows::<f64, f64>("f64", &a64);
+    sweep_rows::<F16, f32>("sweep/laplace27-n48/f16".into(), &a64.convert::<F16>());
+    sweep_rows::<f64, f64>("sweep/laplace27-n48/f64".into(), &a64);
+
+    let p = ProblemKind::Rhd3T.build(24);
+    let chain = GalerkinChain::build(&p.matrix, &MgConfig::d16()).expect("chain");
+    let levels = chain.matrices();
+    for (l, a) in levels.iter().enumerate().take(levels.len() - 1) {
+        // The planes as the hierarchy stores them: scaled into FP16 range.
+        let mut scaled = a.to_layout(Layout::Soa);
+        scale_symmetric::<f32>(&mut scaled, GChoice::Auto, F16::MAX_F64)
+            .expect("positive diagonal");
+        sweep_rows::<F16, f32>(format!("sweep/rhd-3T-n24/L{l}-f16"), &scaled.convert::<F16>());
+        sweep_rows::<f64, f64>(format!("sweep/rhd-3T-n24/L{l}-f64"), &scaled);
+    }
 }
 
 fn bench_vcycle() {

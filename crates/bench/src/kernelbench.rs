@@ -37,7 +37,7 @@ pub enum Variant {
     Fp32Baseline,
     /// `MG-fp16/fp32 (naive)`: FP16 AOS, scalar per-entry conversion.
     F16Naive,
-    /// `MG-fp16/fp32 (opt)`: FP16 SOA, SIMD/staged bulk conversion.
+    /// `MG-fp16/fp32 (opt)`: FP16 SOA, one SIMD convert per vector of cells.
     F16Opt,
     /// CSR FP32 (vendor-library stand-in).
     Csr,

@@ -10,18 +10,15 @@
 
 use std::time::{Duration, Instant};
 
-/// Per-iteration throughput denomination.
-#[derive(Clone, Copy, Debug)]
-enum Throughput {
-    None,
-    Bytes(u64),
-    Elements(u64),
-}
-
-/// A named group of benchmark cases sharing a throughput denomination.
+/// A named group of benchmark cases sharing their throughput
+/// denominations.
 pub struct Group {
     name: String,
-    throughput: Throughput,
+    /// Bytes per iteration, reported as GB/s.
+    bytes: Option<u64>,
+    /// Elements per iteration, reported as Melem/s (1000 Melem/s is one
+    /// element per nanosecond).
+    elements: Option<u64>,
     warmup: Duration,
     budget: Duration,
     min_samples: usize,
@@ -32,7 +29,8 @@ impl Group {
     pub fn new(name: impl Into<String>) -> Self {
         Group {
             name: name.into(),
-            throughput: Throughput::None,
+            bytes: None,
+            elements: None,
             warmup: Duration::from_millis(300),
             budget: Duration::from_secs(2),
             min_samples: 10,
@@ -41,13 +39,13 @@ impl Group {
 
     /// Report GB/s computed from this many bytes per iteration.
     pub fn throughput_bytes(mut self, bytes: u64) -> Self {
-        self.throughput = Throughput::Bytes(bytes);
+        self.bytes = Some(bytes);
         self
     }
 
     /// Report Melem/s computed from this many elements per iteration.
     pub fn throughput_elements(mut self, elems: u64) -> Self {
-        self.throughput = Throughput::Elements(elems);
+        self.elements = Some(elems);
         self
     }
 
@@ -88,15 +86,9 @@ impl Group {
         let median = samples[samples.len() / 2];
         let min = samples[0];
         let max = samples[samples.len() - 1];
-        let rate = match self.throughput {
-            Throughput::None => String::new(),
-            Throughput::Bytes(n) => {
-                format!("  {:>8.2} GB/s", n as f64 / median / 1e9)
-            }
-            Throughput::Elements(n) => {
-                format!("  {:>8.1} Melem/s", n as f64 / median / 1e6)
-            }
-        };
+        let gbs = self.bytes.map(|n| format!("  {:>8.2} GB/s", n as f64 / median / 1e9));
+        let elems = self.elements.map(|n| format!("  {:>8.1} Melem/s", n as f64 / median / 1e6));
+        let rate = gbs.unwrap_or_default() + &elems.unwrap_or_default();
         println!(
             "{:<28} {:<20} {:>12}/iter  [{} .. {}]{}",
             self.name,

@@ -568,6 +568,15 @@ impl SimDriver {
                 chaos_seed(cfg.chaos),
             ));
         }
+        if snap.fields != cfg.kind.components() {
+            return Err(format!(
+                "snapshot numbers its solution as {} field(s) but '{}' has {} components: it was \
+                 written before unknowns were numbered component-major and cannot be resumed",
+                snap.fields,
+                cfg.kind.name(),
+                cfg.kind.components(),
+            ));
+        }
         if snap.x.len() != self.work_x.len() {
             return Err(format!(
                 "snapshot solution has {} entries, expected {}",
@@ -843,6 +852,7 @@ impl SimDriver {
                 last_resid: self.last_resid,
                 counters: self.counters,
                 x: self.work_x.clone(),
+                fields: self.cfg.kind.components(),
             };
             // The publication generation is the step index: even steps
             // land in slot A, odd in slot B, so the slot being

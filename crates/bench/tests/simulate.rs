@@ -8,8 +8,9 @@ use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
 
-use fp16mg_bench::simulate::{sim_trail_path, SimConfig, SimDriver};
+use fp16mg_bench::simulate::{sim_snapshot_path, sim_trail_path, SimConfig, SimDriver};
 use fp16mg_problems::ProblemKind;
+use fp16mg_runtime::{RealStorage, SimSnapshot, SnapshotStore};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fp16mg-simtest-{}-{tag}", std::process::id()));
@@ -120,6 +121,40 @@ fn snapshot_from_a_different_run_is_refused() {
     let err = SimDriver::new(chaotic).err().expect("chaos mismatch must refuse to resume");
     assert!(err.contains("does not match"), "unexpected error: {err}");
     fs::remove_dir_all(&dir).ok();
+}
+
+/// A snapshot written before unknowns were numbered component-major has
+/// no numbering record. For a scalar problem it is the same bytes as
+/// today's and resumes; for a vector PDE its `x` is cell-major and the
+/// run must refuse it rather than couple the next step to a permuted
+/// solution.
+#[test]
+fn old_numbering_vector_snapshot_is_refused_and_a_scalar_one_resumes() {
+    for (kind, tag) in [(ProblemKind::Rhd3T, "old-vector"), (ProblemKind::Oil, "old-scalar")] {
+        let dir = scratch(tag);
+        let mut cfg = SimConfig::new(kind, 4, 6, 1e-9);
+        cfg.snapshot_dir = Some(dir.clone());
+        let mut driver = SimDriver::new(cfg.clone()).unwrap();
+        driver.step_once().unwrap();
+        drop(driver);
+
+        // Rewrite the published generation as the older build wrote it.
+        let store = SnapshotStore::new(sim_snapshot_path(&dir, kind));
+        let found = store.recover(&RealStorage, &SimSnapshot::decode).unwrap();
+        let [(_, snap)] = &found.candidates[..] else { panic!("one generation, {found:?}") };
+        assert_eq!(snap.fields, kind.components());
+        let old = SimSnapshot { fields: 1, ..snap.clone() };
+        assert!(!old.encode().contains("x-fields"));
+        store.publish(&RealStorage, snap.step, &old.encode()).unwrap();
+
+        match (kind.components(), SimDriver::new(cfg)) {
+            (1, Ok(resumed)) => assert!(resumed.resumed() && resumed.next_step() == 1),
+            (1, Err(e)) => panic!("a scalar snapshot must resume: {e}"),
+            (_, Ok(_)) => panic!("a cell-major vector snapshot must be refused"),
+            (_, Err(e)) => assert!(e.contains("component-major"), "unexpected error: {e}"),
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

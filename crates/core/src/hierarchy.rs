@@ -11,7 +11,7 @@ use fp16mg_sgdia::audit::{self, RangeAudit, StoredLevel, TruncationError, Trunca
 use fp16mg_sgdia::kernels::BlockDiagInv;
 use fp16mg_sgdia::scaling::{self, ScaleVectors};
 use fp16mg_sgdia::sentinel::{MatrixSentinels, TapMismatch};
-use fp16mg_sgdia::SgDia;
+use fp16mg_sgdia::{Layout, SgDia};
 
 use fp16mg_sgdia::scaling::GChoice;
 use fp16mg_sgdia::scan::MatrixScan;
@@ -1362,14 +1362,13 @@ fn estimate_lambda_if_cheb(ai: &SgDia<f64>, config: &MgConfig) -> Option<f64> {
         return None;
     }
     let grid = ai.grid();
-    let r = grid.components;
     let diag = ai.extract_diagonal();
+    // Row sums plane by plane: out-of-grid entries are stored zeros.
+    let soa = ai.in_layout(Layout::Soa);
     let mut rowsum = vec![0.0f64; ai.rows()];
-    for (cell, i, j, k) in grid.iter_cells() {
-        for (t, tap) in ai.pattern().taps().iter().enumerate() {
-            if grid.contains_offset(i, j, k, tap.dx, tap.dy, tap.dz) {
-                rowsum[cell * r + tap.cout as usize] += ai.get(cell, t).abs();
-            }
+    for (t, tap) in ai.pattern().taps().iter().enumerate() {
+        for (s, v) in rowsum[grid.field(tap.cout as usize)].iter_mut().zip(soa.tap_slice(t)) {
+            *s += v.abs();
         }
     }
     let mut lmax: f64 = 0.0;

@@ -90,6 +90,22 @@ fn operator(rng: &mut Rng) -> SgDia<f64> {
     laplacian(grid, pattern, if rng.chance(0.5) { 1.0 } else { 1e8 })
 }
 
+/// A three-component operator — per-field 7-point diffusion, fields
+/// coupled through the centre block — in or far out of FP16 range.
+fn block_operator(rng: &mut Rng) -> SgDia<f64> {
+    let ext = |rng: &mut Rng| rng.usize_range(9, 15);
+    let grid = Grid3::with_components(ext(rng), ext(rng), ext(rng), 3);
+    let pattern = Pattern::p7().with_components(3);
+    let taps = pattern.taps().to_vec();
+    let scale = if rng.chance(0.5) { 1.0 } else { 1e6 };
+    SgDia::from_fn(grid, pattern, Layout::Soa, |_, _, _, _, t| match taps[t] {
+        tap if tap.is_diagonal() => 7.0 * scale,
+        tap if tap.is_center() => 0.2 * scale,
+        tap if tap.cin == tap.cout => -scale,
+        _ => 0.0,
+    })
+}
+
 const CYCLES: [Cycle; 3] = [Cycle::V, Cycle::W, Cycle::F];
 
 #[test]
@@ -97,8 +113,11 @@ fn cycles_match_the_full_sweep_reference_exactly_in_wide_storage() {
     // Full64: D₁₆ = D_hp, so `−U u` *is* `f − A u` and the two cycles may
     // differ by rounding only — in particular the second W / F visit of a
     // level must have kept the first visit's iterate.
+    let mut blocks = false;
     check_n("cycles_match_the_full_sweep_reference_exactly_in_wide_storage", 6, |rng| {
-        let a = operator(rng);
+        // Scalar and three-component operators in turn.
+        blocks = !blocks;
+        let a = if blocks { block_operator(rng) } else { operator(rng) };
         let r: Vec<f64> = random_rhs(rng, a.rows());
         let mut v_out = Vec::new();
         for cycle in CYCLES {
@@ -130,8 +149,10 @@ fn fp16_cycles_stay_within_the_stored_diagonal_bound() {
     // residual the reference subtracts uses the FP16 diagonal, so the
     // cycles differ by (D₁₆ − D_hp) u ≤ 2⁻¹¹ |D u| per level — and by
     // nothing beyond rounding when no level takes the `−U u` residual.
+    let mut blocks = false;
     check_n("fp16_cycles_stay_within_the_stored_diagonal_bound", 6, |rng| {
-        let a = operator(rng);
+        blocks = !blocks;
+        let a = if blocks { block_operator(rng) } else { operator(rng) };
         let r: Vec<f32> = random_rhs(rng, a.rows());
         for cycle in CYCLES {
             for (nu1, bound) in [(1, 2e-3), (2, 2e-5)] {
@@ -160,18 +181,7 @@ fn every_smoother_takes_the_same_first_step_from_zero() {
         SmootherKind::Chebyshev { degree: 2 },
     ];
     check_n("every_smoother_takes_the_same_first_step_from_zero", 4, |rng| {
-        let scalar = operator(rng);
-        let blocks = {
-            let grid = Grid3::with_components(9, 8, 7, 3);
-            let pattern = Pattern::p7().with_components(3);
-            let taps = pattern.taps().to_vec();
-            SgDia::from_fn(grid, pattern, Layout::Soa, |_, _, _, _, t| match taps[t] {
-                tap if tap.is_diagonal() => 7.0e6,
-                tap if tap.is_center() => 2.0e5,
-                tap if tap.cin == tap.cout => -1.0e6,
-                _ => 0.0,
-            })
-        };
+        let (scalar, blocks) = (operator(rng), block_operator(rng));
         for a in [&scalar, &blocks] {
             let f: Vec<f32> = random_rhs(rng, a.rows());
             for kind in kinds {

@@ -215,22 +215,10 @@ impl<Pr: Scalar> Level<Pr> {
                     stored.residual(b, x, s1, par);
                     s1
                 };
+                dinv.apply(r, s2);
                 let w = Pr::from_f64(weight);
-                if let Some(di) = dinv.as_scalar() {
-                    // Scalar PDE: one slice, so the loop vectorises.
-                    for ((xi, &d), &ri) in x.iter_mut().zip(di).zip(r) {
-                        *xi += w * (d * ri);
-                    }
-                    return false;
-                }
-                let rc = dinv.components();
-                const MAX_BLOCK: usize = 8;
-                let mut blk = [Pr::ZERO; MAX_BLOCK];
-                for cell in 0..dinv.cells() {
-                    dinv.solve(cell, &r[cell * rc..cell * rc + rc], &mut blk[..rc]);
-                    for c in 0..rc {
-                        x[cell * rc + c] += w * blk[c];
-                    }
+                for (xi, &zi) in x.iter_mut().zip(s2.iter()) {
+                    *xi += w * zi;
                 }
             }
         }
@@ -264,31 +252,13 @@ fn chebyshev_sweep<Pr: Scalar>(
     let sigma = theta / delta;
     let mut rho = 1.0 / sigma;
 
-    let rc = dinv.components();
-    let apply_dinv = |src: &[Pr], dst: &mut [Pr]| {
-        if let Some(di) = dinv.as_scalar() {
-            // Scalar PDE: one slice, so the loop vectorises.
-            for ((o, &d), &v) in dst.iter_mut().zip(di).zip(src) {
-                *o = d * v;
-            }
-            return;
-        }
-        for cell in 0..dinv.cells() {
-            dinv.solve(
-                cell,
-                &src[cell * rc..(cell + 1) * rc],
-                &mut dst[cell * rc..(cell + 1) * rc],
-            );
-        }
-    };
-
     // d0 = z/θ; x += d0.
     if zero {
         x.fill(Pr::ZERO);
-        apply_dinv(b, z);
+        dinv.apply(b, z);
     } else {
         stored.residual(b, x, r, par);
-        apply_dinv(r, z);
+        dinv.apply(r, z);
     }
     let inv_theta = Pr::from_f64(1.0 / theta);
     for (di, &zi) in d.iter_mut().zip(z.iter()) {
@@ -300,7 +270,7 @@ fn chebyshev_sweep<Pr: Scalar>(
     for _ in 1..degree {
         let rho_new = 1.0 / (2.0 * sigma - rho);
         stored.residual(b, x, r, par);
-        apply_dinv(r, z);
+        dinv.apply(r, z);
         let c1 = Pr::from_f64(rho_new * rho);
         let c2 = Pr::from_f64(2.0 * rho_new / delta);
         for (di, &zi) in d.iter_mut().zip(z.iter()) {

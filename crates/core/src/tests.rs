@@ -166,20 +166,18 @@ fn vector_transfers_act_componentwise() {
     // Component c of the coarse vector = c everywhere; prolongation must
     // keep components separated.
     let mut uc = vec![0.0f64; coarse.unknowns()];
-    for cell in 0..coarse.cells() {
-        for c in 0..3 {
-            uc[cell * 3 + c] = c as f64;
-        }
+    for c in 0..3 {
+        uc[coarse.field(c)].fill(c as f64);
     }
     let mut uf = vec![0.0f64; fine.unknowns()];
     prolong_add(&fine, &coarse, &uc, &mut uf);
     for cell in 0..fine.cells() {
         // Weights sum to at most 1; whatever the sum w, component c gets
         // w * c, so uf[1]/1 == uf[2]/2 wherever nonzero.
-        let u1 = uf[cell * 3 + 1];
-        let u2 = uf[cell * 3 + 2];
+        let u1 = uf[fine.unknown_of(cell, 1)];
+        let u2 = uf[fine.unknown_of(cell, 2)];
         assert!((u2 - 2.0 * u1).abs() < 1e-12);
-        assert_eq!(uf[cell * 3], 0.0);
+        assert_eq!(uf[fine.unknown_of(cell, 0)], 0.0);
     }
 }
 

@@ -7,7 +7,9 @@
 //! surviving one (see [`parents`]). Restriction is exactly the transpose,
 //! `R = Pᵀ`, which keeps the Galerkin-coarsened V-cycle symmetric — a
 //! requirement for use inside CG. Components of vector PDEs transfer
-//! independently (unknown-based system multigrid).
+//! independently (unknown-based system multigrid): unknowns are numbered
+//! component-major, so a vector is `components` scalar fields and each is
+//! transferred by the scalar kernels in turn.
 //!
 //! Both operators are *gather-form row kernels*: the weights factor per
 //! axis, so the `y`/`z` part is a weighted sum of whole contiguous x-rows
@@ -103,15 +105,12 @@ fn assert_coarsening_pair(fine: &Grid3, coarse: &Grid3) {
 const TILE: usize = 1024;
 
 /// Coarse cells per x-chunk such that the chunk's fine cells (`2n + 1`
-/// of them under coarsening, `n` on an identity axis) times `components`
-/// fit in [`TILE`].
-fn x_chunk_cells(fine_nx: usize, coarse_nx: usize, components: usize) -> usize {
-    let cells = TILE / components;
-    assert!(cells >= 3, "more than {} components per cell", TILE / 3);
+/// of them under coarsening, `n` on an identity axis) fit in [`TILE`].
+fn x_chunk_cells(fine_nx: usize, coarse_nx: usize) -> usize {
     if coarse_nx == fine_nx {
-        cells
+        TILE
     } else {
-        (cells - 1) / 2
+        (TILE - 1) / 2
     }
 }
 
@@ -124,8 +123,8 @@ fn row_axpy<P: Scalar>(w: P, row: &[P], acc: &mut [P]) {
     }
 }
 
-/// Collapses the combined fine cells `t` (cells `lo..`, `r` components
-/// each) onto coarse cells `c0..c0 + out.len() / r` along x.
+/// Collapses the combined fine cells `t` (cells `lo..`) onto coarse cells
+/// `c0..c0 + out.len()` along x.
 #[inline(always)]
 fn collapse_x<P: Scalar>(
     t: &[P],
@@ -133,7 +132,6 @@ fn collapse_x<P: Scalar>(
     out: &mut [P],
     c0: usize,
     (fine_nx, coarse_nx): (usize, usize),
-    r: usize,
 ) {
     if coarse_nx == fine_nx {
         out.copy_from_slice(t);
@@ -144,30 +142,24 @@ fn collapse_x<P: Scalar>(
     // in-grid parents, i.e. the weights are the interior [½ 1 ½].
     let a = c0.max(1);
     let half = P::from_f32(0.5);
-    let tt = &t[(2 * a - 1 - lo) * r..];
-    let pairs = tt.chunks_exact(2 * r).zip(tt[(2 * r).min(tt.len())..].chunks_exact(2 * r));
+    let tt = &t[2 * a - 1 - lo..];
+    let pairs = tt.chunks_exact(2).zip(tt[2.min(tt.len())..].chunks_exact(2));
     let mut stencilled = 0;
-    for (o, (p, q)) in out[(a - c0) * r..].chunks_exact_mut(r).zip(pairs) {
-        for c in 0..r {
-            o[c] = p[r + c] + half * (p[c] + q[c]);
-        }
+    for (o, (p, q)) in out[a - c0..].iter_mut().zip(pairs) {
+        *o = p[1] + half * (p[0] + q[0]);
         stencilled += 1;
     }
     // The rest — coarse cell 0, the last cell of the chunk, the folded
     // upper boundary — takes its children and weights from the lookup.
-    let c1 = c0 + out.len() / r;
+    let c1 = c0 + out.len();
     for ci in (c0..a).chain(a + stencilled..c1) {
-        let o = &mut out[(ci - c0) * r..][..r];
-        o.fill(P::ZERO);
         let (kids, nk) = children_axis(ci, fine_nx, coarse_nx);
-        for &(x, w) in &kids[..nk] {
-            row_axpy(P::from_f32(w), &t[(x - lo) * r..][..r], o);
-        }
+        out[ci - c0] = kids[..nk].iter().fold(P::ZERO, |o, &(x, w)| o + P::from_f32(w) * t[x - lo]);
     }
 }
 
-/// Adds the combined coarse cells `t` (cells `c0..`, `r` components
-/// each) to the fine cells `f0..f0 + uf.len() / r` along x.
+/// Adds the combined coarse cells `t` (cells `c0..`) to the fine cells
+/// `f0..f0 + uf.len()` along x.
 #[inline(always)]
 fn expand_x_add<P: Scalar>(
     t: &[P],
@@ -175,7 +167,6 @@ fn expand_x_add<P: Scalar>(
     uf: &mut [P],
     f0: usize,
     (fine_nx, coarse_nx): (usize, usize),
-    r: usize,
 ) {
     if coarse_nx == fine_nx {
         row_axpy(P::ONE, t, uf);
@@ -186,20 +177,17 @@ fn expand_x_add<P: Scalar>(
     // `odd += ½(c[m] + c[m+1])`.
     let half = P::from_f32(0.5);
     let mut paired = 0;
-    let parents_pairs = t.chunks_exact(r).zip(t[r.min(t.len())..].chunks_exact(r));
-    for (f, (a, b)) in uf.chunks_exact_mut(2 * r).zip(parents_pairs) {
-        for c in 0..r {
-            f[c] += a[c];
-            f[r + c] += half * (a[c] + b[c]);
-        }
+    for (f, ab) in uf.chunks_exact_mut(2).zip(t.windows(2)) {
+        f[0] += ab[0];
+        f[1] += half * (ab[0] + ab[1]);
         paired += 1;
     }
     // The tail of the chunk — including a folded odd boundary cell —
     // takes its parents and weights from the lookup.
-    for (n, f) in uf.chunks_exact_mut(r).enumerate().skip(2 * paired) {
+    for (n, f) in uf.iter_mut().enumerate().skip(2 * paired) {
         let (ps, np) = parents_axis(f0 + n, fine_nx, coarse_nx);
         for &(ci, w) in &ps[..np] {
-            row_axpy(P::from_f32(w), &t[(ci - c0) * r..][..r], f);
+            *f += P::from_f32(w) * t[ci - c0];
         }
     }
 }
@@ -208,47 +196,43 @@ fn expand_x_add<P: Scalar>(
 /// accumulates (Algorithm 3 line 20).
 ///
 /// # Panics
-/// Panics on dimension mismatch, when `coarse` is not a (semi)coarsening
-/// of `fine`, or on more than 341 components per cell.
+/// Panics on dimension mismatch or when `coarse` is not a
+/// (semi)coarsening of `fine`.
 pub fn prolong_add<P: Scalar>(fine: &Grid3, coarse: &Grid3, uc: &[P], uf: &mut [P]) {
     assert_coarsening_pair(fine, coarse);
     assert_eq!(uc.len(), coarse.unknowns(), "uc length");
     assert_eq!(uf.len(), fine.unknowns(), "uf length");
-    if fine.components == 1 {
-        prolong_add_rows(fine, coarse, uc, uf, 1);
-    } else {
-        prolong_add_rows(fine, coarse, uc, uf, fine.components);
+    for (uc, uf) in uc.chunks_exact(coarse.cells()).zip(uf.chunks_exact_mut(fine.cells())) {
+        prolong_add_field(fine, coarse, uc, uf);
     }
 }
 
-/// [`prolong_add`] with the component count as a separate argument so the
-/// scalar case is compiled with `r = 1` folded into the x-stencil.
-#[inline(always)]
-fn prolong_add_rows<P: Scalar>(fine: &Grid3, coarse: &Grid3, uc: &[P], uf: &mut [P], r: usize) {
+/// [`prolong_add`] for one scalar field.
+fn prolong_add_field<P: Scalar>(fine: &Grid3, coarse: &Grid3, uc: &[P], uf: &mut [P]) {
     let nx = (fine.nx, coarse.nx);
-    let step = x_chunk_cells(fine.nx, coarse.nx, r);
+    let step = x_chunk_cells(fine.nx, coarse.nx);
     let fine_per_coarse = if coarse.nx == fine.nx { 1 } else { 2 };
     let mut tile = [P::ZERO; TILE];
     for k in 0..fine.nz {
         let (pk, nk) = parents_axis(k, fine.nz, coarse.nz);
         for j in 0..fine.ny {
             let (pj, nj) = parents_axis(j, fine.ny, coarse.ny);
-            let fine_row = &mut uf[fine.cell(0, j, k) * r..][..fine.nx * r];
+            let fine_row = &mut uf[fine.cell(0, j, k)..][..fine.nx];
             for c0 in (0..coarse.nx).step_by(step) {
                 // Coarse cells c0..c1 own fine cells f0..f1; the odd one
                 // at the top also reads coarse cell c1 when it exists.
                 let c1 = (c0 + step).min(coarse.nx);
                 let (f0, f1) = (c0 * fine_per_coarse, (c1 * fine_per_coarse).min(fine.nx));
                 let halo = (c1 + fine_per_coarse - 1).min(coarse.nx);
-                let t = &mut tile[..(halo - c0) * r];
+                let t = &mut tile[..halo - c0];
                 t.fill(P::ZERO);
                 for &(ck, wk) in &pk[..nk] {
                     for &(cj, wj) in &pj[..nj] {
-                        let row = &uc[coarse.cell(c0, cj, ck) * r..][..t.len()];
+                        let row = &uc[coarse.cell(c0, cj, ck)..][..t.len()];
                         row_axpy(P::from_f32(wj * wk), row, t);
                     }
                 }
-                expand_x_add(t, c0, &mut fine_row[f0 * r..f1 * r], f0, nx, r);
+                expand_x_add(t, c0, &mut fine_row[f0..f1], f0, nx);
             }
         }
     }
@@ -258,46 +242,42 @@ fn prolong_add_rows<P: Scalar>(fine: &Grid3, coarse: &Grid3, uc: &[P], uf: &mut 
 /// (Algorithm 3 line 12). Overwrites `fc`.
 ///
 /// # Panics
-/// Panics on dimension mismatch, when `coarse` is not a (semi)coarsening
-/// of `fine`, or on more than 341 components per cell.
+/// Panics on dimension mismatch or when `coarse` is not a
+/// (semi)coarsening of `fine`.
 pub fn restrict<P: Scalar>(fine: &Grid3, coarse: &Grid3, rf: &[P], fc: &mut [P]) {
     assert_coarsening_pair(fine, coarse);
     assert_eq!(rf.len(), fine.unknowns(), "rf length");
     assert_eq!(fc.len(), coarse.unknowns(), "fc length");
-    if fine.components == 1 {
-        restrict_rows(fine, coarse, rf, fc, 1);
-    } else {
-        restrict_rows(fine, coarse, rf, fc, fine.components);
+    for (rf, fc) in rf.chunks_exact(fine.cells()).zip(fc.chunks_exact_mut(coarse.cells())) {
+        restrict_field(fine, coarse, rf, fc);
     }
 }
 
-/// [`restrict`] with the component count as a separate argument so the
-/// scalar case is compiled with `r = 1` folded into the x-stencil.
-#[inline(always)]
-fn restrict_rows<P: Scalar>(fine: &Grid3, coarse: &Grid3, rf: &[P], fc: &mut [P], r: usize) {
+/// [`restrict`] for one scalar field.
+fn restrict_field<P: Scalar>(fine: &Grid3, coarse: &Grid3, rf: &[P], fc: &mut [P]) {
     let nx = (fine.nx, coarse.nx);
-    let step = x_chunk_cells(fine.nx, coarse.nx, r);
+    let step = x_chunk_cells(fine.nx, coarse.nx);
     let mut tile = [P::ZERO; TILE];
     for ck in 0..coarse.nz {
         let (kids_k, nk) = children_axis(ck, fine.nz, coarse.nz);
         for cj in 0..coarse.ny {
             let (kids_j, nj) = children_axis(cj, fine.ny, coarse.ny);
-            let coarse_row = &mut fc[coarse.cell(0, cj, ck) * r..][..coarse.nx * r];
+            let coarse_row = &mut fc[coarse.cell(0, cj, ck)..][..coarse.nx];
             for c0 in (0..coarse.nx).step_by(step) {
                 // Coarse cells c0..c1 gather from fine cells lo..hi.
                 let c1 = (c0 + step).min(coarse.nx);
                 let lo = children_axis(c0, fine.nx, coarse.nx).0[0].0;
                 let (last, nlast) = children_axis(c1 - 1, fine.nx, coarse.nx);
                 let hi = last[nlast - 1].0 + 1;
-                let t = &mut tile[..(hi - lo) * r];
+                let t = &mut tile[..hi - lo];
                 t.fill(P::ZERO);
                 for &(k, wk) in &kids_k[..nk] {
                     for &(j, wj) in &kids_j[..nj] {
-                        let row = &rf[fine.cell(lo, j, k) * r..][..t.len()];
+                        let row = &rf[fine.cell(lo, j, k)..][..t.len()];
                         row_axpy(P::from_f32(wj * wk), row, t);
                     }
                 }
-                collapse_x(t, lo, &mut coarse_row[c0 * r..c1 * r], c0, nx, r);
+                collapse_x(t, lo, &mut coarse_row[c0..c1], c0, nx);
             }
         }
     }

@@ -38,9 +38,9 @@ fn for_each_parent(fine: &Grid3, coarse: &Grid3, mut f: impl FnMut(usize, usize,
         for (ck, wk) in &pk[..nk] {
             for (cj, wj) in &pj[..nj] {
                 for (ci, wi) in &pi[..ni] {
-                    let cu = coarse.cell(*ci, *cj, *ck) * r;
+                    let ccell = coarse.cell(*ci, *cj, *ck);
                     for c in 0..r {
-                        f(cell * r + c, cu + c, wi * wj * wk);
+                        f(fine.unknown_of(cell, c), coarse.unknown_of(ccell, c), wi * wj * wk);
                     }
                 }
             }
@@ -64,7 +64,7 @@ fn extent(rng: &mut Rng) -> usize {
 fn grid_pair(rng: &mut Rng) -> (Grid3, Grid3) {
     let components = rng.usize_range(1, 5);
     let fine = if rng.chance(0.125) {
-        let nx = rng.usize_range(TILE / (2 * components), 2 * TILE / components + 2);
+        let nx = rng.usize_range(TILE / 2, 2 * TILE + 2);
         Grid3::with_components(nx, rng.usize_range(1, 4), rng.usize_range(1, 4), components)
     } else {
         Grid3::with_components(extent(rng), extent(rng), extent(rng), components)

@@ -476,35 +476,121 @@ fn mul_add_scanner_sees_through_nesting() {
     assert_eq!(lines, ["2", "7", "15"]);
 }
 
-/// The rule of [`Scalar::mul_add`]'s doc comment, for the three crates
-/// whose loops are hot.
-#[test]
-fn mul_add_only_under_target_feature_fma() {
-    fn visit(dir: &std::path::Path, out: &mut Vec<String>) {
+/// Calls `f(path, source)` for every non-test `.rs` file under
+/// `crates/<name>/src` whose path does not end in one of `skip`.
+fn for_each_source(names: &[&str], skip: &[&str], f: &mut dyn FnMut(&std::path::Path, &str)) {
+    fn visit(dir: &std::path::Path, skip: &[&str], f: &mut dyn FnMut(&std::path::Path, &str)) {
         let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
         for entry in entries {
             let path = entry.expect("directory entry").path();
             if path.is_dir() {
-                visit(&path, out);
+                visit(&path, skip, f);
             } else if path.extension().is_some_and(|e| e == "rs")
                 && !path.ends_with("tests.rs")
-                && !path.ends_with("sgdia/src/csr.rs")
+                && !skip.iter().any(|s| path.ends_with(s))
             {
-                let src = std::fs::read_to_string(&path).expect("readable source");
-                let sites = unfused_mul_add_sites(&src);
-                out.extend(sites.iter().map(|s| format!("{}:{s}", path.display())));
+                f(&path, &std::fs::read_to_string(&path).expect("readable source"));
             }
         }
     }
     let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("crates/");
-    let mut sites = Vec::new();
-    for name in ["sgdia", "core", "krylov"] {
-        visit(&crates.join(name).join("src"), &mut sites);
+    for name in names {
+        visit(&crates.join(name).join("src"), skip, f);
     }
+}
+
+/// The rule of [`Scalar::mul_add`]'s doc comment, for the three crates
+/// whose loops are hot.
+#[test]
+fn mul_add_only_under_target_feature_fma() {
+    let mut sites = Vec::new();
+    for_each_source(&["sgdia", "core", "krylov"], &["sgdia/src/csr.rs"], &mut |path, src| {
+        let found = unfused_mul_add_sites(src);
+        sites.extend(found.iter().map(|s| format!("{}:{s}", path.display())));
+    });
     assert!(
         sites.is_empty(),
         "`.mul_add(` outside a #[target_feature(enable = \"…fma…\")] function calls libm's fma \
          per element (see Scalar::mul_add); write `a * b + c`:\n{}",
+        sites.join("\n")
+    );
+}
+
+/// Lines of one source file that spell the cell-major unknown numbering
+/// `cell * components + c` the repository left behind (as `line number:
+/// text`): a product by a component count (`r`, `rc`, `components`) whose
+/// left operand is a cell index (`cell`, `nb`, `cu`, `lbase`) or whose
+/// sum continues with a component (`c`, `cin`, `cout`, possibly behind a
+/// `tap.` / `m.`). Lexical, like [`unfused_mul_add_sites`]; an `r × r`
+/// block index such as `row * r + col` is not the idiom.
+fn cell_major_sites(src: &str) -> Vec<String> {
+    const COUNTS: [&str; 3] = ["r", "rc", "components"];
+    const CELLS: [&str; 4] = ["cell", "nb", "cu", "lbase"];
+    const COMPONENTS: [&str; 3] = ["c", "cin", "cout"];
+    let mut sites = Vec::new();
+    for (n, raw) in src.lines().enumerate() {
+        let line = raw.split("//").next().unwrap_or("").trim();
+        if line.starts_with("#[cfg(test)]") {
+            break;
+        }
+        // Identifiers and single symbols; `as usize` casts dropped.
+        let mut toks: Vec<&str> = Vec::new();
+        let mut rest = line;
+        while let Some(c) = rest.chars().next() {
+            let ident = rest.find(|c: char| !c.is_alphanumeric() && c != '_').unwrap_or(rest.len());
+            let len = if ident > 0 { ident } else { c.len_utf8() };
+            if !c.is_whitespace() {
+                toks.push(&rest[..len]);
+            }
+            rest = &rest[len..];
+        }
+        toks.retain(|t| !["as", "usize"].contains(t));
+        let hit = toks.windows(2).enumerate().any(|(i, w)| {
+            if w[0] != "*" || !COUNTS.contains(&w[1]) {
+                return false;
+            }
+            let cell_left = i > 0 && CELLS.contains(&toks[i - 1]);
+            let after = &toks[i + 2..];
+            let component_right = match after {
+                ["+", c, ..] if COMPONENTS.contains(c) => true,
+                ["+", _, ".", c, ..] => COMPONENTS.contains(c),
+                _ => false,
+            };
+            cell_left || component_right
+        });
+        if hit {
+            sites.push(format!("{}: {}", n + 1, raw.trim()));
+        }
+    }
+    sites
+}
+
+/// Unknowns are numbered component-major and only
+/// `fp16mg_grid::Grid3::{unknown, unknown_of, field}` say so: the
+/// cell-major formula must not reappear in any crate's non-test source.
+#[test]
+fn unknown_numbering_is_spelled_only_in_grid3() {
+    let src = "let u = x[cell * r + c];\nlet v = x[nb as usize * r + m.cin];\n\
+               y[i * rc + tap.cout as usize] = 0.0;\nlet row = &uf[lbase * components..];\n\
+               let b = m[row * r + col]; // cell * r + c\nlet q = dinv[co * r + j];\n";
+    let lines: Vec<String> = cell_major_sites(src)
+        .iter()
+        .map(|s| s.split(':').next().expect("line number").to_string())
+        .collect();
+    assert_eq!(lines, ["1", "2", "3", "4"]);
+
+    let all = [
+        "bench", "core", "fp", "grid", "krylov", "problems", "runtime", "sgdia", "stencil",
+        "testkit",
+    ];
+    let mut sites = Vec::new();
+    for_each_source(&all, &["grid/src/grid3.rs"], &mut |path, src| {
+        let found = cell_major_sites(src);
+        sites.extend(found.iter().map(|s| format!("{}:{s}", path.display())));
+    });
+    assert!(
+        sites.is_empty(),
+        "cell-major unknown arithmetic; slice `grid.field(c)` or call `grid.unknown_of(cell, c)`:\n{}",
         sites.join("\n")
     );
 }

@@ -5,9 +5,16 @@
 ///
 /// Cells are numbered row-major with `x` fastest:
 /// `cell(i, j, k) = (k * ny + j) * nx + i`. Unknowns are numbered
-/// cell-major: `unknown = cell * components + c`, which keeps the `r × r`
-/// block of a vector PDE contiguous — the layout SysPFMG-style system
-/// multigrids use.
+/// component-major: `unknown = c * cells + cell`, so a vector of a vector
+/// PDE is `components` contiguous scalar *fields* ([`Grid3::field`]) and
+/// every coupling of a block stencil is a scalar stencil tap from one
+/// field to another. The other choice — cell-major, which keeps a cell's
+/// `r × r` block contiguous, as SysPFMG-style codes do — makes every inner
+/// loop over an x-line stride-`r`: nothing vectorises and a narrow storage
+/// format has no SIMD vector to amortise its convert over (paper §5.1,
+/// AOS → SOA, applied to the vectors). This is the one place the numbering
+/// is spelled; everything else slices fields or calls
+/// [`Grid3::unknown_of`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Grid3 {
     /// Cells along the fastest-varying axis.
@@ -65,7 +72,20 @@ impl Grid3 {
     /// Linear index of unknown `(i, j, k, c)`.
     #[inline]
     pub const fn unknown(&self, i: usize, j: usize, k: usize, c: usize) -> usize {
-        self.cell(i, j, k) * self.components + c
+        self.unknown_of(self.cell(i, j, k), c)
+    }
+
+    /// Linear index of component `c` of the cell with linear index `cell`.
+    #[inline]
+    pub const fn unknown_of(&self, cell: usize, c: usize) -> usize {
+        c * self.cells() + cell
+    }
+
+    /// The unknowns of component `c`: one contiguous scalar field, cells
+    /// in [`Grid3::cell`] order.
+    #[inline]
+    pub const fn field(&self, c: usize) -> std::ops::Range<usize> {
+        c * self.cells()..(c + 1) * self.cells()
     }
 
     /// Inverse of [`Grid3::cell`].

@@ -4,8 +4,10 @@
 //! grids (§3.2), where a grid cell is addressed by `(i, j, k)` and unknowns
 //! are `components` values per cell. This crate provides:
 //!
-//! * [`Grid3`] — dimensions, row-major linear indexing, and the ×2 full
-//!   coarsening used by the multigrid hierarchy;
+//! * [`Grid3`] — dimensions, row-major linear cell indexing, the
+//!   component-major numbering of unknowns (a vector PDE is `components`
+//!   contiguous scalar fields), and the ×2 full coarsening used by the
+//!   multigrid hierarchy;
 //! * [`Wavefronts`] — hyperplane scheduling (`i + j + k = const`) for
 //!   parallel sparse triangular solves, the "sophisticated parallel
 //!   strategy" §5.1 alludes to for SpTRSV;

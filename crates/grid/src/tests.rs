@@ -23,9 +23,12 @@ fn unknown_indexing_with_components() {
     let g = Grid3::with_components(4, 4, 4, 3);
     assert_eq!(g.unknowns(), 192);
     assert_eq!(g.unknown(0, 0, 0, 0), 0);
-    assert_eq!(g.unknown(0, 0, 0, 2), 2);
-    assert_eq!(g.unknown(1, 0, 0, 0), 3);
-    assert_eq!(g.unknown(1, 2, 3, 1), g.cell(1, 2, 3) * 3 + 1);
+    // Component-major: a vector is `components` contiguous fields.
+    assert_eq!(g.unknown(1, 0, 0, 0), 1);
+    assert_eq!(g.unknown(0, 0, 0, 2), 128);
+    assert_eq!(g.unknown(1, 2, 3, 1), 64 + g.cell(1, 2, 3));
+    assert_eq!(g.unknown_of(g.cell(1, 2, 3), 1), g.unknown(1, 2, 3, 1));
+    assert_eq!(g.field(1), 64..128);
 }
 
 #[test]

@@ -9,9 +9,10 @@
 //! A [`SolveControl`] hook samples the counter at the top of every
 //! iteration; after a short warmup (first iterations may touch
 //! lazily-grown scratch) the delta between consecutive iterations must
-//! be exactly zero. The paper's real-world problems (oil, rhd, weather)
-//! are all checked — their hierarchies differ in depth, stencil, and
-//! storage split, so a regression in any level's arena shows up here.
+//! be exactly zero. The paper's real-world problems (oil, rhd, weather,
+//! and the vector PDE rhd-3T) are all checked — their hierarchies differ
+//! in depth, stencil, component count and storage split, so a regression
+//! in any level's arena shows up here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -181,6 +182,13 @@ fn weather_steady_state_is_allocation_free() {
     assert_zero_alloc_iterations(ProblemKind::Weather, SolverKind::Cg);
 }
 
+/// A vector PDE: three fields through the block line kernel, whose rented
+/// rows are `r + r²` lines long, and the per-field transfers.
+#[test]
+fn rhd3t_steady_state_is_allocation_free() {
+    assert_zero_alloc_iterations(ProblemKind::Rhd3T, SolverKind::Cg);
+}
+
 /// Weather under its own solver: the GMRES inner iterations (Arnoldi
 /// step, Gram–Schmidt, next basis vector) and the restarts between them.
 #[test]
@@ -191,22 +199,29 @@ fn weather_gmres_steady_state_is_allocation_free() {
 /// The bare cycle (one preconditioner application, outside any Krylov
 /// loop) is also allocation-free after the first application — V, and the
 /// W and F recursions whose second visit of a level takes the other
-/// (non-zero-guess) path through the smoother.
+/// (non-zero-guess) path through the smoother — on a scalar problem and
+/// on a vector PDE.
 #[test]
 fn bare_vcycle_is_allocation_free() {
-    let p = ProblemKind::Laplace27.build(10);
-    let b = p.rhs();
-    let mut z = vec![0.0f64; p.matrix.rows()];
-    for cycle in [Cycle::V, Cycle::W, Cycle::F] {
-        let cfg = MgConfig { cycle, min_coarse_cells: 8, ..MgConfig::d16() };
-        let mut mg = Mg::<f32>::setup(&p.matrix, &cfg).expect(p.name);
-        assert!(mg.num_levels() >= 3, "W and F need a level to revisit");
-        mg.apply(&b, &mut z); // warmup application
-        let before = alloc_count();
-        for _ in 0..5 {
-            mg.apply(&b, &mut z);
+    for kind in [ProblemKind::Laplace27, ProblemKind::Rhd3T] {
+        let p = kind.build(10);
+        let b = p.rhs();
+        let mut z = vec![0.0f64; p.matrix.rows()];
+        for cycle in [Cycle::V, Cycle::W, Cycle::F] {
+            let cfg = MgConfig { cycle, min_coarse_cells: 8, ..MgConfig::d16() };
+            let mut mg = Mg::<f32>::setup(&p.matrix, &cfg).expect(p.name);
+            assert!(mg.num_levels() >= 3, "W and F need a level to revisit");
+            mg.apply(&b, &mut z); // warmup application
+            let before = alloc_count();
+            for _ in 0..5 {
+                mg.apply(&b, &mut z);
+            }
+            let delta = alloc_count() - before;
+            assert_eq!(
+                delta, 0,
+                "{}: 5 warm {cycle:?}-cycles performed {delta} heap allocation(s)",
+                p.name
+            );
         }
-        let delta = alloc_count() - before;
-        assert_eq!(delta, 0, "5 warm {cycle:?}-cycles performed {delta} heap allocation(s)");
     }
 }

@@ -621,6 +621,13 @@ pub struct SimSnapshot {
     /// The last committed solution vector (the implicit-step coupling
     /// for step `step + 1`).
     pub x: Vec<f64>,
+    /// How many contiguous scalar fields `x` is numbered as: the
+    /// problem's component count (`fp16mg_grid::Grid3::unknown`). A
+    /// vector-PDE snapshot written before unknowns were numbered
+    /// component-major has no such record and decodes as 1, which is how
+    /// the driver tells its cell-major `x` apart and refuses it; scalar
+    /// snapshots are the same bytes in both numberings.
+    pub fields: usize,
 }
 
 impl SimSnapshot {
@@ -644,7 +651,10 @@ impl SimSnapshot {
             "counters {} {} {} {} {}\n",
             c.keep, c.rescale, c.rebuild, c.repairs, c.rollbacks,
         ));
-        body.push_str(&format!("x {}", self.x.len()));
+        match self.fields {
+            1 => body.push_str(&format!("x {}", self.x.len())),
+            r => body.push_str(&format!("x-fields {r} {}", self.x.len())),
+        }
         for v in &self.x {
             body.push_str(&format!(" {:016x}", v.to_bits()));
         }
@@ -675,6 +685,7 @@ impl SimSnapshot {
             last_resid: 0.0,
             counters: SimCounters::default(),
             x: Vec::new(),
+            fields: 1,
         };
         for (idx, raw) in lines {
             let ln = idx + 1;
@@ -707,7 +718,10 @@ impl SimSnapshot {
                         rollbacks: p_u64(tok(&mut f, ln, "rollbacks")?, ln, "rollbacks")?,
                     };
                 }
-                "x" => {
+                "x" | "x-fields" => {
+                    if record == "x-fields" {
+                        snap.fields = p_usize(tok(&mut f, ln, "x fields")?, ln, "x fields")?;
+                    }
                     let len = p_usize(tok(&mut f, ln, "x length")?, ln, "x length")?;
                     let mut x = Vec::with_capacity(len);
                     for i in 0..len {

@@ -1426,6 +1426,7 @@ mod sim_snapshot {
             last_resid: f64::NAN,
             counters: SimCounters { keep: 4, rescale: 3, rebuild: 2, repairs: 1, rollbacks: 1 },
             x: vec![1.5, -0.0, f64::MIN_POSITIVE / 4.0, -3.25e101, 0.0],
+            fields: 1,
         }
     }
 
@@ -1438,7 +1439,7 @@ mod sim_snapshot {
         assert_eq!((a.step, a.chain_step, a.finest_step), (b.step, b.chain_step, b.finest_step));
         assert_eq!(a.last_resid.to_bits(), b.last_resid.to_bits());
         assert_eq!(a.counters, b.counters);
-        assert_eq!(a.x.len(), b.x.len());
+        assert_eq!((a.x.len(), a.fields), (b.x.len(), b.fields));
         for (av, bv) in a.x.iter().zip(&b.x) {
             assert_eq!(av.to_bits(), bv.to_bits());
         }
@@ -1449,6 +1450,12 @@ mod sim_snapshot {
         let snap = populated();
         let back = SimSnapshot::decode(&snap.encode()).unwrap();
         assert_bits_eq(&snap, &back);
+        // A vector-PDE snapshot says how its x is numbered; a scalar one
+        // is the record it always was.
+        assert!(snap.encode().contains("\nx 5 ") && !snap.encode().contains("x-fields"));
+        let vector = SimSnapshot { fields: 5, ..snap };
+        assert!(vector.encode().contains("\nx-fields 5 5 "));
+        assert_bits_eq(&vector, &SimSnapshot::decode(&vector.encode()).unwrap());
     }
 
     #[test]
@@ -1806,6 +1813,7 @@ mod storage_faults {
             last_resid: 1e-9,
             counters: SimCounters::default(),
             x: vec![0.5, -1.25, 3.0],
+            fields: 1,
         }
     }
 

@@ -40,45 +40,45 @@ impl<S: Storage> Csr<S> {
     }
 
     /// Converts a structured matrix, dropping out-of-grid (zero-filled)
-    /// entries and sorting columns within each row.
+    /// entries and sorting columns within each row. Rows and columns are
+    /// the unknowns in [`Grid3::unknown_of`] order.
     pub fn from_sgdia(a: &SgDia<S>) -> Self {
         let grid = *a.grid();
-        let r = grid.components;
         let rows = a.rows();
-        let taps: Vec<_> = a.pattern().taps().to_vec();
+        // Within a row, ascending columns are ascending (input field,
+        // spatial stride).
+        let mut taps: Vec<_> = a.pattern().taps().iter().copied().enumerate().collect();
+        taps.sort_by_key(|(_, tap)| (tap.cin, grid.stride(tap.dx, tap.dy, tap.dz)));
         // Pass 1: count entries per row.
         let mut row_ptr = vec![0u32; rows + 1];
         for (cell, i, j, k) in grid.iter_cells() {
-            for tap in &taps {
+            for (_, tap) in &taps {
                 if grid.contains_offset(i, j, k, tap.dx, tap.dy, tap.dz) {
-                    row_ptr[cell * r + tap.cout as usize + 1] += 1;
+                    row_ptr[grid.unknown_of(cell, tap.cout as usize) + 1] += 1;
                 }
             }
         }
         for row in 0..rows {
             row_ptr[row + 1] += row_ptr[row];
         }
-        // Pass 2: scatter (taps are sorted by key, so column indices come
-        // out sorted within each row already).
+        // Pass 2: scatter.
         let nnz = row_ptr[rows] as usize;
         let mut col_idx = vec![0u32; nnz];
         let mut values = vec![S::default(); nnz];
         let mut cursor: Vec<u32> = row_ptr[..rows].to_vec();
         for (cell, i, j, k) in grid.iter_cells() {
-            for (t, tap) in taps.iter().enumerate() {
+            for &(t, tap) in &taps {
                 if !grid.contains_offset(i, j, k, tap.dx, tap.dy, tap.dz) {
                     continue;
                 }
                 let nb = (cell as i64 + grid.stride(tap.dx, tap.dy, tap.dz)) as usize;
-                let row = cell * r + tap.cout as usize;
+                let row = grid.unknown_of(cell, tap.cout as usize);
                 let e = cursor[row] as usize;
-                col_idx[e] = (nb * r + tap.cin as usize) as u32;
+                col_idx[e] = grid.unknown_of(nb, tap.cin as usize) as u32;
                 values[e] = a.get(cell, t);
                 cursor[row] += 1;
             }
         }
-        // Tap key order is (dz, dy, dx, cout, cin): within one row (fixed
-        // cell, cout) the produced columns are already ascending.
         Csr { rows, row_ptr, col_idx, values }
     }
 

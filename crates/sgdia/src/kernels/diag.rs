@@ -2,18 +2,23 @@
 //!
 //! For scalar PDEs this is just `1 / a_ii`. For vector PDEs the zero-offset
 //! `r × r` block is inverted per cell (block Jacobi / block Gauss–Seidel
-//! convention, matching how SysPFMG-style system multigrids smooth).
+//! convention, matching how SysPFMG-style system multigrids smooth) and
+//! stored plane by plane, like the matrix.
 //! Inverses are computed in `f64` during setup and truncated to the
 //! computation precision `P` — per guideline 4 they are vector-like data
 //! and never stored in FP16.
 
 use fp16mg_fp::{Scalar, Storage};
+use fp16mg_stencil::Tap;
 
 use super::MAX_COMPONENTS;
 use crate::{Layout, SgDia};
 
-/// Per-cell inverse of the diagonal block, stored row-major `r × r` per
-/// cell (a single value per cell when `r == 1`).
+/// Per-cell inverse of the diagonal block as `r²` planes of one value per
+/// cell, `data[(cout · r + cin) · cells + cell]` — the layout of the matrix
+/// planes and of the component-major vectors it multiplies, so applying it
+/// is `r²` vectorised plane products (a single reciprocal plane when
+/// `r == 1`).
 #[derive(Clone, Debug)]
 pub struct BlockDiagInv<P: Scalar> {
     r: usize,
@@ -32,19 +37,19 @@ impl<P: Scalar> BlockDiagInv<P> {
         let r = grid.components;
         assert!(r <= MAX_COMPONENTS, "too many components per cell");
         let cells = grid.cells();
-        let pattern = a.pattern();
-        // Map (cout, cin) -> tap index for the zero-offset block.
-        let mut block_taps = vec![None; r * r];
-        for (t, tap) in pattern.taps().iter().enumerate() {
-            if tap.is_center() {
-                block_taps[tap.cout as usize * r + tap.cin as usize] = Some(t);
-            }
-        }
+        // The taps of the zero-offset block, row-major over (cout, cin), and
+        // for SOA data the plane behind each.
+        let pairs = (0..r as u8).flat_map(|co| (0..r as u8).map(move |ci| (co, ci)));
+        let block_taps: Vec<Option<usize>> =
+            pairs.map(|(co, ci)| a.pattern().tap_index(Tap::at_comp(0, 0, 0, co, ci))).collect();
+        let soa = a.layout() == Layout::Soa;
+        let planes: Vec<Option<&[S]>> =
+            block_taps.iter().map(|bt| bt.filter(|_| soa).map(|t| a.tap_slice(t))).collect();
         let mut data = vec![P::ZERO; cells * r * r];
-        if let ([Some(t)], Layout::Soa) = (&block_taps[..], a.layout()) {
+        if let [Some(plane)] = planes[..] {
             // Scalar PDE: the reciprocal of one contiguous plane — what
             // `invert_small` computes for a 1 × 1 block.
-            for (cell, (d, v)) in data.iter_mut().zip(a.tap_slice(*t)).enumerate() {
+            for (cell, (d, v)) in data.iter_mut().zip(plane).enumerate() {
                 let p = v.load_f64();
                 let inv = 1.0 / p;
                 if p == 0.0 || !p.is_finite() || !inv.is_finite() {
@@ -56,27 +61,19 @@ impl<P: Scalar> BlockDiagInv<P> {
         }
         let mut block = [0.0f64; MAX_COMPONENTS * MAX_COMPONENTS];
         for cell in 0..cells {
-            for (slot, bt) in block_taps.iter().enumerate() {
-                block[slot] = match bt {
-                    Some(t) => a.get(cell, *t).load_f64(),
-                    None => 0.0,
+            for (slot, (plane, bt)) in planes.iter().zip(&block_taps).enumerate() {
+                block[slot] = match (plane, bt) {
+                    (Some(plane), _) => plane[cell].load_f64(),
+                    (None, Some(t)) => a.get(cell, *t).load_f64(),
+                    (None, None) => 0.0,
                 };
             }
             let inv = invert_small(&mut block[..r * r], r).ok_or(cell)?;
             for (slot, v) in inv.iter().enumerate().take(r * r) {
-                data[cell * r * r + slot] = P::from_f64(*v);
+                data[slot * cells + cell] = P::from_f64(*v);
             }
         }
         Ok(BlockDiagInv { r, cells, data })
-    }
-
-    /// Builds from explicit `f64` inverse blocks (row-major per cell).
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    pub fn from_inverse_blocks(r: usize, cells: usize, blocks: &[f64]) -> Self {
-        assert_eq!(blocks.len(), cells * r * r, "block data length");
-        BlockDiagInv { r, cells, data: blocks.iter().map(|&v| P::from_f64(v)).collect() }
     }
 
     /// Components per cell.
@@ -91,30 +88,48 @@ impl<P: Scalar> BlockDiagInv<P> {
         self.cells
     }
 
-    /// Applies the inverse of cell's diagonal block: `out = D⁻¹ rhs`.
+    /// `dst = D⁻¹ src` over whole component-major vectors: field `cout` of
+    /// `dst` is the sum over `cin` of plane `(cout, cin)` times field
+    /// `cin` of `src`, each a contiguous loop.
+    ///
+    /// # Panics
+    /// Panics on length mismatch.
+    pub fn apply(&self, src: &[P], dst: &mut [P]) {
+        let (r, n) = (self.r, self.cells);
+        assert_eq!(src.len(), n * r, "src length");
+        assert_eq!(dst.len(), n * r, "dst length");
+        for (co, out) in dst.chunks_exact_mut(n).enumerate() {
+            for (j, field) in src.chunks_exact(n).enumerate() {
+                let plane = &self.data[(co * r + j) * n..][..n];
+                if j == 0 {
+                    for ((o, &d), &v) in out.iter_mut().zip(plane).zip(field) {
+                        *o = d * v;
+                    }
+                } else {
+                    for ((o, &d), &v) in out.iter_mut().zip(plane).zip(field) {
+                        *o += d * v;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Applies the inverse of one cell's diagonal block: `out = D⁻¹ rhs`
+    /// (the per-entry sweeps; whole vectors go through
+    /// [`apply`](Self::apply)).
     #[inline(always)]
     pub fn solve(&self, cell: usize, rhs: &[P], out: &mut [P]) {
         let r = self.r;
-        let blk = &self.data[cell * r * r..(cell + 1) * r * r];
-        if r == 1 {
-            out[0] = blk[0] * rhs[0];
-            return;
-        }
-        for i in 0..r {
+        for (i, o) in out.iter_mut().enumerate().take(r) {
             let mut acc = P::ZERO;
-            for j in 0..r {
-                acc += blk[i * r + j] * rhs[j];
+            for (j, &v) in rhs.iter().enumerate().take(r) {
+                acc += self.data[(i * r + j) * self.cells + cell] * v;
             }
-            out[i] = acc;
+            *o = acc;
         }
     }
 
-    /// Scalar view (`r == 1`): the per-cell reciprocal diagonal.
-    pub fn as_scalar(&self) -> Option<&[P]> {
-        (self.r == 1).then_some(self.data.as_slice())
-    }
-
-    /// Raw inverse-block data.
+    /// The inverse blocks, plane by plane (see the type).
     pub fn data(&self) -> &[P] {
         &self.data
     }

@@ -5,29 +5,29 @@
 //! "recover on the fly" of §4.2: no FP32 copy of the matrix is ever
 //! materialized, so the memory volume stays at `S::BYTES` per entry.
 //!
-//! Three implementation tiers reproduce the Fig. 7 ablation:
+//! Two implementations reproduce the Fig. 7 ablation:
 //!
 //! * **generic** — scalar loop, one convert per entry. On AOS data this is
 //!   the paper's *naive* mixed-precision kernel whose convert overhead
-//!   eats the bandwidth win.
-//! * **line** — every kernel on scalar SOA data runs one x-line at a time
-//!   through `line`, a SIMD vector of cells at a time with the
-//!   accumulator in a register and one convert per vector (8-wide F16C
-//!   for FP16; a plain load keeps the FP32 / FP64 baselines on the same
-//!   code). [`spmv()`], [`residual`] and [`residual_upper`] are that vector
-//!   phase alone. For the inherently sequential sweeps ([`gs_forward`],
-//!   [`sptrsv_forward`] and their backward twins) it covers every
-//!   coupling outside the line's dependency chain (the paper's SpTRSV
-//!   treatment), which leaves a first-order recurrence of one hardware
-//!   FMA per cell. One body, instantiated for `(F16, f32)`, `(f32, f32)`
-//!   and `(f64, f64)` on AVX2 and portably for every other pair, so a
-//!   sweep costs about what an SpMV over the same bytes does in every
-//!   precision.
-//! * **staged** — what is left for vector PDEs (SpMV, residual and block
-//!   Gauss–Seidel with `components > 1`) and `y += A x`: each x-line of
-//!   coefficients is bulk-converted into a pooled scratch first,
-//!   amortizing the convert, then tap-by-tap loops run in the computation
-//!   precision.
+//!   eats the bandwidth win; it also takes the sweeps over patterns wider
+//!   than radius 1 along x and, with [`crate::csr`], is the oracle the
+//!   tests hold the line kernel against.
+//! * **line** — every kernel on SOA data, for any component count, runs
+//!   one x-line at a time through `line`, a SIMD vector of cells at a
+//!   time with the accumulator in a register and one convert per vector
+//!   (8-wide F16C for FP16; a plain load keeps the FP32 / FP64 baselines
+//!   on the same code). Unknowns are numbered component-major
+//!   ([`fp16mg_grid::Grid3::unknown`]), so a vector PDE is `r` scalar
+//!   fields and a block coupling is a scalar tap between two of them.
+//!   [`spmv()`], [`residual`] and [`residual_upper`] are that vector phase
+//!   alone, once per output field. For the inherently sequential sweeps
+//!   ([`gs_forward`], [`sptrsv_forward`] and their backward twins) it
+//!   covers every coupling outside the line's dependency chain (the
+//!   paper's SpTRSV treatment), which leaves a first-order `r × r`
+//!   recurrence of hardware FMAs per cell. One body, instantiated for
+//!   `(F16, f32)`, `(f32, f32)` and `(f64, f64)` on AVX2 and portably for
+//!   every other pair, so a sweep costs about what an SpMV over the same
+//!   bytes does in every precision.
 //!
 //! A multigrid level is entered with a zero iterate, so its first forward
 //! sweep multiplies the upper half of the matrix by zeros and, after it,
@@ -45,8 +45,8 @@ pub use diag::BlockDiagInv;
 #[cfg(test)]
 pub(crate) use gs::sweep as gs_sweep;
 pub use gs::{gs_backward, gs_forward, gs_forward_from_zero};
-pub(crate) use scratch::{with_bufs, with_idx2, with_tap_metas};
-pub use spmv::{residual, residual_upper, spmv, spmv_axpy};
+pub(crate) use scratch::{with_bufs, with_tap_metas, with_taps2};
+pub use spmv::{residual, residual_upper, spmv};
 #[cfg(test)]
 pub(crate) use sptrsv::solve as sptrsv_solve;
 pub use sptrsv::{sptrsv_backward, sptrsv_forward, sptrsv_forward_wavefront};
@@ -54,23 +54,6 @@ pub use sptrsv::{sptrsv_backward, sptrsv_forward, sptrsv_forward_wavefront};
 pub use crate::par::Par;
 use fp16mg_grid::Grid3;
 use fp16mg_stencil::Pattern;
-
-/// Which implementation a scalar SOA sweep takes. Every caller outside the
-/// tests passes `Simd`; the others let the differential tests hold the
-/// tiers against each other.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) enum Tier {
-    /// The line kernel, AVX instantiation where the CPU and type pair
-    /// have one.
-    Simd,
-    /// The line kernel, portable instantiation.
-    Portable,
-    /// The widen-to-scratch Gauss–Seidel loop the line kernel replaced for
-    /// scalar problems (still the vector-PDE path); the per-entry generic
-    /// solve for the triangular solves.
-    Staged,
-}
 
 /// Which couplings a kernel reads, by the sign of the tap's cell stride —
 /// the row-major splitting `A = L + D + U`. The centre block has stride 0
@@ -97,18 +80,23 @@ impl TapSet {
         }
     }
 
-    /// The taps of `metas` in the set, with their tap indices.
+    /// The taps of `metas` in the set.
     #[inline]
-    pub(crate) fn select(self, metas: &[TapMeta]) -> impl Iterator<Item = (usize, &TapMeta)> {
-        metas.iter().enumerate().filter(move |(_, m)| self.has(m.cell_stride))
+    pub(crate) fn select(self, metas: &[TapMeta]) -> impl Iterator<Item = &TapMeta> {
+        metas.iter().filter(move |m| self.has(m.cell_stride))
     }
 }
 
 /// Per-tap metadata resolved once per kernel invocation.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TapMeta {
+    /// Index of the tap in the pattern: its coefficient plane.
+    pub tap: usize,
     /// Signed cell-index delta of the tap's spatial offset.
     pub cell_stride: i64,
+    /// Where the tap reads a component-major vector, relative to the cell
+    /// it writes: `cin · cells + cell_stride`.
+    pub x_offset: i64,
     /// Output (row) component.
     pub cout: usize,
     /// Input (column) component.
@@ -128,8 +116,10 @@ pub(crate) struct TapMeta {
 /// per-thread vector so steady-state invocations allocate nothing.
 pub(crate) fn fill_tap_metas(grid: &Grid3, pattern: &Pattern, out: &mut Vec<TapMeta>) {
     out.clear();
-    out.extend(pattern.taps().iter().map(|t| TapMeta {
+    out.extend(pattern.taps().iter().enumerate().map(|(tap, t)| TapMeta {
+        tap,
         cell_stride: grid.stride(t.dx, t.dy, t.dz),
+        x_offset: grid.field(t.cin as usize).start as i64 + grid.stride(t.dx, t.dy, t.dz),
         cout: t.cout as usize,
         cin: t.cin as usize,
         center: t.is_center(),
@@ -180,27 +170,5 @@ pub fn simd_available() -> bool {
     #[cfg(not(target_arch = "x86_64"))]
     {
         false
-    }
-}
-
-/// Widens one contiguous segment of stored values into the computation
-/// precision, choosing the fastest available path: SIMD F16C for
-/// `F16 → f32`, `memcpy` when the types coincide, per-element conversion
-/// otherwise. This is the staging primitive of the staged kernels (§5.1's
-/// conversion amortization).
-#[inline]
-pub fn widen_line<S: fp16mg_fp::Storage, P: fp16mg_fp::Scalar>(src: &[S], dst: &mut [P]) {
-    use fp16mg_fp::{simd, F16};
-    assert_eq!(src.len(), dst.len(), "widen_line length mismatch");
-    if let (Some(s16), Some(d32)) = (cast_slice::<S, F16>(src), cast_slice_mut::<P, f32>(dst)) {
-        simd::widen_f16(s16, d32);
-        return;
-    }
-    if let Some(same) = cast_slice::<S, P>(src) {
-        dst.copy_from_slice(same);
-        return;
-    }
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = P::from_f64(s.load_f64());
     }
 }

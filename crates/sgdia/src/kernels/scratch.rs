@@ -1,9 +1,8 @@
 //! Thread-local kernel scratch pool.
 //!
 //! The kernels need a handful of per-invocation buffers: the tap
-//! metadata table, the staged kernels' per-line widened-coefficient
-//! scratch and line accumulator, the line kernel's two `nx`-long rows,
-//! and small tap-classification index lists. Allocating them
+//! metadata table, the line kernel's `r + r²` `nx`-long rows, and small
+//! tap-classification lists. Allocating them
 //! on every sweep breaks the memory-resilience contract's steady-state
 //! clause (a V-cycle must be allocation-free after setup), so each worker
 //! thread keeps one reusable copy of each buffer here and kernels *rent*
@@ -14,8 +13,8 @@
 //! after): a re-entrant kernel call on the same thread simply finds an
 //! empty slot and falls back to a fresh allocation instead of panicking
 //! on a double borrow. The pools grow to the largest working set a thread
-//! has seen (`taps × nx` line scratch where a staged kernel ran, `2 nx`
-//! otherwise) and are reclaimed when the thread exits; under [`crate::par::Par::Seq`] — the mode the
+//! has seen (`(r + r²) · nx` for the longest line of an `r`-component
+//! sweep) and are reclaimed when the thread exits; under [`crate::par::Par::Seq`] — the mode the
 //! zero-allocation gate measures — everything runs on the calling thread
 //! and the pool is warm after the first application.
 //!
@@ -34,9 +33,8 @@ use fp16mg_stencil::Pattern;
 
 use super::{fill_tap_metas, TapMeta};
 
-/// The computation-precision buffers a kernel may rent: the staged
-/// kernels' line scratch (`s1`) and line accumulator (`s2`), or the line
-/// kernel's `c` and `d` rows.
+/// The computation-precision buffers a kernel may rent: the line kernel's
+/// `c` rows (`s1`) and `E` rows (`s2`).
 pub(crate) struct KernelBufs<P> {
     s1: Vec<P>,
     s2: Vec<P>,
@@ -82,14 +80,12 @@ fn cast_bufs_mut<A: 'static, B: 'static>(b: &mut KernelBufs<A>) -> Option<&mut K
     }
 }
 
-/// A `(tap, stride)` entry of the sweeps' bulk / recurrence tap split.
-type Idx2 = (usize, i64);
-
 thread_local! {
     static BUFS_F32: RefCell<KernelBufs<f32>> = const { RefCell::new(KernelBufs::new()) };
     static BUFS_F64: RefCell<KernelBufs<f64>> = const { RefCell::new(KernelBufs::new()) };
     static METAS: RefCell<Vec<TapMeta>> = const { RefCell::new(Vec::new()) };
-    static IDX2: RefCell<(Vec<Idx2>, Vec<Idx2>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    static TAPS2: RefCell<(Vec<TapMeta>, Vec<TapMeta>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Runs `f` with this thread's pooled buffers for computation precision
@@ -117,7 +113,7 @@ pub(crate) fn with_bufs<P: Scalar, R>(f: impl FnOnce(&mut KernelBufs<P>) -> R) -
 
 /// Resolves the tap metadata table into this thread's pooled vector and
 /// runs `f` with it. The slice stays valid across nested [`with_bufs`] /
-/// [`with_idx2`] rentals (separate slots) and across the
+/// [`with_taps2`] rentals (separate slots) and across the
 /// scoped-thread parallel regions (worker closures rent from their own
 /// threads' pools).
 pub(crate) fn with_tap_metas<R>(
@@ -134,13 +130,11 @@ pub(crate) fn with_tap_metas<R>(
     })
 }
 
-/// Runs `f` with this thread's pooled pair of `(tap, stride)` index lists
-/// (cleared), used by the Gauss–Seidel sweeps' and triangular solves'
-/// bulk/recurrence split.
-pub(crate) fn with_idx2<R>(
-    f: impl FnOnce(&mut Vec<(usize, i64)>, &mut Vec<(usize, i64)>) -> R,
-) -> R {
-    IDX2.with(|slot| {
+/// Runs `f` with this thread's pooled pair of tap lists (cleared), used by
+/// the Gauss–Seidel sweeps' and triangular solves' bulk/recurrence split
+/// and the SpMV's per-field tap selection.
+pub(crate) fn with_taps2<R>(f: impl FnOnce(&mut Vec<TapMeta>, &mut Vec<TapMeta>) -> R) -> R {
+    TAPS2.with(|slot| {
         let (mut a, mut b) = mem::take(&mut *slot.borrow_mut());
         a.clear();
         b.clear();
@@ -184,11 +178,13 @@ mod tests {
 
     #[test]
     fn idx_pools_are_cleared() {
-        with_idx2(|a, b| {
-            a.push((1, -1));
-            b.push((2, 1));
+        with_tap_metas(&Grid3::cube(3), &Pattern::p7(), |metas| {
+            with_taps2(|a, b| {
+                a.push(metas[0]);
+                b.push(metas[1]);
+            });
         });
-        with_idx2(|a, b| {
+        with_taps2(|a, b| {
             assert!(a.is_empty() && b.is_empty());
         });
     }

@@ -1,18 +1,16 @@
 //! Sparse matrix–vector product and residual kernels.
 //!
-//! One driver computes `y = A x`, `r = b − A x`, `r = −U x` and
-//! `y += A x` over a [`TapSet`] of the pattern. Scalar SOA matrices run
-//! the vector phase of the x-line kernel ([`super::line`]) in every
-//! storage/compute pair; vector PDEs and `y += A x` take the *staged*
-//! path (each x-line of coefficients widened into scratch first); AOS
-//! data is the paper's naive per-entry kernel.
+//! One driver computes `y = A x`, `r = b − A x` and `r = −U x` over a
+//! [`TapSet`] of the pattern. SOA matrices run the vector phase of the
+//! x-line kernel ([`super::line`]) once per output field — a vector PDE is
+//! `r` scalar fields — in every storage/compute pair; AOS data is the
+//! paper's naive per-entry kernel.
 
 use fp16mg_fp::{Scalar, Storage, F16};
 
 use super::line::LineSweep;
 use super::{
-    cast_slice, cast_slice_mut, widen_line, with_bufs, with_idx2, with_tap_metas, Par, TapMeta,
-    TapSet, MAX_COMPONENTS,
+    cast_slice, cast_slice_mut, with_tap_metas, with_taps2, Par, TapMeta, TapSet, MAX_COMPONENTS,
 };
 use crate::{Layout, SgDia};
 
@@ -21,7 +19,7 @@ use crate::{Layout, SgDia};
 /// # Panics
 /// Panics on dimension mismatch or more than 8 components.
 pub fn spmv<S: Storage, P: Scalar>(a: &SgDia<S>, x: &[P], y: &mut [P], par: Par) {
-    apply(a, None, x, y, par, Mode::Overwrite, TapSet::All);
+    apply(a, None, x, y, par, false, TapSet::All);
 }
 
 /// `r = b - A x` (the residual of Algorithm 3 lines 7/9, unscaled form).
@@ -29,7 +27,7 @@ pub fn spmv<S: Storage, P: Scalar>(a: &SgDia<S>, x: &[P], y: &mut [P], par: Par)
 /// # Panics
 /// Panics on dimension mismatch or more than 8 components.
 pub fn residual<S: Storage, P: Scalar>(a: &SgDia<S>, b: &[P], x: &[P], r: &mut [P], par: Par) {
-    apply(a, Some(b), x, r, par, Mode::ResidualFrom, TapSet::All);
+    apply(a, Some(b), x, r, par, true, TapSet::All);
 }
 
 /// `r = −U x` with `U` the strictly upper taps: the residual `b − A x` of
@@ -40,38 +38,7 @@ pub fn residual<S: Storage, P: Scalar>(a: &SgDia<S>, b: &[P], x: &[P], r: &mut [
 /// # Panics
 /// Panics on dimension mismatch or more than 8 components.
 pub fn residual_upper<S: Storage, P: Scalar>(a: &SgDia<S>, x: &[P], r: &mut [P], par: Par) {
-    apply(a, None, x, r, par, Mode::ResidualFrom, TapSet::Upper);
-}
-
-/// `y += A x`.
-///
-/// # Panics
-/// Panics on dimension mismatch or more than 8 components.
-pub fn spmv_axpy<S: Storage, P: Scalar>(a: &SgDia<S>, x: &[P], y: &mut [P], par: Par) {
-    apply(a, None, x, y, par, Mode::Accumulate, TapSet::All);
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// `y = A x` (overwrite).
-    Overwrite,
-    /// `y = b - A x` (overwrite with the residual; no `b` is `b = 0`).
-    ResidualFrom,
-    /// `y += A x` (accumulate).
-    Accumulate,
-}
-
-impl Mode {
-    /// Writes one output value from the accumulated `Σ a·x` and the
-    /// right-hand side entry, if there is one.
-    #[inline(always)]
-    fn emit<P: Scalar>(self, y: &mut P, acc: P, b: Option<P>) {
-        match self {
-            Mode::Overwrite => *y = acc,
-            Mode::Accumulate => *y += acc,
-            Mode::ResidualFrom => *y = b.map_or(-acc, |b| b - acc),
-        }
-    }
+    apply(a, None, x, r, par, true, TapSet::Upper);
 }
 
 fn apply<S: Storage, P: Scalar>(
@@ -80,7 +47,7 @@ fn apply<S: Storage, P: Scalar>(
     x: &[P],
     y: &mut [P],
     par: Par,
-    mode: Mode,
+    residual: bool,
     set: TapSet,
 ) {
     let cells = a.grid().cells();
@@ -96,19 +63,21 @@ fn apply<S: Storage, P: Scalar>(
     let lines = cells / nx;
     let chunk_lines = if nthreads == 1 || cells < 4096 { lines } else { lines.div_ceil(nthreads) };
 
-    // Each parallel task owns a disjoint &mut window of y covering
-    // `chunk_lines` whole x-lines; x and b stay shared. The meta table is
-    // rented from the calling thread's pool; worker closures only read it.
+    // Each parallel task owns the same `chunk_lines` whole x-lines of every
+    // output field, disjoint &mut windows of y; x and b stay shared. The
+    // meta table is rented from the calling thread's pool; worker closures
+    // only read it.
     with_tap_metas(a.grid(), a.pattern(), |metas| {
-        crate::par::for_each_chunk_mut(y, chunk_lines * nx * r, |p, ychunk| {
+        crate::par::for_each_field_chunk_mut(y, cells, chunk_lines * nx, |p, cout, ychunk| {
             let first_line = p * chunk_lines;
-            run_lines(a, b, x, ychunk, metas, first_line, mode, set);
+            run_lines(a, b, x, ychunk, metas, cout, first_line, residual, set);
         });
     });
 }
 
-/// Executes the whole x-lines `ychunk` covers, `first_line` onwards,
-/// dispatching on layout and component count.
+/// Executes the whole x-lines `ychunk` covers of output field `cout`,
+/// `first_line` onwards, over the taps of `set` that write it, dispatching
+/// on layout.
 #[allow(clippy::too_many_arguments)] // internal dispatch: full kernel context
 fn run_lines<S: Storage, P: Scalar>(
     a: &SgDia<S>,
@@ -116,88 +85,41 @@ fn run_lines<S: Storage, P: Scalar>(
     x: &[P],
     ychunk: &mut [P],
     metas: &[TapMeta],
+    cout: usize,
     first_line: usize,
-    mode: Mode,
+    residual: bool,
     set: TapSet,
 ) {
     let grid = a.grid();
+    let b = b.map(|b| &b[grid.field(cout)]);
     let base = first_line * grid.nx;
-    let range = base..base + ychunk.len() / grid.components;
-    if a.layout() == Layout::Soa {
-        if grid.components == 1 && mode != Mode::Accumulate {
-            with_idx2(|taps, _| {
-                taps.extend(set.select(metas).map(|(t, m)| (t, m.cell_stride)));
-                // A product is accumulated as `0 − Σ` and negated on the way out.
-                LineSweep::apply(grid.nx, a.data(), taps, b, mode == Mode::Overwrite)
-                    .apply_with(x, ychunk, first_line, true);
-            });
+    let range = base..base + ychunk.len();
+    with_taps2(|taps, _| {
+        taps.extend(set.select(metas).filter(|m| m.cout == cout));
+        if a.layout() == Layout::Soa {
+            // A product is accumulated as `0 − Σ` and negated on the way out.
+            LineSweep::apply(grid, a.data(), taps, b, !residual)
+                .apply_with(x, ychunk, first_line, true);
             return;
         }
-        // Vector PDEs and `y += A x`: per-line bulk widening (§5.1
-        // amortization) plus branch-free tap loops.
-        staged_lines(a, b, x, ychunk, metas, first_line, mode, set);
-        return;
-    }
-    // The paper's *naive* mixed-precision kernel: AOS FP16 with one scalar
-    // hardware convert per entry (Fig. 4 left). Without this path the
-    // soft-float fallback would exaggerate the conversion overhead.
-    #[cfg(target_arch = "x86_64")]
-    if grid.components == 1 && mode != Mode::Accumulate && super::simd_available() {
-        if let (Some(x32), Some(y32)) = (cast_slice::<P, f32>(x), cast_slice_mut::<P, f32>(ychunk))
-        {
+        // The paper's *naive* mixed-precision kernel: AOS FP16 with one
+        // scalar hardware convert per entry (Fig. 4 left). Without this
+        // path the soft-float fallback would exaggerate the conversion
+        // overhead.
+        #[cfg(target_arch = "x86_64")]
+        if let (1, true, Some(d16), Some(x32), Some(y32)) = (
+            grid.components,
+            super::simd_available(),
+            cast_slice::<S, F16>(a.data()),
+            cast_slice::<P, f32>(x),
+            cast_slice_mut::<P, f32>(ychunk),
+        ) {
             let b32 = b.and_then(cast_slice::<P, f32>);
-            if let Some(d16) = cast_slice::<S, F16>(a.data()) {
-                // SAFETY: CPU support checked by simd_available().
-                unsafe {
-                    naive_f16_aos_range(grid.cells(), metas, set, d16, b32, x32, y32, range, mode)
-                };
-                return;
-            }
+            // SAFETY: CPU support checked by simd_available().
+            unsafe { naive_f16_aos_range(metas.len(), taps, d16, b32, x32, y32, range, residual) };
+            return;
         }
-    }
-    generic_range(a, b, x, ychunk, metas, range, mode, set);
-}
-
-/// Staged SOA kernel: bulk-widens the coefficient lines of the taps in
-/// `set` into a scratch buffer, then accumulates tap by tap over
-/// index-valid sub-spans.
-#[allow(clippy::too_many_arguments)]
-fn staged_lines<S: Storage, P: Scalar>(
-    a: &SgDia<S>,
-    b: Option<&[P]>,
-    x: &[P],
-    ychunk: &mut [P],
-    metas: &[TapMeta],
-    first_line: usize,
-    mode: Mode,
-    set: TapSet,
-) {
-    let grid = a.grid();
-    let cells = grid.cells();
-    let nx = grid.nx;
-    let r = grid.components;
-    let data = a.data();
-    with_bufs::<P, _>(|bufs| {
-        let (scratch, acc) = bufs.zeroed2(nx, nx * r);
-        for (l, yline) in ychunk.chunks_exact_mut(nx * r).enumerate() {
-            let lbase = (first_line + l) * nx;
-            acc.fill(P::ZERO);
-            for (t, m) in set.select(metas) {
-                widen_line(&data[t * cells + lbase..t * cells + lbase + nx], scratch);
-                // Valid i within the line: 0 <= lbase + i + cstride < cells.
-                let xoff = lbase as i64 + m.cell_stride;
-                let lo = (-xoff).clamp(0, nx as i64) as usize;
-                let hi = (cells as i64 - xoff).clamp(lo as i64, nx as i64) as usize;
-                let (cout, cin) = (m.cout, m.cin);
-                for i in lo..hi {
-                    let xv = x[(xoff + i as i64) as usize * r + cin];
-                    acc[i * r + cout] += scratch[i] * xv;
-                }
-            }
-            for (k, (y, &v)) in yline.iter_mut().zip(acc.iter()).enumerate() {
-                mode.emit(y, v, b.map(|b| b[lbase * r + k]));
-            }
-        }
+        generic_range(a, taps, b, x, ychunk, range, residual);
     });
 }
 
@@ -212,18 +134,16 @@ fn staged_lines<S: Storage, P: Scalar>(
 #[target_feature(enable = "f16c,fma")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn naive_f16_aos_range(
-    cells: usize,
-    metas: &[TapMeta],
-    set: TapSet,
+    ntaps: usize,
+    taps: &[TapMeta],
     data: &[F16],
     b: Option<&[f32]>,
     x: &[f32],
     ychunk: &mut [f32],
     range: core::ops::Range<usize>,
-    mode: Mode,
+    residual: bool,
 ) {
     use core::arch::x86_64::*;
-    let ntaps = metas.len();
     #[inline(always)]
     unsafe fn cvt1(h: u16) -> f32 {
         // ldr + fcvt: one scalar hardware conversion.
@@ -232,47 +152,43 @@ unsafe fn naive_f16_aos_range(
     for (y, cell) in ychunk.iter_mut().zip(range) {
         let row = &data[cell * ntaps..(cell + 1) * ntaps];
         let mut acc = 0.0f32;
-        for (t, m) in set.select(metas) {
+        for m in taps {
             let nb = cell as i64 + m.cell_stride;
-            if nb < 0 || nb >= cells as i64 {
+            if nb < 0 || nb >= x.len() as i64 {
                 continue;
             }
-            let av = cvt1(row[t].to_bits());
+            let av = cvt1(row[m.tap].to_bits());
             acc = av.mul_add(x[nb as usize], acc);
         }
-        mode.emit(y, acc, b.map(|b| b[cell]));
+        // A product is the sum itself, a residual `b − Σ` (no `b` is `b = 0`).
+        *y = if residual { b.map_or(-acc, |b| b[cell] - acc) } else { acc };
     }
 }
 
-/// Scalar reference kernel: any layout, any component count, per-entry
-/// conversion and bounds checks. On AOS FP16 data this is the paper's
-/// "naive" mixed-precision kernel.
-#[allow(clippy::too_many_arguments)]
+/// Scalar reference kernel for one output field: any layout, any
+/// component count, per-entry conversion and bounds checks. On AOS FP16
+/// data this is the paper's "naive" mixed-precision kernel.
 fn generic_range<S: Storage, P: Scalar>(
     a: &SgDia<S>,
+    taps: &[TapMeta],
     b: Option<&[P]>,
     x: &[P],
     ychunk: &mut [P],
-    metas: &[TapMeta],
     range: core::ops::Range<usize>,
-    mode: Mode,
-    set: TapSet,
+    residual: bool,
 ) {
     let cells = a.grid().cells();
-    let r = a.grid().components;
-    let mut acc = [P::ZERO; MAX_COMPONENTS];
-    for (yblk, cell) in ychunk.chunks_exact_mut(r).zip(range) {
-        acc[..r].fill(P::ZERO);
-        for (t, m) in set.select(metas) {
+    for (y, cell) in ychunk.iter_mut().zip(range) {
+        let mut acc = P::ZERO;
+        for m in taps {
             let nb = cell as i64 + m.cell_stride;
             if nb < 0 || nb >= cells as i64 {
                 continue;
             }
-            let av = P::from_f64(a.get(cell, t).load_f64());
-            acc[m.cout] += av * x[nb as usize * r + m.cin];
+            let av = P::from_f64(a.get(cell, m.tap).load_f64());
+            acc += av * x[(cell as i64 + m.x_offset) as usize];
         }
-        for (c, y) in yblk.iter_mut().enumerate() {
-            mode.emit(y, acc[c], b.map(|b| b[cell * r + c]));
-        }
+        // A product is the sum itself, a residual `b − Σ` (no `b` is `b = 0`).
+        *y = if residual { b.map_or(-acc, |b| b[cell] - acc) } else { acc };
     }
 }

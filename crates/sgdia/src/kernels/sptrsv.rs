@@ -21,9 +21,7 @@ use fp16mg_fp::{Scalar, Storage, F16};
 use fp16mg_grid::Wavefronts;
 
 use super::line::{Diag, LineSweep};
-use super::{
-    cast_slice, cast_slice_mut, with_idx2, with_tap_metas, Par, TapMeta, Tier, MAX_COMPONENTS,
-};
+use super::{cast_slice, cast_slice_mut, with_tap_metas, with_taps2, Par, TapMeta, MAX_COMPONENTS};
 use crate::{Layout, SgDia};
 
 /// Solves `L x = b` with `L` lower triangular (taps with row-major sign
@@ -37,7 +35,7 @@ pub fn sptrsv_forward<S: Storage, P: Scalar>(l: &SgDia<S>, b: &[P], x: &mut [P])
         l.pattern().taps().iter().all(|t| t.spatial_sign() <= 0),
         "sptrsv_forward requires a lower-triangular pattern"
     );
-    solve(l, b, x, false, Tier::Simd);
+    solve(l, b, x, false, true);
 }
 
 /// Solves `U x = b` with `U` upper triangular (taps with row-major sign
@@ -51,18 +49,18 @@ pub fn sptrsv_backward<S: Storage, P: Scalar>(u: &SgDia<S>, b: &[P], x: &mut [P]
         u.pattern().taps().iter().all(|t| t.spatial_sign() >= 0),
         "sptrsv_backward requires an upper-triangular pattern"
     );
-    solve(u, b, x, true, Tier::Simd);
+    solve(u, b, x, true, true);
 }
 
 /// One solve in either direction, without the triangularity check.
-/// `tier` is [`Tier::Simd`] everywhere but in the differential tests
-/// ([`Tier::Staged`] there means the generic per-entry solve).
+/// `simd` is true everywhere but in the differential tests (see
+/// [`LineSweep::run_with`]).
 pub(crate) fn solve<S: Storage, P: Scalar>(
     a: &SgDia<S>,
     b: &[P],
     x: &mut [P],
     backward: bool,
-    tier: Tier,
+    simd: bool,
 ) {
     let grid = a.grid();
     let cells = grid.cells();
@@ -72,10 +70,7 @@ pub(crate) fn solve<S: Storage, P: Scalar>(
     assert_eq!(x.len(), cells * r, "x length");
     with_tap_metas(grid, a.pattern(), |metas| {
         if r == 1 {
-            if a.layout() == Layout::Soa
-                && tier != Tier::Staged
-                && solve_lines(a, metas, b, x, backward, tier == Tier::Simd)
-            {
+            if a.layout() == Layout::Soa && solve_lines(a, metas, b, x, backward, simd) {
                 return;
             }
             // Naive AOS FP16: scalar hardware convert per entry.
@@ -105,14 +100,15 @@ fn solve_generic<S: Storage, P: Scalar>(
     x: &mut [P],
     backward: bool,
 ) {
-    let cells = a.grid().cells();
-    let r = a.grid().components;
+    let grid = a.grid();
+    let cells = grid.cells();
+    let r = grid.components;
     let mut acc = [P::ZERO; MAX_COMPONENTS];
     let mut diag = [[P::ZERO; MAX_COMPONENTS]; MAX_COMPONENTS];
     for step in 0..cells {
         let cell = if backward { cells - 1 - step } else { step };
-        for c in 0..r {
-            acc[c] = b[cell * r + c];
+        for (c, acc) in acc.iter_mut().enumerate().take(r) {
+            *acc = b[grid.unknown_of(cell, c)];
         }
         for row in diag.iter_mut().take(r) {
             row[..r].fill(P::ZERO);
@@ -127,10 +123,12 @@ fn solve_generic<S: Storage, P: Scalar>(
             if nb < 0 || nb >= cells as i64 {
                 continue;
             }
-            acc[m.cout] -= av * x[nb as usize * r + m.cin];
+            acc[m.cout] -= av * x[(cell as i64 + m.x_offset) as usize];
         }
         solve_block(&diag, &mut acc, r);
-        x[cell * r..cell * r + r].copy_from_slice(&acc[..r]);
+        for (c, &v) in acc.iter().enumerate().take(r) {
+            x[grid.unknown_of(cell, c)] = v;
+        }
     }
 }
 
@@ -192,19 +190,19 @@ fn solve_lines<S: Storage, P: Scalar>(
     backward: bool,
     simd: bool,
 ) -> bool {
-    with_idx2(|bulk, rec| {
+    with_taps2(|bulk, rec| {
         let mut dtap = None;
-        for (t, m) in metas.iter().enumerate() {
+        for m in metas {
             if m.diagonal {
-                dtap = Some(t);
+                dtap = Some(m.tap);
             } else if m.in_line {
-                rec.push((t, m.cell_stride));
+                rec.push(*m);
             } else {
-                bulk.push((t, m.cell_stride));
+                bulk.push(*m);
             }
         }
         let diag = Diag::Tap(dtap.expect("triangular pattern lacks a diagonal tap"));
-        let Some(k) = LineSweep::new(a.grid().nx, a.data(), bulk, rec, diag, b, backward) else {
+        let Some(k) = LineSweep::new(a.grid(), a.data(), bulk, rec, diag, b, backward) else {
             return false;
         };
         k.run_with(x, simd);

@@ -14,11 +14,13 @@
 //!   ([`fp16mg_fp::Storage`]: `f64`, `f32`, `F16`, `Bf16`) and over the
 //!   in-memory [`Layout`] (AOS, one cell's taps contiguous, vs SOA, one
 //!   tap's cells contiguous — the §5.1 transformation).
-//! * [`kernels`] — SpMV, residual, and SpTRSV in three flavors per the
-//!   Fig. 7 ablation: generic scalar (the *naive* mixed-precision kernel),
-//!   SIMD SOA (the *optimized* kernel: F16C bulk conversion amortized over
-//!   8 entries), and the full-FP32 baseline (same code path, no
-//!   conversion).
+//! * [`kernels`] — SpMV, residual, Gauss–Seidel and SpTRSV in the flavors
+//!   of the Fig. 7 ablation: per-entry scalar (the *naive* mixed-precision
+//!   kernel, one convert per entry) and the SOA x-line kernel (the
+//!   *optimized* one: an F16C convert amortized over 8 entries, the
+//!   accumulator in a register), which also runs the full-FP32 / FP64
+//!   baselines (same code path, no conversion) and vector PDEs of any
+//!   component count.
 //! * [`csr`] — a CSR reference implementation used to validate the
 //!   structured kernels and to stand in for the "vendor library"
 //!   (ARMPL/MKL) comparison point.
@@ -32,6 +34,21 @@
 //! * [`scaling`] — the symmetric diagonal scaling of Theorem 4.1:
 //!   `G_max` computation, `Q^{-1/2} A Q^{-1/2}` application, and the
 //!   recover-and-rescale vector helpers.
+
+//!
+//! # Vector PDEs
+//!
+//! A matrix over an `r`-component grid stores `r²` scalar planes per
+//! spatial tap, one per `(cout, cin)` pair, and its vectors are numbered
+//! component-major ([`fp16mg_grid::Grid3::unknown`]): `r` contiguous
+//! scalar fields. That is the SOA decision of §5.1 applied to the vectors
+//! as well as the planes — a block coupling is then a scalar stencil tap
+//! from one field to another, every inner loop runs along contiguous
+//! x-lines of one plane and one field, and one convert and one FMA serve
+//! a whole SIMD vector. The cell-major alternative (a cell's `r`
+//! unknowns adjacent, its `r × r` block contiguous) makes those loops
+//! stride-`r` and was measured 10× slower per nonzero in FP16
+//! (DESIGN.md §8.5).
 
 #![warn(missing_docs)]
 pub mod audit;

@@ -232,15 +232,13 @@ impl<S: Storage> SgDia<S> {
     }
 
     /// The matrix diagonal (one value per unknown, `f64`), reading the
-    /// scalar diagonal taps.
+    /// scalar diagonal taps: field `c` of the result is the plane of
+    /// component `c`'s diagonal tap.
     pub fn extract_diagonal(&self) -> Vec<f64> {
-        let diag_taps = self.pattern.diagonal_indices();
-        let r = self.grid.components;
-        let mut out = vec![0.0f64; self.rows()];
-        for cell in 0..self.grid.cells() {
-            for (c, &t) in diag_taps.iter().enumerate() {
-                out[cell * r + c] = self.get(cell, t).load_f64();
-            }
+        let cells = self.grid.cells();
+        let mut out = Vec::with_capacity(self.rows());
+        for t in self.pattern.diagonal_indices() {
+            out.extend((0..cells).map(|cell| self.get(cell, t).load_f64()));
         }
         out
     }

@@ -1,7 +1,7 @@
 //! Minimal scoped-thread data parallelism.
 //!
 //! The kernels only ever need two shapes of parallelism — disjoint `&mut`
-//! chunks of an output vector, and a read-only sweep over a plane of
+//! chunks of every field of an output vector, and a read-only sweep over a plane of
 //! independent cells — so both are implemented directly on
 //! `std::thread::scope` instead of pulling in a work-stealing runtime.
 //! Threads are spawned per call, and that is not free: a spawn-and-join
@@ -38,22 +38,35 @@ impl Par {
     }
 }
 
-/// Runs `f(chunk_index, chunk)` over successive `chunk_len`-element chunks
-/// of `data`, one scoped thread per chunk (the caller sizes `chunk_len` to
-/// the intended thread count). Sequential when a single chunk covers the
-/// slice.
-pub(crate) fn for_each_chunk_mut<T: Send, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    F: Fn(usize, &mut [T]) + Sync,
+/// Splits every `field_len`-element field of `data` into the same
+/// successive `chunk_len`-element chunks and runs `f(chunk_index, field,
+/// chunk)` over them, one scoped thread per chunk index (the caller sizes
+/// `chunk_len` to the intended thread count) working through the fields
+/// in order. Sequential when a single chunk covers a field.
+pub(crate) fn for_each_field_chunk_mut<T: Send, F>(
+    data: &mut [T],
+    field_len: usize,
+    chunk_len: usize,
+    f: F,
+) where
+    F: Fn(usize, usize, &mut [T]) + Sync,
 {
-    if chunk_len >= data.len() {
-        f(0, data);
+    if chunk_len >= field_len {
+        for (field, chunk) in data.chunks_mut(field_len).enumerate() {
+            f(0, field, chunk);
+        }
         return;
     }
+    let mut fields: Vec<_> = data.chunks_mut(field_len).map(|d| d.chunks_mut(chunk_len)).collect();
     std::thread::scope(|scope| {
-        for (p, chunk) in data.chunks_mut(chunk_len).enumerate() {
+        for p in 0..field_len.div_ceil(chunk_len) {
+            let windows: Vec<&mut [T]> = fields.iter_mut().filter_map(Iterator::next).collect();
             let f = &f;
-            scope.spawn(move || f(p, chunk));
+            scope.spawn(move || {
+                for (field, chunk) in windows.into_iter().enumerate() {
+                    f(p, field, chunk);
+                }
+            });
         }
     });
 }

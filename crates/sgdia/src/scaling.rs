@@ -31,7 +31,7 @@ use crate::SgDia;
 pub enum ScalingError {
     /// A diagonal entry is zero or negative.
     NonPositiveDiagonal {
-        /// Flat unknown index (cell × components + component).
+        /// Flat unknown index ([`Grid3::unknown_of`]).
         unknown: usize,
         /// The offending diagonal value.
         value: f64,
@@ -141,7 +141,6 @@ fn for_each_in_grid_row(
 /// prerequisite of the theorem).
 pub fn g_max<S: Storage>(a: &SgDia<S>, fp16_max: f64) -> Result<f64, ScalingError> {
     let grid = a.grid();
-    let r = grid.components;
     let diag = a.extract_diagonal();
     for (u, &d) in diag.iter().enumerate() {
         if !d.is_finite() {
@@ -154,12 +153,12 @@ pub fn g_max<S: Storage>(a: &SgDia<S>, fp16_max: f64) -> Result<f64, ScalingErro
     let root: Vec<f64> = diag.iter().map(|d| d.sqrt()).collect();
     let mut min_ratio = f64::INFINITY;
     for_each_in_grid_row(grid, a.pattern().taps(), |t, tap, cells, nb| {
+        let (rows, cols) =
+            (&root[grid.field(tap.cout as usize)], &root[grid.field(tap.cin as usize)]);
         for (cell, nb) in cells.zip(nb) {
             let v = a.get(cell, t).load_f64();
             if v != 0.0 {
-                let ratio = (root[cell * r + tap.cout as usize] * root[nb * r + tap.cin as usize])
-                    / v.abs();
-                min_ratio = min_ratio.min(ratio);
+                min_ratio = min_ratio.min((rows[cell] * cols[nb]) / v.abs());
             }
         }
     });
@@ -207,15 +206,14 @@ pub fn scale_symmetric<P: Scalar>(
     assert!(g > 0.0, "non-positive scaling constant G = {g}");
     let diag = a.extract_diagonal();
     let grid = *a.grid();
-    let r = grid.components;
     // sinv_f64[u] = 1/√(q_u) = √(G / a_uu)
     let sinv: Vec<f64> = diag.iter().map(|&d| (g / d).sqrt()).collect();
     let taps: Vec<_> = a.pattern().taps().to_vec();
     for_each_in_grid_row(&grid, &taps, |t, tap, cells, nb| {
+        let (rows, cols) =
+            (&sinv[grid.field(tap.cout as usize)], &sinv[grid.field(tap.cin as usize)]);
         for (cell, nb) in cells.zip(nb) {
-            let v = a.get(cell, t)
-                * sinv[cell * r + tap.cout as usize]
-                * sinv[nb * r + tap.cin as usize];
+            let v = a.get(cell, t) * rows[cell] * cols[nb];
             a.set(cell, t, v);
         }
     });

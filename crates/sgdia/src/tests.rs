@@ -38,16 +38,15 @@ fn random_matrix(grid: Grid3, pattern: Pattern, layout: Layout, seed: u64) -> Sg
     });
     // Second pass: diagonals dominate their row.
     let diag_idx: Vec<usize> = m.pattern().diagonal_indices();
-    let r = grid.components;
     let mut rowsum = vec![0.0f64; grid.unknowns()];
     for cell in 0..grid.cells() {
         for (t, tap) in taps.iter().enumerate() {
-            rowsum[cell * r + tap.cout as usize] += m.get(cell, t).abs();
+            rowsum[grid.unknown_of(cell, tap.cout as usize)] += m.get(cell, t).abs();
         }
     }
     for cell in 0..grid.cells() {
         for (c, &t) in diag_idx.iter().enumerate() {
-            m.set(cell, t, rowsum[cell * r + c] + 0.5);
+            m.set(cell, t, rowsum[grid.unknown_of(cell, c)] + 0.5);
         }
     }
     m
@@ -184,21 +183,6 @@ fn spmv_parallel_matches_seq() {
 }
 
 #[test]
-fn spmv_axpy_accumulates() {
-    let g = Grid3::cube(5);
-    let a = random_matrix(g, Pattern::p7(), Layout::Aos, 30);
-    let x = random_vec(g.unknowns(), 31);
-    let mut y = random_vec(g.unknowns(), 32);
-    let y0 = y.clone();
-    let mut ax = vec![0.0f64; g.unknowns()];
-    kernels::spmv(&a, &x, &mut ax, Par::Seq);
-    kernels::spmv_axpy(&a, &x, &mut y, Par::Seq);
-    for i in 0..y.len() {
-        assert!((y[i] - (y0[i] + ax[i])).abs() < 1e-12);
-    }
-}
-
-#[test]
 fn sptrsv_forward_solves_lower_system() {
     for pat in [Pattern::p7(), Pattern::p19(), Pattern::p27()] {
         let g = Grid3::new(7, 6, 5);
@@ -266,7 +250,7 @@ fn sptrsv_staged_f16_matches_generic() {
     let mut x1 = vec![0.0f32; g.unknowns()];
     let mut x2 = vec![0.0f32; g.unknowns()];
     kernels::sptrsv_forward(&l16_aos, &b, &mut x1); // generic path
-    kernels::sptrsv_forward(&l16_soa, &b, &mut x2); // staged path
+    kernels::sptrsv_forward(&l16_soa, &b, &mut x2); // line kernel
     for (&u, &v) in x1.iter().zip(&x2) {
         assert!((u - v).abs() <= 1e-5 * (1.0 + u.abs()), "{u} vs {v}");
     }
@@ -604,8 +588,8 @@ fn prop_layout_conversion_identity() {
 
 #[test]
 fn staged_soa_spmv_matches_csr_for_all_storage() {
-    // The staged SOA fallback (used for BF16, mixed-precision pairs, and
-    // vector PDEs) must agree with the CSR reference.
+    // The line kernel's portable instantiation (BF16, mixed-precision
+    // pairs) must agree with the CSR reference.
     let g = Grid3::new(9, 5, 4);
     let a64 = random_matrix(g, Pattern::p19(), Layout::Soa, 200);
     let x = random_vec(g.unknowns(), 201);
@@ -613,7 +597,7 @@ fn staged_soa_spmv_matches_csr_for_all_storage() {
     let mut yref = vec![0.0f64; g.unknowns()];
     csr.spmv(&x, &mut yref);
 
-    // f64 storage, f32 compute (exercises staged, not the f64 SIMD path).
+    // f64 storage, f32 compute (the portable lanes, not the f64 SIMD ones).
     let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
     let mut y32 = vec![0.0f32; g.unknowns()];
     kernels::spmv(&a64, &x32, &mut y32, Par::Seq);
@@ -682,16 +666,22 @@ fn staged_gs_matches_generic_for_vector_pde() {
 
 #[test]
 fn staged_spmv_parallel_chunks_split_lines_correctly() {
-    // Force the staged path (f64 storage, f32 compute) with rayon
-    // chunking: chunk boundaries land mid-line and must not corrupt y.
-    let g = Grid3::new(40, 16, 16); // 10240 cells > 4096 chunk threshold
-    let a = random_matrix(g, Pattern::p7(), Layout::Soa, 230);
-    let x: Vec<f32> = random_vec(g.unknowns(), 231).iter().map(|&v| v as f32).collect();
-    let mut y1 = vec![0.0f32; g.unknowns()];
-    let mut y2 = vec![0.0f32; g.unknowns()];
-    kernels::spmv(&a, &x, &mut y1, Par::Seq);
-    kernels::spmv(&a, &x, &mut y2, Par::Threads(0));
-    assert_eq!(y1, y2);
+    // The portable lanes (f64 storage, f32 compute) under thread chunking,
+    // scalar and with three components: every thread owns the same whole
+    // lines of every output field.
+    for r in [1, 3] {
+        let g = Grid3::with_components(40, 16, 16, r); // 10240 cells > 4096 chunk threshold
+        let pattern = if r == 1 { Pattern::p7() } else { Pattern::p7().with_components(r) };
+        let a = random_matrix(g, pattern, Layout::Soa, 230);
+        let x: Vec<f32> = random_vec(g.unknowns(), 231).iter().map(|&v| v as f32).collect();
+        let mut y1 = vec![0.0f32; g.unknowns()];
+        let mut y2 = vec![0.0f32; g.unknowns()];
+        kernels::spmv(&a, &x, &mut y1, Par::Seq);
+        kernels::spmv(&a, &x, &mut y2, Par::Threads(0));
+        assert_eq!(y1, y2);
+        kernels::spmv(&a, &x, &mut y2, Par::Threads(3));
+        assert_eq!(y1, y2);
+    }
 }
 
 #[test]
@@ -1483,7 +1473,6 @@ fn scaling_by_plane_matches_the_cell_major_loops() {
     check_n("tap-major scaling == cell-major scaling", 64, |rng| {
         let a = setup_operator(rng);
         let grid = *a.grid();
-        let r = grid.components;
         let taps: Vec<_> = a.pattern().taps().to_vec();
         let diag = a.extract_diagonal();
         // G_max, one entry at a time in cell order.
@@ -1497,7 +1486,8 @@ fn scaling_by_plane_matches_the_cell_major_loops() {
                     continue;
                 }
                 let nb = (cell as i64 + grid.stride(tap.dx, tap.dy, tap.dz)) as usize;
-                let (row, col) = (cell * r + tap.cout as usize, nb * r + tap.cin as usize);
+                let row = grid.unknown_of(cell, tap.cout as usize);
+                let col = grid.unknown_of(nb, tap.cin as usize);
                 let v = a.get(cell, t);
                 if v != 0.0 {
                     min_ratio = min_ratio.min((diag[row].sqrt() * diag[col].sqrt()) / v.abs());
@@ -1550,51 +1540,92 @@ fn scalar_diag_inverse_and_nnz_match_the_per_cell_forms() {
     });
 }
 
-/// The line kernel (`kernels/line.rs`) against the CSR reference, its
-/// SIMD instantiations against the portable one, and both against the
-/// widen-to-scratch loop it replaced.
+/// The line kernel (`kernels/line.rs`) for every component count against
+/// the CSR reference and the per-entry loop, and its SIMD instantiations
+/// against the portable one.
 mod line_kernel {
     use fp16mg_fp::{Scalar, Storage};
 
     use super::*;
-    use crate::kernels::{gs_sweep, sptrsv_solve, Tier};
+    use crate::kernels::{gs_sweep, sptrsv_solve};
 
     /// Line lengths on both sides of the 4- and 8-lane vector widths:
     /// shorter than a vector, exactly one, one plus a remainder, several.
     pub(super) const NX: [usize; 7] = [1, 2, 3, 7, 8, 9, 17];
 
-    /// Every tier agrees with the reference, and with every other tier, to
-    /// this many units of `P::EPSILON · ‖x_ref‖∞`. A sweep row is a
-    /// 27-term sum whose rounding the row's diagonal dominance carries
-    /// along the sweep; fused and unfused accumulation, `· D⁻¹` against
-    /// `/ D`, and the recurrence's `d·x + c` against `(acc − a·x)·D⁻¹`
-    /// differ by a unit or so each. Measured worst case over 4096 release
-    /// cases: 3.3 units.
-    const ULPS: f64 = 16.0;
+    /// Every implementation agrees with the reference, and with every
+    /// other, to this many units of `P::EPSILON · ‖reference‖∞`. A sweep
+    /// row is a sum of up to 27·r terms whose rounding the row's diagonal
+    /// dominance carries along the sweep; fused and unfused accumulation,
+    /// `· D⁻¹` against an elimination, and the recurrence's `E·x + c`
+    /// against `D⁻¹·(acc − A_w x)` differ by a unit or so each. Measured
+    /// worst case over 1024 release cases: between 8 and 16 units.
+    const ULPS: f64 = 32.0;
+
+    pub(super) fn inf_norm<P: Scalar>(v: &[P]) -> f64 {
+        v.iter().map(|v| v.to_f64().abs()).fold(f64::MIN_POSITIVE, f64::max)
+    }
+
+    /// `‖got − want‖∞` in units of `P::EPSILON · scale`.
+    pub(super) fn units<P: Scalar>(got: &[P], want: &[P], scale: f64) -> f64 {
+        let err = got.iter().zip(want).map(|(u, v)| (u.to_f64() - v.to_f64()).abs());
+        err.fold(0.0, f64::max) / (P::EPSILON.to_f64() * scale)
+    }
 
     /// `‖x − x_ref‖∞` in units of `P::EPSILON · ‖x_ref‖∞`.
     fn ulps<P: Scalar>(x: &[P], xref: &[P]) -> f64 {
-        let norm = xref.iter().map(|v| v.to_f64().abs()).fold(f64::MIN_POSITIVE, f64::max);
-        let err = x.iter().zip(xref).map(|(u, v)| (u.to_f64() - v.to_f64()).abs());
-        err.fold(0.0, f64::max) / (P::EPSILON.to_f64() * norm)
+        units(x, xref, inf_norm(xref))
     }
 
-    /// One Gauss–Seidel sweep on the CSR form, in `P` arithmetic on the
-    /// stored values.
-    fn csr_gs<S: Storage, P: Scalar>(a: &Csr<S>, b: &[P], x: &mut [P], backward: bool) {
-        let n = a.rows();
-        for step in 0..n {
-            let row = if backward { n - 1 - step } else { step };
-            let (mut acc, mut diag) = (b[row], P::ZERO);
-            for e in a.row_ptr()[row] as usize..a.row_ptr()[row + 1] as usize {
-                let (col, v) = (a.col_idx()[e] as usize, P::from_f64(a.values()[e].load_f64()));
-                if col == row {
-                    diag = v;
-                } else {
-                    acc -= v * x[col];
+    /// One block Gauss–Seidel sweep on the CSR form, in `P` arithmetic on
+    /// the stored values: cell by cell, the couplings to other cells moved
+    /// to the right-hand side and the cell's own `r × r` block solved by
+    /// elimination. Unknown `u` belongs to cell `u % cells`.
+    #[allow(clippy::needless_range_loop)] // index form mirrors the elimination
+    fn csr_gs<S: Storage, P: Scalar>(
+        a: &Csr<S>,
+        grid: &Grid3,
+        b: &[P],
+        x: &mut [P],
+        backward: bool,
+    ) {
+        let (cells, r) = (grid.cells(), grid.components);
+        for step in 0..cells {
+            let cell = if backward { cells - 1 - step } else { step };
+            let mut block = vec![vec![P::ZERO; r]; r];
+            let mut rhs: Vec<P> = (0..r).map(|c| b[grid.unknown_of(cell, c)]).collect();
+            for co in 0..r {
+                let row = grid.unknown_of(cell, co);
+                for e in a.row_ptr()[row] as usize..a.row_ptr()[row + 1] as usize {
+                    let (col, v) = (a.col_idx()[e] as usize, P::from_f64(a.values()[e].load_f64()));
+                    if col % cells == cell {
+                        block[co][col / cells] = v;
+                    } else {
+                        rhs[co] -= v * x[col];
+                    }
                 }
             }
-            x[row] = acc / diag;
+            for col in 0..r {
+                for row in col + 1..r {
+                    let f = block[row][col] / block[col][col];
+                    for j in col..r {
+                        let v = block[col][j];
+                        block[row][j] -= f * v;
+                    }
+                    let v = rhs[col];
+                    rhs[row] -= f * v;
+                }
+            }
+            for col in (0..r).rev() {
+                let mut v = rhs[col];
+                for j in col + 1..r {
+                    v -= block[col][j] * rhs[j];
+                }
+                rhs[col] = v / block[col][col];
+            }
+            for (c, &v) in rhs.iter().enumerate() {
+                x[grid.unknown_of(cell, c)] = v;
+            }
         }
     }
 
@@ -1602,34 +1633,91 @@ mod line_kernel {
         random_vec(n, seed).iter().map(|&v| P::from_f64(v)).collect()
     }
 
-    /// One operator, one storage/compute pair: forward and backward
-    /// Gauss–Seidel on the full pattern and the two triangular solves on
-    /// its halves, each tier against the reference and against the others.
+    /// `b − Σ a·x` over the CSR entries `keep(row, col)` selects, without
+    /// `b` when there is none.
+    pub(super) fn csr_residual<S: Storage, P: Scalar>(
+        a: &Csr<S>,
+        b: Option<&[P]>,
+        x: &[P],
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> Vec<P> {
+        (0..a.rows())
+            .map(|row| {
+                let mut acc = b.map_or(P::ZERO, |b| b[row]);
+                for e in a.row_ptr()[row] as usize..a.row_ptr()[row + 1] as usize {
+                    let col = a.col_idx()[e] as usize;
+                    if keep(row, col) {
+                        acc -= P::from_f64(a.values()[e].load_f64()) * x[col];
+                    }
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// One SOA operator, one storage/compute pair: the three products and
+    /// both Gauss–Seidel directions against CSR and against the per-entry
+    /// loop (the AOS copy), the sweeps in both instantiations; for scalar
+    /// operators also the two triangular solves on its halves.
     fn check_pair<S: Storage, P: Scalar>(full: &SgDia<f64>, seed: u64) {
-        let what =
-            format!("{:?} {} S={} P={}", full.grid(), full.pattern().name(), S::NAME, P::NAME);
-        let n = full.rows();
+        let grid = full.grid();
+        let what = format!("{grid:?} {} S={} P={}", full.pattern().name(), S::NAME, P::NAME);
+        let (n, cells) = (full.rows(), grid.cells());
         let b = vec_of::<P>(n, seed);
         let x0 = vec_of::<P>(n, seed + 1);
-        let tiers = [Tier::Simd, Tier::Portable, Tier::Staged];
 
         let a = full.convert::<S>();
+        let per_entry = a.to_layout(Layout::Aos);
         let csr = Csr::from_sgdia(&a);
         let dinv = BlockDiagInv::<P>::from_matrix(&a).unwrap();
-        for backward in [false, true] {
-            let mut xref = x0.clone();
-            csr_gs(&csr, &b, &mut xref, backward);
-            let xs = tiers.map(|tier| {
-                let mut x = x0.clone();
-                gs_sweep(&a, &dinv, &b, &mut x, backward, false, tier);
-                assert!(ulps(&x, &xref) <= ULPS, "gs {tier:?} vs csr, {what}, backward={backward}");
-                x
-            });
-            for x in &xs[1..] {
-                assert!(ulps(x, &xs[0]) <= ULPS, "gs tiers, {what}, backward={backward}");
-            }
+
+        // y = A x, r = b − A x, r = −U x: the vector phase per output field.
+        let neg: Vec<P> = csr_residual(&csr, None, &x0, |_, _| true);
+        type Product<'f, S, P> = (&'f str, Vec<P>, &'f dyn Fn(&SgDia<S>, &mut [P]));
+        let products: [Product<'_, S, P>; 3] = [
+            ("spmv", neg.iter().map(|&v| -v).collect(), &|a, y| kernels::spmv(a, &x0, y, Par::Seq)),
+            ("residual", csr_residual(&csr, Some(&b), &x0, |_, _| true), &|a, y| {
+                kernels::residual(a, &b, &x0, y, Par::Seq)
+            }),
+            (
+                "residual_upper",
+                csr_residual(&csr, None, &x0, |r, c| c % cells > r % cells),
+                &|a, y| kernels::residual_upper(a, &x0, y, Par::Seq),
+            ),
+        ];
+        // Rounding is relative to the terms summed, as large as `A x`.
+        let scale = inf_norm(&products[0].1);
+        for (name, want, run) in &products {
+            let mut got = vec![P::from_f64(f64::NAN); n];
+            run(&a, &mut got);
+            let mut entry = vec![P::from_f64(f64::NAN); n];
+            run(&per_entry, &mut entry);
+            assert!(units(&got, want, scale) <= ULPS, "{name} vs csr, {what}");
+            assert!(units(&got, &entry, scale) <= ULPS, "{name} vs per-entry, {what}");
         }
 
+        for backward in [false, true] {
+            let mut xref = x0.clone();
+            csr_gs(&csr, grid, &b, &mut xref, backward);
+            let mut entry = x0.clone();
+            gs_sweep(&per_entry, &dinv, &b, &mut entry, backward, false, true);
+            assert!(ulps(&entry, &xref) <= ULPS, "gs per-entry vs csr, {what}, {backward}");
+            let xs = [true, false].map(|simd| {
+                let mut x = x0.clone();
+                gs_sweep(&a, &dinv, &b, &mut x, backward, false, simd);
+                assert!(ulps(&x, &xref) <= ULPS, "gs simd={simd} vs csr, {what}, {backward}");
+                assert!(
+                    ulps(&x, &entry) <= ULPS,
+                    "gs simd={simd} vs per-entry, {what}, {backward}"
+                );
+                x
+            });
+            assert!(ulps(&xs[1], &xs[0]) <= ULPS, "gs portable vs simd, {what}, {backward}");
+        }
+
+        if grid.components > 1 {
+            return;
+        }
         let lower = full.pattern().lower_with_diag();
         for (part, backward) in [(lower.clone(), false), (lower.transpose(), true)] {
             let t = part_of(full, &part).convert::<S>();
@@ -1640,43 +1728,67 @@ mod line_kernel {
             } else {
                 csr.solve_lower(&b, &mut xref);
             }
-            let xs = tiers.map(|tier| {
+            let mut entry = x0.clone();
+            sptrsv_solve(&t.to_layout(Layout::Aos), &b, &mut entry, backward, true);
+            assert!(
+                ulps(&entry, &xref) <= ULPS,
+                "sptrsv per-entry vs csr, {what}, {}",
+                part.name()
+            );
+            let xs = [true, false].map(|simd| {
                 let mut x = x0.clone();
-                sptrsv_solve(&t, &b, &mut x, backward, tier);
-                assert!(ulps(&x, &xref) <= ULPS, "sptrsv {tier:?} vs csr, {what}, {}", part.name());
+                sptrsv_solve(&t, &b, &mut x, backward, simd);
+                assert!(
+                    ulps(&x, &xref) <= ULPS,
+                    "sptrsv simd={simd} vs csr, {what}, {}",
+                    part.name()
+                );
                 x
             });
-            for x in &xs[1..] {
-                assert!(ulps(x, &xs[0]) <= ULPS, "sptrsv tiers, {what}, {}", part.name());
-            }
+            assert!(
+                ulps(&xs[1], &xs[0]) <= ULPS,
+                "sptrsv portable vs simd, {what}, {}",
+                part.name()
+            );
+        }
+    }
+
+    /// One random non-cubic operator shape per case — pattern, component
+    /// count 1–5, `ny`, `nz` — at every line length of [`NX`].
+    pub(super) fn for_each_operator(
+        rng: &mut fp16mg_testkit::Rng,
+        mut f: impl FnMut(&SgDia<f64>, u64),
+    ) {
+        let (ny, nz) = (rng.usize_range(1, 6), rng.usize_range(1, 6));
+        let seed = rng.next_u64() >> 8;
+        let scalar = [Pattern::p7(), Pattern::p19(), Pattern::p27()][seed as usize % 3].clone();
+        let r = 1 + (seed / 3) as usize % 5;
+        let pattern = if r == 1 { scalar } else { scalar.with_components(r) };
+        for nx in NX {
+            let grid = Grid3::with_components(nx, ny, nz, r);
+            f(&random_matrix(grid, pattern.clone(), Layout::Soa, seed), seed);
         }
     }
 
     #[test]
     fn line_kernel_matches_csr_and_the_staged_loop() {
         check_n("line_kernel_matches_csr_and_the_staged_loop", 8, |rng| {
-            let (ny, nz) = (rng.usize_range(1, 6), rng.usize_range(1, 6));
-            let seed = rng.next_u64() >> 8;
-            let pattern =
-                [Pattern::p7(), Pattern::p19(), Pattern::p27()][seed as usize % 3].clone();
-            for nx in NX {
-                let grid = Grid3::new(nx, ny, nz);
-                let full = random_matrix(grid, pattern.clone(), Layout::Soa, seed);
-                check_pair::<F16, f32>(&full, seed);
-                check_pair::<F16, f64>(&full, seed);
-                check_pair::<Bf16, f32>(&full, seed);
-                check_pair::<Bf16, f64>(&full, seed);
-                check_pair::<f32, f32>(&full, seed);
-                check_pair::<f32, f64>(&full, seed);
-                check_pair::<f64, f32>(&full, seed);
-                check_pair::<f64, f64>(&full, seed);
-            }
+            for_each_operator(rng, |full, seed| {
+                check_pair::<F16, f32>(full, seed);
+                check_pair::<F16, f64>(full, seed);
+                check_pair::<Bf16, f32>(full, seed);
+                check_pair::<Bf16, f64>(full, seed);
+                check_pair::<f32, f32>(full, seed);
+                check_pair::<f32, f64>(full, seed);
+                check_pair::<f64, f32>(full, seed);
+                check_pair::<f64, f64>(full, seed);
+            });
         });
     }
 
-    /// Patterns the first-order recurrence does not cover fall back to the
-    /// staged loop / the generic solve instead of a wrong answer: two taps
-    /// behind the sweep along x.
+    /// Patterns the first-order dense recurrence does not cover fall back to
+    /// the per-entry sweep / the generic solve instead of a wrong answer:
+    /// two taps behind the sweep along x, scalar and with two components.
     #[test]
     fn wider_x_stencils_take_the_fallback() {
         use fp16mg_stencil::Tap;
@@ -1686,10 +1798,19 @@ mod line_kernel {
             Tap::at(0, 0, -1),
             Tap::at(0, 0, 1),
         ]);
-        let full =
-            random_matrix(Grid3::new(11, 4, 3), Pattern::new(taps.collect()), Layout::Soa, 7);
+        let wide = Pattern::new(taps.collect());
+        let full = random_matrix(Grid3::new(11, 4, 3), wide.clone(), Layout::Soa, 7);
         check_pair::<F16, f32>(&full, 8);
         check_pair::<f64, f64>(&full, 9);
+        let grid = Grid3::with_components(11, 4, 3, 2);
+        let full = random_matrix(grid, wide.with_components(2), Layout::Soa, 10);
+        check_pair::<F16, f32>(&full, 11);
+        // So does an x-neighbour block that couples only some component
+        // pairs: each field to itself across space, all pairs in the cell.
+        let sparse = Pattern::p7().with_components(2);
+        let sparse = sparse.taps().iter().filter(|t| t.is_center() || t.cin == t.cout);
+        let full = random_matrix(grid, Pattern::new(sparse.copied().collect()), Layout::Soa, 12);
+        check_pair::<F16, f32>(&full, 13);
     }
 }
 
@@ -1699,14 +1820,15 @@ mod line_kernel {
 mod zero_guess {
     use fp16mg_fp::{Scalar, Storage};
 
-    use super::line_kernel::{vec_of, NX};
+    use super::line_kernel::{csr_residual, for_each_operator, inf_norm, units, vec_of};
     use super::*;
-    use crate::kernels::{gs_sweep, Tier};
+    use crate::kernels::gs_sweep;
 
     /// `−U x` against `b − A x` and against the CSR sum, in units of
     /// `P::EPSILON · ‖b‖∞`: `b − (L + D) x` is pure rounding of terms as
     /// large as `b`, and the two `U x` sums differ in order and fusing.
-    /// Measured worst case over 1024 release cases: 4.7 units.
+    /// Measured worst case over 1024 release cases: between 8 and 16 units
+    /// (4.7 for scalar operators alone).
     const ULPS: f64 = 32.0;
 
     /// One operator in one layout, one storage/compute pair.
@@ -1719,7 +1841,7 @@ mod zero_guess {
             S::NAME,
             P::NAME
         );
-        let (n, r) = (full.rows(), full.grid().components);
+        let (n, cells) = (full.rows(), full.grid().cells());
         let b = vec_of::<P>(n, seed);
         let a = full.convert::<S>();
         // D from the stored matrix, so `(L + D) x = b` holds for the very
@@ -1728,19 +1850,17 @@ mod zero_guess {
         let poison = vec![P::from_f64(f64::NAN); n];
 
         // From zero == the full sweep over zeros, to the bit (`==`: a NaN
-        // read out of the poison would fail it too), in every tier.
-        let tiers: &[Tier] = match (a.layout(), r) {
-            (Layout::Soa, 1) => &[Tier::Simd, Tier::Portable, Tier::Staged],
-            _ => &[Tier::Simd],
-        };
+        // read out of the poison would fail it too), in both
+        // instantiations of the line kernel (one and the same per-entry
+        // loop on AOS data).
         let mut x = poison.clone();
-        for &tier in tiers {
+        for simd in [true, false] {
             let mut want = vec![P::ZERO; n];
-            gs_sweep(&a, &dinv, &b, &mut want, false, false, tier);
+            gs_sweep(&a, &dinv, &b, &mut want, false, false, simd);
             x.copy_from_slice(&poison);
-            gs_sweep(&a, &dinv, &b, &mut x, false, true, tier);
+            gs_sweep(&a, &dinv, &b, &mut x, false, true, simd);
             let bad = x.iter().zip(&want).position(|(u, v)| u != v);
-            assert!(bad.is_none(), "from zero vs zero-filled at {bad:?}, {tier:?}, {what}");
+            assert!(bad.is_none(), "from zero vs zero-filled at {bad:?}, simd={simd}, {what}");
         }
 
         // −U x: the residual of that x, and the CSR sum over the columns
@@ -1750,59 +1870,40 @@ mod zero_guess {
         let mut full_res = vec![P::ZERO; n];
         kernels::residual(&a, &b, &x, &mut full_res, Par::Seq);
         let csr = Csr::from_sgdia(&a);
-        let from_csr: Vec<P> = (0..n)
-            .map(|row| {
-                let mut acc = P::ZERO;
-                for e in csr.row_ptr()[row] as usize..csr.row_ptr()[row + 1] as usize {
-                    let col = csr.col_idx()[e] as usize;
-                    if col / r > row / r {
-                        acc -= P::from_f64(csr.values()[e].load_f64()) * x[col];
-                    }
-                }
-                acc
-            })
-            .collect();
-        let b_norm = b.iter().map(|v| v.to_f64().abs()).fold(f64::MIN_POSITIVE, f64::max);
-        let err = |got: &[P], want: &[P]| {
-            let diff = got.iter().zip(want).map(|(g, w)| (g.to_f64() - w.to_f64()).abs());
-            diff.fold(0.0, f64::max) / (P::EPSILON.to_f64() * b_norm)
-        };
-        assert!(err(&upper, &from_csr) <= ULPS, "-U x vs csr, {what}");
-        assert!(err(&upper, &full_res) <= ULPS, "-U x vs b - A x, {what}");
+        let from_csr: Vec<P> = csr_residual(&csr, None, &x, |row, col| col % cells > row % cells);
+        let b_norm = inf_norm(&b);
+        assert!(units(&upper, &from_csr, b_norm) <= ULPS, "-U x vs csr, {what}");
+        assert!(units(&upper, &full_res, b_norm) <= ULPS, "-U x vs b - A x, {what}");
     }
 
     #[test]
     fn from_zero_sweep_and_upper_residual_match_the_full_kernels() {
         check_n("from_zero_sweep_and_upper_residual_match_the_full_kernels", 8, |rng| {
-            let (ny, nz) = (rng.usize_range(1, 6), rng.usize_range(1, 6));
-            let seed = rng.next_u64() >> 8;
-            let scalar = [Pattern::p7(), Pattern::p19(), Pattern::p27()][seed as usize % 3].clone();
-            for nx in NX {
-                for layout in [Layout::Soa, Layout::Aos] {
-                    for (pattern, r) in [(scalar.clone(), 1), (Pattern::p7().with_components(3), 3)]
-                    {
-                        let grid = Grid3::with_components(nx, ny, nz, r);
-                        let full = random_matrix(grid, pattern, layout, seed);
-                        check_pair::<F16, f32>(&full, seed);
-                        check_pair::<Bf16, f32>(&full, seed);
-                        check_pair::<f32, f32>(&full, seed);
-                        check_pair::<f64, f64>(&full, seed);
-                    }
+            for_each_operator(rng, |soa, seed| {
+                for full in [soa.clone(), soa.to_layout(Layout::Aos)] {
+                    check_pair::<F16, f32>(&full, seed);
+                    check_pair::<Bf16, f32>(&full, seed);
+                    check_pair::<f32, f32>(&full, seed);
+                    check_pair::<f64, f64>(&full, seed);
                 }
-            }
+            });
         });
     }
 
-    /// Threads split `−U x` by whole x-lines: same bits as one thread.
+    /// Threads split `−U x` by whole x-lines of every field: same bits as
+    /// one thread, scalar and with three components.
     #[test]
     fn upper_residual_parallel_matches_seq() {
-        let g = Grid3::new(40, 16, 16); // above the 4096-cell threshold
-        let a = random_matrix(g, Pattern::p27(), Layout::Soa, 250).convert::<F16>();
-        let x: Vec<f32> = random_vec(g.unknowns(), 251).iter().map(|&v| v as f32).collect();
-        let mut r1 = vec![0.0f32; g.unknowns()];
-        let mut r2 = vec![0.0f32; g.unknowns()];
-        kernels::residual_upper(&a, &x, &mut r1, Par::Seq);
-        kernels::residual_upper(&a, &x, &mut r2, Par::Threads(3));
-        assert_eq!(r1, r2);
+        for r in [1, 3] {
+            let g = Grid3::with_components(40, 16, 16, r); // above the 4096-cell threshold
+            let pattern = if r == 1 { Pattern::p27() } else { Pattern::p7().with_components(r) };
+            let a = random_matrix(g, pattern, Layout::Soa, 250).convert::<F16>();
+            let x: Vec<f32> = random_vec(g.unknowns(), 251).iter().map(|&v| v as f32).collect();
+            let mut r1 = vec![0.0f32; g.unknowns()];
+            let mut r2 = vec![0.0f32; g.unknowns()];
+            kernels::residual_upper(&a, &x, &mut r1, Par::Seq);
+            kernels::residual_upper(&a, &x, &mut r2, Par::Threads(3));
+            assert_eq!(r1, r2);
+        }
     }
 }
