@@ -4,16 +4,19 @@
 //! overhead (the blue bars), the matrix-free vector kernels a cycle and
 //! the Krylov loop around it are made of, the matrix kernels (sweep,
 //! SpMV, residual and their half-matrix forms) of its finest level side
-//! by side, and one whole application on each repo-benchmark shape.
+//! by side, one whole application on each repo-benchmark shape, and the
+//! Krylov operator's FP64 product read whole and by half, back to back and
+//! between cycles.
 
 use fp16mg_bench::{Combo, Group};
-use fp16mg_core::{galerkin_rap, prolong_add, restrict, GalerkinChain, Mg, MgConfig};
+use fp16mg_core::{galerkin_rap, prolong_add, restrict, GalerkinChain, MatOp, Mg, MgConfig};
 use fp16mg_fp::F16;
 use fp16mg_grid::Grid3;
-use fp16mg_krylov::{axpy, dot};
+use fp16mg_krylov::{axpy, dot, LinOp};
 use fp16mg_problems::ProblemKind;
 use fp16mg_sgdia::audit::{store_level, TruncationPolicy};
 use fp16mg_sgdia::kernels::{self, BlockDiagInv, Par};
+use fp16mg_sgdia::model::half_read_planes;
 use fp16mg_sgdia::scaling::{scale_symmetric, GChoice};
 use fp16mg_sgdia::{Layout, SgDia};
 
@@ -159,6 +162,49 @@ fn bench_apply() {
     }
 }
 
+/// The Krylov operator's product on the two symmetric repo-benchmark
+/// shapes: `kernels::spmv` (`full`, every plane) against a judged
+/// `MatOp` (`half`, the planes on and below the diagonal), GB/s over the
+/// planes each reads plus the two vectors. `between cycles` times the same
+/// calls after one V-cycle application each, which is where a Krylov solve
+/// makes them. On a host whose last-level cache holds the matrix (the
+/// 260 MB one this was written on) both pairs read `half` ≈ 0.7 × `full`
+/// on laplace27 — fewer bytes, the same 27 FMAs per cell; where the matrix
+/// comes from memory the bytes decide and it is nearer 0.55. Equal `full`
+/// and `half` rows mean the verdict went the wrong way.
+fn bench_matop() {
+    for (kind, n) in [(ProblemKind::Laplace27, 72), (ProblemKind::Rhd3T, 24)] {
+        let p = kind.build(n);
+        let a = &p.matrix;
+        let x: Vec<f64> = (0..a.rows()).map(|i| ((i % 89) as f64) * 0.01 - 0.4).collect();
+        let mut y = vec![0.0f64; a.rows()];
+        let op = MatOp::new(a, Par::Seq);
+        op.apply(&x, &mut y);
+        let plane = a.value_bytes() / a.pattern().len();
+        let group = |planes: usize| {
+            Group::new(format!("matop/{}-n{n}", kind.name()))
+                .throughput_bytes((planes * plane + 2 * 8 * a.rows()) as u64)
+        };
+        let (full, half) = (group(a.pattern().len()), group(half_read_planes(a.pattern())));
+        full.bench("matop f64 full", || kernels::spmv(a, &x, &mut y, Par::Seq));
+        half.bench("matop f64 half", || op.apply(&x, &mut y));
+
+        let r: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+        let mut e = vec![0.0f32; a.rows()];
+        let mut mg = Mg::<f32>::setup(a, &MgConfig::d16()).expect("benchmark shape");
+        full.bench_between(
+            "full, between cycles",
+            || mg.apply_pr(&r, &mut e),
+            || kernels::spmv(a, &x, &mut y, Par::Seq),
+        );
+        half.bench_between(
+            "half, between cycles",
+            || mg.apply_pr(&r, &mut e),
+            || op.apply(&x, &mut y),
+        );
+    }
+}
+
 fn bench_setup() {
     // Setup-phase cost of the two scaling strategies vs no scaling, on an
     // out-of-range problem (laplace27*1e8): setup-then-scale must add only
@@ -180,6 +226,7 @@ fn main() {
     bench_vector_kernels();
     bench_sweep_kernels();
     bench_apply();
+    bench_matop();
     bench_setup_kernels();
     bench_vcycle();
     bench_setup();

@@ -82,6 +82,37 @@ impl Group {
                 break;
             }
         }
+        self.report(label.as_ref(), samples);
+    }
+
+    /// Runs one case whose every timed call follows an untimed `between`
+    /// — a kernel priced where it runs, after other work has taken its
+    /// data out of the caches, not back to back with itself. One call per
+    /// sample, so for bodies of a millisecond or so.
+    pub fn bench_between<B: FnMut(), F: FnMut()>(
+        &self,
+        label: impl AsRef<str>,
+        mut between: B,
+        mut f: F,
+    ) {
+        let start = Instant::now();
+        while start.elapsed() < self.warmup {
+            between();
+            f();
+        }
+        let mut samples: Vec<f64> = Vec::new();
+        let start = Instant::now();
+        while start.elapsed() < self.budget || samples.len() < self.min_samples {
+            between();
+            let t0 = Instant::now();
+            f();
+            samples.push(t0.elapsed().as_secs_f64());
+        }
+        self.report(label.as_ref(), samples);
+    }
+
+    /// Prints the summary line of one case.
+    fn report(&self, label: &str, mut samples: Vec<f64>) {
         samples.sort_by(|a, b| a.total_cmp(b));
         let median = samples[samples.len() / 2];
         let min = samples[0];
@@ -92,7 +123,7 @@ impl Group {
         println!(
             "{:<28} {:<20} {:>12}/iter  [{} .. {}]{}",
             self.name,
-            label.as_ref(),
+            label,
             fmt_time(median),
             fmt_time(min),
             fmt_time(max),

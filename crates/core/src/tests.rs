@@ -1377,3 +1377,145 @@ mod chain_reuse {
         ));
     }
 }
+
+// ------------------------------------------------------- the operator --
+
+/// [`MatOp`] reads a symmetric operator by half and every other one
+/// whole, to the bits of `kernels::spmv` either way.
+mod matop {
+    use fp16mg_fp::{Bf16, Scalar, Storage, F16};
+    use fp16mg_krylov::LinOp;
+    use fp16mg_sgdia::kernels;
+    use fp16mg_testkit::{check_n, Rng};
+
+    use super::*;
+
+    /// A random operator, and `(A + Aᵀ)/2` of it: symmetric to the bit,
+    /// the two sums having the same terms.
+    fn random_pair(rng: &mut Rng, layout: Layout) -> (SgDia<f64>, SgDia<f64>) {
+        let patterns = [Pattern::p7(), Pattern::p15(), Pattern::p19(), Pattern::p27()];
+        let r = rng.usize_range(1, 5);
+        let pattern = patterns[rng.usize_range(0, 4)].clone();
+        let pattern = if r == 1 { pattern } else { pattern.with_components(r) };
+        let nx = [1, 2, 3, 7, 8, 9, 17][rng.usize_range(0, 7)];
+        let grid = Grid3::with_components(nx, rng.usize_range(1, 6), rng.usize_range(1, 6), r);
+        let taps = pattern.taps().to_vec();
+        let any = SgDia::from_fn(grid, pattern, layout, |_, _, _, _, t| {
+            let v = rng.f64_range(0.1, 1.0);
+            if taps[t].is_diagonal() {
+                30.0 * v
+            } else {
+                -v
+            }
+        });
+        let at = any.transpose();
+        let mut sym = any.clone();
+        for cell in 0..grid.cells() {
+            for t in 0..taps.len() {
+                sym.set(cell, t, (any.get(cell, t) + at.get(cell, t)) * 0.5);
+            }
+        }
+        (any, sym)
+    }
+
+    fn vector<K: Scalar>(rng: &mut Rng, n: usize) -> Vec<K> {
+        (0..n).map(|_| K::from_f64(rng.f64_range(-1.0, 1.0))).collect()
+    }
+
+    /// Three products through one `MatOp` — the judging one and two after
+    /// it — against `kernels::spmv`, and the verdict.
+    fn check<S: Storage, K: Scalar>(rng: &mut Rng, full: &SgDia<f64>, par: Par, symmetric: bool) {
+        let a = full.convert::<S>();
+        let what = format!(
+            "{:?} {} {:?} S={} K={}",
+            a.grid(),
+            a.pattern().name(),
+            a.layout(),
+            S::NAME,
+            K::NAME
+        );
+        let op = MatOp::new(&a, par);
+        assert_eq!(op.reads_half(), None, "judged before a product, {what}");
+        for call in 0..3 {
+            let x = vector::<K>(rng, a.rows());
+            let (mut got, mut want) =
+                (vec![K::from_f64(f64::NAN); a.rows()], vec![K::ZERO; a.rows()]);
+            op.apply(&x, &mut got);
+            kernels::spmv(&a, &x, &mut want, Par::Seq);
+            let same =
+                got.iter().zip(&want).all(|(u, v)| u.to_f64().to_bits() == v.to_f64().to_bits());
+            assert!(same, "product {call}, {what}");
+            assert_eq!(op.reads_half(), Some(symmetric), "verdict after product {call}, {what}");
+        }
+    }
+
+    fn check_storages(rng: &mut Rng, full: &SgDia<f64>, par: Par, symmetric: bool) {
+        check::<F16, f32>(rng, full, par, symmetric);
+        check::<Bf16, f64>(rng, full, par, symmetric);
+        check::<f32, f32>(rng, full, par, symmetric);
+        check::<f32, f64>(rng, full, par, symmetric);
+        check::<f64, f32>(rng, full, par, symmetric);
+        check::<f64, f64>(rng, full, par, symmetric);
+    }
+
+    #[test]
+    fn matop_matches_spmv_whichever_way_the_verdict_goes() {
+        check_n("matop_matches_spmv_whichever_way_the_verdict_goes", 48, |rng| {
+            let (any, sym) = random_pair(rng, Layout::Soa);
+            check_storages(rng, &sym, Par::Seq, true);
+            // (Nothing off the diagonal on a grid of one cell.)
+            check_storages(rng, &any, Par::Seq, any.data() == sym.data());
+            check_storages(rng, &sym.to_layout(Layout::Aos), Par::Seq, false);
+            // One stored bit off, anywhere above or below the diagonal.
+            let mut off = sym.clone();
+            let tap = (0..sym.pattern().len())
+                .cycle()
+                .skip(rng.usize_range(0, sym.pattern().len()))
+                .find(|&t| !sym.pattern().taps()[t].is_diagonal());
+            if let Some(t) = tap {
+                let cell = rng.usize_range(0, sym.grid().cells());
+                off.set(cell, t, f64::from_bits(sym.get(cell, t).to_bits() ^ 1));
+                check::<f64, f64>(rng, &off, Par::Seq, false);
+            }
+            // A pattern that lacks its transposes.
+            let lower = sym.pattern().lower_with_diag();
+            let part =
+                SgDia::from_fn(*sym.grid(), lower.clone(), Layout::Soa, |cell, _, _, _, t| {
+                    sym.get(cell, sym.pattern().tap_index(lower.taps()[t]).unwrap())
+                });
+            check::<f64, f64>(rng, &part, Par::Seq, false);
+        });
+    }
+
+    /// Threads judge their own lines and multiply them: one verdict, the
+    /// sequential bits.
+    #[test]
+    fn matop_parallel_matches_seq() {
+        let mut rng = Rng::new(20);
+        for (r, pattern) in [(1, Pattern::p27()), (3, Pattern::p7().with_components(3))] {
+            let sym = laplacian(Grid3::with_components(40, 16, 16, r), pattern, 1.0);
+            for threads in 2..=4 {
+                check::<f64, f64>(&mut rng, &sym, Par::Threads(threads), true);
+                check::<F16, f32>(&mut rng, &sym, Par::Threads(threads), true);
+                let mut off = sym.clone();
+                let (cell, t) = (sym.grid().cells() - 1500, sym.pattern().len() - 1);
+                off.set(cell, t, f64::from_bits(sym.get(cell, t).to_bits() ^ 1));
+                check::<f64, f64>(&mut rng, &off, Par::Threads(threads), false);
+            }
+        }
+    }
+
+    /// A product of zeros is `−0.0` in every entry, read whole or by half:
+    /// what `krylov`'s cold-start residual `b + 0.0` stands in for.
+    #[test]
+    fn matop_of_zeros_is_negative_zero() {
+        let a = laplacian(Grid3::new(9, 4, 3), Pattern::p27(), 1.0);
+        let op = MatOp::new(&a, Par::Seq);
+        for zero in [0.0, -0.0, 0.0] {
+            let mut y = vec![1.0f64; a.rows()];
+            op.apply(&vec![zero; a.rows()], &mut y);
+            assert!(y.iter().all(|v| v.to_bits() == (-0.0f64).to_bits()), "A * {zero:?}");
+        }
+        assert_eq!(op.reads_half(), Some(true));
+    }
+}

@@ -4,7 +4,7 @@ use fp16mg_fp::Scalar;
 
 use crate::control::{NoControl, SolveControl};
 use crate::health::{Breakdown, SolveHealth};
-use crate::traits::{dot, norm2, LinOp, Preconditioner};
+use crate::traits::{dot, norm2, residual, LinOp, Preconditioner};
 use crate::types::{SolveOptions, SolveResult, StopReason};
 
 /// Solves `A x = b` for general `A` with right preconditioning via the
@@ -57,10 +57,7 @@ pub fn bicgstab_ctl<K: Scalar>(
     }
 
     let mut r = vec![K::ZERO; n];
-    a.apply(x, &mut r);
-    for (ri, &bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
-    }
+    residual(a, b, x, &mut r);
     let r0: Vec<K> = r.clone(); // shadow residual
     let mut p = r.clone();
     let mut phat = vec![K::ZERO; n];

@@ -5,7 +5,9 @@ use fp16mg_fp::Scalar;
 use crate::control::{NoControl, SolveControl};
 use crate::health::{Breakdown, SolveHealth};
 use crate::scratch::SolveScratch;
-use crate::traits::{axpy, dot, norm2, xpby, LinOp, Preconditioner};
+use crate::traits::{
+    axpy, axpy_norm2, dot, dot_pair, norm2, residual, xpby, LinOp, Preconditioner,
+};
 use crate::types::{SolveOptions, SolveResult, StopReason};
 
 /// Solves `A x = b` for SPD `A` with preconditioner `M⁻¹` (also SPD —
@@ -94,10 +96,7 @@ pub fn cg_ctl_in<K: Scalar>(
     let (p, ap) = rest.split_at_mut(n);
 
     // r = b - A x
-    a.apply(x, r);
-    for (ri, &bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
-    }
+    residual(a, b, x, r);
 
     let mut health = SolveHealth::new(opts.health, opts.record_history);
     let mut history = Vec::new();
@@ -131,9 +130,7 @@ pub fn cg_ctl_in<K: Scalar>(
         }
         let alpha = rz / pap;
         axpy(alpha, p, x);
-        axpy(-alpha, ap, r);
-
-        rel = norm2(r) / bnorm;
+        rel = axpy_norm2(-alpha, ap, r) / bnorm;
         if opts.record_history {
             history.push(rel);
         }
@@ -155,11 +152,10 @@ pub fn cg_ctl_in<K: Scalar>(
         }
 
         m.apply(r, z);
-        let rz_new = dot(r, z);
+        let (rz_new, z_ap) = dot_pair(r, z, ap);
         // Polak–Ribière numerator zᵀ(r_new − r_old): with
         // r_old = r_new + α·Ap this is rz_new − (rz_new + α·zᵀAp)
         //       = −α·zᵀAp, so β = (rz_new − zᵀr_old)/rz = −α·zᵀAp / rz.
-        let z_ap = dot(z, ap);
         let beta_pr = -alpha * z_ap / rz;
         // Guard against loss of positivity from preconditioner noise.
         let beta = if beta_pr.is_finite() { beta_pr.max(0.0) } else { 0.0 };

@@ -5,7 +5,7 @@ use fp16mg_fp::Scalar;
 use crate::control::{NoControl, SolveControl};
 use crate::health::{Breakdown, SolveHealth};
 use crate::scratch::SolveScratch;
-use crate::traits::{axpy, dot, norm2, LinOp, Preconditioner};
+use crate::traits::{axpy, dot, norm2, residual, LinOp, Preconditioner};
 use crate::types::{SolveOptions, SolveResult, StopReason};
 
 /// Solves `A x = b` for general (nonsymmetric) `A` via flexible
@@ -104,10 +104,7 @@ pub fn gmres_ctl_in<K: Scalar>(
     let mut rel;
     loop {
         // r0 = b - A x
-        a.apply(x, r);
-        for (ri, &bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
+        residual(a, b, x, r);
         let beta = norm2(r);
         rel = beta / bnorm;
         if opts.record_history && history.is_empty() {

@@ -34,7 +34,10 @@ pub use gmres::{gmres, gmres_ctl, gmres_ctl_in};
 pub use health::{Breakdown, HealthPolicy, IterHealth, SolveError, SolveHealth, Stagnation};
 pub use richardson::{richardson, richardson_ctl};
 pub use scratch::SolveScratch;
-pub use traits::{axpy, dot, norm2, xpby, IdentityPrecond, LinOp, Preconditioner, TimedPrecond};
+pub use traits::{
+    axpy, axpy_norm2, dot, dot_pair, norm2, xpby, IdentityPrecond, LinOp, Preconditioner,
+    TimedPrecond,
+};
 pub use types::{SolveOptions, SolveResult, StopReason};
 
 #[cfg(test)]

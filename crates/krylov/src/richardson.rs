@@ -4,7 +4,7 @@ use fp16mg_fp::Scalar;
 
 use crate::control::{NoControl, SolveControl};
 use crate::health::{Breakdown, SolveHealth};
-use crate::traits::{norm2, LinOp, Preconditioner};
+use crate::traits::{norm2, residual, LinOp, Preconditioner};
 use crate::types::{SolveOptions, SolveResult, StopReason};
 
 /// Solves `A x = b` by the preconditioned stationary iteration
@@ -61,10 +61,7 @@ pub fn richardson_ctl<K: Scalar>(
                 .with_health(health.into_records());
         }
         // r = b - A x  (iterative precision, Algorithm 2 line 3)
-        a.apply(x, &mut r);
-        for (ri, &bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
+        residual(a, b, x, &mut r);
         rel = norm2(&r) / bnorm;
         if opts.record_history {
             history.push(rel);

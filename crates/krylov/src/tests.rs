@@ -469,3 +469,163 @@ mod control {
         .retryable());
     }
 }
+
+/// The single-pass vector helpers CG runs on, against the passes they
+/// replace.
+mod fused {
+    use crate::{axpy, axpy_norm2, dot, dot_pair, norm2};
+    use fp16mg_fp::Scalar;
+
+    fn vector<K: Scalar>(n: usize, seed: u64) -> Vec<K> {
+        let mut rng = fp16mg_testkit::Rng::new(seed);
+        (0..n).map(|_| K::from_f64(rng.f64_range(-3.0, 3.0))).collect()
+    }
+
+    /// Every length around the eight lanes, and long ones off a multiple.
+    fn lengths() -> impl Iterator<Item = usize> {
+        (0..=41).chain([1000, 1003, 4099])
+    }
+
+    fn check<K: Scalar>() {
+        for n in lengths() {
+            let (a, b, c) = (vector::<K>(n, 1), vector::<K>(n, 2), vector::<K>(n, 3));
+            let (ab, bc) = dot_pair(&a, &b, &c);
+            assert_eq!(ab.to_bits(), dot(&a, &b).to_bits(), "a.b, n = {n}, K = {}", K::NAME);
+            assert_eq!(bc.to_bits(), dot(&b, &c).to_bits(), "b.c, n = {n}, K = {}", K::NAME);
+
+            let (mut fused, mut plain) = (c.clone(), c);
+            let norm = axpy_norm2(-0.37, &a, &mut fused);
+            axpy(-0.37, &a, &mut plain);
+            let same =
+                fused.iter().zip(&plain).all(|(u, v)| u.to_f64().to_bits() == v.to_f64().to_bits());
+            assert!(same, "axpy, n = {n}, K = {}", K::NAME);
+            assert_eq!(norm.to_bits(), norm2(&plain).to_bits(), "norm2, n = {n}, K = {}", K::NAME);
+        }
+    }
+
+    #[test]
+    fn fused_helpers_match_the_unfused_pairs_bit_for_bit() {
+        check::<f32>();
+        check::<f64>();
+    }
+}
+
+/// A solve from an all-zero guess takes `r₀ = b` without a product.
+mod zero_guess {
+    use std::cell::Cell;
+
+    use super::{Dense, Jacobi};
+    use crate::traits::residual;
+    use crate::{
+        bicgstab, cg, gmres, richardson, Breakdown, LinOp, SolveOptions, SolveResult, StopReason,
+    };
+
+    /// Counts products; a product of zeros comes out `−0.0`, as the line
+    /// kernel's `−(0 − Σ)` does.
+    struct Counted<'a> {
+        inner: &'a Dense,
+        products: Cell<usize>,
+    }
+
+    impl<'a> Counted<'a> {
+        fn new(inner: &'a Dense) -> Self {
+            Counted { inner, products: Cell::new(0) }
+        }
+    }
+
+    impl LinOp<f64> for Counted<'_> {
+        fn rows(&self) -> usize {
+            self.inner.n
+        }
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.products.set(self.products.get() + 1);
+            self.inner.apply(x, y);
+            y.iter_mut().filter(|v| **v == 0.0).for_each(|v| *v = -0.0);
+        }
+    }
+
+    type Solver = fn(&Counted<'_>, &mut Jacobi, &[f64], &mut [f64], &SolveOptions) -> SolveResult;
+    const SOLVERS: [(&str, Solver); 4] = [
+        ("cg", |a, m, b, x, o| cg(a, m, b, x, o)),
+        ("gmres", |a, m, b, x, o| gmres(a, m, b, x, o)),
+        ("bicgstab", |a, m, b, x, o| bicgstab(a, m, b, x, o)),
+        ("richardson", |a, m, b, x, o| richardson(a, m, b, x, o)),
+    ];
+
+    /// `r = b − A·0` with and without the product, to the bit, over a `b`
+    /// that holds both zeros, a subnormal, an infinity and a NaN.
+    #[test]
+    fn residual_of_zeros_is_what_the_product_made_it() {
+        let dense = Dense::laplace1d(12);
+        let a = Counted::new(&dense);
+        let mut b: Vec<f64> = (0..12).map(|i| (i as f64 - 5.5) * 0.25).collect();
+        (b[2], b[3], b[7], b[9], b[10]) = (-0.0, 0.0, 5e-324, f64::INFINITY, f64::NAN);
+        for zero in [0.0, -0.0] {
+            let x = vec![zero; 12];
+            let (mut got, mut want) = (vec![1.0; 12], vec![1.0; 12]);
+            residual(&a, &b, &x, &mut got);
+            assert_eq!(a.products.get(), 0, "a product was taken of {zero:?}");
+            Counted::new(&dense).apply(&x, &mut want);
+            want.iter_mut().zip(&b).for_each(|(r, &bi)| *r = bi - *r);
+            let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want));
+            assert_eq!(got[2].to_bits(), 0, "-0.0 in b");
+        }
+        // One nonzero, and it is the product again.
+        let mut x = vec![0.0; 12];
+        x[11] = 1e-300;
+        residual(&a, &b, &x, &mut [0.0; 12]);
+        assert_eq!(a.products.get(), 1);
+    }
+
+    /// Cold, every solver takes one product less than from a guess that
+    /// is not zero — GMRES on its first cycle only — and ends where it did
+    /// when the guess costs nothing to tell apart from zero.
+    #[test]
+    fn zero_guess_saves_exactly_the_first_product() {
+        let dense = Dense::advection1d(40);
+        let b = vec![1.0f64; 40];
+        let opts = SolveOptions { restart: 5, tol: 1e-10, ..Default::default() };
+        for (name, solve) in SOLVERS {
+            let runs = [0.0, 1e-300].map(|guess| {
+                let a = Counted::new(&dense);
+                let mut x = vec![guess; 40];
+                let res = solve(&a, &mut Jacobi::of(&dense), &b, &mut x, &opts);
+                assert_eq!(res.reason, StopReason::Converged, "{name}");
+                (a.products.get(), res.iters, res.history, x)
+            });
+            let [cold, warm] = runs;
+            assert_eq!(cold.0 + 1, warm.0, "{name}: products");
+            assert_eq!(cold.1, warm.1, "{name}: iterations");
+            assert_eq!(cold.2, warm.2, "{name}: residual history");
+            assert_eq!(cold.3, warm.3, "{name}: solution");
+        }
+    }
+
+    /// An operator holding ±∞ or NaN still ends a cold solve in a typed
+    /// breakdown, after one product.
+    #[test]
+    fn zero_guess_still_meets_a_non_finite_operator() {
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut dense = Dense::laplace1d(16);
+            dense.a[5 * 16 + 6] = bad;
+            let b = vec![1.0f64; 16];
+            for (name, solve) in SOLVERS {
+                let a = Counted::new(&dense);
+                let mut x = vec![0.0f64; 16];
+                let mut m = Jacobi::of(&dense);
+                let res = solve(&a, &mut m, &b, &mut x, &SolveOptions::default());
+                assert_eq!(res.reason, StopReason::Breakdown, "{name}, {bad}");
+                assert_eq!(a.products.get(), 1, "{name}, {bad}: products before the breakdown");
+                let typed = match res.breakdown.expect("a breakdown carries its kind") {
+                    Breakdown::Indefinite { iter, .. } => ("cg", iter),
+                    Breakdown::HessenbergNonFinite { iter, .. } => ("gmres", iter),
+                    Breakdown::RhoBreakdown { iter, .. } => ("bicgstab", iter),
+                    Breakdown::NonFiniteResidual { iter, .. } => ("richardson", iter),
+                    other => panic!("{name}, {bad}: {other:?}"),
+                };
+                assert_eq!(typed, (name, 1), "{name}, {bad}");
+            }
+        }
+    }
+}

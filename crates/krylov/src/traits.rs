@@ -114,15 +114,46 @@ pub fn norm2<K: Scalar>(v: &[K]) -> f64 {
 pub fn dot<K: Scalar>(a: &[K], b: &[K]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot length");
     let (ca, cb) = (a.chunks_exact(DOT_LANES), b.chunks_exact(DOT_LANES));
-    let tail: f64 =
-        ca.remainder().iter().zip(cb.remainder()).map(|(&x, &y)| x.to_f64() * y.to_f64()).sum();
+    let tail = dot_tail(ca.remainder(), cb.remainder());
     let mut acc = [0.0f64; DOT_LANES];
     for (xa, xb) in ca.zip(cb) {
         for l in 0..DOT_LANES {
             acc[l] += xa[l].to_f64() * xb[l].to_f64();
         }
     }
+    fold_lanes(acc, tail)
+}
+
+/// [`dot`] of the elements past the last whole group of lanes, in order.
+fn dot_tail<K: Scalar>(a: &[K], b: &[K]) -> f64 {
+    a.iter().zip(b).map(|(&x, &y)| x.to_f64() * y.to_f64()).sum()
+}
+
+/// [`dot`]'s lanes and tail folded in its order.
+fn fold_lanes(acc: [f64; DOT_LANES], tail: f64) -> f64 {
     acc.iter().sum::<f64>() + tail
+}
+
+/// `(a·b, b·c)` in one pass over the three vectors: each to the bits of
+/// its own [`dot`].
+///
+/// # Panics
+/// Panics when the lengths differ.
+pub fn dot_pair<K: Scalar>(a: &[K], b: &[K], c: &[K]) -> (f64, f64) {
+    assert!(a.len() == b.len() && b.len() == c.len(), "dot_pair length");
+    let (ca, cb, cc) =
+        (a.chunks_exact(DOT_LANES), b.chunks_exact(DOT_LANES), c.chunks_exact(DOT_LANES));
+    let tails =
+        (dot_tail(ca.remainder(), cb.remainder()), dot_tail(cb.remainder(), cc.remainder()));
+    let (mut ab, mut bc) = ([0.0f64; DOT_LANES], [0.0f64; DOT_LANES]);
+    for ((xa, xb), xc) in ca.zip(cb).zip(cc) {
+        for l in 0..DOT_LANES {
+            let b = xb[l].to_f64();
+            ab[l] += xa[l].to_f64() * b;
+            bc[l] += b * xc[l].to_f64();
+        }
+    }
+    (fold_lanes(ab, tails.0), fold_lanes(bc, tails.1))
 }
 
 /// `y += alpha * x`, as a plain multiply and add: see
@@ -134,10 +165,51 @@ pub fn axpy<K: Scalar>(alpha: f64, x: &[K], y: &mut [K]) {
     }
 }
 
+/// [`axpy`] and the [`norm2`] of the updated `y` in one pass over it, each
+/// to the bits of its own.
+///
+/// # Panics
+/// Panics when the lengths differ.
+pub fn axpy_norm2<K: Scalar>(alpha: f64, x: &[K], y: &mut [K]) -> f64 {
+    assert_eq!(x.len(), y.len(), "axpy_norm2 length");
+    let a = K::from_f64(alpha);
+    let cx = x.chunks_exact(DOT_LANES);
+    let mut cy = y.chunks_exact_mut(DOT_LANES);
+    let mut acc = [0.0f64; DOT_LANES];
+    for (ya, xa) in cy.by_ref().zip(cx.clone()) {
+        for l in 0..DOT_LANES {
+            ya[l] += a * xa[l];
+            acc[l] += ya[l].to_f64() * ya[l].to_f64();
+        }
+    }
+    let rest = cy.into_remainder();
+    axpy(alpha, cx.remainder(), rest);
+    fold_lanes(acc, dot_tail(rest, rest)).sqrt()
+}
+
 /// `y = x + beta * y`.
 pub fn xpby<K: Scalar>(x: &[K], beta: f64, y: &mut [K]) {
     let b = K::from_f64(beta);
     for (yi, &xi) in y.iter_mut().zip(x) {
         *yi = xi + b * *yi;
+    }
+}
+
+/// `r = b − A x`. An `x` of all zeros — the guess of a cold solve — is
+/// found by reading it, a few percent of the operator's bytes, and costs
+/// no product: `r = b`, with `−0.0` turned `+0.0` as subtracting a product
+/// of zeros turns it. What such a solve does not see here is an operator
+/// holding ±∞ or NaN; its first product with a nonzero vector, one step
+/// later, does.
+pub(crate) fn residual<K: Scalar>(a: &impl LinOp<K>, b: &[K], x: &[K], r: &mut [K]) {
+    if x.iter().all(|&v| v == K::ZERO) {
+        for (ri, &bi) in r.iter_mut().zip(b) {
+            *ri = bi + K::ZERO;
+        }
+        return;
+    }
+    a.apply(x, r);
+    for (ri, &bi) in r.iter_mut().zip(b) {
+        *ri = bi - *ri;
     }
 }

@@ -123,6 +123,27 @@ fn gmres_problems_are_nonsymmetric() {
     }
 }
 
+/// What `MatOp` makes of each problem: the CG problems are symmetric to
+/// the bit as generated, so their Krylov products read half the matrix;
+/// the upwind-skewed `diffusion7` operators (oil, oil-4C) and weather are
+/// read whole.
+#[test]
+fn matop_reads_half_of_exactly_the_symmetric_problems() {
+    use fp16mg_krylov::LinOp;
+    for kind in ProblemKind::all() {
+        let p = kind.build(9);
+        let op = MatOp::new(&p.matrix, Par::Seq);
+        let x = p.rhs();
+        let (mut y, mut want) = (vec![0.0f64; x.len()], vec![0.0f64; x.len()]);
+        fp16mg_sgdia::kernels::spmv(&p.matrix, &x, &mut want, Par::Seq);
+        for product in 0..2 {
+            op.apply(&x, &mut y);
+            assert_eq!(y, want, "{}: product {product} vs spmv", p.name);
+        }
+        assert_eq!(op.reads_half(), Some(p.solver == SolverKind::Cg), "{}", p.name);
+    }
+}
+
 #[test]
 fn generators_are_deterministic() {
     let a = ProblemKind::Oil.build(8);

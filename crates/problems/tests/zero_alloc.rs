@@ -19,7 +19,7 @@ use std::cell::Cell;
 
 use fp16mg_core::{Cycle, MatOp, Mg, MgConfig};
 use fp16mg_krylov::{
-    cg_ctl_in, gmres_ctl_in, Preconditioner, SolveOptions, SolveScratch, StopReason,
+    cg_ctl_in, gmres_ctl_in, LinOp, Preconditioner, SolveOptions, SolveScratch, StopReason,
 };
 use fp16mg_problems::{ProblemKind, SolverKind};
 use fp16mg_sgdia::kernels::Par;
@@ -222,6 +222,86 @@ fn bare_vcycle_is_allocation_free() {
                 "{}: 5 warm {cycle:?}-cycles performed {delta} heap allocation(s)",
                 p.name
             );
+        }
+    }
+}
+
+/// The Krylov operator allocates nothing once the thread's kernel pools
+/// are warm: not in the product that judges a fresh `MatOp`'s matrix, not
+/// in the products after it — a symmetric operator read by half (scalar
+/// and three components) and a nonsymmetric one read whole.
+#[test]
+fn matop_apply_is_allocation_free_in_both_verdicts() {
+    for (kind, half) in
+        [(ProblemKind::Laplace27, true), (ProblemKind::Rhd3T, true), (ProblemKind::Weather, false)]
+    {
+        let p = kind.build(10);
+        let x = p.rhs();
+        let mut y = vec![0.0f64; x.len()];
+        // Another instance warms the pools: the same tap lists and rows.
+        let warm = MatOp::new(&p.matrix, Par::Seq);
+        warm.apply(&x, &mut y);
+        warm.apply(&x, &mut y);
+
+        let op = MatOp::new(&p.matrix, Par::Seq);
+        let before = alloc_count();
+        op.apply(&x, &mut y);
+        let judged = alloc_count();
+        for _ in 0..5 {
+            op.apply(&x, &mut y);
+        }
+        let steady = alloc_count();
+        assert_eq!(op.reads_half(), Some(half), "{}", p.name);
+        assert_eq!(judged - before, 0, "{}: the judging product allocated", p.name);
+        assert_eq!(steady - judged, 0, "{}: products after the verdict allocated", p.name);
+    }
+}
+
+/// A warm solve from the all-zero guess enters its first iteration —
+/// `r₀ = b` without a product, the first preconditioner application —
+/// with the allocations of one from any other guess: none for CG, the
+/// Hessenberg vectors for GMRES.
+#[test]
+fn zero_guess_entry_is_allocation_free() {
+    for (kind, solver) in
+        [(ProblemKind::Laplace27, SolverKind::Cg), (ProblemKind::Weather, SolverKind::Gmres)]
+    {
+        let p = kind.build(10);
+        let mut mg = Mg::<f32>::setup(&p.matrix, &MgConfig::d16()).expect(p.name);
+        let op = MatOp::new(&p.matrix, Par::Seq);
+        let b = p.rhs();
+        let mut scratch = SolveScratch::new(p.matrix.rows());
+        let opts = SolveOptions {
+            max_iters: 3,
+            tol: 0.0,
+            restart: GMRES_RESTART,
+            health: fp16mg_krylov::HealthPolicy::disabled(),
+            record_history: false,
+        };
+        // The first solve warms scratch, pools and the operator's verdict.
+        let entries = [1.0, 0.0, 1.0e-3, 0.0].map(|guess| {
+            let mut x = vec![guess; b.len()];
+            let mut first_check = None;
+            let mut ctl = |_it: usize| {
+                first_check.get_or_insert_with(alloc_count);
+                Ok(())
+            };
+            let before = alloc_count();
+            match solver {
+                SolverKind::Cg => {
+                    cg_ctl_in(&op, &mut mg, &b, &mut x, &opts, &mut ctl, &mut scratch)
+                }
+                SolverKind::Gmres => {
+                    gmres_ctl_in(&op, &mut mg, &b, &mut x, &opts, &mut ctl, &mut scratch)
+                }
+            };
+            first_check.expect("the solve reached an iteration") - before
+        });
+        let [_, cold, warm_guess, cold_again] = entries;
+        assert_eq!(cold, warm_guess, "{}: entry from zero vs from a guess", p.name);
+        assert_eq!(cold, cold_again, "{}: entry from zero, repeated", p.name);
+        if solver == SolverKind::Cg {
+            assert_eq!(cold, 0, "{}: CG's entry from zero allocated", p.name);
         }
     }
 }

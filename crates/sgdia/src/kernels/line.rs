@@ -8,7 +8,10 @@
 //! a block-stencil coupling `(offset, cout, cin)` is a scalar stencil tap
 //! from field `cin` to field `cout`: a [`TapMeta`] keeps the spatial
 //! stride, by which the edge rule below is judged against the field's own
-//! plane, and reads `x` at `cin · cells + stride`.
+//! plane, reads `x` at `cin · cells + stride` and its coefficient at
+//! `coef` — its own plane, or for a symmetric matrix read by half
+//! ([`super::mirror_upper`]) the transposed tap's plane `stride` further
+//! on, which the same edge rule keeps in bounds.
 //!
 //! Both sweeps visit the x-lines of the grid in order and, on each line,
 //! solve `D x = b − Σ a_t · x[· + stride_t]` with `D` the `r × r` centre
@@ -50,7 +53,9 @@
 //! every load is then in bounds. Inside that span a neighbour index can
 //! still *wrap* across an x or y face: those reads hit a valid but
 //! unrelated cell, and the result relies on [`crate::SgDia`] storing
-//! exact zeros for taps that leave the grid: `0 · finite` is inert. Taps
+//! exact zeros for taps that leave the grid: `0 · finite` is inert (and a
+//! mirrored coefficient there is the transposed tap leaving the grid from
+//! the other side, a stored zero too). Taps
 //! whose shifted line is only partly inside the field (the first and
 //! last line of the grid) are folded into the accumulator's starting row
 //! by a bounds-checked scalar loop; taps wholly outside are skipped. A line
@@ -274,8 +279,19 @@ impl<'a, S: Storage, P: Scalar> LineSweep<'a, S, P> {
         let bulk = bulk.iter().flat_map(|taps| taps.iter());
         assert!(bulk.clone().all(|t| t.x_offset == reads(t)), "tap offset");
         assert!(bulk.clone().all(|t| t.cin < v.len / cells), "tap reads a field x lacks");
+        // A bulk tap is read on the cells whose shifted line is inside the
+        // field, `first..end`: its coefficient offset keeps them in the data.
+        let past = |t: &TapMeta| {
+            let (first, end) = ((-t.cell_stride).max(0), cells as i64 - t.cell_stride.max(0));
+            if first < end {
+                t.coef + end as usize
+            } else {
+                0
+            }
+        };
+        assert!(bulk.clone().all(|t| past(t) <= self.data.len()), "tap coefficient out of data");
         let rec = rec.iter().flatten().filter(|&&t| t != NO_TAP);
-        let planes = bulk.map(|t| t.tap).chain(rec.copied()).chain(dtap);
+        let planes = rec.copied().chain(dtap);
         assert!(planes.into_iter().all(|t| t < self.data.len() / cells), "tap without a plane");
 
         with_bufs::<P, _>(|bufs| {
@@ -513,13 +529,14 @@ unsafe fn chunk<L: Lanes, const R: usize>(
     let Shape { nx, cells, fields, ref rec, .. } = k.shape;
     let r = if R == 0 { fields } else { R };
     let at = line.lbase + i;
-    let plane = |t: usize| k.data.as_ptr().add(t * cells + at);
+    let here = k.data.as_ptr().add(at);
+    let plane = |t: usize| here.add(t * cells);
     let mut acc = [L::load(line.start.0.add(i)); MAX_COMPONENTS];
     for co in 0..r {
         let mut a = L::load(line.start.0.add(co * line.start.1 + i));
         for t in line.taps[co] {
             let xv = L::load(x.offset(at as isize + t.x_offset as isize));
-            a = L::fnmadd(L::widen(plane(t.tap)), xv, a);
+            a = L::fnmadd(L::widen(here.add(t.coef)), xv, a);
         }
         acc[co] = a;
     }
@@ -644,7 +661,7 @@ unsafe fn sweep_lines<L: Lanes, const R: usize>(
                         seeded = true;
                     }
                     for i in i0..i1 {
-                        let a = L::P::from_f64(k.data[t.tap * cells + lbase + i].load_f64());
+                        let a = L::P::from_f64(k.data[t.coef + lbase + i].load_f64());
                         c[co * nx + i] -= a * *x.offset((lbase + i) as isize + t.x_offset as isize);
                     }
                 }

@@ -46,7 +46,9 @@ pub use diag::BlockDiagInv;
 pub(crate) use gs::sweep as gs_sweep;
 pub use gs::{gs_backward, gs_forward, gs_forward_from_zero};
 pub(crate) use scratch::{with_bufs, with_tap_metas, with_taps2};
-pub use spmv::{residual, residual_upper, spmv};
+pub use spmv::{
+    residual, residual_upper, spmv, spmv_probing_symmetry, spmv_symmetric, SymmetricAsStored,
+};
 #[cfg(test)]
 pub(crate) use sptrsv::solve as sptrsv_solve;
 pub use sptrsv::{sptrsv_backward, sptrsv_forward, sptrsv_forward_wavefront};
@@ -90,8 +92,12 @@ impl TapSet {
 /// Per-tap metadata resolved once per kernel invocation.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TapMeta {
-    /// Index of the tap in the pattern: its coefficient plane.
+    /// Index of the tap in the pattern: its own coefficient plane.
     pub tap: usize,
+    /// Where the tap's coefficient for a cell sits in SOA data, relative
+    /// to the cell: `tap · cells` in its own plane, or — [`mirror_upper`]
+    /// — the transposed tap's plane read `cell_stride` further on.
+    pub coef: usize,
     /// Signed cell-index delta of the tap's spatial offset.
     pub cell_stride: i64,
     /// Where the tap reads a component-major vector, relative to the cell
@@ -118,6 +124,7 @@ pub(crate) fn fill_tap_metas(grid: &Grid3, pattern: &Pattern, out: &mut Vec<TapM
     out.clear();
     out.extend(pattern.taps().iter().enumerate().map(|(tap, t)| TapMeta {
         tap,
+        coef: tap * grid.cells(),
         cell_stride: grid.stride(t.dx, t.dy, t.dz),
         x_offset: grid.field(t.cin as usize).start as i64 + grid.stride(t.dx, t.dy, t.dz),
         cout: t.cout as usize,
@@ -126,6 +133,28 @@ pub(crate) fn fill_tap_metas(grid: &Grid3, pattern: &Pattern, out: &mut Vec<TapM
         diagonal: t.is_diagonal(),
         in_line: t.dy == 0 && t.dz == 0,
     }));
+}
+
+/// Points every tap of `taps` above the diagonal at the coefficient its
+/// transpose stores. Above the diagonal is a positive cell stride, or at
+/// stride zero the tap that comes before its transpose: `cin > cout` in
+/// the centre block (and, on a grid one cell thick, one of two offsets
+/// that cancel). For `A = Aᵀ`, `a(i, i + d) = a(i + d, i)`: tap `(off, cout,
+/// cin)` at cell `i` is tap `(−off, cin, cout)` at cell `i + d`, in a plane
+/// the product reads anyway. Index, stride and order of the taps stay, so
+/// the same products are summed in the same order from half the planes.
+///
+/// # Panics
+/// Panics when the pattern lacks a transposed tap
+/// ([`Pattern::is_symmetric`]).
+pub(crate) fn mirror_upper(grid: &Grid3, pattern: &Pattern, taps: &mut [TapMeta]) {
+    for m in taps.iter_mut().filter(|m| m.cell_stride >= 0) {
+        let twin = pattern.tap_index(pattern.taps()[m.tap].transpose());
+        let twin = twin.expect("a symmetric pattern holds every tap's transpose");
+        if m.cell_stride > 0 || m.tap < twin {
+            m.coef = twin * grid.cells() + m.cell_stride as usize;
+        }
+    }
 }
 
 /// Casts a slice to a concrete element type when the generic parameter is

@@ -5,12 +5,22 @@
 //! x-line kernel ([`super::line`]) once per output field — a vector PDE is
 //! `r` scalar fields — in every storage/compute pair; AOS data is the
 //! paper's naive per-entry kernel.
+//!
+//! A matrix that is symmetric *as stored* — every plane above the diagonal
+//! bit for bit the shifted plane below it — is multiplied from its lower
+//! and centre planes alone ([`spmv_symmetric`]): the same driver over a
+//! mirrored tap table ([`mirror_upper`]). The first full product decides
+//! whether it is ([`spmv_probing_symmetry`]).
+
+use core::ops::Range;
+use core::sync::atomic::{AtomicBool, Ordering};
 
 use fp16mg_fp::{Scalar, Storage, F16};
 
 use super::line::LineSweep;
 use super::{
-    cast_slice, cast_slice_mut, with_tap_metas, with_taps2, Par, TapMeta, TapSet, MAX_COMPONENTS,
+    cast_slice, cast_slice_mut, mirror_upper, with_tap_metas, with_taps2, Par, TapMeta, TapSet,
+    MAX_COMPONENTS,
 };
 use crate::{Layout, SgDia};
 
@@ -19,7 +29,7 @@ use crate::{Layout, SgDia};
 /// # Panics
 /// Panics on dimension mismatch or more than 8 components.
 pub fn spmv<S: Storage, P: Scalar>(a: &SgDia<S>, x: &[P], y: &mut [P], par: Par) {
-    apply(a, None, x, y, par, false, TapSet::All);
+    apply(a, None, x, y, par, Product { residual: false, set: TapSet::All, coefs: Coefs::Own });
 }
 
 /// `r = b - A x` (the residual of Algorithm 3 lines 7/9, unscaled form).
@@ -27,7 +37,7 @@ pub fn spmv<S: Storage, P: Scalar>(a: &SgDia<S>, x: &[P], y: &mut [P], par: Par)
 /// # Panics
 /// Panics on dimension mismatch or more than 8 components.
 pub fn residual<S: Storage, P: Scalar>(a: &SgDia<S>, b: &[P], x: &[P], r: &mut [P], par: Par) {
-    apply(a, Some(b), x, r, par, true, TapSet::All);
+    apply(a, Some(b), x, r, par, Product { residual: true, set: TapSet::All, coefs: Coefs::Own });
 }
 
 /// `r = −U x` with `U` the strictly upper taps: the residual `b − A x` of
@@ -38,8 +48,82 @@ pub fn residual<S: Storage, P: Scalar>(a: &SgDia<S>, b: &[P], x: &[P], r: &mut [
 /// # Panics
 /// Panics on dimension mismatch or more than 8 components.
 pub fn residual_upper<S: Storage, P: Scalar>(a: &SgDia<S>, x: &[P], r: &mut [P], par: Par) {
-    apply(a, None, x, r, par, true, TapSet::Upper);
+    apply(a, None, x, r, par, Product { residual: true, set: TapSet::Upper, coefs: Coefs::Own });
 }
+
+/// A matrix [`spmv_probing_symmetry`] found symmetric as stored, which
+/// [`spmv_symmetric`] multiplies by from half its planes. The borrow keeps
+/// the matrix as it was judged.
+#[derive(Clone, Copy, Debug)]
+pub struct SymmetricAsStored<'a, S: Storage>(&'a SgDia<S>);
+
+/// `y = A x` reading every plane, as [`spmv()`] does and to the same bits,
+/// and on the way whether `A` is symmetric as stored: SOA, its pattern
+/// closed under transpose, every plane above the diagonal
+/// ([`mirror_upper`]) bit for bit its transposed tap's plane shifted by
+/// the tap's stride, with exact `+0.0` in the head and tail the shift
+/// leaves unmatched. The comparison follows the product a few lines at a
+/// time, on planes the product has just brought into cache, and stops at
+/// the first difference.
+///
+/// # Panics
+/// Panics on dimension mismatch or more than 8 components.
+pub fn spmv_probing_symmetry<'a, S: Storage, P: Scalar>(
+    a: &'a SgDia<S>,
+    x: &[P],
+    y: &mut [P],
+    par: Par,
+) -> Option<SymmetricAsStored<'a, S>> {
+    let symmetric = AtomicBool::new(a.layout() == Layout::Soa && a.pattern().is_symmetric());
+    let coefs = Coefs::Probing(&symmetric);
+    apply(a, None, x, y, par, Product { residual: false, set: TapSet::All, coefs });
+    symmetric.into_inner().then_some(SymmetricAsStored(a))
+}
+
+/// `y = A x` for a matrix symmetric as stored, to the same bits as
+/// [`spmv()`] from the planes on and below the diagonal: each coefficient
+/// above it is read from its transposed tap's plane, the products and
+/// their order unchanged.
+///
+/// # Panics
+/// Panics on dimension mismatch or more than 8 components.
+pub fn spmv_symmetric<S: Storage, P: Scalar>(
+    a: SymmetricAsStored<'_, S>,
+    x: &[P],
+    y: &mut [P],
+    par: Par,
+) {
+    let what = Product { residual: false, set: TapSet::All, coefs: Coefs::Mirrored };
+    apply(a.0, None, x, y, par, what);
+}
+
+/// Where a product takes its coefficients from.
+#[derive(Clone, Copy)]
+enum Coefs<'v> {
+    /// Every tap from its own plane.
+    Own,
+    /// From their own planes, clearing the flag unless the planes above
+    /// the diagonal mirror those below it.
+    Probing(&'v AtomicBool),
+    /// The taps above the diagonal from their mirror images below it.
+    Mirrored,
+}
+
+/// What one run of the driver computes.
+#[derive(Clone, Copy)]
+struct Product<'v> {
+    /// `b − Σ` (`−Σ` without `b`) rather than `Σ`.
+    residual: bool,
+    /// The taps summed.
+    set: TapSet,
+    /// Where their coefficients are read.
+    coefs: Coefs<'v>,
+}
+
+/// x-lines a probing product computes between two comparisons: few enough
+/// that the planes above the diagonal are still in the nearest cache when
+/// compared, enough to amortise setting the sweep up.
+const PROBE_LINES: usize = 16;
 
 fn apply<S: Storage, P: Scalar>(
     a: &SgDia<S>,
@@ -47,8 +131,7 @@ fn apply<S: Storage, P: Scalar>(
     x: &[P],
     y: &mut [P],
     par: Par,
-    residual: bool,
-    set: TapSet,
+    what: Product<'_>,
 ) {
     let cells = a.grid().cells();
     let nx = a.grid().nx;
@@ -70,14 +153,14 @@ fn apply<S: Storage, P: Scalar>(
     with_tap_metas(a.grid(), a.pattern(), |metas| {
         crate::par::for_each_field_chunk_mut(y, cells, chunk_lines * nx, |p, cout, ychunk| {
             let first_line = p * chunk_lines;
-            run_lines(a, b, x, ychunk, metas, cout, first_line, residual, set);
+            run_lines(a, b, x, ychunk, metas, cout, first_line, what);
         });
     });
 }
 
 /// Executes the whole x-lines `ychunk` covers of output field `cout`,
-/// `first_line` onwards, over the taps of `set` that write it, dispatching
-/// on layout.
+/// `first_line` onwards, over the taps of `what.set` that write it,
+/// dispatching on layout.
 #[allow(clippy::too_many_arguments)] // internal dispatch: full kernel context
 fn run_lines<S: Storage, P: Scalar>(
     a: &SgDia<S>,
@@ -87,19 +170,42 @@ fn run_lines<S: Storage, P: Scalar>(
     metas: &[TapMeta],
     cout: usize,
     first_line: usize,
-    residual: bool,
-    set: TapSet,
+    what: Product<'_>,
 ) {
+    let Product { residual, set, coefs } = what;
     let grid = a.grid();
+    let (nx, cells) = (grid.nx, grid.cells());
     let b = b.map(|b| &b[grid.field(cout)]);
-    let base = first_line * grid.nx;
+    let base = first_line * nx;
     let range = base..base + ychunk.len();
-    with_taps2(|taps, _| {
+    with_taps2(|taps, twins| {
         taps.extend(set.select(metas).filter(|m| m.cout == cout));
         if a.layout() == Layout::Soa {
+            match coefs {
+                Coefs::Own => {}
+                Coefs::Mirrored => mirror_upper(grid, a.pattern(), taps),
+                Coefs::Probing(symmetric) => {
+                    if symmetric.load(Ordering::Relaxed) {
+                        twins.extend_from_slice(taps);
+                        mirror_upper(grid, a.pattern(), twins);
+                        twins.retain(|m| m.coef != m.tap * cells);
+                    }
+                }
+            }
             // A product is accumulated as `0 − Σ` and negated on the way out.
-            LineSweep::apply(grid, a.data(), taps, b, !residual)
-                .apply_with(x, ychunk, first_line, true);
+            let sweep = LineSweep::apply(grid, a.data(), taps, b, !residual);
+            let mut done = 0;
+            if let Coefs::Probing(symmetric) = coefs {
+                while done < ychunk.len() && symmetric.load(Ordering::Relaxed) {
+                    let block = done..ychunk.len().min(done + PROBE_LINES * nx);
+                    sweep.apply_with(x, &mut ychunk[block.clone()], first_line + done / nx, true);
+                    if !mirrors(a.data(), cells, twins, base + block.start..base + block.end) {
+                        symmetric.store(false, Ordering::Relaxed);
+                    }
+                    done = block.end;
+                }
+            }
+            sweep.apply_with(x, &mut ychunk[done..], first_line + done / nx, true);
             return;
         }
         // The paper's *naive* mixed-precision kernel: AOS FP16 with one
@@ -123,6 +229,26 @@ fn run_lines<S: Storage, P: Scalar>(
     });
 }
 
+/// Whether, on the cells `on`, every tap of `twins` — taps above the
+/// diagonal, their `coef` already mirrored — stores bit for bit what its
+/// mirror image does: the plane equal to the transposed tap's plane `coef`
+/// points into, `+0.0` where the shift runs that plane out (the tail), and
+/// `+0.0` in the head of the transposed plane that no cell mirrors.
+fn mirrors<S: Storage>(data: &[S], cells: usize, twins: &[TapMeta], on: Range<usize>) -> bool {
+    let bits = |u: &[S]| u.iter().fold(0, |d, u| d | u.store_bits());
+    twins.iter().all(|m| {
+        let shift = m.cell_stride as usize;
+        let (own, twin) = (&data[m.tap * cells..][..cells], &data[m.coef - shift..][..cells]);
+        // The cells of `on` whose mirror image is inside the plane end here.
+        let end = on.end.min(cells.saturating_sub(shift)).max(on.start);
+        let images = &twin[(on.start + shift).min(cells)..];
+        let differ = own[on.start..end].iter().zip(images);
+        let differ = differ.fold(0, |d, (u, v)| d | (u.store_bits() ^ v.store_bits()));
+        let head = on.start.min(shift)..on.end.min(shift);
+        differ | bits(&own[end..on.end]) | bits(&twin[head]) == 0
+    })
+}
+
 /// Naive AOS FP16 kernel: one `vcvtph2ps` scalar conversion per entry —
 /// the "Scalar instruction for AOS" column of the paper's Fig. 4, whose
 /// per-entry convert overhead is what the SOA transformation amortizes.
@@ -140,7 +266,7 @@ unsafe fn naive_f16_aos_range(
     b: Option<&[f32]>,
     x: &[f32],
     ychunk: &mut [f32],
-    range: core::ops::Range<usize>,
+    range: Range<usize>,
     residual: bool,
 ) {
     use core::arch::x86_64::*;
@@ -174,7 +300,7 @@ fn generic_range<S: Storage, P: Scalar>(
     b: Option<&[P]>,
     x: &[P],
     ychunk: &mut [P],
-    range: core::ops::Range<usize>,
+    range: Range<usize>,
     residual: bool,
 ) {
     let cells = a.grid().cells();

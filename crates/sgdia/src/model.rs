@@ -8,6 +8,7 @@
 //! compress.
 
 use fp16mg_fp::Precision;
+use fp16mg_stencil::Pattern;
 
 /// Average row-pointer amortization the paper measured over 2216 square
 /// SuiteSparse matrices.
@@ -50,6 +51,22 @@ impl Format {
             Format::CsrInt64 => "CSR int64",
         }
     }
+}
+
+/// Planes a product of a matrix symmetric as stored reads
+/// ([`crate::kernels::spmv_symmetric`]): those below the diagonal, and of
+/// the centre block those on it and below (`cin ≤ cout`).
+pub fn half_read_planes(pattern: &Pattern) -> usize {
+    let taps = pattern.taps().iter();
+    taps.filter(|t| t.spatial_sign() < 0 || t.is_center() && t.cin <= t.cout).count()
+}
+
+/// Bytes that product moves per nonzero of the pattern: the SG-DIA value
+/// bytes times the share of the planes it reads — 14 of 27 for `3d27`,
+/// just over half.
+pub fn half_read_bytes_per_nnz(pattern: &Pattern, value: Precision) -> f64 {
+    Format::SgDia.bytes_per_nnz(value, 0.0) * half_read_planes(pattern) as f64
+        / pattern.len() as f64
 }
 
 /// One row of Table 2.

@@ -1907,3 +1907,225 @@ mod zero_guess {
         }
     }
 }
+
+/// The symmetric half-read (`kernels/spmv.rs`): a matrix symmetric as
+/// stored multiplied from the planes on and below its diagonal, and the
+/// verdict that allows it.
+mod half_read {
+    use fp16mg_fp::{Scalar, Storage};
+    use fp16mg_stencil::Tap;
+
+    use super::line_kernel::{csr_residual, inf_norm, units, vec_of, NX};
+    use super::*;
+
+    /// `m` with every in-grid entry above the diagonal — strictly upper, or
+    /// centre with `cin > cout` — replaced by the entry its transpose holds.
+    pub(crate) fn symmetrized(m: &SgDia<f64>) -> SgDia<f64> {
+        let (grid, mut out) = (*m.grid(), m.clone());
+        for (t, tap) in m.pattern().taps().iter().enumerate() {
+            let stride = grid.stride(tap.dx, tap.dy, tap.dz);
+            if stride < 0 || stride == 0 && !(tap.is_center() && tap.cin > tap.cout) {
+                continue;
+            }
+            let twin = m.pattern().tap_index(tap.transpose()).expect("symmetric pattern");
+            for (cell, i, j, k) in grid.iter_cells() {
+                if grid.contains_offset(i, j, k, tap.dx, tap.dy, tap.dz) {
+                    out.set(cell, t, m.get(cell + stride as usize, twin));
+                }
+            }
+        }
+        out
+    }
+
+    fn bits<P: Scalar>(v: &[P]) -> Vec<u64> {
+        v.iter().map(|v| v.to_f64().to_bits()).collect()
+    }
+
+    /// The verdict on `a`, its first product checked against `spmv` on the
+    /// way.
+    fn verdict<S: Storage>(a: &SgDia<S>) -> bool {
+        let x = vec_of::<f64>(a.rows(), 17);
+        let (mut want, mut got) = (vec![f64::NAN; a.rows()], vec![f64::NAN; a.rows()]);
+        kernels::spmv(a, &x, &mut want, Par::Seq);
+        let verdict = kernels::spmv_probing_symmetry(a, &x, &mut got, Par::Seq).is_some();
+        assert_eq!(bits(&got), bits(&want), "probing product vs spmv");
+        verdict
+    }
+
+    /// One symmetric operator, one storage/compute pair: the probing
+    /// product and the half-read against `spmv` bit for bit, and against
+    /// CSR.
+    fn check_pair<S: Storage, P: Scalar>(sym: &SgDia<f64>, seed: u64, par: Par) {
+        let what = format!("{:?} {} S={} P={}", sym.grid(), sym.pattern().name(), S::NAME, P::NAME);
+        let n = sym.rows();
+        let a = sym.convert::<S>();
+        let x = vec_of::<P>(n, seed);
+        let mut want = vec![P::from_f64(f64::NAN); n];
+        kernels::spmv(&a, &x, &mut want, Par::Seq);
+
+        let mut probed = vec![P::from_f64(f64::NAN); n];
+        let judged = kernels::spmv_probing_symmetry(&a, &x, &mut probed, par);
+        assert_eq!(bits(&probed), bits(&want), "probing product vs spmv, {what}");
+        let half = judged.unwrap_or_else(|| panic!("symmetric operator judged otherwise, {what}"));
+        let mut got = vec![P::from_f64(f64::NAN); n];
+        kernels::spmv_symmetric(half, &x, &mut got, par);
+        assert_eq!(bits(&got), bits(&want), "half-read vs spmv, {what}");
+
+        let neg: Vec<P> = csr_residual(&Csr::from_sgdia(&a), None, &x, |_, _| true);
+        let csr: Vec<P> = neg.iter().map(|&v| -v).collect();
+        assert!(units(&got, &csr, inf_norm(&csr)) <= 32.0, "half-read vs csr, {what}");
+    }
+
+    /// Every storage/compute pair: the three AVX instantiations and the
+    /// portable one (BF16, and the mixed vector precisions).
+    fn check_all_pairs(sym: &SgDia<f64>, seed: u64, par: Par) {
+        check_pair::<F16, f32>(sym, seed, par);
+        check_pair::<F16, f64>(sym, seed, par);
+        check_pair::<Bf16, f32>(sym, seed, par);
+        check_pair::<Bf16, f64>(sym, seed, par);
+        check_pair::<f32, f32>(sym, seed, par);
+        check_pair::<f32, f64>(sym, seed, par);
+        check_pair::<f64, f32>(sym, seed, par);
+        check_pair::<f64, f64>(sym, seed, par);
+    }
+
+    /// One random symmetric operator shape per case — pattern, component
+    /// count 1–4, non-cubic `ny`, `nz` — at every line length of [`NX`].
+    fn for_each_symmetric(rng: &mut fp16mg_testkit::Rng, mut f: impl FnMut(&SgDia<f64>, u64)) {
+        let (ny, nz) = (rng.usize_range(1, 6), rng.usize_range(1, 6));
+        let seed = rng.next_u64() >> 8;
+        let scalar = [Pattern::p7(), Pattern::p15(), Pattern::p19(), Pattern::p27()];
+        let scalar = scalar[seed as usize % 4].clone();
+        let r = 1 + (seed / 4) as usize % 4;
+        let pattern = if r == 1 { scalar } else { scalar.with_components(r) };
+        for nx in NX {
+            let grid = Grid3::with_components(nx, ny, nz, r);
+            f(&symmetrized(&random_matrix(grid, pattern.clone(), Layout::Soa, seed)), seed);
+        }
+    }
+
+    #[test]
+    fn half_read_matches_spmv_bit_for_bit() {
+        check_n("half_read_matches_spmv_bit_for_bit", 16, |rng| {
+            for_each_symmetric(rng, |sym, seed| check_all_pairs(sym, seed, Par::Seq));
+        });
+    }
+
+    /// Threads split the probing product, its comparison and the half-read
+    /// by whole x-lines of every field: same bits and same verdict as one
+    /// thread, scalar and with three components, and a difference in any
+    /// one thread's lines turns the verdict.
+    #[test]
+    fn half_read_parallel_matches_seq() {
+        for r in [1, 3] {
+            let g = Grid3::with_components(40, 16, 16, r); // above the 4096-cell threshold
+            let pattern = if r == 1 { Pattern::p27() } else { Pattern::p7().with_components(r) };
+            let sym = symmetrized(&random_matrix(g, pattern, Layout::Soa, 260));
+            for threads in 2..=4 {
+                check_all_pairs(&sym, 261, Par::Threads(threads));
+            }
+            let (upper, x) = (sym.pattern().len() - 1, vec_of::<f64>(sym.rows(), 262));
+            for cell in [5, g.cells() / 2, g.cells() - 40 * 16 - 45] {
+                let mut off = sym.clone();
+                off.set(cell, upper, f64::from_bits(sym.get(cell, upper).to_bits() + 1));
+                let mut y = vec![0.0; sym.rows()];
+                let judged = kernels::spmv_probing_symmetry(&off, &x, &mut y, Par::Threads(3));
+                assert!(judged.is_none(), "one ulp at cell {cell} of {r} components went unseen");
+            }
+        }
+    }
+
+    /// One stored bit away from symmetric is not symmetric: in the
+    /// interior, on a wrapped x or y face (a stored zero whose mirror image
+    /// is another stored zero), in the tail of an upper plane and the head
+    /// of a lower one that no cell mirrors, and between two components of
+    /// one cell.
+    #[test]
+    fn half_read_verdict_turns_on_one_ulp() {
+        let g = Grid3::with_components(9, 4, 3, 2);
+        let sym = symmetrized(&random_matrix(g, Pattern::p27().with_components(2), Layout::Soa, 3));
+        assert!(verdict(&sym));
+        let tap = |dx, dy, dz, cout, cin| {
+            sym.pattern().tap_index(Tap::at_comp(dx, dy, dz, cout, cin)).unwrap()
+        };
+        let last = g.cells() - 1;
+        let ulp = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let cases = [
+            ("interior, upper", g.cell(4, 1, 1), tap(1, 1, 0, 0, 1), None),
+            ("interior, lower", g.cell(4, 2, 1), tap(-1, 0, -1, 1, 1), None),
+            ("x face, upper", g.cell(8, 1, 1), tap(1, 0, 0, 0, 0), Some(f64::MIN_POSITIVE)),
+            ("y face, lower", g.cell(3, 0, 1), tap(0, -1, 0, 1, 0), Some(f64::MIN_POSITIVE)),
+            ("tail of an upper plane", last, tap(1, 1, 1, 0, 0), Some(1.0)),
+            ("head of a lower plane", 0, tap(0, 0, -1, 1, 1), Some(1.0)),
+            ("centre block, upper", g.cell(2, 2, 2), tap(0, 0, 0, 0, 1), None),
+            ("centre block, lower", g.cell(2, 2, 2), tap(0, 0, 0, 1, 0), None),
+        ];
+        for (what, cell, t, value) in cases {
+            let mut off = sym.clone();
+            off.set(cell, t, value.unwrap_or_else(|| ulp(sym.get(cell, t))));
+            assert!(!verdict(&off), "{what}: one entry off and still judged symmetric");
+        }
+        // The diagonal is its own transpose.
+        let mut other = sym.clone();
+        other.set(7, tap(0, 0, 0, 1, 1), 3.0);
+        assert!(verdict(&other));
+    }
+
+    /// `+0.0` is not `−0.0`: the product of either with a negative `x` has
+    /// the other's sign.
+    #[test]
+    fn half_read_verdict_tells_the_zeros_apart() {
+        let g = Grid3::new(8, 3, 3);
+        let mut sym = symmetrized(&random_matrix(g, Pattern::p19(), Layout::Soa, 5));
+        let (up, down) = (
+            sym.pattern().tap_index(Tap::at(0, 1, 0)).unwrap(),
+            sym.pattern().tap_index(Tap::at(0, -1, 0)).unwrap(),
+        );
+        let (cell, above) = (g.cell(3, 1, 1), g.cell(3, 2, 1));
+        sym.set(cell, up, 0.0);
+        sym.set(above, down, 0.0);
+        assert!(verdict(&sym));
+        sym.set(above, down, -0.0);
+        assert!(!verdict(&sym), "+0.0 above the diagonal, -0.0 below it");
+        sym.set(cell, up, -0.0);
+        assert!(verdict(&sym), "-0.0 on both sides");
+        // And outside the grid, where only +0.0 is a stored zero.
+        sym.set(g.cell(0, 1, 1), sym.pattern().tap_index(Tap::at(-1, 0, 0)).unwrap(), -0.0);
+        assert!(!verdict(&sym), "-0.0 on a wrapped face");
+    }
+
+    /// The byte model counts the planes the mirrored tap table leaves in
+    /// place.
+    #[test]
+    fn half_read_model_counts_the_planes_read() {
+        use crate::kernels::{mirror_upper, with_tap_metas};
+        let scalar = [Pattern::p7(), Pattern::p15(), Pattern::p19(), Pattern::p27()];
+        for (pattern, r) in scalar.iter().flat_map(|p| (1..=4).map(move |r| (p, r))) {
+            let pattern = if r == 1 { pattern.clone() } else { pattern.with_components(r) };
+            let grid = Grid3::with_components(5, 4, 3, r);
+            let own = with_tap_metas(&grid, &pattern, |metas| {
+                let mut taps = metas.to_vec();
+                mirror_upper(&grid, &pattern, &mut taps);
+                taps.iter().filter(|m| m.coef == m.tap * grid.cells()).count()
+            });
+            assert_eq!(model::half_read_planes(&pattern), own, "{} x{r}", pattern.name());
+        }
+        let bytes = model::half_read_bytes_per_nnz(&Pattern::p27(), Precision::F64);
+        assert_eq!(bytes, 8.0 * 14.0 / 27.0);
+    }
+
+    /// What is not symmetric as stored by its shape: a random operator, the
+    /// AOS layout of a symmetric one, a pattern without its transpose.
+    #[test]
+    fn half_read_verdict_is_false_for_other_shapes() {
+        let g = Grid3::new(9, 5, 4);
+        let random = random_matrix(g, Pattern::p27(), Layout::Soa, 11);
+        assert!(!verdict(&random));
+        let sym = symmetrized(&random);
+        assert!(verdict(&sym));
+        assert!(!verdict(&sym.to_layout(Layout::Aos)), "AOS");
+        let lower = lower_of(&sym);
+        assert!(!verdict(&lower), "lower-only pattern");
+        assert!(!verdict(&lower.transpose()), "upper-only pattern");
+    }
+}

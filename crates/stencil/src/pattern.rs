@@ -196,6 +196,12 @@ impl Pattern {
         Pattern::new(self.taps.iter().map(|t| t.transpose()).collect())
     }
 
+    /// True when the pattern holds the transpose of every tap it holds:
+    /// the pattern a symmetric matrix needs.
+    pub fn is_symmetric(&self) -> bool {
+        self.taps.iter().all(|t| self.index.contains_key(&t.transpose()))
+    }
+
     /// Maximum absolute spatial offset along any axis (the "radius"; 1 for
     /// all the standard patterns, possibly larger for RAP products before
     /// re-closure).
