@@ -5,7 +5,7 @@
 //!                    [--requests N] [--workers N] [--chaos] [--overload] [--out DIR]
 //! experiments: fig1 table2 fig3 fig5 fig6 fig7 fig8 fig10 table1 table3
 //!              bf16 shift smooth guard audit serve chaos overload simulate
-//!              loadgen torture memtorture nettorture bench-json bench-compare all
+//!              loadgen torture memtorture nettorture all
 //! ```
 //!
 //! `serve` fires a batch of mixed clean/fault-injected/panicking solve
@@ -39,11 +39,11 @@
 //! multigrid hierarchy across steps under an audit-driven
 //! keep/rescale/rebuild policy, and prints the per-step cost/accuracy
 //! table plus the amortized setup win over a fresh-setup-every-step
-//! baseline (`BENCH_sim_<problem>.json` lands in `--out`). With
-//! `--snapshot-dir` every committed step is checkpointed and a killed
-//! run resumes bit-identically; `--soak` proves it with a real SIGKILL,
-//! and `--chaos` runs the deterministic fault schedule that exercises
-//! every reuse decision and recovery rung.
+//! baseline. With `--snapshot-dir` every committed step is checkpointed
+//! and a killed run resumes bit-identically; `--soak` proves it with a
+//! real SIGKILL (run directories under `--out`), and `--chaos` runs the
+//! deterministic fault schedule that exercises every reuse decision and
+//! recovery rung.
 //!
 //! `torture` runs the storage-fault crash-point matrix: the simulation
 //! durability stack is replayed on a deterministic fault-injecting
@@ -53,11 +53,14 @@
 //! step survived every crash point, corrupt snapshot slots were
 //! quarantined with fallback, every fault class actually fired, and a
 //! deliberately broken write order was detected by the harness itself.
+//! `memtorture` (allocation faults at every charged byte) and
+//! `nettorture` (wire faults at every frame boundary) are its siblings;
+//! all three print the one `bench::matrix` verdict.
 //!
-//! `bench-json` runs the tier-1 end-to-end matrix and writes machine-
-//! readable `BENCH_<problem>.json` files into `--out` (default `.`);
-//! `bench-compare --baseline DIR --current DIR` gates a candidate set
-//! of those files against a committed baseline.
+//! Timing is not this binary's business: the repository's benchmark is
+//! the `benchmark/` package that `BENCHMARK.json` names, and the
+//! deterministic facts a perf gate can hold (iteration counts, byte
+//! counts) are the tier-1 table in `crates/bench/tests/gates.rs`.
 //!
 //! `fig9` is the same harness as `fig8` (the paper's second architecture;
 //! this reproduction runs on one ISA — see DESIGN.md substitutions).
@@ -91,8 +94,6 @@ struct Args {
     mem_budget: u64,
     steps: u64,
     problem: String,
-    baseline: String,
-    current: String,
     out: String,
     addr: String,
     shutdown: bool,
@@ -100,7 +101,7 @@ struct Args {
 
 fn usage(msg: &str) -> ! {
     eprintln!("{msg}");
-    eprintln!("usage: repro <experiment> [--size N] [--tol T] [--threads N1,N2,...] [--budget-ms B] [--smoother gs|jacobi|symgs|ilu0] [--requests N] [--workers N] [--chaos] [--overload] [--daemon] [--soak] [--snapshot-dir DIR] [--kill-after N] [--pace-ms MS] [--mem-budget BYTES] [--steps N] [--problem NAME|all] [--baseline DIR] [--current DIR] [--out DIR] [--addr unix:PATH|tcp:HOST:PORT] [--shutdown]");
+    eprintln!("usage: repro <experiment> [--size N] [--tol T] [--threads N1,N2,...] [--budget-ms B] [--smoother gs|jacobi|symgs|ilu0] [--requests N] [--workers N] [--chaos] [--overload] [--daemon] [--soak] [--snapshot-dir DIR] [--kill-after N] [--pace-ms MS] [--mem-budget BYTES] [--steps N] [--problem NAME|all] [--out DIR] [--addr unix:PATH|tcp:HOST:PORT] [--shutdown]");
     eprintln!("daemon: `serve --daemon --addr …` serves over the wire (`--snapshot-dir`, `--mem-budget`); `loadgen --addr …` drives it (`--shutdown` drains); `loadgen --soak [--kill-after N] [--mem-budget BYTES]` is the kill/restart acceptance; `serve --daemon --chaos` the supervision demo; `nettorture` the wire-fault matrix");
     std::process::exit(2)
 }
@@ -132,8 +133,6 @@ fn parse_args() -> Args {
         mem_budget: 0,
         steps: 12,
         problem: "all".into(),
-        baseline: String::new(),
-        current: String::new(),
         out: ".".into(),
         addr: String::new(),
         shutdown: false,
@@ -162,8 +161,6 @@ fn parse_args() -> Args {
             "--mem-budget" => args.mem_budget = arg_value(&mut it, "--mem-budget"),
             "--steps" => args.steps = arg_value(&mut it, "--steps"),
             "--problem" => args.problem = arg_value(&mut it, "--problem"),
-            "--baseline" => args.baseline = arg_value(&mut it, "--baseline"),
-            "--current" => args.current = arg_value(&mut it, "--current"),
             "--out" => args.out = arg_value(&mut it, "--out"),
             "--addr" => args.addr = arg_value(&mut it, "--addr"),
             "--shutdown" => args.shutdown = true,
@@ -239,8 +236,6 @@ fn main() {
         "nettorture" => nettorture_cmd(&args),
         "torture" => torture_cmd(&args),
         "memtorture" => memtorture_cmd(&args),
-        "bench-json" => bench_json_cmd(&args),
-        "bench-compare" => bench_compare_cmd(&args),
         "all" => {
             fig1(&args);
             table2();
@@ -1165,7 +1160,6 @@ fn simulate_cmd(args: &Args) {
             chaos: args.chaos,
             snapshot_dir: (!args.snapshot_dir.is_empty())
                 .then(|| std::path::PathBuf::from(&args.snapshot_dir)),
-            json_dir: Some(std::path::PathBuf::from(&args.out)),
             pace_ms: args.pace_ms,
             ack: true,
             ..fp16mg_bench::SimConfig::new(kind, args.steps, size, args.tol)
@@ -1208,48 +1202,6 @@ fn simulate_soak_cmd(args: &Args) {
         out: std::path::PathBuf::from(&args.out).join("sim-soak"),
     };
     std::process::exit(fp16mg_bench::run_sim_soak(&cfg));
-}
-
-// -------------------------------------------------------- bench-compare --
-
-fn bench_compare_cmd(args: &Args) {
-    header("bench-compare: regression gate over committed BENCH_*.json baselines");
-    if args.baseline.is_empty() || args.current.is_empty() {
-        usage("bench-compare needs --baseline DIR and --current DIR");
-    }
-    std::process::exit(fp16mg_bench::run_compare(
-        std::path::Path::new(&args.baseline),
-        std::path::Path::new(&args.current),
-    ));
-}
-
-// ----------------------------------------------------------- bench-json --
-
-fn bench_json_cmd(args: &Args) {
-    header("bench-json: machine-readable tier-1 timings");
-    let cfg = fp16mg_bench::BenchJsonConfig {
-        size: capped_size(args, 24),
-        tol: args.tol,
-        dir: std::path::PathBuf::from(&args.out),
-    };
-    match fp16mg_bench::bench_json_emit(&cfg) {
-        Ok(paths) => {
-            for p in &paths {
-                println!("wrote {}", p.display());
-            }
-            println!("({} problems, combos Full64 + Mix16, size {})", paths.len(), cfg.size);
-        }
-        Err(e) => {
-            // The benchmarks themselves succeeded; failing to persist
-            // the JSON (full disk, read-only volume) must not discard
-            // the run as an error.
-            eprintln!(
-                "bench-json: warning: cannot write into '{}': {e} (timings were measured; \
-                 only the JSON emission failed)",
-                args.out
-            );
-        }
-    }
 }
 
 // --------------------------------------------------------------- guard --

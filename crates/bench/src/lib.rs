@@ -13,13 +13,12 @@
 
 #![warn(missing_docs)]
 pub mod audit;
-pub mod benchjson;
 pub mod combos;
-pub mod compare;
 pub mod e2e;
 pub mod guard;
 pub mod kernelbench;
 pub mod loadgen;
+pub mod matrix;
 pub mod memtorture;
 pub mod microbench;
 pub mod nettorture;
@@ -29,13 +28,12 @@ pub mod table;
 pub mod torture;
 
 pub use audit::{audit_report, print_audit_table};
-pub use benchjson::{bench_json_emit, BenchJsonConfig};
 pub use combos::Combo;
-pub use compare::{compare_dirs, run_compare, scan_bench_json, BenchFacts};
 pub use e2e::{solve_e2e, E2eResult};
 pub use guard::{finest_narrow_level, solve_guarded, GuardOutcome};
 pub use kernelbench::{kernel_suite, KernelKind, KernelRow, Variant};
 pub use loadgen::{run_loadgen, run_net_soak, LoadgenConfig, LoadgenReport, NetSoakConfig};
+pub use matrix::MatrixReport;
 pub use memtorture::{run_memtorture_cli, MemTortureConfig, MemTortureReport};
 pub use microbench::Group;
 pub use nettorture::{run_net_matrix, run_nettorture_cli, NetTortureConfig, NetTortureReport};

@@ -41,6 +41,8 @@ use fp16mg_runtime::{
     AllocFault, PoolConfig, RequestOutcome, ServeError, ServePool, ShedPolicy, SolveRequest,
 };
 
+use crate::matrix::MatrixReport;
+
 /// Fault classes that must have fired for the matrix to count as
 /// exercised.
 const REQUIRED_FIRED: &[&str] = &["alloc-fail", "alloc-burst", "budget-exceeded"];
@@ -59,49 +61,29 @@ pub struct MemTortureConfig {
     pub tol: f64,
 }
 
-impl MemTortureConfig {
+impl Default for MemTortureConfig {
     /// The default matrix: small grids, tight enough tolerance that a
     /// silently broken preconditioner cannot sneak through.
-    pub fn new() -> Self {
+    fn default() -> Self {
         MemTortureConfig { size: 6, tol: 1e-8 }
     }
 }
 
-impl Default for MemTortureConfig {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Everything the matrix observed, for the CLI and for tests.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct MemTortureReport {
-    /// Fault cases executed.
-    pub cases: usize,
+    /// The shared verdict: cases, violations, fired classes.
+    pub matrix: MatrixReport,
     /// Charged allocation attempts in the clean run.
     pub probe_ops: u64,
     /// Peak tracked bytes of the clean run.
     pub probe_peak: u64,
-    /// Invariant violations (empty on a passing run).
-    pub violations: Vec<String>,
-    /// Aggregate fault-class fire counts over all cases.
-    pub fired: BTreeMap<String, u64>,
     /// Charge classes observed in the clean run.
-    pub classes: BTreeSet<String>,
+    pub classes: BTreeSet<&'static str>,
     /// Cache evictions forced by the tight-budget phase.
     pub mem_evictions: u64,
     /// Uncached (cache-insert refused) serves over all cases.
     pub uncached: u64,
-}
-
-impl MemTortureReport {
-    /// True when every invariant held and every required fault class
-    /// fired.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-            && REQUIRED_FIRED.iter().all(|k| self.fired.get(*k).copied().unwrap_or(0) > 0)
-            && REQUIRED_CLASSES.iter().all(|c| self.classes.contains(*c))
-    }
 }
 
 /// The deterministic request stream: a pure function of the index, one
@@ -199,13 +181,21 @@ fn check_case(
 
 /// Executes the full matrix and aggregates the verdict.
 pub fn run_matrix(cfg: &MemTortureConfig) -> MemTortureReport {
-    let mut report = MemTortureReport::default();
+    let mut report = MemTortureReport {
+        matrix: MatrixReport::new("memtorture", REQUIRED_FIRED, None),
+        probe_ops: 0,
+        probe_peak: 0,
+        classes: BTreeSet::new(),
+        mem_evictions: 0,
+        uncached: 0,
+    };
 
     // --- Probe: the clean run's charge log is the case schedule.
     let mut pool = ServePool::new(fault_pool_cfg());
+    pool.governor().record_ops();
     let outcomes = pool.run(stream(cfg));
     if let Some(o) = outcomes.iter().find(|o| o.result.is_err()) {
-        report.violations.push(format!(
+        report.matrix.violations.push(format!(
             "probe: clean run failed on {}: {}",
             o.name,
             outcome_label(o)
@@ -216,10 +206,10 @@ pub fn run_matrix(cfg: &MemTortureConfig) -> MemTortureReport {
     let log = governor.op_log();
     report.probe_ops = governor.op_count();
     report.probe_peak = governor.peak();
-    report.classes = log.iter().map(|r| r.class.clone()).collect();
+    report.classes = log.iter().map(|r| r.class).collect();
     for &class in REQUIRED_CLASSES {
         if !report.classes.contains(class) {
-            report.violations.push(format!(
+            report.matrix.violations.push(format!(
                 "probe: charge class '{class}' never appeared — the stream no longer reaches \
                  that allocation site"
             ));
@@ -227,32 +217,32 @@ pub fn run_matrix(cfg: &MemTortureConfig) -> MemTortureReport {
     }
     drop(pool);
     if governor.used() != 0 {
-        report.violations.push("probe: bytes still tracked after the clean run".to_string());
+        report.matrix.violations.push("probe: bytes still tracked after the clean run".to_string());
     }
-    if !report.violations.is_empty() {
+    if !report.matrix.violations.is_empty() {
         return report;
     }
 
-    let merge = |fired: BTreeMap<String, u64>, report: &mut MemTortureReport| {
-        for (k, n) in fired {
-            *report.fired.entry(k).or_insert(0) += n;
+    // One fault case: a fresh pool with `fault` planted at charge `i`
+    // serves the stream, every injected failure must resolve through a
+    // degrade rung, and the fault's class must have fired.
+    let injected = |label: String, i: u64, fault: AllocFault, class: &str| {
+        let mut pool = ServePool::new(fault_pool_cfg());
+        pool.governor().schedule(i, fault);
+        let outcomes = pool.run(stream(cfg));
+        let mut v = Vec::new();
+        let fired = check_case(&label, pool, &outcomes, true, &mut v);
+        if fired.get(class).copied().unwrap_or(0) == 0 {
+            v.push(format!("{label}: the scheduled {class} never fired"));
         }
+        (fired, v)
     };
 
     // --- Phase A: one-shot allocation failure at every charged index.
     for i in 0..report.probe_ops {
         let label = format!("A:alloc-fail@{i}[{}]", log[i as usize].class);
-        let mut pool = ServePool::new(fault_pool_cfg());
-        pool.governor().schedule(i, AllocFault::Fail);
-        let outcomes = pool.run(stream(cfg));
-        report.cases += 1;
-        let mut v = Vec::new();
-        let fired = check_case(&label, pool, &outcomes, true, &mut v);
-        if fired.get("alloc-fail").copied().unwrap_or(0) == 0 {
-            v.push(format!("{label}: the scheduled fault never fired"));
-        }
-        report.violations.extend(v);
-        merge(fired, &mut report);
+        let (fired, v) = injected(label, i, AllocFault::Fail, "alloc-fail");
+        report.matrix.case(fired, v);
     }
 
     // --- Phase B: bounded bursts (three consecutive refusals) at the
@@ -263,17 +253,8 @@ pub fn run_matrix(cfg: &MemTortureConfig) -> MemTortureReport {
     burst_at.dedup();
     for i in burst_at {
         let label = format!("B:alloc-burst@{i}");
-        let mut pool = ServePool::new(fault_pool_cfg());
-        pool.governor().schedule(i, AllocFault::Burst { count: 3 });
-        let outcomes = pool.run(stream(cfg));
-        report.cases += 1;
-        let mut v = Vec::new();
-        let fired = check_case(&label, pool, &outcomes, true, &mut v);
-        if fired.get("alloc-burst").copied().unwrap_or(0) == 0 {
-            v.push(format!("{label}: the scheduled burst never fired"));
-        }
-        report.violations.extend(v);
-        merge(fired, &mut report);
+        let (fired, v) = injected(label, i, AllocFault::Burst { count: 3 }, "alloc-burst");
+        report.matrix.case(fired, v);
     }
 
     // --- Phase C1: a budget at the clean-run peak must never refuse.
@@ -283,7 +264,6 @@ pub fn run_matrix(cfg: &MemTortureConfig) -> MemTortureReport {
         pool_cfg.mem_budget = Some(report.probe_peak);
         let mut pool = ServePool::new(pool_cfg);
         let outcomes = pool.run(stream(cfg));
-        report.cases += 1;
         let mut v = Vec::new();
         let fired = check_case(label, pool, &outcomes, true, &mut v);
         if fired.get("budget-exceeded").copied().unwrap_or(0) > 0 {
@@ -292,8 +272,7 @@ pub fn run_matrix(cfg: &MemTortureConfig) -> MemTortureReport {
                  accounting drifted between runs"
             ));
         }
-        report.violations.extend(v);
-        merge(fired, &mut report);
+        report.matrix.case(fired, v);
     }
 
     // --- Phase C2: a tight budget (60% of peak) must degrade — evict
@@ -310,10 +289,10 @@ pub fn run_matrix(cfg: &MemTortureConfig) -> MemTortureReport {
         pool_cfg.mem_budget = Some(budget);
         let mut pool = ServePool::new(pool_cfg);
         let outcomes = pool.run(stream(cfg));
-        report.cases += 1;
+        let mut v = Vec::new();
         let governor = pool.governor().clone();
         if governor.peak() > budget {
-            report.violations.push(format!(
+            v.push(format!(
                 "{label}: tracked peak {} B exceeded the {} B budget",
                 governor.peak(),
                 budget
@@ -322,28 +301,22 @@ pub fn run_matrix(cfg: &MemTortureConfig) -> MemTortureReport {
         report.mem_evictions = pool.cache().mem_evictions();
         report.uncached = pool.cache().uncached_serves();
         if report.mem_evictions + report.uncached == 0 {
-            report.violations.push(format!(
+            v.push(format!(
                 "{label}: the tight budget forced no eviction and no uncached serve — the \
                  degrade machinery went unexercised"
             ));
         }
         if !outcomes.iter().any(|o| o.result.is_ok()) {
-            report.violations.push(format!(
+            v.push(format!(
                 "{label}: nothing was served under the tight budget — memory pressure must \
                  degrade, not blackout"
             ));
         }
-        let mut v = Vec::new();
         let fired = check_case(label, pool, &outcomes, false, &mut v);
-        report.violations.extend(v);
-        merge(fired, &mut report);
+        report.matrix.case(fired, v);
     }
 
-    for &k in REQUIRED_FIRED {
-        if report.fired.get(k).copied().unwrap_or(0) == 0 {
-            report.violations.push(format!("fault class '{k}' never fired"));
-        }
-    }
+    report.matrix.seal();
     report
 }
 
@@ -353,31 +326,16 @@ pub fn run_memtorture_cli(cfg: &MemTortureConfig) -> i32 {
     println!("memtorture: size={} tol={:e}", cfg.size, cfg.tol);
     let report = run_matrix(cfg);
     println!(
-        "memtorture: {} cases over {} charged ops (clean-run peak {} B)",
-        report.cases, report.probe_ops, report.probe_peak
+        "memtorture: {} charged ops (clean-run peak {} B), charge classes seen: {}",
+        report.probe_ops,
+        report.probe_peak,
+        report.classes.iter().copied().collect::<Vec<_>>().join(", ")
     );
-    println!(
-        "memtorture: charge classes seen: {}",
-        report.classes.iter().cloned().collect::<Vec<_>>().join(", ")
-    );
-    for (k, n) in &report.fired {
-        println!("memtorture: fired {k} x{n}");
-    }
     println!(
         "memtorture: tight budget forced {} eviction(s), {} uncached serve(s)",
         report.mem_evictions, report.uncached
     );
-    if report.passed() {
-        println!(
-            "memtorture: PASS — every allocation failure resolved typed, accounting returned \
-             to zero after every case"
-        );
-        0
-    } else {
-        for v in &report.violations {
-            eprintln!("memtorture: VIOLATION: {v}");
-        }
-        eprintln!("memtorture: FAIL ({} violation(s))", report.violations.len());
-        1
-    }
+    report.matrix.print_verdict(
+        "every allocation failure resolved typed, accounting returned to zero after every case",
+    )
 }

@@ -40,13 +40,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fp16mg_runtime::net::{
-    Client, ClientConfig, ClientStats, Endpoint, FaultTransport, Frame, NetFault, NetOpKind,
+    Client, ClientConfig, ClientStats, Endpoint, FaultTransport, Frame, NetFault, NetOp, NetOpKind,
     SubmitRequest,
 };
 use fp16mg_runtime::serve::{serve_net, NetServeConfig, NetServeReport, TRAIL_FILE};
 use fp16mg_runtime::{trail, FaultStorage, Storage};
 
 use crate::loadgen::drive_stream;
+use crate::matrix::MatrixReport;
 
 /// Matrix knobs.
 pub struct NetTortureConfig {
@@ -77,39 +78,17 @@ impl Default for NetTortureConfig {
     }
 }
 
-/// One case's verdict.
-#[derive(Clone, Debug)]
-pub struct CaseRow {
-    /// `<phase>@op<k>` name.
-    pub name: String,
-    /// All invariants held.
-    pub ok: bool,
-    /// Violation detail when `ok` is false.
-    pub detail: String,
-}
-
 /// The matrix verdict.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct NetTortureReport {
-    /// Per-case rows.
-    pub cases: Vec<CaseRow>,
-    /// Aggregate violations (all-classes-fired, dedup-proven, G).
-    pub violations: Vec<String>,
-    /// Firings per fault class across the whole matrix.
-    pub fired: BTreeMap<String, u64>,
+    /// The shared verdict: cases, violations (a failed case is one,
+    /// prefixed with its `<phase>@op<k>` name), fired classes, and
+    /// whether the phase-G broken-ack-order server was detected.
+    pub matrix: MatrixReport,
     /// Total `duplicate = true` acks observed (must be > 0).
     pub duplicate_acks: u64,
     /// Total idempotent resubmissions the clients performed.
     pub resubmissions: u64,
-    /// The phase-G broken-ack-order server was detected.
-    pub self_check_ok: bool,
-}
-
-impl NetTortureReport {
-    /// Every case ok, every aggregate invariant held.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty() && self.cases.iter().all(|c| c.ok) && self.self_check_ok
-    }
 }
 
 const STATE_DIR: &str = "state";
@@ -137,6 +116,10 @@ struct CaseOutcome {
     stats: ClientStats,
     fired: BTreeMap<String, u64>,
     server: NetServeReport,
+    /// The durable trail the case left behind.
+    trail: Vec<String>,
+    /// Every frame boundary the client crossed.
+    ops: Vec<NetOp>,
 }
 
 /// The complete trail lines of the fault storage's durable
@@ -243,15 +226,19 @@ fn run_case(
             Some(_) => {}
         }
     }
-    CaseOutcome { violations, stats, fired, server }
+    CaseOutcome { violations, stats, fired, server, trail: lines, ops: ft.op_log() }
 }
 
 /// Runs the probe + the full fault matrix.
 pub fn run_net_matrix(cfg: &NetTortureConfig) -> NetTortureReport {
-    let mut report = NetTortureReport::default();
+    let mut report = NetTortureReport {
+        matrix: MatrixReport::new("nettorture", &NetFault::LABELS, Some("broken ack order")),
+        duplicate_acks: 0,
+        resubmissions: 0,
+    };
     let dir = cfg.sock_dir.clone().unwrap_or_else(|| crate::unique_temp("fp16mg-nettorture"));
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        report.violations.push(format!("socket dir {}: {e}", dir.display()));
+        report.matrix.violations.push(format!("socket dir {}: {e}", dir.display()));
         return report;
     }
     let mut case_id = 0usize;
@@ -261,26 +248,14 @@ pub fn run_net_matrix(cfg: &NetTortureConfig) -> NetTortureReport {
         p
     };
 
-    // --- Probe: a fault-free run enumerates every frame boundary (the
-    // transport op log) and captures the reference durable trail every
+    // --- Probe: a fault-free case enumerates every frame boundary (the
+    // transport op log) and leaves the reference durable trail every
     // fault case must reproduce bit-for-bit.
-    let reference_storage = FaultStorage::new();
-    let reference = {
-        let server_storage: Arc<dyn Storage> = Arc::new(reference_storage.clone());
-        let endpoint = Endpoint::Unix(sock(&mut case_id));
-        let sc = server_cfg(cfg, endpoint.clone(), false);
-        let handle = std::thread::spawn(move || serve_net(&sc, server_storage));
-        let ft = FaultTransport::new();
-        let mut client = Client::with_transport(client_cfg(endpoint), ft.clone());
-        let probe = drive_stream(&mut client, cfg.requests, cfg.size, cfg.tol, &mut |_| Ok(()));
-        report.violations.extend(probe.violations.iter().map(|v| format!("reference run {v}")));
-        let _ = client.shutdown();
-        let _ = handle.join();
-        (durable_lines(&reference_storage), ft.op_log())
-    };
-    let (reference, op_log) = reference;
+    let probe = run_case(cfg, sock(&mut case_id), &[], false, &[]);
+    report.matrix.violations.extend(probe.violations.iter().map(|v| format!("reference run {v}")));
+    let (reference, op_log) = (probe.trail, probe.ops);
     if reference.len() as u64 != cfg.requests {
-        report.violations.push(format!(
+        report.matrix.violations.push(format!(
             "reference trail has {} lines for {} requests",
             reference.len(),
             cfg.requests
@@ -288,7 +263,7 @@ pub fn run_net_matrix(cfg: &NetTortureConfig) -> NetTortureReport {
         return report;
     }
     println!(
-        "probe: {} frame ops over {} requests, reference trail {} lines",
+        "nettorture: probe: {} frame ops over {} requests, reference trail {} lines",
         op_log.len(),
         cfg.requests,
         reference.len()
@@ -337,52 +312,39 @@ pub fn run_net_matrix(cfg: &NetTortureConfig) -> NetTortureReport {
 
     // --- Run the matrix ----------------------------------------------
     for (name, schedule) in cases {
-        let out = run_case(cfg, sock(&mut case_id), &schedule, false, &reference);
-        for (class, n) in &out.fired {
-            *report.fired.entry(class.clone()).or_insert(0) += n;
-        }
+        let mut out = run_case(cfg, sock(&mut case_id), &schedule, false, &reference);
         report.duplicate_acks += out.stats.duplicate_acks + out.server.counters.duplicate_acks;
         report.resubmissions += out.stats.resubmissions;
         if schedule.iter().any(|(_, f)| matches!(f, NetFault::Stall { .. }))
             && out.server.counters.wire_errors.get("deadline").copied().unwrap_or(0) == 0
         {
-            report.cases.push(CaseRow {
-                name,
-                ok: false,
-                detail: "stall never tripped the server's read deadline".into(),
-            });
-            continue;
+            out.violations = vec!["stall never tripped the server's read deadline".into()];
         }
-        let ok = out.violations.is_empty();
-        let detail = out.violations.join("; ");
-        report.cases.push(CaseRow { name, ok, detail });
+        let violations = match out.violations.as_slice() {
+            [] => Vec::new(),
+            broke => vec![format!("case {name}: {}", broke.join("; "))],
+        };
+        report.matrix.case(out.fired, violations);
     }
 
     // --- Phase G: the self-check -------------------------------------
     // A server that acks before anything is durable must be caught by
     // the instant invariant; otherwise the matrix is decorative.
     let g = run_case(cfg, sock(&mut case_id), &[], true, &[]);
-    report.self_check_ok = g.violations.iter().any(|v| v.contains("ACKED BUT NOT DURABLE"));
-    if !report.self_check_ok {
-        report
-            .violations
-            .push("self-check: broken ack order was NOT detected by the instant invariant".into());
+    if g.violations.iter().any(|v| v.contains("ACKED BUT NOT DURABLE")) {
+        report.matrix.self_check_detected();
     }
 
     // --- Aggregates ---------------------------------------------------
-    for class in NetFault::all_labels() {
-        if report.fired.get(class).copied().unwrap_or(0) == 0 {
-            report.violations.push(format!("fault class `{class}` never fired"));
-        }
-    }
     if report.duplicate_acks == 0 {
-        report.violations.push(
+        report.matrix.violations.push(
             "no resubmission was ever answered with duplicate=true — dedup never proven".into(),
         );
     }
     if report.resubmissions == 0 {
-        report.violations.push("no case forced an idempotent resubmission".into());
+        report.matrix.violations.push("no case forced an idempotent resubmission".into());
     }
+    report.matrix.seal();
     let _ = std::fs::remove_dir_all(&dir);
     report
 }
@@ -391,33 +353,15 @@ pub fn run_net_matrix(cfg: &NetTortureConfig) -> NetTortureReport {
 /// process exit code.
 pub fn run_nettorture_cli(cfg: &NetTortureConfig) -> i32 {
     println!(
-        "wire-fault torture: {} requests/case, size {}, server deadline {} ms",
+        "nettorture: {} requests/case, size {}, server deadline {} ms",
         cfg.requests, cfg.size, cfg.conn_deadline_ms
     );
     let report = run_net_matrix(cfg);
-    let failed: Vec<&CaseRow> = report.cases.iter().filter(|c| !c.ok).collect();
     println!(
-        "cases: {} total, {} failed | fired: {}",
-        report.cases.len(),
-        failed.len(),
-        report.fired.iter().map(|(k, v)| format!("{k}×{v}")).collect::<Vec<_>>().join(" "),
+        "nettorture: dedup: {} duplicate acks over {} resubmissions",
+        report.duplicate_acks, report.resubmissions,
     );
-    println!(
-        "dedup: {} duplicate acks over {} resubmissions | self-check: {}",
-        report.duplicate_acks,
-        report.resubmissions,
-        if report.self_check_ok { "broken ack order detected" } else { "FAILED" },
-    );
-    for c in &failed {
-        eprintln!("case {} FAILED: {}", c.name, c.detail);
-    }
-    for v in &report.violations {
-        eprintln!("nettorture violation: {v}");
-    }
-    if report.passed() {
-        println!("nettorture: every acked request durable at every crash point, exactly-once held");
-        0
-    } else {
-        1
-    }
+    report
+        .matrix
+        .print_verdict("every acked request durable at every crash point, exactly-once held")
 }

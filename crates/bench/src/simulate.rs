@@ -131,8 +131,6 @@ pub struct SimConfig {
     pub chaos: bool,
     /// Where the snapshot and trail live; `None` disables durability.
     pub snapshot_dir: Option<PathBuf>,
-    /// Where `BENCH_sim_<name>.json` is written; `None` disables it.
-    pub json_dir: Option<PathBuf>,
     /// Sleep after each committed step (widens the soak kill window).
     pub pace_ms: u64,
     /// Print `done step=N` acknowledgements (child mode for the soak
@@ -163,7 +161,6 @@ impl SimConfig {
             tol,
             chaos: false,
             snapshot_dir: None,
-            json_dir: None,
             pace_ms: 0,
             ack: false,
             storage: Arc::new(RealStorage),
@@ -369,23 +366,23 @@ fn sim_policy() -> RetryPolicy {
 
 /// Appends one trail line through the storage choke point: write +
 /// fsync with the bounded ENOSPC retry, and a parent-directory fsync
-/// when the append creates the file.
-fn trail_append(storage: &dyn Storage, path: &Path, line: &str) -> Result<(), String> {
-    let mut bytes = Vec::with_capacity(line.len() + 1);
-    bytes.extend_from_slice(line.as_bytes());
-    bytes.push(b'\n');
-    append_durable(storage, path, &bytes).map_err(|e| format!("trail append: {e}"))
-}
-
-/// **Testing only** ([`SimConfig::break_write_order`]): append with no
-/// fsync, violating the trail-before-ack durability order on purpose so
-/// the torture matrix can prove it notices.
-fn trail_append_unsynced(storage: &dyn Storage, path: &Path, line: &str) -> Result<(), String> {
-    let mut bytes = Vec::with_capacity(line.len() + 1);
-    bytes.extend_from_slice(line.as_bytes());
-    bytes.push(b'\n');
-    let mut f = storage.append(path).map_err(|e| format!("trail append: {e}"))?;
-    f.write_all(&bytes).map_err(|e| format!("trail append: {e}"))
+/// when the append creates the file. `synced = false` is **testing
+/// only** ([`SimConfig::break_write_order`]): append with no fsync,
+/// violating the trail-before-ack durability order on purpose so the
+/// torture matrix can prove it notices.
+fn trail_append(
+    storage: &dyn Storage,
+    path: &Path,
+    line: &str,
+    synced: bool,
+) -> Result<(), String> {
+    let bytes = format!("{line}\n").into_bytes();
+    if synced {
+        append_durable(storage, path, &bytes)
+    } else {
+        storage.append(path).and_then(|mut f| f.write_all(&bytes))
+    }
+    .map_err(|e| format!("trail append: {e}"))
 }
 
 /// Scans the trail on resume. A torn (partial) final record is
@@ -809,11 +806,8 @@ impl SimDriver {
             // Unrecovered: record the failed step in the trail, then
             // surface the error (the CLI exits nonzero).
             if let Some(dir) = &self.cfg.snapshot_dir {
-                trail_append(
-                    self.cfg.storage.as_ref(),
-                    &sim_trail_path(dir, self.cfg.kind),
-                    &row.trail_line(),
-                )?;
+                let trail = sim_trail_path(dir, self.cfg.kind);
+                trail_append(self.cfg.storage.as_ref(), &trail, &row.trail_line(), true)?;
             }
             let err = format!("step {} unrecovered after rollback: {}", step, row.outcome);
             self.rows.push(row);
@@ -835,11 +829,8 @@ impl SimDriver {
         // trail lines after a resume are bit-identical by construction.
         if let Some(dir) = &self.cfg.snapshot_dir {
             let trail = sim_trail_path(dir, self.cfg.kind);
-            if self.cfg.break_write_order {
-                trail_append_unsynced(self.cfg.storage.as_ref(), &trail, &row.trail_line())?;
-            } else {
-                trail_append(self.cfg.storage.as_ref(), &trail, &row.trail_line())?;
-            }
+            let synced = !self.cfg.break_write_order;
+            trail_append(self.cfg.storage.as_ref(), &trail, &row.trail_line(), synced)?;
             let snap = SimSnapshot {
                 problem: self.cfg.kind.name().to_string(),
                 size: self.cfg.size,
@@ -954,58 +945,8 @@ pub fn render_sim_table(report: &SimReport) -> String {
     )
 }
 
-/// Serializes the report as `BENCH_sim_<name>.json`.
-pub fn sim_json(report: &SimReport, cfg: &SimConfig) -> String {
-    use crate::benchjson::{esc, num};
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"fp16mg-sim-v1\",\n");
-    s.push_str(&format!("  \"problem\": \"{}\",\n", esc(report.kind.name())));
-    s.push_str(&format!("  \"size\": {},\n", cfg.size));
-    s.push_str(&format!("  \"steps\": {},\n", cfg.steps));
-    s.push_str(&format!("  \"tol\": {},\n", num(cfg.tol)));
-    s.push_str(&format!("  \"chaos\": {},\n", cfg.chaos));
-    s.push_str(&format!("  \"resumed\": {},\n", report.resumed));
-    let c = report.counters;
-    s.push_str(&format!(
-        "  \"decisions\": {{ \"keep\": {}, \"rescale\": {}, \"rebuild\": {}, \"repairs\": {}, \
-         \"rollbacks\": {} }},\n",
-        c.keep, c.rescale, c.rebuild, c.repairs, c.rollbacks
-    ));
-    s.push_str(&format!("  \"reuse_setup_s\": {},\n", num(report.reuse_setup_s)));
-    s.push_str(&format!("  \"fresh_setup_s\": {},\n", num(report.fresh_setup_s)));
-    s.push_str(&format!("  \"amortized_setup_win\": {},\n", num(report.setup_win())));
-    s.push_str(&format!("  \"peak_ws_bytes\": {},\n", report.peak_ws_bytes()));
-    s.push_str(&format!("  \"final_resid\": {},\n", num(report.final_resid)));
-    s.push_str("  \"steps_detail\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"step\": {}, \"decision\": \"{}\", \"drift\": {}, \"structural\": {}, \
-             \"repairs\": {}, \"rollback\": {}, \"rungs\": \"{}\", \"outcome\": \"{}\", \
-             \"iters\": {}, \"resid\": {}, \"reuse_setup_s\": {}, \"fresh_setup_s\": {}, \
-             \"ws_bytes\": {} }}{}\n",
-            r.step,
-            esc(r.decision.label()),
-            num(r.drift),
-            r.structural,
-            r.repairs,
-            r.rollback,
-            esc(&r.rungs),
-            esc(&r.outcome),
-            r.iters,
-            num(r.resid),
-            num(r.reuse_setup_s),
-            num(r.fresh_setup_s),
-            r.ws_bytes,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Runs one simulation from the CLI: table to stdout, optional JSON,
-/// chaos coverage enforcement. Returns the process exit code.
+/// Runs one simulation from the CLI: table to stdout, chaos coverage
+/// enforcement. Returns the process exit code.
 pub fn run_sim_cli(cfg: SimConfig) -> i32 {
     let name = cfg.kind.name();
     if let Some(dir) = &cfg.snapshot_dir {
@@ -1033,22 +974,6 @@ pub fn run_sim_cli(cfg: SimConfig) -> i32 {
     };
     println!("\n=== simulate {} ({} steps, size {}) ===", name, cfg.steps, cfg.size);
     print!("{}", render_sim_table(&report));
-    // A failed JSON emission after a successful run is a warning, not
-    // an error: the run's results are already on stdout and in the
-    // durable trail, and discarding them over a full disk would turn a
-    // reporting hiccup into a spurious failure.
-    if let Some(dir) = &cfg.json_dir {
-        let path = dir.join(format!("BENCH_sim_{}.json", sanitize_name(name)));
-        match fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))
-            .and_then(|()| {
-                fs::write(&path, sim_json(&report, &cfg))
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))
-            }) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("sim[{name}]: warning: {e} (run results above are complete)"),
-        }
-    }
     if cfg.chaos {
         let violations = report.coverage_violations();
         if violations.is_empty() {
@@ -1113,46 +1038,55 @@ fn read_lines(path: &Path) -> Result<Vec<String>, String> {
 /// Kill/resume soak: a reference run, a run SIGKILLed mid-flight, and a
 /// restarted run must together produce a trail that is bit-identical to
 /// the reference — same reuse decisions, same rung trails, same final
-/// residual bits. Returns the process exit code.
+/// residual bits. Returns the process exit code (2 when the soak could
+/// not run at all).
 pub fn run_sim_soak(soak: &SimSoakConfig) -> i32 {
+    match sim_soak(soak) {
+        Err(e) => {
+            eprintln!("sim soak: {e}");
+            2
+        }
+        Ok(violations) if violations.is_empty() => {
+            println!(
+                "sim soak: PASS — killed after {} steps, resumed, {}-step trail bit-identical \
+                 to the reference",
+                soak.kill_after, soak.steps
+            );
+            0
+        }
+        Ok(violations) => {
+            for v in &violations {
+                eprintln!("sim soak: VIOLATION: {v}");
+            }
+            1
+        }
+    }
+}
+
+/// The four phases; `Ok` carries the contract violations found.
+fn sim_soak(soak: &SimSoakConfig) -> Result<Vec<String>, String> {
     let mut violations: Vec<String> = Vec::new();
     let ref_dir = soak.out.join("ref");
     let crash_dir = soak.out.join("crash");
     for d in [&ref_dir, &crash_dir] {
-        if let Err(e) = fs::remove_dir_all(d) {
-            if e.kind() != std::io::ErrorKind::NotFound {
-                eprintln!("sim soak: cannot clear {}: {e}", d.display());
-                return 2;
+        match fs::remove_dir_all(d) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return Err(format!("cannot clear {}: {e}", d.display()));
             }
+            _ => {}
         }
-        if let Err(e) = fs::create_dir_all(d) {
-            eprintln!("sim soak: cannot create {}: {e}", d.display());
-            return 2;
-        }
+        fs::create_dir_all(d).map_err(|e| format!("cannot create {}: {e}", d.display()))?;
     }
 
     // Phase 1: uninterrupted reference run.
     println!("sim soak: phase 1 — reference run ({} steps)", soak.steps);
-    let out = match child_command(soak, &ref_dir, 0)
-        .and_then(|mut c| c.output().map_err(|e| format!("spawn reference child: {e}")))
-    {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("sim soak: {e}");
-            return 2;
-        }
-    };
+    let out = child_command(soak, &ref_dir, 0)?
+        .output()
+        .map_err(|e| format!("spawn reference child: {e}"))?;
     if !out.status.success() {
-        eprintln!("sim soak: reference run failed: {}", String::from_utf8_lossy(&out.stderr));
-        return 2;
+        return Err(format!("reference run failed: {}", String::from_utf8_lossy(&out.stderr)));
     }
-    let ref_trail = match read_lines(&sim_trail_path(&ref_dir, soak.kind)) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("sim soak: {e}");
-            return 2;
-        }
-    };
+    let ref_trail = read_lines(&sim_trail_path(&ref_dir, soak.kind))?;
     for (i, line) in ref_trail.iter().enumerate() {
         if !line.contains("outcome=ok") {
             violations.push(format!("reference step {i} did not converge: {line}"));
@@ -1166,34 +1100,25 @@ pub fn run_sim_soak(soak: &SimSoakConfig) -> i32 {
 
     // Phase 2: crash run, SIGKILLed after `kill_after` committed steps.
     println!("sim soak: phase 2 — crash run (SIGKILL after {} steps)", soak.kill_after);
+    let mut child = child_command(soak, &crash_dir, 15)?
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .map_err(|e| format!("spawn crash child: {e}"))?;
     let mut acks = 0usize;
-    match child_command(soak, &crash_dir, 15)
-        .map(|mut c| {
-            c.stdout(Stdio::piped()).stderr(Stdio::null());
-            c
-        })
-        .and_then(|mut c| c.spawn().map_err(|e| format!("spawn crash child: {e}")))
-    {
-        Ok(mut child) => {
-            if let Some(stdout) = child.stdout.take() {
-                for line in BufReader::new(stdout).lines() {
-                    let Ok(line) = line else { break };
-                    if line.starts_with("done step=") {
-                        acks += 1;
-                        if acks >= soak.kill_after {
-                            break;
-                        }
-                    }
+    if let Some(stdout) = child.stdout.take() {
+        for line in BufReader::new(stdout).lines() {
+            let Ok(line) = line else { break };
+            if line.starts_with("done step=") {
+                acks += 1;
+                if acks >= soak.kill_after {
+                    break;
                 }
             }
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        Err(e) => {
-            eprintln!("sim soak: {e}");
-            return 2;
         }
     }
+    let _ = child.kill();
+    let _ = child.wait();
     if acks < soak.kill_after {
         violations.push(format!(
             "crash child exited after {acks} committed steps, before the kill point \
@@ -1204,20 +1129,13 @@ pub fn run_sim_soak(soak: &SimSoakConfig) -> i32 {
 
     // Phase 3: restart in the same directory; must resume, not restart.
     println!("sim soak: phase 3 — restart and run to completion");
-    let out = match child_command(soak, &crash_dir, 0)
-        .and_then(|mut c| c.output().map_err(|e| format!("spawn restart child: {e}")))
-    {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("sim soak: {e}");
-            return 2;
-        }
-    };
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let out = child_command(soak, &crash_dir, 0)?
+        .output()
+        .map_err(|e| format!("spawn restart child: {e}"))?;
     if !out.status.success() {
         violations.push(format!("restart run failed: {}", String::from_utf8_lossy(&out.stderr)));
     }
-    if !stdout.contains("sim: resumed step=") {
+    if !String::from_utf8_lossy(&out.stdout).contains("sim: resumed step=") {
         violations.push("restart did not report a snapshot resume".to_string());
     }
 
@@ -1231,18 +1149,5 @@ pub fn run_sim_soak(soak: &SimSoakConfig) -> i32 {
             verify_replay(&ref_trail, &crash_trail, "step", soak.steps, true, true).violations,
         ),
     }
-
-    if violations.is_empty() {
-        println!(
-            "sim soak: PASS — killed after {} steps, resumed, {}-step trail bit-identical \
-             to the reference",
-            soak.kill_after, soak.steps
-        );
-        0
-    } else {
-        for v in &violations {
-            eprintln!("sim soak: VIOLATION: {v}");
-        }
-        1
-    }
+    Ok(violations)
 }

@@ -48,6 +48,8 @@ use fp16mg_problems::ProblemKind;
 use fp16mg_runtime::trail::{complete_lines, key_of};
 use fp16mg_runtime::{Fault, FaultStorage, OpKind, SimSnapshot, SnapshotStore};
 
+use crate::loadgen::verify_replay;
+use crate::matrix::MatrixReport;
 use crate::simulate::{sim_snapshot_path, sim_trail_path, SimConfig, SimDriver};
 
 /// Virtual durability directory inside the in-memory fault backend.
@@ -87,46 +89,25 @@ pub struct TortureConfig {
     pub tol: f64,
 }
 
-impl TortureConfig {
+impl Default for TortureConfig {
     /// The default matrix: a short oil-reservoir trajectory, small
     /// enough that the full sweep stays fast, long enough that every
     /// step boundary (first create, steady appends, A/B slot flips)
     /// appears in the operation sequence.
-    pub fn new() -> Self {
+    fn default() -> Self {
         TortureConfig { kind: ProblemKind::Oil, steps: 4, size: 6, tol: 1e-7 }
     }
 }
 
-impl Default for TortureConfig {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Everything the matrix observed, for the CLI and for tests.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct TortureReport {
-    /// Fault cases executed.
-    pub cases: usize,
+    /// The shared verdict: cases, violations, fired classes, and
+    /// whether phase G's deliberately broken write order was detected
+    /// as an acked-step loss (it must be).
+    pub matrix: MatrixReport,
     /// Process restarts summed over all cases.
     pub restarts: u64,
-    /// Invariant violations (empty on a passing run).
-    pub violations: Vec<String>,
-    /// Aggregate fault-class fire counts over all cases.
-    pub fired: BTreeMap<String, u64>,
-    /// Whether phase G's deliberately broken write order was detected
-    /// as an acked-step loss (it must be).
-    pub breakage_detected: bool,
-}
-
-impl TortureReport {
-    /// True when every invariant held, the self-check detected the
-    /// broken write order, and every required fault class fired.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-            && self.breakage_detected
-            && REQUIRED_FIRED.iter().all(|k| self.fired.get(*k).copied().unwrap_or(0) > 0)
-    }
 }
 
 /// One fault case: a schedule plus how to judge the outcome.
@@ -177,29 +158,24 @@ fn sim_cfg(c: &TortureConfig, fault: &FaultStorage, break_order: bool) -> SimCon
     cfg
 }
 
-/// Steps whose durable trail line is bit-identical to the reference.
-fn durable_steps(bytes: &[u8], ref_line: &BTreeMap<u64, String>) -> BTreeSet<u64> {
-    complete_lines(bytes)
-        .into_iter()
-        .filter_map(|line| {
-            let s = key_of(&line, "step")?;
-            (ref_line.get(&s) == Some(&line)).then_some(s)
-        })
-        .collect()
-}
-
 /// Instant invariant: immediately after a power loss, the durable trail
-/// must hold a bit-identical line for every acknowledged step.
+/// must hold a line bit-identical to the reference for every
+/// acknowledged step.
 fn check_instant(
     fault: &FaultStorage,
     trail: &Path,
     acked: &[u64],
-    ref_line: &BTreeMap<u64, String>,
+    reference: &[String],
     label: &str,
     losses: &mut Vec<String>,
 ) {
-    let bytes = fault.peek(trail).unwrap_or_default();
-    let present = durable_steps(&bytes, ref_line);
+    let present: BTreeSet<u64> = complete_lines(&fault.peek(trail).unwrap_or_default())
+        .into_iter()
+        .filter_map(|line| {
+            let s = key_of(&line, "step")?;
+            (reference.get(s as usize) == Some(&line)).then_some(s)
+        })
+        .collect();
     for &s in acked {
         if !present.contains(&s) {
             losses.push(format!("{label}: acked step {s} has no durable trail line at power loss"));
@@ -208,42 +184,27 @@ fn check_instant(
 }
 
 /// End-state invariant: after the case drives the run to completion,
-/// the trail must cover every step with bit-identical lines (duplicates
-/// from replays allowed), hold nothing else, end cleanly, and the
-/// newest decodable snapshot generation must be the final step.
+/// the trail must replay the reference ([`verify_replay`]: every step
+/// covered by bit-identical lines, duplicates from replays allowed,
+/// nothing else), end cleanly, and the newest decodable snapshot
+/// generation must be the final step.
 fn check_end_state(
     cfg: &TortureConfig,
     fault: &FaultStorage,
-    ref_line: &BTreeMap<u64, String>,
+    reference: &[String],
     label: &str,
     violations: &mut Vec<String>,
 ) {
     let dir = Path::new(TORTURE_DIR);
-    let trail = sim_trail_path(dir, cfg.kind);
-    let Some(bytes) = fault.peek(&trail) else {
+    let Some(bytes) = fault.peek(&sim_trail_path(dir, cfg.kind)) else {
         violations.push(format!("{label}: no trail file after completion"));
         return;
     };
     if bytes.last() != Some(&b'\n') {
         violations.push(format!("{label}: trail ends in a torn record after completion"));
     }
-    let mut seen = BTreeSet::new();
-    for line in complete_lines(&bytes) {
-        match key_of(&line, "step") {
-            Some(s) if ref_line.get(&s) == Some(&line) => {
-                seen.insert(s);
-            }
-            Some(s) => violations.push(format!(
-                "{label}: trail line for step {s} is not bit-identical to the reference"
-            )),
-            None => violations.push(format!("{label}: alien trail line after completion: {line}")),
-        }
-    }
-    for s in 0..cfg.steps {
-        if !seen.contains(&s) {
-            violations.push(format!("{label}: step {s} has no trail line after completion"));
-        }
-    }
+    let replay = verify_replay(reference, &complete_lines(&bytes), "step", cfg.steps, true, true);
+    violations.extend(replay.violations.iter().map(|v| format!("{label}: {v}")));
     let store = SnapshotStore::new(sim_snapshot_path(dir, cfg.kind));
     let newest = [store.slot_for(0), store.slot_for(1)]
         .iter()
@@ -262,7 +223,7 @@ fn check_end_state(
 
 /// Runs one fault case to completion (or to the restart budget),
 /// restarting across simulated power losses, and judges the invariants.
-fn run_case(cfg: &TortureConfig, ref_line: &BTreeMap<u64, String>, spec: &CaseSpec) -> CaseOutcome {
+fn run_case(cfg: &TortureConfig, reference: &[String], spec: &CaseSpec) -> CaseOutcome {
     let fault = FaultStorage::new();
     for &(index, f) in &spec.schedule {
         fault.schedule(index, f);
@@ -281,34 +242,25 @@ fn run_case(cfg: &TortureConfig, ref_line: &BTreeMap<u64, String>, spec: &CaseSp
             ));
             break;
         }
-        let mut interrupted_by = None;
         match SimDriver::new(sim_cfg(cfg, &fault, spec.break_order)) {
             Ok(mut driver) => {
                 out.events.extend(driver.recovery_events().iter().cloned());
-                while !driver.done() {
-                    match driver.step_once() {
-                        Ok(row) => acked.push(row.step),
-                        Err(e) => {
-                            interrupted_by = Some(e);
-                            break;
-                        }
-                    }
+                let mut stepped = Ok(());
+                while stepped.is_ok() && !driver.done() {
+                    stepped = driver.step_once().map(|row| acked.push(row.step));
                 }
-                if interrupted_by.is_none() {
+                if stepped.is_ok() {
                     out.completed = true;
                     break;
                 }
             }
-            Err(e) => {
-                if !fault.crashed() {
-                    out.violations
-                        .push(format!("{}: recovery failed without a crash: {e}", spec.label));
-                    break;
-                }
-                interrupted_by = Some(e);
+            Err(e) if !fault.crashed() => {
+                out.violations
+                    .push(format!("{}: recovery failed without a crash: {e}", spec.label));
+                break;
             }
+            Err(_) => {}
         }
-        drop(interrupted_by);
         out.restarts += 1;
         if fault.crashed() {
             fault.power_loss();
@@ -317,7 +269,7 @@ fn run_case(cfg: &TortureConfig, ref_line: &BTreeMap<u64, String>, spec: &CaseSp
                     &fault,
                     &trail,
                     &acked,
-                    ref_line,
+                    reference,
                     &spec.label,
                     &mut out.instant_losses,
                 );
@@ -332,45 +284,41 @@ fn run_case(cfg: &TortureConfig, ref_line: &BTreeMap<u64, String>, spec: &CaseSp
         }
     }
     if out.completed {
-        check_end_state(cfg, &fault, ref_line, &spec.label, &mut out.violations);
+        check_end_state(cfg, &fault, reference, &spec.label, &mut out.violations);
     }
     out.fired = fault.fired();
     out
 }
 
-/// The clean-run reference: trail lines by step and the full operation
-/// log whose indices the fault schedules target.
-fn probe(cfg: &TortureConfig) -> Result<(BTreeMap<u64, String>, Vec<OpKind>), String> {
+/// The clean-run reference: the trail (one line per step, in order) and
+/// the full operation log whose indices the fault schedules target.
+fn probe(cfg: &TortureConfig) -> Result<(Vec<String>, Vec<OpKind>), String> {
     let fault = FaultStorage::new();
     let mut driver = SimDriver::new(sim_cfg(cfg, &fault, false))?;
     while !driver.done() {
         driver.step_once()?;
     }
     let trail = sim_trail_path(Path::new(TORTURE_DIR), cfg.kind);
-    let bytes = fault.peek(&trail).ok_or("probe run produced no trail")?;
-    let mut ref_line = BTreeMap::new();
-    for line in complete_lines(&bytes) {
-        let s = key_of(&line, "step").ok_or_else(|| format!("unparseable probe line: {line}"))?;
-        if ref_line.insert(s, line).is_some() {
-            return Err(format!("probe run wrote step {s} twice"));
-        }
-    }
-    for s in 0..cfg.steps {
-        if !ref_line.contains_key(&s) {
-            return Err(format!("probe run never recorded step {s}"));
-        }
+    let reference = complete_lines(&fault.peek(&trail).ok_or("probe run produced no trail")?);
+    if let Some(v) =
+        verify_replay(&reference, &reference, "step", cfg.steps, false, true).violations.first()
+    {
+        return Err(format!("probe trail: {v}"));
     }
     let ops = fault.op_log().into_iter().map(|o| o.kind).collect();
-    Ok((ref_line, ops))
+    Ok((reference, ops))
 }
 
 /// Executes the full matrix and aggregates the verdict.
 pub fn run_matrix(cfg: &TortureConfig) -> TortureReport {
-    let mut report = TortureReport::default();
-    let (ref_line, ops) = match probe(cfg) {
+    let mut report = TortureReport {
+        matrix: MatrixReport::new("torture", REQUIRED_FIRED, Some("broken write order")),
+        restarts: 0,
+    };
+    let (reference, ops) = match probe(cfg) {
         Ok(p) => p,
         Err(e) => {
-            report.violations.push(format!("probe: clean run failed: {e}"));
+            report.matrix.violations.push(format!("probe: clean run failed: {e}"));
             return report;
         }
     };
@@ -437,19 +385,17 @@ pub fn run_matrix(cfg: &TortureConfig) -> TortureReport {
 
     let mut quarantine_seen = false;
     for (idx, spec) in specs.iter().enumerate() {
-        let out = run_case(cfg, &ref_line, spec);
-        report.cases += 1;
+        let mut out = run_case(cfg, &reference, spec);
         report.restarts += out.restarts;
-        report.violations.extend(out.violations);
         if spec.break_order {
             if !out.instant_losses.is_empty() {
-                report.breakage_detected = true;
+                report.matrix.self_check_detected();
             }
         } else {
-            report.violations.extend(out.instant_losses);
+            out.violations.append(&mut out.instant_losses);
         }
         if spec.label.starts_with("E:") && out.restarts > 0 {
-            report.violations.push(format!(
+            out.violations.push(format!(
                 "{}: ENOSPC burst forced {} restart(s); the bounded retry should absorb it",
                 spec.label, out.restarts
             ));
@@ -459,29 +405,16 @@ pub fn run_matrix(cfg: &TortureConfig) -> TortureReport {
         {
             quarantine_seen = true;
         }
-        for (k, n) in out.fired {
-            *report.fired.entry(k).or_insert(0) += n;
-        }
+        report.matrix.case(out.fired, out.violations);
     }
     if phase_f_from < phase_g_from && !quarantine_seen {
-        report.violations.push(
+        report.matrix.violations.push(
             "phase F never quarantined a corrupt snapshot slot; the fall-back path went \
              unexercised"
                 .to_string(),
         );
     }
-    if !report.breakage_detected {
-        report.violations.push(
-            "phase G: the broken write order was never detected as an acked-step loss — the \
-             matrix cannot be trusted"
-                .to_string(),
-        );
-    }
-    for &k in REQUIRED_FIRED {
-        if report.fired.get(k).copied().unwrap_or(0) == 0 {
-            report.violations.push(format!("fault class '{k}' never fired"));
-        }
-    }
+    report.matrix.seal();
     report
 }
 
@@ -496,22 +429,6 @@ pub fn run_torture_cli(cfg: &TortureConfig) -> i32 {
         cfg.tol
     );
     let report = run_matrix(cfg);
-    println!("torture: {} cases, {} simulated restarts", report.cases, report.restarts);
-    for (k, n) in &report.fired {
-        println!("torture: fired {k} x{n}");
-    }
-    println!(
-        "torture: broken-write-order self-check: {}",
-        if report.breakage_detected { "detected" } else { "NOT DETECTED" }
-    );
-    if report.passed() {
-        println!("torture: PASS — every crash point recovered and every fault class fired");
-        0
-    } else {
-        for v in &report.violations {
-            eprintln!("torture: VIOLATION: {v}");
-        }
-        eprintln!("torture: FAIL ({} violation(s))", report.violations.len());
-        1
-    }
+    println!("torture: {} simulated restarts", report.restarts);
+    report.matrix.print_verdict("every crash point recovered and every fault class fired")
 }

@@ -7,32 +7,31 @@
 //! zero after every case. Everything runs in-process against the real
 //! pool; no real byte budget is consumed beyond the small test grids.
 
+use std::collections::BTreeMap;
+
 use fp16mg_bench::memtorture::{run_matrix, MemTortureConfig};
 
 #[test]
 fn allocation_fault_matrix_holds_every_memory_invariant() {
-    let cfg = MemTortureConfig::new();
-    let report = run_matrix(&cfg);
-    assert_eq!(report.violations, Vec::<String>::new());
-    assert!(report.passed(), "fired: {:?}, classes: {:?}", report.fired, report.classes);
-    assert!(
-        report.cases as u64 > report.probe_ops,
-        "every charged op index plus the burst sweep must get a case: \
-         {} cases over {} ops",
-        report.cases,
-        report.probe_ops
-    );
+    // The test's configuration is the CLI default: 16 charged ops get one
+    // case each, plus three bursts and the two budget cases — the 21
+    // cases `repro memtorture` prints.
+    let report = run_matrix(&MemTortureConfig::default());
+    assert_eq!(report.matrix.violations, Vec::<String>::new());
+    assert!(report.matrix.passed(), "fired: {:?}", report.matrix.fired);
+    assert_eq!((report.matrix.cases, report.probe_ops), (21, 16));
     assert!(report.probe_peak > 0, "the clean probe must track a working set");
-    for class in ["alloc-fail", "alloc-burst", "budget-exceeded"] {
-        assert!(
-            report.fired.get(class).copied().unwrap_or(0) > 0,
-            "fault class {class} never fired: {:?}",
-            report.fired
-        );
-    }
-    for class in ["setup", "workspace", "cache-insert", "rescale"] {
-        assert!(report.classes.contains(class), "charge class {class} not covered");
-    }
+    let fired: BTreeMap<String, u64> =
+        [("alloc-burst", 9), ("alloc-fail", 16), ("budget-exceeded", 1)]
+            .into_iter()
+            .map(|(k, n)| (k.to_string(), n))
+            .collect();
+    assert_eq!(report.matrix.fired, fired);
+    assert_eq!(
+        report.classes.iter().copied().collect::<Vec<_>>(),
+        ["cache-insert", "rescale", "setup", "workspace"],
+        "every charge site must appear in the clean run"
+    );
     assert!(report.mem_evictions > 0, "the tight-budget phase must force eviction");
     assert!(report.uncached > 0, "a refused cache-insert must degrade to an uncached serve");
 }

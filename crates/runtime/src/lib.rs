@@ -43,6 +43,7 @@ pub mod admission;
 pub mod breaker;
 pub mod budget;
 pub mod cache;
+pub mod fault;
 pub mod jitter;
 pub mod ladder;
 pub mod mem;
@@ -65,6 +66,7 @@ pub use budget::{Budget, BudgetGuard, CancelToken};
 pub use cache::{
     CacheConfig, CacheEntryMeta, CacheEvent, CacheEventKind, CacheStats, HierarchyCache,
 };
+pub use fault::FaultSchedule;
 pub use ladder::{
     run_session, run_session_with, Attempt, AuditSnapshot, RetryPolicy, RetryReport, Rung,
     SessionOutcome, SolveRequest, SolverChoice,

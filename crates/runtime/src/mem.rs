@@ -10,16 +10,21 @@
 //! path never aborts on memory exhaustion; running out of budget is a
 //! degrade rung like any other.
 //!
-//! The governor doubles as a deterministic allocation-fault injector,
-//! mirroring `FaultStorage`: every charge has a monotonically increasing
-//! op index, a schedule maps indices to [`AllocFault`]s, and fired
-//! faults are counted per class so a torture harness can assert that
-//! every scheduled failure class actually fired. `repro memtorture`
+//! The governor doubles as a deterministic allocation-fault injector on
+//! the crate's one [`FaultSchedule`]: every charge has a monotonically
+//! increasing op index, a schedule maps indices to [`AllocFault`]s, and
+//! fired faults are counted per class so a torture harness can assert
+//! that every scheduled failure class actually fired. `repro memtorture`
 //! probes a clean run's charge log, then replays it failing each index
-//! in turn.
+//! in turn. The charge log exists only for a governor a harness has
+//! asked to [`record_ops`](MemGovernor::record_ops): the daemon's
+//! governor lives as long as the process and keeps counters, not
+//! history.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+
+use crate::fault::FaultSchedule;
 
 /// Typed memory failure. `BudgetExceeded` is the organic form (the
 /// session's byte budget has no room); `Injected` is the torture
@@ -29,7 +34,7 @@ pub enum MemError {
     /// The charge would push tracked usage past the budget.
     BudgetExceeded {
         /// Charge class (e.g. `"setup"`, `"workspace"`, `"cache-insert"`).
-        class: String,
+        class: &'static str,
         /// Bytes the charge requested.
         requested: u64,
         /// Bytes already tracked.
@@ -40,7 +45,7 @@ pub enum MemError {
     /// An [`AllocFault`] scheduled at this charge's op index fired.
     Injected {
         /// Charge class.
-        class: String,
+        class: &'static str,
         /// The op index the fault was scheduled at.
         index: u64,
     },
@@ -79,12 +84,12 @@ pub enum AllocFault {
 }
 
 /// One charge attempt, for the torture probe's replay log.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct ChargeRecord {
     /// Op index (0-based, monotonically increasing per charge attempt).
     pub index: u64,
-    /// Charge class.
-    pub class: String,
+    /// Charge class (one of the literals at the charge sites).
+    pub class: &'static str,
     /// Bytes requested.
     pub bytes: u64,
 }
@@ -93,19 +98,9 @@ struct Inner {
     budget: Option<u64>,
     used: u64,
     peak: u64,
-    /// Charge attempts so far (the op-index counter).
-    ops: u64,
-    log: Vec<ChargeRecord>,
-    schedule: BTreeMap<u64, AllocFault>,
+    faults: FaultSchedule<AllocFault, ChargeRecord>,
     /// Remaining charges to fail from an active burst.
     burst_left: u32,
-    fired: BTreeMap<String, u64>,
-}
-
-impl Inner {
-    fn bump_fired(&mut self, key: &str) {
-        *self.fired.entry(key.to_string()).or_insert(0) += 1;
-    }
 }
 
 /// Cloneable handle to a session's memory accounting (shared
@@ -122,7 +117,7 @@ impl core::fmt::Debug for MemGovernor {
             .field("budget", &g.budget)
             .field("used", &g.used)
             .field("peak", &g.peak)
-            .field("ops", &g.ops)
+            .field("ops", &g.faults.op_count())
             .finish()
     }
 }
@@ -151,11 +146,8 @@ impl MemGovernor {
                 budget,
                 used: 0,
                 peak: 0,
-                ops: 0,
-                log: Vec::new(),
-                schedule: BTreeMap::new(),
+                faults: FaultSchedule::default(),
                 burst_left: 0,
-                fired: BTreeMap::new(),
             })),
         }
     }
@@ -164,41 +156,35 @@ impl MemGovernor {
     /// [`MemCharge`] owns the bytes and credits them back when dropped;
     /// on failure nothing is charged and the error is typed.
     ///
-    /// Every call — success or failure — consumes one op index and is
-    /// recorded in the charge log, so a fault schedule derived from a
-    /// clean run's log replays deterministically.
-    pub fn try_charge(&self, class: &str, bytes: u64) -> Result<MemCharge, MemError> {
+    /// Every call — success or failure — consumes one op index (and is
+    /// recorded in the charge log of a governor that keeps one), so a
+    /// fault schedule derived from a clean run's log replays
+    /// deterministically.
+    pub fn try_charge(&self, class: &'static str, bytes: u64) -> Result<MemCharge, MemError> {
         let mut g = self.inner.lock().expect("mem governor lock");
-        let index = g.ops;
-        g.ops += 1;
-        g.log.push(ChargeRecord { index, class: class.to_string(), bytes });
-        match g.schedule.get(&index).copied() {
-            Some(AllocFault::Fail) => {
-                g.bump_fired("alloc-fail");
-                return Err(MemError::Injected { class: class.to_string(), index });
-            }
+        let index = g.faults.op_count();
+        let fault = g.faults.tick(|index| ChargeRecord { index, class, bytes });
+        let injected = match fault {
+            Some(AllocFault::Fail) => Some("alloc-fail"),
             Some(AllocFault::Burst { count }) => {
                 g.burst_left = count.saturating_sub(1);
-                g.bump_fired("alloc-burst");
-                return Err(MemError::Injected { class: class.to_string(), index });
+                Some("alloc-burst")
             }
             None if g.burst_left > 0 => {
                 g.burst_left -= 1;
-                g.bump_fired("alloc-burst");
-                return Err(MemError::Injected { class: class.to_string(), index });
+                Some("alloc-burst")
             }
-            None => {}
+            None => None,
+        };
+        if let Some(label) = injected {
+            g.faults.fire(label);
+            return Err(MemError::Injected { class, index });
         }
         if let Some(budget) = g.budget {
             let used = g.used;
             if used.saturating_add(bytes) > budget {
-                g.bump_fired("budget-exceeded");
-                return Err(MemError::BudgetExceeded {
-                    class: class.to_string(),
-                    requested: bytes,
-                    used,
-                    budget,
-                });
+                g.faults.fire("budget-exceeded");
+                return Err(MemError::BudgetExceeded { class, requested: bytes, used, budget });
             }
         }
         g.used += bytes;
@@ -208,7 +194,14 @@ impl MemGovernor {
 
     /// Schedules a fault at charge op index `index`.
     pub fn schedule(&self, index: u64, fault: AllocFault) {
-        self.inner.lock().expect("mem governor lock").schedule.insert(index, fault);
+        self.inner.lock().expect("mem governor lock").faults.schedule(index, fault);
+    }
+
+    /// Starts the charge log — the harness hook beside
+    /// [`schedule`](Self::schedule). Call it before the run whose
+    /// charges [`op_log`](Self::op_log) should list.
+    pub fn record_ops(&self) {
+        self.inner.lock().expect("mem governor lock").faults.record_ops();
     }
 
     /// Bytes currently tracked (sum of live charges).
@@ -238,18 +231,19 @@ impl MemGovernor {
 
     /// Charge attempts so far (the next charge's op index).
     pub fn op_count(&self) -> u64 {
-        self.inner.lock().expect("mem governor lock").ops
+        self.inner.lock().expect("mem governor lock").faults.op_count()
     }
 
-    /// The charge log (every attempt, in order).
+    /// The charge log: every attempt since
+    /// [`record_ops`](Self::record_ops), in order; empty without it.
     pub fn op_log(&self) -> Vec<ChargeRecord> {
-        self.inner.lock().expect("mem governor lock").log.clone()
+        self.inner.lock().expect("mem governor lock").faults.op_log()
     }
 
     /// How many times each fault class fired
     /// (`alloc-fail` / `alloc-burst` / `budget-exceeded`).
     pub fn fired(&self) -> BTreeMap<String, u64> {
-        self.inner.lock().expect("mem governor lock").fired.clone()
+        self.inner.lock().expect("mem governor lock").faults.fired()
     }
 }
 

@@ -17,8 +17,9 @@
 //!    daemon's at-least-once trail: a resubmission of an already-applied
 //!    key is answered from the durable decision record with
 //!    `duplicate = true`, not re-executed.
-//! 3. **Deterministic fault injection.** [`FaultTransport`] mirrors
-//!    `FaultStorage`'s op-index schedule: every frame send/receive ticks
+//! 3. **Deterministic fault injection.** [`FaultTransport`] runs on the
+//!    same op-index schedule as `FaultStorage`
+//!    ([`FaultSchedule`]): every frame send/receive ticks
 //!    a global operation counter, and a fault scheduled at index `i`
 //!    fires exactly there — which is what lets the `nettorture` matrix
 //!    kill the connection at *every* frame boundary of a probe run.
@@ -35,6 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::fault::FaultSchedule;
 use crate::jitter;
 
 /// Hard ceilings of the wire format, checked before any allocation.
@@ -913,16 +915,14 @@ impl NetFault {
     }
 
     /// All six class labels, for the all-classes-fired gate.
-    pub fn all_labels() -> [&'static str; 6] {
-        [
-            "reset-mid-frame",
-            "torn-frame",
-            "stalled-read",
-            "garbage-bytes",
-            "oversized-frame",
-            "duplicate-delivery",
-        ]
-    }
+    pub const LABELS: [&'static str; 6] = [
+        "reset-mid-frame",
+        "torn-frame",
+        "stalled-read",
+        "garbage-bytes",
+        "oversized-frame",
+        "duplicate-delivery",
+    ];
 }
 
 /// What a transport operation was, for the op log.
@@ -945,22 +945,22 @@ pub struct NetOp {
     pub kind: NetOpKind,
 }
 
-#[derive(Default)]
-struct TransportInner {
-    ops: u64,
-    log: Vec<NetOp>,
-    schedule: BTreeMap<u64, NetFault>,
-    fired: BTreeMap<String, u64>,
+/// Deterministic wire-fault injector on the crate's one
+/// [`FaultSchedule`]: a global op index ticks at every logical frame
+/// send/receive, faults fire at scheduled indices exactly once, and every
+/// firing is recorded per class. Cloning shares the underlying state, so
+/// a harness keeps a handle while the client injects.
+#[derive(Clone)]
+pub struct FaultTransport {
+    faults: Arc<Mutex<FaultSchedule<NetFault, NetOp>>>,
 }
 
-/// Deterministic wire-fault injector, mirroring `FaultStorage`'s design:
-/// a global op index ticks at every logical frame send/receive, faults
-/// fire at scheduled indices exactly once, and every firing is recorded
-/// per class. Cloning shares the underlying state, so a harness keeps a
-/// handle while the client injects.
-#[derive(Clone, Default)]
-pub struct FaultTransport {
-    inner: Arc<Mutex<TransportInner>>,
+impl Default for FaultTransport {
+    fn default() -> Self {
+        let mut faults = FaultSchedule::default();
+        faults.record_ops();
+        FaultTransport { faults: Arc::new(Mutex::new(faults)) }
+    }
 }
 
 impl FaultTransport {
@@ -969,42 +969,39 @@ impl FaultTransport {
         Self::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, TransportInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> std::sync::MutexGuard<'_, FaultSchedule<NetFault, NetOp>> {
+        self.faults.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Schedules `fault` to fire at global op index `index`.
     pub fn schedule(&self, index: u64, fault: NetFault) {
-        self.lock().schedule.insert(index, fault);
+        self.lock().schedule(index, fault);
     }
 
     /// Total operations ticked so far.
     pub fn op_count(&self) -> u64 {
-        self.lock().ops
+        self.lock().op_count()
     }
 
     /// The full operation log (probe runs use it to enumerate every
     /// frame boundary a fault can be scheduled at).
     pub fn op_log(&self) -> Vec<NetOp> {
-        self.lock().log.clone()
+        self.lock().op_log()
     }
 
     /// How many times each fault class fired, by label.
     pub fn fired(&self) -> BTreeMap<String, u64> {
-        self.lock().fired.clone()
+        self.lock().fired()
     }
 
     /// Ticks the op counter for one logical frame operation, returning
-    /// the fault scheduled at this index (removed — each fires once) and
-    /// recording the firing per class.
+    /// the fault scheduled at this index and recording the firing per
+    /// class.
     pub fn tick(&self, kind: NetOpKind) -> Option<NetFault> {
         let mut g = self.lock();
-        let index = g.ops;
-        g.ops += 1;
-        g.log.push(NetOp { index, kind });
-        let fault = g.schedule.remove(&index);
+        let fault = g.tick(|index| NetOp { index, kind });
         if let Some(f) = fault {
-            *g.fired.entry(f.label().to_string()).or_insert(0) += 1;
+            g.fire(f.label());
         }
         fault
     }

@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 
 use fp16mg_fp::Fnv1a;
 
-use crate::storage::{Storage, StorageError, ENOSPC_RETRIES};
+use crate::storage::{retry_no_space, Storage, StorageError};
 
 use crate::breaker::{BreakerExport, BreakerState};
 use crate::cache::{CacheEntryMeta, CacheKey, CacheStats};
@@ -187,48 +187,94 @@ fn state_label(s: BreakerState) -> &'static str {
     }
 }
 
-fn parse_state(s: &str, line: usize) -> Result<BreakerState, SnapshotError> {
-    match s {
-        "closed" => Ok(BreakerState::Closed),
-        "open" => Ok(BreakerState::Open),
-        "half-open" => Ok(BreakerState::HalfOpen),
-        other => {
-            Err(SnapshotError::Parse { line, message: format!("unknown breaker state {other:?}") })
-        }
+/// One record line under decode: its 1-based line number and the tokens
+/// not yet consumed. Every getter names the field it wants, so a short
+/// or malformed line fails as `Parse { line, "missing field: x" }` /
+/// `"bad x: .."` whichever snapshot kind it belongs to.
+struct Record<'a> {
+    line: usize,
+    toks: std::str::SplitWhitespace<'a>,
+}
+
+impl<'a> Record<'a> {
+    fn err(&self, message: String) -> SnapshotError {
+        SnapshotError::Parse { line: self.line, message }
+    }
+
+    /// The next whitespace token.
+    fn tok(&mut self, what: &str) -> Result<&'a str, SnapshotError> {
+        self.toks.next().ok_or_else(|| self.err(format!("missing field: {what}")))
+    }
+
+    fn parsed<T>(
+        &mut self,
+        what: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, SnapshotError> {
+        let s = self.tok(what)?;
+        parse(s).ok_or_else(|| self.err(format!("bad {what}: {s:?}")))
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64, SnapshotError> {
+        self.parsed(what, |s| s.parse().ok())
+    }
+
+    fn usize(&mut self, what: &str) -> Result<usize, SnapshotError> {
+        self.parsed(what, |s| s.parse().ok())
+    }
+
+    fn hex(&mut self, what: &str) -> Result<u64, SnapshotError> {
+        self.parsed(what, |s| u64::from_str_radix(s, 16).ok())
+    }
+
+    /// f64 as its IEEE-754 bit pattern — bit-identical round trip.
+    fn f64_bits(&mut self, what: &str) -> Result<f64, SnapshotError> {
+        let s = self.tok(what)?;
+        u64::from_str_radix(s, 16)
+            .map(f64::from_bits)
+            .map_err(|_| self.err(format!("bad {what} bit pattern: {s:?}")))
+    }
+
+    /// A percent-escaped string.
+    fn label(&mut self, what: &str) -> Result<String, SnapshotError> {
+        unesc(self.tok(what)?, self.line)
+    }
+
+    /// Unknown records are an error under v1: the version gate is the
+    /// compatibility mechanism, not silent skipping.
+    fn unknown(&self, tag: &str) -> SnapshotError {
+        self.err(format!("unknown record {tag:?}"))
     }
 }
 
-/// Pulls the next whitespace token off a record line.
-fn tok<'a>(
-    it: &mut impl Iterator<Item = &'a str>,
-    line: usize,
-    what: &str,
-) -> Result<&'a str, SnapshotError> {
-    it.next()
-        .ok_or_else(|| SnapshotError::Parse { line, message: format!("missing field: {what}") })
-}
-
-fn p_u64(s: &str, line: usize, what: &str) -> Result<u64, SnapshotError> {
-    s.parse::<u64>()
-        .map_err(|_| SnapshotError::Parse { line, message: format!("bad {what}: {s:?}") })
-}
-
-fn p_usize(s: &str, line: usize, what: &str) -> Result<usize, SnapshotError> {
-    s.parse::<usize>()
-        .map_err(|_| SnapshotError::Parse { line, message: format!("bad {what}: {s:?}") })
-}
-
-/// f64 as its IEEE-754 bit pattern — bit-identical round trip.
-fn p_f64_bits(s: &str, line: usize, what: &str) -> Result<f64, SnapshotError> {
-    u64::from_str_radix(s, 16).map(f64::from_bits).map_err(|_| SnapshotError::Parse {
-        line,
-        message: format!("bad {what} bit pattern: {s:?}"),
+/// The records of a validated body, header skipped: each line's tag and
+/// a cursor over the rest of it.
+fn records(body: &str) -> impl Iterator<Item = Result<(&str, Record<'_>), SnapshotError>> {
+    body.lines().enumerate().skip(1).map(|(idx, raw)| {
+        let mut rec = Record { line: idx + 1, toks: raw.split_whitespace() };
+        Ok((rec.tok("record tag")?, rec))
     })
 }
 
-fn p_hex_u64(s: &str, line: usize, what: &str) -> Result<u64, SnapshotError> {
-    u64::from_str_radix(s, 16)
-        .map_err(|_| SnapshotError::Parse { line, message: format!("bad {what}: {s:?}") })
+/// The body of a snapshot under encode: header line first, one record
+/// per [`line`](Body::line), checksum trailer appended by
+/// [`finish`](Body::finish).
+struct Body(String);
+
+impl Body {
+    fn new(magic: &str) -> Self {
+        Body(format!("{magic} v{SNAPSHOT_VERSION}\n"))
+    }
+
+    fn line(&mut self, record: fmt::Arguments<'_>) {
+        fmt::Write::write_fmt(&mut self.0, record).expect("writing to a String cannot fail");
+        self.0.push('\n');
+    }
+
+    fn finish(self) -> String {
+        let sum = checksum_of(&self.0);
+        format!("{}checksum {sum:016x}\n", self.0)
+    }
 }
 
 fn checksum_of(body: &str) -> u64 {
@@ -258,7 +304,10 @@ fn frame_body<'a>(text: &'a str, magic: &str) -> Result<&'a str, SnapshotError> 
     };
     let body = &text[..trailer_at];
     let trailer_line = body.lines().count() + 1;
-    let expected = p_hex_u64(sum_hex, trailer_line, "checksum")?;
+    let expected = u64::from_str_radix(sum_hex, 16).map_err(|_| SnapshotError::Parse {
+        line: trailer_line,
+        message: format!("bad checksum: {sum_hex:?}"),
+    })?;
     let actual = checksum_of(body);
     if expected != actual {
         return Err(SnapshotError::ChecksumMismatch { expected, actual });
@@ -277,6 +326,13 @@ fn frame_body<'a>(text: &'a str, magic: &str) -> Result<&'a str, SnapshotError> 
     Ok(body)
 }
 
+/// `path` with `suffix` appended to its file name.
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+    name.push(suffix);
+    path.with_file_name(name)
+}
+
 /// Maps a [`StorageError`] into the snapshot error space, preserving
 /// the failing operation.
 fn storage_io(err: StorageError) -> SnapshotError {
@@ -288,40 +344,30 @@ fn storage_io(err: StorageError) -> SnapshotError {
 /// path, then **fsync the parent directory** so the rename survives
 /// power loss. A transient out-of-space failure anywhere in the
 /// sequence rewinds (removing the temp file) and retries the whole
-/// publication up to [`ENOSPC_RETRIES`] times.
+/// publication ([`retry_no_space`]).
 fn write_atomic_with(storage: &dyn Storage, path: &Path, text: &str) -> Result<(), SnapshotError> {
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
     if let Some(dir) = dir {
         storage.create_dir_all(dir).map_err(storage_io)?;
     }
-    let mut tmp = path.to_path_buf();
-    let mut name = tmp.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-    name.push(".tmp");
-    tmp.set_file_name(name);
-    let mut attempt = 0u32;
-    loop {
-        let result: Result<(), StorageError> = (|| {
+    let tmp = with_suffix(path, ".tmp");
+    retry_no_space(
+        || {
             let mut file = storage.create(&tmp)?;
             file.write_all(text.as_bytes())?;
             file.fsync()?;
             drop(file);
             storage.rename(&tmp, path)?;
-            if let Some(dir) = dir {
-                storage.sync_dir(dir)?;
+            dir.map_or(Ok(()), |dir| storage.sync_dir(dir))
+        },
+        || {
+            if storage.exists(&tmp) {
+                let _ = storage.remove(&tmp);
             }
             Ok(())
-        })();
-        match result {
-            Ok(()) => return Ok(()),
-            Err(err) if err.is_no_space() && attempt < ENOSPC_RETRIES => {
-                attempt += 1;
-                if storage.exists(&tmp) {
-                    let _ = storage.remove(&tmp);
-                }
-            }
-            Err(err) => return Err(storage_io(err)),
-        }
-    }
+        },
+    )
+    .map_err(storage_io)
 }
 
 // ---------------------------------------------------------------------
@@ -330,12 +376,11 @@ impl DaemonSnapshot {
     /// Serializes to the versioned text format, checksum trailer
     /// included.
     pub fn encode(&self) -> String {
-        let mut body = String::new();
-        body.push_str(&format!("{MAGIC} v{SNAPSHOT_VERSION}\n"));
-        body.push_str(&format!("seq {}\n", self.seq));
+        let mut body = Body::new(MAGIC);
+        body.line(format_args!("seq {}", self.seq));
         let c = &self.state.counters;
-        body.push_str(&format!(
-            "counters {} {} {} {} {} {} {} {} {}\n",
+        body.line(format_args!(
+            "counters {} {} {} {} {} {} {} {} {}",
             c.submitted,
             c.admitted,
             c.rejected_queue_full,
@@ -352,8 +397,8 @@ impl DaemonSnapshot {
             } else {
                 e.window.iter().map(|&f| if f { '1' } else { '0' }).collect()
             };
-            body.push_str(&format!(
-                "breaker {} {} {} {} {:016x} {} {} {} {}\n",
+            body.line(format_args!(
+                "breaker {} {} {} {} {:016x} {} {} {} {}",
                 esc(class),
                 state_label(e.state),
                 window,
@@ -366,17 +411,17 @@ impl DaemonSnapshot {
             ));
         }
         for (name, strikes) in &self.state.quarantine {
-            body.push_str(&format!("quarantine {} {strikes}\n", esc(name)));
+            body.line(format_args!("quarantine {} {strikes}", esc(name)));
         }
         let s = &self.state.cache_stats;
-        body.push_str(&format!(
-            "cache-stats {} {} {} {} {}\n",
+        body.line(format_args!(
+            "cache-stats {} {} {} {} {}",
             s.hits, s.rescaled_hits, s.drift_invalidations, s.rebuilds, s.evictions,
         ));
         for m in &self.state.cache_entries {
             let k = &m.key;
-            body.push_str(&format!(
-                "cache-entry {} {} {} {} {} {} {:016x} {} {} {}\n",
+            body.line(format_args!(
+                "cache-entry {} {} {} {} {} {} {:016x} {} {} {}",
                 esc(&k.class),
                 k.dims.0,
                 k.dims.1,
@@ -389,8 +434,7 @@ impl DaemonSnapshot {
                 m.builds,
             ));
         }
-        let sum = checksum_of(&body);
-        format!("{body}checksum {sum:016x}\n")
+        body.finish()
     }
 
     /// Parses the text format, verifying magic, version, and checksum.
@@ -400,165 +444,86 @@ impl DaemonSnapshot {
     /// no checksum trailer is [`SnapshotError::Truncated`] (the torn
     /// write signature).
     pub fn decode(text: &str) -> Result<Self, SnapshotError> {
-        let body = frame_body(text, MAGIC)?;
-        let mut lines = body.lines().enumerate();
-        lines.next(); // header, already validated
-
         let mut seq = 0u64;
-        let mut counters = ServeCounters::default();
-        let mut breakers: Vec<(String, BreakerExport)> = Vec::new();
-        let mut quarantine: Vec<(String, usize)> = Vec::new();
-        let mut cache_stats = CacheStats::default();
-        let mut cache_entries: Vec<CacheEntryMeta> = Vec::new();
-
-        for (idx, raw) in lines {
-            let ln = idx + 1;
-            let mut f = raw.split_whitespace();
-            let record = tok(&mut f, ln, "record tag")?;
-            match record {
-                "seq" => {
-                    seq = p_u64(tok(&mut f, ln, "seq")?, ln, "seq")?;
-                }
+        let mut state = PoolState::default();
+        for record in records(frame_body(text, MAGIC)?) {
+            let (tag, mut r) = record?;
+            match tag {
+                "seq" => seq = r.u64("seq")?,
                 "counters" => {
-                    counters = ServeCounters {
-                        submitted: p_u64(tok(&mut f, ln, "submitted")?, ln, "submitted")?,
-                        admitted: p_u64(tok(&mut f, ln, "admitted")?, ln, "admitted")?,
-                        rejected_queue_full: p_u64(
-                            tok(&mut f, ln, "rejected_queue_full")?,
-                            ln,
-                            "rejected_queue_full",
-                        )?,
-                        rejected_shed: p_u64(
-                            tok(&mut f, ln, "rejected_shed")?,
-                            ln,
-                            "rejected_shed",
-                        )?,
-                        rejected_breaker: p_u64(
-                            tok(&mut f, ln, "rejected_breaker")?,
-                            ln,
-                            "rejected_breaker",
-                        )?,
-                        rejected_quarantined: p_u64(
-                            tok(&mut f, ln, "rejected_quarantined")?,
-                            ln,
-                            "rejected_quarantined",
-                        )?,
-                        degraded: p_u64(tok(&mut f, ln, "degraded")?, ln, "degraded")?,
-                        completed_ok: p_u64(tok(&mut f, ln, "completed_ok")?, ln, "completed_ok")?,
-                        completed_err: p_u64(
-                            tok(&mut f, ln, "completed_err")?,
-                            ln,
-                            "completed_err",
-                        )?,
+                    state.counters = ServeCounters {
+                        submitted: r.u64("submitted")?,
+                        admitted: r.u64("admitted")?,
+                        rejected_queue_full: r.u64("rejected_queue_full")?,
+                        rejected_shed: r.u64("rejected_shed")?,
+                        rejected_breaker: r.u64("rejected_breaker")?,
+                        rejected_quarantined: r.u64("rejected_quarantined")?,
+                        degraded: r.u64("degraded")?,
+                        completed_ok: r.u64("completed_ok")?,
+                        completed_err: r.u64("completed_err")?,
                     };
                 }
                 "breaker" => {
-                    let class = unesc(tok(&mut f, ln, "class")?, ln)?;
-                    let state = parse_state(tok(&mut f, ln, "state")?, ln)?;
-                    let wtok = tok(&mut f, ln, "window")?;
-                    let window: Vec<bool> = if wtok == "-" {
-                        Vec::new()
-                    } else {
-                        wtok.chars()
+                    let class = r.label("class")?;
+                    let breaker_state = match r.tok("state")? {
+                        "closed" => BreakerState::Closed,
+                        "open" => BreakerState::Open,
+                        "half-open" => BreakerState::HalfOpen,
+                        other => return Err(r.err(format!("unknown breaker state {other:?}"))),
+                    };
+                    let window = match r.tok("window")? {
+                        "-" => Vec::new(),
+                        bits => bits
+                            .chars()
                             .map(|ch| match ch {
                                 '0' => Ok(false),
                                 '1' => Ok(true),
-                                other => Err(SnapshotError::Parse {
-                                    line: ln,
-                                    message: format!("bad window bit {other:?}"),
-                                }),
+                                other => Err(r.err(format!("bad window bit {other:?}"))),
                             })
-                            .collect::<Result<_, _>>()?
+                            .collect::<Result<_, _>>()?,
                     };
                     let export = BreakerExport {
-                        state,
+                        state: breaker_state,
                         window,
-                        trips: p_usize(tok(&mut f, ln, "trips")?, ln, "trips")?,
-                        last_failure_rate: p_f64_bits(
-                            tok(&mut f, ln, "last_failure_rate")?,
-                            ln,
-                            "last_failure_rate",
-                        )?,
-                        attempts_while_open: p_usize(
-                            tok(&mut f, ln, "attempts_while_open")?,
-                            ln,
-                            "attempts_while_open",
-                        )?,
-                        cooldown_target: p_usize(
-                            tok(&mut f, ln, "cooldown_target")?,
-                            ln,
-                            "cooldown_target",
-                        )?,
-                        probes_outstanding: p_usize(
-                            tok(&mut f, ln, "probes_outstanding")?,
-                            ln,
-                            "probes_outstanding",
-                        )?,
-                        probe_successes_seen: p_usize(
-                            tok(&mut f, ln, "probe_successes_seen")?,
-                            ln,
-                            "probe_successes_seen",
-                        )?,
+                        trips: r.usize("trips")?,
+                        last_failure_rate: r.f64_bits("last_failure_rate")?,
+                        attempts_while_open: r.usize("attempts_while_open")?,
+                        cooldown_target: r.usize("cooldown_target")?,
+                        probes_outstanding: r.usize("probes_outstanding")?,
+                        probe_successes_seen: r.usize("probe_successes_seen")?,
                     };
-                    breakers.push((class, export));
+                    state.breakers.push((class, export));
                 }
                 "quarantine" => {
-                    let name = unesc(tok(&mut f, ln, "name")?, ln)?;
-                    let strikes = p_usize(tok(&mut f, ln, "strikes")?, ln, "strikes")?;
-                    quarantine.push((name, strikes));
+                    let name = r.label("name")?;
+                    state.quarantine.push((name, r.usize("strikes")?));
                 }
                 "cache-stats" => {
-                    cache_stats = CacheStats {
-                        hits: p_u64(tok(&mut f, ln, "hits")?, ln, "hits")?,
-                        rescaled_hits: p_u64(
-                            tok(&mut f, ln, "rescaled_hits")?,
-                            ln,
-                            "rescaled_hits",
-                        )?,
-                        drift_invalidations: p_u64(
-                            tok(&mut f, ln, "drift_invalidations")?,
-                            ln,
-                            "drift_invalidations",
-                        )?,
-                        rebuilds: p_u64(tok(&mut f, ln, "rebuilds")?, ln, "rebuilds")?,
-                        evictions: p_u64(tok(&mut f, ln, "evictions")?, ln, "evictions")?,
+                    state.cache_stats = CacheStats {
+                        hits: r.u64("hits")?,
+                        rescaled_hits: r.u64("rescaled_hits")?,
+                        drift_invalidations: r.u64("drift_invalidations")?,
+                        rebuilds: r.u64("rebuilds")?,
+                        evictions: r.u64("evictions")?,
                     };
                 }
                 "cache-entry" => {
-                    let class = unesc(tok(&mut f, ln, "class")?, ln)?;
-                    let nx = p_usize(tok(&mut f, ln, "nx")?, ln, "nx")?;
-                    let ny = p_usize(tok(&mut f, ln, "ny")?, ln, "ny")?;
-                    let nz = p_usize(tok(&mut f, ln, "nz")?, ln, "nz")?;
-                    let components = p_usize(tok(&mut f, ln, "components")?, ln, "components")?;
-                    let taps = p_usize(tok(&mut f, ln, "taps")?, ln, "taps")?;
-                    cache_entries.push(CacheEntryMeta {
-                        key: CacheKey { class, dims: (nx, ny, nz), components, taps },
-                        fingerprint: p_hex_u64(tok(&mut f, ln, "fingerprint")?, ln, "fingerprint")?,
-                        hits: p_u64(tok(&mut f, ln, "hits")?, ln, "hits")?,
-                        rescaled_hits: p_u64(
-                            tok(&mut f, ln, "rescaled_hits")?,
-                            ln,
-                            "rescaled_hits",
-                        )?,
-                        builds: p_u64(tok(&mut f, ln, "builds")?, ln, "builds")?,
+                    let class = r.label("class")?;
+                    let dims = (r.usize("nx")?, r.usize("ny")?, r.usize("nz")?);
+                    let components = r.usize("components")?;
+                    let taps = r.usize("taps")?;
+                    state.cache_entries.push(CacheEntryMeta {
+                        key: CacheKey { class, dims, components, taps },
+                        fingerprint: r.hex("fingerprint")?,
+                        hits: r.u64("hits")?,
+                        rescaled_hits: r.u64("rescaled_hits")?,
+                        builds: r.u64("builds")?,
                     });
                 }
-                other => {
-                    // Unknown records are an error under v1: the
-                    // version gate is the compatibility mechanism, not
-                    // silent skipping.
-                    return Err(SnapshotError::Parse {
-                        line: ln,
-                        message: format!("unknown record {other:?}"),
-                    });
-                }
+                other => return Err(r.unknown(other)),
             }
         }
-
-        Ok(DaemonSnapshot {
-            seq,
-            state: PoolState { counters, breakers, quarantine, cache_stats, cache_entries },
-        })
+        Ok(DaemonSnapshot { seq, state })
     }
 }
 
@@ -594,7 +559,7 @@ pub struct SimCounters {
 /// `(problem, size, step)`, so it is *reconstructed* on resume rather
 /// than persisted, and the resumed run is bit-identical to an
 /// uninterrupted one.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimSnapshot {
     /// Problem name (the trajectory generator's identity).
     pub problem: String,
@@ -634,33 +599,31 @@ impl SimSnapshot {
     /// Serializes to the versioned text format, checksum trailer
     /// included.
     pub fn encode(&self) -> String {
-        let mut body = String::new();
-        body.push_str(&format!("{SIM_MAGIC} v{SNAPSHOT_VERSION}\n"));
-        body.push_str(&format!("problem {}\n", esc(&self.problem)));
-        body.push_str(&format!(
-            "config {} {} {:016x} {:016x}\n",
+        let mut body = Body::new(SIM_MAGIC);
+        body.line(format_args!("problem {}", esc(&self.problem)));
+        body.line(format_args!(
+            "config {} {} {:016x} {:016x}",
             self.size,
             self.steps,
             self.tol.to_bits(),
             self.seed,
         ));
-        body.push_str(&format!("cursor {} {} {}\n", self.step, self.chain_step, self.finest_step));
-        body.push_str(&format!("resid {:016x}\n", self.last_resid.to_bits()));
+        body.line(format_args!("cursor {} {} {}", self.step, self.chain_step, self.finest_step));
+        body.line(format_args!("resid {:016x}", self.last_resid.to_bits()));
         let c = &self.counters;
-        body.push_str(&format!(
-            "counters {} {} {} {} {}\n",
+        body.line(format_args!(
+            "counters {} {} {} {} {}",
             c.keep, c.rescale, c.rebuild, c.repairs, c.rollbacks,
         ));
-        match self.fields {
-            1 => body.push_str(&format!("x {}", self.x.len())),
-            r => body.push_str(&format!("x-fields {r} {}", self.x.len())),
-        }
+        let mut x = match self.fields {
+            1 => format!("x {}", self.x.len()),
+            r => format!("x-fields {r} {}", self.x.len()),
+        };
         for v in &self.x {
-            body.push_str(&format!(" {:016x}", v.to_bits()));
+            x.push_str(&format!(" {:016x}", v.to_bits()));
         }
-        body.push('\n');
-        let sum = checksum_of(&body);
-        format!("{body}checksum {sum:016x}\n")
+        body.line(format_args!("{x}"));
+        body.finish()
     }
 
     /// Parses the text format, verifying magic, version, and checksum.
@@ -669,82 +632,47 @@ impl SimSnapshot {
     /// Typed [`SnapshotError`] on any structural problem; a file with
     /// no checksum trailer is [`SnapshotError::Truncated`].
     pub fn decode(text: &str) -> Result<Self, SnapshotError> {
-        let body = frame_body(text, SIM_MAGIC)?;
-        let mut lines = body.lines().enumerate();
-        lines.next(); // header, already validated
-
-        let mut snap = SimSnapshot {
-            problem: String::new(),
-            size: 0,
-            steps: 0,
-            tol: 0.0,
-            seed: 0,
-            step: 0,
-            chain_step: 0,
-            finest_step: 0,
-            last_resid: 0.0,
-            counters: SimCounters::default(),
-            x: Vec::new(),
-            fields: 1,
-        };
-        for (idx, raw) in lines {
-            let ln = idx + 1;
-            let mut f = raw.split_whitespace();
-            let record = tok(&mut f, ln, "record tag")?;
-            match record {
-                "problem" => {
-                    snap.problem = unesc(tok(&mut f, ln, "problem")?, ln)?;
-                }
+        let mut snap = SimSnapshot { fields: 1, ..SimSnapshot::default() };
+        for record in records(frame_body(text, SIM_MAGIC)?) {
+            let (tag, mut r) = record?;
+            match tag {
+                "problem" => snap.problem = r.label("problem")?,
                 "config" => {
-                    snap.size = p_usize(tok(&mut f, ln, "size")?, ln, "size")?;
-                    snap.steps = p_u64(tok(&mut f, ln, "steps")?, ln, "steps")?;
-                    snap.tol = p_f64_bits(tok(&mut f, ln, "tol")?, ln, "tol")?;
-                    snap.seed = p_hex_u64(tok(&mut f, ln, "seed")?, ln, "seed")?;
+                    snap.size = r.usize("size")?;
+                    snap.steps = r.u64("steps")?;
+                    snap.tol = r.f64_bits("tol")?;
+                    snap.seed = r.hex("seed")?;
                 }
                 "cursor" => {
-                    snap.step = p_u64(tok(&mut f, ln, "step")?, ln, "step")?;
-                    snap.chain_step = p_u64(tok(&mut f, ln, "chain_step")?, ln, "chain_step")?;
-                    snap.finest_step = p_u64(tok(&mut f, ln, "finest_step")?, ln, "finest_step")?;
+                    snap.step = r.u64("step")?;
+                    snap.chain_step = r.u64("chain_step")?;
+                    snap.finest_step = r.u64("finest_step")?;
                 }
-                "resid" => {
-                    snap.last_resid = p_f64_bits(tok(&mut f, ln, "resid")?, ln, "resid")?;
-                }
+                "resid" => snap.last_resid = r.f64_bits("resid")?,
                 "counters" => {
                     snap.counters = SimCounters {
-                        keep: p_u64(tok(&mut f, ln, "keep")?, ln, "keep")?,
-                        rescale: p_u64(tok(&mut f, ln, "rescale")?, ln, "rescale")?,
-                        rebuild: p_u64(tok(&mut f, ln, "rebuild")?, ln, "rebuild")?,
-                        repairs: p_u64(tok(&mut f, ln, "repairs")?, ln, "repairs")?,
-                        rollbacks: p_u64(tok(&mut f, ln, "rollbacks")?, ln, "rollbacks")?,
+                        keep: r.u64("keep")?,
+                        rescale: r.u64("rescale")?,
+                        rebuild: r.u64("rebuild")?,
+                        repairs: r.u64("repairs")?,
+                        rollbacks: r.u64("rollbacks")?,
                     };
                 }
                 "x" | "x-fields" => {
-                    if record == "x-fields" {
-                        snap.fields = p_usize(tok(&mut f, ln, "x fields")?, ln, "x fields")?;
+                    if tag == "x-fields" {
+                        snap.fields = r.usize("x fields")?;
                     }
-                    let len = p_usize(tok(&mut f, ln, "x length")?, ln, "x length")?;
-                    let mut x = Vec::with_capacity(len);
-                    for i in 0..len {
-                        x.push(p_f64_bits(
-                            tok(&mut f, ln, &format!("x[{i}]"))?,
-                            ln,
-                            &format!("x[{i}]"),
-                        )?);
+                    let len = r.usize("x length")?;
+                    snap.x = (0..len)
+                        .map(|i| r.f64_bits(&format!("x[{i}]")))
+                        .collect::<Result<_, _>>()?;
+                    if r.toks.next().is_some() {
+                        return Err(
+                            r.err(format!("x record longer than its declared length {len}"))
+                        );
                     }
-                    if f.next().is_some() {
-                        return Err(SnapshotError::Parse {
-                            line: ln,
-                            message: format!("x record longer than its declared length {len}"),
-                        });
-                    }
-                    snap.x = x;
                 }
-                other => {
-                    return Err(SnapshotError::Parse {
-                        line: ln,
-                        message: format!("unknown record {other:?}"),
-                    });
-                }
+                other => return Err(r.unknown(other)),
             }
         }
         Ok(snap)
@@ -792,16 +720,7 @@ impl SnapshotStore {
 
     /// The slot a given publication generation lands in.
     pub fn slot_for(&self, generation: u64) -> PathBuf {
-        self.slot(if generation.is_multiple_of(2) { "a" } else { "b" })
-    }
-
-    fn slot(&self, tag: &str) -> PathBuf {
-        let mut p = self.base.clone();
-        let mut name = p.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-        name.push(".");
-        name.push(tag);
-        p.set_file_name(name);
-        p
+        with_suffix(&self.base, if generation.is_multiple_of(2) { ".a" } else { ".b" })
     }
 
     /// Publishes snapshot text into the slot for `generation` (atomic
@@ -835,7 +754,7 @@ impl SnapshotStore {
         decode: &dyn Fn(&str) -> Result<T, SnapshotError>,
     ) -> Result<Recovery<T>, SnapshotError> {
         let mut out = Recovery { candidates: Vec::new(), quarantined: Vec::new() };
-        for path in [self.slot("a"), self.slot("b")] {
+        for path in [self.slot_for(0), self.slot_for(1)] {
             if !storage.exists(&path) {
                 continue;
             }
@@ -854,11 +773,7 @@ impl SnapshotStore {
     /// Best-effort quarantine: move the corrupt file aside so it is
     /// never read as a snapshot again, keeping it for post-mortems.
     fn quarantine(storage: &dyn Storage, path: &Path) {
-        let mut target = path.to_path_buf();
-        let mut name = target.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-        name.push(".quarantine");
-        target.set_file_name(name);
-        if storage.rename(path, &target).is_ok() {
+        if storage.rename(path, &with_suffix(path, ".quarantine")).is_ok() {
             if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
                 let _ = storage.sync_dir(dir);
             }

@@ -27,8 +27,9 @@
 //! sync-dir/read) increments one shared counter and is recorded in an
 //! op log, so a harness can run a clean pass, read the log, and then
 //! re-run with a fault planted at any specific operation. The schedule
-//! is a plain map from index to [`Fault`]; there is no randomness
-//! inside the storage layer itself.
+//! is a plain map from index to [`Fault`] — the
+//! [`FaultSchedule`](crate::fault::FaultSchedule) every injector in this
+//! crate shares; there is no randomness inside the storage layer itself.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -36,6 +37,8 @@ use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
+
+use crate::fault::FaultSchedule;
 
 /// How many times a durable append or atomic publish is retried when
 /// the backend reports a transient out-of-space condition.
@@ -365,30 +368,36 @@ struct Inner {
     /// by `sync_dir`, so un-synced creates/renames/removes revert.
     durable: BTreeMap<PathBuf, usize>,
     inodes: Vec<Inode>,
-    ops: u64,
-    log: Vec<OpRecord>,
-    schedule: BTreeMap<u64, Fault>,
+    faults: FaultSchedule<Fault, OpRecord>,
     crashed: bool,
     enospc_left: u32,
-    fired: BTreeMap<String, u64>,
 }
 
 impl Inner {
-    fn bump_fired(&mut self, key: &str) {
-        *self.fired.entry(key.to_string()).or_insert(0) += 1;
-    }
-
-    /// Count the operation, log it, and return the fault (if any)
-    /// scheduled for exactly this index.
-    fn tick(&mut self, kind: OpKind, path: &Path) -> Option<Fault> {
-        let index = self.ops;
-        self.ops += 1;
-        self.log.push(OpRecord { index, kind, path: to_key(path) });
-        self.schedule.get(&index).copied()
+    /// The prologue of every counting operation: refuse while the
+    /// storage is down, count and log the op, and take the storage down
+    /// if a crash is planted at this index (a crash outranks a running
+    /// ENOSPC burst: the power goes out whether or not the disk is
+    /// full). Any other planted fault is handed back for the operation
+    /// to interpret (or ignore).
+    fn begin(&mut self, kind: OpKind, path: &Path) -> Result<Option<Fault>, StorageError> {
+        let op = kind.label();
+        let down = || StorageError::Crashed { op, path: path.display().to_string() };
+        if self.crashed {
+            return Err(down());
+        }
+        let fault = self.faults.tick(|index| OpRecord { index, kind, path: path.to_path_buf() });
+        if fault == Some(Fault::Crash) {
+            self.crashed = true;
+            self.faults.fire("crash");
+            self.faults.fire(&format!("crash@{op}"));
+            return Err(down());
+        }
+        Ok(fault)
     }
 
     fn inode_of(&mut self, path: &Path) -> Option<usize> {
-        self.live.get(&to_key(path)).copied()
+        self.live.get(path).copied()
     }
 
     fn fresh_inode(&mut self) -> usize {
@@ -406,10 +415,12 @@ impl Inner {
     }
 }
 
-/// Normalise a path into the map key space. The model treats paths as
-/// opaque names; only `parent()` relationships matter (for `sync_dir`).
-fn to_key(path: &Path) -> PathBuf {
-    path.to_path_buf()
+fn no_such_file(kind: OpKind, path: &Path) -> StorageError {
+    StorageError::Io {
+        op: kind.label(),
+        path: path.display().to_string(),
+        message: "no such file".into(),
+    }
 }
 
 /// Deterministic fault-injecting in-memory backend.
@@ -417,9 +428,17 @@ fn to_key(path: &Path) -> PathBuf {
 /// Clones share the same underlying state, so a test harness can keep
 /// one handle for scheduling faults and inspection while the system
 /// under test owns another behind `Arc<dyn Storage>`.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct FaultStorage {
     inner: Arc<Mutex<Inner>>,
+}
+
+impl Default for FaultStorage {
+    fn default() -> Self {
+        let mut inner = Inner::default();
+        inner.faults.record_ops();
+        FaultStorage { inner: Arc::new(Mutex::new(inner)) }
+    }
 }
 
 impl fmt::Debug for FaultStorage {
@@ -427,9 +446,8 @@ impl fmt::Debug for FaultStorage {
         let inner = self.lock();
         f.debug_struct("FaultStorage")
             .field("files", &inner.live.len())
-            .field("ops", &inner.ops)
+            .field("ops", &inner.faults.op_count())
             .field("crashed", &inner.crashed)
-            .field("scheduled", &inner.schedule.len())
             .finish()
     }
 }
@@ -450,24 +468,24 @@ impl FaultStorage {
 
     /// Plant `fault` at global operation index `index`.
     pub fn schedule(&self, index: u64, fault: Fault) {
-        self.lock().schedule.insert(index, fault);
+        self.lock().faults.schedule(index, fault);
     }
 
     /// Number of counting operations performed so far.
     pub fn op_count(&self) -> u64 {
-        self.lock().ops
+        self.lock().faults.op_count()
     }
 
     /// The full operation log (index, kind, path) so far.
     pub fn op_log(&self) -> Vec<OpRecord> {
-        self.lock().log.clone()
+        self.lock().faults.op_log()
     }
 
     /// Which fault classes fired, and how often. Keys: `torn-write`,
     /// `fsync-fail`, `silent-fsync-loss`, `enospc`, `read-corruption`,
     /// `crash`, plus `crash@<op>` for the op kind the crash landed on.
     pub fn fired(&self) -> BTreeMap<String, u64> {
-        self.lock().fired.clone()
+        self.lock().faults.fired()
     }
 
     /// True once a scheduled crash (or torn write) has taken the
@@ -489,13 +507,13 @@ impl FaultStorage {
     /// validation (never intercepted by scheduled faults).
     pub fn peek(&self, path: &Path) -> Option<Vec<u8>> {
         let inner = self.lock();
-        inner.live.get(&to_key(path)).map(|&id| inner.inodes[id].live.clone())
+        inner.live.get(path).map(|&id| inner.inodes[id].live.clone())
     }
 
     /// Non-counting read of the durable (post-crash) content of `path`.
     pub fn peek_durable(&self, path: &Path) -> Option<Vec<u8>> {
         let inner = self.lock();
-        inner.durable.get(&to_key(path)).map(|&id| inner.inodes[id].synced.clone())
+        inner.durable.get(path).map(|&id| inner.inodes[id].synced.clone())
     }
 
     /// All paths currently present in the live namespace.
@@ -503,12 +521,9 @@ impl FaultStorage {
         self.lock().live.keys().cloned().collect()
     }
 
-    fn guard(inner: &Inner, op: &'static str, path: &Path) -> Result<(), StorageError> {
-        if inner.crashed {
-            Err(StorageError::Crashed { op, path: path.display().to_string() })
-        } else {
-            Ok(())
-        }
+    /// Opens `path` for writing on `inode`.
+    fn handle(&self, path: &Path, inode: usize) -> Box<dyn StorageFile> {
+        Box::new(FaultFile { inner: Arc::clone(&self.inner), path: path.to_path_buf(), inode })
     }
 }
 
@@ -521,26 +536,14 @@ struct FaultFile {
 impl StorageFile for FaultFile {
     fn write_all(&mut self, buf: &[u8]) -> Result<(), StorageError> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        FaultStorage::guard(&inner, "write", &self.path)?;
-        let fault = inner.tick(OpKind::Write, &self.path);
+        let fault = inner.begin(OpKind::Write, &self.path)?;
+        let path = || self.path.display().to_string();
         if inner.enospc_left > 0 {
             inner.enospc_left -= 1;
-            inner.bump_fired("enospc");
-            return Err(StorageError::NoSpace {
-                op: "write",
-                path: self.path.display().to_string(),
-            });
+            inner.faults.fire("enospc");
+            return Err(StorageError::NoSpace { op: "write", path: path() });
         }
         match fault {
-            Some(Fault::Crash) => {
-                inner.crashed = true;
-                inner.bump_fired("crash");
-                inner.bump_fired("crash@write");
-                return Err(StorageError::Crashed {
-                    op: "write",
-                    path: self.path.display().to_string(),
-                });
-            }
             Some(Fault::TornWrite) => {
                 // Half the buffer lands, background writeback forces it
                 // durable (entry included), then the power goes out.
@@ -548,22 +551,15 @@ impl StorageFile for FaultFile {
                 inner.inodes[self.inode].live.extend_from_slice(half);
                 let image = inner.inodes[self.inode].live.clone();
                 inner.inodes[self.inode].synced = image;
-                let key = to_key(&self.path);
-                inner.durable.insert(key, self.inode);
+                inner.durable.insert(self.path.clone(), self.inode);
                 inner.crashed = true;
-                inner.bump_fired("torn-write");
-                return Err(StorageError::Crashed {
-                    op: "write",
-                    path: self.path.display().to_string(),
-                });
+                inner.faults.fire("torn-write");
+                return Err(StorageError::Crashed { op: "write", path: path() });
             }
             Some(Fault::NoSpace { count }) => {
                 inner.enospc_left = count.saturating_sub(1);
-                inner.bump_fired("enospc");
-                return Err(StorageError::NoSpace {
-                    op: "write",
-                    path: self.path.display().to_string(),
-                });
+                inner.faults.fire("enospc");
+                return Err(StorageError::NoSpace { op: "write", path: path() });
             }
             _ => {}
         }
@@ -573,25 +569,14 @@ impl StorageFile for FaultFile {
 
     fn fsync(&mut self) -> Result<(), StorageError> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        FaultStorage::guard(&inner, "fsync", &self.path)?;
-        let fault = inner.tick(OpKind::Fsync, &self.path);
-        match fault {
-            Some(Fault::Crash) => {
-                inner.crashed = true;
-                inner.bump_fired("crash");
-                inner.bump_fired("crash@fsync");
-                return Err(StorageError::Crashed {
-                    op: "fsync",
-                    path: self.path.display().to_string(),
-                });
-            }
+        match inner.begin(OpKind::Fsync, &self.path)? {
             Some(Fault::FsyncFail) => {
                 // After a failed fsync the page cache cannot be
                 // trusted: drop the dirty pages (Postgres fsync-gate
                 // semantics) and report the failure.
                 let synced = inner.inodes[self.inode].synced.clone();
                 inner.inodes[self.inode].live = synced;
-                inner.bump_fired("fsync-fail");
+                inner.faults.fire("fsync-fail");
                 return Err(StorageError::Io {
                     op: "fsync",
                     path: self.path.display().to_string(),
@@ -600,7 +585,7 @@ impl StorageFile for FaultFile {
             }
             Some(Fault::SilentFsyncLoss) => {
                 // Lying fsync: report success, persist nothing.
-                inner.bump_fired("silent-fsync-loss");
+                inner.faults.fire("silent-fsync-loss");
                 return Ok(());
             }
             _ => {}
@@ -614,63 +599,36 @@ impl StorageFile for FaultFile {
 impl Storage for FaultStorage {
     fn create(&self, path: &Path) -> Result<Box<dyn StorageFile>, StorageError> {
         let mut inner = self.lock();
-        FaultStorage::guard(&inner, "create", path)?;
-        let fault = inner.tick(OpKind::Create, path);
-        if let Some(Fault::Crash) = fault {
-            inner.crashed = true;
-            inner.bump_fired("crash");
-            inner.bump_fired("crash@create");
-            return Err(StorageError::Crashed { op: "create", path: path.display().to_string() });
-        }
+        inner.begin(OpKind::Create, path)?;
         let inode = inner.fresh_inode();
-        inner.live.insert(to_key(path), inode);
-        Ok(Box::new(FaultFile { inner: Arc::clone(&self.inner), path: path.to_path_buf(), inode }))
+        inner.live.insert(path.to_path_buf(), inode);
+        Ok(self.handle(path, inode))
     }
 
     fn append(&self, path: &Path) -> Result<Box<dyn StorageFile>, StorageError> {
         let mut inner = self.lock();
-        FaultStorage::guard(&inner, "append", path)?;
-        let fault = inner.tick(OpKind::Append, path);
-        if let Some(Fault::Crash) = fault {
-            inner.crashed = true;
-            inner.bump_fired("crash");
-            inner.bump_fired("crash@append");
-            return Err(StorageError::Crashed { op: "append", path: path.display().to_string() });
-        }
+        inner.begin(OpKind::Append, path)?;
         let inode = match inner.inode_of(path) {
             Some(id) => id,
             None => {
                 let id = inner.fresh_inode();
-                inner.live.insert(to_key(path), id);
+                inner.live.insert(path.to_path_buf(), id);
                 id
             }
         };
-        Ok(Box::new(FaultFile { inner: Arc::clone(&self.inner), path: path.to_path_buf(), inode }))
+        Ok(self.handle(path, inode))
     }
 
     fn read(&self, path: &Path) -> Result<Vec<u8>, StorageError> {
         let mut inner = self.lock();
-        FaultStorage::guard(&inner, "read", path)?;
-        let fault = inner.tick(OpKind::Read, path);
-        if let Some(Fault::Crash) = fault {
-            inner.crashed = true;
-            inner.bump_fired("crash");
-            inner.bump_fired("crash@read");
-            return Err(StorageError::Crashed { op: "read", path: path.display().to_string() });
-        }
-        let Some(id) = inner.inode_of(path) else {
-            return Err(StorageError::Io {
-                op: "read",
-                path: path.display().to_string(),
-                message: "no such file".into(),
-            });
-        };
+        let fault = inner.begin(OpKind::Read, path)?;
+        let id = inner.inode_of(path).ok_or_else(|| no_such_file(OpKind::Read, path))?;
         let mut bytes = inner.inodes[id].live.clone();
         if let Some(Fault::CorruptRead { bit }) = fault {
             if !bytes.is_empty() {
                 let bit = bit % (bytes.len() as u64 * 8);
                 bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-                inner.bump_fired("read-corruption");
+                inner.faults.fire("read-corruption");
             }
         }
         Ok(bytes)
@@ -678,62 +636,23 @@ impl Storage for FaultStorage {
 
     fn rename(&self, from: &Path, to: &Path) -> Result<(), StorageError> {
         let mut inner = self.lock();
-        FaultStorage::guard(&inner, "rename", from)?;
-        let fault = inner.tick(OpKind::Rename, from);
-        if let Some(Fault::Crash) = fault {
-            inner.crashed = true;
-            inner.bump_fired("crash");
-            inner.bump_fired("crash@rename");
-            return Err(StorageError::Crashed { op: "rename", path: from.display().to_string() });
-        }
-        let Some(id) = inner.live.remove(&to_key(from)) else {
-            return Err(StorageError::Io {
-                op: "rename",
-                path: from.display().to_string(),
-                message: "no such file".into(),
-            });
-        };
-        inner.live.insert(to_key(to), id);
+        inner.begin(OpKind::Rename, from)?;
+        let id = inner.live.remove(from).ok_or_else(|| no_such_file(OpKind::Rename, from))?;
+        inner.live.insert(to.to_path_buf(), id);
         Ok(())
     }
 
     fn remove(&self, path: &Path) -> Result<(), StorageError> {
         let mut inner = self.lock();
-        FaultStorage::guard(&inner, "remove", path)?;
-        let fault = inner.tick(OpKind::Remove, path);
-        if let Some(Fault::Crash) = fault {
-            inner.crashed = true;
-            inner.bump_fired("crash");
-            inner.bump_fired("crash@remove");
-            return Err(StorageError::Crashed { op: "remove", path: path.display().to_string() });
-        }
-        if inner.live.remove(&to_key(path)).is_none() {
-            return Err(StorageError::Io {
-                op: "remove",
-                path: path.display().to_string(),
-                message: "no such file".into(),
-            });
-        }
+        inner.begin(OpKind::Remove, path)?;
+        inner.live.remove(path).ok_or_else(|| no_such_file(OpKind::Remove, path))?;
         Ok(())
     }
 
     fn truncate(&self, path: &Path, len: u64) -> Result<(), StorageError> {
         let mut inner = self.lock();
-        FaultStorage::guard(&inner, "truncate", path)?;
-        let fault = inner.tick(OpKind::Truncate, path);
-        if let Some(Fault::Crash) = fault {
-            inner.crashed = true;
-            inner.bump_fired("crash");
-            inner.bump_fired("crash@truncate");
-            return Err(StorageError::Crashed { op: "truncate", path: path.display().to_string() });
-        }
-        let Some(id) = inner.inode_of(path) else {
-            return Err(StorageError::Io {
-                op: "truncate",
-                path: path.display().to_string(),
-                message: "no such file".into(),
-            });
-        };
+        inner.begin(OpKind::Truncate, path)?;
+        let id = inner.inode_of(path).ok_or_else(|| no_such_file(OpKind::Truncate, path))?;
         inner.inodes[id].live.truncate(len as usize);
         // Model the metadata-journalled truncate as durable: the synced
         // image shrinks too (a grown synced image past the truncation
@@ -744,23 +663,15 @@ impl Storage for FaultStorage {
 
     fn sync_dir(&self, dir: &Path) -> Result<(), StorageError> {
         let mut inner = self.lock();
-        FaultStorage::guard(&inner, "sync-dir", dir)?;
-        let fault = inner.tick(OpKind::SyncDir, dir);
-        if let Some(Fault::Crash) = fault {
-            inner.crashed = true;
-            inner.bump_fired("crash");
-            inner.bump_fired("crash@sync-dir");
-            return Err(StorageError::Crashed { op: "sync-dir", path: dir.display().to_string() });
-        }
+        inner.begin(OpKind::SyncDir, dir)?;
         // Durable entries directly under `dir` become exactly the live
         // entries: creates and rename targets persist, removed and
         // renamed-away names disappear.
-        let dir_key = to_key(dir);
-        inner.durable.retain(|p, _| p.parent().map(to_key).as_ref() != Some(&dir_key));
+        inner.durable.retain(|p, _| p.parent() != Some(dir));
         let adds: Vec<(PathBuf, usize)> = inner
             .live
             .iter()
-            .filter(|(p, _)| p.parent().map(to_key).as_ref() == Some(&dir_key))
+            .filter(|(p, _)| p.parent() == Some(dir))
             .map(|(p, &id)| (p.clone(), id))
             .collect();
         for (p, id) in adds {
@@ -771,7 +682,7 @@ impl Storage for FaultStorage {
 
     fn len(&self, path: &Path) -> Result<u64, StorageError> {
         let inner = self.lock();
-        match inner.live.get(&to_key(path)) {
+        match inner.live.get(path) {
             Some(&id) => Ok(inner.inodes[id].live.len() as u64),
             None => Err(StorageError::Io {
                 op: "len",
@@ -782,7 +693,7 @@ impl Storage for FaultStorage {
     }
 
     fn exists(&self, path: &Path) -> bool {
-        self.lock().live.contains_key(&to_key(path))
+        self.lock().live.contains_key(path)
     }
 
     fn create_dir_all(&self, _dir: &Path) -> Result<(), StorageError> {
@@ -795,10 +706,26 @@ impl Storage for FaultStorage {
 // Durable append helper
 // ---------------------------------------------------------------------
 
+/// Runs `attempt` until it succeeds or fails for good: after a
+/// transient out-of-space failure `rewind` undoes the partial work and
+/// the whole attempt is retried, up to [`ENOSPC_RETRIES`] times.
+pub(crate) fn retry_no_space(
+    mut attempt: impl FnMut() -> Result<(), StorageError>,
+    mut rewind: impl FnMut() -> Result<(), StorageError>,
+) -> Result<(), StorageError> {
+    for _ in 0..ENOSPC_RETRIES {
+        match attempt() {
+            Err(err) if err.is_no_space() => rewind()?,
+            done => return done,
+        }
+    }
+    attempt()
+}
+
 /// Append `bytes` to `path` and fsync, with the bounded-retry rung for
 /// transient ENOSPC: on out-of-space the partial append is rewound by
 /// truncating back to the pre-append length and the whole
-/// open→write→fsync sequence retries, up to [`ENOSPC_RETRIES`] times.
+/// open→write→fsync sequence retries ([`retry_no_space`]).
 /// If the file did not exist before the call, its parent directory is
 /// fsynced after the first successful append so the new entry survives
 /// power loss.
@@ -809,30 +736,16 @@ pub fn append_durable(
 ) -> Result<(), StorageError> {
     let created = !storage.exists(path);
     let base_len = if created { 0 } else { storage.len(path)? };
-    let mut attempt = 0u32;
-    loop {
-        let result = (|| {
+    retry_no_space(
+        || {
             let mut file = storage.append(path)?;
             file.write_all(bytes)?;
             file.fsync()
-        })();
-        match result {
-            Ok(()) => break,
-            Err(err) if err.is_no_space() && attempt < ENOSPC_RETRIES => {
-                attempt += 1;
-                if storage.exists(path) {
-                    storage.truncate(path, base_len)?;
-                }
-            }
-            Err(err) => return Err(err),
-        }
+        },
+        || if storage.exists(path) { storage.truncate(path, base_len) } else { Ok(()) },
+    )?;
+    match path.parent().filter(|dir| created && !dir.as_os_str().is_empty()) {
+        Some(parent) => storage.sync_dir(parent),
+        None => Ok(()),
     }
-    if created {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                storage.sync_dir(parent)?;
-            }
-        }
-    }
-    Ok(())
 }

@@ -1537,6 +1537,163 @@ mod sim_snapshot {
     }
 }
 
+mod golden_bytes {
+    //! The bytes on disk are the compatibility contract (`SNAPSHOT_VERSION`
+    //! is still 1): one fixed snapshot of each kind, its encoding captured
+    //! at the commit before the codecs shared a record cursor and a body
+    //! writer, compared byte for byte.
+    use crate::breaker::{BreakerExport, BreakerState};
+    use crate::cache::{CacheEntryMeta, CacheKey, CacheStats};
+    use crate::pool::{PoolState, ServeCounters};
+    use crate::snapshot::{DaemonSnapshot, SimCounters, SimSnapshot, SnapshotError};
+
+    fn daemon() -> DaemonSnapshot {
+        let breaker = |state, window: &[bool], trips, rate: f64, open: [usize; 4]| BreakerExport {
+            state,
+            window: window.to_vec(),
+            trips,
+            last_failure_rate: rate,
+            attempts_while_open: open[0],
+            cooldown_target: open[1],
+            probes_outstanding: open[2],
+            probe_successes_seen: open[3],
+        };
+        DaemonSnapshot {
+            seq: 41,
+            state: PoolState {
+                counters: ServeCounters {
+                    submitted: 41,
+                    admitted: 37,
+                    rejected_queue_full: 1,
+                    rejected_shed: 2,
+                    rejected_breaker: 1,
+                    rejected_quarantined: 0,
+                    degraded: 5,
+                    completed_ok: 30,
+                    completed_err: 7,
+                },
+                breakers: vec![
+                    (
+                        "poison class".into(),
+                        breaker(
+                            BreakerState::Open,
+                            &[true, true, false, true],
+                            2,
+                            0.75,
+                            [3, 9, 0, 0],
+                        ),
+                    ),
+                    ("steady".into(), breaker(BreakerState::Closed, &[], 0, 0.0, [0, 0, 0, 0])),
+                ],
+                quarantine: vec![("%weird name%".into(), 2)],
+                cache_stats: CacheStats {
+                    hits: 11,
+                    rescaled_hits: 4,
+                    drift_invalidations: 2,
+                    rebuilds: 3,
+                    evictions: 1,
+                },
+                cache_entries: vec![CacheEntryMeta {
+                    key: CacheKey {
+                        class: "drift/a b".into(),
+                        dims: (8, 9, 10),
+                        components: 3,
+                        taps: 19,
+                    },
+                    fingerprint: 0x0123_4567_89ab_cdef,
+                    hits: 6,
+                    rescaled_hits: 2,
+                    builds: 2,
+                }],
+            },
+        }
+    }
+
+    fn sim() -> SimSnapshot {
+        SimSnapshot {
+            problem: "rhd-3T".into(),
+            size: 6,
+            steps: 12,
+            tol: 1e-9,
+            seed: 0xfeed_5eed,
+            step: 7,
+            chain_step: 4,
+            finest_step: 6,
+            last_resid: 3.5e-10,
+            counters: SimCounters { keep: 3, rescale: 2, rebuild: 2, repairs: 1, rollbacks: 0 },
+            x: vec![1.0, -0.0, 2.5e-300, f64::NAN, -7.25, 0.1],
+            fields: 3,
+        }
+    }
+
+    const DAEMON_BYTES: &str = "\
+         fp16mg-snapshot v1\n\
+         seq 41\n\
+         counters 41 37 1 2 1 0 5 30 7\n\
+         breaker poison%20class open 1101 2 3fe8000000000000 3 9 0 0\n\
+         breaker steady closed - 0 0000000000000000 0 0 0 0\n\
+         quarantine %25weird%20name%25 2\n\
+         cache-stats 11 4 2 3 1\n\
+         cache-entry drift%2Fa%20b 8 9 10 3 19 0123456789abcdef 6 2 2\n\
+         checksum 9e5a9951524f234f\n\
+         ";
+
+    const SIM_BYTES: &str = "\
+         fp16mg-sim-snapshot v1\n\
+         problem rhd-3T\n\
+         config 6 12 3e112e0be826d695 00000000feed5eed\n\
+         cursor 7 4 6\n\
+         resid 3df80d43de9cc603\n\
+         counters 3 2 2 1 0\n\
+         x-fields 3 6 3ff0000000000000 8000000000000000 01bac9a7b3b7302f 7ff8000000000000 c01d000000000000 3fb999999999999a\n\
+         checksum c471e003781eae13\n\
+         ";
+
+    #[test]
+    fn daemon_snapshot_encodes_to_the_committed_bytes() {
+        assert_eq!(daemon().encode(), DAEMON_BYTES);
+        assert_eq!(DaemonSnapshot::decode(DAEMON_BYTES).unwrap(), daemon());
+    }
+
+    #[test]
+    fn sim_snapshot_encodes_to_the_committed_bytes() {
+        assert_eq!(sim().encode(), SIM_BYTES);
+        assert_eq!(SimSnapshot::decode(SIM_BYTES).unwrap().encode(), SIM_BYTES);
+    }
+
+    #[test]
+    fn field_errors_name_the_line_and_the_field() {
+        // The shared record cursor produces the messages both decoders
+        // used to spell by hand.
+        let reseal = |body: &str| {
+            let mut h = fp16mg_fp::Fnv1a::new();
+            body.bytes().for_each(|b| h.write_u8(b));
+            format!("{body}checksum {:016x}\n", h.finish())
+        };
+        let message = |err| match err {
+            SnapshotError::Parse { line, message } => (line, message),
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        let body = &DAEMON_BYTES[..DAEMON_BYTES.rfind("checksum ").unwrap()];
+        let short = reseal(&body.replacen("cache-stats 11 4 2 3 1", "cache-stats 11 4 2 3", 1));
+        assert_eq!(
+            message(DaemonSnapshot::decode(&short).unwrap_err()),
+            (7, "missing field: evictions".to_string())
+        );
+        let bad = reseal(&body.replacen("seq 41", "seq forty-one", 1));
+        assert_eq!(
+            message(DaemonSnapshot::decode(&bad).unwrap_err()),
+            (2, "bad seq: \"forty-one\"".to_string())
+        );
+        let body = &SIM_BYTES[..SIM_BYTES.rfind("checksum ").unwrap()];
+        let bits = reseal(&body.replacen("resid 3df80d43de9cc603", "resid 0.35", 1));
+        assert_eq!(
+            message(SimSnapshot::decode(&bits).unwrap_err()),
+            (5, "bad resid bit pattern: \"0.35\"".to_string())
+        );
+    }
+}
+
 mod daemon {
     use super::*;
     use crate::admission::AdmissionError;
@@ -1984,7 +2141,7 @@ mod mem_governor {
         assert_eq!(
             err,
             MemError::BudgetExceeded {
-                class: "cache-insert".into(),
+                class: "cache-insert",
                 requested: 30,
                 used: 80,
                 budget: 100,
@@ -2009,7 +2166,7 @@ mod mem_governor {
         g.schedule(1, AllocFault::Fail);
         let _a = g.try_charge("setup", 10).unwrap();
         let err = g.try_charge("workspace", 10).unwrap_err();
-        assert_eq!(err, MemError::Injected { class: "workspace".into(), index: 1 });
+        assert_eq!(err, MemError::Injected { class: "workspace", index: 1 });
         let _b = g.try_charge("workspace", 10).expect("retry at the next index succeeds");
         assert_eq!(g.fired().get("alloc-fail"), Some(&1));
         assert_eq!(g.used(), 20);
@@ -2021,7 +2178,7 @@ mod mem_governor {
         g.schedule(0, AllocFault::Burst { count: 3 });
         for i in 0..3 {
             let err = g.try_charge("setup", 1).unwrap_err();
-            assert_eq!(err, MemError::Injected { class: "setup".into(), index: i });
+            assert_eq!(err, MemError::Injected { class: "setup", index: i });
         }
         assert!(g.try_charge("setup", 1).is_ok(), "burst is bounded");
         assert_eq!(g.fired().get("alloc-burst"), Some(&3));
@@ -2030,13 +2187,26 @@ mod mem_governor {
     #[test]
     fn op_log_records_every_attempt_for_replay() {
         let g = MemGovernor::with_budget(50);
+        g.record_ops();
         let _c = g.try_charge("setup", 40).unwrap();
         let _ = g.try_charge("cache-insert", 40);
         let log = g.op_log();
         assert_eq!(log.len(), 2);
-        assert_eq!((log[0].index, log[0].class.as_str(), log[0].bytes), (0, "setup", 40));
-        assert_eq!((log[1].index, log[1].class.as_str()), (1, "cache-insert"));
+        assert_eq!((log[0].index, log[0].class, log[0].bytes), (0, "setup", 40));
+        assert_eq!((log[1].index, log[1].class), (1, "cache-insert"));
         assert_eq!(g.op_count(), 2);
+    }
+
+    #[test]
+    fn production_governor_keeps_counters_not_history() {
+        // The daemon's governor lives as long as the process: a charge
+        // must not leave a record (or a heap string) behind.
+        let g = MemGovernor::unlimited();
+        for _ in 0..100_000 {
+            drop(g.try_charge("workspace", 64).unwrap());
+        }
+        assert!(g.op_log().is_empty(), "an unasked-for op log grew by one record per charge");
+        assert_eq!((g.op_count(), g.used(), g.peak()), (100_000, 0, 64));
     }
 
     #[test]

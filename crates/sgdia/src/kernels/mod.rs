@@ -51,7 +51,7 @@ pub use spmv::{
 };
 #[cfg(test)]
 pub(crate) use sptrsv::solve as sptrsv_solve;
-pub use sptrsv::{sptrsv_backward, sptrsv_forward, sptrsv_forward_wavefront};
+pub use sptrsv::{sptrsv_backward, sptrsv_forward};
 
 pub use crate::par::Par;
 use fp16mg_grid::Grid3;

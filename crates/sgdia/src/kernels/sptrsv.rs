@@ -13,15 +13,17 @@
 //!   first-order recurrence along the line;
 //! * the **naive** AOS FP16 solve with one scalar hardware convert per
 //!   entry (the variant whose conversion overhead degrades throughput);
-//! * the **generic** per-entry solve for vector PDEs and odd layouts;
-//! * the **wavefront** solve, which parallelizes across `i+j+k`
-//!   hyperplanes (the "sophisticated parallel strategy" of §5.1).
+//! * the **generic** per-entry solve for vector PDEs and odd layouts.
+//!
+//! There is no parallel solve here: the `i+j+k` hyperplane schedule of
+//! §5.1 is enumerated by [`fp16mg_grid::Wavefronts`], and a parallel
+//! sweep would schedule the line kernel's x-lines along it rather than
+//! walk cells one `get` at a time.
 
 use fp16mg_fp::{Scalar, Storage, F16};
-use fp16mg_grid::Wavefronts;
 
 use super::line::{Diag, LineSweep};
-use super::{cast_slice, cast_slice_mut, with_tap_metas, with_taps2, Par, TapMeta, MAX_COMPONENTS};
+use super::{cast_slice, cast_slice_mut, with_tap_metas, with_taps2, TapMeta, MAX_COMPONENTS};
 use crate::{Layout, SgDia};
 
 /// Solves `L x = b` with `L` lower triangular (taps with row-major sign
@@ -251,78 +253,4 @@ unsafe fn solve_naive_f16_aos(
         debug_assert!(diag != 0.0, "singular diagonal at cell {cell}");
         x[cell] = acc / diag;
     }
-}
-
-/// Raw pointer wrapper so hyperplane-disjoint writes can cross the worker
-/// closure boundary.
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-
-impl<T> SendPtr<T> {
-    /// Returns the pointer; a method call forces the closure to capture
-    /// the whole wrapper (not the raw-pointer field), keeping Send/Sync.
-    fn ptr(self) -> *mut T {
-        self.0
-    }
-}
-// SAFETY: used only for writes to disjoint indices within one plane.
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-/// Wavefront-parallel forward solve for scalar problems: cells on an
-/// `i+j+k` hyperplane are independent and solved concurrently.
-///
-/// # Panics
-/// Panics on dimension mismatch, non-scalar grids, patterns wider than
-/// radius 1, or an upper tap.
-pub fn sptrsv_forward_wavefront<S: Storage, P: Scalar>(
-    l: &SgDia<S>,
-    waves: &Wavefronts,
-    b: &[P],
-    x: &mut [P],
-    par: Par,
-) {
-    let grid = l.grid();
-    let cells = grid.cells();
-    assert_eq!(grid.components, 1, "wavefront solve supports scalar problems");
-    assert!(l.pattern().radius() <= 1, "wavefront schedule assumes radius-1 taps");
-    assert!(
-        l.pattern().taps().iter().all(|t| t.spatial_sign() <= 0),
-        "sptrsv_forward_wavefront requires a lower-triangular pattern"
-    );
-    assert_eq!(b.len(), cells, "b length");
-    assert_eq!(x.len(), cells, "x length");
-    assert_eq!(waves.len(), cells, "wavefront schedule size");
-    let xp = SendPtr(x.as_mut_ptr());
-    let nthreads = par.threads();
-
-    with_tap_metas(grid, l.pattern(), |metas| {
-        for plane in waves.forward() {
-            crate::par::for_each_in_plane(plane, nthreads, |&cu| {
-                let cell = cu as usize;
-                let mut acc = b[cell];
-                let mut diag = P::ZERO;
-                for (t, m) in metas.iter().enumerate() {
-                    let av = P::from_f64(l.get(cell, t).load_f64());
-                    if m.diagonal {
-                        diag = av;
-                        continue;
-                    }
-                    let nb = cell as i64 + m.cell_stride;
-                    if nb < 0 || nb >= cells as i64 {
-                        continue;
-                    }
-                    // SAFETY: nb lies on an earlier plane (dependency proven by
-                    // the wavefront schedule), fully written before this plane
-                    // started; concurrent reads are of completed values.
-                    let xv = unsafe { *xp.ptr().add(nb as usize) };
-                    acc -= av * xv;
-                }
-                assert!(diag != P::ZERO, "singular diagonal at cell {cell}");
-                // SAFETY: each cell index appears exactly once per plane, so
-                // writes within a plane are disjoint.
-                unsafe { *xp.ptr().add(cell) = acc / diag };
-            });
-        }
-    });
 }

@@ -70,32 +70,3 @@ pub(crate) fn for_each_field_chunk_mut<T: Send, F>(
         }
     });
 }
-
-/// Runs `f(item)` over every item of `plane`, splitting the plane across
-/// `nthreads` scoped threads. Items must be independent (caller's
-/// invariant). Sequential for one thread or tiny planes.
-pub(crate) fn for_each_in_plane<T: Sync, F>(plane: &[T], nthreads: usize, f: F)
-where
-    F: Fn(&T) + Sync,
-{
-    // Below this many items per thread, spawn overhead dominates any win.
-    const MIN_ITEMS_PER_THREAD: usize = 256;
-    let nthreads = nthreads.min(plane.len() / MIN_ITEMS_PER_THREAD.max(1)).max(1);
-    if nthreads == 1 {
-        for item in plane {
-            f(item);
-        }
-        return;
-    }
-    let chunk = plane.len().div_ceil(nthreads);
-    std::thread::scope(|scope| {
-        for part in plane.chunks(chunk) {
-            let f = &f;
-            scope.spawn(move || {
-                for item in part {
-                    f(item);
-                }
-            });
-        }
-    });
-}

@@ -3,7 +3,7 @@
 //! precisions.
 
 use fp16mg_fp::{Bf16, Precision, F16};
-use fp16mg_grid::{Grid3, Wavefronts};
+use fp16mg_grid::Grid3;
 use fp16mg_stencil::Pattern;
 use fp16mg_testkit::{check, check_n};
 
@@ -254,27 +254,6 @@ fn sptrsv_staged_f16_matches_generic() {
     for (&u, &v) in x1.iter().zip(&x2) {
         assert!((u - v).abs() <= 1e-5 * (1.0 + u.abs()), "{u} vs {v}");
     }
-}
-
-#[test]
-fn sptrsv_wavefront_matches_sequential() {
-    let g = Grid3::new(9, 7, 5);
-    let full = random_matrix(g, Pattern::p7(), Layout::Aos, 80);
-    let lp = full.pattern().lower_with_diag();
-    let mut l = SgDia::<f64>::zeros(g, lp.clone(), Layout::Aos);
-    for cell in 0..g.cells() {
-        for (t, tap) in lp.taps().iter().enumerate() {
-            let ft = full.pattern().tap_index(*tap).unwrap();
-            l.set(cell, t, full.get(cell, ft));
-        }
-    }
-    let waves = Wavefronts::build(&g);
-    let b = random_vec(g.unknowns(), 81);
-    let mut x1 = vec![0.0f64; g.unknowns()];
-    let mut x2 = vec![0.0f64; g.unknowns()];
-    kernels::sptrsv_forward(&l, &b, &mut x1);
-    kernels::sptrsv_forward_wavefront(&l, &waves, &b, &mut x2, Par::Seq);
-    assert!(max_rel_err(&x1, &x2) < 1e-13);
 }
 
 #[test]
