@@ -1,7 +1,8 @@
 //! Benches for a single V-cycle application per storage precision — the
 //! preconditioner-only speedup (the orange bars of Fig. 8, isolated from
 //! iteration-count effects), plus the setup-then-scale setup-phase
-//! overhead (the blue bars), the matrix-free vector kernels a cycle and
+//! overhead (the blue bars), the two reads a level's store costs against
+//! the triad rate, the matrix-free vector kernels a cycle and
 //! the Krylov loop around it are made of, the matrix kernels (sweep,
 //! SpMV, residual and their half-matrix forms) of its finest level side
 //! by side, one whole application on each repo-benchmark shape, and the
@@ -17,7 +18,7 @@ use fp16mg_problems::ProblemKind;
 use fp16mg_sgdia::audit::{store_level, TruncationPolicy};
 use fp16mg_sgdia::kernels::{self, BlockDiagInv, Par};
 use fp16mg_sgdia::model::half_read_planes;
-use fp16mg_sgdia::scaling::{scale_symmetric, GChoice};
+use fp16mg_sgdia::scaling::{scale_symmetric, GChoice, ScalePlan};
 use fp16mg_sgdia::{Layout, SgDia};
 
 /// Grid transfers (f32, the V-cycle's precision) and Krylov BLAS-1 (f64)
@@ -65,12 +66,62 @@ fn bench_setup_kernels() {
         g.throughput_bytes(bytes + bytes / 4).bench("store-pass", || {
             std::hint::black_box(store_level::<F16>(
                 a,
+                None,
                 Some(TruncationPolicy::Saturate),
                 true,
                 false,
             ))
             .expect("saturate stores everything");
         });
+    }
+}
+
+/// What storing a finest level costs, as `Mg::setup` does it (FP16 planes,
+/// sentinels, FP32 promotion source), on the two scalar repo-benchmark
+/// shapes: laplace27 is in range and stored in one read (`store`); weather
+/// is not and takes two — `G_max` (`plan`), then the fused scale +
+/// truncate + audit + sentinel + source sweep (`store scaled`). GB/s from
+/// the bytes each must move (8 read per entry, 2 + 4 written), beside a
+/// `triad` (`a = b + s·c` over f64 arrays of the level's size, 24 bytes
+/// per element) run the same way: ROADMAP item 4 asks the store for
+/// ≥ 3 GB/s, and the triad row says what this host would give a loop
+/// that only moved the bytes.
+fn bench_store_pass() {
+    for (kind, n) in [(ProblemKind::Laplace27, 72), (ProblemKind::Weather, 64)] {
+        let a = kind.build(n).matrix.to_layout(Layout::Soa);
+        let (entries, bytes) = (a.stored_entries(), a.value_bytes() as u64);
+        let group = |moved: u64| {
+            Group::new(format!("store-pass/{}-n{n}", kind.name())).throughput_bytes(moved)
+        };
+        let (b, c) = (vec![1.5f64; entries / 3], vec![0.25f64; entries / 3]);
+        let mut out = vec![0.0f64; entries / 3];
+        group(bytes).bench("triad", || {
+            for ((o, &b), &c) in out.iter_mut().zip(&b).zip(&c) {
+                *o = b + 3.0 * c;
+            }
+            std::hint::black_box(&mut out);
+        });
+        let store = |scale: Option<&[f64]>| {
+            std::hint::black_box(store_level::<F16>(
+                &a,
+                scale,
+                Some(TruncationPolicy::Saturate),
+                true,
+                true,
+            ))
+            .expect("saturate stores everything");
+        };
+        let plan =
+            || ScalePlan::decide(&a, GChoice::Auto, F16::MAX_F64).expect("positive diagonal");
+        if a.abs_max().0 < F16::MAX_F64 {
+            group(bytes + bytes * 3 / 4).bench("store", || store(None));
+        } else {
+            group(bytes).bench("plan", || {
+                std::hint::black_box(plan());
+            });
+            let plan = plan();
+            group(bytes + bytes * 3 / 4).bench("store scaled", || store(Some(plan.s_inv())));
+        }
     }
 }
 
@@ -228,6 +279,7 @@ fn main() {
     bench_apply();
     bench_matop();
     bench_setup_kernels();
+    bench_store_pass();
     bench_vcycle();
     bench_setup();
 }

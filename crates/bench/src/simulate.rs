@@ -338,13 +338,9 @@ fn effective_matrix(evo: &Evolution, chaos: bool, step: u64) -> SgDia<f64> {
     let mut a = evo.matrix_at(step);
     let f = chaos_spike(chaos, step);
     if f != 1.0 {
-        for cell in 0..a.grid().cells() {
-            for t in 0..a.pattern().len() {
-                let v = a.get(cell, t);
-                if v != 0.0 {
-                    a.set(cell, t, v * f);
-                }
-            }
+        // Every stored value, whatever the layout; zeros keep their bits.
+        for v in a.data_mut().iter_mut().filter(|v| **v != 0.0) {
+            *v *= f;
         }
     }
     a

@@ -9,7 +9,7 @@ use fp16mg_grid::Grid3;
 use fp16mg_krylov::Preconditioner;
 use fp16mg_sgdia::audit::{self, RangeAudit, StoredLevel, TruncationError, TruncationPolicy};
 use fp16mg_sgdia::kernels::BlockDiagInv;
-use fp16mg_sgdia::scaling::{self, ScaleVectors};
+use fp16mg_sgdia::scaling::{self, ScalePlan, ScaleVectors};
 use fp16mg_sgdia::sentinel::{MatrixSentinels, TapMismatch};
 use fp16mg_sgdia::{Layout, SgDia};
 
@@ -1000,7 +1000,8 @@ impl<Pr: Scalar> Mg<Pr> {
         let parent = self.repair_sources.get(level)?.as_ref()?;
         let precision = self.levels[level].stored.precision();
         let (layout, policy) = (self.config.layout, store_policy(&self.config));
-        let store = StoredMatrix::store_level(parent, precision, layout, policy, false, false);
+        let store =
+            StoredMatrix::store_level(parent, None, precision, layout, policy, false, false);
         self.levels[level].stored = store.ok()?.matrix;
         let event = RepairEvent { level, taps, precision, trigger };
         self.info.repairs.push(event.clone());
@@ -1234,26 +1235,21 @@ fn out_of_range(a: &SgDia<f64>, limit: f64) -> bool {
     a.data().chunks(4096).any(|c| c.iter().fold(false, beyond))
 }
 
-/// A level scaled per Theorem 4.1, with its scale vectors.
-type Scaled<P> = (SgDia<f64>, ScaleVectors<P>);
-
-/// The scaled copy of `ai` when setup-then-scale applies to it: `None`
-/// for a level stored as is.
+/// How setup-then-scale scales `ai` for storage at `prec`: `None` for a
+/// level stored as is. One read of the level (`G_max`); nothing is copied.
 ///
 /// # Errors
 /// The level needs scaling but its diagonal is not positive.
-fn scaled_copy<P: Scalar>(
+fn scale_plan(
     ai: &SgDia<f64>,
     prec: Precision,
     config: &MgConfig,
-) -> Result<Option<Scaled<P>>, scaling::ScalingError> {
+) -> Result<Option<ScalePlan>, scaling::ScalingError> {
     let limit = prec.finite_max();
     if config.scale != ScaleStrategy::SetupThenScale || !out_of_range(ai, limit) {
         return Ok(None);
     }
-    let mut scaled = ai.clone();
-    let sv = scaling::scale_symmetric::<P>(&mut scaled, config.g_choice, limit)?;
-    Ok(Some((scaled, sv)))
+    ScalePlan::decide(ai, config.g_choice, limit).map(Some)
 }
 
 fn build_level<Pr: Scalar>(
@@ -1265,45 +1261,47 @@ fn build_level<Pr: Scalar>(
     // Truncation after scaling (lines 6–9), or direct truncation (line
     // 11) — also the path for `None` and for all levels of
     // scale-then-setup (the chain is already globally scaled).
-    let (scaled, scale) = match scaled_copy::<Pr>(ai, prec, config) {
-        Ok(Some((scaled, sv))) => (Some(scaled), Some(sv)),
-        Err(_) => {
-            // Theorem 4.1 requires positive diagonals; deep Galerkin
-            // levels of nonsymmetric operators can violate that. Fall
-            // back to a storage precision wide enough to hold the level
-            // unscaled — the coarse-level analog of `shift_levid` (§4.3),
-            // costing almost nothing because coarse levels are small
-            // (guideline 3).
-            let (max, _) = ai.abs_max();
-            prec = if max < Precision::F32.finite_max() { Precision::F32 } else { Precision::F64 };
-            (None, None)
-        }
-        Ok(None) => (None, None),
-    };
-    // Smoother data comes from the high-precision matrix (line 13).
-    let src = scaled.as_ref().unwrap_or(ai);
-    let dinv = BlockDiagInv::from_matrix(src)
+    let plan = scale_plan(ai, prec, config).unwrap_or_else(|_| {
+        // Theorem 4.1 requires positive diagonals; deep Galerkin
+        // levels of nonsymmetric operators can violate that. Fall
+        // back to a storage precision wide enough to hold the level
+        // unscaled — the coarse-level analog of `shift_levid` (§4.3),
+        // costing almost nothing because coarse levels are small
+        // (guideline 3).
+        let (max, _) = ai.abs_max();
+        prec = if max < Precision::F32.finite_max() { Precision::F32 } else { Precision::F64 };
+        None
+    });
+    let s_inv = plan.as_ref().map(ScalePlan::s_inv);
+    // Smoother data comes from the high-precision matrix (line 13),
+    // scaled as it is read.
+    let dinv = BlockDiagInv::from_scaled(ai, s_inv)
         .map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
-    // Promotion material for the narrow levels: the unscaled operator in
-    // FP32 is exact enough to rebuild the level at FP32 and costs 2× the
-    // FP16 level it insures. It rides on the store pass unless that pass
-    // reads the scaled copy.
+    // The second and last read of the level: scaled, truncated, audited
+    // and sentineled block by block, and — promotion material for the
+    // narrow levels, exact enough to rebuild the level at FP32 for 2× the
+    // FP16 level it insures — the *unscaled* operator narrowed to FP32.
     let keep_source = config.recovery.enabled && is_narrow(prec);
-    let fuse_source = keep_source && scaled.is_none();
     let (layout, sentinels) = (config.layout, config.integrity.sentinels);
     let policy = store_policy(config);
-    let mut store = StoredMatrix::store_level(src, prec, layout, policy, sentinels, fuse_source)
+    let store = StoredMatrix::store_level(ai, s_inv, prec, layout, policy, sentinels, keep_source)
         .map_err(|error| SetupError::Truncation { level, error })?;
-    if keep_source && !fuse_source {
-        store.source = Some(ai.convert::<f32>());
-    }
+    // The scaled f64 operator exists only for who reads it whole: ILU(0),
+    // the Chebyshev bound, a retained repair parent (a wide fallback
+    // precision has nothing to repair).
+    let retain_parent = config.integrity.retain_parents && is_narrow(prec);
+    let reads_whole = matches!(
+        config.smoother,
+        crate::SmootherKind::Ilu0 | crate::SmootherKind::Chebyshev { .. }
+    );
+    let scaled = plan.as_ref().filter(|_| retain_parent || reads_whole).map(|p| p.scaled(ai));
+    let src = scaled.as_ref().unwrap_or(ai);
     let ilu = build_ilu(src, prec, config, level)?;
     let cheb = estimate_lambda_if_cheb(src, config);
-    // A wide (fallback) precision has nothing to repair.
-    let retain_parent = config.integrity.retain_parents && is_narrow(prec);
+    let scale = plan.as_ref().map(ScalePlan::vectors::<Pr>);
     Ok(LevelParts {
         store,
-        g_clamped_from: scale.as_ref().and_then(|sv: &ScaleVectors<Pr>| sv.g_clamped_from),
+        g_clamped_from: plan.and_then(|plan| plan.g_clamped_from),
         scale,
         dinv,
         ilu,
@@ -1328,16 +1326,14 @@ fn resolve_auto_shift(
     let mut chosen = usize::MAX;
     for (i, ai) in chain.iter().enumerate().take(chain.len().saturating_sub(1)) {
         let prec = Precision::F16;
-        let scaled = scaled_copy::<f64>(ai, prec, config);
+        let plan = scale_plan(ai, prec, config);
         // Scaling impossible (non-positive diagonal): FP16 cannot hold
         // this level safely, so the switch point is here — and the audit
         // of the unscaled matrix, for the record, shows the saturation
         // that made it so.
-        let unscalable = scaled.is_err();
-        let lv = match &scaled {
-            Ok(Some((scaled, _))) => audit::audit(scaled, prec),
-            _ => audit::audit(ai, prec),
-        };
+        let unscalable = plan.is_err();
+        let s_inv = plan.as_ref().ok().and_then(Option::as_ref).map(ScalePlan::s_inv);
+        let lv = audit::audit_scaled(ai, s_inv, prec);
         let bad = unscalable
             || lv.saturate > 0
             || lv.source_non_finite > 0

@@ -5,6 +5,9 @@
 //! off, and the production recursion must reproduce it — to rounding
 //! where the identity `r = −U u` is exact (wide storage), within the
 //! `(D₁₆ − D_hp) u` bound where the stored diagonal is FP16.
+//!
+//! Below that: the two-read level store (`build_level`) against the
+//! clone → scale → store → convert sequence it replaced, level by level.
 
 use fp16mg_grid::Grid3;
 use fp16mg_sgdia::Layout;
@@ -251,4 +254,144 @@ fn an_infinity_in_either_half_of_the_matrix_still_ends_in_a_promotion() {
             }
         }
     }
+}
+
+// ---- The level store: two reads of the FP64 operator and no scaled copy,
+// against the four steps that made one. ----
+
+/// The stored values of a level, as bit patterns.
+fn stored_bits(m: &StoredMatrix) -> Vec<u64> {
+    use fp16mg_fp::Storage;
+    fn bits<S: Storage>(a: &SgDia<S>) -> Vec<u64> {
+        a.data().iter().map(|v| v.store_bits()).collect()
+    }
+    match m {
+        StoredMatrix::F64(a) => bits(a),
+        StoredMatrix::F32(a) => bits(a),
+        StoredMatrix::F16(a) => bits(a),
+        StoredMatrix::BF16(a) => bits(a),
+    }
+}
+
+fn f32_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every smoothed level of `Mg::setup(a, cfg)` against the level rebuilt
+/// the way `build_level` used to: clone the operator, `scale_symmetric`
+/// the clone in place, store the clone, `convert::<f32>` the original.
+fn assert_levels_match_the_clone_and_scale_oracle(a: &SgDia<f64>, cfg: &MgConfig, what: &str) {
+    let mg = Mg::<f32>::setup(a, cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let chain = GalerkinChain::build(a, cfg).unwrap();
+    let mut scaled_levels = 0;
+    for (i, ai) in chain.matrices().iter().enumerate().take(mg.levels.len()) {
+        let what = format!("{what} level {i}");
+        let (level, info) = (&mg.levels[i], &mg.info.levels[i]);
+        // The precision the level ended at (a level Theorem 4.1 cannot
+        // scale falls back to a wide one and is stored as it is).
+        let prec = level.stored.precision();
+        let mut scaled = (*ai).clone();
+        let sv = (cfg.scale == ScaleStrategy::SetupThenScale
+            && out_of_range(ai, prec.finite_max()))
+        .then(|| {
+            scaling::scale_symmetric::<f32>(&mut scaled, cfg.g_choice, prec.finite_max())
+                .expect("a level stored scaled has a positive diagonal")
+        });
+        scaled_levels += usize::from(sv.is_some());
+        let want = StoredMatrix::store_level(
+            &scaled,
+            None,
+            prec,
+            cfg.layout,
+            store_policy(cfg),
+            cfg.integrity.sentinels,
+            false,
+        )
+        .unwrap();
+        assert!(stored_bits(&level.stored) == stored_bits(&want.matrix), "{what}: planes");
+        assert_eq!(info.audit.as_ref(), Some(&want.audit), "{what}: audit");
+        assert_eq!(info.finite, want.finite, "{what}: finite");
+        assert_eq!(
+            info.sentinel.as_ref().map(|s| &s.sentinels),
+            want.sentinels.as_ref(),
+            "{what}: sentinels"
+        );
+        assert_eq!((info.scaled, info.g), (sv.is_some(), sv.as_ref().map(|sv| sv.g)), "{what}");
+        match (&level.scale, &sv) {
+            (Some(got), Some(want)) => {
+                assert_eq!(got.g_clamped_from, want.g_clamped_from, "{what}");
+                assert!(f32_bits(&got.s) == f32_bits(&want.s), "{what}: s");
+                assert!(f32_bits(&got.s_inv) == f32_bits(&want.s_inv), "{what}: s_inv");
+            }
+            (None, None) => {}
+            _ => panic!("{what}: scaled {} vs {}", level.scale.is_some(), sv.is_some()),
+        }
+        let dinv = BlockDiagInv::<f32>::from_matrix(&scaled).expect("regular diagonal blocks");
+        assert!(f32_bits(level.dinv.data()) == f32_bits(dinv.data()), "{what}: BlockDiagInv");
+        // The promotion source is the level before scaling, in FP32.
+        let source = (cfg.recovery.enabled && is_narrow(prec)).then(|| ai.convert::<f32>());
+        assert_eq!(mg.sources[i].is_some(), source.is_some(), "{what}: source kept");
+        if let (Some(got), Some(want)) = (&mg.sources[i], &source) {
+            assert!(f32_bits(got.data()) == f32_bits(want.data()), "{what}: FP32 source");
+        }
+    }
+    // `what` says whether the kind is out of FP16 range.
+    assert_eq!(scaled_levels > 0, what.contains("scaled"), "{what}: {scaled_levels} scaled");
+}
+
+#[test]
+fn every_problem_kind_is_stored_as_the_clone_and_scale_oracle_stores_it() {
+    use fp16mg_problems::ProblemKind;
+    for kind in ProblemKind::all() {
+        // An even and an odd extent (the odd one coarsens unevenly).
+        for n in [8, 11] {
+            let a = kind.build(n).matrix;
+            let range =
+                if a.abs_max().0 >= fp16mg_fp::F16::MAX_F64 { "scaled" } else { "in range" };
+            let what = format!("{} n={n} ({range})", kind.name());
+            assert_levels_match_the_clone_and_scale_oracle(&a, &MgConfig::d16(), &what);
+        }
+    }
+    // The ablation layout, BF16 storage (never scaled: it has f32's range)
+    // and a fixed G that gets clamped take the same path.
+    let a = ProblemKind::Weather.build(8).matrix;
+    let aos = MgConfig { layout: Layout::Aos, ..MgConfig::d16() };
+    assert_levels_match_the_clone_and_scale_oracle(&a, &aos, "weather AOS (scaled)");
+    let clamped = MgConfig { g_choice: GChoice::Fixed(1.0e9), ..MgConfig::d16() };
+    assert_levels_match_the_clone_and_scale_oracle(&a, &clamped, "weather fixed G (scaled)");
+    let bf16 = MgConfig::dbf16();
+    assert_levels_match_the_clone_and_scale_oracle(&a, &bf16, "weather bf16 (in range)");
+}
+
+/// A flipped bit in a *scaled* level: its retained parent is the scaled
+/// FP64 operator, materialised for that purpose only, and re-truncating it
+/// must give back the planes the fused scaled store wrote at set-up.
+#[cfg(feature = "fault-inject")]
+#[test]
+fn a_scaled_level_is_repaired_bit_identically_from_its_retained_parent() {
+    use crate::{IntegrityPolicy, RepairTrigger};
+
+    check_n("a_scaled_level_is_repaired_bit_identically", 16, |rng| {
+        let pattern = if rng.chance(0.5) { Pattern::p7() } else { Pattern::p27() };
+        let a = laplacian(Grid3::new(9, 8, 7), pattern, 10f64.powf(rng.f64_range(5.0, 9.0)));
+        let cfg = MgConfig { integrity: IntegrityPolicy::armed(0), ..MgConfig::d16() };
+        let mut mg = Mg::<f32>::setup(&a, &cfg).unwrap();
+        let level = rng.usize_range(0, mg.levels.len());
+        assert!(mg.info.levels[level].scaled, "1e5 and beyond is out of FP16 range");
+        let before = stored_bits(&mg.levels[level].stored);
+        let tap = rng.usize_range(0, a.pattern().len());
+        let bit = rng.usize_range(0, 16) as u32;
+        if mg.stored_mut(level).unwrap().inject_bit_flip_tap(tap, bit).is_none() {
+            return; // an all-zero plane of a coarse stencil
+        }
+        assert!(stored_bits(&mg.levels[level].stored) != before, "the flip landed");
+        let events = mg.verify_and_repair(RepairTrigger::Requested);
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert_eq!((events[0].level, events[0].taps.as_slice()), (level, &[tap][..]));
+        assert!(
+            stored_bits(&mg.levels[level].stored) == before,
+            "level {level} tap {tap} bit {bit}"
+        );
+        assert!(mg.verify_integrity().is_empty());
+    });
 }

@@ -38,11 +38,13 @@ macro_rules! dispatch {
 }
 
 impl StoredMatrix {
-    /// Stores `a` at `precision` in `layout` through the one fused pass
+    /// Stores `a` — scaled by `scale` (`1/√q` per unknown) on the way,
+    /// when given — at `precision` in `layout` through the one fused pass
     /// ([`store_level`]); `policy: None` is the plain IEEE conversion.
     /// The matrix is borrowed, not copied, when its layout already matches.
     pub(crate) fn store_level(
         a: &SgDia<f64>,
+        scale: Option<&[f64]>,
         precision: Precision,
         layout: Layout,
         policy: Option<TruncationPolicy>,
@@ -51,10 +53,12 @@ impl StoredMatrix {
     ) -> Result<StoredLevel<Self>, TruncationError> {
         let a = &*a.in_layout(layout);
         Ok(match precision {
-            Precision::F64 => store_level(a, policy, sentinels, keep_source)?.map(Self::F64),
-            Precision::F32 => store_level(a, policy, sentinels, keep_source)?.map(Self::F32),
-            Precision::F16 => store_level(a, policy, sentinels, keep_source)?.map(Self::F16),
-            Precision::BF16 => store_level(a, policy, sentinels, keep_source)?.map(Self::BF16),
+            Precision::F64 => store_level(a, scale, policy, sentinels, keep_source)?.map(Self::F64),
+            Precision::F32 => store_level(a, scale, policy, sentinels, keep_source)?.map(Self::F32),
+            Precision::F16 => store_level(a, scale, policy, sentinels, keep_source)?.map(Self::F16),
+            Precision::BF16 => {
+                store_level(a, scale, policy, sentinels, keep_source)?.map(Self::BF16)
+            }
         })
     }
 
@@ -62,7 +66,7 @@ impl StoredMatrix {
     /// precision and layout (Algorithm 1 lines 8/11) with plain IEEE
     /// semantics: overflow to ±∞.
     pub fn truncate(a: &SgDia<f64>, precision: Precision, layout: Layout) -> Self {
-        match Self::store_level(a, precision, layout, None, false, false) {
+        match Self::store_level(a, None, precision, layout, None, false, false) {
             Ok(level) => level.matrix,
             Err(_) => unreachable!("the plain IEEE conversion refuses nothing"),
         }
@@ -83,7 +87,7 @@ impl StoredMatrix {
         layout: Layout,
         policy: TruncationPolicy,
     ) -> Result<Self, TruncationError> {
-        Ok(Self::store_level(a, precision, layout, Some(policy), false, false)?.matrix)
+        Ok(Self::store_level(a, None, precision, layout, Some(policy), false, false)?.matrix)
     }
 
     /// The storage precision tag.
@@ -165,7 +169,7 @@ impl StoredMatrix {
     }
 
     /// Computes the per-plane integrity sentinels of the stored values
-    /// (FNV-1a bit-pattern checksum + FP64 sum invariants per tap).
+    /// (lane-hash bit-pattern checksum + FP64 sum invariants per tap).
     pub fn sentinels(&self) -> fp16mg_sgdia::sentinel::MatrixSentinels {
         dispatch!(self, a => fp16mg_sgdia::sentinel::compute(a))
     }

@@ -1179,7 +1179,7 @@ mod integrity {
         // sweep, localized to exactly the flipped (level, tap), and the
         // localized repair re-truncates the level from its retained parent
         // so the recomputed sentinels match the setup-time ones bit for
-        // bit (FNV-1a over every stored bit pattern + exact FP64 sums).
+        // bit (the lane hash over every stored bit pattern + exact FP64 sums).
         check_n("prop_repair_restores_bit_identical_planes", 64, |rng| {
             let scale = 10.0f64.powf(rng.f64_range(-3.0, 6.0));
             let a = laplacian(Grid3::cube(8), Pattern::p7(), scale);

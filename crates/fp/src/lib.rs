@@ -31,7 +31,7 @@ pub mod simd;
 pub mod traits;
 
 pub use bf16::Bf16;
-pub use checksum::{checksum_slice, Fnv1a};
+pub use checksum::{checksum_slice, Fnv1a, LaneHash, LaneSums};
 pub use classify::{ClassCounts, NumClass};
 pub use f16::F16;
 pub use traits::{Precision, Scalar, Storage};

@@ -58,6 +58,70 @@ pub fn narrow_f32(src: &[f32], dst: &mut [F16]) {
     narrow_f32_scalar(src, dst);
 }
 
+/// Entries staged in `f32` per step of the `f64` conversions.
+const STAGE: usize = 256;
+
+/// Narrows a slice of `f64` values to binary16 through `f32`: the two
+/// roundings of [`F16::from_f64`], each to nearest-even, overflow → ±∞.
+///
+/// # Panics
+/// Panics if `src` and `dst` lengths differ.
+#[inline]
+pub fn narrow_f64(src: &[f64], dst: &mut [F16]) {
+    assert_eq!(src.len(), dst.len(), "narrow_f64: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if f16c_available() {
+        // SAFETY: F16C availability was just checked.
+        unsafe { narrow_f64_f16c(src, dst) };
+        return;
+    }
+    narrow_f64_staged(src, dst, narrow_f32_scalar);
+}
+
+/// Widens a slice of binary16 values to `f64` (exact).
+///
+/// # Panics
+/// Panics if `src` and `dst` lengths differ.
+#[inline]
+pub fn widen_f16_f64(src: &[F16], dst: &mut [f64]) {
+    assert_eq!(src.len(), dst.len(), "widen_f16_f64: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if f16c_available() {
+        // SAFETY: F16C availability was just checked.
+        unsafe { widen_f16_f64_f16c(src, dst) };
+        return;
+    }
+    widen_f16_f64_staged(src, dst, widen_f16_scalar);
+}
+
+/// `f64 → f32` in this function's instruction set, `f32 → f16` by
+/// `narrow`, a stage at a time.
+#[inline(always)]
+fn narrow_f64_staged(src: &[f64], dst: &mut [F16], narrow: impl Fn(&[f32], &mut [F16])) {
+    let mut single = [0.0f32; STAGE];
+    for (s, d) in src.chunks(STAGE).zip(dst.chunks_mut(STAGE)) {
+        let single = &mut single[..s.len()];
+        for (t, &x) in single.iter_mut().zip(s) {
+            *t = x as f32;
+        }
+        narrow(single, d);
+    }
+}
+
+/// `f16 → f32` by `widen`, `f32 → f64` in this function's instruction
+/// set, a stage at a time.
+#[inline(always)]
+fn widen_f16_f64_staged(src: &[F16], dst: &mut [f64], widen: impl Fn(&[F16], &mut [f32])) {
+    let mut single = [0.0f32; STAGE];
+    for (s, d) in src.chunks(STAGE).zip(dst.chunks_mut(STAGE)) {
+        let single = &mut single[..s.len()];
+        widen(s, single);
+        for (d, &x) in d.iter_mut().zip(single.iter()) {
+            *d = x as f64;
+        }
+    }
+}
+
 /// Widens a slice of bfloat16 values to `f32` (a 16-bit shift; always
 /// vectorizes well without dedicated instructions).
 #[inline]
@@ -126,4 +190,28 @@ pub unsafe fn narrow_f32_f16c(src: &[f32], dst: &mut [F16]) {
         _mm_storeu_si128(dp.add(c * 8) as *mut __m128i, h);
     }
     narrow_f32_scalar(&src[chunks * 8..], &mut dst[chunks * 8..]);
+}
+
+/// [`narrow_f64`] with both steps in the 256-bit instruction set F16C
+/// implies.
+///
+/// # Safety
+/// The caller must ensure the CPU supports F16C.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "f16c")]
+unsafe fn narrow_f64_f16c(src: &[f64], dst: &mut [F16]) {
+    // SAFETY: the caller vouches for F16C.
+    narrow_f64_staged(src, dst, |s, d| unsafe { narrow_f32_f16c(s, d) });
+}
+
+/// [`widen_f16_f64`] with both steps in the 256-bit instruction set F16C
+/// implies.
+///
+/// # Safety
+/// The caller must ensure the CPU supports F16C.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "f16c")]
+unsafe fn widen_f16_f64_f16c(src: &[F16], dst: &mut [f64]) {
+    // SAFETY: the caller vouches for F16C.
+    widen_f16_f64_staged(src, dst, |s, d| unsafe { widen_f16_f16c(s, d) });
 }

@@ -297,15 +297,7 @@ impl Storage for F16 {
     /// The same two roundings as [`F16::from_f64`] (`f64 → f32 → f16`,
     /// each to nearest-even), the second through F16C when the CPU has it.
     fn store_f64_slice(src: &[f64], dst: &mut [Self]) {
-        assert_eq!(src.len(), dst.len(), "store_f64_slice: length mismatch");
-        let mut single = [0.0f32; 256];
-        for (s, d) in src.chunks(single.len()).zip(dst.chunks_mut(single.len())) {
-            let single = &mut single[..s.len()];
-            for (t, &x) in single.iter_mut().zip(s) {
-                *t = x as f32;
-            }
-            crate::simd::narrow_f32(single, d);
-        }
+        crate::simd::narrow_f64(src, dst);
     }
     #[inline(always)]
     fn store_f32(x: f32) -> Self {
@@ -320,15 +312,7 @@ impl Storage for F16 {
         self.to_f64()
     }
     fn load_f64_slice(src: &[Self], dst: &mut [f64]) {
-        assert_eq!(src.len(), dst.len(), "load_f64_slice: length mismatch");
-        let mut single = [0.0f32; 256];
-        for (s, d) in src.chunks(single.len()).zip(dst.chunks_mut(single.len())) {
-            let single = &mut single[..s.len()];
-            crate::simd::widen_f16(s, single);
-            for (d, &x) in d.iter_mut().zip(single.iter()) {
-                *d = x as f64;
-            }
-        }
+        crate::simd::widen_f16_f64(src, dst);
     }
     #[inline(always)]
     fn is_finite(self) -> bool {

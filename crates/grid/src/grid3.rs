@@ -127,6 +127,31 @@ impl Grid3 {
         dx as i64 + (dy as i64) * self.nx as i64 + (dz as i64) * (self.nx * self.ny) as i64
     }
 
+    /// The cells of `cells` whose neighbour at `(dx, dy, dz)` is inside the
+    /// grid, as one contiguous run per x-row, in cell order — what a loop
+    /// over one stencil tap's plane walks instead of asking
+    /// [`contains_offset`](Self::contains_offset) per entry. The neighbour
+    /// of run `r` is `r` shifted by [`stride`](Self::stride).
+    pub fn neighbour_runs(
+        &self,
+        cells: std::ops::Range<usize>,
+        dx: i32,
+        dy: i32,
+        dz: i32,
+    ) -> impl Iterator<Item = std::ops::Range<usize>> {
+        // The indices along an extent-`n` axis whose neighbour at `d` exists.
+        let span = |n: usize, d: i32| (-d).max(0) as usize..n.saturating_sub(d.max(0) as usize);
+        let (nx, ny) = (self.nx, self.ny);
+        let (xs, ys, zs) = (span(nx, dx), span(ny, dy), span(self.nz, dz));
+        (cells.start / nx..cells.end.div_ceil(nx)).filter_map(move |row| {
+            if !ys.contains(&(row % ny)) || !zs.contains(&(row / ny)) {
+                return None;
+            }
+            let run = (row * nx + xs.start).max(cells.start)..(row * nx + xs.end).min(cells.end);
+            (!run.is_empty()).then_some(run)
+        })
+    }
+
     /// The grid after one step of full coarsening (×2 in every direction,
     /// keeping cells with even coordinates; extents round up so boundary
     /// cells survive).

@@ -48,6 +48,30 @@ fn stride_matches_indexing() {
 }
 
 #[test]
+fn neighbour_runs_are_the_cells_contains_offset_accepts() {
+    // Every extent against every offset up to two cells, over the whole
+    // plane and over ranges that start and end inside a row.
+    for g in [Grid3::new(5, 4, 3), Grid3::new(1, 3, 2), Grid3::new(2, 1, 1), Grid3::new(7, 2, 5)] {
+        let n = g.cells();
+        for (dx, dy, dz) in (0..125).map(|o| (o % 5 - 2, o / 5 % 5 - 2, o / 25 - 2)) {
+            for range in [0..n, 0..0, 1..n, 3.min(n)..n - n / 3, n / 2..n / 2 + 1] {
+                let want: Vec<usize> = g
+                    .iter_cells()
+                    .filter(|&(c, i, j, k)| {
+                        range.contains(&c) && g.contains_offset(i, j, k, dx, dy, dz)
+                    })
+                    .map(|(c, ..)| c)
+                    .collect();
+                let runs: Vec<_> = g.neighbour_runs(range.clone(), dx, dy, dz).collect();
+                assert!(runs.iter().all(|r| !r.is_empty() && r.start / g.nx == (r.end - 1) / g.nx));
+                let got: Vec<usize> = runs.into_iter().flatten().collect();
+                assert_eq!(got, want, "{g:?} offset ({dx}, {dy}, {dz}) range {range:?}");
+            }
+        }
+    }
+}
+
+#[test]
 fn contains_offset_boundary() {
     let g = Grid3::new(4, 4, 4);
     assert!(!g.contains_offset(0, 0, 0, -1, 0, 0));

@@ -29,7 +29,7 @@
 //!   field by a large factor (injection-phase switch, storm onset),
 //!   the drift that must invalidate and rebuild.
 
-use fp16mg_sgdia::SgDia;
+use fp16mg_sgdia::{Layout, SgDia};
 use fp16mg_stencil::Tap;
 
 use crate::{Problem, ProblemKind};
@@ -173,28 +173,8 @@ impl Evolution {
     /// placement) never changes; only magnitudes drift.
     pub fn matrix_at(&self, step: u64) -> SgDia<f64> {
         let mut m = self.base.clone();
-        if step == 0 {
-            return m;
-        }
-        let grid = *m.grid();
-        let taps: Vec<Tap> = m.pattern().taps().to_vec();
-        let mut mult = vec![1.0f64; grid.cells()];
-        for (cell, i, _, _) in grid.iter_cells() {
-            mult[cell] = self.preset.multiplier(i, grid.nx, step);
-        }
-        for (cell, i, j, k) in grid.iter_cells() {
-            for (t, tap) in taps.iter().enumerate() {
-                let factor = if tap.dx == 0 && tap.dy == 0 && tap.dz == 0 {
-                    mult[cell]
-                } else if grid.contains_offset(i, j, k, tap.dx, tap.dy, tap.dz) {
-                    let nb = (cell as i64 + grid.stride(tap.dx, tap.dy, tap.dz)) as usize;
-                    (mult[cell] * mult[nb]).sqrt()
-                } else {
-                    continue; // structural zero stays zero
-                };
-                let v = m.get(cell, t);
-                m.set(cell, t, v * factor);
-            }
+        if step > 0 {
+            drift_in_place(&mut m, &self.preset, step);
         }
         m
     }
@@ -211,6 +191,40 @@ impl Evolution {
     }
 }
 
+/// Applies `preset`'s congruence scaling at `step` to `m`: SOA planes as
+/// x-row slices, AOS entry by entry.
+pub(crate) fn drift_in_place(m: &mut SgDia<f64>, preset: &DriftPreset, step: u64) {
+    let grid = *m.grid();
+    // The multiplier varies along `i` only, and so does a tap's factor
+    // `sqrt(m_cell · m_nb)`: one table per tap, applied x-row by x-row
+    // to the entries whose neighbour is in the grid (a structural zero
+    // stays zero).
+    let mult: Vec<f64> = (0..grid.nx).map(|i| preset.multiplier(i, grid.nx, step)).collect();
+    let taps: Vec<Tap> = m.pattern().taps().to_vec();
+    let soa = m.layout() == Layout::Soa;
+    let mut factor = vec![1.0f64; grid.nx];
+    for (t, tap) in taps.iter().enumerate() {
+        let at_cell = (tap.dx, tap.dy, tap.dz) == (0, 0, 0);
+        for (i, f) in factor.iter_mut().enumerate() {
+            // Without a neighbour along `i` the entry is never scaled.
+            let nb = mult.get((i as i64 + tap.dx as i64) as usize);
+            *f = if at_cell { mult[i] } else { nb.map_or(1.0, |nb| (mult[i] * nb).sqrt()) };
+        }
+        for run in grid.neighbour_runs(0..grid.cells(), tap.dx, tap.dy, tap.dz) {
+            let factor = &factor[run.start % grid.nx..][..run.len()];
+            if soa {
+                for (v, f) in m.tap_slice_mut(t)[run].iter_mut().zip(factor) {
+                    *v *= f;
+                }
+            } else {
+                for (cell, f) in run.zip(factor) {
+                    m.set(cell, t, m.get(cell, t) * f);
+                }
+            }
+        }
+    }
+}
+
 /// The implicit-step right-hand side: the problem's stationary source
 /// plus a mass-like coupling to the previous step's solution
 /// (`b_t = r0 + α·x_{t-1}` with `α` tied to the operator's magnitude,
@@ -218,10 +232,11 @@ impl Evolution {
 /// bit-reproducible, so a resumed trajectory recomputes the same
 /// right-hand sides from the checkpointed solution.
 pub fn step_rhs(problem: &Problem, prev: Option<&[f64]>) -> Vec<f64> {
-    let mut b = problem.rhs();
+    // One read of the matrix serves the source's scale and `α`.
+    let scale = problem.matrix.abs_max().0.max(1.0);
+    let mut b = problem.rhs_at_scale(scale);
     if let Some(x) = prev {
-        let (mx, _) = problem.matrix.abs_max();
-        let alpha = 0.5 * mx.max(1.0);
+        let alpha = 0.5 * scale;
         for (bi, xi) in b.iter_mut().zip(x) {
             *bi += alpha * xi;
         }

@@ -249,7 +249,9 @@ mod evolve {
     use fp16mg_fp::Precision;
     use fp16mg_sgdia::audit::{audit, drift};
 
-    use crate::evolve::{DriftPreset, Evolution};
+    use fp16mg_sgdia::{Layout, SgDia};
+
+    use crate::evolve::{drift_in_place, step_rhs, DriftPreset, Evolution};
     use crate::ProblemKind;
 
     /// The cache's decision bounds (CacheConfig defaults), replicated so
@@ -283,6 +285,70 @@ mod evolve {
         let fresh = Evolution::new(ProblemKind::Oil, 6).matrix_at(11);
         for (x, y) in fresh.data().iter().zip(evo.matrix_at(11).data()) {
             assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    /// `matrix_at` one entry at a time, as it was written before it walked
+    /// x-rows: the oracle.
+    fn matrix_at_per_entry(evo: &Evolution, base: &SgDia<f64>, step: u64) -> SgDia<f64> {
+        let mut m = base.clone();
+        let grid = *m.grid();
+        let taps: Vec<_> = m.pattern().taps().to_vec();
+        let mult: Vec<f64> = grid
+            .iter_cells()
+            .map(|(_, i, _, _)| evo.preset().multiplier(i, grid.nx, step))
+            .collect();
+        for (cell, i, j, k) in grid.iter_cells() {
+            for (t, tap) in taps.iter().enumerate() {
+                let factor = if tap.dx == 0 && tap.dy == 0 && tap.dz == 0 {
+                    mult[cell]
+                } else if grid.contains_offset(i, j, k, tap.dx, tap.dy, tap.dz) {
+                    let nb = (cell as i64 + grid.stride(tap.dx, tap.dy, tap.dz)) as usize;
+                    (mult[cell] * mult[nb]).sqrt()
+                } else {
+                    continue;
+                };
+                let v = m.get(cell, t);
+                m.set(cell, t, v * factor);
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn row_walking_matrix_at_equals_the_per_entry_loop_to_the_bit() {
+        // Every kind (scalar 7 / 19 / 27-point, 3 and 4 components), steps
+        // inside and outside a jump window and across a front, both layouts.
+        for kind in ProblemKind::all() {
+            let evo = Evolution::new(kind, 6);
+            for step in [1u64, 4, 7, 13] {
+                let got = evo.matrix_at(step);
+                let want = matrix_at_per_entry(&evo, evo.base(), step);
+                for (e, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{} step {step} entry {e}", kind.name());
+                }
+                let mut got = evo.base().to_layout(Layout::Aos);
+                let want = matrix_at_per_entry(&evo, &got, step);
+                drift_in_place(&mut got, evo.preset(), step);
+                for (x, y) in got.data().iter().zip(want.data()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{} step {step} (AOS)", kind.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn step_rhs_reads_the_matrix_once_for_the_same_bits() {
+        for kind in [ProblemKind::Weather, ProblemKind::Rhd3T] {
+            let problem = Evolution::new(kind, 6).problem_at(3);
+            let x: Vec<f64> = (0..problem.matrix.rows()).map(|i| (i as f64 * 0.37).cos()).collect();
+            // As it was: `rhs()`, then `abs_max` again for `α`.
+            let mut want = problem.rhs();
+            let alpha = 0.5 * problem.matrix.abs_max().0.max(1.0);
+            want.iter_mut().zip(&x).for_each(|(b, xi)| *b += alpha * xi);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&step_rhs(&problem, Some(&x))), bits(&want), "{}", kind.name());
+            assert_eq!(bits(&step_rhs(&problem, None)), bits(&problem.rhs()));
         }
     }
 

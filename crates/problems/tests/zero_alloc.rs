@@ -13,6 +13,10 @@
 //! and the vector PDE rhd-3T) are all checked — their hierarchies differ
 //! in depth, stencil, component count and storage split, so a regression
 //! in any level's arena shows up here.
+//!
+//! The same wrapper counts the calling thread's allocations *of at least
+//! a set size*, which is how the set-up's clause is held: on the default
+//! path `Mg::setup` never makes a transient FP64 copy of a level.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -33,26 +37,35 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+thread_local! {
+    // Allocations of at least `BIG_FROM` bytes (none while it is MAX).
+    static BIG_FROM: Cell<usize> = const { Cell::new(usize::MAX) };
+    static BIG_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one(bytes: usize) {
     // `try_with`: a thread tearing down its locals may still free and
     // allocate; those calls are nobody's steady state.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    if BIG_FROM.try_with(Cell::get).is_ok_and(|from| bytes >= from) {
+        let _ = BIG_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -63,6 +76,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Allocations made so far by the calling thread.
 fn alloc_count() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Allocations of at least `bytes` the calling thread makes inside `f`.
+fn big_allocs_in<T>(bytes: usize, f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BIG_ALLOCS.with(Cell::get);
+    BIG_FROM.with(|from| from.set(bytes));
+    let out = f();
+    BIG_FROM.with(|from| from.set(usize::MAX));
+    (out, BIG_ALLOCS.with(Cell::get) - before)
 }
 
 /// Iterations treated as warmup before the zero-allocation clause is
@@ -304,4 +326,29 @@ fn zero_guess_entry_is_allocation_free() {
             assert_eq!(cold, 0, "{}: CG's entry from zero allocated", p.name);
         }
     }
+}
+
+/// A scaled level is stored in two reads of its FP64 operator and no copy
+/// of it: on the default path (Gauss–Seidel smoother, no retained repair
+/// parents) `Mg::setup` of an out-of-range problem makes no allocation as
+/// large as the finest level's FP64 planes — the largest things it does
+/// allocate are that level's FP32 promotion source (half) and FP16 planes
+/// (a quarter). The consumers that read the scaled operator whole still
+/// get their copy, which also shows the counter counts.
+#[test]
+fn default_setup_makes_no_full_size_fp64_copy_of_a_level() {
+    let p = ProblemKind::Weather.build(16);
+    let level_bytes = p.matrix.value_bytes();
+    let cfg = MgConfig::d16();
+    assert!(!cfg.integrity.retain_parents, "the default path retains no parents");
+    let (mg, big) = big_allocs_in(level_bytes, || Mg::<f32>::setup(&p.matrix, &cfg));
+    let mg = mg.expect(p.name);
+    assert!(mg.info().levels[0].scaled, "weather is out of FP16 range: the level was scaled");
+    assert_eq!(big, 0, "set-up made {big} allocation(s) of >= {level_bytes} bytes");
+
+    let mut retaining = MgConfig::d16();
+    retaining.integrity.retain_parents = true;
+    let (mg, big) = big_allocs_in(level_bytes, || Mg::<f32>::setup(&p.matrix, &retaining));
+    mg.expect(p.name);
+    assert_eq!(big, 1, "a retained parent is the scaled FP64 finest level, made once");
 }

@@ -24,7 +24,7 @@
 //!   → **[`CacheEventKind::DriftInvalidated`]**: the entry is torn down
 //!   and rebuilt from scratch.
 //!
-//! Bit-equal operators short-circuit via an FNV-1a fingerprint of the
+//! Bit-equal operators short-circuit via a lane-hash fingerprint of the
 //! raw matrix bits before any audit runs. Every decision is recorded as
 //! a typed [`CacheEvent`] in a ring-bounded trail, and the per-class
 //! keying reuses the breaker registry's convention, so cache, breaker,
@@ -33,9 +33,9 @@
 use std::collections::BTreeMap;
 
 use fp16mg_core::{GalerkinChain, Mg, MgConfig, ScaleStrategy, SetupError};
-use fp16mg_fp::{Fnv1a, Precision};
+use fp16mg_fp::{LaneHash, Precision};
 use fp16mg_sgdia::audit::{self, drift, OperatorDrift, RangeAudit};
-use fp16mg_sgdia::SgDia;
+use fp16mg_sgdia::{Layout, SgDia};
 
 use crate::mem::{MemCharge, MemGovernor};
 use crate::ring::Ring;
@@ -192,7 +192,7 @@ pub struct CacheStats {
 pub struct CacheEntryMeta {
     /// The entry's key.
     pub key: CacheKey,
-    /// FNV-1a fingerprint of the finest operator's raw bits.
+    /// Lane-hash fingerprint of the finest operator's raw bits.
     pub fingerprint: u64,
     /// Times this entry served a plain hit.
     pub hits: u64,
@@ -606,15 +606,19 @@ impl HierarchyCache {
     }
 }
 
-/// FNV-1a over the raw bit patterns of every stored entry, cell-major
-/// within each tap (layout-independent, like the ABFT sentinels): equal
-/// fingerprints ⇔ bit-identical operators.
+/// The lane hash ([`LaneHash`]) of the raw bit patterns of every stored
+/// entry, cell-major within each tap (layout-independent, like the ABFT
+/// sentinels): bit-identical operators have equal fingerprints, and
+/// operators that differ in one entry never do. SOA data *is* that order
+/// and is read as the one slice it is.
 pub fn fingerprint(a: &SgDia<f64>) -> u64 {
-    let mut h = Fnv1a::new();
-    let cells = a.grid().cells();
-    for tap in 0..a.pattern().len() {
-        for cell in 0..cells {
-            h.write_value(a.get(cell, tap));
+    let mut h = LaneHash::new::<f64>();
+    match a.layout() {
+        Layout::Soa => h.write_slice(a.data()),
+        Layout::Aos => {
+            for tap in 0..a.pattern().len() {
+                (0..a.grid().cells()).for_each(|cell| h.write_value(a.get(cell, tap)));
+            }
         }
     }
     h.finish()

@@ -46,8 +46,13 @@ use crate::breaker::{BreakerExport, BreakerState};
 use crate::cache::{CacheEntryMeta, CacheKey, CacheStats};
 use crate::pool::{PoolState, ServeCounters};
 
-/// Snapshot format version understood by this build.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Snapshot format version understood by this build. Version 2 has the
+/// records of version 1; what changed is the meaning of a cache entry's
+/// `fingerprint` (the eight-lane hash of `fp16mg_fp::LaneHash`, no longer a
+/// byte-wise FNV-1a chain), so a v1 fingerprint can never match and a v1
+/// file is refused ([`SnapshotError::UnsupportedVersion`]) rather than
+/// restored into entries that would silently never hit.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Magic token opening every daemon snapshot file.
 const MAGIC: &str = "fp16mg-snapshot";

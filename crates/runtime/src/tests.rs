@@ -1214,6 +1214,34 @@ mod cache {
     }
 
     #[test]
+    fn fingerprint_is_layout_independent_and_sees_any_one_entry() {
+        use crate::cache::fingerprint;
+        use fp16mg_sgdia::Layout;
+        // 5³ × 27 entries: whole lane groups and a tail.
+        let soa = scaled(5, 1.0).to_layout(Layout::Soa);
+        let aos = soa.to_layout(Layout::Aos);
+        // The entry-by-entry walk (tap-major, cells in order) is the
+        // definition; the SOA slice read must agree with it.
+        let mut h = fp16mg_fp::LaneHash::new::<f64>();
+        for tap in 0..soa.pattern().len() {
+            (0..soa.grid().cells()).for_each(|cell| h.write_value(soa.get(cell, tap)));
+        }
+        assert_eq!(fingerprint(&soa), h.finish());
+        assert_eq!(fingerprint(&aos), h.finish());
+        // One flipped bit anywhere — low or high, a value or a stored
+        // zero, any lane, the tail — is a different operator.
+        let n = soa.data().len();
+        for (at, bit) in
+            [(0, 0), (1, 63), (7, 52), (8, 1), (n / 2 + 3, 31), (n - 1, 0), (n - 2, 62)]
+        {
+            let mut flipped = soa.clone();
+            let v = flipped.data()[at];
+            flipped.data_mut()[at] = f64::from_bits(v.to_bits() ^ (1 << bit));
+            assert_ne!(fingerprint(&flipped), fingerprint(&soa), "entry {at} bit {bit}");
+        }
+    }
+
+    #[test]
     fn event_ladder_hit_rescale_invalidate() {
         let mut cache = HierarchyCache::new(cfg());
         let config = MgConfig::d16();
@@ -1538,10 +1566,14 @@ mod sim_snapshot {
 }
 
 mod golden_bytes {
-    //! The bytes on disk are the compatibility contract (`SNAPSHOT_VERSION`
-    //! is still 1): one fixed snapshot of each kind, its encoding captured
-    //! at the commit before the codecs shared a record cursor and a body
-    //! writer, compared byte for byte.
+    //! The bytes on disk are the compatibility contract: one fixed snapshot
+    //! of each kind, compared byte for byte. Regenerated for
+    //! `SNAPSHOT_VERSION` 2 — the header line and, with it, the checksum
+    //! trailer; every record is as version 1 wrote it (captured at the commit
+    //! before the codecs shared a record cursor and a body writer). The
+    //! version moved because a cache entry's `fingerprint` is now the lane
+    //! hash: the field's bytes did not change, what they mean did, and the
+    //! version-1 bytes below must be refused.
     use crate::breaker::{BreakerExport, BreakerState};
     use crate::cache::{CacheEntryMeta, CacheKey, CacheStats};
     use crate::pool::{PoolState, ServeCounters};
@@ -1627,7 +1659,7 @@ mod golden_bytes {
     }
 
     const DAEMON_BYTES: &str = "\
-         fp16mg-snapshot v1\n\
+         fp16mg-snapshot v2\n\
          seq 41\n\
          counters 41 37 1 2 1 0 5 30 7\n\
          breaker poison%20class open 1101 2 3fe8000000000000 3 9 0 0\n\
@@ -1635,18 +1667,18 @@ mod golden_bytes {
          quarantine %25weird%20name%25 2\n\
          cache-stats 11 4 2 3 1\n\
          cache-entry drift%2Fa%20b 8 9 10 3 19 0123456789abcdef 6 2 2\n\
-         checksum 9e5a9951524f234f\n\
+         checksum a3dda4c87a594880\n\
          ";
 
     const SIM_BYTES: &str = "\
-         fp16mg-sim-snapshot v1\n\
+         fp16mg-sim-snapshot v2\n\
          problem rhd-3T\n\
          config 6 12 3e112e0be826d695 00000000feed5eed\n\
          cursor 7 4 6\n\
          resid 3df80d43de9cc603\n\
          counters 3 2 2 1 0\n\
          x-fields 3 6 3ff0000000000000 8000000000000000 01bac9a7b3b7302f 7ff8000000000000 c01d000000000000 3fb999999999999a\n\
-         checksum c471e003781eae13\n\
+         checksum f9ddce8426035456\n\
          ";
 
     #[test]
@@ -1659,6 +1691,25 @@ mod golden_bytes {
     fn sim_snapshot_encodes_to_the_committed_bytes() {
         assert_eq!(sim().encode(), SIM_BYTES);
         assert_eq!(SimSnapshot::decode(SIM_BYTES).unwrap().encode(), SIM_BYTES);
+    }
+
+    #[test]
+    fn version_1_snapshots_are_refused_typed() {
+        // The files version 1 wrote for the same two snapshots, checksums
+        // valid: refused by version, not misread.
+        let v1 = |bytes: &str, v2_sum: &str, v1_sum: &str| {
+            bytes.replacen(" v2\n", " v1\n", 1).replacen(v2_sum, v1_sum, 1)
+        };
+        let daemon_v1 = v1(DAEMON_BYTES, "a3dda4c87a594880", "9e5a9951524f234f");
+        assert_eq!(
+            DaemonSnapshot::decode(&daemon_v1),
+            Err(SnapshotError::UnsupportedVersion { found: 1 })
+        );
+        let sim_v1 = v1(SIM_BYTES, "f9ddce8426035456", "c471e003781eae13");
+        assert_eq!(
+            SimSnapshot::decode(&sim_v1).map(|s| s.step),
+            Err(SnapshotError::UnsupportedVersion { found: 1 })
+        );
     }
 
     #[test]

@@ -33,10 +33,33 @@ impl<P: Scalar> BlockDiagInv<P> {
     /// Returns the offending cell index if a diagonal block is singular
     /// or non-finite.
     pub fn from_matrix<S: Storage>(a: &SgDia<S>) -> Result<Self, usize> {
+        Self::from_scaled(a, None)
+    }
+
+    /// [`from_matrix`](Self::from_matrix) of `a` as symmetric scaling by
+    /// `scale` (`1/√q` per unknown) would leave it: block entry
+    /// `(cout, cin)` of a cell is read as `a · s_cout · s_cin`, in that
+    /// order, from the zero-offset planes — the scaled matrix itself is
+    /// not needed.
+    ///
+    /// # Errors
+    /// As [`from_matrix`](Self::from_matrix).
+    ///
+    /// # Panics
+    /// Panics if `scale` is not one factor per unknown of `a`.
+    pub fn from_scaled<S: Storage>(a: &SgDia<S>, scale: Option<&[f64]>) -> Result<Self, usize> {
         let grid = a.grid();
         let r = grid.components;
         assert!(r <= MAX_COMPONENTS, "too many components per cell");
         let cells = grid.cells();
+        if let Some(scale) = scale {
+            assert_eq!(scale.len(), cells * r, "one scale factor per unknown");
+        }
+        // Entry `(cout, cin)` of `cell`'s block as the (scaled) matrix holds it.
+        let scaled = |v: f64, cout: usize, cin: usize, cell: usize| match scale {
+            Some(s) => v * s[grid.unknown_of(cell, cout)] * s[grid.unknown_of(cell, cin)],
+            None => v,
+        };
         // The taps of the zero-offset block, row-major over (cout, cin), and
         // for SOA data the plane behind each.
         let pairs = (0..r as u8).flat_map(|co| (0..r as u8).map(move |ci| (co, ci)));
@@ -50,7 +73,7 @@ impl<P: Scalar> BlockDiagInv<P> {
             // Scalar PDE: the reciprocal of one contiguous plane — what
             // `invert_small` computes for a 1 × 1 block.
             for (cell, (d, v)) in data.iter_mut().zip(plane).enumerate() {
-                let p = v.load_f64();
+                let p = scaled(v.load_f64(), 0, 0, cell);
                 let inv = 1.0 / p;
                 if p == 0.0 || !p.is_finite() || !inv.is_finite() {
                     return Err(cell);
@@ -62,11 +85,13 @@ impl<P: Scalar> BlockDiagInv<P> {
         let mut block = [0.0f64; MAX_COMPONENTS * MAX_COMPONENTS];
         for cell in 0..cells {
             for (slot, (plane, bt)) in planes.iter().zip(&block_taps).enumerate() {
-                block[slot] = match (plane, bt) {
-                    (Some(plane), _) => plane[cell].load_f64(),
-                    (None, Some(t)) => a.get(cell, *t).load_f64(),
-                    (None, None) => 0.0,
+                let stored = match (plane, bt) {
+                    (Some(plane), _) => Some(plane[cell]),
+                    (None, Some(t)) => Some(a.get(cell, *t)),
+                    (None, None) => None,
                 };
+                block[slot] =
+                    stored.map_or(0.0, |v| scaled(v.load_f64(), slot / r, slot % r, cell));
             }
             let inv = invert_small(&mut block[..r * r], r).ok_or(cell)?;
             for (slot, v) in inv.iter().enumerate().take(r * r) {

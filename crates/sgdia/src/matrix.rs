@@ -140,6 +140,17 @@ impl<S: Storage> SgDia<S> {
         &self.data[tap * n..(tap + 1) * n]
     }
 
+    /// [`tap_slice`](Self::tap_slice), mutably.
+    ///
+    /// # Panics
+    /// Panics if the layout is AOS.
+    #[inline]
+    pub fn tap_slice_mut(&mut self, tap: usize) -> &mut [S] {
+        assert_eq!(self.layout, Layout::Soa, "tap_slice_mut requires SOA layout");
+        let n = self.grid.cells();
+        &mut self.data[tap * n..(tap + 1) * n]
+    }
+
     /// Number of stored entries (`cells × taps`), the kernel memory
     /// volume.
     #[inline]
@@ -211,18 +222,27 @@ impl<S: Storage> SgDia<S> {
 
     /// Largest absolute finite value stored, and whether any stored value
     /// is non-finite. Used by the `need to scale` test of Algorithm 1.
+    ///
+    /// The maximum is kept in eight interleaved lanes: it does not depend on
+    /// the order it is taken in, and one serial chain behind a branch per
+    /// value runs at a tenth of the memory rate.
     pub fn abs_max(&self) -> (f64, bool) {
-        let mut max = 0.0f64;
+        const LANES: usize = 8;
+        let mut max = [0.0f64; LANES];
         let mut nonfinite = false;
-        for &v in &self.data {
-            let x = v.load_f64();
-            if x.is_finite() {
-                max = max.max(x.abs());
-            } else {
-                nonfinite = true;
-            }
+        let mut fold = |max: &mut f64, v: &S| {
+            let x = v.load_f64().abs();
+            // False for ±∞ and NaN alike.
+            let finite = x <= f64::MAX;
+            nonfinite |= !finite;
+            *max = if finite & (x > *max) { x } else { *max };
+        };
+        let mut groups = self.data.chunks_exact(LANES);
+        for group in &mut groups {
+            max.iter_mut().zip(group).for_each(|(m, v)| fold(m, v));
         }
-        (max, nonfinite)
+        groups.remainder().iter().for_each(|v| fold(&mut max[0], v));
+        (max.into_iter().fold(0.0, f64::max), nonfinite)
     }
 
     /// True if every stored value is finite (no overflow happened during
@@ -238,7 +258,10 @@ impl<S: Storage> SgDia<S> {
         let cells = self.grid.cells();
         let mut out = Vec::with_capacity(self.rows());
         for t in self.pattern.diagonal_indices() {
-            out.extend((0..cells).map(|cell| self.get(cell, t).load_f64()));
+            match self.layout {
+                Layout::Soa => out.extend(self.tap_slice(t).iter().map(|v| v.load_f64())),
+                Layout::Aos => out.extend((0..cells).map(|cell| self.get(cell, t).load_f64())),
+            }
         }
         out
     }

@@ -8,10 +8,11 @@
 //! from a genuine numerical failure.
 //!
 //! Algorithm-based fault tolerance makes the state checkable instead: at
-//! setup every coefficient plane gets a [`TapSentinel`] — an FNV-1a
-//! checksum of its raw bit patterns plus two FP64 analytical invariants
-//! (sum and absolute sum of the stored values). Verification recomputes
-//! the sentinels and compares:
+//! setup every coefficient plane gets a [`TapSentinel`] — the eight-lane
+//! checksum of its raw bit patterns ([`fp16mg_fp::LaneHash`]) plus two
+//! FP64 analytical invariants (sum and absolute sum of the stored values,
+//! [`fp16mg_fp::LaneSums`]). Verification recomputes the sentinels and
+//! compares:
 //!
 //! * the **checksum** catches *every* single-bit change, including flips
 //!   inside NaN payloads or between ±0 that no float comparison can see;
@@ -19,23 +20,26 @@
 //!   checksum word itself and give a quick magnitude estimate of the
 //!   damage.
 //!
-//! Both are computed in a deterministic sequential order, so recomputing
+//! Both are computed in a fixed order (value `i` of a plane in lane
+//! `i mod 8`, the lanes folded at the end), so recomputing
 //! on an uncorrupted plane reproduces them *exactly* — verification is
 //! bit-exact equality, with no tolerance to tune and no false positives.
 //! A mismatch localizes corruption to a (tap, plane) pair; the hierarchy
 //! layer above maps that to a level and repairs it in place.
 
 use crate::matrix::SgDia;
-use fp16mg_fp::{Fnv1a, Storage};
+use fp16mg_fp::{LaneHash, LaneSums, Storage};
+
+use crate::Layout;
 
 /// Integrity sentinel of one coefficient plane (all cells of one tap).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TapSentinel {
-    /// FNV-1a digest of the plane's raw bit patterns, in cell order.
+    /// Lane-hash digest of the plane's raw bit patterns, in cell order.
     pub checksum: u64,
-    /// Sequential FP64 sum of the stored values (loaded exactly).
+    /// Eight-lane FP64 sum of the stored values (loaded exactly).
     pub sum: f64,
-    /// Sequential FP64 sum of absolute values.
+    /// Eight-lane FP64 sum of absolute values.
     pub abs_sum: f64,
 }
 
@@ -69,23 +73,47 @@ impl MatrixSentinels {
     }
 }
 
+/// Stored values widened per bulk conversion in [`SentinelAcc::push_slice`].
+const BLOCK: usize = 256;
+
 /// Running state of one plane's [`TapSentinel`]: values are pushed in
-/// cell order.
-#[derive(Clone, Copy, Debug, Default)]
+/// cell order, one at a time or in slices.
+#[derive(Clone, Copy, Debug)]
 pub struct SentinelAcc {
-    hash: Fnv1a,
-    sum: f64,
-    abs_sum: f64,
+    hash: LaneHash,
+    sums: LaneSums,
 }
 
 impl SentinelAcc {
+    /// The sentinel of an empty plane stored as `S`.
+    pub fn new<S: Storage>() -> Self {
+        SentinelAcc { hash: LaneHash::new::<S>(), sums: LaneSums::default() }
+    }
+
     /// Folds the next stored value of the plane in.
     #[inline(always)]
     pub fn push<S: Storage>(&mut self, v: S) {
         self.hash.write_value(v);
-        let w = v.load_f64();
-        self.sum += w;
-        self.abs_sum += w.abs();
+        self.sums.add(v.load_f64());
+    }
+
+    /// Folds the next stored values in, given what they load to
+    /// (`wide[i] == stored[i].load_f64()`): the store pass has both.
+    #[inline]
+    pub fn push_widened<S: Storage>(&mut self, stored: &[S], wide: &[f64]) {
+        debug_assert_eq!(stored.len(), wide.len());
+        self.hash.write_slice(stored);
+        self.sums.add_slice(wide);
+    }
+
+    /// Folds the next stored values in, widening them in bulk.
+    pub fn push_slice<S: Storage>(&mut self, stored: &[S]) {
+        let mut wide = [0.0f64; BLOCK];
+        for block in stored.chunks(BLOCK) {
+            let wide = &mut wide[..block.len()];
+            S::load_f64_slice(block, wide);
+            self.push_widened(block, wide);
+        }
     }
 
     /// The finished sentinel. A NaN sum is stored as the canonical NaN:
@@ -93,25 +121,30 @@ impl SentinelAcc {
     /// the code generator, and verification compares bits.
     pub fn finish(self) -> TapSentinel {
         let canonical = |x: f64| if x.is_nan() { f64::NAN } else { x };
+        let (sum, abs_sum) = self.sums.finish();
         TapSentinel {
             checksum: self.hash.finish(),
-            sum: canonical(self.sum),
-            abs_sum: canonical(self.abs_sum),
+            sum: canonical(sum),
+            abs_sum: canonical(abs_sum),
         }
     }
 }
 
 /// Computes the per-plane sentinels of a matrix.
 ///
-/// Iterates cell-major within each tap via [`SgDia::get`], so the result
-/// is independent of the in-memory [`Layout`](crate::Layout): an AOS and
-/// an SOA store of the same values have identical sentinels.
+/// A plane is digested in cell order whatever the in-memory
+/// [`Layout`]: an SOA plane as the slice it is, an AOS one entry by
+/// entry — an AOS and an SOA store of the same values have identical
+/// sentinels.
 pub fn compute<S: Storage>(a: &SgDia<S>) -> MatrixSentinels {
     let cells = a.grid().cells();
     let taps = (0..a.pattern().len())
         .map(|tap| {
-            let mut acc = SentinelAcc::default();
-            (0..cells).for_each(|cell| acc.push(a.get(cell, tap)));
+            let mut acc = SentinelAcc::new::<S>();
+            match a.layout() {
+                Layout::Soa => acc.push_slice(a.tap_slice(tap)),
+                Layout::Aos => (0..cells).for_each(|cell| acc.push(a.get(cell, tap))),
+            }
             acc.finish()
         })
         .collect();

@@ -1369,6 +1369,54 @@ mod sentinels {
         stable_for::<f64>();
     }
 
+    /// Every lane of the hash and the values past the last whole group: a
+    /// random bit of one value in each, on a random plane of a random
+    /// operator, must be caught on exactly that plane — by the checksum,
+    /// whatever the sums say — and flipping it back must verify clean.
+    fn any_flip_is_caught<S: Storage>(rng: &mut fp16mg_testkit::Rng, from_bits: fn(u64) -> S) {
+        let a0: SgDia<S> = super::setup_operator(rng).convert();
+        let reference = sentinel::compute(&a0);
+        // The other layout digests the same planes the same way.
+        let other = if a0.layout() == Layout::Soa { Layout::Aos } else { Layout::Soa };
+        // (As bits: a plane with ±∞ in it sums to NaN, kept canonical.)
+        let bits = |s: &sentinel::MatrixSentinels| -> Vec<[u64; 3]> {
+            s.taps.iter().map(|t| [t.checksum, t.sum.to_bits(), t.abs_sum.to_bits()]).collect()
+        };
+        assert!(bits(&sentinel::compute(&a0.to_layout(other))) == bits(&reference), "AOS == SOA");
+        let (cells, taps) = (a0.grid().cells(), a0.pattern().len());
+        let tap = rng.usize_range(0, taps);
+        let tail = cells - cells % 8;
+        // Some cell of each lane, then some cell past the last whole group.
+        let mut targets: Vec<usize> = (0..8.min(cells))
+            .map(|lane| lane + 8 * rng.usize_range(0, (cells - lane).div_ceil(8)))
+            .collect();
+        if tail < cells {
+            targets.push(rng.usize_range(tail, cells));
+        }
+        for cell in targets {
+            let bit = rng.usize_range(0, 8 * S::BYTES);
+            let mut a = a0.clone();
+            let flipped = from_bits(a.get(cell, tap).store_bits() ^ (1 << bit));
+            a.set(cell, tap, flipped);
+            let mismatches = sentinel::verify(&a, &reference);
+            assert_eq!(mismatches.len(), 1, "{} cell {cell} bit {bit}: {mismatches:?}", S::NAME);
+            assert_eq!(mismatches[0].tap, tap);
+            assert!(mismatches[0].checksum_differs, "{} cell {cell} bit {bit}", S::NAME);
+            a.set(cell, tap, a0.get(cell, tap));
+            assert!(sentinel::verify(&a, &reference).is_empty(), "flip-back clean");
+        }
+    }
+
+    #[test]
+    fn prop_sentinel_catches_a_flipped_bit_in_every_lane_and_the_tail() {
+        check_n("lane-hash sentinels catch any single flipped bit", 48, |rng| {
+            any_flip_is_caught::<F16>(rng, |b| F16::from_bits(b as u16));
+            any_flip_is_caught::<Bf16>(rng, |b| Bf16::from_bits(b as u16));
+            any_flip_is_caught::<f32>(rng, |b| f32::from_bits(b as u32));
+            any_flip_is_caught::<f64>(rng, f64::from_bits);
+        });
+    }
+
     #[cfg(feature = "fault-inject")]
     fn flip_sweep<S: Storage + 'static>(width: u32) {
         let a0: SgDia<S> = source().convert();
@@ -1426,12 +1474,13 @@ mod sentinels {
 // ---- Set-up kernels that were re-ordered to stream: each against the
 // cell-major loop it replaced. ----
 
-/// A small random operator over every named pattern, 1–3 components,
-/// both layouts, with a positive diagonal and some exact zeros.
+/// A small random operator over every named pattern, 1–4 components,
+/// both layouts, with a positive diagonal and some exact zeros; x-rows
+/// from one cell to longer than the streamed kernels' lanes.
 fn setup_operator(rng: &mut fp16mg_testkit::Rng) -> SgDia<f64> {
-    let r = rng.usize_range(1, 4);
+    let r = rng.usize_range(1, 5);
     let n = |rng: &mut fp16mg_testkit::Rng| rng.usize_range(1, 6);
-    let grid = Grid3::with_components(n(rng), n(rng), n(rng), r);
+    let grid = Grid3::with_components(rng.usize_range(1, 12), n(rng), n(rng), r);
     let scalar = Pattern::by_name(Pattern::NAMES[rng.usize_range(0, 4)]).unwrap();
     let pattern = if r == 1 { scalar } else { scalar.with_components(r) };
     let taps: Vec<_> = pattern.taps().to_vec();
@@ -1475,6 +1524,24 @@ fn scaling_by_plane_matches_the_cell_major_loops() {
             }
         }
         assert_eq!(scaling::g_max(&a, 65504.0).unwrap().to_bits(), (65504.0 * min_ratio).to_bits());
+        // `abs_max`, eight lanes, against the one serial chain it replaced —
+        // with a few non-finite couplings, which it must only flag.
+        let mut sick = a.clone();
+        for _ in 0..rng.usize_range(0, 4) {
+            let at = rng.usize_range(0, sick.data().len());
+            sick.data_mut()[at] =
+                [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.usize_range(0, 3)];
+        }
+        let (mut max, mut nonfinite) = (0.0f64, false);
+        for &v in sick.data() {
+            if v.is_finite() {
+                max = max.max(v.abs());
+            } else {
+                nonfinite = true;
+            }
+        }
+        let got = sick.abs_max();
+        assert_eq!((got.0.to_bits(), got.1), (max.to_bits(), nonfinite));
         let mut got = a.clone();
         let sv = scaling::scale_symmetric::<f64>(&mut got, GChoice::Auto, 65504.0).unwrap();
         assert_eq!(sv.g.to_bits(), g.to_bits());
