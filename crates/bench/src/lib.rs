@@ -41,8 +41,7 @@ pub use serve::{
     serve, serve_overload, serve_supervision_chaos, OverloadConfig, OverloadReport, ServeConfig,
 };
 pub use simulate::{
-    run_sim_cli, run_sim_soak, ReuseDecision, SimConfig, SimDriver, SimReport, SimSoakConfig,
-    StepRow,
+    run_sim_cli, run_sim_soak, SimConfig, SimDriver, SimReport, SimSoakConfig, StepRow,
 };
 pub use torture::{run_matrix, run_torture_cli, TortureConfig, TortureReport};
 

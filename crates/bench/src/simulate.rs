@@ -7,14 +7,13 @@
 //! implicit solves and decides, per step, how much of the cached
 //! hierarchy survives:
 //!
-//! 1. a cheap finest-level [`audit`](fp16mg_sgdia::audit::audit) of the
-//!    drifted operator is compared against the baseline audit via
-//!    [`drift`], and
-//! 2. the resulting [`OperatorDrift`] is mapped to an explicit
-//!    [`ReuseDecision`]: **keep** the cached hierarchy untouched,
-//!    **rescale** its finest level in place
-//!    ([`Mg::setup_rescaled`] + [`GalerkinChain::swap_finest`]), or
-//!    **rebuild** the chain from scratch;
+//! 1. the reuse engine ([`fp16mg_core::reuse::serve`]) audits the drifted
+//!    operator against the baseline of the retained chain and
+//! 2. **keeps** the chain untouched, **rescales** (the new operator
+//!    becomes the chain's finest level over the retained coarse tail) or
+//!    **rebuilds** it — the driver's own part is to escalate a failed
+//!    keep / rescale to a rebuild and to remember which steps the chain
+//!    and its finest operator belong to;
 //! 3. the hierarchy's integrity sentinels are verified (and corrupted
 //!    levels repaired) before the solve, and the solve itself runs
 //!    through the retry ladder; a step whose ladder is exhausted gets
@@ -38,26 +37,17 @@ use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fp16mg_core::{GalerkinChain, IntegrityPolicy, Mg, MgConfig, RepairTrigger};
-use fp16mg_fp::Precision;
+use fp16mg_core::{reuse, IntegrityPolicy, Mg, MgConfig, RepairTrigger, Retained, Reuse};
 use fp16mg_problems::{step_rhs, Evolution, Problem, ProblemKind};
 use fp16mg_runtime::{
     append_durable, run_session_with, trail, RealStorage, RetryPolicy, SimCounters, SimSnapshot,
     SnapshotStore, SolveRequest, Storage,
 };
-use fp16mg_sgdia::audit::{audit, drift, OperatorDrift, RangeAudit};
 use fp16mg_sgdia::SgDia;
 
 use crate::guard::finest_narrow_level;
 use crate::loadgen::verify_replay;
 use crate::table::{fmt_secs, Table};
-
-/// Drift magnitude (in binades) below which the cached hierarchy is
-/// kept untouched.
-pub const KEEP_MAX_DRIFT: f64 = 0.25;
-/// Drift magnitude up to which a finest-level rescale-in-place still
-/// serves; beyond it the Galerkin chain is rebuilt.
-pub const RESCALE_MAX_DRIFT: f64 = 3.0;
 
 /// Step whose chaos spike lands in the rescale band (×4 ≈ 2 binades).
 /// The spike steps deliberately avoid the smooth-drift minima (steps 3
@@ -75,46 +65,6 @@ const CHAOS_FLIP_PERIOD: u64 = 5;
 /// *next* step's implicit right-hand side is non-finite and its ladder
 /// exhausts — proving the rollback-and-rebuild rung.
 const CHAOS_POISON_STEP: u64 = 5;
-
-/// How a step's operator drift maps onto the cached hierarchy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReuseDecision {
-    /// Drift within [`KEEP_MAX_DRIFT`]: reuse the chain as-is.
-    Keep,
-    /// Drift within [`RESCALE_MAX_DRIFT`]: re-derive the finest-level
-    /// scaling against the drifted operator and swap it into the chain
-    /// (Galerkin-lag: the coarse tail stays).
-    Rescale,
-    /// Structural drift or large magnitude: rebuild the chain.
-    Rebuild,
-}
-
-impl ReuseDecision {
-    /// The policy: structural drift always rebuilds; otherwise the
-    /// magnitude picks the cheapest sufficient response.
-    pub fn decide(d: &OperatorDrift) -> Self {
-        if d.structural() {
-            return ReuseDecision::Rebuild;
-        }
-        let m = d.magnitude();
-        if m <= KEEP_MAX_DRIFT {
-            ReuseDecision::Keep
-        } else if m <= RESCALE_MAX_DRIFT {
-            ReuseDecision::Rescale
-        } else {
-            ReuseDecision::Rebuild
-        }
-    }
-
-    /// Stable trail label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ReuseDecision::Keep => "keep",
-            ReuseDecision::Rescale => "rescale",
-            ReuseDecision::Rebuild => "rebuild",
-        }
-    }
-}
 
 /// Configuration for one simulation run.
 #[derive(Clone, Debug)]
@@ -140,10 +90,6 @@ pub struct SimConfig {
     /// the real filesystem; the torture harness swaps in a
     /// fault-injecting backend.
     pub storage: Arc<dyn Storage>,
-    /// Time the fresh-setup-every-step baseline (the amortization
-    /// evidence). The torture harness turns it off: it re-runs many
-    /// crash cases and only cares about durability, not timings.
-    pub measure_fresh: bool,
     /// **Testing only.** Deliberately break the durability order by
     /// appending the trail line *without* fsync before acknowledging.
     /// Exists so the torture matrix can prove it detects an acked-step
@@ -164,7 +110,6 @@ impl SimConfig {
             pace_ms: 0,
             ack: false,
             storage: Arc::new(RealStorage),
-            measure_fresh: true,
             break_write_order: false,
         }
     }
@@ -175,8 +120,8 @@ impl SimConfig {
 pub struct StepRow {
     /// Step index.
     pub step: u64,
-    /// Reuse decision taken.
-    pub decision: ReuseDecision,
+    /// Reuse decision taken (after any escalation).
+    pub decision: Reuse,
     /// Drift magnitude vs. the baseline audit (0.0 on the initial
     /// build).
     pub drift: f64,
@@ -194,10 +139,9 @@ pub struct StepRow {
     pub iters: usize,
     /// Final relative residual.
     pub resid: f64,
-    /// Setup seconds actually spent this step (reuse path).
+    /// Seconds the reuse engine spent this step: audit, decision and
+    /// the hierarchy it assembled.
     pub reuse_setup_s: f64,
-    /// Setup seconds a fresh-every-step baseline would have spent.
-    pub fresh_setup_s: f64,
     /// Bytes of the preallocated V-cycle workspace arena of the
     /// hierarchy that served this step (the larger of the two when the
     /// rollback rung rebuilt mid-step). Carved once at setup, so this
@@ -241,23 +185,11 @@ pub struct SimReport {
     pub resumed: bool,
     /// Total setup seconds spent by the reuse policy (this process).
     pub reuse_setup_s: f64,
-    /// Total setup seconds the fresh-every-step baseline spent.
-    pub fresh_setup_s: f64,
     /// Final relative residual of the last committed step.
     pub final_resid: f64,
 }
 
 impl SimReport {
-    /// Amortized setup win: fresh-every-step seconds over the seconds
-    /// the reuse policy actually spent.
-    pub fn setup_win(&self) -> f64 {
-        if self.reuse_setup_s > 0.0 {
-            self.fresh_setup_s / self.reuse_setup_s
-        } else {
-            f64::INFINITY
-        }
-    }
-
     /// Largest V-cycle workspace arena any step in this process carved
     /// (0 when the run resumed past its last step and executed none).
     pub fn peak_ws_bytes(&self) -> usize {
@@ -294,7 +226,7 @@ fn sanitize_token(s: &str) -> String {
     }
 }
 
-/// File-name-safe problem label (mirrors the bench JSON naming).
+/// File-name-safe problem label.
 fn sanitize_name(s: &str) -> String {
     s.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '-' }).collect()
 }
@@ -408,17 +340,18 @@ fn recover_trail(
     Ok(last)
 }
 
-/// The time-stepping driver: owns the trajectory, the cached Galerkin
-/// chain, the drift baseline, and the carried solution, and advances
+/// The time-stepping driver: owns the trajectory, the retained Galerkin
+/// chain with its drift baseline, and the carried solution, and advances
 /// one committed step at a time.
 pub struct SimDriver {
     cfg: SimConfig,
     mg_cfg: MgConfig,
     evo: Evolution,
-    chain: Option<GalerkinChain>,
+    retained: Option<Retained>,
+    /// The steps whose operators the retained chain was built from and
+    /// last rescaled to — all a snapshot needs to reconstruct it.
     chain_step: u64,
     finest_step: u64,
-    baseline: Option<RangeAudit>,
     /// Solution carried into the next step's right-hand side. Chaos may
     /// corrupt it *after* a commit; `good_x` never holds corruption.
     work_x: Vec<f64>,
@@ -431,7 +364,6 @@ pub struct SimDriver {
     rows: Vec<StepRow>,
     resumed: bool,
     reuse_setup_s: f64,
-    fresh_setup_s: f64,
     recovery_events: Vec<String>,
 }
 
@@ -457,10 +389,9 @@ impl SimDriver {
         let mut driver = SimDriver {
             mg_cfg,
             evo,
-            chain: None,
+            retained: None,
             chain_step: 0,
             finest_step: 0,
-            baseline: None,
             work_x: vec![0.0; cells],
             good_x: vec![0.0; cells],
             next_step: 0,
@@ -469,7 +400,6 @@ impl SimDriver {
             rows: Vec::new(),
             resumed: false,
             reuse_setup_s: 0.0,
-            fresh_setup_s: 0.0,
             recovery_events: Vec::new(),
             cfg,
         };
@@ -578,20 +508,17 @@ impl SimDriver {
             ));
         }
         let chain_a = effective_matrix(&self.evo, cfg.chaos, snap.chain_step);
-        let mut chain = GalerkinChain::build(&chain_a, &self.mg_cfg)
+        let mut retained = Retained::build(&chain_a, Retained::audit(&chain_a), &self.mg_cfg)
             .map_err(|e| format!("chain rebuild at step {}: {e}", snap.chain_step))?;
         if snap.finest_step != snap.chain_step {
             let finest = effective_matrix(&self.evo, cfg.chaos, snap.finest_step);
-            chain
-                .swap_finest(&finest, &self.mg_cfg)
+            retained
+                .adopt_finest(&finest, Retained::audit(&finest), &self.mg_cfg)
                 .map_err(|e| format!("finest swap at step {}: {e}", snap.finest_step))?;
         }
-        let baseline =
-            audit(&effective_matrix(&self.evo, cfg.chaos, snap.finest_step), Precision::F16);
-        self.chain = Some(chain);
+        self.retained = Some(retained);
         self.chain_step = snap.chain_step;
         self.finest_step = snap.finest_step;
-        self.baseline = Some(baseline);
         self.work_x = snap.x.clone();
         self.good_x = snap.x;
         self.next_step = snap.step + 1;
@@ -625,54 +552,17 @@ impl SimDriver {
         self.next_step
     }
 
-    /// Builds the step's hierarchy per the reuse decision, escalating
-    /// to a rebuild when a cheaper path fails. Returns the (possibly
-    /// escalated) decision and the hierarchy (`None` only when even the
-    /// rebuild failed — the ladder then builds its own).
-    fn build_for_step(
-        &mut self,
-        step: u64,
-        a: &SgDia<f64>,
-        now_audit: &RangeAudit,
-        mut decision: ReuseDecision,
-    ) -> (ReuseDecision, Option<Mg<f32>>) {
-        let mut mg = None;
-        match decision {
-            ReuseDecision::Keep => {
-                let chain = self.chain.as_ref().expect("keep requires a cached chain");
-                match Mg::setup_from_chain(chain, &self.mg_cfg) {
-                    Ok(m) => mg = Some(m),
-                    Err(_) => decision = ReuseDecision::Rebuild,
-                }
-            }
-            ReuseDecision::Rescale => {
-                let chain = self.chain.as_mut().expect("rescale requires a cached chain");
-                match Mg::setup_rescaled(a, chain, &self.mg_cfg) {
-                    Ok(m) => match chain.swap_finest(a, &self.mg_cfg) {
-                        Ok(()) => {
-                            self.finest_step = step;
-                            self.baseline = Some(now_audit.clone());
-                            mg = Some(m);
-                        }
-                        Err(_) => decision = ReuseDecision::Rebuild,
-                    },
-                    Err(_) => decision = ReuseDecision::Rebuild,
-                }
-            }
-            ReuseDecision::Rebuild => {}
-        }
-        if decision == ReuseDecision::Rebuild && mg.is_none() {
-            if let Ok(chain) = GalerkinChain::build(a, &self.mg_cfg) {
-                if let Ok(m) = Mg::setup_from_chain(&chain, &self.mg_cfg) {
-                    self.chain = Some(chain);
-                    self.chain_step = step;
-                    self.finest_step = step;
-                    self.baseline = Some(now_audit.clone());
-                    mg = Some(m);
-                }
-            }
-        }
-        (decision, mg)
+    /// Rebuilds the chain at `step` whatever the drift says: the
+    /// escalation of a failed keep / rescale, and the rollback rung.
+    /// `None` (and the retained state as it was) when even that fails —
+    /// the ladder then builds its own hierarchy.
+    fn rebuild(&mut self, step: u64, a: &SgDia<f64>) -> Option<Mg<f32>> {
+        let fresh = Retained::build(a, Retained::audit(a), &self.mg_cfg).ok()?;
+        let mg = fresh.hierarchy(&self.mg_cfg).ok()?;
+        self.retained = Some(fresh);
+        self.chain_step = step;
+        self.finest_step = step;
+        Some(mg)
     }
 
     /// Runs the solve request, returning `(rungs, outcome, iters,
@@ -714,30 +604,27 @@ impl SimDriver {
         let step = self.next_step;
         let a = effective_matrix(&self.evo, self.cfg.chaos, step);
 
-        // What a fresh-setup-every-step baseline would pay (timed and
-        // discarded; the amortization evidence in the report).
-        let fresh_setup_s = if self.cfg.measure_fresh {
-            let t_fresh = Instant::now();
-            let fresh = Mg::<f32>::setup(&a, &self.mg_cfg);
-            let s = t_fresh.elapsed().as_secs_f64();
-            drop(fresh);
-            s
-        } else {
-            0.0
-        };
-
-        let now_audit = audit(&a, Precision::F16);
-        let (want, drift_mag, structural) = match &self.baseline {
-            None => (ReuseDecision::Rebuild, 0.0, false),
-            Some(base) => {
-                let d = drift(base, &now_audit);
-                (ReuseDecision::decide(&d), d.magnitude(), d.structural())
+        let t_reuse = Instant::now();
+        let (built, mut decision, d) = reuse::serve(&mut self.retained, &a, &self.mg_cfg);
+        let mut mg = match built {
+            Ok(mg) => {
+                if decision != Reuse::Keep {
+                    self.finest_step = step;
+                }
+                if decision == Reuse::Rebuild {
+                    self.chain_step = step;
+                }
+                Some(mg)
+            }
+            // Even the rebuild failed: the ladder builds its own.
+            Err(_) if decision == Reuse::Rebuild => None,
+            Err(_) => {
+                decision = Reuse::Rebuild;
+                self.rebuild(step, &a)
             }
         };
-
-        let t_reuse = Instant::now();
-        let (decision, mut mg) = self.build_for_step(step, &a, &now_audit, want);
         let reuse_setup_s = t_reuse.elapsed().as_secs_f64();
+        let (drift_mag, structural) = d.map_or((0.0, false), |d| (d.magnitude(), d.structural()));
         let mut ws_bytes = mg.as_ref().map_or(0, Mg::workspace_bytes);
 
         // ABFT: chaos corrupts a 16-bit stored level, then the
@@ -768,8 +655,7 @@ impl SimDriver {
             self.counters.rollbacks += 1;
             self.work_x = self.good_x.clone();
             let a2 = effective_matrix(&self.evo, self.cfg.chaos, step);
-            let audit2 = audit(&a2, Precision::F16);
-            let (_, mg2) = self.build_for_step(step, &a2, &audit2, ReuseDecision::Rebuild);
+            let mg2 = self.rebuild(step, &a2);
             ws_bytes = ws_bytes.max(mg2.as_ref().map_or(0, Mg::workspace_bytes));
             let prev2 = if step == 0 { None } else { Some(self.work_x.clone()) };
             let (r2, o2, i2, rr2, s2) = self.solve(step, a2, mg2, prev2.as_deref());
@@ -792,11 +678,9 @@ impl SimDriver {
             iters,
             resid,
             reuse_setup_s,
-            fresh_setup_s,
             ws_bytes,
         };
         self.reuse_setup_s += reuse_setup_s;
-        self.fresh_setup_s += fresh_setup_s;
 
         let Some(x) = solution else {
             // Unrecovered: record the failed step in the trail, then
@@ -811,9 +695,9 @@ impl SimDriver {
         };
 
         match decision {
-            ReuseDecision::Keep => self.counters.keep += 1,
-            ReuseDecision::Rescale => self.counters.rescale += 1,
-            ReuseDecision::Rebuild => self.counters.rebuild += 1,
+            Reuse::Keep => self.counters.keep += 1,
+            Reuse::Rescale => self.counters.rescale += 1,
+            Reuse::Rebuild => self.counters.rebuild += 1,
         }
         self.counters.repairs += repairs;
         self.work_x = x;
@@ -886,7 +770,6 @@ impl SimDriver {
             counters: self.counters,
             resumed: self.resumed,
             reuse_setup_s: self.reuse_setup_s,
-            fresh_setup_s: self.fresh_setup_s,
             final_resid: self.last_resid,
         }
     }
@@ -895,16 +778,7 @@ impl SimDriver {
 /// Renders the per-step cost/accuracy table.
 pub fn render_sim_table(report: &SimReport) -> String {
     let mut t = Table::new(&[
-        "step",
-        "decision",
-        "drift",
-        "repairs",
-        "rollback",
-        "rungs",
-        "iters",
-        "resid",
-        "setup(reuse)",
-        "setup(fresh)",
+        "step", "decision", "drift", "repairs", "rollback", "rungs", "iters", "resid", "setup",
         "ws-bytes",
     ]);
     for r in &report.rows {
@@ -918,16 +792,14 @@ pub fn render_sim_table(report: &SimReport) -> String {
             r.iters.to_string(),
             format!("{:.2e}", r.resid),
             fmt_secs(r.reuse_setup_s),
-            fmt_secs(r.fresh_setup_s),
             r.ws_bytes.to_string(),
         ]);
     }
     let c = report.counters;
     format!(
-        "{}\ndecisions: keep={} rescale={} rebuild={} | repairs={} rollbacks={}\nsetup total: \
-         reuse {} vs fresh-every-step {} → amortized setup win {:.2}x\npeak workspace: {} bytes \
-         (preallocated per-level V-cycle arena; steady-state solve allocates nothing beyond \
-         it)\n",
+        "{}\ndecisions: keep={} rescale={} rebuild={} | repairs={} rollbacks={}\nsetup total: {}\n\
+         peak workspace: {} bytes (preallocated per-level V-cycle arena; steady-state solve \
+         allocates nothing beyond it)\n",
         t.render(),
         c.keep,
         c.rescale,
@@ -935,8 +807,6 @@ pub fn render_sim_table(report: &SimReport) -> String {
         c.repairs,
         c.rollbacks,
         fmt_secs(report.reuse_setup_s),
-        fmt_secs(report.fresh_setup_s),
-        report.setup_win(),
         report.peak_ws_bytes(),
     )
 }

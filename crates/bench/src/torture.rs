@@ -153,7 +153,6 @@ fn sim_cfg(c: &TortureConfig, fault: &FaultStorage, break_order: bool) -> SimCon
     let mut cfg = SimConfig::new(c.kind, c.steps, c.size, c.tol);
     cfg.snapshot_dir = Some(PathBuf::from(TORTURE_DIR));
     cfg.storage = Arc::new(fault.clone());
-    cfg.measure_fresh = false;
     cfg.break_write_order = break_order;
     cfg
 }

@@ -359,7 +359,7 @@ impl core::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Complete multigrid configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MgConfig {
     /// Maximum number of levels (including the finest).
     pub max_levels: usize,

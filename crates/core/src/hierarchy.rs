@@ -8,7 +8,7 @@ use fp16mg_fp::{Precision, Scalar};
 use fp16mg_grid::Grid3;
 use fp16mg_krylov::Preconditioner;
 use fp16mg_sgdia::audit::{self, RangeAudit, StoredLevel, TruncationError, TruncationPolicy};
-use fp16mg_sgdia::kernels::BlockDiagInv;
+use fp16mg_sgdia::kernels::{BlockDiagInv, Par};
 use fp16mg_sgdia::scaling::{self, ScalePlan, ScaleVectors};
 use fp16mg_sgdia::sentinel::{MatrixSentinels, TapMismatch};
 use fp16mg_sgdia::{Layout, SgDia};
@@ -446,35 +446,6 @@ impl<Pr: Scalar> Mg<Pr> {
         Self::assemble(&mats, None, config.clone())
     }
 
-    /// Builds the hierarchy from a *drifted* finest operator while
-    /// reusing the retained chain's coarse tail — the rescale-in-place
-    /// path of a hierarchy cache. The finest level's diagonal scaling
-    /// and truncation are re-derived from `finest` (so Theorem 4.1's
-    /// no-overflow guarantee holds for the new values), while levels
-    /// below keep the cached Galerkin operators: a deliberate
-    /// Galerkin-lag approximation, sound while the drift bound is small
-    /// because the coarse correction only needs to approximate the fine
-    /// operator's action, and the outer Krylov iteration on the exact
-    /// drifted operator absorbs the residual difference.
-    ///
-    /// # Errors
-    /// [`SetupError::ChainIncompatible`] when the config is
-    /// `ScaleThenSetup` or `finest`'s geometry disagrees with the
-    /// chain's; otherwise see [`SetupError`].
-    pub fn setup_rescaled(
-        finest: &SgDia<f64>,
-        chain: &GalerkinChain,
-        config: &MgConfig,
-    ) -> Result<Self, SetupError> {
-        config.validate()?;
-        reject_prescaled(config)?;
-        chain.check_finest_geometry(finest)?;
-        let finest = finest.in_layout(config.layout);
-        let mats: Vec<&SgDia<f64>> =
-            std::iter::once(&*finest).chain(chain.mats.iter().skip(1)).collect();
-        Self::assemble(&mats, None, config.clone())
-    }
-
     /// Algorithm 1 lines 4–14 over an already-built Galerkin chain:
     /// AutoShift resolution, per-level scale-and-truncate, smoother
     /// data, coarsest dense LU.
@@ -507,26 +478,12 @@ impl<Pr: Scalar> Mg<Pr> {
         let mut infos = Vec::with_capacity(nlev);
         for (i, ai) in chain.iter().enumerate().take(nlev - 1) {
             let prec = config.storage.precision_for(i);
-            let parts = build_level(ai, prec, &config, i)?;
-            let LevelParts { store, scale, dinv, ilu, cheb, g_clamped_from, parent } = parts;
-            let StoredLevel { matrix: stored, audit, sentinels, finite, source } = store;
-            sources.push(source);
-            repair_sources.push(parent);
-            infos.push(LevelInfo {
-                dims: (ai.grid().nx, ai.grid().ny, ai.grid().nz),
-                unknowns: ai.rows(),
-                nnz: ai.nnz(),
-                precision: stored.precision(),
-                scaled: scale.is_some(),
-                g: scale.as_ref().map(|s: &ScaleVectors<Pr>| s.g),
-                finite,
-                value_bytes: stored.value_bytes(),
-                audit: Some(audit),
-                g_clamped_from,
-                sentinel: sentinels
-                    .map(|sentinels| LevelSentinel { precision: stored.precision(), sentinels }),
-            });
-            levels.push(Level::new(*ai.grid(), stored, scale, dinv, ilu, cheb, config.par));
+            let mut parts = build_level(ai, prec, &config, i)?;
+            sources.push(parts.store.source.take());
+            repair_sources.push(parts.parent.take());
+            let (level, info) = parts.into_level(ai, config.par);
+            levels.push(level);
+            infos.push(info);
         }
 
         // --- Coarsest level: dense LU of the exact f64 operator. ---
@@ -888,29 +845,14 @@ impl<Pr: Scalar> Mg<Pr> {
                 return None;
             }
         };
-        let LevelParts { store, scale, dinv, ilu, cheb, g_clamped_from, .. } = parts;
-        let StoredLevel { matrix: stored, audit, sentinels, finite, .. } = store;
-        let event = PromotionEvent { level, from, to: stored.precision(), reason, corrupt_entries };
         // The widened level replaces the stored bits wholesale: its repair
         // parent no longer matches and is dropped, and the sentinels are
         // retaken over the new format.
+        let (widened, info) = parts.into_level(&a64, self.config.par);
+        let event = PromotionEvent { level, from, to: info.precision, reason, corrupt_entries };
         self.repair_sources[level] = None;
-        let info = &mut self.info.levels[level];
-        info.precision = stored.precision();
-        info.scaled = scale.is_some();
-        info.g = scale.as_ref().map(|s: &ScaleVectors<Pr>| s.g);
-        info.finite = finite;
-        info.value_bytes = stored.value_bytes();
-        info.audit = Some(audit);
-        info.g_clamped_from = g_clamped_from;
-        info.sentinel =
-            sentinels.map(|sentinels| LevelSentinel { precision: stored.precision(), sentinels });
-        let l = &mut self.levels[level];
-        l.stored = stored;
-        l.scale = scale;
-        l.dinv = dinv;
-        l.ilu = ilu;
-        l.cheb_lambda = cheb;
+        self.levels[level] = widened;
+        self.info.levels[level] = info;
         let nsmoothed = self.levels.len();
         self.info.matrix_bytes =
             self.info.levels.iter().take(nsmoothed).map(|l| l.value_bytes).sum();
@@ -1036,10 +978,10 @@ fn is_narrow(p: Precision) -> bool {
 /// The retained FP64 Galerkin chain (Algorithm 1 lines 1–3): the finest
 /// operator plus every coarse triple-product operator, *before* any
 /// scaling or truncation. This is the expensive, reusable part of setup
-/// — a hierarchy cache retains it and re-runs only the cheap per-level
-/// scale-and-truncate ([`Mg::setup_from_chain`]) or swaps in a drifted
-/// finest operator while keeping the coarse tail
-/// ([`Mg::setup_rescaled`]).
+/// — [`Retained`](crate::reuse::Retained) keeps it and re-runs only the
+/// cheap per-level scale-and-truncate ([`Mg::setup_from_chain`]), after
+/// swapping in a drifted finest operator over the kept coarse tail when
+/// the drift asks for that.
 ///
 /// Only value-preserving configurations are chain-compatible: under
 /// `ScaleStrategy::ScaleThenSetup` the finest matrix is rescaled before
@@ -1099,13 +1041,12 @@ impl GalerkinChain {
     }
 
     /// Replaces the finest operator in place (same geometry required),
-    /// keeping the coarse tail — the cache's rescale-in-place commit:
-    /// after this, [`Mg::setup_from_chain`] serves the drifted operator
-    /// directly.
+    /// keeping the coarse tail: after this, [`Mg::setup_from_chain`]
+    /// serves the drifted operator over the lagged Galerkin levels.
     ///
     /// # Errors
     /// [`SetupError::ChainIncompatible`] on a geometry mismatch.
-    pub fn swap_finest(
+    pub(crate) fn swap_finest(
         &mut self,
         finest: &SgDia<f64>,
         config: &MgConfig,
@@ -1218,6 +1159,31 @@ struct LevelParts<Pr: Scalar> {
     /// retained for narrow levels under `IntegrityPolicy::retain_parents`
     /// so a corrupted plane can be re-truncated bit-identically.
     parent: Option<SgDia<f64>>,
+}
+
+impl<Pr: Scalar> LevelParts<Pr> {
+    /// The level the cycle runs on and its report entry — the one place
+    /// the facts of a store of `ai` become a `LevelInfo`. (The promotion
+    /// source and the repair parent are the caller's to keep or drop.)
+    fn into_level(self, ai: &SgDia<f64>, par: Par) -> (Level<Pr>, LevelInfo) {
+        let LevelParts { store, scale, dinv, ilu, cheb, g_clamped_from, .. } = self;
+        let StoredLevel { matrix: stored, audit, sentinels, finite, .. } = store;
+        let precision = stored.precision();
+        let info = LevelInfo {
+            dims: (ai.grid().nx, ai.grid().ny, ai.grid().nz),
+            unknowns: ai.rows(),
+            nnz: ai.nnz(),
+            precision,
+            scaled: scale.is_some(),
+            g: scale.as_ref().map(|s| s.g),
+            finite,
+            value_bytes: stored.value_bytes(),
+            audit: Some(audit),
+            g_clamped_from,
+            sentinel: sentinels.map(|sentinels| LevelSentinel { precision, sentinels }),
+        };
+        (Level::new(*ai.grid(), stored, scale, dinv, ilu, cheb, par), info)
+    }
 }
 
 /// The truncation policy of the store path — none for the
@@ -1413,4 +1379,4 @@ impl<K: Scalar, Pr: Scalar> Preconditioner<K> for Mg<Pr> {
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

@@ -277,6 +277,27 @@ fn f32_bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// `got` is the hierarchy `want` is: stored planes, scale vectors,
+/// smoother diagonals and promotion sources to the bit, every level's
+/// audit, and the rest of `MgInfo` and the coarse factors as they print.
+pub(crate) fn assert_same_hierarchy(got: &Mg<f32>, want: &Mg<f32>, what: &str) {
+    assert_eq!(got.levels.len(), want.levels.len(), "{what}: smoothed levels");
+    for (i, (g, w)) in got.levels.iter().zip(&want.levels).enumerate() {
+        let what = format!("{what} level {i}");
+        assert!(stored_bits(&g.stored) == stored_bits(&w.stored), "{what}: planes");
+        let scales = |l: &Level<f32>| {
+            l.scale.as_ref().map(|sv| (sv.g.to_bits(), f32_bits(&sv.s), f32_bits(&sv.s_inv)))
+        };
+        assert!(scales(g) == scales(w), "{what}: scale vectors");
+        assert!(f32_bits(g.dinv.data()) == f32_bits(w.dinv.data()), "{what}: BlockDiagInv");
+        let source = |mg: &Mg<f32>| mg.sources[i].as_ref().map(|s| f32_bits(s.data()));
+        assert!(source(got) == source(want), "{what}: FP32 source");
+        assert_eq!(got.info.levels[i].audit, want.info.levels[i].audit, "{what}: audit");
+    }
+    assert_eq!(format!("{:?}", got.info), format!("{:?}", want.info), "{what}: MgInfo");
+    assert_eq!(format!("{:?}", got.coarse_lu), format!("{:?}", want.coarse_lu), "{what}: LU");
+}
+
 /// Every smoothed level of `Mg::setup(a, cfg)` against the level rebuilt
 /// the way `build_level` used to: clone the operator, `scale_symmetric`
 /// the clone in place, store the clone, `convert::<f32>` the original.

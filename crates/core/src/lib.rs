@@ -30,6 +30,7 @@ mod config;
 mod hierarchy;
 mod level;
 mod ops;
+pub mod reuse;
 mod smoother;
 mod stored;
 mod transfer;
@@ -47,6 +48,7 @@ pub use hierarchy::{
     RepairEvent, RepairTrigger, SetupError, ShiftDecision,
 };
 pub use ops::MatOp;
+pub use reuse::{Retained, Reuse};
 pub use smoother::{DenseLu, FactorError};
 pub use stored::StoredMatrix;
 pub use transfer::{prolong_add, restrict};

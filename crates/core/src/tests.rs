@@ -1271,7 +1271,7 @@ mod economize {
 
 mod chain_reuse {
     use super::*;
-    use crate::{GalerkinChain, SetupError};
+    use crate::{GalerkinChain, Retained, SetupError};
 
     fn solve_history(mg: &mut Mg<f32>, a: &SgDia<f64>) -> Vec<u64> {
         let op = MatOp::new(a, Par::Seq);
@@ -1321,11 +1321,12 @@ mod chain_reuse {
     fn rescaled_setup_serves_a_drifted_operator() {
         let a = laplacian(Grid3::cube(12), Pattern::p7(), 1.0);
         let config = MgConfig::d16();
-        let mut chain = GalerkinChain::build(&a, &config).unwrap();
+        let mut retained = Retained::build(&a, Retained::audit(&a), &config).unwrap();
 
         // A 4x-rescaled operator reuses the coarse tail (Galerkin lag)…
         let drifted = laplacian(Grid3::cube(12), Pattern::p7(), 4.0);
-        let mut mg = Mg::<f32>::setup_rescaled(&drifted, &chain, &config).unwrap();
+        retained.adopt_finest(&drifted, Retained::audit(&drifted), &config).unwrap();
+        let mut mg = retained.hierarchy::<f32>(&config).unwrap();
         let warm = cg_iters(&mut mg, &drifted);
         // …and still converges like a cold rebuild (the lagged coarse
         // correction is only a preconditioner).
@@ -1334,17 +1335,17 @@ mod chain_reuse {
         // The lagged tail mis-scales the coarse correction by the drift
         // factor, which CG absorbs at ~sqrt(drift) extra iterations —
         // the price of skipping the Galerkin setup, bounded but not
-        // free. Past rescale_max the cache rebuilds instead.
+        // free. Past `reuse::RESCALE_MAX` the engine rebuilds instead.
         assert!(
             warm <= rebuilt * 3,
             "Galerkin lag must not derail convergence: {warm} vs {rebuilt} iters"
         );
 
-        // Committing the swap makes the chain serve the drifted finest
-        // directly through the plain warm path.
-        chain.swap_finest(&drifted, &config).unwrap();
-        let mut committed = Mg::<f32>::setup_from_chain(&chain, &config).unwrap();
-        cg_iters(&mut committed, &drifted);
+        // The drifted operator is now the chain's finest and the baseline
+        // a drift is measured against: serving it again is a keep.
+        assert_eq!(retained.chain().finest().data(), drifted.data());
+        let d = retained.drift(&Retained::audit(&drifted));
+        assert_eq!((d.magnitude(), d.structural()), (0.0, false));
     }
 
     #[test]
@@ -1364,17 +1365,16 @@ mod chain_reuse {
             Err(SetupError::ChainIncompatible { .. })
         ));
 
-        // Geometry mismatches are refused, not coerced.
+        // Geometry mismatches are refused, not coerced, and leave the
+        // retained chain and its baseline as they were.
         let smaller = laplacian(Grid3::cube(8), Pattern::p7(), 1.0);
+        let mut retained = Retained::build(&a, Retained::audit(&a), &MgConfig::d16()).unwrap();
         assert!(matches!(
-            Mg::<f32>::setup_rescaled(&smaller, &chain, &MgConfig::d16()),
+            retained.adopt_finest(&smaller, Retained::audit(&smaller), &MgConfig::d16()),
             Err(SetupError::ChainIncompatible { .. })
         ));
-        let mut chain = chain;
-        assert!(matches!(
-            chain.swap_finest(&smaller, &MgConfig::d16()),
-            Err(SetupError::ChainIncompatible { .. })
-        ));
+        assert_eq!(retained.chain().finest().data(), a.data());
+        assert_eq!(retained.drift(&Retained::audit(&a)).magnitude(), 0.0);
     }
 }
 

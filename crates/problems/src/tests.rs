@@ -246,6 +246,7 @@ fn all_problems_solve_d16_setup_then_scale() {
 // ------------------------------------------------------------- evolve --
 
 mod evolve {
+    use fp16mg_core::Reuse;
     use fp16mg_fp::Precision;
     use fp16mg_sgdia::audit::{audit, drift};
 
@@ -253,12 +254,6 @@ mod evolve {
 
     use crate::evolve::{drift_in_place, step_rhs, DriftPreset, Evolution};
     use crate::ProblemKind;
-
-    /// The cache's decision bounds (CacheConfig defaults), replicated so
-    /// the schedule calibration below proves the presets actually walk
-    /// the keep / rescale / rebuild ladder against them.
-    const KEEP_MAX: f64 = 0.25;
-    const RESCALE_MAX: f64 = 3.0;
 
     #[test]
     fn step_zero_is_the_base_operator_bit_for_bit() {
@@ -370,7 +365,7 @@ mod evolve {
 
     #[test]
     fn default_schedules_walk_keep_rescale_rebuild() {
-        // Replay the cache's reuse predicate over each trajectory: the
+        // Replay the reuse engine's predicate over each trajectory: the
         // presets must produce all three decisions within a short run,
         // otherwise the simulation engine cannot demonstrate the ladder.
         for kind in [ProblemKind::Oil, ProblemKind::Rhd, ProblemKind::Weather] {
@@ -379,15 +374,10 @@ mod evolve {
             let (mut keeps, mut rescales, mut rebuilds) = (0u32, 0u32, 0u32);
             for step in 1..16u64 {
                 let cur = audit(&evo.matrix_at(step), Precision::F16);
-                let d = drift(&baseline, &cur);
-                if !d.structural() && d.magnitude() <= KEEP_MAX {
-                    keeps += 1;
-                } else if !d.structural() && d.magnitude() <= RESCALE_MAX {
-                    rescales += 1;
-                    baseline = cur;
-                } else {
-                    rebuilds += 1;
-                    baseline = cur;
+                match Reuse::decide(&drift(&baseline, &cur)) {
+                    Reuse::Keep => keeps += 1,
+                    Reuse::Rescale => (rescales, baseline) = (rescales + 1, cur),
+                    Reuse::Rebuild => (rebuilds, baseline) = (rebuilds + 1, cur),
                 }
             }
             assert!(

@@ -3,38 +3,27 @@
 //!
 //! The FP64 Galerkin triple-product chain (§4 lines 1–3) dominates
 //! setup cost; the per-level scale-and-truncate that follows (lines
-//! 4–14, Theorem 4.1) is cheap. A long-running daemon therefore caches
-//! the *chain* per problem class and geometry and serves each request
-//! by re-running only the cheap half ([`Mg::setup_from_chain`]) — but a
-//! cache is only as trustworthy as its invalidation. Here invalidation
-//! is *audited*: a [`RangeAudit`] of the incoming operator is compared
-//! against the cached baseline (one [`OperatorDrift`] — no access to
-//! the cached matrix needed), and a typed three-way predicate decides:
+//! 4–14, Theorem 4.1) is cheap. A long-running daemon therefore keeps
+//! one [`Retained`] chain per problem class and geometry and serves each
+//! request through the reuse engine ([`fp16mg_core::reuse`]): the
+//! incoming operator's audit is measured against the retained baseline
+//! and [`Reuse::decide`] picks keep, rescale or rebuild — reported here
+//! as [`CacheEventKind::Hit`], [`CacheEventKind::RescaledHit`] (after
+//! which an identical follow-up is a fingerprint hit) and
+//! [`CacheEventKind::DriftInvalidated`].
 //!
-//! * drift ≤ `keep_max` → **[`CacheEventKind::Hit`]**: serve from the
-//!   cached chain as-is. Sound because the outer Krylov operator is
-//!   always the caller's exact matrix — only the preconditioner lags.
-//! * drift ≤ `rescale_max` → **[`CacheEventKind::RescaledHit`]**: the
-//!   finest level is re-scaled and re-truncated from the *new* operator
-//!   ([`Mg::setup_rescaled`]), restoring the Theorem 4.1 no-overflow
-//!   guarantee for the drifted values while the coarse Galerkin tail is
-//!   reused (bounded Galerkin lag); the chain's finest slot is swapped
-//!   in place so an identical follow-up is a fingerprint hit.
-//! * beyond — or any structural drift (new overflow, changed sparsity)
-//!   → **[`CacheEventKind::DriftInvalidated`]**: the entry is torn down
-//!   and rebuilt from scratch.
-//!
-//! Bit-equal operators short-circuit via a lane-hash fingerprint of the
-//! raw matrix bits before any audit runs. Every decision is recorded as
-//! a typed [`CacheEvent`] in a ring-bounded trail, and the per-class
-//! keying reuses the breaker registry's convention, so cache, breaker,
-//! and admission speak the same class vocabulary.
+//! What is the cache's own: the keying (per-class, reusing the breaker
+//! registry's convention, so cache, breaker, and admission speak the same
+//! class vocabulary), the lane-hash fingerprint that short-circuits
+//! bit-equal operators before any audit runs, LRU and byte eviction, the
+//! governor charges around the engine's actions, and the typed
+//! [`CacheEvent`] trail, ring-bounded at [`EVENT_LOG_CAP`].
 
 use std::collections::BTreeMap;
 
-use fp16mg_core::{GalerkinChain, Mg, MgConfig, ScaleStrategy, SetupError};
-use fp16mg_fp::{LaneHash, Precision};
-use fp16mg_sgdia::audit::{self, drift, OperatorDrift, RangeAudit};
+use fp16mg_core::{Mg, MgConfig, Retained, Reuse, ScaleStrategy, SetupError};
+use fp16mg_fp::LaneHash;
+use fp16mg_sgdia::audit::{OperatorDrift, RangeAudit};
 use fp16mg_sgdia::{Layout, SgDia};
 
 use crate::mem::{MemCharge, MemGovernor};
@@ -53,26 +42,14 @@ pub struct CacheConfig {
     /// chain fits; an insert whose charge still fails is served
     /// *uncached* — a typed degrade, never an abort.
     pub byte_budget: Option<u64>,
-    /// Drift magnitude (log2 units, see [`OperatorDrift::magnitude`])
-    /// up to which the cached hierarchy is served unchanged.
-    pub keep_max: f64,
-    /// Drift magnitude up to which the finest level is re-scaled in
-    /// place; beyond it the entry is invalidated and rebuilt.
-    pub rescale_max: f64,
-    /// Ring capacity of the typed event trail.
-    pub event_log_cap: usize,
 }
+
+/// Ring capacity of the typed event trail.
+pub const EVENT_LOG_CAP: usize = 256;
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig {
-            enabled: true,
-            capacity: 8,
-            byte_budget: None,
-            keep_max: 0.25,
-            rescale_max: 3.0,
-            event_log_cap: 256,
-        }
+        CacheConfig { enabled: true, capacity: 8, byte_budget: None }
     }
 }
 
@@ -202,24 +179,28 @@ pub struct CacheEntryMeta {
     pub builds: u64,
 }
 
-/// One retained setup. `chain`/`baseline` are `None` for entries
-/// restored from a snapshot (metadata only) until their first rebuild.
+/// What a warm entry retains, and the receipt for its bytes.
 #[derive(Debug)]
+struct Warm {
+    retained: Retained,
+    /// The configuration the chain was built under; any other is a miss.
+    config: MgConfig,
+    /// The governor receipt for the chain's bytes. Dropping it credits
+    /// them back — double-charging is impossible by construction.
+    charge: MemCharge,
+}
+
+/// One cache slot: identity and counters, and the retained setup while
+/// the slot is warm. Cold after a snapshot restore (metadata only), a
+/// refused retention or a failed rescale, until the next rebuild.
+#[derive(Debug, Default)]
 struct CacheEntry {
-    chain: Option<GalerkinChain>,
-    baseline: Option<RangeAudit>,
+    warm: Option<Warm>,
     fingerprint: u64,
-    config_tag: String,
     last_used: u64,
     hits: u64,
     rescaled_hits: u64,
     builds: u64,
-    /// Bytes the retained chain keeps resident (0 for cold entries).
-    bytes: u64,
-    /// The governor receipt for those bytes. Dropping the entry drops
-    /// the receipt, crediting the bytes back — double-charging is
-    /// impossible by construction.
-    charge: Option<MemCharge>,
 }
 
 /// The per-class, drift-audited hierarchy cache.
@@ -251,11 +232,10 @@ impl HierarchyCache {
     /// the shape a daemon uses so cache bytes, hierarchy bytes, and the
     /// pressure signal share one budget.
     pub fn with_governor(cfg: CacheConfig, governor: MemGovernor) -> Self {
-        let events = Ring::new(cfg.event_log_cap);
         HierarchyCache {
             cfg,
             entries: BTreeMap::new(),
-            events,
+            events: Ring::new(EVENT_LOG_CAP),
             stats: CacheStats::default(),
             governor,
             mem_evictions: 0,
@@ -286,7 +266,7 @@ impl HierarchyCache {
 
     /// Bytes currently retained by warm entries' chains.
     pub fn cache_bytes(&self) -> u64 {
-        self.entries.values().map(|e| e.bytes).sum()
+        self.entries.values().filter_map(|e| e.warm.as_ref()).map(|w| w.charge.bytes()).sum()
     }
 
     /// Evictions forced by byte pressure (subset of `stats().evictions`).
@@ -319,17 +299,19 @@ impl HierarchyCache {
     }
 
     /// Produces a hierarchy for `class` solving `matrix` under `config`,
-    /// reusing the cached Galerkin chain when the audited drift allows,
+    /// reusing the retained Galerkin chain when the audited drift allows,
     /// and returns the typed decision alongside.
     ///
     /// `ScaleThenSetup` configs are served by a full build without
     /// touching the cache (their chains are single-use; see
-    /// [`GalerkinChain::build`]) — recorded as a rebuild, never
-    /// retained.
+    /// [`fp16mg_core::GalerkinChain::build`]) — recorded as a rebuild,
+    /// never retained.
     ///
     /// # Errors
-    /// Propagates [`SetupError`] from whichever build path ran. A
-    /// failed build leaves the previous entry untouched.
+    /// Propagates [`SetupError`] from whichever build path ran. A failed
+    /// hit or rebuild leaves the previous entry untouched; a failed
+    /// rescale leaves it cold (see [`Retained::adopt_finest`]), so the
+    /// next acquire rebuilds.
     pub fn acquire(
         &mut self,
         class: &str,
@@ -343,46 +325,34 @@ impl HierarchyCache {
             return Ok((mg, CacheEventKind::Rebuilt));
         }
         let key = CacheKey::of(class, matrix);
-        let config_tag = format!("{config:?}");
+        let fingerprint = fingerprint(matrix);
 
         // Fast path: a warm entry with a matching config.
         if let Some(entry) = self.entries.get(&key) {
-            if entry.config_tag == config_tag && entry.chain.is_some() {
-                let fingerprint = fingerprint(matrix);
+            if let Some(warm) = entry.warm.as_ref().filter(|w| w.config == *config) {
                 if fingerprint == entry.fingerprint {
                     return self.serve_hit(&key, config, None);
                 }
-                let current = audit::audit(matrix, Precision::F16);
-                let d = match entry.baseline.as_ref() {
-                    Some(baseline) => drift(baseline, &current),
-                    // A warm chain always carries its baseline; treat a
-                    // missing one as unbounded drift out of caution.
-                    None => OperatorDrift {
-                        range_shift: f64::INFINITY,
-                        floor_shift: f64::INFINITY,
-                        new_overflow: false,
-                        structure_changed: false,
-                    },
+                let now = Retained::audit(matrix);
+                let d = warm.retained.drift(&now);
+                return match Reuse::decide(&d) {
+                    Reuse::Keep => self.serve_hit(&key, config, Some(d)),
+                    Reuse::Rescale => {
+                        self.serve_rescaled(&key, matrix, config, fingerprint, now, d)
+                    }
+                    Reuse::Rebuild => {
+                        self.build_into(key, matrix, config, fingerprint, now, Some(d))
+                    }
                 };
-                if !d.structural() && d.magnitude() <= self.cfg.keep_max {
-                    return self.serve_hit(&key, config, Some(d));
-                }
-                if !d.structural() && d.magnitude() <= self.cfg.rescale_max {
-                    return self.serve_rescaled(&key, matrix, config, fingerprint, current, d);
-                }
-                return self.rebuild(key, matrix, config, config_tag, Some(d));
             }
         }
         // Cold (no entry, config changed, or metadata-only after a
         // restore): build fresh. A config change or restored entry is a
         // rebuild of an existing slot; a brand-new key may evict.
-        let existed = self.entries.contains_key(&key);
-        if existed {
-            self.rebuild(key, matrix, config, config_tag, None)
-        } else {
-            self.evict_for_room(&key);
-            self.build_into(key, matrix, config, config_tag, CacheEventKind::Rebuilt, None)
+        if !self.entries.contains_key(&key) {
+            self.evict_for_room();
         }
+        self.build_into(key, matrix, config, fingerprint, Retained::audit(matrix), None)
     }
 
     /// Serves a plain hit from the warm entry at `key`.
@@ -392,142 +362,108 @@ impl HierarchyCache {
         config: &MgConfig,
         d: Option<OperatorDrift>,
     ) -> Result<(Mg<f32>, CacheEventKind), SetupError> {
-        let tick = self.tick;
-        let class = key.class.clone();
         let entry = self.entries.get_mut(key).expect("hit entry exists");
-        let chain = entry.chain.as_ref().expect("hit entry is warm");
-        let mg = Mg::<f32>::setup_from_chain(chain, config)?;
+        let mg = entry.warm.as_ref().expect("hit entry is warm").retained.hierarchy(config)?;
         entry.hits += 1;
-        entry.last_used = tick;
+        entry.last_used = self.tick;
         self.stats.hits += 1;
-        self.record(CacheEventKind::Hit, &class, d);
+        self.record(CacheEventKind::Hit, &key.class, d);
         Ok((mg, CacheEventKind::Hit))
     }
 
-    /// Serves a rescaled hit: rebuild the finest level from `matrix`,
-    /// reuse the coarse tail, and commit the swap so an identical
-    /// follow-up operator fingerprint-hits.
+    /// Serves a rescaled hit: `matrix` becomes the retained chain's finest
+    /// operator, baseline and fingerprint (so an identical follow-up
+    /// operator fingerprint-hits) and the coarse tail is reused.
     fn serve_rescaled(
         &mut self,
         key: &CacheKey,
         matrix: &SgDia<f64>,
         config: &MgConfig,
         fingerprint: u64,
-        current: RangeAudit,
+        now: RangeAudit,
         d: OperatorDrift,
     ) -> Result<(Mg<f32>, CacheEventKind), SetupError> {
-        // The rescale commit materializes a fresh copy of the finest
-        // operator inside the chain — charge it before doing the work.
+        // The rescale materializes a fresh copy of the finest operator
+        // inside the chain — charge it before doing the work, and hold
+        // the receipt so the transient bytes stay tracked until return.
         // A refused charge degrades to serving the *stale* chain as a
-        // plain hit: bounded Galerkin lag (the drift is ≤ `rescale_max`
-        // by the caller's check), zero new bytes, and the outer Krylov
-        // iteration still runs on the caller's exact matrix.
-        let finest_bytes = matrix.value_bytes() as u64;
-        // Held (not bound to `_`) so the transient bytes stay tracked
-        // for the duration of the rescale, then credit back on return.
-        let _rescale_charge = match self.governor.try_charge("rescale", finest_bytes) {
-            Ok(c) => c,
-            Err(_) => return self.serve_hit(key, config, Some(d)),
+        // plain hit: bounded Galerkin lag (the drift is within the
+        // rescale bound), zero new bytes, and the outer Krylov iteration
+        // still runs on the caller's exact matrix.
+        let Ok(_rescale_charge) = self.governor.try_charge("rescale", matrix.value_bytes() as u64)
+        else {
+            return self.serve_hit(key, config, Some(d));
         };
-        let tick = self.tick;
-        let class = key.class.clone();
         let entry = self.entries.get_mut(key).expect("rescale entry exists");
-        let chain = entry.chain.as_mut().expect("rescale entry is warm");
-        let mg = Mg::<f32>::setup_rescaled(matrix, chain, config)?;
-        chain.swap_finest(matrix, config)?;
+        let retained = &mut entry.warm.as_mut().expect("rescale entry is warm").retained;
+        let mg = match retained
+            .adopt_finest(matrix, now, config)
+            .and_then(|()| retained.hierarchy(config))
+        {
+            Ok(mg) => mg,
+            Err(e) => {
+                entry.warm = None;
+                return Err(e);
+            }
+        };
         entry.fingerprint = fingerprint;
-        entry.baseline = Some(current);
         entry.rescaled_hits += 1;
-        entry.last_used = tick;
+        entry.last_used = self.tick;
         self.stats.rescaled_hits += 1;
-        self.record(CacheEventKind::RescaledHit, &class, Some(d));
+        self.record(CacheEventKind::RescaledHit, &key.class, Some(d));
         Ok((mg, CacheEventKind::RescaledHit))
     }
 
-    /// Rebuilds the entry at `key` from scratch. With a measured drift
-    /// this is a drift invalidation; without one it is a plain rebuild
-    /// (cold entry, changed config, restored metadata).
-    fn rebuild(
-        &mut self,
-        key: CacheKey,
-        matrix: &SgDia<f64>,
-        config: &MgConfig,
-        config_tag: String,
-        d: Option<OperatorDrift>,
-    ) -> Result<(Mg<f32>, CacheEventKind), SetupError> {
-        let kind =
-            if d.is_some() { CacheEventKind::DriftInvalidated } else { CacheEventKind::Rebuilt };
-        self.build_into(key, matrix, config, config_tag, kind, d)
-    }
-
-    /// Builds a fresh chain + hierarchy and installs it at `key`,
-    /// preserving the previous entry's counters if one existed.
+    /// Builds a fresh chain + hierarchy for `matrix` (audited as `now`)
+    /// and installs it at `key`, preserving the previous entry's counters
+    /// if one existed. With a measured drift this is a drift
+    /// invalidation; without one it is a plain rebuild (cold entry,
+    /// changed config, restored metadata).
     fn build_into(
         &mut self,
         key: CacheKey,
         matrix: &SgDia<f64>,
         config: &MgConfig,
-        config_tag: String,
-        kind: CacheEventKind,
+        fingerprint: u64,
+        now: RangeAudit,
         d: Option<OperatorDrift>,
     ) -> Result<(Mg<f32>, CacheEventKind), SetupError> {
-        let chain = GalerkinChain::build(matrix, config)?;
-        let mg = Mg::<f32>::setup_from_chain(&chain, config)?;
-        let class = key.class.clone();
-        match kind {
-            CacheEventKind::DriftInvalidated => self.stats.drift_invalidations += 1,
-            _ => self.stats.rebuilds += 1,
-        }
+        let retained = Retained::build(matrix, now, config)?;
+        let mg = retained.hierarchy(config)?;
+        let kind = if d.is_some() {
+            self.stats.drift_invalidations += 1;
+            CacheEventKind::DriftInvalidated
+        } else {
+            self.stats.rebuilds += 1;
+            CacheEventKind::Rebuilt
+        };
         // Retention is fallible: release the bytes of whatever chain the
         // slot held (it is being replaced either way), make room under
         // the byte budget, and charge the new chain. A refused charge
         // degrades to an uncached serve — the caller still gets its
-        // hierarchy, the slot just goes cold.
-        let bytes = chain.value_bytes() as u64;
+        // hierarchy, the slot just goes away.
+        let bytes = retained.chain().value_bytes() as u64;
         if let Some(old) = self.entries.get_mut(&key) {
-            old.chain = None;
-            old.bytes = 0;
-            old.charge = None;
+            old.warm = None;
         }
         self.evict_for_bytes(bytes);
-        let charge = match self.governor.try_charge("cache-insert", bytes) {
-            Ok(c) => c,
-            Err(_) => {
-                self.entries.remove(&key);
-                self.uncached += 1;
-                self.record(CacheEventKind::Uncached, &class, d);
-                return Ok((mg, CacheEventKind::Uncached));
-            }
+        let Ok(charge) = self.governor.try_charge("cache-insert", bytes) else {
+            self.entries.remove(&key);
+            self.uncached += 1;
+            self.record(CacheEventKind::Uncached, &key.class, d);
+            return Ok((mg, CacheEventKind::Uncached));
         };
-        let baseline = audit::audit(matrix, Precision::F16);
-        let fp = fingerprint(matrix);
-        let tick = self.tick;
-        let entry = self.entries.entry(key).or_insert_with(|| CacheEntry {
-            chain: None,
-            baseline: None,
-            fingerprint: 0,
-            config_tag: String::new(),
-            last_used: 0,
-            hits: 0,
-            rescaled_hits: 0,
-            builds: 0,
-            bytes: 0,
-            charge: None,
-        });
-        entry.chain = Some(chain);
-        entry.baseline = Some(baseline);
-        entry.fingerprint = fp;
-        entry.config_tag = config_tag;
-        entry.last_used = tick;
+        self.record(kind, &key.class, d);
+        let entry = self.entries.entry(key).or_default();
+        entry.warm = Some(Warm { retained, config: config.clone(), charge });
+        entry.fingerprint = fingerprint;
+        entry.last_used = self.tick;
         entry.builds += 1;
-        entry.bytes = bytes;
-        entry.charge = Some(charge);
-        self.record(kind, &class, d);
         Ok((mg, kind))
     }
 
     /// Evicts least-recently-used entries until a new key fits.
-    fn evict_for_room(&mut self, _incoming: &CacheKey) {
+    fn evict_for_room(&mut self) {
         while self.entries.len() >= self.cfg.capacity.max(1) {
             self.evict_lru(CacheEventKind::Evicted);
         }
@@ -586,16 +522,11 @@ impl HierarchyCache {
     pub fn restore_metadata(&mut self, metas: &[CacheEntryMeta]) {
         for m in metas {
             self.entries.entry(m.key.clone()).or_insert_with(|| CacheEntry {
-                chain: None,
-                baseline: None,
                 fingerprint: m.fingerprint,
-                config_tag: String::new(),
-                last_used: 0,
                 hits: m.hits,
                 rescaled_hits: m.rescaled_hits,
                 builds: m.builds,
-                bytes: 0,
-                charge: None,
+                ..CacheEntry::default()
             });
         }
     }

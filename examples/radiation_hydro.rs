@@ -10,26 +10,23 @@
 //! path (Algorithm 1) stores its levels in FP16 at all. A radiation
 //! front makes the time dependence brutal: opacity drifts smoothly
 //! between steps, but the front sweeping the grid multiplies the
-//! coefficients behind it by orders of magnitude. Each step audits the
-//! drifted operator against the cached hierarchy's baseline and takes
-//! the cheapest sufficient action — keep, rescale-in-place, or rebuild.
-//! Once the front is in flight the scaled-FP16 hierarchy is no longer
-//! enough for CG (a breakdown, not just slow convergence — the drifted
-//! range overwhelms the per-level scaling), so the loop carries the
-//! engine's escalation rung: a failed step rebuilds the hierarchy in
-//! FP64 and retries, exactly the `rebuild-f64` rung the `repro
-//! simulate` retry ladder lands on for this problem. CG must then
-//! converge to the FP64-grade tolerance at every step.
+//! coefficients behind it by orders of magnitude. Each step goes through
+//! the reuse engine (`mg::reuse::serve`): the drifted operator is audited
+//! against the retained chain's baseline and the cheapest sufficient
+//! action is taken — keep, rescale-in-place, or rebuild. Once the front
+//! is in flight the scaled-FP16 hierarchy is no longer enough for CG (a
+//! breakdown, not just slow convergence — the drifted range overwhelms
+//! the per-level scaling), so the loop carries an escalation rung: a
+//! failed step rebuilds the hierarchy in FP64 and retries, exactly the
+//! `rebuild-f64` rung the `repro simulate` retry ladder lands on for this
+//! problem. CG must then converge to the FP64-grade tolerance at every
+//! step.
 
-use fp16mg::fp::Precision;
 use fp16mg::krylov::{cg, SolveOptions};
-use fp16mg::mg::{GalerkinChain, MatOp, Mg, MgConfig};
+use fp16mg::mg::{reuse, MatOp, Mg, MgConfig, Reuse};
 use fp16mg::problems::{metrics, step_rhs, Evolution, ProblemKind};
-use fp16mg::sgdia::audit::{audit, drift};
 use fp16mg::sgdia::kernels::Par;
 
-const KEEP_MAX: f64 = 0.25;
-const RESCALE_MAX: f64 = 3.0;
 const STEPS: u64 = 10;
 const TOL: f64 = 1e-9;
 
@@ -49,8 +46,7 @@ fn main() {
 
     let cfg = MgConfig::d16(); // K64 P32 D16, setup-then-scale
     let opts = SolveOptions { tol: TOL, max_iters: 300, ..Default::default() };
-    let mut chain: Option<GalerkinChain> = None;
-    let mut baseline = None;
+    let mut retained = None;
     let mut x = vec![0.0f64; evo.base().rows()];
     let (mut keeps, mut rescales, mut rebuilds) = (0u32, 0u32, 0u32);
     let mut escalations = 0u32;
@@ -59,36 +55,14 @@ fn main() {
     for step in 0..STEPS {
         let problem = evo.problem_at(step);
         let a = &problem.matrix;
-        let now = audit(a, Precision::F16);
-        let dmag = match (&chain, &baseline) {
-            (Some(_), Some(base)) => {
-                let d = drift(base, &now);
-                if d.structural() {
-                    f64::INFINITY
-                } else {
-                    d.magnitude()
-                }
-            }
-            _ => f64::INFINITY,
-        };
-        let (mut label, mut mg) = if dmag <= KEEP_MAX {
-            keeps += 1;
-            (" keep", Mg::setup_from_chain(chain.as_ref().unwrap(), &cfg).expect("keep"))
-        } else if dmag <= RESCALE_MAX {
-            let ch = chain.as_mut().unwrap();
-            let mg = Mg::<f32>::setup_rescaled(a, ch, &cfg).expect("rescale");
-            ch.swap_finest(a, &cfg).expect("swap");
-            baseline = Some(now);
-            rescales += 1;
-            ("scale", mg)
-        } else {
-            let ch = GalerkinChain::build(a, &cfg).expect("chain");
-            let mg = Mg::setup_from_chain(&ch, &cfg).expect("setup");
-            chain = Some(ch);
-            baseline = Some(now);
-            rebuilds += 1;
-            ("build", mg)
-        };
+        let (mg, decision, drift) = reuse::serve(&mut retained, a, &cfg);
+        let mut mg: Mg<f32> = mg.expect("setup");
+        match decision {
+            Reuse::Keep => keeps += 1,
+            Reuse::Rescale => rescales += 1,
+            Reuse::Rebuild => rebuilds += 1,
+        }
+        let mut label = decision.label();
 
         let b = step_rhs(&problem, if step == 0 { None } else { Some(&x) });
         let op = MatOp::new(a, Par::Seq);
@@ -97,19 +71,20 @@ fn main() {
         if !r.converged() {
             // FP16 storage was too lossy for this step's drifted range
             // even after rescaling: rebuild in FP64 and retry, as the
-            // simulation engine's retry ladder does. The cached FP16
+            // `repro simulate` retry ladder does. The retained FP16
             // chain stays live for the following steps' audits.
-            let f64cfg = MgConfig::d64();
-            let ch = GalerkinChain::build(a, &f64cfg).expect("chain");
-            let mut mg = Mg::<f64>::setup_from_chain(&ch, &f64cfg).expect("setup");
-            label = "escal";
+            let mut mg = Mg::<f64>::setup(a, &MgConfig::d64()).expect("setup");
+            label = "escalate";
             escalations += 1;
             x.fill(0.0);
             r = cg(&op, &mut mg, &b, &mut x, &opts);
         }
         assert!(r.converged(), "step {step} did not converge: {:?}", r.reason);
         final_resid = r.final_rel_residual;
-        let shown = if dmag.is_finite() { format!("{dmag:.3}") } else { "-".into() };
+        let shown = match drift {
+            Some(d) if !d.structural() => format!("{:.3}", d.magnitude()),
+            _ => "-".into(),
+        };
         println!("{:>4}  {:>8}  {:>6}  {:>6}  {:>9.2e}", step, label, shown, r.iters, final_resid);
     }
 

@@ -11,26 +11,21 @@
 //! drift — mobility changes smoothly, a saturation front sweeps the
 //! field, and well events jump the contrast. Rebuilding the multigrid
 //! hierarchy every step would throw away the setup cost the FP16
-//! warm-start path amortizes, so each step audits the drifted operator
-//! against the baseline of the cached hierarchy and takes the cheapest
-//! sufficient action: **keep** the hierarchy, **rescale** its finest
-//! level in place (Galerkin-lag: the coarse tail stays), or **rebuild**
-//! the chain. The example reports the per-step decisions and the total
-//! setup time against a rebuild-every-step baseline.
+//! warm-start path amortizes, so each step goes through the reuse engine
+//! (`mg::reuse::serve`): the drifted operator is audited against the
+//! baseline of the retained chain and the cheapest sufficient action is
+//! taken — **keep** the chain, **rescale** its finest level in place
+//! (Galerkin-lag: the coarse tail stays), or **rebuild** it. The example
+//! reports the per-step decisions and the total setup time against a
+//! rebuild-every-step baseline.
 
 use std::time::{Duration, Instant};
 
-use fp16mg::fp::Precision;
 use fp16mg::krylov::{gmres, SolveOptions};
-use fp16mg::mg::{GalerkinChain, MatOp, Mg, MgConfig};
+use fp16mg::mg::{reuse, MatOp, Mg, MgConfig, Reuse};
 use fp16mg::problems::{step_rhs, Evolution, ProblemKind};
-use fp16mg::sgdia::audit::{audit, drift};
 use fp16mg::sgdia::kernels::Par;
 
-/// Drift (in binades) below which the cached hierarchy is kept.
-const KEEP_MAX: f64 = 0.25;
-/// Drift up to which a finest-level rescale-in-place still serves.
-const RESCALE_MAX: f64 = 3.0;
 const STEPS: u64 = 12;
 const TOL: f64 = 1e-9;
 
@@ -48,8 +43,7 @@ fn main() {
     );
 
     let opts = SolveOptions { tol: TOL, max_iters: 400, restart: 30, ..Default::default() };
-    let mut chain: Option<GalerkinChain> = None;
-    let mut baseline = None;
+    let mut retained = None;
     let mut x = vec![0.0f64; rows];
     let (mut keeps, mut rescales, mut rebuilds) = (0u32, 0u32, 0u32);
     let mut reuse_setup = Duration::ZERO;
@@ -66,39 +60,16 @@ fn main() {
         fresh_setup += t.elapsed();
 
         // Audit the drifted operator and reuse as much as it allows.
-        let now = audit(a, Precision::F16);
-        let dmag = match (&chain, &baseline) {
-            (Some(_), Some(base)) => {
-                let d = drift(base, &now);
-                if d.structural() {
-                    f64::INFINITY
-                } else {
-                    d.magnitude()
-                }
-            }
-            _ => f64::INFINITY, // first step: nothing cached yet
-        };
         let t = Instant::now();
-        let (label, mut mg) = if dmag <= KEEP_MAX {
-            keeps += 1;
-            (" keep", Mg::setup_from_chain(chain.as_ref().unwrap(), &cfg).expect("keep"))
-        } else if dmag <= RESCALE_MAX {
-            let ch = chain.as_mut().unwrap();
-            let mg = Mg::<f32>::setup_rescaled(a, ch, &cfg).expect("rescale");
-            ch.swap_finest(a, &cfg).expect("swap");
-            baseline = Some(now);
-            rescales += 1;
-            ("scale", mg)
-        } else {
-            let ch = GalerkinChain::build(a, &cfg).expect("chain");
-            let mg = Mg::setup_from_chain(&ch, &cfg).expect("setup");
-            chain = Some(ch);
-            baseline = Some(now);
-            rebuilds += 1;
-            ("build", mg)
-        };
+        let (mg, decision, drift) = reuse::serve(&mut retained, a, &cfg);
+        let mut mg: Mg<f32> = mg.expect("setup");
         let step_setup = t.elapsed();
         reuse_setup += step_setup;
+        match decision {
+            Reuse::Keep => keeps += 1,
+            Reuse::Rescale => rescales += 1,
+            Reuse::Rebuild => rebuilds += 1,
+        }
 
         // Backward-Euler-style step: the previous solution couples into
         // the right-hand side.
@@ -108,10 +79,18 @@ fn main() {
         let r = gmres(&op, &mut mg, &b, &mut x, &opts);
         assert!(r.converged(), "step {step} did not converge: {:?}", r.reason);
         final_resid = r.final_rel_residual;
-        let shown = if dmag.is_finite() { format!("{dmag:.3}") } else { "-".into() };
+        let shown = match drift {
+            Some(d) if !d.structural() => format!("{:.3}", d.magnitude()),
+            _ => "-".into(),
+        };
         println!(
             "{:>4}  {:>8}  {:>6}  {:>6}  {:>9.2e}  {:>10.1?}",
-            step, label, shown, r.iters, r.final_rel_residual, step_setup
+            step,
+            decision.label(),
+            shown,
+            r.iters,
+            r.final_rel_residual,
+            step_setup
         );
     }
 

@@ -12,21 +12,19 @@
 //! Theorem 4.1. The time dependence is the harshest of the presets:
 //! the background state drifts smoothly, but every fifth step the
 //! whole field jumps by ~24x (a regime change crossing several
-//! binades) and back again. The step loop audits the drifted operator
-//! against the cached hierarchy's baseline and keeps, rescales in
-//! place, or rebuilds — the jump edges force rebuilds, the plateaus
-//! between them are nearly free — and GMRES must converge to the
-//! FP64-grade tolerance at every step.
+//! binades) and back again. Each step goes through the reuse engine
+//! (`mg::reuse::serve`), which audits the drifted operator against the
+//! retained chain's baseline and keeps, rescales in place, or rebuilds
+//! — the jump edges force rebuilds, the plateaus between them are
+//! nearly free — and GMRES must converge to the FP64-grade tolerance
+//! at every step.
 
-use fp16mg::fp::{Precision, F16};
+use fp16mg::fp::F16;
 use fp16mg::krylov::{gmres, SolveOptions};
-use fp16mg::mg::{GalerkinChain, MatOp, Mg, MgConfig};
+use fp16mg::mg::{reuse, MatOp, Mg, MgConfig, Reuse};
 use fp16mg::problems::{metrics, step_rhs, Evolution, ProblemKind};
-use fp16mg::sgdia::audit::{audit, drift};
 use fp16mg::sgdia::kernels::Par;
 
-const KEEP_MAX: f64 = 0.25;
-const RESCALE_MAX: f64 = 3.0;
 const STEPS: u64 = 12;
 const TOL: f64 = 1e-9;
 
@@ -46,8 +44,7 @@ fn main() {
 
     let cfg = MgConfig::d16();
     let opts = SolveOptions { tol: TOL, max_iters: 400, restart: 30, ..Default::default() };
-    let mut chain: Option<GalerkinChain> = None;
-    let mut baseline = None;
+    let mut retained = None;
     let mut x = vec![0.0f64; evo.base().rows()];
     let (mut keeps, mut rescales, mut rebuilds) = (0u32, 0u32, 0u32);
     let mut final_resid = f64::NAN;
@@ -55,36 +52,13 @@ fn main() {
     for step in 0..STEPS {
         let problem = evo.problem_at(step);
         let a = &problem.matrix;
-        let now = audit(a, Precision::F16);
-        let dmag = match (&chain, &baseline) {
-            (Some(_), Some(base)) => {
-                let d = drift(base, &now);
-                if d.structural() {
-                    f64::INFINITY
-                } else {
-                    d.magnitude()
-                }
-            }
-            _ => f64::INFINITY,
-        };
-        let (label, mut mg) = if dmag <= KEEP_MAX {
-            keeps += 1;
-            (" keep", Mg::setup_from_chain(chain.as_ref().unwrap(), &cfg).expect("keep"))
-        } else if dmag <= RESCALE_MAX {
-            let ch = chain.as_mut().unwrap();
-            let mg = Mg::<f32>::setup_rescaled(a, ch, &cfg).expect("rescale");
-            ch.swap_finest(a, &cfg).expect("swap");
-            baseline = Some(now);
-            rescales += 1;
-            ("scale", mg)
-        } else {
-            let ch = GalerkinChain::build(a, &cfg).expect("chain");
-            let mg = Mg::setup_from_chain(&ch, &cfg).expect("setup");
-            chain = Some(ch);
-            baseline = Some(now);
-            rebuilds += 1;
-            ("build", mg)
-        };
+        let (mg, decision, drift) = reuse::serve(&mut retained, a, &cfg);
+        let mut mg: Mg<f32> = mg.expect("setup");
+        match decision {
+            Reuse::Keep => keeps += 1,
+            Reuse::Rescale => rescales += 1,
+            Reuse::Rebuild => rebuilds += 1,
+        }
 
         let b = step_rhs(&problem, if step == 0 { None } else { Some(&x) });
         let op = MatOp::new(a, Par::Seq);
@@ -92,7 +66,11 @@ fn main() {
         let r = gmres(&op, &mut mg, &b, &mut x, &opts);
         assert!(r.converged(), "step {step} did not converge: {:?}", r.reason);
         final_resid = r.final_rel_residual;
-        let shown = if dmag.is_finite() { format!("{dmag:.3}") } else { "-".into() };
+        let shown = match drift {
+            Some(d) if !d.structural() => format!("{:.3}", d.magnitude()),
+            _ => "-".into(),
+        };
+        let label = decision.label();
         println!("{:>4}  {:>8}  {:>6}  {:>6}  {:>9.2e}", step, label, shown, r.iters, final_resid);
     }
 
