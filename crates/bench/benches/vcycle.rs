@@ -179,6 +179,54 @@ fn bench_sweep_kernels() {
     }
 }
 
+/// `sgdia::par` itself, compiled into this bench: the crate keeps its team
+/// private, and a second team of the same code in this process costs what
+/// the first one does.
+#[path = "../../sgdia/src/par.rs"]
+#[allow(dead_code)]
+mod team;
+
+/// What a threaded kernel call costs beyond its work, and where it pays:
+/// one empty job through the worker team (two chunks that do nothing — the
+/// wake-up, hand-off and join `sgdia::par::MIN_CELLS` is set from), then
+/// `spmv` and `residual-upper` on every smoothed level of weather 64³ as
+/// the hierarchy stores it (scaled FP16 planes, f32 vectors) under `Seq`
+/// and `Threads(2)`. A level below `MIN_CELLS` runs on the caller either
+/// way, so its two rows must agree; above it the `Threads(2)` row must not
+/// be the slower one.
+fn bench_par() {
+    let mut flags = [0u8; 2];
+    let mut empty_job = || team::for_each_field_chunk_mut(&mut flags, 2, 1, |_, _, _| {});
+    let g = Group::new("par/team");
+    g.bench("empty job", &mut empty_job);
+    // As a V-cycle meets it: the worker long parked while the caller swept
+    // a level alone (a 2 MB dot, a few hundred µs).
+    let work: Vec<f64> = (0..1 << 18).map(|i| i as f64).collect();
+    let alone = || {
+        std::hint::black_box(dot(&work, &work));
+    };
+    g.bench_between("empty job, parked", alone, &mut empty_job);
+    let p = ProblemKind::Weather.build(64);
+    let chain = GalerkinChain::build(&p.matrix, &MgConfig::d16()).expect("chain");
+    let levels = chain.matrices();
+    for (l, a) in levels.iter().enumerate().take(levels.len() - 1) {
+        let mut scaled = a.to_layout(Layout::Soa);
+        scale_symmetric::<f32>(&mut scaled, GChoice::Auto, F16::MAX_F64)
+            .expect("positive diagonal");
+        let a16 = scaled.convert::<F16>();
+        let n = a16.rows();
+        let x: Vec<f32> = (0..n).map(|i| ((i % 101) as f32) * 0.01 - 0.4).collect();
+        let mut y = vec![0.0f32; n];
+        let g = Group::new(format!("par/weather-n64/L{l}-{}cells", a16.grid().cells()));
+        for (label, par) in [("seq", Par::Seq), ("threads(2)", Par::Threads(2))] {
+            g.bench(format!("spmv {label}"), || kernels::spmv(&a16, &x, &mut y, par));
+            g.bench(format!("residual-upper {label}"), || {
+                kernels::residual_upper(&a16, &x, &mut y, par)
+            });
+        }
+    }
+}
+
 fn bench_vcycle() {
     for kind in [ProblemKind::Laplace27, ProblemKind::Rhd, ProblemKind::Oil, ProblemKind::Weather] {
         let n = 24;
@@ -198,7 +246,8 @@ fn bench_vcycle() {
 }
 
 /// One warm `Mg::apply` (Mix16: FP16 storage, f32 cycle) on each shape
-/// the repo benchmark solves — the layer its `core.vcycle_apply_s` times.
+/// the repo benchmark solves — the layer its `core.vcycle_apply_s` times —
+/// and weather's again under the `Threads(2)` `weather-par` runs.
 fn bench_apply() {
     let shapes =
         [(ProblemKind::Laplace27, 72), (ProblemKind::Weather, 64), (ProblemKind::Rhd3T, 24)];
@@ -207,9 +256,15 @@ fn bench_apply() {
         let rn = p.matrix.rows();
         let r: Vec<f32> = (0..rn).map(|i| ((i % 101) as f32) * 0.01 - 0.4).collect();
         let mut e = vec![0.0f32; rn];
+        let g = Group::new(format!("apply/{}-n{n}", kind.name()));
         let mut mg = Mg::<f32>::setup(&p.matrix, &MgConfig::d16()).expect("benchmark shape");
-        Group::new(format!("apply/{}-n{n}", kind.name()))
-            .bench("Mg::apply d16", || mg.apply_pr(&r, &mut e));
+        g.bench("Mg::apply d16", || mg.apply_pr(&r, &mut e));
+        if kind == ProblemKind::Weather {
+            // `weather-par`'s cycle: must not be the slower of the two.
+            let cfg = MgConfig { par: Par::Threads(2), ..MgConfig::d16() };
+            let mut mg = Mg::<f32>::setup(&p.matrix, &cfg).expect("benchmark shape");
+            g.bench("Mg::apply d16 threads(2)", || mg.apply_pr(&r, &mut e));
+        }
     }
 }
 
@@ -274,6 +329,7 @@ fn bench_setup() {
 }
 
 fn main() {
+    bench_par();
     bench_vector_kernels();
     bench_sweep_kernels();
     bench_apply();

@@ -4,7 +4,7 @@ use fp16mg_fp::Scalar;
 
 use crate::control::{NoControl, SolveControl};
 use crate::health::{Breakdown, SolveHealth};
-use crate::scratch::SolveScratch;
+use crate::scratch;
 use crate::traits::{
     axpy, axpy_norm2, dot, dot_pair, norm2, residual, xpby, LinOp, Preconditioner,
 };
@@ -47,7 +47,8 @@ pub fn cg<K: Scalar>(
 /// [`cg`] with a per-iteration [`SolveControl`] hook: the control is
 /// polled at the top of every iteration and can abort the solve with a
 /// typed interruption (deadline, cancellation, budget) — see
-/// [`crate::StopReason::Interrupted`].
+/// [`crate::StopReason::Interrupted`]. The four work vectors are rented
+/// from the calling thread's pool, so a warm solve allocates none.
 ///
 /// # Panics
 /// Panics on dimension mismatch.
@@ -59,28 +60,6 @@ pub fn cg_ctl<K: Scalar>(
     opts: &SolveOptions,
     ctl: &mut impl SolveControl,
 ) -> SolveResult {
-    let mut scratch = SolveScratch::new(a.rows());
-    cg_ctl_in(a, m, b, x, opts, ctl, &mut scratch)
-}
-
-/// [`cg_ctl`] with caller-owned work vectors: the four per-solve vectors
-/// come from `scratch` instead of fresh allocations, so a driver that
-/// solves repeatedly at one size (time stepper, serve daemon) performs
-/// zero heap allocations per warm solve. The scratch grows on demand and
-/// is reusable across solves.
-///
-/// # Panics
-/// Panics on dimension mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn cg_ctl_in<K: Scalar>(
-    a: &impl LinOp<K>,
-    m: &mut impl Preconditioner<K>,
-    b: &[K],
-    x: &mut [K],
-    opts: &SolveOptions,
-    ctl: &mut impl SolveControl,
-    scratch: &mut SolveScratch<K>,
-) -> SolveResult {
     let n = a.rows();
     assert_eq!(b.len(), n, "b length");
     assert_eq!(x.len(), n, "x length");
@@ -91,79 +70,81 @@ pub fn cg_ctl_in<K: Scalar>(
         return SolveResult::new(StopReason::Converged, 0, 0.0, vec![0.0]);
     }
 
-    let (r, rest) = scratch.vectors(n, 4).split_at_mut(n);
-    let (z, rest) = rest.split_at_mut(n);
-    let (p, ap) = rest.split_at_mut(n);
+    scratch::with_vectors(n, 4, |work| {
+        let (r, rest) = work.split_at_mut(n);
+        let (z, rest) = rest.split_at_mut(n);
+        let (p, ap) = rest.split_at_mut(n);
 
-    // r = b - A x
-    residual(a, b, x, r);
+        // r = b - A x
+        residual(a, b, x, r);
 
-    let mut health = SolveHealth::new(opts.health, opts.record_history);
-    let mut history = Vec::new();
-    let mut rel = norm2(r) / bnorm;
-    if opts.record_history {
-        history.push(rel);
-    }
-    health.observe(0, rel);
-    if rel < opts.tol {
-        return SolveResult::new(StopReason::Converged, 0, rel, history)
-            .with_health(health.into_records());
-    }
-
-    m.apply(r, z);
-    p.copy_from_slice(z);
-    let mut rz = dot(r, z);
-
-    for it in 1..=opts.max_iters {
-        if let Err(e) = ctl.check(it) {
-            return SolveResult::new(StopReason::Interrupted, it - 1, rel, history)
-                .with_interrupt(e)
-                .with_health(health.into_records());
-        }
-        a.apply(p, ap);
-        let pap = dot(p, ap);
-        if !pap.is_finite() || pap <= 0.0 {
-            m.on_health_anomaly();
-            return SolveResult::new(StopReason::Breakdown, it, f64::NAN, history)
-                .with_breakdown(Breakdown::Indefinite { iter: it, pap })
-                .with_health(health.into_records());
-        }
-        let alpha = rz / pap;
-        axpy(alpha, p, x);
-        rel = axpy_norm2(-alpha, ap, r) / bnorm;
+        let mut health = SolveHealth::new(opts.health, opts.record_history);
+        let mut history = Vec::new();
+        let mut rel = norm2(r) / bnorm;
         if opts.record_history {
             history.push(rel);
         }
-        if !rel.is_finite() {
-            m.on_health_anomaly();
-            return SolveResult::new(StopReason::Breakdown, it, rel, history)
-                .with_breakdown(Breakdown::NonFiniteResidual { iter: it, value: rel })
-                .with_health(health.into_records());
-        }
+        health.observe(0, rel);
         if rel < opts.tol {
-            return SolveResult::new(StopReason::Converged, it, rel, history)
-                .with_health(health.into_records());
-        }
-        if let Some(stag) = health.observe(it, rel) {
-            m.on_health_anomaly();
-            return SolveResult::new(StopReason::Stagnated, it, rel, history)
-                .with_stagnation(stag)
+            return SolveResult::new(StopReason::Converged, 0, rel, history)
                 .with_health(health.into_records());
         }
 
         m.apply(r, z);
-        let (rz_new, z_ap) = dot_pair(r, z, ap);
-        // Polak–Ribière numerator zᵀ(r_new − r_old): with
-        // r_old = r_new + α·Ap this is rz_new − (rz_new + α·zᵀAp)
-        //       = −α·zᵀAp, so β = (rz_new − zᵀr_old)/rz = −α·zᵀAp / rz.
-        let beta_pr = -alpha * z_ap / rz;
-        // Guard against loss of positivity from preconditioner noise.
-        let beta = if beta_pr.is_finite() { beta_pr.max(0.0) } else { 0.0 };
-        rz = rz_new;
-        // p = z + beta p
-        xpby(z, beta, p);
-    }
+        p.copy_from_slice(z);
+        let mut rz = dot(r, z);
 
-    SolveResult::new(StopReason::MaxIters, opts.max_iters, rel, history)
-        .with_health(health.into_records())
+        for it in 1..=opts.max_iters {
+            if let Err(e) = ctl.check(it) {
+                return SolveResult::new(StopReason::Interrupted, it - 1, rel, history)
+                    .with_interrupt(e)
+                    .with_health(health.into_records());
+            }
+            a.apply(p, ap);
+            let pap = dot(p, ap);
+            if !pap.is_finite() || pap <= 0.0 {
+                m.on_health_anomaly();
+                return SolveResult::new(StopReason::Breakdown, it, f64::NAN, history)
+                    .with_breakdown(Breakdown::Indefinite { iter: it, pap })
+                    .with_health(health.into_records());
+            }
+            let alpha = rz / pap;
+            axpy(alpha, p, x);
+            rel = axpy_norm2(-alpha, ap, r) / bnorm;
+            if opts.record_history {
+                history.push(rel);
+            }
+            if !rel.is_finite() {
+                m.on_health_anomaly();
+                return SolveResult::new(StopReason::Breakdown, it, rel, history)
+                    .with_breakdown(Breakdown::NonFiniteResidual { iter: it, value: rel })
+                    .with_health(health.into_records());
+            }
+            if rel < opts.tol {
+                return SolveResult::new(StopReason::Converged, it, rel, history)
+                    .with_health(health.into_records());
+            }
+            if let Some(stag) = health.observe(it, rel) {
+                m.on_health_anomaly();
+                return SolveResult::new(StopReason::Stagnated, it, rel, history)
+                    .with_stagnation(stag)
+                    .with_health(health.into_records());
+            }
+
+            m.apply(r, z);
+            let (rz_new, z_ap) = dot_pair(r, z, ap);
+            // Polak–Ribière numerator zᵀ(r_new − r_old): with
+            // r_old = r_new + α·Ap this is rz_new − (rz_new + α·zᵀAp)
+            //       = −α·zᵀAp, so β = (rz_new − zᵀr_old)/rz = −α·zᵀAp / rz.
+            let beta_pr = -alpha * z_ap / rz;
+            // Guard against loss of positivity from preconditioner noise.
+            let beta = if beta_pr.is_finite() { beta_pr.max(0.0) } else { 0.0 };
+            rz = rz_new;
+            // p = z + beta p
+            xpby(z, beta, p);
+        }
+
+        SolveResult::new(StopReason::MaxIters, opts.max_iters, rel, history)
+            .with_health(health.into_records())
+    })
 }

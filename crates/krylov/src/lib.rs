@@ -28,12 +28,11 @@ mod traits;
 mod types;
 
 pub use bicgstab::{bicgstab, bicgstab_ctl};
-pub use cg::{cg, cg_ctl, cg_ctl_in};
+pub use cg::{cg, cg_ctl};
 pub use control::{NoControl, SolveControl};
-pub use gmres::{gmres, gmres_ctl, gmres_ctl_in};
+pub use gmres::{gmres, gmres_ctl};
 pub use health::{Breakdown, HealthPolicy, IterHealth, SolveError, SolveHealth, Stagnation};
 pub use richardson::{richardson, richardson_ctl};
-pub use scratch::SolveScratch;
 pub use traits::{
     axpy, axpy_norm2, dot, dot_pair, norm2, xpby, IdentityPrecond, LinOp, Preconditioner,
     TimedPrecond,

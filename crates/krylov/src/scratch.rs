@@ -1,65 +1,97 @@
-//! Reusable solver scratch: the per-solve work vectors, preallocated
-//! once and handed back to every solve.
+//! Krylov work vectors rented from the calling thread's pool.
 //!
-//! A single [`crate::cg_ctl`] call already allocates its four work
-//! vectors only once, before the iteration loop — but a driver that
-//! solves repeatedly at the same size (a time stepper, a serve daemon)
-//! pays that allocation per solve. [`SolveScratch`] hoists it: carve the
-//! vectors once, pass `&mut scratch` to [`crate::cg_ctl_in`] or
-//! [`crate::gmres_ctl_in`], and every warm solve runs without touching
-//! the heap at all.
+//! A solve needs a handful of `n`-long work vectors — CG four, BiCGStab
+//! eight, Richardson two, GMRES(m) its residual, a work vector and the `m`
+//! Krylov + `m` flexible basis vectors (62 at m = 30: 62 MiB for the
+//! 131 072 unknowns of weather 64³). Allocated per solve, they make every
+//! solve page-fault in memory the previous one just returned, so each
+//! thread keeps one flat buffer per scalar type and a solve *rents* it,
+//! the take-out / put-back pattern
+//! of `sgdia::kernels::scratch`: the buffer leaves its slot for the
+//! duration of the solve (no borrow is held while the solver runs) and
+//! comes back after. A re-entrant solve on the same thread — a
+//! preconditioner that solves inside `apply` — finds the slot empty and
+//! allocates its own; of the two buffers that come back the larger is
+//! kept. The pool thus holds the largest Krylov working set the thread has
+//! seen, until the thread exits. Contents are unspecified: every solver
+//! writes a work vector before it reads it.
+
+use core::any::TypeId;
+use core::cell::RefCell;
+use core::mem;
+use std::thread::LocalKey;
 
 use fp16mg_fp::Scalar;
 
-/// Work vectors CG needs (`r`, `z`, `p`, `Ap`) — what [`SolveScratch::new`]
-/// sizes for.
-const CG_VECTORS: usize = 4;
-
-/// One flat buffer the solvers carve their work vectors from, reusable
-/// across solves of the same size: CG takes four vectors, GMRES(m) its
-/// residual, a work vector and the `m` + `m` vectors of the Krylov and
-/// flexible bases.
-pub struct SolveScratch<K: Scalar> {
-    buf: Vec<K>,
+thread_local! {
+    static F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static F64: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-impl<K: Scalar> SolveScratch<K> {
-    /// Allocates scratch for systems of `n` unknowns (CG-sized; a GMRES
-    /// solve grows it on first use).
-    pub fn new(n: usize) -> Self {
-        SolveScratch { buf: vec![K::ZERO; CG_VECTORS * n] }
+/// Runs `f` with `count` contiguous work vectors of `n` unknowns each from
+/// this thread's pool for `K` (fresh ones for a scalar type without a
+/// pool, or while the pool is rented out).
+pub(crate) fn with_vectors<K: Scalar, R>(
+    n: usize,
+    count: usize,
+    f: impl FnOnce(&mut [K]) -> R,
+) -> R {
+    let id = TypeId::of::<K>();
+    if id == TypeId::of::<f64>() {
+        rent(&F64, n * count, f)
+    } else if id == TypeId::of::<f32>() {
+        rent(&F32, n * count, f)
+    } else {
+        f(&mut vec![K::ZERO; n * count])
     }
+}
 
-    /// Number of unknowns a CG solve can use without growing the scratch.
-    pub fn len(&self) -> usize {
-        self.buf.len() / CG_VECTORS
+fn rent<E: Scalar, K: Scalar, R>(
+    slot: &'static LocalKey<RefCell<Vec<E>>>,
+    len: usize,
+    f: impl FnOnce(&mut [K]) -> R,
+) -> R {
+    let mut buf = slot.with(|s| mem::take(&mut *s.borrow_mut()));
+    if buf.len() < len {
+        // Freed before the fresh allocation, and zeroed rather than grown:
+        // nothing in the old buffer is worth copying, and pages a solve never
+        // reaches stay unmapped.
+        drop(mem::take(&mut buf));
+        buf = vec![E::ZERO; len];
     }
-
-    /// True when sized for zero unknowns.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Grows the scratch to `n` unknowns if it is smaller (no-op, and no
-    /// allocation, when already large enough).
-    pub fn ensure(&mut self, n: usize) {
-        self.vectors(n, CG_VECTORS);
-    }
-
-    /// Bytes held by the scratch vectors.
-    pub fn bytes(&self) -> usize {
-        self.buf.capacity() * core::mem::size_of::<K>()
-    }
-
-    /// `count` contiguous vectors of `n` unknowns each, growing the
-    /// buffer only when it is too small. Contents are unspecified.
-    pub(crate) fn vectors(&mut self, n: usize, count: usize) -> &mut [K] {
-        if self.buf.len() < count * n {
-            // A fresh zeroed allocation, not `resize`: nothing in the old
-            // buffer is worth copying, and untouched zero pages stay
-            // unmapped until a solve actually reaches them.
-            self.buf = vec![K::ZERO; count * n];
+    assert_eq!(TypeId::of::<E>(), TypeId::of::<K>(), "a pool serves its own scalar type");
+    let work = &mut buf[..len];
+    // SAFETY: `E` and `K` are the same type (`TypeId` equality of `'static`
+    // types, asserted above), so layout and validity match.
+    let work = unsafe { core::slice::from_raw_parts_mut(work.as_mut_ptr().cast::<K>(), len) };
+    let out = f(work);
+    slot.with(|s| {
+        let mut s = s.borrow_mut();
+        if buf.len() > s.len() {
+            *s = buf;
         }
-        &mut self.buf[..count * n]
+    });
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_rented_buffer_is_reused_and_a_nested_rental_gets_its_own() {
+        let outer = with_vectors::<f64, _>(8, 2, |w| {
+            w.fill(1.0);
+            let inner = with_vectors::<f64, _>(4, 2, |v| {
+                v.fill(2.0);
+                v.as_ptr()
+            });
+            assert!(w.iter().all(|&v| v == 1.0), "a nested rental does not alias");
+            assert_ne!(inner, w.as_ptr());
+            w.as_ptr()
+        });
+        // The larger buffer came back last and is the one kept.
+        let again = with_vectors::<f64, _>(8, 2, |w| w.as_ptr());
+        assert_eq!(again, outer);
     }
 }

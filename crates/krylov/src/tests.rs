@@ -115,6 +115,35 @@ fn cg_history_is_recorded_and_decreasing_overall() {
     assert!(res.history.last().unwrap() < &1e-9);
 }
 
+/// A preconditioner that is itself a few CG iterations on the operator.
+struct InnerCg<'a>(&'a Dense);
+
+impl Preconditioner<f64> for InnerCg<'_> {
+    fn apply(&mut self, r: &[f64], z: &mut [f64]) {
+        z.fill(0.0);
+        let opts = SolveOptions { tol: 1e-3, max_iters: 8, ..SolveOptions::default() };
+        cg(self.0, &mut Jacobi::of(self.0), r, z, &opts);
+    }
+}
+
+/// A solve nested inside a preconditioner finds the thread's pool rented
+/// out by the outer solve and works on vectors of its own.
+#[test]
+fn a_solve_inside_a_preconditioner_converges() {
+    let a = Dense::laplace1d(64);
+    let b: Vec<f64> = (0..64).map(|i| (i as f64 * 0.37).sin()).collect();
+    let opts = SolveOptions::default();
+    for outer in ["cg", "gmres"] {
+        let mut x = vec![0.0f64; 64];
+        let res = match outer {
+            "cg" => cg(&a, &mut InnerCg(&a), &b, &mut x, &opts),
+            _ => gmres(&a, &mut InnerCg(&a), &b, &mut x, &opts),
+        };
+        assert!(res.converged(), "{outer}: {res:?}");
+        assert!(residual_norm(&a, &b, &x) < 1e-7, "{outer}");
+    }
+}
+
 #[test]
 fn gmres_solves_nonsymmetric_system() {
     let a = Dense::advection1d(80);

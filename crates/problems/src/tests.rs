@@ -243,6 +243,65 @@ fn all_problems_solve_d16_setup_then_scale() {
     }
 }
 
+/// FNV-1a over the bits of a solve: stop reason, iteration count, residual
+/// history and solution.
+fn solve_digest(res: &fp16mg_krylov::SolveResult, x: &[f64]) -> u64 {
+    let words = [res.reason as u64, res.iters as u64].into_iter();
+    let words = words.chain(res.history.iter().chain(x).map(|v| v.to_bits()));
+    words.fold(0xcbf2_9ce4_8422_2325, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// The four Krylov solvers on a nonsymmetric and a symmetric problem under
+/// the D16 V-cycle: iteration counts, residual histories and solution bits
+/// equal the goldens recorded before their work vectors came from a pool.
+/// Each solve runs twice on this thread, the second on the vectors the
+/// first handed back, whose stale contents must not matter.
+#[test]
+fn krylov_solves_equal_their_goldens() {
+    use fp16mg_krylov::{bicgstab, richardson, StopReason};
+    use StopReason::*;
+    let goldens = [
+        ("weather", "cg", Stagnated, 40, 1483346713938800998),
+        ("weather", "gmres", Converged, 32, 13042755282567425559),
+        ("weather", "bicgstab", Converged, 13, 15034384802075875071),
+        ("weather", "richardson", Stagnated, 40, 12904419783537190),
+        ("laplace27", "cg", Converged, 9, 14801392512442537014),
+        ("laplace27", "gmres", Converged, 9, 4406837214782616462),
+        ("laplace27", "bicgstab", Converged, 5, 15245318090361522266),
+        ("laplace27", "richardson", Converged, 16, 7536013412207782472),
+    ];
+    let opts = SolveOptions {
+        tol: 1e-10,
+        max_iters: 80,
+        restart: 8,
+        record_history: true,
+        ..Default::default()
+    };
+    let mut got = Vec::new();
+    for kind in [ProblemKind::Weather, ProblemKind::Laplace27] {
+        let p = kind.build(10);
+        let op = MatOp::new(&p.matrix, Par::Seq);
+        let b = p.rhs();
+        for solver in ["cg", "gmres", "bicgstab", "richardson"] {
+            let [first, second] = [(); 2].map(|_| {
+                let mut mg = Mg::<f32>::setup(&p.matrix, &MgConfig::d16()).expect(p.name);
+                let mut x = vec![0.0f64; b.len()];
+                let res = match solver {
+                    "cg" => cg(&op, &mut mg, &b, &mut x, &opts),
+                    "gmres" => gmres(&op, &mut mg, &b, &mut x, &opts),
+                    "bicgstab" => bicgstab(&op, &mut mg, &b, &mut x, &opts),
+                    _ => richardson(&op, &mut mg, &b, &mut x, &opts),
+                };
+                (res.reason, res.iters, solve_digest(&res, &x))
+            });
+            assert_eq!(first, second, "{} {solver}: a second solve on this thread", p.name);
+            let (reason, iters, digest) = first;
+            got.push((p.name, solver, reason, iters, digest));
+        }
+    }
+    assert_eq!(got, goldens);
+}
+
 // ------------------------------------------------------------- evolve --
 
 mod evolve {

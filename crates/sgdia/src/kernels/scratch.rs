@@ -14,9 +14,11 @@
 //! empty slot and falls back to a fresh allocation instead of panicking
 //! on a double borrow. The pools grow to the largest working set a thread
 //! has seen (`(r + r²) · nx` for the longest line of an `r`-component
-//! sweep) and are reclaimed when the thread exits; under [`crate::par::Par::Seq`] — the mode the
-//! zero-allocation gate measures — everything runs on the calling thread
-//! and the pool is warm after the first application.
+//! sweep) and are reclaimed when the thread exits. Under
+//! [`crate::par::Par::Seq`] everything runs on the calling thread; under
+//! `Par::Threads` each of `crate::par`'s parked workers keeps its own
+//! pool, so both are warm after the first application (the
+//! zero-allocation gate measures both).
 //!
 //! The element-typed buffers are dispatched on `TypeId` exactly like
 //! [`super::cast_slice`]: [`fp16mg_fp::Scalar`] is implemented for `f32`
@@ -113,9 +115,9 @@ pub(crate) fn with_bufs<P: Scalar, R>(f: impl FnOnce(&mut KernelBufs<P>) -> R) -
 
 /// Resolves the tap metadata table into this thread's pooled vector and
 /// runs `f` with it. The slice stays valid across nested [`with_bufs`] /
-/// [`with_taps2`] rentals (separate slots) and across the
-/// scoped-thread parallel regions (worker closures rent from their own
-/// threads' pools).
+/// [`with_taps2`] rentals (separate slots) and across the worker team's
+/// parallel regions (the workers only read it, and rent their own buffers
+/// from their own threads' pools).
 pub(crate) fn with_tap_metas<R>(
     grid: &Grid3,
     pattern: &Pattern,

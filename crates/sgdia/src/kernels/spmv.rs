@@ -144,11 +144,15 @@ fn apply<S: Storage, P: Scalar>(
     }
     let nthreads = par.threads();
     let lines = cells / nx;
-    let chunk_lines = if nthreads == 1 || cells < 4096 { lines } else { lines.div_ceil(nthreads) };
+    let chunk_lines = if nthreads == 1 || cells < crate::par::MIN_CELLS {
+        lines
+    } else {
+        lines.div_ceil(nthreads)
+    };
 
-    // Each parallel task owns the same `chunk_lines` whole x-lines of every
-    // output field, disjoint &mut windows of y; x and b stay shared. The
-    // meta table is rented from the calling thread's pool; worker closures
+    // Each chunk owns the same `chunk_lines` whole x-lines of every output
+    // field, disjoint &mut windows of y; x and b stay shared. The meta
+    // table is rented from the calling thread's pool; the team's workers
     // only read it.
     with_tap_metas(a.grid(), a.pattern(), |metas| {
         crate::par::for_each_field_chunk_mut(y, cells, chunk_lines * nx, |p, cout, ychunk| {

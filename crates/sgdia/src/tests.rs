@@ -649,7 +649,7 @@ fn staged_spmv_parallel_chunks_split_lines_correctly() {
     // scalar and with three components: every thread owns the same whole
     // lines of every output field.
     for r in [1, 3] {
-        let g = Grid3::with_components(40, 16, 16, r); // 10240 cells > 4096 chunk threshold
+        let g = Grid3::with_components(40, 16, 16, r); // 10240 cells > par::MIN_CELLS
         let pattern = if r == 1 { Pattern::p7() } else { Pattern::p7().with_components(r) };
         let a = random_matrix(g, pattern, Layout::Soa, 230);
         let x: Vec<f32> = random_vec(g.unknowns(), 231).iter().map(|&v| v as f32).collect();
@@ -1941,7 +1941,7 @@ mod zero_guess {
     #[test]
     fn upper_residual_parallel_matches_seq() {
         for r in [1, 3] {
-            let g = Grid3::with_components(40, 16, 16, r); // above the 4096-cell threshold
+            let g = Grid3::with_components(40, 16, 16, r); // above par::MIN_CELLS
             let pattern = if r == 1 { Pattern::p27() } else { Pattern::p7().with_components(r) };
             let a = random_matrix(g, pattern, Layout::Soa, 250).convert::<F16>();
             let x: Vec<f32> = random_vec(g.unknowns(), 251).iter().map(|&v| v as f32).collect();
@@ -2064,7 +2064,7 @@ mod half_read {
     #[test]
     fn half_read_parallel_matches_seq() {
         for r in [1, 3] {
-            let g = Grid3::with_components(40, 16, 16, r); // above the 4096-cell threshold
+            let g = Grid3::with_components(40, 16, 16, r); // above par::MIN_CELLS
             let pattern = if r == 1 { Pattern::p27() } else { Pattern::p7().with_components(r) };
             let sym = symmetrized(&random_matrix(g, pattern, Layout::Soa, 260));
             for threads in 2..=4 {
@@ -2173,5 +2173,66 @@ mod half_read {
         let lower = lower_of(&sym);
         assert!(!verdict(&lower), "lower-only pattern");
         assert!(!verdict(&lower.transpose()), "upper-only pattern");
+    }
+}
+
+/// The kernels on `sgdia::par`'s worker team: every chunk of a product
+/// computes the same whole x-lines whoever runs it, so the bits are
+/// `Par::Seq`'s however many chunks there are and whoever else is calling.
+mod team {
+    use super::*;
+    use crate::par::{on_one_worker_team, MIN_CELLS};
+
+    /// A scalar 19-point and a three-component operator above
+    /// `MIN_CELLS`, in FP16, with an f32 vector.
+    fn operators() -> Vec<(SgDia<F16>, Vec<f32>)> {
+        [(1, Pattern::p19()), (3, Pattern::p7().with_components(3))]
+            .into_iter()
+            .map(|(r, pattern)| {
+                let g = Grid3::with_components(40, 16, 16, r);
+                assert!(g.cells() >= MIN_CELLS);
+                let a = random_matrix(g, pattern, Layout::Soa, 270 + r as u64).convert::<F16>();
+                let x = random_vec(g.unknowns(), 271).iter().map(|&v| v as f32).collect();
+                (a, x)
+            })
+            .collect()
+    }
+
+    /// `spmv` and `residual_upper` of `a` at `x` under `par`.
+    fn products(a: &SgDia<F16>, x: &[f32], par: Par) -> [Vec<f32>; 2] {
+        let mut y = [vec![0.0f32; x.len()], vec![0.0f32; x.len()]];
+        kernels::spmv(a, x, &mut y[0], par);
+        kernels::residual_upper(a, x, &mut y[1], par);
+        y
+    }
+
+    #[test]
+    fn more_chunks_than_a_one_worker_team_has_threads_give_seq_bits() {
+        on_one_worker_team(|| {
+            for (a, x) in operators() {
+                let seq = products(&a, &x, Par::Seq);
+                for n in [3, 4, 7] {
+                    assert_eq!(products(&a, &x, Par::Threads(n)), seq, "Threads({n})");
+                }
+            }
+        });
+    }
+
+    /// Two callers at once: one gets the team, the other finds it busy and
+    /// runs its products alone, and either may be either on any call.
+    #[test]
+    fn concurrent_threaded_callers_get_seq_bits() {
+        for (a, x) in operators() {
+            let seq = products(&a, &x, Par::Seq);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        for _ in 0..20 {
+                            assert_eq!(products(&a, &x, Par::Threads(2)), seq);
+                        }
+                    });
+                }
+            });
+        }
     }
 }
