@@ -29,11 +29,12 @@ pub struct E2eResult {
     pub solve: Duration,
     /// Solver outcome, including the residual history for Fig. 6.
     pub result: SolveResult,
-    /// Matrix value bytes across smoothed levels (memory footprint).
+    /// Stored matrix value bytes across smoothed levels.
     pub matrix_bytes: usize,
     /// Bytes of the preallocated V-cycle workspace arena (carved once at
-    /// setup, so this is also the solve-phase peak; together with
-    /// `matrix_bytes` it is the hierarchy's steady-state resident set).
+    /// setup, so this is also the solve-phase vector peak). With
+    /// `matrix_bytes` it is not the hierarchy's whole resident set: the
+    /// levels' FP32 promotion sources and FP64 repair parents are uncounted.
     pub workspace_bytes: usize,
     /// Grid and operator complexities of the hierarchy.
     pub complexities: (f64, f64),

@@ -40,6 +40,19 @@ fn cold_run_commits_every_step() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// `rhd`'s carried state stays bounded: carried with a weight of
+/// `0.5·max|A|` it grew by about `max|A| / λ_min` per step, and CG broke
+/// down on a non-finite `pᵀAp` at step 11 (step 10 from 16³ up).
+#[test]
+fn rhd_commits_every_step_past_the_old_overflow() {
+    let report = SimDriver::new(SimConfig::new(ProblemKind::Rhd, 12, 8, 1e-9)).unwrap().run();
+    let report = report.expect("every step commits");
+    assert_eq!(report.rows.len(), 12);
+    for row in &report.rows {
+        assert_eq!((row.outcome.as_str(), row.rollback), ("ok", false), "step {}", row.step);
+    }
+}
+
 #[test]
 fn chaos_exercises_every_decision_and_recovery_path() {
     let mut cfg = SimConfig::new(ProblemKind::Oil, 12, 6, 1e-9);
@@ -198,7 +211,8 @@ fn torn_final_trail_record_is_truncated_and_logged_on_resume() {
 
 /// The trail `repro simulate --problem oil --steps 12 --size 6 --chaos`
 /// wrote at `ff5068a`, before the reuse engine existed, each line up to
-/// its ` resid=` field.
+/// its ` resid=` field — but for step 9's `iters`, 52 then and 53 since
+/// `step_rhs` bounds the state it carries from step to step.
 const GOLDEN_OIL_CHAOS: &str = "\
 step=0 decision=rebuild drift=0000000000000000 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=34
 step=1 decision=rescale drift=3ff09cec7f97b501 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=51
@@ -209,7 +223,7 @@ step=5 decision=rescale drift=40023ce9c4ed3af5 structural=0 repairs=0 rollback=0
 step=6 decision=rebuild drift=4013484a77771fde structural=0 repairs=0 rollback=1 rungs=retry→retry→promote16→32→rebuild-f32→rebuild-f64↺retry outcome=ok iters=36
 step=7 decision=rebuild drift=40179106601408a6 structural=1 repairs=1 rollback=0 rungs=retry outcome=ok iters=39
 step=8 decision=rebuild drift=4019762ff6a17abc structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=39
-step=9 decision=keep drift=3fcfd0792cf37b3f structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=52
+step=9 decision=keep drift=3fcfd0792cf37b3f structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=53
 step=10 decision=rescale drift=3ff3a21c578fa4e4 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=35
 step=11 decision=rescale drift=3feab749c84e2c1e structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=39
 ";

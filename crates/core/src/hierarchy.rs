@@ -8,7 +8,7 @@ use fp16mg_fp::{Precision, Scalar};
 use fp16mg_grid::Grid3;
 use fp16mg_krylov::Preconditioner;
 use fp16mg_sgdia::audit::{self, RangeAudit, StoredLevel, TruncationError, TruncationPolicy};
-use fp16mg_sgdia::kernels::{BlockDiagInv, Par};
+use fp16mg_sgdia::kernels::BlockDiagInv;
 use fp16mg_sgdia::scaling::{self, ScalePlan, ScaleVectors};
 use fp16mg_sgdia::sentinel::{MatrixSentinels, TapMismatch};
 use fp16mg_sgdia::{Layout, SgDia};
@@ -176,17 +176,6 @@ impl core::fmt::Display for PromotionEvent {
     }
 }
 
-/// Integrity sentinel of one level's stored matrix, taken at setup (and
-/// refreshed after any promotion or repair that changes the stored bits).
-#[derive(Clone, Debug)]
-pub struct LevelSentinel {
-    /// Storage precision the sentinels were taken over (the checksum is
-    /// format-sensitive, so a promoted level needs fresh sentinels).
-    pub precision: Precision,
-    /// Per-plane checksums and FP64 sum invariants.
-    pub sentinels: MatrixSentinels,
-}
-
 /// What triggered an integrity verification-and-repair sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RepairTrigger {
@@ -241,7 +230,8 @@ impl core::fmt::Display for RepairEvent {
     }
 }
 
-/// Per-level summary for reports (Table 3, Fig. 3).
+/// What one level's store measured (Table 3, Fig. 3): taken in the fused
+/// store pass and replaced only when a promotion rebuilds the level.
 #[derive(Clone, Debug)]
 pub struct LevelInfo {
     /// Grid extents.
@@ -267,10 +257,10 @@ pub struct LevelInfo {
     /// When a user-fixed `G` was clamped to `G_max/2` on this level, the
     /// originally requested value — the clamp is recorded, never silent.
     pub g_clamped_from: Option<f64>,
-    /// Integrity sentinels of the stored matrix (`None` for the
-    /// coarsest/direct level, or when the integrity policy has sentinels
-    /// off).
-    pub sentinel: Option<LevelSentinel>,
+    /// Integrity sentinels of the stored matrix, taken over `precision`
+    /// (`None` for the coarsest/direct level, or when the integrity policy
+    /// has sentinels off).
+    pub sentinels: Option<MatrixSentinels>,
 }
 
 /// Hierarchy summary.
@@ -306,9 +296,10 @@ pub struct ShiftDecision {
     pub chosen: usize,
     /// The underflow-loss threshold the decision used.
     pub threshold: f64,
-    /// FP16 audit of each smoothed level, finest first, as seen by the
-    /// decision (each level audited post-scaling, exactly as the store
-    /// path would truncate it).
+    /// FP16 audit of each candidate level, finest first, up to and
+    /// including the chosen one: the audit of the level's own FP16 store
+    /// (post-scaling), or of its unscaled operator when Theorem 4.1
+    /// cannot scale it.
     pub per_level: Vec<RangeAudit>,
 }
 
@@ -338,6 +329,15 @@ impl core::fmt::Display for ShiftDecision {
     }
 }
 
+/// The one verdict on a level's 16-bit [`RangeAudit`]: storing the level
+/// saturates, meets a non-finite source, or loses more than
+/// `max_underflow` of its nonzeros to underflow. `AutoShift` switches to
+/// the coarse precision at the first level it holds for; the runtime's
+/// audit gate skips retries that it says are doomed.
+pub fn audit_rejects(audit: &RangeAudit, max_underflow: f64) -> bool {
+    !audit.overflow_free() || audit.underflow_loss_fraction() > max_underflow
+}
+
 /// The FP16-capable structured multigrid preconditioner.
 ///
 /// Generic over the preconditioner computation precision `Pr` (the
@@ -346,18 +346,9 @@ impl core::fmt::Display for ShiftDecision {
 /// precision `K` — the `K`→`Pr` truncation and `Pr`→`K` recovery of
 /// Algorithm 2 happen at the boundary.
 pub struct Mg<Pr: Scalar = f32> {
+    /// The smoothed levels, finest first; `info.levels[i]` is what level
+    /// `i`'s store measured.
     levels: Vec<Level<Pr>>,
-    /// FP32 copies of the *unscaled* high-precision operators of the
-    /// 16-bit-stored levels, retained when recovery is enabled: the
-    /// material a promotion rebuilds the level from. `None` for levels
-    /// already wide, or once a level's promotion has consumed its source.
-    sources: Vec<Option<SgDia<f32>>>,
-    /// The exact f64 operators the narrow levels were truncated from
-    /// (post-scaling), retained under `IntegrityPolicy::retain_parents`:
-    /// re-truncating one through the same deterministic store path
-    /// reproduces the level bit-identically, which is what makes localized
-    /// repair exact. `None` per level otherwise.
-    repair_sources: Vec<Option<SgDia<f64>>>,
     coarse_grid: Grid3,
     coarse_lu: DenseLu,
     coarse_f: Vec<Pr>,
@@ -447,8 +438,8 @@ impl<Pr: Scalar> Mg<Pr> {
     }
 
     /// Algorithm 1 lines 4–14 over an already-built Galerkin chain:
-    /// AutoShift resolution, per-level scale-and-truncate, smoother
-    /// data, coarsest dense LU.
+    /// per-level scale-and-truncate (resolving AutoShift on the way),
+    /// smoother data, coarsest dense LU.
     fn assemble(
         chain: &[&SgDia<f64>],
         finest_scale: Option<ScaleVectors<Pr>>,
@@ -463,28 +454,32 @@ impl<Pr: Scalar> Mg<Pr> {
         }
         let ws = Workspace::for_levels(&level_unknowns)?;
 
-        // --- Adaptive shift_levid: audit the chain, pick the switch. ---
-        let mut shift_decision = None;
-        if let StoragePolicy::AutoShift { coarse, max_underflow } = config.storage {
-            let decision = resolve_auto_shift(chain, &config, max_underflow);
-            config.storage = StoragePolicy::Fp16Until { shift_levid: decision.chosen, coarse };
-            shift_decision = Some(decision);
-        }
-
-        // --- Per-level scale-and-truncate (lines 4–14). ---
-        let mut levels = Vec::with_capacity(nlev.saturating_sub(1));
-        let mut sources = Vec::with_capacity(nlev.saturating_sub(1));
-        let mut repair_sources = Vec::with_capacity(nlev.saturating_sub(1));
+        // --- Per-level scale-and-truncate (lines 4–14). Under AutoShift
+        // every level is an FP16 candidate until one fails the audit of
+        // its own store; from that level on, the coarse precision. ---
+        let mut shift = match config.storage {
+            StoragePolicy::AutoShift { coarse, max_underflow: threshold } => {
+                Some((ShiftDecision { chosen: usize::MAX, threshold, per_level: vec![] }, coarse))
+            }
+            _ => None,
+        };
+        let mut levels = Vec::with_capacity(nlev - 1);
         let mut infos = Vec::with_capacity(nlev);
         for (i, ai) in chain.iter().enumerate().take(nlev - 1) {
-            let prec = config.storage.precision_for(i);
-            let mut parts = build_level(ai, prec, &config, i)?;
-            sources.push(parts.store.source.take());
-            repair_sources.push(parts.parent.take());
-            let (level, info) = parts.into_level(ai, config.par);
+            let (level, info) = match &mut shift {
+                Some((d, coarse)) if d.chosen == usize::MAX => {
+                    build_level(ai, Precision::F16, &config, i, Some((d, *coarse)))?
+                }
+                Some((_, coarse)) => build_level(ai, *coarse, &config, i, None)?,
+                None => build_level(ai, config.storage.precision_for(i), &config, i, None)?,
+            };
             levels.push(level);
             infos.push(info);
         }
+        let shift_decision = shift.map(|(decision, coarse)| {
+            config.storage = StoragePolicy::Fp16Until { shift_levid: decision.chosen, coarse };
+            decision
+        });
 
         // --- Coarsest level: dense LU of the exact f64 operator. ---
         let coarsest = chain.last().expect("chain holds at least the finest matrix");
@@ -502,7 +497,7 @@ impl<Pr: Scalar> Mg<Pr> {
             value_bytes: coarsest.value_bytes(),
             audit: None,
             g_clamped_from: None,
-            sentinel: None,
+            sentinels: None,
         });
 
         // ScaleThenSetup applies its single scaling before `build_level`
@@ -525,8 +520,6 @@ impl<Pr: Scalar> Mg<Pr> {
 
         Ok(Mg {
             levels,
-            sources,
-            repair_sources,
             coarse_grid: *coarsest.grid(),
             coarse_lu,
             coarse_f: vec![Pr::ZERO; cn],
@@ -726,9 +719,10 @@ impl<Pr: Scalar> Mg<Pr> {
     }
 
     /// Bytes held by the preallocated solve workspace (the per-level
-    /// V-cycle buffers). Carved once at setup;
-    /// together with [`MgInfo::matrix_bytes`] this is the hierarchy's
-    /// steady-state resident footprint.
+    /// V-cycle buffers), carved once at setup. Together with
+    /// [`MgInfo::matrix_bytes`] it is *not* the hierarchy's whole
+    /// footprint: neither counts the levels' FP32 promotion sources nor
+    /// their FP64 repair parents, nor the smoother data and coarse LU.
     pub fn workspace_bytes(&self) -> usize {
         self.ws.bytes()
     }
@@ -767,15 +761,13 @@ impl<Pr: Scalar> Mg<Pr> {
         self.levels.get(level).map(|l| l.stored.scan())
     }
 
-    /// True while recovery is on and the promotion budget has headroom.
+    /// True while recovery is on, the promotion budget has headroom, and
+    /// some level still keeps its promotion source (only a 16-bit level
+    /// keeps one, and a promotion leaves none).
     pub fn can_promote(&self) -> bool {
         self.config.recovery.enabled
             && self.info.promotions.len() < self.config.recovery.max_promotions
-            && self
-                .levels
-                .iter()
-                .zip(&self.sources)
-                .any(|(l, s)| s.is_some() && is_narrow(l.stored.precision()))
+            && self.levels.iter().any(|l| l.source.is_some())
     }
 
     /// Promotes one level after the outer solve stagnated above the FP16
@@ -792,19 +784,11 @@ impl<Pr: Scalar> Mg<Pr> {
         if !self.can_promote() {
             return None;
         }
-        let mut fallback = None;
-        let mut target = None;
-        for (i, l) in self.levels.iter().enumerate() {
-            if self.sources[i].is_none() || !is_narrow(l.stored.precision()) {
-                continue;
-            }
-            if !l.stored.scan().all_finite() {
-                target = Some(i);
-                break;
-            }
-            fallback = Some(i);
-        }
-        self.promote_level(target.or(fallback)?, reason)
+        let levels = &self.levels;
+        let corrupt =
+            levels.iter().position(|l| l.source.is_some() && !l.stored.scan().all_finite());
+        let target = corrupt.or_else(|| levels.iter().rposition(|l| l.source.is_some()))?;
+        self.promote_level(target, reason)
     }
 
     /// Rebuilds level `level` at FP32 storage from its retained source
@@ -812,7 +796,8 @@ impl<Pr: Scalar> Mg<Pr> {
     /// FP32 range somehow still be exceeded — a re-scale with `G`
     /// tightened by the recovery policy's `g_tighten`. Returns `None`
     /// when the level is not promotable (already wide, source consumed,
-    /// or the promotion budget is spent); the event is also logged in
+    /// or the promotion budget is spent) or the rebuild fails (the level
+    /// and its source stay as they were); the event is also logged in
     /// [`MgInfo::promotions`].
     pub fn promote_level(
         &mut self,
@@ -825,37 +810,21 @@ impl<Pr: Scalar> Mg<Pr> {
             return None;
         }
         let lvl = self.levels.get(level)?;
-        let from = lvl.stored.precision();
-        if !is_narrow(from) {
-            return None;
-        }
-        let corrupt_entries = lvl.stored.scan().total.non_finite();
-        let src = self.sources.get_mut(level)?.take()?;
-        let a64: SgDia<f64> = src.convert();
+        let a64: SgDia<f64> = lvl.source.as_ref()?.convert();
+        let (from, corrupt_entries) =
+            (lvl.stored.precision(), lvl.stored.scan().total.non_finite());
         let mut cfg = self.config.clone();
         if let GChoice::Fixed(g) = cfg.g_choice {
             cfg.g_choice = GChoice::Fixed(g * cfg.recovery.g_tighten);
         }
-        let parts = match build_level::<Pr>(&a64, Precision::F32, &cfg, level) {
-            Ok(p) => p,
-            Err(_) => {
-                // Keep the source so a later attempt (e.g. after a manual
-                // config change) can retry.
-                self.sources[level] = Some(src);
-                return None;
-            }
-        };
-        // The widened level replaces the stored bits wholesale: its repair
-        // parent no longer matches and is dropped, and the sentinels are
-        // retaken over the new format.
-        let (widened, info) = parts.into_level(&a64, self.config.par);
+        // The widened level replaces the old one wholesale: new stored
+        // bits, sentinels retaken over the new format, and neither source
+        // nor repair parent (an FP32 level keeps no insurance).
+        let (widened, info) = build_level::<Pr>(&a64, Precision::F32, &cfg, level, None).ok()?;
         let event = PromotionEvent { level, from, to: info.precision, reason, corrupt_entries };
-        self.repair_sources[level] = None;
         self.levels[level] = widened;
-        self.info.levels[level] = info;
-        let nsmoothed = self.levels.len();
-        self.info.matrix_bytes =
-            self.info.levels.iter().take(nsmoothed).map(|l| l.value_bytes).sum();
+        self.info.matrix_bytes += info.value_bytes;
+        self.info.matrix_bytes -= std::mem::replace(&mut self.info.levels[level], info).value_bytes;
         self.info.promotions.push(event.clone());
         Some(event)
     }
@@ -879,7 +848,7 @@ impl<Pr: Scalar> Mg<Pr> {
     pub fn can_repair(&self) -> bool {
         self.config.integrity.sentinels
             && self.info.repairs.len() < self.config.integrity.max_repairs
-            && self.repair_sources.iter().any(Option::is_some)
+            && self.levels.iter().any(|l| l.parent.is_some())
     }
 
     /// Verifies every sentineled level against its setup-time sentinels
@@ -893,9 +862,9 @@ impl<Pr: Scalar> Mg<Pr> {
     pub fn verify_integrity(&self) -> Vec<(usize, Vec<TapMismatch>)> {
         self.cycles.fetch_add(1, Ordering::Relaxed);
         let mut corrupted = Vec::new();
-        for (i, l) in self.levels.iter().enumerate() {
-            let Some(sent) = self.info.levels[i].sentinel.as_ref() else { continue };
-            let mismatches = l.stored.verify_sentinels(&sent.sentinels);
+        for (i, (l, info)) in self.levels.iter().zip(&self.info.levels).enumerate() {
+            let Some(sentinels) = info.sentinels.as_ref() else { continue };
+            let mismatches = l.stored.verify_sentinels(sentinels);
             if !mismatches.is_empty() {
                 corrupted.push((i, mismatches));
             }
@@ -939,12 +908,13 @@ impl<Pr: Scalar> Mg<Pr> {
         if self.info.repairs.len() >= self.config.integrity.max_repairs {
             return None;
         }
-        let parent = self.repair_sources.get(level)?.as_ref()?;
-        let precision = self.levels[level].stored.precision();
         let (layout, policy) = (self.config.layout, store_policy(&self.config));
+        let lvl = self.levels.get_mut(level)?;
+        let precision = lvl.stored.precision();
+        let parent = lvl.parent.as_ref()?;
         let store =
             StoredMatrix::store_level(parent, None, precision, layout, policy, false, false);
-        self.levels[level].stored = store.ok()?.matrix;
+        lvl.stored = store.ok()?.matrix;
         let event = RepairEvent { level, taps, precision, trigger };
         self.info.repairs.push(event.clone());
         Some(event)
@@ -968,11 +938,6 @@ fn widen_result<Pr: Scalar, K: Scalar>(
         None => z.iter_mut().zip(e).for_each(|(zi, e)| put(zi, e)),
     }
     finite
-}
-
-/// The storage precisions the recovery path insures.
-fn is_narrow(p: Precision) -> bool {
-    matches!(p, Precision::F16 | Precision::BF16)
 }
 
 /// The retained FP64 Galerkin chain (Algorithm 1 lines 1–3): the finest
@@ -1143,49 +1108,6 @@ fn select_axes(a: &SgDia<f64>, policy: Coarsening) -> (bool, bool, bool) {
     }
 }
 
-/// One level's store (matrix, truncation audit, sentinels, promotion
-/// source), scale vectors and smoother data (Algorithm 1 lines 5–13).
-struct LevelParts<Pr: Scalar> {
-    /// The fused store pass over the matrix actually truncated
-    /// (post-scaling when the level was scaled) at the precision actually
-    /// used; its `source` is the *unscaled* operator in FP32.
-    store: StoredLevel<StoredMatrix>,
-    scale: Option<ScaleVectors<Pr>>,
-    dinv: BlockDiagInv<Pr>,
-    ilu: Option<(StoredMatrix, StoredMatrix)>,
-    cheb: Option<f64>,
-    g_clamped_from: Option<f64>,
-    /// The exact f64 matrix the level was truncated from (post-scaling),
-    /// retained for narrow levels under `IntegrityPolicy::retain_parents`
-    /// so a corrupted plane can be re-truncated bit-identically.
-    parent: Option<SgDia<f64>>,
-}
-
-impl<Pr: Scalar> LevelParts<Pr> {
-    /// The level the cycle runs on and its report entry — the one place
-    /// the facts of a store of `ai` become a `LevelInfo`. (The promotion
-    /// source and the repair parent are the caller's to keep or drop.)
-    fn into_level(self, ai: &SgDia<f64>, par: Par) -> (Level<Pr>, LevelInfo) {
-        let LevelParts { store, scale, dinv, ilu, cheb, g_clamped_from, .. } = self;
-        let StoredLevel { matrix: stored, audit, sentinels, finite, .. } = store;
-        let precision = stored.precision();
-        let info = LevelInfo {
-            dims: (ai.grid().nx, ai.grid().ny, ai.grid().nz),
-            unknowns: ai.rows(),
-            nnz: ai.nnz(),
-            precision,
-            scaled: scale.is_some(),
-            g: scale.as_ref().map(|s| s.g),
-            finite,
-            value_bytes: stored.value_bytes(),
-            audit: Some(audit),
-            g_clamped_from,
-            sentinel: sentinels.map(|sentinels| LevelSentinel { precision, sentinels }),
-        };
-        (Level::new(*ai.grid(), stored, scale, dinv, ilu, cheb, par), info)
-    }
-}
-
 /// The truncation policy of the store path — none for the
 /// `ScaleStrategy::None` ablation, which deliberately keeps the unguarded
 /// IEEE conversion (overflow to ±∞) so the `K64P32D16-none` failure mode
@@ -1218,16 +1140,27 @@ fn scale_plan(
     ScalePlan::decide(ai, config.g_choice, limit).map(Some)
 }
 
+/// Builds level `level` from `ai` at storage precision `prec` (Algorithm 1
+/// lines 5–13): the level the cycle runs on, with its insurance, and what
+/// its store measured.
+///
+/// `auto` makes the level an `AutoShift` candidate (`prec` is FP16): the
+/// verdict ([`audit_rejects`], or a level Theorem 4.1 cannot scale) is read
+/// off this store's own audit and recorded in the decision; a rejected
+/// level is built again at the coarse precision and becomes the switch.
 fn build_level<Pr: Scalar>(
     ai: &SgDia<f64>,
     mut prec: Precision,
     config: &MgConfig,
     level: usize,
-) -> Result<LevelParts<Pr>, SetupError> {
+    auto: Option<(&mut ShiftDecision, Precision)>,
+) -> Result<(Level<Pr>, LevelInfo), SetupError> {
     // Truncation after scaling (lines 6–9), or direct truncation (line
     // 11) — also the path for `None` and for all levels of
     // scale-then-setup (the chain is already globally scaled).
-    let plan = scale_plan(ai, prec, config).unwrap_or_else(|_| {
+    let plan = scale_plan(ai, prec, config);
+    let unscalable = plan.is_err();
+    let plan = plan.unwrap_or_else(|_| {
         // Theorem 4.1 requires positive diagonals; deep Galerkin
         // levels of nonsymmetric operators can violate that. Fall
         // back to a storage precision wide enough to hold the level
@@ -1241,21 +1174,39 @@ fn build_level<Pr: Scalar>(
     let s_inv = plan.as_ref().map(ScalePlan::s_inv);
     // Smoother data comes from the high-precision matrix (line 13),
     // scaled as it is read.
-    let dinv = BlockDiagInv::from_scaled(ai, s_inv)
-        .map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
+    let dinv = BlockDiagInv::from_scaled(ai, s_inv);
     // The second and last read of the level: scaled, truncated, audited
     // and sentineled block by block, and — promotion material for the
     // narrow levels, exact enough to rebuild the level at FP32 for 2× the
     // FP16 level it insures — the *unscaled* operator narrowed to FP32.
-    let keep_source = config.recovery.enabled && is_narrow(prec);
+    let narrow = prec.bytes() == 2; // FP16 or BF16: what recovery insures
+    let keep_source = config.recovery.enabled && narrow;
     let (layout, sentinels) = (config.layout, config.integrity.sentinels);
     let policy = store_policy(config);
-    let store = StoredMatrix::store_level(ai, s_inv, prec, layout, policy, sentinels, keep_source)
-        .map_err(|error| SetupError::Truncation { level, error })?;
+    let store = StoredMatrix::store_level(ai, s_inv, prec, layout, policy, sentinels, keep_source);
+    if let Some((decision, coarse)) = auto {
+        // Where the level cannot be scaled, or the policy refused the
+        // store, the FP16 audit the store did not take is taken here. A
+        // rejected candidate is built again at the coarse precision, so
+        // its FP16 errors (a singular block, a refused store) are not its
+        // to report: both are held until the verdict is in.
+        let audit = match &store {
+            Ok(store) if !unscalable => store.audit.clone(),
+            _ => audit::audit_scaled(ai, s_inv, Precision::F16),
+        };
+        let rejected = unscalable || audit_rejects(&audit, decision.threshold);
+        decision.per_level.push(audit);
+        if rejected {
+            decision.chosen = level;
+            return build_level(ai, coarse, config, level, None);
+        }
+    }
+    let dinv = dinv.map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
+    let store = store.map_err(|error| SetupError::Truncation { level, error })?;
     // The scaled f64 operator exists only for who reads it whole: ILU(0),
     // the Chebyshev bound, a retained repair parent (a wide fallback
     // precision has nothing to repair).
-    let retain_parent = config.integrity.retain_parents && is_narrow(prec);
+    let retain_parent = config.integrity.retain_parents && narrow;
     let reads_whole = matches!(
         config.smoother,
         crate::SmootherKind::Ilu0 | crate::SmootherKind::Chebyshev { .. }
@@ -1263,54 +1214,26 @@ fn build_level<Pr: Scalar>(
     let scaled = plan.as_ref().filter(|_| retain_parent || reads_whole).map(|p| p.scaled(ai));
     let src = scaled.as_ref().unwrap_or(ai);
     let ilu = build_ilu(src, prec, config, level)?;
-    let cheb = estimate_lambda_if_cheb(src, config);
+    let cheb_lambda = estimate_lambda_if_cheb(src, config);
     let scale = plan.as_ref().map(ScalePlan::vectors::<Pr>);
-    Ok(LevelParts {
-        store,
+    let StoredLevel { matrix: stored, audit, sentinels, finite, source } = store;
+    let grid = *ai.grid();
+    let info = LevelInfo {
+        dims: (grid.nx, grid.ny, grid.nz),
+        unknowns: ai.rows(),
+        nnz: ai.nnz(),
+        precision: prec,
+        scaled: scale.is_some(),
+        g: scale.as_ref().map(|s| s.g),
+        finite,
+        value_bytes: stored.value_bytes(),
+        audit: Some(audit),
         g_clamped_from: plan.and_then(|plan| plan.g_clamped_from),
-        scale,
-        dinv,
-        ilu,
-        cheb,
-        parent: retain_parent.then(|| scaled.unwrap_or_else(|| ai.clone())),
-    })
-}
-
-/// Resolves `StoragePolicy::AutoShift` against the actual Galerkin chain:
-/// audits each smoothed level's FP16 truncation (post-scaling, exactly as
-/// the store path would perform it) and picks the first level whose
-/// underflow-loss fraction exceeds `max_underflow` — or whose truncation
-/// would saturate, or whose scaling prerequisite fails — as the switch to
-/// the coarse precision. Returns `usize::MAX` (all-FP16) when every level
-/// passes.
-fn resolve_auto_shift(
-    chain: &[&SgDia<f64>],
-    config: &MgConfig,
-    max_underflow: f64,
-) -> ShiftDecision {
-    let mut per_level = Vec::new();
-    let mut chosen = usize::MAX;
-    for (i, ai) in chain.iter().enumerate().take(chain.len().saturating_sub(1)) {
-        let prec = Precision::F16;
-        let plan = scale_plan(ai, prec, config);
-        // Scaling impossible (non-positive diagonal): FP16 cannot hold
-        // this level safely, so the switch point is here — and the audit
-        // of the unscaled matrix, for the record, shows the saturation
-        // that made it so.
-        let unscalable = plan.is_err();
-        let s_inv = plan.as_ref().ok().and_then(Option::as_ref).map(ScalePlan::s_inv);
-        let lv = audit::audit_scaled(ai, s_inv, prec);
-        let bad = unscalable
-            || lv.saturate > 0
-            || lv.source_non_finite > 0
-            || lv.underflow_loss_fraction() > max_underflow;
-        per_level.push(lv);
-        if bad {
-            chosen = i;
-            break;
-        }
-    }
-    ShiftDecision { chosen, threshold: max_underflow, per_level }
+        sentinels,
+    };
+    let parent = retain_parent.then(|| scaled.unwrap_or_else(|| ai.clone()));
+    let par = config.par;
+    Ok((Level { grid, stored, scale, dinv, ilu, cheb_lambda, par, source, parent }, info))
 }
 
 /// Upper bound on `λmax(D⁻¹A)` for the Chebyshev smoother: the

@@ -7,7 +7,9 @@
 //! `(D₁₆ − D_hp) u` bound where the stored diagonal is FP16.
 //!
 //! Below that: the two-read level store (`build_level`) against the
-//! clone → scale → store → convert sequence it replaced, level by level.
+//! clone → scale → store → convert sequence it replaced, level by level;
+//! and `AutoShift` read off each level's store against the two-pass
+//! resolution it replaced.
 
 use fp16mg_grid::Grid3;
 use fp16mg_sgdia::Layout;
@@ -277,9 +279,14 @@ fn f32_bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+fn f64_bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 /// `got` is the hierarchy `want` is: stored planes, scale vectors,
-/// smoother diagonals and promotion sources to the bit, every level's
-/// audit, and the rest of `MgInfo` and the coarse factors as they print.
+/// smoother diagonals, promotion sources and repair parents to the bit,
+/// every level's audit, and the rest of `MgInfo` and the coarse factors
+/// as they print.
 pub(crate) fn assert_same_hierarchy(got: &Mg<f32>, want: &Mg<f32>, what: &str) {
     assert_eq!(got.levels.len(), want.levels.len(), "{what}: smoothed levels");
     for (i, (g, w)) in got.levels.iter().zip(&want.levels).enumerate() {
@@ -290,8 +297,10 @@ pub(crate) fn assert_same_hierarchy(got: &Mg<f32>, want: &Mg<f32>, what: &str) {
         };
         assert!(scales(g) == scales(w), "{what}: scale vectors");
         assert!(f32_bits(g.dinv.data()) == f32_bits(w.dinv.data()), "{what}: BlockDiagInv");
-        let source = |mg: &Mg<f32>| mg.sources[i].as_ref().map(|s| f32_bits(s.data()));
-        assert!(source(got) == source(want), "{what}: FP32 source");
+        let source = |l: &Level<f32>| l.source.as_ref().map(|s| f32_bits(s.data()));
+        assert!(source(g) == source(w), "{what}: FP32 source");
+        let parent = |l: &Level<f32>| l.parent.as_ref().map(|p| f64_bits(p.data()));
+        assert!(parent(g) == parent(w), "{what}: FP64 repair parent");
         assert_eq!(got.info.levels[i].audit, want.info.levels[i].audit, "{what}: audit");
     }
     assert_eq!(format!("{:?}", got.info), format!("{:?}", want.info), "{what}: MgInfo");
@@ -332,11 +341,7 @@ fn assert_levels_match_the_clone_and_scale_oracle(a: &SgDia<f64>, cfg: &MgConfig
         assert!(stored_bits(&level.stored) == stored_bits(&want.matrix), "{what}: planes");
         assert_eq!(info.audit.as_ref(), Some(&want.audit), "{what}: audit");
         assert_eq!(info.finite, want.finite, "{what}: finite");
-        assert_eq!(
-            info.sentinel.as_ref().map(|s| &s.sentinels),
-            want.sentinels.as_ref(),
-            "{what}: sentinels"
-        );
+        assert_eq!(info.sentinels, want.sentinels, "{what}: sentinels");
         assert_eq!((info.scaled, info.g), (sv.is_some(), sv.as_ref().map(|sv| sv.g)), "{what}");
         match (&level.scale, &sv) {
             (Some(got), Some(want)) => {
@@ -350,9 +355,9 @@ fn assert_levels_match_the_clone_and_scale_oracle(a: &SgDia<f64>, cfg: &MgConfig
         let dinv = BlockDiagInv::<f32>::from_matrix(&scaled).expect("regular diagonal blocks");
         assert!(f32_bits(level.dinv.data()) == f32_bits(dinv.data()), "{what}: BlockDiagInv");
         // The promotion source is the level before scaling, in FP32.
-        let source = (cfg.recovery.enabled && is_narrow(prec)).then(|| ai.convert::<f32>());
-        assert_eq!(mg.sources[i].is_some(), source.is_some(), "{what}: source kept");
-        if let (Some(got), Some(want)) = (&mg.sources[i], &source) {
+        let source = (cfg.recovery.enabled && prec.bytes() == 2).then(|| ai.convert::<f32>());
+        assert_eq!(level.source.is_some(), source.is_some(), "{what}: source kept");
+        if let (Some(got), Some(want)) = (&level.source, &source) {
             assert!(f32_bits(got.data()) == f32_bits(want.data()), "{what}: FP32 source");
         }
     }
@@ -415,4 +420,123 @@ fn a_scaled_level_is_repaired_bit_identically_from_its_retained_parent() {
         );
         assert!(mg.verify_integrity().is_empty());
     });
+}
+
+// ---- AutoShift: the switch read off each level's own store, against the
+// resolution that audited the whole chain once more before storing it. ----
+
+/// `StoragePolicy::AutoShift` as it was resolved before the store pass gave
+/// its audit: every smoothed level planned and audited at FP16 (post-scaling)
+/// up to the first whose audit saturates, meets a non-finite source or
+/// underflows past `max_underflow` — or whose scaling is impossible, when
+/// the audit is of the unscaled matrix. `usize::MAX` when none does.
+fn resolve_auto_shift(
+    chain: &[&SgDia<f64>],
+    config: &MgConfig,
+    max_underflow: f64,
+) -> ShiftDecision {
+    let mut per_level = Vec::new();
+    let mut chosen = usize::MAX;
+    for (i, ai) in chain.iter().enumerate().take(chain.len().saturating_sub(1)) {
+        let prec = Precision::F16;
+        let plan = scale_plan(ai, prec, config);
+        let unscalable = plan.is_err();
+        let s_inv = plan.as_ref().ok().and_then(Option::as_ref).map(ScalePlan::s_inv);
+        let lv = audit::audit_scaled(ai, s_inv, prec);
+        let bad = unscalable
+            || lv.saturate > 0
+            || lv.source_non_finite > 0
+            || lv.underflow_loss_fraction() > max_underflow;
+        per_level.push(lv);
+        if bad {
+            chosen = i;
+            break;
+        }
+    }
+    ShiftDecision { chosen, threshold: max_underflow, per_level }
+}
+
+/// `Mg::setup(a, cfg)` under AutoShift against the oracle: the two-pass
+/// decision over the chain `Mg::setup` builds, then the hierarchy set up
+/// with the switch it chose as a static `Fp16Until`. Returns the decision.
+fn assert_auto_shift_matches_the_two_pass_oracle(
+    a: &SgDia<f64>,
+    cfg: &MgConfig,
+    what: &str,
+) -> ShiftDecision {
+    let StoragePolicy::AutoShift { coarse, max_underflow } = cfg.storage else {
+        panic!("{what}: not an AutoShift config");
+    };
+    let mut finest = a.to_layout(cfg.layout);
+    if cfg.scale == ScaleStrategy::ScaleThenSetup {
+        let fp16_max = fp16mg_fp::F16::MAX_F64;
+        scaling::scale_symmetric::<f32>(&mut finest, cfg.g_choice, fp16_max).unwrap();
+    }
+    let coarse_mats = coarse_chain(&finest, cfg);
+    let chain: Vec<&SgDia<f64>> = std::iter::once(&finest).chain(&coarse_mats).collect();
+    let oracle = resolve_auto_shift(&chain, cfg, max_underflow);
+
+    let fixed = StoragePolicy::Fp16Until { shift_levid: oracle.chosen, coarse };
+    let mut want = Mg::<f32>::setup(a, &MgConfig { storage: fixed.clone(), ..cfg.clone() })
+        .unwrap_or_else(|e| panic!("{what}: oracle set-up: {e}"));
+    let got = Mg::<f32>::setup(a, cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let decision = got.info.shift_decision.clone().expect("AutoShift records its decision");
+    assert_eq!(decision.chosen, oracle.chosen, "{what}: chosen");
+    assert_eq!(decision.threshold.to_bits(), oracle.threshold.to_bits(), "{what}: threshold");
+    assert_eq!(decision.per_level, oracle.per_level, "{what}: per-level audits");
+    assert_eq!(got.config.storage, fixed, "{what}: resolved policy");
+    want.info.shift_decision = Some(oracle);
+    assert_same_hierarchy(&got, &want, what);
+    decision
+}
+
+#[test]
+fn auto_shift_reads_the_store_pass_as_the_two_pass_resolution_did() {
+    use fp16mg_problems::ProblemKind;
+    use fp16mg_sgdia::audit::TruncationPolicy;
+
+    for kind in ProblemKind::all() {
+        for n in [8, 11] {
+            let a = kind.build(n).matrix;
+            let what = format!("{} n={n}", kind.name());
+            assert_auto_shift_matches_the_two_pass_oracle(&a, &MgConfig::d16_auto(), &what);
+        }
+    }
+
+    // Scale-then-setup with G near its clamp: Galerkin growth saturates a
+    // coarse level, which Reject refuses at the store, Saturate clamps and
+    // FlushToZero clamps and flushes. The switch lands there either way.
+    let a = crate::tests::laplacian(Grid3::cube(32), Pattern::p7(), 1.0);
+    for truncation in
+        [TruncationPolicy::Reject, TruncationPolicy::Saturate, TruncationPolicy::FlushToZero]
+    {
+        let cfg = MgConfig {
+            scale: ScaleStrategy::ScaleThenSetup,
+            g_choice: GChoice::Fixed(3.2e4),
+            truncation,
+            ..MgConfig::d16_auto()
+        };
+        let d = assert_auto_shift_matches_the_two_pass_oracle(&a, &cfg, &format!("{truncation}"));
+        assert!(d.chosen >= 1 && d.per_level[d.chosen].saturate > 0, "{truncation}: {d}");
+    }
+
+    // Two weakly coupled components (the `repro audit` demo): the switch is
+    // at the interior level where scaling pushes the weak channel under.
+    let a = crate::tests::weakly_coupled_components(32, 4.0e3);
+    let d = assert_auto_shift_matches_the_two_pass_oracle(&a, &MgConfig::d16_auto(), "weak");
+    assert_eq!((d.chosen, d.per_level.len()), (1, 2), "{d}");
+
+    // A level that asks for scaling (an entry reaches FP16_MAX) but has a
+    // negative diagonal entry cannot be scaled: the switch is there, and
+    // its record is the FP16 audit of the unscaled operator — which alone
+    // would have passed it (the entry rounds to FP16_MAX, nothing saturates).
+    let mut a = crate::tests::laplacian(Grid3::cube(8), Pattern::p7(), 1.0);
+    let diagonal = a.pattern().taps().iter().position(|t| t.is_diagonal()).unwrap();
+    let cell = a.grid().cells() / 2;
+    a.set(cell, diagonal, -6.05);
+    a.set(cell, (diagonal + 1) % a.pattern().len(), -65510.0);
+    let d = assert_auto_shift_matches_the_two_pass_oracle(&a, &MgConfig::d16_auto(), "unscalable");
+    assert_eq!(d.chosen, 0, "{d}");
+    assert_eq!(d.per_level, [audit::audit(&a, Precision::F16)]);
+    assert!(!audit_rejects(&d.per_level[0], d.threshold), "{}", d.per_level[0]);
 }

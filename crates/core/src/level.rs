@@ -5,14 +5,15 @@ use fp16mg_fp::Scalar;
 use fp16mg_grid::Grid3;
 use fp16mg_sgdia::kernels::{BlockDiagInv, Par};
 use fp16mg_sgdia::scaling::{rescale_into, ScaleVectors};
+use fp16mg_sgdia::SgDia;
 
 use crate::config::SmootherKind;
 use crate::stored::StoredMatrix;
 use crate::workspace::LevelBufs;
 
 /// A level of the hierarchy (everything except the coarsest, which is a
-/// dense direct solve). Levels hold only operator data; the solve
-/// vectors (`u`, `f`, `r`, scratch) live in the hierarchy's
+/// dense direct solve). Levels hold only operator data and its insurance;
+/// the solve vectors (`u`, `f`, `r`, scratch) live in the hierarchy's
 /// [`Workspace`](crate::workspace::Workspace) arena and are passed in
 /// per call, so a level rebuild (promotion, repair) never reallocates
 /// the hot-loop buffers.
@@ -32,22 +33,21 @@ pub(crate) struct Level<Pr: Scalar> {
     /// Estimated `λmax(D⁻¹A)` of the stored (scaled) operator when the
     /// Chebyshev smoother is configured.
     pub cheb_lambda: Option<f64>,
-    par: Par,
+    /// Kernel parallelism of the level's products.
+    pub par: Par,
+    /// Promotion material of a 16-bit level under an enabled recovery
+    /// policy: the *unscaled* high-precision operator in FP32, exact
+    /// enough to rebuild the level at FP32. A promoted level has none.
+    pub source: Option<SgDia<f32>>,
+    /// Repair material of a 16-bit level under
+    /// `IntegrityPolicy::retain_parents`: the exact f64 operator the level
+    /// was truncated from (post-scaling). Re-truncating it through the
+    /// same deterministic store path reproduces the level bit-identically,
+    /// which is what makes localized repair exact.
+    pub parent: Option<SgDia<f64>>,
 }
 
 impl<Pr: Scalar> Level<Pr> {
-    pub fn new(
-        grid: Grid3,
-        stored: StoredMatrix,
-        scale: Option<ScaleVectors<Pr>>,
-        dinv: BlockDiagInv<Pr>,
-        ilu: Option<(StoredMatrix, StoredMatrix)>,
-        cheb_lambda: Option<f64>,
-        par: Par,
-    ) -> Self {
-        Level { grid, stored, scale, dinv, ilu, cheb_lambda, par }
-    }
-
     /// Forms the right-hand side of the scaled space, `t2 = S⁻¹ f`, which
     /// [`smooth`](Self::smooth) and
     /// [`compute_residual`](Self::compute_residual) sweep against: once

@@ -120,11 +120,6 @@ impl StoredMatrix {
         dispatch!(self, a => a.value_bytes())
     }
 
-    /// True when no stored value overflowed to ±∞/NaN during truncation.
-    pub fn all_finite(&self) -> bool {
-        dispatch!(self, a => a.all_finite())
-    }
-
     /// Classifies every stored value in one pass (zero / subnormal /
     /// normal / ±∞ / NaN, counted per stencil tap) — the diagnostic the
     /// recovery path uses to attribute a non-finite V-cycle output to a

@@ -34,6 +34,32 @@ pub(crate) fn laplacian(grid: Grid3, pattern: Pattern, scale: f64) -> SgDia<f64>
     })
 }
 
+/// Two weakly coupled diffusion components (at `s = 4e3`, the operator of
+/// `repro audit`'s interior-switch demo): intra-component 7-point
+/// Laplacians of magnitude `s`, plus a tiny same-cell inter-component
+/// coupling. Prolongation acts componentwise, so Galerkin coarsening can
+/// never smear the weak channel into the strong one — and RAP growth (~4x
+/// per level) pushes the hierarchy across FP16_MAX at an interior level,
+/// where scaling kicks in and the weak channel drops below the FP16 normal
+/// range.
+pub(crate) fn weakly_coupled_components(n: usize, s: f64) -> SgDia<f64> {
+    let grid = Grid3::with_components(n, n, n, 2);
+    let pat = Pattern::p7().with_components(2);
+    let taps: Vec<_> = pat.taps().to_vec();
+    SgDia::from_fn(grid, pat, Layout::Soa, |_, _, _, _, t| {
+        let tap = taps[t];
+        if tap.is_diagonal() {
+            6.05 * s
+        } else if tap.dx == 0 && tap.dy == 0 && tap.dz == 0 {
+            -1.0e-5 * s
+        } else if tap.cin == tap.cout {
+            -s
+        } else {
+            0.0
+        }
+    })
+}
+
 fn rhs(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i as f64 * 0.7).sin() + 1.5) / 2.0).collect()
 }
@@ -940,31 +966,6 @@ mod audit_and_autoshift {
         ConfigError, RangeAudit, SetupError, ShiftDecision, TruncationError, TruncationPolicy,
     };
     use fp16mg_sgdia::scaling::GChoice;
-
-    /// Two weakly coupled diffusion components: intra-component 7-point
-    /// Laplacians of magnitude `s`, plus a tiny same-cell inter-component
-    /// coupling. Prolongation acts componentwise, so Galerkin coarsening
-    /// can never smear the weak channel into the strong one — and RAP
-    /// growth (~4x per level) pushes the hierarchy across FP16_MAX at an
-    /// interior level, where scaling kicks in and the weak channel drops
-    /// below the FP16 normal range.
-    fn weakly_coupled_components(n: usize, s: f64) -> SgDia<f64> {
-        let grid = Grid3::with_components(n, n, n, 2);
-        let pat = Pattern::p7().with_components(2);
-        let taps: Vec<_> = pat.taps().to_vec();
-        SgDia::from_fn(grid, pat, Layout::Soa, |_, _, _, _, t| {
-            let tap = taps[t];
-            if tap.is_diagonal() {
-                6.05 * s
-            } else if tap.dx == 0 && tap.dy == 0 && tap.dz == 0 {
-                -1.0e-5 * s
-            } else if tap.cin == tap.cout {
-                -s
-            } else {
-                0.0
-            }
-        })
-    }
 
     #[test]
     fn precision_for_edge_cases() {

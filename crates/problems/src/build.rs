@@ -147,12 +147,7 @@ impl Problem {
     /// source terms of the originating applications; scaled to the
     /// matrix's magnitude so relative tolerances are meaningful).
     pub fn rhs(&self) -> Vec<f64> {
-        self.rhs_at_scale(self.matrix.abs_max().0.max(1.0))
-    }
-
-    /// [`rhs`](Self::rhs) given the matrix's magnitude (`abs_max`, at
-    /// least 1), for a caller that has already read the matrix for it.
-    pub(crate) fn rhs_at_scale(&self, scale: f64) -> Vec<f64> {
+        let scale = self.matrix.abs_max().0.max(1.0);
         let n = self.matrix.rows();
         (0..n).map(|i| scale * (((i as f64) * 0.61).sin() * 0.5 + 1.0)).collect()
     }

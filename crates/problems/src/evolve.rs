@@ -225,20 +225,32 @@ pub(crate) fn drift_in_place(m: &mut SgDia<f64>, preset: &DriftPreset, step: u64
     }
 }
 
+/// How many times the source's magnitude [`step_rhs`] scales the carried
+/// state to: the previous step, not the stationary source, drives each
+/// step, while the state stays bounded.
+const CARRY: f64 = 1024.0;
+
 /// The implicit-step right-hand side: the problem's stationary source
-/// plus a mass-like coupling to the previous step's solution
-/// (`b_t = r0 + α·x_{t-1}` with `α` tied to the operator's magnitude,
-/// the shape of a backward-Euler step). Deterministic and
-/// bit-reproducible, so a resumed trajectory recomputes the same
-/// right-hand sides from the checkpointed solution.
+/// plus a mass-like coupling to the previous step's solution,
+/// `b_t = r0 + α·x_{t-1}` (the shape of a backward-Euler step).
+/// Deterministic and bit-reproducible, so a resumed trajectory recomputes
+/// the same right-hand sides from the checkpointed solution.
+///
+/// The operators carry no mass term to match `α`, so `α` is bounded
+/// against the source, `α = 1024·max|r0| / max|x_{t-1}|`: the carried term
+/// never outweighs `r0` by more than that. A weight tied to the operator's
+/// magnitude instead would grow the state by about `max|A| / λ_min` per
+/// step, until `pᵀAp` overflows.
 pub fn step_rhs(problem: &Problem, prev: Option<&[f64]>) -> Vec<f64> {
-    // One read of the matrix serves the source's scale and `α`.
-    let scale = problem.matrix.abs_max().0.max(1.0);
-    let mut b = problem.rhs_at_scale(scale);
+    let mut b = problem.rhs();
     if let Some(x) = prev {
-        let alpha = 0.5 * scale;
-        for (bi, xi) in b.iter_mut().zip(x) {
-            *bi += alpha * xi;
+        let max_abs = |v: &[f64]| v.iter().fold(0.0f64, |m, e| m.max(e.abs()));
+        let x_max = max_abs(x);
+        if x_max > 0.0 {
+            let alpha = CARRY * max_abs(&b) / x_max;
+            for (bi, xi) in b.iter_mut().zip(x) {
+                *bi += alpha * xi;
+            }
         }
     }
     b

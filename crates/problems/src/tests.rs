@@ -395,14 +395,22 @@ mod evolve {
     fn step_rhs_reads_the_matrix_once_for_the_same_bits() {
         for kind in [ProblemKind::Weather, ProblemKind::Rhd3T] {
             let problem = Evolution::new(kind, 6).problem_at(3);
-            let x: Vec<f64> = (0..problem.matrix.rows()).map(|i| (i as f64 * 0.37).cos()).collect();
-            // As it was: `rhs()`, then `abs_max` again for `α`.
+            // A state far larger than the source, as an unbounded carry left it.
+            let x: Vec<f64> =
+                (0..problem.matrix.rows()).map(|i| 1e150 * (i as f64 * 0.37).cos()).collect();
+            // `rhs()` (one read of the matrix), then `α` from the two vectors.
             let mut want = problem.rhs();
-            let alpha = 0.5 * problem.matrix.abs_max().0.max(1.0);
+            let max_abs = |v: &[f64]| v.iter().map(|e| e.abs()).fold(0.0, f64::max);
+            let alpha = 1024.0 * max_abs(&want) / max_abs(&x);
             want.iter_mut().zip(&x).for_each(|(b, xi)| *b += alpha * xi);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&step_rhs(&problem, Some(&x))), bits(&want), "{}", kind.name());
+            let got = step_rhs(&problem, Some(&x));
+            assert_eq!(bits(&got), bits(&want), "{}", kind.name());
+            // The carried term is bounded by the source, whatever the state.
+            assert!(max_abs(&got) <= 1025.0 * max_abs(&problem.rhs()), "{}", kind.name());
             assert_eq!(bits(&step_rhs(&problem, None)), bits(&problem.rhs()));
+            let zero = vec![0.0; x.len()];
+            assert_eq!(bits(&step_rhs(&problem, Some(&zero))), bits(&problem.rhs()));
         }
     }
 

@@ -31,8 +31,8 @@
 use std::time::{Duration, Instant};
 
 use fp16mg_core::{
-    MatOp, Mg, MgConfig, PromotionReason, RangeAudit, RecoveryPolicy, RepairEvent, RepairTrigger,
-    StoragePolicy,
+    audit_rejects, MatOp, Mg, MgConfig, PromotionReason, RangeAudit, RecoveryPolicy, RepairEvent,
+    RepairTrigger, StoragePolicy,
 };
 use fp16mg_fp::{Precision, Scalar};
 use fp16mg_krylov::{
@@ -579,11 +579,9 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
                 .filter_map(|(i, l)| l.audit.clone().map(|a| (i, a)))
                 .collect();
             let threshold = req.policy.audit_max_underflow;
-            let doomed = levels.iter().find(|(_, a)| {
-                a.saturate > 0 || a.source_non_finite > 0 || a.underflow_loss_fraction() > threshold
-            });
+            let doomed = levels.iter().find(|(_, a)| audit_rejects(a, threshold));
             let reason = doomed.map(|(i, a)| {
-                if a.saturate > 0 || a.source_non_finite > 0 {
+                if !a.overflow_free() {
                     format!(
                         "level {i} audit: {} saturating / {} non-finite entries in 16-bit storage",
                         a.saturate, a.source_non_finite

@@ -13,10 +13,9 @@
 //! coefficients behind it by orders of magnitude. Each step goes through
 //! the reuse engine (`mg::reuse::serve`): the drifted operator is audited
 //! against the retained chain's baseline and the cheapest sufficient
-//! action is taken — keep, rescale-in-place, or rebuild. Once the front
-//! is in flight the scaled-FP16 hierarchy is no longer enough for CG (a
-//! breakdown, not just slow convergence — the drifted range overwhelms
-//! the per-level scaling), so the loop carries an escalation rung: a
+//! action is taken — keep, rescale-in-place, or rebuild. On some steps
+//! with the front in flight (three of ten here) the scaled-FP16 hierarchy
+//! is not enough for CG, so the loop carries an escalation rung: a
 //! failed step rebuilds the hierarchy in FP64 and retries, exactly the
 //! `rebuild-f64` rung the `repro simulate` retry ladder lands on for this
 //! problem. CG must then converge to the FP64-grade tolerance at every
