@@ -5,8 +5,9 @@
 //! breakdown or a stagnation plateau above the FP16 roundoff floor) while
 //! the hierarchy still has promotion budget, promote the suspect
 //! reduced-precision level to FP32 and resume from the current iterate.
-//! Non-finite V-cycle outputs never even reach the solver: `Mg::apply_pr`
-//! detects them internally, promotes, and re-applies.
+//! Non-finite V-cycle outputs never even reach the solver: the hierarchy,
+//! insured by the problem's operator (`Mg::insured`), detects them
+//! internally, promotes, and re-applies.
 
 use std::time::Instant;
 
@@ -52,12 +53,14 @@ pub fn solve_guarded<Pr: Scalar>(
     let t0 = Instant::now();
     let mut restarts = 0usize;
     loop {
+        // The problem's operator insures the hierarchy's level 0.
+        let mut m = mg.insured(&problem.matrix);
         let result = match problem.solver {
-            SolverKind::Cg => cg(&op, mg, &b, &mut x, opts),
-            SolverKind::Gmres => gmres(&op, mg, &b, &mut x, opts),
+            SolverKind::Cg => cg(&op, &mut m, &b, &mut x, opts),
+            SolverKind::Gmres => gmres(&op, &mut m, &b, &mut x, opts),
         };
-        let done = result.converged() || !result.precision_suspect() || !mg.can_promote();
-        if done || mg.promote_for_stagnation().is_none() {
+        let done = result.converged() || !result.precision_suspect() || !m.can_promote();
+        if done || m.promote_for_stagnation().is_none() {
             return GuardOutcome {
                 result,
                 promotions: mg.promotions().to_vec(),

@@ -7,7 +7,7 @@
 use fp16mg_bench::{finest_narrow_level, solve_guarded, Combo};
 use fp16mg_core::{Mg, PromotionReason};
 use fp16mg_fp::Precision;
-use fp16mg_krylov::SolveOptions;
+use fp16mg_krylov::{Preconditioner, SolveOptions};
 use fp16mg_problems::ProblemKind;
 use fp16mg_sgdia::fault::FaultSpec;
 use fp16mg_sgdia::kernels::Par;
@@ -34,11 +34,12 @@ fn injected_inf_is_detected_within_one_vcycle() {
     assert_eq!(scan.total.non_finite(), 1, "exactly the injected entry");
 
     // One guarded V-cycle application: the Inf propagates into the
-    // output, apply_pr notices, promotes, and re-applies.
+    // output, the hierarchy notices, promotes the level from the operator
+    // lent to it, and re-applies.
     let rn = p.matrix.rows();
     let r: Vec<f32> = (0..rn).map(|i| ((i % 7) as f32) * 0.1 + 0.1).collect();
     let mut e = vec![0.0f32; rn];
-    mg.apply_pr(&r, &mut e);
+    Preconditioner::<f32>::apply(&mut mg.insured(&p.matrix), &r, &mut e);
 
     assert!(e.iter().all(|v| v.is_finite()), "guarded output must be finite");
     assert_eq!(mg.promotions().len(), 1);
@@ -101,7 +102,7 @@ fn exp_flip_faults_do_not_defeat_the_guarded_solve() {
 
     let out = solve_guarded(&p, &mut mg, &opts, Par::Seq);
     assert!(
-        out.converged() || !out.result.precision_suspect() || !mg.can_promote(),
+        out.converged() || !out.result.precision_suspect() || !mg.insured(&p.matrix).can_promote(),
         "driver stopped while a promotion was still available: {:?}",
         out.result
     );

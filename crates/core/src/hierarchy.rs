@@ -275,6 +275,8 @@ pub struct MgInfo {
     pub operator_complexity: f64,
     /// Total bytes of matrix data across smoothed levels.
     pub matrix_bytes: usize,
+    /// Bytes of FP32 promotion sources and FP64 repair parents kept beside.
+    pub insurance_bytes: usize,
     /// Runtime storage-precision promotions, in the order they fired
     /// (empty for a healthy solve).
     pub promotions: Vec<PromotionEvent>,
@@ -512,6 +514,7 @@ impl<Pr: Scalar> Mg<Pr> {
             grid_complexity: infos.iter().map(|l| l.unknowns as f64).sum::<f64>() / n0,
             operator_complexity: infos.iter().map(|l| l.nnz as f64).sum::<f64>() / z0,
             matrix_bytes: infos.iter().take(nlev - 1).map(|l| l.value_bytes).sum(),
+            insurance_bytes: levels.iter().map(Level::insurance_bytes).sum(),
             levels: infos,
             promotions: Vec::new(),
             repairs: Vec::new(),
@@ -634,54 +637,14 @@ impl<Pr: Scalar> Mg<Pr> {
     ///
     /// When the [`crate::RecoveryPolicy`] is enabled, a non-finite (±∞/NaN)
     /// result triggers a storage promotion of the implicated level (see
-    /// [`Mg::promote_level`]) and the cycle re-runs, bounded by the
-    /// promotion budget. The scan rides on the pass that writes `e`, so a
-    /// hierarchy whose levels are all healthy pays nothing extra for this
-    /// guard.
+    /// [`Insured::promote_level`]; never level 0 of a bare `Mg`) and the
+    /// cycle re-runs, bounded by the promotion budget. The scan rides on
+    /// the pass that writes `e`, so healthy levels pay nothing for it.
     ///
     /// # Panics
     /// Panics on dimension mismatch.
     pub fn apply_pr(&mut self, r: &[Pr], e: &mut [Pr]) {
-        self.apply_guarded(r, e);
-    }
-
-    /// [`Mg::apply_pr`] with the boundary in any scalar `K` (Algorithm 2
-    /// lines 4 and 6): `r` is truncated straight into the finest level's
-    /// right-hand side and `z` is widened straight from its iterate, so
-    /// the `K` ↔ `Pr` conversion costs no vector of its own.
-    fn apply_guarded<K: Scalar>(&mut self, r: &[K], z: &mut [K]) {
-        let n = self.rows();
-        assert_eq!(r.len(), n, "r length");
-        assert_eq!(z.len(), n, "z length");
-        self.load_rhs(r);
-        let mut finite = self.cycle_into(z);
-        let every = self.config.integrity.check_every;
-        if every > 0 && self.vcycles().is_multiple_of(every) {
-            // Periodic ABFT cadence: verify the sentinels and repair in
-            // place. The sweep charges the cycle counter itself, so
-            // session budgets account for the integrity work.
-            self.verify_and_repair(RepairTrigger::Periodic);
-        }
-        if !self.config.recovery.enabled {
-            return;
-        }
-        // The cycle leaves the loaded right-hand side intact, so a re-run
-        // needs no reload.
-        while !finite {
-            // Localized repair first: if the non-finite output traces to a
-            // corrupted plane with a retained parent, re-truncation is
-            // cheaper than promotion and keeps the level at its storage
-            // precision.
-            if self.verify_and_repair(RepairTrigger::NonFiniteOutput).is_empty()
-                && self.promote_suspect(PromotionReason::NonFiniteOutput).is_none()
-            {
-                // Budget exhausted or nothing left to promote: surface the
-                // non-finite output to the caller (the solver's own
-                // NonFiniteResidual breakdown will catch it).
-                return;
-            }
-            finite = self.cycle_into(z);
-        }
+        Insured { mg: self, lent: None }.apply(r, e);
     }
 
     /// Truncates `r` into the finest right-hand side — through `S⁻¹` under
@@ -719,10 +682,9 @@ impl<Pr: Scalar> Mg<Pr> {
     }
 
     /// Bytes held by the preallocated solve workspace (the per-level
-    /// V-cycle buffers), carved once at setup. Together with
-    /// [`MgInfo::matrix_bytes`] it is *not* the hierarchy's whole
-    /// footprint: neither counts the levels' FP32 promotion sources nor
-    /// their FP64 repair parents, nor the smoother data and coarse LU.
+    /// V-cycle buffers), carved once at setup. With
+    /// [`MgInfo::matrix_bytes`] and [`MgInfo::insurance_bytes`] it is the
+    /// hierarchy's footprint but for the smoother data and the coarse LU.
     pub fn workspace_bytes(&self) -> usize {
         self.ws.bytes()
     }
@@ -761,72 +723,12 @@ impl<Pr: Scalar> Mg<Pr> {
         self.levels.get(level).map(|l| l.stored.scan())
     }
 
-    /// True while recovery is on, the promotion budget has headroom, and
-    /// some level still keeps its promotion source (only a 16-bit level
-    /// keeps one, and a promotion leaves none).
-    pub fn can_promote(&self) -> bool {
-        self.config.recovery.enabled
-            && self.info.promotions.len() < self.config.recovery.max_promotions
-            && self.levels.iter().any(|l| l.source.is_some())
-    }
-
-    /// Promotes one level after the outer solve stagnated above the FP16
-    /// unit-roundoff floor: the corrupt level if the scan finds one,
-    /// otherwise the *coarsest* 16-bit level — the dynamic analog of
-    /// raising `shift_levid` (§4.3), since coarse-level underflow is the
-    /// canonical precision-attributable stall.
-    pub fn promote_for_stagnation(&mut self) -> Option<PromotionEvent> {
-        self.promote_suspect(PromotionReason::Stagnation)
-    }
-
-    /// Finds and promotes the most suspect reduced-precision level.
-    fn promote_suspect(&mut self, reason: PromotionReason) -> Option<PromotionEvent> {
-        if !self.can_promote() {
-            return None;
-        }
-        let levels = &self.levels;
-        let corrupt =
-            levels.iter().position(|l| l.source.is_some() && !l.stored.scan().all_finite());
-        let target = corrupt.or_else(|| levels.iter().rposition(|l| l.source.is_some()))?;
-        self.promote_level(target, reason)
-    }
-
-    /// Rebuilds level `level` at FP32 storage from its retained source
-    /// operator: fresh truncation, fresh smoother data, and — should the
-    /// FP32 range somehow still be exceeded — a re-scale with `G`
-    /// tightened by the recovery policy's `g_tighten`. Returns `None`
-    /// when the level is not promotable (already wide, source consumed,
-    /// or the promotion budget is spent) or the rebuild fails (the level
-    /// and its source stay as they were); the event is also logged in
-    /// [`MgInfo::promotions`].
-    pub fn promote_level(
-        &mut self,
-        level: usize,
-        reason: PromotionReason,
-    ) -> Option<PromotionEvent> {
-        if !self.config.recovery.enabled
-            || self.info.promotions.len() >= self.config.recovery.max_promotions
-        {
-            return None;
-        }
-        let lvl = self.levels.get(level)?;
-        let a64: SgDia<f64> = lvl.source.as_ref()?.convert();
-        let (from, corrupt_entries) =
-            (lvl.stored.precision(), lvl.stored.scan().total.non_finite());
-        let mut cfg = self.config.clone();
-        if let GChoice::Fixed(g) = cfg.g_choice {
-            cfg.g_choice = GChoice::Fixed(g * cfg.recovery.g_tighten);
-        }
-        // The widened level replaces the old one wholesale: new stored
-        // bits, sentinels retaken over the new format, and neither source
-        // nor repair parent (an FP32 level keeps no insurance).
-        let (widened, info) = build_level::<Pr>(&a64, Precision::F32, &cfg, level, None).ok()?;
-        let event = PromotionEvent { level, from, to: info.precision, reason, corrupt_entries };
-        self.levels[level] = widened;
-        self.info.matrix_bytes += info.value_bytes;
-        self.info.matrix_bytes -= std::mem::replace(&mut self.info.levels[level], info).value_bytes;
-        self.info.promotions.push(event.clone());
-        Some(event)
+    /// This hierarchy insured by `a`, the FP64 operator it was set up from
+    /// (panics if `a` is not the finest level's size): level 0 keeps no FP32
+    /// copy of what whoever solves holds, so only this view can promote it.
+    pub fn insured<'a>(&'a mut self, a: &'a SgDia<f64>) -> Insured<'a, Pr> {
+        assert_eq!(a.rows(), self.rows(), "the lent operator is the finest level's");
+        Insured { mg: self, lent: Some(a) }
     }
 
     /// Mutable access to a level's stored matrix, for fault-injection
@@ -840,15 +742,6 @@ impl<Pr: Scalar> Mg<Pr> {
     /// `info().repairs`).
     pub fn repairs(&self) -> &[RepairEvent] {
         &self.info.repairs
-    }
-
-    /// True while sentinels exist, the repair budget has headroom, and at
-    /// least one level retains its high-precision parent — i.e. a
-    /// verify-and-repair sweep could actually fix something.
-    pub fn can_repair(&self) -> bool {
-        self.config.integrity.sentinels
-            && self.info.repairs.len() < self.config.integrity.max_repairs
-            && self.levels.iter().any(|l| l.parent.is_some())
     }
 
     /// Verifies every sentineled level against its setup-time sentinels
@@ -1116,30 +1009,6 @@ fn store_policy(config: &MgConfig) -> Option<TruncationPolicy> {
     (config.scale != ScaleStrategy::None).then_some(config.truncation)
 }
 
-/// The `need to scale` test of Algorithm 1: some entry is non-finite or
-/// reaches `limit`. Stops at the first block that has one.
-fn out_of_range(a: &SgDia<f64>, limit: f64) -> bool {
-    let beyond = |bad, &v: &f64| bad | !v.is_finite() | (v.abs() >= limit);
-    a.data().chunks(4096).any(|c| c.iter().fold(false, beyond))
-}
-
-/// How setup-then-scale scales `ai` for storage at `prec`: `None` for a
-/// level stored as is. One read of the level (`G_max`); nothing is copied.
-///
-/// # Errors
-/// The level needs scaling but its diagonal is not positive.
-fn scale_plan(
-    ai: &SgDia<f64>,
-    prec: Precision,
-    config: &MgConfig,
-) -> Result<Option<ScalePlan>, scaling::ScalingError> {
-    let limit = prec.finite_max();
-    if config.scale != ScaleStrategy::SetupThenScale || !out_of_range(ai, limit) {
-        return Ok(None);
-    }
-    ScalePlan::decide(ai, config.g_choice, limit).map(Some)
-}
-
 /// Builds level `level` from `ai` at storage precision `prec` (Algorithm 1
 /// lines 5–13): the level the cycle runs on, with its insurance, and what
 /// its store measured.
@@ -1155,10 +1024,28 @@ fn build_level<Pr: Scalar>(
     level: usize,
     auto: Option<(&mut ShiftDecision, Precision)>,
 ) -> Result<(Level<Pr>, LevelInfo), SetupError> {
-    // Truncation after scaling (lines 6–9), or direct truncation (line
-    // 11) — also the path for `None` and for all levels of
-    // scale-then-setup (the chain is already globally scaled).
-    let plan = scale_plan(ai, prec, config);
+    // Promotion material of a narrow level: the *unscaled* operator in FP32
+    // — but for a level 0 stored from the caller's own operator, which
+    // whoever solves holds and lends ([`Mg::insured`]).
+    let lent = level == 0 && config.scale != ScaleStrategy::ScaleThenSetup;
+    let keep_source = |p: Precision| config.recovery.enabled && p.bytes() == 2 && !lent;
+    let (layout, sentinels, policy) =
+        (config.layout, config.integrity.sentinels, store_policy(config));
+    let store = |s_inv: Option<&[f64]>, p: Precision| {
+        StoredMatrix::store_level(ai, s_inv, p, layout, policy, sentinels, keep_source(p))
+    };
+    // Direct truncation (line 11) in one read — also the path for `None`
+    // and for all levels of scale-then-setup — unless setup-then-scale's
+    // sweep meets an entry out of range ("need to scale"): only then is the
+    // level planned (`G_max`) and stored scaled (lines 6–9).
+    let unscaled = if config.scale == ScaleStrategy::SetupThenScale {
+        let k = keep_source(prec);
+        StoredMatrix::store_in_range(ai, prec, layout, policy, sentinels, k).transpose()
+    } else {
+        Some(store(None, prec))
+    };
+    let decide = || ScalePlan::decide(ai, config.g_choice, prec.finite_max());
+    let plan = unscaled.is_none().then(decide).transpose();
     let unscalable = plan.is_err();
     let plan = plan.unwrap_or_else(|_| {
         // Theorem 4.1 requires positive diagonals; deep Galerkin
@@ -1172,18 +1059,11 @@ fn build_level<Pr: Scalar>(
         None
     });
     let s_inv = plan.as_ref().map(ScalePlan::s_inv);
+    // A scaled level's second read: scaled, truncated, audited, sentineled.
+    let store = unscaled.unwrap_or_else(|| store(s_inv, prec));
     // Smoother data comes from the high-precision matrix (line 13),
     // scaled as it is read.
     let dinv = BlockDiagInv::from_scaled(ai, s_inv);
-    // The second and last read of the level: scaled, truncated, audited
-    // and sentineled block by block, and — promotion material for the
-    // narrow levels, exact enough to rebuild the level at FP32 for 2× the
-    // FP16 level it insures — the *unscaled* operator narrowed to FP32.
-    let narrow = prec.bytes() == 2; // FP16 or BF16: what recovery insures
-    let keep_source = config.recovery.enabled && narrow;
-    let (layout, sentinels) = (config.layout, config.integrity.sentinels);
-    let policy = store_policy(config);
-    let store = StoredMatrix::store_level(ai, s_inv, prec, layout, policy, sentinels, keep_source);
     if let Some((decision, coarse)) = auto {
         // Where the level cannot be scaled, or the policy refused the
         // store, the FP16 audit the store did not take is taken here. A
@@ -1206,7 +1086,7 @@ fn build_level<Pr: Scalar>(
     // The scaled f64 operator exists only for who reads it whole: ILU(0),
     // the Chebyshev bound, a retained repair parent (a wide fallback
     // precision has nothing to repair).
-    let retain_parent = config.integrity.retain_parents && narrow;
+    let retain_parent = config.integrity.retain_parents && prec.bytes() == 2;
     let reads_whole = matches!(
         config.smoother,
         crate::SmootherKind::Ilu0 | crate::SmootherKind::Chebyshev { .. }
@@ -1284,9 +1164,139 @@ fn build_ilu(
     Ok(Some((l, u)))
 }
 
+/// A hierarchy lent the FP64 operator it was set up from ([`Mg::insured`]),
+/// its level 0's promotion material; a bare `Mg` runs as one lent none.
+pub struct Insured<'a, Pr: Scalar = f32> {
+    mg: &'a mut Mg<Pr>,
+    lent: Option<&'a SgDia<f64>>,
+}
+
+impl<K: Scalar, Pr: Scalar> Preconditioner<K> for Insured<'_, Pr> {
+    /// [`Mg::apply_pr`] with the boundary in any scalar `K` (Algorithm 2
+    /// lines 4 and 6): `r` is truncated straight into the finest level's
+    /// right-hand side and `z` is widened straight from its iterate, so
+    /// the `K` ↔ `Pr` conversion costs no vector of its own.
+    fn apply(&mut self, r: &[K], z: &mut [K]) {
+        let n = self.mg.rows();
+        assert_eq!(r.len(), n, "r length");
+        assert_eq!(z.len(), n, "z length");
+        self.mg.load_rhs(r);
+        let mut finite = self.mg.cycle_into(z);
+        let every = self.mg.config.integrity.check_every;
+        if every > 0 && self.mg.vcycles().is_multiple_of(every) {
+            // Periodic ABFT cadence: verify the sentinels and repair in
+            // place. The sweep charges the cycle counter itself, so
+            // session budgets account for the integrity work.
+            self.mg.verify_and_repair(RepairTrigger::Periodic);
+        }
+        if !self.mg.config.recovery.enabled {
+            return;
+        }
+        // The cycle leaves the loaded right-hand side intact, so a re-run
+        // needs no reload.
+        while !finite {
+            // Localized repair first: if the non-finite output traces to a
+            // corrupted plane with a retained parent, re-truncation is
+            // cheaper than promotion and keeps the level at its storage
+            // precision.
+            if self.mg.verify_and_repair(RepairTrigger::NonFiniteOutput).is_empty()
+                && self.promote_suspect(PromotionReason::NonFiniteOutput).is_none()
+            {
+                // Budget exhausted or nothing left to promote: surface the
+                // non-finite output to the caller (the solver's own
+                // NonFiniteResidual breakdown will catch it).
+                return;
+            }
+            finite = self.mg.cycle_into(z);
+        }
+    }
+
+    fn on_health_anomaly(&mut self) -> usize {
+        Preconditioner::<K>::on_health_anomaly(self.mg)
+    }
+}
+
+impl<Pr: Scalar> Insured<'_, Pr> {
+    /// Whether level `i` is 16-bit with promotion material: its own FP32
+    /// source, or — level 0 stored unscaled — the lent operator.
+    fn insures(&self, i: usize) -> bool {
+        let lendable = i == 0 && self.mg.finest_scale.is_none() && self.lent.is_some();
+        let narrow = |l: &Level<Pr>| l.stored.precision().bytes() == 2;
+        self.mg.levels.get(i).is_some_and(|l| narrow(l) && (l.source.is_some() || lendable))
+    }
+
+    /// True while recovery is on, the promotion budget has headroom, and
+    /// some 16-bit level has promotion material (a promotion leaves none).
+    pub fn can_promote(&self) -> bool {
+        let recovery = &self.mg.config.recovery;
+        recovery.enabled
+            && self.mg.info.promotions.len() < recovery.max_promotions
+            && (0..self.mg.levels.len()).any(|i| self.insures(i))
+    }
+
+    /// Promotes one level after the outer solve stagnated above the FP16
+    /// unit-roundoff floor: raising `shift_levid` (§4.3) at run time, as
+    /// coarse-level underflow is the canonical precision-attributable stall.
+    pub fn promote_for_stagnation(&mut self) -> Option<PromotionEvent> {
+        self.promote_suspect(PromotionReason::Stagnation)
+    }
+
+    /// Promotes the first level holding a non-finite stored value — none,
+    /// if it has no material: widening a healthy one cannot clear it — or
+    /// else the *coarsest* 16-bit level with material.
+    fn promote_suspect(&mut self, reason: PromotionReason) -> Option<PromotionEvent> {
+        let corrupt = self.mg.levels.iter().position(|l| !l.stored.scan().all_finite());
+        let coarsest = || (0..self.mg.levels.len()).rev().find(|&i| self.insures(i));
+        self.promote_level(corrupt.or_else(coarsest)?, reason)
+    }
+
+    /// Rebuilds 16-bit level `level` at FP32 from the FP32 values it was
+    /// stored from (re-scaled, should FP32 not hold it, with `G` tightened
+    /// by `g_tighten`), logged in [`MgInfo::promotions`]. `None` when it is
+    /// not promotable (wide, no material, budget spent) or the rebuild fails.
+    pub fn promote_level(
+        &mut self,
+        level: usize,
+        reason: PromotionReason,
+    ) -> Option<PromotionEvent> {
+        if !self.can_promote() || !self.insures(level) {
+            return None;
+        }
+        let mg = &mut *self.mg;
+        let lvl = &mg.levels[level];
+        // The FP32 values the level was stored from, widened: its source, or
+        // the lent operator narrowed as the store pass narrows a source.
+        let a64 = match &lvl.source {
+            Some(source) => source.convert(),
+            None => {
+                let mut a64 = self.lent?.to_layout(mg.config.layout);
+                a64.data_mut().iter_mut().for_each(|v| *v = f64::from(*v as f32));
+                a64
+            }
+        };
+        let (from, corrupt_entries) =
+            (lvl.stored.precision(), lvl.stored.scan().total.non_finite());
+        let mut cfg = mg.config.clone();
+        if let GChoice::Fixed(g) = cfg.g_choice {
+            cfg.g_choice = GChoice::Fixed(g * cfg.recovery.g_tighten);
+        }
+        // The widened level replaces the old one wholesale: new stored
+        // bits, sentinels retaken over the new format, and neither source
+        // nor repair parent (an FP32 level keeps no insurance).
+        let (widened, info) = build_level::<Pr>(&a64, Precision::F32, &cfg, level, None).ok()?;
+        let event = PromotionEvent { level, from, to: info.precision, reason, corrupt_entries };
+        let old = std::mem::replace(&mut mg.levels[level], widened);
+        mg.info.insurance_bytes -= old.insurance_bytes();
+        mg.info.matrix_bytes += info.value_bytes;
+        mg.info.matrix_bytes -= std::mem::replace(&mut mg.info.levels[level], info).value_bytes;
+        mg.info.promotions.push(event.clone());
+        Some(event)
+    }
+}
+
 impl<K: Scalar, Pr: Scalar> Preconditioner<K> for Mg<Pr> {
     fn apply(&mut self, r: &[K], z: &mut [K]) {
-        self.apply_guarded(r, z);
+        Insured { mg: self, lent: None }.apply(r, z);
     }
 
     /// A solver breakdown or stagnation may be silent storage corruption

@@ -6,9 +6,10 @@
 //! where the identity `r = −U u` is exact (wide storage), within the
 //! `(D₁₆ − D_hp) u` bound where the stored diagonal is FP16.
 //!
-//! Below that: the two-read level store (`build_level`) against the
+//! Below that: the level store (`build_level`) against the pre-scan →
 //! clone → scale → store → convert sequence it replaced, level by level;
-//! and `AutoShift` read off each level's store against the two-pass
+//! a level 0 promoted from the lent operator against the one its FP32 copy
+//! made; and `AutoShift` read off each level's store against the two-pass
 //! resolution it replaced.
 
 use fp16mg_grid::Grid3;
@@ -243,7 +244,7 @@ fn an_infinity_in_either_half_of_the_matrix_still_ends_in_a_promotion() {
             let mut mg = Mg::<f32>::setup(&a, &cfg).unwrap();
             assert!(mg.stored_mut(0).unwrap().inject_inf_at(cell, tap));
             let mut e = vec![0.0f32; a.rows()];
-            mg.apply_pr(&r, &mut e);
+            Preconditioner::<f32>::apply(&mut mg.insured(&a), &r, &mut e);
             let finite = e.iter().all(|v| v.is_finite());
             assert_eq!(finite, heals, "{half} plane, recovery {heals}");
             if heals {
@@ -258,8 +259,29 @@ fn an_infinity_in_either_half_of_the_matrix_still_ends_in_a_promotion() {
     }
 }
 
-// ---- The level store: two reads of the FP64 operator and no scaled copy,
-// against the four steps that made one. ----
+// ---- The level store: one read of an in-range FP64 operator, two of one
+// that must be scaled, and no scaled copy — against the pre-scan and the
+// four steps that made one. ----
+
+/// The `need to scale` test of Algorithm 1 as a scan of its own before the
+/// store: some entry is non-finite or reaches `limit`.
+fn out_of_range(a: &SgDia<f64>, limit: f64) -> bool {
+    a.data().iter().any(|&v| !v.is_finite() || v.abs() >= limit)
+}
+
+/// How setup-then-scale scaled `ai` for storage at `prec` when the range
+/// test was that pre-scan: `None` for a level stored as is.
+fn scale_plan(
+    ai: &SgDia<f64>,
+    prec: Precision,
+    config: &MgConfig,
+) -> Result<Option<ScalePlan>, scaling::ScalingError> {
+    let limit = prec.finite_max();
+    if config.scale != ScaleStrategy::SetupThenScale || !out_of_range(ai, limit) {
+        return Ok(None);
+    }
+    ScalePlan::decide(ai, config.g_choice, limit).map(Some)
+}
 
 /// The stored values of a level, as bit patterns.
 fn stored_bits(m: &StoredMatrix) -> Vec<u64> {
@@ -354,8 +376,11 @@ fn assert_levels_match_the_clone_and_scale_oracle(a: &SgDia<f64>, cfg: &MgConfig
         }
         let dinv = BlockDiagInv::<f32>::from_matrix(&scaled).expect("regular diagonal blocks");
         assert!(f32_bits(level.dinv.data()) == f32_bits(dinv.data()), "{what}: BlockDiagInv");
-        // The promotion source is the level before scaling, in FP32.
-        let source = (cfg.recovery.enabled && prec.bytes() == 2).then(|| ai.convert::<f32>());
+        // The promotion source is the level before scaling, in FP32 — but
+        // for a level 0 stored from the caller's operator, which is lent.
+        let lent = i == 0 && cfg.scale != ScaleStrategy::ScaleThenSetup;
+        let source =
+            (cfg.recovery.enabled && prec.bytes() == 2 && !lent).then(|| ai.convert::<f32>());
         assert_eq!(level.source.is_some(), source.is_some(), "{what}: source kept");
         if let (Some(got), Some(want)) = (&level.source, &source) {
             assert!(f32_bits(got.data()) == f32_bits(want.data()), "{what}: FP32 source");
@@ -387,6 +412,153 @@ fn every_problem_kind_is_stored_as_the_clone_and_scale_oracle_stores_it() {
     assert_levels_match_the_clone_and_scale_oracle(&a, &clamped, "weather fixed G (scaled)");
     let bf16 = MgConfig::dbf16();
     assert_levels_match_the_clone_and_scale_oracle(&a, &bf16, "weather bf16 (in range)");
+    // FP16's largest finite value, in the last block of the last plane, is
+    // already out of range: the sweep runs to the end, then the level is
+    // stored again, scaled.
+    let mut edge = laplacian(Grid3::new(9, 8, 7), Pattern::p27(), 1.0);
+    let last_tap = edge.pattern().len() - 1;
+    edge.set(403, last_tap, fp16mg_fp::F16::MAX_F64);
+    assert_levels_match_the_clone_and_scale_oracle(&edge, &MgConfig::d16(), "65504 (scaled)");
+}
+
+/// `StoredMatrix::store_in_range` against the pre-scan and the store it
+/// stands for: abandoned exactly when the scan finds an entry out of range,
+/// otherwise `store_level` of the level as it is, to the bit.
+fn assert_range_test_matches_the_pre_scan(
+    a: &SgDia<f64>,
+    prec: Precision,
+    policy: TruncationPolicy,
+    what: &str,
+) {
+    let (layout, policy) = (a.layout(), Some(policy));
+    let fused = StoredMatrix::store_in_range(a, prec, layout, policy, true, true)
+        .unwrap_or_else(|e| panic!("{what}: the range test let {e} through"));
+    assert_eq!(fused.is_none(), out_of_range(a, prec.finite_max()), "{what}: abandoned");
+    let Some(got) = fused else { return };
+    let want = StoredMatrix::store_level(a, None, prec, layout, policy, true, true).unwrap();
+    assert!(stored_bits(&got.matrix) == stored_bits(&want.matrix), "{what}: planes");
+    assert_eq!((&got.audit, &got.sentinels), (&want.audit, &want.sentinels), "{what}");
+    assert_eq!(got.finite, want.finite, "{what}: finite");
+    let source = |s: Option<SgDia<f32>>| s.map(|s| f32_bits(s.data()));
+    assert!(source(got.source) == source(want.source), "{what}: FP32 source");
+}
+
+#[test]
+fn the_range_test_in_the_store_pass_decides_as_the_pre_scan_did() {
+    use fp16mg_problems::ProblemKind;
+
+    for kind in ProblemKind::all() {
+        for n in [8, 11] {
+            let chain = GalerkinChain::build(&kind.build(n).matrix, &MgConfig::d16()).unwrap();
+            for (i, ai) in chain.matrices().iter().enumerate() {
+                for prec in [Precision::F16, Precision::BF16, Precision::F32] {
+                    let what = format!("{} n={n} level {i} {}", kind.name(), prec.name());
+                    assert_range_test_matches_the_pre_scan(
+                        ai,
+                        prec,
+                        TruncationPolicy::Saturate,
+                        &what,
+                    );
+                }
+            }
+        }
+    }
+    // Levels made to fail the test in their last block (cell 403 of 504 is
+    // in the second of a plane's two blocks, and interior) or their first.
+    let level = || laplacian(Grid3::new(9, 8, 7), Pattern::p27(), 1.0);
+    let last_tap = level().pattern().len() - 1;
+    let (mut edge, mut nan, mut first) = (level(), level(), level());
+    edge.set(403, last_tap, fp16mg_fp::F16::MAX_F64);
+    nan.set(403, last_tap, f64::NAN);
+    first.set(0, 0, -1.0e6);
+    let cases = [
+        (edge, TruncationPolicy::Saturate, "65504 in the last block"),
+        (nan, TruncationPolicy::Saturate, "NaN in the last block"),
+        // Reject must not refuse a level that is to be scaled.
+        (first, TruncationPolicy::Reject, "first block out of range under Reject"),
+    ];
+    for (a, policy, what) in cases {
+        assert!(out_of_range(&a, Precision::F16.finite_max()), "{what}");
+        assert_range_test_matches_the_pre_scan(&a, Precision::F16, policy, what);
+    }
+    // The largest value below the limit is in range (and rounds to it).
+    let mut inside = level();
+    inside.set(403, last_tap, 65503.9);
+    assert_range_test_matches_the_pre_scan(
+        &inside,
+        Precision::F16,
+        TruncationPolicy::Reject,
+        "inside",
+    );
+}
+
+#[test]
+fn level_0_keeps_no_source_and_is_insured_by_the_lent_operator() {
+    use crate::PromotionReason::Manual;
+
+    // Level 0 of a setup-then-scale hierarchy keeps no FP32 copy of the
+    // caller's operator; the coarse levels keep theirs, and `MgInfo`
+    // counts what they hold: for a 27-point stencil, a quarter of the
+    // FP16 bytes, where level 0's copy alone would be twice them.
+    let a = laplacian(Grid3::cube(16), Pattern::p27(), 1.0);
+    let mut mg = Mg::<f32>::setup(&a, &MgConfig::d16()).unwrap();
+    assert!(mg.levels[0].source.is_none());
+    assert!(mg.levels[1..].iter().all(|l| l.source.is_some()));
+    let held: usize = mg.levels.iter().map(Level::insurance_bytes).sum();
+    assert_eq!(mg.info.insurance_bytes, held);
+    assert!(10 * held < 3 * mg.info.matrix_bytes, "{held} B of coarse sources");
+    // Bare, level 0 cannot be promoted; insured, it can, and the promotion
+    // of a level with a source of its own gives that source's bytes back.
+    assert!(Insured { mg: &mut mg, lent: None }.promote_level(0, Manual).is_none());
+    mg.insured(&a).promote_level(0, Manual).expect("insured by the lent operator");
+    assert_eq!(mg.info.insurance_bytes, held);
+    let source = mg.levels[1].insurance_bytes();
+    mg.insured(&a).promote_level(1, Manual).expect("insured by its own source");
+    assert_eq!(mg.info.insurance_bytes, held - source);
+    // Scale-then-setup stores level 0 from a scaled copy only the
+    // hierarchy ever holds: that level keeps its source.
+    let prescaled = MgConfig { scale: ScaleStrategy::ScaleThenSetup, ..MgConfig::d16() };
+    assert!(Mg::<f32>::setup(&a, &prescaled).unwrap().levels[0].source.is_some());
+}
+
+/// `mg` as set up when level 0 kept its own promotion material: an FP32
+/// copy of the operator it was stored from, counted in `MgInfo`.
+fn with_level0_source(mg: &mut Mg<f32>, a: &SgDia<f64>) {
+    let source: SgDia<f32> = a.to_layout(mg.config.layout).convert();
+    mg.info.insurance_bytes += source.value_bytes();
+    mg.levels[0].source = Some(source);
+}
+
+#[test]
+fn a_level_0_promoted_from_the_lent_operator_is_the_one_its_fp32_copy_made() {
+    use crate::{PromotionReason, RecoveryPolicy};
+    use fp16mg_problems::ProblemKind;
+
+    let recovery = RecoveryPolicy { max_promotions: usize::MAX, ..RecoveryPolicy::default() };
+    let cfg = MgConfig { recovery, ..MgConfig::d16() };
+    for kind in ProblemKind::all() {
+        for n in [8, 11] {
+            let a = kind.build(n).matrix;
+            let setup = || Mg::<f32>::setup(&a, &cfg).unwrap();
+            let levels = setup().info.levels;
+            let narrow: Vec<usize> =
+                (0..levels.len()).filter(|&i| levels[i].precision.bytes() == 2).collect();
+            assert_eq!(narrow.first(), Some(&0), "{} n={n}", kind.name());
+            // Level 0 alone, and every narrow level (the ladder's
+            // promote16→32 rung).
+            for promoted in [&narrow[..1], &narrow[..]] {
+                let what = format!("{} n={n} promoting {promoted:?}", kind.name());
+                let (mut got, mut want) = (setup(), setup());
+                with_level0_source(&mut want, &a);
+                for &level in promoted {
+                    got.insured(&a).promote_level(level, PromotionReason::Manual).expect(&what);
+                    let mut bare = Insured { mg: &mut want, lent: None };
+                    bare.promote_level(level, PromotionReason::Manual).expect(&what);
+                }
+                assert_same_hierarchy(&got, &want, &what);
+            }
+        }
+    }
 }
 
 /// A flipped bit in a *scaled* level: its retained parent is the scaled

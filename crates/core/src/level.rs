@@ -37,7 +37,9 @@ pub(crate) struct Level<Pr: Scalar> {
     pub par: Par,
     /// Promotion material of a 16-bit level under an enabled recovery
     /// policy: the *unscaled* high-precision operator in FP32, exact
-    /// enough to rebuild the level at FP32. A promoted level has none.
+    /// enough to rebuild the level at FP32. A promoted level has none, and
+    /// neither has a level 0 stored from the caller's own operator: its
+    /// material is that operator, lent through [`crate::Mg::insured`].
     pub source: Option<SgDia<f32>>,
     /// Repair material of a 16-bit level under
     /// `IntegrityPolicy::retain_parents`: the exact f64 operator the level
@@ -48,6 +50,12 @@ pub(crate) struct Level<Pr: Scalar> {
 }
 
 impl<Pr: Scalar> Level<Pr> {
+    /// Bytes of the level's promotion source and repair parent.
+    pub fn insurance_bytes(&self) -> usize {
+        self.source.as_ref().map_or(0, SgDia::value_bytes)
+            + self.parent.as_ref().map_or(0, SgDia::value_bytes)
+    }
+
     /// Forms the right-hand side of the scaled space, `t2 = S⁻¹ f`, which
     /// [`smooth`](Self::smooth) and
     /// [`compute_residual`](Self::compute_residual) sweep against: once

@@ -44,7 +44,7 @@ pub use config::{
 pub use fp16mg_sgdia::audit::{RangeAudit, TruncationError, TruncationPolicy};
 pub use fp16mg_sgdia::sentinel::{MatrixSentinels, TapMismatch, TapSentinel};
 pub use hierarchy::{
-    audit_rejects, GalerkinChain, LevelInfo, Mg, MgInfo, PromotionEvent, PromotionReason,
+    audit_rejects, GalerkinChain, Insured, LevelInfo, Mg, MgInfo, PromotionEvent, PromotionReason,
     RepairEvent, RepairTrigger, SetupError, ShiftDecision,
 };
 pub use ops::MatOp;

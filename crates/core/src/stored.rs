@@ -8,7 +8,8 @@
 
 use fp16mg_fp::{Bf16, Precision, Scalar, F16};
 use fp16mg_grid::Grid3;
-use fp16mg_sgdia::audit::{store_level, StoredLevel, TruncationError, TruncationPolicy};
+use fp16mg_sgdia::audit::{store_level, store_level_in_range, StoredLevel};
+use fp16mg_sgdia::audit::{TruncationError, TruncationPolicy};
 use fp16mg_sgdia::kernels::{self, BlockDiagInv, Par};
 use fp16mg_sgdia::{Layout, SgDia};
 use fp16mg_stencil::Pattern;
@@ -59,6 +60,25 @@ impl StoredMatrix {
             Precision::BF16 => {
                 store_level(a, scale, policy, sentinels, keep_source)?.map(Self::BF16)
             }
+        })
+    }
+
+    /// [`StoredMatrix::store_level`] unscaled, or `Ok(None)` when `precision`
+    /// cannot take `a` as it is ([`store_level_in_range`]).
+    pub(crate) fn store_in_range(
+        a: &SgDia<f64>,
+        precision: Precision,
+        layout: Layout,
+        policy: Option<TruncationPolicy>,
+        sentinels: bool,
+        keep_source: bool,
+    ) -> Result<Option<StoredLevel<Self>>, TruncationError> {
+        let (a, s, k) = (&*a.in_layout(layout), sentinels, keep_source);
+        Ok(match precision {
+            Precision::F64 => store_level_in_range(a, policy, s, k)?.map(|l| l.map(Self::F64)),
+            Precision::F32 => store_level_in_range(a, policy, s, k)?.map(|l| l.map(Self::F32)),
+            Precision::F16 => store_level_in_range(a, policy, s, k)?.map(|l| l.map(Self::F16)),
+            Precision::BF16 => store_level_in_range(a, policy, s, k)?.map(|l| l.map(Self::BF16)),
         })
     }
 

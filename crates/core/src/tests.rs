@@ -274,8 +274,9 @@ fn mg_d16_none_breaks_down_out_of_range() {
 #[test]
 fn mg_d16_none_out_of_range_self_heals_with_recovery_on() {
     // Same overflowed configuration, recovery left on (the default): the
-    // hierarchy detects the non-finite V-cycle output, promotes the
-    // overflowed FP16 levels to FP32, and the solve converges anyway.
+    // hierarchy, insured by the operator, detects the non-finite V-cycle
+    // output, promotes the overflowed FP16 levels to FP32, and the solve
+    // converges anyway.
     let cfg = MgConfig { scale: ScaleStrategy::None, ..MgConfig::d16() };
     let grid = Grid3::cube(16);
     let a = laplacian(grid, Pattern::p7(), 1.0e8);
@@ -283,7 +284,7 @@ fn mg_d16_none_out_of_range_self_heals_with_recovery_on() {
     let op = MatOp::new(&a, Par::Seq);
     let b = rhs(a.rows());
     let mut x = vec![0.0f64; a.rows()];
-    let res = richardson(&op, &mut mg, &b, &mut x, &SolveOptions::default());
+    let res = richardson(&op, &mut mg.insured(&a), &b, &mut x, &SolveOptions::default());
     assert!(res.converged(), "{res:?}");
     assert!(!mg.promotions().is_empty(), "healing must have promoted a level");
     assert!(mg.promotions().iter().all(|e| e.reason == crate::PromotionReason::NonFiniteOutput));
@@ -907,9 +908,9 @@ mod recovery {
         let a = laplacian(Grid3::cube(12), Pattern::p7(), 1.0);
         let mut mg = Mg::<f32>::setup(&a, &MgConfig::d16()).unwrap();
         assert_eq!(mg.info().levels[0].precision, Precision::F16);
-        assert!(mg.can_promote());
+        assert!(mg.insured(&a).can_promote());
 
-        let ev = mg.promote_level(0, PromotionReason::Manual).expect("promotable");
+        let ev = mg.insured(&a).promote_level(0, PromotionReason::Manual).expect("promotable");
         assert_eq!(ev.level, 0);
         assert_eq!(ev.from, Precision::F16);
         assert_eq!(ev.to, Precision::F32);
@@ -933,11 +934,12 @@ mod recovery {
             ..MgConfig::d16()
         };
         let mut mg = Mg::<f32>::setup(&a, &cfg).unwrap();
-        assert!(mg.promote_level(0, PromotionReason::Manual).is_some());
+        let mut insured = mg.insured(&a);
+        assert!(insured.promote_level(0, PromotionReason::Manual).is_some());
         // Same level again: already wide, and the budget is spent.
-        assert!(mg.promote_level(0, PromotionReason::Manual).is_none());
-        assert!(mg.promote_level(1, PromotionReason::Manual).is_none(), "budget spent");
-        assert!(!mg.can_promote());
+        assert!(insured.promote_level(0, PromotionReason::Manual).is_none());
+        assert!(insured.promote_level(1, PromotionReason::Manual).is_none(), "budget spent");
+        assert!(!insured.can_promote());
     }
 
     #[test]
@@ -945,18 +947,47 @@ mod recovery {
         let a = laplacian(Grid3::cube(12), Pattern::p7(), 1.0);
         let cfg = MgConfig { recovery: crate::RecoveryPolicy::disabled(), ..MgConfig::d16() };
         let mut mg = Mg::<f32>::setup(&a, &cfg).unwrap();
-        assert!(!mg.can_promote());
-        assert!(mg.promote_level(0, PromotionReason::Manual).is_none());
-        assert!(mg.promote_for_stagnation().is_none());
+        let mut insured = mg.insured(&a);
+        assert!(!insured.can_promote());
+        assert!(insured.promote_level(0, PromotionReason::Manual).is_none());
+        assert!(insured.promote_for_stagnation().is_none());
     }
 
     #[test]
     fn full64_hierarchy_has_no_promotable_levels() {
         let a = laplacian(Grid3::cube(12), Pattern::p7(), 1.0);
         let mut mg = Mg::<f64>::setup(&a, &MgConfig::d64()).unwrap();
-        assert!(!mg.can_promote(), "no 16-bit level retains a source");
-        assert!(mg.promote_for_stagnation().is_none());
+        let mut insured = mg.insured(&a);
+        assert!(!insured.can_promote(), "no 16-bit level to promote");
+        assert!(insured.promote_for_stagnation().is_none());
         assert!(mg.promotions().is_empty());
+    }
+
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn a_corrupt_level_without_material_promotes_nothing_in_its_place() {
+        // A bare hierarchy with a non-finite level 0 and neither a lent
+        // operator nor a repair parent: no promotion of a healthy coarse
+        // level can clear the output, so none is spent and the non-finite
+        // output reaches the solver.
+        let a = laplacian(Grid3::cube(12), Pattern::p7(), 1.0);
+        let mut mg = Mg::<f32>::setup(&a, &MgConfig::d16()).unwrap();
+        let cell = (6 * 12 + 6) * 12 + 6;
+        assert!(mg.stored_mut(0).unwrap().inject_inf_at(cell, 0));
+        let r: Vec<f32> = (0..a.rows()).map(|i| ((i % 7) as f32) * 0.1 + 0.1).collect();
+        let mut e = vec![0.0f32; a.rows()];
+        mg.apply_pr(&r, &mut e);
+        assert!(e.iter().any(|v| !v.is_finite()), "the non-finite output is the solver's");
+        let op = MatOp::new(&a, Par::Seq);
+        let mut x = vec![0.0f64; a.rows()];
+        let res = cg(&op, &mut mg, &rhs(a.rows()), &mut x, &SolveOptions::default());
+        assert!(!res.converged(), "{res:?}");
+        assert!(mg.promotions().is_empty(), "{:?}", mg.promotions());
+        // The budget is intact: lent the operator, level 0 is promoted.
+        Preconditioner::<f32>::apply(&mut mg.insured(&a), &r, &mut e);
+        assert!(e.iter().all(|v| v.is_finite()));
+        assert_eq!(mg.promotions().len(), 1);
+        assert_eq!(mg.promotions()[0].level, 0);
     }
 }
 

@@ -437,24 +437,30 @@ fn a_second_gmres_on_a_thread_allocates_no_vector() {
     .expect("the solves ran");
 }
 
-/// A scaled level is stored in two reads of its FP64 operator and no copy
-/// of it: on the default path (Gauss–Seidel smoother, no retained repair
-/// parents) `Mg::setup` of an out-of-range problem makes no allocation as
-/// large as the finest level's FP64 planes — the largest things it does
-/// allocate are that level's FP32 promotion source (half) and FP16 planes
-/// (a quarter). The consumers that read the scaled operator whole still
-/// get their copy, which also shows the counter counts.
+/// A level is stored in one read of its FP64 operator (two when it must be
+/// scaled) and no copy of it, FP64 or FP32: on the default path
+/// (Gauss–Seidel smoother, no retained repair parents) `Mg::setup` makes
+/// no allocation as large as half the finest level's FP64 planes — an
+/// FP32 copy of the caller's operator, which level 0 no longer keeps —
+/// whether the problem is out of FP16 range (weather) or in it
+/// (laplace27). The largest thing it does allocate is the FP16 planes (a
+/// quarter). The consumers that read the scaled operator whole still get
+/// their copy, which also shows the counter counts.
 #[test]
 fn default_setup_makes_no_full_size_fp64_copy_of_a_level() {
-    let p = ProblemKind::Weather.build(16);
-    let level_bytes = p.matrix.value_bytes();
     let cfg = MgConfig::d16();
     assert!(!cfg.integrity.retain_parents, "the default path retains no parents");
-    let (mg, big) = big_allocs_in(level_bytes, || Mg::<f32>::setup(&p.matrix, &cfg));
-    let mg = mg.expect(p.name);
-    assert!(mg.info().levels[0].scaled, "weather is out of FP16 range: the level was scaled");
-    assert_eq!(big, 0, "set-up made {big} allocation(s) of >= {level_bytes} bytes");
+    for (kind, scaled) in [(ProblemKind::Weather, true), (ProblemKind::Laplace27, false)] {
+        let p = kind.build(16);
+        let half = p.matrix.value_bytes() / 2;
+        let (mg, big) = big_allocs_in(half, || Mg::<f32>::setup(&p.matrix, &cfg));
+        let mg = mg.expect(p.name);
+        assert_eq!(mg.info().levels[0].scaled, scaled, "{}: level 0 scaled", p.name);
+        assert_eq!(big, 0, "{}: set-up made {big} allocation(s) of >= {half} bytes", p.name);
+    }
 
+    let p = ProblemKind::Weather.build(16);
+    let level_bytes = p.matrix.value_bytes();
     let mut retaining = MgConfig::d16();
     retaining.integrity.retain_parents = true;
     let (mg, big) = big_allocs_in(level_bytes, || Mg::<f32>::setup(&p.matrix, &retaining));

@@ -493,16 +493,17 @@ struct HierarchyCharges {
 }
 
 /// Charges a freshly built (or adopted) hierarchy against the request's
-/// governor: stored matrix bytes as `"setup"`, the preallocated V-cycle
-/// arena as `"workspace"`. A refused charge surfaces as a typed
-/// [`SolveError::SetupFailed`], which the ladder treats exactly like a
-/// failed build — skip the rung and escalate.
+/// governor: stored matrix bytes and the insurance kept beside them as
+/// `"setup"`, the preallocated V-cycle arena as `"workspace"`. A refused
+/// charge surfaces as a typed [`SolveError::SetupFailed`], which the
+/// ladder treats exactly like a failed build — skip the rung and escalate.
 fn charge_hierarchy<Pr: Scalar>(
     req: &SolveRequest,
     mg: &Mg<Pr>,
 ) -> Result<HierarchyCharges, SolveError> {
     let mem_err = |e: crate::mem::MemError| SolveError::SetupFailed { message: e.to_string() };
-    let setup = req.governor.try_charge("setup", mg.info().matrix_bytes as u64).map_err(mem_err)?;
+    let kept = mg.info().matrix_bytes + mg.info().insurance_bytes;
+    let setup = req.governor.try_charge("setup", kept as u64).map_err(mem_err)?;
     let workspace =
         req.governor.try_charge("workspace", mg.workspace_bytes() as u64).map_err(mem_err)?;
     Ok(HierarchyCharges { _setup: setup, _workspace: workspace })
@@ -804,8 +805,9 @@ fn run_rung_attempt(
             // (and credits its bytes back before building the next one).
             retained.mg = None;
             retained.charges = None;
-            // Promotion needs recovery bookkeeping (retained level
-            // sources), whatever the caller's policy says.
+            // Promotion needs recovery bookkeeping (retained coarse-level
+            // sources), whatever the caller's policy says; the request's
+            // operator is level 0's.
             let mut cfg = req.base.clone();
             cfg.recovery =
                 RecoveryPolicy { enabled: true, max_promotions: usize::MAX, ..cfg.recovery };
@@ -818,8 +820,9 @@ fn run_rung_attempt(
                 .filter(|(_, l)| matches!(l.precision, Precision::F16 | Precision::BF16))
                 .map(|(i, _)| i)
                 .collect();
+            let mut insured = mg.insured(&req.problem.matrix);
             for lev in narrow {
-                mg.promote_level(lev, PromotionReason::Manual);
+                insured.promote_level(lev, PromotionReason::Manual);
             }
             let _charges = charge_hierarchy(req, &mg)?;
             #[cfg(feature = "fault-inject")]
@@ -873,11 +876,13 @@ fn attempt_with<Pr: Scalar>(
         (SolverChoice::Gmres, _) | (SolverChoice::Auto, SolverKind::Gmres) => SolverChoice::Gmres,
         (choice, _) => choice,
     };
+    // The request's operator insures level 0 for the solve.
+    let m = &mut mg.insured(&req.problem.matrix);
     let result = match solver {
-        SolverChoice::Cg => cg_ctl(&op, mg, &b, &mut x, opts, guard),
-        SolverChoice::Gmres => gmres_ctl(&op, mg, &b, &mut x, opts, guard),
-        SolverChoice::BiCgStab => bicgstab_ctl(&op, mg, &b, &mut x, opts, guard),
-        SolverChoice::Richardson => richardson_ctl(&op, mg, &b, &mut x, opts, guard),
+        SolverChoice::Cg => cg_ctl(&op, m, &b, &mut x, opts, guard),
+        SolverChoice::Gmres => gmres_ctl(&op, m, &b, &mut x, opts, guard),
+        SolverChoice::BiCgStab => bicgstab_ctl(&op, m, &b, &mut x, opts, guard),
+        SolverChoice::Richardson => richardson_ctl(&op, m, &b, &mut x, opts, guard),
         SolverChoice::Auto => unreachable!("Auto resolved above"),
     };
     AttemptOutput {

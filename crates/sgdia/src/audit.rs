@@ -223,7 +223,7 @@ pub fn audit_scaled(a: &SgDia<f64>, scale: Option<&[f64]>, precision: Precision)
     fn sweep<T: Storage>(a: &SgDia<f64>, scale: Option<&[f64]>) -> RangeAudit {
         let mut acc = AuditAcc::new::<T>();
         // Plain IEEE never refuses an entry.
-        let _ = store_sweep::<T>(a, scale, None, &mut acc, |_, _| {});
+        let _ = store_sweep::<T>(a, scale, false, None, &mut acc, |_, _| {});
         acc.finish::<T>()
     }
     match precision {
@@ -399,6 +399,9 @@ impl AuditAcc {
 enum StoreFail {
     Saturation,
     NonFinite,
+    /// The range test of [`store_level_in_range`] met an entry the format
+    /// cannot take as it is.
+    OutOfRange,
 }
 
 impl StoreFail {
@@ -408,6 +411,7 @@ impl StoreFail {
                 TruncationError::Saturation { cell, tap, value, limit: T::MAX_FINITE }
             }
             StoreFail::NonFinite => TruncationError::NonFiniteSource { cell, tap, value },
+            StoreFail::OutOfRange => unreachable!("the range test is no policy's refusal"),
         }
     }
 }
@@ -507,7 +511,9 @@ struct StoredBlock<'a, T> {
 /// Truncates one block of (scaled) `values` into `raw` under `policy`,
 /// audited into `acc`; `wide` receives what `raw` loads back to and `rel`
 /// is scratch. Returns whether every stored value is finite; stops at the
-/// first entry the policy refuses.
+/// first entry the policy refuses — and, with `in_range`, before counting
+/// or refusing anything, at a block holding an entry that is non-finite
+/// or reaches `T::MAX_FINITE` in magnitude.
 ///
 /// The truncation, the recovery and the error of the block are bulk (SIMD
 /// where the format has it) — the divisions vectorise here and would
@@ -524,6 +530,7 @@ struct StoredBlock<'a, T> {
 #[inline(never)]
 fn store_block<T: Storage>(
     values: &[f64],
+    in_range: bool,
     policy: Option<TruncationPolicy>,
     acc: &mut AuditAcc,
     raw: &mut [T],
@@ -532,7 +539,16 @@ fn store_block<T: Storage>(
 ) -> Result<bool, StoreFail> {
     T::store_f64_slice(values, raw);
     T::load_f64_slice(raw, wide);
-    if let Some(tally) = tally_block::<T>(values, wide, rel, acc.audit.mean_rel_err) {
+    let tally = tally_block::<T>(values, wide, rel, acc.audit.mean_rel_err);
+    // A plain block's largest magnitude is the range test; any other block
+    // (a NaN fails `<`) is asked entry by entry.
+    let fits = |v: f64| v < T::MAX_FINITE;
+    if in_range
+        && !tally.as_ref().map_or_else(|| values.iter().all(|v| fits(v.abs())), |t| fits(t.abs_max))
+    {
+        return Err(StoreFail::OutOfRange);
+    }
+    if let Some(tally) = tally {
         acc.count_plain(values.len(), tally);
         return Ok(true);
     }
@@ -557,11 +573,13 @@ fn store_block<T: Storage>(
 /// is given, then truncated and audited by [`store_block`] — handing `sink`
 /// each block with its offset in `a.data()`. Stops at the first entry the
 /// policy refuses (which one is for the caller to find: see
-/// [`first_refusal`]).
+/// [`first_refusal`]), and with `in_range` at the first block the format
+/// cannot take as it is.
 #[inline(always)]
 fn store_sweep<T: Storage>(
     a: &SgDia<f64>,
     scale: Option<&[f64]>,
+    in_range: bool,
     policy: Option<TruncationPolicy>,
     acc: &mut AuditAcc,
     mut sink: impl FnMut(usize, StoredBlock<'_, T>),
@@ -595,7 +613,7 @@ fn store_sweep<T: Storage>(
                 }
             };
             let (raw, wide) = (&mut raw[..n], &mut wide[..n]);
-            let finite = store_block::<T>(values, policy, acc, raw, wide, &mut rel[..n])?;
+            let finite = store_block::<T>(values, in_range, policy, acc, raw, wide, &mut rel[..n])?;
             sink(plane * run + at, StoredBlock { source, stored: raw, wide, finite });
         }
     }
@@ -651,6 +669,38 @@ pub fn store_level<T: Storage>(
     sentinels: bool,
     keep_source: bool,
 ) -> Result<StoredLevel<SgDia<T>>, TruncationError> {
+    let stored = store_pass(a, scale, false, policy, sentinels, keep_source)?;
+    Ok(stored.expect("only the range test abandons a sweep"))
+}
+
+/// [`store_level`] of `a` as it is, in the same one read, if the format
+/// can take it so: Algorithm 1's "need to scale" is taken block by block
+/// inside the sweep, and at the first 256-entry block holding an entry that
+/// is non-finite or at least `T::MAX_FINITE` in magnitude the sweep is
+/// abandoned with `Ok(None)` — before the policy has seen that block, so a
+/// level that is to be scaled is never refused for its unscaled values.
+///
+/// # Errors
+/// As [`truncate_with_policy`].
+pub fn store_level_in_range<T: Storage>(
+    a: &SgDia<f64>,
+    policy: Option<TruncationPolicy>,
+    sentinels: bool,
+    keep_source: bool,
+) -> Result<Option<StoredLevel<SgDia<T>>>, TruncationError> {
+    store_pass(a, None, true, policy, sentinels, keep_source)
+}
+
+/// [`store_level`] and [`store_level_in_range`]: `None` when the range
+/// test abandoned the sweep.
+fn store_pass<T: Storage>(
+    a: &SgDia<f64>,
+    scale: Option<&[f64]>,
+    in_range: bool,
+    policy: Option<TruncationPolicy>,
+    sentinels: bool,
+    keep_source: bool,
+) -> Result<Option<StoredLevel<SgDia<T>>>, TruncationError> {
     let (cells, taps) = (a.grid().cells(), a.pattern().len());
     let soa = a.layout() == Layout::Soa;
     let mut matrix = SgDia::<T>::zeros(*a.grid(), a.pattern().clone(), a.layout());
@@ -660,7 +710,7 @@ pub fn store_level<T: Storage>(
     let mut acc = AuditAcc::new::<T>();
     let mut finite = true;
     let (out, mut narrow) = (matrix.data_mut(), source.as_mut().map(SgDia::data_mut));
-    let swept = store_sweep::<T>(a, scale, policy, &mut acc, |at, block| {
+    let swept = store_sweep::<T>(a, scale, in_range, policy, &mut acc, |at, block| {
         out[at..][..block.stored.len()].copy_from_slice(block.stored);
         finite &= block.finite;
         if let Some(narrow) = narrow.as_deref_mut() {
@@ -677,11 +727,13 @@ pub fn store_level<T: Storage>(
             block.stored.iter().enumerate().for_each(|(i, &s)| sent[(at + i) % taps].push(s));
         }
     });
-    if swept.is_err() {
+    match swept {
+        Err(StoreFail::OutOfRange) => return Ok(None),
         // Name the first offender in cell-major order.
-        return Err(first_refusal::<T>(a, scale, policy));
+        Err(_) => return Err(first_refusal::<T>(a, scale, policy)),
+        Ok(()) => {}
     }
-    Ok(StoredLevel {
+    Ok(Some(StoredLevel {
         matrix,
         audit: acc.finish::<T>(),
         sentinels: sentinels.then(|| MatrixSentinels {
@@ -690,7 +742,7 @@ pub fn store_level<T: Storage>(
         }),
         finite,
         source,
-    })
+    }))
 }
 
 /// The first entry, in cell-major order, that `policy` refuses.
@@ -1167,6 +1219,12 @@ mod tests {
         {
             let what = format!("{what} under {policy}");
             let fused = store_level::<T>(a, None, Some(policy), true, true);
+            // The range test abandons exactly the levels holding an entry
+            // the format cannot take as it is, before the policy refuses it.
+            let in_range = store_level_in_range::<T>(a, Some(policy), true, true)
+                .unwrap_or_else(|e| panic!("{what}: the range test let {e} through"));
+            let fits = a.data().iter().all(|v| v.abs() < T::MAX_FINITE);
+            assert_eq!(in_range.is_some(), fits, "{what}: range test");
             let want = match truncate_oracle::<T>(a, policy) {
                 Ok(m) => m,
                 Err(e) => {
@@ -1182,6 +1240,15 @@ mod tests {
             let fused = fused.unwrap_or_else(|e| panic!("{what}: fused refused {e}"));
             assert_same(&bits(&fused.matrix), &bits(&want), &format!("{what}: stored bits"));
             assert_eq!(fused.audit, audit_oracle::<T>(a), "{what}: audit");
+            if let Some(kept) = in_range {
+                // A level in range is stored by the one sweep as it is.
+                assert_same(&bits(&kept.matrix), &bits(&want), &format!("{what}: in range"));
+                assert_eq!((&kept.audit, kept.finite), (&fused.audit, fused.finite), "{what}");
+                let (got, want) = (kept.sentinels.as_ref(), fused.sentinels.as_ref());
+                assert_eq!(got.map(sentinel_bits), want.map(sentinel_bits), "{what}");
+                let source = |s: Option<&SgDia<f32>>| s.map(bits);
+                assert_eq!(source(kept.source.as_ref()), source(fused.source.as_ref()), "{what}");
+            }
             let sentinels = fused.sentinels.expect("asked for");
             assert_eq!(sentinels.cells, a.grid().cells());
             assert_same(
