@@ -8,7 +8,6 @@ use std::time::Duration;
 use fp16mg_bench::{solve_e2e, Combo, Group};
 use fp16mg_krylov::SolveOptions;
 use fp16mg_problems::ProblemKind;
-use fp16mg_sgdia::kernels::Par;
 
 fn main() {
     let opts =
@@ -19,7 +18,7 @@ fn main() {
         for combo in [Combo::Full64, Combo::D16SetupScale] {
             let label = if combo == Combo::Full64 { "Full64" } else { "Mix16" };
             g.bench(label, || {
-                let r = solve_e2e(kind, n, combo, &opts, Par::Seq).expect("setup");
+                let r = solve_e2e(kind, n, combo, combo.mg_config(), &opts).expect("setup");
                 assert!(r.result.converged(), "{} {label} did not converge", kind.name());
                 let _ = r.total();
             });

@@ -1,38 +1,27 @@
-//! Regenerates every table and figure of the paper's evaluation.
+//! Regenerates every table and figure of the paper's evaluation, and runs
+//! the drivers that must be separate processes.
 //!
 //! ```text
-//! repro <experiment> [--size N] [--tol T] [--threads N1,N2,...] [--budget-ms B]
-//!                    [--requests N] [--workers N] [--chaos] [--overload] [--out DIR]
-//! experiments: fig1 table2 fig3 fig5 fig6 fig7 fig8 fig10 table1 table3
-//!              bf16 shift smooth guard audit serve chaos overload simulate
-//!              loadgen torture memtorture nettorture all
+//! repro <experiment>|all [--size N] [--tol T] [--threads N1,N2,...] [--budget-ms B]
+//!                        [--smoother gs|symgs|jacobi|ilu0|chebyshev]
+//! experiments: fig1 table2 fig3 fig5 fig6 fig7 fig8|fig9 fig10 table1 table3
+//!              bf16 shift smooth cycle semi guard audit
+//! repro serve --daemon --addr unix:PATH|tcp:HOST:PORT [--snapshot-dir DIR] [--mem-budget B]
+//! repro loadgen --addr … [--requests N] [--shutdown]
+//! repro loadgen --soak [--requests N] [--kill-after N] [--mem-budget B] [--out DIR]
+//! repro simulate [--problem NAME|all] [--steps N] [--chaos] [--snapshot-dir DIR] [--pace-ms MS]
+//! repro simulate --soak [--problem NAME] [--steps N] [--kill-after N] [--out DIR]
 //! ```
 //!
-//! `serve` fires a batch of mixed clean/fault-injected/panicking solve
-//! requests through the concurrent resilient runtime and prints one typed
-//! outcome per request (`--requests`, `--workers`, `--budget-ms` set the
-//! batch size, pool width, and the deadline-limited request's deadline).
-//! With `--chaos` (or the `chaos` experiment, its alias) the batch mixes
-//! seeded single-bit flips into mid-hierarchy FP16 coefficient planes:
-//! the integrity sentinels must detect, localize, and repair them via
-//! the `repair-level` rung, visible in the per-request `repairs` column.
-//! With `--overload` (or the `overload` experiment, its alias) the demo
-//! instead drives an oversubscribed mixed-priority batch through the
-//! admission-controlled `ServePool`: bounded queueing, best-effort-first
-//! load shedding, degraded-mode solves with their `DegradeEvent` trail,
-//! and a per-class circuit breaker that opens on a poisoned problem
-//! class and recovers via a half-open probe. The process exits nonzero
-//! if any acceptance invariant is violated.
+//! The experiments are one table, [`EXPERIMENTS`]: it drives dispatch,
+//! `all` and the usage line.
 //!
-//! `serve --daemon --addr unix:PATH|tcp:HOST:PORT` runs the daemon
-//! (`fp16mg_runtime::serve`: one request at a time off the wire, solve →
-//! fsynced trail → checkpoint → ack, state under `--snapshot-dir`)
-//! until a client asks it to drain; `--mem-budget` puts its pool under a
-//! byte budget. `loadgen --addr …` drives it (`--shutdown` drains it),
-//! `loadgen --soak` is the self-contained kill/restart acceptance
-//! (`--kill-after`, optionally `--mem-budget`), `nettorture` the
-//! wire-fault matrix, and `serve --daemon --chaos` the wedge-detection
-//! and quarantine demo on the daemon's pool shape.
+//! `serve --daemon --addr …` runs the daemon (`fp16mg_runtime::serve`:
+//! one request at a time off the wire, solve → fsynced trail →
+//! checkpoint → ack, state under `--snapshot-dir`) until a client asks it
+//! to drain; `--mem-budget` puts its pool under a byte budget.
+//! `loadgen --addr …` drives it (`--shutdown` drains it), and
+//! `loadgen --soak` is the self-contained kill/restart acceptance.
 //!
 //! `simulate` advances `--problem` (or the three time-dependent example
 //! scenarios with `all`) through `--steps` implicit steps, reusing the
@@ -45,17 +34,9 @@
 //! deterministic fault schedule that exercises every reuse decision and
 //! recovery rung.
 //!
-//! `torture` runs the storage-fault crash-point matrix: the simulation
-//! durability stack is replayed on a deterministic fault-injecting
-//! in-memory storage backend, with power loss at every I/O operation
-//! index plus torn-write, failed-fsync, lying-fsync, ENOSPC-burst, and
-//! read-corruption schedules. It exits zero only if every acknowledged
-//! step survived every crash point, corrupt snapshot slots were
-//! quarantined with fallback, every fault class actually fired, and a
-//! deliberately broken write order was detected by the harness itself.
-//! `memtorture` (allocation faults at every charged byte) and
-//! `nettorture` (wire faults at every frame boundary) are its siblings;
-//! all three print the one `bench::matrix` verdict.
+//! The serve pool's scenarios and the storage, allocation and wire fault
+//! matrices are integration tests (`crates/bench/tests/{serve,torture,
+//! memtorture,nettorture}.rs`), not subcommands.
 //!
 //! Timing is not this binary's business: the repository's benchmark is
 //! the `benchmark/` package that `BENCHMARK.json` names, and the
@@ -67,9 +48,10 @@
 
 use fp16mg_bench::table::{fmt_secs, geomean, Table};
 use fp16mg_bench::{kernel_suite, solve_e2e, Combo, KernelKind, Variant};
-use fp16mg_core::Mg;
+use fp16mg_core::{Mg, MgConfig, SmootherKind};
+use fp16mg_fp::Scalar;
 use fp16mg_krylov::SolveOptions;
-use fp16mg_problems::{metrics, ProblemKind, SolverKind};
+use fp16mg_problems::{metrics, Problem, ProblemKind, SolverKind};
 use fp16mg_sgdia::kernels::Par;
 use fp16mg_sgdia::model;
 
@@ -80,12 +62,10 @@ struct Args {
     tol: f64,
     threads: Vec<usize>,
     budget_ms: f64,
-    smoother: Option<String>,
+    smoother: Option<SmootherKind>,
     requests: usize,
-    requests_set: bool,
     workers: usize,
     chaos: bool,
-    overload: bool,
     daemon: bool,
     soak: bool,
     snapshot_dir: String,
@@ -99,16 +79,53 @@ struct Args {
     shutdown: bool,
 }
 
+type Experiment = fn(&Args);
+
+/// The paper's experiments, in the order `all` runs them; `|` separates
+/// the names one row answers to.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("fig1", fig1),
+    ("table2", |_| table2()),
+    ("fig3", fig3),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8|fig9", fig8),
+    ("fig10", fig10),
+    ("table1", table1),
+    ("table3", table3),
+    ("bf16", bf16),
+    ("shift", shift),
+    ("smooth", smooth),
+    ("cycle", cycle_ablation),
+    ("semi", semi_ablation),
+    ("guard", guard),
+    ("audit", audit_cmd),
+];
+
 fn usage(msg: &str) -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
     eprintln!("{msg}");
-    eprintln!("usage: repro <experiment> [--size N] [--tol T] [--threads N1,N2,...] [--budget-ms B] [--smoother gs|jacobi|symgs|ilu0] [--requests N] [--workers N] [--chaos] [--overload] [--daemon] [--soak] [--snapshot-dir DIR] [--kill-after N] [--pace-ms MS] [--mem-budget BYTES] [--steps N] [--problem NAME|all] [--out DIR] [--addr unix:PATH|tcp:HOST:PORT] [--shutdown]");
-    eprintln!("daemon: `serve --daemon --addr …` serves over the wire (`--snapshot-dir`, `--mem-budget`); `loadgen --addr …` drives it (`--shutdown` drains); `loadgen --soak [--kill-after N] [--mem-budget BYTES]` is the kill/restart acceptance; `serve --daemon --chaos` the supervision demo; `nettorture` the wire-fault matrix");
+    eprintln!("usage: repro <experiment>|all [--size N] [--tol T] [--threads N1,N2,...] [--budget-ms B] [--smoother gs|symgs|jacobi|ilu0|chebyshev]");
+    eprintln!("experiments: {}", names.join(" "));
+    eprintln!("drivers: repro serve --daemon --addr unix:PATH|tcp:HOST:PORT [--snapshot-dir DIR] [--mem-budget BYTES] [--workers N]; repro loadgen --addr … [--requests N] [--shutdown]; repro loadgen --soak [--requests N] [--kill-after N] [--mem-budget BYTES] [--out DIR]; repro simulate [--problem NAME|all] [--steps N] [--chaos] [--snapshot-dir DIR] [--pace-ms MS]; repro simulate --soak [--problem NAME] [--steps N] [--kill-after N] [--out DIR]");
     std::process::exit(2)
 }
 
 fn arg_value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
     let Some(raw) = it.next() else { usage(&format!("{flag} needs a value")) };
     raw.parse().unwrap_or_else(|_| usage(&format!("{flag}: cannot parse '{raw}'")))
+}
+
+fn parse_smoother(name: &str) -> SmootherKind {
+    match name {
+        "gs" => SmootherKind::GsSymmetric,
+        "symgs" => SmootherKind::SymGs,
+        "jacobi" => SmootherKind::Jacobi { weight: 0.85 },
+        "ilu0" => SmootherKind::Ilu0,
+        "chebyshev" | "cheb" => SmootherKind::Chebyshev { degree: 2 },
+        other => usage(&format!("--smoother: unknown smoother '{other}'")),
+    }
 }
 
 fn parse_args() -> Args {
@@ -121,10 +138,8 @@ fn parse_args() -> Args {
         budget_ms: 30.0,
         smoother: None,
         requests: 16,
-        requests_set: false,
         workers: 0,
         chaos: false,
-        overload: false,
         daemon: false,
         soak: false,
         snapshot_dir: String::new(),
@@ -146,13 +161,9 @@ fn parse_args() -> Args {
             }
             "--tol" => args.tol = arg_value(&mut it, "--tol"),
             "--budget-ms" => args.budget_ms = arg_value(&mut it, "--budget-ms"),
-            "--requests" => {
-                args.requests = arg_value(&mut it, "--requests");
-                args.requests_set = true;
-            }
+            "--requests" => args.requests = arg_value(&mut it, "--requests"),
             "--workers" => args.workers = arg_value(&mut it, "--workers"),
             "--chaos" => args.chaos = true,
-            "--overload" => args.overload = true,
             "--daemon" => args.daemon = true,
             "--soak" => args.soak = true,
             "--snapshot-dir" => args.snapshot_dir = arg_value(&mut it, "--snapshot-dir"),
@@ -165,8 +176,7 @@ fn parse_args() -> Args {
             "--addr" => args.addr = arg_value(&mut it, "--addr"),
             "--shutdown" => args.shutdown = true,
             "--smoother" => {
-                let Some(s) = it.next() else { usage("--smoother needs a value") };
-                args.smoother = Some(s)
+                args.smoother = Some(parse_smoother(&arg_value::<String>(&mut it, "--smoother")))
             }
             "--threads" => {
                 let Some(list) = it.next() else { usage("--threads needs a value") };
@@ -207,75 +217,23 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     match args.cmd.as_str() {
-        "fig1" => fig1(&args),
-        "table2" => table2(),
-        "fig3" => fig3(&args),
-        "fig5" => fig5(&args),
-        "fig6" => fig6(&args),
-        "fig7" => fig7(&args),
-        "fig8" | "fig9" => fig8(&args),
-        "fig10" => fig10(&args),
-        "table1" => table1(&args),
-        "table3" => table3(&args),
-        "bf16" => bf16(&args),
-        "shift" => shift(&args),
-        "smooth" => smooth(&args),
-        "cycle" => cycle_ablation(&args),
-        "semi" => semi_ablation(&args),
-        "guard" => guard(&args),
-        "audit" => audit_cmd(&args),
         "serve" if args.daemon => daemon_cmd(&args),
-        "serve" if args.overload => overload_cmd(&args),
-        "serve" => serve_cmd(&args, args.chaos),
-        "chaos" => serve_cmd(&args, true),
-        "overload" => overload_cmd(&args),
+        "serve" => usage("serve needs --daemon"),
         "simulate" if args.soak => simulate_soak_cmd(&args),
         "simulate" => simulate_cmd(&args),
         "loadgen" if args.soak => net_soak_cmd(&args),
         "loadgen" => loadgen_cmd(&args),
-        "nettorture" => nettorture_cmd(&args),
-        "torture" => torture_cmd(&args),
-        "memtorture" => memtorture_cmd(&args),
-        "all" => {
-            fig1(&args);
-            table2();
-            fig3(&args);
-            fig5(&args);
-            fig6(&args);
-            fig7(&args);
-            fig8(&args);
-            fig10(&args);
-            table1(&args);
-            table3(&args);
-            bf16(&args);
-            shift(&args);
-            smooth(&args);
-            cycle_ablation(&args);
-            semi_ablation(&args);
-            guard(&args);
-            audit_cmd(&args);
-            serve_cmd(&args, false);
-            serve_cmd(&args, true);
-            overload_cmd(&args);
-        }
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            std::process::exit(2);
-        }
+        "all" => EXPERIMENTS.iter().for_each(|(_, run)| run(&args)),
+        cmd => match EXPERIMENTS.iter().find(|(names, _)| names.split('|').any(|n| n == cmd)) {
+            Some((_, run)) => run(&args),
+            None => usage(&format!("unknown experiment '{cmd}'")),
+        },
     }
 }
 
-/// Parses the --smoother override.
-fn smoother_from(s: &Option<String>) -> Option<fp16mg_core::SmootherKind> {
-    use fp16mg_core::SmootherKind;
-    s.as_deref().map(|v| match v {
-        "gs" => SmootherKind::GsSymmetric,
-        "symgs" => SmootherKind::SymGs,
-        "jacobi" => SmootherKind::Jacobi { weight: 0.85 },
-        "ilu0" => SmootherKind::Ilu0,
-        "chebyshev" | "cheb" => SmootherKind::Chebyshev { degree: 2 },
-        other => panic!("unknown smoother '{other}' (gs|symgs|jacobi|ilu0|chebyshev)"),
-    })
+/// The options of a measured solve: `--tol`, no residual history.
+fn solve_opts(args: &Args, max_iters: usize) -> SolveOptions {
+    SolveOptions { tol: args.tol, max_iters, record_history: false, ..Default::default() }
 }
 
 fn header(title: &str) {
@@ -435,7 +393,7 @@ fn fig6(args: &Args) {
         println!("\n--- {} (n = {n}) ---", kind.name());
         let runs: Vec<_> = Combo::fig6()
             .into_iter()
-            .map(|c| (c, solve_e2e(kind, n, c, &opts, Par::Seq)))
+            .map(|c| (c, solve_e2e(kind, n, c, c.mg_config(), &opts)))
             .collect();
         let mut head = vec!["iter".to_string()];
         head.extend(runs.iter().map(|(c, _)| c.label()));
@@ -498,13 +456,8 @@ fn fig7(args: &Args) {
                 "3d14" => "3d27",
                 p => p,
             };
-            let pattern = match fp16mg_stencil::Pattern::from_name(full_pat) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("fig7: {e}");
-                    std::process::exit(2);
-                }
-            };
+            let pattern = fp16mg_stencil::Pattern::from_name(full_pat)
+                .expect("kernel_suite measures named patterns");
             let maxsp = fp16mg_bench::kernelbench::max_speedup(&pattern, sizes[1], kernel);
             t.row(vec![
                 row.pattern.clone(),
@@ -524,14 +477,13 @@ fn fig7(args: &Args) {
 
 fn fig8(args: &Args) {
     header("Figure 8/9: end-to-end single-processor performance (Full64 vs Mix16)");
-    if let Some(sm) = &args.smoother {
-        println!("(smoother override: {sm})");
+    if let Some(sm) = args.smoother {
+        println!("(smoother override: {sm:?})");
     }
     // Bandwidth-pressure regime: the finest-level matrix should stress the
     // LLC, so the default is production-ish.
     let size = if args.size_set { args.size } else { 88 };
-    let opts =
-        SolveOptions { tol: args.tol, max_iters: 500, record_history: false, ..Default::default() };
+    let opts = solve_opts(args, 500);
     let mut t = Table::new(&[
         "problem",
         "combo",
@@ -553,12 +505,9 @@ fn fig8(args: &Args) {
         }
         .max(8);
         let run = |combo: Combo| {
-            let p = kind.build(n);
-            let mut cfg = combo.mg_config();
-            if let Some(sm) = smoother_from(&args.smoother) {
-                cfg.smoother = sm;
-            }
-            run_with_config(&p, combo, cfg, &opts)
+            let cfg = combo.mg_config();
+            let cfg = MgConfig { smoother: args.smoother.unwrap_or(cfg.smoother), ..cfg };
+            solve_e2e(kind, n, combo, cfg, &opts)
         };
         let full = match run(Combo::Full64) {
             Ok(r) => r,
@@ -608,8 +557,7 @@ fn fig8(args: &Args) {
 
 fn fig10(args: &Args) {
     header("Figure 10: strong scalability (total solve time vs threads)");
-    let opts =
-        SolveOptions { tol: args.tol, max_iters: 500, record_history: false, ..Default::default() };
+    let opts = solve_opts(args, 500);
     let mut t = Table::new(&[
         "problem",
         "threads",
@@ -629,10 +577,8 @@ fn fig10(args: &Args) {
         let mut base_mix = f64::NAN;
         for &threads in &args.threads {
             let par = Par::Threads(threads);
-            let (full, mix) = (
-                solve_e2e(kind, n, Combo::Full64, &opts, par),
-                solve_e2e(kind, n, Combo::D16SetupScale, &opts, par),
-            );
+            let run = |c: Combo| solve_e2e(kind, n, c, MgConfig { par, ..c.mg_config() }, &opts);
+            let (full, mix) = (run(Combo::Full64), run(Combo::D16SetupScale));
             let (Ok(full), Ok(mix)) = (full, mix) else { continue };
             let tf = full.total().as_secs_f64();
             let tm = mix.total().as_secs_f64();
@@ -652,11 +598,9 @@ fn fig10(args: &Args) {
         }
     }
     print!("{t}");
-    println!(
-        "(threads swept: {:?}; on a single-core host this degenerates to one row",
-        args.threads
-    );
-    println!(" per problem — see EXPERIMENTS.md)");
+    println!("(threads swept: {:?}; each SpMV and residual split into that many", args.threads);
+    println!(" chunks on the caller and the worker team, sweeps and Krylov vectors");
+    println!(" sequential; par.eff = first row's time x threads / this row's)");
 
     // The Fig. 10 *communication* analysis, modeled: halo-exchange volume
     // per V-cycle under an MPI-style box decomposition. Matrix compression
@@ -715,16 +659,13 @@ fn table1(args: &Args) {
         t.row(vec![r.into(), ty.into(), sc.into(), prec.into(), pcs.into(), e2e.into()]);
     }
     // Our row, measured.
-    let opts =
-        SolveOptions { tol: args.tol, max_iters: 500, record_history: false, ..Default::default() };
+    let opts = solve_opts(args, 500);
     let mut pcs = Vec::new();
     let mut e2es = Vec::new();
     for kind in ProblemKind::all() {
         let n = if kind.components() == 1 { args.size } else { (args.size * 2) / 3 }.max(8);
-        if let (Ok(f), Ok(m)) = (
-            solve_e2e(kind, n, Combo::Full64, &opts, Par::Seq),
-            solve_e2e(kind, n, Combo::D16SetupScale, &opts, Par::Seq),
-        ) {
+        let run = |c: Combo| solve_e2e(kind, n, c, c.mg_config(), &opts);
+        if let (Ok(f), Ok(m)) = (run(Combo::Full64), run(Combo::D16SetupScale)) {
             pcs.push(f.precond.as_secs_f64() / m.precond.as_secs_f64().max(1e-12));
             e2es.push(f.total().as_secs_f64() / m.total().as_secs_f64().max(1e-12));
         }
@@ -807,14 +748,12 @@ fn table3(args: &Args) {
 
 fn bf16(args: &Args) {
     header("Section 8: FP16 vs BF16 storage (#iter comparison)");
-    let opts =
-        SolveOptions { tol: args.tol, max_iters: 500, record_history: false, ..Default::default() };
+    let opts = solve_opts(args, 500);
     let n = capped_size(args, 20);
     let mut t = Table::new(&["problem", "Full64", "D16 (+%)", "BF16 (+%)"]);
     for kind in ProblemKind::all() {
-        let full = solve_e2e(kind, n, Combo::Full64, &opts, Par::Seq);
-        let d16 = solve_e2e(kind, n, Combo::D16SetupScale, &opts, Par::Seq);
-        let b16 = solve_e2e(kind, n, Combo::Bf16, &opts, Par::Seq);
+        let run = |c: Combo| solve_e2e(kind, n, c, c.mg_config(), &opts);
+        let (full, d16, b16) = (run(Combo::Full64), run(Combo::D16SetupScale), run(Combo::Bf16));
         let fmt = |r: &Result<fp16mg_bench::E2eResult, String>, base: Option<usize>| match r {
             Ok(r) if r.result.converged() => match base {
                 Some(b) if b > 0 => format!(
@@ -839,14 +778,13 @@ fn bf16(args: &Args) {
 
 fn shift(args: &Args) {
     header("Section 4.3 extension: shift_levid sweep (underflow guard position)");
-    let opts =
-        SolveOptions { tol: args.tol, max_iters: 500, record_history: false, ..Default::default() };
+    let opts = solve_opts(args, 500);
     let n = capped_size(args, 20);
     let mut t = Table::new(&["problem", "shift_levid", "#iter", "matrix bytes"]);
     for kind in [ProblemKind::Rhd, ProblemKind::Weather, ProblemKind::Rhd3T] {
         for lev in [0usize, 1, 2, 3, usize::MAX] {
             let combo = if lev == usize::MAX { Combo::D16SetupScale } else { Combo::D16Shift(lev) };
-            match solve_e2e(kind, n, combo, &opts, Par::Seq) {
+            match solve_e2e(kind, n, combo, combo.mg_config(), &opts) {
                 Ok(r) => t.row(vec![
                     kind.name().to_string(),
                     if lev == usize::MAX { "all-fp16".into() } else { lev.to_string() },
@@ -868,18 +806,13 @@ fn shift(args: &Args) {
 
 fn smooth(args: &Args) {
     header("Section 8: smoothing-count sensitivity (ν1 = ν2 = ν)");
-    let opts =
-        SolveOptions { tol: args.tol, max_iters: 500, record_history: false, ..Default::default() };
+    let opts = solve_opts(args, 500);
     let n = capped_size(args, 24);
     let mut t = Table::new(&["problem", "nu", "combo", "#iter", "total", "E2E speedup"]);
     for kind in [ProblemKind::Laplace27, ProblemKind::Rhd, ProblemKind::Oil] {
         for nu in [1usize, 2] {
-            let run = |combo: Combo| {
-                let p = kind.build(n);
-                let mut cfg = combo.mg_config();
-                cfg.nu1 = nu;
-                cfg.nu2 = nu;
-                run_with_config(&p, combo, cfg, &opts)
+            let run = |c: Combo| {
+                solve_e2e(kind, n, c, MgConfig { nu1: nu, nu2: nu, ..c.mg_config() }, &opts)
             };
             let full = run(Combo::Full64);
             let mix = run(Combo::D16SetupScale);
@@ -911,16 +844,14 @@ fn smooth(args: &Args) {
 fn cycle_ablation(args: &Args) {
     header("Extension: cycle-shape ablation (V vs W vs F)");
     use fp16mg_core::Cycle;
-    let opts =
-        SolveOptions { tol: args.tol, max_iters: 400, record_history: false, ..Default::default() };
+    let opts = solve_opts(args, 400);
     let n = capped_size(args, 24);
     let mut t = Table::new(&["problem", "cycle", "#iter", "MG precond", "total"]);
     for kind in [ProblemKind::Laplace27, ProblemKind::Oil, ProblemKind::Weather] {
         for cyc in [Cycle::V, Cycle::W, Cycle::F] {
-            let p = kind.build(n);
-            let mut cfg = Combo::D16SetupScale.mg_config();
-            cfg.cycle = cyc;
-            if let Ok(r) = run_with_config(&p, Combo::D16SetupScale, cfg, &opts) {
+            let combo = Combo::D16SetupScale;
+            let cfg = MgConfig { cycle: cyc, ..combo.mg_config() };
+            if let Ok(r) = solve_e2e(kind, n, combo, cfg, &opts) {
                 t.row(vec![
                     kind.name().to_string(),
                     format!("{cyc:?}"),
@@ -941,18 +872,16 @@ fn cycle_ablation(args: &Args) {
 fn semi_ablation(args: &Args) {
     header("Extension: full vs semicoarsening on the anisotropic problems");
     use fp16mg_core::Coarsening;
-    let opts =
-        SolveOptions { tol: args.tol, max_iters: 400, record_history: false, ..Default::default() };
+    let opts = solve_opts(args, 400);
     let n = capped_size(args, 24);
     let mut t = Table::new(&["problem", "coarsening", "#iter", "C_G", "C_O", "total"]);
     for kind in [ProblemKind::Oil, ProblemKind::Weather, ProblemKind::Laplace27] {
         for (label, coarsening) in
             [("full", Coarsening::Full), ("semi(0.5)", Coarsening::Semi { threshold: 0.5 })]
         {
-            let p = kind.build(n);
-            let mut cfg = Combo::D16SetupScale.mg_config();
-            cfg.coarsening = coarsening;
-            if let Ok(r) = run_with_config(&p, Combo::D16SetupScale, cfg, &opts) {
+            let combo = Combo::D16SetupScale;
+            let cfg = MgConfig { coarsening, ..combo.mg_config() };
+            if let Ok(r) = solve_e2e(kind, n, combo, cfg, &opts) {
                 t.row(vec![
                     kind.name().to_string(),
                     label.into(),
@@ -976,40 +905,6 @@ fn audit_cmd(args: &Args) {
     fp16mg_bench::audit_report(capped_size(args, 24));
 }
 
-// --------------------------------------------------------------- serve --
-
-fn serve_cmd(args: &Args, chaos: bool) {
-    if chaos {
-        header("Resilient runtime: chaos batch — bit-flip upsets under the retry ladder");
-    } else {
-        header("Resilient runtime: concurrent mixed batch under the retry ladder");
-    }
-    let workers = if args.workers > 0 {
-        args.workers
-    } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8)
-    };
-    let cfg = fp16mg_bench::ServeConfig {
-        requests: args.requests,
-        workers,
-        size: capped_size(args, 12),
-        tol: args.tol,
-        deadline_ms: args.budget_ms,
-        chaos,
-    };
-    fp16mg_bench::serve(&cfg);
-    if chaos {
-        println!("(expect: flip rows fail their corrupted attempt, then the repair-level");
-        println!(" rung localizes the upset — see the repairs column, `L<level>:t<tap>` —");
-        println!(" and re-solves the mended hierarchy without any rebuild; the panic row");
-        println!(" stays isolated and every outcome is typed)");
-    } else {
-        println!("(expect: clean rows converge on the first rung; fault rows climb the");
-        println!(" ladder to their first clean configuration; the panic row is isolated;");
-        println!(" the deadline and no-converge rows end with typed errors)");
-    }
-}
-
 // -------------------------------------------------------------- daemon --
 
 fn mem_budget(args: &Args) -> Option<u64> {
@@ -1018,13 +913,8 @@ fn mem_budget(args: &Args) -> Option<u64> {
 
 fn daemon_cmd(args: &Args) {
     use fp16mg_runtime::serve::{serve_net, NetServeConfig};
-    let workers = if args.workers > 0 { args.workers } else { 2 };
-    let size = capped_size(args, 10);
-    if args.chaos {
-        std::process::exit(fp16mg_bench::serve_supervision_chaos(size, workers, mem_budget(args)));
-    }
     if args.addr.is_empty() {
-        usage("serve --daemon needs --addr (or --chaos for the supervision demo)");
+        usage("serve --daemon needs --addr");
     }
     let state_dir = if args.snapshot_dir.is_empty() {
         std::path::PathBuf::from(&args.out).join("netdaemon-state")
@@ -1032,9 +922,9 @@ fn daemon_cmd(args: &Args) {
         std::path::PathBuf::from(&args.snapshot_dir)
     };
     let cfg = NetServeConfig {
-        size,
+        size: capped_size(args, 10),
         tol: args.tol,
-        workers,
+        workers: if args.workers > 0 { args.workers } else { 2 },
         threads: cli_threads(args),
         mem_budget: mem_budget(args),
         ..NetServeConfig::new(parse_addr(&args.addr), state_dir)
@@ -1100,33 +990,6 @@ fn net_soak_cmd(args: &Args) {
     std::process::exit(fp16mg_bench::run_net_soak(&cfg));
 }
 
-// ---------------------------------------------------------- nettorture --
-
-fn nettorture_cmd(args: &Args) {
-    header("Wire-fault torture: crash-point matrix over the framed protocol");
-    let mut cfg = fp16mg_bench::NetTortureConfig::default();
-    if args.size_set {
-        cfg.size = capped_size(args, 8);
-    }
-    if args.requests_set {
-        cfg.requests = args.requests.clamp(4, 32) as u64;
-    }
-    std::process::exit(fp16mg_bench::run_nettorture_cli(&cfg));
-}
-
-// ------------------------------------------------------------ overload --
-
-fn overload_cmd(args: &Args) {
-    header("Overload protection: admission control, shedding, circuit breaking");
-    let workers = if args.workers > 0 { args.workers } else { 2 };
-    let cfg = fp16mg_bench::OverloadConfig { size: capped_size(args, 10), tol: args.tol, workers };
-    let report = fp16mg_bench::serve_overload(&cfg);
-    if !report.violations.is_empty() {
-        eprintln!("overload demo: {} acceptance violation(s)", report.violations.len());
-        std::process::exit(1);
-    }
-}
-
 // ------------------------------------------------------------ simulate --
 
 /// Resolves `--problem`: `all` means the three time-dependent example
@@ -1169,27 +1032,6 @@ fn simulate_cmd(args: &Args) {
     std::process::exit(worst);
 }
 
-fn torture_cmd(args: &Args) {
-    header("Torture: storage-fault injection across every crash point of the durability stack");
-    let kind = if args.problem == "all" { ProblemKind::Oil } else { sim_kinds(&args.problem)[0] };
-    let cfg = fp16mg_bench::TortureConfig {
-        kind,
-        steps: if args.steps == 12 { 4 } else { args.steps.clamp(2, 8) },
-        size: if args.size_set { capped_size(args, 10) } else { 6 },
-        tol: args.tol.max(1e-7),
-    };
-    std::process::exit(fp16mg_bench::run_torture_cli(&cfg));
-}
-
-fn memtorture_cmd(args: &Args) {
-    header("Memtorture: allocation-fault injection across every charged byte of the serve stack");
-    let cfg = fp16mg_bench::MemTortureConfig {
-        size: if args.size_set { capped_size(args, 10) } else { 6 },
-        tol: args.tol.max(1e-8),
-    };
-    std::process::exit(fp16mg_bench::run_memtorture_cli(&cfg));
-}
-
 fn simulate_soak_cmd(args: &Args) {
     header("Simulate soak: SIGKILL mid-run, resume, bit-identical decision trail");
     let kind = if args.problem == "all" { ProblemKind::Oil } else { sim_kinds(&args.problem)[0] };
@@ -1208,11 +1050,7 @@ fn simulate_soak_cmd(args: &Args) {
 
 fn guard(args: &Args) {
     header("Robustness: fault-injected FP16 levels — detect, promote, converge");
-    use fp16mg_bench::{finest_narrow_level, solve_guarded};
-    use fp16mg_sgdia::fault::FaultSpec;
-
-    let opts =
-        SolveOptions { tol: args.tol, max_iters: 500, record_history: false, ..Default::default() };
+    let opts = solve_opts(args, 500);
     let n = capped_size(args, 20);
     let mut t = Table::new(&[
         "problem",
@@ -1226,86 +1064,20 @@ fn guard(args: &Args) {
     let mut all_events: Vec<String> = Vec::new();
     for kind in [ProblemKind::Laplace27, ProblemKind::Rhd, ProblemKind::Weather] {
         let p = kind.build(n);
-        // Each scenario: (label, combo, inject?).
         for (label, combo, inject) in [
             ("Full64 clean", Combo::Full64, false),
             ("Mix16 clean", Combo::D16SetupScale, false),
             ("Mix16 injected", Combo::D16SetupScale, true),
         ] {
-            macro_rules! go {
-                ($pr:ty) => {{
-                    let mut mg = match Mg::<$pr>::setup(&p.matrix, &combo.mg_config()) {
-                        Ok(m) => m,
-                        Err(e) => {
-                            t.row(vec![
-                                kind.name().into(),
-                                label.into(),
-                                "setup-fail".into(),
-                                e.to_string(),
-                                String::new(),
-                                String::new(),
-                                String::new(),
-                            ]);
-                            continue;
-                        }
-                    };
-                    if inject {
-                        match finest_narrow_level(&mg) {
-                            Some(lev) => {
-                                let spec = FaultSpec::inf(2e-4, 0xfeed);
-                                let report = mg
-                                    .stored_mut(lev)
-                                    .expect("narrow level exists")
-                                    .inject_faults(&spec);
-                                all_events.push(format!(
-                                    "{}: injected {} Inf values into level {lev} ({:?})",
-                                    kind.name(),
-                                    report.infs.max(1),
-                                    mg.info().levels[lev].precision,
-                                ));
-                                if report.infs == 0 {
-                                    // Rate too low for a small matrix: force one.
-                                    mg.stored_mut(lev).expect("narrow level").inject_inf_at(0, 0);
-                                }
-                            }
-                            None => {
-                                t.row(vec![
-                                    kind.name().into(),
-                                    label.into(),
-                                    "no 16-bit level".into(),
-                                    String::new(),
-                                    String::new(),
-                                    String::new(),
-                                    String::new(),
-                                ]);
-                                continue;
-                            }
-                        }
-                    }
-                    let out = solve_guarded(&p, &mut mg, &opts, Par::Seq);
-                    for ev in &out.promotions {
-                        all_events.push(format!("{}: {ev}", kind.name()));
-                    }
-                    t.row(vec![
-                        kind.name().into(),
-                        label.into(),
-                        format!("{}{}", out.result.iters, if out.converged() { "" } else { "!" }),
-                        format!("{:9.2e}", out.result.final_rel_residual),
-                        out.promotions.len().to_string(),
-                        out.restarts.to_string(),
-                        out.promotions
-                            .iter()
-                            .map(|e| format!("L{}:{}", e.level, e.reason))
-                            .collect::<Vec<_>>()
-                            .join("; "),
-                    ]);
-                }};
-            }
-            if combo.p64() {
-                go!(f64)
+            let cells = if combo.p64() {
+                guard_row::<f64>(&p, combo, inject, &opts, &mut all_events)
             } else {
-                go!(f32)
-            }
+                guard_row::<f32>(&p, combo, inject, &opts, &mut all_events)
+            };
+            let mut row = vec![kind.name().to_string(), label.to_string()];
+            row.extend(cells);
+            row.resize(7, String::new());
+            t.row(row);
         }
     }
     print!("{t}");
@@ -1320,53 +1092,50 @@ fn guard(args: &Args) {
     println!(" the same tolerance as the clean run)");
 }
 
-/// Variant of solve_e2e with an explicit config (for the nu sweep).
-fn run_with_config(
-    p: &fp16mg_problems::Problem,
+/// One `guard` scenario at computation precision `Pr`: sets up, injects
+/// infinities into the finest 16-bit level when asked, solves guarded, and
+/// returns the row's cells after problem and scenario (fewer when set-up
+/// fails or there is nothing to inject into).
+fn guard_row<Pr: Scalar>(
+    p: &Problem,
     combo: Combo,
-    cfg: fp16mg_core::MgConfig,
+    inject: bool,
     opts: &SolveOptions,
-) -> Result<fp16mg_bench::E2eResult, String> {
-    use fp16mg_core::MatOp;
-    use fp16mg_krylov::{cg, gmres, TimedPrecond};
-    use std::time::Instant;
+    events: &mut Vec<String>,
+) -> Vec<String> {
+    use fp16mg_bench::{finest_narrow_level, solve_guarded};
+    use fp16mg_sgdia::fault::FaultSpec;
 
-    macro_rules! go {
-        ($pr:ty) => {{
-            let t0 = Instant::now();
-            let mg = Mg::<$pr>::setup(&p.matrix, &cfg).map_err(|e| e.to_string())?;
-            let setup = t0.elapsed();
-            let matrix_bytes = mg.info().matrix_bytes;
-            let workspace_bytes = mg.workspace_bytes();
-            let complexities = (mg.info().grid_complexity, mg.info().operator_complexity);
-            let mut timed = TimedPrecond::new(mg);
-            let op = MatOp::new(&p.matrix, Par::Seq);
-            let b = p.rhs();
-            let mut x = vec![0.0f64; p.matrix.rows()];
-            let t1 = Instant::now();
-            let result = match p.solver {
-                SolverKind::Cg => cg(&op, &mut timed, &b, &mut x, opts),
-                SolverKind::Gmres => gmres(&op, &mut timed, &b, &mut x, opts),
-            };
-            let solve = t1.elapsed();
-            let precond = timed.elapsed().min(solve);
-            Ok(fp16mg_bench::E2eResult {
-                problem: p.name,
-                combo,
-                setup,
-                precond,
-                other: solve - precond,
-                solve,
-                result,
-                matrix_bytes,
-                workspace_bytes,
-                complexities,
-            })
-        }};
+    let mut mg = match Mg::<Pr>::setup(&p.matrix, &combo.mg_config()) {
+        Ok(m) => m,
+        Err(e) => return vec!["setup-fail".into(), e.to_string()],
+    };
+    if inject {
+        let Some(lev) = finest_narrow_level(&mg) else { return vec!["no 16-bit level".into()] };
+        let spec = FaultSpec::inf(2e-4, 0xfeed);
+        let report = mg.stored_mut(lev).expect("narrow level exists").inject_faults(&spec);
+        events.push(format!(
+            "{}: injected {} Inf values into level {lev} ({:?})",
+            p.name,
+            report.infs.max(1),
+            mg.info().levels[lev].precision,
+        ));
+        if report.infs == 0 {
+            // Rate too low for a small matrix: force one.
+            mg.stored_mut(lev).expect("narrow level").inject_inf_at(0, 0);
+        }
     }
-    if combo.p64() {
-        go!(f64)
-    } else {
-        go!(f32)
-    }
+    let out = solve_guarded(p, &mut mg, opts, Par::Seq);
+    events.extend(out.promotions.iter().map(|ev| format!("{}: {ev}", p.name)));
+    vec![
+        format!("{}{}", out.result.iters, if out.converged() { "" } else { "!" }),
+        format!("{:9.2e}", out.result.final_rel_residual),
+        out.promotions.len().to_string(),
+        out.restarts.to_string(),
+        out.promotions
+            .iter()
+            .map(|e| format!("L{}:{}", e.level, e.reason))
+            .collect::<Vec<_>>()
+            .join("; "),
+    ]
 }

@@ -2,11 +2,10 @@
 
 use std::time::{Duration, Instant};
 
-use fp16mg_core::{MatOp, Mg};
+use fp16mg_core::{MatOp, Mg, MgConfig};
 use fp16mg_fp::Scalar;
 use fp16mg_krylov::{cg, gmres, SolveOptions, SolveResult, TimedPrecond};
 use fp16mg_problems::{Problem, ProblemKind, SolverKind};
-use fp16mg_sgdia::kernels::Par;
 
 use crate::Combo;
 
@@ -48,42 +47,42 @@ impl E2eResult {
     }
 }
 
-/// Builds the problem, sets the hierarchy up, runs the designated solver,
-/// and reports the breakdown. Returns `Err` with the setup error message
-/// if the hierarchy could not be built.
+/// Builds the problem, sets the hierarchy up with `cfg` (usually
+/// `combo.mg_config()`, or a copy with one field changed), runs the
+/// designated solver, and reports the breakdown. `combo` picks the
+/// computation precision and labels the result; `cfg.par` also runs the
+/// Krylov operator. Returns `Err` with the setup error message if the
+/// hierarchy could not be built.
 pub fn solve_e2e(
     kind: ProblemKind,
     n: usize,
     combo: Combo,
+    cfg: MgConfig,
     opts: &SolveOptions,
-    par: Par,
 ) -> Result<E2eResult, String> {
     let problem = kind.build(n);
     if combo.p64() {
-        run::<f64>(&problem, combo, opts, par)
+        run::<f64>(&problem, combo, &cfg, opts)
     } else {
-        run::<f32>(&problem, combo, opts, par)
+        run::<f32>(&problem, combo, &cfg, opts)
     }
 }
 
 fn run<Pr: Scalar>(
     problem: &Problem,
     combo: Combo,
+    cfg: &MgConfig,
     opts: &SolveOptions,
-    par: Par,
 ) -> Result<E2eResult, String> {
-    let mut cfg = combo.mg_config();
-    cfg.par = par;
-
     let t0 = Instant::now();
-    let mg = Mg::<Pr>::setup(&problem.matrix, &cfg).map_err(|e| e.to_string())?;
+    let mg = Mg::<Pr>::setup(&problem.matrix, cfg).map_err(|e| e.to_string())?;
     let setup = t0.elapsed();
     let matrix_bytes = mg.info().matrix_bytes;
     let workspace_bytes = mg.workspace_bytes();
     let complexities = (mg.info().grid_complexity, mg.info().operator_complexity);
 
     let mut timed = TimedPrecond::new(mg);
-    let op = MatOp::new(&problem.matrix, par);
+    let op = MatOp::new(&problem.matrix, cfg.par);
     let b = problem.rhs();
     let mut x = vec![0.0f64; problem.matrix.rows()];
 

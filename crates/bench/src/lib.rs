@@ -6,10 +6,10 @@
 //! Fig. 8/9 breakdown (setup / MG preconditioner / other), the Fig. 7
 //! kernel measurement matrix (baseline / naive / optimized / model-bound
 //! / CSR stand-in for vendor libraries), the fault-injection guard
-//! experiment demonstrating detect → promote → converge, the `repro
-//! serve` demos driving `fp16mg-runtime`'s pool, and the harnesses
-//! (load generator, kill/restart soak, fault matrices) that hold the
-//! daemon in `fp16mg_runtime::serve` to its contract.
+//! experiment demonstrating detect → promote → converge, the serve-pool
+//! scenarios the integration tests run on `fp16mg-runtime`'s pool, and
+//! the harnesses (load generator, kill/restart soak, fault matrices) that
+//! hold the daemon in `fp16mg_runtime::serve` to its contract.
 
 #![warn(missing_docs)]
 pub mod audit;
@@ -34,16 +34,14 @@ pub use guard::{finest_narrow_level, solve_guarded, GuardOutcome};
 pub use kernelbench::{kernel_suite, KernelKind, KernelRow, Variant};
 pub use loadgen::{run_loadgen, run_net_soak, LoadgenConfig, LoadgenReport, NetSoakConfig};
 pub use matrix::MatrixReport;
-pub use memtorture::{run_memtorture_cli, MemTortureConfig, MemTortureReport};
+pub use memtorture::MemTortureReport;
 pub use microbench::Group;
-pub use nettorture::{run_net_matrix, run_nettorture_cli, NetTortureConfig, NetTortureReport};
-pub use serve::{
-    serve, serve_overload, serve_supervision_chaos, OverloadConfig, OverloadReport, ServeConfig,
-};
+pub use nettorture::{run_net_matrix, NetTortureReport};
+pub use serve::{serve, serve_overload, OverloadReport};
 pub use simulate::{
     run_sim_cli, run_sim_soak, SimConfig, SimDriver, SimReport, SimSoakConfig, StepRow,
 };
-pub use torture::{run_matrix, run_torture_cli, TortureConfig, TortureReport};
+pub use torture::{run_matrix, TortureConfig, TortureReport};
 
 /// A fresh path under the system temp directory, `<stem>-<pid>-<n>`:
 /// unique per call, not only per process, so callers in one process

@@ -6,8 +6,7 @@
 //! whether the *matrix* can be believed: how many cases ran, which
 //! invariants broke, whether every fault class the matrix claims to cover
 //! actually fired, and (where a driver has one) whether its deliberately
-//! broken phase G was caught. [`MatrixReport`] is that verdict, with the
-//! one routine that prints it and turns it into an exit code.
+//! broken phase G was caught. [`MatrixReport`] is that verdict.
 
 use std::collections::BTreeMap;
 
@@ -15,8 +14,6 @@ use std::collections::BTreeMap;
 /// one fault-matrix run.
 #[derive(Clone, Debug)]
 pub struct MatrixReport {
-    /// Line prefix and name of the matrix (`"torture"`, …).
-    pub tag: &'static str,
     /// Fault cases executed.
     pub cases: usize,
     /// Invariant violations (empty on a passing run).
@@ -34,13 +31,8 @@ pub struct MatrixReport {
 impl MatrixReport {
     /// An empty report; `self_check` names the deliberate breakage of
     /// phase G (starts undetected).
-    pub fn new(
-        tag: &'static str,
-        required: &'static [&'static str],
-        self_check: Option<&'static str>,
-    ) -> Self {
+    pub fn new(required: &'static [&'static str], self_check: Option<&'static str>) -> Self {
         MatrixReport {
-            tag,
             cases: 0,
             violations: Vec::new(),
             fired: BTreeMap::new(),
@@ -91,31 +83,5 @@ impl MatrixReport {
         self.violations.is_empty()
             && self.required.iter().all(|class| self.fired_count(class) > 0)
             && !matches!(self.self_check, Some((_, false)))
-    }
-
-    /// Prints the verdict (`pass` completes the PASS line) and returns
-    /// the process exit code.
-    pub fn print_verdict(&self, pass: &str) -> i32 {
-        let tag = self.tag;
-        println!("{tag}: {} cases", self.cases);
-        for (class, n) in &self.fired {
-            println!("{tag}: fired {class} x{n}");
-        }
-        if let Some((what, detected)) = self.self_check {
-            println!(
-                "{tag}: self-check: {what} {}",
-                if detected { "detected" } else { "NOT DETECTED" }
-            );
-        }
-        if self.passed() {
-            println!("{tag}: PASS — {pass}");
-            0
-        } else {
-            for v in &self.violations {
-                eprintln!("{tag}: VIOLATION: {v}");
-            }
-            eprintln!("{tag}: FAIL ({} violation(s))", self.violations.len());
-            1
-        }
     }
 }

@@ -28,7 +28,7 @@
 //! After **every** case the harness asserts the byte accounting
 //! returned to zero once the pool is dropped — a leaked
 //! [`MemCharge`](fp16mg_runtime::MemCharge) anywhere in the stack fails
-//! the matrix. The run exits zero only if every case held *and* every
+//! the matrix. The matrix passes only if every case held *and* every
 //! fault class (`alloc-fail`, `alloc-burst`, `budget-exceeded`)
 //! actually fired — an empty matrix cannot pass by default.
 
@@ -52,24 +52,15 @@ const REQUIRED_FIRED: &[&str] = &["alloc-fail", "alloc-burst", "budget-exceeded"
 /// blind to it.
 const REQUIRED_CLASSES: &[&str] = &["setup", "workspace", "cache-insert", "rescale"];
 
-/// Shape of the memory-torture run.
-#[derive(Clone, Debug)]
-pub struct MemTortureConfig {
-    /// Grid extent of the stream's problems.
-    pub size: usize,
-    /// Convergence tolerance.
-    pub tol: f64,
-}
+/// Grid extent of the stream's problems: small, the matrix serves the
+/// stream once per case.
+const SIZE: usize = 6;
 
-impl Default for MemTortureConfig {
-    /// The default matrix: small grids, tight enough tolerance that a
-    /// silently broken preconditioner cannot sneak through.
-    fn default() -> Self {
-        MemTortureConfig { size: 6, tol: 1e-8 }
-    }
-}
+/// Convergence tolerance: tight enough that a silently broken
+/// preconditioner cannot sneak through.
+const TOL: f64 = 1e-8;
 
-/// Everything the matrix observed, for the CLI and for tests.
+/// Everything the matrix observed, for the tests.
 #[derive(Clone, Debug)]
 pub struct MemTortureReport {
     /// The shared verdict: cases, violations, fired classes.
@@ -90,9 +81,9 @@ pub struct MemTortureReport {
 /// entry per allocation-relevant behavior. Two problem classes keep two
 /// cache entries live; the drifted revisits walk the rescale and
 /// invalidate paths.
-fn stream(cfg: &MemTortureConfig) -> Vec<SolveRequest> {
+fn stream() -> Vec<SolveRequest> {
     let mk = |i: usize, kind: ProblemKind, factor: f64, class: &str| {
-        let mut problem = kind.build(cfg.size);
+        let mut problem = kind.build(SIZE);
         if factor != 1.0 {
             for v in problem.matrix.data_mut() {
                 *v *= factor;
@@ -100,7 +91,7 @@ fn stream(cfg: &MemTortureConfig) -> Vec<SolveRequest> {
         }
         let mut req = SolveRequest::new(format!("mem-{i:02}"), problem, MgConfig::d16());
         req.class = class.to_string();
-        req.opts = SolveOptions { tol: cfg.tol, record_history: false, ..Default::default() };
+        req.opts = SolveOptions { tol: TOL, record_history: false, ..Default::default() };
         req
     };
     vec![
@@ -180,9 +171,9 @@ fn check_case(
 }
 
 /// Executes the full matrix and aggregates the verdict.
-pub fn run_matrix(cfg: &MemTortureConfig) -> MemTortureReport {
+pub fn run_matrix() -> MemTortureReport {
     let mut report = MemTortureReport {
-        matrix: MatrixReport::new("memtorture", REQUIRED_FIRED, None),
+        matrix: MatrixReport::new(REQUIRED_FIRED, None),
         probe_ops: 0,
         probe_peak: 0,
         classes: BTreeSet::new(),
@@ -193,7 +184,7 @@ pub fn run_matrix(cfg: &MemTortureConfig) -> MemTortureReport {
     // --- Probe: the clean run's charge log is the case schedule.
     let mut pool = ServePool::new(fault_pool_cfg());
     pool.governor().record_ops();
-    let outcomes = pool.run(stream(cfg));
+    let outcomes = pool.run(stream());
     if let Some(o) = outcomes.iter().find(|o| o.result.is_err()) {
         report.matrix.violations.push(format!(
             "probe: clean run failed on {}: {}",
@@ -229,7 +220,7 @@ pub fn run_matrix(cfg: &MemTortureConfig) -> MemTortureReport {
     let injected = |label: String, i: u64, fault: AllocFault, class: &str| {
         let mut pool = ServePool::new(fault_pool_cfg());
         pool.governor().schedule(i, fault);
-        let outcomes = pool.run(stream(cfg));
+        let outcomes = pool.run(stream());
         let mut v = Vec::new();
         let fired = check_case(&label, pool, &outcomes, true, &mut v);
         if fired.get(class).copied().unwrap_or(0) == 0 {
@@ -263,7 +254,7 @@ pub fn run_matrix(cfg: &MemTortureConfig) -> MemTortureReport {
         let mut pool_cfg = fault_pool_cfg();
         pool_cfg.mem_budget = Some(report.probe_peak);
         let mut pool = ServePool::new(pool_cfg);
-        let outcomes = pool.run(stream(cfg));
+        let outcomes = pool.run(stream());
         let mut v = Vec::new();
         let fired = check_case(label, pool, &outcomes, true, &mut v);
         if fired.get("budget-exceeded").copied().unwrap_or(0) > 0 {
@@ -288,7 +279,7 @@ pub fn run_matrix(cfg: &MemTortureConfig) -> MemTortureReport {
         pool_cfg.shed = ShedPolicy::default();
         pool_cfg.mem_budget = Some(budget);
         let mut pool = ServePool::new(pool_cfg);
-        let outcomes = pool.run(stream(cfg));
+        let outcomes = pool.run(stream());
         let mut v = Vec::new();
         let governor = pool.governor().clone();
         if governor.peak() > budget {
@@ -318,24 +309,4 @@ pub fn run_matrix(cfg: &MemTortureConfig) -> MemTortureReport {
 
     report.matrix.seal();
     report
-}
-
-/// CLI entry: runs the matrix, prints the verdict, returns the exit
-/// code.
-pub fn run_memtorture_cli(cfg: &MemTortureConfig) -> i32 {
-    println!("memtorture: size={} tol={:e}", cfg.size, cfg.tol);
-    let report = run_matrix(cfg);
-    println!(
-        "memtorture: {} charged ops (clean-run peak {} B), charge classes seen: {}",
-        report.probe_ops,
-        report.probe_peak,
-        report.classes.iter().copied().collect::<Vec<_>>().join(", ")
-    );
-    println!(
-        "memtorture: tight budget forced {} eviction(s), {} uncached serve(s)",
-        report.mem_evictions, report.uncached
-    );
-    report.matrix.print_verdict(
-        "every allocation failure resolved typed, accounting returned to zero after every case",
-    )
 }

@@ -1,4 +1,4 @@
-//! `repro nettorture`: the wire-fault crash-point matrix.
+//! The wire-fault crash-point matrix.
 //!
 //! The storage torture matrix proved the durability stack survives
 //! power loss at every I/O operation; this matrix proves the *wire*
@@ -32,7 +32,7 @@
 //!
 //! All six fault classes must fire across the matrix and at least one
 //! lost-ack case must be answered with a `duplicate = true` ack, or the
-//! run exits nonzero.
+//! matrix fails.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -49,34 +49,14 @@ use fp16mg_runtime::{trail, FaultStorage, Storage};
 use crate::loadgen::drive_stream;
 use crate::matrix::MatrixReport;
 
-/// Matrix knobs.
-pub struct NetTortureConfig {
-    /// Requests per case (8 covers every stream class).
-    pub requests: u64,
-    /// Problem base extent (small: the matrix runs many cases).
-    pub size: usize,
-    /// Convergence tolerance.
-    pub tol: f64,
-    /// Server per-connection deadline (ms); the stall must exceed it.
-    pub conn_deadline_ms: u64,
-    /// Client silence injected by the stall fault (ms).
-    pub stall_ms: u64,
-    /// Directory for the per-case Unix sockets (temp dir when `None`).
-    pub sock_dir: Option<PathBuf>,
-}
-
-impl Default for NetTortureConfig {
-    fn default() -> Self {
-        NetTortureConfig {
-            requests: 8,
-            size: 6,
-            tol: 1e-6,
-            conn_deadline_ms: 500,
-            stall_ms: 1200,
-            sock_dir: None,
-        }
-    }
-}
+/// Problem base extent (small: the matrix runs many cases).
+const SIZE: usize = 6;
+/// Convergence tolerance.
+const TOL: f64 = 1e-6;
+/// Server per-connection deadline; the stall must exceed it.
+const CONN_DEADLINE: Duration = Duration::from_millis(500);
+/// Client silence injected by the stall fault, in milliseconds.
+const STALL_MS: u64 = 1200;
 
 /// The matrix verdict.
 #[derive(Debug)]
@@ -128,12 +108,12 @@ fn durable_lines(storage: &FaultStorage) -> Vec<String> {
     trail::complete_lines(&storage.peek_durable(&trail_path()).unwrap_or_default())
 }
 
-fn server_cfg(cfg: &NetTortureConfig, endpoint: Endpoint, break_ack_order: bool) -> NetServeConfig {
+fn server_cfg(endpoint: Endpoint, break_ack_order: bool) -> NetServeConfig {
     let mut sc = NetServeConfig::new(endpoint, PathBuf::from(STATE_DIR));
-    sc.size = cfg.size;
-    sc.tol = cfg.tol;
+    sc.size = SIZE;
+    sc.tol = TOL;
     sc.workers = 1;
-    sc.conn_deadline = Duration::from_millis(cfg.conn_deadline_ms);
+    sc.conn_deadline = CONN_DEADLINE;
     sc.break_ack_order = break_ack_order;
     sc.quiet = true;
     sc
@@ -143,7 +123,7 @@ fn server_cfg(cfg: &NetTortureConfig, endpoint: Endpoint, break_ack_order: bool)
 /// client with `schedule` planted, full stream + drain, instant and
 /// end-state invariants.
 fn run_case(
-    cfg: &NetTortureConfig,
+    requests: u64,
     sock: PathBuf,
     schedule: &[(u64, NetFault)],
     break_ack_order: bool,
@@ -152,7 +132,7 @@ fn run_case(
     let endpoint = Endpoint::Unix(sock);
     let storage = FaultStorage::new();
     let server_storage: Arc<dyn Storage> = Arc::new(storage.clone());
-    let sc = server_cfg(cfg, endpoint.clone(), break_ack_order);
+    let sc = server_cfg(endpoint.clone(), break_ack_order);
     let server = std::thread::spawn(move || serve_net(&sc, server_storage));
 
     let ft = FaultTransport::new();
@@ -162,7 +142,7 @@ fn run_case(
     let mut client = Client::with_transport(client_cfg(endpoint.clone()), ft.clone());
     // THE instant invariant: the moment an ack is in hand, its decision
     // must already be in the durable image.
-    let mut violations = drive_stream(&mut client, cfg.requests, cfg.size, cfg.tol, &mut |done| {
+    let mut violations = drive_stream(&mut client, requests, SIZE, TOL, &mut |done| {
         if durable_lines(&storage).iter().any(|l| trail::key_of(l, "seq") == Some(done.key)) {
             Ok(())
         } else {
@@ -229,14 +209,15 @@ fn run_case(
     CaseOutcome { violations, stats, fired, server, trail: lines, ops: ft.op_log() }
 }
 
-/// Runs the probe + the full fault matrix.
-pub fn run_net_matrix(cfg: &NetTortureConfig) -> NetTortureReport {
+/// Runs the probe + the full fault matrix over a stream of `requests`
+/// requests per case (8 covers every stream class).
+pub fn run_net_matrix(requests: u64) -> NetTortureReport {
     let mut report = NetTortureReport {
-        matrix: MatrixReport::new("nettorture", &NetFault::LABELS, Some("broken ack order")),
+        matrix: MatrixReport::new(&NetFault::LABELS, Some("broken ack order")),
         duplicate_acks: 0,
         resubmissions: 0,
     };
-    let dir = cfg.sock_dir.clone().unwrap_or_else(|| crate::unique_temp("fp16mg-nettorture"));
+    let dir = crate::unique_temp("fp16mg-nettorture");
     if let Err(e) = std::fs::create_dir_all(&dir) {
         report.matrix.violations.push(format!("socket dir {}: {e}", dir.display()));
         return report;
@@ -251,23 +232,17 @@ pub fn run_net_matrix(cfg: &NetTortureConfig) -> NetTortureReport {
     // --- Probe: a fault-free case enumerates every frame boundary (the
     // transport op log) and leaves the reference durable trail every
     // fault case must reproduce bit-for-bit.
-    let probe = run_case(cfg, sock(&mut case_id), &[], false, &[]);
+    let probe = run_case(requests, sock(&mut case_id), &[], false, &[]);
     report.matrix.violations.extend(probe.violations.iter().map(|v| format!("reference run {v}")));
     let (reference, op_log) = (probe.trail, probe.ops);
-    if reference.len() as u64 != cfg.requests {
+    if reference.len() as u64 != requests {
         report.matrix.violations.push(format!(
             "reference trail has {} lines for {} requests",
             reference.len(),
-            cfg.requests
+            requests
         ));
         return report;
     }
-    println!(
-        "nettorture: probe: {} frame ops over {} requests, reference trail {} lines",
-        op_log.len(),
-        cfg.requests,
-        reference.len()
-    );
 
     let submit_kind =
         Frame::Submit(SubmitRequest { key: 0, size: 8, tol: 1e-6, priority: 1 }).kind();
@@ -306,13 +281,13 @@ pub fn run_net_matrix(cfg: &NetTortureConfig) -> NetTortureReport {
     let mut stall_seen = std::collections::BTreeSet::new();
     for i in stall_picks.into_iter().flatten() {
         if stall_seen.insert(i) {
-            cases.push((format!("stall@op{i}"), vec![(i, NetFault::Stall { ms: cfg.stall_ms })]));
+            cases.push((format!("stall@op{i}"), vec![(i, NetFault::Stall { ms: STALL_MS })]));
         }
     }
 
     // --- Run the matrix ----------------------------------------------
     for (name, schedule) in cases {
-        let mut out = run_case(cfg, sock(&mut case_id), &schedule, false, &reference);
+        let mut out = run_case(requests, sock(&mut case_id), &schedule, false, &reference);
         report.duplicate_acks += out.stats.duplicate_acks + out.server.counters.duplicate_acks;
         report.resubmissions += out.stats.resubmissions;
         if schedule.iter().any(|(_, f)| matches!(f, NetFault::Stall { .. }))
@@ -330,7 +305,7 @@ pub fn run_net_matrix(cfg: &NetTortureConfig) -> NetTortureReport {
     // --- Phase G: the self-check -------------------------------------
     // A server that acks before anything is durable must be caught by
     // the instant invariant; otherwise the matrix is decorative.
-    let g = run_case(cfg, sock(&mut case_id), &[], true, &[]);
+    let g = run_case(requests, sock(&mut case_id), &[], true, &[]);
     if g.violations.iter().any(|v| v.contains("ACKED BUT NOT DURABLE")) {
         report.matrix.self_check_detected();
     }
@@ -347,21 +322,4 @@ pub fn run_net_matrix(cfg: &NetTortureConfig) -> NetTortureReport {
     report.matrix.seal();
     let _ = std::fs::remove_dir_all(&dir);
     report
-}
-
-/// CLI driver (`repro nettorture`). Prints the matrix and returns the
-/// process exit code.
-pub fn run_nettorture_cli(cfg: &NetTortureConfig) -> i32 {
-    println!(
-        "nettorture: {} requests/case, size {}, server deadline {} ms",
-        cfg.requests, cfg.size, cfg.conn_deadline_ms
-    );
-    let report = run_net_matrix(cfg);
-    println!(
-        "nettorture: dedup: {} duplicate acks over {} resubmissions",
-        report.duplicate_acks, report.resubmissions,
-    );
-    report
-        .matrix
-        .print_verdict("every acked request durable at every crash point, exactly-once held")
 }

@@ -35,7 +35,7 @@
 //!   reference, no alien lines, no torn tail, and the newest decodable
 //!   snapshot generation is the final step.
 //!
-//! The run exits zero only if every invariant held *and* every fault
+//! The matrix passes only if every invariant held *and* every fault
 //! class actually fired (torn write, fsync failure, silent fsync loss,
 //! ENOSPC, crash at rename, read corruption) — an empty matrix cannot
 //! pass by default.
@@ -99,7 +99,7 @@ impl Default for TortureConfig {
     }
 }
 
-/// Everything the matrix observed, for the CLI and for tests.
+/// Everything the matrix observed, for the tests.
 #[derive(Clone, Debug)]
 pub struct TortureReport {
     /// The shared verdict: cases, violations, fired classes, and
@@ -311,7 +311,7 @@ fn probe(cfg: &TortureConfig) -> Result<(Vec<String>, Vec<OpKind>), String> {
 /// Executes the full matrix and aggregates the verdict.
 pub fn run_matrix(cfg: &TortureConfig) -> TortureReport {
     let mut report = TortureReport {
-        matrix: MatrixReport::new("torture", REQUIRED_FIRED, Some("broken write order")),
+        matrix: MatrixReport::new(REQUIRED_FIRED, Some("broken write order")),
         restarts: 0,
     };
     let (reference, ops) = match probe(cfg) {
@@ -415,19 +415,4 @@ pub fn run_matrix(cfg: &TortureConfig) -> TortureReport {
     }
     report.matrix.seal();
     report
-}
-
-/// CLI entry: runs the matrix, prints the verdict, returns the exit
-/// code.
-pub fn run_torture_cli(cfg: &TortureConfig) -> i32 {
-    println!(
-        "torture: {} steps={} size={} tol={:e}",
-        cfg.kind.name(),
-        cfg.steps,
-        cfg.size,
-        cfg.tol
-    );
-    let report = run_matrix(cfg);
-    println!("torture: {} simulated restarts", report.restarts);
-    report.matrix.print_verdict("every crash point recovered and every fault class fired")
 }

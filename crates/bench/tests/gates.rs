@@ -17,7 +17,6 @@ use fp16mg_core::MgConfig;
 use fp16mg_krylov::SolveOptions;
 use fp16mg_problems::ProblemKind;
 use fp16mg_runtime::{CacheConfig, HierarchyCache};
-use fp16mg_sgdia::kernels::Par;
 
 const N: usize = 12;
 const TOL: f64 = 1e-9;
@@ -71,7 +70,7 @@ fn both_precisions_converge_within_the_iteration_and_workspace_ceilings() {
             [(Combo::Full64, r.iters_full64), (Combo::D16SetupScale, r.iters_d16)]
         {
             let name = format!("{} {}", r.kind.name(), combo.label());
-            let run = solve_e2e(r.kind, N, combo, &opts, Par::Seq)
+            let run = solve_e2e(r.kind, N, combo, combo.mg_config(), &opts)
                 .unwrap_or_else(|e| panic!("{name}: set-up failed: {e}"));
             assert!(run.result.converged(), "{name} no longer converges: {:?}", run.result);
             let limit = ceiling(baseline as u64, MAX_ITER_REGRESSION);

@@ -9,14 +9,13 @@
 
 use std::collections::BTreeMap;
 
-use fp16mg_bench::memtorture::{run_matrix, MemTortureConfig};
+use fp16mg_bench::memtorture::run_matrix;
 
 #[test]
 fn allocation_fault_matrix_holds_every_memory_invariant() {
-    // The test's configuration is the CLI default: 16 charged ops get one
-    // case each, plus three bursts and the two budget cases — the 21
-    // cases `repro memtorture` prints.
-    let report = run_matrix(&MemTortureConfig::default());
+    // 16 charged ops get one case each, plus three bursts and the two
+    // budget cases: 21 cases.
+    let report = run_matrix();
     assert_eq!(report.matrix.violations, Vec::<String>::new());
     assert!(report.matrix.passed(), "fired: {:?}", report.matrix.fired);
     assert_eq!((report.matrix.cases, report.probe_ops), (21, 16));

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use fp16mg_bench::nettorture::{run_net_matrix, NetTortureConfig};
+use fp16mg_bench::nettorture::run_net_matrix;
 
 /// `reset` at every frame op, `torn` / `garbage` / `oversized` at every
 /// send, `duplicate` at every submit, three stalls: the schedule is a
@@ -19,8 +19,7 @@ use fp16mg_bench::nettorture::{run_net_matrix, NetTortureConfig};
 /// exact. (Resubmission and duplicate-ack totals depend on timing and
 /// are only required to be nonzero.)
 fn assert_matrix(requests: u64, cases: usize, fired: [u64; 6]) {
-    let cfg = NetTortureConfig { requests, ..NetTortureConfig::default() };
-    let report = run_net_matrix(&cfg);
+    let report = run_net_matrix(requests);
     assert_eq!(report.matrix.violations, Vec::<String>::new());
     assert!(report.matrix.passed(), "fired: {:?}", report.matrix.fired);
     assert_eq!(
@@ -45,7 +44,7 @@ fn assert_matrix(requests: u64, cases: usize, fired: [u64; 6]) {
 #[test]
 fn wire_fault_matrix_holds_every_durability_invariant() {
     // 6 requests: every frame boundary of a shorter stream than the
-    // CLI's, 14 frame ops.
+    // default 8, 14 frame ops.
     assert_matrix(6, 44, [6, 7, 7, 14, 3, 7]);
 }
 

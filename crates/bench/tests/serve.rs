@@ -1,23 +1,25 @@
-//! Concurrent-pool smoke test: a mixed batch of clean, fault-injected,
+//! Concurrent-pool acceptance: a mixed batch of clean, fault-injected,
 //! deadline-limited, non-converging, and panicking requests must complete
 //! with one typed outcome each — the acceptance scenario of the resilient
-//! runtime layer.
+//! runtime layer — and so must the chaos batch and the overload waves; on
+//! the daemon's pool shape the supervisor cancels a wedged request and
+//! quarantines a request that keeps panicking its worker.
 
-use fp16mg_bench::{serve, ServeConfig};
-use fp16mg_krylov::SolveError;
-use fp16mg_runtime::ServeError;
+use std::time::Duration;
+
+use fp16mg_bench::serve;
+use fp16mg_core::MgConfig;
+use fp16mg_krylov::{HealthPolicy, SolveError, SolveOptions};
+use fp16mg_problems::ProblemKind;
+use fp16mg_runtime::serve::pool_cfg;
+use fp16mg_runtime::{
+    AdmissionError, BreakerConfig, RetryPolicy, ServeError, ServePool, SolveRequest, SolverChoice,
+    SuperviseConfig, WorkerEventKind,
+};
 
 #[test]
 fn mixed_batch_completes_with_typed_outcomes() {
-    let cfg = ServeConfig {
-        requests: 16,
-        workers: 4,
-        size: 8,
-        tol: 1e-9,
-        deadline_ms: 10.0,
-        chaos: false,
-    };
-    let outcomes = serve(&cfg);
+    let outcomes = serve(8, false);
     assert_eq!(outcomes.len(), 16, "every request must produce an outcome");
 
     let count = |pred: &dyn Fn(&SolveError) -> bool| {
@@ -68,21 +70,12 @@ fn mixed_batch_completes_with_typed_outcomes() {
 
 #[test]
 fn chaos_batch_repairs_bit_flips_without_process_failures() {
-    // The `--chaos` acceptance scenario: 16 concurrent requests, seeded
-    // single-bit flips in mid-hierarchy FP16 planes, plus injected worker
-    // panics. Zero process-level failures: every request yields a typed
-    // outcome, every flip row is repaired by the repair-level rung
-    // (localized to its level and tap), and no flip row ever needs a
-    // rebuild rung.
-    let cfg = ServeConfig {
-        requests: 16,
-        workers: 4,
-        size: 12,
-        tol: 1e-9,
-        deadline_ms: 10.0,
-        chaos: true,
-    };
-    let outcomes = serve(&cfg);
+    // The chaos scenario: 16 concurrent requests, seeded single-bit flips
+    // in mid-hierarchy FP16 planes, plus injected worker panics. Zero
+    // process-level failures: every request yields a typed outcome, every
+    // flip row is repaired by the repair-level rung (localized to its
+    // level and tap), and no flip row ever needs a rebuild rung.
+    let outcomes = serve(12, true);
     assert_eq!(outcomes.len(), 16, "every request must produce an outcome");
 
     let mut flips = 0;
@@ -121,14 +114,13 @@ fn chaos_batch_repairs_bit_flips_without_process_failures() {
 
 #[test]
 fn overload_demo_meets_its_acceptance_criteria() {
-    // The `repro serve --overload` scenario end-to-end, small: four waves
-    // through one pool — oversubscription (shed + degrade + queue-full),
-    // a poisoned class tripping its breaker, typed breaker-open refusals
-    // during cooldown, half-open probe recovery, and normal service
-    // after. `check_overload` encodes the acceptance criteria; a healthy
-    // run reports zero violations.
-    let cfg = fp16mg_bench::OverloadConfig { size: 6, tol: 1e-9, workers: 2 };
-    let report = fp16mg_bench::serve_overload(&cfg);
+    // The overload scenario end-to-end, small: four waves through one
+    // pool — oversubscription (shed + degrade + queue-full), a poisoned
+    // class tripping its breaker, typed breaker-open refusals during
+    // cooldown, half-open probe recovery, and normal service after.
+    // `check_overload` encodes the acceptance criteria; a healthy run
+    // reports zero violations.
+    let report = fp16mg_bench::serve_overload();
     assert!(
         report.violations.is_empty(),
         "overload acceptance violations:\n{}",
@@ -156,4 +148,68 @@ fn overload_demo_meets_its_acceptance_criteria() {
         .find(|o| o.probe)
         .expect("the recovery wave must admit a half-open probe");
     assert!(probe.converged(), "the probe must converge and close the breaker");
+}
+
+#[test]
+fn the_daemons_pool_cancels_a_wedged_request_and_quarantines_a_panicking_one() {
+    // The daemon's pool shape with its breaker off: a wedge failure plus a
+    // panic would trip the tight daemon breaker and mask the quarantine
+    // refusal.
+    let mut cfg = pool_cfg(2, None);
+    cfg.breaker = BreakerConfig::disabled();
+    cfg.supervise = SuperviseConfig {
+        enabled: true,
+        wedge_after: Duration::from_millis(100),
+        poll: Duration::from_millis(5),
+        max_strikes: 2,
+        event_log_cap: 64,
+    };
+    let mut pool = ServePool::new(cfg);
+    let laplace = || ProblemKind::Laplace27.build(8);
+
+    // Stationary Richardson at zero tolerance with health checks off never
+    // converges, never stagnates and has no breakdown division (a Krylov
+    // method would break down at machine precision first): only the wedge
+    // monitor can end it.
+    let mut endless = SolveRequest::new("wedge-me", laplace(), MgConfig::d16());
+    endless.solver = SolverChoice::Richardson;
+    endless.opts = SolveOptions {
+        tol: 0.0,
+        max_iters: usize::MAX / 2,
+        health: HealthPolicy::disabled(),
+        record_history: false,
+        ..Default::default()
+    };
+    endless.policy = RetryPolicy::fail_fast();
+    let out = pool.run(vec![endless]);
+    assert!(
+        matches!(out[0].result, Err(ServeError::Session(SolveError::Cancelled { .. }))),
+        "the wedge monitor must cancel the endless request: {:?}",
+        out[0].result
+    );
+    let kinds: Vec<&WorkerEventKind> = pool.worker_events().iter().map(|e| &e.kind).collect();
+    assert!(matches!(kinds[..], [WorkerEventKind::Wedged { .. }]), "worker events: {kinds:?}");
+
+    // Each contained panic is a strike; the second quarantines the name.
+    for round in 0..3 {
+        let mut req = SolveRequest::new("panic-me", laplace(), MgConfig::d16());
+        req.panic_in_worker = true;
+        let out = pool.run(vec![req]);
+        if round < 2 {
+            assert!(
+                matches!(
+                    out[0].result,
+                    Err(ServeError::Session(SolveError::WorkerPanicked { .. }))
+                ),
+                "round {round}: the panic must be contained: {:?}",
+                out[0].result
+            );
+        } else {
+            assert!(
+                matches!(out[0].rejection(), Some(AdmissionError::Quarantined { strikes: 2, .. })),
+                "round {round}: two strikes must quarantine the name: {:?}",
+                out[0].result
+            );
+        }
+    }
 }

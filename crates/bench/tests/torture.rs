@@ -6,7 +6,7 @@
 //! order. Everything runs on the in-memory fault backend: no real I/O.
 //!
 //! The case counts and per-class fire counts are the matrix's identity
-//! (ROADMAP and the CI log quote them); they are pinned here exactly, so
+//! (ROADMAP quotes them); they are pinned here exactly, so
 //! a refactor of the schedule or of `FaultStorage` that moves one shows.
 
 use std::collections::BTreeMap;

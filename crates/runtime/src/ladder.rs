@@ -205,7 +205,7 @@ pub struct LevelBitFlip {
 
 /// Deterministic fault injection applied to hierarchies built during a
 /// session (feature `fault-inject`): the harness behind the ladder tests
-/// and the `repro serve` demo.
+/// and the serve-pool scenarios of `fp16mg-bench`.
 #[cfg(feature = "fault-inject")]
 #[derive(Clone, Copy, Debug)]
 pub struct FaultPlan {

@@ -14,9 +14,9 @@
 //! the crate's one [`FaultSchedule`]: every charge has a monotonically
 //! increasing op index, a schedule maps indices to [`AllocFault`]s, and
 //! fired faults are counted per class so a torture harness can assert
-//! that every scheduled failure class actually fired. `repro memtorture`
-//! probes a clean run's charge log, then replays it failing each index
-//! in turn. The charge log exists only for a governor a harness has
+//! that every scheduled failure class actually fired. The memory torture
+//! matrix (`fp16mg_bench::memtorture`) probes a clean run's charge log,
+//! then replays it failing each index in turn. The charge log exists only for a governor a harness has
 //! asked to [`record_ops`](MemGovernor::record_ops): the daemon's
 //! governor lives as long as the process and keeps counters, not
 //! history.

@@ -33,7 +33,7 @@
 //!
 //! Every byte flows through the [`Storage`](crate::storage::Storage)
 //! choke point, so the whole path is exercised under deterministic
-//! fault injection (`repro torture`).
+//! fault injection (the storage torture matrix, `fp16mg_bench::torture`).
 
 use std::fmt;
 use std::path::{Path, PathBuf};

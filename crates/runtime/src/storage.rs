@@ -516,11 +516,6 @@ impl FaultStorage {
         inner.durable.get(path).map(|&id| inner.inodes[id].synced.clone())
     }
 
-    /// All paths currently present in the live namespace.
-    pub fn live_paths(&self) -> Vec<PathBuf> {
-        self.lock().live.keys().cloned().collect()
-    }
-
     /// Opens `path` for writing on `inode`.
     fn handle(&self, path: &Path, inode: usize) -> Box<dyn StorageFile> {
         Box::new(FaultFile { inner: Arc::clone(&self.inner), path: path.to_path_buf(), inode })

@@ -9,7 +9,7 @@ use fp16mg_bench::{solve_e2e, Combo};
 fn run(kind: ProblemKind, n: usize, combo: Combo) -> (StopReason, usize) {
     let opts =
         SolveOptions { tol: 1e-9, max_iters: 400, record_history: false, ..Default::default() };
-    let r = solve_e2e(kind, n, combo, &opts, Par::Seq).expect("setup");
+    let r = solve_e2e(kind, n, combo, combo.mg_config(), &opts).expect("setup");
     (r.result.reason, r.result.iters)
 }
 
@@ -102,9 +102,19 @@ fn storage_effect_is_small_with_p64() {
 fn mix16_memory_is_half_and_quarter() {
     let opts =
         SolveOptions { tol: 1e-9, max_iters: 400, record_history: false, ..Default::default() };
-    let full = solve_e2e(ProblemKind::Laplace27, 16, Combo::Full64, &opts, Par::Seq).unwrap();
-    let d32 = solve_e2e(ProblemKind::Laplace27, 16, Combo::D32, &opts, Par::Seq).unwrap();
-    let mix = solve_e2e(ProblemKind::Laplace27, 16, Combo::D16SetupScale, &opts, Par::Seq).unwrap();
+    let full =
+        solve_e2e(ProblemKind::Laplace27, 16, Combo::Full64, Combo::Full64.mg_config(), &opts)
+            .unwrap();
+    let d32 =
+        solve_e2e(ProblemKind::Laplace27, 16, Combo::D32, Combo::D32.mg_config(), &opts).unwrap();
+    let mix = solve_e2e(
+        ProblemKind::Laplace27,
+        16,
+        Combo::D16SetupScale,
+        Combo::D16SetupScale.mg_config(),
+        &opts,
+    )
+    .unwrap();
     assert_eq!(full.matrix_bytes, 2 * d32.matrix_bytes);
     assert_eq!(full.matrix_bytes, 4 * mix.matrix_bytes);
 }
@@ -116,7 +126,8 @@ fn complexities_low_across_problem_suite() {
     let opts =
         SolveOptions { tol: 1e-9, max_iters: 1, record_history: false, ..Default::default() };
     for kind in ProblemKind::all() {
-        let r = solve_e2e(kind, 12, Combo::D16SetupScale, &opts, Par::Seq).unwrap();
+        let r = solve_e2e(kind, 12, Combo::D16SetupScale, Combo::D16SetupScale.mg_config(), &opts)
+            .unwrap();
         let (cg_c, co_c) = r.complexities;
         assert!(cg_c < 1.2, "{}: C_G = {cg_c}", kind.name());
         assert!(co_c < 6.0, "{}: C_O = {co_c}", kind.name());

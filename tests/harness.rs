@@ -71,7 +71,14 @@ fn test_matrices_are_diagonally_dominant() {
 fn e2e_runner_reports_consistent_breakdown() {
     let opts =
         SolveOptions { tol: 1e-8, max_iters: 200, record_history: true, ..Default::default() };
-    let r = solve_e2e(ProblemKind::Laplace27, 12, Combo::D16SetupScale, &opts, Par::Seq).unwrap();
+    let r = solve_e2e(
+        ProblemKind::Laplace27,
+        12,
+        Combo::D16SetupScale,
+        Combo::D16SetupScale.mg_config(),
+        &opts,
+    )
+    .unwrap();
     assert!(r.result.converged());
     assert_eq!(r.problem, "laplace27");
     assert!(r.solve >= r.precond);
