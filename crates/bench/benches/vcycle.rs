@@ -50,8 +50,26 @@ fn bench_vector_kernels() {
 /// GB/s from the bytes each must move: the Galerkin product reads the
 /// level and writes the coarse operator (⅛; its ½ and ¼ intermediates
 /// are slab-sized scratch). Both stream; a row below ~1 GB/s means one
-/// fell back to per-entry scatter or soft-float work.
+/// fell back to per-entry scatter or soft-float work. First the product
+/// on the `stream27` finest level (laplace27 72³), beside a `triad` over
+/// as many bytes: the rate a loop that only moved them would reach.
 fn bench_setup_kernels() {
+    let a = ProblemKind::Laplace27.build(72).matrix;
+    let bytes = a.value_bytes() as u64;
+    let g = Group::new("setup-kernel/laplace27-n72/L0").throughput_bytes(bytes + bytes / 8);
+    let third = (a.stored_entries() + a.stored_entries() / 8) / 3;
+    let (b, c, mut out) = (vec![1.5f64; third], vec![0.25f64; third], vec![0.0f64; third]);
+    g.bench("triad", || {
+        for ((o, &b), &c) in out.iter_mut().zip(&b).zip(&c) {
+            *o = b + 3.0 * c;
+        }
+        std::hint::black_box(&mut out);
+    });
+    g.bench("rap", || {
+        std::hint::black_box(galerkin_rap(&a));
+    });
+    drop(a);
+
     let p = ProblemKind::Laplace27.build(48);
     let chain = GalerkinChain::build(&p.matrix, &MgConfig::d16()).expect("chain");
     let levels = chain.matrices();

@@ -18,11 +18,13 @@
 //! `c + d` give
 //! `out[tap(rest, Pc − C)][C, ·] += (wr·wp) · in[tap(rest, d)][c, ·]`,
 //! where `·` is everything contiguous below the axis in an SOA tap plane:
-//! a whole xy-plane for z, an x-row for y — plain row AXPYs. Only the x
-//! pass has a one-element row, so it runs last, on a quarter of the
-//! data. Children, parents, boundary fold and the identity of an
-//! uncoarsened axis all come from [`parents_axis`], the definition the
-//! transfers use, so `R = Pᵀ` holds by construction.
+//! a whole xy-plane for z, an x-row for y. Each output entry sums its
+//! ≤ 9 terms in registers, a chunk of the row at a time, and is stored
+//! once. Only the x pass has a one-element row, so it runs last, on a
+//! quarter of the data, and sums its uniform interior along the row (the
+//! fine cells at stride 2). Children, parents, boundary fold and the
+//! identity of an uncoarsened axis all come from [`parents_axis`], the
+//! definition the transfers use, so `R = Pᵀ` holds by construction.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -118,7 +120,10 @@ pub fn galerkin_rap_axes(a: &SgDia<f64>, axes: (bool, bool, bool)) -> SgDia<f64>
             dims = out_dims;
         }
     }
-    ac.in_layout(a.layout()).into_owned()
+    match a.layout() {
+        Layout::Soa => ac,
+        layout => ac.to_layout(layout),
+    }
 }
 
 /// A tap's offset along `ax` (0 = x, 1 = y, 2 = z).
@@ -149,24 +154,40 @@ struct Planes<'a> {
     offset: usize,
 }
 
-/// One term of the one-dimensional Galerkin product at a coarse index:
-/// `out[D][C] += w · in[d][c]` with `w = wr·wp`; the offsets `d`, `D` are
-/// stored shifted to `0..3`.
+/// One term of the one-dimensional Galerkin product at a coarse index `C`
+/// and coarse offset `D`: `out[D][C] += w · in[d][c]` with `w = wr·wp`; the
+/// fine offset `d` is stored shifted to `0..3`.
+#[derive(Clone, Copy, PartialEq)]
 struct Term {
     c: usize,
     d: usize,
-    big_d: usize,
     w: f64,
 }
+
+/// Most terms one output entry sums: one per child (≤ 3) and fine offset.
+const MAX_TERMS: usize = 9;
+
+/// Output elements summed in registers at a time.
+const LANES: usize = 8;
+
+/// The rows the three coarse offsets of one output index sum, in list
+/// order, with their weights.
+type Sums<'a> = [[(f64, &'a [f64]); MAX_TERMS]; 3];
 
 /// The one-dimensional Galerkin product along one axis, `n → nc` cells.
 struct AxisPlan {
     ax: usize,
     n: usize,
     nc: usize,
-    /// Every (child, fine offset, parent) combination, by coarse index.
+    /// Every (child, fine offset, parent) combination, by coarse index and
+    /// coarse offset (`terms[ranges[C][D + 1]]`), each list in the order
+    /// children × fine offsets: the order its entry is summed in.
     terms: Vec<Term>,
-    ranges: Vec<Range<usize>>,
+    ranges: Vec<[Range<usize>; 3]>,
+    /// Coarse indices whose lists are those of `interior.start` with every
+    /// child moved two fine cells per index: the uniform interior the x
+    /// pass sums along the row.
+    interior: Range<usize>,
     /// Input taps that differ only in their offset along `ax` collapse
     /// together: the ≤ 3 input and the 3 output tap indices.
     groups: Vec<([Option<usize>; 3], [usize; 3])>,
@@ -178,19 +199,34 @@ impl AxisPlan {
         let mut terms = Vec::new();
         let mut ranges = Vec::with_capacity(nc);
         for big_c in 0..nc {
-            let start = terms.len();
             let (kids, nk) = children_axis(big_c, n, nc);
-            for &(c, wr) in &kids[..nk] {
-                for d in 0..3 {
-                    let Some(x) = (c + d).checked_sub(1).filter(|&x| x < n) else { continue };
-                    let (ps, np) = parents_axis(x, n, nc);
-                    for &(pc, wp) in &ps[..np] {
-                        terms.push(Term { c, d, big_d: pc + 1 - big_c, w: (wr * wp) as f64 });
+            ranges.push([0, 1, 2].map(|big_d| {
+                let start = terms.len();
+                for &(c, wr) in &kids[..nk] {
+                    for d in 0..3 {
+                        let Some(x) = (c + d).checked_sub(1).filter(|&x| x < n) else { continue };
+                        let (ps, np) = parents_axis(x, n, nc);
+                        for &(pc, wp) in &ps[..np] {
+                            if pc + 1 == big_c + big_d {
+                                terms.push(Term { c, d, w: (wr * wp) as f64 });
+                            }
+                        }
                     }
                 }
-            }
-            ranges.push(start..terms.len());
+                start..terms.len()
+            }));
         }
+        // The run of shifted copies around the middle index.
+        let shifted = |a: usize, b: usize| {
+            (0..3).all(|big_d| {
+                let (ta, tb) = (&terms[ranges[a][big_d].clone()], &terms[ranges[b][big_d].clone()]);
+                ta.len() == tb.len()
+                    && ta.iter().zip(tb).all(|(s, t)| Term { c: s.c + 2 * (b - a), ..*s } == *t)
+            })
+        };
+        let mid = nc / 2;
+        let lo = (0..mid).rev().take_while(|&c| shifted(c, mid)).last().unwrap_or(mid);
+        let hi = (mid + 1..nc).take_while(|&c| shifted(mid, c)).last().unwrap_or(mid) + 1;
         let out_index: HashMap<Tap, usize> =
             out_taps.iter().enumerate().map(|(i, &t)| (t, i)).collect();
         let mut groups: Vec<([Option<usize>; 3], [usize; 3])> = Vec::new();
@@ -204,12 +240,14 @@ impl AxisPlan {
             });
             groups[g].0[(axis_offset(tap, ax) + 1) as usize] = Some(t);
         }
-        AxisPlan { ax, n, nc, terms, ranges, groups, out_taps }
+        AxisPlan { ax, n, nc, terms, ranges, interior: lo..hi, groups, out_taps }
     }
 
     /// Collapses the window `input` (`dims` cells per plane) onto coarse
-    /// indices `cs`, accumulating into zeroed planes of `out` that start
-    /// at `t * out_stride + out_offset`.
+    /// indices `cs`, into planes of `out` that start at
+    /// `t * out_stride + out_offset`, writing each output entry once: the
+    /// sum of its terms from zero in list order, the bits of adding each
+    /// to a zeroed entry in turn.
     fn collapse(
         &self,
         input: &Planes,
@@ -221,35 +259,96 @@ impl AxisPlan {
     ) {
         let inner: usize = dims[..self.ax].iter().product();
         let outer: usize = dims[self.ax + 1..].iter().product();
+        // One-element rows (the x pass) sum the interior along the row.
+        let along = if inner == 1 {
+            self.interior.start.max(cs.start)..self.interior.end.min(cs.end)
+        } else {
+            0..0
+        };
+        let mut rows: Sums = [[(0.0, &[]); MAX_TERMS]; 3];
         for (ins, outs) in &self.groups {
             for o in 0..outer {
-                for big_c in cs.clone() {
-                    let dst = out_offset + (o * cs.len() + big_c - cs.start) * inner;
-                    for term in &self.terms[self.ranges[big_c].clone()] {
-                        let Some(t) = ins[term.d] else { continue };
-                        let src = t * input.stride + input.offset + (o * self.n + term.c) * inner;
-                        let acc = outs[term.big_d] * out_stride + dst;
-                        if inner == 1 {
-                            // The x pass: one element per row.
-                            out[acc] += term.w * input.data[src];
-                            continue;
-                        }
-                        let row = &input.data[src..][..inner];
-                        for (a, &x) in out[acc..][..inner].iter_mut().zip(row) {
-                            *a += term.w * x;
-                        }
-                    }
+                // This row of the group's input planes.
+                let row = input.offset + o * self.n * inner;
+                let planes =
+                    ins.map(|t| t.map(|t| &input.data[t * input.stride + row..][..self.n * inner]));
+                let dst = outs.map(|t| t * out_stride + out_offset + o * cs.len() * inner);
+                if !along.is_empty() {
+                    let skip = 2 * (along.start - self.interior.start);
+                    let lens = self.gather(&planes, self.interior.start, 1, skip, &mut rows);
+                    let at = dst.map(|d| d + along.start - cs.start);
+                    sum_rows::<2>(&rows, lens, out, at, along.len());
+                }
+                for big_c in cs.clone().filter(|c| !along.contains(c)) {
+                    let lens = self.gather(&planes, big_c, inner, 0, &mut rows);
+                    let at = dst.map(|d| d + (big_c - cs.start) * inner);
+                    sum_rows::<1>(&rows, lens, out, at, inner);
                 }
             }
+        }
+    }
+
+    /// Points `rows` at the input rows of `big_c`'s terms: each term's
+    /// plane from `skip` cells past its child's `inner`-cell row on.
+    /// Returns how many terms each coarse offset sums.
+    fn gather<'a>(
+        &self,
+        planes: &[Option<&'a [f64]>; 3],
+        big_c: usize,
+        inner: usize,
+        skip: usize,
+        rows: &mut Sums<'a>,
+    ) -> [usize; 3] {
+        let mut lens = [0; 3];
+        for (big_d, range) in self.ranges[big_c].iter().enumerate() {
+            for term in &self.terms[range.clone()] {
+                let Some(plane) = planes[term.d] else { continue };
+                rows[big_d][lens[big_d]] = (term.w, &plane[term.c * inner + skip..]);
+                lens[big_d] += 1;
+            }
+        }
+        lens
+    }
+}
+
+/// `out[at[D] + k] = Σ w · row[S·k]` over the rows of coarse offset `D`,
+/// for `k < len`: [`LANES`] elements at a time summed from zero in
+/// registers and stored once. The three offsets take turns per chunk, so
+/// rows they share are read from L1.
+fn sum_rows<const S: usize>(
+    rows: &Sums,
+    lens: [usize; 3],
+    out: &mut [f64],
+    at: [usize; 3],
+    len: usize,
+) {
+    let full = len / LANES * LANES;
+    for k in (0..full).step_by(LANES) {
+        for big_d in 0..3 {
+            let mut acc = [0.0f64; LANES];
+            for &(w, row) in &rows[big_d][..lens[big_d]] {
+                let x = &row[S * k..][..S * (LANES - 1) + 1];
+                for (l, a) in acc.iter_mut().enumerate() {
+                    *a += w * x[S * l];
+                }
+            }
+            out[at[big_d] + k..][..LANES].copy_from_slice(&acc);
+        }
+    }
+    for k in full..len {
+        for big_d in 0..3 {
+            let terms = &rows[big_d][..lens[big_d]];
+            out[at[big_d] + k] = terms.iter().fold(0.0, |a, &(w, row)| a + w * row[S * k]);
         }
     }
 }
 
 /// Mean absolute face-coupling strength per axis (x, y, z): the semi-
 /// coarsening direction detector. Only pure-axis (face) taps count; all
-/// component pairs contribute.
+/// component pairs contribute. An SOA tap plane is read as its slice, in
+/// the cell order `get` would visit it.
 pub fn directional_strength(a: &SgDia<f64>) -> [f64; 3] {
-    let grid = a.grid();
+    let cells = a.grid().cells();
     let mut sum = [0.0f64; 3];
     let mut cnt = [0usize; 3];
     for (t, tap) in a.pattern().taps().iter().enumerate() {
@@ -259,10 +358,12 @@ pub fn directional_strength(a: &SgDia<f64>) -> [f64; 3] {
             (false, false, true) => 2,
             _ => continue,
         };
-        for cell in 0..grid.cells() {
-            sum[axis] += a.get(cell, t).abs();
+        let s = &mut sum[axis];
+        match a.layout() {
+            Layout::Soa => a.tap_slice(t).iter().for_each(|v| *s += v.abs()),
+            Layout::Aos => (0..cells).for_each(|cell| *s += a.get(cell, t).abs()),
         }
-        cnt[axis] += grid.cells();
+        cnt[axis] += cells;
     }
     let mut out = [0.0f64; 3];
     for ax in 0..3 {

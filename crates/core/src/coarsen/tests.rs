@@ -4,7 +4,12 @@
 //! odd, even}, every non-empty subset of coarsened axes, the four named
 //! patterns, 1–4 components, SOA and AOS, values with exact zeros — plus
 //! the operator identity `A_c x = R (A (P x))` through the production
-//! transfers and SpMV.
+//! transfers and SpMV. The term-by-term collapse that the register-summed
+//! one replaced is kept too, and must agree with it to the bit on the same
+//! operators and on every level of every `ProblemKind`'s chain.
+
+use std::collections::HashMap;
+use std::ops::Range;
 
 use fp16mg_grid::Grid3;
 use fp16mg_sgdia::kernels::{self, Par};
@@ -12,8 +17,9 @@ use fp16mg_sgdia::{Layout, SgDia};
 use fp16mg_stencil::{Pattern, Tap};
 use fp16mg_testkit::{check_n, Rng};
 
-use super::galerkin_rap_axes;
-use crate::transfer::{parents_axis, prolong_add, restrict};
+use super::{axis_offset, collapsed_taps, galerkin_rap_axes, with_axis_offset, Planes};
+use crate::transfer::{children_axis, parents_axis, prolong_add, restrict};
+use crate::{directional_strength, GalerkinChain, MgConfig};
 
 /// A fine cell's coarse parent: cell index, coarse coordinates, weight.
 type Parent = (usize, (u32, u32, u32), f64);
@@ -92,6 +98,165 @@ fn galerkin_rap_oracle(a: &SgDia<f64>, axes: (bool, bool, bool)) -> SgDia<f64> {
         }
     }
     ac
+}
+
+/// A term of the term-by-term collapse: `out[D][C] += w · in[d][c]`, the
+/// offsets shifted to `0..3`.
+struct ReferenceTerm {
+    c: usize,
+    d: usize,
+    big_d: usize,
+    w: f64,
+}
+
+/// The one-dimensional product as the register-summed collapse replaced
+/// it: the terms of a coarse index in one list, each added to its output
+/// row in turn.
+struct ReferencePlan {
+    ax: usize,
+    n: usize,
+    nc: usize,
+    terms: Vec<ReferenceTerm>,
+    ranges: Vec<Range<usize>>,
+    groups: Vec<([Option<usize>; 3], [usize; 3])>,
+    out_taps: Vec<Tap>,
+}
+
+impl ReferencePlan {
+    fn new(ax: usize, n: usize, nc: usize, in_taps: &[Tap], out_taps: Vec<Tap>) -> Self {
+        let mut terms = Vec::new();
+        let mut ranges = Vec::with_capacity(nc);
+        for big_c in 0..nc {
+            let start = terms.len();
+            let (kids, nk) = children_axis(big_c, n, nc);
+            for &(c, wr) in &kids[..nk] {
+                for d in 0..3 {
+                    let Some(x) = (c + d).checked_sub(1).filter(|&x| x < n) else { continue };
+                    let (ps, np) = parents_axis(x, n, nc);
+                    for &(pc, wp) in &ps[..np] {
+                        let w = (wr * wp) as f64;
+                        terms.push(ReferenceTerm { c, d, big_d: pc + 1 - big_c, w });
+                    }
+                }
+            }
+            ranges.push(start..terms.len());
+        }
+        let out_index: HashMap<Tap, usize> =
+            out_taps.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+        let mut groups: Vec<([Option<usize>; 3], [usize; 3])> = Vec::new();
+        let mut group_of: HashMap<Tap, usize> = HashMap::new();
+        for (t, &tap) in in_taps.iter().enumerate() {
+            let key = with_axis_offset(tap, ax, 0);
+            let g = *group_of.entry(key).or_insert_with(|| {
+                let outs = [-1, 0, 1].map(|d| out_index[&with_axis_offset(key, ax, d)]);
+                groups.push(([None; 3], outs));
+                groups.len() - 1
+            });
+            groups[g].0[(axis_offset(tap, ax) + 1) as usize] = Some(t);
+        }
+        ReferencePlan { ax, n, nc, terms, ranges, groups, out_taps }
+    }
+
+    fn collapse(
+        &self,
+        input: &Planes,
+        dims: [usize; 3],
+        cs: Range<usize>,
+        out: &mut [f64],
+        out_stride: usize,
+        out_offset: usize,
+    ) {
+        let inner: usize = dims[..self.ax].iter().product();
+        let outer: usize = dims[self.ax + 1..].iter().product();
+        for (ins, outs) in &self.groups {
+            for o in 0..outer {
+                for big_c in cs.clone() {
+                    let dst = out_offset + (o * cs.len() + big_c - cs.start) * inner;
+                    for term in &self.terms[self.ranges[big_c].clone()] {
+                        let Some(t) = ins[term.d] else { continue };
+                        let src = t * input.stride + input.offset + (o * self.n + term.c) * inner;
+                        let acc = outs[term.big_d] * out_stride + dst;
+                        if inner == 1 {
+                            out[acc] += term.w * input.data[src];
+                            continue;
+                        }
+                        let row = &input.data[src..][..inner];
+                        for (a, &x) in out[acc..][..inner].iter_mut().zip(row) {
+                            *a += term.w * x;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`galerkin_rap_axes`] through [`ReferencePlan`]: the same slab loop,
+/// the term-by-term collapse.
+fn galerkin_rap_reference(a: &SgDia<f64>, axes: (bool, bool, bool)) -> SgDia<f64> {
+    let fine = *a.grid();
+    let coarse = fine.coarsen_axes(axes);
+    let r = fine.components;
+    let cpattern = if r == 1 { Pattern::p27() } else { Pattern::p27().with_components(r) };
+    let mut ac = SgDia::<f64>::zeros(coarse, cpattern, Layout::Soa);
+    let soa = a.in_layout(Layout::Soa);
+    let fine_dims = [fine.nx, fine.ny, fine.nz];
+    let target = [coarse.nx, coarse.ny, coarse.nz];
+    let axes: Vec<usize> =
+        [2, 1, 0].into_iter().filter(|&ax| target[ax] != fine_dims[ax]).collect();
+    let mut plans: Vec<ReferencePlan> = Vec::with_capacity(axes.len());
+    for (n, &ax) in axes.iter().enumerate() {
+        let in_taps = plans.last().map_or(soa.pattern().taps(), |p| &p.out_taps);
+        let out_taps = if n + 1 == axes.len() {
+            ac.pattern().taps().to_vec()
+        } else {
+            collapsed_taps(in_taps, ax)
+        };
+        plans.push(ReferencePlan::new(ax, fine_dims[ax], target[ax], in_taps, out_taps));
+    }
+    let slab_out = coarse.nx * coarse.ny;
+    let mut scratch: Vec<Vec<f64>> = vec![Vec::new(); plans.len() - 1];
+    for slab in 0..coarse.nz {
+        let mut dims = fine_dims;
+        let mut fine_offset = 0;
+        if target[2] == fine_dims[2] {
+            fine_offset = slab * fine.nx * fine.ny;
+            dims[2] = 1;
+        }
+        for (n, plan) in plans.iter().enumerate() {
+            let cs = if plan.ax == 2 { slab..slab + 1 } else { 0..plan.nc };
+            let (done, rest) = scratch.split_at_mut(n);
+            let input = match done.last() {
+                Some(buf) => Planes { data: buf, stride: dims.iter().product(), offset: 0 },
+                None => Planes { data: soa.data(), stride: fine.cells(), offset: fine_offset },
+            };
+            let mut out_dims = dims;
+            out_dims[plan.ax] = cs.len();
+            match rest.first_mut() {
+                Some(buf) => {
+                    let cells: usize = out_dims.iter().product();
+                    buf.clear();
+                    buf.resize(plan.out_taps.len() * cells, 0.0);
+                    plan.collapse(&input, dims, cs, buf, cells, 0);
+                }
+                None => {
+                    plan.collapse(&input, dims, cs, ac.data_mut(), coarse.cells(), slab * slab_out)
+                }
+            }
+            dims = out_dims;
+        }
+    }
+    ac.in_layout(a.layout()).into_owned()
+}
+
+/// Grid, pattern, layout and every stored value to the bit.
+fn assert_same_bits(got: &SgDia<f64>, want: &SgDia<f64>, what: &str) {
+    assert_eq!(got.grid(), want.grid(), "{what}");
+    assert_eq!(got.pattern(), want.pattern(), "{what}");
+    assert_eq!(got.layout(), want.layout(), "{what}");
+    for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: entry {i}: {g:e} vs {w:e}");
+    }
 }
 
 /// One extent from {1, 2, 3, odd, even}.
@@ -211,4 +376,61 @@ fn laplace27_collapse_is_bit_identical_to_scatter() {
     for (g, w) in got.data().iter().zip(want.data()) {
         assert_eq!(g.to_bits(), w.to_bits());
     }
+}
+
+#[test]
+fn collapse_is_the_term_by_term_collapse_to_the_bit() {
+    check_n("rap collapse == term-by-term collapse, bitwise", 128, |rng| {
+        let (a, axes) = operator(rng);
+        let what = format!("{:?} {} axes {axes:?} {:?}", a.grid(), a.pattern().name(), a.layout());
+        assert_same_bits(&galerkin_rap_axes(&a, axes), &galerkin_rap_reference(&a, axes), &what);
+    });
+}
+
+#[test]
+fn every_problem_kind_chain_is_the_term_by_term_chain() {
+    use fp16mg_problems::ProblemKind;
+    for kind in ProblemKind::all() {
+        // An even and an odd extent (the odd one coarsens unevenly).
+        for n in [12, 17] {
+            let a = kind.build(n).matrix;
+            let chain = GalerkinChain::build(&a, &MgConfig::d16()).expect("chain");
+            for (l, pair) in chain.matrices().windows(2).enumerate() {
+                let (fine, coarse) = (pair[0].grid(), pair[1].grid());
+                let axes = (coarse.nx != fine.nx, coarse.ny != fine.ny, coarse.nz != fine.nz);
+                let what = format!("{} n={n} level {}", kind.name(), l + 1);
+                assert_same_bits(&pair[1], &galerkin_rap_reference(&pair[0], axes), &what);
+            }
+        }
+    }
+}
+
+/// [`directional_strength`] as it was: every face entry through `get`.
+fn directional_strength_per_entry(a: &SgDia<f64>) -> [f64; 3] {
+    let cells = a.grid().cells();
+    let mut sum = [0.0f64; 3];
+    let mut cnt = [0usize; 3];
+    for (t, tap) in a.pattern().taps().iter().enumerate() {
+        let axis = match (tap.dx != 0, tap.dy != 0, tap.dz != 0) {
+            (true, false, false) => 0,
+            (false, true, false) => 1,
+            (false, false, true) => 2,
+            _ => continue,
+        };
+        for cell in 0..cells {
+            sum[axis] += a.get(cell, t).abs();
+        }
+        cnt[axis] += cells;
+    }
+    [0, 1, 2].map(|ax| if cnt[ax] > 0 { sum[ax] / cnt[ax] as f64 } else { 0.0 })
+}
+
+#[test]
+fn directional_strength_is_the_per_entry_loop_to_the_bit() {
+    check_n("directional_strength == per-entry loop, bitwise", 64, |rng| {
+        let (a, _) = operator(rng);
+        let (got, want) = (directional_strength(&a), directional_strength_per_entry(&a));
+        let what = format!("{:?} {} {:?}", a.grid(), a.pattern().name(), a.layout());
+        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{what}: {got:?} vs {want:?}");
+    });
 }
