@@ -6,25 +6,16 @@
 //! solver runs, and how many iterations an FP32 `V` + `Z` basis takes. A
 //! probe, not a solver: `krylov::gmres`'s flexible cycle with the
 //! orthogonalisation and the basis type swapped, timing the vector work
-//! around the operator and the preconditioner. Then ROADMAP item 1's
-//! nested method (Suzuki & Iwashita): `krylov::gmres`'s FGMRES(30) with
-//! the V-cycle (`flat`) or, as its preconditioner, k steps of an inner
-//! solver in FP32 on level 0's FP16 planes — GMRES with the V-cycle as
-//! its own preconditioner, or Richardson with the V-cycle. EXPERIMENTS.md
-//! records what it printed.
+//! around the operator and the preconditioner. EXPERIMENTS.md records
+//! what it printed.
 
-use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
-use fp16mg_bench::Combo;
 use fp16mg_core::{MatOp, Mg, MgConfig};
-use fp16mg_fp::{Scalar, F16};
-use fp16mg_krylov::{gmres, richardson, LinOp, Preconditioner, SolveOptions};
+use fp16mg_fp::Scalar;
+use fp16mg_krylov::{LinOp, Preconditioner};
 use fp16mg_problems::ProblemKind;
-use fp16mg_sgdia::audit::{store_level, TruncationPolicy};
-use fp16mg_sgdia::kernels::spmv;
-use fp16mg_sgdia::scaling::{GChoice, ScalePlan};
-use fp16mg_sgdia::{Par, SgDia};
+use fp16mg_sgdia::Par;
 use fp16mg_testkit::Rng;
 
 const RESTART: usize = 30;
@@ -242,149 +233,6 @@ fn main() {
         println!(
             "{label:<20} iters {:>3}  rel {:.2e}  vector {:.1}–{:.1} ms (median {:.1})  second rounds {}/{}",
             o.iters, o.rel, times[0], times[4], times[2], o.second_rounds, o.steps
-        );
-    }
-    nested(&p.matrix, &op, &b, par);
-}
-
-/// Level 0 as the V-cycle stores it, `A = S Ã S` with `Ã` in FP16 planes,
-/// applied in FP32 the way `Level::compute_residual` recovers it.
-struct Fp16Op {
-    planes: SgDia<F16>,
-    s: Vec<f32>,
-    par: Par,
-    sx: RefCell<Vec<f32>>,
-}
-
-impl Fp16Op {
-    fn new(a: &SgDia<f64>, par: Par) -> Self {
-        let plan = ScalePlan::decide(a, GChoice::Auto, F16::MAX_F64).expect("positive diagonal");
-        let policy = Some(TruncationPolicy::Saturate);
-        let planes = store_level::<F16>(a, Some(plan.s_inv()), policy, false, false)
-            .expect("saturate stores everything")
-            .matrix;
-        let s = plan.vectors::<f32>().s;
-        Fp16Op { planes, sx: RefCell::new(vec![0.0; s.len()]), s, par }
-    }
-}
-
-impl LinOp<f32> for Fp16Op {
-    fn rows(&self) -> usize {
-        self.s.len()
-    }
-
-    fn apply(&self, x: &[f32], y: &mut [f32]) {
-        let mut sx = self.sx.borrow_mut();
-        sx.iter_mut().zip(x).zip(&self.s).for_each(|((t, x), s)| *t = s * x);
-        spmv(&self.planes, &sx, y, self.par);
-        y.iter_mut().zip(&self.s).for_each(|(y, s)| *y *= s);
-    }
-}
-
-/// A preconditioner that counts its applications.
-struct Counted<'a, M> {
-    m: &'a mut M,
-    calls: usize,
-}
-
-impl<K: Scalar, M: Preconditioner<K>> Preconditioner<K> for Counted<'_, M> {
-    fn apply(&mut self, r: &[K], z: &mut [K]) {
-        self.calls += 1;
-        self.m.apply(r, z);
-    }
-}
-
-#[derive(Clone, Copy)]
-enum Inner {
-    /// `gmres::<f32>`, k steps, the V-cycle its preconditioner.
-    Gmres(usize),
-    /// k V-cycles of Richardson.
-    Richardson(usize),
-}
-
-/// The outer preconditioner: the inner solver from zero on `r` in FP32.
-struct Nested<'a, 'm> {
-    op: &'a Fp16Op,
-    mg: Counted<'m, Mg<f32>>,
-    inner: Inner,
-    r: Vec<f32>,
-    z: Vec<f32>,
-}
-
-impl Preconditioner<f64> for Nested<'_, '_> {
-    fn apply(&mut self, r: &[f64], z: &mut [f64]) {
-        self.r.iter_mut().zip(r).for_each(|(a, &b)| *a = b as f32);
-        self.z.fill(0.0);
-        let opts = |k| SolveOptions {
-            tol: 0.0,
-            max_iters: k,
-            restart: k,
-            record_history: false,
-            ..SolveOptions::default()
-        };
-        match self.inner {
-            Inner::Gmres(k) => gmres(self.op, &mut self.mg, &self.r, &mut self.z, &opts(k)),
-            Inner::Richardson(k) => {
-                richardson(self.op, &mut self.mg, &self.r, &mut self.z, &opts(k))
-            }
-        };
-        z.iter_mut().zip(&self.z).for_each(|(a, &b)| *a = f64::from(b));
-    }
-}
-
-/// ROADMAP item 1's rows: FGMRES(30) to 1e-9 around the V-cycle (`flat`),
-/// and around each inner solver; outer iterations, V-cycles, wall time
-/// (min–max of three, median), true residual and distance from a Full64
-/// V-cycle's solution.
-fn nested(a: &SgDia<f64>, op: &MatOp<'_, f64>, b: &[f64], par: Par) {
-    let opts = SolveOptions { tol: TOL, restart: RESTART, ..SolveOptions::default() };
-    let mut mg64 =
-        Mg::<f64>::setup(a, &MgConfig { par, ..Combo::Full64.mg_config() }).expect("setup");
-    let mut x64 = vec![0.0; b.len()];
-    assert!(gmres(op, &mut mg64, b, &mut x64, &opts).converged(), "Full64");
-    drop(mg64);
-    let mut mg = Mg::<f32>::setup(a, &MgConfig { par, ..MgConfig::d16() }).expect("setup");
-    let a16 = Fp16Op::new(a, par);
-    let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
-    println!("nested: the same FGMRES({RESTART}) to {TOL:e}; inner solvers in FP32 on level 0's FP16 planes");
-    let rows: [(&str, Option<Inner>); 6] = [
-        ("flat", None),
-        ("inner GMRES(2)", Some(Inner::Gmres(2))),
-        ("inner GMRES(4)", Some(Inner::Gmres(4))),
-        ("inner GMRES(8)", Some(Inner::Gmres(8))),
-        ("Richardson(2)", Some(Inner::Richardson(2))),
-        ("Richardson(3)", Some(Inner::Richardson(3))),
-    ];
-    for (label, inner) in rows {
-        let mut times = Vec::new();
-        let mut last = None;
-        for _ in 0..3 {
-            let mut x = vec![0.0; b.len()];
-            let t = Instant::now();
-            let (res, cycles) = match inner {
-                None => {
-                    let mut m = Counted { m: &mut mg, calls: 0 };
-                    (gmres(op, &mut m, b, &mut x, &opts), m.calls)
-                }
-                Some(inner) => {
-                    let (r, z) = (vec![0.0; b.len()], vec![0.0; b.len()]);
-                    let mg = Counted { m: &mut mg, calls: 0 };
-                    let mut m = Nested { op: &a16, mg, inner, r, z };
-                    (gmres(op, &mut m, b, &mut x, &opts), m.mg.calls)
-                }
-            };
-            times.push(t.elapsed().as_secs_f64() * 1e3);
-            last = Some((res, cycles, x));
-        }
-        times.sort_by(f64::total_cmp);
-        let (res, cycles, x) = last.expect("three runs");
-        let mut ax = vec![0.0; b.len()];
-        op.apply(&x, &mut ax);
-        let true_rel = norm(&ax.iter().zip(b).map(|(p, q)| q - p).collect::<Vec<_>>()) / norm(b);
-        let off = norm(&x.iter().zip(&x64).map(|(p, q)| p - q).collect::<Vec<_>>()) / norm(&x64);
-        println!(
-            "{label:<16} outer {:>3}  V-cycles {:>3}  {:.0}–{:.0} ms (median {:.0})  true rel {:.1e}  off Full64 {:.1e}",
-            res.iters, cycles, times[0], times[2], times[1], true_rel, off
         );
     }
 }

@@ -108,10 +108,14 @@ pub fn galerkin_rap_axes(a: &SgDia<f64>, axes: (bool, bool, bool)) -> SgDia<f64>
             out_dims[plan.ax] = cs.len();
             match rest.first_mut() {
                 Some(buf) => {
+                    // No clearing: `collapse` writes every entry of every
+                    // output tap (each is some group's `outs`).
                     let cells: usize = out_dims.iter().product();
-                    buf.clear();
-                    buf.resize(plan.out_taps.len() * cells, 0.0);
-                    plan.collapse(&input, dims, cs, buf, cells, 0);
+                    let len = plan.out_taps.len() * cells;
+                    if buf.len() < len {
+                        buf.resize(len, 0.0);
+                    }
+                    plan.collapse(&input, dims, cs, &mut buf[..len], cells, 0);
                 }
                 None => {
                     plan.collapse(&input, dims, cs, ac.data_mut(), coarse.cells(), slab * slab_out)
@@ -345,10 +349,9 @@ fn sum_rows<const S: usize>(
 
 /// Mean absolute face-coupling strength per axis (x, y, z): the semi-
 /// coarsening direction detector. Only pure-axis (face) taps count; all
-/// component pairs contribute. An SOA tap plane is read as its slice, in
-/// the cell order `get` would visit it.
+/// component pairs contribute.
 pub fn directional_strength(a: &SgDia<f64>) -> [f64; 3] {
-    let cells = a.grid().cells();
+    let grid = a.grid();
     let mut sum = [0.0f64; 3];
     let mut cnt = [0usize; 3];
     for (t, tap) in a.pattern().taps().iter().enumerate() {
@@ -358,12 +361,10 @@ pub fn directional_strength(a: &SgDia<f64>) -> [f64; 3] {
             (false, false, true) => 2,
             _ => continue,
         };
-        let s = &mut sum[axis];
-        match a.layout() {
-            Layout::Soa => a.tap_slice(t).iter().for_each(|v| *s += v.abs()),
-            Layout::Aos => (0..cells).for_each(|cell| *s += a.get(cell, t).abs()),
+        for cell in 0..grid.cells() {
+            sum[axis] += a.get(cell, t).abs();
         }
-        cnt[axis] += cells;
+        cnt[axis] += grid.cells();
     }
     let mut out = [0.0f64; 3];
     for ax in 0..3 {

@@ -19,7 +19,7 @@ use fp16mg_testkit::{check_n, Rng};
 
 use super::{axis_offset, collapsed_taps, galerkin_rap_axes, with_axis_offset, Planes};
 use crate::transfer::{children_axis, parents_axis, prolong_add, restrict};
-use crate::{directional_strength, GalerkinChain, MgConfig};
+use crate::{GalerkinChain, MgConfig};
 
 /// A fine cell's coarse parent: cell index, coarse coordinates, weight.
 type Parent = (usize, (u32, u32, u32), f64);
@@ -403,34 +403,4 @@ fn every_problem_kind_chain_is_the_term_by_term_chain() {
             }
         }
     }
-}
-
-/// [`directional_strength`] as it was: every face entry through `get`.
-fn directional_strength_per_entry(a: &SgDia<f64>) -> [f64; 3] {
-    let cells = a.grid().cells();
-    let mut sum = [0.0f64; 3];
-    let mut cnt = [0usize; 3];
-    for (t, tap) in a.pattern().taps().iter().enumerate() {
-        let axis = match (tap.dx != 0, tap.dy != 0, tap.dz != 0) {
-            (true, false, false) => 0,
-            (false, true, false) => 1,
-            (false, false, true) => 2,
-            _ => continue,
-        };
-        for cell in 0..cells {
-            sum[axis] += a.get(cell, t).abs();
-        }
-        cnt[axis] += cells;
-    }
-    [0, 1, 2].map(|ax| if cnt[ax] > 0 { sum[ax] / cnt[ax] as f64 } else { 0.0 })
-}
-
-#[test]
-fn directional_strength_is_the_per_entry_loop_to_the_bit() {
-    check_n("directional_strength == per-entry loop, bitwise", 64, |rng| {
-        let (a, _) = operator(rng);
-        let (got, want) = (directional_strength(&a), directional_strength_per_entry(&a));
-        let what = format!("{:?} {} {:?}", a.grid(), a.pattern().name(), a.layout());
-        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{what}: {got:?} vs {want:?}");
-    });
 }

@@ -42,9 +42,8 @@ pub fn gmres<K: Scalar>(
 ///
 /// The residual, the work vector and both bases (`restart` Krylov
 /// vectors, `restart` flexible ones) are rented from the calling thread's
-/// pool once per solve and reused across restarts, as are the Hessenberg
-/// and the rotations, so inner iterations never touch the heap and a warm
-/// solve allocates only the history it records.
+/// pool once per solve and reused across restarts, so inner iterations
+/// never touch the heap and a warm solve allocates no vector.
 ///
 /// # Panics
 /// Panics on dimension mismatch.
@@ -68,8 +67,7 @@ pub fn gmres_ctl<K: Scalar>(
         return SolveResult::new(StopReason::Converged, 0, 0.0, vec![0.0]);
     }
 
-    let small = (restart + 1) * restart + 4 * restart + 1;
-    scratch::with_vectors_and_small(n, 2 * restart + 2, small, |work, small| {
+    scratch::with_vectors(n, 2 * restart + 2, |work| {
         let mut health = SolveHealth::new(opts.health, opts.record_history);
         let mut history = Vec::new();
         let mut total_iters = 0usize;
@@ -77,16 +75,15 @@ pub fn gmres_ctl<K: Scalar>(
 
         // Residual r, work vector w, Krylov basis V and flexible basis Z
         // (restart vectors each: v_restart is never formed, the cycle ends
-        // on its norm) from the one rented buffer; the Hessenberg, the
-        // rotations, g and y in f64 from the other. Each is written before
-        // it is read (h and g are cleared per cycle).
+        // on its norm) from the one rented buffer; Hessenberg in f64.
         let (r, rest) = work.split_at_mut(n);
         let (w, rest) = rest.split_at_mut(n);
         let (basis, zbasis) = rest.split_at_mut(restart * n);
-        let (h, rest) = small.split_at_mut((restart + 1) * restart);
-        let (cs, rest) = rest.split_at_mut(restart);
-        let (sn, rest) = rest.split_at_mut(restart);
-        let (g, y) = rest.split_at_mut(restart + 1);
+        let mut h = vec![0.0f64; (restart + 1) * restart];
+        let mut cs = vec![0.0f64; restart];
+        let mut sn = vec![0.0f64; restart];
+        let mut g = vec![0.0f64; restart + 1];
+        let mut y = vec![0.0f64; restart];
 
         let mut rel;
         loop {

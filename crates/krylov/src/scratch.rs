@@ -14,9 +14,7 @@
 //! allocates its own; of the two buffers that come back the larger is
 //! kept. The pool thus holds the largest Krylov working set the thread has
 //! seen, until the thread exits. Contents are unspecified: every solver
-//! writes a work vector before it reads it. GMRES's Hessenberg, rotations
-//! and small right-hand side come the same way from an f64 slot of their
-//! own.
+//! writes a work vector before it reads it.
 
 use core::any::TypeId;
 use core::cell::RefCell;
@@ -28,10 +26,6 @@ use fp16mg_fp::Scalar;
 thread_local! {
     static F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static F64: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-    /// GMRES's Hessenberg, rotations and small right-hand side: f64 for
-    /// every `K`, so a slot apart from the f64 vectors a `K = f64` basis
-    /// holds while they are in use.
-    static SMALL: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` with `count` contiguous work vectors of `n` unknowns each from
@@ -50,17 +44,6 @@ pub(crate) fn with_vectors<K: Scalar, R>(
     } else {
         f(&mut vec![K::ZERO; n * count])
     }
-}
-
-/// [`with_vectors`], and `small` f64s beside them from this thread's pool
-/// of small arrays.
-pub(crate) fn with_vectors_and_small<K: Scalar, R>(
-    n: usize,
-    count: usize,
-    small: usize,
-    f: impl FnOnce(&mut [K], &mut [f64]) -> R,
-) -> R {
-    rent(&SMALL, small, |s: &mut [f64]| with_vectors(n, count, |work| f(work, s)))
 }
 
 fn rent<E: Scalar, K: Scalar, R>(
