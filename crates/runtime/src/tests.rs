@@ -2910,6 +2910,70 @@ mod serve {
         assert_eq!(newest, Some(4));
     }
 
+    /// The durable trail of the 24-request stream.
+    const GOLDEN_TRAIL: [&str; 24] = [
+        "seq=0 req=req-00000 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=rebuilt",
+        "seq=1 req=req-00001 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=hit",
+        "seq=2 req=req-00002 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=hit",
+        "seq=3 req=req-00003 class=drift prio=batch profile=full outcome=ok breaker=closed cache=rebuilt",
+        "seq=4 req=req-00004 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=hit",
+        "seq=5 req=req-00005 class=laplace27 prio=interactive profile=full outcome=ok breaker=closed cache=hit",
+        "seq=6 req=req-00006 class=poison prio=batch profile=full outcome=unconverged breaker=closed cache=rebuilt",
+        "seq=7 req=req-00007 class=drift prio=batch profile=full outcome=ok breaker=closed cache=hit",
+        "seq=8 req=req-00008 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=hit",
+        "seq=9 req=req-00009 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=hit",
+        "seq=10 req=req-00010 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=hit",
+        "seq=11 req=req-00011 class=drift prio=batch profile=full outcome=ok breaker=closed cache=rescaled-hit",
+        "seq=12 req=req-00012 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=hit",
+        "seq=13 req=req-00013 class=laplace27 prio=interactive profile=full outcome=ok breaker=closed cache=hit",
+        "seq=14 req=req-00014 class=poison prio=batch profile=full outcome=unconverged breaker=open cache=hit",
+        "seq=15 req=req-00015 class=drift prio=batch profile=full outcome=ok breaker=closed cache=rescaled-hit",
+        "seq=16 req=req-00016 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=hit",
+        "seq=17 req=req-00017 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=hit",
+        "seq=18 req=req-00018 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=hit",
+        "seq=19 req=req-00019 class=drift prio=batch profile=full outcome=ok breaker=closed cache=drift-invalidated",
+        "seq=20 req=req-00020 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=hit",
+        "seq=21 req=req-00021 class=laplace27 prio=interactive profile=full outcome=ok breaker=closed cache=hit",
+        "seq=22 req=req-00022 class=poison prio=batch profile=full outcome=breaker-open breaker=open cache=none",
+        "seq=23 req=req-00023 class=drift prio=batch profile=full outcome=ok breaker=closed cache=hit",
+    ];
+
+    /// The drained snapshot's `counters`, `breaker` and `cache-stats`
+    /// lines after the same stream.
+    const GOLDEN_STATE: [&str; 5] = [
+        "counters 24 23 0 0 1 0 0 21 2",
+        "breaker drift closed 0000 0 0000000000000000 0 0 0 0",
+        "breaker laplace27 closed 0000 0 0000000000000000 0 0 0 0",
+        "breaker poison open 11 1 3ff0000000000000 1 3 0 0",
+        "cache-stats 17 2 1 3 0",
+    ];
+
+    #[test]
+    fn the_24_request_stream_writes_the_golden_trail_and_snapshot() {
+        let storage = FaultStorage::new();
+        let (acks, report) = life(&storage, 0..24);
+        assert_eq!(report.violations, Vec::<String>::new());
+        assert_eq!((acks.len(), report.drained, report.seq), (24, true, 24));
+        let trail = String::from_utf8(storage.peek_durable(&trail_path()).unwrap()).unwrap();
+        let golden: String = GOLDEN_TRAIL.iter().map(|l| format!("{l}\n")).collect();
+        assert_eq!(trail, golden);
+
+        let store = SnapshotStore::new(Path::new("state").join(SNAPSHOT_FILE));
+        let (slot, _) = store
+            .recover(&storage, &DaemonSnapshot::decode)
+            .unwrap()
+            .candidates
+            .into_iter()
+            .max_by_key(|(_, s)| s.seq)
+            .expect("the drain published a snapshot");
+        let text = String::from_utf8(storage.peek_durable(&slot).unwrap()).unwrap();
+        let state: Vec<&str> = text
+            .lines()
+            .filter(|l| ["counters ", "breaker ", "cache-stats "].iter().any(|k| l.starts_with(k)))
+            .collect();
+        assert_eq!(state, GOLDEN_STATE);
+    }
+
     #[test]
     fn trail_line_parser_round_trips_and_cuts_the_decision_field() {
         let line = "seq=4 req=req-00004 class=default prio=batch profile=full \
