@@ -64,7 +64,6 @@ struct Args {
     budget_ms: f64,
     smoother: Option<SmootherKind>,
     requests: usize,
-    workers: usize,
     chaos: bool,
     daemon: bool,
     soak: bool,
@@ -108,7 +107,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!("usage: repro <experiment>|all [--size N] [--tol T] [--threads N1,N2,...] [--budget-ms B] [--smoother gs|symgs|jacobi|ilu0|chebyshev]");
     eprintln!("experiments: {}", names.join(" "));
-    eprintln!("drivers: repro serve --daemon --addr unix:PATH|tcp:HOST:PORT [--snapshot-dir DIR] [--mem-budget BYTES] [--workers N]; repro loadgen --addr … [--requests N] [--shutdown]; repro loadgen --soak [--requests N] [--kill-after N] [--mem-budget BYTES] [--out DIR]; repro simulate [--problem NAME|all] [--steps N] [--chaos] [--snapshot-dir DIR] [--pace-ms MS]; repro simulate --soak [--problem NAME] [--steps N] [--kill-after N] [--out DIR]");
+    eprintln!("drivers: repro serve --daemon --addr unix:PATH|tcp:HOST:PORT [--snapshot-dir DIR] [--mem-budget BYTES] [--workers 1]; repro loadgen --addr … [--requests N] [--shutdown]; repro loadgen --soak [--requests N] [--kill-after N] [--mem-budget BYTES] [--out DIR]; repro simulate [--problem NAME|all] [--steps N] [--chaos] [--snapshot-dir DIR] [--pace-ms MS]; repro simulate --soak [--problem NAME] [--steps N] [--kill-after N] [--out DIR]");
     std::process::exit(2)
 }
 
@@ -138,7 +137,6 @@ fn parse_args() -> Args {
         budget_ms: 30.0,
         smoother: None,
         requests: 16,
-        workers: 0,
         chaos: false,
         daemon: false,
         soak: false,
@@ -162,7 +160,13 @@ fn parse_args() -> Args {
             "--tol" => args.tol = arg_value(&mut it, "--tol"),
             "--budget-ms" => args.budget_ms = arg_value(&mut it, "--budget-ms"),
             "--requests" => args.requests = arg_value(&mut it, "--requests"),
-            "--workers" => args.workers = arg_value(&mut it, "--workers"),
+            // The daemon serves one request at a time; the flag stays
+            // for the command lines that spell that out.
+            "--workers" => {
+                if arg_value::<usize>(&mut it, "--workers") != 1 {
+                    usage("--workers: the daemon serves one request at a time; only 1 is accepted")
+                }
+            }
             "--chaos" => args.chaos = true,
             "--daemon" => args.daemon = true,
             "--soak" => args.soak = true,
@@ -924,7 +928,6 @@ fn daemon_cmd(args: &Args) {
     let cfg = NetServeConfig {
         size: capped_size(args, 10),
         tol: args.tol,
-        workers: if args.workers > 0 { args.workers } else { 2 },
         threads: cli_threads(args),
         mem_budget: mem_budget(args),
         ..NetServeConfig::new(parse_addr(&args.addr), state_dir)
@@ -982,7 +985,6 @@ fn net_soak_cmd(args: &Args) {
         kill_after: if args.kill_after > 0 { args.kill_after as u64 } else { 3 },
         size: capped_size(args, 10),
         tol: args.tol,
-        workers: if args.workers > 0 { args.workers } else { 2 },
         threads: cli_threads(args),
         mem_budget: mem_budget(args),
         out: std::path::PathBuf::from(&args.out),

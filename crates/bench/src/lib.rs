@@ -37,7 +37,7 @@ pub use matrix::MatrixReport;
 pub use memtorture::MemTortureReport;
 pub use microbench::Group;
 pub use nettorture::{run_net_matrix, NetTortureReport};
-pub use serve::{serve, serve_overload, OverloadReport};
+pub use serve::serve;
 pub use simulate::{
     run_sim_cli, run_sim_soak, SimConfig, SimDriver, SimReport, SimSoakConfig, StepRow,
 };

@@ -251,8 +251,6 @@ pub struct NetSoakConfig {
     pub size: usize,
     /// Convergence tolerance.
     pub tol: f64,
-    /// Pool workers per child.
-    pub workers: usize,
     /// Kernel-parallelism threads per child (`--threads`).
     pub threads: usize,
     /// Byte budget forwarded to every child (`--mem-budget`).
@@ -289,9 +287,7 @@ fn spawn_child(cfg: &NetSoakConfig, dir: &Path) -> Result<Child, String> {
         .arg("--size")
         .arg(cfg.size.to_string())
         .arg("--tol")
-        .arg(format!("{:e}", cfg.tol))
-        .arg("--workers")
-        .arg(cfg.workers.to_string());
+        .arg(format!("{:e}", cfg.tol));
     if cfg.threads > 1 {
         cmd.arg("--threads").arg(cfg.threads.to_string());
     }

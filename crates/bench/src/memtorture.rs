@@ -7,8 +7,9 @@
 //! doubles as a deterministic allocation-fault injector with a
 //! monotonically increasing charge op index.
 //!
-//! - **Probe** — a clean run of a deterministic request stream (one
-//!   worker, so charge order is total) records the charge log. The
+//! - **Probe** — a clean run of a deterministic request stream, served
+//!   one request at a time in the daemon's charge order (each request's
+//!   cache acquire, then its session), records the charge log. The
 //!   stream is shaped so every charge class appears: `setup` and
 //!   `workspace` from sessions, `cache-insert` from cache builds,
 //!   `rescale` from a drifted revisit.
@@ -21,9 +22,10 @@
 //!   ladder's deeper rungs must absorb it.
 //! - **Phase C** — organic byte budgets: a generous budget that must
 //!   never refuse, and a tight budget (a fraction of the clean run's
-//!   peak) that must trigger cache eviction or uncached degrade while
-//!   every outcome stays typed, tracked usage never exceeds the budget,
-//!   and at least one request is still served.
+//!   peak, half of it the cache's, as the daemon splits it) that must
+//!   trigger cache eviction or uncached degrade while every outcome
+//!   stays typed, tracked usage never exceeds the budget, and at least
+//!   one request is still served.
 //!
 //! After **every** case the harness asserts the byte accounting
 //! returned to zero once the pool is dropped — a leaked
@@ -38,7 +40,7 @@ use fp16mg_core::MgConfig;
 use fp16mg_krylov::{SolveError, SolveOptions};
 use fp16mg_problems::ProblemKind;
 use fp16mg_runtime::{
-    AllocFault, PoolConfig, RequestOutcome, ServeError, ServePool, ShedPolicy, SolveRequest,
+    AllocFault, CacheConfig, PoolConfig, RequestOutcome, ServeError, ServePool, SolveRequest,
 };
 
 use crate::matrix::MatrixReport;
@@ -104,15 +106,14 @@ fn stream() -> Vec<SolveRequest> {
     ]
 }
 
-/// The torture pool: one worker (total charge order), cache on,
-/// shedding off so admission decisions cannot differ between cases.
-fn fault_pool_cfg() -> PoolConfig {
-    PoolConfig {
-        workers: 1,
-        shed: ShedPolicy::disabled(),
-        cache: fp16mg_runtime::CacheConfig::default(),
-        ..PoolConfig::default()
-    }
+/// The torture pool: cache on, byte budget set per phase.
+fn fault_pool_cfg(mem_budget: Option<u64>) -> PoolConfig {
+    PoolConfig { cache: CacheConfig::default(), mem_budget, ..PoolConfig::default() }
+}
+
+/// Serves the stream on `pool`, one request at a time.
+fn serve_stream(pool: &mut ServePool) -> Vec<RequestOutcome> {
+    stream().into_iter().map(|req| pool.serve(req)).collect()
 }
 
 /// Short label for an outcome's terminal state.
@@ -124,16 +125,18 @@ fn outcome_label(o: &RequestOutcome) -> String {
     }
 }
 
-/// Case-level invariants shared by every phase: the batch completes
+/// Case-level invariants shared by every phase: the stream completes
 /// with typed outcomes only (a contained panic is a harness failure),
-/// tracked bytes equal live cache bytes once the batch returns, and the
-/// accounting reaches zero when the pool drops.
+/// tracked bytes equal live cache bytes once the stream is served, and
+/// the accounting reaches zero when the pool drops. Adds the case's
+/// uncached serves to `uncached`.
 fn check_case(
     label: &str,
     pool: ServePool,
     outcomes: &[RequestOutcome],
     require_converged: bool,
     violations: &mut Vec<String>,
+    uncached: &mut u64,
 ) -> BTreeMap<String, u64> {
     for o in outcomes {
         if matches!(&o.result, Err(ServeError::Session(SolveError::WorkerPanicked { .. }))) {
@@ -150,6 +153,7 @@ fn check_case(
             ));
         }
     }
+    *uncached += pool.cache().uncached_serves();
     let governor = pool.governor().clone();
     let live = pool.cache().cache_bytes();
     if governor.used() != live {
@@ -182,9 +186,9 @@ pub fn run_matrix() -> MemTortureReport {
     };
 
     // --- Probe: the clean run's charge log is the case schedule.
-    let mut pool = ServePool::new(fault_pool_cfg());
+    let mut pool = ServePool::new(fault_pool_cfg(None));
     pool.governor().record_ops();
-    let outcomes = pool.run(stream());
+    let outcomes = serve_stream(&mut pool);
     if let Some(o) = outcomes.iter().find(|o| o.result.is_err()) {
         report.matrix.violations.push(format!(
             "probe: clean run failed on {}: {}",
@@ -217,12 +221,12 @@ pub fn run_matrix() -> MemTortureReport {
     // One fault case: a fresh pool with `fault` planted at charge `i`
     // serves the stream, every injected failure must resolve through a
     // degrade rung, and the fault's class must have fired.
-    let injected = |label: String, i: u64, fault: AllocFault, class: &str| {
-        let mut pool = ServePool::new(fault_pool_cfg());
+    let mut injected = |label: String, i: u64, fault: AllocFault, class: &str| {
+        let mut pool = ServePool::new(fault_pool_cfg(None));
         pool.governor().schedule(i, fault);
-        let outcomes = pool.run(stream());
+        let outcomes = serve_stream(&mut pool);
         let mut v = Vec::new();
-        let fired = check_case(&label, pool, &outcomes, true, &mut v);
+        let fired = check_case(&label, pool, &outcomes, true, &mut v, &mut report.uncached);
         if fired.get(class).copied().unwrap_or(0) == 0 {
             v.push(format!("{label}: the scheduled {class} never fired"));
         }
@@ -251,12 +255,10 @@ pub fn run_matrix() -> MemTortureReport {
     // --- Phase C1: a budget at the clean-run peak must never refuse.
     {
         let label = "C:budget=peak";
-        let mut pool_cfg = fault_pool_cfg();
-        pool_cfg.mem_budget = Some(report.probe_peak);
-        let mut pool = ServePool::new(pool_cfg);
-        let outcomes = pool.run(stream());
+        let mut pool = ServePool::new(fault_pool_cfg(Some(report.probe_peak)));
+        let outcomes = serve_stream(&mut pool);
         let mut v = Vec::new();
-        let fired = check_case(label, pool, &outcomes, true, &mut v);
+        let fired = check_case(label, pool, &outcomes, true, &mut v, &mut report.uncached);
         if fired.get("budget-exceeded").copied().unwrap_or(0) > 0 {
             v.push(format!(
                 "{label}: a budget equal to the clean-run peak refused a charge — the \
@@ -266,20 +268,17 @@ pub fn run_matrix() -> MemTortureReport {
         report.matrix.case(fired, v);
     }
 
-    // --- Phase C2: a tight budget (60% of peak) must degrade — evict
-    // cache entries or serve uncached — while staying within budget and
-    // keeping at least part of the stream served.
+    // --- Phase C2: a tight budget (60% of peak, half of it the cache's,
+    // as the daemon splits it) must degrade — evict cache entries or
+    // serve uncached — while staying within budget and keeping at least
+    // part of the stream served.
     {
         let label = "C:budget=tight";
         let budget = (report.probe_peak * 3) / 5;
-        let mut pool_cfg = fault_pool_cfg();
-        // Default shed policy: the tight budget must also drive the
-        // pressure signal's mem_fill component through the pool's
-        // eviction lever.
-        pool_cfg.shed = ShedPolicy::default();
-        pool_cfg.mem_budget = Some(budget);
+        let mut pool_cfg = fault_pool_cfg(Some(budget));
+        pool_cfg.cache.byte_budget = Some(budget / 2);
         let mut pool = ServePool::new(pool_cfg);
-        let outcomes = pool.run(stream());
+        let outcomes = serve_stream(&mut pool);
         let mut v = Vec::new();
         let governor = pool.governor().clone();
         if governor.peak() > budget {
@@ -290,8 +289,7 @@ pub fn run_matrix() -> MemTortureReport {
             ));
         }
         report.mem_evictions = pool.cache().mem_evictions();
-        report.uncached = pool.cache().uncached_serves();
-        if report.mem_evictions + report.uncached == 0 {
+        if report.mem_evictions + pool.cache().uncached_serves() == 0 {
             v.push(format!(
                 "{label}: the tight budget forced no eviction and no uncached serve — the \
                  degrade machinery went unexercised"
@@ -303,7 +301,7 @@ pub fn run_matrix() -> MemTortureReport {
                  degrade, not blackout"
             ));
         }
-        let fired = check_case(label, pool, &outcomes, false, &mut v);
+        let fired = check_case(label, pool, &outcomes, false, &mut v, &mut report.uncached);
         report.matrix.case(fired, v);
     }
 

@@ -112,7 +112,6 @@ fn server_cfg(endpoint: Endpoint, break_ack_order: bool) -> NetServeConfig {
     let mut sc = NetServeConfig::new(endpoint, PathBuf::from(STATE_DIR));
     sc.size = SIZE;
     sc.tol = TOL;
-    sc.workers = 1;
     sc.conn_deadline = CONN_DEADLINE;
     sc.break_ack_order = break_ack_order;
     sc.quiet = true;

@@ -19,6 +19,7 @@ fn bad_input_prints_usage_and_exits_2() {
         &["nettorture"],
         &["serve"],
         &["serve", "--daemon"],
+        &["serve", "--daemon", "--addr", "unix:d.sock", "--workers", "2"],
         &["table2", "--size", "0"],
         &["fig8", "--size", "8", "--smoother", "bogus"],
     ] {
@@ -32,6 +33,18 @@ fn bad_input_prints_usage_and_exits_2() {
             String::from_utf8_lossy(&out.stdout)
         );
     }
+}
+
+#[test]
+fn the_daemon_accepts_one_worker_only() {
+    // `--workers 1` parses (the missing `--addr` is what stops this
+    // run); any other count is refused by name.
+    let one = String::from_utf8_lossy(&repro(&["serve", "--daemon", "--workers", "1"]).stderr)
+        .into_owned();
+    assert!(one.contains("serve --daemon needs --addr"), "{one}");
+    let two = String::from_utf8_lossy(&repro(&["serve", "--daemon", "--workers", "2"]).stderr)
+        .into_owned();
+    assert!(two.contains("--workers: the daemon serves one request at a time"), "{two}");
 }
 
 #[test]

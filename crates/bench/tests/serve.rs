@@ -1,9 +1,9 @@
-//! Concurrent-pool acceptance: a mixed batch of clean, fault-injected,
+//! Serve-pool acceptance: a mixed stream of clean, fault-injected,
 //! deadline-limited, non-converging, and panicking requests must complete
 //! with one typed outcome each — the acceptance scenario of the resilient
-//! runtime layer — and so must the chaos batch and the overload waves; on
-//! the daemon's pool shape the supervisor cancels a wedged request and
-//! quarantines a request that keeps panicking its worker.
+//! runtime layer — and so must the chaos stream; on the daemon's pool
+//! shape the supervisor cancels a wedged request and quarantines a
+//! request that keeps panicking its session.
 
 use std::time::Duration;
 
@@ -45,7 +45,6 @@ fn mixed_batch_completes_with_typed_outcomes() {
     );
 
     for out in &outcomes {
-        assert_eq!(out.index, outcomes.iter().position(|o| o.name == out.name).unwrap());
         if out.name.starts_with("clean") {
             assert!(out.converged(), "clean request {} failed: {:?}", out.name, out.result);
             assert_eq!(out.report.attempts.len(), 1, "clean requests converge on rung 0");
@@ -70,8 +69,8 @@ fn mixed_batch_completes_with_typed_outcomes() {
 
 #[test]
 fn chaos_batch_repairs_bit_flips_without_process_failures() {
-    // The chaos scenario: 16 concurrent requests, seeded single-bit flips
-    // in mid-hierarchy FP16 planes, plus injected worker panics. Zero
+    // The chaos scenario: 16 requests, seeded single-bit flips
+    // in mid-hierarchy FP16 planes, plus injected session panics. Zero
     // process-level failures: every request yields a typed outcome, every
     // flip row is repaired by the repair-level rung (localized to its
     // level and tap), and no flip row ever needs a rebuild rung.
@@ -113,54 +112,15 @@ fn chaos_batch_repairs_bit_flips_without_process_failures() {
 }
 
 #[test]
-fn overload_demo_meets_its_acceptance_criteria() {
-    // The overload scenario end-to-end, small: four waves through one
-    // pool — oversubscription (shed + degrade + queue-full), a poisoned
-    // class tripping its breaker, typed breaker-open refusals during
-    // cooldown, half-open probe recovery, and normal service after.
-    // `check_overload` encodes the acceptance criteria; a healthy run
-    // reports zero violations.
-    let report = fp16mg_bench::serve_overload();
-    assert!(
-        report.violations.is_empty(),
-        "overload acceptance violations:\n{}",
-        report.violations.join("\n")
-    );
-
-    // Spot-check the invariants the report is built on, independently of
-    // check_overload.
-    for out in report.outcomes() {
-        match &out.result {
-            Ok(_) => assert!(out.solution.is_some() || out.name.starts_with("poison")),
-            Err(ServeError::Rejected(e)) => {
-                assert!(!e.label().is_empty(), "every refusal is typed");
-            }
-            Err(ServeError::Session(e)) => {
-                assert!(
-                    !matches!(e, SolveError::WorkerPanicked { .. }),
-                    "no worker may panic in the overload demo"
-                );
-            }
-        }
-    }
-    let probe = report
-        .outcomes()
-        .find(|o| o.probe)
-        .expect("the recovery wave must admit a half-open probe");
-    assert!(probe.converged(), "the probe must converge and close the breaker");
-}
-
-#[test]
 fn the_daemons_pool_cancels_a_wedged_request_and_quarantines_a_panicking_one() {
     // The daemon's pool shape with its breaker off: a wedge failure plus a
     // panic would trip the tight daemon breaker and mask the quarantine
     // refusal.
-    let mut cfg = pool_cfg(2, None);
+    let mut cfg = pool_cfg(None);
     cfg.breaker = BreakerConfig::disabled();
     cfg.supervise = SuperviseConfig {
         enabled: true,
         wedge_after: Duration::from_millis(100),
-        poll: Duration::from_millis(5),
         max_strikes: 2,
         event_log_cap: 64,
     };
@@ -170,7 +130,7 @@ fn the_daemons_pool_cancels_a_wedged_request_and_quarantines_a_panicking_one() {
     // Stationary Richardson at zero tolerance with health checks off never
     // converges, never stagnates and has no breakdown division (a Krylov
     // method would break down at machine precision first): only the wedge
-    // monitor can end it.
+    // watchdog can end it.
     let mut endless = SolveRequest::new("wedge-me", laplace(), MgConfig::d16());
     endless.solver = SolverChoice::Richardson;
     endless.opts = SolveOptions {
@@ -181,11 +141,11 @@ fn the_daemons_pool_cancels_a_wedged_request_and_quarantines_a_panicking_one() {
         ..Default::default()
     };
     endless.policy = RetryPolicy::fail_fast();
-    let out = pool.run(vec![endless]);
+    let out = pool.serve(endless);
     assert!(
-        matches!(out[0].result, Err(ServeError::Session(SolveError::Cancelled { .. }))),
-        "the wedge monitor must cancel the endless request: {:?}",
-        out[0].result
+        matches!(out.result, Err(ServeError::Session(SolveError::Cancelled { .. }))),
+        "the wedge watchdog must cancel the endless request: {:?}",
+        out.result
     );
     let kinds: Vec<&WorkerEventKind> = pool.worker_events().iter().map(|e| &e.kind).collect();
     assert!(matches!(kinds[..], [WorkerEventKind::Wedged { .. }]), "worker events: {kinds:?}");
@@ -194,21 +154,18 @@ fn the_daemons_pool_cancels_a_wedged_request_and_quarantines_a_panicking_one() {
     for round in 0..3 {
         let mut req = SolveRequest::new("panic-me", laplace(), MgConfig::d16());
         req.panic_in_worker = true;
-        let out = pool.run(vec![req]);
+        let out = pool.serve(req);
         if round < 2 {
             assert!(
-                matches!(
-                    out[0].result,
-                    Err(ServeError::Session(SolveError::WorkerPanicked { .. }))
-                ),
+                matches!(out.result, Err(ServeError::Session(SolveError::WorkerPanicked { .. }))),
                 "round {round}: the panic must be contained: {:?}",
-                out[0].result
+                out.result
             );
         } else {
             assert!(
-                matches!(out[0].rejection(), Some(AdmissionError::Quarantined { strikes: 2, .. })),
+                matches!(out.rejection(), Some(AdmissionError::Quarantined { strikes: 2, .. })),
                 "round {round}: two strikes must quarantine the name: {:?}",
-                out[0].result
+                out.result
             );
         }
     }

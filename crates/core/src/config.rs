@@ -453,25 +453,6 @@ impl MgConfig {
         }
     }
 
-    /// The economy-tier variant of this configuration, used by the serve
-    /// pool's load shedder: storage becomes FP16 below `shift_levid`
-    /// (F32 coarse), and the integrity layer stops retaining
-    /// high-precision parents — under overload, the memory for repair
-    /// sources is better spent on throughput. Everything else (smoother,
-    /// cycle shape, scaling) is preserved, and the result is validated so
-    /// a shed-time downgrade can never smuggle in a contradiction.
-    ///
-    /// # Errors
-    /// The first [`ConfigError`] the degraded configuration fails on
-    /// (e.g. [`ConfigError::ShiftBeyondLevels`]).
-    pub fn economize(&self, shift_levid: usize) -> Result<MgConfig, ConfigError> {
-        let mut cfg = self.clone();
-        cfg.storage = StoragePolicy::Fp16Until { shift_levid, coarse: Precision::F32 };
-        cfg.integrity.retain_parents = false;
-        cfg.validate()?;
-        Ok(cfg)
-    }
-
     /// Checks the configuration for contradictions before any setup work
     /// runs. [`crate::Mg::setup`] calls this first, so a bad configuration
     /// fails with a [`ConfigError`] instead of a panic (or a silently

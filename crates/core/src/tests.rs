@@ -1250,55 +1250,6 @@ mod integrity {
     }
 }
 
-mod economize {
-    use super::*;
-    use crate::ConfigError;
-
-    #[test]
-    fn economize_switches_storage_and_drops_retained_parents() {
-        let cfg = MgConfig::d16().economize(2).unwrap();
-        assert_eq!(
-            cfg.storage,
-            StoragePolicy::Fp16Until { shift_levid: 2, coarse: Precision::F32 }
-        );
-        assert!(
-            !cfg.integrity.retain_parents,
-            "under overload the parent copies are traded for throughput"
-        );
-    }
-
-    #[test]
-    fn economize_validates_the_degraded_configuration() {
-        let base = MgConfig { max_levels: 3, ..MgConfig::d16() };
-        assert_eq!(
-            base.economize(7).unwrap_err(),
-            ConfigError::ShiftBeyondLevels { shift_levid: 7, max_levels: 3 },
-            "a shed-time downgrade must not smuggle in a contradiction"
-        );
-        // usize::MAX is the documented "all FP16" sentinel, not an error.
-        assert!(base.economize(usize::MAX).is_ok());
-    }
-
-    #[test]
-    fn economize_preserves_the_numerical_shape() {
-        let base = MgConfig::d16();
-        let cfg = base.economize(2).unwrap();
-        assert_eq!(cfg.max_levels, base.max_levels);
-        assert_eq!(cfg.smoother, base.smoother);
-        assert_eq!(cfg.nu1, base.nu1);
-        assert_eq!(cfg.nu2, base.nu2);
-        assert_eq!(cfg.layout, base.layout);
-        // The economized hierarchy still builds and solves.
-        let a = laplacian(Grid3::cube(8), Pattern::p7(), 1.0);
-        let op = MatOp::new(&a, Par::Seq);
-        let mut mg = Mg::<f32>::setup(&a, &cfg).expect("economized config must set up");
-        let b = vec![1.0f64; a.rows()];
-        let mut x = vec![0.0f64; b.len()];
-        let res = cg(&op, &mut mg, &b, &mut x, &SolveOptions::default());
-        assert!(res.converged(), "{:?}", res.reason);
-    }
-}
-
 // ----------------------------------------------------- hierarchy cache --
 
 mod chain_reuse {

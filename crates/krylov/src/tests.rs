@@ -326,33 +326,6 @@ fn bicgstab_zero_rhs() {
     assert!(x.iter().all(|&v| v == 0.0));
 }
 
-// --------------------------------------------------- degraded profiles --
-
-#[test]
-fn degrade_relaxes_within_the_ceiling() {
-    let o = SolveOptions { tol: 1e-9, max_iters: 500, ..SolveOptions::default() };
-    let d = o.degrade(1e2, 1e-4, 120);
-    assert_eq!(d.tol, 1e-9 * 1e2);
-    assert_eq!(d.max_iters, 120);
-    // Unrelated knobs are preserved.
-    assert_eq!(d.restart, o.restart);
-    assert_eq!(d.record_history, o.record_history);
-}
-
-#[test]
-fn degrade_clamps_at_the_ceiling_and_never_tightens() {
-    let o = SolveOptions { tol: 1e-6, ..SolveOptions::default() };
-    assert_eq!(o.degrade(1e4, 1e-4, 1000).tol, 1e-4, "relaxation stops at the ceiling");
-    let loose = SolveOptions { tol: 1e-3, ..SolveOptions::default() };
-    assert_eq!(loose.degrade(1e2, 1e-4, 1000).tol, 1e-3, "never tighter than requested");
-    // A relax factor below 1 would tighten; it is treated as 1.
-    assert_eq!(o.degrade(0.5, 1e-4, 1000).tol, 1e-6);
-    // An iteration cap of 0 still leaves one iteration.
-    assert_eq!(o.degrade(1e2, 1e-4, 0).max_iters, 1);
-    // A cap above the requested budget never raises it.
-    assert_eq!(o.degrade(1e2, 1e-4, 10_000).max_iters, o.max_iters);
-}
-
 // ------------------------------------------------------- solve control --
 
 mod control {

@@ -31,18 +31,6 @@ impl Default for SolveOptions {
     }
 }
 
-impl SolveOptions {
-    /// A degraded copy of these options for load-shedding service tiers:
-    /// the tolerance is multiplied by `relax` (≥ 1) but never loosened
-    /// past `ceiling` — and never *tightened*, so a caller who already
-    /// asked for something looser than the ceiling keeps it — and
-    /// `max_iters` is capped at `iter_cap` (floored at 1).
-    pub fn degrade(&self, relax: f64, ceiling: f64, iter_cap: usize) -> SolveOptions {
-        let tol = (self.tol * relax.max(1.0)).min(ceiling).max(self.tol);
-        SolveOptions { tol, max_iters: self.max_iters.min(iter_cap.max(1)), ..self.clone() }
-    }
-}
-
 /// Why a solve stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StopReason {

@@ -429,16 +429,9 @@ impl BreakerRegistry {
         self.map.get(class)
     }
 
-    /// The most recent state changes, in order (ring-bounded; see
-    /// [`BreakerRegistry::transitions_evicted`] for how many older ones
-    /// were dropped).
+    /// The most recent state changes, in order (ring-bounded).
     pub fn transitions(&self) -> &[BreakerTransition] {
         &self.transitions
-    }
-
-    /// Transitions evicted from the bounded log so far.
-    pub fn transitions_evicted(&self) -> usize {
-        self.transitions.evicted()
     }
 
     /// Exports every class's breaker state for checkpointing, in key

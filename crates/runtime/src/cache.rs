@@ -76,8 +76,7 @@ pub enum CacheEventKind {
     Rebuilt,
     /// An entry was evicted to make room (LRU).
     Evicted,
-    /// An entry was evicted for *bytes*: the byte budget (or an external
-    /// memory-pressure sweep) needed room.
+    /// An entry was evicted for *bytes*: the byte budget needed room.
     MemEvicted,
     /// The hierarchy was served but its chain was not retained: the
     /// cache-insert charge was refused (byte budget or injected fault).
@@ -229,8 +228,8 @@ impl HierarchyCache {
     }
 
     /// An empty cache charging its retained bytes against `governor` —
-    /// the shape a daemon uses so cache bytes, hierarchy bytes, and the
-    /// pressure signal share one budget.
+    /// the shape a daemon uses so cache bytes and hierarchy bytes share
+    /// one budget.
     pub fn with_governor(cfg: CacheConfig, governor: MemGovernor) -> Self {
         HierarchyCache {
             cfg,
@@ -278,19 +277,6 @@ impl HierarchyCache {
     /// (the `uncached` degrade rung).
     pub fn uncached_serves(&self) -> u64 {
         self.uncached
-    }
-
-    /// Evicts least-recently-used entries until retained bytes fit
-    /// within `budget`. Returns the number of entries evicted. This is
-    /// the hook a pressure-driven runtime calls when the memory
-    /// component of its `PressureSignal` crosses the eviction threshold.
-    pub fn evict_until_within(&mut self, budget: u64) -> usize {
-        let mut evicted = 0;
-        while self.cache_bytes() > budget && !self.entries.is_empty() {
-            self.evict_lru(CacheEventKind::MemEvicted);
-            evicted += 1;
-        }
-        evicted
     }
 
     /// The most recent typed decisions (ring-bounded).

@@ -46,7 +46,6 @@ use crate::budget::{Budget, BudgetGuard};
 use crate::jitter;
 use crate::mem::{MemCharge, MemGovernor};
 use crate::ring::Ring;
-use crate::shed::{DegradeEvent, DegradeProfile, ShedPolicy};
 
 #[cfg(feature = "fault-inject")]
 use fp16mg_sgdia::fault::FaultSpec;
@@ -249,11 +248,10 @@ pub struct SolveRequest {
     pub policy: RetryPolicy,
     /// Krylov method override.
     pub solver: SolverChoice,
-    /// Kernel parallelism for the outer operator (keep `Par::Seq` when
-    /// the pool already parallelizes across requests).
+    /// Kernel parallelism for the outer operator.
     pub par: Par,
-    /// Priority class for admission and shedding (defaults to
-    /// [`Priority::Batch`]).
+    /// Priority class, carried on the wire and in the daemon trail
+    /// (defaults to [`Priority::Batch`]).
     pub priority: Priority,
     /// Problem class for the per-class circuit breaker (defaults to the
     /// problem's name, so one poisoned problem shape trips its own
@@ -298,69 +296,6 @@ impl SolveRequest {
             #[cfg(feature = "fault-inject")]
             panic_in_worker: false,
         }
-    }
-
-    /// Applies a degraded-mode profile in place and returns the typed
-    /// trail of every downgrade actually performed (an event is only
-    /// recorded when the knob really moved — a request already looser
-    /// than the policy's ceiling yields no `TolRelaxed`, an already-tiny
-    /// iteration cap no `ItersCapped`).
-    ///
-    /// [`DegradeProfile::Reduced`] loosens the tolerance and caps outer
-    /// iterations. [`DegradeProfile::Economy`] additionally switches
-    /// storage to FP16-until-`shift_levid`, imposes a hard V-cycle
-    /// budget, and disables the FP64-rebuild ladder rung — the most
-    /// expensive recovery has no place in shed-window work. A storage
-    /// downgrade that fails validation (e.g. `shift_levid` beyond
-    /// `max_levels`) is skipped rather than propagated: degradation is
-    /// best-effort, never a new failure mode.
-    pub fn apply_profile(
-        &mut self,
-        profile: DegradeProfile,
-        policy: &ShedPolicy,
-    ) -> Vec<DegradeEvent> {
-        let mut events = Vec::new();
-        if profile == DegradeProfile::Full {
-            return events;
-        }
-        let iter_cap = match profile {
-            DegradeProfile::Reduced => policy.reduced_max_iters,
-            DegradeProfile::Economy => policy.economy_max_iters,
-            DegradeProfile::Full => unreachable!("handled above"),
-        };
-        let degraded = self.opts.degrade(policy.tol_relax, policy.tol_ceiling, iter_cap);
-        if degraded.tol > self.opts.tol {
-            events.push(DegradeEvent::TolRelaxed { from: self.opts.tol, to: degraded.tol });
-        }
-        if degraded.max_iters < self.opts.max_iters {
-            events.push(DegradeEvent::ItersCapped {
-                from: self.opts.max_iters,
-                to: degraded.max_iters,
-            });
-        }
-        self.opts = degraded;
-        if profile == DegradeProfile::Economy {
-            if let Ok(cfg) = self.base.economize(policy.economy_shift_levid) {
-                if cfg.storage != self.base.storage {
-                    events.push(DegradeEvent::StorageEconomized {
-                        shift_levid: policy.economy_shift_levid,
-                    });
-                }
-                self.base = cfg;
-            }
-            let cap = policy.economy_max_vcycles;
-            let capped = self.budget.max_vcycles.map_or(cap, |b| b.min(cap));
-            if self.budget.max_vcycles != Some(capped) {
-                self.budget.max_vcycles = Some(capped);
-                events.push(DegradeEvent::VcyclesCapped { cap: capped });
-            }
-            let f64_rung = Rung::RebuildF64.index();
-            if self.policy.attempts[f64_rung] > 0 {
-                self.policy.attempts[f64_rung] = 0;
-                events.push(DegradeEvent::LadderTrimmed { rung: Rung::RebuildF64.label() });
-            }
-        }
-        events
     }
 }
 

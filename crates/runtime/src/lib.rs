@@ -1,5 +1,5 @@
 //! Resilient solve runtime: budgets, cancellation, retry ladder, and
-//! concurrent request isolation.
+//! request isolation.
 //!
 //! The layers below this crate make a single mixed-precision solve
 //! *diagnosable* (typed breakdowns, stagnation detection) and partially
@@ -17,16 +17,13 @@
 //!   FP32, and finally fall back to full FP64 — with per-rung attempt
 //!   caps and jittered backoff ([`RetryPolicy`]), recording every
 //!   attempt (and every localized repair) in a [`RetryReport`].
-//! - [`ServePool`] drives many sessions concurrently on a scoped worker
-//!   pool behind an overload-protection layer: a bounded
-//!   [`AdmissionQueue`] with per-[`Priority`] capacity, a
-//!   per-problem-class circuit [`breaker`](crate::breaker), and a
-//!   pressure-driven [`shed`](crate::shed) stage that degrades admitted
-//!   work ([`DegradeProfile`]) or sheds it (BestEffort first,
-//!   Interactive never) — every refusal a typed [`AdmissionError`],
-//!   every downgrade a typed [`DegradeEvent`]. A panicking session
-//!   becomes a typed `SolveError::WorkerPanicked` outcome while every
-//!   other request completes.
+//! - [`ServePool`] serves one session at a time behind a per-problem-class
+//!   circuit [`breaker`] and a poisoned-request
+//!   [`Quarantine`], with the drift-audited [`HierarchyCache`] under a
+//!   byte budget — every refusal a typed [`AdmissionError`]. A panicking
+//!   session becomes a typed `SolveError::WorkerPanicked` outcome and
+//!   the next request is served as usual; a wedged one is cancelled by
+//!   a watchdog.
 //! - [`serve`] is the daemon: the one serve loop (wire frames in,
 //!   solve → fsynced trail → checkpoint → ack out), its deterministic
 //!   request stream and its restart reconciliation, on top of the
@@ -51,13 +48,12 @@ pub mod net;
 pub mod pool;
 pub mod ring;
 pub mod serve;
-pub mod shed;
 pub mod snapshot;
 pub mod storage;
 pub mod supervise;
 pub mod trail;
 
-pub use admission::{AdmissionConfig, AdmissionError, AdmissionQueue, Priority};
+pub use admission::{AdmissionError, Priority};
 pub use breaker::{
     BreakerConfig, BreakerDecision, BreakerExport, BreakerRegistry, BreakerState,
     BreakerTransition, CircuitBreaker,
@@ -81,7 +77,6 @@ pub use net::{
 };
 pub use pool::{PoolConfig, PoolState, RequestOutcome, ServeCounters, ServeError, ServePool};
 pub use ring::Ring;
-pub use shed::{estimate_pressure, DegradeEvent, DegradeProfile, PressureSignal, ShedPolicy};
 pub use snapshot::{
     DaemonSnapshot, Recovery, SimCounters, SimSnapshot, SnapshotError, SnapshotStore,
     SNAPSHOT_VERSION,

@@ -219,8 +219,7 @@ impl MemGovernor {
         self.inner.lock().expect("mem governor lock").budget
     }
 
-    /// Fraction of the budget in use, in `[0, 1]` (0 when unlimited) —
-    /// the memory component of a `PressureSignal`.
+    /// Fraction of the budget in use, in `[0, 1]` (0 when unlimited).
     pub fn fill(&self) -> f64 {
         let g = self.inner.lock().expect("mem governor lock");
         match g.budget {

@@ -245,10 +245,11 @@ pub enum Frame {
     Submit(SubmitRequest),
     /// Kind 2: durable acknowledgment (server → client).
     Done(DoneReply),
-    /// Kind 3: typed backpressure — the admission layer refused the
-    /// request; retry after the hinted delay instead of buffering.
+    /// Kind 3: typed backpressure — the server refused the connection
+    /// (`accept-backlog`); retry after the hinted delay instead of
+    /// buffering.
     Busy {
-        /// Label of the [`crate::AdmissionError`] that refused it.
+        /// Why it was refused.
         reason: String,
         /// Retry hint in milliseconds.
         retry_ms: u32,

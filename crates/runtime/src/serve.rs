@@ -1,9 +1,8 @@
 //! The daemon: one externally driven serve loop behind the framed wire
 //! protocol of [`crate::net`], and the things only it may know.
 //!
-//! Clients submit one request at a time over a Unix or TCP socket. Each
-//! is gated individually by the [`AdmissionQueue`] (a refusal is a typed
-//! `Busy` frame, never buffering) and applied under one durability
+//! Clients submit one request at a time over a Unix or TCP socket, and
+//! the daemon serves them one at a time, each under one durability
 //! order: **solve → append trail (fsynced) → checkpoint → ack**. An ack
 //! on the wire therefore means the decision is durable; a connection —
 //! or the process — killed at any instant loses nothing that was acked.
@@ -35,7 +34,7 @@ use fp16mg_krylov::{HealthPolicy, SolveError, SolveOptions};
 use fp16mg_problems::ProblemKind;
 use fp16mg_sgdia::kernels::Par;
 
-use crate::admission::{AdmissionConfig, AdmissionQueue, Priority};
+use crate::admission::Priority;
 use crate::breaker::BreakerConfig;
 use crate::cache::CacheConfig;
 use crate::ladder::{RetryPolicy, SolveRequest};
@@ -44,7 +43,6 @@ use crate::net::{
     SubmitRequest, WireError,
 };
 use crate::pool::{PoolConfig, RequestOutcome, ServeError, ServePool};
-use crate::shed::ShedPolicy;
 use crate::storage::{append_durable, Storage};
 use crate::supervise::{Daemon, DaemonConfig, SuperviseConfig};
 use crate::trail;
@@ -55,23 +53,24 @@ pub const SNAPSHOT_FILE: &str = "daemon.snapshot";
 /// Trail file name inside the state directory.
 pub const TRAIL_FILE: &str = "trail.log";
 
+/// Accepted connections waiting for the serve loop; connections beyond
+/// it get a typed `Busy`.
+const BACKLOG: usize = 16;
+
 // ------------------------------------------------------ stream function --
 
-/// The daemon pool shape: protections on, cache on, supervision on,
-/// shedding off (the stream is paced by its client, not pressure), and a
-/// small jittered breaker so the poison class demonstrably trips and
-/// recovers inside a short run.
-pub fn pool_cfg(workers: usize, mem_budget: Option<u64>) -> PoolConfig {
+/// The daemon pool shape: cache on, supervision on, and a small jittered
+/// breaker so the poison class demonstrably trips and recovers inside a
+/// short run.
+pub fn pool_cfg(mem_budget: Option<u64>) -> PoolConfig {
     // Under a pool byte budget the cache gets half: retained chains
-    // evict LRU-first at insert time (deterministic, no shed policy
-    // needed) before the governor ever has to refuse a session's
-    // transient setup/workspace charges, so eviction — not refusal —
-    // is the first response to byte pressure.
+    // evict LRU-first at insert time (deterministic) before the
+    // governor has to refuse a session's transient setup/workspace
+    // charges, so eviction — not refusal — is the first response to
+    // byte pressure. (A single chain larger than the half is still
+    // retained once the others are gone; see DESIGN.md §12.)
     let cache = CacheConfig { byte_budget: mem_budget.map(|b| b / 2), ..CacheConfig::default() };
     PoolConfig {
-        workers,
-        admission: AdmissionConfig::default(),
-        shed: ShedPolicy::disabled(),
         mem_budget,
         breaker: BreakerConfig {
             window: 4,
@@ -173,11 +172,10 @@ pub fn trail_line(seq: u64, o: &RequestOutcome, pool: &ServePool) -> String {
     let breaker = pool.breakers().state(&o.class).map(|s| s.label()).unwrap_or("closed");
     let cache = o.cache.map(|k| k.label()).unwrap_or("none");
     format!(
-        "seq={seq} req={} class={} prio={} profile={} outcome={outcome} breaker={breaker} cache={cache}\n",
+        "seq={seq} req={} class={} prio={} profile=full outcome={outcome} breaker={breaker} cache={cache}\n",
         o.name,
         o.class,
         o.priority.label(),
-        o.profile.label(),
     )
 }
 
@@ -237,8 +235,6 @@ pub struct NetServeConfig {
     pub size: usize,
     /// Convergence tolerance of the stream.
     pub tol: f64,
-    /// Pool workers.
-    pub workers: usize,
     /// Kernel-parallelism threads for the solve phase (`--threads`);
     /// `0` and `1` stay sequential.
     pub threads: usize,
@@ -247,10 +243,6 @@ pub struct NetServeConfig {
     pub mem_budget: Option<u64>,
     /// Per-connection read/write deadline (the slowloris bound).
     pub conn_deadline: Duration,
-    /// Accept-loop backlog; connections beyond it get a typed `Busy`.
-    pub backlog: usize,
-    /// Admission-queue shape for per-request backpressure.
-    pub admission: AdmissionConfig,
     /// **Torture self-check only**: acknowledge *before* the trail
     /// append, and append without fsync — deliberately breaking the
     /// durability order so the harness can prove it detects the
@@ -262,19 +254,16 @@ pub struct NetServeConfig {
 
 impl NetServeConfig {
     /// The default shape for an endpoint + state dir: small problems,
-    /// one worker, generous deadlines.
+    /// generous deadlines.
     pub fn new(endpoint: Endpoint, state_dir: PathBuf) -> Self {
         NetServeConfig {
             endpoint,
             state_dir,
             size: 8,
             tol: 1e-7,
-            workers: 1,
             threads: 1,
             mem_budget: None,
             conn_deadline: Duration::from_secs(5),
-            backlog: 16,
-            admission: AdmissionConfig::default(),
             break_ack_order: false,
             quiet: false,
         }
@@ -288,8 +277,6 @@ pub struct NetCounters {
     pub accepted: u64,
     /// Connections refused with a typed `Busy` at the accept backlog.
     pub busy_connections: u64,
-    /// Requests refused with a typed `Busy` by the admission queue.
-    pub busy_requests: u64,
     /// Requests executed (excludes duplicates).
     pub served: u64,
     /// Acks answered from the durable decision record.
@@ -320,15 +307,6 @@ pub struct NetServeReport {
     pub violations: Vec<String>,
 }
 
-/// Maps a wire priority byte onto the admission [`Priority`].
-fn priority_of(byte: u8) -> Priority {
-    match byte {
-        0 => Priority::Interactive,
-        1 => Priority::Batch,
-        _ => Priority::BestEffort,
-    }
-}
-
 /// Runs the daemon until a client requests a graceful drain. Blocking;
 /// harnesses run it on a thread and join for the report.
 pub fn serve_net(cfg: &NetServeConfig, storage: Arc<dyn Storage>) -> NetServeReport {
@@ -345,7 +323,6 @@ struct Server<'a> {
     storage: Arc<dyn Storage>,
     trail: PathBuf,
     daemon: Daemon,
-    admission: AdmissionQueue,
     /// The decision of every applied seq, indexed by seq.
     decisions: Vec<Decision>,
     par: Par,
@@ -368,12 +345,12 @@ fn serve(
     // connects queue in the OS backlog instead of being refused.
     let listener =
         Listener::bind(&cfg.endpoint).map_err(|e| format!("bind {}: {e}", cfg.endpoint))?;
-    let mut acceptor = Acceptor::spawn(listener, cfg.backlog, cfg.conn_deadline)
+    let mut acceptor = Acceptor::spawn(listener, BACKLOG, cfg.conn_deadline)
         .map_err(|e| format!("acceptor: {e}"))?;
 
     storage.create_dir_all(&cfg.state_dir).map_err(|e| format!("state dir: {e}"))?;
     let daemon = Daemon::start(DaemonConfig {
-        pool: pool_cfg(cfg.workers, cfg.mem_budget),
+        pool: pool_cfg(cfg.mem_budget),
         snapshot_path: Some(cfg.state_dir.join(SNAPSHOT_FILE)),
         storage: Arc::clone(&storage),
     })
@@ -390,7 +367,6 @@ fn serve(
         trail: cfg.state_dir.join(TRAIL_FILE),
         storage,
         daemon,
-        admission: AdmissionQueue::new(cfg.admission.clone()),
         decisions: Vec::new(),
         par: if cfg.threads > 1 { Par::Threads(cfg.threads) } else { Par::Seq },
     };
@@ -423,8 +399,8 @@ fn serve(
     report.drained = true;
     let c = &report.counters;
     say(format!(
-        "netdaemon: drained=true seq={} served={} dup-acks={} busy={} conns={}",
-        report.seq, c.served, c.duplicate_acks, c.busy_requests, c.accepted,
+        "netdaemon: drained=true seq={} served={} dup-acks={} conns={}",
+        report.seq, c.served, c.duplicate_acks, c.accepted,
     ));
     // Memory accounting — deliberately outside the trail (the trail
     // bit-compare covers decisions, not byte counts). With a budget set
@@ -447,8 +423,8 @@ impl Server<'_> {
     /// Solves `seq` and advances the cursor; returns its trail line.
     fn solve(&mut self, seq: u64) -> String {
         let req = request_for(seq, self.cfg.size, self.cfg.tol, self.par);
-        let outcomes = self.daemon.submit(vec![req]);
-        trail_line(seq, &outcomes[0], self.daemon.pool())
+        let outcome = self.daemon.submit(req);
+        trail_line(seq, &outcome, self.daemon.pool())
     }
 
     /// Restart reconciliation: load the decision record from the durable
@@ -575,7 +551,7 @@ impl Server<'_> {
         }
     }
 
-    /// Serves one submission: dedup below the cursor, typed refusal
+    /// Serves one submission: dedup below the cursor, a typed error
     /// above it, and the durability pipeline at it.
     ///
     /// # Errors
@@ -597,23 +573,12 @@ impl Server<'_> {
         if sr.key > seq {
             return Ok(Frame::Error { code: codes::OUT_OF_ORDER, detail: format!("want {seq}") });
         }
-        // Streaming admission: each request reserves individually;
-        // refusal is typed backpressure on the wire, not a buffered queue.
-        let priority = priority_of(sr.priority);
-        if let Err(e) = self.admission.try_reserve(priority) {
-            counters.busy_requests += 1;
-            return Ok(Frame::Busy {
-                reason: e.label().to_string(),
-                retry_ms: 25 * (1 + self.admission.depth() as u32),
-            });
-        }
         let applied = self.apply(seq);
-        self.admission.release(priority);
         counters.served += u64::from(applied.is_ok());
         applied
     }
 
-    /// The durability pipeline for one admitted request:
+    /// The durability pipeline for one request:
     /// solve → trail append (fsynced) → checkpoint → ack.
     fn apply(&mut self, seq: u64) -> Result<Frame, String> {
         let line = self.solve(seq);

@@ -384,15 +384,13 @@ impl DaemonSnapshot {
         let mut body = Body::new(MAGIC);
         body.line(format_args!("seq {}", self.seq));
         let c = &self.state.counters;
+        // The third, fourth and seventh fields are retired (always 0).
         body.line(format_args!(
-            "counters {} {} {} {} {} {} {} {} {}",
+            "counters {} {} 0 0 {} {} 0 {} {}",
             c.submitted,
             c.admitted,
-            c.rejected_queue_full,
-            c.rejected_shed,
             c.rejected_breaker,
             c.rejected_quarantined,
-            c.degraded,
             c.completed_ok,
             c.completed_err,
         ));
@@ -456,14 +454,20 @@ impl DaemonSnapshot {
             match tag {
                 "seq" => seq = r.u64("seq")?,
                 "counters" => {
+                    // Fields are read in line order; the retired ones
+                    // (queue-full, shed and degraded counts) are ignored.
+                    let submitted = r.u64("submitted")?;
+                    let admitted = r.u64("admitted")?;
+                    r.u64("rejected_queue_full")?;
+                    r.u64("rejected_shed")?;
+                    let rejected_breaker = r.u64("rejected_breaker")?;
+                    let rejected_quarantined = r.u64("rejected_quarantined")?;
+                    r.u64("degraded")?;
                     state.counters = ServeCounters {
-                        submitted: r.u64("submitted")?,
-                        admitted: r.u64("admitted")?,
-                        rejected_queue_full: r.u64("rejected_queue_full")?,
-                        rejected_shed: r.u64("rejected_shed")?,
-                        rejected_breaker: r.u64("rejected_breaker")?,
-                        rejected_quarantined: r.u64("rejected_quarantined")?,
-                        degraded: r.u64("degraded")?,
+                        submitted,
+                        admitted,
+                        rejected_breaker,
+                        rejected_quarantined,
                         completed_ok: r.u64("completed_ok")?,
                         completed_err: r.u64("completed_err")?,
                     };

@@ -1,34 +1,33 @@
-//! Worker supervision and the persistent daemon shell.
+//! Request supervision and the persistent daemon shell.
 //!
-//! A batch pool can afford to let one slow request hold its worker — the
-//! batch ends and the process exits. An always-on daemon cannot: a
-//! wedged worker is a permanently lost execution slot, and a request
-//! that *reliably* wedges or panics its worker will take every slot in
-//! turn. Supervision closes both holes:
+//! An always-on daemon cannot let one request hold its serving thread
+//! forever, and a request that *reliably* wedges or panics must stop
+//! being served. Supervision closes both holes:
 //!
-//! * **Heartbeats + wedge detection** — every worker posts its in-flight
-//!   request to a heartbeat slot; a monitor thread polls the slots and
-//!   trips the request's cooperative [`CancelToken`] once it has run
-//!   past [`SuperviseConfig::wedge_after`]. The solver observes the
-//!   cancellation at its next iteration boundary and the worker moves
-//!   on — a *recovered* slot, not a killed thread, so no state is
-//!   poisoned. (Cancelled sessions never feed the circuit breakers:
-//!   wall-clock wedges must not perturb the deterministic replay state.)
-//! * **Panic isolation + restart** — a panicking session is contained
-//!   per-request (`catch_unwind`, as before); the worker loop simply
-//!   continues with the next request, which *is* the restart.
+//! * **Wedge watchdog** — while a session runs, a watchdog thread waits
+//!   for it to end and trips the request's cooperative [`CancelToken`]
+//!   once it has run past [`SuperviseConfig::wedge_after`]. The solver
+//!   observes the cancellation at its next iteration boundary and the
+//!   pool moves on — no thread is killed, so no state is poisoned.
+//!   (Cancelled sessions never feed the circuit breakers: wall-clock
+//!   wedges must not perturb the deterministic replay state.)
+//! * **Panic isolation** — a panicking session is contained per request
+//!   (`catch_unwind`) and becomes a typed outcome; the next request is
+//!   served on the same thread.
 //! * **Poisoned-request quarantine** — every wedge or panic is a strike
 //!   against the request's name; at [`SuperviseConfig::max_strikes`]
 //!   the [`Quarantine`] refuses further admissions of that request with
 //!   a typed [`AdmissionError::Quarantined`](crate::AdmissionError),
-//!   so a poison pill stops costing workers. Strikes are part of the
+//!   so a poison pill stops costing solves. Strikes are part of the
 //!   daemon snapshot: a restart does not give a poison pill a fresh
-//!   set of workers to burn.
+//!   start.
 //!
 //! [`Daemon`] is the persistent shell around [`ServePool`]: it restores
 //! pool state from a [`DaemonSnapshot`] at start, checkpoints when its
-//! caller says so, and drains gracefully — stop admitting, finish in-flight,
-//! write a final checkpoint, exit clean.
+//! caller says so, and drains gracefully — write a final checkpoint,
+//! exit clean.
+//!
+//! [`CancelToken`]: crate::CancelToken
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -43,15 +42,12 @@ use crate::storage::{RealStorage, Storage};
 /// Supervisor tuning.
 #[derive(Clone, Debug)]
 pub struct SuperviseConfig {
-    /// Master switch. When off, no heartbeats are posted, no monitor
-    /// thread runs, and the quarantine admits everything — the batch
-    /// pool's historical behavior.
+    /// Master switch. When off, no watchdog runs and the quarantine
+    /// admits everything.
     pub enabled: bool,
     /// Wall-clock ceiling for one in-flight request; past it the
-    /// monitor trips the request's cancel token (wedge detection).
+    /// watchdog trips the request's cancel token (wedge detection).
     pub wedge_after: Duration,
-    /// Monitor poll interval.
-    pub poll: Duration,
     /// Wedges/panics charged to one request name before the quarantine
     /// refuses it (`0` disables quarantining).
     pub max_strikes: usize,
@@ -64,7 +60,6 @@ impl Default for SuperviseConfig {
         SuperviseConfig {
             enabled: true,
             wedge_after: Duration::from_secs(30),
-            poll: Duration::from_millis(5),
             max_strikes: 2,
             event_log_cap: 256,
         }
@@ -72,13 +67,13 @@ impl Default for SuperviseConfig {
 }
 
 impl SuperviseConfig {
-    /// Supervision off entirely (the batch-pool compatibility shape).
+    /// Supervision off entirely.
     pub fn disabled() -> Self {
         SuperviseConfig { enabled: false, ..Self::default() }
     }
 }
 
-/// What the supervisor observed about one worker.
+/// What the supervisor observed about one request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WorkerEventKind {
     /// The in-flight request ran past the wedge deadline; its cancel
@@ -87,8 +82,7 @@ pub enum WorkerEventKind {
         /// Seconds the request had been in flight when tripped.
         elapsed: f64,
     },
-    /// The session panicked; the panic was contained and the worker
-    /// continued with the next request.
+    /// The session panicked; the panic was contained.
     Panicked,
     /// The request's strike count reached the quarantine threshold;
     /// further admissions of this name are refused.
@@ -112,9 +106,6 @@ impl WorkerEventKind {
 /// One supervision observation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkerEvent {
-    /// The worker slot involved (`None` for registry-level events like
-    /// quarantine promotion, which happen after the batch).
-    pub worker: Option<usize>,
     /// The request's display name.
     pub request: String,
     /// What happened.
@@ -205,9 +196,9 @@ pub struct DrainReport {
 
 /// The persistent serve daemon: a [`ServePool`] plus a durable sequence
 /// cursor and snapshot lifecycle. `seq` counts requests whose outcomes
-/// have been *returned to the caller*; it only advances when a batch
-/// completes, so a crash between checkpoints replays the unacknowledged
-/// window instead of losing it — at-least-once, deduplicated by `seq`.
+/// have been *returned to the caller*, so a crash between checkpoints
+/// replays the unacknowledged window instead of losing it —
+/// at-least-once, deduplicated by `seq`.
 pub struct Daemon {
     pool: ServePool,
     cfg: DaemonConfig,
@@ -215,8 +206,6 @@ pub struct Daemon {
     restored: bool,
     /// Next publication generation for the A/B snapshot rotation.
     generation: u64,
-    /// Quarantined snapshot slots observed during recovery.
-    quarantined: Vec<(PathBuf, SnapshotError)>,
 }
 
 impl Daemon {
@@ -226,8 +215,7 @@ impl Daemon {
     ///
     /// Recovery scans the A/B rotation slots. A torn or corrupt slot is
     /// quarantined (moved to `<slot>.quarantine`) and recovery falls
-    /// back to the previous good generation; the quarantine evidence is
-    /// reported by [`Daemon::quarantined_snapshots`].
+    /// back to the previous good generation.
     ///
     /// # Errors
     /// When snapshots are present but *none* decodes, the daemon
@@ -239,11 +227,9 @@ impl Daemon {
         let mut seq = 0;
         let mut restored = false;
         let mut generation = 0;
-        let mut quarantined = Vec::new();
         if let Some(path) = &cfg.snapshot_path {
             let store = SnapshotStore::new(path.clone());
             let recovery = store.recover(cfg.storage.as_ref(), &DaemonSnapshot::decode)?;
-            quarantined = recovery.quarantined;
             let best = recovery
                 .candidates
                 .into_iter()
@@ -259,13 +245,13 @@ impl Daemon {
                     generation = if from_slot_a { 1 } else { 0 };
                 }
                 None => {
-                    if let Some((_, err)) = quarantined.last() {
+                    if let Some((_, err)) = recovery.quarantined.last() {
                         return Err(err.clone());
                     }
                 }
             }
         }
-        Ok(Daemon { pool, cfg, seq, restored, generation, quarantined })
+        Ok(Daemon { pool, cfg, seq, restored, generation })
     }
 
     /// True when this daemon restored state from a snapshot.
@@ -283,20 +269,14 @@ impl Daemon {
         &self.pool
     }
 
-    /// Serves one batch and advances the sequence cursor. Never
-    /// checkpoints: the caller makes its own record of the outcomes
+    /// Serves one request and advances the sequence cursor. Never
+    /// checkpoints: the caller makes its own record of the outcome
     /// durable first (the trail), then calls [`Daemon::checkpoint`] — a
     /// snapshot ahead of the trail is a state the daemon refuses to
     /// start from.
-    pub fn submit(&mut self, batch: Vec<SolveRequest>) -> Vec<RequestOutcome> {
-        self.seq += batch.len() as u64;
-        self.pool.run(batch)
-    }
-
-    /// Snapshot slots that were present but undecodable at start and
-    /// were quarantined (renamed to `<slot>.quarantine`).
-    pub fn quarantined_snapshots(&self) -> &[(PathBuf, SnapshotError)] {
-        &self.quarantined
+    pub fn submit(&mut self, req: SolveRequest) -> RequestOutcome {
+        self.seq += 1;
+        self.pool.serve(req)
     }
 
     /// Writes a snapshot now, rotating between the A/B generation
@@ -316,9 +296,9 @@ impl Daemon {
     }
 
     /// Graceful drain: the daemon stops admitting (it consumes itself —
-    /// no further [`Daemon::submit`] is possible), in-flight work is
-    /// already finished (submit is synchronous), a final checkpoint is
-    /// written, and the report is returned for the caller's exit path.
+    /// no further [`Daemon::submit`] is possible), nothing is in flight
+    /// (submit is synchronous), a final checkpoint is written, and the
+    /// report is returned for the caller's exit path.
     ///
     /// # Errors
     /// Propagates the final checkpoint's I/O failure.

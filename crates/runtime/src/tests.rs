@@ -6,7 +6,6 @@ use fp16mg_problems::{Problem, ProblemKind};
 
 use crate::budget::{Budget, BudgetGuard, CancelToken};
 use crate::ladder::{run_session, RetryPolicy, Rung, SolveRequest, SolverChoice};
-use crate::pool::{PoolConfig, RequestOutcome, ServePool};
 
 fn laplace(n: usize) -> Problem {
     ProblemKind::Laplace27.build(n)
@@ -189,64 +188,12 @@ mod session {
     }
 }
 
-/// Every protection off: the pool as a plain concurrent batch runner.
-fn run_batch(requests: Vec<SolveRequest>, workers: usize) -> Vec<RequestOutcome> {
-    ServePool::new(PoolConfig::unbounded(workers)).run(requests)
-}
-
-mod pool {
-    use super::*;
-
-    #[test]
-    fn batch_outcomes_keep_submission_order() {
-        let requests: Vec<_> = (0..5)
-            .map(|i| SolveRequest::new(format!("req-{i}"), laplace(6), MgConfig::d16()))
-            .collect();
-        let outcomes = run_batch(requests, 3);
-        assert_eq!(outcomes.len(), 5);
-        for (i, out) in outcomes.iter().enumerate() {
-            assert_eq!(out.index, i);
-            assert_eq!(out.name, format!("req-{i}"));
-            assert!(out.converged(), "request {i} failed: {:?}", out.result);
-        }
-    }
-
-    #[test]
-    fn empty_batch_and_oversized_worker_count_are_fine() {
-        assert!(run_batch(Vec::new(), 8).is_empty());
-        let outcomes = run_batch(vec![SolveRequest::new("solo", laplace(6), MgConfig::d16())], 64);
-        assert_eq!(outcomes.len(), 1);
-        assert!(outcomes[0].converged());
-    }
-
-    #[test]
-    fn zero_workers_still_serves_on_one_worker() {
-        // Regression: `workers == 0` must clamp to one worker, not hang
-        // or panic, and an empty batch with zero workers is just empty.
-        assert!(run_batch(Vec::new(), 0).is_empty());
-        let outcomes = run_batch(vec![SolveRequest::new("zero", laplace(6), MgConfig::d16())], 0);
-        assert_eq!(outcomes.len(), 1);
-        assert!(outcomes[0].converged(), "{:?}", outcomes[0].result);
-    }
-
-    #[test]
-    fn unbounded_pool_admits_everything_at_full_quality() {
-        let requests: Vec<_> = (0..6)
-            .map(|i| SolveRequest::new(format!("compat-{i}"), laplace(6), MgConfig::d16()))
-            .collect();
-        for out in run_batch(requests, 2) {
-            assert!(out.rejection().is_none(), "the unbounded pool must never reject");
-            assert!(!out.degraded(), "the unbounded pool must never degrade");
-            assert!(out.degrades.is_empty());
-            assert!(!out.probe);
-        }
-    }
-}
-
 #[cfg(feature = "fault-inject")]
 mod fault {
     use super::*;
+    use crate::breaker::BreakerConfig;
     use crate::ladder::FaultPlan;
+    use crate::pool::{PoolConfig, RequestOutcome, ServeError, ServePool};
     use fp16mg_core::RecoveryPolicy;
     use fp16mg_sgdia::fault::FaultSpec;
 
@@ -333,20 +280,27 @@ mod fault {
         assert_eq!(out.report.rung_sequence(), vec![Rung::Retry, Rung::Retry, Rung::PromoteNarrow]);
     }
 
+    /// A pool with the breaker off: a contained panic is a terminal
+    /// failure, and these tests are about the serving thread, not class
+    /// health.
+    fn breakerless() -> ServePool {
+        ServePool::new(PoolConfig { breaker: BreakerConfig::disabled(), ..PoolConfig::default() })
+    }
+
     #[test]
     fn pool_isolates_panicking_request() {
-        let mut requests: Vec<_> = (0..4)
-            .map(|i| SolveRequest::new(format!("clean-{i}"), laplace(6), MgConfig::d16()))
-            .collect();
-        requests[1].panic_in_worker = true;
-        requests[1].name = "poisoned".into();
-        let outcomes = run_batch(requests, 2);
-        assert_eq!(outcomes.len(), 4);
-        for (i, out) in outcomes.iter().enumerate() {
+        let mut pool = breakerless();
+        for i in 0..4 {
+            let mut req = SolveRequest::new(format!("clean-{i}"), laplace(6), MgConfig::d16());
+            if i == 1 {
+                req.panic_in_worker = true;
+                req.name = "poisoned".into();
+            }
+            let out = pool.serve(req);
             if i == 1 {
                 let err = out.result.as_ref().expect_err("injected panic must surface");
                 match err {
-                    crate::pool::ServeError::Session(SolveError::WorkerPanicked { message }) => {
+                    ServeError::Session(SolveError::WorkerPanicked { message }) => {
                         assert!(message.contains("injected worker panic"), "message: {message}");
                     }
                     other => panic!("expected WorkerPanicked, got {other:?}"),
@@ -355,6 +309,31 @@ mod fault {
                 assert!(out.converged(), "request {i} must survive its neighbor's panic");
             }
         }
+    }
+
+    #[test]
+    fn a_contained_panic_leaves_the_serving_thread_usable() {
+        // Sessions run on the serving thread, whose Krylov vectors are a
+        // thread-local take-out / put-back pool: after a contained panic
+        // the next request must solve exactly as on a fresh pool.
+        let clean = || SolveRequest::new("clean", laplace(8), MgConfig::d16());
+        let fresh = breakerless().serve(clean());
+        let mut pool = breakerless();
+        let mut poisoned = clean();
+        poisoned.panic_in_worker = true;
+        let out = pool.serve(poisoned);
+        assert!(
+            matches!(out.result, Err(ServeError::Session(SolveError::WorkerPanicked { .. }))),
+            "{:?}",
+            out.result
+        );
+        let after = pool.serve(clean());
+        assert!(after.converged(), "{:?}", after.result);
+        assert_eq!(after.iters, fresh.iters);
+        let bits = |o: &RequestOutcome| -> Vec<u64> {
+            o.solution.as_ref().expect("converged").iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&after), bits(&fresh), "the solution bits moved after a panic");
     }
 }
 
@@ -548,79 +527,11 @@ mod audit_gate {
 }
 
 mod admission {
-    use crate::admission::{AdmissionConfig, AdmissionError, AdmissionQueue, Priority};
-    use std::time::Duration;
-
-    fn small() -> AdmissionConfig {
-        AdmissionConfig {
-            capacity: 4,
-            per_priority: [3, 3, 1],
-            est_service: Duration::from_millis(10),
-        }
-    }
-
-    #[test]
-    fn total_capacity_bounds_the_queue() {
-        let mut q = AdmissionQueue::new(small());
-        for _ in 0..3 {
-            q.try_reserve(Priority::Interactive).unwrap();
-        }
-        q.try_reserve(Priority::Batch).unwrap();
-        assert_eq!(q.depth(), 4);
-        let err = q.try_reserve(Priority::Batch).unwrap_err();
-        assert!(
-            matches!(err, AdmissionError::QueueFull { capacity: 4, depth: 4, .. }),
-            "expected the total bound, got {err:?}"
-        );
-    }
-
-    #[test]
-    fn per_priority_cap_binds_before_total() {
-        let mut q = AdmissionQueue::new(small());
-        q.try_reserve(Priority::BestEffort).unwrap();
-        let err = q.try_reserve(Priority::BestEffort).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                AdmissionError::QueueFull { priority: Priority::BestEffort, capacity: 1, depth: 1 }
-            ),
-            "expected the best-effort reservation bound, got {err:?}"
-        );
-        // Other classes still have room.
-        q.try_reserve(Priority::Interactive).unwrap();
-    }
-
-    #[test]
-    fn release_frees_the_slot() {
-        let mut q = AdmissionQueue::new(small());
-        q.try_reserve(Priority::BestEffort).unwrap();
-        assert_eq!(q.depth_of(Priority::BestEffort), 1);
-        q.release(Priority::BestEffort);
-        assert_eq!(q.depth(), 0);
-        q.try_reserve(Priority::BestEffort).unwrap();
-        // Releasing an empty class saturates at zero.
-        q.release(Priority::Interactive);
-        assert_eq!(q.depth_of(Priority::Interactive), 0);
-    }
-
-    #[test]
-    fn fill_fraction_tracks_depth() {
-        let mut q = AdmissionQueue::new(small());
-        assert_eq!(q.fill(), 0.0);
-        q.try_reserve(Priority::Interactive).unwrap();
-        q.try_reserve(Priority::Batch).unwrap();
-        assert!((q.fill() - 0.5).abs() < 1e-12);
-        let degenerate = AdmissionQueue::new(AdmissionConfig { capacity: 0, ..small() });
-        assert_eq!(degenerate.fill(), 1.0, "a zero-capacity queue is always full");
-    }
+    use crate::admission::Priority;
 
     #[test]
     fn priority_order_is_most_to_least_protected() {
-        assert_eq!(
-            Priority::ALL.map(Priority::index),
-            [0, 1, 2],
-            "shed order and per-priority arrays key off this"
-        );
+        assert_eq!(Priority::ALL.map(Priority::index), [0, 1, 2]);
         assert_eq!(Priority::default(), Priority::Batch);
     }
 }
@@ -797,139 +708,11 @@ mod breaker {
     }
 }
 
-mod shed {
-    use super::*;
-    use crate::admission::Priority;
-    use crate::ladder::Rung;
-    use crate::shed::{estimate_pressure, DegradeEvent, DegradeProfile, ShedPolicy};
-
-    #[test]
-    fn profile_bands_follow_the_thresholds() {
-        let p = ShedPolicy::default();
-        assert_eq!(p.profile_for(0.0), DegradeProfile::Full);
-        assert_eq!(p.profile_for(0.49), DegradeProfile::Full);
-        assert_eq!(p.profile_for(0.5), DegradeProfile::Reduced);
-        assert_eq!(p.profile_for(0.74), DegradeProfile::Reduced);
-        assert_eq!(p.profile_for(0.75), DegradeProfile::Economy);
-        assert_eq!(p.profile_for(1.0), DegradeProfile::Economy);
-    }
-
-    #[test]
-    fn shed_order_is_best_effort_then_batch_never_interactive() {
-        let p = ShedPolicy::default();
-        assert!(p.should_shed(Priority::BestEffort, 0.7));
-        assert!(!p.should_shed(Priority::Batch, 0.7));
-        assert!(!p.should_shed(Priority::Interactive, 0.7));
-        assert!(p.should_shed(Priority::Batch, 0.95));
-        assert!(!p.should_shed(Priority::Interactive, 1.0), "interactive is never shed");
-        let off = ShedPolicy::disabled();
-        for pr in Priority::ALL {
-            assert!(!off.should_shed(pr, 1.0));
-        }
-        assert_eq!(off.profile_for(1.0), DegradeProfile::Full);
-    }
-
-    #[test]
-    fn pressure_tracks_queue_fill() {
-        let est = Duration::from_millis(100);
-        let s = estimate_pressure(3, 4, 2, est, &[]);
-        assert!((s.queue_fill - 0.75).abs() < 1e-12);
-        assert_eq!(s.slack_deficit, 0.0);
-        assert!((s.value() - 0.75).abs() < 1e-12);
-        assert_eq!(estimate_pressure(5, 0, 2, est, &[]).value(), 1.0);
-    }
-
-    #[test]
-    fn pressure_tracks_queued_deadline_slack() {
-        // One worker, 100 ms per request: request i waits i*100 ms and
-        // needs 100 ms more. Deadlines of 50 ms (position 0) and 150 ms
-        // (position 3) miss; 10 s (position 1) does not; `None` (position
-        // 2) does not vote.
-        let est = Duration::from_millis(100);
-        let deadlines = [
-            Some(Duration::from_millis(50)),
-            Some(Duration::from_secs(10)),
-            None,
-            Some(Duration::from_millis(150)),
-        ];
-        let s = estimate_pressure(4, 100, 1, est, &deadlines);
-        assert!((s.slack_deficit - 2.0 / 3.0).abs() < 1e-12, "got {}", s.slack_deficit);
-        assert!(s.queue_fill < s.slack_deficit, "slack must dominate via max()");
-        assert!((s.value() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn full_profile_is_a_no_op() {
-        let mut req = SolveRequest::new("full", laplace(6), MgConfig::d16());
-        let before = req.opts.clone();
-        let events = req.apply_profile(DegradeProfile::Full, &ShedPolicy::default());
-        assert!(events.is_empty());
-        assert_eq!(req.opts.tol, before.tol);
-        assert_eq!(req.opts.max_iters, before.max_iters);
-    }
-
-    #[test]
-    fn reduced_profile_relaxes_tol_and_caps_iters_with_events() {
-        let policy = ShedPolicy::default();
-        let mut req = SolveRequest::new("reduced", laplace(6), MgConfig::d16());
-        let (tol0, iters0) = (req.opts.tol, req.opts.max_iters);
-        let events = req.apply_profile(DegradeProfile::Reduced, &policy);
-        assert!((req.opts.tol - tol0 * policy.tol_relax).abs() < 1e-18);
-        assert_eq!(req.opts.max_iters, policy.reduced_max_iters);
-        assert_eq!(
-            events,
-            vec![
-                DegradeEvent::TolRelaxed { from: tol0, to: req.opts.tol },
-                DegradeEvent::ItersCapped { from: iters0, to: policy.reduced_max_iters },
-            ]
-        );
-    }
-
-    #[test]
-    fn economy_profile_economizes_storage_caps_vcycles_and_trims_the_ladder() {
-        let policy = ShedPolicy::default();
-        let mut req = SolveRequest::new("economy", laplace(6), MgConfig::d16());
-        let events = req.apply_profile(DegradeProfile::Economy, &policy);
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, DegradeEvent::StorageEconomized { shift_levid: 2 })));
-        assert!(events.iter().any(|e| matches!(e, DegradeEvent::VcyclesCapped { cap: 400 })));
-        assert!(events.iter().any(|e| matches!(e, DegradeEvent::LadderTrimmed { .. })));
-        assert_eq!(req.budget.max_vcycles, Some(policy.economy_max_vcycles));
-        assert_eq!(
-            req.policy.attempts[Rung::RebuildF64.index()],
-            0,
-            "economy must not spend the FP64 rebuild on shed-window work"
-        );
-        // The degraded request still converges (to its looser target).
-        let out = run_session(&req);
-        assert!(out.converged(), "economy profile must stay solvable: {:?}", out.result.err());
-    }
-
-    #[test]
-    fn degradation_never_tightens_the_requested_tolerance() {
-        let policy = ShedPolicy::default();
-        let mut req = SolveRequest::new("loose-already", laplace(6), MgConfig::d16());
-        // Caller asked for something looser than the degradation ceiling.
-        req.opts.tol = 1e-3;
-        let events = req.apply_profile(DegradeProfile::Reduced, &policy);
-        assert_eq!(req.opts.tol, 1e-3, "a degraded tolerance is never tighter than requested");
-        assert!(!events.iter().any(|e| matches!(e, DegradeEvent::TolRelaxed { .. })));
-    }
-}
-
 mod serve_pool {
     use super::*;
-    use crate::admission::{AdmissionConfig, AdmissionError, Priority};
+    use crate::admission::AdmissionError;
     use crate::breaker::{BreakerConfig, BreakerState};
     use crate::pool::{PoolConfig, ServeError, ServePool};
-    use crate::shed::ShedPolicy;
-
-    fn prioritized(name: &str, priority: Priority) -> SolveRequest {
-        let mut req = SolveRequest::new(name, laplace(6), MgConfig::d16());
-        req.priority = priority;
-        req
-    }
 
     /// A request whose session always ends in a fast typed terminal
     /// failure (unreachable tolerance, two-iteration budget, no retries).
@@ -948,140 +731,57 @@ mod serve_pool {
         req
     }
 
-    fn breaker_cfg() -> BreakerConfig {
-        BreakerConfig {
-            window: 4,
-            min_samples: 2,
-            failure_threshold: 0.5,
-            cooldown: 2,
-            cooldown_jitter: 0,
-            probes: 1,
-            probe_successes: 1,
-            ..BreakerConfig::default()
-        }
-    }
-
-    #[test]
-    fn full_queue_sheds_best_effort_first_and_every_refusal_is_typed() {
-        let mut pool = ServePool::new(PoolConfig {
-            workers: 2,
-            admission: AdmissionConfig {
-                capacity: 4,
-                per_priority: [4, 4, 4],
-                est_service: Duration::from_millis(10),
-            },
-            // Shedding starts for best-effort at half fill; batch only at
-            // near-saturation; interactive never.
-            shed: ShedPolicy {
-                reduce_at: 0.5,
-                economy_at: 0.8,
-                shed_at: [f64::INFINITY, 0.95, 0.5],
-                ..ShedPolicy::default()
-            },
-            breaker: breaker_cfg(),
-            ..PoolConfig::default()
-        });
-        let requests: Vec<_> = (0..9)
-            .map(|i| {
-                let pr = Priority::ALL[i % 3];
-                prioritized(&format!("{}-{i}", pr.label()), pr)
-            })
-            .collect();
-        let outcomes = pool.run(requests);
-        assert_eq!(outcomes.len(), 9);
-
-        let shed: Vec<_> = outcomes
-            .iter()
-            .filter(|o| matches!(o.rejection(), Some(AdmissionError::Shed { .. })))
-            .collect();
-        let queue_full = outcomes
-            .iter()
-            .filter(|o| matches!(o.rejection(), Some(AdmissionError::QueueFull { .. })))
-            .count();
-        let admitted: Vec<_> = outcomes.iter().filter(|o| o.rejection().is_none()).collect();
-
-        assert!(!shed.is_empty(), "an oversubscribed batch must shed something");
-        assert_eq!(
-            shed[0].priority,
-            Priority::BestEffort,
-            "the first request shed must be best-effort"
-        );
-        assert!(
-            shed.iter().all(|o| o.priority != Priority::Interactive),
-            "interactive work is never shed"
-        );
-        assert!(queue_full > 0, "past capacity the hard bound must refuse");
-        assert!(admitted.len() <= 4, "no more than capacity may be admitted");
-        for o in &admitted {
-            assert!(o.converged(), "{}: {:?}", o.name, o.result);
-            if o.degraded() {
-                assert!(!o.degrades.is_empty(), "degraded outcomes carry their event trail");
-            }
-        }
-        assert!(
-            admitted.iter().any(|o| o.degraded()),
-            "half-full onward the pool serves degraded profiles"
-        );
-    }
-
     #[test]
     fn poisoned_class_trips_the_breaker_and_recovers_via_probe() {
         let mut pool = ServePool::new(PoolConfig {
-            workers: 2,
-            admission: AdmissionConfig::default(),
-            shed: ShedPolicy::disabled(),
-            breaker: breaker_cfg(),
+            breaker: BreakerConfig {
+                window: 4,
+                min_samples: 2,
+                failure_threshold: 0.5,
+                cooldown: 2,
+                cooldown_jitter: 0,
+                probes: 1,
+                probe_successes: 1,
+                ..BreakerConfig::default()
+            },
             ..PoolConfig::default()
         });
 
-        // Batch 1: the poisoned class fails terminally and trips its
-        // breaker (min_samples 2, threshold 0.5); a healthy class in the
-        // same batch is untouched.
-        let mut batch = vec![poisoned("bad-0"), poisoned("bad-1"), poisoned("bad-2")];
-        batch.push(healthy_of_class("ok-0", "healthy"));
-        let out1 = pool.run(batch);
-        for o in &out1[..3] {
+        // Each session is recorded before the next request is gated: the
+        // second terminal failure trips the breaker (min_samples 2,
+        // threshold 0.5); a healthy class in between is untouched.
+        for name in ["bad-0", "bad-1"] {
+            let o = pool.serve(poisoned(name));
             assert!(
                 matches!(o.result, Err(ServeError::Session(_))),
-                "{}: poisoned sessions fail typed, not at admission: {:?}",
-                o.name,
+                "{name}: poisoned sessions fail typed, not at admission: {:?}",
                 o.result
             );
         }
-        assert!(out1[3].converged());
         assert_eq!(pool.breakers().state("poison"), Some(BreakerState::Open));
+        assert!(pool.serve(healthy_of_class("ok-0", "healthy")).converged());
         assert_eq!(pool.breakers().state("healthy"), Some(BreakerState::Closed));
 
-        // Batch 2: cooldown of 2 admission attempts — the first is
-        // refused typed, the second is admitted as the half-open probe
-        // (now healthy, it converges and closes the breaker), the third
-        // arrives half-open with the probe quota spent.
-        let out2 = pool.run(vec![
-            healthy_of_class("recover-0", "poison"),
-            healthy_of_class("recover-1", "poison"),
-            healthy_of_class("recover-2", "poison"),
-        ]);
+        // Cooldown of 2 admission attempts: the first is refused typed,
+        // the second is admitted as the half-open probe; now healthy, it
+        // converges and closes the breaker.
+        let refused = pool.serve(poisoned("bad-2"));
         assert!(
             matches!(
-                out2[0].rejection(),
+                refused.rejection(),
                 Some(AdmissionError::BreakerOpen { cooldown_remaining: 1, .. })
             ),
             "got {:?}",
-            out2[0].result
+            refused.result
         );
-        assert!(out2[1].probe, "the attempt completing the cooldown is the probe");
-        assert!(out2[1].converged());
-        assert!(!out2[1].degraded(), "probes run at full quality");
-        assert!(
-            matches!(out2[2].rejection(), Some(AdmissionError::BreakerOpen { .. })),
-            "got {:?}",
-            out2[2].result
-        );
+        let probe = pool.serve(healthy_of_class("recover", "poison"));
+        assert!(probe.probe, "the attempt completing the cooldown is the probe");
+        assert!(probe.converged());
         assert_eq!(pool.breakers().state("poison"), Some(BreakerState::Closed));
 
-        // Batch 3: the recovered class serves normally again.
-        let out3 = pool.run(vec![healthy_of_class("healed", "poison")]);
-        assert!(out3[0].converged() && !out3[0].probe);
+        // The recovered class serves normally again.
+        let healed = pool.serve(healthy_of_class("healed", "poison"));
+        assert!(healed.converged() && !healed.probe);
 
         let moves: Vec<_> = pool
             .breakers()
@@ -1099,30 +799,8 @@ mod serve_pool {
             ],
             "the full recovery arc must be visible in the transition log"
         );
-    }
-
-    #[test]
-    fn degraded_profiles_are_deterministic_for_a_replayed_batch() {
-        let make = || {
-            let mut pool = ServePool::new(PoolConfig {
-                workers: 2,
-                admission: AdmissionConfig {
-                    capacity: 4,
-                    per_priority: [4, 4, 4],
-                    est_service: Duration::from_millis(10),
-                },
-                shed: ShedPolicy::default(),
-                breaker: breaker_cfg(),
-                ..PoolConfig::default()
-            });
-            let requests: Vec<_> =
-                (0..6).map(|i| prioritized(&format!("r{i}"), Priority::Batch)).collect();
-            pool.run(requests)
-                .into_iter()
-                .map(|o| (o.profile, o.pressure, o.result.err().map(|e| e.to_string())))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(make(), make(), "admission decisions depend on declared quantities only");
+        let c = pool.counters();
+        assert_eq!((c.submitted, c.admitted, c.rejected_breaker), (6, 5, 1));
     }
 }
 
@@ -1332,7 +1010,8 @@ mod cache {
 
 mod snapshot {
     use super::*;
-    use crate::pool::{PoolConfig, PoolState, ServePool};
+    use crate::pool::{PoolState, ServePool};
+    use crate::serve::pool_cfg;
     use crate::snapshot::{DaemonSnapshot, SnapshotError, SnapshotStore, SNAPSHOT_VERSION};
     use crate::storage::RealStorage;
     use fp16mg_fp::Fnv1a;
@@ -1341,7 +1020,7 @@ mod snapshot {
     /// breaker with a jittered cooldown, quarantine strikes, cache
     /// stats and entries with escapable names.
     fn populated_state() -> PoolState {
-        let mut pool = ServePool::new(PoolConfig::daemon(2));
+        let mut pool = ServePool::new(pool_cfg(None));
         let bad = |name: &str| {
             let mut req = SolveRequest::new(name, laplace(6), MgConfig::d16());
             req.class = "poison class".into(); // space exercises escaping
@@ -1351,7 +1030,9 @@ mod snapshot {
             req
         };
         let ok = SolveRequest::new("ok", laplace(6), MgConfig::d16());
-        pool.run(vec![bad("bad-0"), bad("bad-1"), ok]);
+        for req in [bad("bad-0"), bad("bad-1"), ok] {
+            pool.serve(req);
+        }
         let mut state = pool.export_state();
         state.quarantine = vec![("wedger".into(), 2), ("%weird name%".into(), 1)];
         state
@@ -1573,7 +1254,10 @@ mod golden_bytes {
     //! before the codecs shared a record cursor and a body writer). The
     //! version moved because a cache entry's `fingerprint` is now the lane
     //! hash: the field's bytes did not change, what they mean did, and the
-    //! version-1 bytes below must be refused.
+    //! version-1 bytes below must be refused. The fixture's three retired
+    //! counters (queue-full, shed, degraded) are now always written as `0`;
+    //! the checksums below moved with them, and a file that still carries
+    //! nonzero values there decodes to the same state.
     use crate::breaker::{BreakerExport, BreakerState};
     use crate::cache::{CacheEntryMeta, CacheKey, CacheStats};
     use crate::pool::{PoolState, ServeCounters};
@@ -1596,11 +1280,8 @@ mod golden_bytes {
                 counters: ServeCounters {
                     submitted: 41,
                     admitted: 37,
-                    rejected_queue_full: 1,
-                    rejected_shed: 2,
                     rejected_breaker: 1,
                     rejected_quarantined: 0,
-                    degraded: 5,
                     completed_ok: 30,
                     completed_err: 7,
                 },
@@ -1661,13 +1342,13 @@ mod golden_bytes {
     const DAEMON_BYTES: &str = "\
          fp16mg-snapshot v2\n\
          seq 41\n\
-         counters 41 37 1 2 1 0 5 30 7\n\
+         counters 41 37 0 0 1 0 0 30 7\n\
          breaker poison%20class open 1101 2 3fe8000000000000 3 9 0 0\n\
          breaker steady closed - 0 0000000000000000 0 0 0 0\n\
          quarantine %25weird%20name%25 2\n\
          cache-stats 11 4 2 3 1\n\
          cache-entry drift%2Fa%20b 8 9 10 3 19 0123456789abcdef 6 2 2\n\
-         checksum a3dda4c87a594880\n\
+         checksum c43775fdfd93f5f2\n\
          ";
 
     const SIM_BYTES: &str = "\
@@ -1688,6 +1369,18 @@ mod golden_bytes {
     }
 
     #[test]
+    fn retired_counters_are_read_and_ignored() {
+        // What an older daemon wrote, with nonzero retired counters.
+        let body = &DAEMON_BYTES[..DAEMON_BYTES.rfind("checksum ").unwrap()];
+        let body =
+            body.replacen("counters 41 37 0 0 1 0 0 30 7", "counters 41 37 1 2 1 0 5 30 7", 1);
+        let mut h = fp16mg_fp::Fnv1a::new();
+        body.bytes().for_each(|b| h.write_u8(b));
+        let old = format!("{body}checksum {:016x}\n", h.finish());
+        assert_eq!(DaemonSnapshot::decode(&old).unwrap(), daemon());
+    }
+
+    #[test]
     fn sim_snapshot_encodes_to_the_committed_bytes() {
         assert_eq!(sim().encode(), SIM_BYTES);
         assert_eq!(SimSnapshot::decode(SIM_BYTES).unwrap().encode(), SIM_BYTES);
@@ -1700,7 +1393,7 @@ mod golden_bytes {
         let v1 = |bytes: &str, v2_sum: &str, v1_sum: &str| {
             bytes.replacen(" v2\n", " v1\n", 1).replacen(v2_sum, v1_sum, 1)
         };
-        let daemon_v1 = v1(DAEMON_BYTES, "a3dda4c87a594880", "9e5a9951524f234f");
+        let daemon_v1 = v1(DAEMON_BYTES, "c43775fdfd93f5f2", "914a1b4ca786e915");
         assert_eq!(
             DaemonSnapshot::decode(&daemon_v1),
             Err(SnapshotError::UnsupportedVersion { found: 1 })
@@ -1748,7 +1441,8 @@ mod golden_bytes {
 mod daemon {
     use super::*;
     use crate::admission::AdmissionError;
-    use crate::pool::{PoolConfig, ServePool};
+    use crate::pool::{RequestOutcome, ServePool};
+    use crate::serve::pool_cfg;
     use crate::supervise::{Daemon, DaemonConfig, Quarantine};
 
     fn temp_snapshot(tag: &str) -> std::path::PathBuf {
@@ -1757,9 +1451,9 @@ mod daemon {
             .join("daemon.snapshot")
     }
 
-    /// A deterministic mixed batch: two requests of a class that fails
+    /// A deterministic mixed stream: two requests of a class that fails
     /// terminally and one healthy request.
-    fn batch() -> Vec<SolveRequest> {
+    fn stream() -> Vec<SolveRequest> {
         let bad = |name: &str| {
             let mut req = SolveRequest::new(name, laplace(6), MgConfig::d16());
             req.class = "poison".into();
@@ -1771,15 +1465,13 @@ mod daemon {
         vec![bad("bad-0"), bad("bad-1"), SolveRequest::new("ok", laplace(6), MgConfig::d16())]
     }
 
-    fn decisions(outcomes: &[crate::pool::RequestOutcome]) -> Vec<(String, String, String)> {
+    fn decisions(outcomes: &[RequestOutcome]) -> Vec<(String, String)> {
         outcomes
             .iter()
             .map(|o| {
-                (
-                    o.name.clone(),
-                    o.profile.label().to_string(),
-                    o.result.as_ref().map(|_| "ok".into()).unwrap_or_else(|e| e.to_string()),
-                )
+                let result =
+                    o.result.as_ref().map(|_| "ok".into()).unwrap_or_else(|e| e.to_string());
+                (o.name.clone(), result)
             })
             .collect()
     }
@@ -1789,15 +1481,17 @@ mod daemon {
         let path = temp_snapshot("replay");
         let _ = std::fs::remove_file(&path);
         let cfg = || DaemonConfig {
-            pool: PoolConfig::daemon(2),
+            pool: pool_cfg(None),
             snapshot_path: Some(path.clone()),
             ..DaemonConfig::default()
         };
 
-        // Run one batch (trips the poison breaker), checkpoint, "crash".
+        // Serve the stream (trips the poison breaker), checkpoint, "crash".
         let mut first = Daemon::start(cfg()).unwrap();
         assert!(!first.restored());
-        first.submit(batch());
+        for req in stream() {
+            first.submit(req);
+        }
         first.checkpoint().unwrap();
         let exported = first.pool().export_state();
         drop(first); // no drain: the explicit checkpoint is the survivor
@@ -1810,11 +1504,13 @@ mod daemon {
         assert_eq!(restored.pool().counters(), exported.counters);
 
         // … and an untouched reference pool that replays history from
-        // scratch reaches the exact same decisions on the next batch.
-        let mut reference = ServePool::new(PoolConfig::daemon(2));
-        reference.run(batch());
-        let live = restored.submit(batch());
-        let replayed = reference.run(batch());
+        // scratch reaches the exact same decisions on the next stream.
+        let mut reference = ServePool::new(pool_cfg(None));
+        for req in stream() {
+            reference.serve(req);
+        }
+        let live: Vec<_> = stream().into_iter().map(|req| restored.submit(req)).collect();
+        let replayed: Vec<_> = stream().into_iter().map(|req| reference.serve(req)).collect();
         assert_eq!(decisions(&live), decisions(&replayed));
 
         // Graceful drain writes the final checkpoint and reports it.
@@ -1841,15 +1537,15 @@ mod daemon {
         assert_eq!(merged.strikes_of("flaky"), 2);
 
         // The pool's admission gate refuses the name with a typed error.
-        let mut pool = ServePool::new(PoolConfig::daemon(1));
+        let mut pool = ServePool::new(pool_cfg(None));
         let mut state = pool.export_state();
         state.quarantine = vec![("flaky".into(), 2)];
         pool.restore_state(&state);
-        let out = pool.run(vec![SolveRequest::new("flaky", laplace(6), MgConfig::d16())]);
+        let out = pool.serve(SolveRequest::new("flaky", laplace(6), MgConfig::d16()));
         assert!(
-            matches!(out[0].rejection(), Some(AdmissionError::Quarantined { strikes: 2, .. })),
+            matches!(out.rejection(), Some(AdmissionError::Quarantined { strikes: 2, .. })),
             "got {:?}",
-            out[0].result
+            out.result
         );
         assert_eq!(pool.counters().rejected_quarantined, 1);
     }
@@ -2289,13 +1985,12 @@ mod mem_pressure {
     use crate::cache::CacheConfig;
     use crate::mem::MemGovernor;
     use crate::pool::{PoolConfig, RequestOutcome, ServePool};
-    use crate::shed::ShedPolicy;
 
     /// Six requests in six distinct problem classes: every class is its
     /// own cache entry and every hierarchy is built from its own matrix,
     /// so solves are independent of cache interleaving and eviction —
     /// only the *memory* behavior may differ between runs.
-    fn batch() -> Vec<SolveRequest> {
+    fn stream() -> Vec<SolveRequest> {
         (0..6)
             .map(|i| {
                 let mut problem = laplace(6);
@@ -2311,25 +2006,21 @@ mod mem_pressure {
     }
 
     fn pool_cfg(budget: Option<u64>) -> PoolConfig {
-        PoolConfig {
-            workers: 3,
-            mem_budget: budget,
-            shed: ShedPolicy::disabled(),
-            cache: CacheConfig::default(),
-            ..PoolConfig::default()
-        }
+        PoolConfig { mem_budget: budget, cache: CacheConfig::default(), ..PoolConfig::default() }
     }
 
     /// Unlimited governor, but the cache itself holds at most
     /// `byte_budget` of retained chains (evicting LRU to make room).
     fn cache_budget_cfg(byte_budget: u64) -> PoolConfig {
         PoolConfig {
-            workers: 3,
-            mem_budget: None,
-            shed: ShedPolicy::disabled(),
             cache: CacheConfig { byte_budget: Some(byte_budget), ..CacheConfig::default() },
             ..PoolConfig::default()
         }
+    }
+
+    /// Serves the stream one request at a time.
+    fn serve_stream(pool: &mut ServePool) -> Vec<RequestOutcome> {
+        stream().into_iter().map(|req| pool.serve(req)).collect()
     }
 
     /// Solutions of the converged outcomes, keyed by request name.
@@ -2344,7 +2035,7 @@ mod mem_pressure {
             .collect()
     }
 
-    /// Accounting invariant shared by both runs: after the batch, the
+    /// Accounting invariant shared by both runs: after the stream, the
     /// only live charges are the cache's retained chains, and dropping
     /// the pool credits everything back to zero (no double-charge, no
     /// leak).
@@ -2359,12 +2050,12 @@ mod mem_pressure {
     }
 
     #[test]
-    fn concurrent_eviction_under_byte_pressure_keeps_solves_exact() {
-        // Reference: unbudgeted concurrent run.
+    fn eviction_under_byte_pressure_keeps_solves_exact() {
+        // Reference: unbudgeted run.
         let mut free = ServePool::new(pool_cfg(None));
         let free_gov = free.governor().clone();
-        let free_out = free.run(batch());
-        assert!(free_out.iter().all(RequestOutcome::converged), "unbudgeted batch converges");
+        let free_out = serve_stream(&mut free);
+        assert!(free_out.iter().all(RequestOutcome::converged), "unbudgeted stream converges");
         assert!(free_gov.peak() > 0, "governor tracked the working set");
         assert_eq!(free.cache().mem_evictions(), 0, "no byte pressure without a budget");
         let retained = free.cache().cache_bytes();
@@ -2372,15 +2063,14 @@ mod mem_pressure {
         let want = solutions(&free_out);
         assert_accounting(free, &free_gov);
 
-        // Pressured: the same batch with the cache capped at ~2/5 of the
-        // bytes it retained when unbudgeted, still on 3 workers. The
-        // governor stays unlimited, so no solve is ever refused — the
-        // pressure is absorbed entirely by LRU eviction, concurrently
-        // with inserts from the other workers.
+        // Pressured: the same stream with the cache capped at ~2/5 of the
+        // bytes it retained when unbudgeted. The governor stays
+        // unlimited, so no solve is ever refused — the pressure is
+        // absorbed entirely by LRU eviction at insert time.
         let budget = (retained * 2) / 5;
         let mut tight = ServePool::new(cache_budget_cfg(budget));
         let tight_gov = tight.governor().clone();
-        let tight_out = tight.run(batch());
+        let tight_out = serve_stream(&mut tight);
         assert!(
             tight_out.iter().all(RequestOutcome::converged),
             "cache-byte pressure must never fail a solve"
@@ -2416,13 +2106,13 @@ mod mem_pressure {
         // serve is typed as uncached or evicted, nothing panics.
         let mut pool = ServePool::new(pool_cfg(Some(4096)));
         let governor = pool.governor().clone();
-        let outcomes = pool.run(batch());
+        let outcomes = serve_stream(&mut pool);
         for o in &outcomes {
             let worker_panicked = matches!(
                 o.result.as_ref().err().and_then(|e| e.session()),
                 Some(SolveError::WorkerPanicked { .. })
             );
-            assert!(!worker_panicked, "{}: memory pressure must never panic a worker", o.name);
+            assert!(!worker_panicked, "{}: memory pressure must never panic a session", o.name);
         }
         assert!(
             pool.cache().uncached_serves() > 0,
@@ -2544,9 +2234,10 @@ mod wire_props {
 }
 
 mod event_driven {
-    //! The serving path waits on events, not timers: a wave ends when its
-    //! last request does (not at the monitor's next poll), the monitor
-    //! still cancels a wedged request, and an idle acceptor stops at once.
+    //! The serving path waits on events, not timers: a request returns
+    //! when its session does (not when the watchdog's wait runs out),
+    //! the watchdog still cancels a wedged request, and an idle acceptor
+    //! stops at once.
 
     use super::*;
     use crate::net::{Acceptor, Conn, Endpoint, Listener};
@@ -2554,36 +2245,35 @@ mod event_driven {
     use crate::supervise::SuperviseConfig;
     use std::time::Instant;
 
-    fn supervised(poll: Duration, wedge_after: Duration) -> ServePool {
+    fn supervised(wedge_after: Duration) -> ServePool {
         ServePool::new(PoolConfig {
-            workers: 1,
-            supervise: SuperviseConfig { poll, wedge_after, ..SuperviseConfig::default() },
+            supervise: SuperviseConfig { wedge_after, ..SuperviseConfig::default() },
             ..PoolConfig::default()
         })
     }
 
     #[test]
     fn wave_returns_when_its_request_does_not_at_the_next_poll() {
-        let mut pool = supervised(Duration::from_millis(500), Duration::from_secs(30));
+        let mut pool = supervised(Duration::from_secs(30));
         let t0 = Instant::now();
-        let out = pool.run(vec![SolveRequest::new("quick", laplace(4), MgConfig::d16())]);
+        let out = pool.serve(SolveRequest::new("quick", laplace(4), MgConfig::d16()));
         let took = t0.elapsed();
-        assert!(out[0].converged(), "{:?}", out[0].result);
-        assert!(took < Duration::from_millis(100), "wave held for {took:?} by a 500 ms poll");
+        assert!(out.converged(), "{:?}", out.result);
+        assert!(took < Duration::from_millis(100), "request held for {took:?} by its watchdog");
     }
 
     #[test]
     fn endless_request_is_still_cancelled_as_wedged() {
-        let mut pool = supervised(Duration::from_millis(5), Duration::from_millis(50));
+        let mut pool = supervised(Duration::from_millis(50));
         let mut req = SolveRequest::new("wedge-me", laplace(6), MgConfig::d16());
         req.solver = SolverChoice::Richardson;
         req.opts = SolveOptions { max_iters: usize::MAX / 2, ..endless_opts() };
         req.policy = RetryPolicy::fail_fast();
-        let out = pool.run(vec![req]);
+        let out = pool.serve(req);
         assert!(
-            matches!(&out[0].result, Err(ServeError::Session(SolveError::Cancelled { .. }))),
+            matches!(&out.result, Err(ServeError::Session(SolveError::Cancelled { .. }))),
             "{:?}",
-            out[0].result
+            out.result
         );
         let wedged = pool
             .worker_events()

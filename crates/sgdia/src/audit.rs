@@ -186,11 +186,6 @@ impl RangeAudit {
     pub fn max_ulp(&self) -> f64 {
         self.max_rel_err / self.precision.unit_roundoff()
     }
-
-    /// Mean truncation error in ulps of the target format.
-    pub fn mean_ulp(&self) -> f64 {
-        self.mean_rel_err / self.precision.unit_roundoff()
-    }
 }
 
 impl core::fmt::Display for RangeAudit {

@@ -10,7 +10,6 @@
 //!    speedup.
 
 use fp16mg_fp::{Scalar, Storage};
-use fp16mg_grid::Grid3;
 
 use crate::SgDia;
 
@@ -41,7 +40,7 @@ impl<S: Storage> Csr<S> {
 
     /// Converts a structured matrix, dropping out-of-grid (zero-filled)
     /// entries and sorting columns within each row. Rows and columns are
-    /// the unknowns in [`Grid3::unknown_of`] order.
+    /// the unknowns in [`Grid3::unknown_of`](fp16mg_grid::Grid3::unknown_of) order.
     pub fn from_sgdia(a: &SgDia<S>) -> Self {
         let grid = *a.grid();
         let rows = a.rows();
@@ -195,30 +194,5 @@ impl<S: Storage> Csr<S> {
         for e in lo..hi {
             out[self.col_idx[e] as usize] = self.values[e].load_f64();
         }
-    }
-
-    /// Grid-aware constructor helper: builds the CSR of a structured
-    /// operator defined by a closure (used by tests to cross-check RAP).
-    pub fn from_dense_fn(rows: usize, mut f: impl FnMut(usize, usize) -> f64) -> Csr<S> {
-        let mut row_ptr = vec![0u32];
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        for r in 0..rows {
-            for c in 0..rows {
-                let v = f(r, c);
-                if v != 0.0 {
-                    col_idx.push(c as u32);
-                    values.push(S::store_f64(v));
-                }
-            }
-            row_ptr.push(col_idx.len() as u32);
-        }
-        Csr { rows, row_ptr, col_idx, values }
-    }
-
-    /// The grid of an SG-DIA source is not retained; this helper recomputes
-    /// expected row count for a grid (tests).
-    pub fn expected_rows(grid: &Grid3) -> usize {
-        grid.unknowns()
     }
 }

@@ -59,29 +59,6 @@ impl FaultSpec {
         }
     }
 
-    /// A spec that flushes entries to subnormals at the given rate.
-    pub fn subnormal_flush(rate: f64, seed: u64) -> Self {
-        FaultSpec {
-            exp_flip_rate: 0.0,
-            inf_rate: 0.0,
-            subnormal_flush_rate: rate,
-            bit_flip_rate: 0.0,
-            seed,
-        }
-    }
-
-    /// A spec that flips uniformly random bits at the given rate and
-    /// nothing else (the memory-corruption model of the ABFT sentinels).
-    pub fn bit_flip(rate: f64, seed: u64) -> Self {
-        FaultSpec {
-            exp_flip_rate: 0.0,
-            inf_rate: 0.0,
-            subnormal_flush_rate: 0.0,
-            bit_flip_rate: rate,
-            seed,
-        }
-    }
-
     /// A spec that injects nothing: the carrier for plans that corrupt
     /// only through targeted upsets such as [`inject_bit_flip_tap`].
     pub fn none(seed: u64) -> Self {
@@ -330,16 +307,4 @@ pub fn inject_bit_flip_tap<S: Storage + 'static>(
     let cells = a.grid().cells();
     let cell = (0..cells).find(|&c| a.get(c, tap).load_f64() != 0.0)?;
     inject_bit_flip_at(a, cell, tap, bit).then_some(cell)
-}
-
-/// Flips one bit of `v[i]` in the computation format (`f32`/`f64`) — the
-/// work-vector counterpart of [`inject_bit_flip_at`], so chaos tests can
-/// also upset the Krylov iterates themselves.
-pub fn flip_vector_bit<K: fp16mg_fp::Scalar>(v: &mut [K], i: usize, bit: u32) {
-    let x = v[i].to_f64();
-    v[i] = if K::BYTES == 4 {
-        K::from_f32(f32::from_bits((x as f32).to_bits() ^ (1 << (bit % 32))))
-    } else {
-        K::from_f64(f64::from_bits(x.to_bits() ^ (1 << (bit % 64))))
-    };
 }

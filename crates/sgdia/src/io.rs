@@ -12,7 +12,7 @@
 
 use std::io::{self, Read, Write};
 
-use fp16mg_fp::{Bf16, Precision, Storage, F16};
+use fp16mg_fp::{Bf16, Storage, F16};
 use fp16mg_grid::Grid3;
 use fp16mg_stencil::{Pattern, Tap};
 
@@ -116,18 +116,6 @@ fn precision_tag<S: Storage>() -> u8 {
         // Storage is implemented exactly by f64/f32/F16/Bf16 (fp crate);
         // a fifth implementor would be a compile-time addition here too.
         other => unreachable!("unknown storage {other}"),
-    }
-}
-
-/// The storage precision recorded in a matrix header (without reading
-/// the payload); pair with the right `read_matrix::<S>` call.
-pub fn peek_precision(header_tag: u8) -> Option<Precision> {
-    match header_tag {
-        0 => Some(Precision::F64),
-        1 => Some(Precision::F32),
-        2 => Some(Precision::F16),
-        3 => Some(Precision::BF16),
-        _ => None,
     }
 }
 

@@ -30,17 +30,6 @@ impl MatrixScan {
     pub fn corrupt_taps(&self) -> Vec<usize> {
         self.per_tap.iter().enumerate().filter(|(_, c)| !c.all_finite()).map(|(t, _)| t).collect()
     }
-
-    /// Fraction of stored entries that are subnormal — the underflow
-    /// pressure gauge behind the `shift_levid` heuristic (§4.3).
-    pub fn subnormal_fraction(&self) -> f64 {
-        let total = self.total.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.total.subnormal as f64 / total as f64
-        }
-    }
 }
 
 impl core::fmt::Display for MatrixScan {

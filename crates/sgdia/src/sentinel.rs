@@ -65,14 +65,6 @@ pub struct TapMismatch {
     pub abs_sum_differs: bool,
 }
 
-impl MatrixSentinels {
-    /// Bytes of sentinel metadata (reporting; negligible next to the
-    /// matrix itself — 24 bytes per plane).
-    pub fn metadata_bytes(&self) -> usize {
-        self.taps.len() * core::mem::size_of::<TapSentinel>()
-    }
-}
-
 /// Stored values widened per bulk conversion in [`SentinelAcc::push_slice`].
 const BLOCK: usize = 256;
 
