@@ -403,8 +403,8 @@ pub fn run_net_soak(cfg: &NetSoakConfig) -> i32 {
 
     // Exactly-once at the durable layer, and bit-identical decisions.
     // With a binding memory budget the decision compare is report-only
-    // by design: budget refusals depend on which worker's bytes were
-    // live at charge time, and a restarted governor is deliberately cold
+    // by design: budget refusals depend on which bytes were live at
+    // charge time, and a restarted governor is deliberately cold
     // (the snapshot restores metadata, not bytes).
     let strict = cfg.mem_budget.is_none();
     let verdict = verify_replay(&reference.trail, &crash.trail, "seq", cfg.requests, false, strict);

@@ -27,7 +27,7 @@ const TOL: f64 = 1e-9;
 /// The deadline that stops [`serve`]'s endless request.
 const DEADLINE: Duration = Duration::from_millis(10);
 
-/// One short scenario tag per request, cycled over the batch.
+/// One short scenario tag per request, cycled over the stream.
 const SCENARIOS: [&str; 8] = [
     "clean",
     "fault→promote",

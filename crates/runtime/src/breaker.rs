@@ -17,7 +17,7 @@
 //! attempts*, not wall-clock time, and the per-trip cooldown jitter (so
 //! many classes tripped together don't probe in lockstep) comes from a
 //! seeded SplitMix64 stream — no wall-clock randomness anywhere, so a
-//! replayed batch takes identical transitions.
+//! replayed stream takes identical transitions.
 
 use std::collections::{BTreeMap, VecDeque};
 

@@ -54,7 +54,7 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// Caching off entirely (the batch-mode compatibility shape).
+    /// Caching off entirely.
     pub fn disabled() -> Self {
         CacheConfig { enabled: false, ..Self::default() }
     }

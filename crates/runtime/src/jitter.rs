@@ -9,7 +9,7 @@
 
 /// SplitMix64: tiny, stateless, deterministic. `x` is the stream
 /// position (seed plus counter); equal inputs produce equal outputs on
-/// every platform, which is what makes replayed batches take identical
+/// every platform, which is what makes replayed streams take identical
 /// jittered decisions.
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -125,7 +125,7 @@ pub trait StorageFile: Send {
 ///
 /// The contract mirrors the POSIX subset the durability stack needs —
 /// nothing more. All methods take `&self` so one backend can be shared
-/// across the pool workers behind an `Arc<dyn Storage>`.
+/// across threads behind an `Arc<dyn Storage>`.
 pub trait Storage: fmt::Debug + Send + Sync {
     /// Create (or truncate) a file for writing.
     fn create(&self, path: &Path) -> Result<Box<dyn StorageFile>, StorageError>;
@@ -459,7 +459,7 @@ impl FaultStorage {
     }
 
     /// Locks the shared state, recovering from poisoning: a panicking
-    /// holder (a quarantined worker mid-operation) must not cascade into
+    /// holder (a contained panic mid-operation) must not cascade into
     /// aborting every other thread that touches storage. The state is a
     /// plain map; a poisoned guard is still internally consistent.
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
