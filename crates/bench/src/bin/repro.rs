@@ -2,8 +2,7 @@
 //! the drivers that must be separate processes.
 //!
 //! ```text
-//! repro <experiment>|all [--size N] [--tol T] [--threads N1,N2,...] [--budget-ms B]
-//!                        [--smoother gs|symgs|jacobi|ilu0|chebyshev]
+//! repro <experiment>|all [--size N] [--tol T] [--threads N1,N2,...]
 //! experiments: fig1 table2 fig3 fig5 fig6 fig7 fig8|fig9 fig10 table1 table3
 //!              bf16 shift smooth cycle semi guard audit
 //! repro serve --daemon --addr unix:PATH|tcp:HOST:PORT [--snapshot-dir DIR] [--mem-budget B]
@@ -48,7 +47,7 @@
 
 use fp16mg_bench::table::{fmt_secs, geomean, Table};
 use fp16mg_bench::{kernel_suite, solve_e2e, Combo, KernelKind, Variant};
-use fp16mg_core::{Mg, MgConfig, SmootherKind};
+use fp16mg_core::{Mg, MgConfig};
 use fp16mg_fp::Scalar;
 use fp16mg_krylov::SolveOptions;
 use fp16mg_problems::{metrics, Problem, ProblemKind, SolverKind};
@@ -61,8 +60,6 @@ struct Args {
     size_set: bool,
     tol: f64,
     threads: Vec<usize>,
-    budget_ms: f64,
-    smoother: Option<SmootherKind>,
     requests: usize,
     chaos: bool,
     daemon: bool,
@@ -105,7 +102,7 @@ const EXPERIMENTS: &[(&str, Experiment)] = &[
 fn usage(msg: &str) -> ! {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
     eprintln!("{msg}");
-    eprintln!("usage: repro <experiment>|all [--size N] [--tol T] [--threads N1,N2,...] [--budget-ms B] [--smoother gs|symgs|jacobi|ilu0|chebyshev]");
+    eprintln!("usage: repro <experiment>|all [--size N] [--tol T] [--threads N1,N2,...]");
     eprintln!("experiments: {}", names.join(" "));
     eprintln!("drivers: repro serve --daemon --addr unix:PATH|tcp:HOST:PORT [--snapshot-dir DIR] [--mem-budget BYTES] [--workers 1]; repro loadgen --addr … [--requests N] [--shutdown]; repro loadgen --soak [--requests N] [--kill-after N] [--mem-budget BYTES] [--out DIR]; repro simulate [--problem NAME|all] [--steps N] [--chaos] [--snapshot-dir DIR] [--pace-ms MS]; repro simulate --soak [--problem NAME] [--steps N] [--kill-after N] [--out DIR]");
     std::process::exit(2)
@@ -116,17 +113,6 @@ fn arg_value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: 
     raw.parse().unwrap_or_else(|_| usage(&format!("{flag}: cannot parse '{raw}'")))
 }
 
-fn parse_smoother(name: &str) -> SmootherKind {
-    match name {
-        "gs" => SmootherKind::GsSymmetric,
-        "symgs" => SmootherKind::SymGs,
-        "jacobi" => SmootherKind::Jacobi { weight: 0.85 },
-        "ilu0" => SmootherKind::Ilu0,
-        "chebyshev" | "cheb" => SmootherKind::Chebyshev { degree: 2 },
-        other => usage(&format!("--smoother: unknown smoother '{other}'")),
-    }
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
         cmd: String::new(),
@@ -134,8 +120,6 @@ fn parse_args() -> Args {
         size_set: false,
         tol: 1e-9,
         threads: vec![],
-        budget_ms: 30.0,
-        smoother: None,
         requests: 16,
         chaos: false,
         daemon: false,
@@ -158,7 +142,6 @@ fn parse_args() -> Args {
                 args.size_set = true;
             }
             "--tol" => args.tol = arg_value(&mut it, "--tol"),
-            "--budget-ms" => args.budget_ms = arg_value(&mut it, "--budget-ms"),
             "--requests" => args.requests = arg_value(&mut it, "--requests"),
             // The daemon serves one request at a time; the flag stays
             // for the command lines that spell that out.
@@ -179,15 +162,13 @@ fn parse_args() -> Args {
             "--out" => args.out = arg_value(&mut it, "--out"),
             "--addr" => args.addr = arg_value(&mut it, "--addr"),
             "--shutdown" => args.shutdown = true,
-            "--smoother" => {
-                args.smoother = Some(parse_smoother(&arg_value::<String>(&mut it, "--smoother")))
-            }
             "--threads" => {
                 let Some(list) = it.next() else { usage("--threads needs a value") };
                 args.threads = list
                     .split(',')
-                    .map(|s| {
-                        s.parse().unwrap_or_else(|_| usage(&format!("--threads: bad count '{s}'")))
+                    .map(|s| match s.parse() {
+                        Ok(0) | Err(_) => usage(&format!("--threads: bad count '{s}'")),
+                        Ok(t) => t,
                     })
                     .collect()
             }
@@ -438,6 +419,9 @@ fn fig6(args: &Args) {
 
 // ---------------------------------------------------------------- fig7 --
 
+/// Timing budget of each kernel measurement in the fig7 sweep.
+const FIG7_BUDGET_MS: f64 = 30.0;
+
 fn fig7(args: &Args) {
     header("Figure 7: kernel optimization ablation (speedups over MG-fp32/fp32)");
     // Kernel speedups are a memory-bandwidth story: the working set must
@@ -449,7 +433,7 @@ fn fig7(args: &Args) {
         "sizes: {sizes:?} (cubed), geometric mean; SIMD available: {}",
         fp16mg_sgdia::kernels::simd_available()
     );
-    let rows = kernel_suite(&sizes, Par::Seq, args.budget_ms);
+    let rows = kernel_suite(&sizes, Par::Seq, FIG7_BUDGET_MS);
     for kernel in [KernelKind::Spmv, KernelKind::Sptrsv] {
         let kname = if kernel == KernelKind::Spmv { "SpMV" } else { "SpTRSV" };
         let mut t = Table::new(&["pattern", "variant", "time/apply", "speedup", "Max-fp16/fp32"]);
@@ -481,9 +465,6 @@ fn fig7(args: &Args) {
 
 fn fig8(args: &Args) {
     header("Figure 8/9: end-to-end single-processor performance (Full64 vs Mix16)");
-    if let Some(sm) = args.smoother {
-        println!("(smoother override: {sm:?})");
-    }
     // Bandwidth-pressure regime: the finest-level matrix should stress the
     // LLC, so the default is production-ish.
     let size = if args.size_set { args.size } else { 88 };
@@ -508,11 +489,7 @@ fn fig8(args: &Args) {
             _ => (size * 2) / 3,
         }
         .max(8);
-        let run = |combo: Combo| {
-            let cfg = combo.mg_config();
-            let cfg = MgConfig { smoother: args.smoother.unwrap_or(cfg.smoother), ..cfg };
-            solve_e2e(kind, n, combo, cfg, &opts)
-        };
+        let run = |combo: Combo| solve_e2e(kind, n, combo, combo.mg_config(), &opts);
         let full = match run(Combo::Full64) {
             Ok(r) => r,
             Err(e) => {

@@ -82,9 +82,7 @@ fn client_cfg(endpoint: Endpoint) -> ClientConfig {
         endpoint,
         max_attempts: 10,
         backoff: Duration::from_millis(5),
-        backoff_factor: 2.0,
         max_backoff: Duration::from_millis(100),
-        jitter: 0.5,
         seed: 0xb0a7,
         deadlines: [Duration::from_secs(10); 3],
         write_deadline: Duration::from_secs(10),

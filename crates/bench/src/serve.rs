@@ -82,7 +82,6 @@ fn build_requests(n: usize, chaos: bool) -> Vec<SolveRequest> {
                     req.policy = RetryPolicy {
                         attempts: [1, 1, 1, 1, 1],
                         backoff: Duration::from_micros(200),
-                        seed: 0xfeed ^ i as u64,
                         ..RetryPolicy::default()
                     };
                     req.fault = Some(FaultPlan {
@@ -102,7 +101,7 @@ fn build_requests(n: usize, chaos: bool) -> Vec<SolveRequest> {
                     // feels a poisoned level immediately.
                     let mut base = MgConfig::d16();
                     base.recovery = RecoveryPolicy::disabled();
-                    base.integrity = IntegrityPolicy::armed(0);
+                    base.integrity = IntegrityPolicy::armed();
                     base.integrity.verify_on_anomaly = scenario == "flip→anomaly";
                     let mut req = SolveRequest::new(name, ProblemKind::Laplace27.build(12), base);
                     req.solver = SolverChoice::Richardson;
@@ -111,7 +110,6 @@ fn build_requests(n: usize, chaos: bool) -> Vec<SolveRequest> {
                     req.policy = RetryPolicy {
                         attempts: [1, 1, 1, 1, 1],
                         backoff: Duration::from_micros(200),
-                        seed: 0xab15 ^ i as u64,
                         ..RetryPolicy::default()
                     };
                     req.fault = Some(FaultPlan {

@@ -383,7 +383,7 @@ impl SimDriver {
     /// index, so replayed trail lines are bit-identical duplicates.
     pub fn new(cfg: SimConfig) -> Result<SimDriver, String> {
         let mut mg_cfg = MgConfig::d16();
-        mg_cfg.integrity = IntegrityPolicy::armed(0);
+        mg_cfg.integrity = IntegrityPolicy::armed();
         let evo = Evolution::new(cfg.kind, cfg.size);
         let cells = evo.base().grid().cells() * cfg.kind.components();
         let mut driver = SimDriver {

@@ -21,7 +21,10 @@ fn bad_input_prints_usage_and_exits_2() {
         &["serve", "--daemon"],
         &["serve", "--daemon", "--addr", "unix:d.sock", "--workers", "2"],
         &["table2", "--size", "0"],
+        // No `--smoother` flag exists: this is an unknown argument.
         &["fig8", "--size", "8", "--smoother", "bogus"],
+        &["fig10", "--threads", "0"],
+        &["fig10", "--threads", "1,0"],
     ] {
         let out = repro(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

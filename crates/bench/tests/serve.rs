@@ -118,12 +118,7 @@ fn the_daemons_pool_cancels_a_wedged_request_and_quarantines_a_panicking_one() {
     // refusal.
     let mut cfg = pool_cfg(None);
     cfg.breaker = BreakerConfig::disabled();
-    cfg.supervise = SuperviseConfig {
-        enabled: true,
-        wedge_after: Duration::from_millis(100),
-        max_strikes: 2,
-        event_log_cap: 64,
-    };
+    cfg.supervise = SuperviseConfig { enabled: true, wedge_after: Duration::from_millis(100) };
     let mut pool = ServePool::new(cfg);
     let laplace = || ProblemKind::Laplace27.build(8);
 

@@ -174,15 +174,11 @@ pub struct RecoveryPolicy {
     /// promotion widens one level 16-bit → FP32, so a budget the size of
     /// the hierarchy degenerates to the FP32 baseline at worst.
     pub max_promotions: usize,
-    /// If a promoted level *still* needs scaling (values beyond the FP32
-    /// range), retry with `G` multiplied by this factor in `(0, 1]` —
-    /// a tighter margin below `G_max` than the first attempt used.
-    pub g_tighten: f64,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        RecoveryPolicy { enabled: true, max_promotions: 4, g_tighten: 0.5 }
+        RecoveryPolicy { enabled: true, max_promotions: 4 }
     }
 }
 
@@ -193,21 +189,14 @@ impl RecoveryPolicy {
     }
 }
 
-/// Integrity-sentinel (ABFT) policy: per-level checksums and sum
-/// invariants over the stored coefficient planes, verified on demand or on
-/// a V-cycle cadence, with localized in-place repair of a corrupted level
-/// from its retained high-precision parent.
+/// Integrity-sentinel (ABFT) policy. Every level is sentineled at setup
+/// (per-level checksums and sum invariants over the stored coefficient
+/// planes, 24 bytes of metadata per plane); they are verified on demand
+/// and on solver anomalies, and a corrupted level is repaired in place
+/// from its retained high-precision parent — at most `MAX_REPAIRS` (8)
+/// times per hierarchy.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IntegrityPolicy {
-    /// Compute sentinels at setup. Costs one pass over each stored level
-    /// (24 bytes of metadata per coefficient plane); without them neither
-    /// verification nor repair is possible.
-    pub sentinels: bool,
-    /// Verify every `check_every` V-cycles during `apply` (0 = never
-    /// periodically; verification still runs on demand and on solver
-    /// anomalies when `verify_on_anomaly` is set). Each sweep charges one
-    /// V-cycle to the cycle counter so session budgets see the work.
-    pub check_every: usize,
     /// Run a verify-and-repair sweep when the Krylov solver reports a
     /// health anomaly (breakdown or precision-attributable stagnation)
     /// through the preconditioner hook.
@@ -217,47 +206,19 @@ pub struct IntegrityPolicy {
     /// bit-identically — instead of promoted or rebuilt. Costs the f64
     /// parent copy per narrow level; off by default.
     pub retain_parents: bool,
-    /// Total repair budget across the hierarchy's lifetime (a flapping
-    /// memory fault must eventually escalate to the retry ladder rather
-    /// than repair forever).
-    pub max_repairs: usize,
 }
 
 impl Default for IntegrityPolicy {
     fn default() -> Self {
-        IntegrityPolicy {
-            sentinels: true,
-            check_every: 0,
-            verify_on_anomaly: true,
-            retain_parents: false,
-            max_repairs: 8,
-        }
+        IntegrityPolicy { verify_on_anomaly: true, retain_parents: false }
     }
 }
 
 impl IntegrityPolicy {
-    /// Sentinels off entirely: no setup pass, no metadata, no repair.
-    pub fn disabled() -> Self {
-        IntegrityPolicy {
-            sentinels: false,
-            check_every: 0,
-            verify_on_anomaly: false,
-            retain_parents: false,
-            max_repairs: 0,
-        }
-    }
-
-    /// Full ABFT: sentinels, periodic verification every `check_every`
-    /// V-cycles, anomaly-triggered verification, and parent retention for
+    /// Full ABFT: anomaly-triggered verification and parent retention for
     /// localized repair.
-    pub fn armed(check_every: usize) -> Self {
-        IntegrityPolicy {
-            sentinels: true,
-            check_every,
-            verify_on_anomaly: true,
-            retain_parents: true,
-            max_repairs: 8,
-        }
+    pub fn armed() -> Self {
+        IntegrityPolicy { verify_on_anomaly: true, retain_parents: true }
     }
 }
 
@@ -299,21 +260,11 @@ pub enum ConfigError {
         /// The offending value.
         threshold: f64,
     },
-    /// A recovery `g_tighten` factor outside `(0, 1]`.
-    InvalidGTighten {
-        /// The offending value.
-        g_tighten: f64,
-    },
     /// An `AutoShift` underflow threshold outside `[0, 1]`.
     InvalidUnderflowThreshold {
         /// The offending value.
         threshold: f64,
     },
-    /// An integrity policy that retains repair parents (or schedules
-    /// periodic/anomaly verification) without computing sentinels — there
-    /// would be nothing to verify against, so the retained memory and the
-    /// verification cadence could never be used.
-    IntegrityWithoutSentinels,
 }
 
 impl core::fmt::Display for ConfigError {
@@ -341,17 +292,9 @@ impl core::fmt::Display for ConfigError {
             ConfigError::InvalidSemiThreshold { threshold } => {
                 write!(f, "semicoarsening threshold {threshold} must lie in (0, 1]")
             }
-            ConfigError::InvalidGTighten { g_tighten } => {
-                write!(f, "recovery g_tighten {g_tighten} must lie in (0, 1]")
-            }
             ConfigError::InvalidUnderflowThreshold { threshold } => {
                 write!(f, "AutoShift underflow threshold {threshold} must lie in [0, 1]")
             }
-            ConfigError::IntegrityWithoutSentinels => write!(
-                f,
-                "integrity policy retains parents or schedules verification \
-                 but computes no sentinels to verify against"
-            ),
         }
     }
 }
@@ -500,20 +443,10 @@ impl MgConfig {
                 return Err(ConfigError::InvalidSemiThreshold { threshold });
             }
         }
-        let gt = self.recovery.g_tighten;
-        if gt.is_nan() || gt <= 0.0 || gt > 1.0 {
-            return Err(ConfigError::InvalidGTighten { g_tighten: gt });
-        }
         if let StoragePolicy::AutoShift { max_underflow, .. } = self.storage {
             if max_underflow.is_nan() || !(0.0..=1.0).contains(&max_underflow) {
                 return Err(ConfigError::InvalidUnderflowThreshold { threshold: max_underflow });
             }
-        }
-        let integ = &self.integrity;
-        if !integ.sentinels
-            && (integ.retain_parents || integ.check_every > 0 || integ.verify_on_anomaly)
-        {
-            return Err(ConfigError::IntegrityWithoutSentinels);
         }
         Ok(())
     }

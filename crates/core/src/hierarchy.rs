@@ -176,10 +176,16 @@ impl core::fmt::Display for PromotionEvent {
     }
 }
 
+/// Total repair budget across a hierarchy's lifetime: a flapping memory
+/// fault must eventually escalate to the retry ladder rather than be
+/// repaired forever.
+const MAX_REPAIRS: usize = 8;
+
 /// What triggered an integrity verification-and-repair sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RepairTrigger {
-    /// The periodic `check_every` V-cycle cadence.
+    /// A scheduled sweep (e.g. the time-stepping simulator's check
+    /// before every solve).
     Periodic,
     /// The self-healing `apply_pr` loop saw non-finite output.
     NonFiniteOutput,
@@ -258,8 +264,7 @@ pub struct LevelInfo {
     /// originally requested value — the clamp is recorded, never silent.
     pub g_clamped_from: Option<f64>,
     /// Integrity sentinels of the stored matrix, taken over `precision`
-    /// (`None` for the coarsest/direct level, or when the integrity policy
-    /// has sentinels off).
+    /// (`None` for the coarsest/direct level).
     pub sentinels: Option<MatrixSentinels>,
 }
 
@@ -767,12 +772,9 @@ impl<Pr: Scalar> Mg<Pr> {
 
     /// One full ABFT round: verify all sentinels, then repair every
     /// corrupted level that retains its high-precision parent. Returns the
-    /// repairs performed (empty when everything matched, nothing was
-    /// repairable, or sentinels are off).
+    /// repairs performed (empty when everything matched or nothing was
+    /// repairable).
     pub fn verify_and_repair(&mut self, trigger: RepairTrigger) -> Vec<RepairEvent> {
-        if !self.config.integrity.sentinels {
-            return Vec::new();
-        }
         let corrupted = self.verify_integrity();
         let mut events = Vec::new();
         for (level, mismatches) in corrupted {
@@ -790,15 +792,15 @@ impl<Pr: Scalar> Mg<Pr> {
     /// uncorrupted planes *bit-identically* — no other level is touched
     /// and nothing is rebuilt. `taps` records which planes the sentinel
     /// sweep flagged (for the event log). Returns `None` when the level
-    /// has no retained parent, the repair budget is spent, or the
-    /// re-truncation fails.
+    /// has no retained parent, the repair budget (`MAX_REPAIRS`) is
+    /// spent, or the re-truncation fails.
     pub fn repair_level(
         &mut self,
         level: usize,
         taps: Vec<usize>,
         trigger: RepairTrigger,
     ) -> Option<RepairEvent> {
-        if self.info.repairs.len() >= self.config.integrity.max_repairs {
+        if self.info.repairs.len() >= MAX_REPAIRS {
             return None;
         }
         let (layout, policy) = (self.config.layout, store_policy(&self.config));
@@ -1029,10 +1031,9 @@ fn build_level<Pr: Scalar>(
     // whoever solves holds and lends ([`Mg::insured`]).
     let lent = level == 0 && config.scale != ScaleStrategy::ScaleThenSetup;
     let keep_source = |p: Precision| config.recovery.enabled && p.bytes() == 2 && !lent;
-    let (layout, sentinels, policy) =
-        (config.layout, config.integrity.sentinels, store_policy(config));
+    let (layout, policy) = (config.layout, store_policy(config));
     let store = |s_inv: Option<&[f64]>, p: Precision| {
-        StoredMatrix::store_level(ai, s_inv, p, layout, policy, sentinels, keep_source(p))
+        StoredMatrix::store_level(ai, s_inv, p, layout, policy, true, keep_source(p))
     };
     // Direct truncation (line 11) in one read — also the path for `None`
     // and for all levels of scale-then-setup — unless setup-then-scale's
@@ -1040,7 +1041,7 @@ fn build_level<Pr: Scalar>(
     // level planned (`G_max`) and stored scaled (lines 6–9).
     let unscaled = if config.scale == ScaleStrategy::SetupThenScale {
         let k = keep_source(prec);
-        StoredMatrix::store_in_range(ai, prec, layout, policy, sentinels, k).transpose()
+        StoredMatrix::store_in_range(ai, prec, layout, policy, true, k).transpose()
     } else {
         Some(store(None, prec))
     };
@@ -1182,13 +1183,6 @@ impl<K: Scalar, Pr: Scalar> Preconditioner<K> for Insured<'_, Pr> {
         assert_eq!(z.len(), n, "z length");
         self.mg.load_rhs(r);
         let mut finite = self.mg.cycle_into(z);
-        let every = self.mg.config.integrity.check_every;
-        if every > 0 && self.mg.vcycles().is_multiple_of(every) {
-            // Periodic ABFT cadence: verify the sentinels and repair in
-            // place. The sweep charges the cycle counter itself, so
-            // session budgets account for the integrity work.
-            self.mg.verify_and_repair(RepairTrigger::Periodic);
-        }
         if !self.mg.config.recovery.enabled {
             return;
         }
@@ -1215,6 +1209,11 @@ impl<K: Scalar, Pr: Scalar> Preconditioner<K> for Insured<'_, Pr> {
         Preconditioner::<K>::on_health_anomaly(self.mg)
     }
 }
+
+/// When a promoted level *still* needs scaling (values beyond the FP32
+/// range), its rebuild retries with a fixed `G` multiplied by this factor:
+/// a tighter margin below `G_max` than the first attempt used.
+const G_TIGHTEN: f64 = 0.5;
 
 impl<Pr: Scalar> Insured<'_, Pr> {
     /// Whether level `i` is 16-bit with promotion material: its own FP32
@@ -1252,7 +1251,7 @@ impl<Pr: Scalar> Insured<'_, Pr> {
 
     /// Rebuilds 16-bit level `level` at FP32 from the FP32 values it was
     /// stored from (re-scaled, should FP32 not hold it, with `G` tightened
-    /// by `g_tighten`), logged in [`MgInfo::promotions`]. `None` when it is
+    /// by `G_TIGHTEN`), logged in [`MgInfo::promotions`]. `None` when it is
     /// not promotable (wide, no material, budget spent) or the rebuild fails.
     pub fn promote_level(
         &mut self,
@@ -1278,7 +1277,7 @@ impl<Pr: Scalar> Insured<'_, Pr> {
             (lvl.stored.precision(), lvl.stored.scan().total.non_finite());
         let mut cfg = mg.config.clone();
         if let GChoice::Fixed(g) = cfg.g_choice {
-            cfg.g_choice = GChoice::Fixed(g * cfg.recovery.g_tighten);
+            cfg.g_choice = GChoice::Fixed(g * G_TIGHTEN);
         }
         // The widened level replaces the old one wholesale: new stored
         // bits, sentinels retaken over the new format, and neither source

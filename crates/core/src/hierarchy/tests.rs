@@ -356,7 +356,7 @@ fn assert_levels_match_the_clone_and_scale_oracle(a: &SgDia<f64>, cfg: &MgConfig
             prec,
             cfg.layout,
             store_policy(cfg),
-            cfg.integrity.sentinels,
+            true,
             false,
         )
         .unwrap();
@@ -572,7 +572,7 @@ fn a_scaled_level_is_repaired_bit_identically_from_its_retained_parent() {
     check_n("a_scaled_level_is_repaired_bit_identically", 16, |rng| {
         let pattern = if rng.chance(0.5) { Pattern::p7() } else { Pattern::p27() };
         let a = laplacian(Grid3::new(9, 8, 7), pattern, 10f64.powf(rng.f64_range(5.0, 9.0)));
-        let cfg = MgConfig { integrity: IntegrityPolicy::armed(0), ..MgConfig::d16() };
+        let cfg = MgConfig { integrity: IntegrityPolicy::armed(), ..MgConfig::d16() };
         let mut mg = Mg::<f32>::setup(&a, &cfg).unwrap();
         let level = rng.usize_range(0, mg.levels.len());
         assert!(mg.info.levels[level].scaled, "1e5 and beyond is out of FP16 range");

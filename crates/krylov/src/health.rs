@@ -118,7 +118,7 @@ pub struct Stagnation {
     pub best_rel: f64,
     /// Relative residual at declaration time.
     pub rel: f64,
-    /// True when the plateau sits *above* [`HealthPolicy::fp16_floor`]:
+    /// True when the plateau sits *above* the FP16 unit roundoff `2⁻¹¹`:
     /// the stall is then attributable to reduced-precision storage (a
     /// correctly scaled FP16 preconditioner bottoms out near its unit
     /// roundoff, not above it) and precision promotion is the indicated
@@ -253,42 +253,35 @@ pub struct HealthPolicy {
     /// Master switch; `false` restores the seed behavior (run to
     /// `max_iters` no matter what the residual does).
     pub enabled: bool,
-    /// Consecutive iterations without meaningful progress tolerated before
-    /// declaring stagnation.
-    pub patience: usize,
-    /// An iteration counts as progress when it improves the best relative
-    /// residual by at least this factor (`rel < min_progress * best`).
-    pub min_progress: f64,
-    /// A single iteration whose residual exceeds `rebound * best` counts as
-    /// `rebound_weight` stalled iterations — catches post-overflow
-    /// divergence long before `patience` quiet iterations elapse.
-    pub rebound: f64,
-    /// Stall-equivalents charged per rebound iteration.
-    pub rebound_weight: usize,
-    /// FP16 unit roundoff `2⁻¹¹`: plateaus above this are attributed to
-    /// reduced-precision storage (see [`Stagnation::above_fp16_floor`]).
-    pub fp16_floor: f64,
 }
 
 impl Default for HealthPolicy {
     fn default() -> Self {
-        HealthPolicy {
-            enabled: true,
-            patience: 40,
-            min_progress: 0.999,
-            rebound: 1.0e4,
-            rebound_weight: 8,
-            fp16_floor: f64::powi(2.0, -11),
-        }
+        HealthPolicy { enabled: true }
     }
 }
 
 impl HealthPolicy {
     /// A policy with stagnation detection off (seed behavior).
     pub fn disabled() -> Self {
-        HealthPolicy { enabled: false, ..HealthPolicy::default() }
+        HealthPolicy { enabled: false }
     }
 }
+
+/// Consecutive stall-equivalents tolerated before declaring stagnation.
+const PATIENCE: usize = 40;
+/// An iteration counts as progress when it improves the best relative
+/// residual by at least this factor (`rel < MIN_PROGRESS * best`).
+const MIN_PROGRESS: f64 = 0.999;
+/// A single iteration whose residual exceeds `REBOUND * best` counts as
+/// [`REBOUND_WEIGHT`] stalled iterations — catches post-overflow
+/// divergence long before [`PATIENCE`] quiet iterations elapse.
+const REBOUND: f64 = 1.0e4;
+/// Stall-equivalents charged per rebound iteration.
+const REBOUND_WEIGHT: usize = 8;
+/// FP16 unit roundoff `2⁻¹¹`: plateaus above this are attributed to
+/// reduced-precision storage (see [`Stagnation::above_fp16_floor`]).
+const FP16_FLOOR: f64 = 1.0 / 2048.0;
 
 /// Per-iteration health record kept alongside the residual history.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -323,16 +316,16 @@ impl SolveHealth {
     }
 
     /// Feeds one relative residual; returns a diagnosis once the stall
-    /// budget is exhausted (never before `patience` is consumed, and never
+    /// budget is exhausted (never before `PATIENCE` is consumed, and never
     /// when the policy is disabled). Non-finite residuals are the
     /// breakdown paths' business, not stagnation — they return `None`.
     pub fn observe(&mut self, iter: usize, rel: f64) -> Option<Stagnation> {
         if rel.is_finite() {
-            if rel < self.policy.min_progress * self.best_rel {
+            if rel < MIN_PROGRESS * self.best_rel {
                 self.best_rel = rel;
                 self.stalled = 0;
-            } else if self.best_rel.is_finite() && rel > self.policy.rebound * self.best_rel {
-                self.stalled += self.policy.rebound_weight.max(1);
+            } else if self.best_rel.is_finite() && rel > REBOUND * self.best_rel {
+                self.stalled += REBOUND_WEIGHT;
             } else {
                 self.stalled += 1;
             }
@@ -345,12 +338,12 @@ impl SolveHealth {
                 stalled_for: self.stalled,
             });
         }
-        if self.policy.enabled && rel.is_finite() && self.stalled >= self.policy.patience {
+        if self.policy.enabled && rel.is_finite() && self.stalled >= PATIENCE {
             Some(Stagnation {
                 iter,
                 best_rel: self.best_rel,
                 rel,
-                above_fp16_floor: self.best_rel > self.policy.fp16_floor,
+                above_fp16_floor: self.best_rel > FP16_FLOOR,
             })
         } else {
             None
@@ -385,27 +378,25 @@ mod tests {
 
     #[test]
     fn plateau_stagnates_after_patience() {
-        let policy = HealthPolicy { patience: 10, ..HealthPolicy::default() };
-        let mut h = SolveHealth::new(policy, false);
+        let mut h = SolveHealth::new(HealthPolicy::default(), false);
         let mut out = None;
-        for it in 0..100 {
+        for it in 0..1000 {
             out = h.observe(it, 1e-2);
             if out.is_some() {
                 break;
             }
         }
         let s = out.expect("plateau must be flagged");
-        // First observation sets best; nine more exhaust patience=10.
-        assert_eq!(s.iter, 10);
+        // The first observation sets best; PATIENCE more exhaust it.
+        assert_eq!(s.iter, PATIENCE);
         assert!(s.above_fp16_floor);
     }
 
     #[test]
     fn plateau_below_floor_not_precision_attributable() {
-        let policy = HealthPolicy { patience: 5, ..HealthPolicy::default() };
-        let mut h = SolveHealth::new(policy, false);
+        let mut h = SolveHealth::new(HealthPolicy::default(), false);
         let mut out = None;
-        for it in 0..100 {
+        for it in 0..1000 {
             out = h.observe(it, 1e-12);
             if out.is_some() {
                 break;
@@ -416,12 +407,19 @@ mod tests {
 
     #[test]
     fn rebound_accelerates_detection() {
-        let policy = HealthPolicy { patience: 16, rebound_weight: 8, ..HealthPolicy::default() };
-        let mut h = SolveHealth::new(policy, false);
+        let mut h = SolveHealth::new(HealthPolicy::default(), true);
         assert_eq!(h.observe(0, 1e-6), None);
-        // Two huge rebounds burn 8 stall-equivalents each.
+        // A huge rebound burns REBOUND_WEIGHT stall-equivalents at once.
         assert_eq!(h.observe(1, 1e3), None);
-        assert!(h.observe(2, 1e3).is_some());
+        assert_eq!(h.into_records()[1].stalled_for, REBOUND_WEIGHT);
+        // Enough rebounds to cover PATIENCE are flagged on the last one.
+        let mut h = SolveHealth::new(HealthPolicy::default(), false);
+        assert_eq!(h.observe(0, 1e-6), None);
+        let rebounds = PATIENCE.div_ceil(REBOUND_WEIGHT);
+        for it in 1..rebounds {
+            assert_eq!(h.observe(it, 1e3), None);
+        }
+        assert!(h.observe(rebounds, 1e3).is_some());
     }
 
     #[test]
@@ -434,9 +432,8 @@ mod tests {
 
     #[test]
     fn non_finite_residuals_ignored() {
-        let policy = HealthPolicy { patience: 3, ..HealthPolicy::default() };
-        let mut h = SolveHealth::new(policy, false);
-        for it in 0..100 {
+        let mut h = SolveHealth::new(HealthPolicy::default(), false);
+        for it in 0..10 * PATIENCE {
             assert_eq!(h.observe(it, f64::NAN), None);
         }
     }

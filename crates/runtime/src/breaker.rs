@@ -54,9 +54,23 @@ impl core::fmt::Display for BreakerState {
     }
 }
 
+/// Terminal-failure fraction at or above which a breaker opens.
+const FAILURE_THRESHOLD: f64 = 0.5;
+/// Probes admitted while half-open.
+const PROBES: usize = 1;
+/// Probe successes required to close again.
+const PROBE_SUCCESSES: usize = 1;
+/// Seed of the cooldown-jitter stream; a registry folds each class name
+/// into it.
+const SEED: u64 = 0xb4ea_4e4b_5eed_0001;
+/// Capacity of a registry's transition log ring — the bound that keeps a
+/// long-running daemon's breaker evidence from growing without limit.
+/// Oldest transitions are evicted first.
+const TRANSITION_LOG_CAP: usize = 256;
+
 /// Breaker tuning. One config is shared by every class in a
 /// [`BreakerRegistry`]; each class derives its own jitter stream from
-/// `seed` and its name.
+/// the breaker seed and its name.
 #[derive(Clone, Debug)]
 pub struct BreakerConfig {
     /// Master switch. When off, every admission attempt passes and no
@@ -67,8 +81,6 @@ pub struct BreakerConfig {
     /// Minimum outcomes in the window before the failure rate is trusted
     /// enough to trip.
     pub min_samples: usize,
-    /// Terminal-failure fraction at or above which the breaker opens.
-    pub failure_threshold: f64,
     /// Admission attempts observed while [`BreakerState::Open`] before
     /// the breaker goes half-open. Counted, not timed: determinism.
     pub cooldown: usize,
@@ -76,32 +88,11 @@ pub struct BreakerConfig {
     /// jitter stream (`0` disables jitter). Spreads the half-open probes
     /// of classes that tripped together.
     pub cooldown_jitter: usize,
-    /// Probes admitted while half-open.
-    pub probes: usize,
-    /// Probe successes required to close again.
-    pub probe_successes: usize,
-    /// Seed for the cooldown-jitter stream.
-    pub seed: u64,
-    /// Capacity of the registry's transition log ring — the bound that
-    /// keeps a long-running daemon's breaker evidence from growing
-    /// without limit. Oldest transitions are evicted first.
-    pub transition_log_cap: usize,
 }
 
 impl Default for BreakerConfig {
     fn default() -> Self {
-        BreakerConfig {
-            enabled: true,
-            window: 8,
-            min_samples: 4,
-            failure_threshold: 0.5,
-            cooldown: 4,
-            cooldown_jitter: 2,
-            probes: 1,
-            probe_successes: 1,
-            seed: 0xb4ea_4e4b_5eed_0001,
-            transition_log_cap: 256,
-        }
+        BreakerConfig { enabled: true, window: 8, min_samples: 4, cooldown: 4, cooldown_jitter: 2 }
     }
 }
 
@@ -136,6 +127,8 @@ pub enum BreakerDecision {
 #[derive(Clone, Debug)]
 pub struct CircuitBreaker {
     cfg: BreakerConfig,
+    /// Seed of this breaker's cooldown-jitter stream.
+    seed: u64,
     state: BreakerState,
     /// Sliding window of terminal outcomes, `true` = failure.
     window: VecDeque<bool>,
@@ -156,8 +149,13 @@ pub struct CircuitBreaker {
 impl CircuitBreaker {
     /// A fresh, closed breaker.
     pub fn new(cfg: BreakerConfig) -> Self {
+        Self::seeded(cfg, SEED)
+    }
+
+    fn seeded(cfg: BreakerConfig, seed: u64) -> Self {
         CircuitBreaker {
             cfg,
+            seed,
             state: BreakerState::Closed,
             window: VecDeque::new(),
             trips: 0,
@@ -212,7 +210,7 @@ impl CircuitBreaker {
                 }
             }
             BreakerState::HalfOpen => {
-                if self.probes_outstanding < self.cfg.probes {
+                if self.probes_outstanding < PROBES {
                     self.probes_outstanding += 1;
                     BreakerDecision::Admit { probe: true }
                 } else {
@@ -238,7 +236,7 @@ impl CircuitBreaker {
                 return;
             }
             self.probe_successes_seen += 1;
-            if self.probe_successes_seen >= self.cfg.probe_successes {
+            if self.probe_successes_seen >= PROBE_SUCCESSES {
                 self.close();
             }
             return;
@@ -254,7 +252,7 @@ impl CircuitBreaker {
             self.window.pop_front();
         }
         if self.window.len() >= self.cfg.min_samples.max(1)
-            && self.failure_rate() >= self.cfg.failure_threshold
+            && self.failure_rate() >= FAILURE_THRESHOLD
         {
             self.trip();
         }
@@ -270,7 +268,7 @@ impl CircuitBreaker {
         let jitter = if self.cfg.cooldown_jitter == 0 {
             0
         } else {
-            (jitter::splitmix64(self.cfg.seed.wrapping_add(self.trips as u64))
+            (jitter::splitmix64(self.seed.wrapping_add(self.trips as u64))
                 % (self.cfg.cooldown_jitter as u64 + 1)) as usize
         };
         self.cooldown_target = self.cfg.cooldown.max(1) + jitter;
@@ -342,10 +340,12 @@ impl CircuitBreaker {
         }
     }
 
-    /// Rebuilds a breaker from an export and its (per-class) config.
-    pub fn from_export(cfg: BreakerConfig, e: &BreakerExport) -> Self {
+    /// Rebuilds a breaker from an export, its config and its (per-class)
+    /// jitter seed.
+    fn from_export(cfg: BreakerConfig, seed: u64, e: &BreakerExport) -> Self {
         CircuitBreaker {
             cfg,
+            seed,
             state: e.state,
             window: e.window.iter().copied().collect(),
             trips: e.trips,
@@ -360,8 +360,7 @@ impl CircuitBreaker {
 
 /// All breakers of a pool, keyed by problem class, sharing one config.
 /// Created lazily per class; every state change lands in the
-/// ring-bounded transition log in observation order (capacity
-/// [`BreakerConfig::transition_log_cap`]).
+/// ring-bounded transition log in observation order (capacity 256).
 #[derive(Clone, Debug, Default)]
 pub struct BreakerRegistry {
     cfg: Option<BreakerConfig>,
@@ -374,23 +373,21 @@ impl BreakerRegistry {
     /// class name is folded into the jitter seed so co-tripped classes
     /// de-synchronize their probes).
     pub fn new(cfg: BreakerConfig) -> Self {
-        let transitions = Ring::new(cfg.transition_log_cap);
+        let transitions = Ring::new(TRANSITION_LOG_CAP);
         BreakerRegistry { cfg: Some(cfg), map: BTreeMap::new(), transitions }
     }
 
-    /// The shared config specialized to one class: the jitter seed is
-    /// the class name FNV-folded into the shared seed, a pure function
-    /// reconstructible after a restart.
-    fn class_cfg(&self, class: &str) -> BreakerConfig {
-        let mut cfg = self.cfg.clone().unwrap_or_default();
-        cfg.seed = jitter::fold_seed(cfg.seed, class);
-        cfg
+    /// The shared config and one class's jitter seed: the class name
+    /// FNV-folded into the breaker seed, a pure function reconstructible
+    /// after a restart.
+    fn class_cfg(&self, class: &str) -> (BreakerConfig, u64) {
+        (self.cfg.clone().unwrap_or_default(), jitter::fold_seed(SEED, class))
     }
 
     fn breaker_mut(&mut self, class: &str) -> &mut CircuitBreaker {
         if !self.map.contains_key(class) {
-            let cfg = self.class_cfg(class);
-            self.map.insert(class.to_string(), CircuitBreaker::new(cfg));
+            let (cfg, seed) = self.class_cfg(class);
+            self.map.insert(class.to_string(), CircuitBreaker::seeded(cfg, seed));
         }
         self.map.get_mut(class).expect("breaker was just inserted")
     }
@@ -446,8 +443,8 @@ impl BreakerRegistry {
     /// bit-identical decisions on a replayed stream.
     pub fn restore(&mut self, entries: &[(String, BreakerExport)]) {
         for (class, e) in entries {
-            let cfg = self.class_cfg(class);
-            self.map.insert(class.clone(), CircuitBreaker::from_export(cfg, e));
+            let (cfg, seed) = self.class_cfg(class);
+            self.map.insert(class.clone(), CircuitBreaker::from_export(cfg, seed, e));
         }
     }
 }

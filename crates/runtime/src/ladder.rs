@@ -102,42 +102,40 @@ impl core::fmt::Display for Rung {
     }
 }
 
+/// Exponential growth factor of the ladder's backoff per completed attempt.
+const BACKOFF_FACTOR: f64 = 2.0;
+/// Seed of the backoff jitter stream (equal seeds reproduce equal jitter).
+const BACKOFF_SEED: u64 = 0x5eed_f16a_11ad_de21;
+/// Underflow-loss fraction above which the audit gate declares a 16-bit
+/// level doomed. Deliberately looser than a typical `AutoShift`
+/// threshold: the gate only skips work that the audit says cannot
+/// succeed, it does not tune precision.
+const AUDIT_MAX_UNDERFLOW: f64 = 0.25;
+
 /// Per-rung attempt caps and backoff shape.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
     /// Attempts allowed per rung, indexed by [`Rung::index`]. A zero
     /// skips the rung entirely.
     pub attempts: [usize; 5],
-    /// Base backoff slept after a failed attempt.
+    /// Base backoff slept after a failed attempt; it doubles per
+    /// completed attempt.
     pub backoff: Duration,
-    /// Exponential growth factor applied per completed attempt.
-    pub backoff_factor: f64,
     /// Hard cap on a single backoff sleep.
     pub max_backoff: Duration,
     /// Jitter fraction in `[0, 1]`: each sleep is scaled by a
     /// deterministic pseudo-random factor in `[1 − jitter, 1 + jitter]`
     /// so concurrent retries don't stampede in lockstep.
     pub jitter: f64,
-    /// Seed for the jitter stream (equal seeds reproduce equal jitter).
-    pub seed: u64,
     /// Consult the precision audit before the first attempt: when the
     /// rung-0 hierarchy's own setup audit already shows a 16-bit level
-    /// saturating or losing more than [`RetryPolicy::audit_max_underflow`]
-    /// of its couplings, the mixed-precision attempt is *known* doomed —
+    /// saturating or losing more than `AUDIT_MAX_UNDERFLOW` (25%) of its
+    /// couplings, the mixed-precision attempt is *known* doomed —
     /// the ladder starts directly at [`Rung::PromoteNarrow`] instead of
     /// burning rung-0 retries on it (repair cannot help either: the loss
     /// is inherent to the format, not a corruption). The evidence lands
     /// in [`RetryReport::audit`].
     pub audit_gate: bool,
-    /// Underflow-loss fraction above which the audit gate declares a
-    /// 16-bit level doomed. Deliberately looser than a typical `AutoShift`
-    /// threshold: the gate only skips work that the audit says cannot
-    /// succeed, it does not tune precision.
-    pub audit_max_underflow: f64,
-    /// Ring capacity of the [`RetryReport`] attempt and repair trails —
-    /// the bound that keeps session evidence from growing without limit
-    /// in a long-running process.
-    pub report_cap: usize,
 }
 
 impl Default for RetryPolicy {
@@ -145,13 +143,9 @@ impl Default for RetryPolicy {
         RetryPolicy {
             attempts: [2, 1, 1, 1, 1],
             backoff: Duration::from_millis(2),
-            backoff_factor: 2.0,
             max_backoff: Duration::from_millis(50),
             jitter: 0.5,
-            seed: 0x5eed_f16a_11ad_de21,
             audit_gate: true,
-            audit_max_underflow: 0.25,
-            report_cap: Ring::<()>::DEFAULT_CAPACITY,
         }
     }
 }
@@ -164,8 +158,8 @@ impl RetryPolicy {
 
     /// The jittered backoff for global attempt number `k` (0-based).
     pub fn backoff_for(&self, k: usize) -> Duration {
-        let base = self.backoff.as_secs_f64() * self.backoff_factor.max(1.0).powi(k as i32);
-        let unit = jitter::unit(self.seed.wrapping_add(k as u64 + 1)); // [0, 1)
+        let base = self.backoff.as_secs_f64() * BACKOFF_FACTOR.powi(k as i32);
+        let unit = jitter::unit(BACKOFF_SEED.wrapping_add(k as u64 + 1)); // [0, 1)
         let scaled = base * (1.0 + self.jitter.clamp(0.0, 1.0) * (2.0 * unit - 1.0));
         Duration::from_secs_f64(scaled.clamp(0.0, self.max_backoff.as_secs_f64()))
     }
@@ -341,8 +335,10 @@ pub struct AuditSnapshot {
 }
 
 /// Every rung taken by a session, in order. Both trails are
-/// ring-bounded (capacity [`RetryPolicy::report_cap`]): the most recent
-/// evidence survives, older entries are counted and evicted.
+/// ring-bounded (capacity [`Ring::DEFAULT_CAPACITY`]) — the bound that
+/// keeps session evidence from growing without limit in a long-running
+/// process: the most recent evidence survives, older entries are counted
+/// and evicted.
 #[derive(Clone, Debug, Default)]
 pub struct RetryReport {
     /// The most recent attempts, in execution order.
@@ -357,11 +353,6 @@ pub struct RetryReport {
 }
 
 impl RetryReport {
-    /// An empty report whose trails keep at most `cap` entries each.
-    pub fn with_capacity(cap: usize) -> Self {
-        RetryReport { attempts: Ring::new(cap), audit: None, repairs: Ring::new(cap) }
-    }
-
     /// The rung of each attempt, in order (e.g. `[Retry, Retry,
     /// PromoteNarrow]`).
     pub fn rung_sequence(&self) -> Vec<Rung> {
@@ -481,7 +472,7 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
 
     let t0 = Instant::now();
     let mut guard = BudgetGuard::arm(req.budget.clone());
-    let mut report = RetryReport::with_capacity(req.policy.report_cap);
+    let mut report = RetryReport::default();
     let mut last_err: Option<SolveError> = None;
     let mut last_rel = f64::NAN;
     let mut global_attempt = 0usize;
@@ -514,8 +505,7 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
                 .filter(|(_, l)| matches!(l.precision, Precision::F16 | Precision::BF16))
                 .filter_map(|(i, l)| l.audit.clone().map(|a| (i, a)))
                 .collect();
-            let threshold = req.policy.audit_max_underflow;
-            let doomed = levels.iter().find(|(_, a)| audit_rejects(a, threshold));
+            let doomed = levels.iter().find(|(_, a)| audit_rejects(a, AUDIT_MAX_UNDERFLOW));
             let reason = doomed.map(|(i, a)| {
                 if !a.overflow_free() {
                     format!(
@@ -526,7 +516,7 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
                     format!(
                         "level {i} audit: underflow loss {:.1}% exceeds gate threshold {:.1}%",
                         a.underflow_loss_fraction() * 100.0,
-                        threshold * 100.0
+                        AUDIT_MAX_UNDERFLOW * 100.0
                     )
                 }
             });
@@ -744,8 +734,7 @@ fn run_rung_attempt(
             // sources), whatever the caller's policy says; the request's
             // operator is level 0's.
             let mut cfg = req.base.clone();
-            cfg.recovery =
-                RecoveryPolicy { enabled: true, max_promotions: usize::MAX, ..cfg.recovery };
+            cfg.recovery = RecoveryPolicy { enabled: true, max_promotions: usize::MAX };
             let mut mg = Mg::<f32>::setup(&req.problem.matrix, &cfg).map_err(setup_err)?;
             let narrow: Vec<usize> = mg
                 .info()

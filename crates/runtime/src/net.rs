@@ -1016,15 +1016,10 @@ pub struct ClientConfig {
     pub endpoint: Endpoint,
     /// Attempts per request across reconnects before giving up.
     pub max_attempts: usize,
-    /// Base backoff after a failed attempt.
+    /// Base backoff after a failed attempt; it doubles per retry.
     pub backoff: Duration,
-    /// Exponential growth factor of the backoff ladder.
-    pub backoff_factor: f64,
     /// Backoff ceiling.
     pub max_backoff: Duration,
-    /// Jitter fraction in `[0, 1]`: each sleep is scaled by
-    /// `1 - jitter·unit`, decorrelating retry storms deterministically.
-    pub jitter: f64,
     /// Seed of the client's jitter stream.
     pub seed: u64,
     /// Read deadline per priority class (interactive, batch,
@@ -1041,9 +1036,7 @@ impl Default for ClientConfig {
             endpoint: Endpoint::Unix(PathBuf::from("/tmp/fp16mg.sock")),
             max_attempts: 12,
             backoff: Duration::from_millis(20),
-            backoff_factor: 2.0,
             max_backoff: Duration::from_secs(1),
-            jitter: 0.5,
             seed: 0x006e_6574_7769_7265,
             deadlines: [Duration::from_secs(5), Duration::from_secs(30), Duration::from_secs(60)],
             write_deadline: Duration::from_secs(5),
@@ -1162,13 +1155,16 @@ impl Client {
     }
 
     /// The jittered exponential backoff for retry `k` of this client's
-    /// stream (deterministic in `(seed, position)`).
+    /// stream (deterministic in `(seed, position)`): each sleep is scaled
+    /// by `1 - JITTER·unit`, decorrelating retry storms.
     fn backoff_for(&mut self, k: usize) -> Duration {
-        let base = self.cfg.backoff.as_secs_f64() * self.cfg.backoff_factor.powi(k as i32);
+        const BACKOFF_FACTOR: f64 = 2.0;
+        const JITTER: f64 = 0.5;
+        let base = self.cfg.backoff.as_secs_f64() * BACKOFF_FACTOR.powi(k as i32);
         let capped = base.min(self.cfg.max_backoff.as_secs_f64());
         let pos = jitter::fold_seed(self.cfg.seed, "net-client").wrapping_add(self.backoff_pos);
         self.backoff_pos += 1;
-        let scale = 1.0 - self.cfg.jitter.clamp(0.0, 1.0) * jitter::unit(pos);
+        let scale = 1.0 - JITTER * jitter::unit(pos);
         Duration::from_secs_f64(capped * scale)
     }
 

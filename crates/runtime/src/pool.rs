@@ -41,7 +41,7 @@ use crate::cache::{CacheConfig, CacheEntryMeta, CacheEventKind, CacheStats, Hier
 use crate::ladder::{run_session_with, RetryReport, SessionOutcome, SolveRequest};
 use crate::mem::MemGovernor;
 use crate::ring::Ring;
-use crate::supervise::{Quarantine, SuperviseConfig, WorkerEvent, WorkerEventKind};
+use crate::supervise::{Quarantine, SuperviseConfig, WorkerEvent, WorkerEventKind, MAX_STRIKES};
 
 /// Why one request ended without a converged result: refused before
 /// its session, or admitted and then failed in it. Nothing a request can
@@ -218,6 +218,9 @@ impl Default for PoolConfig {
     }
 }
 
+/// Ring capacity of the pool's worker-event trail.
+const EVENT_LOG_CAP: usize = 256;
+
 /// The serve pool. Owns the breaker registry, the hierarchy cache, the
 /// quarantine, and the cumulative counters — all of which persist
 /// across [`ServePool::serve`] calls (and, via
@@ -244,8 +247,8 @@ impl ServePool {
         };
         let breakers = BreakerRegistry::new(cfg.breaker.clone());
         let cache = HierarchyCache::with_governor(cfg.cache.clone(), governor.clone());
-        let quarantine = Quarantine::new(cfg.supervise.max_strikes);
-        let worker_events = Ring::new(cfg.supervise.event_log_cap);
+        let quarantine = Quarantine::default();
+        let worker_events = Ring::new(EVENT_LOG_CAP);
         ServePool {
             cfg,
             breakers,
@@ -383,7 +386,7 @@ impl ServePool {
         for kind in struck {
             self.worker_events.push(WorkerEvent { request: req.name.clone(), kind });
             let strikes = self.quarantine.strike(&req.name);
-            if self.cfg.supervise.max_strikes > 0 && strikes == self.cfg.supervise.max_strikes {
+            if strikes == MAX_STRIKES {
                 self.worker_events.push(WorkerEvent {
                     request: req.name.clone(),
                     kind: WorkerEventKind::Quarantined { strikes },

@@ -75,11 +75,8 @@ pub fn pool_cfg(mem_budget: Option<u64>) -> PoolConfig {
         breaker: BreakerConfig {
             window: 4,
             min_samples: 2,
-            failure_threshold: 0.5,
             cooldown: 3,
             cooldown_jitter: 2,
-            probes: 1,
-            probe_successes: 1,
             ..BreakerConfig::default()
         },
         cache,

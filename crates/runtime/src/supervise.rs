@@ -15,7 +15,7 @@
 //!   (`catch_unwind`) and becomes a typed outcome; the next request is
 //!   served on the same thread.
 //! * **Poisoned-request quarantine** — every wedge or panic is a strike
-//!   against the request's name; at [`SuperviseConfig::max_strikes`]
+//!   against the request's name; at `MAX_STRIKES` (2) strikes
 //!   the [`Quarantine`] refuses further admissions of that request with
 //!   a typed [`AdmissionError::Quarantined`](crate::AdmissionError),
 //!   so a poison pill stops costing solves. Strikes are part of the
@@ -48,21 +48,11 @@ pub struct SuperviseConfig {
     /// Wall-clock ceiling for one in-flight request; past it the
     /// watchdog trips the request's cancel token (wedge detection).
     pub wedge_after: Duration,
-    /// Wedges/panics charged to one request name before the quarantine
-    /// refuses it (`0` disables quarantining).
-    pub max_strikes: usize,
-    /// Ring capacity of the worker-event trail.
-    pub event_log_cap: usize,
 }
 
 impl Default for SuperviseConfig {
     fn default() -> Self {
-        SuperviseConfig {
-            enabled: true,
-            wedge_after: Duration::from_secs(30),
-            max_strikes: 2,
-            event_log_cap: 256,
-        }
+        SuperviseConfig { enabled: true, wedge_after: Duration::from_secs(30) }
     }
 }
 
@@ -112,22 +102,20 @@ pub struct WorkerEvent {
     pub kind: WorkerEventKind,
 }
 
+/// Wedges/panics charged to one request name before the quarantine
+/// refuses it.
+pub(crate) const MAX_STRIKES: usize = 2;
+
 /// Strike bookkeeping for poisoned requests, keyed by request name.
 /// Deterministic: strikes come from panics (deterministic) and wedges
 /// (wall-clock), but the *count* is all that is persisted and compared.
+/// A name is refused at `MAX_STRIKES` strikes.
 #[derive(Clone, Debug, Default)]
 pub struct Quarantine {
     strikes: BTreeMap<String, usize>,
-    max_strikes: usize,
 }
 
 impl Quarantine {
-    /// An empty quarantine refusing names at `max_strikes` strikes
-    /// (`0` never refuses).
-    pub fn new(max_strikes: usize) -> Self {
-        Quarantine { strikes: BTreeMap::new(), max_strikes }
-    }
-
     /// Charges one strike against `name`, returning the new count.
     pub fn strike(&mut self, name: &str) -> usize {
         let n = self.strikes.entry(name.to_string()).or_insert(0);
@@ -142,7 +130,7 @@ impl Quarantine {
 
     /// True when `name` has reached the strike threshold.
     pub fn is_quarantined(&self, name: &str) -> bool {
-        self.max_strikes > 0 && self.strikes_of(name) >= self.max_strikes
+        self.strikes_of(name) >= MAX_STRIKES
     }
 
     /// Every (name, strikes) pair, in name order (checkpointing).
