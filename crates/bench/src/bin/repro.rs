@@ -182,6 +182,9 @@ fn parse_args() -> Args {
     if args.steps == 0 {
         usage("--steps must be at least 1");
     }
+    if args.cmd == "simulate" && args.soak && args.steps < 12 {
+        usage("--steps: simulate --soak needs at least 12, so its reference trail walks keep, rescale and rebuild");
+    }
     if !args.tol.is_finite() || args.tol <= 0.0 {
         usage("--tol must be a positive finite number");
     }
@@ -1016,7 +1019,7 @@ fn simulate_soak_cmd(args: &Args) {
     let kind = if args.problem == "all" { ProblemKind::Oil } else { sim_kinds(&args.problem)[0] };
     let cfg = fp16mg_bench::SimSoakConfig {
         kind,
-        steps: args.steps.max(12),
+        steps: args.steps,
         size: if args.size_set { capped_size(args, 12) } else { 8 },
         tol: args.tol,
         kill_after: if args.kill_after > 0 { args.kill_after } else { 4 },

@@ -25,6 +25,8 @@ fn bad_input_prints_usage_and_exits_2() {
         &["fig8", "--size", "8", "--smoother", "bogus"],
         &["fig10", "--threads", "0"],
         &["fig10", "--threads", "1,0"],
+        // The soak's reference trail needs 12 steps; fewer is refused, not clamped.
+        &["simulate", "--soak", "--steps", "5"],
     ] {
         let out = repro(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -35,8 +35,6 @@ pub struct CacheConfig {
     /// Master switch; a disabled cache makes every acquire a plain
     /// build with no retention.
     pub enabled: bool,
-    /// Maximum retained entries (least-recently-used eviction beyond).
-    pub capacity: usize,
     /// Byte budget for retained chains (`None` = unbounded). Before an
     /// insert, least-recently-used entries are evicted until the new
     /// chain fits; an insert whose charge still fails is served
@@ -44,12 +42,15 @@ pub struct CacheConfig {
     pub byte_budget: Option<u64>,
 }
 
+/// Maximum retained entries (least-recently-used eviction beyond).
+pub const CAPACITY: usize = 8;
+
 /// Ring capacity of the typed event trail.
 pub const EVENT_LOG_CAP: usize = 256;
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig { enabled: true, capacity: 8, byte_budget: None }
+        CacheConfig { enabled: true, byte_budget: None }
     }
 }
 
@@ -450,7 +451,7 @@ impl HierarchyCache {
 
     /// Evicts least-recently-used entries until a new key fits.
     fn evict_for_room(&mut self) {
-        while self.entries.len() >= self.cfg.capacity.max(1) {
+        while self.entries.len() >= CAPACITY {
             self.evict_lru(CacheEventKind::Evicted);
         }
     }

@@ -24,10 +24,11 @@
 //!   session becomes a typed `SolveError::WorkerPanicked` outcome and
 //!   the next request is served as usual; a wedged one is cancelled by
 //!   a watchdog.
-//! - [`serve`] is the daemon: the one serve loop (wire frames in,
-//!   solve → fsynced trail → checkpoint → ack out), its deterministic
-//!   request stream and its restart reconciliation, on top of the
-//!   persistent [`Daemon`] shell, [`net`], [`storage`] and [`trail`].
+//! - [`serve`] is the daemon: one loop on the caller's thread (accept a
+//!   connection, wire frames in, solve → fsynced trail → checkpoint →
+//!   ack out), its deterministic request stream, its A/B snapshot
+//!   restore and its restart reconciliation, on top of [`net`],
+//!   [`storage`] and [`trail`].
 //!
 //! Under the `fault-inject` feature, requests can carry a [`FaultPlan`]
 //! that keeps corrupting rebuilt hierarchies until a chosen rung, which
@@ -71,9 +72,9 @@ pub use ladder::{
 pub use ladder::{FaultPlan, LevelBitFlip};
 pub use mem::{AllocFault, ChargeRecord, MemCharge, MemError, MemGovernor};
 pub use net::{
-    decode_frame, read_frame, write_frame, Acceptor, Client, ClientConfig, ClientError,
-    ClientStats, Conn, DoneReply, Endpoint, FaultTransport, Frame, Listener, NetFault, NetOp,
-    NetOpKind, SubmitRequest, WireError, WIRE_MAGIC,
+    decode_frame, read_frame, write_frame, Client, ClientConfig, ClientError, ClientStats, Conn,
+    DoneReply, Endpoint, FaultTransport, Frame, Listener, NetFault, NetOp, NetOpKind,
+    SubmitRequest, WireError, WIRE_MAGIC,
 };
 pub use pool::{PoolConfig, PoolState, RequestOutcome, ServeCounters, ServeError, ServePool};
 pub use ring::Ring;
@@ -85,9 +86,7 @@ pub use storage::{
     append_durable, Fault, FaultStorage, OpKind, OpRecord, RealStorage, Storage, StorageError,
     StorageFile, ENOSPC_RETRIES,
 };
-pub use supervise::{
-    Daemon, DaemonConfig, DrainReport, Quarantine, SuperviseConfig, WorkerEvent, WorkerEventKind,
-};
+pub use supervise::{Quarantine, SuperviseConfig, WorkerEvent, WorkerEventKind};
 
 #[cfg(test)]
 mod tests;

@@ -30,10 +30,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::fault::FaultSchedule;
@@ -633,33 +630,25 @@ impl Listener {
         }
     }
 
-    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
-        match self {
-            Listener::Unix(l, _) => l.set_nonblocking(on),
-            Listener::Tcp(l) => l.set_nonblocking(on),
-        }
-    }
-
-    /// The endpoint a local client dials to reach this listener.
-    fn local_endpoint(&self) -> io::Result<Endpoint> {
-        match self {
-            Listener::Unix(_, path) => Ok(Endpoint::Unix(path.clone())),
-            Listener::Tcp(l) => Ok(Endpoint::Tcp(l.local_addr()?.to_string())),
-        }
-    }
-
-    fn accept(&self) -> io::Result<Conn> {
+    /// Waits for the next connection. Connections that arrive while the
+    /// caller is busy wait in the OS listen backlog.
+    ///
+    /// # Errors
+    /// The underlying `accept` error.
+    pub fn accept(&self) -> io::Result<Conn> {
         match self {
             Listener::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
             Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
         }
     }
+}
 
-    /// The Unix socket path, for cleanup on shutdown.
-    pub fn unix_path(&self) -> Option<&PathBuf> {
-        match self {
-            Listener::Unix(_, p) => Some(p),
-            Listener::Tcp(_) => None,
+impl Drop for Listener {
+    /// Removes the Unix socket file, so a server leaves no stale path
+    /// behind on any exit.
+    fn drop(&mut self) {
+        if let Listener::Unix(_, path) = self {
+            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -738,136 +727,6 @@ impl Write for Conn {
         match self {
             Conn::Unix(s) => s.flush(),
             Conn::Tcp(s) => s.flush(),
-        }
-    }
-}
-
-/// The bounded accept loop: a thread blocks in `accept`, arms each
-/// connection's deadlines, and hands it over a bounded channel. When the
-/// channel is full the connection is answered with a typed
-/// [`Frame::Busy`] and closed — backpressure is a wire response, never an
-/// unbounded buffer. No timer is involved: a connection is picked up the
-/// moment it arrives, and [`Acceptor::stop`] wakes the thread by dialing
-/// the listener itself.
-pub struct Acceptor {
-    rx: Receiver<Conn>,
-    stop: Arc<AtomicBool>,
-    /// The listener's own endpoint, dialed once by `stop`.
-    wake: Endpoint,
-    accepted: Arc<AtomicU64>,
-    busy: Arc<AtomicU64>,
-    unix_path: Option<PathBuf>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Acceptor {
-    /// Spawns the accept thread on a bound listener. `backlog` bounds the
-    /// handover channel; `deadline` is armed on every accepted
-    /// connection's reads and writes.
-    ///
-    /// # Errors
-    /// The listener's `set_nonblocking` or `local_addr` error.
-    pub fn spawn(listener: Listener, backlog: usize, deadline: Duration) -> io::Result<Acceptor> {
-        listener.set_nonblocking(false)?;
-        let wake = listener.local_endpoint()?;
-        let unix_path = listener.unix_path().cloned();
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Conn>(backlog.max(1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let accepted = Arc::new(AtomicU64::new(0));
-        let busy = Arc::new(AtomicU64::new(0));
-        let handle = {
-            let stop = Arc::clone(&stop);
-            let accepted = Arc::clone(&accepted);
-            let busy = Arc::clone(&busy);
-            std::thread::spawn(move || accept_loop(listener, tx, stop, accepted, busy, deadline))
-        };
-        Ok(Acceptor { rx, stop, wake, accepted, busy, unix_path, handle: Some(handle) })
-    }
-
-    /// The next queued connection, or `None` after `timeout` (or once the
-    /// accept thread has stopped and the queue is drained).
-    pub fn next(&self, timeout: Duration) -> Option<Conn> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(conn) => Some(conn),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => None,
-        }
-    }
-
-    /// `true` once the accept thread has exited and no connection is
-    /// queued — the listener is genuinely gone, not merely idle.
-    pub fn finished(&self) -> bool {
-        self.handle.as_ref().map(|h| h.is_finished()).unwrap_or(true)
-    }
-
-    /// Total connections accepted.
-    pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::SeqCst)
-    }
-
-    /// Connections refused with a typed `Busy` because the backlog was
-    /// full.
-    pub fn busy(&self) -> u64 {
-        self.busy.load(Ordering::SeqCst)
-    }
-
-    /// Stops accepting: flags the thread down, wakes it out of `accept`
-    /// with one connection to its own endpoint (seen after the flag, so
-    /// neither counted nor queued), joins it, and removes the Unix socket
-    /// file so a later bind does not find a stale path.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            // Without the wake-up (the socket path was removed under us)
-            // a thread still in `accept` cannot be joined; it exits with
-            // the process instead.
-            if h.is_finished() || Conn::connect(&self.wake).is_ok() {
-                let _ = h.join();
-            }
-        }
-        if let Some(path) = &self.unix_path {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-impl Drop for Acceptor {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn accept_loop(
-    listener: Listener,
-    tx: SyncSender<Conn>,
-    stop: Arc<AtomicBool>,
-    accepted: Arc<AtomicU64>,
-    busy: Arc<AtomicU64>,
-    deadline: Duration,
-) {
-    loop {
-        match listener.accept() {
-            Ok(conn) => {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                accepted.fetch_add(1, Ordering::SeqCst);
-                let _ = conn.set_deadlines(deadline, deadline);
-                match tx.try_send(conn) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(mut conn)) => {
-                        busy.fetch_add(1, Ordering::SeqCst);
-                        let _ = write_frame(
-                            &mut conn,
-                            &Frame::Busy { reason: "accept-backlog".into(), retry_ms: 50 },
-                        );
-                        conn.shutdown();
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
         }
     }
 }

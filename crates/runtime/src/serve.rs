@@ -1,11 +1,15 @@
-//! The daemon: one externally driven serve loop behind the framed wire
-//! protocol of [`crate::net`], and the things only it may know.
+//! The daemon: one serve loop on the caller's thread behind the framed
+//! wire protocol of [`crate::net`], and the things only it may know.
 //!
-//! Clients submit one request at a time over a Unix or TCP socket, and
-//! the daemon serves them one at a time, each under one durability
-//! order: **solve → append trail (fsynced) → checkpoint → ack**. An ack
-//! on the wire therefore means the decision is durable; a connection —
-//! or the process — killed at any instant loses nothing that was acked.
+//! The loop binds, restores the pool from the newest snapshot,
+//! reconciles it against the trail, and then accepts one connection at
+//! a time and serves it until it closes; connections that arrive
+//! meanwhile wait in the OS listen backlog. Clients submit one request
+//! at a time over a Unix or TCP socket, each served under one
+//! durability order: **solve → append trail (fsynced) → checkpoint →
+//! ack**. An ack on the wire therefore means the decision is durable; a
+//! connection — or the process — killed at any instant loses nothing
+//! that was acked.
 //!
 //! **The stream function.** Request *content* is a pure function of the
 //! sequence number ([`request_for`], with [`priority_for`] its wire
@@ -25,6 +29,7 @@
 //! not a silent fork.
 
 use std::collections::BTreeMap;
+use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,12 +44,13 @@ use crate::breaker::BreakerConfig;
 use crate::cache::CacheConfig;
 use crate::ladder::{RetryPolicy, SolveRequest};
 use crate::net::{
-    codes, read_frame, write_frame, Acceptor, Conn, DoneReply, Endpoint, Frame, Listener,
-    SubmitRequest, WireError,
+    codes, read_frame, write_frame, Conn, DoneReply, Endpoint, Frame, Listener, SubmitRequest,
+    WireError,
 };
 use crate::pool::{PoolConfig, RequestOutcome, ServeError, ServePool};
+use crate::snapshot::{DaemonSnapshot, SnapshotError, SnapshotStore};
 use crate::storage::{append_durable, Storage};
-use crate::supervise::{Daemon, DaemonConfig, SuperviseConfig};
+use crate::supervise::SuperviseConfig;
 use crate::trail;
 
 /// Snapshot base name inside the state directory (the A/B slots are
@@ -52,10 +58,6 @@ use crate::trail;
 pub const SNAPSHOT_FILE: &str = "daemon.snapshot";
 /// Trail file name inside the state directory.
 pub const TRAIL_FILE: &str = "trail.log";
-
-/// Accepted connections waiting for the serve loop; connections beyond
-/// it get a typed `Busy`.
-const BACKLOG: usize = 16;
 
 // ------------------------------------------------------ stream function --
 
@@ -272,8 +274,6 @@ impl NetServeConfig {
 pub struct NetCounters {
     /// Connections accepted.
     pub accepted: u64,
-    /// Connections refused with a typed `Busy` at the accept backlog.
-    pub busy_connections: u64,
     /// Requests executed (excludes duplicates).
     pub served: u64,
     /// Acks answered from the durable decision record.
@@ -304,8 +304,9 @@ pub struct NetServeReport {
     pub violations: Vec<String>,
 }
 
-/// Runs the daemon until a client requests a graceful drain. Blocking;
-/// harnesses run it on a thread and join for the report.
+/// Runs the daemon until a client requests a graceful drain. Blocking:
+/// the whole daemon is one loop on the caller's thread; harnesses run it
+/// on a thread and join for the report.
 pub fn serve_net(cfg: &NetServeConfig, storage: Arc<dyn Storage>) -> NetServeReport {
     let mut report = NetServeReport::default();
     if let Err(violation) = serve(cfg, storage, &mut report) {
@@ -314,12 +315,18 @@ pub fn serve_net(cfg: &NetServeConfig, storage: Arc<dyn Storage>) -> NetServeRep
     report
 }
 
-/// The state one serving run owns between accept and drain.
+/// The state one serving run owns between bind and drain.
 struct Server<'a> {
     cfg: &'a NetServeConfig,
     storage: Arc<dyn Storage>,
     trail: PathBuf,
-    daemon: Daemon,
+    snapshots: SnapshotStore,
+    pool: ServePool,
+    /// Requests applied over the daemon's lifetime: the next seq, and
+    /// the cursor every checkpoint records.
+    seq: u64,
+    /// The next A/B snapshot publication generation.
+    generation: u64,
     /// The decision of every applied seq, indexed by seq.
     decisions: Vec<Decision>,
     par: Par,
@@ -338,56 +345,42 @@ fn serve(
         }
     };
 
-    // Bind before the (potentially slow) daemon restore so early client
-    // connects queue in the OS backlog instead of being refused.
+    // Bind before the (potentially slow) restore: a client that connects
+    // meanwhile waits in the OS listen backlog, as every connection does
+    // while another one is served.
     let listener =
         Listener::bind(&cfg.endpoint).map_err(|e| format!("bind {}: {e}", cfg.endpoint))?;
-    let mut acceptor = Acceptor::spawn(listener, BACKLOG, cfg.conn_deadline)
-        .map_err(|e| format!("acceptor: {e}"))?;
 
     storage.create_dir_all(&cfg.state_dir).map_err(|e| format!("state dir: {e}"))?;
-    let daemon = Daemon::start(DaemonConfig {
-        pool: pool_cfg(cfg.mem_budget),
-        snapshot_path: Some(cfg.state_dir.join(SNAPSHOT_FILE)),
-        storage: Arc::clone(&storage),
-    })
-    .map_err(|e| format!("snapshot unusable: {e}"))?;
-    report.restored = daemon.restored();
-    say(if daemon.restored() {
-        format!("netdaemon: resumed seq={}", daemon.seq())
+    let (mut server, restored) =
+        Server::restore(cfg, storage).map_err(|e| format!("snapshot unusable: {e}"))?;
+    report.restored = restored;
+    say(if restored {
+        format!("netdaemon: resumed seq={}", server.seq)
     } else {
         "netdaemon: cold start".to_string()
     });
-
-    let mut server = Server {
-        cfg,
-        trail: cfg.state_dir.join(TRAIL_FILE),
-        storage,
-        daemon,
-        decisions: Vec::new(),
-        par: if cfg.threads > 1 { Par::Threads(cfg.threads) } else { Par::Seq },
-    };
     server.reconcile(report)?;
     if report.counters.reconciled > 0 {
         say(format!("netdaemon: reconciled {} trailed seq(s)", report.counters.reconciled));
     }
-    say(format!("netdaemon: listening on {} seq={}", cfg.endpoint, server.daemon.seq()));
+    say(format!("netdaemon: listening on {} seq={}", cfg.endpoint, server.seq));
 
-    let drain_conn = server.accept_loop(&acceptor, report);
-    acceptor.stop();
-    report.counters.busy_connections = acceptor.busy();
-    report.seq = server.daemon.seq();
-    let Some(mut conn) = drain_conn? else { return Ok(()) };
+    let drain_conn = server.serve_conns(&listener, report);
+    // Stop accepting before the drain: the listener closes and takes its
+    // Unix socket file with it.
+    drop(listener);
+    report.seq = server.seq;
+    let mut conn = drain_conn?;
 
-    // Graceful drain: the serve loop is single-threaded, so nothing is
-    // in flight here. Final snapshot rotation via `drain`, and only then
-    // the acknowledgement on the wire.
-    let pool = server.daemon.pool();
-    let (governor, cache) = (pool.governor().clone(), pool.cache());
+    // Graceful drain: the loop is the only thread, so nothing is in
+    // flight here. A final checkpoint, and only then the acknowledgement
+    // on the wire.
+    let (governor, cache) = (server.pool.governor().clone(), server.pool.cache());
     let (evicted, uncached) = (cache.mem_evictions(), cache.uncached_serves());
-    let drained = server.daemon.drain();
+    let drained = server.checkpoint();
     let reply = match &drained {
-        Ok(dr) => Frame::ShutdownOk { seq: dr.seq },
+        Ok(()) => Frame::ShutdownOk { seq: server.seq },
         Err(e) => Frame::Error { code: codes::INTERNAL, detail: e.to_string() },
     };
     let _ = write_frame(&mut conn, &reply);
@@ -416,12 +409,69 @@ fn serve(
     }
 }
 
-impl Server<'_> {
-    /// Solves `seq` and advances the cursor; returns its trail line.
-    fn solve(&mut self, seq: u64) -> String {
-        let req = request_for(seq, self.cfg.size, self.cfg.tol, self.par);
-        let outcome = self.daemon.submit(req);
-        trail_line(seq, &outcome, self.daemon.pool())
+impl<'a> Server<'a> {
+    /// Builds the pool warm from the newest decodable snapshot generation
+    /// (no snapshot at all is a cold start); the flag says whether one was
+    /// found. A torn or corrupt slot is quarantined (moved to
+    /// `<slot>.quarantine`) and the other generation used. The next
+    /// checkpoint goes to the other slot, so the generation restored from
+    /// is never the one overwritten.
+    ///
+    /// # Errors
+    /// When slots exist but none decodes, the last quarantined slot's
+    /// typed [`SnapshotError`]: a silent cold start would re-serve
+    /// acknowledged work, and refusing to guess is the crash-safety
+    /// contract.
+    fn restore(
+        cfg: &'a NetServeConfig,
+        storage: Arc<dyn Storage>,
+    ) -> Result<(Self, bool), SnapshotError> {
+        let snapshots = SnapshotStore::new(cfg.state_dir.join(SNAPSHOT_FILE));
+        let mut recovery = snapshots.recover(storage.as_ref(), &DaemonSnapshot::decode)?;
+        let mut pool = ServePool::new(pool_cfg(cfg.mem_budget));
+        let (mut seq, mut generation) = (0, 0);
+        let newest = recovery.candidates.into_iter().max_by_key(|(_, snap)| snap.seq);
+        let restored = newest.is_some();
+        if let Some((slot, snap)) = newest {
+            pool.restore_state(&snap.state);
+            seq = snap.seq;
+            generation = u64::from(slot == snapshots.slot_for(0));
+        } else if let Some((_, err)) = recovery.quarantined.pop() {
+            return Err(err);
+        }
+        let server = Server {
+            cfg,
+            trail: cfg.state_dir.join(TRAIL_FILE),
+            storage,
+            snapshots,
+            pool,
+            seq,
+            generation,
+            decisions: Vec::new(),
+            par: if cfg.threads > 1 { Par::Threads(cfg.threads) } else { Par::Seq },
+        };
+        Ok((server, restored))
+    }
+
+    /// Publishes the pool's state at `seq` into the next A/B slot, so a
+    /// torn checkpoint can only ever destroy the *older* of the two
+    /// retained generations. Called only once the trail covers `seq`: a
+    /// snapshot ahead of the trail is a state the daemon refuses to start
+    /// from.
+    fn checkpoint(&mut self) -> Result<(), SnapshotError> {
+        let snap = DaemonSnapshot { seq: self.seq, state: self.pool.export_state() };
+        self.snapshots.publish(self.storage.as_ref(), self.generation, &snap.encode())?;
+        self.generation += 1;
+        Ok(())
+    }
+
+    /// Solves the request at the cursor and advances it; returns its
+    /// trail line.
+    fn solve(&mut self) -> String {
+        let seq = self.seq;
+        let outcome = self.pool.serve(request_for(seq, self.cfg.size, self.cfg.tol, self.par));
+        self.seq += 1;
+        trail_line(seq, &outcome, &self.pool)
     }
 
     /// Restart reconciliation: load the decision record from the durable
@@ -443,25 +493,25 @@ impl Server<'_> {
             self.decisions.push(decision);
         }
         let covered = self.decisions.len() as u64;
-        if self.daemon.seq() > covered {
+        if self.seq > covered {
             // A snapshot claiming more progress than the durable trail
             // means an ack could reference a decision that no longer
             // exists — the lying-fsync shape. Refuse rather than serve
             // unanswerable duplicates.
             return Err(format!(
                 "snapshot seq={} ahead of durable trail coverage {covered}; refusing to serve",
-                self.daemon.seq()
+                self.seq
             ));
         }
-        while self.daemon.seq() < covered {
+        while self.seq < covered {
             // The trail ran ahead of the snapshot (kill between append
             // and checkpoint): re-derive those decisions through the
             // pool so its state advances identically, but do NOT append
             // — the durable line already exists, and exactly-once means
             // never writing a second one. A different decision would
             // mean the replayed stream is not the one that was acked.
-            let seq = self.daemon.seq();
-            let replayed = self.solve(seq);
+            let seq = self.seq;
+            let replayed = self.solve();
             let durable = &self.decisions[seq as usize].line;
             if decision_field(&replayed) != decision_field(durable) {
                 return Err(format!(
@@ -472,30 +522,31 @@ impl Server<'_> {
             report.counters.reconciled += 1;
         }
         if report.counters.reconciled > 0 {
-            self.daemon.checkpoint().map_err(|e| format!("post-reconcile checkpoint: {e}"))?;
+            self.checkpoint().map_err(|e| format!("post-reconcile checkpoint: {e}"))?;
         }
         Ok(())
     }
 
-    /// Serves connections until a `Shutdown` frame arrives; returns the
+    /// Serves connections one at a time (accept, serve until it closes,
+    /// accept the next) until a `Shutdown` frame arrives; returns the
     /// requesting connection so the ack can be sent only once the final
-    /// snapshot is durable (`None` when the accept loop died instead).
+    /// snapshot is durable.
     ///
     /// # Errors
-    /// A fatal durability failure while applying a request.
-    fn accept_loop(
+    /// A failed `accept`, or a fatal durability failure while applying a
+    /// request.
+    fn serve_conns(
         &mut self,
-        acceptor: &Acceptor,
+        listener: &Listener,
         report: &mut NetServeReport,
-    ) -> Result<Option<Conn>, String> {
+    ) -> Result<Conn, String> {
         loop {
-            let Some(mut conn) = acceptor.next(Duration::from_millis(200)) else {
-                if acceptor.finished() {
-                    report.violations.push("accept loop died without a drain request".into());
-                    return Ok(None);
-                }
-                continue;
+            let mut conn = match listener.accept() {
+                Ok(conn) => conn,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(format!("accept failed without a drain request: {e}")),
             };
+            let _ = conn.set_deadlines(self.cfg.conn_deadline, self.cfg.conn_deadline);
             report.counters.accepted += 1;
             loop {
                 let frame = match read_frame(&mut conn) {
@@ -528,7 +579,7 @@ impl Server<'_> {
                             return Err(fatal);
                         }
                     },
-                    Frame::Shutdown => return Ok(Some(conn)),
+                    Frame::Shutdown => return Ok(conn),
                     other => {
                         let reply = Frame::Error {
                             code: codes::UNEXPECTED,
@@ -560,7 +611,7 @@ impl Server<'_> {
                 detail: format!("stream is size={} tol={}", self.cfg.size, self.cfg.tol),
             });
         }
-        let seq = self.daemon.seq();
+        let seq = self.seq;
         if sr.key < seq {
             // Already applied: answer from the decision record, never
             // re-execute. This is the at-least-once dedup on the wire.
@@ -578,7 +629,7 @@ impl Server<'_> {
     /// The durability pipeline for one request:
     /// solve → trail append (fsynced) → checkpoint → ack.
     fn apply(&mut self, seq: u64) -> Result<Frame, String> {
-        let line = self.solve(seq);
+        let line = self.solve();
         let (_, decision) =
             Decision::parse(line.trim_end()).expect("trail_line emits parseable lines");
         let done = decision.reply(seq, false);
@@ -596,7 +647,7 @@ impl Server<'_> {
         }
         append_durable(self.storage.as_ref(), &self.trail, line.as_bytes())
             .map_err(|e| format!("trail append seq={seq}: {e}"))?;
-        self.daemon.checkpoint().map_err(|e| format!("checkpoint seq={seq}: {e}"))?;
+        self.checkpoint().map_err(|e| format!("checkpoint seq={seq}: {e}"))?;
         Ok(done)
     }
 }

@@ -128,7 +128,7 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// The complete durable state of a [`Daemon`](crate::Daemon).
+/// The complete durable state of the daemon ([`crate::serve`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DaemonSnapshot {
     /// Requests acknowledged (outcomes returned) over the daemon's

@@ -860,12 +860,8 @@ mod ring {
 
 mod cache {
     use super::*;
-    use crate::cache::{CacheConfig, CacheEventKind, HierarchyCache};
+    use crate::cache::{CacheConfig, CacheEventKind, HierarchyCache, CAPACITY};
     use fp16mg_core::ScaleStrategy;
-
-    fn cfg() -> CacheConfig {
-        CacheConfig { capacity: 2, ..CacheConfig::default() }
-    }
 
     fn scaled(n: usize, factor: f64) -> fp16mg_sgdia::SgDia<f64> {
         let mut a = laplace(n).matrix;
@@ -905,7 +901,7 @@ mod cache {
 
     #[test]
     fn event_ladder_hit_rescale_invalidate() {
-        let mut cache = HierarchyCache::new(cfg());
+        let mut cache = HierarchyCache::new(CacheConfig::default());
         let config = MgConfig::d16();
         let events = [
             (1.0, CacheEventKind::Rebuilt),           // cold build
@@ -932,31 +928,36 @@ mod cache {
 
     #[test]
     fn capacity_overflow_evicts_lru() {
-        let mut cache = HierarchyCache::new(CacheConfig { capacity: 1, ..cfg() });
+        let mut cache = HierarchyCache::new(CacheConfig::default());
         let config = MgConfig::d16();
         let a = laplace(6).matrix;
-        cache.acquire("one", &a, &config).unwrap();
-        cache.acquire("two", &a, &config).unwrap();
-        assert_eq!(cache.len(), 1);
+        let class = |i: usize| format!("c{i}");
+        for i in 0..CAPACITY {
+            cache.acquire(&class(i), &a, &config).unwrap();
+        }
+        // Touching c0 makes c1 the least recently used entry.
+        assert_eq!(cache.acquire(&class(0), &a, &config).unwrap().1, CacheEventKind::Hit);
+        cache.acquire(&class(CAPACITY), &a, &config).unwrap();
+        assert_eq!(cache.len(), CAPACITY);
         assert_eq!(cache.stats().evictions, 1);
         assert!(
-            cache.events().iter().any(|e| e.kind == CacheEventKind::Evicted),
+            cache.events().iter().any(|e| e.kind == CacheEventKind::Evicted && e.class == class(1)),
             "evictions are typed events too"
         );
-        // The evicted class cold-builds again.
-        let (_, kind) = cache.acquire("one", &a, &config).unwrap();
-        assert_eq!(kind, CacheEventKind::Rebuilt);
+        // The recently used class is still warm; the evicted one cold-builds again.
+        assert_eq!(cache.acquire(&class(0), &a, &config).unwrap().1, CacheEventKind::Hit);
+        assert_eq!(cache.acquire(&class(1), &a, &config).unwrap().1, CacheEventKind::Rebuilt);
     }
 
     #[test]
     fn restored_metadata_is_cold_but_keeps_identity() {
-        let mut warm = HierarchyCache::new(cfg());
+        let mut warm = HierarchyCache::new(CacheConfig::default());
         let config = MgConfig::d16();
         let a = laplace(6).matrix;
         warm.acquire("c", &a, &config).unwrap();
         warm.acquire("c", &a, &config).unwrap(); // one hit on record
 
-        let mut restored = HierarchyCache::new(cfg());
+        let mut restored = HierarchyCache::new(CacheConfig::default());
         restored.restore_metadata(&warm.metadata());
         restored.restore_stats(warm.stats());
         assert_eq!(restored.len(), 1);
@@ -982,7 +983,7 @@ mod cache {
         }
         // ScaleThenSetup coarsens a prescaled operator: its chain is
         // single-use and must never be retained.
-        let mut on = HierarchyCache::new(cfg());
+        let mut on = HierarchyCache::new(CacheConfig::default());
         let config = MgConfig { scale: ScaleStrategy::ScaleThenSetup, ..MgConfig::d16() };
         for _ in 0..2 {
             let (_, kind) = on.acquire("c", &a, &config).unwrap();
@@ -1425,84 +1426,9 @@ mod golden_bytes {
 mod daemon {
     use super::*;
     use crate::admission::AdmissionError;
-    use crate::pool::{RequestOutcome, ServePool};
+    use crate::pool::ServePool;
     use crate::serve::pool_cfg;
-    use crate::supervise::{Daemon, DaemonConfig, Quarantine};
-
-    fn temp_snapshot(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir()
-            .join(format!("fp16mg-daemon-{}-{tag}", std::process::id()))
-            .join("daemon.snapshot")
-    }
-
-    /// A deterministic mixed stream: two requests of a class that fails
-    /// terminally and one healthy request.
-    fn stream() -> Vec<SolveRequest> {
-        let bad = |name: &str| {
-            let mut req = SolveRequest::new(name, laplace(6), MgConfig::d16());
-            req.class = "poison".into();
-            req.opts = endless_opts();
-            req.budget.max_iters = Some(2);
-            req.policy = RetryPolicy::fail_fast();
-            req
-        };
-        vec![bad("bad-0"), bad("bad-1"), SolveRequest::new("ok", laplace(6), MgConfig::d16())]
-    }
-
-    fn decisions(outcomes: &[RequestOutcome]) -> Vec<(String, String)> {
-        outcomes
-            .iter()
-            .map(|o| {
-                let result =
-                    o.result.as_ref().map(|_| "ok".into()).unwrap_or_else(|e| e.to_string());
-                (o.name.clone(), result)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn checkpoint_restore_replays_identical_decisions() {
-        let path = temp_snapshot("replay");
-        let _ = std::fs::remove_file(&path);
-        let cfg = || DaemonConfig {
-            pool: pool_cfg(None),
-            snapshot_path: Some(path.clone()),
-            ..DaemonConfig::default()
-        };
-
-        // Serve the stream (trips the poison breaker), checkpoint, "crash".
-        let mut first = Daemon::start(cfg()).unwrap();
-        assert!(!first.restored());
-        for req in stream() {
-            first.submit(req);
-        }
-        first.checkpoint().unwrap();
-        let exported = first.pool().export_state();
-        drop(first); // no drain: the explicit checkpoint is the survivor
-
-        // The restarted daemon resumes the cursor and the breaker state …
-        let mut restored = Daemon::start(cfg()).unwrap();
-        assert!(restored.restored());
-        assert_eq!(restored.seq(), 3);
-        assert_eq!(restored.pool().export_state().breakers, exported.breakers);
-        assert_eq!(restored.pool().counters(), exported.counters);
-
-        // … and an untouched reference pool that replays history from
-        // scratch reaches the exact same decisions on the next stream.
-        let mut reference = ServePool::new(pool_cfg(None));
-        for req in stream() {
-            reference.serve(req);
-        }
-        let live: Vec<_> = stream().into_iter().map(|req| restored.submit(req)).collect();
-        let replayed: Vec<_> = stream().into_iter().map(|req| reference.serve(req)).collect();
-        assert_eq!(decisions(&live), decisions(&replayed));
-
-        // Graceful drain writes the final checkpoint and reports it.
-        let report = restored.drain().unwrap();
-        assert_eq!(report.seq, 6);
-        assert!(report.checkpointed);
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
-    }
+    use crate::supervise::Quarantine;
 
     #[test]
     fn quarantined_names_are_refused_at_the_gate() {
@@ -2219,12 +2145,11 @@ mod wire_props {
 
 mod event_driven {
     //! The serving path waits on events, not timers: a request returns
-    //! when its session does (not when the watchdog's wait runs out),
-    //! the watchdog still cancels a wedged request, and an idle acceptor
-    //! stops at once.
+    //! when its session does (not when the watchdog's wait runs out), and
+    //! the watchdog still cancels a wedged request. (An idle daemon's
+    //! answer to a new connection is timed in `serve`.)
 
     use super::*;
-    use crate::net::{Acceptor, Conn, Endpoint, Listener};
     use crate::pool::{PoolConfig, ServeError, ServePool};
     use crate::supervise::SuperviseConfig;
     use std::time::Instant;
@@ -2265,27 +2190,6 @@ mod event_driven {
             .filter(|e| matches!(e.kind, crate::supervise::WorkerEventKind::Wedged { .. }))
             .count();
         assert_eq!(wedged, 1);
-    }
-
-    #[test]
-    fn idle_acceptor_stops_at_once_and_does_not_count_the_wake_up() {
-        let path =
-            std::env::temp_dir().join(format!("fp16mg-acceptor-{}.sock", std::process::id()));
-        let endpoint = Endpoint::Unix(path.clone());
-        let listener = Listener::bind(&endpoint).expect("bind");
-        let mut acceptor = Acceptor::spawn(listener, 4, Duration::from_secs(1)).expect("spawn");
-        // One real connection is picked up without waiting out a timer.
-        let t0 = Instant::now();
-        let _client = Conn::connect(&endpoint).expect("connect");
-        assert!(acceptor.next(Duration::from_secs(1)).is_some());
-        assert!(t0.elapsed() < Duration::from_millis(100));
-        assert_eq!(acceptor.accepted(), 1);
-        let t0 = Instant::now();
-        acceptor.stop();
-        assert!(t0.elapsed() < Duration::from_millis(100), "stop took {:?}", t0.elapsed());
-        assert!(acceptor.finished());
-        assert_eq!(acceptor.accepted(), 1, "the wake-up dial was counted");
-        assert!(!path.exists());
     }
 }
 
@@ -2340,7 +2244,7 @@ mod serve {
     use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     use crate::net::{Client, ClientConfig, DoneReply, Endpoint, SubmitRequest};
     use crate::serve::{
@@ -2370,6 +2274,23 @@ mod serve {
         cfg
     }
 
+    fn client(endpoint: &Endpoint) -> Client {
+        Client::new(ClientConfig {
+            endpoint: endpoint.clone(),
+            max_attempts: 3,
+            backoff: Duration::from_millis(2),
+            deadlines: [Duration::from_secs(20); 3],
+            ..ClientConfig::default()
+        })
+    }
+
+    fn socket_path(cfg: &NetServeConfig) -> PathBuf {
+        match &cfg.endpoint {
+            Endpoint::Unix(path) => path.clone(),
+            Endpoint::Tcp(_) => unreachable!("cfg() listens on a Unix socket"),
+        }
+    }
+
     /// One daemon life on `storage`: submits `keys` in order until one
     /// fails, then asks for a drain. Returns the acks and the server's
     /// report.
@@ -2377,14 +2298,15 @@ mod serve {
         storage: &FaultStorage,
         keys: std::ops::Range<u64>,
     ) -> (Vec<DoneReply>, NetServeReport) {
-        let cfg = cfg();
-        let mut client = Client::new(ClientConfig {
-            endpoint: cfg.endpoint.clone(),
-            max_attempts: 3,
-            backoff: Duration::from_millis(2),
-            deadlines: [Duration::from_secs(20); 3],
-            ..ClientConfig::default()
-        });
+        life_on(cfg(), storage, keys)
+    }
+
+    fn life_on(
+        cfg: NetServeConfig,
+        storage: &FaultStorage,
+        keys: std::ops::Range<u64>,
+    ) -> (Vec<DoneReply>, NetServeReport) {
+        let mut client = client(&cfg.endpoint);
         let backend: Arc<dyn Storage> = Arc::new(storage.clone());
         let server = std::thread::spawn(move || serve_net(&cfg, backend));
         let mut acks = Vec::new();
@@ -2646,6 +2568,75 @@ mod serve {
             .filter(|l| ["counters ", "breaker ", "cache-stats "].iter().any(|k| l.starts_with(k)))
             .collect();
         assert_eq!(state, GOLDEN_STATE);
+    }
+
+    #[test]
+    fn a_restart_at_12_replays_the_golden_decisions() {
+        // The same stream as the golden run, served by two lives: the
+        // first drains after 0..12, the second resumes from its snapshot.
+        let storage = FaultStorage::new();
+        let (first, report) = life(&storage, 0..12);
+        assert_eq!(report.violations, Vec::<String>::new());
+        assert_eq!((first.len(), report.drained, report.restored), (12, true, false));
+        let (second, report) = life(&storage, 12..24);
+        assert_eq!(report.violations, Vec::<String>::new());
+        assert_eq!((second.len(), report.drained, report.restored), (12, true, true));
+        assert_eq!((report.seq, report.counters.reconciled), (24, 0));
+        assert!(second.iter().all(|a| !a.duplicate));
+
+        // The restored cache is cold, so only the decision fields match.
+        let trail = durable_trail(&storage);
+        let decisions: Vec<&str> = trail.iter().map(|l| decision_field(l)).collect();
+        let golden: Vec<&str> = GOLDEN_TRAIL.iter().map(|l| decision_field(l)).collect();
+        assert_eq!(decisions, golden);
+        // The poison breaker's window, opened by seq 6's failure, crossed
+        // the restart: seq 14's failure opens it and seq 22 is refused.
+        assert!(trail[6].contains(" outcome=unconverged breaker=closed "));
+        assert!(trail[14].contains(" outcome=unconverged breaker=open "));
+        assert!(trail[22].contains(" outcome=breaker-open "));
+    }
+
+    #[test]
+    fn no_socket_file_is_left_after_a_drain_or_a_refusal() {
+        let (storage, lines) = drained();
+        let (serving, refusing) = (cfg(), cfg());
+        let sock = socket_path(&serving);
+        let (acks, report) = life_on(serving, &storage, 3..4);
+        assert_eq!((acks.len(), report.drained), (1, true));
+        assert!(!sock.exists(), "a drained daemon left {}", sock.display());
+
+        rewrite_trail(&storage, &lines[..2]);
+        let sock = socket_path(&refusing);
+        let (acks, report) = life_on(refusing, &storage, 4..5);
+        assert!(acks.is_empty() && !report.drained, "{report:?}");
+        assert!(!sock.exists(), "a refusing daemon left {}", sock.display());
+    }
+
+    #[test]
+    fn an_idle_daemon_answers_a_new_connection_at_once() {
+        let cfg = cfg();
+        let endpoint = cfg.endpoint.clone();
+        let backend: Arc<dyn Storage> = Arc::new(FaultStorage::new());
+        let server = std::thread::spawn(move || serve_net(&cfg, backend));
+        let mut up = client(&endpoint);
+        for _ in 0..200 {
+            if up.ping().is_ok() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        drop(up);
+        std::thread::sleep(Duration::from_millis(300));
+
+        let mut idle = client(&endpoint);
+        let t0 = Instant::now();
+        idle.ping().expect("ping");
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(100), "an idle daemon took {took:?} to answer");
+        assert_eq!(idle.shutdown().ok(), Some(0));
+        let report = server.join().expect("server thread");
+        assert!(report.drained, "{report:?}");
+        assert_eq!(report.counters.accepted, 2);
     }
 
     #[test]
