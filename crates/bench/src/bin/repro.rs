@@ -65,7 +65,7 @@ struct Args {
     daemon: bool,
     soak: bool,
     snapshot_dir: String,
-    kill_after: usize,
+    kill_after: u64,
     pace_ms: u64,
     mem_budget: u64,
     steps: u64,
@@ -134,6 +134,7 @@ fn parse_args() -> Args {
         addr: String::new(),
         shutdown: false,
     };
+    let mut kill_after: Option<u64> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -154,7 +155,7 @@ fn parse_args() -> Args {
             "--daemon" => args.daemon = true,
             "--soak" => args.soak = true,
             "--snapshot-dir" => args.snapshot_dir = arg_value(&mut it, "--snapshot-dir"),
-            "--kill-after" => args.kill_after = arg_value(&mut it, "--kill-after"),
+            "--kill-after" => kill_after = Some(arg_value(&mut it, "--kill-after")),
             "--pace-ms" => args.pace_ms = arg_value(&mut it, "--pace-ms"),
             "--mem-budget" => args.mem_budget = arg_value(&mut it, "--mem-budget"),
             "--steps" => args.steps = arg_value(&mut it, "--steps"),
@@ -184,6 +185,20 @@ fn parse_args() -> Args {
     }
     if args.cmd == "simulate" && args.soak && args.steps < 12 {
         usage("--steps: simulate --soak needs at least 12, so its reference trail walks keep, rescale and rebuild");
+    }
+    // A soak's kill must land before its last request or step, or the
+    // restarted child has nothing left to resume.
+    let soak_len = match args.cmd.as_str() {
+        "loadgen" if args.soak => Some((3, args.requests as u64, "--requests")),
+        "simulate" if args.soak => Some((4, args.steps, "--steps")),
+        _ => None,
+    };
+    if let Some((default, len, of)) = soak_len {
+        let k = kill_after.unwrap_or(default);
+        if k == 0 || k >= len {
+            usage(&format!("--kill-after {k}: the soak needs 1 ≤ kill-after < {of} ({len})"));
+        }
+        args.kill_after = k;
     }
     if !args.tol.is_finite() || args.tol <= 0.0 {
         usage("--tol must be a positive finite number");
@@ -962,7 +977,7 @@ fn net_soak_cmd(args: &Args) {
     );
     let cfg = fp16mg_bench::NetSoakConfig {
         requests: args.requests as u64,
-        kill_after: if args.kill_after > 0 { args.kill_after as u64 } else { 3 },
+        kill_after: args.kill_after,
         size: capped_size(args, 10),
         tol: args.tol,
         threads: cli_threads(args),
@@ -1022,7 +1037,7 @@ fn simulate_soak_cmd(args: &Args) {
         steps: args.steps,
         size: if args.size_set { capped_size(args, 12) } else { 8 },
         tol: args.tol,
-        kill_after: if args.kill_after > 0 { args.kill_after } else { 4 },
+        kill_after: args.kill_after as usize,
         out: std::path::PathBuf::from(&args.out).join("sim-soak"),
     };
     std::process::exit(fp16mg_bench::run_sim_soak(&cfg));

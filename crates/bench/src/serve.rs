@@ -79,11 +79,8 @@ fn build_requests(n: usize, chaos: bool) -> Vec<SolveRequest> {
                     base.recovery = RecoveryPolicy::disabled();
                     let mut req = SolveRequest::new(name, ProblemKind::Laplace27.build(n), base);
                     req.opts.tol = TOL;
-                    req.policy = RetryPolicy {
-                        attempts: [1, 1, 1, 1, 1],
-                        backoff: Duration::from_micros(200),
-                        ..RetryPolicy::default()
-                    };
+                    req.policy =
+                        RetryPolicy { attempts: [1, 1, 1, 1, 1], ..RetryPolicy::default() };
                     req.fault = Some(FaultPlan {
                         spec: FaultSpec::inf(0.02, 0xfeed ^ i as u64),
                         flip: None,
@@ -107,11 +104,8 @@ fn build_requests(n: usize, chaos: bool) -> Vec<SolveRequest> {
                     req.solver = SolverChoice::Richardson;
                     req.opts.tol = 1e-6;
                     req.opts.max_iters = 40;
-                    req.policy = RetryPolicy {
-                        attempts: [1, 1, 1, 1, 1],
-                        backoff: Duration::from_micros(200),
-                        ..RetryPolicy::default()
-                    };
+                    req.policy =
+                        RetryPolicy { attempts: [1, 1, 1, 1, 1], ..RetryPolicy::default() };
                     req.fault = Some(FaultPlan {
                         spec: FaultSpec::none(0xab15 ^ i as u64),
                         flip: Some(LevelBitFlip {

@@ -280,16 +280,9 @@ fn effective_matrix(evo: &Evolution, chaos: bool, step: u64) -> SgDia<f64> {
 
 /// Ladder policy for simulation steps: the drift policy upstream already
 /// decided how to treat the hierarchy, so the redundant audit gate is
-/// off, and backoff sleeps are zeroed — a failed chaos step should reach
-/// the rollback rung immediately, not nap between rungs.
+/// off.
 fn sim_policy() -> RetryPolicy {
-    RetryPolicy {
-        backoff: Duration::ZERO,
-        max_backoff: Duration::ZERO,
-        jitter: 0.0,
-        audit_gate: false,
-        ..RetryPolicy::default()
-    }
+    RetryPolicy { audit_gate: false, ..RetryPolicy::default() }
 }
 
 /// Appends one trail line through the storage choke point: write +

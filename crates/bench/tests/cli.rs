@@ -27,6 +27,14 @@ fn bad_input_prints_usage_and_exits_2() {
         &["fig10", "--threads", "1,0"],
         // The soak's reference trail needs 12 steps; fewer is refused, not clamped.
         &["simulate", "--soak", "--steps", "5"],
+        // A soak's kill must land before its last request or step.
+        &["loadgen", "--soak", "--requests", "6", "--kill-after", "6"],
+        &["loadgen", "--soak", "--requests", "6", "--kill-after", "7"],
+        &["loadgen", "--soak", "--kill-after", "0"],
+        &["loadgen", "--soak", "--requests", "3"],
+        &["simulate", "--soak", "--steps", "12", "--kill-after", "12"],
+        &["simulate", "--soak", "--steps", "12", "--kill-after", "13"],
+        &["simulate", "--soak", "--kill-after", "0"],
     ] {
         let out = repro(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

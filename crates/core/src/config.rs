@@ -91,42 +91,15 @@ pub enum ScaleStrategy {
     ScaleThenSetup,
 }
 
-/// Smoother selection (§4.2: SymGS and ILU are typical; Gauss–Seidel
-/// variants are what StructMG/PFMG use in practice).
+/// The V-cycle smoother. One variant: every workload smooths with the
+/// paper's symmetric Gauss–Seidel, and the kind stays a named value so
+/// callers that check which smoother a configuration runs keep compiling.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SmootherKind {
-    /// Weighted (block-)Jacobi: `x += ω D⁻¹ (b − A x)`.
-    Jacobi {
-        /// Damping weight `ω` (2/3–0.9 typical).
-        weight: f64,
-    },
     /// Forward Gauss–Seidel pre-smoothing, backward post-smoothing
     /// (`Sᵀ` on the upward pass, Algorithm 3 line 17); the resulting
     /// V-cycle is symmetric, as CG requires.
     GsSymmetric,
-    /// Full SymGS (forward + backward sweep) for both pre- and
-    /// post-smoothing — heavier per sweep, the HPCG-style configuration.
-    SymGs,
-    /// ILU(0): factors computed in high precision during setup, truncated
-    /// to the storage precision, applied with the mixed-precision
-    /// triangular kernels (§4.1: "data in smoothers, such as the
-    /// factorized L̃, Ũ in ILU, are calculated in iterative precision
-    /// followed by truncation to storage precision"). Scalar problems
-    /// only; vector PDEs fall back to [`SmootherKind::GsSymmetric`]. The
-    /// same factors smooth both passes, so the V-cycle is mildly
-    /// nonsymmetric — pair with GMRES or Richardson.
-    Ilu0,
-    /// Chebyshev-accelerated Jacobi of the given polynomial degree
-    /// (hypre-style interval `[λmax/30, 1.1·λmax]`, λmax estimated by
-    /// power iteration during setup). Each degree costs one SpMV plus
-    /// vector updates — a *bandwidth-bound* smoother, so FP16 storage
-    /// pays off even on a single latency-rich core where Gauss–Seidel's
-    /// sequential recurrence hides the traffic reduction. Symmetric and
-    /// SPD-preserving (CG-safe).
-    Chebyshev {
-        /// Polynomial degree (2–4 typical).
-        degree: usize,
-    },
 }
 
 /// Coarsening policy.
@@ -248,13 +221,6 @@ pub enum ConfigError {
         /// The offending value.
         g: f64,
     },
-    /// A Jacobi damping weight that is not positive and finite.
-    InvalidSmootherWeight {
-        /// The offending value.
-        weight: f64,
-    },
-    /// A Chebyshev smoother of degree zero.
-    InvalidChebyshevDegree,
     /// A semicoarsening threshold outside `(0, 1]`.
     InvalidSemiThreshold {
         /// The offending value.
@@ -282,12 +248,6 @@ impl core::fmt::Display for ConfigError {
             ConfigError::EmptyPerLevel => write!(f, "PerLevel storage policy is empty"),
             ConfigError::InvalidG { g } => {
                 write!(f, "fixed scaling constant G = {g} must be positive and finite")
-            }
-            ConfigError::InvalidSmootherWeight { weight } => {
-                write!(f, "Jacobi weight {weight} must be positive and finite")
-            }
-            ConfigError::InvalidChebyshevDegree => {
-                write!(f, "Chebyshev smoother degree must be at least 1")
             }
             ConfigError::InvalidSemiThreshold { threshold } => {
                 write!(f, "semicoarsening threshold {threshold} must lie in (0, 1]")
@@ -428,15 +388,6 @@ impl MgConfig {
             if !g.is_finite() || g <= 0.0 {
                 return Err(ConfigError::InvalidG { g });
             }
-        }
-        match self.smoother {
-            SmootherKind::Jacobi { weight } if !weight.is_finite() || weight <= 0.0 => {
-                return Err(ConfigError::InvalidSmootherWeight { weight });
-            }
-            SmootherKind::Chebyshev { degree: 0 } => {
-                return Err(ConfigError::InvalidChebyshevDegree);
-            }
-            _ => {}
         }
         if let Coarsening::Semi { threshold } = self.coarsening {
             if threshold.is_nan() || threshold <= 0.0 || threshold > 1.0 {

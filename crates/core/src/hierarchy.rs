@@ -11,7 +11,7 @@ use fp16mg_sgdia::audit::{self, RangeAudit, StoredLevel, TruncationError, Trunca
 use fp16mg_sgdia::kernels::BlockDiagInv;
 use fp16mg_sgdia::scaling::{self, ScalePlan, ScaleVectors};
 use fp16mg_sgdia::sentinel::{MatrixSentinels, TapMismatch};
-use fp16mg_sgdia::{Layout, SgDia};
+use fp16mg_sgdia::SgDia;
 
 use fp16mg_sgdia::scaling::GChoice;
 use fp16mg_sgdia::scan::MatrixScan;
@@ -581,12 +581,12 @@ impl<Pr: Scalar> Mg<Pr> {
     /// performs no allocation.
     fn cycle_at(&mut self, i: usize, cycle: Cycle, zero_guess: bool) {
         let nl = self.levels.len();
-        let (smoother, nu1, nu2) = (self.config.smoother, self.config.nu1, self.config.nu2);
+        let (nu1, nu2) = (self.config.nu1, self.config.nu2);
         {
             let mut b = self.ws.level(i);
             let level = &self.levels[i];
             level.scale_rhs(&mut b);
-            let lower_solved = level.smooth(smoother, nu1, false, zero_guess, &mut b);
+            let lower_solved = level.smooth(nu1, false, zero_guess, &mut b);
             level.compute_residual(lower_solved, &mut b);
         }
         if i + 1 < nl {
@@ -627,7 +627,7 @@ impl<Pr: Scalar> Mg<Pr> {
             prolong_add(&gf, &self.coarse_grid, &self.coarse_f, b.u);
         }
         let mut b = self.ws.level(i);
-        self.levels[i].smooth(smoother, nu2, true, false, &mut b);
+        self.levels[i].smooth(nu2, true, false, &mut b);
     }
 
     fn coarse_solve_from_own_f(&mut self) {
@@ -1084,18 +1084,10 @@ fn build_level<Pr: Scalar>(
     }
     let dinv = dinv.map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
     let store = store.map_err(|error| SetupError::Truncation { level, error })?;
-    // The scaled f64 operator exists only for who reads it whole: ILU(0),
-    // the Chebyshev bound, a retained repair parent (a wide fallback
-    // precision has nothing to repair).
+    // The scaled f64 operator exists only for a retained repair parent
+    // (a wide fallback precision has nothing to repair).
     let retain_parent = config.integrity.retain_parents && prec.bytes() == 2;
-    let reads_whole = matches!(
-        config.smoother,
-        crate::SmootherKind::Ilu0 | crate::SmootherKind::Chebyshev { .. }
-    );
-    let scaled = plan.as_ref().filter(|_| retain_parent || reads_whole).map(|p| p.scaled(ai));
-    let src = scaled.as_ref().unwrap_or(ai);
-    let ilu = build_ilu(src, prec, config, level)?;
-    let cheb_lambda = estimate_lambda_if_cheb(src, config);
+    let parent = retain_parent.then(|| plan.as_ref().map_or_else(|| ai.clone(), |p| p.scaled(ai)));
     let scale = plan.as_ref().map(ScalePlan::vectors::<Pr>);
     let StoredLevel { matrix: stored, audit, sentinels, finite, source } = store;
     let grid = *ai.grid();
@@ -1112,57 +1104,8 @@ fn build_level<Pr: Scalar>(
         g_clamped_from: plan.and_then(|plan| plan.g_clamped_from),
         sentinels,
     };
-    let parent = retain_parent.then(|| scaled.unwrap_or_else(|| ai.clone()));
     let par = config.par;
-    Ok((Level { grid, stored, scale, dinv, ilu, cheb_lambda, par, source, parent }, info))
-}
-
-/// Upper bound on `λmax(D⁻¹A)` for the Chebyshev smoother: the
-/// Gershgorin row-sum bound `max_u Σ_j |a_uj| / a_uu`, computed on the
-/// high-precision level matrix during setup. A *rigorous* upper bound is
-/// required — Chebyshev polynomials grow exponentially outside their
-/// interval, so an underestimated λmax (the failure mode of a few power
-/// iterations) makes the smoother amplify the top modes.
-fn estimate_lambda_if_cheb(ai: &SgDia<f64>, config: &MgConfig) -> Option<f64> {
-    if !matches!(config.smoother, crate::SmootherKind::Chebyshev { .. }) {
-        return None;
-    }
-    let grid = ai.grid();
-    let diag = ai.extract_diagonal();
-    // Row sums plane by plane: out-of-grid entries are stored zeros.
-    let soa = ai.in_layout(Layout::Soa);
-    let mut rowsum = vec![0.0f64; ai.rows()];
-    for (t, tap) in ai.pattern().taps().iter().enumerate() {
-        for (s, v) in rowsum[grid.field(tap.cout as usize)].iter_mut().zip(soa.tap_slice(t)) {
-            *s += v.abs();
-        }
-    }
-    let mut lmax: f64 = 0.0;
-    for (u, &s) in rowsum.iter().enumerate() {
-        let d = diag[u].abs().max(1e-300);
-        lmax = lmax.max(s / d);
-    }
-    Some(lmax.max(1e-300))
-}
-
-/// Factors ILU(0) from the (possibly scaled) high-precision level matrix
-/// and truncates L̃/Ũ to the level's storage precision (Algorithm 1 line
-/// 13's smoother setup). `None` when the ILU smoother is not configured
-/// or the level is a vector PDE (Gauss–Seidel fallback).
-fn build_ilu(
-    ai: &SgDia<f64>,
-    prec: Precision,
-    config: &MgConfig,
-    level: usize,
-) -> Result<Option<(StoredMatrix, StoredMatrix)>, SetupError> {
-    if config.smoother != crate::SmootherKind::Ilu0 || ai.grid().components != 1 {
-        return Ok(None);
-    }
-    let f = fp16mg_sgdia::ilu::ilu0(ai)
-        .map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
-    let l = StoredMatrix::truncate(&f.l, prec, config.layout);
-    let u = StoredMatrix::truncate(&f.u, prec, config.layout);
-    Ok(Some((l, u)))
+    Ok((Level { grid, stored, scale, dinv, par, source, parent }, info))
 }
 
 /// A hierarchy lent the FP64 operator it was set up from ([`Mg::insured`]),

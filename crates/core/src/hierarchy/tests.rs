@@ -18,17 +18,16 @@ use fp16mg_stencil::Pattern;
 use fp16mg_testkit::{check_n, Rng};
 
 use super::*;
-use crate::config::SmootherKind;
 use crate::tests::laplacian;
 
 /// The cycle before the recursion knew its iterate was zero.
 fn reference_cycle<Pr: Scalar>(mg: &mut Mg<Pr>, i: usize, cycle: Cycle) {
-    let (smoother, nu1, nu2) = (mg.config.smoother, mg.config.nu1, mg.config.nu2);
+    let (nu1, nu2) = (mg.config.nu1, mg.config.nu2);
     let (gf, last) = (mg.levels[i].grid, i + 1 == mg.levels.len());
     {
         let mut b = mg.ws.level(i);
         mg.levels[i].scale_rhs(&mut b);
-        mg.levels[i].smooth(smoother, nu1, false, false, &mut b);
+        mg.levels[i].smooth(nu1, false, false, &mut b);
         mg.levels[i].compute_residual(false, &mut b);
     }
     if last {
@@ -58,7 +57,7 @@ fn reference_cycle<Pr: Scalar>(mg: &mut Mg<Pr>, i: usize, cycle: Cycle) {
         prolong_add(&gf, &gc, coarse.u, fine.u);
     }
     let mut b = mg.ws.level(i);
-    mg.levels[i].smooth(smoother, nu2, true, false, &mut b);
+    mg.levels[i].smooth(nu2, true, false, &mut b);
 }
 
 fn random_rhs<Pr: Scalar>(rng: &mut Rng, n: usize) -> Vec<Pr> {
@@ -175,51 +174,39 @@ fn fp16_cycles_stay_within_the_stored_diagonal_bound() {
 #[test]
 fn every_smoother_takes_the_same_first_step_from_zero() {
     // The first pre-smoothing step with the zero-guess fact, on a poisoned
-    // iterate, against the same step on a zero-filled one — Jacobi,
-    // Chebyshev and ILU(0) start from r₀ = f, the Gauss–Seidel kinds sweep
-    // the lower half only — on unscaled and scaled levels, scalar and
-    // vector PDEs (where ILU(0) degrades to Gauss–Seidel).
-    let kinds = [
-        SmootherKind::Jacobi { weight: 0.8 },
-        SmootherKind::GsSymmetric,
-        SmootherKind::SymGs,
-        SmootherKind::Ilu0,
-        SmootherKind::Chebyshev { degree: 2 },
-    ];
+    // iterate, against the same step on a zero-filled one: the forward
+    // Gauss–Seidel sweep reads the lower half only, on unscaled and scaled
+    // levels, scalar and vector PDEs.
     check_n("every_smoother_takes_the_same_first_step_from_zero", 4, |rng| {
         let (scalar, blocks) = (operator(rng), block_operator(rng));
         for a in [&scalar, &blocks] {
             let f: Vec<f32> = random_rhs(rng, a.rows());
-            for kind in kinds {
-                for nu in [1, 2] {
-                    let cfg = MgConfig { smoother: kind, min_coarse_cells: 8, ..MgConfig::d16() };
-                    let mut mg = Mg::<f32>::setup(a, &cfg).unwrap();
-                    let level = &mg.levels[0];
-                    let mut b = mg.ws.level(0);
-                    b.f.copy_from_slice(&f);
-                    level.scale_rhs(&mut b);
+            for nu in [1, 2] {
+                let cfg = MgConfig { min_coarse_cells: 8, ..MgConfig::d16() };
+                let mut mg = Mg::<f32>::setup(a, &cfg).unwrap();
+                let level = &mg.levels[0];
+                let mut b = mg.ws.level(0);
+                b.f.copy_from_slice(&f);
+                level.scale_rhs(&mut b);
 
-                    b.u.fill(0.0);
-                    assert!(!level.smooth(kind, nu, false, false, &mut b));
-                    level.compute_residual(false, &mut b);
-                    let (want_u, want_r) = (b.u.to_vec(), b.r.to_vec());
+                b.u.fill(0.0);
+                assert!(!level.smooth(nu, false, false, &mut b));
+                level.compute_residual(false, &mut b);
+                let (want_u, want_r) = (b.u.to_vec(), b.r.to_vec());
 
-                    b.u.fill(f32::NAN);
-                    b.t1.fill(f32::NAN);
-                    let lower_solved = level.smooth(kind, nu, false, true, &mut b);
-                    level.compute_residual(lower_solved, &mut b);
-                    let gs = matches!(kind, SmootherKind::GsSymmetric)
-                        || (kind == SmootherKind::Ilu0 && level.ilu.is_none());
-                    assert_eq!(lower_solved, gs && nu == 1, "{kind:?} nu={nu}");
+                b.u.fill(f32::NAN);
+                b.t1.fill(f32::NAN);
+                let lower_solved = level.smooth(nu, false, true, &mut b);
+                level.compute_residual(lower_solved, &mut b);
+                assert_eq!(lower_solved, nu == 1, "nu={nu}");
 
-                    let what = format!("{kind:?} nu={nu} scaled={}", level.scale.is_some());
-                    let d = rel_diff(b.u, &want_u);
-                    assert!(d <= 1e-6, "u, {what}: {d:e}");
-                    // −U u against f − A₁₆ u: the stored-diagonal bound.
-                    let d = rel_diff(b.r, &want_r);
-                    let bound = if lower_solved { 2e-3 } else { 1e-5 };
-                    assert!(d <= bound, "r, {what}: {d:e}");
-                }
+                let what = format!("nu={nu} scaled={}", level.scale.is_some());
+                let d = rel_diff(b.u, &want_u);
+                assert!(d <= 1e-6, "u, {what}: {d:e}");
+                // −U u against f − A₁₆ u: the stored-diagonal bound.
+                let d = rel_diff(b.r, &want_r);
+                let bound = if lower_solved { 2e-3 } else { 1e-5 };
+                assert!(d <= bound, "r, {what}: {d:e}");
             }
         }
     });

@@ -229,14 +229,4 @@ impl StoredMatrix {
     pub fn gs_backward<P: Scalar>(&self, dinv: &BlockDiagInv<P>, b: &[P], x: &mut [P]) {
         dispatch!(self, a => kernels::gs_backward(a, dinv, b, x))
     }
-
-    /// Forward triangular solve (the matrix must be lower triangular).
-    pub fn sptrsv_forward<P: Scalar>(&self, b: &[P], x: &mut [P]) {
-        dispatch!(self, a => kernels::sptrsv_forward(a, b, x))
-    }
-
-    /// Backward triangular solve (the matrix must be upper triangular).
-    pub fn sptrsv_backward<P: Scalar>(&self, b: &[P], x: &mut [P]) {
-        dispatch!(self, a => kernels::sptrsv_backward(a, b, x))
-    }
 }

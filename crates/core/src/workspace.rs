@@ -1,16 +1,16 @@
 //! Preallocated per-level V-cycle workspace arena.
 //!
 //! Every buffer the solve hot loop touches — the per-level iterate,
-//! right-hand side, residual, and the five smoother/rescale scratch
-//! vectors — is carved out of one contiguous allocation at setup time
+//! right-hand side, residual, and the two rescale scratch vectors — is
+//! carved out of one contiguous allocation at setup time
 //! (the Krylov scalar is converted to the hierarchy precision directly
 //! into and out of the finest level's `f` and `u`). After `Mg::setup`
 //! returns, a steady-state V-cycle (and the Krylov iteration wrapped
 //! around it) performs **zero** heap allocations; the counting-allocator
 //! gate in `crates/problems/tests/zero_alloc.rs` enforces this.
 //!
-//! The arena is laid out level-major — all eight buffers of level 0,
-//! then all eight of level 1, … — so a future tiled smoother can hand
+//! The arena is laid out level-major — all five buffers of level 0,
+//! then all five of level 1, … — so a future tiled smoother can hand
 //! each tile a disjoint sub-span of a level's region without
 //! reallocating (ROADMAP item 1). Sizing is fully checked: hostile
 //! grid dimensions surface as [`SetupError::AllocTooLarge`], never as a
@@ -20,28 +20,25 @@ use crate::hierarchy::SetupError;
 use fp16mg_fp::Scalar;
 use fp16mg_grid::Grid3;
 
-/// Buffers carved per level: `u`, `f`, `r`, `t1`..`t5`.
-pub(crate) const BUFS_PER_LEVEL: usize = 8;
+/// Buffers carved per level: `u`, `f`, `r`, `t1`, `t2`.
+pub(crate) const BUFS_PER_LEVEL: usize = 5;
 
 /// Hard ceiling on a single workspace arena. Anything larger than this
 /// is a hostile or nonsensical request, not a real problem; refusing it
 /// with a typed error keeps the setup path abort-free.
 pub const MAX_ARENA_BYTES: u64 = 1 << 40;
 
-/// The eight per-level solve buffers, borrowed disjointly from the arena.
+/// The five per-level solve buffers, borrowed disjointly from the arena.
 ///
 /// `u` is the iterate, `f` the level right-hand side, `r` the residual;
-/// `t1`..`t5` are smoother/rescale scratch (scaled iterate, scaled rhs,
-/// and up to three sweep-internal vectors for ILU/Chebyshev).
+/// `t1` and `t2` are the scaled iterate and the scaled right-hand side
+/// of a scaled level.
 pub(crate) struct LevelBufs<'a, Pr: Scalar> {
     pub u: &'a mut [Pr],
     pub f: &'a mut [Pr],
     pub r: &'a mut [Pr],
     pub t1: &'a mut [Pr],
     pub t2: &'a mut [Pr],
-    pub t3: &'a mut [Pr],
-    pub t4: &'a mut [Pr],
-    pub t5: &'a mut [Pr],
 }
 
 /// One contiguous arena holding every V-cycle temporary, owned by the
@@ -110,7 +107,7 @@ impl<Pr: Scalar> Workspace<Pr> {
         self.bytes
     }
 
-    /// Borrow the eight buffers of level `i`.
+    /// Borrow the five buffers of level `i`.
     pub fn level(&mut self, i: usize) -> LevelBufs<'_, Pr> {
         let (off, n) = (self.offsets[i], self.sizes[i]);
         carve(&mut self.buf[off..off + BUFS_PER_LEVEL * n], n)
@@ -133,9 +130,6 @@ fn carve<Pr: Scalar>(region: &mut [Pr], n: usize) -> LevelBufs<'_, Pr> {
     let (u, rest) = region.split_at_mut(n);
     let (f, rest) = rest.split_at_mut(n);
     let (r, rest) = rest.split_at_mut(n);
-    let (t1, rest) = rest.split_at_mut(n);
-    let (t2, rest) = rest.split_at_mut(n);
-    let (t3, rest) = rest.split_at_mut(n);
-    let (t4, t5) = rest.split_at_mut(n);
-    LevelBufs { u, f, r, t1, t2, t3, t4, t5 }
+    let (t1, t2) = rest.split_at_mut(n);
+    LevelBufs { u, f, r, t1, t2 }
 }

@@ -3,8 +3,8 @@
 //! Reduced-precision preconditioning fails in recognizable ways: the
 //! residual plateaus at the storage format's noise floor instead of
 //! converging, rebounds after an overflow poisons a level, or the Krylov
-//! recurrence itself breaks down (CG's `pᵀAp ≤ 0`, BiCGSTAB's `ρ ≈ 0`,
-//! a NaN in GMRES's Hessenberg). The seed code either panicked or spun to
+//! recurrence itself breaks down (CG's `pᵀAp ≤ 0`, a NaN in GMRES's
+//! Hessenberg). The seed code either panicked or spun to
 //! `max_iters` silently; this module turns those outcomes into typed
 //! diagnoses the recovery layer in `fp16mg-core` can act on — stagnation
 //! *above the FP16 unit-roundoff floor* is the signal that promoting a
@@ -22,23 +22,6 @@ pub enum Breakdown {
         iter: usize,
         /// The offending curvature value.
         pap: f64,
-    },
-    /// BiCGSTAB: the shadow-residual correlation `ρ = r̃ᵀr` (or `r̃ᵀv`)
-    /// vanished or went non-finite, so the recurrence coefficients are
-    /// undefined.
-    RhoBreakdown {
-        /// Iteration at which the breakdown was detected.
-        iter: usize,
-        /// The offending correlation value.
-        rho: f64,
-    },
-    /// BiCGSTAB: the stabilization step degenerated (`tᵀt = 0` or
-    /// `ω = 0`).
-    OmegaBreakdown {
-        /// Iteration at which the breakdown was detected.
-        iter: usize,
-        /// The offending stabilization value.
-        omega: f64,
     },
     /// GMRES: a non-finite entry appeared in the Hessenberg factorization
     /// (NaN/∞ propagated through the Arnoldi process) or its triangular
@@ -63,8 +46,6 @@ impl Breakdown {
     pub fn iter(&self) -> usize {
         match *self {
             Breakdown::Indefinite { iter, .. }
-            | Breakdown::RhoBreakdown { iter, .. }
-            | Breakdown::OmegaBreakdown { iter, .. }
             | Breakdown::HessenbergNonFinite { iter, .. }
             | Breakdown::NonFiniteResidual { iter, .. } => iter,
         }
@@ -76,8 +57,6 @@ impl Breakdown {
     pub fn non_finite(&self) -> bool {
         match *self {
             Breakdown::Indefinite { pap: v, .. }
-            | Breakdown::RhoBreakdown { rho: v, .. }
-            | Breakdown::OmegaBreakdown { omega: v, .. }
             | Breakdown::HessenbergNonFinite { entry: v, .. }
             | Breakdown::NonFiniteResidual { value: v, .. } => !v.is_finite(),
         }
@@ -92,12 +71,6 @@ impl core::fmt::Display for Breakdown {
                     f,
                     "CG breakdown at iteration {iter}: pᵀAp = {pap} (not SPD in working precision)"
                 )
-            }
-            Breakdown::RhoBreakdown { iter, rho } => {
-                write!(f, "BiCGSTAB breakdown at iteration {iter}: shadow correlation ρ = {rho}")
-            }
-            Breakdown::OmegaBreakdown { iter, omega } => {
-                write!(f, "BiCGSTAB breakdown at iteration {iter}: stabilization ω = {omega}")
             }
             Breakdown::HessenbergNonFinite { iter, entry } => {
                 write!(f, "GMRES breakdown at inner iteration {iter}: Hessenberg entry {entry}")

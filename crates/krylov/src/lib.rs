@@ -10,14 +10,13 @@
 //! preconditioner's business.
 //!
 //! Solvers: preconditioned flexible [`cg`] (SPD systems; the paper's rhd,
-//! rhd-3T, solid-3D, laplace27), restarted flexible [`gmres`] and
-//! [`bicgstab`] (nonsymmetric; oil, oil-4C, weather), and the stationary
+//! rhd-3T, solid-3D, laplace27), restarted flexible [`gmres`]
+//! (nonsymmetric; oil, oil-4C, weather), and the stationary
 //! [`richardson`] iteration of Algorithm 2.
 //! All record the per-iteration relative residual history that Fig. 6
 //! plots.
 
 #![warn(missing_docs)]
-mod bicgstab;
 mod cg;
 pub mod control;
 mod gmres;
@@ -27,7 +26,6 @@ mod scratch;
 mod traits;
 mod types;
 
-pub use bicgstab::{bicgstab, bicgstab_ctl};
 pub use cg::{cg, cg_ctl};
 pub use control::{NoControl, SolveControl};
 pub use gmres::{gmres, gmres_ctl};

@@ -1,7 +1,7 @@
 //! Krylov work vectors rented from the calling thread's pool.
 //!
-//! A solve needs a handful of `n`-long work vectors — CG four, BiCGStab
-//! eight, Richardson two, GMRES(m) its residual, a work vector and the `m`
+//! A solve needs a handful of `n`-long work vectors — CG four,
+//! Richardson two, GMRES(m) its residual, a work vector and the `m`
 //! Krylov + `m` flexible basis vectors (62 at m = 30: 62 MiB for the
 //! 131 072 unknowns of weather 64³). Allocated per solve, they make every
 //! solve page-fault in memory the previous one just returned, so each

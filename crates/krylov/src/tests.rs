@@ -266,72 +266,12 @@ fn cg_f32_iterative_precision() {
     assert!(res.converged());
 }
 
-#[test]
-fn bicgstab_solves_nonsymmetric_system() {
-    use crate::bicgstab;
-    let a = Dense::advection1d(80);
-    let b: Vec<f64> = (0..80).map(|i| 1.0 + (i % 5) as f64).collect();
-    let mut x = vec![0.0f64; 80];
-    let res = bicgstab(&a, &mut IdentityPrecond, &b, &mut x, &SolveOptions::default());
-    assert!(res.converged(), "{res:?}");
-    assert!(residual_norm(&a, &b, &x) < 1e-6);
-}
-
-#[test]
-fn bicgstab_with_preconditioner_converges_faster() {
-    use crate::bicgstab;
-    // Rows scaled over two decades, which Jacobi undoes. (On the constant
-    // diagonal of `advection1d` itself Jacobi is a multiple of the
-    // identity, and the two counts differ only by rounding luck.)
-    let mut a = Dense::advection1d(100);
-    for (i, row) in a.a.chunks_exact_mut(100).enumerate() {
-        let s = 1.0 + 10.0 * (i % 10) as f64;
-        row.iter_mut().for_each(|v| *v *= s);
-    }
-    let b = vec![1.0f64; 100];
-    let opts = SolveOptions { max_iters: 500, ..Default::default() };
-    let mut x1 = vec![0.0f64; 100];
-    let r1 = bicgstab(&a, &mut IdentityPrecond, &b, &mut x1, &opts);
-    let mut m = Jacobi::of(&a);
-    let mut x2 = vec![0.0f64; 100];
-    let r2 = bicgstab(&a, &mut m, &b, &mut x2, &opts);
-    assert!(r1.converged() && r2.converged());
-    assert!(r2.iters < r1.iters, "{} vs {}", r2.iters, r1.iters);
-}
-
-#[test]
-fn bicgstab_breakdown_on_nan() {
-    use crate::bicgstab;
-    struct NanPrecond;
-    impl Preconditioner<f64> for NanPrecond {
-        fn apply(&mut self, _r: &[f64], z: &mut [f64]) {
-            z.fill(f64::NAN);
-        }
-    }
-    let a = Dense::laplace1d(16);
-    let b = vec![1.0f64; 16];
-    let mut x = vec![0.0f64; 16];
-    let res = bicgstab(&a, &mut NanPrecond, &b, &mut x, &SolveOptions::default());
-    assert_eq!(res.reason, StopReason::Breakdown);
-}
-
-#[test]
-fn bicgstab_zero_rhs() {
-    use crate::bicgstab;
-    let a = Dense::laplace1d(8);
-    let b = vec![0.0f64; 8];
-    let mut x = vec![1.0f64; 8];
-    let res = bicgstab(&a, &mut IdentityPrecond, &b, &mut x, &SolveOptions::default());
-    assert!(res.converged());
-    assert!(x.iter().all(|&v| v == 0.0));
-}
-
 // ------------------------------------------------------- solve control --
 
 mod control {
     use super::*;
     use crate::health::SolveError;
-    use crate::{bicgstab_ctl, cg_ctl, gmres_ctl, richardson_ctl, SolveControl};
+    use crate::{cg_ctl, gmres_ctl, richardson_ctl, SolveControl};
 
     /// A control that cancels after `allow` checks.
     struct CancelAfter {
@@ -376,13 +316,6 @@ mod control {
         let mut x = vec![0.0f64; 64];
         let mut ctl = CancelAfter { allow: 3, seen: 0 };
         assert_interrupted(cg_ctl(&spd, &mut IdentityPrecond, &b, &mut x, &opts, &mut ctl), "cg");
-
-        let mut x = vec![0.0f64; 64];
-        let mut ctl = CancelAfter { allow: 3, seen: 0 };
-        assert_interrupted(
-            bicgstab_ctl(&nonsym, &mut IdentityPrecond, &b, &mut x, &opts, &mut ctl),
-            "bicgstab",
-        );
 
         let mut x = vec![0.0f64; 64];
         let mut ctl = CancelAfter { allow: 3, seen: 0 };
@@ -518,9 +451,7 @@ mod zero_guess {
 
     use super::{Dense, Jacobi};
     use crate::traits::residual;
-    use crate::{
-        bicgstab, cg, gmres, richardson, Breakdown, LinOp, SolveOptions, SolveResult, StopReason,
-    };
+    use crate::{cg, gmres, richardson, Breakdown, LinOp, SolveOptions, SolveResult, StopReason};
 
     /// Counts products; a product of zeros comes out `−0.0`, as the line
     /// kernel's `−(0 − Σ)` does.
@@ -547,10 +478,9 @@ mod zero_guess {
     }
 
     type Solver = fn(&Counted<'_>, &mut Jacobi, &[f64], &mut [f64], &SolveOptions) -> SolveResult;
-    const SOLVERS: [(&str, Solver); 4] = [
+    const SOLVERS: [(&str, Solver); 3] = [
         ("cg", |a, m, b, x, o| cg(a, m, b, x, o)),
         ("gmres", |a, m, b, x, o| gmres(a, m, b, x, o)),
-        ("bicgstab", |a, m, b, x, o| bicgstab(a, m, b, x, o)),
         ("richardson", |a, m, b, x, o| richardson(a, m, b, x, o)),
     ];
 
@@ -622,9 +552,7 @@ mod zero_guess {
                 let typed = match res.breakdown.expect("a breakdown carries its kind") {
                     Breakdown::Indefinite { iter, .. } => ("cg", iter),
                     Breakdown::HessenbergNonFinite { iter, .. } => ("gmres", iter),
-                    Breakdown::RhoBreakdown { iter, .. } => ("bicgstab", iter),
                     Breakdown::NonFiniteResidual { iter, .. } => ("richardson", iter),
-                    other => panic!("{name}, {bad}: {other:?}"),
                 };
                 assert_eq!(typed, (name, 1), "{name}, {bad}");
             }

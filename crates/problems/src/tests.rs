@@ -251,23 +251,21 @@ fn solve_digest(res: &fp16mg_krylov::SolveResult, x: &[f64]) -> u64 {
     words.fold(0xcbf2_9ce4_8422_2325, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
-/// The four Krylov solvers on a nonsymmetric and a symmetric problem under
+/// The three Krylov solvers on a nonsymmetric and a symmetric problem under
 /// the D16 V-cycle: iteration counts, residual histories and solution bits
 /// equal the goldens recorded before their work vectors came from a pool.
 /// Each solve runs twice on this thread, the second on the vectors the
 /// first handed back, whose stale contents must not matter.
 #[test]
 fn krylov_solves_equal_their_goldens() {
-    use fp16mg_krylov::{bicgstab, richardson, StopReason};
+    use fp16mg_krylov::{richardson, StopReason};
     use StopReason::*;
     let goldens = [
         ("weather", "cg", Stagnated, 40, 1483346713938800998),
         ("weather", "gmres", Converged, 32, 13042755282567425559),
-        ("weather", "bicgstab", Converged, 13, 15034384802075875071),
         ("weather", "richardson", Stagnated, 40, 12904419783537190),
         ("laplace27", "cg", Converged, 9, 14801392512442537014),
         ("laplace27", "gmres", Converged, 9, 4406837214782616462),
-        ("laplace27", "bicgstab", Converged, 5, 15245318090361522266),
         ("laplace27", "richardson", Converged, 16, 7536013412207782472),
     ];
     let opts = SolveOptions {
@@ -282,14 +280,13 @@ fn krylov_solves_equal_their_goldens() {
         let p = kind.build(10);
         let op = MatOp::new(&p.matrix, Par::Seq);
         let b = p.rhs();
-        for solver in ["cg", "gmres", "bicgstab", "richardson"] {
+        for solver in ["cg", "gmres", "richardson"] {
             let [first, second] = [(); 2].map(|_| {
                 let mut mg = Mg::<f32>::setup(&p.matrix, &MgConfig::d16()).expect(p.name);
                 let mut x = vec![0.0f64; b.len()];
                 let res = match solver {
                     "cg" => cg(&op, &mut mg, &b, &mut x, &opts),
                     "gmres" => gmres(&op, &mut mg, &b, &mut x, &opts),
-                    "bicgstab" => bicgstab(&op, &mut mg, &b, &mut x, &opts),
                     _ => richardson(&op, &mut mg, &b, &mut x, &opts),
                 };
                 (res.reason, res.iters, solve_digest(&res, &x))

@@ -103,12 +103,6 @@ impl BudgetGuard {
         self.started.elapsed()
     }
 
-    /// Remaining wall-clock allowance (`None` when unbounded). Saturates
-    /// at zero once the deadline has passed.
-    pub fn remaining(&self) -> Option<Duration> {
-        self.budget.deadline.map(|d| d.saturating_sub(self.started.elapsed()))
-    }
-
     /// V-cycles consumed so far.
     pub fn vcycles(&self) -> usize {
         self.vcycles.load(Ordering::Relaxed)

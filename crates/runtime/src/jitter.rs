@@ -1,7 +1,7 @@
 //! The one seeded jitter stream of the runtime.
 //!
-//! The retry ladder's backoff jitter and the circuit breaker's cooldown
-//! jitter each carried a private copy of the same SplitMix64 mixer. Two
+//! The network client's backoff jitter and the circuit breaker's
+//! cooldown jitter draw on the same SplitMix64 mixer. Two
 //! copies of a bit-exact algorithm are a determinism hazard — a drive-by
 //! constant change in one desynchronizes replay — so the mixer lives
 //! here once, together with the FNV-1a seed fold the breaker registry

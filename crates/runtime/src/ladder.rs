@@ -23,27 +23,25 @@
 //! 5. [`Rung::RebuildF64`] — FP64 computation *and* storage, the
 //!    last-resort everything-double configuration.
 //!
-//! Each rung gets a bounded number of attempts with jittered exponential
-//! backoff between them; every attempt is recorded in a [`RetryReport`].
+//! Each rung gets a bounded number of attempts, run back to back (the
+//! pool serves one request at a time, so there is no concurrent retry to
+//! spread out); every attempt is recorded in a [`RetryReport`].
 //! Deadlines, V-cycle budgets, and cancellation cut across the whole
 //! ladder through one [`BudgetGuard`].
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fp16mg_core::{
     audit_rejects, MatOp, Mg, MgConfig, PromotionReason, RangeAudit, RecoveryPolicy, RepairEvent,
     RepairTrigger, StoragePolicy,
 };
 use fp16mg_fp::{Precision, Scalar};
-use fp16mg_krylov::{
-    bicgstab_ctl, cg_ctl, gmres_ctl, richardson_ctl, SolveError, SolveOptions, SolveResult,
-};
+use fp16mg_krylov::{cg_ctl, gmres_ctl, richardson_ctl, SolveError, SolveOptions, SolveResult};
 use fp16mg_problems::{Problem, SolverKind};
 use fp16mg_sgdia::kernels::Par;
 
 use crate::admission::Priority;
 use crate::budget::{Budget, BudgetGuard};
-use crate::jitter;
 use crate::mem::{MemCharge, MemGovernor};
 use crate::ring::Ring;
 
@@ -102,31 +100,18 @@ impl core::fmt::Display for Rung {
     }
 }
 
-/// Exponential growth factor of the ladder's backoff per completed attempt.
-const BACKOFF_FACTOR: f64 = 2.0;
-/// Seed of the backoff jitter stream (equal seeds reproduce equal jitter).
-const BACKOFF_SEED: u64 = 0x5eed_f16a_11ad_de21;
 /// Underflow-loss fraction above which the audit gate declares a 16-bit
 /// level doomed. Deliberately looser than a typical `AutoShift`
 /// threshold: the gate only skips work that the audit says cannot
 /// succeed, it does not tune precision.
 const AUDIT_MAX_UNDERFLOW: f64 = 0.25;
 
-/// Per-rung attempt caps and backoff shape.
+/// Per-rung attempt caps and the audit gate.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
     /// Attempts allowed per rung, indexed by [`Rung::index`]. A zero
     /// skips the rung entirely.
     pub attempts: [usize; 5],
-    /// Base backoff slept after a failed attempt; it doubles per
-    /// completed attempt.
-    pub backoff: Duration,
-    /// Hard cap on a single backoff sleep.
-    pub max_backoff: Duration,
-    /// Jitter fraction in `[0, 1]`: each sleep is scaled by a
-    /// deterministic pseudo-random factor in `[1 − jitter, 1 + jitter]`
-    /// so concurrent retries don't stampede in lockstep.
-    pub jitter: f64,
     /// Consult the precision audit before the first attempt: when the
     /// rung-0 hierarchy's own setup audit already shows a 16-bit level
     /// saturating or losing more than `AUDIT_MAX_UNDERFLOW` (25%) of its
@@ -140,13 +125,7 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            attempts: [2, 1, 1, 1, 1],
-            backoff: Duration::from_millis(2),
-            max_backoff: Duration::from_millis(50),
-            jitter: 0.5,
-            audit_gate: true,
-        }
+        RetryPolicy { attempts: [2, 1, 1, 1, 1], audit_gate: true }
     }
 }
 
@@ -154,14 +133,6 @@ impl RetryPolicy {
     /// A policy that never retries anywhere (one attempt on rung 0 only).
     pub fn fail_fast() -> Self {
         RetryPolicy { attempts: [1, 0, 0, 0, 0], ..Self::default() }
-    }
-
-    /// The jittered backoff for global attempt number `k` (0-based).
-    pub fn backoff_for(&self, k: usize) -> Duration {
-        let base = self.backoff.as_secs_f64() * BACKOFF_FACTOR.powi(k as i32);
-        let unit = jitter::unit(BACKOFF_SEED.wrapping_add(k as u64 + 1)); // [0, 1)
-        let scaled = base * (1.0 + self.jitter.clamp(0.0, 1.0) * (2.0 * unit - 1.0));
-        Duration::from_secs_f64(scaled.clamp(0.0, self.max_backoff.as_secs_f64()))
     }
 }
 
@@ -171,12 +142,6 @@ pub enum SolverChoice {
     /// The problem's designated solver (Table 3).
     #[default]
     Auto,
-    /// Preconditioned flexible CG.
-    Cg,
-    /// Preconditioned BiCGStab.
-    BiCgStab,
-    /// Restarted flexible GMRES.
-    Gmres,
     /// Stationary Richardson iteration.
     Richardson,
 }
@@ -315,8 +280,6 @@ pub struct Attempt {
     pub repairs: usize,
     /// Typed failure, when the attempt did not converge.
     pub error: Option<SolveError>,
-    /// Backoff slept *after* this attempt.
-    pub backoff: Duration,
     /// Wall time of the attempt (setup + solve).
     pub seconds: f64,
 }
@@ -385,7 +348,7 @@ pub struct SessionOutcome {
     /// V-cycle applications summed over all attempts (integrity
     /// verification sweeps charge this counter too).
     pub vcycles: usize,
-    /// Session wall time, backoffs included.
+    /// Session wall time, every attempt included.
     pub seconds: f64,
 }
 
@@ -475,7 +438,6 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
     let mut report = RetryReport::default();
     let mut last_err: Option<SolveError> = None;
     let mut last_rel = f64::NAN;
-    let mut global_attempt = 0usize;
     let mut retained = Retained {
         mg: prebuilt,
         charges: None,
@@ -536,8 +498,8 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
         let mut rung_try = 0usize;
         while rung_try < req.policy.attempts[rung.index()] {
             // Session-level pre-checks: a deadline or cancellation that
-            // fired between attempts (e.g. during backoff) ends the
-            // ladder before any setup work is spent.
+            // fired since the last attempt ends the ladder before any
+            // setup work is spent.
             let done = guard.iters_done();
             if let Err(e) = fp16mg_krylov::SolveControl::check(&mut guard, done) {
                 last_err = Some(e);
@@ -561,7 +523,6 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
                 // without recording an attempt.
                 Ok(None) => continue 'ladder,
                 Err(setup_err) => {
-                    global_attempt += 1;
                     rung_try += 1;
                     // Same config ⇒ same setup failure: skip the rest of
                     // this rung and escalate.
@@ -574,14 +535,12 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
                         promotions: 0,
                         repairs: 0,
                         error: Some(setup_err.clone()),
-                        backoff: Duration::ZERO,
                         seconds,
                     });
                     last_err = Some(setup_err);
                     continue 'ladder;
                 }
                 Ok(Some(out)) => {
-                    global_attempt += 1;
                     rung_try += 1;
                     let AttemptOutput { result, promotions, repairs, x } = out;
                     guard.charge_iters(result.iters);
@@ -597,17 +556,6 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
                             rel: result.final_rel_residual,
                         }))
                     };
-                    let more_attempts_possible =
-                        !converged && error.as_ref().map(|e| e.retryable()).unwrap_or(false);
-                    let backoff = if more_attempts_possible {
-                        let b = req.policy.backoff_for(global_attempt - 1);
-                        match guard.remaining() {
-                            Some(left) => b.min(left),
-                            None => b,
-                        }
-                    } else {
-                        Duration::ZERO
-                    };
                     report.attempts.push(Attempt {
                         rung,
                         try_no: rung_try - 1,
@@ -617,7 +565,6 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
                         promotions,
                         repairs: repairs.len(),
                         error: error.clone(),
-                        backoff,
                         seconds,
                     });
                     report.repairs.extend(repairs);
@@ -638,9 +585,6 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
                     last_err = Some(e);
                     if final_err {
                         break 'ladder;
-                    }
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
                     }
                 }
             }
@@ -795,19 +739,12 @@ fn attempt_with<Pr: Scalar>(
         None => req.problem.rhs(),
     };
     let mut x = vec![0.0f64; req.problem.matrix.rows()];
-    let solver = match (req.solver, req.problem.solver) {
-        (SolverChoice::Cg, _) | (SolverChoice::Auto, SolverKind::Cg) => SolverChoice::Cg,
-        (SolverChoice::Gmres, _) | (SolverChoice::Auto, SolverKind::Gmres) => SolverChoice::Gmres,
-        (choice, _) => choice,
-    };
     // The request's operator insures level 0 for the solve.
     let m = &mut mg.insured(&req.problem.matrix);
-    let result = match solver {
-        SolverChoice::Cg => cg_ctl(&op, m, &b, &mut x, opts, guard),
-        SolverChoice::Gmres => gmres_ctl(&op, m, &b, &mut x, opts, guard),
-        SolverChoice::BiCgStab => bicgstab_ctl(&op, m, &b, &mut x, opts, guard),
-        SolverChoice::Richardson => richardson_ctl(&op, m, &b, &mut x, opts, guard),
-        SolverChoice::Auto => unreachable!("Auto resolved above"),
+    let result = match (req.solver, req.problem.solver) {
+        (SolverChoice::Auto, SolverKind::Cg) => cg_ctl(&op, m, &b, &mut x, opts, guard),
+        (SolverChoice::Auto, SolverKind::Gmres) => gmres_ctl(&op, m, &b, &mut x, opts, guard),
+        (SolverChoice::Richardson, _) => richardson_ctl(&op, m, &b, &mut x, opts, guard),
     };
     AttemptOutput {
         result,

@@ -15,7 +15,7 @@
 //!   FP16 configuration, repair corrupted levels in place from their
 //!   integrity sentinels, eagerly promote 16-bit levels, rebuild in
 //!   FP32, and finally fall back to full FP64 — with per-rung attempt
-//!   caps and jittered backoff ([`RetryPolicy`]), recording every
+//!   caps ([`RetryPolicy`]), recording every
 //!   attempt (and every localized repair) in a [`RetryReport`].
 //! - [`ServePool`] serves one session at a time behind a per-problem-class
 //!   circuit [`breaker`] and a poisoned-request

@@ -71,18 +71,6 @@ mod budget {
         guard.adopt_cycles(c2);
         assert_eq!(guard.vcycles(), 42);
     }
-
-    #[test]
-    fn backoff_is_deterministic_jittered_and_capped() {
-        let p = RetryPolicy::default();
-        for k in 0..12 {
-            let b = p.backoff_for(k);
-            assert_eq!(b, p.backoff_for(k), "same attempt number, same backoff");
-            assert!(b <= p.max_backoff);
-        }
-        // Jitter must actually vary the early sleeps.
-        assert_ne!(p.backoff_for(0), p.backoff_for(1));
-    }
 }
 
 mod session {
@@ -114,13 +102,11 @@ mod session {
 
     #[test]
     fn explicit_solver_choices_run() {
-        for (choice, tol) in [(SolverChoice::BiCgStab, 1e-8), (SolverChoice::Richardson, 1e-6)] {
-            let mut req = SolveRequest::new("choice", laplace(8), MgConfig::d16());
-            req.solver = choice;
-            req.opts.tol = tol;
-            let out = run_session(&req);
-            assert!(out.converged(), "{choice:?} failed: {:?}", out.result.err());
-        }
+        let mut req = SolveRequest::new("choice", laplace(8), MgConfig::d16());
+        req.solver = SolverChoice::Richardson;
+        req.opts.tol = 1e-6;
+        let out = run_session(&req);
+        assert!(out.converged(), "Richardson failed: {:?}", out.result.err());
     }
 
     #[test]
@@ -203,11 +189,7 @@ mod fault {
         // self-healing (which would fix the F16 faults at rung 0) is off.
         base.recovery = RecoveryPolicy::disabled();
         let mut req = SolveRequest::new(name, laplace(8), base);
-        req.policy = RetryPolicy {
-            attempts: [1, 1, 1, 1, 1],
-            backoff: Duration::from_micros(100),
-            ..RetryPolicy::default()
-        };
+        req.policy = RetryPolicy { attempts: [1, 1, 1, 1, 1], ..RetryPolicy::default() };
         req.fault =
             Some(FaultPlan { spec: FaultSpec::inf(0.02, 0xfeed), flip: None, sticky_until });
         req
@@ -353,11 +335,7 @@ mod integrity {
         base.integrity = IntegrityPolicy::armed();
         base.integrity.verify_on_anomaly = verify_on_anomaly;
         let mut req = SolveRequest::new("flip", laplace(12), base);
-        req.policy = RetryPolicy {
-            attempts: [1, 1, 1, 1, 1],
-            backoff: Duration::from_micros(100),
-            ..RetryPolicy::default()
-        };
+        req.policy = RetryPolicy { attempts: [1, 1, 1, 1, 1], ..RetryPolicy::default() };
         // Richardson (multigrid as the solver) is maximally sensitive to
         // a corrupted level — a Krylov method would partially absorb the
         // perturbation. The modest cap makes the corrupted attempt fail

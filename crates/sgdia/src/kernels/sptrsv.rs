@@ -146,7 +146,7 @@ fn solve_block<P: Scalar>(
 ) {
     if r == 1 {
         // Zero diagonals are rejected with typed errors at setup
-        // (BlockDiagInv / ilu0); in release the division yields ±∞/NaN,
+        // (BlockDiagInv); in release the division yields ±∞/NaN,
         // which the hierarchy's finiteness guard detects and recovers
         // from — cheaper and more survivable than a hot-loop panic.
         debug_assert!(diag[0][0] != P::ZERO, "singular diagonal");

@@ -28,9 +28,6 @@
 //!   bounds.
 //! * [`io`] — binary matrix/vector serialization (storage precision
 //!   preserved bit-for-bit) and Matrix Market interchange.
-//! * [`ilu`] — structured ILU(0) factorization, the paper's alternative
-//!   smoother whose L̃/Ũ factors are truncated to the storage precision
-//!   and applied with the mixed-precision triangular kernels.
 //! * [`scaling`] — the symmetric diagonal scaling of Theorem 4.1:
 //!   `G_max` computation, `Q^{-1/2} A Q^{-1/2}` application, and the
 //!   recover-and-rescale vector helpers.
@@ -55,7 +52,6 @@ pub mod audit;
 pub mod csr;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
-pub mod ilu;
 pub mod io;
 pub mod kernels;
 pub mod matrix;

@@ -682,107 +682,6 @@ fn naive_aos_f16_spmv_matches_soa() {
 }
 
 #[test]
-fn ilu0_factors_reproduce_matrix_on_pattern() {
-    // For ILU(0), (L·U)_ij == a_ij exactly on the stencil pattern (the
-    // dropped fill lives outside it).
-    let g = Grid3::new(5, 4, 3);
-    let a = random_matrix(g, Pattern::p7(), Layout::Soa, 300);
-    let f = crate::ilu::ilu0(&a).unwrap();
-    let lcsr = Csr::<f64>::from_sgdia(&f.l);
-    let ucsr = Csr::<f64>::from_sgdia(&f.u);
-    let n = a.rows();
-    let mut lrow = vec![0.0f64; n];
-    let mut ucol_cache: Vec<Vec<f64>> = Vec::new();
-    // Dense U rows.
-    for r in 0..n {
-        let mut row = vec![0.0f64; n];
-        ucsr.dense_row(r, &mut row);
-        ucol_cache.push(row);
-    }
-    let acsr = Csr::<f64>::from_sgdia(&a);
-    let mut arow = vec![0.0f64; n];
-    for i in 0..n {
-        lcsr.dense_row(i, &mut lrow);
-        acsr.dense_row(i, &mut arow);
-        for j in 0..n {
-            if arow[j] == 0.0 && i != j {
-                continue; // only check the pattern
-            }
-            let mut lu = 0.0;
-            for (k, &lv) in lrow.iter().enumerate() {
-                if lv != 0.0 {
-                    lu += lv * ucol_cache[k][j];
-                }
-            }
-            // Structural positions of A (even if the value is zero at the
-            // boundary) must match; allow roundoff.
-            let scale = arow[j].abs().max(1.0);
-            assert!((lu - arow[j]).abs() < 1e-10 * scale, "({i},{j}): {lu} vs {}", arow[j]);
-        }
-    }
-}
-
-#[test]
-fn ilu0_preconditioner_beats_jacobi_quality() {
-    // One ILU(0) application reduces the error more than one Jacobi
-    // application on a diffusion operator.
-    let g = Grid3::cube(8);
-    let a = random_matrix(g, Pattern::p7(), Layout::Soa, 310);
-    let f = crate::ilu::ilu0(&a).unwrap();
-    let xtrue = random_vec(g.unknowns(), 311);
-    let mut b = vec![0.0f64; g.unknowns()];
-    kernels::spmv(&a, &xtrue, &mut b, Par::Seq);
-    // ILU apply: x = U^{-1} L^{-1} b.
-    let mut y = vec![0.0f64; g.unknowns()];
-    kernels::sptrsv_forward(&f.l, &b, &mut y);
-    let mut x_ilu = vec![0.0f64; g.unknowns()];
-    kernels::sptrsv_backward(&f.u, &y, &mut x_ilu);
-    // Jacobi apply: x = D^{-1} b.
-    let dinv = BlockDiagInv::<f64>::from_matrix(&a).unwrap();
-    let mut x_jac = vec![0.0f64; g.unknowns()];
-    for c in 0..g.unknowns() {
-        dinv.solve(c, &b[c..c + 1], &mut x_jac[c..c + 1]);
-    }
-    let err = |x: &[f64]| -> f64 {
-        x.iter().zip(&xtrue).map(|(&u, &v)| (u - v) * (u - v)).sum::<f64>().sqrt()
-    };
-    assert!(err(&x_ilu) < 0.5 * err(&x_jac), "ILU {} vs Jacobi {}", err(&x_ilu), err(&x_jac));
-}
-
-#[test]
-fn ilu0_truncated_factors_still_solve() {
-    // The paper's flow: factor in high precision, truncate L/U to FP16,
-    // solve with the mixed-precision kernels.
-    let g = Grid3::cube(6);
-    let a = random_matrix(g, Pattern::p19(), Layout::Soa, 320);
-    let f = crate::ilu::ilu0(&a).unwrap();
-    let l16 = f.l.convert::<F16>();
-    let u16 = f.u.convert::<F16>();
-    let b: Vec<f32> = random_vec(g.unknowns(), 321).iter().map(|&v| v as f32).collect();
-    let mut y = vec![0.0f32; g.unknowns()];
-    kernels::sptrsv_forward(&l16, &b, &mut y);
-    let mut x = vec![0.0f32; g.unknowns()];
-    kernels::sptrsv_backward(&u16, &y, &mut x);
-    // Compare against the f64 factors: FP16 truncation error only.
-    let b64: Vec<f64> = b.iter().map(|&v| v as f64).collect();
-    let mut y64 = vec![0.0f64; g.unknowns()];
-    kernels::sptrsv_forward(&f.l, &b64, &mut y64);
-    let mut x64 = vec![0.0f64; g.unknowns()];
-    kernels::sptrsv_backward(&f.u, &y64, &mut x64);
-    for (&u, &v) in x.iter().zip(&x64) {
-        assert!((u as f64 - v).abs() < 2e-2 * (1.0 + v.abs()), "{u} vs {v}");
-    }
-}
-
-#[test]
-fn ilu0_rejects_vector_matrices() {
-    let g = Grid3::with_components(3, 3, 3, 2);
-    let a = random_matrix(g, Pattern::p7().with_components(2), Layout::Soa, 330);
-    let res = std::panic::catch_unwind(|| crate::ilu::ilu0(&a));
-    assert!(res.is_err(), "ilu0 must panic on vector matrices");
-}
-
-#[test]
 fn io_matrix_round_trip_all_precisions() {
     let g = Grid3::new(5, 4, 3);
     let a64 = random_matrix(g, Pattern::p19(), Layout::Soa, 400);
@@ -1024,25 +923,6 @@ fn part_of(full: &SgDia<f64>, part: &Pattern) -> SgDia<f64> {
         }
     }
     m
-}
-
-#[test]
-fn ilu0_on_degenerate_shapes() {
-    for g in [Grid3::new(16, 1, 1), Grid3::new(6, 6, 1)] {
-        let a = random_matrix(g, Pattern::p7(), Layout::Soa, 520);
-        let f = crate::ilu::ilu0(&a).unwrap();
-        // (LU)⁻¹ b must be a decent approximation: residual smaller than b.
-        let b = random_vec(g.unknowns(), 521);
-        let mut y = vec![0.0f64; g.unknowns()];
-        kernels::sptrsv_forward(&f.l, &b, &mut y);
-        let mut x = vec![0.0f64; g.unknowns()];
-        kernels::sptrsv_backward(&f.u, &y, &mut x);
-        let mut r = vec![0.0f64; g.unknowns()];
-        kernels::residual(&a, &b, &x, &mut r, Par::Seq);
-        let rn: f64 = r.iter().map(|&v| v * v).sum::<f64>().sqrt();
-        let bn: f64 = b.iter().map(|&v| v * v).sum::<f64>().sqrt();
-        assert!(rn < 0.6 * bn, "{g:?}: {rn} vs {bn}");
-    }
 }
 
 // --- Precision-audit property harness -----------------------------------

@@ -1,7 +1,7 @@
 //! Solver-matrix integration: every Krylov method against the FP16
 //! multigrid on appropriate problems.
 
-use fp16mg::krylov::{bicgstab, cg, gmres, richardson, SolveOptions};
+use fp16mg::krylov::{cg, gmres, richardson, SolveOptions};
 use fp16mg::mg::{MatOp, Mg, MgConfig};
 use fp16mg::problems::ProblemKind;
 use fp16mg::sgdia::kernels::Par;
@@ -13,37 +13,18 @@ fn setup(kind: ProblemKind, n: usize) -> (fp16mg::problems::Problem, Mg<f32>) {
 }
 
 #[test]
-fn bicgstab_solves_oil_with_fp16_multigrid() {
-    let (p, mut mg) = setup(ProblemKind::Oil, 16);
-    let op = MatOp::new(&p.matrix, Par::Seq);
-    let b = p.rhs();
-    let mut x = vec![0.0f64; p.matrix.rows()];
-    let opts = SolveOptions { tol: 1e-9, max_iters: 300, ..Default::default() };
-    let res = bicgstab(&op, &mut mg, &b, &mut x, &opts);
-    assert!(res.converged(), "{:?} after {}", res.reason, res.iters);
-    // BiCGStab counts one iteration per two preconditioner applications;
-    // it should land in the same ballpark as FGMRES.
-    let mut mg2 = Mg::<f32>::setup(&p.matrix, &MgConfig::d16()).unwrap();
-    let mut x2 = vec![0.0f64; p.matrix.rows()];
-    let rg = gmres(&op, &mut mg2, &b, &mut x2, &opts);
-    assert!(rg.converged());
-    assert!(res.iters <= rg.iters * 2 + 8, "bicgstab {} vs gmres {}", res.iters, rg.iters);
-}
-
-#[test]
-fn all_four_solvers_agree_on_solution() {
+fn every_krylov_method_agrees_on_solution() {
     let (p, _) = setup(ProblemKind::Laplace27, 12);
     let op = MatOp::new(&p.matrix, Par::Seq);
     let b = p.rhs();
     let opts = SolveOptions { tol: 1e-10, max_iters: 300, ..Default::default() };
     let mut solutions: Vec<Vec<f64>> = Vec::new();
-    for which in 0..4 {
+    for which in 0..3 {
         let mut mg = Mg::<f32>::setup(&p.matrix, &MgConfig::d16()).unwrap();
         let mut x = vec![0.0f64; p.matrix.rows()];
         let r = match which {
             0 => cg(&op, &mut mg, &b, &mut x, &opts),
             1 => gmres(&op, &mut mg, &b, &mut x, &opts),
-            2 => bicgstab(&op, &mut mg, &b, &mut x, &opts),
             _ => richardson(&op, &mut mg, &b, &mut x, &opts),
         };
         assert!(r.converged(), "solver {which}: {r:?}");
@@ -54,30 +35,5 @@ fn all_four_solvers_agree_on_solution() {
         for (a, b) in solutions[0].iter().zip(s) {
             assert!((a - b).abs() <= 1e-7 * scale, "{a} vs {b}");
         }
-    }
-}
-
-#[test]
-fn smoother_menu_all_converge_on_laplace27() {
-    use fp16mg::mg::SmootherKind;
-    let p = ProblemKind::Laplace27.build(16);
-    let op = MatOp::new(&p.matrix, Par::Seq);
-    let b = p.rhs();
-    let opts = SolveOptions { tol: 1e-9, max_iters: 200, ..Default::default() };
-    for smoother in [
-        SmootherKind::GsSymmetric,
-        SmootherKind::SymGs,
-        SmootherKind::Jacobi { weight: 0.85 },
-        SmootherKind::Chebyshev { degree: 3 },
-        SmootherKind::Ilu0,
-    ] {
-        let cfg = MgConfig { smoother, ..MgConfig::d16() };
-        let mut mg = Mg::<f32>::setup(&p.matrix, &cfg).unwrap();
-        let mut x = vec![0.0f64; p.matrix.rows()];
-        // Richardson works for every smoother (ILU makes the cycle
-        // nonsymmetric, which CG would not tolerate).
-        let r = richardson(&op, &mut mg, &b, &mut x, &opts);
-        assert!(r.converged(), "{smoother:?}: {r:?}");
-        assert!(r.iters <= 60, "{smoother:?}: {} iters", r.iters);
     }
 }
