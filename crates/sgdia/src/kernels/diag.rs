@@ -113,35 +113,8 @@ impl<P: Scalar> BlockDiagInv<P> {
         self.cells
     }
 
-    /// `dst = D⁻¹ src` over whole component-major vectors: field `cout` of
-    /// `dst` is the sum over `cin` of plane `(cout, cin)` times field
-    /// `cin` of `src`, each a contiguous loop.
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    pub fn apply(&self, src: &[P], dst: &mut [P]) {
-        let (r, n) = (self.r, self.cells);
-        assert_eq!(src.len(), n * r, "src length");
-        assert_eq!(dst.len(), n * r, "dst length");
-        for (co, out) in dst.chunks_exact_mut(n).enumerate() {
-            for (j, field) in src.chunks_exact(n).enumerate() {
-                let plane = &self.data[(co * r + j) * n..][..n];
-                if j == 0 {
-                    for ((o, &d), &v) in out.iter_mut().zip(plane).zip(field) {
-                        *o = d * v;
-                    }
-                } else {
-                    for ((o, &d), &v) in out.iter_mut().zip(plane).zip(field) {
-                        *o += d * v;
-                    }
-                }
-            }
-        }
-    }
-
     /// Applies the inverse of one cell's diagonal block: `out = D⁻¹ rhs`
-    /// (the per-entry sweeps; whole vectors go through
-    /// [`apply`](Self::apply)).
+    /// (the per-entry sweeps).
     #[inline(always)]
     pub fn solve(&self, cell: usize, rhs: &[P], out: &mut [P]) {
         let r = self.r;
