@@ -8,8 +8,7 @@
 //! repro serve --daemon --addr unix:PATH|tcp:HOST:PORT [--snapshot-dir DIR] [--mem-budget B]
 //! repro loadgen --addr … [--requests N] [--shutdown]
 //! repro loadgen --soak [--requests N] [--kill-after N] [--mem-budget B] [--out DIR]
-//! repro simulate [--problem NAME|all] [--steps N] [--chaos] [--snapshot-dir DIR] [--pace-ms MS]
-//! repro simulate --soak [--problem NAME] [--steps N] [--kill-after N] [--out DIR]
+//! repro simulate [--problem NAME|all] [--steps N] [--chaos] [--snapshot-dir DIR]
 //! ```
 //!
 //! The experiments are one table, [`EXPERIMENTS`]: it drives dispatch,
@@ -20,7 +19,7 @@
 //! checkpoint → ack, state under `--snapshot-dir`) until a client asks it
 //! to drain; `--mem-budget` puts its pool under a byte budget.
 //! `loadgen --addr …` drives it (`--shutdown` drains it), and
-//! `loadgen --soak` is the self-contained kill/restart acceptance.
+//! `loadgen --soak` is the one kill/restart soak.
 //!
 //! `simulate` advances `--problem` (or the three time-dependent example
 //! scenarios with `all`) through `--steps` implicit steps, reusing the
@@ -28,8 +27,8 @@
 //! keep/rescale/rebuild policy, and prints the per-step cost/accuracy
 //! table plus the amortized setup win over a fresh-setup-every-step
 //! baseline. With `--snapshot-dir` every committed step is checkpointed
-//! and a killed run resumes bit-identically; `--soak` proves it with a
-//! real SIGKILL (run directories under `--out`), and `--chaos` runs the
+//! and a killed run resumes bit-identically (`tests/simulate.rs` and the
+//! storage torture matrix hold it to that), and `--chaos` runs the
 //! deterministic fault schedule that exercises every reuse decision and
 //! recovery rung.
 //!
@@ -66,7 +65,6 @@ struct Args {
     soak: bool,
     snapshot_dir: String,
     kill_after: u64,
-    pace_ms: u64,
     mem_budget: u64,
     steps: u64,
     problem: String,
@@ -104,7 +102,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!("usage: repro <experiment>|all [--size N] [--tol T] [--threads N1,N2,...]");
     eprintln!("experiments: {}", names.join(" "));
-    eprintln!("drivers: repro serve --daemon --addr unix:PATH|tcp:HOST:PORT [--snapshot-dir DIR] [--mem-budget BYTES] [--workers 1]; repro loadgen --addr … [--requests N] [--shutdown]; repro loadgen --soak [--requests N] [--kill-after N] [--mem-budget BYTES] [--out DIR]; repro simulate [--problem NAME|all] [--steps N] [--chaos] [--snapshot-dir DIR] [--pace-ms MS]; repro simulate --soak [--problem NAME] [--steps N] [--kill-after N] [--out DIR]");
+    eprintln!("drivers: repro serve --daemon --addr unix:PATH|tcp:HOST:PORT [--snapshot-dir DIR] [--mem-budget BYTES] [--workers 1]; repro loadgen --addr … [--requests N] [--shutdown]; repro loadgen --soak [--requests N] [--kill-after N] [--mem-budget BYTES] [--out DIR]; repro simulate [--problem NAME|all] [--steps N] [--chaos] [--snapshot-dir DIR]");
     std::process::exit(2)
 }
 
@@ -126,7 +124,6 @@ fn parse_args() -> Args {
         soak: false,
         snapshot_dir: String::new(),
         kill_after: 0,
-        pace_ms: 0,
         mem_budget: 0,
         steps: 12,
         problem: "all".into(),
@@ -156,7 +153,6 @@ fn parse_args() -> Args {
             "--soak" => args.soak = true,
             "--snapshot-dir" => args.snapshot_dir = arg_value(&mut it, "--snapshot-dir"),
             "--kill-after" => kill_after = Some(arg_value(&mut it, "--kill-after")),
-            "--pace-ms" => args.pace_ms = arg_value(&mut it, "--pace-ms"),
             "--mem-budget" => args.mem_budget = arg_value(&mut it, "--mem-budget"),
             "--steps" => args.steps = arg_value(&mut it, "--steps"),
             "--problem" => args.problem = arg_value(&mut it, "--problem"),
@@ -183,20 +179,12 @@ fn parse_args() -> Args {
     if args.steps == 0 {
         usage("--steps must be at least 1");
     }
-    if args.cmd == "simulate" && args.soak && args.steps < 12 {
-        usage("--steps: simulate --soak needs at least 12, so its reference trail walks keep, rescale and rebuild");
-    }
-    // A soak's kill must land before its last request or step, or the
-    // restarted child has nothing left to resume.
-    let soak_len = match args.cmd.as_str() {
-        "loadgen" if args.soak => Some((3, args.requests as u64, "--requests")),
-        "simulate" if args.soak => Some((4, args.steps, "--steps")),
-        _ => None,
-    };
-    if let Some((default, len, of)) = soak_len {
-        let k = kill_after.unwrap_or(default);
+    // A soak's kill must land before its last request, or the restarted
+    // child has nothing left to resume.
+    if args.cmd == "loadgen" && args.soak {
+        let (k, len) = (kill_after.unwrap_or(3), args.requests as u64);
         if k == 0 || k >= len {
-            usage(&format!("--kill-after {k}: the soak needs 1 ≤ kill-after < {of} ({len})"));
+            usage(&format!("--kill-after {k}: the soak needs 1 ≤ kill-after < --requests ({len})"));
         }
         args.kill_after = k;
     }
@@ -222,7 +210,9 @@ fn main() {
     match args.cmd.as_str() {
         "serve" if args.daemon => daemon_cmd(&args),
         "serve" => usage("serve needs --daemon"),
-        "simulate" if args.soak => simulate_soak_cmd(&args),
+        "simulate" if args.soak => {
+            usage("simulate has no --soak; loadgen --soak is the kill/restart soak")
+        }
         "simulate" => simulate_cmd(&args),
         "loadgen" if args.soak => net_soak_cmd(&args),
         "loadgen" => loadgen_cmd(&args),
@@ -1020,27 +1010,12 @@ fn simulate_cmd(args: &Args) {
             chaos: args.chaos,
             snapshot_dir: (!args.snapshot_dir.is_empty())
                 .then(|| std::path::PathBuf::from(&args.snapshot_dir)),
-            pace_ms: args.pace_ms,
             ack: true,
             ..fp16mg_bench::SimConfig::new(kind, args.steps, size, args.tol)
         };
         worst = worst.max(fp16mg_bench::run_sim_cli(cfg));
     }
     std::process::exit(worst);
-}
-
-fn simulate_soak_cmd(args: &Args) {
-    header("Simulate soak: SIGKILL mid-run, resume, bit-identical decision trail");
-    let kind = if args.problem == "all" { ProblemKind::Oil } else { sim_kinds(&args.problem)[0] };
-    let cfg = fp16mg_bench::SimSoakConfig {
-        kind,
-        steps: args.steps,
-        size: if args.size_set { capped_size(args, 12) } else { 8 },
-        tol: args.tol,
-        kill_after: args.kill_after as usize,
-        out: std::path::PathBuf::from(&args.out).join("sim-soak"),
-    };
-    std::process::exit(fp16mg_bench::run_sim_soak(&cfg));
 }
 
 // --------------------------------------------------------------- guard --

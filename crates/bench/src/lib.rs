@@ -38,9 +38,7 @@ pub use memtorture::MemTortureReport;
 pub use microbench::Group;
 pub use nettorture::{run_net_matrix, NetTortureReport};
 pub use serve::serve;
-pub use simulate::{
-    run_sim_cli, run_sim_soak, SimConfig, SimDriver, SimReport, SimSoakConfig, StepRow,
-};
+pub use simulate::{run_sim_cli, SimConfig, SimDriver, SimReport, StepRow};
 pub use torture::{run_matrix, TortureConfig, TortureReport};
 
 /// A fresh path under the system temp directory, `<stem>-<pid>-<n>`:

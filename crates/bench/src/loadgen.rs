@@ -59,8 +59,6 @@ pub struct LoadgenReport {
     pub duplicate_acks: u64,
     /// Resubmissions after lost connections/acks.
     pub resubmissions: u64,
-    /// Typed `Busy` retries honored.
-    pub busy_retries: u64,
     /// Reconnects performed by the retry ladder.
     pub reconnects: u64,
     /// Wire round-trip p50 in seconds.
@@ -120,7 +118,6 @@ pub fn drive_stream(
     }
     report.duplicate_acks = client.stats.duplicate_acks;
     report.resubmissions = client.stats.resubmissions;
-    report.busy_retries = client.stats.busy_retries;
     report.reconnects = client.stats.reconnects;
     latencies.sort_by(|a, b| a.total_cmp(b));
     report.p50_s = percentile(&latencies, 50.0);
@@ -149,13 +146,12 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> i32 {
 
 fn print_report(who: &str, report: &LoadgenReport, requests: u64) {
     println!(
-        "{who}: acked {}/{} (dup-acks={} resubmissions={} busy-retries={} reconnects={}) \
+        "{who}: acked {}/{} (dup-acks={} resubmissions={} reconnects={}) \
          p50={:.6}s p99={:.6}s",
         report.acked,
         requests,
         report.duplicate_acks,
         report.resubmissions,
-        report.busy_retries,
         report.reconnects,
         report.p50_s,
         report.p99_s,

@@ -25,19 +25,22 @@
 //! and checkpoints the full simulation cursor through
 //! [`SimSnapshot`], in that order, so a run killed at any instant
 //! resumes from the snapshot and reproduces the remaining trail
-//! bit-identically ([`run_sim_soak`] proves it with a real SIGKILL).
+//! bit-identically: `tests/simulate.rs` resumes a dropped driver, and the
+//! storage torture matrix (`tests/torture.rs`) cuts the power at every
+//! I/O operation of a run and restarts it.
 //! `--chaos` drives a deterministic fault schedule — bit flips into the
 //! stored levels, forced drift spikes, and a poisoned solution vector —
 //! that exercises every decision path and recovery rung.
 
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use fp16mg_core::{reuse, IntegrityPolicy, Mg, MgConfig, RepairTrigger, Retained, Reuse};
+use fp16mg_core::{
+    reuse, IntegrityPolicy, Mg, MgConfig, RepairTrigger, Retained, Reuse, SetupError,
+};
 use fp16mg_problems::{step_rhs, Evolution, Problem, ProblemKind};
 use fp16mg_runtime::{
     append_durable, run_session_with, trail, RealStorage, RetryPolicy, SimCounters, SimSnapshot,
@@ -46,7 +49,6 @@ use fp16mg_runtime::{
 use fp16mg_sgdia::SgDia;
 
 use crate::guard::finest_narrow_level;
-use crate::loadgen::verify_replay;
 use crate::table::{fmt_secs, Table};
 
 /// Step whose chaos spike lands in the rescale band (×4 ≈ 2 binades).
@@ -81,10 +83,9 @@ pub struct SimConfig {
     pub chaos: bool,
     /// Where the snapshot and trail live; `None` disables durability.
     pub snapshot_dir: Option<PathBuf>,
-    /// Sleep after each committed step (widens the soak kill window).
-    pub pace_ms: u64,
-    /// Print `done step=N` acknowledgements (child mode for the soak
-    /// harness).
+    /// Print `sim: cold start` / `sim: resumed step=N` and one
+    /// `done step=N` acknowledgement per committed step (what the
+    /// benchmark's `timestep` workload reads from a child process).
     pub ack: bool,
     /// Storage backend every durable byte flows through. The default is
     /// the real filesystem; the torture harness swaps in a
@@ -107,7 +108,6 @@ impl SimConfig {
             tol,
             chaos: false,
             snapshot_dir: None,
-            pace_ms: 0,
             ack: false,
             storage: Arc::new(RealStorage),
             break_write_order: false,
@@ -149,6 +149,10 @@ pub struct StepRow {
     /// trail is the bit-exact resume contract and byte counts may
     /// legitimately change across code versions.
     pub ws_bytes: usize,
+    /// Set-up errors met this step, in order: a failed rebuild (the
+    /// ladder then builds its own hierarchy) and a failed rollback
+    /// rebuild. Not part of the trail line, like `ws_bytes`.
+    pub setup_errors: Vec<SetupError>,
 }
 
 impl StepRow {
@@ -547,15 +551,15 @@ impl SimDriver {
 
     /// Rebuilds the chain at `step` whatever the drift says: the
     /// escalation of a failed keep / rescale, and the rollback rung.
-    /// `None` (and the retained state as it was) when even that fails —
-    /// the ladder then builds its own hierarchy.
-    fn rebuild(&mut self, step: u64, a: &SgDia<f64>) -> Option<Mg<f32>> {
-        let fresh = Retained::build(a, Retained::audit(a), &self.mg_cfg).ok()?;
-        let mg = fresh.hierarchy(&self.mg_cfg).ok()?;
+    /// On an error the retained state stays as it was and the ladder
+    /// builds its own hierarchy.
+    fn rebuild(&mut self, step: u64, a: &SgDia<f64>) -> Result<Mg<f32>, SetupError> {
+        let fresh = Retained::build(a, Retained::audit(a), &self.mg_cfg)?;
+        let mg = fresh.hierarchy(&self.mg_cfg)?;
         self.retained = Some(fresh);
         self.chain_step = step;
         self.finest_step = step;
-        Some(mg)
+        Ok(mg)
     }
 
     /// Runs the solve request, returning `(rungs, outcome, iters,
@@ -599,7 +603,7 @@ impl SimDriver {
 
         let t_reuse = Instant::now();
         let (built, mut decision, d) = reuse::serve(&mut self.retained, &a, &self.mg_cfg);
-        let mut mg = match built {
+        let built = match built {
             Ok(mg) => {
                 if decision != Reuse::Keep {
                     self.finest_step = step;
@@ -607,15 +611,17 @@ impl SimDriver {
                 if decision == Reuse::Rebuild {
                     self.chain_step = step;
                 }
-                Some(mg)
+                Ok(mg)
             }
             // Even the rebuild failed: the ladder builds its own.
-            Err(_) if decision == Reuse::Rebuild => None,
+            Err(e) if decision == Reuse::Rebuild => Err(e),
             Err(_) => {
                 decision = Reuse::Rebuild;
                 self.rebuild(step, &a)
             }
         };
+        let mut setup_errors = Vec::new();
+        let mut mg = built.map_err(|e| setup_errors.push(e)).ok();
         let reuse_setup_s = t_reuse.elapsed().as_secs_f64();
         let (drift_mag, structural) = d.map_or((0.0, false), |d| (d.magnitude(), d.structural()));
         let mut ws_bytes = mg.as_ref().map_or(0, Mg::workspace_bytes);
@@ -648,7 +654,7 @@ impl SimDriver {
             self.counters.rollbacks += 1;
             self.work_x = self.good_x.clone();
             let a2 = effective_matrix(&self.evo, self.cfg.chaos, step);
-            let mg2 = self.rebuild(step, &a2);
+            let mg2 = self.rebuild(step, &a2).map_err(|e| setup_errors.push(e)).ok();
             ws_bytes = ws_bytes.max(mg2.as_ref().map_or(0, Mg::workspace_bytes));
             let prev2 = if step == 0 { None } else { Some(self.work_x.clone()) };
             let (r2, o2, i2, rr2, s2) = self.solve(step, a2, mg2, prev2.as_deref());
@@ -672,6 +678,7 @@ impl SimDriver {
             resid,
             reuse_setup_s,
             ws_bytes,
+            setup_errors,
         };
         self.reuse_setup_s += reuse_setup_s;
 
@@ -729,9 +736,6 @@ impl SimDriver {
         if self.cfg.ack {
             println!("done step={step}");
             std::io::stdout().flush().ok();
-        }
-        if self.cfg.pace_ms > 0 {
-            std::thread::sleep(Duration::from_millis(self.cfg.pace_ms));
         }
         self.post_commit_chaos(step);
         self.next_step += 1;
@@ -824,7 +828,13 @@ pub fn run_sim_cli(cfg: SimConfig) -> i32 {
     for event in driver.recovery_events() {
         eprintln!("sim[{name}]: recovery: {event}");
     }
-    let report = match driver.run() {
+    let run = driver.run();
+    for row in &driver.rows {
+        for e in &row.setup_errors {
+            eprintln!("sim[{name}]: step {}: set-up failed: {e}", row.step);
+        }
+    }
+    let report = match run {
         Ok(r) => r,
         Err(e) => {
             eprintln!("sim[{name}]: {e}");
@@ -847,166 +857,31 @@ pub fn run_sim_cli(cfg: SimConfig) -> i32 {
     0
 }
 
-// ---------------------------------------------------------------------------
-// Soak: prove crash-safe resume with a real SIGKILL.
-// ---------------------------------------------------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// `repro simulate --soak` configuration.
-#[derive(Clone, Debug)]
-pub struct SimSoakConfig {
-    /// Problem simulated (soak uses a single trajectory).
-    pub kind: ProblemKind,
-    /// Steps in the trajectory.
-    pub steps: u64,
-    /// Grid extent.
-    pub size: usize,
-    /// Convergence tolerance.
-    pub tol: f64,
-    /// Kill the child after this many committed-step acknowledgements.
-    pub kill_after: usize,
-    /// Scratch directory for the reference and crash runs.
-    pub out: PathBuf,
-}
+    #[test]
+    fn a_failed_rebuild_returns_its_reason_and_keeps_the_retained_chain() {
+        let mut driver =
+            SimDriver::new(SimConfig::new(ProblemKind::Weather, 4, 6, 1e-7)).expect("cold driver");
+        driver.step_once().expect("step 0");
+        driver.step_once().expect("step 1");
+        let kept = |d: &SimDriver| {
+            let chain = d.retained.as_ref().expect("a retained chain").chain();
+            (chain.finest().data().to_vec(), d.chain_step, d.finest_step)
+        };
+        let before = kept(&driver);
 
-fn child_command(soak: &SimSoakConfig, dir: &Path, pace_ms: u64) -> Result<Command, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let mut cmd = Command::new(exe);
-    cmd.arg("simulate")
-        .arg("--problem")
-        .arg(soak.kind.name())
-        .arg("--steps")
-        .arg(soak.steps.to_string())
-        .arg("--size")
-        .arg(soak.size.to_string())
-        .arg("--tol")
-        .arg(soak.tol.to_string())
-        .arg("--snapshot-dir")
-        .arg(dir)
-        .arg("--pace-ms")
-        .arg(pace_ms.to_string())
-        .arg("--out")
-        .arg(dir);
-    Ok(cmd)
-}
-
-fn read_lines(path: &Path) -> Result<Vec<String>, String> {
-    let bytes = fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    Ok(trail::complete_lines(&bytes))
-}
-
-/// Kill/resume soak: a reference run, a run SIGKILLed mid-flight, and a
-/// restarted run must together produce a trail that is bit-identical to
-/// the reference — same reuse decisions, same rung trails, same final
-/// residual bits. Returns the process exit code (2 when the soak could
-/// not run at all).
-pub fn run_sim_soak(soak: &SimSoakConfig) -> i32 {
-    match sim_soak(soak) {
-        Err(e) => {
-            eprintln!("sim soak: {e}");
-            2
+        // A negative diagonal only sends its level to a wider precision
+        // (Theorem 4.1 cannot scale it); a zero one cannot be smoothed.
+        let mut a = effective_matrix(&driver.evo, false, 2);
+        let diag = a.pattern().taps().iter().position(|t| t.is_diagonal()).expect("a diagonal");
+        a.set(3, diag, 0.0);
+        match driver.rebuild(2, &a) {
+            Err(e) => assert_eq!(e, SetupError::SingularDiagonalBlock { level: 0, cell: 3 }),
+            Ok(_) => panic!("a zero diagonal must fail set-up"),
         }
-        Ok(violations) if violations.is_empty() => {
-            println!(
-                "sim soak: PASS — killed after {} steps, resumed, {}-step trail bit-identical \
-                 to the reference",
-                soak.kill_after, soak.steps
-            );
-            0
-        }
-        Ok(violations) => {
-            for v in &violations {
-                eprintln!("sim soak: VIOLATION: {v}");
-            }
-            1
-        }
+        assert!(kept(&driver) == before, "a failed rebuild moved the retained state");
     }
-}
-
-/// The four phases; `Ok` carries the contract violations found.
-fn sim_soak(soak: &SimSoakConfig) -> Result<Vec<String>, String> {
-    let mut violations: Vec<String> = Vec::new();
-    let ref_dir = soak.out.join("ref");
-    let crash_dir = soak.out.join("crash");
-    for d in [&ref_dir, &crash_dir] {
-        match fs::remove_dir_all(d) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-                return Err(format!("cannot clear {}: {e}", d.display()));
-            }
-            _ => {}
-        }
-        fs::create_dir_all(d).map_err(|e| format!("cannot create {}: {e}", d.display()))?;
-    }
-
-    // Phase 1: uninterrupted reference run.
-    println!("sim soak: phase 1 — reference run ({} steps)", soak.steps);
-    let out = child_command(soak, &ref_dir, 0)?
-        .output()
-        .map_err(|e| format!("spawn reference child: {e}"))?;
-    if !out.status.success() {
-        return Err(format!("reference run failed: {}", String::from_utf8_lossy(&out.stderr)));
-    }
-    let ref_trail = read_lines(&sim_trail_path(&ref_dir, soak.kind))?;
-    for (i, line) in ref_trail.iter().enumerate() {
-        if !line.contains("outcome=ok") {
-            violations.push(format!("reference step {i} did not converge: {line}"));
-        }
-    }
-    for want in ["decision=keep", "decision=rescale", "decision=rebuild"] {
-        if !ref_trail.iter().any(|l| l.contains(want)) {
-            violations.push(format!("reference trail never recorded {want}"));
-        }
-    }
-
-    // Phase 2: crash run, SIGKILLed after `kill_after` committed steps.
-    println!("sim soak: phase 2 — crash run (SIGKILL after {} steps)", soak.kill_after);
-    let mut child = child_command(soak, &crash_dir, 15)?
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .map_err(|e| format!("spawn crash child: {e}"))?;
-    let mut acks = 0usize;
-    if let Some(stdout) = child.stdout.take() {
-        for line in BufReader::new(stdout).lines() {
-            let Ok(line) = line else { break };
-            if line.starts_with("done step=") {
-                acks += 1;
-                if acks >= soak.kill_after {
-                    break;
-                }
-            }
-        }
-    }
-    let _ = child.kill();
-    let _ = child.wait();
-    if acks < soak.kill_after {
-        violations.push(format!(
-            "crash child exited after {acks} committed steps, before the kill point \
-             ({} wanted)",
-            soak.kill_after
-        ));
-    }
-
-    // Phase 3: restart in the same directory; must resume, not restart.
-    println!("sim soak: phase 3 — restart and run to completion");
-    let out = child_command(soak, &crash_dir, 0)?
-        .output()
-        .map_err(|e| format!("spawn restart child: {e}"))?;
-    if !out.status.success() {
-        violations.push(format!("restart run failed: {}", String::from_utf8_lossy(&out.stderr)));
-    }
-    if !String::from_utf8_lossy(&out.stdout).contains("sim: resumed step=") {
-        violations.push("restart did not report a snapshot resume".to_string());
-    }
-
-    // Phase 4: the reference is steps 0..n in order, and the
-    // crash+restart trail reproduces it bit-identically (a resumed run
-    // may re-append a step it had not checkpointed — identically).
-    println!("sim soak: phase 4 — trail validation");
-    match read_lines(&sim_trail_path(&crash_dir, soak.kind)) {
-        Err(e) => violations.push(e),
-        Ok(crash_trail) => violations.extend(
-            verify_replay(&ref_trail, &crash_trail, "step", soak.steps, true, true).violations,
-        ),
-    }
-    Ok(violations)
 }

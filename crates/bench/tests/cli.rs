@@ -2,6 +2,7 @@
 //! the usage on stderr, nothing on stdout and exit code 2 — decided
 //! before any experiment prints its header.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 fn repro(args: &[&str]) -> Output {
@@ -25,16 +26,15 @@ fn bad_input_prints_usage_and_exits_2() {
         &["fig8", "--size", "8", "--smoother", "bogus"],
         &["fig10", "--threads", "0"],
         &["fig10", "--threads", "1,0"],
-        // The soak's reference trail needs 12 steps; fewer is refused, not clamped.
-        &["simulate", "--soak", "--steps", "5"],
-        // A soak's kill must land before its last request or step.
+        // `loadgen --soak` is the one kill/restart soak; `simulate` takes
+        // neither `--soak` nor `--pace-ms`.
+        &["simulate", "--soak"],
+        &["simulate", "--pace-ms", "5"],
+        // A soak's kill must land before its last request.
         &["loadgen", "--soak", "--requests", "6", "--kill-after", "6"],
         &["loadgen", "--soak", "--requests", "6", "--kill-after", "7"],
         &["loadgen", "--soak", "--kill-after", "0"],
         &["loadgen", "--soak", "--requests", "3"],
-        &["simulate", "--soak", "--steps", "12", "--kill-after", "12"],
-        &["simulate", "--soak", "--steps", "12", "--kill-after", "13"],
-        &["simulate", "--soak", "--kill-after", "0"],
     ] {
         let out = repro(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -65,4 +65,39 @@ fn an_experiment_prints_its_table() {
     let out = repro(&["table2"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("Table 2"));
+}
+
+#[test]
+fn a_second_simulate_run_resumes_from_the_snapshot_dir() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = || {
+        let d = dir.to_str().expect("utf-8 temp path");
+        let out = repro(&[
+            "simulate",
+            "--problem",
+            "oil",
+            "--steps",
+            "2",
+            "--size",
+            "6",
+            "--snapshot-dir",
+            d,
+        ]);
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+        stdout
+    };
+    let trail = |dir: &Path| std::fs::read(dir.join("sim-oil.trail.log")).expect("trail written");
+
+    let cold = run();
+    assert!(cold.contains("sim: cold start"), "{cold}");
+    assert!(cold.contains("done step=0\n") && cold.contains("done step=1\n"), "{cold}");
+    let first = trail(&dir);
+
+    let resumed = run();
+    assert!(resumed.contains("sim: resumed step=2"), "{resumed}");
+    assert!(!resumed.contains("done step="), "{resumed}");
+    assert_eq!(trail(&dir), first, "a resume past the last step appends nothing");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,8 @@
-//! The shared reference-vs-crash trail verifier both soaks
-//! (`repro loadgen --soak`, `repro simulate --soak`) end on: one table
-//! of tampered crash trails, each of which must be caught for its own
-//! reason and in the right mode.
+//! The reference-vs-crash trail verifier that `repro loadgen --soak`
+//! ends on (daemon rules) and the storage torture matrix's end-state
+//! check uses (`replays` on: a restarted simulation may re-append a
+//! step identically): one table of tampered crash trails, each of which
+//! must be caught for its own reason and in the right mode.
 
 use fp16mg_bench::loadgen::verify_replay;
 

@@ -235,22 +235,14 @@ pub struct DoneReply {
     pub breaker: String,
 }
 
-/// A protocol frame. The numeric kinds are part of the wire format.
+/// A protocol frame. The numeric kinds are part of the wire format; kind 3
+/// is unassigned and decodes to [`WireError::UnknownKind`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
     /// Kind 1: submit one solve (client → server).
     Submit(SubmitRequest),
     /// Kind 2: durable acknowledgment (server → client).
     Done(DoneReply),
-    /// Kind 3: typed backpressure — the server refused the connection
-    /// (`accept-backlog`); retry after the hinted delay instead of
-    /// buffering.
-    Busy {
-        /// Why it was refused.
-        reason: String,
-        /// Retry hint in milliseconds.
-        retry_ms: u32,
-    },
     /// Kind 4: typed refusal or protocol violation report.
     Error {
         /// A [`codes`] value.
@@ -273,7 +265,6 @@ pub enum Frame {
 
 const KIND_SUBMIT: u8 = 1;
 const KIND_DONE: u8 = 2;
-const KIND_BUSY: u8 = 3;
 const KIND_ERROR: u8 = 4;
 const KIND_PING: u8 = 5;
 const KIND_PONG: u8 = 6;
@@ -305,7 +296,6 @@ impl Frame {
         match self {
             Frame::Submit(_) => KIND_SUBMIT,
             Frame::Done(_) => KIND_DONE,
-            Frame::Busy { .. } => KIND_BUSY,
             Frame::Error { .. } => KIND_ERROR,
             Frame::Ping => KIND_PING,
             Frame::Pong => KIND_PONG,
@@ -332,10 +322,6 @@ impl Frame {
                 put_label(&mut payload, &d.outcome);
                 put_label(&mut payload, &d.profile);
                 put_label(&mut payload, &d.breaker);
-            }
-            Frame::Busy { reason, retry_ms } => {
-                payload.extend_from_slice(&retry_ms.to_le_bytes());
-                put_label(&mut payload, reason);
             }
             Frame::Error { code, detail } => {
                 payload.push(*code);
@@ -441,11 +427,6 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
             let profile = c.label()?;
             let breaker = c.label()?;
             Frame::Done(DoneReply { key, duplicate, outcome, profile, breaker })
-        }
-        KIND_BUSY => {
-            let retry_ms = c.u32()?;
-            let reason = c.label()?;
-            Frame::Busy { reason, retry_ms }
         }
         KIND_ERROR => {
             let code = c.u8()?;
@@ -916,7 +897,8 @@ pub struct ClientStats {
     /// Retries of a request whose earlier attempt may have reached the
     /// server — the at-least-once deliveries the trail dedup must absorb.
     pub resubmissions: u64,
-    /// Typed `Busy` responses honored with a backoff retry.
+    /// Always 0: no server sends a `Busy` frame. Kept because the
+    /// repository benchmark reports it as `runtime.busy_retries`.
     pub busy_retries: u64,
     /// Reconnects after a lost connection.
     pub reconnects: u64,
@@ -1175,9 +1157,9 @@ impl Client {
         self.faulted_recv()
     }
 
-    /// Submits one request through the retry ladder: `Busy` responses
-    /// back off and retry, lost connections reconnect and resubmit the
-    /// same idempotency key, terminal server errors surface typed.
+    /// Submits one request through the retry ladder: lost connections
+    /// reconnect and resubmit the same idempotency key, terminal server
+    /// errors surface typed.
     ///
     /// # Errors
     /// [`ClientError::Rejected`] on a terminal server refusal,
@@ -1201,13 +1183,6 @@ impl Client {
                     }
                     self.drain_extras();
                     return Ok(d);
-                }
-                Ok(Frame::Busy { reason, retry_ms }) => {
-                    self.stats.busy_retries += 1;
-                    last = format!("busy:{reason}");
-                    let hint = Duration::from_millis(retry_ms as u64);
-                    let sleep = self.backoff_for(attempt).max(hint);
-                    std::thread::sleep(sleep);
                 }
                 Ok(Frame::Error { code, detail }) => {
                     return Err(ClientError::Rejected { code, detail })
@@ -1292,7 +1267,6 @@ mod unit {
                 profile: "full".into(),
                 breaker: "closed".into(),
             }),
-            Frame::Busy { reason: "queue-full".into(), retry_ms: 25 },
             Frame::Error { code: codes::OUT_OF_ORDER, detail: "want 3".into() },
             Frame::Ping,
             Frame::Pong,
@@ -1326,9 +1300,11 @@ mod unit {
         let mut bytes = Frame::Ping.encode();
         bytes[0] = 0;
         assert!(matches!(decode_frame(&bytes), Err(WireError::BadMagic { .. })));
-        let mut bytes = Frame::Ping.encode();
-        bytes[4] = 99;
-        assert_eq!(decode_frame(&bytes), Err(WireError::UnknownKind { got: 99 }));
+        for got in [3, 99] {
+            let mut bytes = Frame::Ping.encode();
+            bytes[4] = got;
+            assert_eq!(decode_frame(&bytes), Err(WireError::UnknownKind { got }));
+        }
     }
 
     #[test]

@@ -2040,11 +2040,10 @@ mod wire_props {
                 profile: label(rng),
                 breaker: label(rng),
             }),
-            2 => Frame::Busy { retry_ms: rng.next_u64() as u32, reason: label(rng) },
-            3 => Frame::Error { code: rng.usize_range(1, 10) as u8, detail: label(rng) },
-            4 => Frame::Ping,
-            5 => Frame::Shutdown,
-            6 => Frame::ShutdownOk { seq: rng.next_u64() },
+            2 => Frame::Error { code: rng.usize_range(1, 10) as u8, detail: label(rng) },
+            3 => Frame::Ping,
+            4 => Frame::Shutdown,
+            5 => Frame::ShutdownOk { seq: rng.next_u64() },
             _ => Frame::Pong,
         }
     }
