@@ -1,6 +1,7 @@
 //! The multigrid hierarchy: Algorithm 1 setup, Algorithm 3 V-cycle, and
 //! the Algorithm 2 preconditioner interface.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -430,8 +431,10 @@ impl<Pr: Scalar> Mg<Pr> {
     /// (lines 1–3, the dominant setup cost) are reused as-is.
     ///
     /// Rebuilding from the same chain and config is deterministic: the
-    /// stored levels are bit-identical to a full [`Mg::setup`] with the
-    /// same inputs.
+    /// stored levels of a chain whose finest operator was never swapped
+    /// are bit-identical to a full [`Mg::setup`] with the same inputs.
+    /// After a swap the coarse levels are stored, and the coarsest
+    /// factored, from the carried `W_l A_l W_l` ([`GalerkinChain`]).
     ///
     /// # Errors
     /// [`SetupError::ChainIncompatible`] for `ScaleThenSetup` configs
@@ -440,7 +443,8 @@ impl<Pr: Scalar> Mg<Pr> {
     pub fn setup_from_chain(chain: &GalerkinChain, config: &MgConfig) -> Result<Self, SetupError> {
         config.validate()?;
         reject_prescaled(config)?;
-        let mats: Vec<&SgDia<f64>> = chain.mats.iter().collect();
+        let operators = chain.operators();
+        let mats: Vec<&SgDia<f64>> = operators.iter().map(|a| &**a).collect();
         Self::assemble(&mats, None, config.clone())
     }
 
@@ -843,6 +847,17 @@ fn widen_result<Pr: Scalar, K: Scalar>(
 /// swapping in a drifted finest operator over the kept coarse tail when
 /// the drift asks for that.
 ///
+/// A swapped-in finest operator carries its diagonal drift into the
+/// coarse tail. At build the chain records each coarse level's restricted
+/// log-diagonal `L_l = R_l log diag(A₀) / R_l 1` (`R_l` the composite
+/// restriction to level `l`); a swap computes `L'_l` from the new finest
+/// operator and keeps `w_l = exp(½(L'_l − L_l))`, and the hierarchy is
+/// assembled from `W_l A_l W_l` on every coarse level. The weights are a
+/// geometric mean of the diagonal ratio over the cells a coarse unknown
+/// restricts from, so a uniform drift `m·A₀` gives `m·A_l` — the Galerkin
+/// operators of `m·A₀` — and they depend only on the build operator and
+/// the current finest one, never on the swaps in between.
+///
 /// Only value-preserving configurations are chain-compatible: under
 /// `ScaleStrategy::ScaleThenSetup` the finest matrix is rescaled before
 /// the triple products run, baking one request's scaling into every
@@ -851,6 +866,73 @@ fn widen_result<Pr: Scalar, K: Scalar>(
 #[derive(Clone, Debug)]
 pub struct GalerkinChain {
     mats: Vec<SgDia<f64>>,
+    /// `None` without a coarse level, or when the build operator's
+    /// diagonal is not positive and finite: the tail is never carried.
+    carry: Option<Carry>,
+}
+
+/// The diagonal carry of a [`GalerkinChain`], one vector per coarse level.
+/// Both are allocated at build, so the chain's bytes do not move when a
+/// swap fills `w`.
+#[derive(Clone, Debug)]
+struct Carry {
+    /// `L_l` of the build operator.
+    log_diag: Vec<Vec<f64>>,
+    /// `w_l` of the current finest operator.
+    w: Vec<Vec<f64>>,
+    /// Whether `w` applies: the finest operator was swapped and its
+    /// diagonal ratio to the build operator's is positive and finite.
+    live: bool,
+}
+
+impl Carry {
+    fn of(mats: &[SgDia<f64>]) -> Option<Self> {
+        let log_diag = restricted_log_diagonal(mats).filter(|l| !l.is_empty())?;
+        let w = log_diag.iter().map(|l| vec![1.0; l.len()]).collect();
+        Some(Carry { log_diag, w, live: false })
+    }
+
+    /// Re-derives `w` for `mats[0]`, the new finest operator; a diagonal
+    /// ratio that is zero, negative or not finite leaves the tail as it
+    /// was built.
+    fn update(&mut self, mats: &[SgDia<f64>]) {
+        self.live = restricted_log_diagonal(mats).is_some_and(|now| {
+            let pairs = self.w.iter_mut().zip(&self.log_diag).zip(&now);
+            for ((w, was), now) in pairs {
+                for ((w, &was), &now) in w.iter_mut().zip(was).zip(now) {
+                    *w = (0.5 * (now - was)).exp();
+                }
+            }
+            self.w.iter().flatten().all(|&w| w > 0.0 && w.is_finite())
+        });
+    }
+
+    fn value_bytes(&self) -> usize {
+        let len: usize = self.log_diag.iter().chain(&self.w).map(Vec::len).sum();
+        len * std::mem::size_of::<f64>()
+    }
+}
+
+/// `R_l log diag(A₀) / R_l 1` for every coarse level `l` of `mats`, finest
+/// first; `None` when a diagonal entry of `mats[0]` is not positive and
+/// finite.
+fn restricted_log_diagonal(mats: &[SgDia<f64>]) -> Option<Vec<Vec<f64>>> {
+    let mut log = mats[0].extract_diagonal();
+    if !log.iter().all(|&d| d > 0.0 && d.is_finite()) {
+        return None;
+    }
+    log.iter_mut().for_each(|d| *d = d.ln());
+    let mut ones = vec![1.0; log.len()];
+    let mut out = Vec::with_capacity(mats.len() - 1);
+    for pair in mats.windows(2) {
+        let (fine, coarse) = (pair[0].grid(), pair[1].grid());
+        let (mut log_c, mut ones_c) = (vec![0.0; coarse.unknowns()], vec![0.0; coarse.unknowns()]);
+        restrict(fine, coarse, &log, &mut log_c);
+        restrict(fine, coarse, &ones, &mut ones_c);
+        out.push(log_c.iter().zip(&ones_c).map(|(l, o)| l / o).collect());
+        (log, ones) = (log_c, ones_c);
+    }
+    Some(out)
 }
 
 impl GalerkinChain {
@@ -871,7 +953,8 @@ impl GalerkinChain {
         let finest = a.to_layout(config.layout);
         let mut mats = coarse_chain(&finest, config);
         mats.insert(0, finest);
-        Ok(GalerkinChain { mats })
+        let carry = Carry::of(&mats);
+        Ok(GalerkinChain { mats, carry })
     }
 
     /// Number of levels in the chain (≥ 1).
@@ -889,20 +972,39 @@ impl GalerkinChain {
         &self.mats[0]
     }
 
-    /// Every level's operator, finest first.
+    /// Every level's operator as built, finest first (the finest one as
+    /// last swapped in).
     pub fn matrices(&self) -> &[SgDia<f64>] {
         &self.mats
     }
 
+    /// The operators [`Mg::setup_from_chain`] assembles, finest first:
+    /// [`matrices`](Self::matrices), with every coarse level carried to
+    /// `W_l A_l W_l` after a swap (a transient copy of the coarse tail).
+    pub(crate) fn operators(&self) -> Vec<Cow<'_, SgDia<f64>>> {
+        let Some(carry) = self.carry.as_ref().filter(|c| c.live) else {
+            return self.mats.iter().map(Cow::Borrowed).collect();
+        };
+        let tail = self.mats[1..].iter().zip(&carry.w).map(|(a, w)| {
+            let mut carried = a.clone();
+            scaling::congruence(&mut carried, w);
+            Cow::Owned(carried)
+        });
+        std::iter::once(Cow::Borrowed(&self.mats[0])).chain(tail).collect()
+    }
+
     /// Total bytes of FP64 value data the chain keeps resident — what a
-    /// hierarchy cache entry pays to retain it.
+    /// hierarchy cache entry pays to retain it: the operators and the
+    /// carry's two vectors per coarse level.
     pub fn value_bytes(&self) -> usize {
-        self.mats.iter().map(|m| m.value_bytes()).sum()
+        let carry = self.carry.as_ref().map_or(0, Carry::value_bytes);
+        self.mats.iter().map(|m| m.value_bytes()).sum::<usize>() + carry
     }
 
     /// Replaces the finest operator in place (same geometry required),
-    /// keeping the coarse tail: after this, [`Mg::setup_from_chain`]
-    /// serves the drifted operator over the lagged Galerkin levels.
+    /// keeping the coarse tail and carrying the new operator's diagonal
+    /// drift into it: after this, [`Mg::setup_from_chain`] serves the
+    /// drifted operator over `W_l A_l W_l`.
     ///
     /// # Errors
     /// [`SetupError::ChainIncompatible`] on a geometry mismatch.
@@ -919,6 +1021,9 @@ impl GalerkinChain {
             own.data_mut().copy_from_slice(new.data());
         } else {
             *own = new.into_owned();
+        }
+        if let Some(carry) = &mut self.carry {
+            carry.update(&self.mats);
         }
         Ok(())
     }

@@ -15,9 +15,13 @@
 //! * drift ≤ [`RESCALE_MAX`] → [`Reuse::Rescale`]: the new operator
 //!   replaces the chain's finest matrix and becomes the baseline, so its
 //!   scaling and truncation are re-derived (Theorem 4.1's no-overflow
-//!   guarantee holds for the drifted values) while the coarse Galerkin
-//!   operators are the old ones — a bounded Galerkin lag the outer
-//!   iteration absorbs.
+//!   guarantee holds for the drifted values), and its diagonal drift is
+//!   carried into the coarse tail: each coarse operator is assembled as
+//!   `W_l A_l W_l`, `W_l` the geometric mean of the diagonal ratio over
+//!   the cells the level restricts from ([`GalerkinChain`]). A uniform
+//!   drift is carried exactly; what the carry misses is the drift's
+//!   off-diagonal and non-uniform part, which the outer iteration
+//!   absorbs.
 //! * beyond, or any structural drift (new overflow, changed sparsity) →
 //!   [`Reuse::Rebuild`]: a new chain.
 //!
@@ -113,11 +117,14 @@ impl Retained {
     }
 
     /// Makes `a` (audited as `audit`) the chain's finest operator and the
-    /// new baseline, keeping the coarse tail: the [`Reuse::Rescale`]
-    /// action. The hierarchy then comes from [`Retained::hierarchy`]; if
-    /// that fails, drop this value — its finest operator no longer has
-    /// the coarse levels, nor (in a cache) the fingerprint, it was
-    /// retained with, and only a rebuild repairs that. [`serve`] does so.
+    /// new baseline, keeping the coarse tail and carrying `a`'s diagonal
+    /// drift into it — measured against the operator the chain was built
+    /// from, so the result does not depend on earlier adopts: the
+    /// [`Reuse::Rescale`] action. The hierarchy then comes from
+    /// [`Retained::hierarchy`]; if that fails, drop this value — its
+    /// finest operator no longer has the coarse levels, nor (in a cache)
+    /// the fingerprint, it was retained with, and only a rebuild repairs
+    /// that. [`serve`] does so.
     ///
     /// # Errors
     /// [`SetupError::ChainIncompatible`] when `a`'s geometry is not the

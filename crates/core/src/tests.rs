@@ -1164,9 +1164,7 @@ mod chain_reuse {
     }
 
     /// CG iterations to 1e-8 — the outer Krylov solve the cache's
-    /// rescale-in-place path actually runs under (a stationary
-    /// iteration cannot absorb a mis-scaled coarse correction; Krylov
-    /// can, which is exactly why Galerkin lag is sound there).
+    /// rescale-in-place path actually runs under.
     fn cg_iters(mg: &mut Mg<f32>, a: &SgDia<f64>) -> usize {
         let op = MatOp::new(a, Par::Seq);
         let b = rhs(a.rows());
@@ -1202,23 +1200,17 @@ mod chain_reuse {
         let config = MgConfig::d16();
         let mut retained = Retained::build(&a, Retained::audit(&a), &config).unwrap();
 
-        // A 4x-rescaled operator reuses the coarse tail (Galerkin lag)…
+        // A 4x-rescaled operator reuses the coarse tail, carried by the
+        // drift of its diagonal…
         let drifted = laplacian(Grid3::cube(12), Pattern::p7(), 4.0);
         retained.adopt_finest(&drifted, Retained::audit(&drifted), &config).unwrap();
         let mut mg = retained.hierarchy::<f32>(&config).unwrap();
         let warm = cg_iters(&mut mg, &drifted);
-        // …and still converges like a cold rebuild (the lagged coarse
-        // correction is only a preconditioner).
+        // …which for a uniform drift is the rebuilt tail to rounding, so
+        // the warm hierarchy converges as a cold rebuild does.
         let mut cold = Mg::<f32>::setup(&drifted, &config).unwrap();
         let rebuilt = cg_iters(&mut cold, &drifted);
-        // The lagged tail mis-scales the coarse correction by the drift
-        // factor, which CG absorbs at ~sqrt(drift) extra iterations —
-        // the price of skipping the Galerkin setup, bounded but not
-        // free. Past `reuse::RESCALE_MAX` the engine rebuilds instead.
-        assert!(
-            warm <= rebuilt * 3,
-            "Galerkin lag must not derail convergence: {warm} vs {rebuilt} iters"
-        );
+        assert!(warm <= rebuilt + 1, "the carried tail converges as rebuilt: {warm} vs {rebuilt}");
 
         // The drifted operator is now the chain's finest and the baseline
         // a drift is measured against: serving it again is a keep.

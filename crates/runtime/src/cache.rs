@@ -370,13 +370,15 @@ impl HierarchyCache {
         now: RangeAudit,
         d: OperatorDrift,
     ) -> Result<(Mg<f32>, CacheEventKind), SetupError> {
-        // The rescale materializes a fresh copy of the finest operator
-        // inside the chain — charge it before doing the work, and hold
-        // the receipt so the transient bytes stay tracked until return.
+        // The rescale copies the operator into the chain in place; its
+        // assembly holds a transient carried copy of the coarse tail
+        // (`W_l A_l W_l`, fewer bytes than the finest operator). Charge a
+        // finest operator's bytes before doing the work, and hold the
+        // receipt so the transient bytes stay tracked until return.
         // A refused charge degrades to serving the *stale* chain as a
-        // plain hit: bounded Galerkin lag (the drift is within the
-        // rescale bound), zero new bytes, and the outer Krylov iteration
-        // still runs on the caller's exact matrix.
+        // plain hit: its tail is not carried to the new diagonal (the
+        // drift is within the rescale bound), zero new bytes, and the
+        // outer Krylov iteration still runs on the caller's exact matrix.
         let Ok(_rescale_charge) = self.governor.try_charge("rescale", matrix.value_bytes() as u64)
         else {
             return self.serve_hit(key, config, Some(d));

@@ -126,8 +126,8 @@ fn positive_diagonal<S: Storage>(a: &SgDia<S>) -> Result<Vec<f64>, ScalingError>
 /// Calls `f(tap index, row factors, column factors, cells, neighbour
 /// cells)` for every x-row run of in-grid entries, tap by tap — storage
 /// order for SOA matrices. `per_unknown` is a vector over the unknowns
-/// (the diagonal's roots, or `1/√q`): the factors are its fields of the
-/// tap's row and column component.
+/// (the diagonal's roots, `1/√q`, or a [`congruence`]'s `w`): the factors
+/// are its fields of the tap's row and column component.
 fn for_each_in_grid_run<'v>(
     grid: &Grid3,
     taps: &[Tap],
@@ -251,21 +251,32 @@ impl ScalePlan {
         scaled
     }
 
-    /// Applies `Ã = Q^{-1/2} A Q^{-1/2}` in place: SOA planes as x-row
-    /// slices, AOS entry by entry.
+    /// Applies `Ã = Q^{-1/2} A Q^{-1/2}` in place ([`congruence`] by
+    /// `1/√q`).
     pub fn apply(&self, a: &mut SgDia<f64>) {
-        let (grid, soa) = (*a.grid(), a.layout() == Layout::Soa);
-        let taps: Vec<Tap> = a.pattern().taps().to_vec();
-        for_each_in_grid_run(&grid, &taps, &self.s_inv, |t, rows, cols, cells, nb| {
-            if soa {
-                scale_run(&mut a.tap_slice_mut(t)[cells.clone()], &rows[cells], &cols[nb]);
-            } else {
-                for (cell, nb) in cells.zip(nb) {
-                    a.set(cell, t, a.get(cell, t) * rows[cell] * cols[nb]);
-                }
-            }
-        });
+        congruence(a, &self.s_inv);
     }
+}
+
+/// `A ← W A W` in place for the diagonal `W = diag(w)`, one value per
+/// unknown: SOA planes as x-row slices, AOS entry by entry. Entries whose
+/// neighbour is outside the grid pass through as stored.
+///
+/// # Panics
+/// Panics if `w` does not hold one value per unknown of `a`.
+pub fn congruence(a: &mut SgDia<f64>, w: &[f64]) {
+    assert_eq!(w.len(), a.rows(), "congruence vector length");
+    let (grid, soa) = (*a.grid(), a.layout() == Layout::Soa);
+    let taps: Vec<Tap> = a.pattern().taps().to_vec();
+    for_each_in_grid_run(&grid, &taps, w, |t, rows, cols, cells, nb| {
+        if soa {
+            scale_run(&mut a.tap_slice_mut(t)[cells.clone()], &rows[cells], &cols[nb]);
+        } else {
+            for (cell, nb) in cells.zip(nb) {
+                a.set(cell, t, a.get(cell, t) * rows[cell] * cols[nb]);
+            }
+        }
+    });
 }
 
 /// `v ← v · s_row · s_col`, in that order, over one run of entries.
