@@ -4,7 +4,7 @@
 //! ```text
 //! repro <experiment>|all [--size N] [--tol T] [--threads N1,N2,...]
 //! experiments: fig1 table2 fig3 fig5 fig6 fig7 fig8|fig9 fig10 table1 table3
-//!              bf16 shift smooth cycle semi guard audit
+//!              bf16 shift smooth semi guard audit
 //! repro serve --daemon --addr unix:PATH|tcp:HOST:PORT [--snapshot-dir DIR] [--mem-budget B]
 //! repro loadgen --addr … [--requests N] [--shutdown]
 //! repro loadgen --soak [--requests N] [--kill-after N] [--mem-budget B] [--out DIR]
@@ -44,8 +44,10 @@
 //! `fig9` is the same harness as `fig8` (the paper's second architecture;
 //! this reproduction runs on one ISA — see DESIGN.md substitutions).
 
-use fp16mg_bench::table::{fmt_secs, geomean, Table};
-use fp16mg_bench::{kernel_suite, solve_e2e, Combo, KernelKind, Variant};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use fp16mg_bench::table::{fmt_secs, Table};
+use fp16mg_bench::{kernel_suite, solve_e2e, Combo, E2eResult, KernelKind, SpeedupMean, Variant};
 use fp16mg_core::{Mg, MgConfig};
 use fp16mg_fp::Scalar;
 use fp16mg_krylov::SolveOptions;
@@ -91,7 +93,6 @@ const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("bf16", bf16),
     ("shift", shift),
     ("smooth", smooth),
-    ("cycle", cycle_ablation),
     ("semi", semi_ablation),
     ("guard", guard),
     ("audit", audit_cmd),
@@ -221,6 +222,9 @@ fn main() {
             Some((_, run)) => run(&args),
             None => usage(&format!("unknown experiment '{cmd}'")),
         },
+    }
+    if MIX16_FAILED.load(Ordering::Relaxed) {
+        std::process::exit(1);
     }
 }
 
@@ -489,35 +493,22 @@ fn fig8(args: &Args) {
         "PC speedup",
         "E2E speedup",
     ]);
-    let mut pc_speedups = Vec::new();
-    let mut e2e_speedups = Vec::new();
+    let mut mean = SpeedupMean::default();
     for kind in ProblemKind::all() {
         let n = match kind.components() {
             1 => size,
             _ => (size * 2) / 3,
         }
         .max(8);
-        let run = |combo: Combo| solve_e2e(kind, n, combo, combo.mg_config(), &opts);
-        let full = match run(Combo::Full64) {
-            Ok(r) => r,
-            Err(e) => {
-                println!("{}: Full64 setup failed: {e}", kind.name());
-                continue;
-            }
-        };
-        let mix = match run(Combo::D16SetupScale) {
-            Ok(r) => r,
-            Err(e) => {
-                println!("{}: Mix16 setup failed: {e}", kind.name());
-                continue;
-            }
-        };
+        let (full, mix) = run_pair(kind, n, &opts, |cfg| cfg);
+        let speedups = mean.add(kind.name(), &full, &mix);
+        let (Ok(full), Ok(mix)) = (full, mix) else { continue };
         let norm = full.total().as_secs_f64();
-        let pc = full.precond.as_secs_f64() / mix.precond.as_secs_f64().max(1e-12);
-        let e2e = norm / mix.total().as_secs_f64().max(1e-12);
-        pc_speedups.push(pc);
-        e2e_speedups.push(e2e);
+        let speedup = |pick: fn((f64, f64)) -> f64| {
+            speedups.map_or(String::new(), |s| format!("{:.2}x", pick(s)))
+        };
         for r in [&full, &mix] {
+            let mixed = r.combo == Combo::D16SetupScale;
             t.row(vec![
                 r.problem.to_string(),
                 r.combo.label(),
@@ -527,19 +518,52 @@ fn fig8(args: &Args) {
                 fmt_secs(r.other.as_secs_f64()),
                 fmt_secs(r.total().as_secs_f64()),
                 format!("{:.3}", r.total().as_secs_f64() / norm),
-                if r.combo == Combo::D16SetupScale { format!("{pc:.2}x") } else { String::new() },
-                if r.combo == Combo::D16SetupScale { format!("{e2e:.2}x") } else { String::new() },
+                if mixed { speedup(|s| s.0) } else { String::new() },
+                if mixed { speedup(|s| s.1) } else { String::new() },
             ]);
         }
     }
     print!("{t}");
-    println!(
-        "geometric mean: preconditioner speedup {:.2}x, end-to-end speedup {:.2}x",
-        geomean(&pc_speedups),
-        geomean(&e2e_speedups)
-    );
+    let (pc, e2e) = mean.means();
+    println!("geometric mean: preconditioner speedup {pc:.2}x, end-to-end speedup {e2e:.2}x");
     println!("(paper single-processor: PC ~2.7-2.8x, E2E ~1.9-2.0x at 128-core scale;");
     println!(" '!' marks a non-converged run)");
+    report_exclusions(&mean);
+}
+
+/// One problem's Full64 and Mix16 solves, each combo's configuration
+/// passed through `cfg`; a failed set-up is printed.
+fn run_pair(
+    kind: ProblemKind,
+    n: usize,
+    opts: &SolveOptions,
+    cfg: impl Fn(MgConfig) -> MgConfig,
+) -> (Result<E2eResult, String>, Result<E2eResult, String>) {
+    let run = |combo: Combo| {
+        let r = solve_e2e(kind, n, combo, cfg(combo.mg_config()), opts);
+        if let Err(e) = &r {
+            println!("{}: {} setup failed: {e}", kind.name(), combo.label());
+        }
+        r
+    };
+    (run(Combo::Full64), run(Combo::D16SetupScale))
+}
+
+/// Set when Mix16 failed on a problem Full64 solves: `repro` then exits 1
+/// after its last experiment.
+static MIX16_FAILED: AtomicBool = AtomicBool::new(false);
+
+/// Prints the problems the speedup mean left out, and records a Mix16-only
+/// failure for the exit status.
+fn report_exclusions(mean: &SpeedupMean) {
+    for (problem, why) in &mean.excluded {
+        println!("excluded from the mean: {problem} ({why})");
+    }
+    let failed = mean.mix_failures();
+    if !failed.is_empty() {
+        println!("Mix16 failed where Full64 converged: {}", failed.join(", "));
+        MIX16_FAILED.store(true, Ordering::Relaxed);
+    }
 }
 
 // --------------------------------------------------------------- fig10 --
@@ -566,8 +590,7 @@ fn fig10(args: &Args) {
         let mut base_mix = f64::NAN;
         for &threads in &args.threads {
             let par = Par::Threads(threads);
-            let run = |c: Combo| solve_e2e(kind, n, c, MgConfig { par, ..c.mg_config() }, &opts);
-            let (full, mix) = (run(Combo::Full64), run(Combo::D16SetupScale));
+            let (full, mix) = run_pair(kind, n, &opts, |cfg| MgConfig { par, ..cfg });
             let (Ok(full), Ok(mix)) = (full, mix) else { continue };
             let tf = full.total().as_secs_f64();
             let tm = mix.total().as_secs_f64();
@@ -649,25 +672,23 @@ fn table1(args: &Args) {
     }
     // Our row, measured.
     let opts = solve_opts(args, 500);
-    let mut pcs = Vec::new();
-    let mut e2es = Vec::new();
+    let mut mean = SpeedupMean::default();
     for kind in ProblemKind::all() {
         let n = if kind.components() == 1 { args.size } else { (args.size * 2) / 3 }.max(8);
-        let run = |c: Combo| solve_e2e(kind, n, c, c.mg_config(), &opts);
-        if let (Ok(f), Ok(m)) = (run(Combo::Full64), run(Combo::D16SetupScale)) {
-            pcs.push(f.precond.as_secs_f64() / m.precond.as_secs_f64().max(1e-12));
-            e2es.push(f.total().as_secs_f64() / m.total().as_secs_f64().max(1e-12));
-        }
+        let (full, mix) = run_pair(kind, n, &opts, |cfg| cfg);
+        mean.add(kind.name(), &full, &mix);
     }
+    let (pc, e2e) = mean.means();
     t.row(vec![
         "Ours (measured)".into(),
         "AMG".into(),
         "Yes".into(),
         "FP16/FP32".into(),
-        format!("{:.2}x", geomean(&pcs)),
-        format!("{:.2}x", geomean(&e2es)),
+        format!("{pc:.2}x"),
+        format!("{e2e:.2}x"),
     ]);
     print!("{t}");
+    report_exclusions(&mean);
 }
 
 // -------------------------------------------------------------- table3 --
@@ -800,11 +821,7 @@ fn smooth(args: &Args) {
     let mut t = Table::new(&["problem", "nu", "combo", "#iter", "total", "E2E speedup"]);
     for kind in [ProblemKind::Laplace27, ProblemKind::Rhd, ProblemKind::Oil] {
         for nu in [1usize, 2] {
-            let run = |c: Combo| {
-                solve_e2e(kind, n, c, MgConfig { nu1: nu, nu2: nu, ..c.mg_config() }, &opts)
-            };
-            let full = run(Combo::Full64);
-            let mix = run(Combo::D16SetupScale);
+            let (full, mix) = run_pair(kind, n, &opts, |cfg| MgConfig { nu1: nu, nu2: nu, ..cfg });
             if let (Ok(f), Ok(m)) = (full, mix) {
                 let sp = f.total().as_secs_f64() / m.total().as_secs_f64().max(1e-12);
                 for r in [&f, &m] {
@@ -826,34 +843,6 @@ fn smooth(args: &Args) {
     }
     print!("{t}");
     println!("(more smoothing makes MG heavier ⇒ larger FP16 E2E leverage, per §8)");
-}
-
-// --------------------------------------------------------------- cycle --
-
-fn cycle_ablation(args: &Args) {
-    header("Extension: cycle-shape ablation (V vs W vs F)");
-    use fp16mg_core::Cycle;
-    let opts = solve_opts(args, 400);
-    let n = capped_size(args, 24);
-    let mut t = Table::new(&["problem", "cycle", "#iter", "MG precond", "total"]);
-    for kind in [ProblemKind::Laplace27, ProblemKind::Oil, ProblemKind::Weather] {
-        for cyc in [Cycle::V, Cycle::W, Cycle::F] {
-            let combo = Combo::D16SetupScale;
-            let cfg = MgConfig { cycle: cyc, ..combo.mg_config() };
-            if let Ok(r) = solve_e2e(kind, n, combo, cfg, &opts) {
-                t.row(vec![
-                    kind.name().to_string(),
-                    format!("{cyc:?}"),
-                    format!("{}{}", r.result.iters, if r.result.converged() { "" } else { "!" }),
-                    fmt_secs(r.precond.as_secs_f64()),
-                    fmt_secs(r.total().as_secs_f64()),
-                ]);
-            }
-        }
-    }
-    print!("{t}");
-    println!("(the paper uses V exclusively; W/F trade time per cycle for fewer");
-    println!(" iterations and a larger coarse-level share — mostly a wash at ν = 1)");
 }
 
 // ---------------------------------------------------------------- semi --

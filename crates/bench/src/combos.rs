@@ -1,7 +1,6 @@
 //! The precision/strategy combinations evaluated in the paper.
 
 use fp16mg_core::{MgConfig, RecoveryPolicy, ScaleStrategy, StoragePolicy};
-use fp16mg_fp::Precision;
 
 /// One column of the Fig. 6 legend (plus the extensions of §4.3 and §8).
 ///
@@ -72,10 +71,9 @@ impl Combo {
             }
             Combo::D16SetupScale => MgConfig::d16(),
             Combo::Bf16 => MgConfig::dbf16(),
-            Combo::D16Shift(l) => MgConfig {
-                storage: StoragePolicy::Fp16Until { shift_levid: l, coarse: Precision::F32 },
-                ..MgConfig::d16()
-            },
+            Combo::D16Shift(l) => {
+                MgConfig { storage: StoragePolicy::Fp16Until { shift_levid: l }, ..MgConfig::d16() }
+            }
         }
     }
 }

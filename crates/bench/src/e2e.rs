@@ -107,3 +107,56 @@ fn run<Pr: Scalar>(
         complexities,
     })
 }
+
+/// Full64 time ÷ Mix16 time, preconditioner and end to end, over the
+/// problems where both runs converged: a run that stopped at its
+/// iteration cap timed nothing comparable.
+#[derive(Debug, Default)]
+pub struct SpeedupMean {
+    /// The `(pc, e2e)` speedups of the counted pairs.
+    pub counted: Vec<(f64, f64)>,
+    /// Problems left out, each with the run that failed (Full64 is judged
+    /// first).
+    pub excluded: Vec<(String, &'static str)>,
+}
+
+impl SpeedupMean {
+    /// Adds one problem's pair (`Err`: that run's set-up failed); returns
+    /// its speedups when it counts.
+    pub fn add(
+        &mut self,
+        problem: &str,
+        full: &Result<E2eResult, String>,
+        mix: &Result<E2eResult, String>,
+    ) -> Option<(f64, f64)> {
+        let why = match (full, mix) {
+            (Err(_), _) => "Full64 setup failed",
+            (Ok(f), _) if !f.result.converged() => "Full64 did not converge",
+            (_, Err(_)) => "Mix16 setup failed",
+            (_, Ok(m)) if !m.result.converged() => "Mix16 did not converge",
+            (Ok(f), Ok(m)) => {
+                let ratio = |a: Duration, b: Duration| a.as_secs_f64() / b.as_secs_f64().max(1e-12);
+                let speedups = (ratio(f.precond, m.precond), ratio(f.total(), m.total()));
+                self.counted.push(speedups);
+                return Some(speedups);
+            }
+        };
+        self.excluded.push((problem.to_string(), why));
+        None
+    }
+
+    /// Geometric means of the counted `(pc, e2e)` speedups.
+    pub fn means(&self) -> (f64, f64) {
+        let (pc, e2e): (Vec<f64>, Vec<f64>) = self.counted.iter().copied().unzip();
+        (crate::table::geomean(&pc), crate::table::geomean(&e2e))
+    }
+
+    /// The problems where Mix16 failed while Full64 converged.
+    pub fn mix_failures(&self) -> Vec<&str> {
+        let mix = self.excluded.iter().filter(|(_, why)| why.starts_with("Mix16"));
+        mix.map(|(problem, _)| problem.as_str()).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests;

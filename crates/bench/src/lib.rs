@@ -29,7 +29,7 @@ pub mod torture;
 
 pub use audit::{audit_report, print_audit_table};
 pub use combos::Combo;
-pub use e2e::{solve_e2e, E2eResult};
+pub use e2e::{solve_e2e, E2eResult, SpeedupMean};
 pub use guard::{finest_narrow_level, solve_guarded, GuardOutcome};
 pub use kernelbench::{kernel_suite, KernelKind, KernelRow, Variant};
 pub use loadgen::{run_loadgen, run_net_soak, LoadgenConfig, LoadgenReport, NetSoakConfig};

@@ -18,6 +18,8 @@ fn bad_input_prints_usage_and_exits_2() {
         &["torture"],
         &["memtorture"],
         &["nettorture"],
+        // The W/F cycle-shape extension is gone with `Cycle`.
+        &["cycle"],
         &["serve"],
         &["serve", "--daemon"],
         &["serve", "--daemon", "--addr", "unix:d.sock", "--workers", "2"],

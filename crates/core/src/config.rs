@@ -6,46 +6,37 @@ use fp16mg_sgdia::kernels::Par;
 use fp16mg_sgdia::scaling::GChoice;
 use fp16mg_sgdia::Layout;
 
+/// Underflow-loss fraction above which [`StoragePolicy::AutoShift`]
+/// switches a level to FP32: a level losing more than 5% of its couplings
+/// has stopped resembling its operator.
+pub const AUTO_SHIFT_MAX_UNDERFLOW: f64 = 0.05;
+
 /// Which storage precision each level's matrix is truncated to
 /// (the paper's `D`).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum StoragePolicy {
     /// Every level uses the same precision.
     Uniform(Precision),
-    /// FP16 on levels `0..shift_levid`, the given higher precision from
-    /// `shift_levid` to the coarsest — the underflow guard of §4.3.
-    /// `shift_levid = usize::MAX` stores everything in FP16.
+    /// FP16 on levels `0..shift_levid`, FP32 (the preconditioner
+    /// computation precision) from `shift_levid` to the coarsest — the
+    /// underflow guard of §4.3. `shift_levid = usize::MAX` stores
+    /// everything in FP16.
     Fp16Until {
-        /// First level stored in `coarse` precision.
+        /// First level stored in FP32.
         shift_levid: usize,
-        /// Precision for levels `>= shift_levid` (usually FP32, the
-        /// preconditioner computation precision).
-        coarse: Precision,
     },
-    /// Explicit precision per level (the last entry repeats for deeper
-    /// levels).
-    PerLevel(Vec<Precision>),
     /// Adaptive `shift_levid`: during setup the hierarchy audits each
     /// level's FP16 truncation (see [`fp16mg_sgdia::audit`]) and switches
-    /// to `coarse` at the first level whose underflow-loss fraction —
+    /// to FP32 at the first level whose underflow-loss fraction —
     /// nonzero entries that would flush to zero or to the subnormal range
-    /// — exceeds `max_underflow` (or whose truncation would saturate).
-    /// The measured, data-driven version of the static §4.3 knob; the
-    /// decision lands in `MgInfo::shift_decision`.
-    AutoShift {
-        /// Precision for the levels past the chosen switch point.
-        coarse: Precision,
-        /// Underflow-loss fraction in `[0, 1]` above which a level is
-        /// switched to `coarse` (0.05 is a reasonable default: a level
-        /// losing more than 5% of its couplings has stopped resembling
-        /// its operator).
-        max_underflow: f64,
-    },
+    /// — exceeds [`AUTO_SHIFT_MAX_UNDERFLOW`] (or whose truncation would
+    /// saturate). The measured, data-driven version of the static §4.3
+    /// knob; the decision lands in `MgInfo::shift_decision`.
+    AutoShift,
 }
 
 impl StoragePolicy {
-    /// Resolves the precision of `level`. An empty `PerLevel` list (which
-    /// [`MgConfig::validate`] rejects before setup) resolves to FP32.
+    /// Resolves the precision of `level`.
     ///
     /// For [`StoragePolicy::AutoShift`] this returns the *pre-resolution*
     /// answer (FP16 everywhere): the switch point does not exist until
@@ -53,23 +44,11 @@ impl StoragePolicy {
     /// policy is a [`StoragePolicy::Fp16Until`] recorded in the
     /// hierarchy's config.
     pub fn precision_for(&self, level: usize) -> Precision {
-        match self {
-            StoragePolicy::Uniform(p) => *p,
-            StoragePolicy::AutoShift { .. } => Precision::F16,
-            StoragePolicy::Fp16Until { shift_levid, coarse } => {
-                if level < *shift_levid {
-                    Precision::F16
-                } else {
-                    *coarse
-                }
-            }
-            StoragePolicy::PerLevel(v) => {
-                // Non-emptiness is enforced by MgConfig::validate; fall
-                // back to the computation precision rather than panicking
-                // if an unvalidated policy slips through.
-                debug_assert!(!v.is_empty(), "empty PerLevel policy");
-                v.get(level).or_else(|| v.last()).copied().unwrap_or(Precision::F32)
-            }
+        match *self {
+            StoragePolicy::Uniform(p) => p,
+            StoragePolicy::AutoShift => Precision::F16,
+            StoragePolicy::Fp16Until { shift_levid } if level < shift_levid => Precision::F16,
+            StoragePolicy::Fp16Until { .. } => Precision::F32,
         }
     }
 }
@@ -118,20 +97,6 @@ pub enum Coarsening {
         /// is "coarsen the strong direction", ~0.5 works well.
         threshold: f64,
     },
-}
-
-/// Multigrid cycle shape. The paper evaluates V-cycles exclusively; W/F
-/// are provided as extensions — they spend more time on coarse levels,
-/// which *raises* the fraction of FP16-compressible work (the effect the
-/// related Ginkgo work exploits) at higher cost per application.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Cycle {
-    /// V-cycle (γ = 1) — the paper's configuration.
-    V,
-    /// W-cycle (γ = 2).
-    W,
-    /// F-cycle: one F-visit then one V-visit per level.
-    F,
 }
 
 /// Runtime precision-recovery policy: what the hierarchy does when a
@@ -200,8 +165,8 @@ impl IntegrityPolicy {
 pub enum ConfigError {
     /// `max_levels` is zero — a hierarchy needs at least the finest level.
     NoLevels,
-    /// `Fp16Until::shift_levid` exceeds `max_levels`, so the switch to the
-    /// coarse precision could never fire (use `usize::MAX` to mean
+    /// `Fp16Until::shift_levid` exceeds `max_levels`, so the switch to
+    /// FP32 could never fire (use `usize::MAX` to mean
     /// "all FP16" explicitly).
     ShiftBeyondLevels {
         /// The configured shift level.
@@ -212,8 +177,6 @@ pub enum ConfigError {
     /// Both `nu1` and `nu2` are zero: the cycle would do no smoothing at
     /// all and cannot reduce high-frequency error.
     NoSmoothing,
-    /// A `PerLevel` storage policy with an empty precision list.
-    EmptyPerLevel,
     /// A fixed scaling constant `G` that is not positive and finite.
     /// (Theorem 4.1 additionally requires `G < G_max`, which depends on
     /// the matrix; `scale_symmetric` clamps to `G_max / 2` at setup.)
@@ -223,11 +186,6 @@ pub enum ConfigError {
     },
     /// A semicoarsening threshold outside `(0, 1]`.
     InvalidSemiThreshold {
-        /// The offending value.
-        threshold: f64,
-    },
-    /// An `AutoShift` underflow threshold outside `[0, 1]`.
-    InvalidUnderflowThreshold {
         /// The offending value.
         threshold: f64,
     },
@@ -245,15 +203,11 @@ impl core::fmt::Display for ConfigError {
             ConfigError::NoSmoothing => {
                 write!(f, "nu1 and nu2 are both zero: the cycle would never smooth")
             }
-            ConfigError::EmptyPerLevel => write!(f, "PerLevel storage policy is empty"),
             ConfigError::InvalidG { g } => {
                 write!(f, "fixed scaling constant G = {g} must be positive and finite")
             }
             ConfigError::InvalidSemiThreshold { threshold } => {
                 write!(f, "semicoarsening threshold {threshold} must lie in (0, 1]")
-            }
-            ConfigError::InvalidUnderflowThreshold { threshold } => {
-                write!(f, "AutoShift underflow threshold {threshold} must lie in [0, 1]")
             }
         }
     }
@@ -285,8 +239,6 @@ pub struct MgConfig {
     pub layout: Layout,
     /// Kernel parallelism.
     pub par: Par,
-    /// Cycle shape.
-    pub cycle: Cycle,
     /// Coarsening policy.
     pub coarsening: Coarsening,
     /// Runtime precision-recovery policy.
@@ -314,7 +266,6 @@ impl Default for MgConfig {
             g_choice: GChoice::Auto,
             layout: Layout::Soa,
             par: Par::Seq,
-            cycle: Cycle::V,
             coarsening: Coarsening::Full,
             recovery: RecoveryPolicy::default(),
             integrity: IntegrityPolicy::default(),
@@ -347,13 +298,10 @@ impl MgConfig {
     }
 
     /// FP16 storage with the audit-driven adaptive `shift_levid`: levels
-    /// stay FP16 until the measured underflow loss crosses 5%, then
-    /// switch to FP32.
+    /// stay FP16 until the measured underflow loss crosses
+    /// [`AUTO_SHIFT_MAX_UNDERFLOW`], then switch to FP32.
     pub fn d16_auto() -> Self {
-        MgConfig {
-            storage: StoragePolicy::AutoShift { coarse: Precision::F32, max_underflow: 0.05 },
-            ..Default::default()
-        }
+        MgConfig { storage: StoragePolicy::AutoShift, ..Default::default() }
     }
 
     /// Checks the configuration for contradictions before any setup work
@@ -375,11 +323,6 @@ impl MgConfig {
                 });
             }
         }
-        if let StoragePolicy::PerLevel(v) = &self.storage {
-            if v.is_empty() {
-                return Err(ConfigError::EmptyPerLevel);
-            }
-        }
         if self.nu1 == 0 && self.nu2 == 0 {
             return Err(ConfigError::NoSmoothing);
         }
@@ -392,11 +335,6 @@ impl MgConfig {
         if let Coarsening::Semi { threshold } = self.coarsening {
             if threshold.is_nan() || threshold <= 0.0 || threshold > 1.0 {
                 return Err(ConfigError::InvalidSemiThreshold { threshold });
-            }
-        }
-        if let StoragePolicy::AutoShift { max_underflow, .. } = self.storage {
-            if max_underflow.is_nan() || !(0.0..=1.0).contains(&max_underflow) {
-                return Err(ConfigError::InvalidUnderflowThreshold { threshold: max_underflow });
             }
         }
         Ok(())

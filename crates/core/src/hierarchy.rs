@@ -18,7 +18,9 @@ use fp16mg_sgdia::scaling::GChoice;
 use fp16mg_sgdia::scan::MatrixScan;
 
 use crate::coarsen::{directional_strength, galerkin_rap_axes};
-use crate::config::{Coarsening, ConfigError, Cycle, MgConfig, ScaleStrategy, StoragePolicy};
+use crate::config::{
+    Coarsening, ConfigError, MgConfig, ScaleStrategy, StoragePolicy, AUTO_SHIFT_MAX_UNDERFLOW,
+};
 use crate::level::Level;
 use crate::smoother::DenseLu;
 use crate::stored::StoredMatrix;
@@ -73,7 +75,9 @@ pub enum SetupError {
         reason: String,
     },
     /// A setup allocation was refused: the checked size computation
-    /// overflowed (hostile dimensions) or exceeded the arena ceiling.
+    /// overflowed (hostile dimensions) or exceeded the arena ceiling, or
+    /// the coarsest level has more than [`DenseLu::MAX_UNKNOWNS`] unknowns
+    /// (a `max_levels` too small for the grid).
     /// The setup path never aborts on an oversized request — it returns
     /// this typed error instead (the hierarchy-side analog of the
     /// `sgdia::io` decode limits).
@@ -289,21 +293,19 @@ pub struct MgInfo {
     /// Localized integrity repairs, in the order they fired (empty while
     /// the stored planes match their sentinels).
     pub repairs: Vec<RepairEvent>,
-    /// How `StoragePolicy::AutoShift` resolved the FP16→coarse switch
+    /// How `StoragePolicy::AutoShift` resolved the FP16→FP32 switch
     /// point (`None` for the static storage policies).
     pub shift_decision: Option<ShiftDecision>,
 }
 
 /// The record of one `AutoShift` resolution: which level the audit chose
-/// as the FP16→coarse switch point, and the evidence.
+/// as the FP16→FP32 switch point, and the evidence.
 #[derive(Clone, Debug)]
 pub struct ShiftDecision {
-    /// The resolved `shift_levid`: first level stored in the coarse
-    /// precision (`usize::MAX` when every audited level stayed within
-    /// the threshold — all-FP16).
+    /// The resolved `shift_levid`: first level stored in FP32
+    /// (`usize::MAX` when every audited level stayed within
+    /// [`AUTO_SHIFT_MAX_UNDERFLOW`] — all-FP16).
     pub chosen: usize,
-    /// The underflow-loss threshold the decision used.
-    pub threshold: f64,
     /// FP16 audit of each candidate level, finest first, up to and
     /// including the chosen one: the audit of the level's own FP16 store
     /// (post-scaling), or of its unscaled operator when Theorem 4.1
@@ -313,25 +315,25 @@ pub struct ShiftDecision {
 
 impl core::fmt::Display for ShiftDecision {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        let threshold = AUTO_SHIFT_MAX_UNDERFLOW * 100.0;
         if self.chosen == usize::MAX {
             write!(
                 f,
-                "auto shift_levid: all {} audited levels within underflow threshold {:.1}% — \
-                 FP16 throughout",
+                "auto shift_levid: all {} audited levels within underflow threshold \
+                 {threshold:.1}% — FP16 throughout",
                 self.per_level.len(),
-                self.threshold * 100.0
             )
         } else {
             write!(
                 f,
-                "auto shift_levid = {}: level {} underflow loss {:.2}% exceeds threshold {:.1}%",
+                "auto shift_levid = {}: level {} underflow loss {:.2}% exceeds threshold \
+                 {threshold:.1}%",
                 self.chosen,
                 self.chosen,
                 self.per_level
                     .get(self.chosen)
                     .map(|a| a.underflow_loss_fraction() * 100.0)
                     .unwrap_or(f64::NAN),
-                self.threshold * 100.0
             )
         }
     }
@@ -340,7 +342,7 @@ impl core::fmt::Display for ShiftDecision {
 /// The one verdict on a level's 16-bit [`RangeAudit`]: storing the level
 /// saturates, meets a non-finite source, or loses more than
 /// `max_underflow` of its nonzeros to underflow. `AutoShift` switches to
-/// the coarse precision at the first level it holds for; the runtime's
+/// FP32 at the first level it holds for; the runtime's
 /// audit gate skips retries that it says are doomed.
 pub fn audit_rejects(audit: &RangeAudit, max_underflow: f64) -> bool {
     !audit.overflow_free() || audit.underflow_loss_fraction() > max_underflow
@@ -456,9 +458,17 @@ impl<Pr: Scalar> Mg<Pr> {
         finest_scale: Option<ScaleVectors<Pr>>,
         mut config: MgConfig,
     ) -> Result<Self, SetupError> {
-        // --- Workspace arena, sized first with checked arithmetic so
-        // hostile dimensions fail typed before any level is built. ---
+        // --- Workspace arena and the coarsest dense LU, sized first with
+        // checked arithmetic so hostile dimensions fail typed before any
+        // level is built. ---
         let nlev = chain.len();
+        let coarsest = chain.last().expect("chain holds at least the finest matrix");
+        let cn = coarsest.rows();
+        if cn > DenseLu::MAX_UNKNOWNS {
+            let lu_bytes = |n: usize| (n as u64).saturating_mul(n as u64).saturating_mul(8);
+            let (bytes, limit) = (lu_bytes(cn), lu_bytes(DenseLu::MAX_UNKNOWNS));
+            return Err(SetupError::AllocTooLarge { what: "coarsest dense LU", bytes, limit });
+        }
         let mut level_unknowns = Vec::with_capacity(nlev.saturating_sub(1));
         for ai in chain.iter().take(nlev - 1) {
             level_unknowns.push(checked_unknowns(ai.grid())?);
@@ -467,36 +477,29 @@ impl<Pr: Scalar> Mg<Pr> {
 
         // --- Per-level scale-and-truncate (lines 4–14). Under AutoShift
         // every level is an FP16 candidate until one fails the audit of
-        // its own store; from that level on, the coarse precision. ---
-        let mut shift = match config.storage {
-            StoragePolicy::AutoShift { coarse, max_underflow: threshold } => {
-                Some((ShiftDecision { chosen: usize::MAX, threshold, per_level: vec![] }, coarse))
-            }
-            _ => None,
-        };
+        // its own store; from that level on, FP32. ---
+        let mut shift = (config.storage == StoragePolicy::AutoShift)
+            .then(|| ShiftDecision { chosen: usize::MAX, per_level: vec![] });
         let mut levels = Vec::with_capacity(nlev - 1);
         let mut infos = Vec::with_capacity(nlev);
         for (i, ai) in chain.iter().enumerate().take(nlev - 1) {
             let (level, info) = match &mut shift {
-                Some((d, coarse)) if d.chosen == usize::MAX => {
-                    build_level(ai, Precision::F16, &config, i, Some((d, *coarse)))?
+                Some(d) if d.chosen == usize::MAX => {
+                    build_level(ai, Precision::F16, &config, i, Some(d))?
                 }
-                Some((_, coarse)) => build_level(ai, *coarse, &config, i, None)?,
+                Some(_) => build_level(ai, Precision::F32, &config, i, None)?,
                 None => build_level(ai, config.storage.precision_for(i), &config, i, None)?,
             };
             levels.push(level);
             infos.push(info);
         }
-        let shift_decision = shift.map(|(decision, coarse)| {
-            config.storage = StoragePolicy::Fp16Until { shift_levid: decision.chosen, coarse };
-            decision
+        let shift_decision = shift.inspect(|decision| {
+            config.storage = StoragePolicy::Fp16Until { shift_levid: decision.chosen };
         });
 
         // --- Coarsest level: dense LU of the exact f64 operator. ---
-        let coarsest = chain.last().expect("chain holds at least the finest matrix");
         let coarse_lu = DenseLu::factor(coarsest)
             .map_err(|e| SetupError::SingularCoarseMatrix { pivot: e.column() })?;
-        let cn = coarsest.rows();
         infos.push(LevelInfo {
             dims: (coarsest.grid().nx, coarsest.grid().ny, coarsest.grid().nz),
             unknowns: cn,
@@ -560,37 +563,34 @@ impl<Pr: Scalar> Mg<Pr> {
         self.levels.len() + 1
     }
 
-    /// Runs one multigrid cycle with the right-hand side already loaded
-    /// into the finest level's `f`, leaving the result in the finest `u`
-    /// (Algorithm 3 for the V-cycle; W/F recurse per [`Cycle`]).
+    /// Runs one V-cycle (Algorithm 3) with the right-hand side already
+    /// loaded into the finest level's `f`, leaving the result in the
+    /// finest `u`.
     fn vcycle(&mut self) {
         if self.levels.is_empty() {
             // Degenerate single-level hierarchy: direct solve.
             self.coarse_solve_from_own_f();
             return;
         }
-        // A preconditioner application starts from a zero iterate.
-        self.cycle_at(0, self.config.cycle, true);
+        self.cycle_at(0);
     }
 
-    /// Recursive γ-cycle at level `i`. `zero_guess` is a fact the
-    /// recursion knows, not an option: `u_i` is zero on a level's first
-    /// visit in a cycle (every V visit, the first of a W or F pair) and
-    /// carries the first visit's result on the second (that is what makes
-    /// γ = 2 a W-cycle). On a first visit `u_i` is never read, so nothing
+    /// The V-cycle from level `i` down. Every visit starts from a zero
+    /// iterate — a preconditioner application at the finest level, a
+    /// coarse-grid correction below it — so `u_i` is never read: nothing
     /// zero-fills it, the pre-smoother skips the half of its first pass
     /// that would multiply by zeros, and after a single forward
     /// Gauss–Seidel sweep the residual is `−U u` (DESIGN.md §8.4). All
     /// vectors come from the preallocated workspace arena — this path
     /// performs no allocation.
-    fn cycle_at(&mut self, i: usize, cycle: Cycle, zero_guess: bool) {
+    fn cycle_at(&mut self, i: usize) {
         let nl = self.levels.len();
         let (nu1, nu2) = (self.config.nu1, self.config.nu2);
         {
             let mut b = self.ws.level(i);
             let level = &self.levels[i];
             level.scale_rhs(&mut b);
-            let lower_solved = level.smooth(nu1, false, zero_guess, &mut b);
+            let lower_solved = level.smooth(nu1, false, true, &mut b);
             level.compute_residual(lower_solved, &mut b);
         }
         if i + 1 < nl {
@@ -600,24 +600,12 @@ impl<Pr: Scalar> Mg<Pr> {
                 let (fine, coarse) = self.ws.level_pair(i, i + 1);
                 restrict(&gf, &gc, fine.r, coarse.f);
             }
-            match cycle {
-                Cycle::V => self.cycle_at(i + 1, Cycle::V, true),
-                Cycle::W => {
-                    self.cycle_at(i + 1, Cycle::W, true);
-                    self.cycle_at(i + 1, Cycle::W, false);
-                }
-                Cycle::F => {
-                    // F-cycle: one F-visit followed by one V-visit.
-                    self.cycle_at(i + 1, Cycle::F, true);
-                    self.cycle_at(i + 1, Cycle::V, false);
-                }
-            }
+            self.cycle_at(i + 1);
             let (fine, coarse) = self.ws.level_pair(i, i + 1);
             prolong_add(&gf, &gc, coarse.u, fine.u);
         } else {
             // Coarsest: restrict into the direct-solve buffers and solve
-            // exactly (repeating it would be a no-op, so γ is irrelevant
-            // here).
+            // exactly.
             let gf = self.levels[i].grid;
             {
                 let b = self.ws.level(i);
@@ -1123,13 +1111,13 @@ fn store_policy(config: &MgConfig) -> Option<TruncationPolicy> {
 /// `auto` makes the level an `AutoShift` candidate (`prec` is FP16): the
 /// verdict ([`audit_rejects`], or a level Theorem 4.1 cannot scale) is read
 /// off this store's own audit and recorded in the decision; a rejected
-/// level is built again at the coarse precision and becomes the switch.
+/// level is built again in FP32 and becomes the switch.
 fn build_level<Pr: Scalar>(
     ai: &SgDia<f64>,
     mut prec: Precision,
     config: &MgConfig,
     level: usize,
-    auto: Option<(&mut ShiftDecision, Precision)>,
+    auto: Option<&mut ShiftDecision>,
 ) -> Result<(Level<Pr>, LevelInfo), SetupError> {
     // Promotion material of a narrow level: the *unscaled* operator in FP32
     // — but for a level 0 stored from the caller's own operator, which
@@ -1170,21 +1158,21 @@ fn build_level<Pr: Scalar>(
     // Smoother data comes from the high-precision matrix (line 13),
     // scaled as it is read.
     let dinv = BlockDiagInv::from_scaled(ai, s_inv);
-    if let Some((decision, coarse)) = auto {
+    if let Some(decision) = auto {
         // Where the level cannot be scaled, or the policy refused the
         // store, the FP16 audit the store did not take is taken here. A
-        // rejected candidate is built again at the coarse precision, so
+        // rejected candidate is built again in FP32, so
         // its FP16 errors (a singular block, a refused store) are not its
         // to report: both are held until the verdict is in.
         let audit = match &store {
             Ok(store) if !unscalable => store.audit.clone(),
             _ => audit::audit_scaled(ai, s_inv, Precision::F16),
         };
-        let rejected = unscalable || audit_rejects(&audit, decision.threshold);
+        let rejected = unscalable || audit_rejects(&audit, AUTO_SHIFT_MAX_UNDERFLOW);
         decision.per_level.push(audit);
         if rejected {
             decision.chosen = level;
-            return build_level(ai, coarse, config, level, None);
+            return build_level(ai, Precision::F32, config, level, None);
         }
     }
     let dinv = dinv.map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;

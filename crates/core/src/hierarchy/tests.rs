@@ -20,8 +20,8 @@ use fp16mg_testkit::{check_n, Rng};
 use super::*;
 use crate::tests::laplacian;
 
-/// The cycle before the recursion knew its iterate was zero.
-fn reference_cycle<Pr: Scalar>(mg: &mut Mg<Pr>, i: usize, cycle: Cycle) {
+/// The V-cycle before the recursion knew its iterate was zero.
+fn reference_cycle<Pr: Scalar>(mg: &mut Mg<Pr>, i: usize) {
     let (nu1, nu2) = (mg.config.nu1, mg.config.nu2);
     let (gf, last) = (mg.levels[i].grid, i + 1 == mg.levels.len());
     {
@@ -44,15 +44,7 @@ fn reference_cycle<Pr: Scalar>(mg: &mut Mg<Pr>, i: usize, cycle: Cycle) {
             restrict(&gf, &gc, fine.r, coarse.f);
             coarse.u.fill(Pr::ZERO);
         }
-        let second = match cycle {
-            Cycle::V => None,
-            Cycle::W => Some(Cycle::W),
-            Cycle::F => Some(Cycle::V),
-        };
-        reference_cycle(mg, i + 1, cycle);
-        if let Some(second) = second {
-            reference_cycle(mg, i + 1, second);
-        }
+        reference_cycle(mg, i + 1);
         let (fine, coarse) = mg.ws.level_pair(i, i + 1);
         prolong_add(&gf, &gc, coarse.u, fine.u);
     }
@@ -82,7 +74,7 @@ fn both_cycles<Pr: Scalar>(mg: &mut Mg<Pr>, r: &[Pr]) -> (Vec<Pr>, Vec<Pr>) {
     mg.vcycle();
     let got = mg.ws.level(0).u.to_vec();
     mg.ws.level(0).u.fill(Pr::ZERO);
-    reference_cycle(mg, 0, mg.config.cycle);
+    reference_cycle(mg, 0);
     (got, mg.ws.level(0).u.to_vec())
 }
 
@@ -111,39 +103,23 @@ fn block_operator(rng: &mut Rng) -> SgDia<f64> {
     })
 }
 
-const CYCLES: [Cycle; 3] = [Cycle::V, Cycle::W, Cycle::F];
-
 #[test]
 fn cycles_match_the_full_sweep_reference_exactly_in_wide_storage() {
     // Full64: D₁₆ = D_hp, so `−U u` *is* `f − A u` and the two cycles may
-    // differ by rounding only — in particular the second W / F visit of a
-    // level must have kept the first visit's iterate.
+    // differ by rounding only.
     let mut blocks = false;
     check_n("cycles_match_the_full_sweep_reference_exactly_in_wide_storage", 6, |rng| {
         // Scalar and three-component operators in turn.
         blocks = !blocks;
         let a = if blocks { block_operator(rng) } else { operator(rng) };
         let r: Vec<f64> = random_rhs(rng, a.rows());
-        let mut v_out = Vec::new();
-        for cycle in CYCLES {
-            for (nu1, nu2) in [(1, 1), (2, 1), (0, 2)] {
-                let cfg = MgConfig { cycle, nu1, nu2, min_coarse_cells: 8, ..MgConfig::d64() };
-                let mut mg = Mg::<f64>::setup(&a, &cfg).unwrap();
-                assert!(mg.levels.len() >= 2, "W and F need a level to revisit");
-                let (got, want) = both_cycles(&mut mg, &r);
-                let d = rel_diff(&got, &want);
-                assert!(d <= 1e-12, "{cycle:?} V({nu1},{nu2}): {d:e}");
-                if (nu1, nu2) == (1, 1) {
-                    if cycle == Cycle::V {
-                        v_out = got;
-                    } else {
-                        // The test can tell: a W or F cycle that restarted
-                        // its second visit from zero would be a V-cycle.
-                        let d = rel_diff(&got, &v_out);
-                        assert!(d > 1e-6, "{cycle:?} is indistinguishable from V: {d:e}");
-                    }
-                }
-            }
+        for (nu1, nu2) in [(1, 1), (2, 1), (0, 2)] {
+            let cfg = MgConfig { nu1, nu2, min_coarse_cells: 8, ..MgConfig::d64() };
+            let mut mg = Mg::<f64>::setup(&a, &cfg).unwrap();
+            assert!(mg.levels.len() >= 2, "the cycle must recurse");
+            let (got, want) = both_cycles(&mut mg, &r);
+            let d = rel_diff(&got, &want);
+            assert!(d <= 1e-12, "V({nu1},{nu2}): {d:e}");
         }
     });
 }
@@ -159,14 +135,12 @@ fn fp16_cycles_stay_within_the_stored_diagonal_bound() {
         blocks = !blocks;
         let a = if blocks { block_operator(rng) } else { operator(rng) };
         let r: Vec<f32> = random_rhs(rng, a.rows());
-        for cycle in CYCLES {
-            for (nu1, bound) in [(1, 2e-3), (2, 2e-5)] {
-                let cfg = MgConfig { cycle, nu1, min_coarse_cells: 8, ..MgConfig::d16() };
-                let mut mg = Mg::<f32>::setup(&a, &cfg).unwrap();
-                let (got, want) = both_cycles(&mut mg, &r);
-                let d = rel_diff(&got, &want);
-                assert!(d <= bound, "{cycle:?} nu1={nu1}: {d:e} > {bound:e}");
-            }
+        for (nu1, bound) in [(1, 2e-3), (2, 2e-5)] {
+            let cfg = MgConfig { nu1, min_coarse_cells: 8, ..MgConfig::d16() };
+            let mut mg = Mg::<f32>::setup(&a, &cfg).unwrap();
+            let (got, want) = both_cycles(&mut mg, &r);
+            let d = rel_diff(&got, &want);
+            assert!(d <= bound, "nu1={nu1}: {d:e} > {bound:e}");
         }
     });
 }
@@ -587,13 +561,10 @@ fn a_scaled_level_is_repaired_bit_identically_from_its_retained_parent() {
 /// `StoragePolicy::AutoShift` as it was resolved before the store pass gave
 /// its audit: every smoothed level planned and audited at FP16 (post-scaling)
 /// up to the first whose audit saturates, meets a non-finite source or
-/// underflows past `max_underflow` — or whose scaling is impossible, when
-/// the audit is of the unscaled matrix. `usize::MAX` when none does.
-fn resolve_auto_shift(
-    chain: &[&SgDia<f64>],
-    config: &MgConfig,
-    max_underflow: f64,
-) -> ShiftDecision {
+/// underflows past `AUTO_SHIFT_MAX_UNDERFLOW` — or whose scaling is
+/// impossible, when the audit is of the unscaled matrix. `usize::MAX` when
+/// none does.
+fn resolve_auto_shift(chain: &[&SgDia<f64>], config: &MgConfig) -> ShiftDecision {
     let mut per_level = Vec::new();
     let mut chosen = usize::MAX;
     for (i, ai) in chain.iter().enumerate().take(chain.len().saturating_sub(1)) {
@@ -605,14 +576,14 @@ fn resolve_auto_shift(
         let bad = unscalable
             || lv.saturate > 0
             || lv.source_non_finite > 0
-            || lv.underflow_loss_fraction() > max_underflow;
+            || lv.underflow_loss_fraction() > AUTO_SHIFT_MAX_UNDERFLOW;
         per_level.push(lv);
         if bad {
             chosen = i;
             break;
         }
     }
-    ShiftDecision { chosen, threshold: max_underflow, per_level }
+    ShiftDecision { chosen, per_level }
 }
 
 /// `Mg::setup(a, cfg)` under AutoShift against the oracle: the two-pass
@@ -623,9 +594,7 @@ fn assert_auto_shift_matches_the_two_pass_oracle(
     cfg: &MgConfig,
     what: &str,
 ) -> ShiftDecision {
-    let StoragePolicy::AutoShift { coarse, max_underflow } = cfg.storage else {
-        panic!("{what}: not an AutoShift config");
-    };
+    assert_eq!(cfg.storage, StoragePolicy::AutoShift, "{what}: not an AutoShift config");
     let mut finest = a.to_layout(cfg.layout);
     if cfg.scale == ScaleStrategy::ScaleThenSetup {
         let fp16_max = fp16mg_fp::F16::MAX_F64;
@@ -633,15 +602,14 @@ fn assert_auto_shift_matches_the_two_pass_oracle(
     }
     let coarse_mats = coarse_chain(&finest, cfg);
     let chain: Vec<&SgDia<f64>> = std::iter::once(&finest).chain(&coarse_mats).collect();
-    let oracle = resolve_auto_shift(&chain, cfg, max_underflow);
+    let oracle = resolve_auto_shift(&chain, cfg);
 
-    let fixed = StoragePolicy::Fp16Until { shift_levid: oracle.chosen, coarse };
-    let mut want = Mg::<f32>::setup(a, &MgConfig { storage: fixed.clone(), ..cfg.clone() })
+    let fixed = StoragePolicy::Fp16Until { shift_levid: oracle.chosen };
+    let mut want = Mg::<f32>::setup(a, &MgConfig { storage: fixed, ..cfg.clone() })
         .unwrap_or_else(|e| panic!("{what}: oracle set-up: {e}"));
     let got = Mg::<f32>::setup(a, cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
     let decision = got.info.shift_decision.clone().expect("AutoShift records its decision");
     assert_eq!(decision.chosen, oracle.chosen, "{what}: chosen");
-    assert_eq!(decision.threshold.to_bits(), oracle.threshold.to_bits(), "{what}: threshold");
     assert_eq!(decision.per_level, oracle.per_level, "{what}: per-level audits");
     assert_eq!(got.config.storage, fixed, "{what}: resolved policy");
     want.info.shift_decision = Some(oracle);
@@ -663,12 +631,10 @@ fn auto_shift_reads_the_store_pass_as_the_two_pass_resolution_did() {
     }
 
     // Scale-then-setup with G near its clamp: Galerkin growth saturates a
-    // coarse level, which Reject refuses at the store, Saturate clamps and
-    // FlushToZero clamps and flushes. The switch lands there either way.
+    // coarse level, which Reject refuses at the store and Saturate clamps.
+    // The switch lands there either way.
     let a = crate::tests::laplacian(Grid3::cube(32), Pattern::p7(), 1.0);
-    for truncation in
-        [TruncationPolicy::Reject, TruncationPolicy::Saturate, TruncationPolicy::FlushToZero]
-    {
+    for truncation in [TruncationPolicy::Reject, TruncationPolicy::Saturate] {
         let cfg = MgConfig {
             scale: ScaleStrategy::ScaleThenSetup,
             g_choice: GChoice::Fixed(3.2e4),
@@ -697,5 +663,5 @@ fn auto_shift_reads_the_store_pass_as_the_two_pass_resolution_did() {
     let d = assert_auto_shift_matches_the_two_pass_oracle(&a, &MgConfig::d16_auto(), "unscalable");
     assert_eq!(d.chosen, 0, "{d}");
     assert_eq!(d.per_level, [audit::audit(&a, Precision::F16)]);
-    assert!(!audit_rejects(&d.per_level[0], d.threshold), "{}", d.per_level[0]);
+    assert!(!audit_rejects(&d.per_level[0], AUTO_SHIFT_MAX_UNDERFLOW), "{}", d.per_level[0]);
 }

@@ -38,8 +38,8 @@ mod workspace;
 
 pub use coarsen::{directional_strength, galerkin_rap, galerkin_rap_axes};
 pub use config::{
-    Coarsening, ConfigError, Cycle, IntegrityPolicy, MgConfig, RecoveryPolicy, ScaleStrategy,
-    SmootherKind, StoragePolicy,
+    Coarsening, ConfigError, IntegrityPolicy, MgConfig, RecoveryPolicy, ScaleStrategy,
+    SmootherKind, StoragePolicy, AUTO_SHIFT_MAX_UNDERFLOW,
 };
 pub use fp16mg_sgdia::audit::{RangeAudit, TruncationError, TruncationPolicy};
 pub use fp16mg_sgdia::sentinel::{MatrixSentinels, TapMismatch, TapSentinel};

@@ -74,7 +74,8 @@ impl DenseLu {
     /// vanished or was non-finite.
     ///
     /// # Panics
-    /// Panics if the matrix exceeds [`DenseLu::MAX_UNKNOWNS`].
+    /// Panics if the matrix exceeds [`DenseLu::MAX_UNKNOWNS`]; `Mg` setup
+    /// refuses such a coarsest level with a typed `SetupError` first.
     pub fn factor(a: &SgDia<f64>) -> Result<Self, FactorError> {
         let n = a.rows();
         assert!(n <= Self::MAX_UNKNOWNS, "coarse grid too large for dense LU ({n})");

@@ -377,10 +377,7 @@ fn mg_vector_pde_converges() {
 fn shift_levid_policy_sets_level_precisions() {
     let grid = Grid3::cube(32);
     let a = laplacian(grid, Pattern::p7(), 1.0);
-    let cfg = MgConfig {
-        storage: StoragePolicy::Fp16Until { shift_levid: 2, coarse: Precision::F32 },
-        ..MgConfig::d16()
-    };
+    let cfg = MgConfig { storage: StoragePolicy::Fp16Until { shift_levid: 2 }, ..MgConfig::d16() };
     let mg = Mg::<f32>::setup(&a, &cfg).unwrap();
     let info = mg.info();
     assert!(info.levels.len() >= 4, "expected ≥4 levels, got {}", info.levels.len());
@@ -518,21 +515,6 @@ fn scale_then_setup_rejects_nonpositive_diagonal() {
         Ok(_) => panic!("expected setup to fail"),
     };
     assert!(matches!(err, crate::SetupError::NonPositiveDiagonal { .. }));
-}
-
-#[test]
-fn w_and_f_cycles_converge_at_least_as_fast_as_v() {
-    use crate::Cycle;
-    let mut iters = Vec::new();
-    for cycle in [Cycle::V, Cycle::W, Cycle::F] {
-        let cfg = MgConfig { cycle, max_levels: 4, min_coarse_cells: 8, ..MgConfig::d16() };
-        let (reason, it) = mg_solver_iters(&cfg, Pattern::p7(), 1.0);
-        assert_eq!(reason, StopReason::Converged, "{cycle:?}");
-        iters.push(it);
-    }
-    // More coarse work can only help the per-cycle contraction.
-    assert!(iters[1] <= iters[0], "W {} vs V {}", iters[1], iters[0]);
-    assert!(iters[2] <= iters[0], "F {} vs V {}", iters[2], iters[0]);
 }
 
 #[test]
@@ -692,7 +674,7 @@ mod validation {
     #[test]
     fn rejects_shift_beyond_levels() {
         let cfg = MgConfig {
-            storage: StoragePolicy::Fp16Until { shift_levid: 11, coarse: Precision::F32 },
+            storage: StoragePolicy::Fp16Until { shift_levid: 11 },
             max_levels: 10,
             ..MgConfig::default()
         };
@@ -705,7 +687,7 @@ mod validation {
         );
         // usize::MAX is the documented "all FP16" sentinel, not an error.
         let cfg = MgConfig {
-            storage: StoragePolicy::Fp16Until { shift_levid: usize::MAX, coarse: Precision::F32 },
+            storage: StoragePolicy::Fp16Until { shift_levid: usize::MAX },
             ..MgConfig::default()
         };
         assert!(cfg.validate().is_ok());
@@ -715,12 +697,6 @@ mod validation {
     fn rejects_no_smoothing() {
         let cfg = MgConfig { nu1: 0, nu2: 0, ..MgConfig::d16() };
         assert_eq!(setup_err(cfg), SetupError::InvalidConfig(ConfigError::NoSmoothing));
-    }
-
-    #[test]
-    fn rejects_empty_per_level() {
-        let cfg = MgConfig { storage: StoragePolicy::PerLevel(vec![]), ..MgConfig::default() };
-        assert_eq!(setup_err(cfg), SetupError::InvalidConfig(ConfigError::EmptyPerLevel));
     }
 
     #[test]
@@ -767,6 +743,25 @@ mod validation {
             Err(SetupError::SingularCoarseMatrix { .. }) => {}
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_coarsest_level_too_large_for_dense_lu_is_a_typed_error() {
+        // A valid config whose one level (laplace27 at 21³ = 9 261
+        // unknowns) exceeds DenseLu::MAX_UNKNOWNS: both setup paths refuse
+        // it before the n² factorization is allocated.
+        let a = laplacian(Grid3::cube(21), Pattern::p27(), 1.0);
+        let cfg = MgConfig { max_levels: 1, ..MgConfig::d16() };
+        assert!(cfg.validate().is_ok());
+        let lu_bytes = |n: u64| n * n * 8;
+        let want = SetupError::AllocTooLarge {
+            what: "coarsest dense LU",
+            bytes: lu_bytes(9261),
+            limit: lu_bytes(crate::DenseLu::MAX_UNKNOWNS as u64),
+        };
+        assert_eq!(Mg::<f32>::setup(&a, &cfg).map(|_| ()).unwrap_err(), want);
+        let chain = crate::GalerkinChain::build(&a, &cfg).unwrap();
+        assert_eq!(Mg::<f32>::setup_from_chain(&chain, &cfg).map(|_| ()).unwrap_err(), want);
     }
 }
 
@@ -889,47 +884,30 @@ mod recovery {
 
 mod audit_and_autoshift {
     use super::*;
-    use crate::{
-        ConfigError, RangeAudit, SetupError, ShiftDecision, TruncationError, TruncationPolicy,
-    };
+    use crate::{RangeAudit, SetupError, ShiftDecision, TruncationError, TruncationPolicy};
     use fp16mg_sgdia::scaling::GChoice;
 
     #[test]
     fn precision_for_edge_cases() {
         // shift_levid = 0: no level qualifies for FP16.
-        let p = StoragePolicy::Fp16Until { shift_levid: 0, coarse: Precision::F32 };
+        let p = StoragePolicy::Fp16Until { shift_levid: 0 };
         assert_eq!(p.precision_for(0), Precision::F32);
         assert_eq!(p.precision_for(7), Precision::F32);
         // usize::MAX: the documented all-FP16 sentinel.
-        let p = StoragePolicy::Fp16Until { shift_levid: usize::MAX, coarse: Precision::F32 };
+        let p = StoragePolicy::Fp16Until { shift_levid: usize::MAX };
         assert_eq!(p.precision_for(0), Precision::F16);
         assert_eq!(p.precision_for(usize::MAX - 1), Precision::F16);
         // shift_levid == max_levels is valid (every smoothed level is FP16).
         let cfg = MgConfig {
-            storage: StoragePolicy::Fp16Until { shift_levid: 10, coarse: Precision::F32 },
+            storage: StoragePolicy::Fp16Until { shift_levid: 10 },
             max_levels: 10,
             ..MgConfig::default()
         };
         assert!(cfg.validate().is_ok());
         // AutoShift resolves during setup; before that it reads as FP16.
-        let p = StoragePolicy::AutoShift { coarse: Precision::F32, max_underflow: 0.05 };
+        let p = StoragePolicy::AutoShift;
         assert_eq!(p.precision_for(0), Precision::F16);
         assert_eq!(p.precision_for(9), Precision::F16);
-    }
-
-    #[test]
-    fn d16_auto_validates_and_rejects_bad_thresholds() {
-        assert!(MgConfig::d16_auto().validate().is_ok());
-        for t in [-0.1, 1.5, f64::NAN] {
-            let cfg = MgConfig {
-                storage: StoragePolicy::AutoShift { coarse: Precision::F32, max_underflow: t },
-                ..MgConfig::default()
-            };
-            match cfg.validate() {
-                Err(ConfigError::InvalidUnderflowThreshold { .. }) => {}
-                other => panic!("threshold {t}: unexpected {other:?}"),
-            }
-        }
     }
 
     #[test]
@@ -937,10 +915,10 @@ mod audit_and_autoshift {
         let a = laplacian(Grid3::cube(16), Pattern::p7(), 1.0);
         let mg = Mg::<f32>::setup(&a, &MgConfig::d16_auto()).unwrap();
         let info = mg.info();
-        let ShiftDecision { chosen, threshold, ref per_level } =
+        let ShiftDecision { chosen, ref per_level } =
             *info.shift_decision.as_ref().expect("AutoShift must record its decision");
         assert_eq!(chosen, usize::MAX, "benign problem must stay all-FP16");
-        assert_eq!(threshold, 0.05);
+        assert_eq!(crate::AUTO_SHIFT_MAX_UNDERFLOW, 0.05);
         assert_eq!(per_level.len(), info.levels.len() - 1, "every smoothed level audited");
         for l in &info.levels[..info.levels.len() - 1] {
             assert_eq!(l.precision, Precision::F16);

@@ -183,20 +183,4 @@ impl Grid3 {
             (0..ny).flat_map(move |j| (0..nx).map(move |i| ((k * ny + j) * nx + i, i, j, k)))
         })
     }
-
-    /// Splits `0..nz` into at most `parts` contiguous z-slabs of
-    /// near-equal size, for rayon parallelism across planes.
-    pub fn z_slabs(&self, parts: usize) -> Vec<std::ops::Range<usize>> {
-        let parts = parts.clamp(1, self.nz.max(1));
-        let base = self.nz / parts;
-        let extra = self.nz % parts;
-        let mut out = Vec::with_capacity(parts);
-        let mut start = 0;
-        for p in 0..parts {
-            let len = base + usize::from(p < extra);
-            out.push(start..start + len);
-            start += len;
-        }
-        out
-    }
 }

@@ -1,4 +1,4 @@
-use crate::{Grid3, Wavefronts};
+use crate::Grid3;
 
 #[test]
 fn indexing_round_trips() {
@@ -98,88 +98,6 @@ fn coarsening_rounds_up() {
     assert!(tiny.is_coarsest(0));
     assert!(Grid3::cube(2).is_coarsest(100));
     assert!(!Grid3::cube(16).is_coarsest(100));
-}
-
-#[test]
-fn z_slabs_cover_and_balance() {
-    let g = Grid3::new(4, 4, 10);
-    for parts in [1, 2, 3, 4, 10, 20] {
-        let slabs = g.z_slabs(parts);
-        assert!(slabs.len() <= parts.max(1));
-        let mut next = 0;
-        for s in &slabs {
-            assert_eq!(s.start, next);
-            next = s.end;
-            assert!(!s.is_empty());
-        }
-        assert_eq!(next, 10);
-        let min = slabs.iter().map(|s| s.len()).min().unwrap();
-        let max = slabs.iter().map(|s| s.len()).max().unwrap();
-        assert!(max - min <= 1, "slabs unbalanced: {slabs:?}");
-    }
-}
-
-#[test]
-fn wavefronts_cover_every_cell_once() {
-    let g = Grid3::new(5, 4, 3);
-    let w = Wavefronts::build(&g);
-    assert_eq!(w.len(), g.cells());
-    assert_eq!(w.num_planes(), 5 + 4 + 3 - 2);
-    let mut seen = vec![false; g.cells()];
-    for plane in w.forward() {
-        for &c in plane {
-            assert!(!seen[c as usize], "cell {c} scheduled twice");
-            seen[c as usize] = true;
-        }
-    }
-    assert!(seen.iter().all(|&s| s));
-}
-
-#[test]
-fn wavefront_planes_are_independent() {
-    // Within a plane, no cell may be reachable from another via a
-    // radius-1 lower-triangular tap.
-    let g = Grid3::new(4, 4, 4);
-    let w = Wavefronts::build(&g);
-    for p in 0..w.num_planes() {
-        let plane = w.plane(p);
-        for &c in plane {
-            let (i, j, k) = g.coords(c as usize);
-            assert_eq!(i + j + k, p, "cell in wrong plane");
-        }
-    }
-}
-
-#[test]
-fn wavefront_respects_dependencies() {
-    // Every lower neighbor (dx+dy+dz < 0 with radius-1 taps of a 7-point
-    // stencil) of a plane-p cell lives in an earlier plane.
-    let g = Grid3::new(6, 5, 4);
-    let w = Wavefronts::build(&g);
-    let mut plane_of = vec![0usize; g.cells()];
-    for p in 0..w.num_planes() {
-        for &c in w.plane(p) {
-            plane_of[c as usize] = p;
-        }
-    }
-    for (cell, i, j, k) in g.iter_cells() {
-        for (dx, dy, dz) in [(-1, 0, 0), (0, -1, 0), (0, 0, -1)] {
-            if g.contains_offset(i, j, k, dx, dy, dz) {
-                let nb = (cell as i64 + g.stride(dx, dy, dz)) as usize;
-                assert!(plane_of[nb] < plane_of[cell]);
-            }
-        }
-    }
-}
-
-#[test]
-fn backward_is_reverse_of_forward() {
-    let g = Grid3::new(3, 3, 3);
-    let w = Wavefronts::build(&g);
-    let fwd: Vec<&[u32]> = w.forward().collect();
-    let mut bwd: Vec<&[u32]> = w.backward().collect();
-    bwd.reverse();
-    assert_eq!(fwd, bwd);
 }
 
 #[test]

@@ -101,8 +101,8 @@ impl core::fmt::Display for Rung {
 }
 
 /// Underflow-loss fraction above which the audit gate declares a 16-bit
-/// level doomed. Deliberately looser than a typical `AutoShift`
-/// threshold: the gate only skips work that the audit says cannot
+/// level doomed. Deliberately looser than `AutoShift`'s
+/// [`fp16mg_core::AUTO_SHIFT_MAX_UNDERFLOW`] (5%): the gate only skips work that the audit says cannot
 /// succeed, it does not tune precision.
 const AUDIT_MAX_UNDERFLOW: f64 = 0.25;
 

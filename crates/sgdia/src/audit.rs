@@ -17,11 +17,8 @@
 //!   convertible to ulps of the target format).
 //! * [`TruncationPolicy`] — what the store path does with entries that
 //!   leave the representable range: refuse ([`TruncationPolicy::Reject`],
-//!   with a typed [`TruncationError`]), clamp to the largest finite value
-//!   ([`TruncationPolicy::Saturate`]), or additionally flush subnormal
-//!   results to exact zeros ([`TruncationPolicy::FlushToZero`] — trading
-//!   a little coupling information for kernels that never touch the slow
-//!   subnormal path).
+//!   with a typed [`TruncationError`]) or clamp to the largest finite value
+//!   ([`TruncationPolicy::Saturate`]).
 //! * [`truncate_with_policy`] — the policy-aware `f64 → D` matrix store,
 //!   replacing the silent IEEE conversion on the production paths.
 //!
@@ -51,12 +48,6 @@ pub enum TruncationPolicy {
     /// ±∞ is a guaranteed NaN three kernels later.
     #[default]
     Saturate,
-    /// [`TruncationPolicy::Saturate`], plus flush entries whose stored
-    /// value would be subnormal to exact ±0. Subnormal coefficients
-    /// carry ≤ 10 significant bits and can run through slow hardware
-    /// paths; dropping them entirely is the honest version of what the
-    /// arithmetic would do to them anyway.
-    FlushToZero,
 }
 
 impl TruncationPolicy {
@@ -65,7 +56,6 @@ impl TruncationPolicy {
         match self {
             TruncationPolicy::Reject => "reject",
             TruncationPolicy::Saturate => "saturate",
-            TruncationPolicy::FlushToZero => "flush-to-zero",
         }
     }
 }
@@ -482,9 +472,6 @@ fn store_entry<T: Storage>(
     }
     acc.mean_rel_err += rel;
     *summed += 1;
-    if class == NumClass::Subnormal && policy == Some(TruncationPolicy::FlushToZero) {
-        return Ok(T::store_f64(0.0));
-    }
     Ok(raw)
 }
 
@@ -906,11 +893,6 @@ mod tests {
         let (mx, nonfinite) = sat.abs_max();
         assert!(!nonfinite);
         assert!((mx - F16::MAX_F64).abs() < 1.0);
-        // FlushToZero additionally leaves no subnormals behind.
-        let ftz = truncate_with_policy::<F16>(&a, TruncationPolicy::FlushToZero).unwrap();
-        assert!(ftz.all_finite());
-        let scan = crate::scan::scan(&ftz);
-        assert_eq!(scan.total.subnormal, 0);
         // The plain IEEE conversion (the old behavior) overflows.
         assert!(!a.convert::<F16>().all_finite());
     }
@@ -1120,7 +1102,6 @@ mod tests {
                     _ => Ok(T::store_f64(T::MAX_FINITE.copysign(v))),
                 }
             }
-            NumClass::Subnormal if policy == TruncationPolicy::FlushToZero => Ok(T::store_f64(0.0)),
             _ => Ok(stored),
         }
     }
@@ -1209,9 +1190,7 @@ mod tests {
         let plain =
             store_level::<T>(a, None, None, true, true).expect("plain IEEE refuses nothing");
         assert_same(&bits(&plain.matrix), &bits(&a.convert::<T>()), &format!("{what}: plain bits"));
-        for policy in
-            [TruncationPolicy::Reject, TruncationPolicy::Saturate, TruncationPolicy::FlushToZero]
-        {
+        for policy in [TruncationPolicy::Reject, TruncationPolicy::Saturate] {
             let what = format!("{what} under {policy}");
             let fused = store_level::<T>(a, None, Some(policy), true, true);
             // The range test abandons exactly the levels holding an entry
@@ -1342,13 +1321,7 @@ mod tests {
             audit(scaled, T::PRECISION),
             "{what}: audit_scaled"
         );
-        let policies = [
-            None,
-            Some(TruncationPolicy::Reject),
-            Some(TruncationPolicy::Saturate),
-            Some(TruncationPolicy::FlushToZero),
-        ];
-        for policy in policies {
+        for policy in [None, Some(TruncationPolicy::Reject), Some(TruncationPolicy::Saturate)] {
             let what = format!("{what} under {policy:?}");
             let fused = store_level::<T>(a, Some(scale), policy, true, true);
             let want = match store_level::<T>(scaled, None, policy, true, false) {

@@ -15,9 +15,8 @@
 //!   entry (the variant whose conversion overhead degrades throughput);
 //! * the **generic** per-entry solve for vector PDEs and odd layouts.
 //!
-//! There is no parallel solve here: the `i+j+k` hyperplane schedule of
-//! §5.1 is enumerated by [`fp16mg_grid::Wavefronts`], and a parallel
-//! sweep would schedule the line kernel's x-lines along it rather than
+//! There is no parallel solve here: a parallel sweep would schedule the
+//! line kernel's x-lines along the `i+j+k` hyperplanes of §5.1 rather than
 //! walk cells one `get` at a time.
 
 use fp16mg_fp::{Scalar, Storage, F16};

@@ -362,15 +362,6 @@ pub fn scale_symmetric<P: Scalar>(
     Ok(plan.vectors())
 }
 
-/// `dst[u] *= s[u]` — the pointwise rescale pass of recover-and-rescale.
-#[inline]
-pub fn rescale_in_place<P: Scalar>(dst: &mut [P], s: &[P]) {
-    assert_eq!(dst.len(), s.len(), "rescale length mismatch");
-    for (d, &f) in dst.iter_mut().zip(s) {
-        *d *= f;
-    }
-}
-
 /// `dst[u] = src[u] * s[u]`.
 #[inline]
 pub fn rescale_into<P: Scalar>(src: &[P], s: &[P], dst: &mut [P]) {

@@ -420,9 +420,10 @@ fn scaling_recovers_original_operator() {
     let x = random_vec(g.unknowns(), 141);
     let mut sx = vec![0.0f64; g.unknowns()];
     scaling::rescale_into(&x, &sv.s, &mut sx);
+    let mut asx = vec![0.0f64; g.unknowns()];
+    kernels::spmv(&scaled, &sx, &mut asx, Par::Seq);
     let mut y = vec![0.0f64; g.unknowns()];
-    kernels::spmv(&scaled, &sx, &mut y, Par::Seq);
-    scaling::rescale_in_place(&mut y, &sv.s);
+    scaling::rescale_into(&asx, &sv.s, &mut y);
     let mut yref = vec![0.0f64; g.unknowns()];
     kernels::spmv(&a, &x, &mut yref, Par::Seq);
     assert!(max_rel_err(&y, &yref) < 1e-10);
@@ -1026,9 +1027,8 @@ fn prop_reject_never_passes_saturation() {
     use fp16mg_fp::{Precision, Storage};
     // Plant one out-of-range entry at a random position: Reject MUST
     // refuse the matrix (if it ever lets a saturating entry through,
-    // this property fails), Saturate must clamp it finitely, FlushToZero
-    // must additionally leave no subnormals, and the audit must have
-    // predicted the saturation.
+    // this property fails), Saturate must clamp it finitely, and the audit
+    // must have predicted the saturation.
     check_n("prop_reject_never_passes_saturation", 256, |rng| {
         let seed = rng.next_u64() % 100_000;
         let g3 = Grid3::cube(3);
@@ -1053,9 +1053,6 @@ fn prop_reject_never_passes_saturation() {
             (sat.get(cell, tap).to_f64() - sign * <F16 as Storage>::MAX_FINITE).abs() < 1.0,
             "saturating entry must clamp to ±MAX"
         );
-        let ftz = audit::truncate_with_policy::<F16>(&a, TruncationPolicy::FlushToZero).unwrap();
-        assert!(ftz.all_finite());
-        assert_eq!(crate::scan::scan(&ftz).total.subnormal, 0);
     });
 }
 
@@ -1164,14 +1161,6 @@ fn prop_drift_symmetry_and_monotonicity() {
 }
 
 // --- Rescale length-check satellites ------------------------------------
-
-#[test]
-#[should_panic(expected = "rescale length mismatch")]
-fn rescale_in_place_rejects_short_scale_vector() {
-    let mut dst = vec![1.0f64; 8];
-    let s = vec![2.0f64; 7];
-    scaling::rescale_in_place(&mut dst, &s);
-}
 
 #[test]
 #[should_panic(expected = "rescale length mismatch")]

@@ -18,7 +18,7 @@
 //! |--------|-------|----------|
 //! | [`fp`] | `fp16mg-fp` | binary16/bfloat16 soft-float + F16C SIMD conversion |
 //! | [`stencil`] | `fp16mg-stencil` | 3d7/3d15/3d19/3d27 patterns, triangular splits |
-//! | [`grid`] | `fp16mg-grid` | structured grids, coarsening, wavefront schedules |
+//! | [`grid`] | `fp16mg-grid` | structured grids, coarsening, box decomposition |
 //! | [`sgdia`] | `fp16mg-sgdia` | SG-DIA matrices, mixed-precision kernels, scaling, CSR reference |
 //! | [`mg`] | `fp16mg-core` | Galerkin setup, V-cycle, precision policies — the paper's contribution |
 //! | [`krylov`] | `fp16mg-krylov` | CG / FGMRES / Richardson in the iterative precision |

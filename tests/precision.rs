@@ -3,8 +3,8 @@
 
 use fp16mg::fp::{Precision, F16};
 use fp16mg::grid::Grid3;
-use fp16mg::krylov::{cg, richardson, Preconditioner, SolveOptions};
-use fp16mg::mg::{MatOp, Mg, MgConfig, StoragePolicy};
+use fp16mg::krylov::{cg, Preconditioner, SolveOptions};
+use fp16mg::mg::{MatOp, Mg, MgConfig};
 use fp16mg::problems::ProblemKind;
 use fp16mg::sgdia::kernels::Par;
 use fp16mg::sgdia::{Layout, SgDia};
@@ -52,30 +52,6 @@ fn same_mg_serves_f32_and_f64_solvers() {
     for (a64, a32) in z64.iter().zip(&z32) {
         assert!((a64 - *a32 as f64).abs() < 1e-5 * (1.0 + a64.abs()));
     }
-}
-
-#[test]
-fn per_level_policy_mixes_all_four_precisions() {
-    let a = poisson(32, 1.0);
-    let cfg = MgConfig {
-        storage: StoragePolicy::PerLevel(vec![
-            Precision::F16,
-            Precision::BF16,
-            Precision::F32,
-            Precision::F64,
-        ]),
-        ..MgConfig::d16()
-    };
-    let mut mg = Mg::<f32>::setup(&a, &cfg).unwrap();
-    let levels = &mg.info().levels;
-    assert_eq!(levels[0].precision, Precision::F16);
-    assert_eq!(levels[1].precision, Precision::BF16);
-    assert_eq!(levels[2].precision, Precision::F32);
-    let op = MatOp::new(&a, Par::Seq);
-    let b = vec![1.0f64; a.rows()];
-    let mut x = vec![0.0f64; a.rows()];
-    let r = richardson(&op, &mut mg, &b, &mut x, &SolveOptions::default());
-    assert!(r.converged());
 }
 
 #[test]
