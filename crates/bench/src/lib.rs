@@ -1,6 +1,6 @@
 //! Shared experiment harness.
 //!
-//! Everything the `repro` binary and the `benches/` targets need to
+//! Everything the `repro` binary and the `vcycle` bench need to
 //! regenerate the paper's tables and figures: the precision/strategy
 //! combinations of the Fig. 6 ablation, timed end-to-end solves with the
 //! Fig. 8/9 breakdown (setup / MG preconditioner / other), the Fig. 7

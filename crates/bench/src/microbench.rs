@@ -1,14 +1,21 @@
-//! Minimal timing harness for the `benches/` targets.
+//! Minimal timing harness for the `vcycle` bench target.
 //!
-//! The workspace builds offline, so the benches run on this small
+//! The workspace builds offline, so the bench runs on this small
 //! criterion-style driver instead of an external harness: warm-up, then
 //! timed batches until a time budget is spent, reporting the median
 //! per-iteration time plus optional throughput. No statistics beyond the
-//! median/min/max spread — the benches exist to show the *relative*
-//! ordering of kernel variants (Fig. 7/8), which survives noise that
-//! would bother a regression tracker.
+//! median/min/max spread — the bench exists to show the *relative*
+//! ordering of kernel variants, which survives noise that would bother a
+//! regression tracker.
 
 use std::time::{Duration, Instant};
+
+/// Warm-up window of every case.
+const WARMUP: Duration = Duration::from_millis(300);
+/// Measurement budget of every case.
+const BUDGET: Duration = Duration::from_secs(2);
+/// Samples taken however short the budget runs.
+const MIN_SAMPLES: usize = 10;
 
 /// A named group of benchmark cases sharing their throughput
 /// denominations.
@@ -19,22 +26,12 @@ pub struct Group {
     /// Elements per iteration, reported as Melem/s (1000 Melem/s is one
     /// element per nanosecond).
     elements: Option<u64>,
-    warmup: Duration,
-    budget: Duration,
-    min_samples: usize,
 }
 
 impl Group {
-    /// New group with the default budget (300 ms warm-up, 2 s measure).
+    /// New group (300 ms warm-up, 2 s measure per case).
     pub fn new(name: impl Into<String>) -> Self {
-        Group {
-            name: name.into(),
-            bytes: None,
-            elements: None,
-            warmup: Duration::from_millis(300),
-            budget: Duration::from_secs(2),
-            min_samples: 10,
-        }
+        Group { name: name.into(), bytes: None, elements: None }
     }
 
     /// Report GB/s computed from this many bytes per iteration.
@@ -49,30 +46,24 @@ impl Group {
         self
     }
 
-    /// Shrink or grow the measurement budget.
-    pub fn measurement_time(mut self, d: Duration) -> Self {
-        self.budget = d;
-        self
-    }
-
     /// Runs one case: warm-up, then timed samples until the budget is
-    /// spent (at least `min_samples`), printing one summary line.
+    /// spent (at least `MIN_SAMPLES`), printing one summary line.
     pub fn bench<F: FnMut()>(&self, label: impl AsRef<str>, mut f: F) {
         // Warm-up: run until the warm-up window has elapsed at least once.
         let start = Instant::now();
         let mut warm_iters = 0u64;
-        while start.elapsed() < self.warmup {
+        while start.elapsed() < WARMUP {
             f();
             warm_iters += 1;
         }
         // Pick a batch size targeting ~10 ms per sample so Instant
         // overhead stays negligible for nanosecond-scale bodies.
-        let per_iter = self.warmup.as_secs_f64() / warm_iters.max(1) as f64;
+        let per_iter = WARMUP.as_secs_f64() / warm_iters.max(1) as f64;
         let batch = ((0.01 / per_iter.max(1e-9)) as u64).clamp(1, 1 << 24);
 
         let mut samples: Vec<f64> = Vec::new();
         let measure_start = Instant::now();
-        while measure_start.elapsed() < self.budget || samples.len() < self.min_samples {
+        while measure_start.elapsed() < BUDGET || samples.len() < MIN_SAMPLES {
             let t0 = Instant::now();
             for _ in 0..batch {
                 f();
@@ -96,13 +87,13 @@ impl Group {
         mut f: F,
     ) {
         let start = Instant::now();
-        while start.elapsed() < self.warmup {
+        while start.elapsed() < WARMUP {
             between();
             f();
         }
         let mut samples: Vec<f64> = Vec::new();
         let start = Instant::now();
-        while start.elapsed() < self.budget || samples.len() < self.min_samples {
+        while start.elapsed() < BUDGET || samples.len() < MIN_SAMPLES {
             between();
             let t0 = Instant::now();
             f();

@@ -2,8 +2,8 @@
 //! deadline-limited, non-converging, and panicking requests must complete
 //! with one typed outcome each — the acceptance scenario of the resilient
 //! runtime layer — and so must the chaos stream; on the daemon's pool
-//! shape the supervisor cancels a wedged request and quarantines a
-//! request that keeps panicking its session.
+//! shape the wedge bound cancels an endless request and every panic of a
+//! request that keeps panicking its session is contained.
 
 use std::time::Duration;
 
@@ -13,8 +13,7 @@ use fp16mg_krylov::{HealthPolicy, SolveError, SolveOptions};
 use fp16mg_problems::ProblemKind;
 use fp16mg_runtime::serve::pool_cfg;
 use fp16mg_runtime::{
-    AdmissionError, BreakerConfig, RetryPolicy, ServeError, ServePool, SolveRequest, SolverChoice,
-    SuperviseConfig, WorkerEventKind,
+    BreakerConfig, RetryPolicy, ServeError, ServePool, SolveRequest, SolverChoice,
 };
 
 #[test]
@@ -112,20 +111,20 @@ fn chaos_batch_repairs_bit_flips_without_process_failures() {
 }
 
 #[test]
-fn the_daemons_pool_cancels_a_wedged_request_and_quarantines_a_panicking_one() {
-    // The daemon's pool shape with its breaker off: a wedge failure plus a
-    // panic would trip the tight daemon breaker and mask the quarantine
-    // refusal.
+fn the_daemons_pool_cancels_a_wedged_request_and_contains_every_panic() {
+    // The daemon's pool shape with its breaker off: a wedge failure plus
+    // panics would trip the tight daemon breaker and refuse the later
+    // rounds before their sessions.
     let mut cfg = pool_cfg(None);
     cfg.breaker = BreakerConfig::disabled();
-    cfg.supervise = SuperviseConfig { enabled: true, wedge_after: Duration::from_millis(100) };
+    cfg.wedge_after = Duration::from_millis(100);
     let mut pool = ServePool::new(cfg);
     let laplace = || ProblemKind::Laplace27.build(8);
 
     // Stationary Richardson at zero tolerance with health checks off never
     // converges, never stagnates and has no breakdown division (a Krylov
-    // method would break down at machine precision first): only the wedge
-    // watchdog can end it.
+    // method would break down at machine precision first): only the
+    // pool's wedge bound can end it.
     let mut endless = SolveRequest::new("wedge-me", laplace(), MgConfig::d16());
     endless.solver = SolverChoice::Richardson;
     endless.opts = SolveOptions {
@@ -139,29 +138,20 @@ fn the_daemons_pool_cancels_a_wedged_request_and_quarantines_a_panicking_one() {
     let out = pool.serve(endless);
     assert!(
         matches!(out.result, Err(ServeError::Session(SolveError::Cancelled { .. }))),
-        "the wedge watchdog must cancel the endless request: {:?}",
+        "the wedge bound must cancel the endless request: {:?}",
         out.result
     );
-    let kinds: Vec<&WorkerEventKind> = pool.worker_events().iter().map(|e| &e.kind).collect();
-    assert!(matches!(kinds[..], [WorkerEventKind::Wedged { .. }]), "worker events: {kinds:?}");
 
-    // Each contained panic is a strike; the second quarantines the name.
+    // The same name panicking round after round is contained every time.
     for round in 0..3 {
         let mut req = SolveRequest::new("panic-me", laplace(), MgConfig::d16());
         req.panic_in_worker = true;
         let out = pool.serve(req);
-        if round < 2 {
-            assert!(
-                matches!(out.result, Err(ServeError::Session(SolveError::WorkerPanicked { .. }))),
-                "round {round}: the panic must be contained: {:?}",
-                out.result
-            );
-        } else {
-            assert!(
-                matches!(out.rejection(), Some(AdmissionError::Quarantined { strikes: 2, .. })),
-                "round {round}: two strikes must quarantine the name: {:?}",
-                out.result
-            );
-        }
+        assert!(
+            matches!(out.result, Err(ServeError::Session(SolveError::WorkerPanicked { .. }))),
+            "round {round}: the panic must be contained: {:?}",
+            out.result
+        );
     }
+    assert_eq!(pool.counters().completed_err, 4);
 }

@@ -1,8 +1,7 @@
 //! Admission vocabulary: a request's [`Priority`] and the typed
-//! [`AdmissionError`] that refuses it before its session — its problem
-//! class's circuit breaker is open ([`AdmissionError::BreakerOpen`]) or
-//! its name is quarantined ([`AdmissionError::Quarantined`]). Nothing
-//! is refused untyped.
+//! [`AdmissionError`] that refuses it before its session because its
+//! problem class's circuit breaker is open
+//! ([`AdmissionError::BreakerOpen`]). Nothing is refused untyped.
 
 /// Priority class of a solve request, carried on the wire and in the
 /// daemon trail (`prio=`).
@@ -46,9 +45,9 @@ impl core::fmt::Display for Priority {
     }
 }
 
-/// Typed admission refusal. Every rejected request carries exactly one of
-/// these in its outcome; neither means the process is unhealthy — they
-/// are the protection layer doing its job.
+/// Typed admission refusal. Every rejected request carries one in its
+/// outcome; it does not mean the process is unhealthy — it is the
+/// protection layer doing its job.
 #[derive(Clone, Debug, PartialEq)]
 pub enum AdmissionError {
     /// The request's problem class has tripped its circuit breaker:
@@ -63,16 +62,6 @@ pub enum AdmissionError {
         /// admits a probe.
         cooldown_remaining: usize,
     },
-    /// This exact request has wedged or panicked its session too many
-    /// times; the supervisor's [`Quarantine`](crate::Quarantine) refuses
-    /// it so a poison pill stops burning solves. Strikes
-    /// survive daemon restarts via the snapshot.
-    Quarantined {
-        /// The quarantined request name.
-        name: String,
-        /// Strikes charged when it was refused.
-        strikes: usize,
-    },
 }
 
 impl AdmissionError {
@@ -80,7 +69,6 @@ impl AdmissionError {
     pub fn label(&self) -> &'static str {
         match self {
             AdmissionError::BreakerOpen { .. } => "breaker-open",
-            AdmissionError::Quarantined { .. } => "quarantined",
         }
     }
 }
@@ -94,9 +82,6 @@ impl core::fmt::Display for AdmissionError {
                  ({:.0}% terminal failures; {cooldown_remaining} attempts to half-open)",
                 failure_rate * 100.0
             ),
-            AdmissionError::Quarantined { name, strikes } => {
-                write!(f, "request '{name}' quarantined after {strikes} strikes")
-            }
         }
     }
 }

@@ -60,6 +60,10 @@ const FAILURE_THRESHOLD: f64 = 0.5;
 const PROBES: usize = 1;
 /// Probe successes required to close again.
 const PROBE_SUCCESSES: usize = 1;
+/// Maximum extra cooldown attempts added per trip from the seeded
+/// jitter stream. Spreads the half-open probes of classes that tripped
+/// together.
+pub const COOLDOWN_JITTER: usize = 2;
 /// Seed of the cooldown-jitter stream; a registry folds each class name
 /// into it.
 const SEED: u64 = 0xb4ea_4e4b_5eed_0001;
@@ -84,15 +88,11 @@ pub struct BreakerConfig {
     /// Admission attempts observed while [`BreakerState::Open`] before
     /// the breaker goes half-open. Counted, not timed: determinism.
     pub cooldown: usize,
-    /// Maximum extra cooldown attempts added per trip from the seeded
-    /// jitter stream (`0` disables jitter). Spreads the half-open probes
-    /// of classes that tripped together.
-    pub cooldown_jitter: usize,
 }
 
 impl Default for BreakerConfig {
     fn default() -> Self {
-        BreakerConfig { enabled: true, window: 8, min_samples: 4, cooldown: 4, cooldown_jitter: 2 }
+        BreakerConfig { enabled: true, window: 8, min_samples: 4, cooldown: 4 }
     }
 }
 
@@ -265,12 +265,8 @@ impl CircuitBreaker {
         self.attempts_while_open = 0;
         self.probes_outstanding = 0;
         self.probe_successes_seen = 0;
-        let jitter = if self.cfg.cooldown_jitter == 0 {
-            0
-        } else {
-            (jitter::splitmix64(self.seed.wrapping_add(self.trips as u64))
-                % (self.cfg.cooldown_jitter as u64 + 1)) as usize
-        };
+        let jitter = (jitter::splitmix64(self.seed.wrapping_add(self.trips as u64))
+            % (COOLDOWN_JITTER as u64 + 1)) as usize;
         self.cooldown_target = self.cfg.cooldown.max(1) + jitter;
     }
 

@@ -18,12 +18,12 @@
 //!   caps ([`RetryPolicy`]), recording every
 //!   attempt (and every localized repair) in a [`RetryReport`].
 //! - [`ServePool`] serves one session at a time behind a per-problem-class
-//!   circuit [`breaker`] and a poisoned-request
-//!   [`Quarantine`], with the drift-audited [`HierarchyCache`] under a
-//!   byte budget — every refusal a typed [`AdmissionError`]. A panicking
-//!   session becomes a typed `SolveError::WorkerPanicked` outcome and
-//!   the next request is served as usual; a wedged one is cancelled by
-//!   a watchdog.
+//!   circuit [`breaker`], with the drift-audited [`HierarchyCache`]
+//!   under a byte budget — every refusal a typed [`AdmissionError`]. A
+//!   panicking session becomes a typed `SolveError::WorkerPanicked`
+//!   outcome and the next request is served as usual; a wedged one is
+//!   stopped by its own budget, whose deadline the pool caps at
+//!   [`PoolConfig::wedge_after`], and ends `SolveError::Cancelled`.
 //! - [`serve`] is the daemon: one loop on the caller's thread (accept a
 //!   connection, wire frames in, solve → fsynced trail → checkpoint →
 //!   ack out), its deterministic request stream, its A/B snapshot
@@ -51,7 +51,6 @@ pub mod ring;
 pub mod serve;
 pub mod snapshot;
 pub mod storage;
-pub mod supervise;
 pub mod trail;
 
 pub use admission::{AdmissionError, Priority};
@@ -86,7 +85,6 @@ pub use storage::{
     append_durable, Fault, FaultStorage, OpKind, OpRecord, RealStorage, Storage, StorageError,
     StorageFile, ENOSPC_RETRIES,
 };
-pub use supervise::{Quarantine, SuperviseConfig, WorkerEvent, WorkerEventKind};
 
 #[cfg(test)]
 mod tests;

@@ -1,37 +1,34 @@
 //! The serve pool: one request at a time, with panic isolation, a
-//! per-class circuit breaker, a poisoned-request quarantine, the
-//! hierarchy cache and a wedge watchdog.
+//! per-class circuit breaker, the hierarchy cache and a bound on every
+//! session's wall clock.
 //!
 //! [`ServePool::serve`] takes one [`SolveRequest`] through, in order:
 //!
-//! 1. **Quarantine** — a request name that has repeatedly wedged or
-//!    panicked its session is refused outright
-//!    ([`AdmissionError::Quarantined`]) — see [`crate::supervise`];
-//! 2. **Breaker** — the per-problem-class [`BreakerRegistry`] refuses
+//! 1. **Breaker** — the per-problem-class [`BreakerRegistry`] refuses
 //!    classes whose recent sessions keep failing terminally, until a
 //!    half-open probe proves them healthy again;
-//! 3. **Cache** — the [`HierarchyCache`] serves the expensive FP64
+//! 2. **Cache** — the [`HierarchyCache`] serves the expensive FP64
 //!    Galerkin setup from a retained chain when the operator has not
 //!    drifted past the audit bound, and the outcome records the typed
 //!    [`CacheEventKind`] that produced its hierarchy;
-//! 4. **Session** — the ladder runs on the caller's thread under
+//! 3. **Session** — the ladder runs on the caller's thread under
 //!    `catch_unwind`, so a panic becomes a typed
-//!    [`SolveError::WorkerPanicked`] outcome; when supervision is on, a
-//!    watchdog thread cancels the session once it runs past the wedge
-//!    deadline;
-//! 5. **Bookkeeping** — the breaker records the session, a wedge or
-//!    panic strikes the name, and the counters fold the outcome.
+//!    [`SolveError::WorkerPanicked`] outcome. The session's own budget
+//!    carries the pool's wedge bound: its deadline is capped at
+//!    [`PoolConfig::wedge_after`], and a session the cap stops ends
+//!    [`SolveError::Cancelled`] at its next iteration boundary. The
+//!    pool spawns no thread and kills nothing;
+//! 4. **Bookkeeping** — the breaker records the session and the
+//!    counters fold the outcome.
 //!
 //! Every decision is typed and, apart from wedges (wall clock), a pure
 //! function of the request stream. The pool's decision state
-//! ([`ServeCounters`], breakers, quarantine strikes, cache metadata)
-//! exports as a [`PoolState`] for the daemon snapshot and restores from
-//! one, which is what makes a restarted daemon replay bit-identical
-//! decisions.
+//! ([`ServeCounters`], breakers, cache metadata) exports as a
+//! [`PoolState`] for the daemon snapshot and restores from one, which is
+//! what makes a restarted daemon replay bit-identical decisions.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use fp16mg_krylov::{SolveError, SolveResult};
 
@@ -40,15 +37,13 @@ use crate::breaker::{BreakerConfig, BreakerDecision, BreakerExport, BreakerRegis
 use crate::cache::{CacheConfig, CacheEntryMeta, CacheEventKind, CacheStats, HierarchyCache};
 use crate::ladder::{run_session_with, RetryReport, SessionOutcome, SolveRequest};
 use crate::mem::MemGovernor;
-use crate::ring::Ring;
-use crate::supervise::{Quarantine, SuperviseConfig, WorkerEvent, WorkerEventKind, MAX_STRIKES};
 
 /// Why one request ended without a converged result: refused before
 /// its session, or admitted and then failed in it. Nothing a request can
 /// experience is untyped.
 #[derive(Clone, Debug)]
 pub enum ServeError {
-    /// Refused before any numerical work: breaker open or quarantined.
+    /// Refused before any numerical work: the class's breaker is open.
     Rejected(AdmissionError),
     /// Admitted, but the session ended with a typed solve failure
     /// (ladder exhaustion, deadline, cancellation, contained panic, …).
@@ -141,8 +136,6 @@ pub struct ServeCounters {
     pub admitted: u64,
     /// Refused: class breaker open.
     pub rejected_breaker: u64,
-    /// Refused: request name quarantined.
-    pub rejected_quarantined: u64,
     /// Sessions that converged.
     pub completed_ok: u64,
     /// Sessions that ended with a typed failure.
@@ -162,10 +155,9 @@ impl ServeCounters {
                 self.admitted += 1;
                 self.completed_err += 1;
             }
-            Err(ServeError::Rejected(e)) => match e {
-                AdmissionError::BreakerOpen { .. } => self.rejected_breaker += 1,
-                AdmissionError::Quarantined { .. } => self.rejected_quarantined += 1,
-            },
+            Err(ServeError::Rejected(AdmissionError::BreakerOpen { .. })) => {
+                self.rejected_breaker += 1
+            }
         }
     }
 }
@@ -182,8 +174,6 @@ pub struct PoolState {
     pub counters: ServeCounters,
     /// Every breaker's full state, keyed by class, in class order.
     pub breakers: Vec<(String, BreakerExport)>,
-    /// Quarantine strikes, keyed by request name, in name order.
-    pub quarantine: Vec<(String, usize)>,
     /// Cache statistics.
     pub cache_stats: CacheStats,
     /// Cache entry metadata (entries restore cold).
@@ -197,9 +187,10 @@ pub struct PoolConfig {
     pub breaker: BreakerConfig,
     /// Hierarchy-cache tuning (off by default; the daemon turns it on).
     pub cache: CacheConfig,
-    /// Wedge watchdog and quarantine (off by default, for the same
-    /// reason).
-    pub supervise: SuperviseConfig,
+    /// Wall-clock bound on one session: its budget's deadline is capped
+    /// here (a shorter deadline of the request's own is kept), and a
+    /// session the cap stops ends [`SolveError::Cancelled`].
+    pub wedge_after: Duration,
     /// Byte budget for the pool's shared [`MemGovernor`]: every
     /// hierarchy, workspace arena, cache entry, and rescale commit is
     /// charged against it. `None` (the default) tracks usage without
@@ -212,34 +203,28 @@ impl Default for PoolConfig {
         PoolConfig {
             breaker: BreakerConfig::default(),
             cache: CacheConfig::disabled(),
-            supervise: SuperviseConfig::disabled(),
+            wedge_after: Duration::from_secs(30),
             mem_budget: None,
         }
     }
 }
 
-/// Ring capacity of the pool's worker-event trail.
-const EVENT_LOG_CAP: usize = 256;
-
-/// The serve pool. Owns the breaker registry, the hierarchy cache, the
-/// quarantine, and the cumulative counters — all of which persist
+/// The serve pool. Owns the breaker registry, the hierarchy cache and
+/// the cumulative counters — all of which persist
 /// across [`ServePool::serve`] calls (and, via
 /// [`ServePool::export_state`], across daemon restarts).
 pub struct ServePool {
     cfg: PoolConfig,
     breakers: BreakerRegistry,
     cache: HierarchyCache,
-    quarantine: Quarantine,
     counters: ServeCounters,
-    worker_events: Ring<WorkerEvent>,
     governor: MemGovernor,
 }
 
 impl ServePool {
-    /// A pool with fresh (all-closed) breakers, an empty cache, and an
-    /// empty quarantine. When the config carries a `mem_budget`, the
-    /// pool's shared [`MemGovernor`] enforces it across every session
-    /// and cache entry.
+    /// A pool with fresh (all-closed) breakers and an empty cache. When
+    /// the config carries a `mem_budget`, the pool's shared
+    /// [`MemGovernor`] enforces it across every session and cache entry.
     pub fn new(cfg: PoolConfig) -> Self {
         let governor = match cfg.mem_budget {
             Some(b) => MemGovernor::with_budget(b),
@@ -247,17 +232,7 @@ impl ServePool {
         };
         let breakers = BreakerRegistry::new(cfg.breaker.clone());
         let cache = HierarchyCache::with_governor(cfg.cache.clone(), governor.clone());
-        let quarantine = Quarantine::default();
-        let worker_events = Ring::new(EVENT_LOG_CAP);
-        ServePool {
-            cfg,
-            breakers,
-            cache,
-            quarantine,
-            counters: ServeCounters::default(),
-            worker_events,
-            governor,
-        }
+        ServePool { cfg, breakers, cache, counters: ServeCounters::default(), governor }
     }
 
     /// The pool's shared memory governor (byte accounting, fault
@@ -281,20 +256,9 @@ impl ServePool {
         &self.cache
     }
 
-    /// The poisoned-request quarantine.
-    pub fn quarantine(&self) -> &Quarantine {
-        &self.quarantine
-    }
-
     /// Cumulative admission/outcome counters.
     pub fn counters(&self) -> ServeCounters {
         self.counters
-    }
-
-    /// The supervision event trail (wedges, contained panics,
-    /// quarantine promotions), oldest first.
-    pub fn worker_events(&self) -> &[WorkerEvent] {
-        &self.worker_events
     }
 
     /// Exports the pool's decision state for checkpointing.
@@ -302,45 +266,40 @@ impl ServePool {
         PoolState {
             counters: self.counters,
             breakers: self.breakers.export(),
-            quarantine: self.quarantine.export(),
             cache_stats: self.cache.stats(),
             cache_entries: self.cache.metadata(),
         }
     }
 
     /// Restores decision state from a checkpoint: counters and breaker
-    /// states are adopted wholesale, quarantine strikes merge by
-    /// maximum, cache entries restore cold (identity and counters, not
-    /// matrices).
+    /// states are adopted wholesale, cache entries restore cold
+    /// (identity and counters, not matrices).
     pub fn restore_state(&mut self, state: &PoolState) {
         self.counters = state.counters;
         self.breakers.restore(&state.breakers);
-        self.quarantine.restore(&state.quarantine);
         self.cache.restore_stats(state.cache_stats);
         self.cache.restore_metadata(&state.cache_entries);
     }
 
-    /// Serves one request: quarantine and breaker gates, cached
-    /// hierarchy acquisition, then the session on the calling thread
-    /// with panic containment and, when supervision is on, a watchdog
-    /// that cancels it past the wedge deadline. Returns as soon as the
-    /// session does.
+    /// Serves one request: breaker gate, cached hierarchy acquisition,
+    /// then the session on the calling thread with panic containment,
+    /// its deadline capped at [`PoolConfig::wedge_after`]. Returns as
+    /// soon as the session does.
     ///
-    /// Cancelled sessions (including wedge cancellations, which are
-    /// wall-clock events) never feed the breakers, so the replayable
-    /// decision state stays deterministic.
+    /// A session the cap stops ends [`SolveError::Cancelled`]; cancelled
+    /// sessions (wall-clock events) never feed the breakers, so the
+    /// replayable decision state stays deterministic. A request's own
+    /// shorter deadline still ends [`SolveError::DeadlineExceeded`].
     pub fn serve(&mut self, mut req: SolveRequest) -> RequestOutcome {
         // Every session charges its hierarchies against the pool's
         // shared governor, so one byte budget covers the whole pool.
         req.governor = self.governor.clone();
-
-        // Gate 1: quarantine. A poison pill is refused before anything.
-        if self.cfg.supervise.enabled && self.quarantine.is_quarantined(&req.name) {
-            let strikes = self.quarantine.strikes_of(&req.name);
-            let name = req.name.clone();
-            return self.refuse(&req, AdmissionError::Quarantined { name, strikes });
+        let wedge_after = self.cfg.wedge_after;
+        let wedge_bound = req.budget.deadline.is_none_or(|d| wedge_after < d);
+        if wedge_bound {
+            req.budget.deadline = Some(wedge_after);
         }
-        // Gate 2: the class's circuit breaker.
+
         let probe = match self.breakers.on_admission_attempt(&req.class) {
             BreakerDecision::Reject { failure_rate, cooldown_remaining } => {
                 let class = req.class.clone();
@@ -362,17 +321,8 @@ impl ServePool {
         };
 
         let t0 = Instant::now();
-        let (session, wedged) = self.supervised(&req, || {
-            catch_unwind(AssertUnwindSafe(|| run_session_with(&req, prebuilt)))
-        });
-        // Each wedge and each contained panic is one strike.
-        let mut struck: Vec<WorkerEventKind> =
-            wedged.map(|elapsed| WorkerEventKind::Wedged { elapsed }).into_iter().collect();
-        let session = session.unwrap_or_else(|payload| {
-            if self.cfg.supervise.enabled {
-                struck.push(WorkerEventKind::Panicked);
-            }
-            SessionOutcome {
+        let mut session = catch_unwind(AssertUnwindSafe(|| run_session_with(&req, prebuilt)))
+            .unwrap_or_else(|payload| SessionOutcome {
                 result: Err(SolveError::WorkerPanicked {
                     message: panic_message(payload.as_ref()),
                 }),
@@ -381,16 +331,12 @@ impl ServePool {
                 iters: 0,
                 vcycles: 0,
                 seconds: t0.elapsed().as_secs_f64(),
-            }
-        });
-        for kind in struck {
-            self.worker_events.push(WorkerEvent { request: req.name.clone(), kind });
-            let strikes = self.quarantine.strike(&req.name);
-            if strikes == MAX_STRIKES {
-                self.worker_events.push(WorkerEvent {
-                    request: req.name.clone(),
-                    kind: WorkerEventKind::Quarantined { strikes },
-                });
+            });
+        // A deadline that fired under the pool's bound is a wedge, not the
+        // request's own miss. (The attempt log keeps the deadline record.)
+        if wedge_bound {
+            if let Err(SolveError::DeadlineExceeded { iter, .. }) = session.result {
+                session.result = Err(SolveError::Cancelled { iter });
             }
         }
         // Cancelled sessions say nothing about class health; everything
@@ -427,35 +373,6 @@ impl ServePool {
             iters: 0,
             vcycles: 0,
             seconds: 0.0,
-        })
-    }
-
-    /// Runs `session` on this thread. With supervision on, a watchdog
-    /// thread waits for it to end and trips the request's cancel token
-    /// once it has run past the wedge deadline, returning the seconds
-    /// elapsed at the trip.
-    fn supervised<T>(&self, req: &SolveRequest, session: impl FnOnce() -> T) -> (T, Option<f64>) {
-        if !self.cfg.supervise.enabled {
-            return (session(), None);
-        }
-        let wedge_after = self.cfg.supervise.wedge_after;
-        let cancel = req.budget.cancel.clone();
-        let (ended, wait) = mpsc::channel::<()>();
-        std::thread::scope(|scope| {
-            let watchdog = scope.spawn(move || {
-                let t0 = Instant::now();
-                match wait.recv_timeout(wedge_after) {
-                    Err(RecvTimeoutError::Timeout) => {
-                        cancel.cancel();
-                        Some(t0.elapsed().as_secs_f64())
-                    }
-                    _ => None,
-                }
-            });
-            let result = session();
-            // Dropping the sender wakes the watchdog at once.
-            drop(ended);
-            (result, watchdog.join().unwrap_or(None))
         })
     }
 

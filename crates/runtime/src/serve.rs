@@ -50,7 +50,6 @@ use crate::net::{
 use crate::pool::{PoolConfig, RequestOutcome, ServeError, ServePool};
 use crate::snapshot::{DaemonSnapshot, SnapshotError, SnapshotStore};
 use crate::storage::{append_durable, Storage};
-use crate::supervise::SuperviseConfig;
 use crate::trail;
 
 /// Snapshot base name inside the state directory (the A/B slots are
@@ -61,9 +60,9 @@ pub const TRAIL_FILE: &str = "trail.log";
 
 // ------------------------------------------------------ stream function --
 
-/// The daemon pool shape: cache on, supervision on, and a small jittered
-/// breaker so the poison class demonstrably trips and recovers inside a
-/// short run.
+/// The daemon pool shape: cache on, the default 30 s wedge bound, and a
+/// small breaker so the poison class demonstrably trips and recovers
+/// inside a short run.
 pub fn pool_cfg(mem_budget: Option<u64>) -> PoolConfig {
     // Under a pool byte budget the cache gets half: retained chains
     // evict LRU-first at insert time (deterministic) before the
@@ -78,11 +77,10 @@ pub fn pool_cfg(mem_budget: Option<u64>) -> PoolConfig {
             window: 4,
             min_samples: 2,
             cooldown: 3,
-            cooldown_jitter: 2,
             ..BreakerConfig::default()
         },
         cache,
-        supervise: SuperviseConfig::default(),
+        ..PoolConfig::default()
     }
 }
 

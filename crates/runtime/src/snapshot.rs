@@ -5,8 +5,7 @@
 //! sequence cursor, the [`ServeCounters`], every circuit breaker's full
 //! state (window, trip count, cooldown position — the jitter stream
 //! position rides on the trip count, so replayed cooldowns land on the
-//! same jittered targets), quarantine strikes, and the hierarchy-cache
-//! metadata (entries restore *cold* — identity and counters, not
+//! same jittered targets), and the hierarchy-cache metadata (entries restore *cold* — identity and counters, not
 //! matrices).
 //!
 //! The format is deliberately primitive — a versioned line-oriented
@@ -384,15 +383,11 @@ impl DaemonSnapshot {
         let mut body = Body::new(MAGIC);
         body.line(format_args!("seq {}", self.seq));
         let c = &self.state.counters;
-        // The third, fourth and seventh fields are retired (always 0).
+        // The third, fourth, sixth and seventh fields are retired
+        // (always 0).
         body.line(format_args!(
-            "counters {} {} 0 0 {} {} 0 {} {}",
-            c.submitted,
-            c.admitted,
-            c.rejected_breaker,
-            c.rejected_quarantined,
-            c.completed_ok,
-            c.completed_err,
+            "counters {} {} 0 0 {} 0 0 {} {}",
+            c.submitted, c.admitted, c.rejected_breaker, c.completed_ok, c.completed_err,
         ));
         for (class, e) in &self.state.breakers {
             let window: String = if e.window.is_empty() {
@@ -412,9 +407,6 @@ impl DaemonSnapshot {
                 e.probes_outstanding,
                 e.probe_successes_seen,
             ));
-        }
-        for (name, strikes) in &self.state.quarantine {
-            body.line(format_args!("quarantine {} {strikes}", esc(name)));
         }
         let s = &self.state.cache_stats;
         body.line(format_args!(
@@ -455,19 +447,19 @@ impl DaemonSnapshot {
                 "seq" => seq = r.u64("seq")?,
                 "counters" => {
                     // Fields are read in line order; the retired ones
-                    // (queue-full, shed and degraded counts) are ignored.
+                    // (queue-full, shed, quarantined and degraded
+                    // counts) are ignored.
                     let submitted = r.u64("submitted")?;
                     let admitted = r.u64("admitted")?;
                     r.u64("rejected_queue_full")?;
                     r.u64("rejected_shed")?;
                     let rejected_breaker = r.u64("rejected_breaker")?;
-                    let rejected_quarantined = r.u64("rejected_quarantined")?;
+                    r.u64("rejected_quarantined")?;
                     r.u64("degraded")?;
                     state.counters = ServeCounters {
                         submitted,
                         admitted,
                         rejected_breaker,
-                        rejected_quarantined,
                         completed_ok: r.u64("completed_ok")?,
                         completed_err: r.u64("completed_err")?,
                     };
@@ -503,9 +495,10 @@ impl DaemonSnapshot {
                     };
                     state.breakers.push((class, export));
                 }
+                // Retired: per-name strikes an older daemon wrote.
                 "quarantine" => {
-                    let name = r.label("name")?;
-                    state.quarantine.push((name, r.usize("strikes")?));
+                    r.label("name")?;
+                    r.usize("strikes")?;
                 }
                 "cache-stats" => {
                     state.cache_stats = CacheStats {

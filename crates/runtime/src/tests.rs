@@ -507,16 +507,28 @@ mod admission {
 mod breaker {
     use crate::breaker::{
         BreakerConfig, BreakerDecision, BreakerRegistry, BreakerState, CircuitBreaker,
+        COOLDOWN_JITTER,
     };
 
     fn cfg() -> BreakerConfig {
-        BreakerConfig {
-            window: 4,
-            min_samples: 3,
-            cooldown: 2,
-            cooldown_jitter: 0,
-            ..BreakerConfig::default()
+        BreakerConfig { window: 4, min_samples: 3, cooldown: 2, ..BreakerConfig::default() }
+    }
+
+    /// Spends an open breaker's cooldown up to the attempt that completes
+    /// it, each attempt refused with the attempts left; returns the
+    /// jittered cooldown target.
+    fn cool_down(b: &mut CircuitBreaker) -> usize {
+        let target = b.export().cooldown_target;
+        for left in (1..target).rev() {
+            match b.on_admission_attempt() {
+                BreakerDecision::Reject { failure_rate, cooldown_remaining } => {
+                    assert_eq!(cooldown_remaining, left);
+                    assert!(failure_rate >= 0.5);
+                }
+                other => panic!("open breaker must reject, got {other:?}"),
+            }
         }
+        target
     }
 
     /// Feeds failures until the breaker opens.
@@ -554,13 +566,8 @@ mod breaker {
     #[test]
     fn open_rejects_then_counts_down_to_a_half_open_probe() {
         let mut b = tripped();
-        match b.on_admission_attempt() {
-            BreakerDecision::Reject { failure_rate, cooldown_remaining } => {
-                assert_eq!(cooldown_remaining, 1);
-                assert!(failure_rate >= 0.5);
-            }
-            other => panic!("open breaker must reject, got {other:?}"),
-        }
+        let target = cool_down(&mut b);
+        assert!((2..=2 + COOLDOWN_JITTER).contains(&target), "cooldown 2 plus jitter: {target}");
         // The attempt completing the cooldown *is* the probe.
         assert_eq!(b.on_admission_attempt(), BreakerDecision::Admit { probe: true });
         assert_eq!(b.state(), BreakerState::HalfOpen);
@@ -569,7 +576,7 @@ mod breaker {
     #[test]
     fn half_open_grants_only_the_probe_quota() {
         let mut b = tripped();
-        b.on_admission_attempt();
+        cool_down(&mut b);
         assert_eq!(b.on_admission_attempt(), BreakerDecision::Admit { probe: true });
         assert_eq!(
             b.on_admission_attempt(),
@@ -581,7 +588,7 @@ mod breaker {
     #[test]
     fn probe_success_closes_and_clears_the_window() {
         let mut b = tripped();
-        b.on_admission_attempt();
+        cool_down(&mut b);
         b.on_admission_attempt();
         b.record(true, true);
         assert_eq!(b.state(), BreakerState::Closed);
@@ -592,7 +599,7 @@ mod breaker {
     #[test]
     fn probe_failure_reopens_for_another_cooldown() {
         let mut b = tripped();
-        b.on_admission_attempt();
+        cool_down(&mut b);
         b.on_admission_attempt();
         b.record(false, true);
         assert_eq!(b.state(), BreakerState::Open);
@@ -611,7 +618,7 @@ mod breaker {
         b.record(false, false);
         b.record(true, false);
         assert_eq!(b.state(), BreakerState::Open);
-        b.on_admission_attempt();
+        cool_down(&mut b);
         b.on_admission_attempt();
         assert_eq!(b.state(), BreakerState::HalfOpen);
         b.record(true, false); // straggler during half-open
@@ -622,20 +629,25 @@ mod breaker {
 
     #[test]
     fn cooldown_jitter_is_deterministic() {
-        let jittered = BreakerConfig { cooldown_jitter: 3, ..cfg() };
+        // Trip, fail the probe, trip again: every trip draws its own
+        // jitter, and the same stream draws the same targets.
         let run = || {
-            let mut b = CircuitBreaker::new(jittered.clone());
+            let mut b = CircuitBreaker::new(cfg());
             for _ in 0..3 {
                 b.record(false, false);
             }
-            let mut rejects = 0;
-            while matches!(b.on_admission_attempt(), BreakerDecision::Reject { .. }) {
-                rejects += 1;
-                assert!(rejects < 100, "cooldown must terminate");
+            let mut targets = Vec::new();
+            for _ in 0..8 {
+                targets.push(cool_down(&mut b));
+                assert_eq!(b.on_admission_attempt(), BreakerDecision::Admit { probe: true });
+                b.record(false, true);
             }
-            rejects
+            targets
         };
-        assert_eq!(run(), run(), "same seed, same trip count, same cooldown");
+        let targets = run();
+        assert_eq!(targets, run(), "same seed, same trip count, same cooldown");
+        assert!(targets.iter().all(|t| (2..=2 + COOLDOWN_JITTER).contains(t)), "{targets:?}");
+        assert!(targets.windows(2).any(|w| w[0] != w[1]), "the jitter must move: {targets:?}");
     }
 
     #[test]
@@ -703,7 +715,6 @@ mod serve_pool {
                 window: 4,
                 min_samples: 2,
                 cooldown: 2,
-                cooldown_jitter: 0,
                 ..BreakerConfig::default()
             },
             ..PoolConfig::default()
@@ -724,18 +735,25 @@ mod serve_pool {
         assert!(pool.serve(healthy_of_class("ok-0", "healthy")).converged());
         assert_eq!(pool.breakers().state("healthy"), Some(BreakerState::Closed));
 
-        // Cooldown of 2 admission attempts: the first is refused typed,
-        // the second is admitted as the half-open probe; now healthy, it
-        // converges and closes the breaker.
-        let refused = pool.serve(poisoned("bad-2"));
-        assert!(
-            matches!(
-                refused.rejection(),
-                Some(AdmissionError::BreakerOpen { cooldown_remaining: 1, .. })
-            ),
-            "got {:?}",
-            refused.result
-        );
+        // A cooldown of 2 admission attempts plus the trip's jitter: all
+        // but the last are refused typed, the last is admitted as the
+        // half-open probe; now healthy, it converges and closes the
+        // breaker.
+        let (_, export) =
+            pool.breakers().export().into_iter().find(|(c, _)| c == "poison").unwrap();
+        let target = export.cooldown_target;
+        for left in (1..target).rev() {
+            let refused = pool.serve(poisoned("bad-2"));
+            assert!(
+                matches!(
+                    refused.rejection(),
+                    Some(&AdmissionError::BreakerOpen { cooldown_remaining, .. })
+                        if cooldown_remaining == left
+                ),
+                "got {:?}",
+                refused.result
+            );
+        }
         let probe = pool.serve(healthy_of_class("recover", "poison"));
         assert!(probe.probe, "the attempt completing the cooldown is the probe");
         assert!(probe.converged());
@@ -762,7 +780,8 @@ mod serve_pool {
             "the full recovery arc must be visible in the transition log"
         );
         let c = pool.counters();
-        assert_eq!((c.submitted, c.admitted, c.rejected_breaker), (6, 5, 1));
+        let refused = target as u64 - 1;
+        assert_eq!((c.submitted, c.admitted, c.rejected_breaker), (5 + refused, 5, refused));
     }
 }
 
@@ -980,8 +999,8 @@ mod snapshot {
     use fp16mg_fp::Fnv1a;
 
     /// A state with every record type populated: counters, a tripped
-    /// breaker with a jittered cooldown, quarantine strikes, cache
-    /// stats and entries with escapable names.
+    /// breaker with a jittered cooldown, cache stats and entries with
+    /// escapable names.
     fn populated_state() -> PoolState {
         let mut pool = ServePool::new(pool_cfg(None));
         let bad = |name: &str| {
@@ -996,9 +1015,7 @@ mod snapshot {
         for req in [bad("bad-0"), bad("bad-1"), ok] {
             pool.serve(req);
         }
-        let mut state = pool.export_state();
-        state.quarantine = vec![("wedger".into(), 2), ("%weird name%".into(), 1)];
-        state
+        pool.export_state()
     }
 
     fn recompute_checksum(text: &str) -> String {
@@ -1244,7 +1261,6 @@ mod golden_bytes {
                     submitted: 41,
                     admitted: 37,
                     rejected_breaker: 1,
-                    rejected_quarantined: 0,
                     completed_ok: 30,
                     completed_err: 7,
                 },
@@ -1261,7 +1277,6 @@ mod golden_bytes {
                     ),
                     ("steady".into(), breaker(BreakerState::Closed, &[], 0, 0.0, [0, 0, 0, 0])),
                 ],
-                quarantine: vec![("%weird name%".into(), 2)],
                 cache_stats: CacheStats {
                     hits: 11,
                     rescaled_hits: 4,
@@ -1308,6 +1323,19 @@ mod golden_bytes {
          counters 41 37 0 0 1 0 0 30 7\n\
          breaker poison%20class open 1101 2 3fe8000000000000 3 9 0 0\n\
          breaker steady closed - 0 0000000000000000 0 0 0 0\n\
+         cache-stats 11 4 2 3 1\n\
+         cache-entry drift%2Fa%20b 8 9 10 3 19 0123456789abcdef 6 2 2\n\
+         checksum 0eabd35ed478b037\n\
+         ";
+
+    /// The same snapshot as an older daemon wrote it, with a `quarantine`
+    /// record of per-name strikes.
+    const QUARANTINE_BYTES: &str = "\
+         fp16mg-snapshot v2\n\
+         seq 41\n\
+         counters 41 37 0 0 1 0 0 30 7\n\
+         breaker poison%20class open 1101 2 3fe8000000000000 3 9 0 0\n\
+         breaker steady closed - 0 0000000000000000 0 0 0 0\n\
          quarantine %25weird%20name%25 2\n\
          cache-stats 11 4 2 3 1\n\
          cache-entry drift%2Fa%20b 8 9 10 3 19 0123456789abcdef 6 2 2\n\
@@ -1329,6 +1357,13 @@ mod golden_bytes {
     fn daemon_snapshot_encodes_to_the_committed_bytes() {
         assert_eq!(daemon().encode(), DAEMON_BYTES);
         assert_eq!(DaemonSnapshot::decode(DAEMON_BYTES).unwrap(), daemon());
+    }
+
+    #[test]
+    fn a_quarantine_record_is_read_and_dropped() {
+        let old = DaemonSnapshot::decode(QUARANTINE_BYTES).unwrap();
+        assert_eq!(old, daemon());
+        assert_eq!(old.encode(), DAEMON_BYTES);
     }
 
     #[test]
@@ -1356,7 +1391,7 @@ mod golden_bytes {
         let v1 = |bytes: &str, v2_sum: &str, v1_sum: &str| {
             bytes.replacen(" v2\n", " v1\n", 1).replacen(v2_sum, v1_sum, 1)
         };
-        let daemon_v1 = v1(DAEMON_BYTES, "c43775fdfd93f5f2", "914a1b4ca786e915");
+        let daemon_v1 = v1(DAEMON_BYTES, "0eabd35ed478b037", "b4fcd11802c46674");
         assert_eq!(
             DaemonSnapshot::decode(&daemon_v1),
             Err(SnapshotError::UnsupportedVersion { found: 1 })
@@ -1385,7 +1420,7 @@ mod golden_bytes {
         let short = reseal(&body.replacen("cache-stats 11 4 2 3 1", "cache-stats 11 4 2 3", 1));
         assert_eq!(
             message(DaemonSnapshot::decode(&short).unwrap_err()),
-            (7, "missing field: evictions".to_string())
+            (6, "missing field: evictions".to_string())
         );
         let bad = reseal(&body.replacen("seq 41", "seq forty-one", 1));
         assert_eq!(
@@ -1398,44 +1433,6 @@ mod golden_bytes {
             message(SimSnapshot::decode(&bits).unwrap_err()),
             (5, "bad resid bit pattern: \"0.35\"".to_string())
         );
-    }
-}
-
-mod daemon {
-    use super::*;
-    use crate::admission::AdmissionError;
-    use crate::pool::ServePool;
-    use crate::serve::pool_cfg;
-    use crate::supervise::Quarantine;
-
-    #[test]
-    fn quarantined_names_are_refused_at_the_gate() {
-        let mut q = Quarantine::default();
-        assert_eq!(q.strike("flaky"), 1);
-        assert!(!q.is_quarantined("flaky"));
-        assert_eq!(q.strike("flaky"), 2);
-        assert!(q.is_quarantined("flaky"));
-
-        // Restore merges by max: a replayed older snapshot cannot
-        // un-quarantine a name.
-        let mut merged = Quarantine::default();
-        merged.restore(&[("flaky".into(), 1)]);
-        merged.restore(&q.export());
-        merged.restore(&[("flaky".into(), 1)]);
-        assert_eq!(merged.strikes_of("flaky"), 2);
-
-        // The pool's admission gate refuses the name with a typed error.
-        let mut pool = ServePool::new(pool_cfg(None));
-        let mut state = pool.export_state();
-        state.quarantine = vec![("flaky".into(), 2)];
-        pool.restore_state(&state);
-        let out = pool.serve(SolveRequest::new("flaky", laplace(6), MgConfig::d16()));
-        assert!(
-            matches!(out.rejection(), Some(AdmissionError::Quarantined { strikes: 2, .. })),
-            "got {:?}",
-            out.result
-        );
-        assert_eq!(pool.counters().rejected_quarantined, 1);
     }
 }
 
@@ -2122,51 +2119,88 @@ mod wire_props {
 
 mod event_driven {
     //! The serving path waits on events, not timers: a request returns
-    //! when its session does (not when the watchdog's wait runs out), and
-    //! the watchdog still cancels a wedged request. (An idle daemon's
-    //! answer to a new connection is timed in `serve`.)
+    //! when its session does, and a wedged one is stopped by its own
+    //! budget, whose deadline the pool caps at `wedge_after`. (An idle
+    //! daemon's answer to a new connection is timed in `serve`.)
 
     use super::*;
+    use crate::breaker::BreakerExport;
     use crate::pool::{PoolConfig, ServeError, ServePool};
-    use crate::supervise::SuperviseConfig;
     use std::time::Instant;
 
-    fn supervised(wedge_after: Duration) -> ServePool {
-        ServePool::new(PoolConfig {
-            supervise: SuperviseConfig { wedge_after, ..SuperviseConfig::default() },
-            ..PoolConfig::default()
-        })
+    fn bounded(wedge_after: Duration) -> ServePool {
+        ServePool::new(PoolConfig { wedge_after, ..PoolConfig::default() })
+    }
+
+    /// Stationary Richardson at zero tolerance never converges, never
+    /// stagnates and has no breakdown division: only a deadline ends it.
+    fn endless(name: &str) -> SolveRequest {
+        let mut req = SolveRequest::new(name, laplace(6), MgConfig::d16());
+        req.class = "endless".into();
+        req.solver = SolverChoice::Richardson;
+        req.opts = SolveOptions { max_iters: usize::MAX / 2, ..endless_opts() };
+        req.policy = RetryPolicy::fail_fast();
+        req
+    }
+
+    fn breaker_of(pool: &ServePool, class: &str) -> Option<BreakerExport> {
+        pool.breakers().export().into_iter().find(|(c, _)| c == class).map(|(_, e)| e)
     }
 
     #[test]
     fn wave_returns_when_its_request_does_not_at_the_next_poll() {
-        let mut pool = supervised(Duration::from_secs(30));
+        let mut pool = bounded(Duration::from_secs(30));
         let t0 = Instant::now();
         let out = pool.serve(SolveRequest::new("quick", laplace(4), MgConfig::d16()));
         let took = t0.elapsed();
         assert!(out.converged(), "{:?}", out.result);
-        assert!(took < Duration::from_millis(100), "request held for {took:?} by its watchdog");
+        assert!(took < Duration::from_millis(100), "request held for {took:?} past its session");
     }
 
     #[test]
     fn endless_request_is_still_cancelled_as_wedged() {
-        let mut pool = supervised(Duration::from_millis(50));
-        let mut req = SolveRequest::new("wedge-me", laplace(6), MgConfig::d16());
-        req.solver = SolverChoice::Richardson;
-        req.opts = SolveOptions { max_iters: usize::MAX / 2, ..endless_opts() };
-        req.policy = RetryPolicy::fail_fast();
-        let out = pool.serve(req);
+        let mut pool = bounded(Duration::from_millis(50));
+        let out = pool.serve(endless("wedge-me"));
         assert!(
             matches!(&out.result, Err(ServeError::Session(SolveError::Cancelled { .. }))),
             "{:?}",
             out.result
         );
-        let wedged = pool
-            .worker_events()
-            .iter()
-            .filter(|e| matches!(e.kind, crate::supervise::WorkerEventKind::Wedged { .. }))
-            .count();
-        assert_eq!(wedged, 1);
+    }
+
+    #[test]
+    fn a_wedge_leaves_the_breaker_as_it_was_and_an_own_deadline_feeds_it() {
+        let mut pool = bounded(Duration::from_millis(50));
+        let mut failing = SolveRequest::new("fails", laplace(6), MgConfig::d16());
+        failing.class = "endless".into();
+        failing.opts = endless_opts();
+        failing.budget.max_iters = Some(2);
+        failing.policy = RetryPolicy::fail_fast();
+        assert!(!pool.serve(failing).converged());
+        let before = breaker_of(&pool, "endless").expect("the class has a breaker");
+        assert_eq!(before.window, [true]);
+
+        // Stopped by the pool's bound: cancelled, and the class's window
+        // and state do not move.
+        let out = pool.serve(endless("wedge-me"));
+        assert!(
+            matches!(&out.result, Err(ServeError::Session(SolveError::Cancelled { .. }))),
+            "{:?}",
+            out.result
+        );
+        assert_eq!(breaker_of(&pool, "endless"), Some(before));
+
+        // A shorter deadline of the request's own ends typed as its own
+        // and counts against the class.
+        let mut own = endless("own-deadline");
+        own.budget.deadline = Some(Duration::from_millis(20));
+        let out = pool.serve(own);
+        assert!(
+            matches!(&out.result, Err(ServeError::Session(SolveError::DeadlineExceeded { .. }))),
+            "{:?}",
+            out.result
+        );
+        assert_eq!(breaker_of(&pool, "endless").unwrap().window, [true, true]);
     }
 }
 

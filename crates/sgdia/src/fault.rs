@@ -9,8 +9,9 @@
 //! supported too, so retry-ladder tests can corrupt an FP32-rebuilt
 //! hierarchy and prove the FP64 last resort is reachable.
 //!
-//! Only compiled under the `fault-inject` feature: production builds carry
-//! no corruption code.
+//! Only compiled under the `fault-inject` feature, which `fp16mg-bench`
+//! turns on: every root-workspace build (the `repro` binary included)
+//! carries this module, a build of the library crates alone does not.
 
 use fp16mg_fp::{Bf16, Storage, F16};
 
