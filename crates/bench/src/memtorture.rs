@@ -20,9 +20,9 @@
 //! - **Phase B** — a bounded burst of failures (several consecutive
 //!   charges refused) at the start, middle, and end of the log; the
 //!   ladder's deeper rungs must absorb it.
-//! - **Phase C** — organic byte budgets: a generous budget that must
-//!   never refuse, and a tight budget (a fraction of the clean run's
-//!   peak, half of it the cache's, as the daemon splits it) that must
+//! - **Phase C** — organic byte budgets (half of each the cache's, as
+//!   every pool splits it): a generous budget that must never refuse,
+//!   and a tight budget (a fraction of the clean run's peak) that must
 //!   trigger cache eviction or uncached degrade while every outcome
 //!   stays typed, tracked usage never exceeds the budget, and at least
 //!   one request is still served.
@@ -39,9 +39,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use fp16mg_core::MgConfig;
 use fp16mg_krylov::{SolveError, SolveOptions};
 use fp16mg_problems::ProblemKind;
-use fp16mg_runtime::{
-    AllocFault, CacheConfig, PoolConfig, RequestOutcome, ServeError, ServePool, SolveRequest,
-};
+use fp16mg_runtime::{AllocFault, PoolConfig, RequestOutcome, ServeError, ServePool, SolveRequest};
 
 use crate::matrix::MatrixReport;
 
@@ -104,11 +102,6 @@ fn stream() -> Vec<SolveRequest> {
         mk(4, ProblemKind::Oil, 1.0, "oil"),          // second cache entry
         mk(5, ProblemKind::Laplace27, 96.0, "steady"), // hit on the rebuilt entry
     ]
-}
-
-/// The torture pool: cache on, byte budget set per phase.
-fn fault_pool_cfg(mem_budget: Option<u64>) -> PoolConfig {
-    PoolConfig { cache: CacheConfig::default(), mem_budget, ..PoolConfig::default() }
 }
 
 /// Serves the stream on `pool`, one request at a time.
@@ -186,7 +179,7 @@ pub fn run_matrix() -> MemTortureReport {
     };
 
     // --- Probe: the clean run's charge log is the case schedule.
-    let mut pool = ServePool::new(fault_pool_cfg(None));
+    let mut pool = ServePool::new(PoolConfig::default());
     pool.governor().record_ops();
     let outcomes = serve_stream(&mut pool);
     if let Some(o) = outcomes.iter().find(|o| o.result.is_err()) {
@@ -222,7 +215,7 @@ pub fn run_matrix() -> MemTortureReport {
     // serves the stream, every injected failure must resolve through a
     // degrade rung, and the fault's class must have fired.
     let mut injected = |label: String, i: u64, fault: AllocFault, class: &str| {
-        let mut pool = ServePool::new(fault_pool_cfg(None));
+        let mut pool = ServePool::new(PoolConfig::default());
         pool.governor().schedule(i, fault);
         let outcomes = serve_stream(&mut pool);
         let mut v = Vec::new();
@@ -252,10 +245,14 @@ pub fn run_matrix() -> MemTortureReport {
         report.matrix.case(fired, v);
     }
 
-    // --- Phase C1: a budget at the clean-run peak must never refuse.
+    // --- Phase C1: a budget at the clean-run peak must never refuse (the
+    // cache's half of it evicts instead).
     {
         let label = "C:budget=peak";
-        let mut pool = ServePool::new(fault_pool_cfg(Some(report.probe_peak)));
+        let mut pool = ServePool::new(PoolConfig {
+            mem_budget: Some(report.probe_peak),
+            ..PoolConfig::default()
+        });
         let outcomes = serve_stream(&mut pool);
         let mut v = Vec::new();
         let fired = check_case(label, pool, &outcomes, true, &mut v, &mut report.uncached);
@@ -268,16 +265,14 @@ pub fn run_matrix() -> MemTortureReport {
         report.matrix.case(fired, v);
     }
 
-    // --- Phase C2: a tight budget (60% of peak, half of it the cache's,
-    // as the daemon splits it) must degrade — evict cache entries or
-    // serve uncached — while staying within budget and keeping at least
-    // part of the stream served.
+    // --- Phase C2: a tight budget (60% of peak) must degrade — evict
+    // cache entries or serve uncached — while staying within budget and
+    // keeping at least part of the stream served.
     {
         let label = "C:budget=tight";
         let budget = (report.probe_peak * 3) / 5;
-        let mut pool_cfg = fault_pool_cfg(Some(budget));
-        pool_cfg.cache.byte_budget = Some(budget / 2);
-        let mut pool = ServePool::new(pool_cfg);
+        let mut pool =
+            ServePool::new(PoolConfig { mem_budget: Some(budget), ..PoolConfig::default() });
         let outcomes = serve_stream(&mut pool);
         let mut v = Vec::new();
         let governor = pool.governor().clone();

@@ -15,8 +15,8 @@ use fp16mg_core::{IntegrityPolicy, MgConfig, RecoveryPolicy};
 use fp16mg_krylov::{HealthPolicy, SolveOptions};
 use fp16mg_problems::ProblemKind;
 use fp16mg_runtime::{
-    BreakerConfig, Budget, FaultPlan, LevelBitFlip, PoolConfig, RequestOutcome, RetryPolicy, Rung,
-    ServePool, SolveRequest, SolverChoice,
+    Budget, FaultPlan, LevelBitFlip, PoolConfig, RequestOutcome, RetryPolicy, Rung, ServePool,
+    SolveRequest, SolverChoice,
 };
 use fp16mg_sgdia::fault::FaultSpec;
 
@@ -47,11 +47,11 @@ const CHAOS_SCENARIOS: [&str; 8] = [
     "flip→repair",
     "clean",
     "flip→repair",
-    "flip→anomaly",
+    "flip→repair",
     "panic",
     "flip→repair",
     "fault→promote",
-    "flip→anomaly",
+    "flip→repair",
 ];
 
 /// Off-diagonal taps of the 27-point pattern whose level-1 couplings are
@@ -88,7 +88,7 @@ fn build_requests(n: usize, chaos: bool) -> Vec<SolveRequest> {
                     });
                     req
                 }
-                "flip→repair" | "flip→anomaly" => {
+                "flip→repair" => {
                     // A single-event upset in a mid-hierarchy FP16 plane.
                     // Self-healing promotion off, full ABFT on: the
                     // sentinels must detect, localize, and repair. The
@@ -99,7 +99,6 @@ fn build_requests(n: usize, chaos: bool) -> Vec<SolveRequest> {
                     let mut base = MgConfig::d16();
                     base.recovery = RecoveryPolicy::disabled();
                     base.integrity = IntegrityPolicy::armed();
-                    base.integrity.verify_on_anomaly = scenario == "flip→anomaly";
                     let mut req = SolveRequest::new(name, ProblemKind::Laplace27.build(12), base);
                     req.solver = SolverChoice::Richardson;
                     req.opts.tol = 1e-6;
@@ -120,6 +119,7 @@ fn build_requests(n: usize, chaos: bool) -> Vec<SolveRequest> {
                 "panic" => {
                     let mut req =
                         SolveRequest::new(name, ProblemKind::Laplace27.build(n), MgConfig::d16());
+                    req.class = req.name.clone();
                     req.panic_in_worker = true;
                     req
                 }
@@ -134,6 +134,7 @@ fn build_requests(n: usize, chaos: bool) -> Vec<SolveRequest> {
                         record_history: false,
                         ..Default::default()
                     };
+                    req.class = req.name.clone();
                     req.budget = Budget::with_deadline(DEADLINE);
                     req
                 }
@@ -147,6 +148,7 @@ fn build_requests(n: usize, chaos: bool) -> Vec<SolveRequest> {
                         record_history: false,
                         ..Default::default()
                     };
+                    req.class = req.name.clone();
                     req.budget.max_iters = Some(50);
                     req
                 }
@@ -164,10 +166,10 @@ fn build_requests(n: usize, chaos: bool) -> Vec<SolveRequest> {
 /// `size` (the flip scenarios pin theirs to 12), and seeded bit flips in
 /// mid-hierarchy FP16 planes when `chaos` is set, so the integrity
 /// sentinels and the `repair-level` rung must keep the pool healthy.
-/// The breaker is off: every scenario runs its session. Returns one
-/// outcome per request.
+/// Each failing request (panic, deadline, no-converge) is its own
+/// problem class, so no breaker trips and every scenario runs its
+/// session. Returns one outcome per request.
 pub fn serve(size: usize, chaos: bool) -> Vec<RequestOutcome> {
-    let mut pool =
-        ServePool::new(PoolConfig { breaker: BreakerConfig::disabled(), ..PoolConfig::default() });
+    let mut pool = ServePool::new(PoolConfig::default());
     build_requests(size, chaos).into_iter().map(|req| pool.serve(req)).collect()
 }

@@ -105,8 +105,7 @@ fn a_cached_chain_stays_within_its_ceiling_and_a_one_chain_budget_evicts() {
 
         // A cache budgeted for exactly one chain must evict when a second
         // class arrives, not refuse it.
-        let mut capped =
-            HierarchyCache::new(CacheConfig { byte_budget: Some(chain), ..CacheConfig::default() });
+        let mut capped = HierarchyCache::new(CacheConfig { byte_budget: Some(chain) });
         capped.acquire("gate-a", &problem.matrix, &config).expect("first class");
         capped.acquire("gate-b", &problem.matrix, &config).expect("second class");
         assert!(capped.mem_evictions() >= 1, "{name}: a one-chain byte budget never evicted");

@@ -1,8 +1,8 @@
 //! Fault-injection tests for the self-healing layer: a corrupted FP16
 //! level must be detected within one V-cycle application, promoted to
 //! FP32, and the outer solve must still converge to the clean run's
-//! tolerance. The bench crate hosts these because it is the one crate
-//! that enables the `fault-inject` feature.
+//! tolerance. The bench crate hosts these because it holds the guard
+//! harness (`solve_guarded`).
 
 use fp16mg_bench::{finest_narrow_level, solve_guarded, Combo};
 use fp16mg_core::{Mg, PromotionReason};

@@ -11,10 +11,7 @@ use fp16mg_bench::serve;
 use fp16mg_core::MgConfig;
 use fp16mg_krylov::{HealthPolicy, SolveError, SolveOptions};
 use fp16mg_problems::ProblemKind;
-use fp16mg_runtime::serve::pool_cfg;
-use fp16mg_runtime::{
-    BreakerConfig, RetryPolicy, ServeError, ServePool, SolveRequest, SolverChoice,
-};
+use fp16mg_runtime::{PoolConfig, RetryPolicy, ServeError, ServePool, SolveRequest, SolverChoice};
 
 #[test]
 fn mixed_batch_completes_with_typed_outcomes() {
@@ -112,13 +109,11 @@ fn chaos_batch_repairs_bit_flips_without_process_failures() {
 
 #[test]
 fn the_daemons_pool_cancels_a_wedged_request_and_contains_every_panic() {
-    // The daemon's pool shape with its breaker off: a wedge failure plus
-    // panics would trip the tight daemon breaker and refuse the later
-    // rounds before their sessions.
-    let mut cfg = pool_cfg(None);
-    cfg.breaker = BreakerConfig::disabled();
-    cfg.wedge_after = Duration::from_millis(100);
-    let mut pool = ServePool::new(cfg);
+    // The daemon's pool shape with a short wedge bound.
+    let mut pool = ServePool::new(PoolConfig {
+        wedge_after: Duration::from_millis(100),
+        ..PoolConfig::default()
+    });
     let laplace = || ProblemKind::Laplace27.build(8);
 
     // Stationary Richardson at zero tolerance with health checks off never
@@ -143,8 +138,12 @@ fn the_daemons_pool_cancels_a_wedged_request_and_contains_every_panic() {
     );
 
     // The same name panicking round after round is contained every time.
+    // Each round is its own problem class: two contained panics in one
+    // class would open its breaker and refuse the third round before its
+    // session.
     for round in 0..3 {
         let mut req = SolveRequest::new("panic-me", laplace(), MgConfig::d16());
+        req.class = format!("panic-{round}");
         req.panic_in_worker = true;
         let out = pool.serve(req);
         assert!(

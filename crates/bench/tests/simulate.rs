@@ -2,7 +2,7 @@
 //! commits, the chaos schedule exercises every reuse decision and
 //! recovery rung, an interrupted run resumes to a bit-identical trail,
 //! and a snapshot from a different run configuration is refused. The
-//! bench crate hosts these because the chaos paths need `fault-inject`.
+//! bench crate hosts these because it holds the simulation driver.
 
 use std::fs;
 use std::io::Write;

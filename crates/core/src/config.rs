@@ -130,15 +130,12 @@ impl RecoveryPolicy {
 /// Integrity-sentinel (ABFT) policy. Every level is sentineled at setup
 /// (per-level checksums and sum invariants over the stored coefficient
 /// planes, 24 bytes of metadata per plane); they are verified on demand
-/// and on solver anomalies, and a corrupted level is repaired in place
-/// from its retained high-precision parent — at most `MAX_REPAIRS` (8)
-/// times per hierarchy.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// and whenever the Krylov solver reports a health anomaly (breakdown or
+/// precision-attributable stagnation) through the preconditioner hook,
+/// and a corrupted level is repaired in place from its retained
+/// high-precision parent — at most `MAX_REPAIRS` (8) times per hierarchy.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct IntegrityPolicy {
-    /// Run a verify-and-repair sweep when the Krylov solver reports a
-    /// health anomaly (breakdown or precision-attributable stagnation)
-    /// through the preconditioner hook.
-    pub verify_on_anomaly: bool,
     /// Retain each narrow (16-bit) level's high-precision scaled parent
     /// operator so a corrupted plane can be *repaired* — re-truncated
     /// bit-identically — instead of promoted or rebuilt. Costs the f64
@@ -146,17 +143,10 @@ pub struct IntegrityPolicy {
     pub retain_parents: bool,
 }
 
-impl Default for IntegrityPolicy {
-    fn default() -> Self {
-        IntegrityPolicy { verify_on_anomaly: true, retain_parents: false }
-    }
-}
-
 impl IntegrityPolicy {
-    /// Full ABFT: anomaly-triggered verification and parent retention for
-    /// localized repair.
+    /// Full ABFT: parent retention for localized repair.
     pub fn armed() -> Self {
-        IntegrityPolicy { verify_on_anomaly: true, retain_parents: true }
+        IntegrityPolicy { retain_parents: true }
     }
 }
 

@@ -730,7 +730,6 @@ impl<Pr: Scalar> Mg<Pr> {
 
     /// Mutable access to a level's stored matrix, for fault-injection
     /// harnesses only.
-    #[cfg(feature = "fault-inject")]
     pub fn stored_mut(&mut self, level: usize) -> Option<&mut StoredMatrix> {
         self.levels.get_mut(level).map(|l| &mut l.stored)
     }
@@ -1339,9 +1338,6 @@ impl<K: Scalar, Pr: Scalar> Preconditioner<K> for Mg<Pr> {
     /// has a retained parent, so the runtime's cheap retry/repair rungs
     /// can succeed instead of escalating to a full rebuild.
     fn on_health_anomaly(&mut self) -> usize {
-        if !self.config.integrity.verify_on_anomaly {
-            return 0;
-        }
         self.verify_and_repair(RepairTrigger::Anomaly).len()
     }
 }

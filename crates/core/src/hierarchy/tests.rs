@@ -189,7 +189,6 @@ fn every_smoother_takes_the_same_first_step_from_zero() {
 /// An ±∞ in a plane only the backward sweep and `−U u` read, and one in a
 /// plane only the forward sweep from zero reads, each still poison the
 /// cycle's output, and recovery still answers with a promotion.
-#[cfg(feature = "fault-inject")]
 #[test]
 fn an_infinity_in_either_half_of_the_matrix_still_ends_in_a_promotion() {
     use crate::{PromotionReason, RecoveryPolicy};
@@ -525,7 +524,6 @@ fn a_level_0_promoted_from_the_lent_operator_is_the_one_its_fp32_copy_made() {
 /// A flipped bit in a *scaled* level: its retained parent is the scaled
 /// FP64 operator, materialised for that purpose only, and re-truncating it
 /// must give back the planes the fused scaled store wrote at set-up.
-#[cfg(feature = "fault-inject")]
 #[test]
 fn a_scaled_level_is_repaired_bit_identically_from_its_retained_parent() {
     use crate::{IntegrityPolicy, RepairTrigger};

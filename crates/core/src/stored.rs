@@ -152,7 +152,6 @@ impl StoredMatrix {
     /// in whatever format the matrix is stored — the 16-bit formats the
     /// recovery path insures, and the wide rebuilds the retry ladder must
     /// be able to corrupt in tests.
-    #[cfg(feature = "fault-inject")]
     pub fn inject_faults(
         &mut self,
         spec: &fp16mg_sgdia::fault::FaultSpec,
@@ -162,7 +161,6 @@ impl StoredMatrix {
 
     /// Forces the stored value at `(cell, tap)` to ±∞ (sign preserved).
     /// Returns whether a value was actually corrupted.
-    #[cfg(feature = "fault-inject")]
     pub fn inject_inf_at(&mut self, cell: usize, tap: usize) -> bool {
         dispatch!(self, a => fp16mg_sgdia::fault::inject_inf_at(a, cell, tap))
     }
@@ -170,7 +168,6 @@ impl StoredMatrix {
     /// Flips one bit of the stored value at `(cell, tap)` (`bit` modulo
     /// the storage width) — the single-event upset the integrity
     /// sentinels detect.
-    #[cfg(feature = "fault-inject")]
     pub fn inject_bit_flip_at(&mut self, cell: usize, tap: usize, bit: u32) -> bool {
         dispatch!(self, a => fp16mg_sgdia::fault::inject_bit_flip_at(a, cell, tap, bit))
     }
@@ -178,7 +175,6 @@ impl StoredMatrix {
     /// Flips one bit of the first nonzero entry of coefficient plane
     /// `tap`, guaranteeing the upset lands on a real coupling. Returns
     /// the corrupted cell.
-    #[cfg(feature = "fault-inject")]
     pub fn inject_bit_flip_tap(&mut self, tap: usize, bit: u32) -> Option<usize> {
         dispatch!(self, a => fp16mg_sgdia::fault::inject_bit_flip_tap(a, tap, bit))
     }

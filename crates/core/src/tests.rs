@@ -854,7 +854,6 @@ mod recovery {
         assert!(mg.promotions().is_empty());
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn a_corrupt_level_without_material_promotes_nothing_in_its_place() {
         // A bare hierarchy with a non-finite level 0 and neither a lent
@@ -1072,7 +1071,6 @@ mod audit_and_autoshift {
     }
 }
 
-#[cfg(feature = "fault-inject")]
 mod integrity {
     use super::*;
     use crate::{IntegrityPolicy, RepairTrigger};

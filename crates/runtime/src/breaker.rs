@@ -67,41 +67,19 @@ pub const COOLDOWN_JITTER: usize = 2;
 /// Seed of the cooldown-jitter stream; a registry folds each class name
 /// into it.
 const SEED: u64 = 0xb4ea_4e4b_5eed_0001;
+/// Sliding-window length (terminal outcomes remembered per class).
+const WINDOW: usize = 4;
+/// Minimum outcomes in the window before the failure rate is trusted
+/// enough to trip: two, so a poisoned class trips inside a short run.
+const MIN_SAMPLES: usize = 2;
+/// Admission attempts observed while [`BreakerState::Open`] before the
+/// breaker goes half-open (plus the trip's jitter). Counted, not timed:
+/// determinism.
+const COOLDOWN: usize = 3;
 /// Capacity of a registry's transition log ring — the bound that keeps a
 /// long-running daemon's breaker evidence from growing without limit.
 /// Oldest transitions are evicted first.
 const TRANSITION_LOG_CAP: usize = 256;
-
-/// Breaker tuning. One config is shared by every class in a
-/// [`BreakerRegistry`]; each class derives its own jitter stream from
-/// the breaker seed and its name.
-#[derive(Clone, Debug)]
-pub struct BreakerConfig {
-    /// Master switch. When off, every admission attempt passes and no
-    /// outcome is recorded.
-    pub enabled: bool,
-    /// Sliding-window length (terminal outcomes remembered per class).
-    pub window: usize,
-    /// Minimum outcomes in the window before the failure rate is trusted
-    /// enough to trip.
-    pub min_samples: usize,
-    /// Admission attempts observed while [`BreakerState::Open`] before
-    /// the breaker goes half-open. Counted, not timed: determinism.
-    pub cooldown: usize,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig { enabled: true, window: 8, min_samples: 4, cooldown: 4 }
-    }
-}
-
-impl BreakerConfig {
-    /// Breakers off entirely.
-    pub fn disabled() -> Self {
-        BreakerConfig { enabled: false, ..Self::default() }
-    }
-}
 
 /// What the breaker says about one admission attempt.
 #[derive(Clone, Debug, PartialEq)]
@@ -126,7 +104,6 @@ pub enum BreakerDecision {
 /// One class's breaker.
 #[derive(Clone, Debug)]
 pub struct CircuitBreaker {
-    cfg: BreakerConfig,
     /// Seed of this breaker's cooldown-jitter stream.
     seed: u64,
     state: BreakerState,
@@ -146,15 +123,16 @@ pub struct CircuitBreaker {
     probe_successes_seen: usize,
 }
 
-impl CircuitBreaker {
+impl Default for CircuitBreaker {
     /// A fresh, closed breaker.
-    pub fn new(cfg: BreakerConfig) -> Self {
-        Self::seeded(cfg, SEED)
+    fn default() -> Self {
+        Self::seeded(SEED)
     }
+}
 
-    fn seeded(cfg: BreakerConfig, seed: u64) -> Self {
+impl CircuitBreaker {
+    fn seeded(seed: u64) -> Self {
         CircuitBreaker {
-            cfg,
             seed,
             state: BreakerState::Closed,
             window: VecDeque::new(),
@@ -190,9 +168,6 @@ impl CircuitBreaker {
     /// itself advances the cooldown; the attempt that completes the
     /// cooldown flips the breaker half-open and is admitted as the probe.
     pub fn on_admission_attempt(&mut self) -> BreakerDecision {
-        if !self.cfg.enabled {
-            return BreakerDecision::Admit { probe: false };
-        }
         match self.state {
             BreakerState::Closed => BreakerDecision::Admit { probe: false },
             BreakerState::Open => {
@@ -226,9 +201,6 @@ impl CircuitBreaker {
     /// Records one completed session of this class. `probe` must echo the
     /// [`BreakerDecision::Admit`] flag the session was admitted with.
     pub fn record(&mut self, success: bool, probe: bool) {
-        if !self.cfg.enabled {
-            return;
-        }
         if probe {
             self.probes_outstanding = self.probes_outstanding.saturating_sub(1);
             if !success {
@@ -248,12 +220,10 @@ impl CircuitBreaker {
             return;
         }
         self.window.push_back(!success);
-        while self.window.len() > self.cfg.window.max(1) {
+        while self.window.len() > WINDOW {
             self.window.pop_front();
         }
-        if self.window.len() >= self.cfg.min_samples.max(1)
-            && self.failure_rate() >= FAILURE_THRESHOLD
-        {
+        if self.window.len() >= MIN_SAMPLES && self.failure_rate() >= FAILURE_THRESHOLD {
             self.trip();
         }
     }
@@ -267,7 +237,7 @@ impl CircuitBreaker {
         self.probe_successes_seen = 0;
         let jitter = (jitter::splitmix64(self.seed.wrapping_add(self.trips as u64))
             % (COOLDOWN_JITTER as u64 + 1)) as usize;
-        self.cooldown_target = self.cfg.cooldown.max(1) + jitter;
+        self.cooldown_target = COOLDOWN + jitter;
     }
 
     fn close(&mut self) {
@@ -299,8 +269,8 @@ impl core::fmt::Display for BreakerTransition {
 /// The full private state of one breaker, exported for checkpointing. A
 /// breaker rebuilt from its export makes bit-identical decisions on the
 /// same admission/record stream — the per-class jitter seed re-derives
-/// from the shared config and the class name, so only observed state
-/// travels, never derived constants.
+/// from the class name, so only observed state travels, never derived
+/// constants.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BreakerExport {
     /// Current state.
@@ -336,11 +306,9 @@ impl CircuitBreaker {
         }
     }
 
-    /// Rebuilds a breaker from an export, its config and its (per-class)
-    /// jitter seed.
-    fn from_export(cfg: BreakerConfig, seed: u64, e: &BreakerExport) -> Self {
+    /// Rebuilds a breaker from an export and its (per-class) jitter seed.
+    fn from_export(seed: u64, e: &BreakerExport) -> Self {
         CircuitBreaker {
-            cfg,
             seed,
             state: e.state,
             window: e.window.iter().copied().collect(),
@@ -354,36 +322,33 @@ impl CircuitBreaker {
     }
 }
 
-/// All breakers of a pool, keyed by problem class, sharing one config.
-/// Created lazily per class; every state change lands in the
-/// ring-bounded transition log in observation order (capacity 256).
-#[derive(Clone, Debug, Default)]
+/// All breakers of a pool, keyed by problem class. Created lazily per
+/// class; every state change lands in the ring-bounded transition log in
+/// observation order (capacity 256).
+#[derive(Clone, Debug)]
 pub struct BreakerRegistry {
-    cfg: Option<BreakerConfig>,
     map: BTreeMap<String, CircuitBreaker>,
     transitions: Ring<BreakerTransition>,
 }
 
+/// One class's jitter seed: the class name FNV-folded into the breaker
+/// seed (so co-tripped classes de-synchronize their probes), a pure
+/// function reconstructible after a restart.
+fn class_seed(class: &str) -> u64 {
+    jitter::fold_seed(SEED, class)
+}
+
+impl Default for BreakerRegistry {
+    /// An empty registry.
+    fn default() -> Self {
+        BreakerRegistry { map: BTreeMap::new(), transitions: Ring::new(TRANSITION_LOG_CAP) }
+    }
+}
+
 impl BreakerRegistry {
-    /// A registry handing each new class a breaker with this config (the
-    /// class name is folded into the jitter seed so co-tripped classes
-    /// de-synchronize their probes).
-    pub fn new(cfg: BreakerConfig) -> Self {
-        let transitions = Ring::new(TRANSITION_LOG_CAP);
-        BreakerRegistry { cfg: Some(cfg), map: BTreeMap::new(), transitions }
-    }
-
-    /// The shared config and one class's jitter seed: the class name
-    /// FNV-folded into the breaker seed, a pure function reconstructible
-    /// after a restart.
-    fn class_cfg(&self, class: &str) -> (BreakerConfig, u64) {
-        (self.cfg.clone().unwrap_or_default(), jitter::fold_seed(SEED, class))
-    }
-
     fn breaker_mut(&mut self, class: &str) -> &mut CircuitBreaker {
         if !self.map.contains_key(class) {
-            let (cfg, seed) = self.class_cfg(class);
-            self.map.insert(class.to_string(), CircuitBreaker::seeded(cfg, seed));
+            self.map.insert(class.to_string(), CircuitBreaker::seeded(class_seed(class)));
         }
         self.map.get_mut(class).expect("breaker was just inserted")
     }
@@ -435,12 +400,11 @@ impl BreakerRegistry {
 
     /// Restores breakers from a checkpoint export. Existing breakers of
     /// the same classes are replaced; the per-class jitter seeds are
-    /// re-derived from the registry config, so a restored registry takes
+    /// re-derived from the class names, so a restored registry takes
     /// bit-identical decisions on a replayed stream.
     pub fn restore(&mut self, entries: &[(String, BreakerExport)]) {
         for (class, e) in entries {
-            let (cfg, seed) = self.class_cfg(class);
-            self.map.insert(class.clone(), CircuitBreaker::from_export(cfg, seed, e));
+            self.map.insert(class.clone(), CircuitBreaker::from_export(class_seed(class), e));
         }
     }
 }

@@ -30,11 +30,8 @@ use crate::mem::{MemCharge, MemGovernor};
 use crate::ring::Ring;
 
 /// Cache tuning.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CacheConfig {
-    /// Master switch; a disabled cache makes every acquire a plain
-    /// build with no retention.
-    pub enabled: bool,
     /// Byte budget for retained chains (`None` = unbounded). Before an
     /// insert, least-recently-used entries are evicted until the new
     /// chain fits; an insert whose charge still fails is served
@@ -47,19 +44,6 @@ pub const CAPACITY: usize = 8;
 
 /// Ring capacity of the typed event trail.
 pub const EVENT_LOG_CAP: usize = 256;
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig { enabled: true, byte_budget: None }
-    }
-}
-
-impl CacheConfig {
-    /// Caching off entirely.
-    pub fn disabled() -> Self {
-        CacheConfig { enabled: false, ..Self::default() }
-    }
-}
 
 /// What the cache decided for one acquire (or eviction).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -306,7 +290,7 @@ impl HierarchyCache {
         config: &MgConfig,
     ) -> Result<(Mg<f32>, CacheEventKind), SetupError> {
         self.tick += 1;
-        if !self.cfg.enabled || config.scale == ScaleStrategy::ScaleThenSetup {
+        if config.scale == ScaleStrategy::ScaleThenSetup {
             let mg = Mg::<f32>::setup(matrix, config)?;
             self.record(CacheEventKind::Rebuilt, class, None);
             return Ok((mg, CacheEventKind::Rebuilt));

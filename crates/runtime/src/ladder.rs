@@ -45,7 +45,6 @@ use crate::budget::{Budget, BudgetGuard};
 use crate::mem::{MemCharge, MemGovernor};
 use crate::ring::Ring;
 
-#[cfg(feature = "fault-inject")]
 use fp16mg_sgdia::fault::FaultSpec;
 
 /// One rung of the escalation ladder, in climb order.
@@ -147,10 +146,9 @@ pub enum SolverChoice {
 }
 
 /// A targeted single-event upset: one bit of one stored coefficient
-/// plane of one hierarchy level (feature `fault-inject`). The flip lands
-/// on the first nonzero entry of the plane, so it always corrupts a real
-/// coupling the integrity sentinels must localize.
-#[cfg(feature = "fault-inject")]
+/// plane of one hierarchy level. The flip lands on the first nonzero
+/// entry of the plane, so it always corrupts a real coupling the
+/// integrity sentinels must localize.
 #[derive(Clone, Copy, Debug)]
 pub struct LevelBitFlip {
     /// Hierarchy level whose stored matrix is hit.
@@ -162,9 +160,8 @@ pub struct LevelBitFlip {
 }
 
 /// Deterministic fault injection applied to hierarchies built during a
-/// session (feature `fault-inject`): the harness behind the ladder tests
-/// and the serve-pool scenarios of `fp16mg-bench`.
-#[cfg(feature = "fault-inject")]
+/// session: the harness behind the ladder tests and the serve-pool
+/// scenarios of `fp16mg-bench`.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultPlan {
     /// What to inject (rate-based corruption).
@@ -223,12 +220,10 @@ pub struct SolveRequest {
     /// typed [`SolveError::SetupFailed`] that escalates the ladder like
     /// any other setup failure — never an abort.
     pub governor: MemGovernor,
-    /// Fault injection plan (`fault-inject` builds only).
-    #[cfg(feature = "fault-inject")]
+    /// Fault injection plan (`None` outside tests and harnesses).
     pub fault: Option<FaultPlan>,
     /// Panic before doing any work, to exercise the pool's panic
-    /// isolation (`fault-inject` builds only).
-    #[cfg(feature = "fault-inject")]
+    /// isolation.
     pub panic_in_worker: bool,
 }
 
@@ -250,9 +245,7 @@ impl SolveRequest {
             priority: Priority::default(),
             class,
             governor: MemGovernor::unlimited(),
-            #[cfg(feature = "fault-inject")]
             fault: None,
-            #[cfg(feature = "fault-inject")]
             panic_in_worker: false,
         }
     }
@@ -371,7 +364,6 @@ struct Retained {
     charges: Option<HierarchyCharges>,
     /// True once the fault plan has been applied to `mg`: each build is
     /// corrupted exactly once (re-flipping the same bit would undo it).
-    #[cfg(feature = "fault-inject")]
     injected: bool,
 }
 
@@ -428,9 +420,8 @@ pub fn run_session(req: &SolveRequest) -> SessionOutcome {
 /// cached hierarchy whose audit shows inherent format loss escalates
 /// exactly like a freshly built one.
 pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> SessionOutcome {
-    #[cfg(feature = "fault-inject")]
     if req.panic_in_worker {
-        panic!("injected worker panic (fault-inject): request '{}'", req.name);
+        panic!("injected worker panic: request '{}'", req.name);
     }
 
     let t0 = Instant::now();
@@ -438,12 +429,7 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
     let mut report = RetryReport::default();
     let mut last_err: Option<SolveError> = None;
     let mut last_rel = f64::NAN;
-    let mut retained = Retained {
-        mg: prebuilt,
-        charges: None,
-        #[cfg(feature = "fault-inject")]
-        injected: false,
-    };
+    let mut retained = Retained { mg: prebuilt, charges: None, injected: false };
 
     // --- Pre-solve audit gate: don't burn retries on a hierarchy whose
     // own setup audit already shows a doomed 16-bit level. The gate's
@@ -622,10 +608,7 @@ fn run_rung_attempt(
             if retained.mg.is_none() {
                 retained.mg =
                     Some(Mg::<f32>::setup(&req.problem.matrix, &req.base).map_err(setup_err)?);
-                #[cfg(feature = "fault-inject")]
-                {
-                    retained.injected = false;
-                }
+                retained.injected = false;
             }
             // Invariant: a retained hierarchy is always charged. A
             // prebuilt (cached) or gate-built hierarchy is charged here
@@ -643,7 +626,6 @@ fn run_rung_attempt(
                 }
             }
             let mg = retained.mg.as_mut().expect("retained hierarchy was just ensured");
-            #[cfg(feature = "fault-inject")]
             if !retained.injected {
                 retained.injected = true;
                 inject_if_armed(req, rung, mg);
@@ -693,7 +675,6 @@ fn run_rung_attempt(
                 insured.promote_level(lev, PromotionReason::Manual);
             }
             let _charges = charge_hierarchy(req, &mg)?;
-            #[cfg(feature = "fault-inject")]
             inject_if_armed(req, rung, &mut mg);
             Ok(Some(attempt_with(req, &mut mg, opts, guard, (0, 0))))
         }
@@ -704,7 +685,6 @@ fn run_rung_attempt(
             cfg.storage = StoragePolicy::Uniform(Precision::F32);
             let mut mg = Mg::<f32>::setup(&req.problem.matrix, &cfg).map_err(setup_err)?;
             let _charges = charge_hierarchy(req, &mg)?;
-            #[cfg(feature = "fault-inject")]
             inject_if_armed(req, rung, &mut mg);
             Ok(Some(attempt_with(req, &mut mg, opts, guard, (0, 0))))
         }
@@ -715,7 +695,6 @@ fn run_rung_attempt(
             cfg.storage = StoragePolicy::Uniform(Precision::F64);
             let mut mg = Mg::<f64>::setup(&req.problem.matrix, &cfg).map_err(setup_err)?;
             let _charges = charge_hierarchy(req, &mg)?;
-            #[cfg(feature = "fault-inject")]
             inject_if_armed(req, rung, &mut mg);
             Ok(Some(attempt_with(req, &mut mg, opts, guard, (0, 0))))
         }
@@ -756,7 +735,6 @@ fn attempt_with<Pr: Scalar>(
 
 /// Applies the request's fault plan to a freshly built hierarchy when
 /// the plan is armed for this rung (`rung < sticky_until`).
-#[cfg(feature = "fault-inject")]
 fn inject_if_armed<Pr: Scalar>(req: &SolveRequest, rung: Rung, mg: &mut Mg<Pr>) {
     if let Some(plan) = &req.fault {
         if rung.index() < plan.sticky_until.index() {
@@ -769,7 +747,6 @@ fn inject_if_armed<Pr: Scalar>(req: &SolveRequest, rung: Rung, mg: &mut Mg<Pr>) 
 /// already wide) per the plan's rate spec, then applies the targeted
 /// bit flip if one is planned. Guarantees at least one non-finite entry
 /// for `inf`-flavored specs, so tiny test matrices still trip detection.
-#[cfg(feature = "fault-inject")]
 fn inject<Pr: Scalar>(mg: &mut Mg<Pr>, plan: &FaultPlan) {
     let lev = mg
         .info()

@@ -18,8 +18,11 @@
 //!   caps ([`RetryPolicy`]), recording every
 //!   attempt (and every localized repair) in a [`RetryReport`].
 //! - [`ServePool`] serves one session at a time behind a per-problem-class
-//!   circuit [`breaker`], with the drift-audited [`HierarchyCache`]
-//!   under a byte budget — every refusal a typed [`AdmissionError`]. A
+//!   circuit [`breaker`] (always on, fixed tuning), with the drift-audited
+//!   [`HierarchyCache`] (always on, half of [`PoolConfig::mem_budget`] for
+//!   its chains) — every refusal a typed [`AdmissionError`]. The pool has
+//!   one shape, the daemon's: a [`PoolConfig`] sets only the byte budget
+//!   and the wedge bound. A
 //!   panicking session becomes a typed `SolveError::WorkerPanicked`
 //!   outcome and the next request is served as usual; a wedged one is
 //!   stopped by its own budget, whose deadline the pool caps at
@@ -30,10 +33,9 @@
 //!   restore and its restart reconciliation, on top of [`net`],
 //!   [`storage`] and [`trail`].
 //!
-//! Under the `fault-inject` feature, requests can carry a [`FaultPlan`]
-//! that keeps corrupting rebuilt hierarchies until a chosen rung, which
-//! is how the tests prove each rung is reachable and actually fixes the
-//! fault class beneath it.
+//! A request can carry a [`FaultPlan`] that keeps corrupting rebuilt
+//! hierarchies until a chosen rung, which is how the tests prove each
+//! rung is reachable and actually fixes the fault class beneath it.
 
 #![warn(missing_docs)]
 
@@ -55,8 +57,8 @@ pub mod trail;
 
 pub use admission::{AdmissionError, Priority};
 pub use breaker::{
-    BreakerConfig, BreakerDecision, BreakerExport, BreakerRegistry, BreakerState,
-    BreakerTransition, CircuitBreaker,
+    BreakerDecision, BreakerExport, BreakerRegistry, BreakerState, BreakerTransition,
+    CircuitBreaker,
 };
 pub use budget::{Budget, BudgetGuard, CancelToken};
 pub use cache::{
@@ -64,11 +66,9 @@ pub use cache::{
 };
 pub use fault::FaultSchedule;
 pub use ladder::{
-    run_session, run_session_with, Attempt, AuditSnapshot, RetryPolicy, RetryReport, Rung,
-    SessionOutcome, SolveRequest, SolverChoice,
+    run_session, run_session_with, Attempt, AuditSnapshot, FaultPlan, LevelBitFlip, RetryPolicy,
+    RetryReport, Rung, SessionOutcome, SolveRequest, SolverChoice,
 };
-#[cfg(feature = "fault-inject")]
-pub use ladder::{FaultPlan, LevelBitFlip};
 pub use mem::{AllocFault, ChargeRecord, MemCharge, MemError, MemGovernor};
 pub use net::{
     decode_frame, read_frame, write_frame, Client, ClientConfig, ClientError, ClientStats, Conn,

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use fp16mg_krylov::{SolveError, SolveResult};
 
 use crate::admission::{AdmissionError, Priority};
-use crate::breaker::{BreakerConfig, BreakerDecision, BreakerExport, BreakerRegistry};
+use crate::breaker::{BreakerDecision, BreakerExport, BreakerRegistry};
 use crate::cache::{CacheConfig, CacheEntryMeta, CacheEventKind, CacheStats, HierarchyCache};
 use crate::ladder::{run_session_with, RetryReport, SessionOutcome, SolveRequest};
 use crate::mem::MemGovernor;
@@ -101,8 +101,8 @@ pub struct RequestOutcome {
     /// True when this request was admitted as a half-open breaker probe.
     pub probe: bool,
     /// How the hierarchy cache served this request's setup (`None` when
-    /// the cache is disabled, the request was rejected, or the cached
-    /// acquire failed and the session built its own hierarchy).
+    /// the request was rejected, or the cached acquire failed and the
+    /// session built its own hierarchy).
     pub cache: Option<CacheEventKind>,
     /// Outer iterations summed over all attempts.
     pub iters: usize,
@@ -180,13 +180,11 @@ pub struct PoolState {
     pub cache_entries: Vec<CacheEntryMeta>,
 }
 
-/// Full configuration of a [`ServePool`].
+/// Full configuration of a [`ServePool`]. The breaker's tuning is the
+/// breaker module's constants; the cache is always on, with half of
+/// `mem_budget` for its retained chains.
 #[derive(Clone, Debug)]
 pub struct PoolConfig {
-    /// Per-problem-class circuit-breaker tuning.
-    pub breaker: BreakerConfig,
-    /// Hierarchy-cache tuning (off by default; the daemon turns it on).
-    pub cache: CacheConfig,
     /// Wall-clock bound on one session: its budget's deadline is capped
     /// here (a shorter deadline of the request's own is kept), and a
     /// session the cap stops ends [`SolveError::Cancelled`].
@@ -200,12 +198,7 @@ pub struct PoolConfig {
 
 impl Default for PoolConfig {
     fn default() -> Self {
-        PoolConfig {
-            breaker: BreakerConfig::default(),
-            cache: CacheConfig::disabled(),
-            wedge_after: Duration::from_secs(30),
-            mem_budget: None,
-        }
+        PoolConfig { wedge_after: Duration::from_secs(30), mem_budget: None }
     }
 }
 
@@ -214,7 +207,7 @@ impl Default for PoolConfig {
 /// across [`ServePool::serve`] calls (and, via
 /// [`ServePool::export_state`], across daemon restarts).
 pub struct ServePool {
-    cfg: PoolConfig,
+    wedge_after: Duration,
     breakers: BreakerRegistry,
     cache: HierarchyCache,
     counters: ServeCounters,
@@ -224,26 +217,32 @@ pub struct ServePool {
 impl ServePool {
     /// A pool with fresh (all-closed) breakers and an empty cache. When
     /// the config carries a `mem_budget`, the pool's shared
-    /// [`MemGovernor`] enforces it across every session and cache entry.
+    /// [`MemGovernor`] enforces it across every session and cache entry,
+    /// and the cache gets half of it: retained chains evict LRU-first at
+    /// insert time (deterministic) before the governor has to refuse a
+    /// session's transient setup/workspace charges, so eviction — not
+    /// refusal — is the first response to byte pressure. (A single chain
+    /// larger than the half is still retained once the others are gone;
+    /// see DESIGN.md §12.)
     pub fn new(cfg: PoolConfig) -> Self {
         let governor = match cfg.mem_budget {
             Some(b) => MemGovernor::with_budget(b),
             None => MemGovernor::unlimited(),
         };
-        let breakers = BreakerRegistry::new(cfg.breaker.clone());
-        let cache = HierarchyCache::with_governor(cfg.cache.clone(), governor.clone());
-        ServePool { cfg, breakers, cache, counters: ServeCounters::default(), governor }
+        let cache_cfg = CacheConfig { byte_budget: cfg.mem_budget.map(|b| b / 2) };
+        ServePool {
+            wedge_after: cfg.wedge_after,
+            breakers: BreakerRegistry::default(),
+            cache: HierarchyCache::with_governor(cache_cfg, governor.clone()),
+            counters: ServeCounters::default(),
+            governor,
+        }
     }
 
     /// The pool's shared memory governor (byte accounting, fault
     /// schedule, fired-fault counts).
     pub fn governor(&self) -> &MemGovernor {
         &self.governor
-    }
-
-    /// The pool configuration.
-    pub fn config(&self) -> &PoolConfig {
-        &self.cfg
     }
 
     /// The breaker registry (states and transition log).
@@ -294,7 +293,7 @@ impl ServePool {
         // Every session charges its hierarchies against the pool's
         // shared governor, so one byte budget covers the whole pool.
         req.governor = self.governor.clone();
-        let wedge_after = self.cfg.wedge_after;
+        let wedge_after = self.wedge_after;
         let wedge_bound = req.budget.deadline.is_none_or(|d| wedge_after < d);
         if wedge_bound {
             req.budget.deadline = Some(wedge_after);
@@ -311,14 +310,8 @@ impl ServePool {
         // Hierarchy acquisition through the cache. A failed acquire
         // falls back to the session's own build, where the error
         // resurfaces typed.
-        let (prebuilt, cache) = if self.cfg.cache.enabled {
-            match self.cache.acquire(&req.class, &req.problem.matrix, &req.base) {
-                Ok((mg, kind)) => (Some(mg), Some(kind)),
-                Err(_) => (None, None),
-            }
-        } else {
-            (None, None)
-        };
+        let (prebuilt, cache) =
+            self.cache.acquire(&req.class, &req.problem.matrix, &req.base).ok().unzip();
 
         let t0 = Instant::now();
         let mut session = catch_unwind(AssertUnwindSafe(|| run_session_with(&req, prebuilt)))

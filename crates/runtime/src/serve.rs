@@ -35,13 +35,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fp16mg_core::MgConfig;
-use fp16mg_krylov::{HealthPolicy, SolveError, SolveOptions};
+use fp16mg_krylov::{SolveError, SolveOptions};
 use fp16mg_problems::ProblemKind;
 use fp16mg_sgdia::kernels::Par;
 
 use crate::admission::Priority;
-use crate::breaker::BreakerConfig;
-use crate::cache::CacheConfig;
 use crate::ladder::{RetryPolicy, SolveRequest};
 use crate::net::{
     codes, read_frame, write_frame, Conn, DoneReply, Endpoint, Frame, Listener, SubmitRequest,
@@ -59,30 +57,6 @@ pub const SNAPSHOT_FILE: &str = "daemon.snapshot";
 pub const TRAIL_FILE: &str = "trail.log";
 
 // ------------------------------------------------------ stream function --
-
-/// The daemon pool shape: cache on, the default 30 s wedge bound, and a
-/// small breaker so the poison class demonstrably trips and recovers
-/// inside a short run.
-pub fn pool_cfg(mem_budget: Option<u64>) -> PoolConfig {
-    // Under a pool byte budget the cache gets half: retained chains
-    // evict LRU-first at insert time (deterministic) before the
-    // governor has to refuse a session's transient setup/workspace
-    // charges, so eviction — not refusal — is the first response to
-    // byte pressure. (A single chain larger than the half is still
-    // retained once the others are gone; see DESIGN.md §12.)
-    let cache = CacheConfig { byte_budget: mem_budget.map(|b| b / 2), ..CacheConfig::default() };
-    PoolConfig {
-        mem_budget,
-        breaker: BreakerConfig {
-            window: 4,
-            min_samples: 2,
-            cooldown: 3,
-            ..BreakerConfig::default()
-        },
-        cache,
-        ..PoolConfig::default()
-    }
-}
 
 /// The wire priority byte of sequence number `seq`: interactive where
 /// [`request_for`] builds interactive traffic, batch otherwise.
@@ -120,12 +94,12 @@ pub fn request_for(seq: u64, size: usize, tol: f64, par: Par) -> SolveRequest {
     req.opts = clean;
     req.par = par;
     match class {
-        // A deterministically failing class: tolerance zero, health
-        // checks off, four iterations, no retries. Trips its breaker.
+        // A deterministically failing class: tolerance zero, four
+        // iterations, no retries. Trips its breaker. (Four iterations
+        // are too few for the health monitor's stall patience to fire.)
         6 => {
             req.class = "poison".to_string();
             req.opts.tol = 0.0;
-            req.opts.health = HealthPolicy::disabled();
             req.budget.max_iters = Some(4);
             req.policy = RetryPolicy::fail_fast();
         }
@@ -426,7 +400,8 @@ impl<'a> Server<'a> {
     ) -> Result<(Self, bool), SnapshotError> {
         let snapshots = SnapshotStore::new(cfg.state_dir.join(SNAPSHOT_FILE));
         let mut recovery = snapshots.recover(storage.as_ref(), &DaemonSnapshot::decode)?;
-        let mut pool = ServePool::new(pool_cfg(cfg.mem_budget));
+        let mut pool =
+            ServePool::new(PoolConfig { mem_budget: cfg.mem_budget, ..PoolConfig::default() });
         let (mut seq, mut generation) = (0, 0);
         let newest = recovery.candidates.into_iter().max_by_key(|(_, snap)| snap.seq);
         let restored = newest.is_some();

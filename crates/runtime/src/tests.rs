@@ -121,8 +121,13 @@ mod session {
 
     #[test]
     fn deadline_interrupts_endless_solve() {
+        // Stationary Richardson with no iteration cap: CG at zero
+        // tolerance breaks down at machine precision (pAp = 0 near
+        // iteration 105 on laplace(8)), which a release build reaches
+        // before the deadline.
         let mut req = SolveRequest::new("deadline", laplace(8), MgConfig::d16());
-        req.opts = endless_opts();
+        req.solver = SolverChoice::Richardson;
+        req.opts = SolveOptions { max_iters: usize::MAX / 2, ..endless_opts() };
         req.budget = Budget::with_deadline(Duration::from_millis(15));
         let out = run_session(&req);
         assert!(
@@ -174,10 +179,8 @@ mod session {
     }
 }
 
-#[cfg(feature = "fault-inject")]
 mod fault {
     use super::*;
-    use crate::breaker::BreakerConfig;
     use crate::ladder::FaultPlan;
     use crate::pool::{PoolConfig, RequestOutcome, ServeError, ServePool};
     use fp16mg_core::RecoveryPolicy;
@@ -262,21 +265,22 @@ mod fault {
         assert_eq!(out.report.rung_sequence(), vec![Rung::Retry, Rung::Retry, Rung::PromoteNarrow]);
     }
 
-    /// A pool with the breaker off: a contained panic is a terminal
-    /// failure, and these tests are about the serving thread, not class
-    /// health.
-    fn breakerless() -> ServePool {
-        ServePool::new(PoolConfig { breaker: BreakerConfig::disabled(), ..PoolConfig::default() })
+    fn pool() -> ServePool {
+        ServePool::new(PoolConfig::default())
     }
 
     #[test]
     fn pool_isolates_panicking_request() {
-        let mut pool = breakerless();
+        let mut pool = pool();
         for i in 0..4 {
             let mut req = SolveRequest::new(format!("clean-{i}"), laplace(6), MgConfig::d16());
             if i == 1 {
+                // A contained panic is a terminal failure: its own class
+                // keeps it off the clean requests' breaker, since this
+                // test is about the serving thread, not class health.
                 req.panic_in_worker = true;
                 req.name = "poisoned".into();
+                req.class = "poisoned".into();
             }
             let out = pool.serve(req);
             if i == 1 {
@@ -299,8 +303,8 @@ mod fault {
         // thread-local take-out / put-back pool: after a contained panic
         // the next request must solve exactly as on a fresh pool.
         let clean = || SolveRequest::new("clean", laplace(8), MgConfig::d16());
-        let fresh = breakerless().serve(clean());
-        let mut pool = breakerless();
+        let fresh = pool().serve(clean());
+        let mut pool = pool();
         let mut poisoned = clean();
         poisoned.panic_in_worker = true;
         let out = pool.serve(poisoned);
@@ -319,7 +323,6 @@ mod fault {
     }
 }
 
-#[cfg(feature = "fault-inject")]
 mod integrity {
     use super::*;
     use crate::ladder::{Attempt, FaultPlan, LevelBitFlip};
@@ -329,11 +332,10 @@ mod integrity {
     /// A request carrying a single targeted bit flip into a mid-hierarchy
     /// FP16 level, with full ABFT armed and self-healing promotion off so
     /// the sentinels — not the promotion logic — must save the solve.
-    fn flipped_request(flip: LevelBitFlip, verify_on_anomaly: bool) -> SolveRequest {
+    fn flipped_request(flip: LevelBitFlip) -> SolveRequest {
         let mut base = MgConfig::d16();
         base.recovery = RecoveryPolicy::disabled();
         base.integrity = IntegrityPolicy::armed();
-        base.integrity.verify_on_anomaly = verify_on_anomaly;
         let mut req = SolveRequest::new("flip", laplace(12), base);
         req.policy = RetryPolicy { attempts: [1, 1, 1, 1, 1], ..RetryPolicy::default() };
         // Richardson (multigrid as the solver) is maximally sensitive to
@@ -356,12 +358,13 @@ mod integrity {
     fn bit_flip_is_localized_and_repaired_without_rebuild() {
         // Exponent-MSB upset in an off-diagonal tap of mid-hierarchy
         // level 1 (laplace(12) has three levels; level 1 is F16). The
-        // corrupted retry fails; the repair-level rung's sentinel sweep
-        // localizes the flip to (level 1, tap 0), re-truncates that one
-        // level from its retained f64 parent, and the re-solve converges
-        // — no promotion, no rebuild.
+        // corrupted retry breaks down at its first residual; the anomaly
+        // hook's sentinel sweep localizes the flip to (level 1, tap 0)
+        // and re-truncates that one level from its retained f64 parent,
+        // and the repair-level rung's re-solve converges — no promotion,
+        // no rebuild.
         let flip = LevelBitFlip { level: 1, tap: 0, bit: 14 };
-        let req = flipped_request(flip, false);
+        let req = flipped_request(flip);
         let out = run_session(&req);
         assert!(out.converged(), "repair must rescue the solve: {:?}", out.result.err());
         assert_eq!(
@@ -373,21 +376,20 @@ mod integrity {
         let ev = &out.report.repairs[0];
         assert_eq!(ev.level, 1, "repair localized to the corrupted level");
         assert_eq!(ev.taps, vec![0], "repair localized to the corrupted plane");
-        assert_eq!(ev.trigger, RepairTrigger::Requested);
-        let last = out.report.attempts.last().unwrap();
-        assert_eq!(last.rung, Rung::RepairLevel);
-        assert_eq!(last.repairs, 1);
-        assert!(last.converged);
+        assert_eq!(ev.trigger, RepairTrigger::Anomaly);
+        let [retry, repair] = &out.report.attempts[..] else { unreachable!() };
+        assert_eq!((retry.repairs, repair.repairs), (1, 0), "the hook repaired in the retry");
+        assert!(repair.converged);
     }
 
     #[test]
     fn anomaly_hook_repairs_during_the_solve() {
-        // With verify_on_anomaly armed, the in-solve hook mends the
-        // hierarchy the moment the solver reports a breakdown or stall;
-        // the repair-level rung then gives the mended hierarchy its
-        // clean re-solve. Either way, no rebuild rung is reached.
+        // The in-solve anomaly hook mends the hierarchy the moment the
+        // solver reports a breakdown or stall; the repair-level rung then
+        // gives the mended hierarchy its clean re-solve. Either way, no
+        // rebuild rung is reached.
         let flip = LevelBitFlip { level: 1, tap: 0, bit: 14 };
-        let req = flipped_request(flip, true);
+        let req = flipped_request(flip);
         let out = run_session(&req);
         assert!(out.converged(), "{:?}", out.result.err());
         assert!(!out.report.repairs.is_empty(), "the flip must be repaired somewhere");
@@ -412,24 +414,16 @@ mod integrity {
         // stall. An uncharged sweep would run outside deadline and
         // max_vcycles control.
         let flip = LevelBitFlip { level: 1, tap: 0, bit: 14 };
-        for verify_on_anomaly in [false, true] {
-            let out = run_session(&flipped_request(flip, verify_on_anomaly));
-            assert!(out.converged(), "{:?}", out.result.err());
-            let attempts = &out.report.attempts;
-            let rung_sweeps = attempts.iter().filter(|a| a.rung == Rung::RepairLevel).count();
-            assert_eq!(rung_sweeps, 1, "{}", out.report.summary());
-            let hooked = |a: &&Attempt| {
-                matches!(a.error, Some(SolveError::Breakdown(_) | SolveError::Stagnated(_)))
-            };
-            let hook_sweeps =
-                if verify_on_anomaly { attempts.iter().filter(hooked).count() } else { 0 };
-            assert_eq!(
-                out.vcycles,
-                out.iters + rung_sweeps + hook_sweeps,
-                "anomaly hook {verify_on_anomaly}: {}",
-                out.report.summary()
-            );
-        }
+        let out = run_session(&flipped_request(flip));
+        assert!(out.converged(), "{:?}", out.result.err());
+        let attempts = &out.report.attempts;
+        let rung_sweeps = attempts.iter().filter(|a| a.rung == Rung::RepairLevel).count();
+        assert_eq!(rung_sweeps, 1, "{}", out.report.summary());
+        let hooked = |a: &&Attempt| {
+            matches!(a.error, Some(SolveError::Breakdown(_) | SolveError::Stagnated(_)))
+        };
+        let hook_sweeps = attempts.iter().filter(hooked).count();
+        assert_eq!(out.vcycles, out.iters + rung_sweeps + hook_sweeps, "{}", out.report.summary());
     }
 }
 
@@ -505,14 +499,16 @@ mod admission {
 }
 
 mod breaker {
+    //! The breaker's tuning is fixed: a window of 4 outcomes, trusted
+    //! from 2 samples at a failure rate of at least 0.5, and a cooldown
+    //! of 3 admission attempts plus up to `COOLDOWN_JITTER`.
+
     use crate::breaker::{
-        BreakerConfig, BreakerDecision, BreakerRegistry, BreakerState, CircuitBreaker,
-        COOLDOWN_JITTER,
+        BreakerDecision, BreakerRegistry, BreakerState, CircuitBreaker, COOLDOWN_JITTER,
     };
 
-    fn cfg() -> BreakerConfig {
-        BreakerConfig { window: 4, min_samples: 3, cooldown: 2, ..BreakerConfig::default() }
-    }
+    /// The breaker's base cooldown, before jitter.
+    const COOLDOWN: usize = 3;
 
     /// Spends an open breaker's cooldown up to the attempt that completes
     /// it, each attempt refused with the attempts left; returns the
@@ -533,8 +529,8 @@ mod breaker {
 
     /// Feeds failures until the breaker opens.
     fn tripped() -> CircuitBreaker {
-        let mut b = CircuitBreaker::new(cfg());
-        for _ in 0..3 {
+        let mut b = CircuitBreaker::default();
+        for _ in 0..2 {
             b.record(false, false);
         }
         assert_eq!(b.state(), BreakerState::Open);
@@ -543,21 +539,20 @@ mod breaker {
 
     #[test]
     fn closed_trips_only_past_min_samples_and_threshold() {
-        let mut b = CircuitBreaker::new(cfg());
+        let mut b = CircuitBreaker::default();
         b.record(false, false);
-        b.record(false, false);
-        assert_eq!(b.state(), BreakerState::Closed, "two samples are below min_samples");
+        assert_eq!(b.state(), BreakerState::Closed, "one sample is below min_samples");
         b.record(true, false);
-        assert_eq!(b.state(), BreakerState::Open, "2/3 failures crosses the 0.5 threshold");
+        assert_eq!(b.state(), BreakerState::Open, "1/2 failures reaches the 0.5 threshold");
         assert_eq!(b.trips(), 1);
     }
 
     #[test]
     fn healthy_window_never_trips() {
-        let mut b = CircuitBreaker::new(cfg());
+        let mut b = CircuitBreaker::default();
         for i in 0..20 {
             // One failure in four stays below the threshold.
-            b.record(i % 4 != 0, false);
+            b.record(i % 4 != 3, false);
         }
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.trips(), 0);
@@ -567,7 +562,8 @@ mod breaker {
     fn open_rejects_then_counts_down_to_a_half_open_probe() {
         let mut b = tripped();
         let target = cool_down(&mut b);
-        assert!((2..=2 + COOLDOWN_JITTER).contains(&target), "cooldown 2 plus jitter: {target}");
+        let cooldown = COOLDOWN..=COOLDOWN + COOLDOWN_JITTER;
+        assert!(cooldown.contains(&target), "cooldown 3 plus jitter: {target}");
         // The attempt completing the cooldown *is* the probe.
         assert_eq!(b.on_admission_attempt(), BreakerDecision::Admit { probe: true });
         assert_eq!(b.state(), BreakerState::HalfOpen);
@@ -632,10 +628,7 @@ mod breaker {
         // Trip, fail the probe, trip again: every trip draws its own
         // jitter, and the same stream draws the same targets.
         let run = || {
-            let mut b = CircuitBreaker::new(cfg());
-            for _ in 0..3 {
-                b.record(false, false);
-            }
+            let mut b = tripped();
             let mut targets = Vec::new();
             for _ in 0..8 {
                 targets.push(cool_down(&mut b));
@@ -646,24 +639,15 @@ mod breaker {
         };
         let targets = run();
         assert_eq!(targets, run(), "same seed, same trip count, same cooldown");
-        assert!(targets.iter().all(|t| (2..=2 + COOLDOWN_JITTER).contains(t)), "{targets:?}");
+        let cooldown = COOLDOWN..=COOLDOWN + COOLDOWN_JITTER;
+        assert!(targets.iter().all(|t| cooldown.contains(t)), "{targets:?}");
         assert!(targets.windows(2).any(|w| w[0] != w[1]), "the jitter must move: {targets:?}");
     }
 
     #[test]
-    fn disabled_breaker_admits_everything_and_records_nothing() {
-        let mut b = CircuitBreaker::new(BreakerConfig::disabled());
-        for _ in 0..10 {
-            b.record(false, false);
-        }
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.on_admission_attempt(), BreakerDecision::Admit { probe: false });
-    }
-
-    #[test]
     fn registry_isolates_classes_and_logs_transitions() {
-        let mut reg = BreakerRegistry::new(cfg());
-        for _ in 0..3 {
+        let mut reg = BreakerRegistry::default();
+        for _ in 0..2 {
             assert!(matches!(
                 reg.on_admission_attempt("bad"),
                 BreakerDecision::Admit { probe: false }
@@ -688,7 +672,8 @@ mod breaker {
 mod serve_pool {
     use super::*;
     use crate::admission::AdmissionError;
-    use crate::breaker::{BreakerConfig, BreakerState};
+    use crate::breaker::BreakerState;
+    use crate::cache::CacheEventKind;
     use crate::pool::{PoolConfig, ServeError, ServePool};
 
     /// A request whose session always ends in a fast typed terminal
@@ -709,16 +694,29 @@ mod serve_pool {
     }
 
     #[test]
+    fn the_default_pool_is_the_daemons_shape() {
+        // One pool shape: the cache is always on, with half the pool's
+        // byte budget, and the breaker opens a class on its second
+        // failure.
+        let b = 8 << 20;
+        let mut pool = ServePool::new(PoolConfig { mem_budget: Some(b), ..Default::default() });
+        assert_eq!(pool.cache().config().byte_budget, Some(b / 2));
+        let cold = pool.serve(healthy_of_class("warm-0", "warm"));
+        let warm = pool.serve(healthy_of_class("warm-1", "warm"));
+        assert!(cold.converged() && warm.converged());
+        assert_eq!(cold.cache, Some(CacheEventKind::Rebuilt));
+        assert_eq!(warm.cache, Some(CacheEventKind::Hit), "a repeated request is a warm hit");
+
+        for name in ["bad-0", "bad-1"] {
+            assert!(!pool.serve(poisoned(name)).converged());
+        }
+        assert_eq!(pool.breakers().state("poison"), Some(BreakerState::Open));
+        assert!(pool.serve(poisoned("bad-2")).rejection().is_some());
+    }
+
+    #[test]
     fn poisoned_class_trips_the_breaker_and_recovers_via_probe() {
-        let mut pool = ServePool::new(PoolConfig {
-            breaker: BreakerConfig {
-                window: 4,
-                min_samples: 2,
-                cooldown: 2,
-                ..BreakerConfig::default()
-            },
-            ..PoolConfig::default()
-        });
+        let mut pool = ServePool::new(PoolConfig::default());
 
         // Each session is recorded before the next request is gated: the
         // second terminal failure trips the breaker (min_samples 2,
@@ -735,7 +733,7 @@ mod serve_pool {
         assert!(pool.serve(healthy_of_class("ok-0", "healthy")).converged());
         assert_eq!(pool.breakers().state("healthy"), Some(BreakerState::Closed));
 
-        // A cooldown of 2 admission attempts plus the trip's jitter: all
+        // A cooldown of 3 admission attempts plus the trip's jitter: all
         // but the last are refused typed, the last is admitted as the
         // half-open probe; now healthy, it converges and closes the
         // breaker.
@@ -971,15 +969,10 @@ mod cache {
     }
 
     #[test]
-    fn disabled_cache_and_prescaled_configs_always_rebuild() {
-        let mut off = HierarchyCache::new(CacheConfig::disabled());
-        let a = laplace(6).matrix;
-        for _ in 0..2 {
-            let (_, kind) = off.acquire("c", &a, &MgConfig::d16()).unwrap();
-            assert_eq!(kind, CacheEventKind::Rebuilt);
-        }
+    fn prescaled_configs_always_rebuild() {
         // ScaleThenSetup coarsens a prescaled operator: its chain is
         // single-use and must never be retained.
+        let a = laplace(6).matrix;
         let mut on = HierarchyCache::new(CacheConfig::default());
         let config = MgConfig { scale: ScaleStrategy::ScaleThenSetup, ..MgConfig::d16() };
         for _ in 0..2 {
@@ -992,8 +985,7 @@ mod cache {
 
 mod snapshot {
     use super::*;
-    use crate::pool::{PoolState, ServePool};
-    use crate::serve::pool_cfg;
+    use crate::pool::{PoolConfig, PoolState, ServePool};
     use crate::snapshot::{DaemonSnapshot, SnapshotError, SnapshotStore, SNAPSHOT_VERSION};
     use crate::storage::RealStorage;
     use fp16mg_fp::Fnv1a;
@@ -1002,7 +994,7 @@ mod snapshot {
     /// breaker with a jittered cooldown, cache stats and entries with
     /// escapable names.
     fn populated_state() -> PoolState {
-        let mut pool = ServePool::new(pool_cfg(None));
+        let mut pool = ServePool::new(PoolConfig::default());
         let bad = |name: &str| {
             let mut req = SolveRequest::new(name, laplace(6), MgConfig::d16());
             req.class = "poison class".into(); // space exercises escaping
@@ -1867,7 +1859,6 @@ mod mem_pressure {
     use super::*;
     use std::collections::BTreeMap;
 
-    use crate::cache::CacheConfig;
     use crate::mem::MemGovernor;
     use crate::pool::{PoolConfig, RequestOutcome, ServePool};
 
@@ -1890,17 +1881,8 @@ mod mem_pressure {
             .collect()
     }
 
-    fn pool_cfg(budget: Option<u64>) -> PoolConfig {
-        PoolConfig { mem_budget: budget, cache: CacheConfig::default(), ..PoolConfig::default() }
-    }
-
-    /// Unlimited governor, but the cache itself holds at most
-    /// `byte_budget` of retained chains (evicting LRU to make room).
-    fn cache_budget_cfg(byte_budget: u64) -> PoolConfig {
-        PoolConfig {
-            cache: CacheConfig { byte_budget: Some(byte_budget), ..CacheConfig::default() },
-            ..PoolConfig::default()
-        }
+    fn budgeted(budget: u64) -> ServePool {
+        ServePool::new(PoolConfig { mem_budget: Some(budget), ..PoolConfig::default() })
     }
 
     /// Serves the stream one request at a time.
@@ -1937,7 +1919,7 @@ mod mem_pressure {
     #[test]
     fn eviction_under_byte_pressure_keeps_solves_exact() {
         // Reference: unbudgeted run.
-        let mut free = ServePool::new(pool_cfg(None));
+        let mut free = ServePool::new(PoolConfig::default());
         let free_gov = free.governor().clone();
         let free_out = serve_stream(&mut free);
         assert!(free_out.iter().all(RequestOutcome::converged), "unbudgeted stream converges");
@@ -1949,11 +1931,12 @@ mod mem_pressure {
         assert_accounting(free, &free_gov);
 
         // Pressured: the same stream with the cache capped at ~2/5 of the
-        // bytes it retained when unbudgeted. The governor stays
-        // unlimited, so no solve is ever refused — the pressure is
-        // absorbed entirely by LRU eviction at insert time.
+        // bytes it retained when unbudgeted. The pool's budget is twice
+        // that, far above what one request's session adds beside the
+        // cache, so no solve is ever refused — the pressure is absorbed
+        // entirely by LRU eviction at insert time.
         let budget = (retained * 2) / 5;
-        let mut tight = ServePool::new(cache_budget_cfg(budget));
+        let mut tight = budgeted(2 * budget);
         let tight_gov = tight.governor().clone();
         let tight_out = serve_stream(&mut tight);
         assert!(
@@ -1989,7 +1972,7 @@ mod mem_pressure {
         // A budget too small to retain even one hierarchy: every setup
         // still succeeds (the session builds outside the cache), every
         // serve is typed as uncached or evicted, nothing panics.
-        let mut pool = ServePool::new(pool_cfg(Some(4096)));
+        let mut pool = budgeted(4096);
         let governor = pool.governor().clone();
         let outcomes = serve_stream(&mut pool);
         for o in &outcomes {

@@ -1,4 +1,4 @@
-//! Fault injection into stored matrix coefficients (feature `fault-inject`).
+//! Fault injection into stored matrix coefficients.
 //!
 //! The robustness harness needs to produce, on demand, exactly the
 //! corruptions the FP16 storage path can suffer in the wild: overflow to
@@ -8,10 +8,6 @@
 //! did so tests can assert detection. The wide formats (f32/f64) are
 //! supported too, so retry-ladder tests can corrupt an FP32-rebuilt
 //! hierarchy and prove the FP64 last resort is reachable.
-//!
-//! Only compiled under the `fault-inject` feature, which `fp16mg-bench`
-//! turns on: every root-workspace build (the `repro` binary included)
-//! carries this module, a build of the library crates alone does not.
 
 use fp16mg_fp::{Bf16, Storage, F16};
 

@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 pub mod audit;
 pub mod csr;
-#[cfg(feature = "fault-inject")]
 pub mod fault;
 pub mod io;
 pub mod kernels;

@@ -1286,7 +1286,6 @@ mod sentinels {
         });
     }
 
-    #[cfg(feature = "fault-inject")]
     fn flip_sweep<S: Storage + 'static>(width: u32) {
         let a0: SgDia<S> = source().convert();
         let reference = sentinel::compute(&a0);
@@ -1317,7 +1316,6 @@ mod sentinels {
     }
 
     #[test]
-    #[cfg(feature = "fault-inject")]
     fn every_single_bit_flip_position_is_detected() {
         flip_sweep::<F16>(16);
         flip_sweep::<Bf16>(16);
@@ -1326,7 +1324,6 @@ mod sentinels {
     }
 
     #[test]
-    #[cfg(feature = "fault-inject")]
     fn targeted_tap_flip_lands_on_a_nonzero_coupling() {
         let mut a: SgDia<F16> = source().convert();
         let reference = sentinel::compute(&a);
