@@ -15,8 +15,8 @@ use fp16mg_core::{IntegrityPolicy, MgConfig, RecoveryPolicy};
 use fp16mg_krylov::{HealthPolicy, SolveOptions};
 use fp16mg_problems::ProblemKind;
 use fp16mg_runtime::{
-    Budget, FaultPlan, LevelBitFlip, PoolConfig, RequestOutcome, RetryPolicy, Rung, ServePool,
-    SolveRequest, SolverChoice,
+    Budget, FaultPlan, LevelBitFlip, PoolConfig, RequestOutcome, Rung, ServePool, SolveRequest,
+    SolverChoice,
 };
 use fp16mg_sgdia::fault::FaultSpec;
 
@@ -79,8 +79,6 @@ fn build_requests(n: usize, chaos: bool) -> Vec<SolveRequest> {
                     base.recovery = RecoveryPolicy::disabled();
                     let mut req = SolveRequest::new(name, ProblemKind::Laplace27.build(n), base);
                     req.opts.tol = TOL;
-                    req.policy =
-                        RetryPolicy { attempts: [1, 1, 1, 1, 1], ..RetryPolicy::default() };
                     req.fault = Some(FaultPlan {
                         spec: FaultSpec::inf(0.02, 0xfeed ^ i as u64),
                         flip: None,
@@ -103,8 +101,6 @@ fn build_requests(n: usize, chaos: bool) -> Vec<SolveRequest> {
                     req.solver = SolverChoice::Richardson;
                     req.opts.tol = 1e-6;
                     req.opts.max_iters = 40;
-                    req.policy =
-                        RetryPolicy { attempts: [1, 1, 1, 1, 1], ..RetryPolicy::default() };
                     req.fault = Some(FaultPlan {
                         spec: FaultSpec::none(0xab15 ^ i as u64),
                         flip: Some(LevelBitFlip {
@@ -165,7 +161,7 @@ fn build_requests(n: usize, chaos: bool) -> Vec<SolveRequest> {
 /// Serves the 16-request stream one request at a time: problem extent
 /// `size` (the flip scenarios pin theirs to 12), and seeded bit flips in
 /// mid-hierarchy FP16 planes when `chaos` is set, so the integrity
-/// sentinels and the `repair-level` rung must keep the pool healthy.
+/// sentinels and the anomaly hook's repair must keep the pool healthy.
 /// Each failing request (panic, deadline, no-converge) is its own
 /// problem class, so no breaker trips and every scenario runs its
 /// session. Returns one outcome per request.

@@ -43,8 +43,8 @@ use fp16mg_core::{
 };
 use fp16mg_problems::{step_rhs, Evolution, Problem, ProblemKind};
 use fp16mg_runtime::{
-    append_durable, run_session_with, trail, RealStorage, RetryPolicy, SimCounters, SimSnapshot,
-    SnapshotStore, SolveRequest, Storage,
+    append_durable, run_session_with, trail, RealStorage, SimCounters, SimSnapshot, SnapshotStore,
+    SolveRequest, Storage,
 };
 use fp16mg_sgdia::SgDia;
 
@@ -280,13 +280,6 @@ fn effective_matrix(evo: &Evolution, chaos: bool, step: u64) -> SgDia<f64> {
         }
     }
     a
-}
-
-/// Ladder policy for simulation steps: the drift policy upstream already
-/// decided how to treat the hierarchy, so the redundant audit gate is
-/// off.
-fn sim_policy() -> RetryPolicy {
-    RetryPolicy { audit_gate: false, ..RetryPolicy::default() }
 }
 
 /// Appends one trail line through the storage choke point: write +
@@ -581,7 +574,9 @@ impl SimDriver {
         );
         req.rhs = Some(rhs);
         req.opts.tol = self.cfg.tol;
-        req.policy = sim_policy();
+        // The drift policy upstream already decided how to treat the
+        // hierarchy, so the redundant audit gate is off.
+        req.audit_gate = false;
         req.budget.max_iters = Some(4000);
         let outcome = run_session_with(&req, mg);
         let rungs = outcome.report.summary();

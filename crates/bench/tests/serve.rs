@@ -11,7 +11,7 @@ use fp16mg_bench::serve;
 use fp16mg_core::MgConfig;
 use fp16mg_krylov::{HealthPolicy, SolveError, SolveOptions};
 use fp16mg_problems::ProblemKind;
-use fp16mg_runtime::{PoolConfig, RetryPolicy, ServeError, ServePool, SolveRequest, SolverChoice};
+use fp16mg_runtime::{PoolConfig, Rung, ServeError, ServePool, SolveRequest, SolverChoice};
 
 #[test]
 fn mixed_batch_completes_with_typed_outcomes() {
@@ -68,8 +68,9 @@ fn chaos_batch_repairs_bit_flips_without_process_failures() {
     // The chaos scenario: 16 requests, seeded single-bit flips
     // in mid-hierarchy FP16 planes, plus injected session panics. Zero
     // process-level failures: every request yields a typed outcome, every
-    // flip row is repaired by the repair-level rung (localized to its
-    // level and tap), and no flip row ever needs a rebuild rung.
+    // flip row is repaired by the anomaly hook during its first retry
+    // (localized to its level and tap) and converges on the second, and
+    // no flip row ever leaves the retry rung.
     let outcomes = serve(12, true);
     assert_eq!(outcomes.len(), 16, "every request must produce an outcome");
 
@@ -96,8 +97,9 @@ fn chaos_batch_repairs_bit_flips_without_process_failures() {
                 assert_eq!(ev.level, 1, "{}: repair localized to the flipped level", out.name);
                 assert_eq!(ev.taps.len(), 1, "{}: exactly one plane flagged", out.name);
             }
-            assert!(
-                out.report.final_rung() <= Some(fp16mg_runtime::Rung::RepairLevel),
+            assert_eq!(
+                out.report.final_rung(),
+                Some(Rung::Retry),
                 "{}: a bit flip must never cost a rebuild: {}",
                 out.name,
                 out.report.summary()
@@ -129,7 +131,6 @@ fn the_daemons_pool_cancels_a_wedged_request_and_contains_every_panic() {
         record_history: false,
         ..Default::default()
     };
-    endless.policy = RetryPolicy::fail_fast();
     let out = pool.serve(endless);
     assert!(
         matches!(out.result, Err(ServeError::Session(SolveError::Cancelled { .. }))),

@@ -197,8 +197,6 @@ pub enum RepairTrigger {
     /// The Krylov solver reported a health anomaly through the
     /// preconditioner hook.
     Anomaly,
-    /// Explicit caller request (e.g. the runtime's `repair-level` rung).
-    Requested,
 }
 
 impl core::fmt::Display for RepairTrigger {
@@ -207,7 +205,6 @@ impl core::fmt::Display for RepairTrigger {
             RepairTrigger::Periodic => write!(f, "periodic check"),
             RepairTrigger::NonFiniteOutput => write!(f, "non-finite V-cycle output"),
             RepairTrigger::Anomaly => write!(f, "solver health anomaly"),
-            RepairTrigger::Requested => write!(f, "explicit request"),
         }
     }
 }

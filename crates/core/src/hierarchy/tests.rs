@@ -542,7 +542,7 @@ fn a_scaled_level_is_repaired_bit_identically_from_its_retained_parent() {
             return; // an all-zero plane of a coarse stencil
         }
         assert!(stored_bits(&mg.levels[level].stored) != before, "the flip landed");
-        let events = mg.verify_and_repair(RepairTrigger::Requested);
+        let events = mg.verify_and_repair(RepairTrigger::Periodic);
         assert_eq!(events.len(), 1, "{events:?}");
         assert_eq!((events[0].level, events[0].taps.as_slice()), (level, &[tap][..]));
         assert!(

@@ -1110,7 +1110,7 @@ mod integrity {
             let flagged: Vec<usize> = corrupted[0].1.iter().map(|m| m.tap).collect();
             assert_eq!(flagged, vec![tap], "localized to the flipped plane");
 
-            let events = mg.verify_and_repair(RepairTrigger::Requested);
+            let events = mg.verify_and_repair(RepairTrigger::Periodic);
             assert_eq!(events.len(), 1, "one localized repair: {events:?}");
             assert_eq!((events[0].level, events[0].taps.as_slice()), (level, &[tap][..]));
             assert!(

@@ -8,32 +8,33 @@
 //! Krylov methods (Guo/de Sturler):
 //!
 //! 1. [`Rung::Retry`] — run the caller's mixed-precision configuration
-//!    again (transient faults, or faults the in-hierarchy promotion
-//!    logic heals on its own);
-//! 2. [`Rung::RepairLevel`] — mend the *same* hierarchy in place: an
-//!    integrity-sentinel sweep localizes corrupted coefficient planes
-//!    and re-truncates just those levels from their retained
-//!    high-precision parents (PR 4's ABFT repair), then re-solves —
-//!    no rebuild, no promotion;
-//! 3. [`Rung::PromoteNarrow`] — rebuild and *eagerly* promote every
+//!    on the *same* retained hierarchy, twice. Repair needs no rung of
+//!    its own: the in-solve anomaly hook localizes a corrupted
+//!    coefficient plane and re-truncates that level from its retained
+//!    high-precision parent (the ABFT repair) the moment the solver
+//!    reports a breakdown or stall, so the second attempt is the
+//!    re-solve of the mended hierarchy — no rebuild, no promotion;
+//! 2. [`Rung::PromoteNarrow`] — rebuild and *eagerly* promote every
 //!    16-bit level to FP32 before solving (the dynamic analog of
 //!    `shift_levid = 0`);
-//! 4. [`Rung::RebuildF32`] — rebuild the whole hierarchy with uniform
+//! 3. [`Rung::RebuildF32`] — rebuild the whole hierarchy with uniform
 //!    FP32 storage;
-//! 5. [`Rung::RebuildF64`] — FP64 computation *and* storage, the
+//! 4. [`Rung::RebuildF64`] — FP64 computation *and* storage, the
 //!    last-resort everything-double configuration.
 //!
-//! Each rung gets a bounded number of attempts, run back to back (the
-//! pool serves one request at a time, so there is no concurrent retry to
-//! spread out); every attempt is recorded in a [`RetryReport`].
-//! Deadlines, V-cycle budgets, and cancellation cut across the whole
-//! ladder through one [`BudgetGuard`].
+//! Each rung gets a fixed number of attempts (`ATTEMPTS`), run back to
+//! back (the pool serves one request at a time, so there is no
+//! concurrent retry to spread out); every attempt is recorded in a
+//! [`RetryReport`]. Deadlines, V-cycle budgets, iteration budgets and
+//! cancellation cut across the whole ladder through one
+//! [`BudgetGuard`]: a request that may climb less far says so in its
+//! [`Budget`].
 
 use std::time::Instant;
 
 use fp16mg_core::{
     audit_rejects, MatOp, Mg, MgConfig, PromotionReason, RangeAudit, RecoveryPolicy, RepairEvent,
-    RepairTrigger, StoragePolicy,
+    StoragePolicy,
 };
 use fp16mg_fp::{Precision, Scalar};
 use fp16mg_krylov::{cg_ctl, gmres_ctl, richardson_ctl, SolveError, SolveOptions, SolveResult};
@@ -50,13 +51,9 @@ use fp16mg_sgdia::fault::FaultSpec;
 /// One rung of the escalation ladder, in climb order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rung {
-    /// Re-run the caller's configuration unchanged.
+    /// Re-run the caller's configuration on the retained hierarchy
+    /// (mended in place by the anomaly hook, if it found corruption).
     Retry,
-    /// Repair corrupted levels of the retained hierarchy in place from
-    /// their high-precision parents, then re-solve. Silently skipped —
-    /// no attempt is recorded — when there is no retained hierarchy or
-    /// nothing was repaired (clean sentinels, or no retained parents).
-    RepairLevel,
     /// Rebuild, then eagerly promote every 16-bit level to FP32.
     PromoteNarrow,
     /// Rebuild the hierarchy with uniform FP32 storage.
@@ -67,25 +64,18 @@ pub enum Rung {
 
 impl Rung {
     /// All rungs in climb order.
-    pub const ALL: [Rung; 5] =
-        [Rung::Retry, Rung::RepairLevel, Rung::PromoteNarrow, Rung::RebuildF32, Rung::RebuildF64];
+    pub const ALL: [Rung; 4] =
+        [Rung::Retry, Rung::PromoteNarrow, Rung::RebuildF32, Rung::RebuildF64];
 
-    /// Position in the climb order.
+    /// Position in the climb order (the declaration order).
     pub fn index(self) -> usize {
-        match self {
-            Rung::Retry => 0,
-            Rung::RepairLevel => 1,
-            Rung::PromoteNarrow => 2,
-            Rung::RebuildF32 => 3,
-            Rung::RebuildF64 => 4,
-        }
+        self as usize
     }
 
     /// Short display label.
     pub fn label(self) -> &'static str {
         match self {
             Rung::Retry => "retry",
-            Rung::RepairLevel => "repair-level",
             Rung::PromoteNarrow => "promote16→32",
             Rung::RebuildF32 => "rebuild-f32",
             Rung::RebuildF64 => "rebuild-f64",
@@ -105,35 +95,10 @@ impl core::fmt::Display for Rung {
 /// succeed, it does not tune precision.
 const AUDIT_MAX_UNDERFLOW: f64 = 0.25;
 
-/// Per-rung attempt caps and the audit gate.
-#[derive(Clone, Debug)]
-pub struct RetryPolicy {
-    /// Attempts allowed per rung, indexed by [`Rung::index`]. A zero
-    /// skips the rung entirely.
-    pub attempts: [usize; 5],
-    /// Consult the precision audit before the first attempt: when the
-    /// rung-0 hierarchy's own setup audit already shows a 16-bit level
-    /// saturating or losing more than `AUDIT_MAX_UNDERFLOW` (25%) of its
-    /// couplings, the mixed-precision attempt is *known* doomed —
-    /// the ladder starts directly at [`Rung::PromoteNarrow`] instead of
-    /// burning rung-0 retries on it (repair cannot help either: the loss
-    /// is inherent to the format, not a corruption). The evidence lands
-    /// in [`RetryReport::audit`].
-    pub audit_gate: bool,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { attempts: [2, 1, 1, 1, 1], audit_gate: true }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries anywhere (one attempt on rung 0 only).
-    pub fn fail_fast() -> Self {
-        RetryPolicy { attempts: [1, 0, 0, 0, 0], ..Self::default() }
-    }
-}
+/// Attempts per rung, indexed by [`Rung::index`]: the second
+/// [`Rung::Retry`] re-solves the retained hierarchy the anomaly hook may
+/// have repaired during the first.
+const ATTEMPTS: [usize; 4] = [2, 1, 1, 1];
 
 /// Which Krylov method the session runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -175,9 +140,9 @@ pub struct FaultPlan {
     /// `sticky_until = PromoteNarrow` corrupts only the initial mixed
     /// hierarchy, `RebuildF64` keeps corrupting every FP32-computation
     /// build and only the final FP64 rebuild escapes. Each build is hit
-    /// exactly once — [`Rung::RepairLevel`] mends the retained
-    /// hierarchy without re-exposing it, which is precisely the
-    /// transient-upset model.
+    /// exactly once — the second [`Rung::Retry`] re-solves the retained
+    /// hierarchy (mended by the anomaly hook) without re-exposing it,
+    /// which is precisely the transient-upset model.
     pub sticky_until: Rung,
 }
 
@@ -198,10 +163,18 @@ pub struct SolveRequest {
     /// Per-attempt solver options; `max_iters` is additionally clamped
     /// by the session budget's `max_iters`.
     pub opts: SolveOptions,
-    /// Session resource bounds.
+    /// Session resource bounds; they also bound the ladder's climb (an
+    /// iteration budget spent by the first attempt ends the session).
     pub budget: Budget,
-    /// Escalation policy.
-    pub policy: RetryPolicy,
+    /// Consult the precision audit before the first attempt: when the
+    /// rung-0 hierarchy's own setup audit already shows a 16-bit level
+    /// saturating or losing more than `AUDIT_MAX_UNDERFLOW` (25%) of its
+    /// couplings, the mixed-precision attempt is *known* doomed — the
+    /// ladder starts directly at [`Rung::PromoteNarrow`] instead of
+    /// burning retries on it (repair cannot help either: the loss is
+    /// inherent to the format, not a corruption). The evidence lands in
+    /// [`RetryReport::audit`]. On by default.
+    pub audit_gate: bool,
     /// Krylov method override.
     pub solver: SolverChoice,
     /// Kernel parallelism for the outer operator.
@@ -228,8 +201,8 @@ pub struct SolveRequest {
 }
 
 impl SolveRequest {
-    /// A request with default options, unlimited budget, and the default
-    /// retry policy.
+    /// A request with default options, unlimited budget, and the audit
+    /// gate on.
     pub fn new(name: impl Into<String>, problem: Problem, base: MgConfig) -> Self {
         let class = problem.name.to_string();
         SolveRequest {
@@ -239,7 +212,7 @@ impl SolveRequest {
             rhs: None,
             opts: SolveOptions::default(),
             budget: Budget::unlimited(),
-            policy: RetryPolicy::default(),
+            audit_gate: true,
             solver: SolverChoice::Auto,
             par: Par::Seq,
             priority: Priority::default(),
@@ -267,9 +240,8 @@ pub struct Attempt {
     /// Storage promotions the hierarchy performed during the attempt
     /// (eager rung promotions and internal self-healing both count).
     pub promotions: usize,
-    /// Localized level repairs performed during the attempt — by the
-    /// in-solve integrity hooks, or by the [`Rung::RepairLevel`] sweep
-    /// that preceded the re-solve.
+    /// Localized level repairs the in-solve integrity hooks performed
+    /// during the attempt.
     pub repairs: usize,
     /// Typed failure, when the attempt did not converge.
     pub error: Option<SolveError>,
@@ -300,11 +272,10 @@ pub struct RetryReport {
     /// The most recent attempts, in execution order.
     pub attempts: Ring<Attempt>,
     /// The pre-solve precision audit, when the gate ran (see
-    /// [`RetryPolicy::audit_gate`]).
+    /// [`SolveRequest::audit_gate`]).
     pub audit: Option<AuditSnapshot>,
-    /// The most recent localized level repairs, in execution order
-    /// (in-solve integrity hooks and the [`Rung::RepairLevel`] sweeps
-    /// both land here).
+    /// The most recent localized level repairs the in-solve integrity
+    /// hooks performed, in execution order.
     pub repairs: Ring<RepairEvent>,
 }
 
@@ -320,7 +291,7 @@ impl RetryReport {
         self.attempts.last().map(|a| a.rung)
     }
 
-    /// Compact `retry→repair-level→promote16→32` display string.
+    /// Compact `retry→retry→promote16→32` display string.
     pub fn summary(&self) -> String {
         self.attempts.iter().map(|a| a.rung.label()).collect::<Vec<_>>().join("→")
     }
@@ -353,8 +324,9 @@ impl SessionOutcome {
 }
 
 /// The rung-0 hierarchy, kept alive across [`Rung::Retry`] attempts so
-/// [`Rung::RepairLevel`] can mend it in place instead of rebuilding.
-/// Escalation to [`Rung::PromoteNarrow`] or beyond drops it.
+/// the second re-solves it as the anomaly hook left it (mended in place)
+/// instead of rebuilding. Escalation to [`Rung::PromoteNarrow`] or
+/// beyond drops it.
 struct Retained {
     mg: Option<Mg<f32>>,
     /// Charge receipts for `mg`'s stored levels and workspace arena;
@@ -437,7 +409,7 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
     // rung-0 attempt as-is (and a prebuilt one is audited in place, no
     // build at all).
     let mut start_rung = 0usize;
-    if req.policy.audit_gate && req.policy.attempts[Rung::Retry.index()] > 0 {
+    if req.audit_gate {
         if retained.mg.is_none() {
             // A setup failure here is not terminal: the first rung-0
             // attempt repeats the setup and reports the typed error
@@ -471,7 +443,7 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
             let skipped_retry = reason.is_some();
             if skipped_retry {
                 // Inherent format loss, not corruption — repair cannot
-                // help, so the ladder starts past RepairLevel too.
+                // help, so the ladder starts past the retries.
                 start_rung = Rung::PromoteNarrow.index();
                 retained.mg = None;
                 retained.charges = None;
@@ -482,7 +454,7 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
 
     'ladder: for rung in Rung::ALL.into_iter().skip(start_rung) {
         let mut rung_try = 0usize;
-        while rung_try < req.policy.attempts[rung.index()] {
+        while rung_try < ATTEMPTS[rung.index()] {
             // Session-level pre-checks: a deadline or cancellation that
             // fired since the last attempt ends the ladder before any
             // setup work is spent.
@@ -504,10 +476,6 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
             let seconds = at0.elapsed().as_secs_f64();
 
             match attempt {
-                // The rung has nothing to do (RepairLevel with no
-                // retained hierarchy or nothing repaired): move on
-                // without recording an attempt.
-                Ok(None) => continue 'ladder,
                 Err(setup_err) => {
                     rung_try += 1;
                     // Same config ⇒ same setup failure: skip the rest of
@@ -526,7 +494,7 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
                     last_err = Some(setup_err);
                     continue 'ladder;
                 }
-                Ok(Some(out)) => {
+                Ok(out) => {
                     rung_try += 1;
                     let AttemptOutput { result, promotions, repairs, x } = out;
                     guard.charge_iters(result.iters);
@@ -588,23 +556,21 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
     }
 }
 
-/// Obtains the hierarchy for `rung` (retained, repaired, or freshly
-/// built) and runs one solver attempt under the guard. `Ok(None)` means
-/// the rung does not apply and no attempt was made; `Err` is a typed
-/// setup failure.
+/// Obtains the hierarchy for `rung` (retained or freshly built) and runs
+/// one solver attempt under the guard. `Err` is a typed setup failure.
 fn run_rung_attempt(
     req: &SolveRequest,
     rung: Rung,
     opts: &SolveOptions,
     guard: &mut BudgetGuard,
     retained: &mut Retained,
-) -> Result<Option<AttemptOutput>, SolveError> {
+) -> Result<AttemptOutput, SolveError> {
     let setup_err = |e: fp16mg_core::SetupError| SolveError::SetupFailed { message: e.to_string() };
     match rung {
         Rung::Retry => {
             // The audit gate's healthy build seeds the retained
-            // hierarchy; it survives failed attempts so RepairLevel can
-            // mend it in place later.
+            // hierarchy; it survives a failed attempt, so the second
+            // re-solves it as the anomaly hook mended it.
             if retained.mg.is_none() {
                 retained.mg =
                     Some(Mg::<f32>::setup(&req.problem.matrix, &req.base).map_err(setup_err)?);
@@ -631,25 +597,7 @@ fn run_rung_attempt(
                 inject_if_armed(req, rung, mg);
             }
             let bases = (mg.promotions().len(), mg.repairs().len());
-            Ok(Some(attempt_with(req, mg, opts, guard, bases)))
-        }
-        Rung::RepairLevel => {
-            // Cheapest escalation: a sentinel sweep over the *retained*
-            // rung-0 hierarchy localizes corrupted coefficient planes
-            // and re-truncates just those levels from their retained
-            // high-precision parents — no rebuild. The re-solve runs
-            // when the sweep repaired something now, or when the
-            // in-solve integrity hooks repaired during the failed retry
-            // (the mended hierarchy deserves one clean shot before the
-            // ladder escalates to a rebuild).
-            let Some(mg) = retained.mg.as_mut() else { return Ok(None) };
-            let bases = (mg.promotions().len(), mg.repairs().len());
-            let repaired_in_solve = !mg.repairs().is_empty();
-            let swept = mg.verify_and_repair(RepairTrigger::Requested);
-            if swept.is_empty() && !repaired_in_solve {
-                return Ok(None);
-            }
-            Ok(Some(attempt_with(req, mg, opts, guard, bases)))
+            Ok(attempt_with(req, mg, opts, guard, bases))
         }
         Rung::PromoteNarrow => {
             // A rebuild abandons the repairable hierarchy for good
@@ -676,7 +624,7 @@ fn run_rung_attempt(
             }
             let _charges = charge_hierarchy(req, &mg)?;
             inject_if_armed(req, rung, &mut mg);
-            Ok(Some(attempt_with(req, &mut mg, opts, guard, (0, 0))))
+            Ok(attempt_with(req, &mut mg, opts, guard, (0, 0)))
         }
         Rung::RebuildF32 => {
             retained.mg = None;
@@ -686,7 +634,7 @@ fn run_rung_attempt(
             let mut mg = Mg::<f32>::setup(&req.problem.matrix, &cfg).map_err(setup_err)?;
             let _charges = charge_hierarchy(req, &mg)?;
             inject_if_armed(req, rung, &mut mg);
-            Ok(Some(attempt_with(req, &mut mg, opts, guard, (0, 0))))
+            Ok(attempt_with(req, &mut mg, opts, guard, (0, 0)))
         }
         Rung::RebuildF64 => {
             retained.mg = None;
@@ -696,7 +644,7 @@ fn run_rung_attempt(
             let mut mg = Mg::<f64>::setup(&req.problem.matrix, &cfg).map_err(setup_err)?;
             let _charges = charge_hierarchy(req, &mg)?;
             inject_if_armed(req, rung, &mut mg);
-            Ok(Some(attempt_with(req, &mut mg, opts, guard, (0, 0))))
+            Ok(attempt_with(req, &mut mg, opts, guard, (0, 0)))
         }
     }
 }

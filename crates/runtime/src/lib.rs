@@ -11,12 +11,14 @@
 //!   cancel it cooperatively. [`BudgetGuard`] implements
 //!   `fp16mg_krylov::SolveControl`, so the bounds are enforced at every
 //!   Krylov iteration boundary, not just between attempts.
-//! - [`run_session`] walks the retry ladder ([`Rung`]): retry the mixed
-//!   FP16 configuration, repair corrupted levels in place from their
-//!   integrity sentinels, eagerly promote 16-bit levels, rebuild in
-//!   FP32, and finally fall back to full FP64 — with per-rung attempt
-//!   caps ([`RetryPolicy`]), recording every
-//!   attempt (and every localized repair) in a [`RetryReport`].
+//! - [`run_session`] walks the retry ladder ([`Rung`]): run the mixed
+//!   FP16 configuration twice on one hierarchy (the in-solve anomaly
+//!   hook repairs corrupted levels in place from their integrity
+//!   sentinels, so the second attempt re-solves the mended hierarchy),
+//!   eagerly promote 16-bit levels, rebuild in FP32, and finally fall
+//!   back to full FP64 — a fixed number of attempts per rung, the
+//!   session [`Budget`] bounding the climb — recording every attempt
+//!   (and every localized repair) in a [`RetryReport`].
 //! - [`ServePool`] serves one session at a time behind a per-problem-class
 //!   circuit [`breaker`] (always on, fixed tuning), with the drift-audited
 //!   [`HierarchyCache`] (always on, half of [`PoolConfig::mem_budget`] for
@@ -66,8 +68,8 @@ pub use cache::{
 };
 pub use fault::FaultSchedule;
 pub use ladder::{
-    run_session, run_session_with, Attempt, AuditSnapshot, FaultPlan, LevelBitFlip, RetryPolicy,
-    RetryReport, Rung, SessionOutcome, SolveRequest, SolverChoice,
+    run_session, run_session_with, Attempt, AuditSnapshot, FaultPlan, LevelBitFlip, RetryReport,
+    Rung, SessionOutcome, SolveRequest, SolverChoice,
 };
 pub use mem::{AllocFault, ChargeRecord, MemCharge, MemError, MemGovernor};
 pub use net::{

@@ -40,7 +40,7 @@ use fp16mg_problems::ProblemKind;
 use fp16mg_sgdia::kernels::Par;
 
 use crate::admission::Priority;
-use crate::ladder::{RetryPolicy, SolveRequest};
+use crate::ladder::SolveRequest;
 use crate::net::{
     codes, read_frame, write_frame, Conn, DoneReply, Endpoint, Frame, Listener, SubmitRequest,
     WireError,
@@ -94,14 +94,14 @@ pub fn request_for(seq: u64, size: usize, tol: f64, par: Par) -> SolveRequest {
     req.opts = clean;
     req.par = par;
     match class {
-        // A deterministically failing class: tolerance zero, four
-        // iterations, no retries. Trips its breaker. (Four iterations
+        // A deterministically failing class: tolerance zero and a
+        // four-iteration session budget, which the first attempt spends,
+        // so the ladder ends there. Trips its breaker. (Four iterations
         // are too few for the health monitor's stall patience to fire.)
         6 => {
             req.class = "poison".to_string();
             req.opts.tol = 0.0;
             req.budget.max_iters = Some(4);
-            req.policy = RetryPolicy::fail_fast();
         }
         3 | 7 => req.class = "drift".to_string(),
         // Interactive-priority clean traffic (shares the laplace27

@@ -5,7 +5,7 @@ use fp16mg_krylov::{HealthPolicy, SolveError, SolveOptions};
 use fp16mg_problems::{Problem, ProblemKind};
 
 use crate::budget::{Budget, BudgetGuard, CancelToken};
-use crate::ladder::{run_session, RetryPolicy, Rung, SolveRequest, SolverChoice};
+use crate::ladder::{run_session, Rung, SolveRequest, SolverChoice};
 
 fn laplace(n: usize) -> Problem {
     ProblemKind::Laplace27.build(n)
@@ -192,7 +192,6 @@ mod fault {
         // self-healing (which would fix the F16 faults at rung 0) is off.
         base.recovery = RecoveryPolicy::disabled();
         let mut req = SolveRequest::new(name, laplace(8), base);
-        req.policy = RetryPolicy { attempts: [1, 1, 1, 1, 1], ..RetryPolicy::default() };
         req.fault =
             Some(FaultPlan { spec: FaultSpec::inf(0.02, 0xfeed), flip: None, sticky_until });
         req
@@ -209,14 +208,11 @@ mod fault {
                 out.result.err()
             );
             let rungs = out.report.rung_sequence();
-            // RepairLevel records no attempt here: without retained
-            // parents (default policy) there is nothing it can repair,
-            // so it is silently skipped on the way up.
-            let expected: Vec<Rung> = Rung::ALL[..=sticky.index()]
-                .iter()
-                .copied()
-                .filter(|r| *r != Rung::RepairLevel)
-                .collect();
+            // Two attempts on the retained rung-0 hierarchy (the fault
+            // is applied once, so the second re-solves it as it is),
+            // then one per rung up to the first clean one.
+            let mut expected = vec![Rung::Retry];
+            expected.extend_from_slice(&Rung::ALL[..=sticky.index()]);
             assert_eq!(rungs, expected, "session must climb exactly to the first clean rung");
             assert_eq!(out.report.final_rung(), Some(sticky));
             for attempt in &out.report.attempts[..out.report.attempts.len() - 1] {
@@ -239,30 +235,23 @@ mod fault {
 
     #[test]
     fn ladder_exhaustion_returns_last_typed_error() {
-        let mut req = faulted_request("exhausted", Rung::RebuildF64);
-        // The only rung that would escape the fault is disabled, so the
-        // ladder must exhaust and hand back the last rung's failure.
-        req.policy.attempts = [1, 1, 1, 1, 0];
+        // Tolerance zero with health checks off: no rung can converge,
+        // so the ladder climbs all four and hands back the last rung's
+        // typed failure.
+        let mut req = SolveRequest::new("exhausted", laplace(8), MgConfig::d16());
+        req.opts = SolveOptions { max_iters: 3, ..endless_opts() };
         let out = run_session(&req);
-        let err = out.result.expect_err("every enabled rung is corrupted");
+        let err = out.result.expect_err("no rung converges at tolerance zero");
         assert!(
-            matches!(err, SolveError::Breakdown(_) | SolveError::Stagnated(_)),
-            "expected the last numerical failure, got {err:?}"
+            matches!(err, SolveError::Unconverged { iters: 3, .. }),
+            "expected the last rung's own failure, got {err:?}"
         );
         assert_eq!(
             out.report.rung_sequence(),
-            vec![Rung::Retry, Rung::PromoteNarrow, Rung::RebuildF32]
+            vec![Rung::Retry, Rung::Retry, Rung::PromoteNarrow, Rung::RebuildF32, Rung::RebuildF64]
         );
+        assert_eq!(out.iters, 15, "five attempts of three iterations each");
         assert!(out.solution.is_none());
-    }
-
-    #[test]
-    fn retry_rung_retries_before_escalating() {
-        let mut req = faulted_request("retry-twice", Rung::PromoteNarrow);
-        req.policy.attempts = [2, 1, 1, 1, 1];
-        let out = run_session(&req);
-        assert!(out.converged());
-        assert_eq!(out.report.rung_sequence(), vec![Rung::Retry, Rung::Retry, Rung::PromoteNarrow]);
     }
 
     fn pool() -> ServePool {
@@ -337,7 +326,6 @@ mod integrity {
         base.recovery = RecoveryPolicy::disabled();
         base.integrity = IntegrityPolicy::armed();
         let mut req = SolveRequest::new("flip", laplace(12), base);
-        req.policy = RetryPolicy { attempts: [1, 1, 1, 1, 1], ..RetryPolicy::default() };
         // Richardson (multigrid as the solver) is maximally sensitive to
         // a corrupted level — a Krylov method would partially absorb the
         // perturbation. The modest cap makes the corrupted attempt fail
@@ -361,33 +349,33 @@ mod integrity {
         // corrupted retry breaks down at its first residual; the anomaly
         // hook's sentinel sweep localizes the flip to (level 1, tap 0)
         // and re-truncates that one level from its retained f64 parent,
-        // and the repair-level rung's re-solve converges — no promotion,
-        // no rebuild.
+        // and the second retry's re-solve converges — no promotion, no
+        // rebuild.
         let flip = LevelBitFlip { level: 1, tap: 0, bit: 14 };
         let req = flipped_request(flip);
         let out = run_session(&req);
         assert!(out.converged(), "repair must rescue the solve: {:?}", out.result.err());
         assert_eq!(
             out.report.rung_sequence(),
-            vec![Rung::Retry, Rung::RepairLevel],
-            "repair-level must fix the flip without reaching a rebuild rung"
+            vec![Rung::Retry, Rung::Retry],
+            "the retry must fix the flip without reaching a rebuild rung"
         );
         assert_eq!(out.report.repairs.len(), 1, "exactly one level repaired");
         let ev = &out.report.repairs[0];
         assert_eq!(ev.level, 1, "repair localized to the corrupted level");
         assert_eq!(ev.taps, vec![0], "repair localized to the corrupted plane");
         assert_eq!(ev.trigger, RepairTrigger::Anomaly);
-        let [retry, repair] = &out.report.attempts[..] else { unreachable!() };
-        assert_eq!((retry.repairs, repair.repairs), (1, 0), "the hook repaired in the retry");
-        assert!(repair.converged);
+        let [first, second] = &out.report.attempts[..] else { unreachable!() };
+        assert_eq!((first.repairs, second.repairs), (1, 0), "the hook repaired in the first retry");
+        assert!(second.converged);
     }
 
     #[test]
     fn anomaly_hook_repairs_during_the_solve() {
         // The in-solve anomaly hook mends the hierarchy the moment the
-        // solver reports a breakdown or stall; the repair-level rung then
-        // gives the mended hierarchy its clean re-solve. Either way, no
-        // rebuild rung is reached.
+        // solver reports a breakdown or stall; the second retry then
+        // gives the mended hierarchy its clean re-solve. No rebuild rung
+        // is reached.
         let flip = LevelBitFlip { level: 1, tap: 0, bit: 14 };
         let req = flipped_request(flip);
         let out = run_session(&req);
@@ -398,10 +386,16 @@ mod integrity {
             "every repair must localize to the flipped plane: {:?}",
             out.report.repairs
         );
-        assert!(
-            out.report.final_rung() <= Some(Rung::RepairLevel),
+        assert_eq!(
+            out.report.final_rung(),
+            Some(Rung::Retry),
             "no rebuild may be needed: {}",
             out.report.summary()
+        );
+        assert!(
+            out.report.repairs.iter().all(|e| e.trigger == RepairTrigger::Anomaly),
+            "the anomaly hook is the one repair path: {:?}",
+            out.report.repairs
         );
     }
 
@@ -409,21 +403,18 @@ mod integrity {
     fn every_integrity_sweep_charges_one_session_vcycle() {
         // Richardson applies the preconditioner once per iteration and
         // self-healing is off, so a session's V-cycles are its iterations
-        // plus one per sentinel sweep: the repair-level rung's, and the
-        // anomaly hook's on each attempt that ended in a breakdown or a
-        // stall. An uncharged sweep would run outside deadline and
-        // max_vcycles control.
+        // plus one per sentinel sweep: the anomaly hook's, on each
+        // attempt that ended in a breakdown or a stall. An uncharged
+        // sweep would run outside deadline and max_vcycles control.
         let flip = LevelBitFlip { level: 1, tap: 0, bit: 14 };
         let out = run_session(&flipped_request(flip));
         assert!(out.converged(), "{:?}", out.result.err());
-        let attempts = &out.report.attempts;
-        let rung_sweeps = attempts.iter().filter(|a| a.rung == Rung::RepairLevel).count();
-        assert_eq!(rung_sweeps, 1, "{}", out.report.summary());
         let hooked = |a: &&Attempt| {
             matches!(a.error, Some(SolveError::Breakdown(_) | SolveError::Stagnated(_)))
         };
-        let hook_sweeps = attempts.iter().filter(hooked).count();
-        assert_eq!(out.vcycles, out.iters + rung_sweeps + hook_sweeps, "{}", out.report.summary());
+        let hook_sweeps = out.report.attempts.iter().filter(hooked).count();
+        assert_eq!(hook_sweeps, 1, "{}", out.report.summary());
+        assert_eq!(out.vcycles, out.iters + hook_sweeps, "{}", out.report.summary());
     }
 }
 
@@ -481,7 +472,7 @@ mod audit_gate {
     #[test]
     fn gate_can_be_disabled() {
         let mut req = SolveRequest::new("ungated", laplace(8), MgConfig::d16());
-        req.policy.audit_gate = false;
+        req.audit_gate = false;
         let out = run_session(&req);
         assert!(out.converged());
         assert!(out.report.audit.is_none());
@@ -677,13 +668,13 @@ mod serve_pool {
     use crate::pool::{PoolConfig, ServeError, ServePool};
 
     /// A request whose session always ends in a fast typed terminal
-    /// failure (unreachable tolerance, two-iteration budget, no retries).
+    /// failure (unreachable tolerance; the first attempt spends the
+    /// two-iteration budget, so the ladder climbs no further).
     fn poisoned(name: &str) -> SolveRequest {
         let mut req = SolveRequest::new(name, laplace(6), MgConfig::d16());
         req.class = "poison".into();
         req.opts = endless_opts();
         req.budget.max_iters = Some(2);
-        req.policy.attempts = [1, 0, 0, 0, 0];
         req
     }
 
@@ -1000,7 +991,6 @@ mod snapshot {
             req.class = "poison class".into(); // space exercises escaping
             req.opts = endless_opts();
             req.budget.max_iters = Some(2);
-            req.policy = RetryPolicy::fail_fast();
             req
         };
         let ok = SolveRequest::new("ok", laplace(6), MgConfig::d16());
@@ -2122,7 +2112,6 @@ mod event_driven {
         req.class = "endless".into();
         req.solver = SolverChoice::Richardson;
         req.opts = SolveOptions { max_iters: usize::MAX / 2, ..endless_opts() };
-        req.policy = RetryPolicy::fail_fast();
         req
     }
 
@@ -2158,7 +2147,6 @@ mod event_driven {
         failing.class = "endless".into();
         failing.opts = endless_opts();
         failing.budget.max_iters = Some(2);
-        failing.policy = RetryPolicy::fail_fast();
         assert!(!pool.serve(failing).converged());
         let before = breaker_of(&pool, "endless").expect("the class has a breaker");
         assert_eq!(before.window, [true]);
@@ -2654,5 +2642,26 @@ mod serve {
             let interactive = request_for(seq, 4, 1e-6, Par::Seq).priority == Priority::Interactive;
             assert_eq!(priority_for(seq) == 0, interactive, "seq {seq}");
         }
+    }
+
+    #[test]
+    fn the_session_budget_ends_the_poison_class_after_one_attempt() {
+        // The poison class sets nothing on the ladder: the first attempt
+        // spends its four-iteration session budget, so the climb ends
+        // there, unconverged.
+        use crate::ladder::{run_session, Rung};
+        use crate::serve::request_for;
+        use fp16mg_krylov::SolveError;
+        use fp16mg_sgdia::kernels::Par;
+        let req = request_for(6, SIZE, TOL, Par::Seq);
+        assert_eq!(req.class, "poison");
+        let out = run_session(&req);
+        assert_eq!(out.report.rung_sequence(), vec![Rung::Retry], "{}", out.report.summary());
+        assert!(
+            matches!(out.result, Err(SolveError::Unconverged { iters: 4, .. })),
+            "{:?}",
+            out.result
+        );
+        assert_eq!(out.iters, 4);
     }
 }
