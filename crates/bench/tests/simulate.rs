@@ -236,7 +236,7 @@ step=2 decision=rescale drift=3fd8df3a45e876d4 structural=0 repairs=1 rollback=0
 step=3 decision=keep drift=3fc1f955c54c289a structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=35
 step=4 decision=rescale drift=40007ea520598827 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=36
 step=5 decision=rescale drift=40023ce9c4ed3af5 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=36
-step=6 decision=rebuild drift=4013484a77771fde structural=0 repairs=0 rollback=1 rungs=retry→retry→promote16→32→rebuild-f32→rebuild-f64↺retry outcome=ok iters=36
+step=6 decision=rebuild drift=4013484a77771fde structural=0 repairs=0 rollback=1 rungs=retry→promote16→32→rebuild-f32→rebuild-f64↺retry outcome=ok iters=36
 step=7 decision=rebuild drift=40179106601408a6 structural=1 repairs=1 rollback=0 rungs=retry outcome=ok iters=39
 step=8 decision=rebuild drift=4019762ff6a17abc structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=39
 step=9 decision=keep drift=3fcfd0792cf37b3f structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=53

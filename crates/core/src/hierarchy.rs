@@ -2,8 +2,6 @@
 //! the Algorithm 2 preconditioner interface.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use fp16mg_fp::{Precision, Scalar};
 use fp16mg_grid::Grid3;
@@ -369,10 +367,6 @@ pub struct Mg<Pr: Scalar = f32> {
     ws: Workspace<Pr>,
     config: MgConfig,
     info: MgInfo,
-    /// Cycle applications performed, counting re-runs inside the
-    /// self-healing `apply_pr` loop. Shared (`Arc`) so an outer runtime
-    /// budget can watch V-cycle consumption while a solve is in flight.
-    cycles: Arc<AtomicUsize>,
 }
 
 impl<Pr: Scalar> Mg<Pr> {
@@ -541,7 +535,6 @@ impl<Pr: Scalar> Mg<Pr> {
             ws,
             config,
             info,
-            cycles: Arc::new(AtomicUsize::new(0)),
         })
     }
 
@@ -664,7 +657,6 @@ impl<Pr: Scalar> Mg<Pr> {
     /// One unguarded cycle on the loaded right-hand side; widens the
     /// result into `z` and reports whether every entry was finite.
     fn cycle_into<K: Scalar>(&mut self, z: &mut [K]) -> bool {
-        self.cycles.fetch_add(1, Ordering::Relaxed);
         self.vcycle();
         let s_inv = self.finest_scale.as_ref().map(|sv| sv.s_inv.as_slice());
         if self.levels.is_empty() {
@@ -697,20 +689,6 @@ impl<Pr: Scalar> Mg<Pr> {
         &self.info.promotions
     }
 
-    /// Total cycle applications so far, including re-runs the
-    /// self-healing `apply_pr` loop performed after a promotion.
-    pub fn vcycles(&self) -> usize {
-        self.cycles.load(Ordering::Relaxed)
-    }
-
-    /// The live V-cycle counter behind [`Mg::vcycles`]. An outer runtime
-    /// can clone the `Arc` into its budget guard and enforce a per-solve
-    /// V-cycle cap from the solver's per-iteration control hook, without
-    /// the hierarchy knowing anything about budgets.
-    pub fn cycle_counter(&self) -> Arc<AtomicUsize> {
-        Arc::clone(&self.cycles)
-    }
-
     /// One-pass classification of level `level`'s stored values
     /// (`None` for the coarsest/direct level and out-of-range indices).
     pub fn scan_level(&self, level: usize) -> Option<MatrixScan> {
@@ -741,12 +719,8 @@ impl<Pr: Scalar> Mg<Pr> {
     /// and returns the corrupted ones as `(level, plane mismatches)`.
     ///
     /// The sweep reads every stored coefficient once — comparable memory
-    /// traffic to a V-cycle's matrix pass — so it charges one V-cycle to
-    /// the shared counter; an outer session budget therefore accounts for
-    /// integrity work exactly like solve work, and a deadline can
-    /// interrupt a chaos run that repairs too enthusiastically.
+    /// traffic to a V-cycle's matrix pass.
     pub fn verify_integrity(&self) -> Vec<(usize, Vec<TapMismatch>)> {
-        self.cycles.fetch_add(1, Ordering::Relaxed);
         let mut corrupted = Vec::new();
         for (i, (l, info)) in self.levels.iter().zip(&self.info.levels).enumerate() {
             let Some(sentinels) = info.sentinels.as_ref() else { continue };

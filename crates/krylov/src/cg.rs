@@ -46,7 +46,7 @@ pub fn cg<K: Scalar>(
 
 /// [`cg`] with a per-iteration [`SolveControl`] hook: the control is
 /// polled at the top of every iteration and can abort the solve with a
-/// typed interruption (deadline, cancellation, budget) — see
+/// typed interruption (e.g. a passed deadline) — see
 /// [`crate::StopReason::Interrupted`]. The four work vectors are rented
 /// from the calling thread's pool, so a warm solve allocates none.
 ///

@@ -1,17 +1,17 @@
 //! Cooperative per-iteration solve control.
 //!
 //! A long-running Krylov solve is a unit of work that an outer runtime
-//! may need to bound (wall-clock deadline, V-cycle budget) or abort
-//! (cooperative cancellation). The solvers poll a [`SolveControl`] once
-//! per iteration — before any matrix or preconditioner work for that
-//! iteration — and stop with [`crate::StopReason::Interrupted`] and the
-//! returned typed [`SolveError`] the moment the hook objects. The
+//! may need to bound (a wall-clock deadline). The solvers poll a
+//! [`SolveControl`] once per iteration — before any matrix or
+//! preconditioner work for that iteration — and stop with
+//! [`crate::StopReason::Interrupted`] and the returned typed
+//! [`SolveError`] the moment the hook objects. The
 //! iterate `x` is left at its last completed state, so a caller that
 //! raised a *soft* limit can resume from it.
 //!
 //! The hook deliberately lives on a trait rather than inside
 //! [`crate::SolveOptions`]: options stay `Clone + Debug` plain data,
-//! while controls may carry clocks, atomics, or shared counters.
+//! while controls may carry clocks and counters.
 
 use crate::health::SolveError;
 
@@ -24,8 +24,7 @@ pub trait SolveControl {
     /// [`crate::SolveResult::interrupt`].
     ///
     /// # Errors
-    /// The typed reason the solve must stop (deadline, cancellation,
-    /// budget exhaustion).
+    /// The typed reason the solve must stop (e.g. a passed deadline).
     fn check(&mut self, iter: usize) -> Result<(), SolveError>;
 }
 

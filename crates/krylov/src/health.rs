@@ -116,11 +116,11 @@ impl core::fmt::Display for Stagnation {
 ///
 /// Beyond the numerical failures ([`SolveError::Breakdown`],
 /// [`SolveError::Stagnated`]) this is also the typed vocabulary of the
-/// resilient runtime layer (`fp16mg-runtime`): deadline and budget
-/// interruptions raised through the [`crate::SolveControl`] hook,
-/// cancellation, retry-ladder exhaustion, and panic isolation in the
-/// concurrent pool all surface here, so one error type describes every
-/// way a solve session can end short of convergence.
+/// resilient runtime layer (`fp16mg-runtime`): deadline interruptions
+/// raised through the [`crate::SolveControl`] hook, the serve pool's
+/// wedge bound, retry-ladder exhaustion, and a panic contained by the
+/// pool all surface here, so one error type describes every way a solve
+/// session can end short of convergence.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SolveError {
     /// The recurrence broke down.
@@ -137,21 +137,11 @@ pub enum SolveError {
         /// The configured deadline.
         deadline: std::time::Duration,
     },
-    /// The solve was cooperatively cancelled.
+    /// The solve was stopped by the pool's wedge bound: the session
+    /// outran the deadline cap the serve pool puts on every request.
     Cancelled {
-        /// Iteration at which the cancellation was observed.
+        /// Iteration at which the bound fired.
         iter: usize,
-    },
-    /// The V-cycle budget ran out: the preconditioner has been applied
-    /// more times than the session allows (counting re-runs inside the
-    /// self-healing `apply_pr` loop, which plain iteration counts miss).
-    VcycleBudgetExceeded {
-        /// Iteration at which the check fired.
-        iter: usize,
-        /// V-cycles performed so far.
-        used: usize,
-        /// The configured cap.
-        budget: usize,
     },
     /// Every rung of the retry ladder ran out of attempts without a
     /// typed numerical failure — the solver kept hitting its iteration
@@ -169,8 +159,8 @@ pub enum SolveError {
         /// The rendered setup error.
         message: String,
     },
-    /// The worker thread running this solve panicked; the panic was
-    /// caught at the pool boundary and the rest of the batch completed.
+    /// The session panicked; the panic was caught at the pool boundary
+    /// and the pool goes on serving the next request.
     WorkerPanicked {
         /// The panic payload, rendered.
         message: String,
@@ -179,9 +169,8 @@ pub enum SolveError {
 
 impl SolveError {
     /// True when a retry (possibly at a higher-precision rung) could
-    /// plausibly succeed. Interruptions (deadline, cancellation, V-cycle
-    /// budget) and panics are final: the session's budget is spent or
-    /// its owner asked it to stop.
+    /// plausibly succeed. Interruptions (deadline, the pool's wedge bound)
+    /// and panics are final: the session's budget is spent.
     pub fn retryable(&self) -> bool {
         matches!(
             self,
@@ -205,10 +194,6 @@ impl core::fmt::Display for SolveError {
                 deadline.as_secs_f64() * 1e3
             ),
             SolveError::Cancelled { iter } => write!(f, "cancelled at iteration {iter}"),
-            SolveError::VcycleBudgetExceeded { iter, used, budget } => write!(
-                f,
-                "V-cycle budget exceeded at iteration {iter}: {used} cycles used of {budget}"
-            ),
             SolveError::Unconverged { iters, rel } => {
                 write!(f, "unconverged after ladder exhaustion: {iters} iters, rel {rel:.3e}")
             }

@@ -45,9 +45,8 @@ pub enum StopReason {
     /// [`SolveResult::stagnation`]).
     Stagnated,
     /// A [`crate::SolveControl`] hook stopped the solve mid-iteration —
-    /// deadline, cancellation, or budget exhaustion (see
-    /// [`SolveResult::interrupt`] for the typed cause). The iterate holds
-    /// the last completed state.
+    /// e.g. a passed deadline (see [`SolveResult::interrupt`] for the
+    /// typed cause). The iterate holds the last completed state.
     Interrupted,
 }
 
@@ -68,8 +67,8 @@ pub struct SolveResult {
     pub breakdown: Option<Breakdown>,
     /// Stagnation diagnosis when `reason == Stagnated`.
     pub stagnation: Option<Stagnation>,
-    /// Typed interruption when `reason == Interrupted` (deadline,
-    /// cancellation, or budget exhaustion raised by the solve control).
+    /// Typed interruption when `reason == Interrupted` (e.g. a passed
+    /// deadline, raised by the solve control).
     pub interrupt: Option<SolveError>,
     /// Per-iteration health records (empty unless `record_history`).
     pub health: Vec<IterHealth>,

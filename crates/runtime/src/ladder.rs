@@ -8,12 +8,14 @@
 //! Krylov methods (Guo/de Sturler):
 //!
 //! 1. [`Rung::Retry`] — run the caller's mixed-precision configuration
-//!    on the *same* retained hierarchy, twice. Repair needs no rung of
-//!    its own: the in-solve anomaly hook localizes a corrupted
-//!    coefficient plane and re-truncates that level from its retained
-//!    high-precision parent (the ABFT repair) the moment the solver
-//!    reports a breakdown or stall, so the second attempt is the
-//!    re-solve of the mended hierarchy — no rebuild, no promotion;
+//!    on the retained hierarchy. Repair needs no rung of its own: the
+//!    in-solve anomaly hook localizes a corrupted coefficient plane and
+//!    re-truncates that level from its retained high-precision parent
+//!    (the ABFT repair) the moment the solver reports a breakdown or
+//!    stall. When the failed attempt repaired or promoted, a second
+//!    attempt re-solves the mended hierarchy — no rebuild; when it did
+//!    neither, a second attempt would reproduce it bit for bit, so the
+//!    ladder escalates at once;
 //! 2. [`Rung::PromoteNarrow`] — rebuild and *eagerly* promote every
 //!    16-bit level to FP32 before solving (the dynamic analog of
 //!    `shift_levid = 0`);
@@ -22,13 +24,10 @@
 //! 4. [`Rung::RebuildF64`] — FP64 computation *and* storage, the
 //!    last-resort everything-double configuration.
 //!
-//! Each rung gets a fixed number of attempts (`ATTEMPTS`), run back to
-//! back (the pool serves one request at a time, so there is no
-//! concurrent retry to spread out); every attempt is recorded in a
-//! [`RetryReport`]. Deadlines, V-cycle budgets, iteration budgets and
-//! cancellation cut across the whole ladder through one
-//! [`BudgetGuard`]: a request that may climb less far says so in its
-//! [`Budget`].
+//! Every other rung runs once; attempts run back to back, and every one
+//! is recorded in a [`RetryReport`]. The deadline and the iteration
+//! budget cut across the whole ladder through one [`BudgetGuard`]: a
+//! request that may climb less far says so in its [`Budget`].
 
 use std::time::Instant;
 
@@ -94,11 +93,6 @@ impl core::fmt::Display for Rung {
 /// [`fp16mg_core::AUTO_SHIFT_MAX_UNDERFLOW`] (5%): the gate only skips work that the audit says cannot
 /// succeed, it does not tune precision.
 const AUDIT_MAX_UNDERFLOW: f64 = 0.25;
-
-/// Attempts per rung, indexed by [`Rung::index`]: the second
-/// [`Rung::Retry`] re-solves the retained hierarchy the anomaly hook may
-/// have repaired during the first.
-const ATTEMPTS: [usize; 4] = [2, 1, 1, 1];
 
 /// Which Krylov method the session runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -211,7 +205,7 @@ impl SolveRequest {
             base,
             rhs: None,
             opts: SolveOptions::default(),
-            budget: Budget::unlimited(),
+            budget: Budget::default(),
             audit_gate: true,
             solver: SolverChoice::Auto,
             par: Par::Seq,
@@ -309,9 +303,6 @@ pub struct SessionOutcome {
     pub report: RetryReport,
     /// Outer iterations summed over all attempts.
     pub iters: usize,
-    /// V-cycle applications summed over all attempts (integrity
-    /// verification sweeps charge this counter too).
-    pub vcycles: usize,
     /// Session wall time, every attempt included.
     pub seconds: f64,
 }
@@ -377,8 +368,7 @@ struct AttemptOutput {
 /// The session is synchronous and cooperative: it returns a typed
 /// [`SessionOutcome`] for every way a solve can end — convergence,
 /// ladder exhaustion ([`SolveError::Unconverged`] or the last numerical
-/// failure), deadline ([`SolveError::DeadlineExceeded`]), cancellation
-/// ([`SolveError::Cancelled`]), or V-cycle budget exhaustion — and never
+/// failure) or deadline ([`SolveError::DeadlineExceeded`]) — and never
 /// panics on solver failures. (Panics from bugs are contained by
 /// [`crate::ServePool`], not here.)
 pub fn run_session(req: &SolveRequest) -> SessionOutcome {
@@ -453,11 +443,11 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
     }
 
     'ladder: for rung in Rung::ALL.into_iter().skip(start_rung) {
-        let mut rung_try = 0usize;
-        while rung_try < ATTEMPTS[rung.index()] {
-            // Session-level pre-checks: a deadline or cancellation that
-            // fired since the last attempt ends the ladder before any
-            // setup work is spent.
+        // At most two attempts: only a retry that mended its hierarchy
+        // runs a second time.
+        for try_no in 0..2 {
+            // Session-level pre-checks: a deadline that passed since the
+            // last attempt ends the ladder before any setup work is spent.
             let done = guard.iters_done();
             if let Err(e) = fp16mg_krylov::SolveControl::check(&mut guard, done) {
                 last_err = Some(e);
@@ -477,12 +467,10 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
 
             match attempt {
                 Err(setup_err) => {
-                    rung_try += 1;
-                    // Same config ⇒ same setup failure: skip the rest of
-                    // this rung and escalate.
+                    // Same config ⇒ same setup failure: escalate.
                     report.attempts.push(Attempt {
                         rung,
-                        try_no: rung_try - 1,
+                        try_no,
                         converged: false,
                         iters: 0,
                         rel: last_rel,
@@ -495,7 +483,6 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
                     continue 'ladder;
                 }
                 Ok(out) => {
-                    rung_try += 1;
                     let AttemptOutput { result, promotions, repairs, x } = out;
                     guard.charge_iters(result.iters);
                     if result.final_rel_residual.is_finite() {
@@ -510,9 +497,10 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
                             rel: result.final_rel_residual,
                         }))
                     };
+                    let mended = promotions > 0 || !repairs.is_empty();
                     report.attempts.push(Attempt {
                         rung,
-                        try_no: rung_try - 1,
+                        try_no,
                         converged,
                         iters: result.iters,
                         rel: result.final_rel_residual,
@@ -523,14 +511,11 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
                     });
                     report.repairs.extend(repairs);
                     if converged {
-                        let iters = guard.iters_done();
-                        let vcycles = guard.vcycles();
                         return SessionOutcome {
                             result: Ok(result),
                             solution: Some(x),
                             report,
-                            iters,
-                            vcycles,
+                            iters: guard.iters_done(),
                             seconds: t0.elapsed().as_secs_f64(),
                         };
                     }
@@ -539,6 +524,11 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
                     last_err = Some(e);
                     if final_err {
                         break 'ladder;
+                    }
+                    // Only a retry the hierarchy changed under runs again:
+                    // an unchanged one would reproduce this attempt.
+                    if rung != Rung::Retry || !mended {
+                        continue 'ladder;
                     }
                 }
             }
@@ -551,7 +541,6 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
         solution: None,
         report,
         iters: guard.iters_done(),
-        vcycles: guard.vcycles(),
         seconds: t0.elapsed().as_secs_f64(),
     }
 }
@@ -569,7 +558,7 @@ fn run_rung_attempt(
     match rung {
         Rung::Retry => {
             // The audit gate's healthy build seeds the retained
-            // hierarchy; it survives a failed attempt, so the second
+            // hierarchy; it survives a failed attempt, so a second
             // re-solves it as the anomaly hook mended it.
             if retained.mg.is_none() {
                 retained.mg =
@@ -649,7 +638,7 @@ fn run_rung_attempt(
     }
 }
 
-/// Adopts the hierarchy's cycle counter and runs the chosen solver once.
+/// Runs the chosen solver once on `mg`.
 /// `bases` are the hierarchy's promotion/repair counts at attempt start,
 /// so a retained hierarchy reports per-attempt deltas.
 fn attempt_with<Pr: Scalar>(
@@ -659,7 +648,6 @@ fn attempt_with<Pr: Scalar>(
     guard: &mut BudgetGuard,
     (promotions_base, repairs_base): (usize, usize),
 ) -> AttemptOutput {
-    guard.adopt_cycles(mg.cycle_counter());
     let op = MatOp::new(&req.problem.matrix, req.par);
     let b = match &req.rhs {
         Some(b) => b.clone(),

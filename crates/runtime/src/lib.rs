@@ -1,24 +1,23 @@
-//! Resilient solve runtime: budgets, cancellation, retry ladder, and
-//! request isolation.
+//! Resilient solve runtime: budgets, retry ladder, and request
+//! isolation.
 //!
 //! The layers below this crate make a single mixed-precision solve
 //! *diagnosable* (typed breakdowns, stagnation detection) and partially
 //! *self-healing* (FP16→FP32 level promotion inside the V-cycle). This
 //! crate makes solves *dependable as a service*:
 //!
-//! - [`Budget`]/[`CancelToken`] bound one solve session by wall clock,
-//!   outer iterations, and V-cycle applications, and let another thread
-//!   cancel it cooperatively. [`BudgetGuard`] implements
-//!   `fp16mg_krylov::SolveControl`, so the bounds are enforced at every
+//! - [`Budget`] bounds one solve session by a wall-clock deadline and
+//!   an outer-iteration cap. [`BudgetGuard`] implements
+//!   `fp16mg_krylov::SolveControl`, so the deadline is enforced at every
 //!   Krylov iteration boundary, not just between attempts.
 //! - [`run_session`] walks the retry ladder ([`Rung`]): run the mixed
-//!   FP16 configuration twice on one hierarchy (the in-solve anomaly
-//!   hook repairs corrupted levels in place from their integrity
-//!   sentinels, so the second attempt re-solves the mended hierarchy),
-//!   eagerly promote 16-bit levels, rebuild in FP32, and finally fall
-//!   back to full FP64 — a fixed number of attempts per rung, the
-//!   session [`Budget`] bounding the climb — recording every attempt
-//!   (and every localized repair) in a [`RetryReport`].
+//!   FP16 configuration on one hierarchy (the in-solve anomaly hook
+//!   repairs corrupted levels in place from their integrity sentinels;
+//!   when it repaired or promoted, a second attempt re-solves the mended
+//!   hierarchy), eagerly promote 16-bit levels, rebuild in FP32, and
+//!   finally fall back to full FP64 — the session [`Budget`] bounding
+//!   the climb — recording every attempt (and every localized repair)
+//!   in a [`RetryReport`].
 //! - [`ServePool`] serves one session at a time behind a per-problem-class
 //!   circuit [`breaker`] (always on, fixed tuning), with the drift-audited
 //!   [`HierarchyCache`] (always on, half of [`PoolConfig::mem_budget`] for
@@ -62,7 +61,7 @@ pub use breaker::{
     BreakerDecision, BreakerExport, BreakerRegistry, BreakerState, BreakerTransition,
     CircuitBreaker,
 };
-pub use budget::{Budget, BudgetGuard, CancelToken};
+pub use budget::{Budget, BudgetGuard};
 pub use cache::{
     CacheConfig, CacheEntryMeta, CacheEvent, CacheEventKind, CacheStats, HierarchyCache,
 };

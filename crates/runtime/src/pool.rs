@@ -46,7 +46,7 @@ pub enum ServeError {
     /// Refused before any numerical work: the class's breaker is open.
     Rejected(AdmissionError),
     /// Admitted, but the session ended with a typed solve failure
-    /// (ladder exhaustion, deadline, cancellation, contained panic, …).
+    /// (ladder exhaustion, deadline, wedge, contained panic, …).
     Session(SolveError),
 }
 
@@ -106,8 +106,6 @@ pub struct RequestOutcome {
     pub cache: Option<CacheEventKind>,
     /// Outer iterations summed over all attempts.
     pub iters: usize,
-    /// V-cycle applications summed over all attempts.
-    pub vcycles: usize,
     /// Wall time of the session (zero for rejected requests — rejection
     /// spends no solve time, that is the point).
     pub seconds: f64,
@@ -322,7 +320,6 @@ impl ServePool {
                 solution: None,
                 report: RetryReport::default(),
                 iters: 0,
-                vcycles: 0,
                 seconds: t0.elapsed().as_secs_f64(),
             });
         // A deadline that fired under the pool's bound is a wedge, not the
@@ -347,7 +344,6 @@ impl ServePool {
             probe,
             cache,
             iters: session.iters,
-            vcycles: session.vcycles,
             seconds: session.seconds,
         })
     }
@@ -364,7 +360,6 @@ impl ServePool {
             probe: false,
             cache: None,
             iters: 0,
-            vcycles: 0,
             seconds: 0.0,
         })
     }

@@ -123,7 +123,6 @@ pub fn err_label(e: &ServeError) -> &'static str {
             SolveError::Unconverged { .. } => "unconverged",
             SolveError::DeadlineExceeded { .. } => "deadline",
             SolveError::Cancelled { .. } => "cancelled",
-            SolveError::VcycleBudgetExceeded { .. } => "vcycle-budget",
             SolveError::WorkerPanicked { .. } => "panicked",
             SolveError::SetupFailed { .. } => "setup-failed",
             _ => "numerical",
