@@ -11,11 +11,11 @@
 
 use fp16mg_bench::{Combo, Group};
 use fp16mg_core::{galerkin_rap, prolong_add, restrict, GalerkinChain, MatOp, Mg, MgConfig};
-use fp16mg_fp::F16;
+use fp16mg_fp::{Precision, F16};
 use fp16mg_grid::Grid3;
 use fp16mg_krylov::{axpy, dot, LinOp};
 use fp16mg_problems::ProblemKind;
-use fp16mg_sgdia::audit::{store_level, store_level_in_range, TruncationPolicy};
+use fp16mg_sgdia::audit::{audit, store_level, store_level_in_range, TruncationPolicy};
 use fp16mg_sgdia::kernels::{self, BlockDiagInv, Par};
 use fp16mg_sgdia::model::half_read_planes;
 use fp16mg_sgdia::scaling::{scale_symmetric, GChoice, ScalePlan};
@@ -94,55 +94,88 @@ fn bench_setup_kernels() {
     }
 }
 
-/// What storing a finest level costs, as `Mg::setup` does it (FP16 planes
-/// and sentinels; level 0 keeps no FP32 source, the caller's operator
-/// insures it), on the two scalar repo-benchmark shapes: laplace27 is in
-/// range and stored in one read with the range test inside the sweep
-/// (`store`); weather is not and takes two — `G_max` (`plan`), then the
-/// fused scale + truncate + audit + sentinel sweep (`store scaled`; the
-/// range test that sends it there gives up in the first block). GB/s from
-/// the bytes each must move (8 read per entry, 2 written), beside a
-/// `triad` (`a = b + s·c` over f64 arrays of the level's size, 24 bytes
-/// per element) run the same way: ROADMAP item 4 asked the store for
-/// ≥ 3 GB/s over 8 + 6 bytes (when level 0 kept its FP32 source), and the
-/// triad row says what this host would give a loop that only moved the
-/// bytes.
+/// What storing a level costs, as `Mg::setup` does it (FP16 planes and
+/// sentinels; level 0 keeps no FP32 source, the caller's operator insures
+/// it): laplace27 72³ is in range and stored in one read with the range
+/// test inside the sweep (`store`); weather 64³ and the first two levels
+/// of rhd-3T 24³ (the `block3t` shape, where half of level 1's blocks hold
+/// an entry that is not plain) are not, and take two — `G_max` (`plan`),
+/// then the fused scale + truncate + audit + sentinel sweep (`store
+/// scaled`; set-up reads the diagonal first and skips the range test).
+/// GB/s from the bytes each must move (8 read per entry, 2 written),
+/// beside a `triad` (`a = b + s·c` over f64 arrays of the level's size, 24
+/// bytes per element) run the same way: what this host would give a loop
+/// that only moved the bytes (ROADMAP item 11 asks set-up for no more than
+/// Full64's). Also weather's unscaled `audit` (about 12 % of its entries
+/// saturate FP16), the pass a time step's `Retained::audit` pays, and the
+/// smoother's `block-inverse` of each rhd-3T level and of rhd-3T 48³'s
+/// finest (read from the unscaled zero-offset planes, scaled on the way;
+/// GB/s over 8 B read and 4 written per block entry).
 fn bench_store_pass() {
-    for (kind, n) in [(ProblemKind::Laplace27, 72), (ProblemKind::Weather, 64)] {
-        let a = kind.build(n).matrix.to_layout(Layout::Soa);
-        let (entries, bytes) = (a.stored_entries(), a.value_bytes() as u64);
-        let group = |moved: u64| {
-            Group::new(format!("store-pass/{}-n{n}", kind.name())).throughput_bytes(moved)
-        };
-        let (b, c) = (vec![1.5f64; entries / 3], vec![0.25f64; entries / 3]);
-        let mut out = vec![0.0f64; entries / 3];
-        group(bytes).bench("triad", || {
-            for ((o, &b), &c) in out.iter_mut().zip(&b).zip(&c) {
-                *o = b + 3.0 * c;
-            }
-            std::hint::black_box(&mut out);
-        });
-        let policy = Some(TruncationPolicy::Saturate);
-        let plan =
-            || ScalePlan::decide(&a, GChoice::Auto, F16::MAX_F64).expect("positive diagonal");
-        if a.abs_max().0 < F16::MAX_F64 {
-            group(bytes + bytes / 4).bench("store", || {
-                let stored = store_level_in_range::<F16>(&a, policy, true, false);
-                std::hint::black_box(stored)
-                    .expect("saturate stores everything")
-                    .expect("in range");
-            });
-        } else {
-            group(bytes).bench("plan", || {
-                std::hint::black_box(plan());
-            });
-            let plan = plan();
-            group(bytes + bytes / 4).bench("store scaled", || {
-                let stored = store_level::<F16>(&a, Some(plan.s_inv()), policy, true, false);
-                std::hint::black_box(stored).expect("saturate stores everything");
-            });
-        }
+    let laplace = ProblemKind::Laplace27.build(72).matrix.to_layout(Layout::Soa);
+    store_rows("store-pass/laplace27-n72", &laplace, false);
+    drop(laplace);
+    let weather = ProblemKind::Weather.build(64).matrix.to_layout(Layout::Soa);
+    store_rows("store-pass/weather-n64", &weather, false);
+    let bytes = weather.value_bytes() as u64;
+    Group::new("store-pass/weather-n64").throughput_bytes(bytes).bench("audit", || {
+        std::hint::black_box(audit(&weather, Precision::F16));
+    });
+    drop(weather);
+    let rhd = ProblemKind::Rhd3T.build(24).matrix;
+    let chain = GalerkinChain::build(&rhd, &MgConfig::d16()).expect("chain");
+    for (l, a) in chain.matrices().iter().enumerate().take(2) {
+        store_rows(&format!("store-pass/rhd-3T-n24/L{l}"), &a.to_layout(Layout::Soa), true);
     }
+    let rhd = ProblemKind::Rhd3T.build(48).matrix.to_layout(Layout::Soa);
+    block_inverse_row("store-pass/rhd-3T-n48/L0", &rhd, &scale_plan(&rhd));
+}
+
+fn scale_plan(a: &SgDia<f64>) -> ScalePlan {
+    ScalePlan::decide(a, GChoice::Auto, F16::MAX_F64).expect("positive diagonal")
+}
+
+/// [`bench_store_pass`]'s rows for one level.
+fn store_rows(name: &str, a: &SgDia<f64>, block_inverse: bool) {
+    let (entries, bytes) = (a.stored_entries(), a.value_bytes() as u64);
+    let group = |moved: u64| Group::new(name).throughput_bytes(moved);
+    let (b, c) = (vec![1.5f64; entries / 3], vec![0.25f64; entries / 3]);
+    let mut out = vec![0.0f64; entries / 3];
+    group(bytes).bench("triad", || {
+        for ((o, &b), &c) in out.iter_mut().zip(&b).zip(&c) {
+            *o = b + 3.0 * c;
+        }
+        std::hint::black_box(&mut out);
+    });
+    let policy = Some(TruncationPolicy::Saturate);
+    if a.abs_max().0 < F16::MAX_F64 {
+        group(bytes + bytes / 4).bench("store", || {
+            let stored = store_level_in_range::<F16>(a, policy, true, false);
+            std::hint::black_box(stored).expect("saturate stores everything").expect("in range");
+        });
+        return;
+    }
+    group(bytes).bench("plan", || {
+        std::hint::black_box(scale_plan(a));
+    });
+    let plan = scale_plan(a);
+    group(bytes + bytes / 4).bench("store scaled", || {
+        let stored = store_level::<F16>(a, Some(plan.s_inv()), policy, true, false);
+        std::hint::black_box(stored).expect("saturate stores everything");
+    });
+    if block_inverse {
+        block_inverse_row(name, a, &plan);
+    }
+}
+
+/// The smoother's inverted diagonal blocks of `a` as `plan` scales it.
+fn block_inverse_row(name: &str, a: &SgDia<f64>, plan: &ScalePlan) {
+    let r = a.grid().components;
+    let block_entries = (a.grid().cells() * r * r) as u64;
+    Group::new(name).throughput_bytes(block_entries * 12).bench("block-inverse", || {
+        let dinv = BlockDiagInv::<f32>::from_scaled(a, Some(plan.s_inv()));
+        std::hint::black_box(dinv).expect("regular diagonal blocks");
+    });
 }
 
 /// The matrix kernels of a V-cycle on one operator, in one table: a

@@ -1101,15 +1101,24 @@ fn build_level<Pr: Scalar>(
     // Direct truncation (line 11) in one read — also the path for `None`
     // and for all levels of scale-then-setup — unless setup-then-scale's
     // sweep meets an entry out of range ("need to scale"): only then is the
-    // level planned (`G_max`) and stored scaled (lines 6–9).
-    let unscaled = if config.scale == ScaleStrategy::SetupThenScale {
-        let k = keep_source(prec);
-        StoredMatrix::store_in_range(ai, prec, layout, policy, true, k).transpose()
-    } else {
-        Some(store(None, prec))
+    // level planned (`G_max`) and stored scaled (lines 6–9). The diagonal
+    // is read first: an entry of it out of range is one that sweep would
+    // meet, so such a level skips the sweep, and the plan takes the
+    // diagonal as read.
+    let limit = prec.finite_max();
+    let diagonal = (config.scale == ScaleStrategy::SetupThenScale).then(|| ai.extract_diagonal());
+    let unscaled = match &diagonal {
+        Some(diag) if diag.iter().any(|d| !d.is_finite() || d.abs() >= limit) => None,
+        Some(_) => {
+            let k = keep_source(prec);
+            StoredMatrix::store_in_range(ai, prec, layout, policy, true, k).transpose()
+        }
+        None => Some(store(None, prec)),
     };
-    let decide = || ScalePlan::decide(ai, config.g_choice, prec.finite_max());
-    let plan = unscaled.is_none().then(decide).transpose();
+    let plan = match (&unscaled, diagonal) {
+        (None, Some(diag)) => ScalePlan::with_diagonal(ai, diag, config.g_choice, limit).map(Some),
+        _ => Ok(None),
+    };
     let unscalable = plan.is_err();
     let plan = plan.unwrap_or_else(|_| {
         // Theorem 4.1 requires positive diagonals; deep Galerkin

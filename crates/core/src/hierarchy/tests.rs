@@ -663,3 +663,237 @@ fn auto_shift_reads_the_store_pass_as_the_two_pass_resolution_did() {
     assert_eq!(d.per_level, [audit::audit(&a, Precision::F16)]);
     assert!(!audit_rejects(&d.per_level[0], AUTO_SHIFT_MAX_UNDERFLOW), "{}", d.per_level[0]);
 }
+
+// ---- The diagonal read first: a level whose diagonal is out of range
+// skips the in-range sweep it would abandon — against `build_level` as it
+// was, every level trying the sweep. ----
+
+/// `build_level` before the diagonal was read first: a setup-then-scale
+/// level always tries the in-range sweep, and only a level it abandons is
+/// planned, by `ScalePlan::decide` reading the diagonal itself.
+fn build_level_sweep_first<Pr: Scalar>(
+    ai: &SgDia<f64>,
+    mut prec: Precision,
+    config: &MgConfig,
+    level: usize,
+    auto: Option<&mut ShiftDecision>,
+) -> Result<(Level<Pr>, LevelInfo), SetupError> {
+    // Promotion material of a narrow level: the *unscaled* operator in FP32
+    // — but for a level 0 stored from the caller's own operator, which
+    // whoever solves holds and lends ([`Mg::insured`]).
+    let lent = level == 0 && config.scale != ScaleStrategy::ScaleThenSetup;
+    let keep_source = |p: Precision| config.recovery.enabled && p.bytes() == 2 && !lent;
+    let (layout, policy) = (config.layout, store_policy(config));
+    let store = |s_inv: Option<&[f64]>, p: Precision| {
+        StoredMatrix::store_level(ai, s_inv, p, layout, policy, true, keep_source(p))
+    };
+    // Direct truncation (line 11) in one read — also the path for `None`
+    // and for all levels of scale-then-setup — unless setup-then-scale's
+    // sweep meets an entry out of range ("need to scale"): only then is the
+    // level planned (`G_max`) and stored scaled (lines 6–9).
+    let unscaled = if config.scale == ScaleStrategy::SetupThenScale {
+        let k = keep_source(prec);
+        StoredMatrix::store_in_range(ai, prec, layout, policy, true, k).transpose()
+    } else {
+        Some(store(None, prec))
+    };
+    let decide = || ScalePlan::decide(ai, config.g_choice, prec.finite_max());
+    let plan = unscaled.is_none().then(decide).transpose();
+    let unscalable = plan.is_err();
+    let plan = plan.unwrap_or_else(|_| {
+        // Theorem 4.1 requires positive diagonals; deep Galerkin
+        // levels of nonsymmetric operators can violate that. Fall
+        // back to a storage precision wide enough to hold the level
+        // unscaled — the coarse-level analog of `shift_levid` (§4.3),
+        // costing almost nothing because coarse levels are small
+        // (guideline 3).
+        let (max, _) = ai.abs_max();
+        prec = if max < Precision::F32.finite_max() { Precision::F32 } else { Precision::F64 };
+        None
+    });
+    let s_inv = plan.as_ref().map(ScalePlan::s_inv);
+    // A scaled level's second read: scaled, truncated, audited, sentineled.
+    let store = unscaled.unwrap_or_else(|| store(s_inv, prec));
+    // Smoother data comes from the high-precision matrix (line 13),
+    // scaled as it is read.
+    let dinv = BlockDiagInv::from_scaled(ai, s_inv);
+    if let Some(decision) = auto {
+        // Where the level cannot be scaled, or the policy refused the
+        // store, the FP16 audit the store did not take is taken here. A
+        // rejected candidate is built again in FP32, so
+        // its FP16 errors (a singular block, a refused store) are not its
+        // to report: both are held until the verdict is in.
+        let audit = match &store {
+            Ok(store) if !unscalable => store.audit.clone(),
+            _ => audit::audit_scaled(ai, s_inv, Precision::F16),
+        };
+        let rejected = unscalable || audit_rejects(&audit, AUTO_SHIFT_MAX_UNDERFLOW);
+        decision.per_level.push(audit);
+        if rejected {
+            decision.chosen = level;
+            return build_level_sweep_first(ai, Precision::F32, config, level, None);
+        }
+    }
+    let dinv = dinv.map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
+    let store = store.map_err(|error| SetupError::Truncation { level, error })?;
+    // The scaled f64 operator exists only for a retained repair parent
+    // (a wide fallback precision has nothing to repair).
+    let retain_parent = config.integrity.retain_parents && prec.bytes() == 2;
+    let parent = retain_parent.then(|| plan.as_ref().map_or_else(|| ai.clone(), |p| p.scaled(ai)));
+    let scale = plan.as_ref().map(ScalePlan::vectors::<Pr>);
+    let StoredLevel { matrix: stored, audit, sentinels, finite, source } = store;
+    let grid = *ai.grid();
+    let info = LevelInfo {
+        dims: (grid.nx, grid.ny, grid.nz),
+        unknowns: ai.rows(),
+        nnz: ai.nnz(),
+        precision: prec,
+        scaled: scale.is_some(),
+        g: scale.as_ref().map(|s| s.g),
+        finite,
+        value_bytes: stored.value_bytes(),
+        audit: Some(audit),
+        g_clamped_from: plan.and_then(|plan| plan.g_clamped_from),
+        sentinels,
+    };
+    let par = config.par;
+    Ok((Level { grid, stored, scale, dinv, par, source, parent }, info))
+}
+
+/// The decision a level still on FP16 under `AutoShift` writes to.
+fn candidate(shift: &mut Option<ShiftDecision>) -> Option<&mut ShiftDecision> {
+    shift.as_mut().filter(|d| d.chosen == usize::MAX)
+}
+
+/// The bits of everything one level holds.
+type LevelBits =
+    (Vec<u64>, Option<(u64, Vec<u32>, Vec<u32>)>, Vec<u32>, Option<Vec<u32>>, Option<Vec<u64>>);
+
+fn level_bits(level: &Level<f32>) -> LevelBits {
+    let scale =
+        level.scale.as_ref().map(|sv| (sv.g.to_bits(), f32_bits(&sv.s), f32_bits(&sv.s_inv)));
+    let source = level.source.as_ref().map(|s| f32_bits(s.data()));
+    let parent = level.parent.as_ref().map(|p| f64_bits(p.data()));
+    (stored_bits(&level.stored), scale, f32_bits(level.dinv.data()), source, parent)
+}
+
+/// Every smoothed level of `a`'s chain under `cfg`, built by `build_level`
+/// and by [`build_level_sweep_first`] in turn as `Mg::setup` builds them
+/// (an `AutoShift` decision threaded through each): the same planes, scale
+/// vectors, `dinv`, FP32 source, repair parent, `LevelInfo` and
+/// `ShiftDecision`, or the same error. Returns the levels the diagonal
+/// sent straight to the plan.
+fn assert_diagonal_first_matches_sweep_first(
+    a: &SgDia<f64>,
+    cfg: &MgConfig,
+    what: &str,
+) -> Vec<usize> {
+    let chain = GalerkinChain::build(a, cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let levels = chain.matrices();
+    let auto = || {
+        (cfg.storage == StoragePolicy::AutoShift)
+            .then(|| ShiftDecision { chosen: usize::MAX, per_level: vec![] })
+    };
+    let (mut got_shift, mut want_shift) = (auto(), auto());
+    let mut skipped = vec![];
+    for (i, ai) in levels.iter().enumerate().take(levels.len() - 1) {
+        let what = format!("{what} level {i}");
+        let prec = |shift: &Option<ShiftDecision>| match shift {
+            Some(d) if d.chosen == usize::MAX => Precision::F16,
+            Some(_) => Precision::F32,
+            None => cfg.storage.precision_for(i),
+        };
+        let (p, q) = (prec(&got_shift), prec(&want_shift));
+        assert_eq!(p, q, "{what}: precision");
+        let limit = p.finite_max();
+        if cfg.scale == ScaleStrategy::SetupThenScale
+            && ai.extract_diagonal().iter().any(|d| !d.is_finite() || d.abs() >= limit)
+        {
+            skipped.push(i);
+        }
+        let got = build_level::<f32>(ai, p, cfg, i, candidate(&mut got_shift));
+        let want = build_level_sweep_first::<f32>(ai, q, cfg, i, candidate(&mut want_shift));
+        match (got, want) {
+            (Ok((gl, gi)), Ok((wl, wi))) => {
+                assert!(level_bits(&gl) == level_bits(&wl), "{what}: level bits");
+                assert_eq!(format!("{gi:?}"), format!("{wi:?}"), "{what}: LevelInfo");
+            }
+            (Err(g), Err(w)) => {
+                assert_eq!(format!("{g:?}"), format!("{w:?}"), "{what}: error");
+                return skipped;
+            }
+            (g, w) => panic!("{what}: {:?} vs {:?}", g.map(|_| ()), w.map(|_| ())),
+        }
+        assert_eq!(format!("{got_shift:?}"), format!("{want_shift:?}"), "{what}: ShiftDecision");
+    }
+    skipped
+}
+
+#[test]
+fn the_diagonal_read_first_builds_every_level_as_the_sweep_first_order_did() {
+    use fp16mg_problems::ProblemKind;
+
+    // Multi-component kinds also at a size where their finest levels are
+    // the ones the skipped sweeps cost most on: the item-11 table's 48³ in
+    // an optimised build (CI's release job), the benchmark's 24³ in a debug
+    // one, where 48³ costs a minute and a half.
+    let large = if cfg!(debug_assertions) { 24 } else { 48 };
+    for kind in ProblemKind::all() {
+        let multi = kind.build(4).matrix.grid().components > 1;
+        for n in if multi { [11, large] } else { [8, 11] } {
+            let a = kind.build(n).matrix;
+            let range =
+                if a.abs_max().0 >= fp16mg_fp::F16::MAX_F64 { "scaled" } else { "in range" };
+            for cfg in [MgConfig::d16(), MgConfig::d16_auto()] {
+                let what = format!("{} n={n} {:?} ({range})", kind.name(), cfg.storage);
+                let skipped = assert_diagonal_first_matches_sweep_first(&a, &cfg, &what);
+                // An operator out of FP16 range is so on its diagonal (Theorem
+                // 4.1's `a_ij² ≤ a_ii a_jj` puts the largest entry there).
+                assert_eq!(!skipped.is_empty(), range == "scaled", "{what}: skipped {skipped:?}");
+            }
+        }
+    }
+
+    // The diagonal in range, one off-diagonal entry not: the sweep is still
+    // tried, abandoned, and the level ends scaled.
+    let mut a = laplacian(Grid3::new(9, 8, 7), Pattern::p27(), 1.0);
+    let last_tap = a.pattern().len() - 1;
+    a.set(403, last_tap, -1.0e6);
+    let skipped = assert_diagonal_first_matches_sweep_first(&a, &MgConfig::d16(), "off-diagonal");
+    assert!(!skipped.contains(&0), "{skipped:?}");
+    let mg = Mg::<f32>::setup(&a, &MgConfig::d16()).unwrap();
+    assert!(mg.info.levels[0].scaled, "off-diagonal out of range: level 0 scaled");
+
+    // A diagonal entry Theorem 4.1 cannot scale, out of range: straight to
+    // the plan, which fails — the unscalable fallback as before. A NaN
+    // leaves a singular block (the same error either way, after `AutoShift`
+    // switched at that level); −1e6 is stored in FP32, unscaled.
+    let level = || laplacian(Grid3::new(9, 8, 7), Pattern::p27(), 1.0);
+    let diagonal = level().pattern().taps().iter().position(|t| t.is_diagonal()).unwrap();
+    for bad in [f64::NAN, -1.0e6] {
+        let mut a = level();
+        a.set(403, diagonal, bad);
+        for cfg in [MgConfig::d16(), MgConfig::d16_auto()] {
+            let what = format!("diagonal {bad} {:?}", cfg.storage);
+            let skipped = assert_diagonal_first_matches_sweep_first(&a, &cfg, &what);
+            assert!(skipped.contains(&0), "{what}: {skipped:?}");
+            let mut shift = ShiftDecision { chosen: usize::MAX, per_level: vec![] };
+            let built = build_level::<f32>(&a, Precision::F16, &cfg, 0, Some(&mut shift));
+            assert_eq!(shift.chosen, 0, "{what}: AutoShift switches at the unscalable level");
+            match built {
+                Ok((level, info)) => {
+                    assert!(bad < 0.0, "{what}");
+                    assert_eq!(level.stored.precision(), Precision::F32, "{what}");
+                    assert!(!info.scaled && level.scale.is_none(), "{what}");
+                }
+                Err(e) => {
+                    assert!(bad.is_nan(), "{what}: {e}");
+                    assert!(
+                        matches!(e, SetupError::SingularDiagonalBlock { level: 0, cell: 403 }),
+                        "{what}: {e}"
+                    );
+                }
+            }
+        }
+    }
+}

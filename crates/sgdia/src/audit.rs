@@ -27,7 +27,7 @@
 //! `core` runs it on every scaled level during Galerkin setup and the
 //! runtime's retry ladder consumes it to skip doomed retries.
 
-use fp16mg_fp::{Bf16, NumClass, Precision, Storage, F16};
+use fp16mg_fp::{Bf16, Precision, Storage, F16};
 
 use crate::scaling::{scaled_entry, scaled_plane_block};
 use crate::sentinel::{MatrixSentinels, SentinelAcc};
@@ -260,70 +260,82 @@ impl AuditAcc {
     }
 }
 
-/// What a block of *plain* entries — every truncation normal, or the exact
-/// zero of a zero source — adds to an audit.
-struct PlainTally {
+/// What a block of entries adds to an audit: what [`AuditAcc::count`]
+/// folds in.
+struct Tally {
     abs_max: f64,
     abs_min_nonzero: f64,
     max_rel_err: f64,
-    zeros: u64,
     /// The audit's error sum after the block.
     err_sum: f64,
+    source_zeros: u64,
+    source_non_finite: u64,
+    underflow_zero: u64,
+    subnormal: u64,
+    saturate: u64,
+}
+
+impl Tally {
+    /// The tally of no entries.
+    const EMPTY: Tally = Tally {
+        abs_max: 0.0,
+        abs_min_nonzero: f64::INFINITY,
+        max_rel_err: 0.0,
+        err_sum: 0.0,
+        source_zeros: 0,
+        source_non_finite: 0,
+        underflow_zero: 0,
+        subnormal: 0,
+        saturate: 0,
+    };
+
+    /// Whether every source entry is below `T::MAX_FINITE` in magnitude
+    /// (the range test): the largest counted magnitude covers every entry
+    /// but the non-finite ones.
+    fn fits<T: Storage>(&self) -> bool {
+        self.source_non_finite == 0 && self.abs_max < T::MAX_FINITE
+    }
+
+    /// Whether `policy` refuses an entry of the block.
+    fn refused(&self, policy: Option<TruncationPolicy>) -> bool {
+        policy == Some(TruncationPolicy::Reject) && self.saturate + self.source_non_finite > 0
+    }
 }
 
 /// The relative truncation error of every entry of a block (`values`
 /// truncated, loaded back as `wide`) into `rel`, and, when every entry is
-/// plain, what the block adds to an audit whose error sum stands at
-/// `err_sum` — equal to [`store_entry`] on each entry in turn. The extrema
-/// and counts do not depend on the order they are taken in and go eight
-/// lanes at a time; the error *sum* does, so its chain runs in entry
+/// *plain* — its truncation normal, or the exact zero of a zero source —
+/// what the block adds to an audit whose error sum stands at `err_sum`.
+/// The extrema and counts do not depend on the order they are taken in
+/// and go lane by lane; the error *sum* does, so its chain runs in entry
 /// order (adding `+0.0` for a zero source, which leaves a non-negative sum
 /// as it is, to the bit) — inside the same loop, where its latency hides
-/// behind the divisions.
+/// behind the divisions. Any other block is [`classify_block`]'s.
 ///
 /// Not inlined: inside the sweep's other loops the compiler runs out of
-/// registers for the eight lanes (it cost a third of the whole pass).
+/// registers for the lanes (it cost a third of the whole pass).
 #[inline(never)]
 fn tally_block<T: Storage>(
     values: &[f64],
     wide: &[f64],
     rel: &mut [f64],
     err_sum: f64,
-) -> Option<PlainTally> {
+) -> Option<Tally> {
     #[cfg(target_arch = "x86_64")]
     if crate::kernels::simd_available() {
         // SAFETY: AVX2 availability was just checked.
-        return unsafe { tally_block_avx2::<T>(values, wide, rel, err_sum) };
+        return unsafe { avx2::tally_block::<T>(values, wide, rel, err_sum) };
     }
     tally_block_in::<T>(values, wide, rel, err_sum)
 }
 
-/// [`tally_block`] in 256-bit vectors: the same IEEE operations in the
-/// same order (Rust never contracts a multiply and an add), so the same
-/// bits.
-///
-/// # Safety
-/// The caller must ensure the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn tally_block_avx2<T: Storage>(
-    values: &[f64],
-    wide: &[f64],
-    rel: &mut [f64],
-    err_sum: f64,
-) -> Option<PlainTally> {
-    tally_block_in::<T>(values, wide, rel, err_sum)
-}
-
-/// [`tally_block`] in the instruction set of the function it is inlined
-/// into.
-#[inline(always)]
+/// The portable [`tally_block`].
 fn tally_block_in<T: Storage>(
     values: &[f64],
     wide: &[f64],
     rel: &mut [f64],
     mut err_sum: f64,
-) -> Option<PlainTally> {
+) -> Option<Tally> {
     const LANES: usize = 8;
     let (mut max, mut min, mut err) = ([0.0f64; LANES], [f64::INFINITY; LANES], [0.0f64; LANES]);
     let (mut zeros, mut plain) = (0u64, true);
@@ -356,123 +368,297 @@ fn tally_block_in<T: Storage>(
         err_sum += if values[at] != 0.0 { rel[at] } else { 0.0 };
     }
     let fold = |lanes: [f64; LANES], pick: fn(f64, f64) -> f64| lanes.into_iter().reduce(pick);
-    plain.then(|| PlainTally {
+    plain.then(|| Tally {
         abs_max: fold(max, f64::max).expect("eight lanes"),
         abs_min_nonzero: fold(min, f64::min).expect("eight lanes"),
         max_rel_err: fold(err, f64::max).expect("eight lanes"),
-        zeros,
         err_sum,
+        source_zeros: zeros,
+        ..Tally::EMPTY
     })
 }
 
-impl AuditAcc {
-    /// Adds a block of `entries` plain entries.
+/// What a block that is not plain adds to an audit whose error sum stands
+/// at `err_sum`, given each entry's relative error `rel` from
+/// [`tally_block`], counted as an audit taken one entry at a time counts
+/// it: a zero source is a source zero; a non-finite one is counted as
+/// such and nothing else; a finite nonzero source enters the extrema and
+/// is an underflow to zero, a saturation, or an entry whose rounding loss
+/// is folded into the error figures (and a subnormal, when it lands
+/// there). The error sum runs in entry order, `+0.0` for an entry not
+/// folded in.
+#[inline(never)]
+fn classify_block<T: Storage>(values: &[f64], wide: &[f64], rel: &[f64], err_sum: f64) -> Tally {
+    #[cfg(target_arch = "x86_64")]
+    if crate::kernels::simd_available() {
+        // SAFETY: AVX2 availability was just checked.
+        return unsafe { avx2::classify_block::<T>(values, wide, rel, err_sum) };
+    }
+    classify_block_in::<T>(values, wide, rel, err_sum)
+}
+
+/// The portable [`classify_block`], one entry at a time.
+fn classify_block_in<T: Storage>(
+    values: &[f64],
+    wide: &[f64],
+    rel: &[f64],
+    mut err_sum: f64,
+) -> Tally {
+    let mut t = Tally::EMPTY;
+    for ((&v, &w), &rel) in values.iter().zip(wide).zip(rel) {
+        let (mag, stored) = (v.abs(), w.abs());
+        if mag == 0.0 {
+            t.source_zeros += 1;
+            continue;
+        }
+        if !mag.is_finite() {
+            t.source_non_finite += 1;
+            continue;
+        }
+        t.abs_max = t.abs_max.max(mag);
+        t.abs_min_nonzero = t.abs_min_nonzero.min(mag);
+        if stored == 0.0 {
+            t.underflow_zero += 1;
+        } else if !stored.is_finite() {
+            t.saturate += 1;
+        } else {
+            t.subnormal += u64::from(stored < T::MIN_POSITIVE_NORMAL);
+            t.max_rel_err = t.max_rel_err.max(rel);
+            err_sum += rel;
+        }
+    }
+    t.err_sum = err_sum;
+    t
+}
+
+/// [`tally_block`] and [`classify_block`] in 256-bit vectors, four lanes
+/// to a vector: the same IEEE operations as the portable builds (Rust
+/// never contracts a multiply and an add; `vmaxpd` / `vminpd` are their
+/// `if a > b { a } else { b }` folds, NaN included), so the same bits —
+/// the lanes group the extrema differently, which a maximum or minimum
+/// over values without NaN does not see.
+///
+/// The helpers are `unsafe` for the intrinsics they call: they are only
+/// inlined into the two entry points, which require AVX2.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use core::arch::x86_64::*;
+
+    use fp16mg_fp::Storage;
+
+    use super::Tally;
+
+    const LANES: usize = 4;
+
     #[inline(always)]
-    fn count_plain(&mut self, entries: usize, tally: PlainTally) {
-        let acc = &mut self.audit;
-        // No NaN on either side.
-        acc.abs_max = acc.abs_max.max(tally.abs_max);
-        acc.abs_min_nonzero = acc.abs_min_nonzero.min(tally.abs_min_nonzero);
-        acc.max_rel_err = acc.max_rel_err.max(tally.max_rel_err);
-        acc.mean_rel_err = tally.err_sum;
-        acc.entries += entries as u64;
-        acc.source_zeros += tally.zeros;
-        self.summed += entries as u64 - tally.zeros;
+    unsafe fn lanes(x: __m256d) -> [f64; LANES] {
+        core::mem::transmute(x)
+    }
+
+    /// `sum` plus the lanes of `x`, lane 0 first: the error sum's order.
+    #[inline(always)]
+    unsafe fn add_in_order(sum: f64, x: __m256d) -> f64 {
+        let [a, b, c, d] = lanes(x);
+        sum + a + b + c + d
+    }
+
+    /// `count` plus one in every lane `mask` is set in.
+    #[inline(always)]
+    unsafe fn bump(count: __m256i, mask: __m256d) -> __m256i {
+        _mm256_sub_epi64(count, _mm256_castpd_si256(mask))
+    }
+
+    #[inline(always)]
+    unsafe fn total(count: __m256i) -> u64 {
+        let lanes: [u64; LANES] = core::mem::transmute(count);
+        lanes.into_iter().sum()
+    }
+
+    #[inline(always)]
+    unsafe fn fold(x: __m256d, pick: fn(f64, f64) -> f64, seed: f64) -> f64 {
+        lanes(x).into_iter().fold(seed, pick)
+    }
+
+    /// The `|x|` of every lane.
+    #[inline(always)]
+    unsafe fn abs(x: __m256d) -> __m256d {
+        _mm256_andnot_pd(_mm256_set1_pd(-0.0), x)
+    }
+
+    /// # Safety
+    /// The CPU supports AVX2; the slices are of one length.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn tally_block<T: Storage>(
+        values: &[f64],
+        wide: &[f64],
+        rel: &mut [f64],
+        mut err_sum: f64,
+    ) -> Option<Tally> {
+        let n = values.len();
+        assert!(wide.len() == n && rel.len() == n, "one block");
+        let (zero, inf) = (_mm256_setzero_pd(), _mm256_set1_pd(f64::INFINITY));
+        let (low, high) = (_mm256_set1_pd(T::MIN_POSITIVE_NORMAL), _mm256_set1_pd(T::MAX_FINITE));
+        let (mut max, mut min, mut err) = (zero, inf, zero);
+        let mut plain = _mm256_cmp_pd(zero, zero, _CMP_EQ_OQ);
+        let mut zeros = _mm256_setzero_si256();
+        let whole = n - n % LANES;
+        for at in (0..whole).step_by(LANES) {
+            // `at + LANES <= whole <= n`, the length of all three slices.
+            let v = _mm256_loadu_pd(values.as_ptr().add(at));
+            let w = _mm256_loadu_pd(wide.as_ptr().add(at));
+            let (mag, stored) = (abs(v), abs(w));
+            let r = _mm256_div_pd(abs(_mm256_sub_pd(w, v)), mag);
+            _mm256_storeu_pd(rel.as_mut_ptr().add(at), r);
+            let source_zero = _mm256_cmp_pd(mag, zero, _CMP_EQ_OQ);
+            let normal = _mm256_and_pd(
+                _mm256_cmp_pd(stored, low, _CMP_GE_OQ),
+                _mm256_cmp_pd(stored, high, _CMP_LE_OQ),
+            );
+            let exact_zero = _mm256_and_pd(_mm256_cmp_pd(stored, zero, _CMP_EQ_OQ), source_zero);
+            plain = _mm256_and_pd(plain, _mm256_or_pd(normal, exact_zero));
+            zeros = bump(zeros, source_zero);
+            max = _mm256_max_pd(mag, max);
+            min = _mm256_min_pd(_mm256_blendv_pd(mag, inf, source_zero), min);
+            err = _mm256_max_pd(r, err);
+            err_sum = add_in_order(err_sum, _mm256_andnot_pd(source_zero, r));
+        }
+        // The tail fills in its errors before it is found not plain.
+        let tail = super::tally_block_in::<T>(
+            &values[whole..],
+            &wide[whole..],
+            &mut rel[whole..],
+            err_sum,
+        )?;
+        (_mm256_movemask_pd(plain) == 0b1111).then(|| Tally {
+            abs_max: fold(max, f64::max, tail.abs_max),
+            abs_min_nonzero: fold(min, f64::min, tail.abs_min_nonzero),
+            max_rel_err: fold(err, f64::max, tail.max_rel_err),
+            source_zeros: total(zeros) + tail.source_zeros,
+            ..tail
+        })
+    }
+
+    /// # Safety
+    /// The CPU supports AVX2; the slices are of one length.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn classify_block<T: Storage>(
+        values: &[f64],
+        wide: &[f64],
+        rel: &[f64],
+        mut err_sum: f64,
+    ) -> Tally {
+        let n = values.len();
+        assert!(wide.len() == n && rel.len() == n, "one block");
+        let (zero, inf) = (_mm256_setzero_pd(), _mm256_set1_pd(f64::INFINITY));
+        let (low, high) = (_mm256_set1_pd(T::MIN_POSITIVE_NORMAL), _mm256_set1_pd(T::MAX_FINITE));
+        let finite = _mm256_set1_pd(f64::MAX);
+        let (mut max, mut min, mut err) = (zero, inf, zero);
+        let [mut zeros, mut corrupt, mut under, mut sub, mut sat] = [_mm256_setzero_si256(); 5];
+        let whole = n - n % LANES;
+        for at in (0..whole).step_by(LANES) {
+            // `at + LANES <= whole <= n`, the length of all three slices.
+            let v = _mm256_loadu_pd(values.as_ptr().add(at));
+            let w = _mm256_loadu_pd(wide.as_ptr().add(at));
+            let r = _mm256_loadu_pd(rel.as_ptr().add(at));
+            let (mag, stored) = (abs(v), abs(w));
+            // Every entry is exactly one of: a zero source, a non-finite
+            // source, or a counted one (finite, nonzero).
+            let source_zero = _mm256_cmp_pd(mag, zero, _CMP_EQ_OQ);
+            let source_bad = _mm256_cmp_pd(mag, finite, _CMP_NLE_UQ);
+            let counted = _mm256_andnot_pd(
+                _mm256_or_pd(source_zero, source_bad),
+                _mm256_cmp_pd(zero, zero, _CMP_EQ_OQ),
+            );
+            // A counted entry stores as zero, as ±∞, or finite and nonzero:
+            // the entries folded into the error figures.
+            let stored_zero = _mm256_cmp_pd(stored, zero, _CMP_EQ_OQ);
+            let stored_finite = _mm256_cmp_pd(stored, high, _CMP_LE_OQ);
+            let folded = _mm256_andnot_pd(stored_zero, stored_finite);
+            zeros = bump(zeros, source_zero);
+            corrupt = bump(corrupt, source_bad);
+            under = bump(under, _mm256_and_pd(counted, stored_zero));
+            sat = bump(sat, _mm256_andnot_pd(stored_finite, counted));
+            sub = bump(sub, _mm256_and_pd(folded, _mm256_cmp_pd(stored, low, _CMP_LT_OQ)));
+            max = _mm256_max_pd(_mm256_and_pd(counted, mag), max);
+            min = _mm256_min_pd(_mm256_blendv_pd(inf, mag, counted), min);
+            let r = _mm256_and_pd(folded, r);
+            err = _mm256_max_pd(r, err);
+            err_sum = add_in_order(err_sum, r);
+        }
+        let tail =
+            super::classify_block_in::<T>(&values[whole..], &wide[whole..], &rel[whole..], err_sum);
+        Tally {
+            abs_max: fold(max, f64::max, tail.abs_max),
+            abs_min_nonzero: fold(min, f64::min, tail.abs_min_nonzero),
+            max_rel_err: fold(err, f64::max, tail.max_rel_err),
+            err_sum: tail.err_sum,
+            source_zeros: total(zeros) + tail.source_zeros,
+            source_non_finite: total(corrupt) + tail.source_non_finite,
+            underflow_zero: total(under) + tail.underflow_zero,
+            subnormal: total(sub) + tail.subnormal,
+            saturate: total(sat) + tail.saturate,
+        }
     }
 }
 
-enum StoreFail {
-    Saturation,
-    NonFinite,
+impl AuditAcc {
+    /// Adds a block of `entries` entries.
+    #[inline(always)]
+    fn count(&mut self, entries: usize, t: &Tally) {
+        let acc = &mut self.audit;
+        // No NaN on either side.
+        acc.abs_max = acc.abs_max.max(t.abs_max);
+        acc.abs_min_nonzero = acc.abs_min_nonzero.min(t.abs_min_nonzero);
+        acc.max_rel_err = acc.max_rel_err.max(t.max_rel_err);
+        acc.mean_rel_err = t.err_sum;
+        acc.entries += entries as u64;
+        acc.source_zeros += t.source_zeros;
+        acc.source_non_finite += t.source_non_finite;
+        acc.underflow_zero += t.underflow_zero;
+        acc.subnormal += t.subnormal;
+        acc.saturate += t.saturate;
+        // Underflowed-to-zero and saturating entries are counted, not
+        // folded into the rounding-loss figures.
+        let unfolded = t.source_zeros + t.source_non_finite + t.underflow_zero + t.saturate;
+        self.summed += entries as u64 - unfolded;
+    }
+}
+
+/// Why a store sweep stopped early.
+enum Stop {
+    /// The policy refused an entry (which one is [`first_refusal`]'s to find).
+    Refused,
     /// The range test of [`store_level_in_range`] met an entry the format
     /// cannot take as it is.
     OutOfRange,
 }
 
-impl StoreFail {
+/// An entry [`TruncationPolicy::Reject`] refuses, and why.
+enum Refusal {
+    Saturation,
+    NonFinite,
+}
+
+impl Refusal {
+    /// Why `Reject` refuses `v`, if it does.
+    fn of<T: Storage>(v: f64) -> Option<Refusal> {
+        if !v.is_finite() {
+            Some(Refusal::NonFinite)
+        } else if !T::store_f64(v).is_finite() {
+            Some(Refusal::Saturation)
+        } else {
+            None
+        }
+    }
+
     fn at<T: Storage>(self, cell: usize, tap: usize, value: f64) -> TruncationError {
         match self {
-            StoreFail::Saturation => {
+            Refusal::Saturation => {
                 TruncationError::Saturation { cell, tap, value, limit: T::MAX_FINITE }
             }
-            StoreFail::NonFinite => TruncationError::NonFiniteSource { cell, tap, value },
-            StoreFail::OutOfRange => unreachable!("the range test is no policy's refusal"),
+            Refusal::NonFinite => TruncationError::NonFiniteSource { cell, tap, value },
         }
     }
-}
-
-/// Relative truncation error of an in-range entry.
-#[inline(always)]
-fn rel_err(v: f64, stored: f64) -> f64 {
-    (stored - v).abs() / v.abs()
-}
-
-/// The one per-entry store step: given `v`, its plain IEEE truncation
-/// `raw` and their [`rel_err`], counts what the truncation did to `v` and
-/// resolves entries that leave the representable range per `policy`
-/// (`None` is plain IEEE: overflow to ±∞). `Err` only under `Reject`.
-#[inline(always)]
-fn store_entry<T: Storage>(
-    (v, raw, rel): (f64, T, f64),
-    policy: Option<TruncationPolicy>,
-    acc: &mut AuditAcc,
-) -> Result<T, StoreFail> {
-    let AuditAcc { audit: acc, summed } = acc;
-    acc.entries += 1;
-    let class = raw.class();
-    // `raw` classifies `v` too: normal and subnormal results come from
-    // finite nonzero sources, zeros from zero or underflow, ±∞/NaN from
-    // a corrupt source or saturation.
-    match class {
-        NumClass::Zero if v == 0.0 => {
-            acc.source_zeros += 1;
-            return Ok(raw);
-        }
-        NumClass::Inf | NumClass::Nan if !v.is_finite() => {
-            // The source itself is corrupt: clamping would invent a
-            // value, so Reject refuses with a typed error and the others
-            // pass the bits through for the downstream finite-scan.
-            acc.source_non_finite += 1;
-            return match policy {
-                Some(TruncationPolicy::Reject) => Err(StoreFail::NonFinite),
-                _ => Ok(raw),
-            };
-        }
-        _ => {}
-    }
-    // Neither operand is NaN from here on, so plain comparisons fold
-    // exactly like `f64::max` / `f64::min`.
-    let mag = v.abs();
-    if mag > acc.abs_max {
-        acc.abs_max = mag;
-    }
-    if mag < acc.abs_min_nonzero {
-        acc.abs_min_nonzero = mag;
-    }
-    match class {
-        NumClass::Zero => {
-            acc.underflow_zero += 1;
-            return Ok(raw);
-        }
-        NumClass::Inf | NumClass::Nan => {
-            acc.saturate += 1;
-            return match policy {
-                None => Ok(raw),
-                Some(TruncationPolicy::Reject) => Err(StoreFail::Saturation),
-                Some(_) => Ok(T::store_f64(T::MAX_FINITE.copysign(v))),
-            };
-        }
-        NumClass::Subnormal => acc.subnormal += 1,
-        NumClass::Normal => {}
-    }
-    // Underflowed-to-zero and saturating entries are counted above, not
-    // folded into the rounding-loss figures.
-    if rel > acc.max_rel_err {
-        acc.max_rel_err = rel;
-    }
-    acc.mean_rel_err += rel;
-    *summed += 1;
-    Ok(raw)
 }
 
 /// Entries truncated per bulk conversion.
@@ -492,18 +678,19 @@ struct StoredBlock<'a, T> {
 
 /// Truncates one block of (scaled) `values` into `raw` under `policy`,
 /// audited into `acc`; `wide` receives what `raw` loads back to and `rel`
-/// is scratch. Returns whether every stored value is finite; stops at the
-/// first entry the policy refuses — and, with `in_range`, before counting
-/// or refusing anything, at a block holding an entry that is non-finite
-/// or reaches `T::MAX_FINITE` in magnitude.
+/// is scratch. Returns whether every stored value is finite; stops at a
+/// block holding an entry the policy refuses — and, with `in_range`,
+/// before counting or refusing anything, at a block holding an entry that
+/// is non-finite or reaches `T::MAX_FINITE` in magnitude.
 ///
-/// The truncation, the recovery and the error of the block are bulk (SIMD
-/// where the format has it) — the divisions vectorise here and would
-/// bound the pass one by one. A block of plain entries (see
-/// [`tally_block`]: nearly every block of a level in range) is
-/// counted in bulk and stored as truncated; any other block goes
-/// entry by entry through [`store_entry`], specials through the scalar
-/// conversion.
+/// Every step is bulk (SIMD where the format and the CPU have it): the
+/// truncation, its recovery, the errors — the divisions vectorise here
+/// and would bound the pass one by one — and the count. A block of plain
+/// entries ([`tally_block`]: every block of most levels in range) is
+/// counted by the loop that finds it plain; any other is counted lane by
+/// lane by [`classify_block`], then the values the policy replaces
+/// (`Saturate`'s clamp) and those of a non-finite source (the scalar
+/// conversion's NaN) are written over what the bulk conversion stored.
 ///
 /// Not inlined, like [`tally_block`]: `store_level` is instantiated in
 /// every crate that calls it, and folded into the sweep there this code
@@ -518,36 +705,32 @@ fn store_block<T: Storage>(
     raw: &mut [T],
     wide: &mut [f64],
     rel: &mut [f64],
-) -> Result<bool, StoreFail> {
+) -> Result<bool, Stop> {
     T::store_f64_slice(values, raw);
     T::load_f64_slice(raw, wide);
-    let tally = tally_block::<T>(values, wide, rel, acc.audit.mean_rel_err);
-    // A plain block's largest magnitude is the range test; any other block
-    // (a NaN fails `<`) is asked entry by entry.
-    let fits = |v: f64| v < T::MAX_FINITE;
-    if in_range
-        && !tally.as_ref().map_or_else(|| values.iter().all(|v| fits(v.abs())), |t| fits(t.abs_max))
-    {
-        return Err(StoreFail::OutOfRange);
+    let err_sum = acc.audit.mean_rel_err;
+    let tally = tally_block::<T>(values, wide, rel, err_sum)
+        .unwrap_or_else(|| classify_block::<T>(values, wide, rel, err_sum));
+    if in_range && !tally.fits::<T>() {
+        return Err(Stop::OutOfRange);
     }
-    if let Some(tally) = tally {
-        acc.count_plain(values.len(), tally);
-        return Ok(true);
+    if tally.refused(policy) {
+        return Err(Stop::Refused);
     }
-    let mut finite = true;
-    for ((&v, raw), &rel) in values.iter().zip(raw.iter_mut()).zip(rel.iter()) {
-        let entry = if raw.class() == NumClass::Normal {
-            (v, *raw, rel)
-        } else {
-            let scalar = T::store_f64(v);
-            (v, scalar, rel_err(v, scalar.load_f64()))
-        };
-        *raw = store_entry(entry, policy, acc)?;
-        finite &= raw.is_finite();
+    acc.count(values.len(), &tally);
+    let clamp = policy == Some(TruncationPolicy::Saturate) && tally.saturate > 0;
+    let corrupt = tally.source_non_finite > 0;
+    if clamp || corrupt {
+        for (&v, raw) in values.iter().zip(raw.iter_mut()) {
+            if !v.is_finite() {
+                *raw = T::store_f64(v);
+            } else if clamp && !raw.is_finite() {
+                *raw = T::store_f64(T::MAX_FINITE.copysign(v));
+            }
+        }
+        T::load_f64_slice(raw, wide);
     }
-    // The policy may have replaced what was truncated.
-    T::load_f64_slice(raw, wide);
-    Ok(finite)
+    Ok(!corrupt && (tally.saturate == 0 || clamp))
 }
 
 /// The one store kernel: reads `a` once, in storage order, block by
@@ -565,7 +748,7 @@ fn store_sweep<T: Storage>(
     policy: Option<TruncationPolicy>,
     acc: &mut AuditAcc,
     mut sink: impl FnMut(usize, StoredBlock<'_, T>),
-) -> Result<(), StoreFail> {
+) -> Result<(), Stop> {
     let (cells, taps) = (a.grid().cells(), a.pattern().len());
     let soa = a.layout() == Layout::Soa;
     if let Some(scale) = scale {
@@ -710,9 +893,9 @@ fn store_pass<T: Storage>(
         }
     });
     match swept {
-        Err(StoreFail::OutOfRange) => return Ok(None),
+        Err(Stop::OutOfRange) => return Ok(None),
         // Name the first offender in cell-major order.
-        Err(_) => return Err(first_refusal::<T>(a, scale, policy)),
+        Err(Stop::Refused) => return Err(first_refusal::<T>(a, scale)),
         Ok(()) => {}
     }
     Ok(Some(StoredLevel {
@@ -727,19 +910,14 @@ fn store_pass<T: Storage>(
     }))
 }
 
-/// The first entry, in cell-major order, that `policy` refuses.
-fn first_refusal<T: Storage>(
-    a: &SgDia<f64>,
-    scale: Option<&[f64]>,
-    policy: Option<TruncationPolicy>,
-) -> TruncationError {
-    let mut acc = AuditAcc::new::<T>();
+/// The first entry, in cell-major order, that [`TruncationPolicy::Reject`]
+/// (the one policy that refuses) refuses.
+fn first_refusal<T: Storage>(a: &SgDia<f64>, scale: Option<&[f64]>) -> TruncationError {
     for cell in 0..a.grid().cells() {
         for tap in 0..a.pattern().len() {
             let v = scale.map_or(a.get(cell, tap), |s| scaled_entry(a, s, cell, tap));
-            let raw = T::store_f64(v);
-            if let Err(e) = store_entry((v, raw, rel_err(v, raw.load_f64())), policy, &mut acc) {
-                return e.at::<T>(cell, tap, v);
+            if let Some(refusal) = Refusal::of::<T>(v) {
+                return refusal.at::<T>(cell, tap, v);
             }
         }
     }
@@ -846,6 +1024,7 @@ pub fn drift(baseline: &RangeAudit, current: &RangeAudit) -> OperatorDrift {
 mod tests {
     use super::*;
     use crate::kernels::BlockDiagInv;
+    use fp16mg_fp::NumClass;
     use fp16mg_grid::Grid3;
     use fp16mg_stencil::Pattern;
 
@@ -1086,19 +1265,19 @@ mod tests {
     }
 
     /// The stand-alone per-entry policy store.
-    fn store_policy_oracle<T: Storage>(v: f64, policy: TruncationPolicy) -> Result<T, StoreFail> {
+    fn store_policy_oracle<T: Storage>(v: f64, policy: TruncationPolicy) -> Result<T, Refusal> {
         let stored = T::store_f64(v);
         match stored.class() {
             NumClass::Normal | NumClass::Zero if v == 0.0 || v.is_finite() => Ok(stored),
             NumClass::Inf | NumClass::Nan => {
                 if !v.is_finite() {
                     return match policy {
-                        TruncationPolicy::Reject => Err(StoreFail::NonFinite),
+                        TruncationPolicy::Reject => Err(Refusal::NonFinite),
                         _ => Ok(stored),
                     };
                 }
                 match policy {
-                    TruncationPolicy::Reject => Err(StoreFail::Saturation),
+                    TruncationPolicy::Reject => Err(Refusal::Saturation),
                     _ => Ok(T::store_f64(T::MAX_FINITE.copysign(v))),
                 }
             }
@@ -1413,6 +1592,117 @@ mod tests {
         });
     }
 
+    // ---- The lane-wise count of a block that is not plain, against the
+    // per-entry oracles. ----
+
+    /// A source value of one of the fates truncation to `T` can have: ±0,
+    /// underflow to ±0, subnormal, normal, the rounding edge of the largest
+    /// finite value, saturation, ±∞ and NaN (any payload) — specials with
+    /// probability `specials`, normals otherwise.
+    fn fate<T: Storage>(rng: &mut fp16mg_testkit::Rng, specials: f64) -> f64 {
+        let sign = if rng.chance(0.5) { -1.0 } else { 1.0 };
+        let (low, high) = (T::MIN_POSITIVE_NORMAL, T::MAX_FINITE);
+        let log_uniform = |rng: &mut fp16mg_testkit::Rng, lo: f64, hi: f64| {
+            (rng.f64_range(lo.ln(), hi.ln())).exp().clamp(lo, hi)
+        };
+        if !rng.chance(specials) {
+            return sign * log_uniform(rng, low, high.min(1.0e300));
+        }
+        sign * match rng.usize_range(0, 8) {
+            0 => 0.0,
+            1 => low * rng.f64_range(1.0e-30, 1.0e-20),
+            2 => low * rng.f64_range(0.001, 0.999),
+            3 => high * rng.f64_range(0.9999, 1.0001),
+            4 => high * rng.f64_range(1.01, 1.0e3),
+            5 => f64::INFINITY,
+            6 => f64::from_bits(0x7ff8_0000_0000_0000 | (rng.next_u64() >> 13)),
+            _ => low,
+        }
+    }
+
+    /// The fused store of `a` under every policy against the per-entry
+    /// oracles: planes, every `RangeAudit` field to the bit, sentinels,
+    /// finite flag, FP32 source — or the same first refused `(cell, tap)`.
+    fn store_matches_the_per_entry_oracles<T: Storage>(a: &SgDia<f64>, what: &str) {
+        let audit_bits = |r: &RangeAudit| {
+            let floats = [r.abs_max, r.abs_min_nonzero, r.headroom, r.max_rel_err, r.mean_rel_err];
+            let counts = [r.entries, r.source_zeros, r.source_non_finite, r.underflow_zero];
+            (r.precision, floats.map(f64::to_bits), counts, [r.subnormal, r.saturate])
+        };
+        let oracle = audit_oracle::<T>(a);
+        assert_eq!(audit_bits(&audit(a, T::PRECISION)), audit_bits(&oracle), "{what}: audit");
+        for policy in [None, Some(TruncationPolicy::Saturate), Some(TruncationPolicy::Reject)] {
+            let what = format!("{what} -> {} under {policy:?}", T::NAME);
+            let fused = store_level::<T>(a, None, policy, true, true);
+            let want = match policy {
+                None => Ok(a.convert::<T>()),
+                Some(policy) => truncate_oracle::<T>(a, policy),
+            };
+            match (want, fused) {
+                (Ok(want), Ok(fused)) => {
+                    assert_same(&bits(&fused.matrix), &bits(&want), &format!("{what}: planes"));
+                    assert_eq!(audit_bits(&fused.audit), audit_bits(&oracle), "{what}: audit");
+                    assert_eq!(fused.finite, want.all_finite(), "{what}: finite");
+                    let sentinels = sentinel_bits(&fused.sentinels.expect("asked for"));
+                    assert_same(&sentinels, &sentinel_oracle(&want), &format!("{what}: sentinels"));
+                    let source = bits(&fused.source.expect("asked for"));
+                    assert_same(&source, &bits(&a.convert::<f32>()), &format!("{what}: source"));
+                }
+                // The same first offender, as text: the value may be NaN.
+                (Err(want), Err(got)) => {
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}: refusal");
+                    continue;
+                }
+                (want, got) => panic!("{what}: {:?} vs {:?}", want.map(|_| ()), got.map(|_| ())),
+            }
+            // Every block's count, lane-wise and dispatched, against the
+            // portable one entry by entry.
+            for block in a.data().chunks(BLOCK) {
+                let n = block.len();
+                let (mut raw, mut wide) = (vec![T::default(); n], vec![0.0f64; n]);
+                T::store_f64_slice(block, &mut raw);
+                T::load_f64_slice(&raw, &mut wide);
+                let (mut rel, mut rel_in) = (vec![0.0f64; n], vec![0.0f64; n]);
+                let plain = tally_block::<T>(block, &wide, &mut rel, 0.5).map(tally_bits);
+                let plain_in = tally_block_in::<T>(block, &wide, &mut rel_in, 0.5).map(tally_bits);
+                assert_eq!(plain, plain_in, "{what}: plain tally");
+                let got = tally_bits(classify_block::<T>(block, &wide, &rel, 0.5));
+                let portable = tally_bits(classify_block_in::<T>(block, &wide, &rel, 0.5));
+                assert_eq!(got, portable, "{what}: classified block");
+            }
+        }
+    }
+
+    fn tally_bits(t: Tally) -> ([u64; 4], [u64; 5]) {
+        let floats = [t.abs_max, t.abs_min_nonzero, t.max_rel_err, t.err_sum];
+        let counts =
+            [t.source_zeros, t.source_non_finite, t.underflow_zero, t.subnormal, t.saturate];
+        (floats.map(f64::to_bits), counts)
+    }
+
+    /// Planes of whole 256-entry blocks and a ragged tail, each block
+    /// mostly normal with a few specials or dense with them.
+    fn block_matrix<T: Storage>(rng: &mut fp16mg_testkit::Rng) -> SgDia<f64> {
+        let cells = BLOCK * rng.usize_range(0, 3) + rng.usize_range(1, BLOCK);
+        let layout = if rng.chance(0.5) { Layout::Soa } else { Layout::Aos };
+        let mut a = SgDia::zeros(Grid3::new(cells, 1, 1), Pattern::p7(), layout);
+        for block in a.data_mut().chunks_mut(BLOCK) {
+            let specials = [0.02, 0.3, 1.0][rng.usize_range(0, 3)];
+            block.iter_mut().for_each(|v| *v = fate::<T>(rng, specials));
+        }
+        a
+    }
+
+    #[test]
+    fn store_block_lanes_match_the_per_entry_oracles() {
+        fp16mg_testkit::check_n("lane-wise block count == per-entry oracles", 6, |rng| {
+            store_matches_the_per_entry_oracles::<F16>(&block_matrix::<F16>(rng), "f16");
+            store_matches_the_per_entry_oracles::<Bf16>(&block_matrix::<Bf16>(rng), "bf16");
+            store_matches_the_per_entry_oracles::<f32>(&block_matrix::<f32>(rng), "f32");
+            store_matches_the_per_entry_oracles::<f64>(&block_matrix::<f64>(rng), "f64");
+        });
+    }
+
     #[test]
     fn fused_store_pass_portable_tally_equals_the_dispatched_one() {
         // On a host with AVX2 the dispatched tally is the 256-bit build;
@@ -1437,9 +1727,9 @@ mod tests {
             let start = rng.f64_range(0.0, 1.0);
             let got = tally_block::<F16>(&values, &wide, &mut rel_a, start);
             let want = tally_block_in::<F16>(&values, &wide, &mut rel_b, start);
-            let fields = |t: PlainTally| {
+            let fields = |t: Tally| {
                 let floats = [t.abs_max, t.abs_min_nonzero, t.max_rel_err, t.err_sum];
-                (floats.map(f64::to_bits), t.zeros)
+                (floats.map(f64::to_bits), t.source_zeros)
             };
             assert_eq!(got.map(fields), want.map(fields));
             let nan_as_one = |v: &[f64]| -> Vec<u64> {

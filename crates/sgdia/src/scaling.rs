@@ -109,9 +109,8 @@ pub enum GChoice {
     Fixed(f64),
 }
 
-/// The positive, finite diagonal Theorem 4.1 presupposes.
-fn positive_diagonal<S: Storage>(a: &SgDia<S>) -> Result<Vec<f64>, ScalingError> {
-    let diag = a.extract_diagonal();
+/// `diag`, if it is the positive, finite diagonal Theorem 4.1 presupposes.
+fn positive(diag: Vec<f64>) -> Result<Vec<f64>, ScalingError> {
     for (u, &d) in diag.iter().enumerate() {
         if !d.is_finite() {
             return Err(ScalingError::NonFiniteDiagonal { unknown: u, value: d });
@@ -152,7 +151,7 @@ fn for_each_in_grid_run<'v>(
 /// diagonal entry is non-positive or non-finite (the M-matrix
 /// prerequisite of the theorem).
 pub fn g_max<S: Storage>(a: &SgDia<S>, fp16_max: f64) -> Result<f64, ScalingError> {
-    Ok(g_max_given(a, &positive_diagonal(a)?, fp16_max))
+    Ok(g_max_given(a, &positive(a.extract_diagonal())?, fp16_max))
 }
 
 /// [`g_max`] given the (checked) diagonal: one read of the matrix. The
@@ -215,7 +214,26 @@ impl ScalePlan {
     /// # Panics
     /// Panics if the resolved `G` is non-positive.
     pub fn decide(a: &SgDia<f64>, choice: GChoice, fp16_max: f64) -> Result<Self, ScalingError> {
-        let diag = positive_diagonal(a)?;
+        Self::with_diagonal(a, a.extract_diagonal(), choice, fp16_max)
+    }
+
+    /// [`ScalePlan::decide`] given `a`'s diagonal as
+    /// [`SgDia::extract_diagonal`] reads it, for a caller that has read it
+    /// already.
+    ///
+    /// # Errors
+    /// As [`ScalePlan::decide`].
+    ///
+    /// # Panics
+    /// As [`ScalePlan::decide`], and if `diag` is not one value per unknown.
+    pub fn with_diagonal(
+        a: &SgDia<f64>,
+        diag: Vec<f64>,
+        choice: GChoice,
+        fp16_max: f64,
+    ) -> Result<Self, ScalingError> {
+        assert_eq!(diag.len(), a.rows(), "one diagonal entry per unknown");
+        let diag = positive(diag)?;
         let gmax = g_max_given(a, &diag, fp16_max);
         let (g, g_clamped_from) = match choice {
             GChoice::Auto => ((gmax / 2.0).min(1.0), None),

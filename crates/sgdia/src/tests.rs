@@ -4,7 +4,7 @@
 
 use fp16mg_fp::{Bf16, Precision, F16};
 use fp16mg_grid::Grid3;
-use fp16mg_stencil::Pattern;
+use fp16mg_stencil::{Pattern, Tap};
 use fp16mg_testkit::{check, check_n};
 
 use crate::kernels::{self, BlockDiagInv, Par};
@@ -1448,6 +1448,121 @@ fn scalar_diag_inverse_and_nnz_match_the_per_cell_forms() {
             }
             (Err(s), Err(g)) => assert_eq!(s, g),
             (s, g) => panic!("disagree: {:?} vs {:?}", s.map(|_| ()), g.map(|_| ())),
+        }
+    });
+}
+
+/// The block inversion as it was before the blocks were gathered by plane
+/// and inverted at a size known at compile time: cell by cell, entry by
+/// entry, Gauss–Jordan over an `r × r` slice.
+fn block_inverse_per_cell(a: &SgDia<f64>, scale: Option<&[f64]>) -> Result<Vec<u32>, usize> {
+    fn invert_small(m: &mut [f64], r: usize) -> Option<Vec<f64>> {
+        let mut inv = vec![0.0f64; r * r];
+        for i in 0..r {
+            inv[i * r + i] = 1.0;
+        }
+        for col in 0..r {
+            let mut piv = col;
+            for row in col + 1..r {
+                if m[row * r + col].abs() > m[piv * r + col].abs() {
+                    piv = row;
+                }
+            }
+            let p = m[piv * r + col];
+            if p == 0.0 || !p.is_finite() {
+                return None;
+            }
+            if piv != col {
+                for j in 0..r {
+                    m.swap(col * r + j, piv * r + j);
+                    inv.swap(col * r + j, piv * r + j);
+                }
+            }
+            let d = 1.0 / m[col * r + col];
+            for j in 0..r {
+                m[col * r + j] *= d;
+                inv[col * r + j] *= d;
+            }
+            for row in 0..r {
+                if row == col {
+                    continue;
+                }
+                let f = m[row * r + col];
+                if f == 0.0 {
+                    continue;
+                }
+                for j in 0..r {
+                    m[row * r + j] -= f * m[col * r + j];
+                    inv[row * r + j] -= f * inv[col * r + j];
+                }
+            }
+        }
+        inv.iter().all(|v| v.is_finite()).then_some(inv)
+    }
+    let grid = a.grid();
+    let (r, cells) = (grid.components, grid.cells());
+    let mut data = vec![0u32; cells * r * r];
+    for cell in 0..cells {
+        let mut block = vec![0.0f64; r * r];
+        for (slot, v) in block.iter_mut().enumerate() {
+            let (co, ci) = (slot / r, slot % r);
+            let Some(t) = a.pattern().tap_index(Tap::at_comp(0, 0, 0, co as u8, ci as u8)) else {
+                continue;
+            };
+            *v = match scale {
+                Some(s) => {
+                    a.get(cell, t) * s[grid.unknown_of(cell, co)] * s[grid.unknown_of(cell, ci)]
+                }
+                None => a.get(cell, t),
+            };
+        }
+        let inv = invert_small(&mut block, r).ok_or(cell)?;
+        for (slot, v) in inv.iter().enumerate() {
+            data[slot * cells + cell] = (*v as f32).to_bits();
+        }
+    }
+    Ok(data)
+}
+
+#[test]
+fn block_diag_inverse_matches_the_per_cell_gauss_jordan() {
+    check_n("plane-gathered const-size block inverse == per-cell Gauss-Jordan", 64, |rng| {
+        let r = rng.usize_range(1, 9);
+        let grid = Grid3::with_components(
+            rng.usize_range(1, 12),
+            rng.usize_range(1, 6),
+            rng.usize_range(1, 5),
+            r,
+        );
+        let scalar = Pattern::by_name(Pattern::NAMES[rng.usize_range(0, 4)]).unwrap();
+        let pattern = if r == 1 { scalar } else { scalar.with_components(r) };
+        let taps: Vec<_> = pattern.taps().to_vec();
+        let layout = if rng.chance(0.5) { Layout::Soa } else { Layout::Aos };
+        // Blocks that pivot (couplings as large as the diagonal) and hold
+        // signed zeros.
+        let mut a = SgDia::from_fn(grid, pattern, layout, |_, _, _, _, t| {
+            if rng.chance(0.25) {
+                [0.0, -0.0][rng.usize_range(0, 2)]
+            } else if taps[t].is_diagonal() {
+                rng.f64_range(1.0e-3, 1.0e3)
+            } else {
+                rng.f64_range(-1.0e3, 1.0e3)
+            }
+        });
+        // Zero, ±∞, NaN or a subnormal anywhere in some cell's block.
+        let block: Vec<usize> = (0..taps.len())
+            .filter(|&t| (taps[t].dx, taps[t].dy, taps[t].dz) == (0, 0, 0))
+            .collect();
+        for _ in 0..rng.usize_range(0, 3) {
+            let bad = [0.0, -0.0, f64::INFINITY, -f64::INFINITY, f64::NAN, 1.0e-320];
+            let tap = block[rng.usize_range(0, block.len())];
+            a.set(rng.usize_range(0, grid.cells()), tap, bad[rng.usize_range(0, bad.len())]);
+        }
+        let scale: Vec<f64> = (0..a.rows()).map(|_| 10f64.powf(rng.f64_range(-3.0, 3.0))).collect();
+        for scale in [None, Some(scale.as_slice())] {
+            let got = BlockDiagInv::<f32>::from_scaled(&a, scale)
+                .map(|d| d.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+            assert_eq!(got, block_inverse_per_cell(&a, scale), "r = {r}, {layout:?}");
         }
     });
 }
