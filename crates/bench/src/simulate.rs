@@ -868,13 +868,14 @@ mod tests {
         };
         let before = kept(&driver);
 
-        // A negative diagonal only sends its level to a wider precision
-        // (Theorem 4.1 cannot scale it); a zero one cannot be smoothed.
+        // A zero diagonal entry breaks the rule every smoothed level keeps.
         let mut a = effective_matrix(&driver.evo, false, 2);
         let diag = a.pattern().taps().iter().position(|t| t.is_diagonal()).expect("a diagonal");
         a.set(3, diag, 0.0);
         match driver.rebuild(2, &a) {
-            Err(e) => assert_eq!(e, SetupError::SingularDiagonalBlock { level: 0, cell: 3 }),
+            Err(e) => {
+                assert_eq!(e, SetupError::NonPositiveDiagonal { level: 0, unknown: 3, value: 0.0 })
+            }
             Ok(_) => panic!("a zero diagonal must fail set-up"),
         }
         assert!(kept(&driver) == before, "a failed rebuild moved the retained state");

@@ -30,9 +30,8 @@ use crate::workspace::{checked_unknowns, Workspace};
 pub enum SetupError {
     /// The configuration failed [`MgConfig::validate`].
     InvalidConfig(ConfigError),
-    /// Theorem 4.1 requires positive, finite diagonals; this unknown's is
-    /// not (the core-boundary form of
-    /// [`fp16mg_sgdia::scaling::ScalingError`]).
+    /// A smoothed level's diagonal must be positive and finite; this unknown's
+    /// is not (level 0, or the chain's last level, too large for the dense LU).
     NonPositiveDiagonal {
         /// Level index.
         level: usize,
@@ -303,8 +302,8 @@ pub struct ShiftDecision {
     pub chosen: usize,
     /// FP16 audit of each candidate level, finest first, up to and
     /// including the chosen one: the audit of the level's own FP16 store
-    /// (post-scaling), or of its unscaled operator when Theorem 4.1
-    /// cannot scale it.
+    /// (post-scaling), or the one it would have taken when the policy
+    /// refused that store.
     pub per_level: Vec<RangeAudit>,
 }
 
@@ -391,9 +390,6 @@ impl<Pr: Scalar> Mg<Pr> {
     /// See [`SetupError`].
     pub fn setup(a: &SgDia<f64>, config: &MgConfig) -> Result<Self, SetupError> {
         config.validate()?;
-        if a.grid().components > 8 {
-            return Err(SetupError::TooManyComponents);
-        }
         let config = config.clone();
 
         // --- Galerkin chain in f64 (lines 1–3). The caller's matrix is
@@ -405,14 +401,10 @@ impl<Pr: Scalar> Mg<Pr> {
             // before the triple-product chain sees it.
             let fp16_max = fp16mg_fp::F16::MAX_F64;
             let sv = scaling::scale_symmetric::<Pr>(finest.to_mut(), config.g_choice, fp16_max)
-                .map_err(|e| SetupError::NonPositiveDiagonal {
-                    level: 0,
-                    unknown: e.unknown(),
-                    value: e.value(),
-                })?;
+                .map_err(|e| non_positive_at(0, e))?;
             finest_scale = Some(sv);
         }
-        let coarse = coarse_chain(&finest, &config);
+        let coarse = coarse_chain(&finest, &config)?;
         let mats: Vec<&SgDia<f64>> = std::iter::once(&*finest).chain(&coarse).collect();
         Self::assemble(&mats, finest_scale, config)
     }
@@ -814,7 +806,8 @@ fn widen_result<Pr: Scalar, K: Scalar>(
 /// geometric mean of the diagonal ratio over the cells a coarse unknown
 /// restricts from, so a uniform drift `m·A₀` gives `m·A_l` — the Galerkin
 /// operators of `m·A₀` — and they depend only on the build operator and
-/// the current finest one, never on the swaps in between.
+/// the current finest one (each with a positive, finite diagonal: the swap
+/// refuses any other), never on the swaps in between.
 ///
 /// Only value-preserving configurations are chain-compatible: under
 /// `ScaleStrategy::ScaleThenSetup` the finest matrix is rescaled before
@@ -824,8 +817,7 @@ fn widen_result<Pr: Scalar, K: Scalar>(
 #[derive(Clone, Debug)]
 pub struct GalerkinChain {
     mats: Vec<SgDia<f64>>,
-    /// `None` without a coarse level, or when the build operator's
-    /// diagonal is not positive and finite: the tail is never carried.
+    /// `None` without a coarse level: there is no tail to carry.
     carry: Option<Carry>,
 }
 
@@ -838,31 +830,29 @@ struct Carry {
     log_diag: Vec<Vec<f64>>,
     /// `w_l` of the current finest operator.
     w: Vec<Vec<f64>>,
-    /// Whether `w` applies: the finest operator was swapped and its
-    /// diagonal ratio to the build operator's is positive and finite.
+    /// Whether `w` applies: the finest operator was swapped and every
+    /// weight is finite.
     live: bool,
 }
 
 impl Carry {
     fn of(mats: &[SgDia<f64>]) -> Option<Self> {
-        let log_diag = restricted_log_diagonal(mats).filter(|l| !l.is_empty())?;
+        let log_diag = (mats.len() > 1).then(|| restricted_log_diagonal(mats))?;
         let w = log_diag.iter().map(|l| vec![1.0; l.len()]).collect();
         Some(Carry { log_diag, w, live: false })
     }
 
-    /// Re-derives `w` for `mats[0]`, the new finest operator; a diagonal
-    /// ratio that is zero, negative or not finite leaves the tail as it
-    /// was built.
+    /// Re-derives `w` for `mats[0]`, the new finest operator. Every `L_l` is
+    /// a mean of logs of positive finite diagonals, in [−745, 710], so `w` is
+    /// never zero; a ratio past `e^1419` overflows it: the tail stays as built.
     fn update(&mut self, mats: &[SgDia<f64>]) {
-        self.live = restricted_log_diagonal(mats).is_some_and(|now| {
-            let pairs = self.w.iter_mut().zip(&self.log_diag).zip(&now);
-            for ((w, was), now) in pairs {
-                for ((w, &was), &now) in w.iter_mut().zip(was).zip(now) {
-                    *w = (0.5 * (now - was)).exp();
-                }
+        let now = restricted_log_diagonal(mats);
+        for ((w, was), now) in self.w.iter_mut().zip(&self.log_diag).zip(&now) {
+            for ((w, &was), &now) in w.iter_mut().zip(was).zip(now) {
+                *w = (0.5 * (now - was)).exp();
             }
-            self.w.iter().flatten().all(|&w| w > 0.0 && w.is_finite())
-        });
+        }
+        self.live = self.w.iter().flatten().all(|w| w.is_finite());
     }
 
     fn value_bytes(&self) -> usize {
@@ -872,13 +862,9 @@ impl Carry {
 }
 
 /// `R_l log diag(A₀) / R_l 1` for every coarse level `l` of `mats`, finest
-/// first; `None` when a diagonal entry of `mats[0]` is not positive and
-/// finite.
-fn restricted_log_diagonal(mats: &[SgDia<f64>]) -> Option<Vec<Vec<f64>>> {
+/// first (`mats[0]`'s diagonal is positive and finite: [`check_diagonal`]).
+fn restricted_log_diagonal(mats: &[SgDia<f64>]) -> Vec<Vec<f64>> {
     let mut log = mats[0].extract_diagonal();
-    if !log.iter().all(|&d| d > 0.0 && d.is_finite()) {
-        return None;
-    }
     log.iter_mut().for_each(|d| *d = d.ln());
     let mut ones = vec![1.0; log.len()];
     let mut out = Vec::with_capacity(mats.len() - 1);
@@ -890,7 +876,7 @@ fn restricted_log_diagonal(mats: &[SgDia<f64>]) -> Option<Vec<Vec<f64>>> {
         out.push(log_c.iter().zip(&ones_c).map(|(l, o)| l / o).collect());
         (log, ones) = (log_c, ones_c);
     }
-    Some(out)
+    out
 }
 
 impl GalerkinChain {
@@ -900,16 +886,13 @@ impl GalerkinChain {
     ///
     /// # Errors
     /// [`SetupError::ChainIncompatible`] for `ScaleThenSetup` configs;
-    /// [`SetupError::InvalidConfig`]/[`SetupError::TooManyComponents`]
-    /// as in [`Mg::setup`].
+    /// [`SetupError::InvalidConfig`]/[`SetupError::TooManyComponents`]/
+    /// [`SetupError::NonPositiveDiagonal`] as in [`Mg::setup`].
     pub fn build(a: &SgDia<f64>, config: &MgConfig) -> Result<Self, SetupError> {
         config.validate()?;
-        if a.grid().components > 8 {
-            return Err(SetupError::TooManyComponents);
-        }
         reject_prescaled(config)?;
         let finest = a.to_layout(config.layout);
-        let mut mats = coarse_chain(&finest, config);
+        let mut mats = coarse_chain(&finest, config)?;
         mats.insert(0, finest);
         let carry = Carry::of(&mats);
         Ok(GalerkinChain { mats, carry })
@@ -965,13 +948,17 @@ impl GalerkinChain {
     /// drifted operator over `W_l A_l W_l`.
     ///
     /// # Errors
-    /// [`SetupError::ChainIncompatible`] on a geometry mismatch.
+    /// [`SetupError::ChainIncompatible`] on a geometry mismatch, or a
+    /// smoothed `finest` breaking [`check_diagonal`]; nothing was changed.
     pub(crate) fn swap_finest(
         &mut self,
         finest: &SgDia<f64>,
         config: &MgConfig,
     ) -> Result<(), SetupError> {
         self.check_finest_geometry(finest)?;
+        if self.mats.len() > 1 {
+            check_diagonal(finest, 0)?;
+        }
         let (own, new) = (&mut self.mats[0], finest.in_layout(config.layout));
         if (own.layout(), own.pattern()) == (new.layout(), new.pattern()) {
             // Same shape: overwrite in place rather than fault in a
@@ -1021,9 +1008,26 @@ fn reject_prescaled(config: &MgConfig) -> Result<(), SetupError> {
     Ok(())
 }
 
+/// The rule every smoothed level keeps: its diagonal is positive and
+/// finite, as Theorem 4.1 scales by it and Gauss–Seidel pivots on it.
+fn check_diagonal(a: &SgDia<f64>, level: usize) -> Result<(), SetupError> {
+    scaling::positive(a.extract_diagonal()).map(drop).map_err(|e| non_positive_at(level, e))
+}
+
+/// A diagonal Theorem 4.1 refuses on level `level`, at the core boundary.
+fn non_positive_at(level: usize, e: scaling::ScalingError) -> SetupError {
+    SetupError::NonPositiveDiagonal { level, unknown: e.unknown(), value: e.value() }
+}
+
 /// The Galerkin coarsening loop (Algorithm 1 lines 1–3): the RAP triple
-/// products below `finest`, down to the configured coarsest size.
-fn coarse_chain(finest: &SgDia<f64>, config: &MgConfig) -> Vec<SgDia<f64>> {
+/// products below `finest`, down to the configured coarsest size or to the
+/// first level that would be smoothed but breaks the rule of
+/// [`check_diagonal`]: the dense LU solves that one, unless it is level 0
+/// or has more than [`DenseLu::MAX_UNKNOWNS`] rows, which is refused.
+fn coarse_chain(finest: &SgDia<f64>, config: &MgConfig) -> Result<Vec<SgDia<f64>>, SetupError> {
+    if finest.grid().components > 8 {
+        return Err(SetupError::TooManyComponents);
+    }
     let mut chain: Vec<SgDia<f64>> = Vec::new();
     while chain.len() + 1 < config.max_levels.max(1) {
         let last = chain.last().unwrap_or(finest);
@@ -1034,9 +1038,15 @@ fn coarse_chain(finest: &SgDia<f64>, config: &MgConfig) -> Vec<SgDia<f64>> {
         if last.grid().coarsen_axes(axes) == *last.grid() {
             break; // nothing left to coarsen
         }
+        if let Err(e) = check_diagonal(last, chain.len()) {
+            if chain.is_empty() || last.rows() > DenseLu::MAX_UNKNOWNS {
+                return Err(e);
+            }
+            break;
+        }
         chain.push(galerkin_rap_axes(last, axes));
     }
-    chain
+    Ok(chain)
 }
 
 /// Chooses the coarsening axes for one level: all of them for full
@@ -1079,12 +1089,12 @@ fn store_policy(config: &MgConfig) -> Option<TruncationPolicy> {
 /// its store measured.
 ///
 /// `auto` makes the level an `AutoShift` candidate (`prec` is FP16): the
-/// verdict ([`audit_rejects`], or a level Theorem 4.1 cannot scale) is read
-/// off this store's own audit and recorded in the decision; a rejected
-/// level is built again in FP32 and becomes the switch.
+/// verdict ([`audit_rejects`]) is read off this store's own audit and
+/// recorded in the decision; a rejected level is built again in FP32 and
+/// becomes the switch.
 fn build_level<Pr: Scalar>(
     ai: &SgDia<f64>,
-    mut prec: Precision,
+    prec: Precision,
     config: &MgConfig,
     level: usize,
     auto: Option<&mut ShiftDecision>,
@@ -1116,21 +1126,12 @@ fn build_level<Pr: Scalar>(
         None => Some(store(None, prec)),
     };
     let plan = match (&unscaled, diagonal) {
-        (None, Some(diag)) => ScalePlan::with_diagonal(ai, diag, config.g_choice, limit).map(Some),
-        _ => Ok(None),
+        (None, Some(diag)) => Some(
+            ScalePlan::with_diagonal(ai, diag, config.g_choice, limit)
+                .map_err(|e| non_positive_at(level, e))?,
+        ),
+        _ => None,
     };
-    let unscalable = plan.is_err();
-    let plan = plan.unwrap_or_else(|_| {
-        // Theorem 4.1 requires positive diagonals; deep Galerkin
-        // levels of nonsymmetric operators can violate that. Fall
-        // back to a storage precision wide enough to hold the level
-        // unscaled — the coarse-level analog of `shift_levid` (§4.3),
-        // costing almost nothing because coarse levels are small
-        // (guideline 3).
-        let (max, _) = ai.abs_max();
-        prec = if max < Precision::F32.finite_max() { Precision::F32 } else { Precision::F64 };
-        None
-    });
     let s_inv = plan.as_ref().map(ScalePlan::s_inv);
     // A scaled level's second read: scaled, truncated, audited, sentineled.
     let store = unscaled.unwrap_or_else(|| store(s_inv, prec));
@@ -1138,16 +1139,15 @@ fn build_level<Pr: Scalar>(
     // scaled as it is read.
     let dinv = BlockDiagInv::from_scaled(ai, s_inv);
     if let Some(decision) = auto {
-        // Where the level cannot be scaled, or the policy refused the
-        // store, the FP16 audit the store did not take is taken here. A
-        // rejected candidate is built again in FP32, so
-        // its FP16 errors (a singular block, a refused store) are not its
-        // to report: both are held until the verdict is in.
+        // Where the policy refused the store, the FP16 audit the store did
+        // not take is taken here. A rejected candidate is built again in
+        // FP32, so its FP16 errors (a singular block, a refused store) are
+        // not its to report: both are held until the verdict is in.
         let audit = match &store {
-            Ok(store) if !unscalable => store.audit.clone(),
-            _ => audit::audit_scaled(ai, s_inv, Precision::F16),
+            Ok(store) => store.audit.clone(),
+            Err(_) => audit::audit_scaled(ai, s_inv, Precision::F16),
         };
-        let rejected = unscalable || audit_rejects(&audit, AUTO_SHIFT_MAX_UNDERFLOW);
+        let rejected = audit_rejects(&audit, AUTO_SHIFT_MAX_UNDERFLOW);
         decision.per_level.push(audit);
         if rejected {
             decision.chosen = level;
@@ -1157,7 +1157,7 @@ fn build_level<Pr: Scalar>(
     let dinv = dinv.map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
     let store = store.map_err(|error| SetupError::Truncation { level, error })?;
     // The scaled f64 operator exists only for a retained repair parent
-    // (a wide fallback precision has nothing to repair).
+    // (a wide precision has nothing to repair).
     let retain_parent = config.integrity.retain_parents && prec.bytes() == 2;
     let parent = retain_parent.then(|| plan.as_ref().map_or_else(|| ai.clone(), |p| p.scaled(ai)));
     let scale = plan.as_ref().map(ScalePlan::vectors::<Pr>);

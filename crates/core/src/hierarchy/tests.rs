@@ -559,20 +559,15 @@ fn a_scaled_level_is_repaired_bit_identically_from_its_retained_parent() {
 /// `StoragePolicy::AutoShift` as it was resolved before the store pass gave
 /// its audit: every smoothed level planned and audited at FP16 (post-scaling)
 /// up to the first whose audit saturates, meets a non-finite source or
-/// underflows past `AUTO_SHIFT_MAX_UNDERFLOW` — or whose scaling is
-/// impossible, when the audit is of the unscaled matrix. `usize::MAX` when
-/// none does.
+/// underflows past `AUTO_SHIFT_MAX_UNDERFLOW`. `usize::MAX` when none does.
 fn resolve_auto_shift(chain: &[&SgDia<f64>], config: &MgConfig) -> ShiftDecision {
     let mut per_level = Vec::new();
     let mut chosen = usize::MAX;
     for (i, ai) in chain.iter().enumerate().take(chain.len().saturating_sub(1)) {
         let prec = Precision::F16;
-        let plan = scale_plan(ai, prec, config);
-        let unscalable = plan.is_err();
-        let s_inv = plan.as_ref().ok().and_then(Option::as_ref).map(ScalePlan::s_inv);
-        let lv = audit::audit_scaled(ai, s_inv, prec);
-        let bad = unscalable
-            || lv.saturate > 0
+        let plan = scale_plan(ai, prec, config).expect("a smoothed level Theorem 4.1 can scale");
+        let lv = audit::audit_scaled(ai, plan.as_ref().map(ScalePlan::s_inv), prec);
+        let bad = lv.saturate > 0
             || lv.source_non_finite > 0
             || lv.underflow_loss_fraction() > AUTO_SHIFT_MAX_UNDERFLOW;
         per_level.push(lv);
@@ -598,7 +593,7 @@ fn assert_auto_shift_matches_the_two_pass_oracle(
         let fp16_max = fp16mg_fp::F16::MAX_F64;
         scaling::scale_symmetric::<f32>(&mut finest, cfg.g_choice, fp16_max).unwrap();
     }
-    let coarse_mats = coarse_chain(&finest, cfg);
+    let coarse_mats = coarse_chain(&finest, cfg).unwrap();
     let chain: Vec<&SgDia<f64>> = std::iter::once(&finest).chain(&coarse_mats).collect();
     let oracle = resolve_auto_shift(&chain, cfg);
 
@@ -650,18 +645,15 @@ fn auto_shift_reads_the_store_pass_as_the_two_pass_resolution_did() {
     assert_eq!((d.chosen, d.per_level.len()), (1, 2), "{d}");
 
     // A level that asks for scaling (an entry reaches FP16_MAX) but has a
-    // negative diagonal entry cannot be scaled: the switch is there, and
-    // its record is the FP16 audit of the unscaled operator — which alone
-    // would have passed it (the entry rounds to FP16_MAX, nothing saturates).
+    // negative diagonal entry is not smoothed: set-up refuses it before any
+    // audit is taken.
     let mut a = crate::tests::laplacian(Grid3::cube(8), Pattern::p7(), 1.0);
     let diagonal = a.pattern().taps().iter().position(|t| t.is_diagonal()).unwrap();
     let cell = a.grid().cells() / 2;
     a.set(cell, diagonal, -6.05);
     a.set(cell, (diagonal + 1) % a.pattern().len(), -65510.0);
-    let d = assert_auto_shift_matches_the_two_pass_oracle(&a, &MgConfig::d16_auto(), "unscalable");
-    assert_eq!(d.chosen, 0, "{d}");
-    assert_eq!(d.per_level, [audit::audit(&a, Precision::F16)]);
-    assert!(!audit_rejects(&d.per_level[0], AUTO_SHIFT_MAX_UNDERFLOW), "{}", d.per_level[0]);
+    let err = Mg::<f32>::setup(&a, &MgConfig::d16_auto()).map(|_| ()).unwrap_err();
+    assert_eq!(err, SetupError::NonPositiveDiagonal { level: 0, unknown: cell, value: -6.05 });
 }
 
 // ---- The diagonal read first: a level whose diagonal is out of range
@@ -673,7 +665,7 @@ fn auto_shift_reads_the_store_pass_as_the_two_pass_resolution_did() {
 /// planned, by `ScalePlan::decide` reading the diagonal itself.
 fn build_level_sweep_first<Pr: Scalar>(
     ai: &SgDia<f64>,
-    mut prec: Precision,
+    prec: Precision,
     config: &MgConfig,
     level: usize,
     auto: Option<&mut ShiftDecision>,
@@ -698,19 +690,8 @@ fn build_level_sweep_first<Pr: Scalar>(
         Some(store(None, prec))
     };
     let decide = || ScalePlan::decide(ai, config.g_choice, prec.finite_max());
-    let plan = unscaled.is_none().then(decide).transpose();
-    let unscalable = plan.is_err();
-    let plan = plan.unwrap_or_else(|_| {
-        // Theorem 4.1 requires positive diagonals; deep Galerkin
-        // levels of nonsymmetric operators can violate that. Fall
-        // back to a storage precision wide enough to hold the level
-        // unscaled — the coarse-level analog of `shift_levid` (§4.3),
-        // costing almost nothing because coarse levels are small
-        // (guideline 3).
-        let (max, _) = ai.abs_max();
-        prec = if max < Precision::F32.finite_max() { Precision::F32 } else { Precision::F64 };
-        None
-    });
+    let plan =
+        unscaled.is_none().then(decide).transpose().map_err(|e| non_positive_at(level, e))?;
     let s_inv = plan.as_ref().map(ScalePlan::s_inv);
     // A scaled level's second read: scaled, truncated, audited, sentineled.
     let store = unscaled.unwrap_or_else(|| store(s_inv, prec));
@@ -718,16 +699,15 @@ fn build_level_sweep_first<Pr: Scalar>(
     // scaled as it is read.
     let dinv = BlockDiagInv::from_scaled(ai, s_inv);
     if let Some(decision) = auto {
-        // Where the level cannot be scaled, or the policy refused the
-        // store, the FP16 audit the store did not take is taken here. A
-        // rejected candidate is built again in FP32, so
-        // its FP16 errors (a singular block, a refused store) are not its
-        // to report: both are held until the verdict is in.
+        // Where the policy refused the store, the FP16 audit the store did
+        // not take is taken here. A rejected candidate is built again in
+        // FP32, so its FP16 errors (a singular block, a refused store) are
+        // not its to report: both are held until the verdict is in.
         let audit = match &store {
-            Ok(store) if !unscalable => store.audit.clone(),
-            _ => audit::audit_scaled(ai, s_inv, Precision::F16),
+            Ok(store) => store.audit.clone(),
+            Err(_) => audit::audit_scaled(ai, s_inv, Precision::F16),
         };
-        let rejected = unscalable || audit_rejects(&audit, AUTO_SHIFT_MAX_UNDERFLOW);
+        let rejected = audit_rejects(&audit, AUTO_SHIFT_MAX_UNDERFLOW);
         decision.per_level.push(audit);
         if rejected {
             decision.chosen = level;
@@ -737,7 +717,7 @@ fn build_level_sweep_first<Pr: Scalar>(
     let dinv = dinv.map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
     let store = store.map_err(|error| SetupError::Truncation { level, error })?;
     // The scaled f64 operator exists only for a retained repair parent
-    // (a wide fallback precision has nothing to repair).
+    // (a wide precision has nothing to repair).
     let retain_parent = config.integrity.retain_parents && prec.bytes() == 2;
     let parent = retain_parent.then(|| plan.as_ref().map_or_else(|| ai.clone(), |p| p.scaled(ai)));
     let scale = plan.as_ref().map(ScalePlan::vectors::<Pr>);
@@ -865,35 +845,185 @@ fn the_diagonal_read_first_builds_every_level_as_the_sweep_first_order_did() {
     assert!(mg.info.levels[0].scaled, "off-diagonal out of range: level 0 scaled");
 
     // A diagonal entry Theorem 4.1 cannot scale, out of range: straight to
-    // the plan, which fails — the unscalable fallback as before. A NaN
-    // leaves a singular block (the same error either way, after `AutoShift`
-    // switched at that level); −1e6 is stored in FP32, unscaled.
+    // the plan, which refuses it in either order, before `AutoShift` takes a
+    // verdict — and the chain refuses such a level 0 before either runs.
     let level = || laplacian(Grid3::new(9, 8, 7), Pattern::p27(), 1.0);
     let diagonal = level().pattern().taps().iter().position(|t| t.is_diagonal()).unwrap();
     for bad in [f64::NAN, -1.0e6] {
         let mut a = level();
         a.set(403, diagonal, bad);
+        let want =
+            format!("{:?}", SetupError::NonPositiveDiagonal { level: 0, unknown: 403, value: bad });
         for cfg in [MgConfig::d16(), MgConfig::d16_auto()] {
             let what = format!("diagonal {bad} {:?}", cfg.storage);
-            let skipped = assert_diagonal_first_matches_sweep_first(&a, &cfg, &what);
-            assert!(skipped.contains(&0), "{what}: {skipped:?}");
             let mut shift = ShiftDecision { chosen: usize::MAX, per_level: vec![] };
-            let built = build_level::<f32>(&a, Precision::F16, &cfg, 0, Some(&mut shift));
-            assert_eq!(shift.chosen, 0, "{what}: AutoShift switches at the unscalable level");
-            match built {
-                Ok((level, info)) => {
-                    assert!(bad < 0.0, "{what}");
-                    assert_eq!(level.stored.precision(), Precision::F32, "{what}");
-                    assert!(!info.scaled && level.scale.is_none(), "{what}");
-                }
-                Err(e) => {
-                    assert!(bad.is_nan(), "{what}: {e}");
-                    assert!(
-                        matches!(e, SetupError::SingularDiagonalBlock { level: 0, cell: 403 }),
-                        "{what}: {e}"
-                    );
-                }
-            }
+            let got = build_level::<f32>(&a, Precision::F16, &cfg, 0, Some(&mut shift));
+            assert_eq!(format!("{:?}", got.map(|_| ())), format!("Err({want})"), "{what}");
+            let mut old = ShiftDecision { chosen: usize::MAX, per_level: vec![] };
+            let was = build_level_sweep_first::<f32>(&a, Precision::F16, &cfg, 0, Some(&mut old));
+            assert_eq!(format!("{:?}", was.map(|_| ())), format!("Err({want})"), "{what}");
+            assert!(shift.per_level.is_empty() && old.per_level.is_empty(), "{what}");
+            let refused = GalerkinChain::build(&a, &cfg).map(|_| ()).unwrap_err();
+            assert_eq!(format!("{refused:?}"), want, "{what}");
         }
     }
+}
+
+// ---- The rule: no smoothed level has a diagonal that is not positive and
+// finite. The chain ends at the first level that would, and is otherwise
+// the chain the Galerkin loop built without the rule. ----
+
+/// `coarse_chain` before the rule: the Galerkin loop down to the
+/// configured coarsest size.
+fn coarse_chain_without_the_rule(finest: &SgDia<f64>, config: &MgConfig) -> Vec<SgDia<f64>> {
+    let mut chain: Vec<SgDia<f64>> = Vec::new();
+    while chain.len() + 1 < config.max_levels.max(1) {
+        let last = chain.last().unwrap_or(finest);
+        if last.grid().is_coarsest(config.min_coarse_cells) {
+            break;
+        }
+        let axes = select_axes(last, config.coarsening);
+        if last.grid().coarsen_axes(axes) == *last.grid() {
+            break;
+        }
+        chain.push(galerkin_rap_axes(last, axes));
+    }
+    chain
+}
+
+/// The entries of `a`'s diagonal that are ≤ 0 or not finite.
+fn bad_diagonal_entries(a: &SgDia<f64>) -> usize {
+    a.extract_diagonal().iter().filter(|&&d| !(d > 0.0 && d.is_finite())).count()
+}
+
+/// Where the rule acts on the chain of `a` under `cfg`: the levels the
+/// loop builds without it, and its first level with a diagonal entry ≤ 0
+/// or non-finite — `(level, such entries, rows)`. The rule changes the
+/// chain only when that level is not the coarsest.
+fn diagnose(a: &SgDia<f64>, cfg: &MgConfig) -> (usize, Option<(usize, usize, usize)>) {
+    let chain = coarse_chain_without_the_rule(a, cfg);
+    let first = std::iter::once(a).chain(&chain).enumerate().find_map(|(l, al)| {
+        let bad = bad_diagonal_entries(al);
+        (bad > 0).then(|| (l, bad, al.rows()))
+    });
+    (chain.len() + 1, first)
+}
+
+/// Every bit of an operator: its grid, its pattern and its values.
+fn operator_bits(a: &SgDia<f64>) -> (Grid3, usize, Vec<u64>) {
+    (*a.grid(), a.pattern().len(), f64_bits(a.data()))
+}
+
+/// `Mg::setup` of `a` under `cfg` smooths no level whose diagonal breaks
+/// the rule, and its chain is the one built without the rule, cut after
+/// the first level that breaks it. `repro` names the case.
+fn assert_the_rule_only_truncates(a: &SgDia<f64>, cfg: &MgConfig, repro: &str) {
+    let mg = Mg::<f32>::setup(a, cfg).unwrap_or_else(|e| panic!("{repro}: {e}"));
+    let finest = a.to_layout(cfg.layout);
+    let coarse = coarse_chain(&finest, cfg).unwrap();
+    let chain: Vec<&SgDia<f64>> = std::iter::once(&finest).chain(&coarse).collect();
+    assert_eq!(mg.num_levels(), chain.len(), "{repro}: levels");
+    for (l, (info, al)) in mg.info.levels.iter().zip(&chain).enumerate() {
+        let dims = (al.grid().nx, al.grid().ny, al.grid().nz);
+        assert_eq!(info.dims, dims, "{repro}: level {l} dims");
+    }
+    for (l, al) in chain.iter().enumerate().take(chain.len() - 1) {
+        assert_eq!(bad_diagonal_entries(al), 0, "{repro}: smoothed level {l}");
+    }
+
+    let without = coarse_chain_without_the_rule(&finest, cfg);
+    assert!(coarse.len() <= without.len(), "{repro}: the rule grew the chain");
+    for (l, (got, want)) in coarse.iter().zip(&without).enumerate() {
+        assert!(operator_bits(got) == operator_bits(want), "{repro}: level {} bits", l + 1);
+    }
+    if coarse.len() < without.len() {
+        let coarsest = chain.last().unwrap();
+        assert!(bad_diagonal_entries(coarsest) > 0, "{repro}: the chain ended early");
+    }
+}
+
+#[test]
+fn the_rule_leaves_no_smoothed_diagonal_that_is_not_positive_and_only_truncates_the_chain() {
+    use crate::config::Coarsening;
+    use fp16mg_problems::ProblemKind;
+
+    // Two cases where the rule acts (see `the_diagnosis_table_holds`),
+    // then generated ones: kind × extents 9–40 × coarsening × storage.
+    let semi = Coarsening::Semi { threshold: 0.5 };
+    let oil = ProblemKind::Oil.build(33).matrix;
+    assert_the_rule_only_truncates(&oil, &MgConfig::d16(), "oil n=33 Full d16");
+    let oil4c = ProblemKind::Oil4C.build(20).matrix;
+    let cfg = MgConfig { coarsening: semi, ..MgConfig::d64() };
+    assert_the_rule_only_truncates(&oil4c, &cfg, "oil-4C n=20 Semi d64");
+
+    check_n("the_rule_only_truncates_the_chain", 6, |rng| {
+        let kind = ProblemKind::all()[rng.usize_range(0, 8)];
+        let n = rng.usize_range(9, 41);
+        let coarsening = if rng.chance(0.5) { Coarsening::Full } else { semi };
+        let base = if rng.chance(0.5) { MgConfig::d16() } else { MgConfig::d64() };
+        let cfg = MgConfig { coarsening, ..base };
+        let repro = format!("replay: {} n={n} {coarsening:?} {:?}", kind.name(), cfg.storage);
+        assert_the_rule_only_truncates(&kind.build(n).matrix, &cfg, &repro);
+    });
+}
+
+/// The diagnosis table of EXPERIMENTS.md ("One rule for a diagonal that is
+/// not positive"): per kind, size and coarsening, the levels the Galerkin
+/// loop builds without the rule and its first level with a diagonal entry
+/// ≤ 0 — the dense LU's already when it is the coarsest, made so by the
+/// rule when it is smoothed. Debug builds check the sizes that build in
+/// seconds there, optimised ones all (`cargo test --release -p fp16mg-core
+/// the_diagnosis_table -- --nocapture` prints the table).
+#[test]
+fn the_diagnosis_table_holds() {
+    use crate::config::Coarsening::{self, Full};
+    use fp16mg_problems::ProblemKind::{self, *};
+
+    const SEMI: Coarsening = Coarsening::Semi { threshold: 0.5 };
+    type Row = (ProblemKind, usize, Coarsening, usize, Option<(usize, usize, usize)>);
+    let fast: &[Row] = &[
+        (Oil, 17, Full, 4, Some((3, 9, 27))),
+        (Oil, 24, Full, 4, Some((3, 8, 27))),
+        (Oil, 32, Full, 4, Some((3, 4, 64))),
+        (Oil, 33, Full, 5, Some((3, 18, 125))),
+        (Weather, 17, Full, 3, None),
+        (Weather, 24, Full, 4, None),
+        (Weather, 33, Full, 4, None),
+        (Oil4C, 17, Full, 4, None),
+        (Oil4C, 24, Full, 4, None),
+        (Oil4C, 33, Full, 5, Some((4, 18, 108))),
+        (Oil, 24, SEMI, 6, Some((4, 1, 72))),
+        (Oil, 32, SEMI, 6, Some((4, 1, 128))),
+        (Oil4C, 20, SEMI, 6, Some((4, 1, 800))),
+        (Oil4C, 24, SEMI, 6, Some((4, 1, 288))),
+    ];
+    let slow: &[Row] = &[
+        (Oil, 48, Full, 5, Some((3, 3, 216))),
+        (Oil, 96, Full, 6, Some((3, 144, 1728))),
+        (Weather, 48, Full, 5, Some((4, 2, 18))),
+        (Weather, 64, Full, 5, Some((4, 2, 32))),
+        (Weather, 80, Full, 6, Some((4, 1, 75))),
+        (Weather, 96, Full, 6, Some((4, 1, 108))),
+        (Oil4C, 32, Full, 4, Some((3, 1, 256))),
+        (Oil4C, 48, Full, 5, Some((3, 1, 864))),
+        (Oil4C, 64, Full, 5, Some((4, 16, 256))),
+    ];
+    let rows = if cfg!(debug_assertions) { fast.to_vec() } else { [fast, slow].concat() };
+    println!("| problem | n | coarsening | levels without the rule | first level with a diagonal entry ≤ 0 (entries / rows) | its role |");
+    println!("|---|---|---|---|---|---|");
+    let mut got = vec![];
+    for &(kind, n, coarsening, _, _) in &rows {
+        let cfg = MgConfig { coarsening, ..MgConfig::d16() };
+        let (levels, first) = diagnose(&kind.build(n).matrix, &cfg);
+        let (at, role) = match first {
+            Some((l, bad, rows)) if l + 1 < levels => {
+                (format!("L{l} ({bad} / {rows})"), "smoothed")
+            }
+            Some((l, bad, rows)) => (format!("L{l} ({bad} / {rows})"), "LU"),
+            None => ("none".into(), ""),
+        };
+        println!("| {} | {n} | {coarsening:?} | {levels} | {at} | {role} |", kind.name());
+        got.push((kind, n, coarsening, levels, first));
+    }
+    assert_eq!(got, rows);
 }

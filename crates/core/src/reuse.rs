@@ -127,8 +127,8 @@ impl Retained {
     /// that. [`serve`] does so.
     ///
     /// # Errors
-    /// [`SetupError::ChainIncompatible`] when `a`'s geometry is not the
-    /// chain's; nothing was changed.
+    /// [`SetupError::ChainIncompatible`] or [`SetupError::NonPositiveDiagonal`]
+    /// when the chain cannot take `a`; nothing was changed.
     pub fn adopt_finest(
         &mut self,
         a: &SgDia<f64>,

@@ -73,9 +73,9 @@ fn serve_is_the_sequence_it_replaces() {
     }
 }
 
-/// An operator in the rescale band whose finest level cannot be
-/// assembled (a zero on the diagonal; an entry zeroed elsewhere in the
-/// baseline keeps the nonzero count, so the drift is not structural).
+/// An operator in the rescale band whose finest level cannot be smoothed
+/// (a zero on the diagonal, refused at the swap; an entry zeroed elsewhere
+/// in the baseline keeps the nonzero count, so the drift is not structural).
 #[test]
 fn a_failed_rescale_empties_the_slot_and_the_next_serve_rebuilds() {
     let cfg = MgConfig::d16();
@@ -93,7 +93,8 @@ fn a_failed_rescale_empties_the_slot_and_the_next_serve_rebuilds() {
     let (mg, reuse, d) = serve::<f32>(&mut slot, &drifted, &cfg);
     let d = d.expect("a retained baseline to drift from");
     assert_eq!((reuse, d.structural(), d.magnitude()), (Reuse::Rescale, false, 1.0));
-    assert!(matches!(mg, Err(SetupError::SingularDiagonalBlock { level: 0, .. })));
+    let refused = SetupError::NonPositiveDiagonal { level: 0, unknown: cell, value: 0.0 };
+    assert_eq!(mg.map(|_| ()).unwrap_err(), refused);
     assert!(slot.is_none(), "a half-adopted chain must not be measured against");
 
     let (mg, reuse, d) = serve::<f32>(&mut slot, &a, &cfg);
@@ -178,26 +179,30 @@ fn two_adopts_assemble_what_the_second_alone_does() {
     }
 }
 
-/// A finest diagonal entry that is zero or NaN makes a ratio the carry
-/// cannot take a logarithm of: the tail is assembled as it was built,
-/// whatever an earlier adopt carried.
+/// A finest operator with a zero or NaN diagonal entry breaks the rule a
+/// smoothed level keeps: the swap refuses it and the chain — finest
+/// operator, carried tail — stays as the adopt before it left it.
 #[test]
-fn a_zero_or_nan_diagonal_ratio_leaves_the_tail_as_built() {
+fn a_zero_or_nan_finest_diagonal_is_refused_at_the_swap_leaving_the_chain() {
     let cfg = MgConfig::d16();
     let a = ProblemKind::Weather.build(12).matrix;
     let diagonal = a.pattern().taps().iter().position(|t| t.is_diagonal()).unwrap();
+    let cell = a.grid().cells() / 2;
+    let bits = |chain: &GalerkinChain| -> Vec<Vec<u64>> {
+        let ops = chain.operators();
+        ops.iter().map(|op| op.data().iter().map(|v| v.to_bits()).collect()).collect()
+    };
     for bad in [0.0, f64::NAN] {
         let mut chain = GalerkinChain::build(&a, &cfg).unwrap();
         chain.swap_finest(&times(&a, 3.0), &cfg).unwrap();
         assert!(chain.operators()[1..].iter().all(|op| matches!(op, Cow::Owned(_))));
+        let before = bits(&chain);
         let mut drifted = times(&a, 3.0);
-        drifted.set(a.grid().cells() / 2, diagonal, bad);
-        chain.swap_finest(&drifted, &cfg).unwrap();
-        let ops = chain.operators();
-        assert!(ops.iter().all(|op| matches!(op, Cow::Borrowed(_))), "ratio {bad}");
-        for (op, built) in ops.iter().zip(chain.matrices()) {
-            assert!(std::ptr::eq(&**op, built));
-        }
+        drifted.set(cell, diagonal, bad);
+        let refused = chain.swap_finest(&drifted, &cfg).unwrap_err();
+        let want = SetupError::NonPositiveDiagonal { level: 0, unknown: cell, value: bad };
+        assert_eq!(format!("{refused:?}"), format!("{want:?}"), "ratio {bad}");
+        assert!(bits(&chain) == before, "ratio {bad}: the refused swap moved the chain");
     }
 }
 

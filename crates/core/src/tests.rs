@@ -477,44 +477,48 @@ fn single_level_hierarchy_is_direct_solve() {
     assert!(res.iters <= 3, "direct solve took {} iters", res.iters);
 }
 
-#[test]
-fn nonpositive_diagonal_falls_back_to_fp32_storage() {
-    // Theorem 4.1 needs positive diagonals; when a level violates that,
-    // setup-then-scale falls back to unscaled FP32 storage for that level
-    // instead of failing (the coarse-level analog of shift_levid).
-    let grid = Grid3::cube(8);
-    let a = SgDia::<f64>::from_fn(grid, Pattern::p7(), Layout::Soa, |_, _, _, _, t| {
-        if Pattern::p7().taps()[t].is_diagonal() {
-            -1.0e8 // negative diagonal, out of FP16 range -> scaling needed
-        } else {
-            1.0
-        }
-    });
-    let mg = Mg::<f32>::setup(&a, &MgConfig::d16()).expect("fallback setup");
-    let l0 = &mg.info().levels[0];
-    assert_eq!(l0.precision, Precision::F32);
-    assert!(!l0.scaled);
-    assert!(l0.finite);
-}
-
-#[test]
-fn scale_then_setup_rejects_nonpositive_diagonal() {
-    // The inferior strategy scales the finest matrix up front and has no
-    // fallback: the M-matrix prerequisite is a hard error there.
-    let grid = Grid3::cube(8);
-    let a = SgDia::<f64>::from_fn(grid, Pattern::p7(), Layout::Soa, |_, _, _, _, t| {
+/// An 8³ 7-point operator whose diagonal is -1e8: negative, and out of
+/// FP16 range, so a level built from it would need scaling.
+fn negative_diagonal_cube() -> SgDia<f64> {
+    SgDia::<f64>::from_fn(Grid3::cube(8), Pattern::p7(), Layout::Soa, |_, _, _, _, t| {
         if Pattern::p7().taps()[t].is_diagonal() {
             -1.0e8
         } else {
             1.0
         }
-    });
+    })
+}
+
+#[test]
+fn a_nonpositive_finest_diagonal_is_refused_under_every_strategy() {
+    // Theorem 4.1 scales by the diagonal and Gauss–Seidel pivots on it, so
+    // a level 0 that would be smoothed with a negative one is refused,
+    // whatever the scaling strategy; one not smoothed goes to the dense LU.
+    let a = negative_diagonal_cube();
+    let want = crate::SetupError::NonPositiveDiagonal { level: 0, unknown: 0, value: -1.0e8 };
+    for scale in [ScaleStrategy::SetupThenScale, ScaleStrategy::ScaleThenSetup, ScaleStrategy::None]
+    {
+        let cfg = MgConfig { scale, ..MgConfig::d16() };
+        assert_eq!(Mg::<f32>::setup(&a, &cfg).map(|_| ()).unwrap_err(), want, "{scale:?}");
+        if scale != ScaleStrategy::ScaleThenSetup {
+            assert_eq!(crate::GalerkinChain::build(&a, &cfg).unwrap_err(), want, "{scale:?}");
+            let one = Mg::<f32>::setup(&a, &MgConfig { max_levels: 1, ..cfg }).unwrap();
+            assert_eq!(one.num_levels(), 1, "{scale:?}");
+        }
+    }
+}
+
+#[test]
+fn scale_then_setup_rejects_nonpositive_diagonal() {
+    // The strategy that scales the finest matrix up front checks its
+    // diagonal before anything else: the M-matrix prerequisite is a hard
+    // error there, naming the first offending unknown.
     let cfg = MgConfig { scale: ScaleStrategy::ScaleThenSetup, ..MgConfig::d16() };
-    let err = match Mg::<f32>::setup(&a, &cfg) {
+    let err = match Mg::<f32>::setup(&negative_diagonal_cube(), &cfg) {
         Err(e) => e,
         Ok(_) => panic!("expected setup to fail"),
     };
-    assert!(matches!(err, crate::SetupError::NonPositiveDiagonal { .. }));
+    assert_eq!(err, crate::SetupError::NonPositiveDiagonal { level: 0, unknown: 0, value: -1.0e8 });
 }
 
 #[test]
@@ -762,6 +766,35 @@ mod validation {
         assert_eq!(Mg::<f32>::setup(&a, &cfg).map(|_| ()).unwrap_err(), want);
         let chain = crate::GalerkinChain::build(&a, &cfg).unwrap();
         assert_eq!(Mg::<f32>::setup_from_chain(&chain, &cfg).map(|_| ()).unwrap_err(), want);
+    }
+
+    #[test]
+    fn a_level_the_rule_ends_the_chain_at_but_too_large_for_dense_lu_is_refused_by_name() {
+        // Diagonal 1 against six couplings of −1: level 0 keeps the rule,
+        // but its Galerkin level 1 (24×24×16 = 9 216 rows, more than the
+        // dense LU takes) has a diagonal entry ≤ 0. Set-up names that
+        // entry rather than reporting an oversized LU.
+        let a = SgDia::<f64>::from_fn(
+            Grid3::new(48, 48, 32),
+            Pattern::p7(),
+            Layout::Soa,
+            |_, _, _, _, t| {
+                if Pattern::p7().taps()[t].is_diagonal() {
+                    1.0
+                } else {
+                    -1.0
+                }
+            },
+        );
+        let l1 = galerkin_rap(&a);
+        assert!(l1.rows() == 9216 && l1.rows() > DenseLu::MAX_UNKNOWNS);
+        let diagonal = l1.extract_diagonal();
+        let unknown = diagonal.iter().position(|&d| d <= 0.0).expect("an entry ≤ 0 on level 1");
+        let want = SetupError::NonPositiveDiagonal { level: 1, unknown, value: diagonal[unknown] };
+        for cfg in [MgConfig::d16(), MgConfig::d64()] {
+            assert_eq!(Mg::<f32>::setup(&a, &cfg).map(|_| ()).unwrap_err(), want);
+            assert_eq!(crate::GalerkinChain::build(&a, &cfg).unwrap_err(), want);
+        }
     }
 }
 

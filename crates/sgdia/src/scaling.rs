@@ -110,7 +110,7 @@ pub enum GChoice {
 }
 
 /// `diag`, if it is the positive, finite diagonal Theorem 4.1 presupposes.
-fn positive(diag: Vec<f64>) -> Result<Vec<f64>, ScalingError> {
+pub fn positive(diag: Vec<f64>) -> Result<Vec<f64>, ScalingError> {
     for (u, &d) in diag.iter().enumerate() {
         if !d.is_finite() {
             return Err(ScalingError::NonFiniteDiagonal { unknown: u, value: d });
