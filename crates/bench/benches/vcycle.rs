@@ -13,7 +13,7 @@ use fp16mg_bench::{Combo, Group};
 use fp16mg_core::{galerkin_rap, prolong_add, restrict, GalerkinChain, MatOp, Mg, MgConfig};
 use fp16mg_fp::{Precision, F16};
 use fp16mg_grid::Grid3;
-use fp16mg_krylov::{axpy, dot, LinOp};
+use fp16mg_krylov::{axpy, dot, LinOp, Preconditioner};
 use fp16mg_problems::ProblemKind;
 use fp16mg_sgdia::audit::{audit, store_level, store_level_in_range, TruncationPolicy};
 use fp16mg_sgdia::kernels::{self, BlockDiagInv, Par};
@@ -293,7 +293,7 @@ fn bench_vcycle() {
                 Ok(m) => m,
                 Err(_) => continue,
             };
-            g.bench(combo.label(), || mg.apply_pr(&r, &mut e));
+            g.bench(combo.label(), || mg.apply(&r, &mut e));
         }
     }
 }
@@ -311,12 +311,12 @@ fn bench_apply() {
         let mut e = vec![0.0f32; rn];
         let g = Group::new(format!("apply/{}-n{n}", kind.name()));
         let mut mg = Mg::<f32>::setup(&p.matrix, &MgConfig::d16()).expect("benchmark shape");
-        g.bench("Mg::apply d16", || mg.apply_pr(&r, &mut e));
+        g.bench("Mg::apply d16", || mg.apply(&r, &mut e));
         if kind == ProblemKind::Weather {
             // `weather-par`'s cycle: must not be the slower of the two.
             let cfg = MgConfig { par: Par::Threads(2), ..MgConfig::d16() };
             let mut mg = Mg::<f32>::setup(&p.matrix, &cfg).expect("benchmark shape");
-            g.bench("Mg::apply d16 threads(2)", || mg.apply_pr(&r, &mut e));
+            g.bench("Mg::apply d16 threads(2)", || mg.apply(&r, &mut e));
         }
     }
 }
@@ -353,12 +353,12 @@ fn bench_matop() {
         let mut mg = Mg::<f32>::setup(a, &MgConfig::d16()).expect("benchmark shape");
         full.bench_between(
             "full, between cycles",
-            || mg.apply_pr(&r, &mut e),
+            || mg.apply(&r, &mut e),
             || kernels::spmv(a, &x, &mut y, Par::Seq),
         );
         half.bench_between(
             "half, between cycles",
-            || mg.apply_pr(&r, &mut e),
+            || mg.apply(&r, &mut e),
             || op.apply(&x, &mut y),
         );
     }

@@ -49,9 +49,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use fp16mg_bench::table::{fmt_secs, Table};
 use fp16mg_bench::{kernel_suite, solve_e2e, Combo, E2eResult, KernelKind, SpeedupMean, Variant};
 use fp16mg_core::{Mg, MgConfig};
-use fp16mg_fp::Scalar;
 use fp16mg_krylov::SolveOptions;
-use fp16mg_problems::{metrics, Problem, ProblemKind, SolverKind};
+use fp16mg_problems::{metrics, ProblemKind, SolverKind};
 use fp16mg_sgdia::kernels::Par;
 use fp16mg_sgdia::model;
 
@@ -549,8 +548,8 @@ fn run_pair(
     (run(Combo::Full64), run(Combo::D16SetupScale))
 }
 
-/// Set when Mix16 failed on a problem Full64 solves: `repro` then exits 1
-/// after its last experiment.
+/// Set when Mix16 failed on a problem Full64 solves, or a `guard` session
+/// did not converge: `repro` then exits 1 after its last experiment.
 static MIX16_FAILED: AtomicBool = AtomicBool::new(false);
 
 /// Prints the problems the speedup mean left out, and records a Mix16-only
@@ -1010,93 +1009,58 @@ fn simulate_cmd(args: &Args) {
 // --------------------------------------------------------------- guard --
 
 fn guard(args: &Args) {
+    use fp16mg_runtime::{run_session, FaultPlan, Rung, SolveRequest};
+    use fp16mg_sgdia::fault::FaultSpec;
+
     header("Robustness: fault-injected FP16 levels — detect, promote, converge");
     let opts = solve_opts(args, 500);
     let n = capped_size(args, 20);
-    let mut t = Table::new(&[
-        "problem",
-        "scenario",
-        "#iter",
-        "rel.resid",
-        "promoted",
-        "restarts",
-        "events",
-    ]);
-    let mut all_events: Vec<String> = Vec::new();
+    let mut t = Table::new(&["problem", "scenario", "#iter", "rel.resid", "rungs", "promoted"]);
     for kind in [ProblemKind::Laplace27, ProblemKind::Rhd, ProblemKind::Weather] {
-        let p = kind.build(n);
-        for (label, combo, inject) in [
-            ("Full64 clean", Combo::Full64, false),
-            ("Mix16 clean", Combo::D16SetupScale, false),
-            ("Mix16 injected", Combo::D16SetupScale, true),
-        ] {
-            let cells = if combo.p64() {
-                guard_row::<f64>(&p, combo, inject, &opts, &mut all_events)
-            } else {
-                guard_row::<f32>(&p, combo, inject, &opts, &mut all_events)
+        // A session's rung 0 computes in FP32: the FP64 reference is a plain solve.
+        let mut row = vec![kind.name().to_string(), "Full64 clean".to_string()];
+        match solve_e2e(kind, n, Combo::Full64, Combo::Full64.mg_config(), &opts) {
+            Ok(r) => row.extend([
+                format!("{}{}", r.result.iters, if r.result.converged() { "" } else { "!" }),
+                format!("{:9.2e}", r.result.final_rel_residual),
+                "-".into(),
+                "-".into(),
+            ]),
+            Err(e) => row.extend(["setup-fail".into(), e]),
+        }
+        row.resize(6, String::new());
+        t.row(row);
+        for (label, inject) in [("Mix16 clean", false), ("Mix16 injected", true)] {
+            let mut req = SolveRequest::new(label, kind.build(n), Combo::D16SetupScale.mg_config());
+            req.opts = opts.clone();
+            // Infinities in the finest 16-bit level of the first build only.
+            req.fault = inject.then_some(FaultPlan {
+                spec: FaultSpec::inf(2e-4, 0xfeed),
+                flip: None,
+                sticky_until: Rung::PromoteNarrow,
+            });
+            let out = run_session(&req);
+            if !out.converged() {
+                MIX16_FAILED.store(true, Ordering::Relaxed);
+            }
+            let (iters, rel) = match &out.result {
+                Ok(r) => (r.iters.to_string(), r.final_rel_residual),
+                Err(_) => (format!("{}!", out.iters), f64::NAN),
             };
-            let mut row = vec![kind.name().to_string(), label.to_string()];
-            row.extend(cells);
-            row.resize(7, String::new());
-            t.row(row);
+            let promoted: usize = out.report.attempts.iter().map(|a| a.promotions).sum();
+            t.row(vec![
+                kind.name().to_string(),
+                label.to_string(),
+                iters,
+                format!("{rel:9.2e}"),
+                out.report.summary(),
+                promoted.to_string(),
+            ]);
         }
     }
     print!("{t}");
-    if !all_events.is_empty() {
-        println!("\npromotion log:");
-        for e in &all_events {
-            println!("  {e}");
-        }
-    }
-    println!("(expect: clean rows promote nothing; injected rows detect the corrupt");
-    println!(" FP16 level inside one V-cycle, promote it to FP32, and converge to");
-    println!(" the same tolerance as the clean run)");
-}
-
-/// One `guard` scenario at computation precision `Pr`: sets up, injects
-/// infinities into the finest 16-bit level when asked, solves guarded, and
-/// returns the row's cells after problem and scenario (fewer when set-up
-/// fails or there is nothing to inject into).
-fn guard_row<Pr: Scalar>(
-    p: &Problem,
-    combo: Combo,
-    inject: bool,
-    opts: &SolveOptions,
-    events: &mut Vec<String>,
-) -> Vec<String> {
-    use fp16mg_bench::{finest_narrow_level, solve_guarded};
-    use fp16mg_sgdia::fault::FaultSpec;
-
-    let mut mg = match Mg::<Pr>::setup(&p.matrix, &combo.mg_config()) {
-        Ok(m) => m,
-        Err(e) => return vec!["setup-fail".into(), e.to_string()],
-    };
-    if inject {
-        let Some(lev) = finest_narrow_level(&mg) else { return vec!["no 16-bit level".into()] };
-        let spec = FaultSpec::inf(2e-4, 0xfeed);
-        let report = mg.stored_mut(lev).expect("narrow level exists").inject_faults(&spec);
-        events.push(format!(
-            "{}: injected {} Inf values into level {lev} ({:?})",
-            p.name,
-            report.infs.max(1),
-            mg.info().levels[lev].precision,
-        ));
-        if report.infs == 0 {
-            // Rate too low for a small matrix: force one.
-            mg.stored_mut(lev).expect("narrow level").inject_inf_at(0, 0);
-        }
-    }
-    let out = solve_guarded(p, &mut mg, opts, Par::Seq);
-    events.extend(out.promotions.iter().map(|ev| format!("{}: {ev}", p.name)));
-    vec![
-        format!("{}{}", out.result.iters, if out.converged() { "" } else { "!" }),
-        format!("{:9.2e}", out.result.final_rel_residual),
-        out.promotions.len().to_string(),
-        out.restarts.to_string(),
-        out.promotions
-            .iter()
-            .map(|e| format!("L{}:{}", e.level, e.reason))
-            .collect::<Vec<_>>()
-            .join("; "),
-    ]
+    println!("(expect: clean rows converge on retry and promote nothing; injected rows");
+    println!(" detect the corrupt FP16 level inside one V-cycle, promote it to FP32 and");
+    println!(" converge on retry to the same tolerance as the clean run; a Mix16 row");
+    println!(" that does not converge exits 1)");
 }

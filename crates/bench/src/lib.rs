@@ -5,8 +5,7 @@
 //! combinations of the Fig. 6 ablation, timed end-to-end solves with the
 //! Fig. 8/9 breakdown (setup / MG preconditioner / other), the Fig. 7
 //! kernel measurement matrix (baseline / naive / optimized / model-bound
-//! / CSR stand-in for vendor libraries), the fault-injection guard
-//! experiment demonstrating detect → promote → converge, the serve-pool
+//! / CSR stand-in for vendor libraries), the serve-pool
 //! scenarios the integration tests run on `fp16mg-runtime`'s pool, and
 //! the harnesses (load generator, kill/restart soak, fault matrices) that
 //! hold the daemon in `fp16mg_runtime::serve` to its contract.
@@ -15,7 +14,6 @@
 pub mod audit;
 pub mod combos;
 pub mod e2e;
-pub mod guard;
 pub mod kernelbench;
 pub mod loadgen;
 pub mod matrix;
@@ -30,7 +28,6 @@ pub mod torture;
 pub use audit::{audit_report, print_audit_table};
 pub use combos::Combo;
 pub use e2e::{solve_e2e, E2eResult, SpeedupMean};
-pub use guard::{finest_narrow_level, solve_guarded, GuardOutcome};
 pub use kernelbench::{kernel_suite, KernelKind, KernelRow, Variant};
 pub use loadgen::{run_loadgen, run_net_soak, LoadgenConfig, LoadgenReport, NetSoakConfig};
 pub use matrix::MatrixReport;

@@ -41,6 +41,7 @@ use std::time::Instant;
 use fp16mg_core::{
     reuse, IntegrityPolicy, Mg, MgConfig, RepairTrigger, Retained, Reuse, SetupError,
 };
+use fp16mg_fp::Precision;
 use fp16mg_problems::{step_rhs, Evolution, Problem, ProblemKind};
 use fp16mg_runtime::{
     append_durable, run_session_with, trail, RealStorage, SimCounters, SimSnapshot, SnapshotStore,
@@ -48,7 +49,6 @@ use fp16mg_runtime::{
 };
 use fp16mg_sgdia::SgDia;
 
-use crate::guard::finest_narrow_level;
 use crate::table::{fmt_secs, Table};
 
 /// Step whose chaos spike lands in the rescale band (×4 ≈ 2 binades).
@@ -263,6 +263,11 @@ fn chaos_spike(chaos: bool, step: u64) -> f64 {
     } else {
         1.0
     }
+}
+
+/// Index of the finest level stored in a 16-bit format, if any.
+fn finest_narrow_level(mg: &Mg<f32>) -> Option<usize> {
+    mg.info().levels.iter().position(|l| matches!(l.precision, Precision::F16 | Precision::BF16))
 }
 
 /// The operator the solver actually sees at `step`: the evolution's
@@ -574,9 +579,6 @@ impl SimDriver {
         );
         req.rhs = Some(rhs);
         req.opts.tol = self.cfg.tol;
-        // The drift policy upstream already decided how to treat the
-        // hierarchy, so the redundant audit gate is off.
-        req.audit_gate = false;
         req.budget.max_iters = Some(4000);
         let outcome = run_session_with(&req, mg);
         let rungs = outcome.report.summary();

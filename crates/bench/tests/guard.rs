@@ -1,14 +1,15 @@
 //! Fault-injection tests for the self-healing layer: a corrupted FP16
 //! level must be detected within one V-cycle application, promoted to
 //! FP32, and the outer solve must still converge to the clean run's
-//! tolerance. The bench crate hosts these because it holds the guard
-//! harness (`solve_guarded`).
+//! tolerance. The solves run through the runtime's retry ladder
+//! (`run_session`), which is what `repro guard` drives.
 
-use fp16mg_bench::{finest_narrow_level, solve_guarded, Combo};
-use fp16mg_core::{Mg, PromotionReason};
+use fp16mg_bench::Combo;
+use fp16mg_core::{MatOp, Mg, PromotionReason};
 use fp16mg_fp::Precision;
-use fp16mg_krylov::{Preconditioner, SolveOptions};
+use fp16mg_krylov::{cg, Preconditioner, SolveOptions};
 use fp16mg_problems::ProblemKind;
+use fp16mg_runtime::{run_session, FaultPlan, Rung, SessionOutcome, SolveRequest};
 use fp16mg_sgdia::fault::FaultSpec;
 use fp16mg_sgdia::kernels::Par;
 
@@ -18,10 +19,45 @@ fn mix16(kind: ProblemKind, n: usize) -> (fp16mg_problems::Problem, Mg<f32>) {
     (p, mg)
 }
 
+/// One Mix16 session, `spec` injected into the finest 16-bit level of its
+/// first build (and of no later one) when given.
+fn session(kind: ProblemKind, n: usize, spec: Option<FaultSpec>) -> SessionOutcome {
+    let mut req = SolveRequest::new(kind.name(), kind.build(n), Combo::D16SetupScale.mg_config());
+    req.opts = SolveOptions { tol: 1e-9, max_iters: 300, ..Default::default() };
+    req.fault = spec.map(|spec| FaultPlan { spec, flip: None, sticky_until: Rung::PromoteNarrow });
+    run_session(&req)
+}
+
+fn promotions(out: &SessionOutcome) -> usize {
+    out.report.attempts.iter().map(|a| a.promotions).sum()
+}
+
+/// The injected session converges on its first attempt, promoting, at
+/// most a handful of iterations behind the clean one.
+fn assert_heals(kind: ProblemKind, n: usize, spec: FaultSpec) {
+    let clean = session(kind, n, None);
+    let clean_iters = clean.result.as_ref().expect("clean run converges").iters;
+    assert_eq!(clean.report.rung_sequence(), [Rung::Retry], "{}", kind.name());
+    assert_eq!(promotions(&clean), 0, "clean run must not promote");
+
+    let healed = session(kind, n, Some(spec));
+    let r = healed.result.as_ref().expect("healed run converges");
+    assert_eq!(healed.report.rung_sequence(), [Rung::Retry], "{}", kind.name());
+    assert!(promotions(&healed) >= 1, "{}: the corrupt level must be promoted", kind.name());
+    assert!(r.final_rel_residual <= 1e-9, "same tolerance as clean");
+    assert!(
+        r.iters <= clean_iters + 5,
+        "{}: healed {} vs clean {clean_iters}",
+        kind.name(),
+        r.iters
+    );
+}
+
 #[test]
 fn injected_inf_is_detected_within_one_vcycle() {
     let (p, mut mg) = mix16(ProblemKind::Laplace27, 12);
-    let lev = finest_narrow_level(&mg).expect("Mix16 stores the finest level in FP16");
+    let lev = 0;
+    assert_eq!(mg.info().levels[lev].precision, Precision::F16, "Mix16 stores level 0 in FP16");
     assert!(mg.scan_level(lev).unwrap().all_finite());
 
     // Corrupt an interior cell: boundary cells carry taps that point
@@ -54,56 +90,50 @@ fn injected_inf_is_detected_within_one_vcycle() {
 
 #[test]
 fn promotion_restores_convergence_on_laplace27() {
-    let opts = SolveOptions { tol: 1e-9, max_iters: 300, ..Default::default() };
+    assert_heals(ProblemKind::Laplace27, 14, FaultSpec::inf(1e-3, 7));
+}
 
-    let (p, mut clean_mg) = mix16(ProblemKind::Laplace27, 14);
-    let clean = solve_guarded(&p, &mut clean_mg, &opts, Par::Seq);
-    assert!(clean.converged(), "{:?}", clean.result);
-    assert!(clean.promotions.is_empty(), "clean run must not promote");
-
-    let (p, mut mg) = mix16(ProblemKind::Laplace27, 14);
-    let lev = finest_narrow_level(&mg).unwrap();
-    let report = mg.stored_mut(lev).unwrap().inject_faults(&FaultSpec::inf(1e-3, 7));
-    assert!(report.infs > 0, "injection rate too low for this matrix");
-
-    let healed = solve_guarded(&p, &mut mg, &opts, Par::Seq);
-    assert!(healed.converged(), "{:?}", healed.result);
-    assert!(!healed.promotions.is_empty(), "the corrupt level must be promoted");
-    assert!(healed.result.final_rel_residual <= opts.tol, "same tolerance as clean");
-    // Healing costs at most a handful of extra iterations.
-    assert!(
-        healed.result.iters <= clean.result.iters + 5,
-        "healed {} vs clean {}",
-        healed.result.iters,
-        clean.result.iters
-    );
+/// The injected rows of `repro guard --size 12`.
+#[test]
+fn the_guard_rows_converge_on_retry_with_a_promotion() {
+    for kind in [ProblemKind::Laplace27, ProblemKind::Rhd, ProblemKind::Weather] {
+        assert_heals(kind, 12, FaultSpec::inf(2e-4, 0xfeed));
+    }
 }
 
 #[test]
 fn full64_baseline_never_promotes() {
     let p = ProblemKind::Laplace27.build(12);
     let mut mg = Mg::<f64>::setup(&p.matrix, &Combo::Full64.mg_config()).unwrap();
-    let out = solve_guarded(&p, &mut mg, &SolveOptions::default(), Par::Seq);
-    assert!(out.converged());
-    assert!(out.promotions.is_empty());
-    assert_eq!(out.restarts, 0);
+    assert!(!mg.insured(&p.matrix).can_promote(), "no 16-bit level to promote");
+    let op = MatOp::new(&p.matrix, Par::Seq);
+    let mut x = vec![0.0f64; p.matrix.rows()];
+    let opts = SolveOptions::default();
+    let res = cg(&op, &mut mg.insured(&p.matrix), &p.rhs(), &mut x, &opts);
+    assert!(res.converged(), "{res:?}");
+    assert!(mg.promotions().is_empty());
 }
 
 #[test]
 fn exp_flip_faults_do_not_defeat_the_guarded_solve() {
     // Exponent flips keep values finite (just wildly wrong), so they
-    // surface as stagnation/breakdown rather than NaN output. The guarded
-    // driver must still terminate — ideally converged after promotion.
-    let opts = SolveOptions { tol: 1e-9, max_iters: 300, ..Default::default() };
-    let (p, mut mg) = mix16(ProblemKind::Laplace27, 12);
-    let lev = finest_narrow_level(&mg).unwrap();
-    let report = mg.stored_mut(lev).unwrap().inject_faults(&FaultSpec::exp_flip(5e-3, 11));
-    assert!(report.exp_flips > 0);
+    // surface as stagnation or breakdown rather than NaN output. The
+    // ladder must still converge, on rung 0 or on the promotion rung.
+    let spec = FaultSpec::exp_flip(5e-3, 11);
+    for kind in [ProblemKind::Laplace27, ProblemKind::Rhd, ProblemKind::Weather] {
+        // The session's first build takes the same flips as this one.
+        let (_, mut mg) = mix16(kind, 12);
+        assert!(mg.stored_mut(0).unwrap().inject_faults(&spec).exp_flips > 0, "{}", kind.name());
 
-    let out = solve_guarded(&p, &mut mg, &opts, Par::Seq);
-    assert!(
-        out.converged() || !out.result.precision_suspect() || !mg.insured(&p.matrix).can_promote(),
-        "driver stopped while a promotion was still available: {:?}",
-        out.result
-    );
+        let out = session(kind, 12, Some(spec));
+        assert!(
+            out.converged(),
+            "{}: {:?} after {}",
+            kind.name(),
+            out.result,
+            out.report.summary()
+        );
+        let last = out.report.final_rung().unwrap();
+        assert!(last <= Rung::PromoteNarrow, "{}: {}", kind.name(), out.report.summary());
+    }
 }

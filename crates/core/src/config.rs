@@ -100,30 +100,28 @@ pub enum Coarsening {
 }
 
 /// Runtime precision-recovery policy: what the hierarchy does when a
-/// reduced-precision level is caught producing non-finite output or a
-/// precision-attributable stall (the self-healing companion to the static
-/// `shift_levid` guard of §4.3).
+/// reduced-precision level is caught producing non-finite output (the
+/// self-healing companion to the static `shift_levid` guard of §4.3).
+/// A promotion widens one level 16-bit → FP32 and leaves it no material
+/// to promote again, so the promotions of one hierarchy are bounded by its
+/// 16-bit levels: the FP32 baseline at worst.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RecoveryPolicy {
     /// Master switch. When off, `Mg` never scans its own output and never
     /// promotes — the paper's original fail-fast behavior.
     pub enabled: bool,
-    /// Total promotion budget across the hierarchy's lifetime. Each
-    /// promotion widens one level 16-bit → FP32, so a budget the size of
-    /// the hierarchy degenerates to the FP32 baseline at worst.
-    pub max_promotions: usize,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        RecoveryPolicy { enabled: true, max_promotions: 4 }
+        RecoveryPolicy { enabled: true }
     }
 }
 
 impl RecoveryPolicy {
     /// Recovery switched off: detect nothing, promote nothing.
     pub fn disabled() -> Self {
-        RecoveryPolicy { enabled: false, ..Default::default() }
+        RecoveryPolicy { enabled: false }
     }
 }
 

@@ -135,9 +135,6 @@ pub enum PromotionReason {
     /// (corrupt stored values, or the coarsest reduced-precision level as
     /// the §4.3-style suspect when no corruption was visible).
     NonFiniteOutput,
-    /// The outer solve stagnated above the FP16 unit-roundoff floor and
-    /// asked the hierarchy to shed precision-attributable error.
-    Stagnation,
     /// Explicit caller request.
     Manual,
 }
@@ -146,7 +143,6 @@ impl core::fmt::Display for PromotionReason {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             PromotionReason::NonFiniteOutput => write!(f, "non-finite V-cycle output"),
-            PromotionReason::Stagnation => write!(f, "stagnation above the FP16 floor"),
             PromotionReason::Manual => write!(f, "manual request"),
         }
     }
@@ -189,7 +185,7 @@ pub enum RepairTrigger {
     /// A scheduled sweep (e.g. the time-stepping simulator's check
     /// before every solve).
     Periodic,
-    /// The self-healing `apply_pr` loop saw non-finite output.
+    /// The self-healing V-cycle application saw non-finite output.
     NonFiniteOutput,
     /// The Krylov solver reported a health anomaly through the
     /// preconditioner hook.
@@ -333,13 +329,12 @@ impl core::fmt::Display for ShiftDecision {
     }
 }
 
-/// The one verdict on a level's 16-bit [`RangeAudit`]: storing the level
-/// saturates, meets a non-finite source, or loses more than
-/// `max_underflow` of its nonzeros to underflow. `AutoShift` switches to
-/// FP32 at the first level it holds for; the runtime's
-/// audit gate skips retries that it says are doomed.
-pub fn audit_rejects(audit: &RangeAudit, max_underflow: f64) -> bool {
-    !audit.overflow_free() || audit.underflow_loss_fraction() > max_underflow
+/// `AutoShift`'s verdict on a level's 16-bit [`RangeAudit`]: storing the
+/// level saturates, meets a non-finite source, or loses more than
+/// [`AUTO_SHIFT_MAX_UNDERFLOW`] of its nonzeros to underflow. The policy
+/// switches to FP32 at the first level it holds for.
+fn audit_rejects(audit: &RangeAudit) -> bool {
+    !audit.overflow_free() || audit.underflow_loss_fraction() > AUTO_SHIFT_MAX_UNDERFLOW
 }
 
 /// The FP16-capable structured multigrid preconditioner.
@@ -609,21 +604,6 @@ impl<Pr: Scalar> Mg<Pr> {
             *x = f.to_f64();
         }
         self.coarse_lu.solve(&mut self.coarse_x64, &mut self.coarse_s64);
-    }
-
-    /// Preconditioner application in the computation precision:
-    /// `e ≈ A⁻¹ r` via one V-cycle.
-    ///
-    /// When the [`crate::RecoveryPolicy`] is enabled, a non-finite (±∞/NaN)
-    /// result triggers a storage promotion of the implicated level (see
-    /// [`Insured::promote_level`]; never level 0 of a bare `Mg`) and the
-    /// cycle re-runs, bounded by the promotion budget. The scan rides on
-    /// the pass that writes `e`, so healthy levels pay nothing for it.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn apply_pr(&mut self, r: &[Pr], e: &mut [Pr]) {
-        Insured { mg: self, lent: None }.apply(r, e);
     }
 
     /// Truncates `r` into the finest right-hand side — through `S⁻¹` under
@@ -1147,7 +1127,7 @@ fn build_level<Pr: Scalar>(
             Ok(store) => store.audit.clone(),
             Err(_) => audit::audit_scaled(ai, s_inv, Precision::F16),
         };
-        let rejected = audit_rejects(&audit, AUTO_SHIFT_MAX_UNDERFLOW);
+        let rejected = audit_rejects(&audit);
         decision.per_level.push(audit);
         if rejected {
             decision.chosen = level;
@@ -1188,10 +1168,19 @@ pub struct Insured<'a, Pr: Scalar = f32> {
 }
 
 impl<K: Scalar, Pr: Scalar> Preconditioner<K> for Insured<'_, Pr> {
-    /// [`Mg::apply_pr`] with the boundary in any scalar `K` (Algorithm 2
-    /// lines 4 and 6): `r` is truncated straight into the finest level's
-    /// right-hand side and `z` is widened straight from its iterate, so
-    /// the `K` ↔ `Pr` conversion costs no vector of its own.
+    /// `z ≈ A⁻¹ r` via one V-cycle, with the boundary in any scalar `K`
+    /// (Algorithm 2 lines 4 and 6): `r` is truncated straight into the
+    /// finest level's right-hand side and `z` is widened straight from its
+    /// iterate, so the `K` ↔ `Pr` conversion costs no vector of its own.
+    ///
+    /// When the [`crate::RecoveryPolicy`] is enabled, a non-finite (±∞/NaN)
+    /// result triggers a repair or a storage promotion of the implicated
+    /// level (see [`Insured::promote_level`]; never level 0 of a bare `Mg`)
+    /// and the cycle re-runs, until neither is left. The scan rides on the
+    /// pass that writes `z`, so healthy levels pay nothing for it.
+    ///
+    /// # Panics
+    /// Panics on dimension mismatch.
     fn apply(&mut self, r: &[K], z: &mut [K]) {
         let n = self.mg.rows();
         assert_eq!(r.len(), n, "r length");
@@ -1209,9 +1198,9 @@ impl<K: Scalar, Pr: Scalar> Preconditioner<K> for Insured<'_, Pr> {
             // cheaper than promotion and keeps the level at its storage
             // precision.
             if self.mg.verify_and_repair(RepairTrigger::NonFiniteOutput).is_empty()
-                && self.promote_suspect(PromotionReason::NonFiniteOutput).is_none()
+                && self.promote_suspect().is_none()
             {
-                // Budget exhausted or nothing left to promote: surface the
+                // Nothing left to repair or promote: surface the
                 // non-finite output to the caller (the solver's own
                 // NonFiniteResidual breakdown will catch it).
                 return;
@@ -1239,35 +1228,26 @@ impl<Pr: Scalar> Insured<'_, Pr> {
         self.mg.levels.get(i).is_some_and(|l| narrow(l) && (l.source.is_some() || lendable))
     }
 
-    /// True while recovery is on, the promotion budget has headroom, and
-    /// some 16-bit level has promotion material (a promotion leaves none).
+    /// True while recovery is on and some 16-bit level has promotion
+    /// material. A promotion leaves none, so a hierarchy promotes at most
+    /// once per 16-bit level.
     pub fn can_promote(&self) -> bool {
-        let recovery = &self.mg.config.recovery;
-        recovery.enabled
-            && self.mg.info.promotions.len() < recovery.max_promotions
-            && (0..self.mg.levels.len()).any(|i| self.insures(i))
-    }
-
-    /// Promotes one level after the outer solve stagnated above the FP16
-    /// unit-roundoff floor: raising `shift_levid` (§4.3) at run time, as
-    /// coarse-level underflow is the canonical precision-attributable stall.
-    pub fn promote_for_stagnation(&mut self) -> Option<PromotionEvent> {
-        self.promote_suspect(PromotionReason::Stagnation)
+        self.mg.config.recovery.enabled && (0..self.mg.levels.len()).any(|i| self.insures(i))
     }
 
     /// Promotes the first level holding a non-finite stored value — none,
     /// if it has no material: widening a healthy one cannot clear it — or
     /// else the *coarsest* 16-bit level with material.
-    fn promote_suspect(&mut self, reason: PromotionReason) -> Option<PromotionEvent> {
+    fn promote_suspect(&mut self) -> Option<PromotionEvent> {
         let corrupt = self.mg.levels.iter().position(|l| !l.stored.scan().all_finite());
         let coarsest = || (0..self.mg.levels.len()).rev().find(|&i| self.insures(i));
-        self.promote_level(corrupt.or_else(coarsest)?, reason)
+        self.promote_level(corrupt.or_else(coarsest)?, PromotionReason::NonFiniteOutput)
     }
 
     /// Rebuilds 16-bit level `level` at FP32 from the FP32 values it was
     /// stored from (re-scaled, should FP32 not hold it, with `G` tightened
     /// by `G_TIGHTEN`), logged in [`MgInfo::promotions`]. `None` when it is
-    /// not promotable (wide, no material, budget spent) or the rebuild fails.
+    /// not promotable (recovery off, wide, no material) or the rebuild fails.
     pub fn promote_level(
         &mut self,
         level: usize,

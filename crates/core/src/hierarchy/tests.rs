@@ -491,11 +491,10 @@ fn with_level0_source(mg: &mut Mg<f32>, a: &SgDia<f64>) {
 
 #[test]
 fn a_level_0_promoted_from_the_lent_operator_is_the_one_its_fp32_copy_made() {
-    use crate::{PromotionReason, RecoveryPolicy};
+    use crate::PromotionReason;
     use fp16mg_problems::ProblemKind;
 
-    let recovery = RecoveryPolicy { max_promotions: usize::MAX, ..RecoveryPolicy::default() };
-    let cfg = MgConfig { recovery, ..MgConfig::d16() };
+    let cfg = MgConfig::d16();
     for kind in ProblemKind::all() {
         for n in [8, 11] {
             let a = kind.build(n).matrix;
@@ -707,7 +706,7 @@ fn build_level_sweep_first<Pr: Scalar>(
             Ok(store) => store.audit.clone(),
             Err(_) => audit::audit_scaled(ai, s_inv, Precision::F16),
         };
-        let rejected = audit_rejects(&audit, AUTO_SHIFT_MAX_UNDERFLOW);
+        let rejected = audit_rejects(&audit);
         decision.per_level.push(audit);
         if rejected {
             decision.chosen = level;

@@ -44,8 +44,8 @@ pub use config::{
 pub use fp16mg_sgdia::audit::{RangeAudit, TruncationError, TruncationPolicy};
 pub use fp16mg_sgdia::sentinel::{MatrixSentinels, TapMismatch, TapSentinel};
 pub use hierarchy::{
-    audit_rejects, GalerkinChain, Insured, LevelInfo, Mg, MgInfo, PromotionEvent, PromotionReason,
-    RepairEvent, RepairTrigger, SetupError, ShiftDecision,
+    GalerkinChain, Insured, LevelInfo, Mg, MgInfo, PromotionEvent, PromotionReason, RepairEvent,
+    RepairTrigger, SetupError, ShiftDecision,
 };
 pub use ops::MatOp;
 pub use reuse::{Retained, Reuse};

@@ -447,8 +447,8 @@ fn setup_reports_scaling_metadata() {
 
 #[test]
 fn preconditioner_trait_round_trips_precision() {
-    // Apply through the K=f64 trait; the result must equal apply_pr
-    // modulo the f64→f32→f64 boundary conversions.
+    // Apply through the K=f64 trait; the result must equal the K=Pr=f32
+    // application modulo the f64→f32→f64 boundary conversions.
     let a = laplacian(Grid3::cube(8), Pattern::p7(), 1.0);
     let mut mg = Mg::<f32>::setup(&a, &MgConfig::d32()).unwrap();
     let r: Vec<f64> = rhs(a.rows());
@@ -456,7 +456,7 @@ fn preconditioner_trait_round_trips_precision() {
     Preconditioner::<f64>::apply(&mut mg, &r, &mut z);
     let rp: Vec<f32> = r.iter().map(|&v| v as f32).collect();
     let mut zp = vec![0.0f32; a.rows()];
-    mg.apply_pr(&rp, &mut zp);
+    Preconditioner::<f32>::apply(&mut mg, &rp, &mut zp);
     for (a, b) in z.iter().zip(&zp) {
         assert!((*a - *b as f64).abs() < 1e-6 * (1.0 + a.abs()));
     }
@@ -851,19 +851,23 @@ mod recovery {
     }
 
     #[test]
-    fn promotion_respects_budget_and_source_consumption() {
+    fn a_promoted_level_keeps_no_material_to_promote_again() {
         let a = laplacian(Grid3::cube(12), Pattern::p7(), 1.0);
-        let cfg = MgConfig {
-            recovery: crate::RecoveryPolicy { max_promotions: 1, ..Default::default() },
-            ..MgConfig::d16()
-        };
-        let mut mg = Mg::<f32>::setup(&a, &cfg).unwrap();
+        let mut mg = Mg::<f32>::setup(&a, &MgConfig::d16()).unwrap();
+        let narrow: Vec<usize> = (0..mg.num_levels() - 1)
+            .filter(|&i| mg.info().levels[i].precision == Precision::F16)
+            .collect();
+        assert!(narrow.len() > 1, "d16 stores more than one level in FP16: {narrow:?}");
         let mut insured = mg.insured(&a);
-        assert!(insured.promote_level(0, PromotionReason::Manual).is_some());
-        // Same level again: already wide, and the budget is spent.
-        assert!(insured.promote_level(0, PromotionReason::Manual).is_none());
-        assert!(insured.promote_level(1, PromotionReason::Manual).is_none(), "budget spent");
+        for &level in &narrow {
+            assert!(insured.can_promote());
+            assert!(insured.promote_level(level, PromotionReason::Manual).is_some());
+            // Same level again: already wide.
+            assert!(insured.promote_level(level, PromotionReason::Manual).is_none());
+        }
+        // Every 16-bit level promoted once, and nothing is left to promote.
         assert!(!insured.can_promote());
+        assert_eq!(mg.promotions().len(), narrow.len());
     }
 
     #[test]
@@ -874,7 +878,6 @@ mod recovery {
         let mut insured = mg.insured(&a);
         assert!(!insured.can_promote());
         assert!(insured.promote_level(0, PromotionReason::Manual).is_none());
-        assert!(insured.promote_for_stagnation().is_none());
     }
 
     #[test]
@@ -883,7 +886,7 @@ mod recovery {
         let mut mg = Mg::<f64>::setup(&a, &MgConfig::d64()).unwrap();
         let mut insured = mg.insured(&a);
         assert!(!insured.can_promote(), "no 16-bit level to promote");
-        assert!(insured.promote_for_stagnation().is_none());
+        assert!(insured.promote_level(0, PromotionReason::Manual).is_none());
         assert!(mg.promotions().is_empty());
     }
 
@@ -899,14 +902,14 @@ mod recovery {
         assert!(mg.stored_mut(0).unwrap().inject_inf_at(cell, 0));
         let r: Vec<f32> = (0..a.rows()).map(|i| ((i % 7) as f32) * 0.1 + 0.1).collect();
         let mut e = vec![0.0f32; a.rows()];
-        mg.apply_pr(&r, &mut e);
+        Preconditioner::<f32>::apply(&mut mg, &r, &mut e);
         assert!(e.iter().any(|v| !v.is_finite()), "the non-finite output is the solver's");
         let op = MatOp::new(&a, Par::Seq);
         let mut x = vec![0.0f64; a.rows()];
         let res = cg(&op, &mut mg, &rhs(a.rows()), &mut x, &SolveOptions::default());
         assert!(!res.converged(), "{res:?}");
         assert!(mg.promotions().is_empty(), "{:?}", mg.promotions());
-        // The budget is intact: lent the operator, level 0 is promoted.
+        // Lent the operator, level 0 is promoted.
         Preconditioner::<f32>::apply(&mut mg.insured(&a), &r, &mut e);
         assert!(e.iter().all(|v| v.is_finite()));
         assert_eq!(mg.promotions().len(), 1);

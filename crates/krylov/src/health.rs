@@ -50,17 +50,6 @@ impl Breakdown {
             | Breakdown::NonFiniteResidual { iter, .. } => iter,
         }
     }
-
-    /// True when the breakdown involves a non-finite value — the signature
-    /// of overflow in a stored matrix rather than a property of the exact
-    /// problem, and therefore precision-attributable.
-    pub fn non_finite(&self) -> bool {
-        match *self {
-            Breakdown::Indefinite { pap: v, .. }
-            | Breakdown::HessenbergNonFinite { entry: v, .. }
-            | Breakdown::NonFiniteResidual { value: v, .. } => !v.is_finite(),
-        }
-    }
 }
 
 impl core::fmt::Display for Breakdown {
@@ -400,9 +389,8 @@ mod tests {
     fn breakdown_accessors() {
         let b = Breakdown::Indefinite { iter: 7, pap: -1.0 };
         assert_eq!(b.iter(), 7);
-        assert!(!b.non_finite());
         let b = Breakdown::NonFiniteResidual { iter: 3, value: f64::INFINITY };
-        assert!(b.non_finite());
+        assert_eq!(b.iter(), 3);
         let e = SolveError::Breakdown(b);
         assert!(format!("{e}").contains("non-finite residual"));
     }

@@ -139,16 +139,4 @@ impl SolveResult {
             _ => None,
         }
     }
-
-    /// True when the failure is attributable to reduced-precision storage:
-    /// a non-finite breakdown (overflow signature) or a stagnation plateau
-    /// above the FP16 roundoff floor. This is the predicate the recovery
-    /// layer keys on.
-    pub fn precision_suspect(&self) -> bool {
-        match self.reason {
-            StopReason::Breakdown => self.breakdown.map(|b| b.non_finite()).unwrap_or(true),
-            StopReason::Stagnated => self.stagnation.map(|s| s.above_fp16_floor).unwrap_or(false),
-            _ => false,
-        }
-    }
 }

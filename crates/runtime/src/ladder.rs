@@ -32,8 +32,7 @@
 use std::time::Instant;
 
 use fp16mg_core::{
-    audit_rejects, MatOp, Mg, MgConfig, PromotionReason, RangeAudit, RecoveryPolicy, RepairEvent,
-    StoragePolicy,
+    MatOp, Mg, MgConfig, PromotionReason, RecoveryPolicy, RepairEvent, StoragePolicy,
 };
 use fp16mg_fp::{Precision, Scalar};
 use fp16mg_krylov::{cg_ctl, gmres_ctl, richardson_ctl, SolveError, SolveOptions, SolveResult};
@@ -87,12 +86,6 @@ impl core::fmt::Display for Rung {
         f.write_str(self.label())
     }
 }
-
-/// Underflow-loss fraction above which the audit gate declares a 16-bit
-/// level doomed. Deliberately looser than `AutoShift`'s
-/// [`fp16mg_core::AUTO_SHIFT_MAX_UNDERFLOW`] (5%): the gate only skips work that the audit says cannot
-/// succeed, it does not tune precision.
-const AUDIT_MAX_UNDERFLOW: f64 = 0.25;
 
 /// Which Krylov method the session runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -160,15 +153,6 @@ pub struct SolveRequest {
     /// Session resource bounds; they also bound the ladder's climb (an
     /// iteration budget spent by the first attempt ends the session).
     pub budget: Budget,
-    /// Consult the precision audit before the first attempt: when the
-    /// rung-0 hierarchy's own setup audit already shows a 16-bit level
-    /// saturating or losing more than `AUDIT_MAX_UNDERFLOW` (25%) of its
-    /// couplings, the mixed-precision attempt is *known* doomed — the
-    /// ladder starts directly at [`Rung::PromoteNarrow`] instead of
-    /// burning retries on it (repair cannot help either: the loss is
-    /// inherent to the format, not a corruption). The evidence lands in
-    /// [`RetryReport::audit`]. On by default.
-    pub audit_gate: bool,
     /// Krylov method override.
     pub solver: SolverChoice,
     /// Kernel parallelism for the outer operator.
@@ -195,8 +179,7 @@ pub struct SolveRequest {
 }
 
 impl SolveRequest {
-    /// A request with default options, unlimited budget, and the audit
-    /// gate on.
+    /// A request with default options and an unlimited budget.
     pub fn new(name: impl Into<String>, problem: Problem, base: MgConfig) -> Self {
         let class = problem.name.to_string();
         SolveRequest {
@@ -206,7 +189,6 @@ impl SolveRequest {
             rhs: None,
             opts: SolveOptions::default(),
             budget: Budget::default(),
-            audit_gate: true,
             solver: SolverChoice::Auto,
             par: Par::Seq,
             priority: Priority::default(),
@@ -243,19 +225,6 @@ pub struct Attempt {
     pub seconds: f64,
 }
 
-/// The precision-audit evidence a session's gate decision was based on.
-#[derive(Clone, Debug, Default)]
-pub struct AuditSnapshot {
-    /// `(level, audit)` for every 16-bit-stored level of the rung-0
-    /// hierarchy, finest first.
-    pub levels: Vec<(usize, RangeAudit)>,
-    /// True when the gate skipped [`Rung::Retry`] and started the ladder
-    /// at [`Rung::PromoteNarrow`].
-    pub skipped_retry: bool,
-    /// Human-readable justification when `skipped_retry` is set.
-    pub reason: Option<String>,
-}
-
 /// Every rung taken by a session, in order. Both trails are
 /// ring-bounded (capacity [`Ring::DEFAULT_CAPACITY`]) — the bound that
 /// keeps session evidence from growing without limit in a long-running
@@ -265,9 +234,6 @@ pub struct AuditSnapshot {
 pub struct RetryReport {
     /// The most recent attempts, in execution order.
     pub attempts: Ring<Attempt>,
-    /// The pre-solve precision audit, when the gate ran (see
-    /// [`SolveRequest::audit_gate`]).
-    pub audit: Option<AuditSnapshot>,
     /// The most recent localized level repairs the in-solve integrity
     /// hooks performed, in execution order.
     pub repairs: Ring<RepairEvent>,
@@ -377,10 +343,8 @@ pub fn run_session(req: &SolveRequest) -> SessionOutcome {
 
 /// [`run_session`] with an optionally prebuilt rung-0 hierarchy, the
 /// entry point behind the serve pool's hierarchy cache: a `prebuilt`
-/// hierarchy seeds the retained rung-0 state (skipping the gate's own
-/// setup) but still passes the audit gate's doomed-level check — a
-/// cached hierarchy whose audit shows inherent format loss escalates
-/// exactly like a freshly built one.
+/// hierarchy seeds the retained rung-0 state in place of the first
+/// attempt's own setup.
 pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> SessionOutcome {
     if req.panic_in_worker {
         panic!("injected worker panic: request '{}'", req.name);
@@ -393,56 +357,7 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
     let mut last_rel = f64::NAN;
     let mut retained = Retained { mg: prebuilt, charges: None, injected: false };
 
-    // --- Pre-solve audit gate: don't burn retries on a hierarchy whose
-    // own setup audit already shows a doomed 16-bit level. The gate's
-    // build is not wasted — a healthy hierarchy is handed to the first
-    // rung-0 attempt as-is (and a prebuilt one is audited in place, no
-    // build at all).
-    let mut start_rung = 0usize;
-    if req.audit_gate {
-        if retained.mg.is_none() {
-            // A setup failure here is not terminal: the first rung-0
-            // attempt repeats the setup and reports the typed error
-            // through the normal attempt bookkeeping.
-            retained.mg = Mg::<f32>::setup(&req.problem.matrix, &req.base).ok();
-        }
-        if let Some(mg) = retained.mg.as_ref() {
-            let levels: Vec<(usize, RangeAudit)> = mg
-                .info()
-                .levels
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| matches!(l.precision, Precision::F16 | Precision::BF16))
-                .filter_map(|(i, l)| l.audit.clone().map(|a| (i, a)))
-                .collect();
-            let doomed = levels.iter().find(|(_, a)| audit_rejects(a, AUDIT_MAX_UNDERFLOW));
-            let reason = doomed.map(|(i, a)| {
-                if !a.overflow_free() {
-                    format!(
-                        "level {i} audit: {} saturating / {} non-finite entries in 16-bit storage",
-                        a.saturate, a.source_non_finite
-                    )
-                } else {
-                    format!(
-                        "level {i} audit: underflow loss {:.1}% exceeds gate threshold {:.1}%",
-                        a.underflow_loss_fraction() * 100.0,
-                        AUDIT_MAX_UNDERFLOW * 100.0
-                    )
-                }
-            });
-            let skipped_retry = reason.is_some();
-            if skipped_retry {
-                // Inherent format loss, not corruption — repair cannot
-                // help, so the ladder starts past the retries.
-                start_rung = Rung::PromoteNarrow.index();
-                retained.mg = None;
-                retained.charges = None;
-            }
-            report.audit = Some(AuditSnapshot { levels, skipped_retry, reason });
-        }
-    }
-
-    'ladder: for rung in Rung::ALL.into_iter().skip(start_rung) {
+    'ladder: for rung in Rung::ALL {
         // At most two attempts: only a retry that mended its hierarchy
         // runs a second time.
         for try_no in 0..2 {
@@ -557,16 +472,14 @@ fn run_rung_attempt(
     let setup_err = |e: fp16mg_core::SetupError| SolveError::SetupFailed { message: e.to_string() };
     match rung {
         Rung::Retry => {
-            // The audit gate's healthy build seeds the retained
-            // hierarchy; it survives a failed attempt, so a second
-            // re-solves it as the anomaly hook mended it.
+            // The retained hierarchy survives a failed attempt, so a
+            // second re-solves it as the anomaly hook mended it.
             if retained.mg.is_none() {
                 retained.mg =
                     Some(Mg::<f32>::setup(&req.problem.matrix, &req.base).map_err(setup_err)?);
-                retained.injected = false;
             }
             // Invariant: a retained hierarchy is always charged. A
-            // prebuilt (cached) or gate-built hierarchy is charged here
+            // prebuilt (cached) or freshly built hierarchy is charged here
             // on first use; a refused charge drops it and escalates —
             // the rebuild rungs charge their own builds at later op
             // indices, so an injected one-shot fault resolves there.
@@ -597,7 +510,7 @@ fn run_rung_attempt(
             // sources), whatever the caller's policy says; the request's
             // operator is level 0's.
             let mut cfg = req.base.clone();
-            cfg.recovery = RecoveryPolicy { enabled: true, max_promotions: usize::MAX };
+            cfg.recovery = RecoveryPolicy::default();
             let mut mg = Mg::<f32>::setup(&req.problem.matrix, &cfg).map_err(setup_err)?;
             let narrow: Vec<usize> = mg
                 .info()

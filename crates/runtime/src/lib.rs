@@ -67,8 +67,8 @@ pub use cache::{
 };
 pub use fault::FaultSchedule;
 pub use ladder::{
-    run_session, run_session_with, Attempt, AuditSnapshot, FaultPlan, LevelBitFlip, RetryReport,
-    Rung, SessionOutcome, SolveRequest, SolverChoice,
+    run_session, run_session_with, Attempt, FaultPlan, LevelBitFlip, RetryReport, Rung,
+    SessionOutcome, SolveRequest, SolverChoice,
 };
 pub use mem::{AllocFault, ChargeRecord, MemCharge, MemError, MemGovernor};
 pub use net::{

@@ -360,64 +360,41 @@ mod integrity {
     }
 }
 
-mod audit_gate {
+mod rung_zero {
+    //! Set-up decides the precision (`StoragePolicy`); the ladder acts only
+    //! on what a solve did. Every session starts on rung 0, even where the
+    //! set-up audit of a 16-bit level reads heavy underflow.
     use super::*;
-    use crate::ladder::AuditSnapshot;
-
-    /// A Laplace problem rescaled so every coefficient sits below the
-    /// FP16 normal range: in-range for the overflow check (so setup never
-    /// scales it) but a guaranteed ~100% underflow loss in F16 storage.
-    fn underflowing_problem(n: usize) -> fp16mg_problems::Problem {
-        let mut p = laplace(n);
-        for v in p.matrix.data_mut() {
-            *v *= 1.0e-8;
-        }
-        p
-    }
 
     #[test]
-    fn healthy_problem_passes_the_gate_and_stays_on_rung_zero() {
-        let req = SolveRequest::new("gated-clean", laplace(8), MgConfig::d16());
-        let out = run_session(&req);
+    fn healthy_problem_stays_on_rung_zero() {
+        let out = run_session(&SolveRequest::new("clean", laplace(8), MgConfig::d16()));
         assert!(out.converged());
-        let audit: &AuditSnapshot = out.report.audit.as_ref().expect("gate must record evidence");
-        assert!(!audit.skipped_retry);
-        assert!(audit.reason.is_none());
-        assert!(!audit.levels.is_empty(), "d16 has 16-bit levels to audit");
-        for (_, a) in &audit.levels {
-            assert!(a.overflow_free());
-        }
-        // The gate's build is handed to the first attempt, not discarded:
-        // the session still converges on the first rung with one attempt.
         assert_eq!(out.report.rung_sequence(), vec![Rung::Retry]);
     }
 
+    /// A Laplace problem rescaled so every coefficient sits below the FP16
+    /// normal range: in range for the overflow check (so set-up never
+    /// scales it), and ~100% of its FP16 nonzeros lost to underflow.
     #[test]
-    fn doomed_underflow_starts_ladder_at_promote() {
-        let req = SolveRequest::new("gated-doomed", underflowing_problem(8), MgConfig::d16());
-        let out = run_session(&req);
-        assert!(out.converged(), "promotion must rescue the solve: {:?}", out.result.err());
-        let audit = out.report.audit.as_ref().unwrap();
-        assert!(audit.skipped_retry, "gate must skip the doomed mixed-precision rung");
-        let reason = audit.reason.as_deref().unwrap();
-        assert!(reason.contains("underflow"), "reason: {reason}");
-        assert!(
-            audit.levels.iter().any(|(_, a)| a.underflow_loss_fraction() > 0.9),
-            "evidence must show the underflow that justified the skip"
-        );
-        // No rung-0 attempt was burned.
-        let rungs = out.report.rung_sequence();
-        assert!(!rungs.contains(&Rung::Retry), "rungs: {rungs:?}");
-        assert_eq!(rungs.first(), Some(&Rung::PromoteNarrow));
+    fn an_underflowing_laplacian_converges_on_rung_zero() {
+        let mut p = laplace(8);
+        for v in p.matrix.data_mut() {
+            *v *= 1.0e-8;
+        }
+        let out = run_session(&SolveRequest::new("underflow", p, MgConfig::d16()));
+        assert!(out.converged(), "{:?}", out.result.err());
+        assert_eq!(out.report.rung_sequence(), vec![Rung::Retry]);
     }
 
+    /// rhd-3T's level 0 loses ≈ 31% of its nonzeros to FP16 underflow, and
+    /// the mixed-precision solve still converges without escalating.
     #[test]
-    fn gate_can_be_disabled() {
-        let mut req = SolveRequest::new("ungated", laplace(8), MgConfig::d16());
-        req.audit_gate = false;
+    fn rhd_3t_converges_on_rung_zero() {
+        let req = SolveRequest::new("rhd-3T", ProblemKind::Rhd3T.build(8), MgConfig::d16());
         let out = run_session(&req);
-        assert!(out.converged());
-        assert!(out.report.audit.is_none());
+        assert!(out.converged(), "{:?}", out.result.err());
+        assert_eq!(out.report.rung_sequence(), vec![Rung::Retry]);
     }
 }
 
@@ -2231,8 +2208,16 @@ mod serve {
         keys: std::ops::Range<u64>,
     ) -> (Vec<DoneReply>, NetServeReport) {
         let mut client = client(&cfg.endpoint);
+        let sock = socket_path(&cfg);
         let backend: Arc<dyn Storage> = Arc::new(storage.clone());
         let server = std::thread::spawn(move || serve_net(&cfg, backend));
+        // The client's few quick connects must not race the bind: wait until
+        // the socket is there or the server has ended (how a refusing daemon
+        // ends), within the client's own deadline.
+        let t0 = Instant::now();
+        while !sock.exists() && !server.is_finished() && t0.elapsed() < Duration::from_secs(20) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let mut acks = Vec::new();
         for key in keys {
             let req =
