@@ -33,8 +33,7 @@ pub struct E2eResult {
     /// Bytes of the preallocated V-cycle workspace arena (carved once at
     /// setup, so this is also the solve-phase vector peak). With
     /// `matrix_bytes` it is not the hierarchy's whole resident set: the
-    /// levels' FP32 promotion sources and FP64 repair parents are
-    /// `MgInfo::insurance_bytes`.
+    /// levels' FP32 promotion sources are `MgInfo::insurance_bytes`.
     pub workspace_bytes: usize,
     /// Grid and operator complexities of the hierarchy.
     pub complexities: (f64, f64),

@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use fp16mg_core::{IntegrityPolicy, MgConfig, RecoveryPolicy};
+use fp16mg_core::{MgConfig, RecoveryPolicy};
 use fp16mg_krylov::{HealthPolicy, SolveOptions};
 use fp16mg_problems::ProblemKind;
 use fp16mg_runtime::{
@@ -44,14 +44,14 @@ const SCENARIOS: [&str; 8] = [
 /// climber, and a session panic — request isolation must hold under
 /// memory faults too.
 const CHAOS_SCENARIOS: [&str; 8] = [
-    "flip→repair",
+    "flip→mend",
     "clean",
-    "flip→repair",
-    "flip→repair",
+    "flip→mend",
+    "flip→mend",
     "panic",
-    "flip→repair",
+    "flip→mend",
     "fault→promote",
-    "flip→repair",
+    "flip→mend",
 ];
 
 /// Off-diagonal taps of the 27-point pattern whose level-1 couplings are
@@ -86,18 +86,17 @@ fn build_requests(n: usize, chaos: bool) -> Vec<SolveRequest> {
                     });
                     req
                 }
-                "flip→repair" => {
+                "flip→mend" => {
                     // A single-event upset in a mid-hierarchy FP16 plane.
-                    // Self-healing promotion off, full ABFT on: the
-                    // sentinels must detect, localize, and repair. The
-                    // problem extent is pinned to 12 so the d16 hierarchy
-                    // always has a 16-bit mid level (level 1) to corrupt,
-                    // and Richardson is chosen because multigrid-as-solver
-                    // feels a poisoned level immediately.
-                    let mut base = MgConfig::d16();
-                    base.recovery = RecoveryPolicy::disabled();
-                    base.integrity = IntegrityPolicy::armed();
-                    let mut req = SolveRequest::new(name, ProblemKind::Laplace27.build(12), base);
+                    // Recovery on: the sentinels must detect and localize
+                    // it, and the level is widened from its FP32 source.
+                    // The problem extent is pinned to 12 so the d16
+                    // hierarchy always has a 16-bit mid level (level 1) to
+                    // corrupt, and Richardson is chosen because
+                    // multigrid-as-solver feels a poisoned level
+                    // immediately.
+                    let mut req =
+                        SolveRequest::new(name, ProblemKind::Laplace27.build(12), MgConfig::d16());
                     req.solver = SolverChoice::Richardson;
                     req.opts.tol = 1e-6;
                     req.opts.max_iters = 40;
@@ -161,7 +160,7 @@ fn build_requests(n: usize, chaos: bool) -> Vec<SolveRequest> {
 /// Serves the 16-request stream one request at a time: problem extent
 /// `size` (the flip scenarios pin theirs to 12), and seeded bit flips in
 /// mid-hierarchy FP16 planes when `chaos` is set, so the integrity
-/// sentinels and the anomaly hook's repair must keep the pool healthy.
+/// sentinels and the mend they trigger must keep the pool healthy.
 /// Each failing request (panic, deadline, no-converge) is its own
 /// problem class, so no breaker trips and every scenario runs its
 /// session. Returns one outcome per request.

@@ -15,7 +15,7 @@
 //!    keep / rescale to a rebuild and to remember which steps the chain
 //!    and its finest operator belong to;
 //! 3. the hierarchy's integrity sentinels are verified (and corrupted
-//!    levels repaired) before the solve, and the solve itself runs
+//!    levels mended) before the solve, and the solve itself runs
 //!    through the retry ladder; a step whose ladder is exhausted gets
 //!    one *rollback-and-rebuild* recovery: the state rewinds to the
 //!    last committed solution, the chain is rebuilt at the current
@@ -38,9 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fp16mg_core::{
-    reuse, IntegrityPolicy, Mg, MgConfig, RepairTrigger, Retained, Reuse, SetupError,
-};
+use fp16mg_core::{reuse, Mg, MgConfig, PromotionReason, Retained, Reuse, SetupError};
 use fp16mg_fp::Precision;
 use fp16mg_problems::{step_rhs, Evolution, Problem, ProblemKind};
 use fp16mg_runtime::{
@@ -127,7 +125,7 @@ pub struct StepRow {
     pub drift: f64,
     /// Whether the drift was structural.
     pub structural: bool,
-    /// Sentinel repairs performed before the solve.
+    /// Levels the pre-solve sentinel check mended (widened to FP32).
     pub repairs: u64,
     /// Whether the rollback-and-rebuild rung fired.
     pub rollback: bool,
@@ -209,7 +207,7 @@ impl SimReport {
             (c.keep, "keep decision"),
             (c.rescale, "rescale decision"),
             (c.rebuild, "rebuild decision"),
-            (c.repairs, "sentinel repair"),
+            (c.repairs, "sentinel mend"),
             (c.rollbacks, "rollback-and-rebuild recovery"),
         ] {
             if n == 0 {
@@ -377,8 +375,7 @@ impl SimDriver {
     /// safe because the trajectory is a pure function of the step
     /// index, so replayed trail lines are bit-identical duplicates.
     pub fn new(cfg: SimConfig) -> Result<SimDriver, String> {
-        let mut mg_cfg = MgConfig::d16();
-        mg_cfg.integrity = IntegrityPolicy::armed();
+        let mg_cfg = MgConfig::d16();
         let evo = Evolution::new(cfg.kind, cfg.size);
         let cells = evo.base().grid().cells() * cfg.kind.components();
         let mut driver = SimDriver {
@@ -590,7 +587,7 @@ impl SimDriver {
     }
 
     /// Executes the next step: audit → drift → reuse decision →
-    /// sentinel verify/repair → ladder solve (→ rollback-and-rebuild on
+    /// sentinel verify/mend → ladder solve (→ rollback-and-rebuild on
     /// exhaustion) → durable commit. Returns the committed row, or an
     /// error for an unrecovered step (after appending its trail line).
     pub fn step_once(&mut self) -> Result<&StepRow, String> {
@@ -624,8 +621,9 @@ impl SimDriver {
         let mut ws_bytes = mg.as_ref().map_or(0, Mg::workspace_bytes);
 
         // ABFT: chaos corrupts a 16-bit stored level, then the
-        // sentinels are verified (and any corruption repaired) before
-        // the hierarchy serves the step.
+        // sentinels are verified (and a corrupted level widened from its
+        // promotion material, level 0's the step's operator) before the
+        // hierarchy serves the step.
         let mut repairs = 0u64;
         if let Some(m) = mg.as_mut() {
             if self.cfg.chaos && step % CHAOS_FLIP_PERIOD == 2 {
@@ -635,7 +633,7 @@ impl SimDriver {
                     }
                 }
             }
-            repairs = m.verify_and_repair(RepairTrigger::Periodic).len() as u64;
+            repairs = m.insured(&a).mend(PromotionReason::Periodic) as u64;
         }
 
         let prev = if step == 0 { None } else { Some(self.work_x.clone()) };

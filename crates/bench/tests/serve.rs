@@ -68,9 +68,9 @@ fn chaos_batch_repairs_bit_flips_without_process_failures() {
     // The chaos scenario: 16 requests, seeded single-bit flips
     // in mid-hierarchy FP16 planes, plus injected session panics. Zero
     // process-level failures: every request yields a typed outcome, every
-    // flip row is repaired by the anomaly hook during its first retry
-    // (localized to its level and tap) and converges on the second, and
-    // no flip row ever leaves the retry rung.
+    // flip row is mended during its first retry (level 1 widened to FP32,
+    // the flipped tap alone flagged), and no flip row ever leaves the
+    // retry rung.
     let outcomes = serve(12, true);
     assert_eq!(outcomes.len(), 16, "every request must produce an outcome");
 
@@ -88,13 +88,13 @@ fn chaos_batch_repairs_bit_flips_without_process_failures() {
             flips += 1;
             assert!(
                 out.converged(),
-                "{}: repair must rescue the solve: {:?}",
+                "{}: the mend must rescue the solve: {:?}",
                 out.name,
                 out.result
             );
-            assert!(!out.report.repairs.is_empty(), "{}: no repair recorded", out.name);
-            for ev in &out.report.repairs {
-                assert_eq!(ev.level, 1, "{}: repair localized to the flipped level", out.name);
+            assert!(!out.report.promotions.is_empty(), "{}: no mend recorded", out.name);
+            for ev in &out.report.promotions {
+                assert_eq!(ev.level, 1, "{}: mend localized to the flipped level", out.name);
                 assert_eq!(ev.taps.len(), 1, "{}: exactly one plane flagged", out.name);
             }
             assert_eq!(

@@ -228,7 +228,10 @@ fn torn_final_trail_record_is_truncated_and_logged_on_resume() {
 /// its ` resid=` field — but for `iters`: step 9's was 52 then and is 53
 /// since `step_rhs` bounds the state it carries from step to step, and
 /// steps 1–5, 10 and 11 (51 / 58 / 58 / 120 / 60 / 35 / 39 before) take
-/// fewer since a rescale carries the drift into the coarse tail.
+/// fewer since a rescale carries the drift into the coarse tail. Step 7's
+/// was 39 while its pre-step check re-truncated the flipped level from an
+/// FP64 copy, and is 37 since it widens that level to FP32 (step 2 reads
+/// 36 either way).
 const GOLDEN_OIL_CHAOS: &str = "\
 step=0 decision=rebuild drift=0000000000000000 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=34
 step=1 decision=rescale drift=3ff09cec7f97b501 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=40
@@ -237,7 +240,7 @@ step=3 decision=keep drift=3fc1f955c54c289a structural=0 repairs=0 rollback=0 ru
 step=4 decision=rescale drift=40007ea520598827 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=36
 step=5 decision=rescale drift=40023ce9c4ed3af5 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=36
 step=6 decision=rebuild drift=4013484a77771fde structural=0 repairs=0 rollback=1 rungs=retry→promote16→32→rebuild-f32→rebuild-f64↺retry outcome=ok iters=36
-step=7 decision=rebuild drift=40179106601408a6 structural=1 repairs=1 rollback=0 rungs=retry outcome=ok iters=39
+step=7 decision=rebuild drift=40179106601408a6 structural=1 repairs=1 rollback=0 rungs=retry outcome=ok iters=37
 step=8 decision=rebuild drift=4019762ff6a17abc structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=39
 step=9 decision=keep drift=3fcfd0792cf37b3f structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=53
 step=10 decision=rescale drift=3ff3a21c578fa4e4 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=36

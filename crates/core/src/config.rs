@@ -100,15 +100,17 @@ pub enum Coarsening {
 }
 
 /// Runtime precision-recovery policy: what the hierarchy does when a
-/// reduced-precision level is caught producing non-finite output (the
-/// self-healing companion to the static `shift_levid` guard of §4.3).
-/// A promotion widens one level 16-bit → FP32 and leaves it no material
-/// to promote again, so the promotions of one hierarchy are bounded by its
-/// 16-bit levels: the FP32 baseline at worst.
+/// reduced-precision level is caught corrupted — by its integrity
+/// sentinels or by a non-finite cycle (the self-healing companion to the
+/// static `shift_levid` guard of §4.3). Either way the level is widened
+/// 16-bit → FP32 from its promotion material, which it then no longer
+/// has, so the promotions of one hierarchy are bounded by its 16-bit
+/// levels: the FP32 baseline at worst.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RecoveryPolicy {
-    /// Master switch. When off, `Mg` never scans its own output and never
-    /// promotes — the paper's original fail-fast behavior.
+    /// Master switch. When off, `Mg` never scans its own output, keeps no
+    /// promotion material and never widens a level — the paper's original
+    /// fail-fast behavior.
     pub enabled: bool,
 }
 
@@ -122,29 +124,6 @@ impl RecoveryPolicy {
     /// Recovery switched off: detect nothing, promote nothing.
     pub fn disabled() -> Self {
         RecoveryPolicy { enabled: false }
-    }
-}
-
-/// Integrity-sentinel (ABFT) policy. Every level is sentineled at setup
-/// (per-level checksums and sum invariants over the stored coefficient
-/// planes, 24 bytes of metadata per plane); they are verified on demand
-/// and whenever the Krylov solver reports a health anomaly (breakdown or
-/// precision-attributable stagnation) through the preconditioner hook,
-/// and a corrupted level is repaired in place from its retained
-/// high-precision parent — at most `MAX_REPAIRS` (8) times per hierarchy.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct IntegrityPolicy {
-    /// Retain each narrow (16-bit) level's high-precision scaled parent
-    /// operator so a corrupted plane can be *repaired* — re-truncated
-    /// bit-identically — instead of promoted or rebuilt. Costs the f64
-    /// parent copy per narrow level; off by default.
-    pub retain_parents: bool,
-}
-
-impl IntegrityPolicy {
-    /// Full ABFT: parent retention for localized repair.
-    pub fn armed() -> Self {
-        IntegrityPolicy { retain_parents: true }
     }
 }
 
@@ -231,8 +210,6 @@ pub struct MgConfig {
     pub coarsening: Coarsening,
     /// Runtime precision-recovery policy.
     pub recovery: RecoveryPolicy,
-    /// Integrity-sentinel (ABFT) policy.
-    pub integrity: IntegrityPolicy,
     /// Out-of-range treatment on the truncation store path. The default
     /// ([`TruncationPolicy::Saturate`]) clamps instead of storing ±∞;
     /// [`TruncationPolicy::Reject`] turns any saturating entry into a
@@ -256,7 +233,6 @@ impl Default for MgConfig {
             par: Par::Seq,
             coarsening: Coarsening::Full,
             recovery: RecoveryPolicy::default(),
-            integrity: IntegrityPolicy::default(),
             truncation: TruncationPolicy::default(),
         }
     }

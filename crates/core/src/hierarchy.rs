@@ -128,12 +128,19 @@ impl From<ConfigError> for SetupError {
     }
 }
 
-/// Why a level was promoted to a wider storage precision.
+/// Why a level was promoted to a wider storage precision: what caught it
+/// corrupted, or a caller's request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PromotionReason {
-    /// The V-cycle output contained ±∞/NaN and this level was implicated
-    /// (corrupt stored values, or the coarsest reduced-precision level as
-    /// the §4.3-style suspect when no corruption was visible).
+    /// A scheduled sentinel check flagged the level (the time-stepping
+    /// simulator's check before every solve).
+    Periodic,
+    /// The Krylov solver reported a health anomaly through the
+    /// preconditioner hook, and the sentinel check it ran flagged the level.
+    Anomaly,
+    /// The V-cycle output contained ±∞/NaN and this level was implicated:
+    /// its sentinels flagged it, or — none did — it held a non-finite stored
+    /// value or was the coarsest 16-bit level (the §4.3-style suspect).
     NonFiniteOutput,
     /// Explicit caller request.
     Manual,
@@ -142,13 +149,17 @@ pub enum PromotionReason {
 impl core::fmt::Display for PromotionReason {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
+            PromotionReason::Periodic => write!(f, "periodic check"),
+            PromotionReason::Anomaly => write!(f, "solver health anomaly"),
             PromotionReason::NonFiniteOutput => write!(f, "non-finite V-cycle output"),
             PromotionReason::Manual => write!(f, "manual request"),
         }
     }
 }
 
-/// One runtime storage-precision promotion, logged in [`MgInfo`].
+/// One runtime storage-precision promotion, logged in
+/// [`MgInfo::promotions`]: the one record of a widened level, whether it
+/// was mended or asked for.
 #[derive(Clone, Debug)]
 pub struct PromotionEvent {
     /// Promoted level.
@@ -162,71 +173,17 @@ pub struct PromotionEvent {
     /// Non-finite stored values found in the level at promotion time
     /// (zero when the promotion was precautionary).
     pub corrupt_entries: u64,
+    /// The coefficient planes (taps) the sentinels flagged, empty when no
+    /// sentinel check implicated the level.
+    pub taps: Vec<usize>,
 }
 
 impl core::fmt::Display for PromotionEvent {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
-            "level {} promoted {:?} -> {:?} ({}; {} corrupt entries)",
-            self.level, self.from, self.to, self.reason, self.corrupt_entries
-        )
-    }
-}
-
-/// Total repair budget across a hierarchy's lifetime: a flapping memory
-/// fault must eventually escalate to the retry ladder rather than be
-/// repaired forever.
-const MAX_REPAIRS: usize = 8;
-
-/// What triggered an integrity verification-and-repair sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RepairTrigger {
-    /// A scheduled sweep (e.g. the time-stepping simulator's check
-    /// before every solve).
-    Periodic,
-    /// The self-healing V-cycle application saw non-finite output.
-    NonFiniteOutput,
-    /// The Krylov solver reported a health anomaly through the
-    /// preconditioner hook.
-    Anomaly,
-}
-
-impl core::fmt::Display for RepairTrigger {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            RepairTrigger::Periodic => write!(f, "periodic check"),
-            RepairTrigger::NonFiniteOutput => write!(f, "non-finite V-cycle output"),
-            RepairTrigger::Anomaly => write!(f, "solver health anomaly"),
-        }
-    }
-}
-
-/// One localized in-place repair of a corrupted level, logged in
-/// [`MgInfo`]: the level's stored matrix was re-truncated from its
-/// retained high-precision parent — bit-identically, without touching any
-/// other level and without a hierarchy rebuild.
-#[derive(Clone, Debug)]
-pub struct RepairEvent {
-    /// Repaired level.
-    pub level: usize,
-    /// The coefficient planes (taps) the sentinels flagged as corrupted.
-    pub taps: Vec<usize>,
-    /// Storage precision of the repaired level.
-    pub precision: Precision,
-    /// What triggered the sweep that found the corruption.
-    pub trigger: RepairTrigger,
-}
-
-impl core::fmt::Display for RepairEvent {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "level {} ({}) repaired in place, corrupt taps {:?} ({})",
-            self.level,
-            self.precision.name(),
-            self.taps,
-            self.trigger
+            "level {} promoted {:?} -> {:?} ({}; {} corrupt entries; corrupt taps {:?})",
+            self.level, self.from, self.to, self.reason, self.corrupt_entries, self.taps
         )
     }
 }
@@ -275,14 +232,14 @@ pub struct MgInfo {
     pub operator_complexity: f64,
     /// Total bytes of matrix data across smoothed levels.
     pub matrix_bytes: usize,
-    /// Bytes of FP32 promotion sources and FP64 repair parents kept beside.
+    /// Bytes of FP32 promotion sources kept beside.
     pub insurance_bytes: usize,
-    /// Runtime storage-precision promotions, in the order they fired
-    /// (empty for a healthy solve).
+    /// Runtime storage-precision promotions, in the order they fired, one
+    /// per widened level (empty for a healthy solve).
     pub promotions: Vec<PromotionEvent>,
-    /// Localized integrity repairs, in the order they fired (empty while
-    /// the stored planes match their sentinels).
-    pub repairs: Vec<RepairEvent>,
+    /// Always empty: a corrupted level is mended by widening it, logged in
+    /// `promotions`. Kept for readers of the per-hierarchy repair count.
+    pub repairs: Vec<PromotionEvent>,
     /// How `StoragePolicy::AutoShift` resolved the FP16→FP32 switch
     /// point (`None` for the static storage policies).
     pub shift_decision: Option<ShiftDecision>,
@@ -655,21 +612,16 @@ impl<Pr: Scalar> Mg<Pr> {
         }
     }
 
-    /// The promotions that have fired so far (same data as
-    /// `info().promotions`).
-    pub fn promotions(&self) -> &[PromotionEvent] {
-        &self.info.promotions
-    }
-
     /// One-pass classification of level `level`'s stored values
     /// (`None` for the coarsest/direct level and out-of-range indices).
     pub fn scan_level(&self, level: usize) -> Option<MatrixScan> {
         self.levels.get(level).map(|l| l.stored.scan())
     }
 
-    /// This hierarchy insured by `a`, the FP64 operator it was set up from
+    /// This hierarchy insured by `a`, the FP64 operator it preconditions
     /// (panics if `a` is not the finest level's size): level 0 keeps no FP32
-    /// copy of what whoever solves holds, so only this view can promote it.
+    /// copy of what whoever solves holds, so only this view can promote or
+    /// mend it.
     pub fn insured<'a>(&'a mut self, a: &'a SgDia<f64>) -> Insured<'a, Pr> {
         assert_eq!(a.rows(), self.rows(), "the lent operator is the finest level's");
         Insured { mg: self, lent: Some(a) }
@@ -679,12 +631,6 @@ impl<Pr: Scalar> Mg<Pr> {
     /// harnesses only.
     pub fn stored_mut(&mut self, level: usize) -> Option<&mut StoredMatrix> {
         self.levels.get_mut(level).map(|l| &mut l.stored)
-    }
-
-    /// The localized repairs that have fired so far (same data as
-    /// `info().repairs`).
-    pub fn repairs(&self) -> &[RepairEvent] {
-        &self.info.repairs
     }
 
     /// Verifies every sentineled level against its setup-time sentinels
@@ -702,51 +648,6 @@ impl<Pr: Scalar> Mg<Pr> {
             }
         }
         corrupted
-    }
-
-    /// One full ABFT round: verify all sentinels, then repair every
-    /// corrupted level that retains its high-precision parent. Returns the
-    /// repairs performed (empty when everything matched or nothing was
-    /// repairable).
-    pub fn verify_and_repair(&mut self, trigger: RepairTrigger) -> Vec<RepairEvent> {
-        let corrupted = self.verify_integrity();
-        let mut events = Vec::new();
-        for (level, mismatches) in corrupted {
-            let taps: Vec<usize> = mismatches.iter().map(|m| m.tap).collect();
-            if let Some(event) = self.repair_level(level, taps, trigger) {
-                events.push(event);
-            }
-        }
-        events
-    }
-
-    /// Localized repair of one corrupted level: re-truncates its stored
-    /// matrix from the retained high-precision parent through the same
-    /// deterministic store path setup used, which reproduces the
-    /// uncorrupted planes *bit-identically* — no other level is touched
-    /// and nothing is rebuilt. `taps` records which planes the sentinel
-    /// sweep flagged (for the event log). Returns `None` when the level
-    /// has no retained parent, the repair budget (`MAX_REPAIRS`) is
-    /// spent, or the re-truncation fails.
-    pub fn repair_level(
-        &mut self,
-        level: usize,
-        taps: Vec<usize>,
-        trigger: RepairTrigger,
-    ) -> Option<RepairEvent> {
-        if self.info.repairs.len() >= MAX_REPAIRS {
-            return None;
-        }
-        let (layout, policy) = (self.config.layout, store_policy(&self.config));
-        let lvl = self.levels.get_mut(level)?;
-        let precision = lvl.stored.precision();
-        let parent = lvl.parent.as_ref()?;
-        let store =
-            StoredMatrix::store_level(parent, None, precision, layout, policy, false, false);
-        lvl.stored = store.ok()?.matrix;
-        let event = RepairEvent { level, taps, precision, trigger };
-        self.info.repairs.push(event.clone());
-        Some(event)
     }
 }
 
@@ -1136,10 +1037,6 @@ fn build_level<Pr: Scalar>(
     }
     let dinv = dinv.map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
     let store = store.map_err(|error| SetupError::Truncation { level, error })?;
-    // The scaled f64 operator exists only for a retained repair parent
-    // (a wide precision has nothing to repair).
-    let retain_parent = config.integrity.retain_parents && prec.bytes() == 2;
-    let parent = retain_parent.then(|| plan.as_ref().map_or_else(|| ai.clone(), |p| p.scaled(ai)));
     let scale = plan.as_ref().map(ScalePlan::vectors::<Pr>);
     let StoredLevel { matrix: stored, audit, sentinels, finite, source } = store;
     let grid = *ai.grid();
@@ -1157,10 +1054,10 @@ fn build_level<Pr: Scalar>(
         sentinels,
     };
     let par = config.par;
-    Ok((Level { grid, stored, scale, dinv, par, source, parent }, info))
+    Ok((Level { grid, stored, scale, dinv, par, source }, info))
 }
 
-/// A hierarchy lent the FP64 operator it was set up from ([`Mg::insured`]),
+/// A hierarchy lent the FP64 operator it preconditions ([`Mg::insured`]),
 /// its level 0's promotion material; a bare `Mg` runs as one lent none.
 pub struct Insured<'a, Pr: Scalar = f32> {
     mg: &'a mut Mg<Pr>,
@@ -1174,10 +1071,11 @@ impl<K: Scalar, Pr: Scalar> Preconditioner<K> for Insured<'_, Pr> {
     /// iterate, so the `K` ↔ `Pr` conversion costs no vector of its own.
     ///
     /// When the [`crate::RecoveryPolicy`] is enabled, a non-finite (±∞/NaN)
-    /// result triggers a repair or a storage promotion of the implicated
-    /// level (see [`Insured::promote_level`]; never level 0 of a bare `Mg`)
-    /// and the cycle re-runs, until neither is left. The scan rides on the
-    /// pass that writes `z`, so healthy levels pay nothing for it.
+    /// result widens the implicated level — one its sentinels flag
+    /// ([`Insured::mend`]), or else the suspect ([`Insured::promote_level`];
+    /// never level 0 of a bare `Mg`) — and the cycle re-runs, until no
+    /// level is left to widen. The scan rides on the pass that writes `z`,
+    /// so healthy levels pay nothing for it.
     ///
     /// # Panics
     /// Panics on dimension mismatch.
@@ -1193,24 +1091,23 @@ impl<K: Scalar, Pr: Scalar> Preconditioner<K> for Insured<'_, Pr> {
         // The cycle leaves the loaded right-hand side intact, so a re-run
         // needs no reload.
         while !finite {
-            // Localized repair first: if the non-finite output traces to a
-            // corrupted plane with a retained parent, re-truncation is
-            // cheaper than promotion and keeps the level at its storage
-            // precision.
-            if self.mg.verify_and_repair(RepairTrigger::NonFiniteOutput).is_empty()
-                && self.promote_suspect().is_none()
+            if self.mend(PromotionReason::NonFiniteOutput) == 0 && self.promote_suspect().is_none()
             {
-                // Nothing left to repair or promote: surface the
-                // non-finite output to the caller (the solver's own
-                // NonFiniteResidual breakdown will catch it).
+                // Nothing left to widen: surface the non-finite output to
+                // the caller (the solver's own NonFiniteResidual breakdown
+                // will catch it).
                 return;
             }
             finite = self.mg.cycle_into(z);
         }
     }
 
+    /// A solver breakdown or stagnation may be silent storage corruption
+    /// wearing a numerical costume: [`Insured::mend`] what the sentinels
+    /// flag, so the runtime's second retry re-solves the mended hierarchy
+    /// instead of escalating to a rebuild.
     fn on_health_anomaly(&mut self) -> usize {
-        Preconditioner::<K>::on_health_anomaly(self.mg)
+        self.mend(PromotionReason::Anomaly)
     }
 }
 
@@ -1235,6 +1132,21 @@ impl<Pr: Scalar> Insured<'_, Pr> {
         self.mg.config.recovery.enabled && (0..self.mg.levels.len()).any(|i| self.insures(i))
     }
 
+    /// The one way a corrupted level is mended: verifies every sentinel
+    /// ([`Mg::verify_integrity`]) and widens each flagged level that has
+    /// promotion material to FP32 ([`Insured::promote_level`]), logging the
+    /// flagged taps. No other level is touched. Returns how many levels
+    /// were widened; a flagged level without material (a wide one, or level
+    /// 0 of a bare `Mg`) stays as it is.
+    pub fn mend(&mut self, reason: PromotionReason) -> usize {
+        let mut mended = 0;
+        for (level, mismatches) in self.mg.verify_integrity() {
+            let taps = mismatches.iter().map(|m| m.tap).collect();
+            mended += usize::from(self.widen(level, reason, taps).is_some());
+        }
+        mended
+    }
+
     /// Promotes the first level holding a non-finite stored value — none,
     /// if it has no material: widening a healthy one cannot clear it — or
     /// else the *coarsest* 16-bit level with material.
@@ -1252,6 +1164,16 @@ impl<Pr: Scalar> Insured<'_, Pr> {
         &mut self,
         level: usize,
         reason: PromotionReason,
+    ) -> Option<PromotionEvent> {
+        self.widen(level, reason, Vec::new())
+    }
+
+    /// [`Insured::promote_level`], logging the planes the sentinels flagged.
+    fn widen(
+        &mut self,
+        level: usize,
+        reason: PromotionReason,
+        taps: Vec<usize>,
     ) -> Option<PromotionEvent> {
         if !self.can_promote() || !self.insures(level) {
             return None;
@@ -1275,10 +1197,11 @@ impl<Pr: Scalar> Insured<'_, Pr> {
             cfg.g_choice = GChoice::Fixed(g * G_TIGHTEN);
         }
         // The widened level replaces the old one wholesale: new stored
-        // bits, sentinels retaken over the new format, and neither source
-        // nor repair parent (an FP32 level keeps no insurance).
+        // bits, sentinels retaken over the new format, and no source (an
+        // FP32 level keeps no insurance).
         let (widened, info) = build_level::<Pr>(&a64, Precision::F32, &cfg, level, None).ok()?;
-        let event = PromotionEvent { level, from, to: info.precision, reason, corrupt_entries };
+        let to = info.precision;
+        let event = PromotionEvent { level, from, to, reason, corrupt_entries, taps };
         let old = std::mem::replace(&mut mg.levels[level], widened);
         mg.info.insurance_bytes -= old.insurance_bytes();
         mg.info.matrix_bytes += info.value_bytes;
@@ -1293,12 +1216,10 @@ impl<K: Scalar, Pr: Scalar> Preconditioner<K> for Mg<Pr> {
         Insured { mg: self, lent: None }.apply(r, z);
     }
 
-    /// A solver breakdown or stagnation may be silent storage corruption
-    /// wearing a numerical costume: verify the sentinels and repair what
-    /// has a retained parent, so the runtime's cheap retry/repair rungs
-    /// can succeed instead of escalating to a full rebuild.
+    /// As [`Insured`]'s hook, lent nothing: only levels with a source of
+    /// their own are mended.
     fn on_health_anomaly(&mut self) -> usize {
-        self.verify_and_repair(RepairTrigger::Anomaly).len()
+        Preconditioner::<K>::on_health_anomaly(&mut Insured { mg: self, lent: None })
     }
 }
 

@@ -9,7 +9,8 @@
 //! Below that: the level store (`build_level`) against the pre-scan →
 //! clone → scale → store → convert sequence it replaced, level by level;
 //! a level 0 promoted from the lent operator against the one its FP32 copy
-//! made; and `AutoShift` read off each level's store against the two-pass
+//! made; a flagged level mended by widening it, and no other level moved;
+//! and `AutoShift` read off each level's store against the two-pass
 //! resolution it replaced.
 
 use fp16mg_grid::Grid3;
@@ -208,7 +209,7 @@ fn an_infinity_in_either_half_of_the_matrix_still_ends_in_a_promotion() {
             let finite = e.iter().all(|v| v.is_finite());
             assert_eq!(finite, heals, "{half} plane, recovery {heals}");
             if heals {
-                let events = mg.promotions();
+                let events = &mg.info().promotions;
                 assert_eq!(events.len(), 1, "{half} plane: {events:?}");
                 assert_eq!(
                     (events[0].level, events[0].reason),
@@ -266,7 +267,7 @@ fn f64_bits(v: &[f64]) -> Vec<u64> {
 }
 
 /// `got` is the hierarchy `want` is: stored planes, scale vectors,
-/// smoother diagonals, promotion sources and repair parents to the bit,
+/// smoother diagonals and promotion sources to the bit,
 /// every level's audit, and the rest of `MgInfo` and the coarse factors
 /// as they print.
 pub(crate) fn assert_same_hierarchy(got: &Mg<f32>, want: &Mg<f32>, what: &str) {
@@ -281,8 +282,6 @@ pub(crate) fn assert_same_hierarchy(got: &Mg<f32>, want: &Mg<f32>, what: &str) {
         assert!(f32_bits(g.dinv.data()) == f32_bits(w.dinv.data()), "{what}: BlockDiagInv");
         let source = |l: &Level<f32>| l.source.as_ref().map(|s| f32_bits(s.data()));
         assert!(source(g) == source(w), "{what}: FP32 source");
-        let parent = |l: &Level<f32>| l.parent.as_ref().map(|p| f64_bits(p.data()));
-        assert!(parent(g) == parent(w), "{what}: FP64 repair parent");
         assert_eq!(got.info.levels[i].audit, want.info.levels[i].audit, "{what}: audit");
     }
     assert_eq!(format!("{:?}", got.info), format!("{:?}", want.info), "{what}: MgInfo");
@@ -520,36 +519,87 @@ fn a_level_0_promoted_from_the_lent_operator_is_the_one_its_fp32_copy_made() {
     }
 }
 
-/// A flipped bit in a *scaled* level: its retained parent is the scaled
-/// FP64 operator, materialised for that purpose only, and re-truncating it
-/// must give back the planes the fused scaled store wrote at set-up.
+/// A flipped bit anywhere in a 16-bit level — every level, tap and bit
+/// position, over operators in FP16 range and far out of it (scaled): the
+/// sentinels flag exactly the flipped (level, tap), the mend widens that
+/// level alone to FP32 (level 0 from the lent operator), every other level
+/// keeps its stored bits and sentinels, and the widened level's retaken
+/// sentinels verify clean. The mend runs as a scheduled check or as the
+/// anomaly hook, in turn.
 #[test]
-fn a_scaled_level_is_repaired_bit_identically_from_its_retained_parent() {
-    use crate::{IntegrityPolicy, RepairTrigger};
+fn prop_mend_widens_exactly_the_flagged_level() {
+    use crate::PromotionReason;
 
-    check_n("a_scaled_level_is_repaired_bit_identically", 16, |rng| {
+    check_n("prop_mend_widens_exactly_the_flagged_level", 64, |rng| {
         let pattern = if rng.chance(0.5) { Pattern::p7() } else { Pattern::p27() };
-        let a = laplacian(Grid3::new(9, 8, 7), pattern, 10f64.powf(rng.f64_range(5.0, 9.0)));
-        let cfg = MgConfig { integrity: IntegrityPolicy::armed(), ..MgConfig::d16() };
-        let mut mg = Mg::<f32>::setup(&a, &cfg).unwrap();
-        let level = rng.usize_range(0, mg.levels.len());
-        assert!(mg.info.levels[level].scaled, "1e5 and beyond is out of FP16 range");
-        let before = stored_bits(&mg.levels[level].stored);
+        let a = laplacian(Grid3::new(9, 8, 7), pattern, 10f64.powf(rng.f64_range(-3.0, 9.0)));
+        let mut mg = Mg::<f32>::setup(&a, &MgConfig::d16()).unwrap();
+        let narrow: Vec<usize> = (0..mg.levels.len())
+            .filter(|&l| mg.info.levels[l].precision == Precision::F16)
+            .collect();
+        let level = narrow[rng.usize_range(0, narrow.len())];
         let tap = rng.usize_range(0, a.pattern().len());
         let bit = rng.usize_range(0, 16) as u32;
+        let before: Vec<(Vec<u64>, String)> = (0..mg.levels.len())
+            .map(|i| {
+                (stored_bits(&mg.levels[i].stored), format!("{:?}", mg.info.levels[i].sentinels))
+            })
+            .collect();
         if mg.stored_mut(level).unwrap().inject_bit_flip_tap(tap, bit).is_none() {
             return; // an all-zero plane of a coarse stencil
         }
-        assert!(stored_bits(&mg.levels[level].stored) != before, "the flip landed");
-        let events = mg.verify_and_repair(RepairTrigger::Periodic);
-        assert_eq!(events.len(), 1, "{events:?}");
-        assert_eq!((events[0].level, events[0].taps.as_slice()), (level, &[tap][..]));
-        assert!(
-            stored_bits(&mg.levels[level].stored) == before,
-            "level {level} tap {tap} bit {bit}"
-        );
-        assert!(mg.verify_integrity().is_empty());
+        let what = format!("level {level} tap {tap} bit {bit}");
+        let flagged: Vec<(usize, Vec<usize>)> = mg
+            .verify_integrity()
+            .into_iter()
+            .map(|(l, mismatches)| (l, mismatches.iter().map(|m| m.tap).collect()))
+            .collect();
+        assert_eq!(flagged, [(level, vec![tap])], "{what}: flagged");
+
+        let reason =
+            if rng.chance(0.5) { PromotionReason::Periodic } else { PromotionReason::Anomaly };
+        let mended = match reason {
+            PromotionReason::Periodic => mg.insured(&a).mend(reason),
+            _ => Preconditioner::<f32>::on_health_anomaly(&mut mg.insured(&a)),
+        };
+        assert_eq!(mended, 1, "{what}");
+        let ev = &mg.info.promotions;
+        assert_eq!(ev.len(), 1, "{what}: {ev:?}");
+        assert_eq!((ev[0].level, ev[0].reason, &ev[0].taps[..]), (level, reason, &[tap][..]));
+        assert_eq!((ev[0].from, ev[0].to), (Precision::F16, Precision::F32), "{what}");
+        for (i, was) in before.iter().enumerate() {
+            let now =
+                (stored_bits(&mg.levels[i].stored), format!("{:?}", mg.info.levels[i].sentinels));
+            if i == level {
+                assert_eq!(mg.info.levels[i].precision, Precision::F32, "{what}: widened");
+            } else {
+                assert!(now == *was, "{what}: level {i} moved");
+            }
+        }
+        assert!(mg.verify_integrity().is_empty(), "{what}: retaken sentinels");
     });
+}
+
+/// Level 0 keeps no source: a bare `Mg`'s anomaly hook flags it and mends
+/// nothing; the hook of its insured view widens it from the lent operator.
+#[test]
+fn a_bare_mg_mends_no_level_0_but_its_insured_view_does() {
+    use crate::PromotionReason;
+
+    let a = laplacian(Grid3::cube(12), Pattern::p7(), 1.0);
+    let mut mg = Mg::<f32>::setup(&a, &MgConfig::d16()).unwrap();
+    assert!(mg.stored_mut(0).unwrap().inject_bit_flip_tap(0, 14).is_some());
+    assert_eq!(Preconditioner::<f32>::on_health_anomaly(&mut mg), 0, "bare");
+    assert_eq!(mg.info.levels[0].precision, Precision::F16);
+    assert!(mg.info.promotions.is_empty(), "{:?}", mg.info.promotions);
+    assert_eq!(mg.verify_integrity().len(), 1, "level 0 stays flagged");
+
+    assert_eq!(Preconditioner::<f32>::on_health_anomaly(&mut mg.insured(&a)), 1, "insured");
+    assert_eq!(mg.info.levels[0].precision, Precision::F32);
+    let ev = &mg.info.promotions;
+    assert_eq!((ev.len(), ev[0].level, ev[0].reason), (1, 0, PromotionReason::Anomaly));
+    assert_eq!(ev[0].taps, [0]);
+    assert!(mg.verify_integrity().is_empty());
 }
 
 // ---- AutoShift: the switch read off each level's own store, against the
@@ -715,10 +765,6 @@ fn build_level_sweep_first<Pr: Scalar>(
     }
     let dinv = dinv.map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
     let store = store.map_err(|error| SetupError::Truncation { level, error })?;
-    // The scaled f64 operator exists only for a retained repair parent
-    // (a wide precision has nothing to repair).
-    let retain_parent = config.integrity.retain_parents && prec.bytes() == 2;
-    let parent = retain_parent.then(|| plan.as_ref().map_or_else(|| ai.clone(), |p| p.scaled(ai)));
     let scale = plan.as_ref().map(ScalePlan::vectors::<Pr>);
     let StoredLevel { matrix: stored, audit, sentinels, finite, source } = store;
     let grid = *ai.grid();
@@ -736,7 +782,7 @@ fn build_level_sweep_first<Pr: Scalar>(
         sentinels,
     };
     let par = config.par;
-    Ok((Level { grid, stored, scale, dinv, par, source, parent }, info))
+    Ok((Level { grid, stored, scale, dinv, par, source }, info))
 }
 
 /// The decision a level still on FP16 under `AutoShift` writes to.
@@ -745,23 +791,20 @@ fn candidate(shift: &mut Option<ShiftDecision>) -> Option<&mut ShiftDecision> {
 }
 
 /// The bits of everything one level holds.
-type LevelBits =
-    (Vec<u64>, Option<(u64, Vec<u32>, Vec<u32>)>, Vec<u32>, Option<Vec<u32>>, Option<Vec<u64>>);
+type LevelBits = (Vec<u64>, Option<(u64, Vec<u32>, Vec<u32>)>, Vec<u32>, Option<Vec<u32>>);
 
 fn level_bits(level: &Level<f32>) -> LevelBits {
     let scale =
         level.scale.as_ref().map(|sv| (sv.g.to_bits(), f32_bits(&sv.s), f32_bits(&sv.s_inv)));
     let source = level.source.as_ref().map(|s| f32_bits(s.data()));
-    let parent = level.parent.as_ref().map(|p| f64_bits(p.data()));
-    (stored_bits(&level.stored), scale, f32_bits(level.dinv.data()), source, parent)
+    (stored_bits(&level.stored), scale, f32_bits(level.dinv.data()), source)
 }
 
 /// Every smoothed level of `a`'s chain under `cfg`, built by `build_level`
 /// and by [`build_level_sweep_first`] in turn as `Mg::setup` builds them
 /// (an `AutoShift` decision threaded through each): the same planes, scale
-/// vectors, `dinv`, FP32 source, repair parent, `LevelInfo` and
-/// `ShiftDecision`, or the same error. Returns the levels the diagonal
-/// sent straight to the plan.
+/// vectors, `dinv`, FP32 source, `LevelInfo` and `ShiftDecision`, or the
+/// same error. Returns the levels the diagonal sent straight to the plan.
 fn assert_diagonal_first_matches_sweep_first(
     a: &SgDia<f64>,
     cfg: &MgConfig,

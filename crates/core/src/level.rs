@@ -14,8 +14,8 @@ use crate::workspace::LevelBufs;
 /// dense direct solve). Levels hold only operator data and its insurance;
 /// the solve vectors (`u`, `f`, `r`, scratch) live in the hierarchy's
 /// [`Workspace`](crate::workspace::Workspace) arena and are passed in
-/// per call, so a level rebuild (promotion, repair) never reallocates
-/// the hot-loop buffers.
+/// per call, so a level rebuild (a promotion) never reallocates the
+/// hot-loop buffers.
 pub(crate) struct Level<Pr: Scalar> {
     /// This level's grid.
     pub grid: Grid3,
@@ -30,23 +30,17 @@ pub(crate) struct Level<Pr: Scalar> {
     pub par: Par,
     /// Promotion material of a 16-bit level under an enabled recovery
     /// policy: the *unscaled* high-precision operator in FP32, exact
-    /// enough to rebuild the level at FP32. A promoted level has none, and
-    /// neither has a level 0 stored from the caller's own operator: its
-    /// material is that operator, lent through [`crate::Mg::insured`].
+    /// enough to rebuild the level at FP32 — the one way a corrupted level
+    /// is mended. A promoted level has none, and neither has a level 0
+    /// stored from the caller's own operator: its material is that
+    /// operator, lent through [`crate::Mg::insured`].
     pub source: Option<SgDia<f32>>,
-    /// Repair material of a 16-bit level under
-    /// `IntegrityPolicy::retain_parents`: the exact f64 operator the level
-    /// was truncated from (post-scaling). Re-truncating it through the
-    /// same deterministic store path reproduces the level bit-identically,
-    /// which is what makes localized repair exact.
-    pub parent: Option<SgDia<f64>>,
 }
 
 impl<Pr: Scalar> Level<Pr> {
-    /// Bytes of the level's promotion source and repair parent.
+    /// Bytes of the level's promotion source.
     pub fn insurance_bytes(&self) -> usize {
         self.source.as_ref().map_or(0, SgDia::value_bytes)
-            + self.parent.as_ref().map_or(0, SgDia::value_bytes)
     }
 
     /// Forms the right-hand side of the scaled space, `t2 = S⁻¹ f`, which

@@ -285,8 +285,12 @@ fn mg_d16_none_out_of_range_self_heals_with_recovery_on() {
     let mut x = vec![0.0f64; a.rows()];
     let res = richardson(&op, &mut mg.insured(&a), &b, &mut x, &SolveOptions::default());
     assert!(res.converged(), "{res:?}");
-    assert!(!mg.promotions().is_empty(), "healing must have promoted a level");
-    assert!(mg.promotions().iter().all(|e| e.reason == crate::PromotionReason::NonFiniteOutput));
+    assert!(!mg.info().promotions.is_empty(), "healing must have promoted a level");
+    assert!(mg
+        .info()
+        .promotions
+        .iter()
+        .all(|e| e.reason == crate::PromotionReason::NonFiniteOutput));
 }
 
 #[test]
@@ -840,7 +844,7 @@ mod recovery {
         assert_eq!(ev.to, Precision::F32);
         assert_eq!(ev.corrupt_entries, 0, "clean hierarchy has nothing corrupt");
         assert_eq!(mg.info().levels[0].precision, Precision::F32);
-        assert_eq!(mg.promotions().len(), 1);
+        assert_eq!(mg.info().promotions.len(), 1);
 
         // The promoted hierarchy still preconditions correctly.
         let op = MatOp::new(&a, Par::Seq);
@@ -867,7 +871,7 @@ mod recovery {
         }
         // Every 16-bit level promoted once, and nothing is left to promote.
         assert!(!insured.can_promote());
-        assert_eq!(mg.promotions().len(), narrow.len());
+        assert_eq!(mg.info().promotions.len(), narrow.len());
     }
 
     #[test]
@@ -887,13 +891,13 @@ mod recovery {
         let mut insured = mg.insured(&a);
         assert!(!insured.can_promote(), "no 16-bit level to promote");
         assert!(insured.promote_level(0, PromotionReason::Manual).is_none());
-        assert!(mg.promotions().is_empty());
+        assert!(mg.info().promotions.is_empty());
     }
 
     #[test]
     fn a_corrupt_level_without_material_promotes_nothing_in_its_place() {
-        // A bare hierarchy with a non-finite level 0 and neither a lent
-        // operator nor a repair parent: no promotion of a healthy coarse
+        // A bare hierarchy with a non-finite level 0 and no lent operator
+        // to mend it from: no promotion of a healthy coarse
         // level can clear the output, so none is spent and the non-finite
         // output reaches the solver.
         let a = laplacian(Grid3::cube(12), Pattern::p7(), 1.0);
@@ -908,12 +912,12 @@ mod recovery {
         let mut x = vec![0.0f64; a.rows()];
         let res = cg(&op, &mut mg, &rhs(a.rows()), &mut x, &SolveOptions::default());
         assert!(!res.converged(), "{res:?}");
-        assert!(mg.promotions().is_empty(), "{:?}", mg.promotions());
+        assert!(mg.info().promotions.is_empty(), "{:?}", mg.info().promotions);
         // Lent the operator, level 0 is promoted.
         Preconditioner::<f32>::apply(&mut mg.insured(&a), &r, &mut e);
         assert!(e.iter().all(|v| v.is_finite()));
-        assert_eq!(mg.promotions().len(), 1);
-        assert_eq!(mg.promotions()[0].level, 0);
+        assert_eq!(mg.info().promotions.len(), 1);
+        assert_eq!(mg.info().promotions[0].level, 0);
     }
 }
 
@@ -1104,57 +1108,6 @@ mod audit_and_autoshift {
         assert!(msg.contains("level 2"), "{msg}");
         assert!(msg.contains("cell 5"), "{msg}");
         assert!(msg.contains("6.5504e4"), "{msg}");
-    }
-}
-
-mod integrity {
-    use super::*;
-    use crate::{IntegrityPolicy, RepairTrigger};
-    use fp16mg_testkit::check_n;
-
-    #[test]
-    fn prop_repair_restores_bit_identical_planes() {
-        // For any operator magnitude, any narrow level, any plane, and any
-        // bit position: a single-event upset is detected by the sentinel
-        // sweep, localized to exactly the flipped (level, tap), and the
-        // localized repair re-truncates the level from its retained parent
-        // so the recomputed sentinels match the setup-time ones bit for
-        // bit (the lane hash over every stored bit pattern + exact FP64 sums).
-        check_n("prop_repair_restores_bit_identical_planes", 64, |rng| {
-            let scale = 10.0f64.powf(rng.f64_range(-3.0, 6.0));
-            let a = laplacian(Grid3::cube(8), Pattern::p7(), scale);
-            let mut cfg = MgConfig::d16();
-            cfg.integrity = IntegrityPolicy::armed();
-            let mut mg = Mg::<f32>::setup(&a, &cfg).unwrap();
-            let narrow: Vec<usize> = (0..mg.num_levels() - 1)
-                .filter(|&l| {
-                    matches!(mg.info().levels[l].precision, Precision::F16 | Precision::BF16)
-                })
-                .collect();
-            assert!(!narrow.is_empty(), "d16 must store narrow levels");
-            let level = narrow[rng.usize_range(0, narrow.len())];
-            let bit = rng.usize_range(0, 16) as u32;
-            let stored = mg.stored_mut(level).unwrap();
-            let tap = rng.usize_range(0, stored.pattern().len());
-            if stored.inject_bit_flip_tap(tap, bit).is_none() {
-                return; // all-zero plane on a coarse stencil: nothing to upset
-            }
-
-            let corrupted = mg.verify_integrity();
-            assert_eq!(corrupted.len(), 1, "exactly one level corrupted: {corrupted:?}");
-            assert_eq!(corrupted[0].0, level, "localized to the flipped level");
-            let flagged: Vec<usize> = corrupted[0].1.iter().map(|m| m.tap).collect();
-            assert_eq!(flagged, vec![tap], "localized to the flipped plane");
-
-            let events = mg.verify_and_repair(RepairTrigger::Periodic);
-            assert_eq!(events.len(), 1, "one localized repair: {events:?}");
-            assert_eq!((events[0].level, events[0].taps.as_slice()), (level, &[tap][..]));
-            assert!(
-                mg.verify_integrity().is_empty(),
-                "repair must restore every plane bit-identically (scale {scale:e}, \
-                 level {level}, tap {tap}, bit {bit})"
-            );
-        });
     }
 }
 

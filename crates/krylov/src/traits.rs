@@ -25,8 +25,9 @@ pub trait Preconditioner<K: Scalar> {
     /// a numerical breakdown or a precision-attributable stagnation —
     /// *before* the solver gives up on the iteration. A stateful
     /// preconditioner can audit itself (e.g. verify integrity sentinels
-    /// and repair corrupted storage) and return how many corrective
-    /// actions it took; the solver records nothing and still exits with
+    /// and widen each corrupted level from its promotion material) and
+    /// return how many corrective actions it took (levels mended); the
+    /// solver records nothing and still exits with
     /// its typed error, but a retry can now succeed against the mended
     /// state. The default does nothing.
     fn on_health_anomaly(&mut self) -> usize {

@@ -29,7 +29,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use fp16mg_core::{MatOp, Mg, MgConfig};
+use fp16mg_core::{MatOp, Mg, MgConfig, Retained};
 use fp16mg_krylov::{
     cg_ctl, gmres, gmres_ctl, LinOp, NoControl, Preconditioner, SolveControl, SolveOptions,
     SolveResult, StopReason,
@@ -434,17 +434,19 @@ fn a_second_gmres_on_a_thread_allocates_no_vector() {
 
 /// A level is stored in one read of its FP64 operator (two when it must be
 /// scaled) and no copy of it, FP64 or FP32: on the default path
-/// (Gauss–Seidel smoother, no retained repair parents) `Mg::setup` makes
-/// no allocation as large as half the finest level's FP64 planes — an
-/// FP32 copy of the caller's operator, which level 0 no longer keeps —
-/// whether the problem is out of FP16 range (weather) or in it
-/// (laplace27). The largest thing it does allocate is the FP16 planes (a
-/// quarter). The consumers that read the scaled operator whole still get
-/// their copy, which also shows the counter counts.
+/// (Gauss–Seidel smoother, the configuration the time-stepping simulator
+/// runs too) `Mg::setup` makes no allocation as large as half the finest
+/// level's FP64 planes — an FP32 copy of the caller's operator, which level
+/// 0 no longer keeps — whether the problem is out of FP16 range (weather)
+/// or in it (laplace27). The largest thing it does allocate is the FP16
+/// planes (a quarter). Nor does a hierarchy assembled from a retained
+/// chain (`Retained::hierarchy`), as built and after a drifted finest
+/// operator is adopted — the simulator's keep and rescale steps. The chain
+/// itself keeps a copy of the finest operator, which shows the counter
+/// counts.
 #[test]
 fn default_setup_makes_no_full_size_fp64_copy_of_a_level() {
     let cfg = MgConfig::d16();
-    assert!(!cfg.integrity.retain_parents, "the default path retains no parents");
     for (kind, scaled) in [(ProblemKind::Weather, true), (ProblemKind::Laplace27, false)] {
         let p = kind.build(16);
         let half = p.matrix.value_bytes() / 2;
@@ -452,13 +454,21 @@ fn default_setup_makes_no_full_size_fp64_copy_of_a_level() {
         let mg = mg.expect(p.name);
         assert_eq!(mg.info().levels[0].scaled, scaled, "{}: level 0 scaled", p.name);
         assert_eq!(big, 0, "{}: set-up made {big} allocation(s) of >= {half} bytes", p.name);
-    }
 
-    let p = ProblemKind::Weather.build(16);
-    let level_bytes = p.matrix.value_bytes();
-    let mut retaining = MgConfig::d16();
-    retaining.integrity.retain_parents = true;
-    let (mg, big) = big_allocs_in(level_bytes, || Mg::<f32>::setup(&p.matrix, &retaining));
-    mg.expect(p.name);
-    assert_eq!(big, 1, "a retained parent is the scaled FP64 finest level, made once");
+        let audit = Retained::audit(&p.matrix);
+        let (retained, big) = big_allocs_in(half, || Retained::build(&p.matrix, audit, &cfg));
+        let mut retained = retained.expect(p.name);
+        assert_eq!(big, 1, "{}: the chain's copy of the finest operator", p.name);
+        let mut drifted = p.matrix.clone();
+        drifted.data_mut().iter_mut().for_each(|v| *v *= 1.5);
+        for adopt in [false, true] {
+            if adopt {
+                let audit = Retained::audit(&drifted);
+                retained.adopt_finest(&drifted, audit, &cfg).expect(p.name);
+            }
+            let (mg, big) = big_allocs_in(half, || retained.hierarchy::<f32>(&cfg));
+            mg.expect(p.name);
+            assert_eq!(big, 0, "{} adopted {adopt}: {big} allocation(s) of >= {half} B", p.name);
+        }
+    }
 }

@@ -8,14 +8,14 @@
 //! Krylov methods (Guo/de Sturler):
 //!
 //! 1. [`Rung::Retry`] — run the caller's mixed-precision configuration
-//!    on the retained hierarchy. Repair needs no rung of its own: the
+//!    on the retained hierarchy. Mending needs no rung of its own: the
 //!    in-solve anomaly hook localizes a corrupted coefficient plane and
-//!    re-truncates that level from its retained high-precision parent
-//!    (the ABFT repair) the moment the solver reports a breakdown or
-//!    stall. When the failed attempt repaired or promoted, a second
-//!    attempt re-solves the mended hierarchy — no rebuild; when it did
-//!    neither, a second attempt would reproduce it bit for bit, so the
-//!    ladder escalates at once;
+//!    widens that level to FP32 from its promotion material (level 0's
+//!    is the request's operator, lent) the moment the solver reports a
+//!    breakdown or stall, as a non-finite cycle does at once. When the
+//!    failed attempt widened a level, a second attempt re-solves the
+//!    mended hierarchy — no rebuild; when it did not, a second attempt
+//!    would reproduce it bit for bit, so the ladder escalates at once;
 //! 2. [`Rung::PromoteNarrow`] — rebuild and *eagerly* promote every
 //!    16-bit level to FP32 before solving (the dynamic analog of
 //!    `shift_levid = 0`);
@@ -32,7 +32,7 @@
 use std::time::Instant;
 
 use fp16mg_core::{
-    MatOp, Mg, MgConfig, PromotionReason, RecoveryPolicy, RepairEvent, StoragePolicy,
+    MatOp, Mg, MgConfig, PromotionEvent, PromotionReason, RecoveryPolicy, StoragePolicy,
 };
 use fp16mg_fp::{Precision, Scalar};
 use fp16mg_krylov::{cg_ctl, gmres_ctl, richardson_ctl, SolveError, SolveOptions, SolveResult};
@@ -214,11 +214,8 @@ pub struct Attempt {
     /// Final relative residual.
     pub rel: f64,
     /// Storage promotions the hierarchy performed during the attempt
-    /// (eager rung promotions and internal self-healing both count).
+    /// (eager rung promotions and mended levels both count).
     pub promotions: usize,
-    /// Localized level repairs the in-solve integrity hooks performed
-    /// during the attempt.
-    pub repairs: usize,
     /// Typed failure, when the attempt did not converge.
     pub error: Option<SolveError>,
     /// Wall time of the attempt (setup + solve).
@@ -234,9 +231,9 @@ pub struct Attempt {
 pub struct RetryReport {
     /// The most recent attempts, in execution order.
     pub attempts: Ring<Attempt>,
-    /// The most recent localized level repairs the in-solve integrity
-    /// hooks performed, in execution order.
-    pub repairs: Ring<RepairEvent>,
+    /// The most recent storage promotions, in execution order: the levels
+    /// the in-solve hooks mended and the promotion rung's eager ones.
+    pub promotions: Ring<PromotionEvent>,
 }
 
 impl RetryReport {
@@ -323,9 +320,7 @@ fn charge_hierarchy<Pr: Scalar>(
 struct AttemptOutput {
     result: SolveResult,
     /// Promotions performed during this attempt (delta, not cumulative).
-    promotions: usize,
-    /// Level repairs performed during this attempt.
-    repairs: Vec<RepairEvent>,
+    promotions: Vec<PromotionEvent>,
     x: Vec<f64>,
 }
 
@@ -390,7 +385,6 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
                         iters: 0,
                         rel: last_rel,
                         promotions: 0,
-                        repairs: 0,
                         error: Some(setup_err.clone()),
                         seconds,
                     });
@@ -398,7 +392,7 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
                     continue 'ladder;
                 }
                 Ok(out) => {
-                    let AttemptOutput { result, promotions, repairs, x } = out;
+                    let AttemptOutput { result, promotions, x } = out;
                     guard.charge_iters(result.iters);
                     if result.final_rel_residual.is_finite() {
                         last_rel = result.final_rel_residual;
@@ -412,19 +406,18 @@ pub fn run_session_with(req: &SolveRequest, prebuilt: Option<Mg<f32>>) -> Sessio
                             rel: result.final_rel_residual,
                         }))
                     };
-                    let mended = promotions > 0 || !repairs.is_empty();
+                    let mended = !promotions.is_empty();
                     report.attempts.push(Attempt {
                         rung,
                         try_no,
                         converged,
                         iters: result.iters,
                         rel: result.final_rel_residual,
-                        promotions,
-                        repairs: repairs.len(),
+                        promotions: promotions.len(),
                         error: error.clone(),
                         seconds,
                     });
-                    report.repairs.extend(repairs);
+                    report.promotions.extend(promotions);
                     if converged {
                         return SessionOutcome {
                             result: Ok(result),
@@ -498,11 +491,11 @@ fn run_rung_attempt(
                 retained.injected = true;
                 inject_if_armed(req, rung, mg);
             }
-            let bases = (mg.promotions().len(), mg.repairs().len());
-            Ok(attempt_with(req, mg, opts, guard, bases))
+            let base = mg.info().promotions.len();
+            Ok(attempt_with(req, mg, opts, guard, base))
         }
         Rung::PromoteNarrow => {
-            // A rebuild abandons the repairable hierarchy for good
+            // A rebuild abandons the mendable hierarchy for good
             // (and credits its bytes back before building the next one).
             retained.mg = None;
             retained.charges = None;
@@ -526,7 +519,7 @@ fn run_rung_attempt(
             }
             let _charges = charge_hierarchy(req, &mg)?;
             inject_if_armed(req, rung, &mut mg);
-            Ok(attempt_with(req, &mut mg, opts, guard, (0, 0)))
+            Ok(attempt_with(req, &mut mg, opts, guard, 0))
         }
         Rung::RebuildF32 => {
             retained.mg = None;
@@ -536,7 +529,7 @@ fn run_rung_attempt(
             let mut mg = Mg::<f32>::setup(&req.problem.matrix, &cfg).map_err(setup_err)?;
             let _charges = charge_hierarchy(req, &mg)?;
             inject_if_armed(req, rung, &mut mg);
-            Ok(attempt_with(req, &mut mg, opts, guard, (0, 0)))
+            Ok(attempt_with(req, &mut mg, opts, guard, 0))
         }
         Rung::RebuildF64 => {
             retained.mg = None;
@@ -546,20 +539,20 @@ fn run_rung_attempt(
             let mut mg = Mg::<f64>::setup(&req.problem.matrix, &cfg).map_err(setup_err)?;
             let _charges = charge_hierarchy(req, &mg)?;
             inject_if_armed(req, rung, &mut mg);
-            Ok(attempt_with(req, &mut mg, opts, guard, (0, 0)))
+            Ok(attempt_with(req, &mut mg, opts, guard, 0))
         }
     }
 }
 
 /// Runs the chosen solver once on `mg`.
-/// `bases` are the hierarchy's promotion/repair counts at attempt start,
-/// so a retained hierarchy reports per-attempt deltas.
+/// `base` is the hierarchy's promotion count at attempt start, so a
+/// retained hierarchy reports per-attempt deltas.
 fn attempt_with<Pr: Scalar>(
     req: &SolveRequest,
     mg: &mut Mg<Pr>,
     opts: &SolveOptions,
     guard: &mut BudgetGuard,
-    (promotions_base, repairs_base): (usize, usize),
+    base: usize,
 ) -> AttemptOutput {
     let op = MatOp::new(&req.problem.matrix, req.par);
     let b = match &req.rhs {
@@ -574,12 +567,7 @@ fn attempt_with<Pr: Scalar>(
         (SolverChoice::Auto, SolverKind::Gmres) => gmres_ctl(&op, m, &b, &mut x, opts, guard),
         (SolverChoice::Richardson, _) => richardson_ctl(&op, m, &b, &mut x, opts, guard),
     };
-    AttemptOutput {
-        result,
-        promotions: mg.promotions().len().saturating_sub(promotions_base),
-        repairs: mg.repairs()[repairs_base.min(mg.repairs().len())..].to_vec(),
-        x,
-    }
+    AttemptOutput { result, promotions: mg.info().promotions[base..].to_vec(), x }
 }
 
 /// Applies the request's fault plan to a freshly built hierarchy when

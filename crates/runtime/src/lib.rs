@@ -12,12 +12,11 @@
 //!   Krylov iteration boundary, not just between attempts.
 //! - [`run_session`] walks the retry ladder ([`Rung`]): run the mixed
 //!   FP16 configuration on one hierarchy (the in-solve anomaly hook
-//!   repairs corrupted levels in place from their integrity sentinels;
-//!   when it repaired or promoted, a second attempt re-solves the mended
-//!   hierarchy), eagerly promote 16-bit levels, rebuild in FP32, and
-//!   finally fall back to full FP64 — the session [`Budget`] bounding
-//!   the climb — recording every attempt (and every localized repair)
-//!   in a [`RetryReport`].
+//!   widens the levels its integrity sentinels flag; when a level was
+//!   widened, a second attempt re-solves the mended hierarchy), eagerly
+//!   promote 16-bit levels, rebuild in FP32, and finally fall back to
+//!   full FP64 — the session [`Budget`] bounding the climb — recording
+//!   every attempt (and every promotion) in a [`RetryReport`].
 //! - [`ServePool`] serves one session at a time behind a per-problem-class
 //!   circuit [`breaker`] (always on, fixed tuning), with the drift-audited
 //!   [`HierarchyCache`] (always on, half of [`PoolConfig::mem_budget`] for

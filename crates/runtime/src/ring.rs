@@ -1,7 +1,7 @@
 //! Bounded event trails.
 //!
-//! A long-running daemon accumulates evidence — ladder attempts, repair
-//! events, breaker transitions, cache decisions — and every one of those
+//! A long-running daemon accumulates evidence — ladder attempts,
+//! promotion events, breaker transitions, cache decisions — and every one of those
 //! trails used to be an unbounded `Vec`: a slow memory leak in any
 //! process that serves requests for days. [`Ring`] is the fix: a
 //! fixed-capacity trail that keeps the *most recent* entries, counts

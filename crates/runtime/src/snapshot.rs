@@ -544,7 +544,7 @@ pub struct SimCounters {
     /// Steps that rebuilt the Galerkin chain from scratch (the initial
     /// setup counts as one).
     pub rebuild: u64,
-    /// Sentinel-verified level repairs across all steps.
+    /// Levels the pre-step sentinel check mended, across all steps.
     pub repairs: u64,
     /// Rollback-and-rebuild recoveries (step rewound to last good
     /// state after the in-step ladder was exhausted).

@@ -167,7 +167,7 @@ mod fault {
             );
             let rungs = out.report.rung_sequence();
             // One attempt per rung up to the first clean one: recovery
-            // is off, so the failed retry neither repaired nor promoted
+            // is off, so the failed retry promoted nothing
             // and a second would re-solve the same hierarchy.
             assert_eq!(
                 rungs,
@@ -275,17 +275,15 @@ mod fault {
 mod integrity {
     use super::*;
     use crate::ladder::{FaultPlan, LevelBitFlip};
-    use fp16mg_core::{IntegrityPolicy, RecoveryPolicy, RepairTrigger};
+    use fp16mg_core::PromotionReason;
+    use fp16mg_fp::Precision;
     use fp16mg_sgdia::fault::FaultSpec;
 
     /// A request carrying a single targeted bit flip into a mid-hierarchy
-    /// FP16 level, with full ABFT armed and self-healing promotion off so
-    /// the sentinels — not the promotion logic — must save the solve.
+    /// FP16 level under the default recovery policy: the sentinels must
+    /// localize it, and the level is widened from its FP32 source.
     fn flipped_request(flip: LevelBitFlip) -> SolveRequest {
-        let mut base = MgConfig::d16();
-        base.recovery = RecoveryPolicy::disabled();
-        base.integrity = IntegrityPolicy::armed();
-        let mut req = SolveRequest::new("flip", laplace(12), base);
+        let mut req = SolveRequest::new("flip", laplace(12), MgConfig::d16());
         // Richardson (multigrid as the solver) is maximally sensitive to
         // a corrupted level — a Krylov method would partially absorb the
         // perturbation. The modest cap makes the corrupted attempt fail
@@ -306,57 +304,54 @@ mod integrity {
     fn bit_flip_is_localized_and_repaired_without_rebuild() {
         // Exponent-MSB upset in an off-diagonal tap of mid-hierarchy
         // level 1 (laplace(12) has three levels; level 1 is F16). The
-        // corrupted retry breaks down at its first residual; the anomaly
-        // hook's sentinel sweep localizes the flip to (level 1, tap 0)
-        // and re-truncates that one level from its retained f64 parent,
-        // and the second retry's re-solve converges — no promotion, no
+        // first cycle goes non-finite; its sentinel check localizes the
+        // flip to (level 1, tap 0) and widens that one level from its FP32
+        // source, and the re-run cycle — and the whole first retry —
+        // proceeds as on the clean hierarchy: no second attempt, no
         // rebuild.
         let flip = LevelBitFlip { level: 1, tap: 0, bit: 14 };
-        let req = flipped_request(flip);
-        let out = run_session(&req);
-        assert!(out.converged(), "repair must rescue the solve: {:?}", out.result.err());
-        assert_eq!(
-            out.report.rung_sequence(),
-            vec![Rung::Retry, Rung::Retry],
-            "the retry must fix the flip without reaching a rebuild rung"
-        );
-        assert_eq!(out.report.repairs.len(), 1, "exactly one level repaired");
-        let ev = &out.report.repairs[0];
-        assert_eq!(ev.level, 1, "repair localized to the corrupted level");
-        assert_eq!(ev.taps, vec![0], "repair localized to the corrupted plane");
-        assert_eq!(ev.trigger, RepairTrigger::Anomaly);
-        let [first, second] = &out.report.attempts[..] else { unreachable!() };
-        assert_eq!((first.repairs, second.repairs), (1, 0), "the hook repaired in the first retry");
-        assert!(second.converged);
+        let clean = run_session(&SolveRequest { fault: None, ..flipped_request(flip) });
+        let out = run_session(&flipped_request(flip));
+        assert!(out.converged(), "the mend must rescue the solve: {:?}", out.result.err());
+        assert_eq!(out.report.rung_sequence(), vec![Rung::Retry], "no second attempt");
+        assert_eq!(out.iters, clean.iters, "as many iterations as the clean request");
+        assert_eq!(out.report.promotions.len(), 1, "exactly one level mended");
+        let ev = &out.report.promotions[0];
+        assert_eq!(ev.level, 1, "mend localized to the corrupted level");
+        assert_eq!(ev.taps, vec![0], "mend localized to the corrupted plane");
+        assert_eq!(ev.reason, PromotionReason::NonFiniteOutput);
+        assert_eq!((ev.from, ev.to), (Precision::F16, Precision::F32));
+        assert_eq!(out.report.attempts[0].promotions, 1);
     }
 
     #[test]
     fn anomaly_hook_repairs_during_the_solve() {
-        // The in-solve anomaly hook mends the hierarchy the moment the
-        // solver reports a breakdown or stall; the second retry then
-        // gives the mended hierarchy its clean re-solve. No rebuild rung
-        // is reached.
-        let flip = LevelBitFlip { level: 1, tap: 0, bit: 14 };
-        let req = flipped_request(flip);
+        // Exponent flips that leave level 0 finite but wrong stall rhd's
+        // first retry instead. The anomaly hook widens the flagged level 0
+        // from the request's operator, lent to it, the moment the solver
+        // reports the stall; the second retry gives the mended hierarchy
+        // its clean re-solve. No rebuild rung is reached.
+        let mut req = SolveRequest::new("exp-flip", ProblemKind::Rhd.build(12), MgConfig::d16());
+        req.opts = SolveOptions { tol: 1e-9, max_iters: 300, ..Default::default() };
+        req.fault = Some(FaultPlan {
+            spec: FaultSpec::exp_flip(5e-3, 11),
+            flip: None,
+            sticky_until: Rung::PromoteNarrow,
+        });
         let out = run_session(&req);
         assert!(out.converged(), "{:?}", out.result.err());
-        assert!(!out.report.repairs.is_empty(), "the flip must be repaired somewhere");
-        assert!(
-            out.report.repairs.iter().all(|e| e.level == 1 && e.taps == vec![0]),
-            "every repair must localize to the flipped plane: {:?}",
-            out.report.repairs
-        );
         assert_eq!(
-            out.report.final_rung(),
-            Some(Rung::Retry),
+            out.report.rung_sequence(),
+            vec![Rung::Retry, Rung::Retry],
             "no rebuild may be needed: {}",
             out.report.summary()
         );
-        assert!(
-            out.report.repairs.iter().all(|e| e.trigger == RepairTrigger::Anomaly),
-            "the anomaly hook is the one repair path: {:?}",
-            out.report.repairs
-        );
+        let [first, second] = &out.report.attempts[..] else { unreachable!() };
+        assert_eq!((first.promotions, second.promotions), (1, 0), "the hook mended in the first");
+        assert!(!first.converged && second.converged);
+        let ev = &out.report.promotions[0];
+        assert_eq!((ev.level, ev.reason), (0, PromotionReason::Anomaly), "{ev:?}");
+        assert!(!ev.taps.is_empty(), "the sentinels flagged the planes: {ev:?}");
     }
 }
 
@@ -768,7 +763,7 @@ mod cache {
     use crate::cache::{CacheConfig, CacheEventKind, HierarchyCache, CAPACITY};
     use fp16mg_core::ScaleStrategy;
 
-    fn scaled(n: usize, factor: f64) -> fp16mg_sgdia::SgDia<f64> {
+    fn laplace_times(n: usize, factor: f64) -> fp16mg_sgdia::SgDia<f64> {
         let mut a = laplace(n).matrix;
         for v in a.data_mut() {
             *v *= factor;
@@ -781,7 +776,7 @@ mod cache {
         use crate::cache::fingerprint;
         use fp16mg_sgdia::Layout;
         // 5³ × 27 entries: whole lane groups and a tail.
-        let soa = scaled(5, 1.0).to_layout(Layout::Soa);
+        let soa = laplace_times(5, 1.0).to_layout(Layout::Soa);
         let aos = soa.to_layout(Layout::Aos);
         // The entry-by-entry walk (tap-major, cells in order) is the
         // definition; the SOA slice read must agree with it.
@@ -817,7 +812,7 @@ mod cache {
             (96.0, CacheEventKind::Hit),              // the rebuilt entry serves again
         ];
         for (factor, expect) in events {
-            let (_, kind) = cache.acquire("c", &scaled(6, factor), &config).unwrap();
+            let (_, kind) = cache.acquire("c", &laplace_times(6, factor), &config).unwrap();
             assert_eq!(kind, expect, "factor {factor}");
         }
         let s = cache.stats();

@@ -24,8 +24,10 @@
 //!
 //! The audit runs on the *high-precision source* (before any bits are
 //! lost), so its counts are exact predictions, not post-hoc forensics;
-//! `core` runs it on every scaled level during Galerkin setup and the
-//! runtime's retry ladder consumes it to skip doomed retries.
+//! `core` takes it in every level's store pass during Galerkin setup,
+//! records it in `MgInfo`, and `StoragePolicy::AutoShift` reads its FP16
+//! switch point off it. Nothing at solve time consults it: the runtime's
+//! retry ladder acts only on what a solve did.
 
 use fp16mg_fp::{Bf16, Precision, Storage, F16};
 

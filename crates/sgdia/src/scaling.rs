@@ -261,14 +261,6 @@ impl ScalePlan {
         }
     }
 
-    /// `Ã = Q^{-1/2} A Q^{-1/2}` as a matrix of its own, for the readers
-    /// that need the scaled operator whole.
-    pub fn scaled(&self, a: &SgDia<f64>) -> SgDia<f64> {
-        let mut scaled = a.clone();
-        self.apply(&mut scaled);
-        scaled
-    }
-
     /// Applies `Ã = Q^{-1/2} A Q^{-1/2}` in place ([`congruence`] by
     /// `1/√q`).
     pub fn apply(&self, a: &mut SgDia<f64>) {

@@ -25,7 +25,7 @@
 //! on an uncorrupted plane reproduces them *exactly* — verification is
 //! bit-exact equality, with no tolerance to tune and no false positives.
 //! A mismatch localizes corruption to a (tap, plane) pair; the hierarchy
-//! layer above maps that to a level and repairs it in place.
+//! layer above maps that to a level and mends it in place (widens it).
 
 use crate::matrix::SgDia;
 use fp16mg_fp::{LaneHash, LaneSums, Storage};
