@@ -9,11 +9,10 @@
 //!
 //! 1. the reuse engine ([`fp16mg_core::reuse::serve`]) audits the drifted
 //!    operator against the baseline of the retained chain and
-//! 2. **keeps** the chain untouched, **rescales** (the new operator
-//!    becomes the chain's finest level over the retained coarse tail) or
-//!    **rebuilds** it — the driver's own part is to escalate a failed
-//!    keep / rescale to a rebuild and to remember which steps the chain
-//!    and its finest operator belong to;
+//! 2. **rescales** (the new operator becomes the chain's finest level
+//!    over the retained coarse tail) or **rebuilds** it — the driver's
+//!    own part is to escalate a failed rescale to a rebuild and to
+//!    remember which steps the chain and its finest operator belong to;
 //! 3. the hierarchy's integrity sentinels are verified (and corrupted
 //!    levels mended) before the solve, and the solve itself runs
 //!    through the retry ladder; a step whose ladder is exhausted gets
@@ -49,11 +48,9 @@ use fp16mg_sgdia::SgDia;
 
 use crate::table::{fmt_secs, Table};
 
-/// Step whose chaos spike lands in the rescale band (×4 ≈ 2 binades).
-/// The spike steps deliberately avoid the smooth-drift minima (steps 3
-/// and 9, the extrema of the presets' sine term), where the natural
-/// keep decisions live — chaos must add faults, not erase a decision
-/// path from the schedule.
+/// Step whose chaos spike lands in the rescale band (×4 ≈ 2 binades):
+/// a rescale of a drift far beyond the smooth drift's few tenths of a
+/// binade.
 const CHAOS_SPIKE_RESCALE_STEP: u64 = 4;
 const CHAOS_SPIKE_RESCALE_FACTOR: f64 = 4.0;
 /// Step whose chaos spike forces a rebuild (×64 = 6 binades).
@@ -204,7 +201,6 @@ impl SimReport {
         let c = &self.counters;
         let mut v = Vec::new();
         for (n, label) in [
-            (c.keep, "keep decision"),
             (c.rescale, "rescale decision"),
             (c.rebuild, "rebuild decision"),
             (c.repairs, "sentinel mend"),
@@ -545,7 +541,7 @@ impl SimDriver {
     }
 
     /// Rebuilds the chain at `step` whatever the drift says: the
-    /// escalation of a failed keep / rescale, and the rollback rung.
+    /// escalation of a failed rescale, and the rollback rung.
     /// On an error the retained state stays as it was and the ladder
     /// builds its own hierarchy.
     fn rebuild(&mut self, step: u64, a: &SgDia<f64>) -> Result<Mg<f32>, SetupError> {
@@ -599,9 +595,7 @@ impl SimDriver {
         let (built, mut decision, d) = reuse::serve(&mut self.retained, &a, &self.mg_cfg);
         let built = match built {
             Ok(mg) => {
-                if decision != Reuse::Keep {
-                    self.finest_step = step;
-                }
+                self.finest_step = step;
                 if decision == Reuse::Rebuild {
                     self.chain_step = step;
                 }
@@ -690,7 +684,6 @@ impl SimDriver {
         };
 
         match decision {
-            Reuse::Keep => self.counters.keep += 1,
             Reuse::Rescale => self.counters.rescale += 1,
             Reuse::Rebuild => self.counters.rebuild += 1,
         }
@@ -789,11 +782,10 @@ pub fn render_sim_table(report: &SimReport) -> String {
     }
     let c = report.counters;
     format!(
-        "{}\ndecisions: keep={} rescale={} rebuild={} | repairs={} rollbacks={}\nsetup total: {}\n\
+        "{}\ndecisions: rescale={} rebuild={} | repairs={} rollbacks={}\nsetup total: {}\n\
          peak workspace: {} bytes (preallocated per-level V-cycle arena; steady-state solve \
          allocates nothing beyond it)\n",
         t.render(),
-        c.keep,
         c.rescale,
         c.rebuild,
         c.repairs,

@@ -34,10 +34,23 @@ fn cold_run_commits_every_step() {
         assert!(!row.rollback);
     }
     let c = report.counters;
-    assert_eq!(c.keep + c.rescale + c.rebuild, 6);
+    assert_eq!(c.rescale + c.rebuild, 6);
     assert_eq!(c.rollbacks, 0);
     assert!(report.reuse_setup_s > 0.0);
     fs::remove_dir_all(&dir).ok();
+}
+
+/// Every step of rhd at 10³ converges on the ladder's first rung: no
+/// served hierarchy pairs a drifted operator with a stale finest level
+/// (one that did ended step 5 on `retry→promote16→32`).
+#[test]
+fn rhd_serves_every_step_on_rung_0() {
+    let report = SimDriver::new(SimConfig::new(ProblemKind::Rhd, 10, 10, 1e-9)).unwrap().run();
+    let report = report.expect("every step commits");
+    assert_eq!(report.rows.len(), 10);
+    for row in &report.rows {
+        assert_eq!(row.rungs, "retry", "step {} ({})", row.step, row.decision.label());
+    }
 }
 
 /// `rhd`'s carried state stays bounded: carried with a weight of
@@ -69,29 +82,51 @@ fn chaos_exercises_every_decision_and_recovery_path() {
     assert!(report.rows.iter().all(|r| r.outcome == "ok"));
 }
 
-/// Oil at 6³ crashes after a keep; rhd at 16³ after two consecutive
-/// rescales (steps 1 and 2), so the restart's one adopt must carry the
-/// coarse tail exactly as the two adopts of the uninterrupted run did.
+/// Oil at 6³ and rhd at 16³ crash after two consecutive rescales (steps
+/// 1 and 2), so the restart's one adopt must carry the coarse tail
+/// exactly as the two adopts of the uninterrupted run did.
 #[test]
 fn interrupted_run_resumes_to_a_bit_identical_trail() {
-    resumes_bit_identically(ProblemKind::Oil, 6, "oil");
-    let rhd = resumes_bit_identically(ProblemKind::Rhd, 16, "rhd");
-    for step in 1..3 {
-        let line = rhd.lines().nth(step).unwrap();
-        assert!(line.contains(" decision=rescale "), "rhd step {step}: {line}");
+    for (kind, size, tag) in [(ProblemKind::Oil, 6, "oil"), (ProblemKind::Rhd, 16, "rhd")] {
+        let trail = resumes_bit_identically(kind, size, tag, false);
+        for step in 1..3 {
+            let line = trail.lines().nth(step).unwrap();
+            assert!(line.contains(" decision=rescale "), "{tag} step {step}: {line}");
+        }
     }
 }
 
+/// A snapshot written by a build that still counted steps served by a
+/// chain left as it was has a nonzero first `counters` field: it decodes,
+/// the count is dropped, and the run resumes to the same trail.
+#[test]
+fn a_snapshot_with_a_keep_count_resumes_to_a_bit_identical_trail() {
+    resumes_bit_identically(ProblemKind::Oil, 6, "oil-keep", true);
+}
+
+/// `text` (an encoded snapshot) with its `counters` line's first field
+/// set to 2 and the checksum trailer recomputed.
+fn with_a_keep_count(text: &str) -> String {
+    let body = &text[..text.rfind("checksum ").unwrap()];
+    assert!(body.contains("\ncounters 0 "), "{body}");
+    let body = body.replacen("\ncounters 0 ", "\ncounters 2 ", 1);
+    let mut h = fp16mg_fp::Fnv1a::new();
+    body.bytes().for_each(|b| h.write_u8(b));
+    format!("{body}checksum {:016x}\n", h.finish())
+}
+
 /// Eight steps uninterrupted against three committed, a crash, and a
-/// resume: the concatenated trail must be the same bytes. Returns it.
-fn resumes_bit_identically(kind: ProblemKind, size: usize, tag: &str) -> String {
+/// resume: the concatenated trail must be the same bytes. With
+/// `keep_count`, the crashed run's last snapshot is republished with a
+/// nonzero retired keep count first. Returns the trail.
+fn resumes_bit_identically(kind: ProblemKind, size: usize, tag: &str, keep_count: bool) -> String {
     let (steps, tol) = (8u64, 1e-9f64);
 
     // Uninterrupted reference.
     let ref_dir = scratch(&format!("ref-{tag}"));
     let mut ref_cfg = SimConfig::new(kind, steps, size, tol);
     ref_cfg.snapshot_dir = Some(ref_dir.clone());
-    SimDriver::new(ref_cfg).unwrap().run().unwrap();
+    let reference = SimDriver::new(ref_cfg).unwrap().run().unwrap();
     let ref_trail = fs::read_to_string(sim_trail_path(&ref_dir, kind)).unwrap();
 
     // Interrupted run: three committed steps, then the driver is
@@ -104,6 +139,12 @@ fn resumes_bit_identically(kind: ProblemKind, size: usize, tag: &str) -> String 
         first.step_once().unwrap();
     }
     drop(first);
+    if keep_count {
+        let store = SnapshotStore::new(sim_snapshot_path(&crash_dir, kind));
+        let found = store.recover(&RealStorage, &SimSnapshot::decode).unwrap();
+        let (_, newest) = found.candidates.iter().max_by_key(|(_, s)| s.step).unwrap();
+        store.publish(&RealStorage, newest.step, &with_a_keep_count(&newest.encode())).unwrap();
+    }
 
     // The restart must resume from the snapshot, not start cold, and
     // the concatenated trail must equal the reference byte for byte —
@@ -114,6 +155,7 @@ fn resumes_bit_identically(kind: ProblemKind, size: usize, tag: &str) -> String 
     let report = second.run().unwrap();
     assert!(report.resumed);
     assert_eq!(report.rows.len(), 5);
+    assert_eq!(report.counters, reference.counters);
     let crash_trail = fs::read_to_string(sim_trail_path(&crash_dir, kind)).unwrap();
     assert_eq!(crash_trail, ref_trail);
     assert_eq!(report.final_resid.to_bits(), {
@@ -202,7 +244,7 @@ fn torn_final_trail_record_is_truncated_and_logged_on_resume() {
         .append(true)
         .open(&trail)
         .unwrap()
-        .write_all(b"step=2 decision=keep drift=00")
+        .write_all(b"step=2 decision=rescale drift=00")
         .unwrap();
 
     // Resume: the torn tail is truncated and logged, not a failed
@@ -224,26 +266,28 @@ fn torn_final_trail_record_is_truncated_and_logged_on_resume() {
 }
 
 /// The trail `repro simulate --problem oil --steps 12 --size 6 --chaos`
-/// wrote at `ff5068a`, before the reuse engine existed, each line up to
-/// its ` resid=` field — but for `iters`: step 9's was 52 then and is 53
-/// since `step_rhs` bounds the state it carries from step to step, and
-/// steps 1–5, 10 and 11 (51 / 58 / 58 / 120 / 60 / 35 / 39 before) take
-/// fewer since a rescale carries the drift into the coarse tail. Step 7's
-/// was 39 while its pre-step check re-truncated the flipped level from an
-/// FP64 copy, and is 37 since it widens that level to FP32 (step 2 reads
-/// 36 either way).
+/// writes, each line up to its ` resid=` field. Against the one `ff5068a`
+/// wrote before the reuse engine existed: steps 1–5, 10 and 11 (51 / 58 /
+/// 58 / 120 / 60 / 35 / 39 then) take fewer iterations since a rescale
+/// carries the drift into the coarse tail; step 7 read 39 while its
+/// pre-step check re-truncated the flipped level from an FP64 copy, and
+/// 37 since it widens that level to FP32 (step 2 reads 36 either way);
+/// steps 3 and 9 served the chain as it was (`keep`, 35 and 52, then 53
+/// once `step_rhs` bounded the carried state) and rescale since every
+/// drift within the bound swaps the operator in, so steps 4 and 10
+/// measure their drift from the operators of steps 3 and 9.
 const GOLDEN_OIL_CHAOS: &str = "\
 step=0 decision=rebuild drift=0000000000000000 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=34
 step=1 decision=rescale drift=3ff09cec7f97b501 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=40
 step=2 decision=rescale drift=3fd8df3a45e876d4 structural=0 repairs=1 rollback=0 rungs=retry outcome=ok iters=36
-step=3 decision=keep drift=3fc1f955c54c289a structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=35
-step=4 decision=rescale drift=40007ea520598827 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=36
+step=3 decision=rescale drift=3fc1f955c54c289a structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=36
+step=4 decision=rescale drift=3ffebe1f88098b3b structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=36
 step=5 decision=rescale drift=40023ce9c4ed3af5 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=36
 step=6 decision=rebuild drift=4013484a77771fde structural=0 repairs=0 rollback=1 rungs=retry→promote16→32→rebuild-f32→rebuild-f64↺retry outcome=ok iters=36
 step=7 decision=rebuild drift=40179106601408a6 structural=1 repairs=1 rollback=0 rungs=retry outcome=ok iters=37
 step=8 decision=rebuild drift=4019762ff6a17abc structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=39
-step=9 decision=keep drift=3fcfd0792cf37b3f structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=53
-step=10 decision=rescale drift=3ff3a21c578fa4e4 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=36
+step=9 decision=rescale drift=3fcfd0792cf37b3f structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=36
+step=10 decision=rescale drift=3ff4e20765cb7b99 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=36
 step=11 decision=rescale drift=3feab749c84e2c1e structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=41
 ";
 
@@ -253,18 +297,17 @@ const GOLDEN_WEATHER: &str = "\
 step=0 decision=rebuild drift=0000000000000000 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=16
 step=1 decision=rescale drift=3fd8ec3ae92b6769 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=16
 step=2 decision=rescale drift=3fd4fcee9c549634 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=16
-step=3 decision=keep drift=3fcb7abb7d695bea structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=16
-step=4 decision=rescale drift=3fd20fda0a4087ee structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=16
+step=3 decision=rescale drift=3fcb7abb7d695bea structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=16
+step=4 decision=rescale drift=3fb149f12e2f67fc structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=16
 step=5 decision=rebuild drift=4011fa8f0d461d8a structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=16
-step=6 decision=keep drift=3fcdee47d4378ac1 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=16
-step=7 decision=rescale drift=3fe260bdd922c166 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=16
+step=6 decision=rescale drift=3fcdee47d4378ac1 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=16
+step=7 decision=rescale drift=3fd5ca57c829bd71 structural=0 repairs=0 rollback=0 rungs=retry outcome=ok iters=16
 ";
 
-/// The trail did not move: decisions, drift bits, repairs, rollbacks,
-/// ladder rungs and outcomes of two committed runs are what the parent of
-/// the reuse engine wrote, and the iteration counts are pinned (residual
-/// bits are left to the `cmp` against a parent build — they follow the
-/// host's SIMD path).
+/// Decisions, drift bits, repairs, rollbacks, ladder rungs, outcomes and
+/// iteration counts of two committed runs are pinned (residual bits are
+/// left to the `cmp` against a parent build — they follow the host's
+/// SIMD path).
 #[test]
 fn trails_are_the_golden_ones() {
     for (kind, steps, chaos, golden) in [

@@ -8,10 +8,6 @@
 //! it was built for, and each new operator is measured against that
 //! baseline (one [`OperatorDrift`]; the retained matrices are not read):
 //!
-//! * drift ≤ [`KEEP_MAX`] → [`Reuse::Keep`]: the hierarchy is assembled
-//!   from the retained chain as it is. Sound because the outer Krylov
-//!   operator is always the caller's exact matrix — only the
-//!   preconditioner lags.
 //! * drift ≤ [`RESCALE_MAX`] → [`Reuse::Rescale`]: the new operator
 //!   replaces the chain's finest matrix and becomes the baseline, so its
 //!   scaling and truncation are re-derived (Theorem 4.1's no-overflow
@@ -28,8 +24,13 @@
 //! [`serve`] is the whole policy for a caller with one retained slot (a
 //! time-stepper); a caller that has work of its own between the decision
 //! and the action (the runtime's hierarchy cache charges bytes there)
-//! calls [`Reuse::decide`] and the three actions — [`Retained::build`],
+//! calls [`Reuse::decide`] and the actions — [`Retained::build`],
 //! [`Retained::adopt_finest`], [`Retained::hierarchy`] — itself.
+//!
+//! Either way the hierarchy is assembled from a chain whose finest
+//! operator is the one being served: the chain never serves a stale
+//! finest level, since the swap that avoids one costs a copy and a
+//! restricted log-diagonal.
 
 use fp16mg_fp::{Precision, Scalar};
 use fp16mg_sgdia::audit::{self, OperatorDrift, RangeAudit};
@@ -38,18 +39,14 @@ use fp16mg_sgdia::SgDia;
 use crate::config::MgConfig;
 use crate::hierarchy::{GalerkinChain, Mg, SetupError};
 
-/// Drift magnitude (log2 units, [`OperatorDrift::magnitude`]) up to which
-/// the retained chain serves unchanged.
-pub const KEEP_MAX: f64 = 0.25;
-/// Drift magnitude up to which swapping the finest operator in still
-/// serves; beyond it the chain is rebuilt.
+/// Drift magnitude (log2 units, [`OperatorDrift::magnitude`]) up to
+/// which swapping the finest operator in still serves; beyond it the
+/// chain is rebuilt.
 pub const RESCALE_MAX: f64 = 3.0;
 
 /// How much of a retained set-up a drifted operator may reuse.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Reuse {
-    /// The retained chain as it is.
-    Keep,
     /// The retained coarse tail under the new finest operator.
     Rescale,
     /// Nothing: a new chain.
@@ -57,15 +54,11 @@ pub enum Reuse {
 }
 
 impl Reuse {
-    /// The policy: structural drift always rebuilds; otherwise the
-    /// magnitude picks the cheapest sufficient response.
+    /// The policy: a drift that is not structural and whose magnitude
+    /// is at most [`RESCALE_MAX`] rescales; anything else (a NaN
+    /// magnitude too) rebuilds.
     pub fn decide(d: &OperatorDrift) -> Self {
-        let m = d.magnitude();
-        if d.structural() {
-            Reuse::Rebuild
-        } else if m <= KEEP_MAX {
-            Reuse::Keep
-        } else if m <= RESCALE_MAX {
+        if !d.structural() && d.magnitude() <= RESCALE_MAX {
             Reuse::Rescale
         } else {
             Reuse::Rebuild
@@ -75,7 +68,6 @@ impl Reuse {
     /// Stable label (the simulation trail's `decision=` vocabulary).
     pub fn label(self) -> &'static str {
         match self {
-            Reuse::Keep => "keep",
             Reuse::Rescale => "rescale",
             Reuse::Rebuild => "rebuild",
         }
@@ -141,7 +133,7 @@ impl Retained {
     }
 
     /// Assembles a hierarchy from the chain as it stands
-    /// ([`Mg::setup_from_chain`]): every [`Reuse`] ends here.
+    /// ([`Mg::setup_from_chain`]): both [`Reuse`] decisions end here.
     ///
     /// # Errors
     /// See [`SetupError`].
@@ -154,11 +146,11 @@ impl Retained {
 /// hierarchy, what was reused, and the drift the decision was taken on
 /// (`None` when nothing was retained — a rebuild by necessity).
 ///
-/// On success `slot` describes `a` as far as the decision says. A failed
-/// keep or rebuild leaves `slot` as it was (a failed rebuild installs
-/// nothing); a failed rescale empties it, so the next call rebuilds
-/// instead of measuring drift against a chain whose levels no longer
-/// belong together. The decision and the drift are returned either way:
+/// On success `slot` holds `a` as its finest operator and baseline. A
+/// failed rebuild leaves `slot` as it was (it installs nothing); a
+/// failed rescale empties it, so the next call rebuilds instead of
+/// measuring drift against a chain whose levels no longer belong
+/// together. The decision and the drift are returned either way:
 /// a caller that escalates a failure still has them to report.
 pub fn serve<Pr: Scalar>(
     slot: &mut Option<Retained>,
@@ -166,12 +158,11 @@ pub fn serve<Pr: Scalar>(
     config: &MgConfig,
 ) -> (Result<Mg<Pr>, SetupError>, Reuse, Option<OperatorDrift>) {
     let now = Retained::audit(a);
-    let drift = slot.as_ref().map(|kept| kept.drift(&now));
+    let drift = slot.as_ref().map(|r| r.drift(&now));
     let reuse = drift.as_ref().map_or(Reuse::Rebuild, Reuse::decide);
     let mg = match (reuse, slot.as_mut()) {
-        (Reuse::Keep, Some(kept)) => kept.hierarchy(config),
-        (Reuse::Rescale, Some(kept)) => {
-            let mg = kept.adopt_finest(a, now, config).and_then(|()| kept.hierarchy(config));
+        (Reuse::Rescale, Some(r)) => {
+            let mg = r.adopt_finest(a, now, config).and_then(|()| r.hierarchy(config));
             if mg.is_err() {
                 *slot = None;
             }

@@ -25,8 +25,8 @@ fn shift_bits(d: Option<OperatorDrift>) -> [u64; 2] {
     d.map_or([0; 2], |d| [d.range_shift.to_bits(), d.floor_shift.to_bits()])
 }
 
-/// audit → drift → keep (`setup_from_chain`) / rescale (`swap_finest`,
-/// new baseline, `setup_from_chain`) / rebuild (`GalerkinChain::build`).
+/// audit → drift → rescale (`swap_finest`, new baseline,
+/// `setup_from_chain`) / rebuild (`GalerkinChain::build`).
 fn oracle(kept: &mut Kept, a: &SgDia<f64>, cfg: &MgConfig) -> (Mg<f32>, &'static str, [u64; 2]) {
     let now = audit::audit(a, Precision::F16);
     let d = kept.as_ref().map(|(_, baseline)| audit::drift(baseline, &now));
@@ -35,7 +35,6 @@ fn oracle(kept: &mut Kept, a: &SgDia<f64>, cfg: &MgConfig) -> (Mg<f32>, &'static
         _ => f64::INFINITY,
     };
     let label = match kept {
-        Some(_) if magnitude <= KEEP_MAX => "keep",
         Some((chain, baseline)) if magnitude <= RESCALE_MAX => {
             chain.swap_finest(a, cfg).unwrap();
             *baseline = now;
@@ -67,7 +66,7 @@ fn serve_is_the_sequence_it_replaces() {
             assert_same_hierarchy(&mg.unwrap(), &want, &what);
             seen.push(reuse);
         }
-        for reuse in [Reuse::Keep, Reuse::Rescale, Reuse::Rebuild] {
+        for reuse in [Reuse::Rescale, Reuse::Rebuild] {
             assert!(seen.contains(&reuse), "{}: no {reuse:?} in {seen:?}", kind.name());
         }
     }

@@ -1178,7 +1178,7 @@ mod chain_reuse {
         assert!(warm <= rebuilt + 1, "the carried tail converges as rebuilt: {warm} vs {rebuilt}");
 
         // The drifted operator is now the chain's finest and the baseline
-        // a drift is measured against: serving it again is a keep.
+        // a drift is measured against: it drifts by nothing from itself.
         assert_eq!(retained.chain().finest().data(), drifted.data());
         let d = retained.drift(&Retained::audit(&drifted));
         assert_eq!((d.magnitude(), d.structural()), (0.0, false));

@@ -428,25 +428,26 @@ mod evolve {
     }
 
     #[test]
-    fn default_schedules_walk_keep_rescale_rebuild() {
+    fn default_schedules_walk_rescale_and_rebuild() {
         // Replay the reuse engine's predicate over each trajectory: the
-        // presets must produce all three decisions within a short run,
+        // presets must produce both decisions within a short run,
         // otherwise the simulation engine cannot demonstrate the ladder.
+        // Either decision makes the operator the new baseline.
         for kind in [ProblemKind::Oil, ProblemKind::Rhd, ProblemKind::Weather] {
             let evo = Evolution::new(kind, 6);
             let mut baseline = audit(evo.base(), Precision::F16);
-            let (mut keeps, mut rescales, mut rebuilds) = (0u32, 0u32, 0u32);
+            let (mut rescales, mut rebuilds) = (0u32, 0u32);
             for step in 1..16u64 {
                 let cur = audit(&evo.matrix_at(step), Precision::F16);
                 match Reuse::decide(&drift(&baseline, &cur)) {
-                    Reuse::Keep => keeps += 1,
-                    Reuse::Rescale => (rescales, baseline) = (rescales + 1, cur),
-                    Reuse::Rebuild => (rebuilds, baseline) = (rebuilds + 1, cur),
+                    Reuse::Rescale => rescales += 1,
+                    Reuse::Rebuild => rebuilds += 1,
                 }
+                baseline = cur;
             }
             assert!(
-                keeps > 0 && rescales > 0 && rebuilds > 0,
-                "{}: keep={keeps} rescale={rescales} rebuild={rebuilds}",
+                rescales > 0 && rebuilds > 0,
+                "{}: rescale={rescales} rebuild={rebuilds}",
                 kind.name()
             );
         }

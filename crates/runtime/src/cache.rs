@@ -7,9 +7,9 @@
 //! one [`Retained`] chain per problem class and geometry and serves each
 //! request through the reuse engine ([`fp16mg_core::reuse`]): the
 //! incoming operator's audit is measured against the retained baseline
-//! and [`Reuse::decide`] picks keep, rescale or rebuild — reported here
-//! as [`CacheEventKind::Hit`], [`CacheEventKind::RescaledHit`] (after
-//! which an identical follow-up is a fingerprint hit) and
+//! and [`Reuse::decide`] picks rescale or rebuild — reported here as
+//! [`CacheEventKind::RescaledHit`] (after which an identical follow-up
+//! is a fingerprint hit, [`CacheEventKind::Hit`]) and
 //! [`CacheEventKind::DriftInvalidated`].
 //!
 //! What is the cache's own: the keying (per-class, reusing the breaker
@@ -48,8 +48,9 @@ pub const EVENT_LOG_CAP: usize = 256;
 /// What the cache decided for one acquire (or eviction).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheEventKind {
-    /// Served from the cached chain unchanged (fingerprint-equal, or
-    /// drift within the keep bound).
+    /// Served from the cached chain unchanged: the operator is
+    /// fingerprint-equal to its finest one (or a rescale's byte charge
+    /// was refused, see [`HierarchyCache::acquire`]).
     Hit,
     /// Served after re-scaling the finest level from the drifted
     /// operator; the coarse Galerkin tail was reused.
@@ -133,7 +134,7 @@ impl CacheKey {
 /// Aggregate decision counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Plain hits (fingerprint-equal or within the keep bound).
+    /// Plain hits (fingerprint-equal, or a refused rescale charge).
     pub hits: u64,
     /// Rescale-in-place hits.
     pub rescaled_hits: u64,
@@ -307,7 +308,6 @@ impl HierarchyCache {
                 let now = Retained::audit(matrix);
                 let d = warm.retained.drift(&now);
                 return match Reuse::decide(&d) {
-                    Reuse::Keep => self.serve_hit(&key, config, Some(d)),
                     Reuse::Rescale => {
                         self.serve_rescaled(&key, matrix, config, fingerprint, now, d)
                     }

@@ -80,10 +80,11 @@ pub fn request_for(seq: u64, size: usize, tol: f64, par: Par) -> SolveRequest {
     let class = seq % 8;
     if matches!(class, 3 | 7) {
         // The drift class: the same geometry revisited with a rescaled
-        // operator. The factor cycle walks the audit ladder: ~1.0 stays
-        // within the keep bound, 4.0 forces a rescale-in-place, 24.0
-        // exceeds the rescale bound and invalidates. Visits land at
-        // seq 3, 7 mod 8, so a 16-request stream walks the full ladder.
+        // operator. The factor cycle walks the audit ladder: 1.0 after
+        // 24.0 exceeds the rescale bound and invalidates, 1.1 and 4.0
+        // each rescale in place, 24.0 after 4.0 rescales once more.
+        // Visits land at seq 3, 7 mod 8, so a 16-request stream walks
+        // the full ladder.
         let factors = [1.0, 1.1, 4.0, 24.0];
         let factor = factors[((seq / 4) as usize) % factors.len()];
         for v in problem.matrix.data_mut() {

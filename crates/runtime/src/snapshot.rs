@@ -537,8 +537,6 @@ impl DaemonSnapshot {
 /// trajectory, not just the post-crash tail.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimCounters {
-    /// Steps that kept the cached hierarchy untouched.
-    pub keep: u64,
     /// Steps that rescaled the cached hierarchy in place.
     pub rescale: u64,
     /// Steps that rebuilt the Galerkin chain from scratch (the initial
@@ -613,9 +611,10 @@ impl SimSnapshot {
         body.line(format_args!("cursor {} {} {}", self.step, self.chain_step, self.finest_step));
         body.line(format_args!("resid {:016x}", self.last_resid.to_bits()));
         let c = &self.counters;
+        // The first field is retired (always 0).
         body.line(format_args!(
-            "counters {} {} {} {} {}",
-            c.keep, c.rescale, c.rebuild, c.repairs, c.rollbacks,
+            "counters 0 {} {} {} {}",
+            c.rescale, c.rebuild, c.repairs, c.rollbacks,
         ));
         let mut x = match self.fields {
             1 => format!("x {}", self.x.len()),
@@ -652,8 +651,9 @@ impl SimSnapshot {
                 }
                 "resid" => snap.last_resid = r.f64_bits("resid")?,
                 "counters" => {
+                    // The retired first field (the keep count) is ignored.
+                    r.u64("keep")?;
                     snap.counters = SimCounters {
-                        keep: r.u64("keep")?,
                         rescale: r.u64("rescale")?,
                         rebuild: r.u64("rebuild")?,
                         repairs: r.u64("repairs")?,

@@ -806,8 +806,8 @@ mod cache {
         let events = [
             (1.0, CacheEventKind::Rebuilt),           // cold build
             (1.0, CacheEventKind::Hit),               // fingerprint-equal
-            (1.1, CacheEventKind::Hit),               // |log2 1.1| < keep_max
-            (4.0, CacheEventKind::RescaledHit),       // ≤ rescale_max: swap in place
+            (1.1, CacheEventKind::RescaledHit),       // ≤ rescale_max: swap in place
+            (4.0, CacheEventKind::RescaledHit),       // again, from the 1.1 baseline
             (96.0, CacheEventKind::DriftInvalidated), // past the bound: rebuild
             (96.0, CacheEventKind::Hit),              // the rebuilt entry serves again
         ];
@@ -820,7 +820,7 @@ mod cache {
         // column; `rebuilds` counts cold builds only.
         assert_eq!(
             (s.hits, s.rescaled_hits, s.drift_invalidations, s.rebuilds),
-            (3, 1, 1, 1),
+            (2, 2, 1, 1),
             "{s:?}"
         );
         assert_eq!(cache.events().len(), 6, "every decision is a typed event");
@@ -1009,7 +1009,7 @@ mod sim_snapshot {
             chain_step: 6,
             finest_step: 8,
             last_resid: f64::NAN,
-            counters: SimCounters { keep: 4, rescale: 3, rebuild: 2, repairs: 1, rollbacks: 1 },
+            counters: SimCounters { rescale: 3, rebuild: 2, repairs: 1, rollbacks: 1 },
             x: vec![1.5, -0.0, f64::MIN_POSITIVE / 4.0, -3.25e101, 0.0],
             fields: 1,
         }
@@ -1207,7 +1207,7 @@ mod golden_bytes {
             chain_step: 4,
             finest_step: 6,
             last_resid: 3.5e-10,
-            counters: SimCounters { keep: 3, rescale: 2, rebuild: 2, repairs: 1, rollbacks: 0 },
+            counters: SimCounters { rescale: 2, rebuild: 2, repairs: 1, rollbacks: 0 },
             x: vec![1.0, -0.0, 2.5e-300, f64::NAN, -7.25, 0.1],
             fields: 3,
         }
@@ -1239,6 +1239,20 @@ mod golden_bytes {
          ";
 
     const SIM_BYTES: &str = "\
+         fp16mg-sim-snapshot v2\n\
+         problem rhd-3T\n\
+         config 6 12 3e112e0be826d695 00000000feed5eed\n\
+         cursor 7 4 6\n\
+         resid 3df80d43de9cc603\n\
+         counters 0 2 2 1 0\n\
+         x-fields 3 6 3ff0000000000000 8000000000000000 01bac9a7b3b7302f 7ff8000000000000 c01d000000000000 3fb999999999999a\n\
+         checksum 31c1e22ffee53947\n\
+         ";
+
+    /// The same snapshot as a build that still counted steps served by a
+    /// chain left as it was wrote it: three of them, in the `counters`
+    /// line's first field.
+    const SIM_BYTES_WITH_KEEP: &str = "\
          fp16mg-sim-snapshot v2\n\
          problem rhd-3T\n\
          config 6 12 3e112e0be826d695 00000000feed5eed\n\
@@ -1278,6 +1292,8 @@ mod golden_bytes {
     fn sim_snapshot_encodes_to_the_committed_bytes() {
         assert_eq!(sim().encode(), SIM_BYTES);
         assert_eq!(SimSnapshot::decode(SIM_BYTES).unwrap().encode(), SIM_BYTES);
+        // A retired keep count is read and dropped.
+        assert_eq!(SimSnapshot::decode(SIM_BYTES_WITH_KEEP).unwrap().encode(), SIM_BYTES);
     }
 
     #[test]
@@ -1292,7 +1308,7 @@ mod golden_bytes {
             DaemonSnapshot::decode(&daemon_v1),
             Err(SnapshotError::UnsupportedVersion { found: 1 })
         );
-        let sim_v1 = v1(SIM_BYTES, "f9ddce8426035456", "c471e003781eae13");
+        let sim_v1 = v1(SIM_BYTES_WITH_KEEP, "f9ddce8426035456", "c471e003781eae13");
         assert_eq!(
             SimSnapshot::decode(&sim_v1).map(|s| s.step),
             Err(SnapshotError::UnsupportedVersion { found: 1 })
@@ -2419,7 +2435,7 @@ mod serve {
         "seq=4 req=req-00004 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=hit",
         "seq=5 req=req-00005 class=laplace27 prio=interactive profile=full outcome=ok breaker=closed cache=hit",
         "seq=6 req=req-00006 class=poison prio=batch profile=full outcome=unconverged breaker=closed cache=rebuilt",
-        "seq=7 req=req-00007 class=drift prio=batch profile=full outcome=ok breaker=closed cache=hit",
+        "seq=7 req=req-00007 class=drift prio=batch profile=full outcome=ok breaker=closed cache=rescaled-hit",
         "seq=8 req=req-00008 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=hit",
         "seq=9 req=req-00009 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=hit",
         "seq=10 req=req-00010 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=hit",
@@ -2435,7 +2451,7 @@ mod serve {
         "seq=20 req=req-00020 class=laplace27 prio=batch profile=full outcome=ok breaker=closed cache=hit",
         "seq=21 req=req-00021 class=laplace27 prio=interactive profile=full outcome=ok breaker=closed cache=hit",
         "seq=22 req=req-00022 class=poison prio=batch profile=full outcome=breaker-open breaker=open cache=none",
-        "seq=23 req=req-00023 class=drift prio=batch profile=full outcome=ok breaker=closed cache=hit",
+        "seq=23 req=req-00023 class=drift prio=batch profile=full outcome=ok breaker=closed cache=rescaled-hit",
     ];
 
     /// The drained snapshot's `counters`, `breaker` and `cache-stats`
@@ -2445,7 +2461,7 @@ mod serve {
         "breaker drift closed 0000 0 0000000000000000 0 0 0 0",
         "breaker laplace27 closed 0000 0 0000000000000000 0 0 0 0",
         "breaker poison open 11 1 3ff0000000000000 1 3 0 0",
-        "cache-stats 17 2 1 3 0",
+        "cache-stats 15 4 1 3 0",
     ];
 
     #[test]

@@ -13,12 +13,12 @@
 //! coefficients behind it by orders of magnitude. Each step goes through
 //! the reuse engine (`mg::reuse::serve`): the drifted operator is audited
 //! against the retained chain's baseline and the cheapest sufficient
-//! action is taken — keep, rescale-in-place, or rebuild. On some steps
-//! with the front in flight (three of ten here) the scaled-FP16 hierarchy
-//! is not enough for CG, so the loop carries an escalation rung: a
-//! failed step rebuilds the hierarchy in FP64 and retries, exactly the
-//! `rebuild-f64` rung the `repro simulate` retry ladder lands on for this
-//! problem. CG must then converge to the FP64-grade tolerance at every
+//! action is taken — rescale-in-place or rebuild. Should the
+//! scaled-FP16 hierarchy not be enough for CG on a step with the front in
+//! flight (no step of this trajectory needs it), the loop carries an
+//! escalation rung: a failed step rebuilds the hierarchy in FP64 and
+//! retries, as the `repro simulate` retry ladder's `rebuild-f64` rung
+//! does. CG must then converge to the FP64-grade tolerance at every
 //! step.
 
 use fp16mg::krylov::{cg, SolveOptions};
@@ -47,7 +47,7 @@ fn main() {
     let opts = SolveOptions { tol: TOL, max_iters: 300, ..Default::default() };
     let mut retained = None;
     let mut x = vec![0.0f64; evo.base().rows()];
-    let (mut keeps, mut rescales, mut rebuilds) = (0u32, 0u32, 0u32);
+    let (mut rescales, mut rebuilds) = (0u32, 0u32);
     let mut escalations = 0u32;
     let mut final_resid = f64::NAN;
 
@@ -57,7 +57,6 @@ fn main() {
         let (mg, decision, drift) = reuse::serve(&mut retained, a, &cfg);
         let mut mg: Mg<f32> = mg.expect("setup");
         match decision {
-            Reuse::Keep => keeps += 1,
             Reuse::Rescale => rescales += 1,
             Reuse::Rebuild => rebuilds += 1,
         }
@@ -89,7 +88,7 @@ fn main() {
 
     assert!(final_resid <= TOL, "final residual {final_resid:.2e} above tolerance");
     println!(
-        "\ndecisions: keep={keeps} rescale={rescales} rebuild={rebuilds} \
+        "\ndecisions: rescale={rescales} rebuild={rebuilds} \
          escalated={escalations}; every step converged to {TOL:.0e} despite the ~15-decade \
          range"
     );

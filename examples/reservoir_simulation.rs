@@ -14,8 +14,8 @@
 //! warm-start path amortizes, so each step goes through the reuse engine
 //! (`mg::reuse::serve`): the drifted operator is audited against the
 //! baseline of the retained chain and the cheapest sufficient action is
-//! taken — **keep** the chain, **rescale** its finest level in place
-//! (Galerkin-lag: the coarse tail stays), or **rebuild** it. The example
+//! taken — **rescale** its finest level in place (Galerkin-lag: the
+//! coarse tail stays) or **rebuild** it. The example
 //! reports the per-step decisions and the total setup time against a
 //! rebuild-every-step baseline.
 
@@ -45,7 +45,7 @@ fn main() {
     let opts = SolveOptions { tol: TOL, max_iters: 400, restart: 30, ..Default::default() };
     let mut retained = None;
     let mut x = vec![0.0f64; rows];
-    let (mut keeps, mut rescales, mut rebuilds) = (0u32, 0u32, 0u32);
+    let (mut rescales, mut rebuilds) = (0u32, 0u32);
     let mut reuse_setup = Duration::ZERO;
     let mut fresh_setup = Duration::ZERO;
     let mut final_resid = f64::NAN;
@@ -66,7 +66,6 @@ fn main() {
         let step_setup = t.elapsed();
         reuse_setup += step_setup;
         match decision {
-            Reuse::Keep => keeps += 1,
             Reuse::Rescale => rescales += 1,
             Reuse::Rebuild => rebuilds += 1,
         }
@@ -96,7 +95,7 @@ fn main() {
 
     assert!(final_resid <= TOL, "final residual {final_resid:.2e} above tolerance");
     println!(
-        "\ndecisions: keep={keeps} rescale={rescales} rebuild={rebuilds}; every step converged \
+        "\ndecisions: rescale={rescales} rebuild={rebuilds}; every step converged \
          to {TOL:.0e}"
     );
     println!(
