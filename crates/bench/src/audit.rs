@@ -2,15 +2,14 @@
 //! FP16 scaling pipeline.
 //!
 //! For each problem the report assembles the hierarchy under
-//! `MgConfig::d16_auto()` (setup-then-scale, `shift_levid: Auto`) and
-//! prints what storing every smoothed level at its resolved precision
-//! did to the operator's range: overflow headroom against Theorem 4.1,
-//! underflow/subnormal counts behind the `Auto` switch heuristic, the
-//! saturation count the truncation policies act on, and the rounding
-//! loss. A final section demonstrates the `Auto` resolution picking an
-//! *interior* switch level on a two-component problem whose weak
-//! inter-component couplings survive Galerkin coarsening verbatim while
-//! RAP growth forces scaling on level 1.
+//! `MgConfig::d16()` (setup-then-scale, FP16 on every smoothed level) and
+//! prints what storing each level did to the operator's range: overflow
+//! headroom against Theorem 4.1, the underflow/subnormal counts a caller
+//! sets `shift_levid` (§4.3) from, the saturation count the truncation
+//! policies act on, and the rounding loss. A final section shows a
+//! two-component problem whose weak inter-component couplings survive
+//! Galerkin coarsening verbatim while RAP growth forces scaling on level 1:
+//! its loss sits on that *interior* level.
 
 use fp16mg_core::{Mg, MgConfig, MgInfo};
 use fp16mg_grid::Grid3;
@@ -21,7 +20,7 @@ use fp16mg_stencil::Pattern;
 use crate::table::Table;
 
 /// Prints the per-level range-audit table of one assembled hierarchy.
-pub fn print_audit_table(info: &MgInfo) {
+fn print_audit_table(info: &MgInfo) {
     let mut t = Table::new(&[
         "lvl",
         "dims",
@@ -72,22 +71,11 @@ pub fn print_audit_table(info: &MgInfo) {
         }
     }
     print!("{t}");
-    if let Some(d) = &info.shift_decision {
-        println!("{d}");
-        let losses: Vec<String> = d
-            .per_level
-            .iter()
-            .map(|a| format!("{:.2}%", a.underflow_loss_fraction() * 100.0))
-            .collect();
-        println!("  FP16 underflow loss per audited level: [{}]", losses.join(", "));
-    }
 }
 
-/// Audits one problem kind at grid size `n` and prints its table.
-fn audit_problem(kind: ProblemKind, n: usize) {
-    let p = kind.build(n);
-    println!("\n--- {} ({n}^3) under d16_auto ---", p.name);
-    match Mg::<f32>::setup(&p.matrix, &MgConfig::d16_auto()) {
+/// Sets `a` up under `d16` and prints its table.
+fn audit_d16(a: &SgDia<f64>) {
+    match Mg::<f32>::setup(a, &MgConfig::d16()) {
         Ok(mg) => print_audit_table(mg.info()),
         Err(e) => println!("setup failed: {e}"),
     }
@@ -121,24 +109,18 @@ pub fn weakly_coupled_demo(n: usize) -> SgDia<f64> {
 /// The full `repro audit` report body.
 pub fn audit_report(size: usize) {
     let n = size.max(12);
-    println!("Per-level FP16 range audits (setup-then-scale, shift_levid: Auto).");
+    println!("Per-level FP16 range audits (setup-then-scale, FP16 on every smoothed level).");
     println!("headroom = abs_max / FP16_MAX (Theorem 4.1 keeps scaled levels < 1);");
     println!("loss = fraction of nonzeros underflowing to zero or subnormal in FP16.");
     for kind in [ProblemKind::Laplace27, ProblemKind::Rhd, ProblemKind::Rhd3T] {
-        audit_problem(kind, n);
+        let p = kind.build(n);
+        println!("\n--- {} ({n}^3) under d16 ---", p.name);
+        audit_d16(&p.matrix);
     }
 
-    println!("\n--- weakly-coupled 2-component system (32^3): interior auto shift ---");
-    let a = weakly_coupled_demo(32);
-    match Mg::<f32>::setup(&a, &MgConfig::d16_auto()) {
-        Ok(mg) => {
-            print_audit_table(mg.info());
-            let chosen = mg.info().shift_decision.as_ref().map(|d| d.chosen);
-            println!(
-                "  => Auto resolved shift_levid = {} (nonzero: FP16 on the finest level only)",
-                chosen.map(|c| c.to_string()).unwrap_or_else(|| "?".into())
-            );
-        }
-        Err(e) => println!("setup failed: {e}"),
-    }
+    println!(
+        "\n--- weakly-coupled 2-component system (32^3) under d16: the loss starts at level 1, \
+         where a static shift_levid = 1 switches to FP32 ---"
+    );
+    audit_d16(&weakly_coupled_demo(32));
 }

@@ -24,7 +24,7 @@
 //! `simulate` advances `--problem` (or the three time-dependent example
 //! scenarios with `all`) through `--steps` implicit steps, reusing the
 //! multigrid hierarchy across steps under an audit-driven
-//! keep/rescale/rebuild policy, and prints the per-step cost/accuracy
+//! rescale/rebuild policy, and prints the per-step cost/accuracy
 //! table plus the amortized setup win over a fresh-setup-every-step
 //! baseline. With `--snapshot-dir` every committed step is checkpointed
 //! and a killed run resumes bit-identically (`tests/simulate.rs` and the
@@ -878,7 +878,7 @@ fn semi_ablation(args: &Args) {
 // --------------------------------------------------------------- audit --
 
 fn audit_cmd(args: &Args) {
-    header("Precision-safety audit: per-level FP16 range tables, shift_levid: Auto");
+    header("Precision-safety audit: per-level FP16 range tables under d16");
     fp16mg_bench::audit_report(capped_size(args, 24));
 }
 

@@ -25,7 +25,7 @@ pub mod simulate;
 pub mod table;
 pub mod torture;
 
-pub use audit::{audit_report, print_audit_table};
+pub use audit::audit_report;
 pub use combos::Combo;
 pub use e2e::{solve_e2e, E2eResult, SpeedupMean};
 pub use kernelbench::{kernel_suite, KernelKind, KernelRow, Variant};

@@ -6,11 +6,6 @@ use fp16mg_sgdia::kernels::Par;
 use fp16mg_sgdia::scaling::GChoice;
 use fp16mg_sgdia::Layout;
 
-/// Underflow-loss fraction above which [`StoragePolicy::AutoShift`]
-/// switches a level to FP32: a level losing more than 5% of its couplings
-/// has stopped resembling its operator.
-pub const AUTO_SHIFT_MAX_UNDERFLOW: f64 = 0.05;
-
 /// Which storage precision each level's matrix is truncated to
 /// (the paper's `D`).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -25,28 +20,13 @@ pub enum StoragePolicy {
         /// First level stored in FP32.
         shift_levid: usize,
     },
-    /// Adaptive `shift_levid`: during setup the hierarchy audits each
-    /// level's FP16 truncation (see [`fp16mg_sgdia::audit`]) and switches
-    /// to FP32 at the first level whose underflow-loss fraction —
-    /// nonzero entries that would flush to zero or to the subnormal range
-    /// — exceeds [`AUTO_SHIFT_MAX_UNDERFLOW`] (or whose truncation would
-    /// saturate). The measured, data-driven version of the static §4.3
-    /// knob; the decision lands in `MgInfo::shift_decision`.
-    AutoShift,
 }
 
 impl StoragePolicy {
-    /// Resolves the precision of `level`.
-    ///
-    /// For [`StoragePolicy::AutoShift`] this returns the *pre-resolution*
-    /// answer (FP16 everywhere): the switch point does not exist until
-    /// setup has audited the actual hierarchy, after which the resolved
-    /// policy is a [`StoragePolicy::Fp16Until`] recorded in the
-    /// hierarchy's config.
+    /// The precision `level` is stored in.
     pub fn precision_for(&self, level: usize) -> Precision {
         match *self {
             StoragePolicy::Uniform(p) => p,
-            StoragePolicy::AutoShift => Precision::F16,
             StoragePolicy::Fp16Until { shift_levid } if level < shift_levid => Precision::F16,
             StoragePolicy::Fp16Until { .. } => Precision::F32,
         }
@@ -259,13 +239,6 @@ impl MgConfig {
     /// BF16 storage (§8 comparison).
     pub fn dbf16() -> Self {
         MgConfig { storage: StoragePolicy::Uniform(Precision::BF16), ..Default::default() }
-    }
-
-    /// FP16 storage with the audit-driven adaptive `shift_levid`: levels
-    /// stay FP16 until the measured underflow loss crosses
-    /// [`AUTO_SHIFT_MAX_UNDERFLOW`], then switch to FP32.
-    pub fn d16_auto() -> Self {
-        MgConfig { storage: StoragePolicy::AutoShift, ..Default::default() }
     }
 
     /// Checks the configuration for contradictions before any setup work

@@ -6,7 +6,7 @@ use std::borrow::Cow;
 use fp16mg_fp::{Precision, Scalar};
 use fp16mg_grid::Grid3;
 use fp16mg_krylov::Preconditioner;
-use fp16mg_sgdia::audit::{self, RangeAudit, StoredLevel, TruncationError, TruncationPolicy};
+use fp16mg_sgdia::audit::{RangeAudit, StoredLevel, TruncationError, TruncationPolicy};
 use fp16mg_sgdia::kernels::BlockDiagInv;
 use fp16mg_sgdia::scaling::{self, ScalePlan, ScaleVectors};
 use fp16mg_sgdia::sentinel::{MatrixSentinels, TapMismatch};
@@ -16,9 +16,7 @@ use fp16mg_sgdia::scaling::GChoice;
 use fp16mg_sgdia::scan::MatrixScan;
 
 use crate::coarsen::{directional_strength, galerkin_rap_axes};
-use crate::config::{
-    Coarsening, ConfigError, MgConfig, ScaleStrategy, StoragePolicy, AUTO_SHIFT_MAX_UNDERFLOW,
-};
+use crate::config::{Coarsening, ConfigError, MgConfig, ScaleStrategy};
 use crate::level::Level;
 use crate::smoother::DenseLu;
 use crate::stored::StoredMatrix;
@@ -240,58 +238,6 @@ pub struct MgInfo {
     /// Always empty: a corrupted level is mended by widening it, logged in
     /// `promotions`. Kept for readers of the per-hierarchy repair count.
     pub repairs: Vec<PromotionEvent>,
-    /// How `StoragePolicy::AutoShift` resolved the FP16→FP32 switch
-    /// point (`None` for the static storage policies).
-    pub shift_decision: Option<ShiftDecision>,
-}
-
-/// The record of one `AutoShift` resolution: which level the audit chose
-/// as the FP16→FP32 switch point, and the evidence.
-#[derive(Clone, Debug)]
-pub struct ShiftDecision {
-    /// The resolved `shift_levid`: first level stored in FP32
-    /// (`usize::MAX` when every audited level stayed within
-    /// [`AUTO_SHIFT_MAX_UNDERFLOW`] — all-FP16).
-    pub chosen: usize,
-    /// FP16 audit of each candidate level, finest first, up to and
-    /// including the chosen one: the audit of the level's own FP16 store
-    /// (post-scaling), or the one it would have taken when the policy
-    /// refused that store.
-    pub per_level: Vec<RangeAudit>,
-}
-
-impl core::fmt::Display for ShiftDecision {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let threshold = AUTO_SHIFT_MAX_UNDERFLOW * 100.0;
-        if self.chosen == usize::MAX {
-            write!(
-                f,
-                "auto shift_levid: all {} audited levels within underflow threshold \
-                 {threshold:.1}% — FP16 throughout",
-                self.per_level.len(),
-            )
-        } else {
-            write!(
-                f,
-                "auto shift_levid = {}: level {} underflow loss {:.2}% exceeds threshold \
-                 {threshold:.1}%",
-                self.chosen,
-                self.chosen,
-                self.per_level
-                    .get(self.chosen)
-                    .map(|a| a.underflow_loss_fraction() * 100.0)
-                    .unwrap_or(f64::NAN),
-            )
-        }
-    }
-}
-
-/// `AutoShift`'s verdict on a level's 16-bit [`RangeAudit`]: storing the
-/// level saturates, meets a non-finite source, or loses more than
-/// [`AUTO_SHIFT_MAX_UNDERFLOW`] of its nonzeros to underflow. The policy
-/// switches to FP32 at the first level it holds for.
-fn audit_rejects(audit: &RangeAudit) -> bool {
-    !audit.overflow_free() || audit.underflow_loss_fraction() > AUTO_SHIFT_MAX_UNDERFLOW
 }
 
 /// The FP16-capable structured multigrid preconditioner.
@@ -386,12 +332,12 @@ impl<Pr: Scalar> Mg<Pr> {
     }
 
     /// Algorithm 1 lines 4–14 over an already-built Galerkin chain:
-    /// per-level scale-and-truncate (resolving AutoShift on the way),
+    /// per-level scale-and-truncate at `config.storage.precision_for(l)`,
     /// smoother data, coarsest dense LU.
     fn assemble(
         chain: &[&SgDia<f64>],
         finest_scale: Option<ScaleVectors<Pr>>,
-        mut config: MgConfig,
+        config: MgConfig,
     ) -> Result<Self, SetupError> {
         // --- Workspace arena and the coarsest dense LU, sized first with
         // checked arithmetic so hostile dimensions fail typed before any
@@ -410,27 +356,14 @@ impl<Pr: Scalar> Mg<Pr> {
         }
         let ws = Workspace::for_levels(&level_unknowns)?;
 
-        // --- Per-level scale-and-truncate (lines 4–14). Under AutoShift
-        // every level is an FP16 candidate until one fails the audit of
-        // its own store; from that level on, FP32. ---
-        let mut shift = (config.storage == StoragePolicy::AutoShift)
-            .then(|| ShiftDecision { chosen: usize::MAX, per_level: vec![] });
+        // --- Per-level scale-and-truncate (lines 4–14). ---
         let mut levels = Vec::with_capacity(nlev - 1);
         let mut infos = Vec::with_capacity(nlev);
         for (i, ai) in chain.iter().enumerate().take(nlev - 1) {
-            let (level, info) = match &mut shift {
-                Some(d) if d.chosen == usize::MAX => {
-                    build_level(ai, Precision::F16, &config, i, Some(d))?
-                }
-                Some(_) => build_level(ai, Precision::F32, &config, i, None)?,
-                None => build_level(ai, config.storage.precision_for(i), &config, i, None)?,
-            };
+            let (level, info) = build_level(ai, config.storage.precision_for(i), &config, i)?;
             levels.push(level);
             infos.push(info);
         }
-        let shift_decision = shift.inspect(|decision| {
-            config.storage = StoragePolicy::Fp16Until { shift_levid: decision.chosen };
-        });
 
         // --- Coarsest level: dense LU of the exact f64 operator. ---
         let coarse_lu = DenseLu::factor(coarsest)
@@ -465,7 +398,6 @@ impl<Pr: Scalar> Mg<Pr> {
             levels: infos,
             promotions: Vec::new(),
             repairs: Vec::new(),
-            shift_decision,
         };
 
         Ok(Mg {
@@ -968,17 +900,11 @@ fn store_policy(config: &MgConfig) -> Option<TruncationPolicy> {
 /// Builds level `level` from `ai` at storage precision `prec` (Algorithm 1
 /// lines 5–13): the level the cycle runs on, with its insurance, and what
 /// its store measured.
-///
-/// `auto` makes the level an `AutoShift` candidate (`prec` is FP16): the
-/// verdict ([`audit_rejects`]) is read off this store's own audit and
-/// recorded in the decision; a rejected level is built again in FP32 and
-/// becomes the switch.
 fn build_level<Pr: Scalar>(
     ai: &SgDia<f64>,
     prec: Precision,
     config: &MgConfig,
     level: usize,
-    auto: Option<&mut ShiftDecision>,
 ) -> Result<(Level<Pr>, LevelInfo), SetupError> {
     // Promotion material of a narrow level: the *unscaled* operator in FP32
     // — but for a level 0 stored from the caller's own operator, which
@@ -1018,24 +944,8 @@ fn build_level<Pr: Scalar>(
     let store = unscaled.unwrap_or_else(|| store(s_inv, prec));
     // Smoother data comes from the high-precision matrix (line 13),
     // scaled as it is read.
-    let dinv = BlockDiagInv::from_scaled(ai, s_inv);
-    if let Some(decision) = auto {
-        // Where the policy refused the store, the FP16 audit the store did
-        // not take is taken here. A rejected candidate is built again in
-        // FP32, so its FP16 errors (a singular block, a refused store) are
-        // not its to report: both are held until the verdict is in.
-        let audit = match &store {
-            Ok(store) => store.audit.clone(),
-            Err(_) => audit::audit_scaled(ai, s_inv, Precision::F16),
-        };
-        let rejected = audit_rejects(&audit);
-        decision.per_level.push(audit);
-        if rejected {
-            decision.chosen = level;
-            return build_level(ai, Precision::F32, config, level, None);
-        }
-    }
-    let dinv = dinv.map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
+    let dinv = BlockDiagInv::from_scaled(ai, s_inv)
+        .map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
     let store = store.map_err(|error| SetupError::Truncation { level, error })?;
     let scale = plan.as_ref().map(ScalePlan::vectors::<Pr>);
     let StoredLevel { matrix: stored, audit, sentinels, finite, source } = store;
@@ -1199,7 +1109,7 @@ impl<Pr: Scalar> Insured<'_, Pr> {
         // The widened level replaces the old one wholesale: new stored
         // bits, sentinels retaken over the new format, and no source (an
         // FP32 level keeps no insurance).
-        let (widened, info) = build_level::<Pr>(&a64, Precision::F32, &cfg, level, None).ok()?;
+        let (widened, info) = build_level::<Pr>(&a64, Precision::F32, &cfg, level).ok()?;
         let to = info.precision;
         let event = PromotionEvent { level, from, to, reason, corrupt_entries, taps };
         let old = std::mem::replace(&mut mg.levels[level], widened);

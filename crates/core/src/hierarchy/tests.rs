@@ -9,9 +9,8 @@
 //! Below that: the level store (`build_level`) against the pre-scan →
 //! clone → scale → store → convert sequence it replaced, level by level;
 //! a level 0 promoted from the lent operator against the one its FP32 copy
-//! made; a flagged level mended by widening it, and no other level moved;
-//! and `AutoShift` read off each level's store against the two-pass
-//! resolution it replaced.
+//! made; and a flagged level mended by widening it, with no other level
+//! moved.
 
 use fp16mg_grid::Grid3;
 use fp16mg_sgdia::Layout;
@@ -20,6 +19,7 @@ use fp16mg_testkit::{check_n, Rng};
 
 use super::*;
 use crate::tests::laplacian;
+use crate::StoragePolicy;
 
 /// The V-cycle before the recursion knew its iterate was zero.
 fn reference_cycle<Pr: Scalar>(mg: &mut Mg<Pr>, i: usize) {
@@ -228,20 +228,6 @@ fn an_infinity_in_either_half_of_the_matrix_still_ends_in_a_promotion() {
 /// store: some entry is non-finite or reaches `limit`.
 fn out_of_range(a: &SgDia<f64>, limit: f64) -> bool {
     a.data().iter().any(|&v| !v.is_finite() || v.abs() >= limit)
-}
-
-/// How setup-then-scale scaled `ai` for storage at `prec` when the range
-/// test was that pre-scan: `None` for a level stored as is.
-fn scale_plan(
-    ai: &SgDia<f64>,
-    prec: Precision,
-    config: &MgConfig,
-) -> Result<Option<ScalePlan>, scaling::ScalingError> {
-    let limit = prec.finite_max();
-    if config.scale != ScaleStrategy::SetupThenScale || !out_of_range(ai, limit) {
-        return Ok(None);
-    }
-    ScalePlan::decide(ai, config.g_choice, limit).map(Some)
 }
 
 /// The stored values of a level, as bit patterns.
@@ -602,109 +588,6 @@ fn a_bare_mg_mends_no_level_0_but_its_insured_view_does() {
     assert!(mg.verify_integrity().is_empty());
 }
 
-// ---- AutoShift: the switch read off each level's own store, against the
-// resolution that audited the whole chain once more before storing it. ----
-
-/// `StoragePolicy::AutoShift` as it was resolved before the store pass gave
-/// its audit: every smoothed level planned and audited at FP16 (post-scaling)
-/// up to the first whose audit saturates, meets a non-finite source or
-/// underflows past `AUTO_SHIFT_MAX_UNDERFLOW`. `usize::MAX` when none does.
-fn resolve_auto_shift(chain: &[&SgDia<f64>], config: &MgConfig) -> ShiftDecision {
-    let mut per_level = Vec::new();
-    let mut chosen = usize::MAX;
-    for (i, ai) in chain.iter().enumerate().take(chain.len().saturating_sub(1)) {
-        let prec = Precision::F16;
-        let plan = scale_plan(ai, prec, config).expect("a smoothed level Theorem 4.1 can scale");
-        let lv = audit::audit_scaled(ai, plan.as_ref().map(ScalePlan::s_inv), prec);
-        let bad = lv.saturate > 0
-            || lv.source_non_finite > 0
-            || lv.underflow_loss_fraction() > AUTO_SHIFT_MAX_UNDERFLOW;
-        per_level.push(lv);
-        if bad {
-            chosen = i;
-            break;
-        }
-    }
-    ShiftDecision { chosen, per_level }
-}
-
-/// `Mg::setup(a, cfg)` under AutoShift against the oracle: the two-pass
-/// decision over the chain `Mg::setup` builds, then the hierarchy set up
-/// with the switch it chose as a static `Fp16Until`. Returns the decision.
-fn assert_auto_shift_matches_the_two_pass_oracle(
-    a: &SgDia<f64>,
-    cfg: &MgConfig,
-    what: &str,
-) -> ShiftDecision {
-    assert_eq!(cfg.storage, StoragePolicy::AutoShift, "{what}: not an AutoShift config");
-    let mut finest = a.to_layout(cfg.layout);
-    if cfg.scale == ScaleStrategy::ScaleThenSetup {
-        let fp16_max = fp16mg_fp::F16::MAX_F64;
-        scaling::scale_symmetric::<f32>(&mut finest, cfg.g_choice, fp16_max).unwrap();
-    }
-    let coarse_mats = coarse_chain(&finest, cfg).unwrap();
-    let chain: Vec<&SgDia<f64>> = std::iter::once(&finest).chain(&coarse_mats).collect();
-    let oracle = resolve_auto_shift(&chain, cfg);
-
-    let fixed = StoragePolicy::Fp16Until { shift_levid: oracle.chosen };
-    let mut want = Mg::<f32>::setup(a, &MgConfig { storage: fixed, ..cfg.clone() })
-        .unwrap_or_else(|e| panic!("{what}: oracle set-up: {e}"));
-    let got = Mg::<f32>::setup(a, cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
-    let decision = got.info.shift_decision.clone().expect("AutoShift records its decision");
-    assert_eq!(decision.chosen, oracle.chosen, "{what}: chosen");
-    assert_eq!(decision.per_level, oracle.per_level, "{what}: per-level audits");
-    assert_eq!(got.config.storage, fixed, "{what}: resolved policy");
-    want.info.shift_decision = Some(oracle);
-    assert_same_hierarchy(&got, &want, what);
-    decision
-}
-
-#[test]
-fn auto_shift_reads_the_store_pass_as_the_two_pass_resolution_did() {
-    use fp16mg_problems::ProblemKind;
-    use fp16mg_sgdia::audit::TruncationPolicy;
-
-    for kind in ProblemKind::all() {
-        for n in [8, 11] {
-            let a = kind.build(n).matrix;
-            let what = format!("{} n={n}", kind.name());
-            assert_auto_shift_matches_the_two_pass_oracle(&a, &MgConfig::d16_auto(), &what);
-        }
-    }
-
-    // Scale-then-setup with G near its clamp: Galerkin growth saturates a
-    // coarse level, which Reject refuses at the store and Saturate clamps.
-    // The switch lands there either way.
-    let a = crate::tests::laplacian(Grid3::cube(32), Pattern::p7(), 1.0);
-    for truncation in [TruncationPolicy::Reject, TruncationPolicy::Saturate] {
-        let cfg = MgConfig {
-            scale: ScaleStrategy::ScaleThenSetup,
-            g_choice: GChoice::Fixed(3.2e4),
-            truncation,
-            ..MgConfig::d16_auto()
-        };
-        let d = assert_auto_shift_matches_the_two_pass_oracle(&a, &cfg, &format!("{truncation}"));
-        assert!(d.chosen >= 1 && d.per_level[d.chosen].saturate > 0, "{truncation}: {d}");
-    }
-
-    // Two weakly coupled components (the `repro audit` demo): the switch is
-    // at the interior level where scaling pushes the weak channel under.
-    let a = crate::tests::weakly_coupled_components(32, 4.0e3);
-    let d = assert_auto_shift_matches_the_two_pass_oracle(&a, &MgConfig::d16_auto(), "weak");
-    assert_eq!((d.chosen, d.per_level.len()), (1, 2), "{d}");
-
-    // A level that asks for scaling (an entry reaches FP16_MAX) but has a
-    // negative diagonal entry is not smoothed: set-up refuses it before any
-    // audit is taken.
-    let mut a = crate::tests::laplacian(Grid3::cube(8), Pattern::p7(), 1.0);
-    let diagonal = a.pattern().taps().iter().position(|t| t.is_diagonal()).unwrap();
-    let cell = a.grid().cells() / 2;
-    a.set(cell, diagonal, -6.05);
-    a.set(cell, (diagonal + 1) % a.pattern().len(), -65510.0);
-    let err = Mg::<f32>::setup(&a, &MgConfig::d16_auto()).map(|_| ()).unwrap_err();
-    assert_eq!(err, SetupError::NonPositiveDiagonal { level: 0, unknown: cell, value: -6.05 });
-}
-
 // ---- The diagonal read first: a level whose diagonal is out of range
 // skips the in-range sweep it would abandon — against `build_level` as it
 // was, every level trying the sweep. ----
@@ -717,7 +600,6 @@ fn build_level_sweep_first<Pr: Scalar>(
     prec: Precision,
     config: &MgConfig,
     level: usize,
-    auto: Option<&mut ShiftDecision>,
 ) -> Result<(Level<Pr>, LevelInfo), SetupError> {
     // Promotion material of a narrow level: the *unscaled* operator in FP32
     // — but for a level 0 stored from the caller's own operator, which
@@ -746,24 +628,8 @@ fn build_level_sweep_first<Pr: Scalar>(
     let store = unscaled.unwrap_or_else(|| store(s_inv, prec));
     // Smoother data comes from the high-precision matrix (line 13),
     // scaled as it is read.
-    let dinv = BlockDiagInv::from_scaled(ai, s_inv);
-    if let Some(decision) = auto {
-        // Where the policy refused the store, the FP16 audit the store did
-        // not take is taken here. A rejected candidate is built again in
-        // FP32, so its FP16 errors (a singular block, a refused store) are
-        // not its to report: both are held until the verdict is in.
-        let audit = match &store {
-            Ok(store) => store.audit.clone(),
-            Err(_) => audit::audit_scaled(ai, s_inv, Precision::F16),
-        };
-        let rejected = audit_rejects(&audit);
-        decision.per_level.push(audit);
-        if rejected {
-            decision.chosen = level;
-            return build_level_sweep_first(ai, Precision::F32, config, level, None);
-        }
-    }
-    let dinv = dinv.map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
+    let dinv = BlockDiagInv::from_scaled(ai, s_inv)
+        .map_err(|c| SetupError::SingularDiagonalBlock { level, cell: c })?;
     let store = store.map_err(|error| SetupError::Truncation { level, error })?;
     let scale = plan.as_ref().map(ScalePlan::vectors::<Pr>);
     let StoredLevel { matrix: stored, audit, sentinels, finite, source } = store;
@@ -785,11 +651,6 @@ fn build_level_sweep_first<Pr: Scalar>(
     Ok((Level { grid, stored, scale, dinv, par, source }, info))
 }
 
-/// The decision a level still on FP16 under `AutoShift` writes to.
-fn candidate(shift: &mut Option<ShiftDecision>) -> Option<&mut ShiftDecision> {
-    shift.as_mut().filter(|d| d.chosen == usize::MAX)
-}
-
 /// The bits of everything one level holds.
 type LevelBits = (Vec<u64>, Option<(u64, Vec<u32>, Vec<u32>)>, Vec<u32>, Option<Vec<u32>>);
 
@@ -801,10 +662,9 @@ fn level_bits(level: &Level<f32>) -> LevelBits {
 }
 
 /// Every smoothed level of `a`'s chain under `cfg`, built by `build_level`
-/// and by [`build_level_sweep_first`] in turn as `Mg::setup` builds them
-/// (an `AutoShift` decision threaded through each): the same planes, scale
-/// vectors, `dinv`, FP32 source, `LevelInfo` and `ShiftDecision`, or the
-/// same error. Returns the levels the diagonal sent straight to the plan.
+/// and by [`build_level_sweep_first`] in turn as `Mg::setup` builds them:
+/// the same planes, scale vectors, `dinv`, FP32 source and `LevelInfo`, or
+/// the same error. Returns the levels the diagonal sent straight to the plan.
 fn assert_diagonal_first_matches_sweep_first(
     a: &SgDia<f64>,
     cfg: &MgConfig,
@@ -812,29 +672,18 @@ fn assert_diagonal_first_matches_sweep_first(
 ) -> Vec<usize> {
     let chain = GalerkinChain::build(a, cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
     let levels = chain.matrices();
-    let auto = || {
-        (cfg.storage == StoragePolicy::AutoShift)
-            .then(|| ShiftDecision { chosen: usize::MAX, per_level: vec![] })
-    };
-    let (mut got_shift, mut want_shift) = (auto(), auto());
     let mut skipped = vec![];
     for (i, ai) in levels.iter().enumerate().take(levels.len() - 1) {
         let what = format!("{what} level {i}");
-        let prec = |shift: &Option<ShiftDecision>| match shift {
-            Some(d) if d.chosen == usize::MAX => Precision::F16,
-            Some(_) => Precision::F32,
-            None => cfg.storage.precision_for(i),
-        };
-        let (p, q) = (prec(&got_shift), prec(&want_shift));
-        assert_eq!(p, q, "{what}: precision");
+        let p = cfg.storage.precision_for(i);
         let limit = p.finite_max();
         if cfg.scale == ScaleStrategy::SetupThenScale
             && ai.extract_diagonal().iter().any(|d| !d.is_finite() || d.abs() >= limit)
         {
             skipped.push(i);
         }
-        let got = build_level::<f32>(ai, p, cfg, i, candidate(&mut got_shift));
-        let want = build_level_sweep_first::<f32>(ai, q, cfg, i, candidate(&mut want_shift));
+        let got = build_level::<f32>(ai, p, cfg, i);
+        let want = build_level_sweep_first::<f32>(ai, p, cfg, i);
         match (got, want) {
             (Ok((gl, gi)), Ok((wl, wi))) => {
                 assert!(level_bits(&gl) == level_bits(&wl), "{what}: level bits");
@@ -846,9 +695,14 @@ fn assert_diagonal_first_matches_sweep_first(
             }
             (g, w) => panic!("{what}: {:?} vs {:?}", g.map(|_| ()), w.map(|_| ())),
         }
-        assert_eq!(format!("{got_shift:?}"), format!("{want_shift:?}"), "{what}: ShiftDecision");
     }
     skipped
+}
+
+/// FP16 on level 0 and FP32 below: the static §4.3 switch at an interior
+/// level, beside the all-FP16 `d16`.
+fn d16_until_1() -> MgConfig {
+    MgConfig { storage: StoragePolicy::Fp16Until { shift_levid: 1 }, ..MgConfig::d16() }
 }
 
 #[test]
@@ -866,7 +720,7 @@ fn the_diagonal_read_first_builds_every_level_as_the_sweep_first_order_did() {
             let a = kind.build(n).matrix;
             let range =
                 if a.abs_max().0 >= fp16mg_fp::F16::MAX_F64 { "scaled" } else { "in range" };
-            for cfg in [MgConfig::d16(), MgConfig::d16_auto()] {
+            for cfg in [MgConfig::d16(), d16_until_1()] {
                 let what = format!("{} n={n} {:?} ({range})", kind.name(), cfg.storage);
                 let skipped = assert_diagonal_first_matches_sweep_first(&a, &cfg, &what);
                 // An operator out of FP16 range is so on its diagonal (Theorem
@@ -887,8 +741,8 @@ fn the_diagonal_read_first_builds_every_level_as_the_sweep_first_order_did() {
     assert!(mg.info.levels[0].scaled, "off-diagonal out of range: level 0 scaled");
 
     // A diagonal entry Theorem 4.1 cannot scale, out of range: straight to
-    // the plan, which refuses it in either order, before `AutoShift` takes a
-    // verdict — and the chain refuses such a level 0 before either runs.
+    // the plan, which refuses it in either order — and the chain refuses
+    // such a level 0 before either runs.
     let level = || laplacian(Grid3::new(9, 8, 7), Pattern::p27(), 1.0);
     let diagonal = level().pattern().taps().iter().position(|t| t.is_diagonal()).unwrap();
     for bad in [f64::NAN, -1.0e6] {
@@ -896,15 +750,12 @@ fn the_diagonal_read_first_builds_every_level_as_the_sweep_first_order_did() {
         a.set(403, diagonal, bad);
         let want =
             format!("{:?}", SetupError::NonPositiveDiagonal { level: 0, unknown: 403, value: bad });
-        for cfg in [MgConfig::d16(), MgConfig::d16_auto()] {
+        for cfg in [MgConfig::d16(), d16_until_1()] {
             let what = format!("diagonal {bad} {:?}", cfg.storage);
-            let mut shift = ShiftDecision { chosen: usize::MAX, per_level: vec![] };
-            let got = build_level::<f32>(&a, Precision::F16, &cfg, 0, Some(&mut shift));
+            let got = build_level::<f32>(&a, Precision::F16, &cfg, 0);
             assert_eq!(format!("{:?}", got.map(|_| ())), format!("Err({want})"), "{what}");
-            let mut old = ShiftDecision { chosen: usize::MAX, per_level: vec![] };
-            let was = build_level_sweep_first::<f32>(&a, Precision::F16, &cfg, 0, Some(&mut old));
+            let was = build_level_sweep_first::<f32>(&a, Precision::F16, &cfg, 0);
             assert_eq!(format!("{:?}", was.map(|_| ())), format!("Err({want})"), "{what}");
-            assert!(shift.per_level.is_empty() && old.per_level.is_empty(), "{what}");
             let refused = GalerkinChain::build(&a, &cfg).map(|_| ()).unwrap_err();
             assert_eq!(format!("{refused:?}"), want, "{what}");
         }

@@ -39,13 +39,11 @@ mod workspace;
 pub use coarsen::{directional_strength, galerkin_rap, galerkin_rap_axes};
 pub use config::{
     Coarsening, ConfigError, MgConfig, RecoveryPolicy, ScaleStrategy, SmootherKind, StoragePolicy,
-    AUTO_SHIFT_MAX_UNDERFLOW,
 };
 pub use fp16mg_sgdia::audit::{RangeAudit, TruncationError, TruncationPolicy};
 pub use fp16mg_sgdia::sentinel::{MatrixSentinels, TapMismatch, TapSentinel};
 pub use hierarchy::{
     GalerkinChain, Insured, LevelInfo, Mg, MgInfo, PromotionEvent, PromotionReason, SetupError,
-    ShiftDecision,
 };
 pub use ops::MatOp;
 pub use reuse::{Retained, Reuse};

@@ -34,14 +34,14 @@ pub(crate) fn laplacian(grid: Grid3, pattern: Pattern, scale: f64) -> SgDia<f64>
 }
 
 /// Two weakly coupled diffusion components (at `s = 4e3`, the operator of
-/// `repro audit`'s interior-switch demo): intra-component 7-point
+/// `repro audit`'s two-component demo): intra-component 7-point
 /// Laplacians of magnitude `s`, plus a tiny same-cell inter-component
 /// coupling. Prolongation acts componentwise, so Galerkin coarsening can
 /// never smear the weak channel into the strong one — and RAP growth (~4x
 /// per level) pushes the hierarchy across FP16_MAX at an interior level,
 /// where scaling kicks in and the weak channel drops below the FP16 normal
 /// range.
-pub(crate) fn weakly_coupled_components(n: usize, s: f64) -> SgDia<f64> {
+fn weakly_coupled_components(n: usize, s: f64) -> SgDia<f64> {
     let grid = Grid3::with_components(n, n, n, 2);
     let pat = Pattern::p7().with_components(2);
     let taps: Vec<_> = pat.taps().to_vec();
@@ -923,7 +923,7 @@ mod recovery {
 
 mod audit_and_autoshift {
     use super::*;
-    use crate::{RangeAudit, SetupError, ShiftDecision, TruncationError, TruncationPolicy};
+    use crate::{RangeAudit, SetupError, TruncationError, TruncationPolicy};
     use fp16mg_sgdia::scaling::GChoice;
 
     #[test]
@@ -943,69 +943,62 @@ mod audit_and_autoshift {
             ..MgConfig::default()
         };
         assert!(cfg.validate().is_ok());
-        // AutoShift resolves during setup; before that it reads as FP16.
-        let p = StoragePolicy::AutoShift;
-        assert_eq!(p.precision_for(0), Precision::F16);
-        assert_eq!(p.precision_for(9), Precision::F16);
+    }
+
+    /// The FP16 underflow loss `Mg::setup(a, d16)` audited on each smoothed
+    /// level: what a caller picks `shift_levid` from.
+    fn d16_losses(a: &SgDia<f64>) -> Vec<f64> {
+        let mg = Mg::<f32>::setup(a, &MgConfig::d16()).unwrap();
+        let levels = &mg.info().levels;
+        let audits = levels[..levels.len() - 1].iter().map(|l| l.audit.as_ref().unwrap());
+        audits.map(RangeAudit::underflow_loss_fraction).collect()
+    }
+
+    /// `Mg::setup(a)` under `Fp16Until { shift_levid }`, and the storage
+    /// precision of each smoothed level.
+    fn fp16_until(a: &SgDia<f64>, shift_levid: usize) -> (Mg<f32>, Vec<Precision>) {
+        let storage = StoragePolicy::Fp16Until { shift_levid };
+        let mg = Mg::<f32>::setup(a, &MgConfig { storage, ..MgConfig::d16() }).unwrap();
+        let levels = &mg.info().levels;
+        let precisions = levels[..levels.len() - 1].iter().map(|l| l.precision).collect();
+        (mg, precisions)
     }
 
     #[test]
-    fn auto_shift_keeps_benign_problem_all_fp16() {
+    fn d16_audit_of_a_benign_problem_loses_nothing() {
         let a = laplacian(Grid3::cube(16), Pattern::p7(), 1.0);
-        let mg = Mg::<f32>::setup(&a, &MgConfig::d16_auto()).unwrap();
-        let info = mg.info();
-        let ShiftDecision { chosen, ref per_level } =
-            *info.shift_decision.as_ref().expect("AutoShift must record its decision");
-        assert_eq!(chosen, usize::MAX, "benign problem must stay all-FP16");
-        assert_eq!(crate::AUTO_SHIFT_MAX_UNDERFLOW, 0.05);
-        assert_eq!(per_level.len(), info.levels.len() - 1, "every smoothed level audited");
-        for l in &info.levels[..info.levels.len() - 1] {
-            assert_eq!(l.precision, Precision::F16);
-        }
+        let losses = d16_losses(&a);
+        assert!(losses.iter().all(|&l| l == 0.0), "{losses:?}");
     }
 
     #[test]
-    fn auto_shift_switches_at_level_zero_when_finest_underflows() {
-        // Every coupling sits below the FP16 normal range: the audit must
-        // move the entire hierarchy to the coarse precision.
+    fn fp16_until_0_stores_an_underflowing_finest_level_in_fp32() {
+        // Every coupling sits below the FP16 normal range: the d16 audit of
+        // level 0 shows it, and the switch at 0 stores every level in FP32.
         let a = laplacian(Grid3::cube(16), Pattern::p7(), 1.0e-8);
-        let mg = Mg::<f32>::setup(&a, &MgConfig::d16_auto()).unwrap();
-        let info = mg.info();
-        let d = info.shift_decision.as_ref().unwrap();
-        assert_eq!(d.chosen, 0);
-        assert!(d.per_level[0].underflow_loss_fraction() > 0.99);
-        for l in &info.levels[..info.levels.len() - 1] {
-            assert_eq!(l.precision, Precision::F32);
-        }
+        let losses = d16_losses(&a);
+        assert!(losses[0] > 0.99, "{losses:?}");
+        let (_, precisions) = fp16_until(&a, 0);
+        assert!(precisions.iter().all(|&p| p == Precision::F32), "{precisions:?}");
     }
 
     #[test]
-    fn auto_shift_picks_interior_level_on_weakly_coupled_components() {
+    fn fp16_until_1_stores_the_weakly_coupled_interior_level_in_fp32() {
         // Finest level: in FP16 range unscaled, weak channel well above
         // the subnormal cutoff - clean audit. Level 1: RAP growth crosses
         // FP16_MAX, scaling normalizes the diagonal to G and the weak
         // inter-component entries land deep in the subnormal range (~50%
-        // of the nonzeros). AutoShift must switch exactly there.
+        // of the nonzeros). The switch belongs exactly there.
         let a = weakly_coupled_components(32, 4.0e3);
-        let mg = Mg::<f32>::setup(&a, &MgConfig::d16_auto()).unwrap();
-        let info = mg.info();
-        let d = info.shift_decision.as_ref().unwrap();
-        assert_eq!(d.chosen, 1, "expected the switch at the first scaled level");
-        assert!(d.per_level[0].underflow_loss_fraction() <= 0.05);
-        assert!(d.per_level[1].underflow_loss_fraction() > 0.05, "{}", d.per_level[1]);
-        assert_eq!(d.per_level.len(), 2, "audit stops at the switch level");
-        for (i, l) in info.levels[..info.levels.len() - 1].iter().enumerate() {
-            let want = if i < 1 { Precision::F16 } else { Precision::F32 };
-            assert_eq!(l.precision, want, "level {i}");
-        }
-        // The decision is explainable to a log reader.
-        let msg = d.to_string();
-        assert!(msg.contains("shift_levid = 1"), "{msg}");
-        // The resolved hierarchy still converges.
+        let losses = d16_losses(&a);
+        assert!(losses[0] <= 0.05 && losses[1] > 0.05, "{losses:?}");
+        let (mut mg, precisions) = fp16_until(&a, 1);
+        assert_eq!(precisions[0], Precision::F16);
+        assert!(precisions[1..].iter().all(|&p| p == Precision::F32), "{precisions:?}");
+        // The hierarchy with the switch converges.
         let op = MatOp::new(&a, Par::Seq);
         let b = rhs(a.rows());
         let mut x = vec![0.0f64; a.rows()];
-        let mut mg = mg;
         let res = richardson(&op, &mut mg, &b, &mut x, &SolveOptions::default());
         assert!(res.converged(), "{res:?}");
     }
